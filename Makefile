@@ -1,10 +1,11 @@
 GO ?= go
 
 # `make check` is the CI gate: vet, full build, the documentation gate,
-# the SLO rule-file gate, and the race-enabled test suite (-count=1
-# defeats the test cache so every run really runs).
+# the SLO rule-file gate, the benchmark module's own vet and tests, and
+# the race-enabled test suite (-count=1 defeats the test cache so every
+# run really runs).
 .PHONY: check
-check: vet build docslint slolint race
+check: vet build docslint slolint bench-module race
 
 .PHONY: vet
 vet:
@@ -35,6 +36,14 @@ docslint:
 .PHONY: slolint
 slolint:
 	$(GO) run ./cmd/slolint examples/slo/rules.json examples/slo/diurnal.json
+
+# `make bench-module` vets and tests bench/, which is a Go module of its
+# own (replace microfaas => ../): the root `go build ./...` never compiles
+# it, so only this proves the facade it is written against still fits.
+.PHONY: bench-module
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # `make bench` runs the full benchmark suite and records it as a JSON
 # baseline (BENCH_pr10.json) via cmd/benchjson. `make bench-smoke` is the

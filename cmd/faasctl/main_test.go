@@ -26,7 +26,7 @@ func startStack(t *testing.T) (*client, *strings.Builder) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := gateway.New(l.Orch, 30*time.Second)
+	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,6 +54,20 @@ import (
 	"microfaas/internal/workload"
 )
 
+// options carries the parsed flags into the mode dispatch.
+type options struct {
+	live         cluster.LiveOptions
+	listen       string
+	jobs         int
+	replayPath   string
+	speedup      float64
+	drainTimeout time.Duration
+	pprof        bool
+	slo          []tsdb.Rule
+	scrapeEvery  time.Duration
+	predict      bool
+}
+
 func main() {
 	workers := flag.Int("workers", 4, "live worker count")
 	listen := flag.String("listen", "127.0.0.1:8080", "gateway listen address (serve mode)")
@@ -79,17 +93,27 @@ func main() {
 	predict := flag.Bool("predict", false, "predictive power management: forecast arrival rates and steer the warm pool ahead of demand (serve mode; requires -power-idle)")
 	flag.Parse()
 
-	opts := cluster.LiveOptions{
-		Workers:          *workers,
-		BootDelay:        *bootDelay,
-		Seed:             *seed,
-		Meter:            true,
-		JobTimeout:       *jobTimeout,
-		MaxAttempts:      *maxAttempts,
-		RetryBase:        *retryBase,
-		BreakerThreshold: *breakerThreshold,
-		BreakerProbe:     *breakerProbe,
-		Telemetry:        telemetry.New(),
+	opts := options{
+		live: cluster.LiveOptions{
+			Workers:          *workers,
+			BootDelay:        *bootDelay,
+			Seed:             *seed,
+			Meter:            true,
+			JobTimeout:       *jobTimeout,
+			MaxAttempts:      *maxAttempts,
+			RetryBase:        *retryBase,
+			BreakerThreshold: *breakerThreshold,
+			BreakerProbe:     *breakerProbe,
+			Telemetry:        telemetry.New(),
+		},
+		listen:       *listen,
+		jobs:         *jobs,
+		replayPath:   *replayPath,
+		speedup:      *speedup,
+		drainTimeout: *drainTimeout,
+		pprof:        *pprofFlag,
+		scrapeEvery:  *scrapeEvery,
+		predict:      *predict,
 	}
 	if *policyFlag != "" {
 		pol, err := core.ParsePolicy(*policyFlag)
@@ -97,10 +121,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "microfaas-live:", err)
 			os.Exit(2)
 		}
-		opts.Policy = pol
+		opts.live.Policy = pol
 	}
 	if *powerIdle > 0 {
-		opts.Power = &powermgr.Policy{
+		opts.live.Power = &powermgr.Policy{
 			IdleTimeout: *powerIdle,
 			MinUp:       *powerMinUp,
 			CapW:        power.Watts(*powerCap),
@@ -110,7 +134,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *predict {
-		if opts.Power == nil {
+		if opts.live.Power == nil {
 			fmt.Fprintln(os.Stderr, "microfaas-live: -predict requires -power-idle")
 			os.Exit(2)
 		}
@@ -118,37 +142,36 @@ func main() {
 		// net rather than the only trim path; damp pre-sleep so a
 		// momentary forecast dip doesn't cycle nodes the next burst
 		// re-boots. These mirror the tuned predictive experiment arm.
-		opts.Power.PreSleepSlack = 1
-		opts.Power.PreSleepSlackFrac = 0.5
-		opts.Power.PreSleepMax = 1
-		opts.Power.PreSleepDebounce = 1
+		opts.live.Power.PreSleepSlack = 1
+		opts.live.Power.PreSleepSlackFrac = 0.5
+		opts.live.Power.PreSleepMax = 1
+		opts.live.Power.PreSleepDebounce = 1
 	}
 	if *traceSample > 0 {
 		// Flag semantics: 0 disables tracing outright. Internally a zero
 		// SampleRate means "sample everything", so pass the rate through
 		// only once we know tracing is on.
-		opts.Tracer = tracing.NewWithConfig(tracing.Config{
+		opts.live.Tracer = tracing.NewWithConfig(tracing.Config{
 			Seed:          *seed,
 			SampleRate:    *traceSample,
 			SlowThreshold: 30 * time.Second,
 		})
 	}
-	var slo []tsdb.Rule
 	if *sloPath != "" {
 		var err error
-		if slo, err = tsdb.LoadRules(*sloPath); err != nil {
+		if opts.slo, err = tsdb.LoadRules(*sloPath); err != nil {
 			fmt.Fprintln(os.Stderr, "microfaas-live:", err)
 			os.Exit(2)
 		}
 	}
-	if err := run(opts, *listen, *jobs, *replayPath, *speedup, *seed, *drainTimeout, *pprofFlag, slo, *scrapeEvery, *predict); err != nil {
+	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "microfaas-live:", err)
 		os.Exit(1)
 	}
 }
 
-func run(opts cluster.LiveOptions, listen string, jobs int, replayPath string, speedup float64, seed int64, drainTimeout time.Duration, pprofOn bool, slo []tsdb.Rule, scrapeEvery time.Duration, predict bool) error {
-	l, err := cluster.StartLive(opts)
+func run(opts options) error {
+	l, err := cluster.StartLive(opts.live)
 	if err != nil {
 		return err
 	}
@@ -156,22 +179,24 @@ func run(opts cluster.LiveOptions, listen string, jobs int, replayPath string, s
 	fmt.Printf("live cluster up: %d workers, services kv=%s sql=%s cos=%s mq=%s\n",
 		len(l.Workers), l.Env.KVStoreAddr, l.Env.SQLStoreAddr, l.Env.ObjStoreAddr, l.Env.MQAddr)
 
-	if replayPath != "" {
-		return replayMode(os.Stdout, l, replayPath, speedup, seed)
+	if opts.replayPath != "" {
+		return replayMode(os.Stdout, l, opts)
 	}
-	if jobs > 0 {
-		return loadMode(os.Stdout, l, jobs, seed)
+	if opts.jobs > 0 {
+		return loadMode(os.Stdout, l, opts)
 	}
-	return serveMode(l, listen, drainTimeout, opts.Tracer, pprofOn, slo, scrapeEvery, predict)
+	return serveMode(l, opts)
 }
 
-// replayMode replays a CSV trace against the live cluster, compressing
-// offsets by speedup, and prints the same report as load mode.
-func replayMode(w io.Writer, l *cluster.Live, path string, speedup float64, seed int64) error {
+// replayMode replays the opts.replayPath CSV trace against the live
+// cluster, compressing offsets by opts.speedup, and prints the same report
+// as load mode.
+func replayMode(w io.Writer, l *cluster.Live, opts options) error {
+	speedup := opts.speedup
 	if speedup <= 0 {
 		return fmt.Errorf("speedup must be positive, got %v", speedup)
 	}
-	f, err := os.Open(path)
+	f, err := os.Open(opts.replayPath)
 	if err != nil {
 		return err
 	}
@@ -185,7 +210,7 @@ func replayMode(w io.Writer, l *cluster.Live, path string, speedup float64, seed
 	}
 	// Trace functions carry no arguments; generate realistic ones per
 	// submission by wrapping the orchestrator.
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(opts.live.Seed))
 	start := l.Runtime.Now()
 	n, err := replay.Feed(l.Runtime, &argFiller{orch: l.Orch, rng: rng}, sched)
 	if err != nil {
@@ -227,19 +252,20 @@ func (a *argFiller) Submit(function string, _ []byte) int64 {
 	return a.orch.Submit(function, args)
 }
 
-func serveMode(l *cluster.Live, listen string, drainTimeout time.Duration, tracer *tracing.Tracer, pprofOn bool, slo []tsdb.Rule, scrapeEvery time.Duration, predict bool) error {
+func serveMode(l *cluster.Live, opts options) error {
+	tracer, scrapeEvery := opts.live.Tracer, opts.scrapeEvery
 	// Serve mode carries the embedded time-series store: it scrapes the
 	// cluster's registry on the wall clock (the sim scrapes on the
 	// aggregator tick instead) and backs /query, /slo, and /alerts.
 	store := tsdb.New(tsdb.Config{Tracer: tracer})
-	if err := store.SetRules(slo); err != nil {
+	if err := store.SetRules(opts.slo); err != nil {
 		return err
 	}
 	store.AddSource("", l.Telemetry.Registry())
 	stopScrape := store.Start(l.Runtime.Now, scrapeEvery)
 	defer stopScrape()
 	var ctl *forecast.Controller
-	if predict {
+	if opts.predict {
 		// The predictor ticks on the scrape cadence so every tick sees a
 		// fresh arrival-rate sample; it steers the same power manager the
 		// reactive idle timeout owns.
@@ -265,14 +291,14 @@ func serveMode(l *cluster.Live, listen string, drainTimeout time.Duration, trace
 		Mode:        "live",
 		Telemetry:   l.Telemetry,
 		Tracer:      tracer,
-		EnablePprof: pprofOn,
+		EnablePprof: opts.pprof,
 		TSDB:        store,
 		Forecast:    ctl,
 	})
 	if err != nil {
 		return err
 	}
-	addr, err := gw.Listen(listen)
+	addr, err := gw.Listen(opts.listen)
 	if err != nil {
 		return err
 	}
@@ -282,7 +308,7 @@ func serveMode(l *cluster.Live, listen string, drainTimeout time.Duration, trace
 	fmt.Printf("  faasctl -gateway %s invoke CascSHA '{\"rounds\":1000,\"seed\":\"hi\"}'\n", addr)
 	fmt.Printf("  faasctl -gateway %s top\n", addr)
 	fmt.Printf("  faasctl -gateway %s watch microfaas_jobs_submitted_total\n", addr)
-	if len(slo) > 0 {
+	if len(opts.slo) > 0 {
 		fmt.Printf("  faasctl -gateway %s slo\n", addr)
 		fmt.Printf("  faasctl -gateway %s alerts\n", addr)
 	}
@@ -296,7 +322,7 @@ func serveMode(l *cluster.Live, listen string, drainTimeout time.Duration, trace
 	if tracer != nil {
 		fmt.Printf("  faasctl -gateway %s trace --slowest 5\n", addr)
 	}
-	if pprofOn {
+	if opts.pprof {
 		fmt.Printf("  go tool pprof http://%s/debug/pprof/profile?seconds=10\n", addr)
 	}
 	sig := make(chan os.Signal, 1)
@@ -304,8 +330,8 @@ func serveMode(l *cluster.Live, listen string, drainTimeout time.Duration, trace
 	<-sig
 	// Graceful drain: refuse new submissions, give in-flight work up to
 	// drainTimeout to finish, report anything abandoned.
-	fmt.Printf("\ndraining (up to %v for in-flight jobs)\n", drainTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	fmt.Printf("\ndraining (up to %v for in-flight jobs)\n", opts.drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
 	defer cancel()
 	abandoned := l.Orch.Drain(ctx)
 	if len(abandoned) > 0 {
@@ -315,16 +341,18 @@ func serveMode(l *cluster.Live, listen string, drainTimeout time.Duration, trace
 	return nil
 }
 
-func loadMode(w io.Writer, l *cluster.Live, jobs int, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
+// loadMode drives opts.jobs invocations round-robin over the suite and
+// prints the report.
+func loadMode(w io.Writer, l *cluster.Live, opts options) error {
+	rng := rand.New(rand.NewSource(opts.live.Seed))
 	fns := workload.All()
 	start := l.Runtime.Now()
-	for i := 0; i < jobs; i++ {
+	for i := 0; i < opts.jobs; i++ {
 		f := fns[i%len(fns)]
 		l.Orch.Submit(f.Name, f.GenArgs(rng))
 	}
 	l.Orch.Quiesce()
-	printReport(w, l, jobs, l.Runtime.Now()-start)
+	printReport(w, l, opts.jobs, l.Runtime.Now()-start)
 	if errs := l.Orch.Collector().ErrorCount(); errs > 0 {
 		return fmt.Errorf("%d invocations failed", errs)
 	}

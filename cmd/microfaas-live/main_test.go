@@ -10,13 +10,14 @@ import (
 )
 
 func TestLoadModeRunsFullSuite(t *testing.T) {
-	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 3, Seed: 2, Meter: true})
+	opts := options{live: cluster.LiveOptions{Workers: 3, Seed: 2, Meter: true}, jobs: 34}
+	l, err := cluster.StartLive(opts.live)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	var sb strings.Builder
-	if err := loadMode(&sb, l, 34, 2); err != nil {
+	if err := loadMode(&sb, l, opts); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -28,13 +29,14 @@ func TestLoadModeRunsFullSuite(t *testing.T) {
 }
 
 func TestLoadModeReportsWorkerBootDelay(t *testing.T) {
-	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 2, Seed: 2, BootDelay: 20 * time.Millisecond})
+	opts := options{live: cluster.LiveOptions{Workers: 2, Seed: 2, BootDelay: 20 * time.Millisecond}, jobs: 4}
+	l, err := cluster.StartLive(opts.live)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	var sb strings.Builder
-	if err := loadMode(&sb, l, 4, 2); err != nil {
+	if err := loadMode(&sb, l, opts); err != nil {
 		t.Fatal(err)
 	}
 	// Every record must include the reboot pause.
@@ -46,18 +48,20 @@ func TestLoadModeReportsWorkerBootDelay(t *testing.T) {
 }
 
 func TestReplayModeDrivesTrace(t *testing.T) {
-	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 2, Seed: 3, Meter: true})
+	opts := options{live: cluster.LiveOptions{Workers: 2, Seed: 3, Meter: true}, speedup: 2}
+	l, err := cluster.StartLive(opts.live)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	path := t.TempDir() + "/trace.csv"
+	opts.replayPath = path
 	trace := "at_ms,function\n0,CascSHA\n40,RedisInsert\n90,RegExMatch\n150,MQProduce\n"
 	if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := replayMode(&sb, l, path, 2, 3); err != nil {
+	if err := replayMode(&sb, l, opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Orch.Collector().Len(); got != 4 {
@@ -75,10 +79,10 @@ func TestReplayModeValidation(t *testing.T) {
 	}
 	defer l.Close()
 	var sb strings.Builder
-	if err := replayMode(&sb, l, "/nonexistent/trace.csv", 1, 1); err == nil {
+	if err := replayMode(&sb, l, options{replayPath: "/nonexistent/trace.csv", speedup: 1}); err == nil {
 		t.Fatal("missing trace accepted")
 	}
-	if err := replayMode(&sb, l, "/dev/null", 0, 1); err == nil {
+	if err := replayMode(&sb, l, options{replayPath: "/dev/null"}); err == nil {
 		t.Fatal("zero speedup accepted")
 	}
 }

@@ -215,16 +215,7 @@ func StartLive(opts LiveOptions) (*Live, error) {
 			BudgetThrottle:   opts.BudgetThrottle,
 		}
 		if opts.Power != nil {
-			nodes := make([]powermgr.Node, len(l.Workers))
-			for i, w := range l.Workers {
-				nodes[i] = w
-			}
-			pm, err := powermgr.New(powermgr.Config{
-				Runtime:   l.Runtime,
-				Nodes:     nodes,
-				Policy:    *opts.Power,
-				Telemetry: opts.Telemetry,
-			})
+			pm, err := newPowerManager(l.Runtime, l.Workers, *opts.Power, opts.Telemetry)
 			if err != nil {
 				return nil, err
 			}

@@ -6,7 +6,6 @@ import (
 
 	"microfaas/internal/core"
 	"microfaas/internal/gpio"
-	"microfaas/internal/model"
 	"microfaas/internal/node"
 	"microfaas/internal/power"
 	"microfaas/internal/powermgr"
@@ -21,6 +20,9 @@ import (
 // start at i*shardIDSpan + 1). A disjoint, cluster-unique id space is
 // what lets the work stealer migrate jobs identity-intact.
 const shardIDSpan = int64(1) << 40
+
+// shardLabel names shard si in spans, metrics, and gateway rows.
+func shardLabel(si int) string { return fmt.Sprintf("shard-%02d", si) }
 
 // ShardedSim is a MicroFaaS cluster split into N control-plane shards
 // behind a consistent-hash load-balancer tier (see internal/shard).
@@ -75,76 +77,28 @@ func NewShardedMicroFaaSSim(shards, workersPerShard int, cfg SimConfig, scfg sha
 	if workersPerShard <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one SBC per shard, got %d", workersPerShard)
 	}
-	engine := sim.NewEngine(cfg.Seed)
-	meter := power.NewMeter()
-	controller := gpio.NewController()
-	s := &ShardedSim{Engine: engine, Meter: meter, GPIO: controller, SharedTelemetry: cfg.Telemetry}
-	registerMeterMetrics(cfg.Telemetry, meter, engine.Now)
+	b := newSimBuilder(cfg, gpio.NewController())
+	s := &ShardedSim{Engine: b.engine, Meter: b.meter, GPIO: b.gpio, SharedTelemetry: cfg.Telemetry}
 	for si := 0; si < shards; si++ {
 		var tel *telemetry.Telemetry
 		if cfg.Telemetry != nil {
 			tel = telemetry.New()
 		}
-		s.Telemetries = append(s.Telemetries, tel)
-		workers := make([]core.Worker, 0, workersPerShard)
-		var simWorkers []*node.SimWorker
-		for i := 0; i < workersPerShard; i++ {
-			w, err := node.NewSimWorker(node.SimWorkerConfig{
-				ID:            fmt.Sprintf("s%02d-sbc-%04d", si, i),
-				Platform:      model.ARM,
-				Link:          cfg.Link,
-				Engine:        engine,
-				Meter:         meter,
-				GPIO:          controller,
-				Jitter:        cfg.jitter(),
-				BootTime:      cfg.BootTime,
-				Specs:         cfg.Specs,
-				DisableReboot: cfg.DisableReboot,
-				FailureRate:   cfg.FailureRate,
-				HangRate:      cfg.HangRate,
-				SlowRate:      cfg.SlowRate,
-				SlowFactor:    cfg.SlowFactor,
-				KeepWarm:      cfg.KeepWarm,
-				Managed:       cfg.Power != nil,
-				Telemetry:     tel,
-				Tracer:        cfg.Tracer,
-			})
-			if err != nil {
-				return nil, err
-			}
-			simWorkers = append(simWorkers, w)
-			workers = append(workers, w)
-		}
-		s.Workers = append(s.Workers, simWorkers)
-		cc := cfg.coreConfig(engine, workers)
-		// Each shard draws from its own RNG stream and owns a disjoint
-		// job-id space.
-		cc.Seed = cfg.Seed + 1 + int64(si)
-		cc.Telemetry = tel
-		cc.JobIDBase = int64(si) * shardIDSpan
-		cc.ShardLabel = fmt.Sprintf("shard-%02d", si)
-		if cfg.Power != nil {
-			nodes := make([]powermgr.Node, len(simWorkers))
-			for i, w := range simWorkers {
-				nodes[i] = w
-			}
-			pm, err := powermgr.New(powermgr.Config{
-				Runtime:   core.SimRuntime{Engine: engine},
-				Nodes:     nodes,
-				Policy:    *cfg.Power,
-				Telemetry: tel,
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.PowerMgrs = append(s.PowerMgrs, pm)
-			cc.PowerManager = pm
-		}
-		orch, err := core.New(cc)
+		workers, err := b.workers(nil, workersPerShard, nil, tel,
+			func(i int) string { return fmt.Sprintf("s%02d-sbc-%04d", si, i) })
 		if err != nil {
 			return nil, err
 		}
+		orch, pm, err := b.shard(si, shardLabel(si), tel, workers)
+		if err != nil {
+			return nil, err
+		}
+		s.Telemetries = append(s.Telemetries, tel)
+		s.Workers = append(s.Workers, workers)
 		s.Orchs = append(s.Orchs, orch)
+		if pm != nil {
+			s.PowerMgrs = append(s.PowerMgrs, pm)
+		}
 	}
 	s.down = make([]bool, shards)
 	if scfg.Membership.Enabled {
@@ -177,7 +131,7 @@ func NewShardedMicroFaaSSim(shards, workersPerShard int, cfg SimConfig, scfg sha
 			}
 		}
 	}
-	plane, err := shard.NewPlane(core.SimRuntime{Engine: engine}, s.Orchs, scfg)
+	plane, err := shard.NewPlane(core.SimRuntime{Engine: b.engine}, s.Orchs, scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +156,7 @@ func (s *ShardedSim) AttachTSDB(store *tsdb.Store) {
 	}
 	for si, tel := range s.Telemetries {
 		if tel != nil {
-			store.AddSource(fmt.Sprintf("shard-%02d", si), tel.Registry())
+			store.AddSource(shardLabel(si), tel.Registry())
 		}
 	}
 	s.Plane.SetTickHook(store.Scrape)

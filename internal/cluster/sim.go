@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"microfaas/internal/core"
@@ -101,26 +102,6 @@ type SimConfig struct {
 	BudgetThrottle time.Duration
 }
 
-// coreConfig assembles the OP config shared by every sim constructor.
-func (c SimConfig) coreConfig(engine *sim.Engine, workers []core.Worker) core.Config {
-	return core.Config{
-		Runtime:          core.SimRuntime{Engine: engine},
-		Workers:          workers,
-		Seed:             c.Seed + 1,
-		Policy:           c.Policy,
-		MaxAttempts:      c.MaxAttempts,
-		JobTimeout:       c.JobTimeout,
-		RetryBase:        c.RetryBase,
-		RetryMax:         c.RetryMax,
-		BreakerThreshold: c.BreakerThreshold,
-		BreakerProbe:     c.BreakerProbe,
-		Telemetry:        c.Telemetry,
-		Tracer:           c.Tracer,
-		EnergyBudgets:    c.EnergyBudgets,
-		BudgetThrottle:   c.BudgetThrottle,
-	}
-}
-
 func (c SimConfig) jitter() float64 {
 	if c.Jitter == 0 {
 		return 0.03
@@ -150,68 +131,156 @@ type Sim struct {
 	PowerMgr *powermgr.Manager
 }
 
+// simBuilder carries what every worker and orchestrator of one simulated
+// cluster shares — the config, the single virtual clock, the meter, and
+// (MicroFaaS clusters) the GPIO power plane — and builds the cluster one
+// control-plane shard at a time. The unsharded constructors are the
+// one-shard case: shard 0, no label, the caller's own telemetry.
+type simBuilder struct {
+	cfg    SimConfig
+	engine *sim.Engine
+	meter  *power.Meter
+	gpio   *gpio.Controller
+}
+
+// newSimBuilder starts a cluster on a fresh engine seeded from cfg; the
+// meter's cluster-wide gauges land in cfg.Telemetry. controller is nil
+// for rack-server clusters.
+func newSimBuilder(cfg SimConfig, controller *gpio.Controller) *simBuilder {
+	b := &simBuilder{cfg: cfg, engine: sim.NewEngine(cfg.Seed), meter: power.NewMeter(), gpio: controller}
+	registerMeterMetrics(cfg.Telemetry, b.meter, b.engine.Now)
+	return b
+}
+
+// newConventionalBuilder is newSimBuilder for rack-server clusters, which
+// have no GPIO plane and cannot be power-managed.
+func newConventionalBuilder(cfg SimConfig) (*simBuilder, error) {
+	if cfg.Power != nil {
+		return nil, fmt.Errorf("cluster: power management applies to MicroFaaS SBC clusters only")
+	}
+	return newSimBuilder(cfg, nil), nil
+}
+
+// rackServer adds one rack server to the cluster's meter.
+func (b *simBuilder) rackServer(id string) *node.RackServer {
+	cores := b.cfg.Cores
+	if cores == 0 {
+		cores = model.ServerCores
+	}
+	return node.NewRackServer(id, cores, b.engine, b.meter, power.DefaultServerModel())
+}
+
+// workers appends n workers named id(0..n-1) to dst: SBCs on the shared
+// GPIO plane when server is nil, microVMs hosted on server otherwise.
+func (b *simBuilder) workers(dst []*node.SimWorker, n int, server *node.RackServer, tel *telemetry.Telemetry, id func(i int) string) ([]*node.SimWorker, error) {
+	platform, controller := model.ARM, b.gpio
+	if server != nil {
+		platform, controller = model.X86, nil
+	}
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		w, err := node.NewSimWorker(node.SimWorkerConfig{
+			ID:            id(i),
+			Platform:      platform,
+			Link:          b.cfg.Link,
+			Engine:        b.engine,
+			Meter:         b.meter,
+			Server:        server,
+			GPIO:          controller,
+			Jitter:        b.cfg.jitter(),
+			BootTime:      b.cfg.BootTime,
+			Specs:         b.cfg.Specs,
+			DisableReboot: b.cfg.DisableReboot,
+			FailureRate:   b.cfg.FailureRate,
+			HangRate:      b.cfg.HangRate,
+			SlowRate:      b.cfg.SlowRate,
+			SlowFactor:    b.cfg.SlowFactor,
+			KeepWarm:      b.cfg.KeepWarm,
+			Managed:       b.cfg.Power != nil,
+			Telemetry:     tel,
+			Tracer:        b.cfg.Tracer,
+		})
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, w)
+	}
+	return dst, nil
+}
+
+// shard wires control-plane shard si over workers: the OP config every
+// sim constructor derives from SimConfig, the shard's own RNG stream and
+// disjoint job-id space (shard 0's are the unsharded seed and ids), and —
+// when power management is on — a manager over exactly these workers.
+func (b *simBuilder) shard(si int, label string, tel *telemetry.Telemetry, workers []*node.SimWorker) (*core.Orchestrator, *powermgr.Manager, error) {
+	rt := core.SimRuntime{Engine: b.engine}
+	cc := core.Config{
+		Runtime:          rt,
+		Workers:          make([]core.Worker, len(workers)),
+		Seed:             b.cfg.Seed + 1 + int64(si),
+		Policy:           b.cfg.Policy,
+		MaxAttempts:      b.cfg.MaxAttempts,
+		JobTimeout:       b.cfg.JobTimeout,
+		RetryBase:        b.cfg.RetryBase,
+		RetryMax:         b.cfg.RetryMax,
+		BreakerThreshold: b.cfg.BreakerThreshold,
+		BreakerProbe:     b.cfg.BreakerProbe,
+		Telemetry:        tel,
+		Tracer:           b.cfg.Tracer,
+		ShardLabel:       label,
+		JobIDBase:        int64(si) * shardIDSpan,
+		EnergyBudgets:    b.cfg.EnergyBudgets,
+		BudgetThrottle:   b.cfg.BudgetThrottle,
+	}
+	for i, w := range workers {
+		cc.Workers[i] = w
+	}
+	var pm *powermgr.Manager
+	if b.cfg.Power != nil {
+		var err error
+		if pm, err = newPowerManager(rt, workers, *b.cfg.Power, tel); err != nil {
+			return nil, nil, err
+		}
+		cc.PowerManager = pm
+	}
+	orch, err := core.New(cc)
+	return orch, pm, err
+}
+
+// newPowerManager wires a power manager over exactly the given workers,
+// for sim shards and the live cluster alike.
+func newPowerManager[W powermgr.Node](rt powermgr.Runtime, workers []W, policy powermgr.Policy, tel *telemetry.Telemetry) (*powermgr.Manager, error) {
+	nodes := make([]powermgr.Node, len(workers))
+	for i, w := range workers {
+		nodes[i] = w
+	}
+	return powermgr.New(powermgr.Config{Runtime: rt, Nodes: nodes, Policy: policy, Telemetry: tel})
+}
+
+// sim finishes an unsharded cluster: one shard over every worker built.
+// server is the cluster's (first) rack server, nil for MicroFaaS.
+func (b *simBuilder) sim(server *node.RackServer, workers []*node.SimWorker) (*Sim, error) {
+	orch, pm, err := b.shard(0, "", b.cfg.Telemetry, workers)
+	if err != nil {
+		return nil, err
+	}
+	return &Sim{
+		Engine: b.engine, Meter: b.meter, Orch: orch, Workers: workers, Server: server,
+		GPIO: b.gpio, Telemetry: b.cfg.Telemetry, PowerMgr: pm,
+	}, nil
+}
+
 // NewMicroFaaSSim builds an n-SBC MicroFaaS cluster.
 func NewMicroFaaSSim(n int, cfg SimConfig) (*Sim, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one SBC, got %d", n)
 	}
-	engine := sim.NewEngine(cfg.Seed)
-	meter := power.NewMeter()
-	controller := gpio.NewController()
-	s := &Sim{Engine: engine, Meter: meter, GPIO: controller, Telemetry: cfg.Telemetry}
-	registerMeterMetrics(cfg.Telemetry, meter, engine.Now)
-	workers := make([]core.Worker, 0, n)
-	for i := 0; i < n; i++ {
-		w, err := node.NewSimWorker(node.SimWorkerConfig{
-			ID:            fmt.Sprintf("sbc-%03d", i),
-			Platform:      model.ARM,
-			Link:          cfg.Link,
-			Engine:        engine,
-			Meter:         meter,
-			GPIO:          controller,
-			Jitter:        cfg.jitter(),
-			BootTime:      cfg.BootTime,
-			Specs:         cfg.Specs,
-			DisableReboot: cfg.DisableReboot,
-			FailureRate:   cfg.FailureRate,
-			HangRate:      cfg.HangRate,
-			SlowRate:      cfg.SlowRate,
-			SlowFactor:    cfg.SlowFactor,
-			KeepWarm:      cfg.KeepWarm,
-			Managed:       cfg.Power != nil,
-			Telemetry:     cfg.Telemetry,
-			Tracer:        cfg.Tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.Workers = append(s.Workers, w)
-		workers = append(workers, w)
-	}
-	cc := cfg.coreConfig(engine, workers)
-	if cfg.Power != nil {
-		nodes := make([]powermgr.Node, len(s.Workers))
-		for i, w := range s.Workers {
-			nodes[i] = w
-		}
-		pm, err := powermgr.New(powermgr.Config{
-			Runtime:   core.SimRuntime{Engine: engine},
-			Nodes:     nodes,
-			Policy:    *cfg.Power,
-			Telemetry: cfg.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.PowerMgr = pm
-		cc.PowerManager = pm
-	}
-	orch, err := core.New(cc)
+	b := newSimBuilder(cfg, gpio.NewController())
+	workers, err := b.workers(nil, n, nil, cfg.Telemetry, func(i int) string { return fmt.Sprintf("sbc-%03d", i) })
 	if err != nil {
 		return nil, err
 	}
-	s.Orch = orch
-	return s, nil
+	return b.sim(nil, workers)
 }
 
 // NewConventionalSim builds a vms-VM conventional cluster on one rack
@@ -220,111 +289,44 @@ func NewConventionalSim(vms int, cfg SimConfig) (*Sim, error) {
 	if vms <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one VM, got %d", vms)
 	}
-	if cfg.Power != nil {
-		return nil, fmt.Errorf("cluster: power management applies to MicroFaaS SBC clusters only")
-	}
-	cores := cfg.Cores
-	if cores == 0 {
-		cores = model.ServerCores
-	}
-	engine := sim.NewEngine(cfg.Seed)
-	meter := power.NewMeter()
-	server := node.NewRackServer("rack-server", cores, engine, meter, power.DefaultServerModel())
-	s := &Sim{Engine: engine, Meter: meter, Server: server, Telemetry: cfg.Telemetry}
-	registerMeterMetrics(cfg.Telemetry, meter, engine.Now)
-	workers := make([]core.Worker, 0, vms)
-	for i := 0; i < vms; i++ {
-		w, err := node.NewSimWorker(node.SimWorkerConfig{
-			ID:            fmt.Sprintf("vm-%03d", i),
-			Platform:      model.X86,
-			Link:          cfg.Link,
-			Engine:        engine,
-			Meter:         meter,
-			Server:        server,
-			Jitter:        cfg.jitter(),
-			BootTime:      cfg.BootTime,
-			Specs:         cfg.Specs,
-			DisableReboot: cfg.DisableReboot,
-			FailureRate:   cfg.FailureRate,
-			HangRate:      cfg.HangRate,
-			SlowRate:      cfg.SlowRate,
-			SlowFactor:    cfg.SlowFactor,
-			KeepWarm:      cfg.KeepWarm,
-			Telemetry:     cfg.Telemetry,
-			Tracer:        cfg.Tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.Workers = append(s.Workers, w)
-		workers = append(workers, w)
-	}
-	orch, err := core.New(cfg.coreConfig(engine, workers))
+	b, err := newConventionalBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.Orch = orch
-	return s, nil
+	server := b.rackServer("rack-server")
+	workers, err := b.workers(nil, vms, server, cfg.Telemetry, func(i int) string { return fmt.Sprintf("vm-%03d", i) })
+	if err != nil {
+		return nil, err
+	}
+	return b.sim(server, workers)
 }
 
 // NewConventionalRackSim builds a rack of several conventional servers —
 // `servers` rack servers each hosting `vmsPerServer` microVMs — in one
 // simulation, for the datacenter-scale comparison behind Table II's
-// throughput-equivalence assumption.
+// throughput-equivalence assumption. Sim.Server is the first server.
 func NewConventionalRackSim(servers, vmsPerServer int, cfg SimConfig) (*Sim, error) {
 	if servers <= 0 || vmsPerServer <= 0 {
 		return nil, fmt.Errorf("cluster: need positive servers (%d) and VMs per server (%d)", servers, vmsPerServer)
 	}
-	if cfg.Power != nil {
-		return nil, fmt.Errorf("cluster: power management applies to MicroFaaS SBC clusters only")
-	}
-	cores := cfg.Cores
-	if cores == 0 {
-		cores = model.ServerCores
-	}
-	engine := sim.NewEngine(cfg.Seed)
-	meter := power.NewMeter()
-	s := &Sim{Engine: engine, Meter: meter, Telemetry: cfg.Telemetry}
-	registerMeterMetrics(cfg.Telemetry, meter, engine.Now)
-	workers := make([]core.Worker, 0, servers*vmsPerServer)
-	for sv := 0; sv < servers; sv++ {
-		server := node.NewRackServer(fmt.Sprintf("rack-server-%03d", sv), cores, engine, meter, power.DefaultServerModel())
-		if sv == 0 {
-			s.Server = server
-		}
-		for i := 0; i < vmsPerServer; i++ {
-			w, err := node.NewSimWorker(node.SimWorkerConfig{
-				ID:            fmt.Sprintf("vm-%03d-%03d", sv, i),
-				Platform:      model.X86,
-				Link:          cfg.Link,
-				Engine:        engine,
-				Meter:         meter,
-				Server:        server,
-				Jitter:        cfg.jitter(),
-				BootTime:      cfg.BootTime,
-				Specs:         cfg.Specs,
-				DisableReboot: cfg.DisableReboot,
-				FailureRate:   cfg.FailureRate,
-				HangRate:      cfg.HangRate,
-				SlowRate:      cfg.SlowRate,
-				SlowFactor:    cfg.SlowFactor,
-				KeepWarm:      cfg.KeepWarm,
-				Telemetry:     cfg.Telemetry,
-				Tracer:        cfg.Tracer,
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.Workers = append(s.Workers, w)
-			workers = append(workers, w)
-		}
-	}
-	orch, err := core.New(cfg.coreConfig(engine, workers))
+	b, err := newConventionalBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.Orch = orch
-	return s, nil
+	var first *node.RackServer
+	workers := make([]*node.SimWorker, 0, servers*vmsPerServer)
+	for sv := 0; sv < servers; sv++ {
+		server := b.rackServer(fmt.Sprintf("rack-server-%03d", sv))
+		if sv == 0 {
+			first = server
+		}
+		workers, err = b.workers(workers, vmsPerServer, server, cfg.Telemetry,
+			func(i int) string { return fmt.Sprintf("vm-%03d-%03d", sv, i) })
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b.sim(first, workers)
 }
 
 // RunSuite issues approximately jobsPerFunction invocations of each named

@@ -25,7 +25,7 @@ func TestQueuedMsReportsWaitNotTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := New(l.Orch, 30*time.Second)
+	gw, err := NewWithOptions(l.Orch, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestAsyncPendingSurvivesFastPollerRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := New(l.Orch, time.Second)
+	gw, err := NewWithOptions(l.Orch, Options{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestAsyncStateExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := New(l.Orch, time.Second)
+	gw, err := NewWithOptions(l.Orch, Options{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

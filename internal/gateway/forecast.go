@@ -7,10 +7,10 @@ import (
 	"microfaas/internal/core"
 )
 
-// shardBudgets is one shard's energy-budget rows inside the sharded
-// GET /budgets reply.
+// shardBudgets is one shard's energy-budget rows inside the /budgets
+// reply.
 type shardBudgets struct {
-	Shard   string              `json:"shard"`
+	Shard   string              `json:"shard,omitempty"`
 	Budgets []core.BudgetStatus `json:"budgets"`
 }
 
@@ -36,8 +36,8 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 //	POST /budgets  {"function": "...", "limit_j": N} sets or updates one
 //	               budget (N <= 0 removes it) and returns the fresh rows
 //
-// A sharded gateway returns per-shard rows and applies POSTs to every
-// shard (work stealing can land any function anywhere).
+// The reply is one {"shard","budgets"} row per shard, and a POST applies
+// to every shard (work stealing can land any function anywhere).
 func (s *Server) handleBudgets(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -54,25 +54,16 @@ func (s *Server) handleBudgets(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "function name required")
 			return
 		}
-		if s.plane != nil {
-			for _, o := range s.plane.Shards() {
-				o.SetEnergyBudget(req.Function, req.LimitJ)
-			}
-		} else {
-			s.orch.SetEnergyBudget(req.Function, req.LimitJ)
+		for _, sh := range s.shards {
+			sh.orch.SetEnergyBudget(req.Function, req.LimitJ)
 		}
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "GET or POST required")
 		return
 	}
-	if s.plane != nil {
-		labels := s.plane.Labels()
-		out := []shardBudgets{}
-		for si, o := range s.plane.Shards() {
-			out = append(out, shardBudgets{Shard: labels[si], Budgets: o.EnergyBudgets()})
-		}
-		writeJSON(w, http.StatusOK, out)
-		return
+	out := make([]shardBudgets, len(s.shards))
+	for i, sh := range s.shards {
+		out[i] = shardBudgets{Shard: sh.label, Budgets: sh.orch.EnergyBudgets()}
 	}
-	writeJSON(w, http.StatusOK, s.orch.EnergyBudgets())
+	writeJSON(w, http.StatusOK, out)
 }

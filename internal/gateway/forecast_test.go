@@ -86,6 +86,21 @@ func TestForecastEndpointDisabled(t *testing.T) {
 	}
 }
 
+// decodeLoneBudgets reads a /budgets reply from a gateway over one
+// unlabelled orchestrator: a one-row array with no shard name.
+func decodeLoneBudgets(t *testing.T, resp *http.Response) []core.BudgetStatus {
+	t.Helper()
+	defer resp.Body.Close()
+	var rows []shardBudgets
+	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Shard != "" {
+		t.Fatalf("lone /budgets rows = %+v, want one unlabelled row", rows)
+	}
+	return rows[0].Budgets
+}
+
 func TestBudgetsEndpoint(t *testing.T) {
 	base, _ := startGateway(t)
 	// No budgets yet: an empty (but valid JSON) list.
@@ -93,12 +108,7 @@ func TestBudgetsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []core.BudgetStatus
-	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(rows) != 0 {
+	if rows := decodeLoneBudgets(t, resp); len(rows) != 0 {
 		t.Fatalf("initial budgets = %+v, want none", rows)
 	}
 	// Install one budget and read it back from the POST reply.
@@ -107,10 +117,7 @@ func TestBudgetsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	rows := decodeLoneBudgets(t, resp)
 	if len(rows) != 1 || rows[0].Function != "CascSHA" || rows[0].LimitJoules != 12.5 || rows[0].Exhausted {
 		t.Fatalf("budgets after POST = %+v", rows)
 	}
@@ -120,11 +127,7 @@ func TestBudgetsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(rows) != 0 {
+	if rows := decodeLoneBudgets(t, resp); len(rows) != 0 {
 		t.Fatalf("budgets after removal = %+v, want none", rows)
 	}
 	// A POST without a function name is rejected.

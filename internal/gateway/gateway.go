@@ -10,17 +10,21 @@
 //	GET  /functions        list of deployable function names
 //	GET  /workers          per-worker health: breaker state, failure counts, queue depth
 //	GET  /stats            per-function runtime statistics and cluster totals
-//	GET  /power            power-manager snapshot: per-node power states, cap, pending wakes
-//	POST /power/cap        {"cap_w": N} adjusts the cluster power cap (0 removes it)
+//	GET  /power            power-manager snapshots, one {"shard","snapshot"} row per shard:
+//	                       per-node power states, cap, pending wakes
+//	POST /power/cap        {"cap_w": N} adjusts the cluster power cap (0 removes it),
+//	                       divided evenly across the shards; replies like GET /power
 //	GET  /forecast         prediction-controller snapshot: mode, error ratio, warm target,
 //	                       per-function rate/EWMA/ahead forecasts
-//	GET  /budgets          per-function energy budgets: limit, spent, exhausted
-//	POST /budgets          {"function": "...", "limit_j": N} sets/updates a budget (N <= 0 removes)
+//	GET  /budgets          per-function energy budgets, one {"shard","budgets"} row per
+//	                       shard: limit, spent, exhausted
+//	POST /budgets          {"function": "...", "limit_j": N} sets/updates a budget on every
+//	                       shard (N <= 0 removes); replies like GET /budgets
 //	GET  /healthz          liveness probe: mode, uptime, build version
 //	GET  /metrics          Prometheus text exposition (telemetry-enabled servers)
-//	GET  /events           ring-buffered invocation lifecycle events (?since=SEQ&max=N;
-//	                       sharded gateways merge every shard's ring and cursor with a
-//	                       comma-separated per-shard sequence vector)
+//	GET  /events           ring-buffered invocation lifecycle events, every shard's ring
+//	                       merged by time (?since=CURSOR&max=N; the reply's "cursor" is
+//	                       the last sequence returned per shard, comma-separated)
 //	GET  /query            windowed time-series query (?metric=&op=&q=&window=&label=k=v
 //	                       &range=1; ?format=ndjson streams raw samples instead)
 //	GET  /slo              every SLO rule's fast/slow burn-rate page state
@@ -33,10 +37,16 @@
 //	POST /shards/{id}/join   return a drained/dead shard to service
 //	GET  /debug/pprof/*    net/http/pprof profiler (only when Options.EnablePprof)
 //
-// A gateway fronts either one orchestrator (New / NewWithOptions) or a
-// whole sharded control plane (NewSharded); in the sharded case /invoke
-// routes through the consistent-hash tier and the read endpoints merge
-// every shard's view.
+// A gateway fronts an ordered list of orchestrator shards. A lone
+// orchestrator (NewWithOptions) is a list of one; a sharded control plane
+// (NewSharded) is its shards in ring order, plus the plane itself for
+// key routing on /invoke and the /shards admin routes. Every read
+// endpoint is one loop over that list, so both answer in the same shape:
+// /events pages by per-shard cursor and /power, /power/cap and /budgets
+// reply with one row per shard whether there is one shard or sixty-four.
+// (Those four were the only routes whose lone-orchestrator reply changed
+// when the two code paths became one; rows and events of an unlabelled
+// lone orchestrator omit "shard".)
 //
 // Async results are retained for a bounded window (RetainAsync, default
 // 10 minutes) and deleted on first successful read.
@@ -45,6 +55,7 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -134,8 +145,9 @@ type Options struct {
 	// Mode labels the cluster behind the gateway — "sim" or "live" — in
 	// the /healthz body (default "live").
 	Mode string
-	// Telemetry, when set, backs GET /metrics and GET /events. Without it
-	// both routes answer 404.
+	// Telemetry, when set, backs a lone orchestrator's GET /metrics and
+	// GET /events. Without it both routes answer 404. (A plane's shards
+	// each carry their own; see NewSharded.)
 	Telemetry *telemetry.Telemetry
 	// Tracer, when set, backs GET /traces and GET /traces/{id}. Without it
 	// both routes answer 404. Usually the same tracer wired into the
@@ -170,27 +182,32 @@ type HealthResponse struct {
 	ShardCount int     `json:"shard_count"`
 }
 
-// EventsResponse is the GET /events reply. LastSeq is the newest sequence
-// number the ring holds; pass it back as ?since= to poll incrementally.
-// Dropped is the exact number of events newer than ?since= the ring
-// overwrote before this page was read — a poller that sees Dropped > 0
-// lost that many events, no seq-jump inference needed. Events is always
-// a JSON array, [] when the page is empty.
-type EventsResponse struct {
-	Events  []telemetry.Event `json:"events"`
-	LastSeq int64             `json:"last_seq"`
-	Dropped int64             `json:"dropped"`
+// shardRef is one orchestrator behind the gateway: the label its rows
+// and events carry ("" for an unlabelled lone orchestrator) and the
+// telemetry backing its slice of /events (nil when disabled).
+type shardRef struct {
+	label string
+	orch  *core.Orchestrator
+	tel   *telemetry.Telemetry
 }
 
-// Server serves the gateway over HTTP. Exactly one of orch and plane is
-// set: handlers branch to the merged cross-shard view when plane is.
+// Server serves the gateway over HTTP. It always holds an ordered shard
+// list — one entry for a lone orchestrator — and every read handler is a
+// loop over it. plane is set only when the gateway fronts a whole
+// shard.Plane, for the /shards admin routes.
 type Server struct {
-	orch    *core.Orchestrator
-	plane   *shard.Plane
-	timeout time.Duration
-	mode    string
-	shardID string
-	tel      *telemetry.Telemetry
+	shards []shardRef
+	plane  *shard.Plane
+	// submit hands one invocation to the cluster and returns its job id
+	// (0 while draining); metrics writes the /metrics exposition (nil =
+	// 404). Both are chosen once at construction, so a lone orchestrator
+	// pays no ring lookup on /invoke and serves its registry unlabelled.
+	submit  func(req InvokeRequest, args []byte, cb func(core.Result)) int64
+	metrics func(io.Writer) error
+
+	timeout  time.Duration
+	mode     string
+	shardID  string
 	tracer   *tracing.Tracer
 	tsdb     *tsdb.Store
 	forecast *forecast.Controller
@@ -209,43 +226,58 @@ type Server struct {
 	settled map[int64]time.Time
 }
 
-// New wraps an orchestrator. timeout bounds a synchronous invocation wait
-// (default 5 minutes).
-func New(orch *core.Orchestrator, timeout time.Duration) (*Server, error) {
-	return NewWithOptions(orch, Options{Timeout: timeout})
-}
-
-// NewWithOptions wraps an orchestrator with full configuration.
+// NewWithOptions wraps a lone orchestrator: a shard list of one, submitted
+// to directly. Options.Telemetry backs its /metrics and /events.
 func NewWithOptions(orch *core.Orchestrator, opts Options) (*Server, error) {
 	if orch == nil {
 		return nil, fmt.Errorf("gateway: orchestrator required")
 	}
-	s := newServer(opts)
-	s.orch = orch
-	if s.shardID == "" {
-		s.shardID = orch.ShardLabel()
+	if opts.ShardID == "" {
+		opts.ShardID = orch.ShardLabel()
+	}
+	s := newServer(opts, []shardRef{{label: orch.ShardLabel(), orch: orch, tel: opts.Telemetry}})
+	s.submit = func(req InvokeRequest, args []byte, cb func(core.Result)) int64 {
+		return orch.SubmitAsync(req.Function, args, cb)
+	}
+	if opts.Telemetry != nil {
+		s.metrics = opts.Telemetry.Registry().WritePrometheus
 	}
 	return s, nil
 }
 
 // NewSharded fronts a whole sharded control plane: /invoke routes
-// through the plane's consistent-hash tier, and /workers, /stats,
-// /power, and /metrics merge every shard's view. Options.Telemetry and
-// Options.Tracer should be the instances shared across the shards (the
-// tracer always is in a sharded sim; per-shard telemetry is merged via
-// the plane regardless).
+// through the plane's consistent-hash tier (keyed by InvokeRequest.Key,
+// defaulting to the function name), and the read endpoints cover every
+// shard. Each shard's own telemetry backs /metrics (merged under shard
+// labels, after the plane's registry) and /events; Options.Telemetry is
+// not consulted. Options.Tracer should be the instance the shards share.
 func NewSharded(plane *shard.Plane, opts Options) (*Server, error) {
 	if plane == nil {
 		return nil, fmt.Errorf("gateway: shard plane required")
 	}
-	s := newServer(opts)
+	labels := plane.Labels()
+	shards := make([]shardRef, plane.NumShards())
+	for i, o := range plane.Shards() {
+		shards[i] = shardRef{label: labels[i], orch: o, tel: o.Telemetry()}
+	}
+	s := newServer(opts, shards)
 	s.plane = plane
+	s.submit = func(req InvokeRequest, args []byte, cb func(core.Result)) int64 {
+		key := req.Key
+		if key == "" {
+			key = req.Function
+		}
+		id, _ := plane.Submit(key, req.Function, args, cb)
+		return id
+	}
+	s.metrics = plane.WriteMergedMetrics
 	return s, nil
 }
 
-// newServer applies option defaults and builds the handler-independent
-// core of a Server; callers attach the orchestrator or plane.
-func newServer(opts Options) *Server {
+// newServer applies option defaults and builds a Server over the shard
+// list; the two exported constructors attach the submit and metrics
+// routes.
+func newServer(opts Options, shards []shardRef) *Server {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 5 * time.Minute
 	}
@@ -253,10 +285,10 @@ func newServer(opts Options) *Server {
 		opts.Mode = "live"
 	}
 	return &Server{
+		shards:   shards,
 		timeout:  opts.Timeout,
 		mode:     opts.Mode,
 		shardID:  opts.ShardID,
-		tel:      opts.Telemetry,
 		tracer:   opts.Tracer,
 		tsdb:     opts.TSDB,
 		forecast: opts.Forecast,
@@ -297,17 +329,13 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	shards := 1
-	if s.plane != nil {
-		shards = s.plane.NumShards()
-	}
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:     "ok",
 		Mode:       s.mode,
 		UptimeS:    time.Since(s.start).Seconds(),
 		Version:    version.Version,
 		ShardID:    s.shardID,
-		ShardCount: shards,
+		ShardCount: len(s.shards),
 	})
 }
 
@@ -316,67 +344,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	if s.plane != nil {
-		// The plane's registry (queue depth, weights, steal counters)
-		// always exists; per-shard registries are appended with a shard
-		// label injected into every sample.
-		w.Header().Set("Content-Type", telemetry.TextContentType)
-		s.plane.WriteMergedMetrics(w) //nolint:errcheck // peer gone: nothing to do
-		return
-	}
-	if s.tel == nil {
+	if s.metrics == nil {
 		writeError(w, http.StatusNotFound, "telemetry disabled on this gateway")
 		return
 	}
 	w.Header().Set("Content-Type", telemetry.TextContentType)
-	s.tel.Registry().WritePrometheus(w) //nolint:errcheck // peer gone: nothing to do
-}
-
-// handleEvents serves the lifecycle-event ring. ?since=SEQ returns events
-// strictly newer than SEQ (default: everything retained); ?max=N caps the
-// page size (default 256, at most 4096). A gateway fronting a whole plane
-// merges every shard's ring instead (see handleShardedEvents) — there
-// ?since= is the comma-separated cursor the previous page returned.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	max := 256
-	if v := r.URL.Query().Get("max"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, "bad max: "+v)
-			return
-		}
-		max = n
-	}
-	if max > 4096 {
-		max = 4096
-	}
-	if s.plane != nil {
-		s.handleShardedEvents(w, r, r.URL.Query().Get("since"), max)
-		return
-	}
-	if s.tel == nil {
-		writeError(w, http.StatusNotFound, "telemetry disabled on this gateway")
-		return
-	}
-	since := int64(-1)
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad since: "+v)
-			return
-		}
-		since = n
-	}
-	events, gap, last := s.tel.Events().Page(since, max)
-	if events == nil {
-		// Keep the JSON shape stable: an empty page is [], never null.
-		events = []telemetry.Event{}
-	}
-	writeJSON(w, http.StatusOK, EventsResponse{Events: events, LastSeq: last, Dropped: gap})
+	s.metrics(w) //nolint:errcheck // peer gone: nothing to do
 }
 
 // Listen binds addr and serves in the background, returning the bound
@@ -450,6 +423,11 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "gateway draining; not accepting new invocations")
 		return
 	}
+	// Stopped on return: an unstopped timer (time.After) stays reachable
+	// until it fires, pinning a timer and channel per request for the
+	// whole timeout under the go 1.22 semantics go.mod selects.
+	timeout := time.NewTimer(s.timeout)
+	defer timeout.Stop()
 	select {
 	case res := <-resCh:
 		resp := makeResponse(res)
@@ -458,27 +436,11 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusUnprocessableEntity
 		}
 		writeJSON(w, status, resp)
-	case <-time.After(s.timeout):
+	case <-timeout.C:
 		writeError(w, http.StatusGatewayTimeout, "invocation timed out")
 	case <-r.Context().Done():
 		// Client gave up; the job still completes and is recorded.
 	}
-}
-
-// submit hands one invocation to the cluster: straight to the
-// orchestrator on a single-shard gateway, through the consistent-hash
-// tier (keyed by req.Key, defaulting to the function name) when
-// fronting a sharded plane. Returns 0 when the cluster is draining.
-func (s *Server) submit(req InvokeRequest, args []byte, cb func(core.Result)) int64 {
-	if s.plane != nil {
-		key := req.Key
-		if key == "" {
-			key = req.Function
-		}
-		id, _ := s.plane.Submit(key, req.Function, args, cb)
-		return id
-	}
-	return s.orch.SubmitAsync(req.Function, args, cb)
 }
 
 // invokeAsync submits without waiting and returns 202 with the job id.
@@ -597,16 +559,9 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		Shard   string `json:"shard,omitempty"`
 	}
 	out := []workerInfo{} // stable shape: [] even with nothing to report
-	if s.plane != nil {
-		labels := s.plane.Labels()
-		for si, o := range s.plane.Shards() {
-			for _, h := range o.Health() {
-				out = append(out, workerInfo{WorkerHealth: h, Breaker: h.State.String(), Shard: labels[si]})
-			}
-		}
-	} else {
-		for _, h := range s.orch.Health() {
-			out = append(out, workerInfo{WorkerHealth: h, Breaker: h.State.String(), Shard: s.orch.ShardLabel()})
+	for _, sh := range s.shards {
+		for _, h := range sh.orch.Health() {
+			out = append(out, workerInfo{WorkerHealth: h, Breaker: h.State.String(), Shard: sh.label})
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -679,59 +634,58 @@ func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.plane.Status()[idx])
 }
 
-// shardPower is one shard's power snapshot inside the sharded /power
-// and /power/cap replies.
+// shardPower is one shard's power snapshot inside the /power and
+// /power/cap replies.
 type shardPower struct {
-	Shard    string          `json:"shard"`
+	Shard    string          `json:"shard,omitempty"`
 	Snapshot powermgr.Status `json:"snapshot"`
 }
 
-// powerSnapshots collects every shard's power-manager snapshot; ok is
-// false when no shard runs a manager.
-func (s *Server) powerSnapshots() (out []shardPower, ok bool) {
-	labels := s.plane.Labels()
-	out = []shardPower{}
-	for si, o := range s.plane.Shards() {
-		if pm := o.PowerManager(); pm != nil {
-			out = append(out, shardPower{Shard: labels[si], Snapshot: pm.Snapshot()})
+// managed returns the shards that run a power manager, in shard order.
+func (s *Server) managed() []shardRef {
+	var out []shardRef
+	for _, sh := range s.shards {
+		if sh.orch.PowerManager() != nil {
+			out = append(out, sh)
 		}
 	}
-	return out, len(out) > 0
+	return out
 }
 
-// handlePower serves GET /power: the power manager's live snapshot —
-// per-node states, the active cap, and cap-parked wakes. A sharded
-// gateway returns the per-shard snapshots as an array. Clusters running
-// the static power policy (no manager) answer 404.
+// writePower replies with every managed shard's power snapshot, or 404
+// when no shard runs a power manager (the static power policy).
+func (s *Server) writePower(w http.ResponseWriter) {
+	managed := s.managed()
+	if len(managed) == 0 {
+		writeError(w, http.StatusNotFound, "power management disabled on this cluster")
+		return
+	}
+	out := make([]shardPower, len(managed))
+	for i, sh := range managed {
+		out[i] = shardPower{Shard: sh.label, Snapshot: sh.orch.PowerManager().Snapshot()}
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// handlePower serves GET /power: each shard's power-manager snapshot —
+// per-node states, the active cap, and cap-parked wakes — as an array in
+// shard order. Clusters running the static power policy (no manager)
+// answer 404.
 func (s *Server) handlePower(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	if s.plane != nil {
-		snaps, ok := s.powerSnapshots()
-		if !ok {
-			writeError(w, http.StatusNotFound, "power management disabled on this cluster")
-			return
-		}
-		writeJSON(w, http.StatusOK, snaps)
-		return
-	}
-	pm := s.orch.PowerManager()
-	if pm == nil {
-		writeError(w, http.StatusNotFound, "power management disabled on this cluster")
-		return
-	}
-	writeJSON(w, http.StatusOK, pm.Snapshot())
+	s.writePower(w)
 }
 
 // handlePowerCap serves POST /power/cap with body {"cap_w": N}: it adjusts
 // the cluster power budget at runtime (0 removes the cap) and returns the
-// resulting snapshot. On a sharded gateway the budget is divided evenly
-// across the shards that run a power manager (each shard caps its own
-// partition) and the per-shard snapshots come back as an array. Lowering
-// the cap never force-kills powered nodes; the cluster converges downward
-// as they idle out.
+// resulting snapshots, shaped like GET /power. The budget is divided
+// evenly across the shards that run a power manager (each shard caps its
+// own partition; a lone orchestrator gets all of it). Lowering the cap
+// never force-kills powered nodes; the cluster converges downward as they
+// idle out.
 func (s *Server) handlePowerCap(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -744,37 +698,14 @@ func (s *Server) handlePowerCap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if s.plane != nil {
-		snaps, ok := s.powerSnapshots()
-		if !ok {
-			writeError(w, http.StatusNotFound, "power management disabled on this cluster")
+	managed := s.managed()
+	for _, sh := range managed {
+		if err := sh.orch.PowerManager().SetCapW(power.Watts(req.CapW / float64(len(managed)))); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		perShard := req.CapW / float64(len(snaps))
-		for _, o := range s.plane.Shards() {
-			pm := o.PowerManager()
-			if pm == nil {
-				continue
-			}
-			if err := pm.SetCapW(power.Watts(perShard)); err != nil {
-				writeError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-		}
-		snaps, _ = s.powerSnapshots()
-		writeJSON(w, http.StatusOK, snaps)
-		return
 	}
-	pm := s.orch.PowerManager()
-	if pm == nil {
-		writeError(w, http.StatusNotFound, "power management disabled on this cluster")
-		return
-	}
-	if err := pm.SetCapW(power.Watts(req.CapW)); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, pm.Snapshot())
+	s.writePower(w)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -782,21 +713,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	var coll *trace.Collector
-	var pending int
-	if s.plane != nil {
-		// Merge every shard's trace records into one collector so the
-		// per-function stats cover the whole cluster.
+	// One shard's collector is read in place; several are merged into one
+	// so the per-function stats (percentiles included) cover the cluster.
+	coll := s.shards[0].orch.Collector()
+	if len(s.shards) > 1 {
 		coll = trace.NewCollector()
-		for _, o := range s.plane.Shards() {
-			for _, r := range o.Collector().Records() {
+		for _, sh := range s.shards {
+			for _, r := range sh.orch.Collector().Records() {
 				coll.Add(r)
 			}
 		}
-		pending = s.plane.Pending()
-	} else {
-		coll = s.orch.Collector()
-		pending = s.orch.Pending()
+	}
+	pending := 0
+	for _, sh := range s.shards {
+		pending += sh.orch.Pending()
 	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Completed: coll.Len() - coll.ErrorCount(),

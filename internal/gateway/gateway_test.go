@@ -20,7 +20,7 @@ func startGateway(t *testing.T) (base string, l *cluster.Live) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := New(l.Orch, 30*time.Second)
+	gw, err := NewWithOptions(l.Orch, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,11 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, time.Second); err == nil {
+	if _, err := NewWithOptions(nil, Options{}); err == nil {
 		t.Fatal("nil orchestrator accepted")
+	}
+	if _, err := NewSharded(nil, Options{}); err == nil {
+		t.Fatal("nil plane accepted")
 	}
 }
 

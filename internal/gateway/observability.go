@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -125,107 +124,111 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ShardEvent is one lifecycle event in the sharded /events reply,
-// tagged with the shard whose log it came from.
+// ShardEvent is one lifecycle event in the /events reply, tagged with
+// the shard whose log it came from ("shard" is omitted for an unlabelled
+// lone orchestrator).
 type ShardEvent struct {
 	telemetry.Event
-	Shard string `json:"shard"`
+	Shard string `json:"shard,omitempty"`
 }
 
-// ShardedEventsResponse is the GET /events reply on a gateway fronting
-// a whole plane. Cursor is a comma-separated per-shard sequence vector
-// (ring order); pass it back as ?since= to poll incrementally — each
-// shard's event log numbers independently, so a single integer cannot
-// cursor the merged stream. Dropped sums every shard's ring-overwrite
-// gap past the cursor.
-type ShardedEventsResponse struct {
+// EventsResponse is the GET /events reply. Cursor carries, per shard in
+// shard order and comma-separated, the last sequence number this page
+// returned (or the request's own cursor where the page returned nothing
+// for that shard); pass it back as ?since= to poll incrementally. Each
+// shard's event log numbers independently, so the cursor is a vector —
+// for a lone orchestrator it is a single integer. Dropped is the exact
+// number of events newer than the cursor that the rings overwrote before
+// this page was read, summed over shards: a poller that sees Dropped > 0
+// lost that many events, no seq-jump inference needed. Events is always
+// a JSON array, [] when the page is empty.
+type EventsResponse struct {
 	Events  []ShardEvent `json:"events"`
 	Cursor  string       `json:"cursor"`
 	Dropped int64        `json:"dropped"`
 }
 
-// handleShardedEvents merges every shard's event ring into one page:
-// per-shard Page() reads, then a deterministic merge ordered by
-// (timestamp, shard index, sequence). The returned cursor carries each
-// shard's last included sequence, so a truncated page resumes exactly
-// where it stopped.
-func (s *Server) handleShardedEvents(w http.ResponseWriter, r *http.Request, since string, max int) {
-	shards := s.plane.Shards()
-	cursors := make([]int64, len(shards))
-	for i := range cursors {
-		cursors[i] = -1
+// handleEvents serves the lifecycle-event rings as one stream. ?since=
+// is the cursor a previous page returned — or a single integer applied
+// to every shard (default -1: everything retained); ?max=N caps the page
+// size (default 256, at most 4096). The page is a k-way merge of the
+// shards' rings: the earliest head event (ties to the lower shard index)
+// is taken until the page is full, so each shard contributes a prefix of
+// what it holds past the cursor, in sequence order, and a truncated page
+// resumes exactly where it stopped. Gateways without telemetry on any
+// shard answer 404.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		writeError(w, http.StatusMethodNotAllowed, "GET required")
+		return
 	}
-	if since != "" {
-		parts := strings.Split(since, ",")
-		if len(parts) == 1 {
-			// A single integer (e.g. -1) applies to every shard.
-			n, err := strconv.ParseInt(parts[0], 10, 64)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "bad since: "+since)
-				return
-			}
-			for i := range cursors {
-				cursors[i] = n
-			}
-		} else {
-			if len(parts) != len(shards) {
-				writeError(w, http.StatusBadRequest,
-					"bad since: cursor has "+strconv.Itoa(len(parts))+" fields, plane has "+strconv.Itoa(len(shards))+" shards")
-				return
-			}
-			for i, p := range parts {
-				n, err := strconv.ParseInt(p, 10, 64)
-				if err != nil {
-					writeError(w, http.StatusBadRequest, "bad since: "+since)
-					return
-				}
-				cursors[i] = n
-			}
+	max := 256
+	if v := r.URL.Query().Get("max"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
+			writeError(w, http.StatusBadRequest, "bad max: "+v)
+			return
 		}
+		max = n
 	}
-	labels := s.plane.Labels()
-	merged := []ShardEvent{}
+	if max > 4096 {
+		max = 4096
+	}
+	since := r.URL.Query().Get("since")
+	if since == "" {
+		since = "-1"
+	}
+	parts := strings.Split(since, ",")
+	if len(parts) != 1 && len(parts) != len(s.shards) {
+		writeError(w, http.StatusBadRequest,
+			"bad since: cursor has "+strconv.Itoa(len(parts))+" fields, gateway has "+strconv.Itoa(len(s.shards))+" shards")
+		return
+	}
+	cursors := make([]int64, len(s.shards))
+	for i := range cursors {
+		// One field applies to every shard; otherwise field i is shard i's.
+		n, err := strconv.ParseInt(parts[i%len(parts)], 10, 64)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad since: "+since)
+			return
+		}
+		cursors[i] = n
+	}
+	enabled := false
+	pages := make([][]telemetry.Event, len(s.shards))
 	var dropped int64
-	for si, o := range shards {
-		tel := o.Telemetry()
-		if tel == nil {
+	for si, sh := range s.shards {
+		if sh.tel == nil {
 			continue
 		}
-		events, gap, _ := tel.Events().Page(cursors[si], max)
+		enabled = true
+		var gap int64
+		pages[si], gap, _ = sh.tel.Events().Page(cursors[si], max)
 		dropped += gap
-		for _, ev := range events {
-			merged = append(merged, ShardEvent{Event: ev, Shard: labels[si]})
-		}
 	}
-	shardIdx := make(map[string]int, len(labels))
-	for i, l := range labels {
-		shardIdx[l] = i
+	if !enabled {
+		writeError(w, http.StatusNotFound, "telemetry disabled on this gateway")
+		return
 	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		a, b := merged[i], merged[j]
-		if a.AtMs != b.AtMs {
-			return a.AtMs < b.AtMs
+	merged := []ShardEvent{} // stable shape: [] even with nothing to report
+	for len(merged) < max {
+		next := -1
+		for si, page := range pages {
+			if len(page) > 0 && (next < 0 || page[0].AtMs < pages[next][0].AtMs) {
+				next = si
+			}
 		}
-		if a.Shard != b.Shard {
-			return shardIdx[a.Shard] < shardIdx[b.Shard]
+		if next < 0 {
+			break
 		}
-		return a.Seq < b.Seq
-	})
-	if len(merged) > max {
-		merged = merged[:max]
+		ev := pages[next][0]
+		pages[next] = pages[next][1:]
+		cursors[next] = ev.Seq
+		merged = append(merged, ShardEvent{Event: ev, Shard: s.shards[next].label})
 	}
-	for _, ev := range merged {
-		if si, ok := shardIdx[ev.Shard]; ok && ev.Seq > cursors[si] {
-			cursors[si] = ev.Seq
-		}
-	}
-	parts := make([]string, len(cursors))
+	cursor := make([]string, len(cursors))
 	for i, c := range cursors {
-		parts[i] = strconv.FormatInt(c, 10)
+		cursor[i] = strconv.FormatInt(c, 10)
 	}
-	writeJSON(w, http.StatusOK, ShardedEventsResponse{
-		Events:  merged,
-		Cursor:  strings.Join(parts, ","),
-		Dropped: dropped,
-	})
+	writeJSON(w, http.StatusOK, EventsResponse{Events: merged, Cursor: strings.Join(cursor, ","), Dropped: dropped})
 }

@@ -314,7 +314,7 @@ func TestShardedEventsRingOverwritePaging(t *testing.T) {
 
 	// A fresh poller gets every survivor, the exact merged loss, and a
 	// per-shard cursor.
-	var page ShardedEventsResponse
+	var page EventsResponse
 	getJSON(t, base+"/events?max=4096", &page)
 	if len(page.Events) != survivors {
 		t.Fatalf("merged page has %d events, want %d survivors", len(page.Events), survivors)
@@ -336,7 +336,7 @@ func TestShardedEventsRingOverwritePaging(t *testing.T) {
 	}
 
 	// Passing the cursor back reads nothing and loses nothing.
-	var tail ShardedEventsResponse
+	var tail EventsResponse
 	getJSON(t, base+"/events?since="+page.Cursor+"&max=4096", &tail)
 	if len(tail.Events) != 0 || tail.Dropped != 0 || tail.Cursor != page.Cursor {
 		t.Fatalf("caught-up page = %+v", tail)
@@ -345,7 +345,7 @@ func TestShardedEventsRingOverwritePaging(t *testing.T) {
 	// Regression: a cursor taken before the rings overwrote (seq 0 on
 	// both shards) still accounts the loss exactly — the events between
 	// the cursor and each ring's oldest survivor.
-	var span ShardedEventsResponse
+	var span EventsResponse
 	getJSON(t, base+"/events?since=0,0&max=4096", &span)
 	var wantSpanDropped int64
 	wantSpanEvents := 0
@@ -367,7 +367,7 @@ func TestShardedEventsRingOverwritePaging(t *testing.T) {
 	var got []ShardEvent
 	cursor := "-1"
 	for i := 0; i < 20; i++ {
-		var p ShardedEventsResponse
+		var p EventsResponse
 		getJSON(t, base+"/events?since="+cursor+"&max=3", &p)
 		if len(p.Events) == 0 {
 			break

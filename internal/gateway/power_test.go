@@ -24,7 +24,7 @@ func startManagedGateway(t *testing.T) (base string, l *cluster.Live) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := New(l.Orch, 30*time.Second)
+	gw, err := NewWithOptions(l.Orch, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +43,25 @@ func getPower(t *testing.T, base string) (int, powermgr.Status) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st powermgr.Status
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
+	return resp.StatusCode, decodeLonePower(t, resp)
+}
+
+// decodeLonePower reads a /power or /power/cap reply from a gateway over
+// one unlabelled orchestrator: a one-row array with no shard name. Any
+// status but 200 decodes to the zero Status.
+func decodeLonePower(t *testing.T, resp *http.Response) powermgr.Status {
+	t.Helper()
+	if resp.StatusCode != http.StatusOK {
+		return powermgr.Status{}
 	}
-	return resp.StatusCode, st
+	var rows []shardPower
+	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Shard != "" {
+		t.Fatalf("lone /power rows = %+v, want one unlabelled row", rows)
+	}
+	return rows[0].Snapshot
 }
 
 func TestPowerEndpoint(t *testing.T) {
@@ -86,10 +98,7 @@ func TestPowerCapEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /power/cap → %d", resp.StatusCode)
 	}
-	var st powermgr.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := decodeLonePower(t, resp)
 	if st.CapW != 3.92 || st.MaxPowered != 2 {
 		t.Fatalf("snapshot after cap = %+v, want CapW 3.92 MaxPowered 2", st)
 	}

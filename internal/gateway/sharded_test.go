@@ -187,23 +187,6 @@ func TestShardedGatewayAsyncAndDefaultKey(t *testing.T) {
 	}
 }
 
-func TestUnshardedGatewayShardFields(t *testing.T) {
-	base, _ := startGateway(t)
-	var health HealthResponse
-	getJSON(t, base+"/healthz", &health)
-	if health.ShardCount != 1 || health.ShardID != "" {
-		t.Fatalf("unsharded healthz = %+v", health)
-	}
-	resp, err := http.Get(base + "/shards")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/shards on unsharded gateway = %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestShardedGatewayDrainJoin drives the administrative membership
 // endpoints: draining a shard takes it out of service (state "dead",
 // routing avoids it), the last live shard refuses to drain, and join

@@ -149,11 +149,11 @@ func TestEventsEndpoint(t *testing.T) {
 			t.Fatalf("missing %s event in %+v", typ, all.Events)
 		}
 	}
-	if all.LastSeq != all.Events[len(all.Events)-1].Seq {
-		t.Fatalf("last_seq %d vs newest event %d", all.LastSeq, all.Events[len(all.Events)-1].Seq)
+	if want := strconv.FormatInt(all.Events[len(all.Events)-1].Seq, 10); all.Cursor != want {
+		t.Fatalf("cursor %q vs newest event %s", all.Cursor, want)
 	}
-	// Incremental polling from last_seq yields nothing new.
-	if tail := get(base + "/events?since=" + strconv.FormatInt(all.LastSeq, 10)); len(tail.Events) != 0 {
+	// Incremental polling from the cursor yields nothing new.
+	if tail := get(base + "/events?since=" + all.Cursor); len(tail.Events) != 0 {
 		t.Fatalf("tail = %+v", tail.Events)
 	}
 	// Paging: max=1 returns the oldest retained event.

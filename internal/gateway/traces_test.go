@@ -187,29 +187,6 @@ func TestTracesDisabled(t *testing.T) {
 	}
 }
 
-// TestEventsEmptyPageIsArray locks the /events JSON shape: an empty page
-// must serialize as "events":[] (never null), with last_seq -1 and
-// dropped 0 before any event exists.
-func TestEventsEmptyPageIsArray(t *testing.T) {
-	base, _ := startTelemetryGateway(t)
-	resp, err := http.Get(base + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), `"events":[]`) {
-		t.Fatalf("empty page did not serialize as []: %s", body)
-	}
-	var out EventsResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.LastSeq != -1 || out.Dropped != 0 || out.Events == nil || len(out.Events) != 0 {
-		t.Fatalf("empty page = %+v", out)
-	}
-}
-
 // TestEventsRingOverwritePaging drives more events through a tiny ring
 // than it can hold, then pages via ?since= and checks the dropped count
 // reports exactly the overwritten events.
@@ -248,9 +225,9 @@ func TestEventsRingOverwritePaging(t *testing.T) {
 	if page.Dropped != total-4 {
 		t.Fatalf("dropped = %d, want %d", page.Dropped, total-4)
 	}
-	if page.Events[0].Seq != total-4 || page.LastSeq != total-1 {
-		t.Fatalf("page window [%d..%d], want [%d..%d]",
-			page.Events[0].Seq, page.LastSeq, total-4, total-1)
+	if page.Events[0].Seq != total-4 || page.Cursor != itoa(total-1) {
+		t.Fatalf("page window [%d..%s], want [%d..%d]",
+			page.Events[0].Seq, page.Cursor, total-4, total-1)
 	}
 
 	// A poller current through seq N−5 lost exactly the one event below

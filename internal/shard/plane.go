@@ -276,23 +276,7 @@ func (p *Plane) Submit(key, function string, args []byte, cb func(core.Result)) 
 	o, idx := p.route(key)
 	id := o.SubmitAsync(function, args, cb)
 	if id == 0 {
-		id, idx = p.failover(idx, func(o *core.Orchestrator) int64 {
-			return o.SubmitAsync(function, args, cb)
-		})
-	}
-	p.armTick()
-	return id, idx
-}
-
-// SubmitWithTimeout is Submit with a per-job timeout on the chosen
-// shard.
-func (p *Plane) SubmitWithTimeout(key, function string, args []byte, timeout time.Duration, cb func(core.Result)) (int64, int) {
-	o, idx := p.route(key)
-	id := o.SubmitWithTimeout(function, args, timeout, cb)
-	if id == 0 {
-		id, idx = p.failover(idx, func(o *core.Orchestrator) int64 {
-			return o.SubmitWithTimeout(function, args, timeout, cb)
-		})
+		id, idx = p.failover(idx, function, args, cb)
 	}
 	p.armTick()
 	return id, idx
@@ -303,7 +287,7 @@ func (p *Plane) SubmitWithTimeout(key, function string, args []byte, timeout tim
 // the ring until the health checker declares it dead, and during that
 // window routed work must not be lost. The least-loaded live shard
 // takes it; (0, idx) only when every shard is out of service.
-func (p *Plane) failover(idx int, submit func(*core.Orchestrator) int64) (int64, int) {
+func (p *Plane) failover(idx int, function string, args []byte, cb func(core.Result)) (int64, int) {
 	pending := make([]int, len(p.shards))
 	for i, s := range p.shards {
 		if i != idx {
@@ -314,7 +298,7 @@ func (p *Plane) failover(idx int, submit func(*core.Orchestrator) int64) (int64,
 	if d < 0 {
 		return 0, idx
 	}
-	return submit(p.shards[d]), d
+	return p.shards[d].SubmitAsync(function, args, cb), d
 }
 
 // Pending returns the cluster-wide pending (queued + running) count.

@@ -141,9 +141,9 @@ func NewShardPlane(rt Runtime, shards []*Orchestrator, cfg ShardPlaneConfig) (*S
 }
 
 // NewShardedGateway fronts a whole shard plane with one HTTP gateway:
-// /invoke routes through the consistent-hash tier and the read
-// endpoints (/workers, /stats, /power, /metrics, /shards) merge every
-// shard's view.
+// /invoke routes through the consistent-hash tier, the read endpoints
+// cover every shard in the same shapes NewGateway serves for one, and
+// /shards administers the plane.
 func NewShardedGateway(plane *ShardPlane, opts GatewayOptions) (*Gateway, error) {
 	return gateway.NewSharded(plane, opts)
 }
