@@ -46,9 +46,9 @@ bench-module:
 	$(GO) test -C bench ./...
 
 # `make bench` runs the full benchmark suite and records it as a JSON
-# baseline (BENCH_pr10.json) via cmd/benchjson. `make bench-smoke` is the
+# baseline (BENCH_pr14.json) via cmd/benchjson. `make bench-smoke` is the
 # CI variant: one iteration of everything, just proving the benchmarks run.
-BENCH_OUT ?= BENCH_pr10.json
+BENCH_OUT ?= BENCH_pr14.json
 
 .PHONY: bench
 bench:
@@ -63,7 +63,7 @@ bench-smoke:
 # `make bench-diff` re-runs the hot-path benchmarks and gates them against
 # the committed baseline: a >20% regression in ns/op or allocs/op fails
 # (cmd/benchjson -diff). CI runs this in the bench-smoke job.
-BENCH_BASELINE ?= BENCH_pr10.json
+BENCH_BASELINE ?= BENCH_pr14.json
 # ShardedRackScale and ShardFailover are gated on allocs/op only: one op
 # is a long deterministic simulation whose wall-clock tracks machine
 # load, not code.

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -31,71 +32,43 @@ func (r *Registry) WritePrometheusLabeled(w io.Writer, labelName, labelValue str
 	if r == nil {
 		return nil
 	}
-	for _, f := range r.sortedFamilies() {
-		if err := f.write(w, labelName, labelValue); err != nil {
-			return err
+	// bufio's sticky error lets the walk run to its end after a failed
+	// write; Flush reports the first one.
+	bw := bufio.NewWriter(w)
+	var last *family
+	r.Walk(func(_ int, value float64, ref SeriesRef) {
+		f := ref.f
+		if f != last {
+			last = f
+			if f.help != "" {
+				fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+			}
+			fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
 		}
-	}
-	return nil
-}
-
-func (f *family) write(w io.Writer, extraName, extraValue string) error {
-	if f.help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
-			return err
+		names, values := ref.labelPairs()
+		bound, bucket := ref.le()
+		suffix := ref.suffix()
+		bw.WriteString(f.name)
+		bw.WriteString(suffix)
+		bw.WriteString(labelString(names, values, labelName, labelValue, bucket, bound))
+		bw.WriteByte(' ')
+		if bucket || suffix == "_count" {
+			// Observation counts print as integers, not %g floats (the
+			// round trip through float64 is exact below 2^53).
+			bw.WriteString(strconv.FormatUint(uint64(value), 10))
+		} else {
+			bw.WriteString(formatValue(value))
 		}
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
-		return err
-	}
-	if f.fn != nil {
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name,
-			labelString(nil, nil, extraName, extraValue, "", 0), formatValue(f.fn()))
-		return err
-	}
-	for _, c := range f.order {
-		if err := f.writeChild(w, c, extraName, extraValue); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (f *family) writeChild(w io.Writer, c *child, extraName, extraValue string) error {
-	if f.typ != TypeHistogram {
-		_, err := fmt.Fprintf(w, "%s%s %s\n",
-			f.name, labelString(f.labels, c.labelValues, extraName, extraValue, "", 0),
-			formatValue(math.Float64frombits(c.bits.Load())))
-		return err
-	}
-	c.mu.Lock()
-	counts := append([]uint64(nil), c.counts...)
-	sum, count := c.sum, c.count
-	c.mu.Unlock()
-	for i, bound := range c.bucketBounds {
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			f.name, labelString(f.labels, c.labelValues, extraName, extraValue, "le", bound), counts[i]); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-		f.name, labelString(f.labels, c.labelValues, extraName, extraValue, "le", math.Inf(1)), counts[len(counts)-1]); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n",
-		f.name, labelString(f.labels, c.labelValues, extraName, extraValue, "", 0), formatValue(sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n",
-		f.name, labelString(f.labels, c.labelValues, extraName, extraValue, "", 0), count)
-	return err
+		bw.WriteByte('\n')
+	})
+	return bw.Flush()
 }
 
 // labelString renders {k="v",...}, optionally injecting one extra label
-// pair and appending an le bucket label; it returns "" when there are no
-// labels at all.
-func labelString(names, values []string, extraName, extraValue, le string, bound float64) string {
-	if len(names) == 0 && extraName == "" && le == "" {
+// pair and, for a bucket series, appending le="bound"; it returns ""
+// when there are no labels at all.
+func labelString(names, values []string, extraName, extraValue string, bucket bool, bound float64) string {
+	if len(names) == 0 && extraName == "" && !bucket {
 		return ""
 	}
 	var b strings.Builder
@@ -118,12 +91,11 @@ func labelString(names, values []string, extraName, extraValue, le string, bound
 		b.WriteString(escapeLabel(extraValue))
 		b.WriteByte('"')
 	}
-	if le != "" {
+	if bucket {
 		if len(names) > 0 || extraName != "" {
 			b.WriteByte(',')
 		}
-		b.WriteString(le)
-		b.WriteString(`="`)
+		b.WriteString(`le="`)
 		b.WriteString(formatValue(bound))
 		b.WriteByte('"')
 	}

@@ -42,9 +42,17 @@ func (t MetricType) String() string {
 // Label-cardinality rule (see DESIGN.md §7): label values must come from
 // small, bounded sets — worker ids, function names, short enums. Never
 // label by job id, argument content, or timestamps.
+//
+// Every series gets a dense, stable ordinal when its child is created:
+// a counter or gauge child one, a func family one, a histogram child
+// len(buckets)+3 consecutive ones (its _bucket series incl. +Inf, then
+// _sum and _count). Children are never removed, so an ordinal names
+// the same series for the registry's lifetime — see Walk.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	sorted   []*family // families by name; nil after a family is created
+	series   int       // ordinals handed out so far
 }
 
 // family is one exposition family: a name, help, type, and its children.
@@ -55,13 +63,15 @@ type family struct {
 	labels  []string  // label names, creation order
 	buckets []float64 // TypeHistogram only
 	byKey   map[string]*child
-	order   []*child // creation order, for stable exposition
+	order   []*child // creation order, for stable exposition; append-only
 	fn      func() float64
+	ord     int // the func family's series ordinal
 }
 
 // child is one labeled series within a family.
 type child struct {
 	labelValues []string
+	ord         int           // first series ordinal (histograms take a run)
 	bits        atomic.Uint64 // counter/gauge value as float64 bits
 
 	// histogram state, guarded by mu (only allocated for histograms)
@@ -137,7 +147,21 @@ func (r *Registry) registerFunc(name, help string, typ MetricType, fn func() flo
 	if _, dup := r.families[name]; dup {
 		panic(fmt.Sprintf("telemetry: metric %s already registered", name))
 	}
-	r.families[name] = &family{name: name, help: help, typ: typ, fn: fn}
+	r.addFamily(&family{name: name, help: help, typ: typ, fn: fn, ord: r.takeOrdinals(1)})
+}
+
+// addFamily registers f and drops the cached name order. Caller holds r.mu.
+func (r *Registry) addFamily(f *family) {
+	r.families[f.name] = f
+	r.sorted = nil
+}
+
+// takeOrdinals reserves n consecutive series ordinals and returns the
+// first. Caller holds r.mu.
+func (r *Registry) takeOrdinals(n int) int {
+	first := r.series
+	r.series += n
+	return first
 }
 
 // get is the family/child get-or-create shared by the typed accessors.
@@ -173,7 +197,7 @@ func (r *Registry) get(name, help string, typ MetricType, buckets []float64, kv 
 				panic(fmt.Sprintf("telemetry: histogram %s buckets not strictly increasing", name))
 			}
 		}
-		r.families[name] = f
+		r.addFamily(f)
 	}
 	if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: metric %s is a %s, requested as %s", name, f.typ, typ))
@@ -198,6 +222,9 @@ func (r *Registry) get(name, help string, typ MetricType, buckets []float64, kv 
 		c.mu = &sync.Mutex{}
 		c.bucketBounds = f.buckets
 		c.counts = make([]uint64, len(f.buckets)+1)
+		c.ord = r.takeOrdinals(len(f.buckets) + 3)
+	} else {
+		c.ord = r.takeOrdinals(1)
 	}
 	f.byKey[key] = c
 	f.order = append(f.order, c)

@@ -31,9 +31,17 @@ const (
 	DefaultArrivalWindow = 20
 )
 
-// arrivalState is one function's rate history.
+// arrivalState is one function's rate history, with the handles of the
+// series it reads and writes so a steady-state update touches no map.
 type arrivalState struct {
-	function  string
+	function string
+	// subs are the function's submission-counter series (one per shard),
+	// in the store's first-seen order.
+	subs []*series
+	// out are the rate, EWMA, window-mean and window-max series, resolved
+	// at the first rate (not at first sight, which would move them ahead
+	// of metrics the next scrape meets first).
+	out       [4]*series
 	lastTotal float64
 	seeded    bool
 	ewma      float64
@@ -63,11 +71,15 @@ func (st *arrivalState) windowStats() (mean, max float64) {
 // functions in first-seen order, so its synthetic series are as
 // deterministic as the counters they derive from.
 type arrivalTracker struct {
-	alpha float64
-	wsize int
-	byFn  map[string]*arrivalState
-	order []*arrivalState
+	alpha      float64
+	wsize      int
+	byFn       map[string]*arrivalState
+	order      []*arrivalState
+	classified int // submission-counter series already filed under a function
 }
+
+// arrivalMetrics names arrivalState.out, in ingest order.
+var arrivalMetrics = [4]string{MetricArrivalRate, MetricArrivalEWMA, MetricArrivalWindowMean, MetricArrivalWindowMax}
 
 // newArrivalTracker applies defaults and builds the tracker.
 func newArrivalTracker(alpha float64, window int) *arrivalTracker {
@@ -91,30 +103,29 @@ func (a *arrivalTracker) update(s *Store, now, interval time.Duration) {
 	if !ok {
 		return
 	}
-	// Sum the counter across shards per function, in series order (the
-	// registration order is deterministic, so so is ours).
-	totals := map[string]float64{}
-	var fns []string
-	for _, sr := range ms.order {
+	// File series new since the last scrape under their function; the
+	// store's series order is append-only, so functions keep first-seen
+	// order and each function's series keep theirs.
+	for _, sr := range ms.order[a.classified:] {
 		fn := sr.labels["function"]
 		if fn == "" {
 			continue
 		}
-		if _, seen := totals[fn]; !seen {
-			fns = append(fns, fn)
-		}
-		if w := sr.window(0); w.haveLast {
-			totals[fn] += w.last
-		}
-	}
-	for _, fn := range fns {
 		st, ok := a.byFn[fn]
 		if !ok {
 			st = &arrivalState{function: fn, window: make([]float64, a.wsize)}
 			a.byFn[fn] = st
 			a.order = append(a.order, st)
 		}
-		total := totals[fn]
+		st.subs = append(st.subs, sr)
+	}
+	a.classified = len(ms.order)
+	for _, st := range a.order {
+		// Sum the counter across shards, in series order.
+		total := 0.0
+		for _, sr := range st.subs {
+			total += sr.raw.newest().Value
+		}
 		if !st.seeded || interval <= 0 {
 			st.lastTotal = total
 			st.seeded = true
@@ -138,10 +149,14 @@ func (a *arrivalTracker) update(s *Store, now, interval time.Duration) {
 			st.n++
 		}
 		mean, max := st.windowStats()
-		s.ingestLocked(now, MetricArrivalRate, map[string]string{"function": fn}, rate)
-		s.ingestLocked(now, MetricArrivalEWMA, map[string]string{"function": fn}, st.ewma)
-		s.ingestLocked(now, MetricArrivalWindowMean, map[string]string{"function": fn}, mean)
-		s.ingestLocked(now, MetricArrivalWindowMax, map[string]string{"function": fn}, max)
+		if st.out[0] == nil {
+			for i, metric := range arrivalMetrics {
+				st.out[i] = s.seriesLocked(metric, map[string]string{"function": st.function})
+			}
+		}
+		for i, v := range [4]float64{rate, st.ewma, mean, max} {
+			st.out[i].push(now, v)
+		}
 	}
 }
 

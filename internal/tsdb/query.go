@@ -173,15 +173,10 @@ func (s *Store) quantileLocked(metric string, q float64, from time.Duration, mat
 	}
 	byLE := map[float64]float64{}
 	for _, sr := range ms.order {
-		le, ok := sr.labels["le"]
-		if !ok || !matchesAllExceptLE(sr.labels, match) {
+		if !sr.hasLE || !matchesAllExceptLE(sr.labels, match) {
 			continue
 		}
-		bound, err := parseLE(le)
-		if err != nil {
-			continue
-		}
-		byLE[bound] += increase(sr.window(from))
+		byLE[sr.le] += increase(sr.window(from))
 	}
 	if len(byLE) == 0 {
 		return 0

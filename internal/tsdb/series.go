@@ -2,9 +2,11 @@ package tsdb
 
 import "time"
 
-// pointRing is a fixed-capacity ring of raw points, oldest overwritten
-// first. Points arrive in non-decreasing clock order (scrapes only move
-// forward), so windowed reads are contiguous runs.
+// pointRing is a bounded ring of raw points, oldest overwritten first.
+// Points arrive in non-decreasing clock order (scrapes only move
+// forward), so windowed reads are contiguous runs. The buffer starts at
+// rawChunk points and doubles up to cap, so a series that lives for a
+// few scrapes never pays for a full ring.
 type pointRing struct {
 	buf   []Point
 	cap   int
@@ -12,9 +14,31 @@ type pointRing struct {
 	total int64 // points ever pushed
 }
 
+// rawChunk is a raw ring's first allocation, in points: a sixteenth of
+// the default bound, so 27k series scraped a hundred times hold a fifth
+// of what full rings would. Not zero: growing from nothing puts every
+// series' first doublings into the first few scrapes of a live store.
+const rawChunk = 64
+
+// newPointRing returns an empty ring bounded at capacity points.
+func newPointRing(capacity int) pointRing {
+	first := rawChunk
+	if first > capacity {
+		first = capacity
+	}
+	return pointRing{buf: make([]Point, 0, first), cap: capacity}
+}
+
 // push appends a point, overwriting the oldest when full.
 func (r *pointRing) push(p Point) {
 	if len(r.buf) < r.cap {
+		if len(r.buf) == cap(r.buf) {
+			grown := 2 * cap(r.buf)
+			if grown > r.cap {
+				grown = r.cap
+			}
+			r.buf = append(make([]Point, 0, grown), r.buf...)
+		}
 		r.buf = append(r.buf, p)
 	} else {
 		r.buf[r.next] = p
@@ -33,6 +57,9 @@ func (r *pointRing) at(i int) Point {
 	}
 	return r.buf[(r.next+i)%r.cap]
 }
+
+// newest returns the latest retained point; the ring must not be empty.
+func (r *pointRing) newest() Point { return r.at(len(r.buf) - 1) }
 
 // oldest returns the earliest retained point's offset (0, false when
 // empty).

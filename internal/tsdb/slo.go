@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"microfaas/internal/telemetry"
@@ -275,10 +274,33 @@ type pageState struct {
 	shortBurn, longBurn float64
 }
 
-// ruleState pairs a rule with its two pages.
+// ruleState pairs a rule with its two pages and with what an
+// evaluation looks series up by, compiled once so that it builds no
+// maps or strings.
 type ruleState struct {
 	rule       Rule
 	fast, slow pageState
+	metric     string            // the series read: rule.metric(), _bucket-suffixed for KindLatency
+	match      map[string]string // the function scope; nil = cluster-wide
+	matchBad   map[string]string // match plus result="error" (KindErrorRatio)
+}
+
+// newRuleState compiles r's metric name and matchers.
+func newRuleState(r Rule) ruleState {
+	rs := ruleState{rule: r, metric: r.metric()}
+	if r.Kind == KindLatency {
+		rs.metric += "_bucket"
+	}
+	if r.Function != "" {
+		rs.match = map[string]string{"function": r.Function}
+	}
+	if r.Kind == KindErrorRatio {
+		rs.matchBad = map[string]string{"result": "error"}
+		for k, v := range rs.match {
+			rs.matchBad[k] = v
+		}
+	}
+	return rs
 }
 
 // sloEngine evaluates the configured rules on every scrape. Nil when no
@@ -300,7 +322,7 @@ func (s *Store) SetRules(rules []Rule) error {
 		if err := r.Validate(); err != nil {
 			return err
 		}
-		states = append(states, ruleState{rule: r})
+		states = append(states, newRuleState(r))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -447,8 +469,8 @@ func (e *sloEngine) eval(s *Store, now time.Duration) {
 // evalPage recomputes one page's burn pair and records a transition
 // event (plus a tracing annotation) when the firing state flips.
 func (e *sloEngine) evalPage(s *Store, now time.Duration, rs *ruleState, st *pageState, page string, short, long Duration, threshold float64) {
-	st.shortBurn = s.burnLocked(rs.rule, now, time.Duration(short))
-	st.longBurn = s.burnLocked(rs.rule, now, time.Duration(long))
+	st.shortBurn = s.burnLocked(rs, now, time.Duration(short))
+	st.longBurn = s.burnLocked(rs, now, time.Duration(long))
 	// Until the clock has covered the short window, the burn measures the
 	// startup transient (a handful of samples against a mostly-empty
 	// window), not the service; hold the page's state until then.
@@ -491,32 +513,29 @@ func (e *sloEngine) evalPage(s *Store, now time.Duration, rs *ruleState, st *pag
 // Burn 1.0 means the objective is being consumed exactly at budget;
 // above 1.0 the SLO is being violated at that multiple. Windows with no
 // traffic burn 0. Caller holds s.mu.
-func (s *Store) burnLocked(r Rule, now, window time.Duration) float64 {
+func (s *Store) burnLocked(rs *ruleState, now, window time.Duration) float64 {
 	from := now - window
 	if from < 0 {
 		from = 0
 	}
-	match := map[string]string{}
-	if r.Function != "" {
-		match["function"] = r.Function
-	}
+	r, match := &rs.rule, rs.match
 	switch r.Kind {
 	case KindErrorRatio:
-		bad := s.sumIncreaseLocked(r.metric(), from, withLabel(match, "result", "error"))
-		total := s.sumIncreaseLocked(r.metric(), from, match)
+		bad := s.sumIncreaseLocked(rs.metric, from, rs.matchBad)
+		total := s.sumIncreaseLocked(rs.metric, from, match)
 		if total <= 0 {
 			return 0
 		}
 		return (bad / total) / (1 - r.Target)
 	case KindEnergyBudget:
-		joules := s.sumIncreaseLocked(r.metric(), from, match)
+		joules := s.sumIncreaseLocked(rs.metric, from, match)
 		completions := s.sumIncreaseLocked(DefaultErrorMetric, from, match)
 		if completions <= 0 {
 			return 0
 		}
 		return (joules / completions) / r.BudgetJ
 	default: // KindLatency
-		good, total := s.latencySplitLocked(r.metric(), r.ThresholdS, from, match)
+		good, total := s.latencySplitLocked(rs.metric, r.ThresholdS, from, match)
 		if total <= 0 {
 			return 0
 		}
@@ -550,47 +569,41 @@ func (s *Store) sumIncreaseLocked(metric string, from time.Duration, match map[s
 // bucket width), total the growth of the +Inf bucket, both merged
 // across matching series (all shards share one bucket grid). Caller
 // holds s.mu.
-func (s *Store) latencySplitLocked(metric string, thresholdS float64, from time.Duration, match map[string]string) (good, total float64) {
-	ms, ok := s.metrics[metric+"_bucket"]
+func (s *Store) latencySplitLocked(bucketMetric string, thresholdS float64, from time.Duration, match map[string]string) (good, total float64) {
+	ms, ok := s.metrics[bucketMetric]
 	if !ok {
 		return 0, 0
 	}
-	byLE := map[float64]float64{}
+	// Only two bounds' sums are read: the smallest bound ≥ thresholdS
+	// and the largest (+Inf on a well-formed histogram). Find them, then
+	// add up just their series, in series order.
+	goodLE, totalLE, matched := math.Inf(1), math.Inf(-1), false
 	for _, sr := range ms.order {
-		le, ok := sr.labels["le"]
-		if !ok || !matchesAllExceptLE(sr.labels, match) {
+		if !sr.hasLE || !matchesAllExceptLE(sr.labels, match) {
 			continue
 		}
-		bound, err := parseLE(le)
-		if err != nil {
-			continue
+		matched = true
+		if sr.le >= thresholdS && sr.le < goodLE {
+			goodLE = sr.le
 		}
-		byLE[bound] += increase(sr.window(from))
+		if sr.le > totalLE {
+			totalLE = sr.le
+		}
 	}
-	if len(byLE) == 0 {
+	if !matched {
 		return 0, 0
 	}
-	les := make([]float64, 0, len(byLE))
-	for le := range byLE {
-		les = append(les, le)
-	}
-	sort.Float64s(les)
-	goodLE := math.Inf(1)
-	for _, le := range les {
-		if le >= thresholdS {
-			goodLE = le
-			break
+	for _, sr := range ms.order {
+		if !sr.hasLE || (sr.le != goodLE && sr.le != totalLE) || !matchesAllExceptLE(sr.labels, match) {
+			continue
+		}
+		inc := increase(sr.window(from))
+		if sr.le == goodLE {
+			good += inc
+		}
+		if sr.le == totalLE {
+			total += inc
 		}
 	}
-	return byLE[goodLE], byLE[les[len(les)-1]]
-}
-
-// withLabel returns a copy of match with one extra pair.
-func withLabel(match map[string]string, k, v string) map[string]string {
-	out := make(map[string]string, len(match)+1)
-	for mk, mv := range match {
-		out[mk] = mv
-	}
-	out[k] = v
-	return out
+	return good, total
 }

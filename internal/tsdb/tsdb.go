@@ -1,5 +1,5 @@
 // Package tsdb is the platform's embedded time-series store: a
-// dependency-free, fixed-memory recorder that scrapes telemetry
+// dependency-free, bounded-memory recorder that scrapes telemetry
 // registries on the capacity-aggregator tick (virtual clock in sim
 // mode, wall clock in live mode) into per-series ring buffers with two
 // downsample tiers (raw → 10s → 1m), plus a small windowed query
@@ -103,18 +103,29 @@ type Bucket struct {
 	FirstAt, LastAt time.Duration
 }
 
-// source is one scraped registry and the shard label its samples carry.
+// source is one scraped registry, the shard label its samples carry,
+// and the series each of the registry's ordinals feeds.
 type source struct {
 	shard string
 	reg   *telemetry.Registry
+	byOrd []*series // indexed by registry series ordinal; nil = not yet seen
 }
 
 // series is one (metric, label set) stream: the raw ring plus its two
 // downsample tiers.
 type series struct {
 	labels map[string]string
+	le     float64 // the parsed le label; hasLE is false when absent or malformed
+	hasLE  bool
 	raw    pointRing
 	t1, t2 bucketRing
+}
+
+// push appends one sample to the raw ring and both downsample tiers.
+func (sr *series) push(now time.Duration, value float64) {
+	sr.raw.push(Point{At: now, Value: value})
+	sr.t1.push(now, value)
+	sr.t2.push(now, value)
 }
 
 // metricSeries indexes every series of one metric name, preserving
@@ -205,14 +216,18 @@ func (s *Store) Scrape(now time.Duration) {
 		}
 		interval = now - s.lastAt
 	}
-	for _, src := range s.sources {
-		extra := ""
-		if src.shard != "" {
-			extra = "shard"
-		}
-		for _, smp := range src.reg.Snapshot(extra, src.shard) {
-			s.ingestLocked(now, smp.Name, smp.Labels, smp.Value)
-		}
+	for i := range s.sources {
+		src := &s.sources[i]
+		src.reg.Walk(func(ord int, value float64, ref telemetry.SeriesRef) {
+			var sr *series
+			if ord < len(src.byOrd) {
+				sr = src.byOrd[ord]
+			}
+			if sr == nil {
+				sr = s.internLocked(src, ord, ref)
+			}
+			sr.push(now, value)
+		})
 	}
 	s.arrival.update(s, now, interval)
 	s.slo.eval(s, now)
@@ -231,9 +246,27 @@ func (s *Store) LastScrape() (time.Duration, int64) {
 	return s.lastAt, s.scrapes
 }
 
-// ingestLocked appends one sample to its series, creating the series on
-// first sight. Caller holds s.mu.
-func (s *Store) ingestLocked(now time.Duration, name string, labels map[string]string, value float64) {
+// internLocked resolves a registry series met for the first time — at
+// the point of the walk where its first sample is due, so metrics and
+// series keep the first-seen order a by-name ingest would give them —
+// and remembers the handle under the series' ordinal. Caller holds s.mu.
+func (s *Store) internLocked(src *source, ord int, ref telemetry.SeriesRef) *series {
+	extra := ""
+	if src.shard != "" {
+		extra = "shard"
+	}
+	sr := s.seriesLocked(ref.Describe(extra, src.shard))
+	for len(src.byOrd) <= ord {
+		src.byOrd = append(src.byOrd, nil)
+	}
+	src.byOrd[ord] = sr
+	return sr
+}
+
+// seriesLocked returns the series for (name, labels), creating it on
+// first sight; sources that export the same label set share one series.
+// A new series keeps labels. Caller holds s.mu.
+func (s *Store) seriesLocked(name string, labels map[string]string) *series {
 	ms, ok := s.metrics[name]
 	if !ok {
 		ms = &metricSeries{byKey: make(map[string]*series)}
@@ -245,16 +278,18 @@ func (s *Store) ingestLocked(now time.Duration, name string, labels map[string]s
 	if !ok {
 		sr = &series{
 			labels: labels,
-			raw:    pointRing{buf: make([]Point, 0, s.cfg.RawCapacity), cap: s.cfg.RawCapacity},
+			raw:    newPointRing(s.cfg.RawCapacity),
 			t1:     bucketRing{res: s.cfg.Tier1, cap: s.cfg.TierCapacity},
 			t2:     bucketRing{res: s.cfg.Tier2, cap: s.cfg.TierCapacity},
+		}
+		if le, ok := labels["le"]; ok {
+			bound, err := parseLE(le)
+			sr.le, sr.hasLE = bound, err == nil
 		}
 		ms.byKey[key] = sr
 		ms.order = append(ms.order, sr)
 	}
-	sr.raw.push(Point{At: now, Value: value})
-	sr.t1.push(now, value)
-	sr.t2.push(now, value)
+	return sr
 }
 
 // MetricNames returns every metric name the store has seen, in
