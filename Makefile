@@ -45,6 +45,17 @@ bench-module:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
+# `make loc` prints non-test Go lines per internal/* and cmd/* package and
+# the total — "net-negative line counts are a feature; report them"
+# (ROADMAP needle 2), read off CI instead of hand-counted. Informational:
+# it gates nothing.
+.PHONY: loc
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
+	done
+	@printf '%6d total\n' "$$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+
 # `make bench` runs the full benchmark suite and records it as a JSON
 # baseline (BENCH_pr14.json) via cmd/benchjson. `make bench-smoke` is the
 # CI variant: one iteration of everything, just proving the benchmarks run.

@@ -22,6 +22,9 @@
 //	faasctl [-gateway host:port] power cap <watts>
 //	faasctl [-gateway host:port] forecast
 //
+// On a live gateway, stats reports completed/errors as lifetime totals
+// and its per-function table over the retained window of recent records.
+//
 // -gateway accepts a comma-separated address list; workers, top, and
 // shards aggregate across every listed gateway (one dashboard over a
 // multi-gateway sharded deployment), while the single-target commands

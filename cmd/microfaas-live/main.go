@@ -226,11 +226,7 @@ func replayMode(w io.Writer, l *cluster.Live, opts options) error {
 		time.Sleep(10 * time.Millisecond)
 	}
 	l.Orch.Quiesce()
-	printReport(w, l, n, l.Runtime.Now()-start)
-	if errs := l.Orch.Collector().ErrorCount(); errs > 0 {
-		return fmt.Errorf("%d invocations failed", errs)
-	}
-	return nil
+	return printReport(w, l, n, l.Runtime.Now()-start)
 }
 
 // argFiller adapts the orchestrator to replay.Submitter, generating
@@ -352,15 +348,12 @@ func loadMode(w io.Writer, l *cluster.Live, opts options) error {
 		l.Orch.Submit(f.Name, f.GenArgs(rng))
 	}
 	l.Orch.Quiesce()
-	printReport(w, l, opts.jobs, l.Runtime.Now()-start)
-	if errs := l.Orch.Collector().ErrorCount(); errs > 0 {
-		return fmt.Errorf("%d invocations failed", errs)
-	}
-	return nil
+	return printReport(w, l, opts.jobs, l.Runtime.Now()-start)
 }
 
-// printReport renders per-function statistics and cluster totals.
-func printReport(w io.Writer, l *cluster.Live, jobs int, elapsed time.Duration) {
+// printReport renders per-function statistics (over the retained records)
+// and lifetime cluster totals; failed invocations come back as an error.
+func printReport(w io.Writer, l *cluster.Live, jobs int, elapsed time.Duration) error {
 	coll := l.Orch.Collector()
 	fmt.Fprintf(w, "\n%-12s %6s %10s %12s %10s %10s\n",
 		"function", "count", "errors", "mean-exec", "mean-ovh", "p95-total")
@@ -371,7 +364,8 @@ func printReport(w io.Writer, l *cluster.Live, jobs int, elapsed time.Duration) 
 			st.MeanOverhead.Round(time.Microsecond),
 			st.P95Total.Round(time.Microsecond))
 	}
-	completed := coll.Len() - coll.ErrorCount()
+	errs := coll.ErrorCount()
+	completed := coll.Len() - errs
 	if completed > 0 {
 		if h, err := coll.LatencyHistogram(100*time.Microsecond, 10*time.Second, 14); err == nil {
 			fmt.Fprintln(w, "\nend-to-end latency distribution:")
@@ -389,4 +383,8 @@ func printReport(w io.Writer, l *cluster.Live, jobs int, elapsed time.Duration) 
 		fmt.Fprintf(w, "modelled energy: %.2f J total, %.3f J/function\n",
 			energy, energy/float64(completed))
 	}
+	if errs > 0 {
+		return fmt.Errorf("%d invocations failed", errs)
+	}
+	return nil
 }

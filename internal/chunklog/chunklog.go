@@ -12,31 +12,44 @@
 // chunk: no entry is ever copied or re-zeroed after it is written.
 package chunklog
 
-// chunkSize is the number of entries per chunk. 1024 keeps chunks of
+// ChunkSize is the number of entries per chunk. 1024 keeps chunks of
 // typical record types (≈100 bytes) around 100 KiB — big enough to
 // amortize allocation, small enough that allocating one never stalls on
 // zeroing megabytes.
-const chunkSize = 1024
+const ChunkSize = 1024
 
-// Log is an append-only chunked log. The zero value is an empty log ready
-// for use. Log is not safe for concurrent use; callers hold their own
-// locks (the audit-log owners already serialize on a mutex).
+// Log is a chunked log, append-only except for DropOldestChunk. The zero
+// value is an empty log ready for use. Log is not safe for concurrent use;
+// callers hold their own locks (the audit-log owners already serialize on
+// a mutex).
 type Log[T any] struct {
 	chunks [][]T
 	n      int
 }
 
-// Len returns the number of entries appended.
+// Len returns the number of entries held.
 func (l *Log[T]) Len() int { return l.n }
 
 // Append adds v to the end of the log.
 func (l *Log[T]) Append(v T) {
-	if k := len(l.chunks); k == 0 || len(l.chunks[k-1]) == chunkSize {
-		l.chunks = append(l.chunks, make([]T, 0, chunkSize))
+	if k := len(l.chunks); k == 0 || len(l.chunks[k-1]) == ChunkSize {
+		l.chunks = append(l.chunks, make([]T, 0, ChunkSize))
 	}
 	k := len(l.chunks) - 1
 	l.chunks[k] = append(l.chunks[k], v)
 	l.n++
+}
+
+// DropOldestChunk discards the oldest chunk — the first ChunkSize entries,
+// or everything when the log holds a single chunk — which is how a caller
+// bounds the log to a recent window. No-op on an empty log.
+func (l *Log[T]) DropOldestChunk() {
+	if len(l.chunks) == 0 {
+		return
+	}
+	l.n -= len(l.chunks[0])
+	l.chunks[0] = nil
+	l.chunks = l.chunks[1:]
 }
 
 // Last returns the most recent entry and whether the log is non-empty.

@@ -14,6 +14,7 @@ import (
 	"microfaas/internal/powermgr"
 	"microfaas/internal/sqlstore"
 	"microfaas/internal/telemetry"
+	"microfaas/internal/trace"
 	"microfaas/internal/tracing"
 	"microfaas/internal/workload"
 )
@@ -79,6 +80,13 @@ type LiveOptions struct {
 	// budget-exhausted functions (zero = deprioritize only).
 	BudgetThrottle time.Duration
 }
+
+// liveRecordWindow is how many of the most recent per-invocation records a
+// live orchestrator keeps (≈7 MB at ~110 B a record): a live process serves
+// until it is stopped, so an append-only log there is a leak, while a
+// finite simulation reads its whole table back and keeps every record.
+// Lifetime totals survive the window (trace.Collector.Len/ErrorCount).
+const liveRecordWindow = 64 * 1024
 
 // Live is a running in-process MicroFaaS deployment: four real backing
 // services, N real TCP workers executing the real workload functions, and
@@ -199,6 +207,7 @@ func StartLive(opts LiveOptions) (*Live, error) {
 		cc := core.Config{
 			Runtime:          l.Runtime,
 			Workers:          workers,
+			Collector:        trace.NewWindowCollector(liveRecordWindow),
 			Seed:             opts.Seed,
 			Policy:           opts.Policy,
 			MaxAttempts:      opts.MaxAttempts,

@@ -199,39 +199,34 @@ type ShardedStats struct {
 	MakespanS float64
 }
 
-// Stats summarizes the cluster after Run, merging every shard's trace
-// collector.
+// Summary reads every shard's record table as one.
+func (s *ShardedSim) Summary() trace.Summary {
+	colls := make([]*trace.Collector, len(s.Orchs))
+	for i, o := range s.Orchs {
+		colls[i] = o.Collector()
+	}
+	return trace.Summarize(colls...)
+}
+
+// Stats summarizes the cluster after Run.
 func (s *ShardedSim) Stats() ShardedStats {
 	makespan := s.Engine.Now()
-	st := ShardedStats{MakespanS: makespan.Seconds(), Stolen: s.Plane.StolenTotal()}
-	winLo, winHi := makespan/5, makespan*3/5
-	inWindow := 0
-	var cycle time.Duration
-	var lat []time.Duration
-	for _, o := range s.Orchs {
-		for _, r := range o.Collector().Records() {
-			if r.Err != "" {
-				st.Errors++
-				continue
-			}
-			st.Completed++
-			cycle += r.Total()
-			lat = append(lat, r.Latency())
-			if r.Finished >= winLo && r.Finished < winHi {
-				inWindow++
-			}
-		}
-	}
-	if st.Completed > 0 {
-		st.MeanCycle = cycle / time.Duration(st.Completed)
-		st.P50 = trace.Percentile(lat, 50)
-		st.P99 = trace.Percentile(lat, 99)
+	sum := s.Summary()
+	st := ShardedStats{
+		Completed: sum.Completed,
+		Errors:    sum.Errors,
+		MeanCycle: sum.MeanCycle,
+		P50:       sum.Percentile(50),
+		P99:       sum.Percentile(99),
+		Stolen:    s.Plane.StolenTotal(),
+		MakespanS: makespan.Seconds(),
 	}
 	if st.MakespanS > 0 {
 		st.ThroughputPerMin = float64(st.Completed) / (st.MakespanS / 60)
 	}
+	winLo, winHi := makespan/5, makespan*3/5
 	if window := winHi - winLo; window > 0 {
-		st.SustainedPerMin = float64(inWindow) / window.Minutes()
+		st.SustainedPerMin = float64(sum.CountFinished(winLo, winHi)) / window.Minutes()
 	}
 	st.TotalEnergyJ = float64(s.Meter.TotalEnergy(s.Engine.Now()))
 	if st.Completed > 0 {

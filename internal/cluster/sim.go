@@ -394,23 +394,16 @@ type SuiteStats struct {
 
 // Stats summarizes the cluster state after RunSuite.
 func (s *Sim) Stats() SuiteStats {
-	recs := s.Orch.Collector().Records()
-	st := SuiteStats{MakespanS: s.Engine.Now().Seconds()}
-	var cycle time.Duration
-	for _, r := range recs {
-		if r.Err != "" {
-			st.Errors++
-			continue
-		}
-		st.Completed++
-		cycle += r.Total()
-	}
-	if st.Completed > 0 {
-		st.MeanCycle = cycle / time.Duration(st.Completed)
-		st.ThroughputPerMin = float64(len(s.Workers)) * 60 / st.MeanCycle.Seconds()
+	sum := trace.Summarize(s.Orch.Collector())
+	st := SuiteStats{
+		Completed: sum.Completed,
+		Errors:    sum.Errors,
+		MeanCycle: sum.MeanCycle,
+		MakespanS: s.Engine.Now().Seconds(),
 	}
 	st.TotalEnergyJ = float64(s.Meter.TotalEnergy(s.Engine.Now()))
 	if st.Completed > 0 {
+		st.ThroughputPerMin = float64(len(s.Workers)) * 60 / st.MeanCycle.Seconds()
 		st.JoulesPerFunction = st.TotalEnergyJ / float64(st.Completed)
 	}
 	return st

@@ -1022,7 +1022,7 @@ func (o *Orchestrator) newJobLocked(function string, args []byte, timeout time.D
 	job.Trace = o.tracer.StartTrace(function, id, function, job.SubmittedAt)
 	o.spanMarker(job, tracing.PhaseSubmit, "", job.SubmittedAt, "")
 	o.m.submitted.Inc()
-	o.noteSubmittedLocked(function)
+	o.noteSubmitted(function)
 	o.emit(telemetry.EventSubmit, job, "", "")
 	if cb != nil {
 		o.callbacks[id] = cb
@@ -1143,90 +1143,85 @@ func (o *Orchestrator) noteWorkerIdleLocked(s *workerSlot) {
 	o.pm.NoteIdle(s.id)
 }
 
-// completed handles a worker's done callback: it records the attempt,
-// retries failures while attempts remain, and dispatches the worker's next
-// job. If the attempt's deadline already fired, the late result is
-// discarded and the (no longer wedged) worker is simply put back to work.
-func (o *Orchestrator) completed(fl *inflight, res Result) {
-	finished := o.runtime.Now()
-	o.mu.Lock()
-	s := fl.slot
-	if fl.settled {
-		// The deadline timer already synthesized this attempt's Result (and
-		// possibly retried the job elsewhere). The worker has finally come
-		// back — un-wedge it and dispatch its next queued job. With the one
-		// permitted done call consumed and the deadline long fired, the
-		// record has no live references left and rejoins the pool.
-		o.putInflightLocked(fl)
-		s.busy = false
-		o.m.busy[s.id].Set(0)
-		run := o.maybeDispatchLocked(s)
-		if run == nil {
-			o.noteWorkerIdleLocked(s)
-		}
-		release := o.takeHandoffLocked(s)
-		o.mu.Unlock()
-		if run != nil {
-			run.run()
-		}
-		if release != nil {
-			release(s.w)
-		}
-		return
+// settleAttemptLocked writes one finished attempt down, and is the only
+// code that does: the collector record, the worker's health and breaker,
+// the function's energy-budget charge, the per-worker attempt counter, the
+// settle event, the settle span and — for a failed attempt — the fault
+// span. The outcome label (ok, error, timeout) comes from res alone, so
+// no two sinks can disagree about it. What a worker's report and a
+// deadline expiry do differently (the busy flag, power-cycling, queue
+// reassignment, inflight recycling) stays with the callers, who hold o.mu.
+func (o *Orchestrator) settleAttemptLocked(s *workerSlot, job Job, started, finished time.Duration, res Result) {
+	outcome := "ok"
+	switch {
+	case res.TimedOut:
+		outcome = "timeout"
+	case res.Err != "":
+		outcome = "error"
 	}
-	fl.settled = true
-	if fl.cancelTimeout != nil {
-		fl.cancelTimeout()
-	}
-	job := fl.job
 	o.collector.Add(trace.Record{
 		JobID:     job.ID,
 		Function:  job.Function,
 		Worker:    s.id,
 		Attempt:   job.Attempt,
 		Submitted: job.SubmittedAt,
-		Started:   fl.started,
+		Started:   started,
 		Finished:  finished,
 		Boot:      res.Boot,
 		Overhead:  res.Overhead,
 		Exec:      res.Exec,
 		Err:       res.Err,
 	})
-	o.noteAttemptLocked(s, res.Err == "", false)
+	o.noteAttemptLocked(s, res.Err == "", res.TimedOut)
 	o.chargeEnergyLocked(job.Function, res.Joules)
+	o.m.attempts[s.id][outcome].Inc()
+	o.emit(telemetry.EventSettle, job, s.id, outcome)
+	o.spanMarker(job, tracing.PhaseSettle, s.id, finished, outcome)
+	if res.Err != "" {
+		o.recordSpan(job, tracing.Span{Phase: tracing.PhaseFault, Worker: s.id, Start: finished, End: finished, Err: res.Err})
+	}
+}
+
+// completed handles a worker's done callback: it settles the attempt,
+// retries a failure while attempts remain, and puts the worker back to
+// work. If the attempt's deadline already fired, the timer settled it (and
+// possibly retried the job elsewhere); the late result is discarded and the
+// no longer wedged worker just rejoins.
+func (o *Orchestrator) completed(fl *inflight, res Result) {
+	finished := o.runtime.Now()
+	o.mu.Lock()
+	s, job, started := fl.slot, fl.job, fl.started
 	s.busy = false
 	o.m.busy[s.id].Set(0)
-	if res.Err == "" {
-		o.noteAttemptMetrics(s.id, "ok")
-		o.emit(telemetry.EventSettle, job, s.id, "ok")
-		o.spanMarker(job, tracing.PhaseSettle, s.id, finished, "ok")
-	} else {
-		o.noteAttemptMetrics(s.id, "error")
-		o.emit(telemetry.EventSettle, job, s.id, "error")
-		o.spanMarker(job, tracing.PhaseSettle, s.id, finished, "error")
-		o.faultSpan(job, s.id, finished, res.Err)
-		if o.pm != nil {
+	var runs []*inflight
+	var cb func(Result)
+	if !fl.settled {
+		if fl.cancelTimeout != nil {
+			fl.cancelTimeout()
+		}
+		o.settleAttemptLocked(s, job, started, finished, res)
+		if res.Err != "" && o.pm != nil {
 			// A crashed worker can't be trusted warm: power-cycle it, so
 			// the next dispatch (possibly this job's retry elsewhere) finds
 			// a fresh environment.
 			o.pm.NoteFault(s.id)
 		}
+		runs, cb = o.resolveAttemptLocked(s, job, res, finished)
 	}
-	// One batched drain per wake: collect every attempt this completion
-	// unblocks — the retry's dispatch on another worker and this worker's
-	// next queued job — and start them together after one unlock, instead
-	// of a lock round-trip per dispatch. The common case (no retry) keeps
-	// runs nil and allocates nothing.
-	runs, cb := o.resolveAttemptLocked(s, job, res, finished)
+	// One batched drain per wake: every attempt this completion unblocks —
+	// the retry's dispatch on another worker and this worker's next queued
+	// job — starts after one unlock, instead of a lock round-trip per
+	// dispatch. The common case (no retry) keeps runs nil and allocates
+	// nothing.
 	selfRun := o.maybeDispatchLocked(s)
 	if selfRun == nil {
 		o.noteWorkerIdleLocked(s)
 	}
 	release := o.takeHandoffLocked(s)
-	started := fl.started
-	// Both possible references are dead — the worker's single done call is
-	// this very frame, and cancelTimeout ran above (a wall-mode timer that
-	// already fired concurrently is gen-guarded) — so recycle the record.
+	// Every reference to the record is dead — the worker's single done
+	// call is this very frame, and the deadline timer was cancelled above
+	// or has already fired (one still racing for the lock in wall mode is
+	// gen-guarded) — so recycle it.
 	o.putInflightLocked(fl)
 	o.mu.Unlock()
 	for _, run := range runs {
@@ -1269,21 +1264,7 @@ func (o *Orchestrator) deadlineExpired(fl *inflight, gen uint64) {
 		StartedAt:  fl.started,
 		FinishedAt: now,
 	}
-	o.collector.Add(trace.Record{
-		JobID:     job.ID,
-		Function:  job.Function,
-		Worker:    s.id,
-		Attempt:   job.Attempt,
-		Submitted: job.SubmittedAt,
-		Started:   fl.started,
-		Finished:  now,
-		Err:       res.Err,
-	})
-	o.noteAttemptLocked(s, false, true)
-	o.noteAttemptMetrics(s.id, "timeout")
-	o.emit(telemetry.EventSettle, job, s.id, "timeout")
-	o.spanMarker(job, tracing.PhaseSettle, s.id, now, "timeout")
-	o.faultSpan(job, s.id, now, res.Err)
+	o.settleAttemptLocked(s, job, fl.started, now, res)
 	// fl is deliberately NOT recycled: the wedged worker still holds its
 	// doneFn and may yet call it — the late-arrival path in completed
 	// reclaims the record then.

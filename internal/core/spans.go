@@ -13,38 +13,20 @@ import (
 // never touches the RNG or the clock beyond reads, keeping seeded sim
 // runs bit-identical.
 
+// recordSpan stamps s with the job's identity and this shard's label and
+// hands it to the tracer.
+func (o *Orchestrator) recordSpan(job Job, s tracing.Span) {
+	s.Job, s.Function, s.Attempt, s.Shard = job.ID, job.Function, job.Attempt, o.shardLabel
+	o.tracer.Record(job.Trace, s)
+}
+
 // span records one orchestrator-side interval span for the job.
 func (o *Orchestrator) span(job Job, phase tracing.Phase, worker string, start, end time.Duration, detail string) {
-	o.tracer.Record(job.Trace, tracing.Span{
-		Phase:    phase,
-		Job:      job.ID,
-		Function: job.Function,
-		Worker:   worker,
-		Shard:    o.shardLabel,
-		Attempt:  job.Attempt,
-		Start:    start,
-		End:      end,
-		Detail:   detail,
-	})
+	o.recordSpan(job, tracing.Span{Phase: phase, Worker: worker, Start: start, End: end, Detail: detail})
 }
 
 // spanMarker records a zero-length annotation span (submit, dispatch,
 // settle) at the given instant.
 func (o *Orchestrator) spanMarker(job Job, phase tracing.Phase, worker string, at time.Duration, detail string) {
 	o.span(job, phase, worker, at, at, detail)
-}
-
-// faultSpan annotates a failed or timed-out attempt.
-func (o *Orchestrator) faultSpan(job Job, worker string, at time.Duration, errMsg string) {
-	o.tracer.Record(job.Trace, tracing.Span{
-		Phase:    tracing.PhaseFault,
-		Job:      job.ID,
-		Function: job.Function,
-		Worker:   worker,
-		Shard:    o.shardLabel,
-		Attempt:  job.Attempt,
-		Start:    at,
-		End:      at,
-		Err:      errMsg,
-	})
 }

@@ -35,9 +35,6 @@ type orchMetrics struct {
 	pending   *telemetry.Gauge
 	retries   *telemetry.Counter
 	latency   *telemetry.Histogram
-	// per-function submission counters, filled lazily on first submit
-	// so the family only carries functions the workload actually uses
-	fnSubmitted map[string]*telemetry.Counter
 	// per-worker series, keyed by worker id
 	queueDepth map[string]*telemetry.Gauge
 	busy       map[string]*telemetry.Gauge
@@ -51,7 +48,7 @@ type orchMetrics struct {
 	budgetExhausted map[string]*telemetry.Gauge
 }
 
-// initTelemetryLocked pre-creates the orchestrator's metric families so
+// initTelemetry pre-creates the orchestrator's metric families so
 // every per-worker series is present (at zero) from the first scrape.
 func (o *Orchestrator) initTelemetry(tel *telemetry.Telemetry) {
 	o.tel = tel
@@ -66,11 +63,10 @@ func (o *Orchestrator) initTelemetry(tel *telemetry.Telemetry) {
 		latency: reg.Histogram(metricLatency,
 			"End-to-end latency of successful invocations (submit to final result).",
 			telemetry.LogBuckets(0.001, 60, 14)),
-		fnSubmitted: make(map[string]*telemetry.Counter),
-		queueDepth:  make(map[string]*telemetry.Gauge, len(o.slots)),
-		busy:        make(map[string]*telemetry.Gauge, len(o.slots)),
-		attempts:    make(map[string]map[string]*telemetry.Counter, len(o.slots)),
-		breakerTo:   make(map[string]map[string]*telemetry.Counter, len(o.slots)),
+		queueDepth: make(map[string]*telemetry.Gauge, len(o.slots)),
+		busy:       make(map[string]*telemetry.Gauge, len(o.slots)),
+		attempts:   make(map[string]map[string]*telemetry.Counter, len(o.slots)),
+		breakerTo:  make(map[string]map[string]*telemetry.Counter, len(o.slots)),
 		budgetThrottled: reg.Counter(metricBudgetThrottled,
 			"Submissions held before queueing because their function's energy budget was spent."),
 		budgetLimit:     make(map[string]*telemetry.Gauge),
@@ -115,21 +111,18 @@ func (o *Orchestrator) emit(typ string, job Job, worker, detail string) {
 	o.tel.Emit(o.runtime.Now(), typ, job.ID, job.Function, worker, job.Attempt, detail)
 }
 
-// noteSubmittedLocked bumps the per-function submission counter — the
-// arrival-rate tracker's source series. Caller holds o.mu, which also
-// serializes the lazy map fill.
-func (o *Orchestrator) noteSubmittedLocked(function string) {
+// noteSubmitted bumps the per-function submission counter — the
+// arrival-rate tracker's source series. Per-function series are looked up
+// per call, so a family only carries functions the workload actually
+// uses; finding a series that exists costs no validation and no
+// allocation (telemetry.Registry's hit path).
+func (o *Orchestrator) noteSubmitted(function string) {
 	if o.tel == nil {
 		return
 	}
-	c, ok := o.m.fnSubmitted[function]
-	if !ok {
-		c = o.tel.Registry().Counter(metricFnSubmitted,
-			"Jobs submitted per function (before scheduling or retries).",
-			"function", function)
-		o.m.fnSubmitted[function] = c
-	}
-	c.Inc()
+	o.tel.Registry().Counter(metricFnSubmitted,
+		"Jobs submitted per function (before scheduling or retries).",
+		"function", function).Inc()
 }
 
 // noteBudgetLocked refreshes one function's budget gauge triple, creating
@@ -160,11 +153,6 @@ func (o *Orchestrator) noteBudgetLocked(function string, limit, spent float64, e
 		x = 1
 	}
 	o.m.budgetExhausted[function].Set(x)
-}
-
-// noteAttemptMetrics records one finished attempt's outcome series.
-func (o *Orchestrator) noteAttemptMetrics(workerID, result string) {
-	o.m.attempts[workerID][result].Inc()
 }
 
 // noteFinal records a job's final outcome: the per-function counter and,

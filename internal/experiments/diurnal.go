@@ -9,6 +9,7 @@ import (
 	"microfaas/internal/core"
 	"microfaas/internal/model"
 	"microfaas/internal/replay"
+	"microfaas/internal/trace"
 )
 
 // Diurnal replays one synthetic day — a non-homogeneous Poisson trace that
@@ -115,19 +116,11 @@ func replayDay(microfaas bool, sched replay.Schedule, day time.Duration, seed in
 	s.Engine.Run(day)
 	s.Engine.RunAll() // drain the evening tail
 
-	var out DiurnalClusterResult
-	var latSum time.Duration
-	for _, r := range s.Orch.Collector().Records() {
-		if r.Err != "" {
-			continue
-		}
-		out.Completed++
-		latSum += r.Latency()
-	}
-	if out.Completed == 0 {
+	sum := trace.Summarize(s.Orch.Collector())
+	if sum.Completed == 0 {
 		return DiurnalClusterResult{}, fmt.Errorf("experiments: diurnal day completed nothing")
 	}
-	out.MeanLatency = latSum / time.Duration(out.Completed)
+	out := DiurnalClusterResult{Completed: sum.Completed, MeanLatency: sum.MeanLatency}
 	total := float64(s.Meter.TotalEnergy(s.Engine.Now()))
 	out.KWh = total / 3.6e6
 	out.JoulesPer = total / float64(out.Completed)

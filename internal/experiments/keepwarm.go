@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"microfaas/internal/cluster"
 	"microfaas/internal/model"
-	"microfaas/internal/trace"
 )
 
 // KeepWarm quantifies the warm-pool trade the paper's design refuses
@@ -73,33 +71,9 @@ func runKeepWarm(window time.Duration, load float64, duration time.Duration, see
 	if err != nil {
 		return KeepWarmPoint{}, err
 	}
-	rate := load * model.PaperSBCThroughput / 60 // func/s
-	interval := time.Duration(float64(time.Second) / rate)
-	fns := model.Functions()
-	stop, err := s.Orch.StartArrivals(interval, 1, func(rng *rand.Rand) (string, []byte) {
-		return fns[rng.Intn(len(fns))].Name, nil
-	})
+	sum, err := openLoad(s, load*model.PaperSBCThroughput/60, duration)
 	if err != nil {
 		return KeepWarmPoint{}, err
-	}
-	s.Engine.Run(duration)
-	stop()
-	s.Engine.RunAll()
-
-	recs := s.Orch.Collector().Records()
-	var lats []time.Duration
-	var sum time.Duration
-	completed := 0
-	for _, r := range recs {
-		if r.Err != "" {
-			continue
-		}
-		lats = append(lats, r.Latency())
-		sum += r.Latency()
-		completed++
-	}
-	if completed == 0 {
-		return KeepWarmPoint{}, fmt.Errorf("experiments: keep-warm run completed nothing")
 	}
 	cold, warm := 0, 0
 	for _, w := range s.Workers {
@@ -108,9 +82,9 @@ func runKeepWarm(window time.Duration, load float64, duration time.Duration, see
 	}
 	return KeepWarmPoint{
 		Window:        window,
-		MeanLatency:   sum / time.Duration(completed),
-		P95Latency:    trace.Percentile(lats, 95),
-		JoulesPerFunc: float64(s.Meter.TotalEnergy(s.Engine.Now())) / float64(completed),
+		MeanLatency:   sum.MeanLatency,
+		P95Latency:    sum.Percentile(95),
+		JoulesPerFunc: float64(s.Meter.TotalEnergy(s.Engine.Now())) / float64(sum.Completed),
 		WarmFraction:  float64(warm) / float64(cold+warm),
 	}, nil
 }

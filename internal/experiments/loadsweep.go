@@ -55,8 +55,7 @@ type LoadSweepConfig struct {
 
 // loadSweepRun is one cluster's measurement at one offered load.
 type loadSweepRun struct {
-	mean, p95 time.Duration
-	completed int
+	trace.Summary
 	joulesPer float64
 }
 
@@ -84,10 +83,7 @@ func LoadSweep(cfg LoadSweepConfig) ([]LoadSweepPoint, error) {
 		// both clusters face an identical, feasible open load.
 		capacity := model.PaperSBCThroughput // func/min; the matched pair's min
 		rate := fractions[i/2] * capacity / 60
-		var r loadSweepRun
-		var err error
-		r.mean, r.p95, r.completed, r.joulesPer, err = runOpenLoad(i%2 == 0, rate, window, cfg.Seed)
-		return r, err
+		return runLoadPoint(i%2 == 0, rate, window, cfg.Seed)
 	})
 	if err != nil {
 		return nil, err
@@ -99,64 +95,59 @@ func LoadSweep(cfg LoadSweepConfig) ([]LoadSweepPoint, error) {
 		out = append(out, LoadSweepPoint{
 			LoadFraction:  f,
 			OfferedPerMin: rate * 60,
-			MFCompleted:   mf.completed,
-			MFMeanLatency: mf.mean,
-			MFP95Latency:  mf.p95,
+			MFCompleted:   mf.Completed,
+			MFMeanLatency: mf.MeanLatency,
+			MFP95Latency:  mf.Percentile(95),
 			MFJoulesPer:   mf.joulesPer,
-			ConvCompleted: cv.completed,
-			ConvMeanLat:   cv.mean,
-			ConvP95Lat:    cv.p95,
+			ConvCompleted: cv.Completed,
+			ConvMeanLat:   cv.MeanLatency,
+			ConvP95Lat:    cv.Percentile(95),
 			ConvJoulesPer: cv.joulesPer,
 		})
 	}
 	return out, nil
 }
 
-// runOpenLoad drives one cluster with the paper's arrival process at the
-// given rate for the window, then lets the queue drain.
-func runOpenLoad(microfaas bool, ratePerSec float64, window time.Duration, seed int64) (mean, p95 time.Duration, completed int, joulesPer float64, err error) {
+// runLoadPoint measures one cluster at one offered rate.
+func runLoadPoint(microfaas bool, ratePerSec float64, window time.Duration, seed int64) (loadSweepRun, error) {
 	var s *cluster.Sim
+	var err error
 	if microfaas {
 		s, err = cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: seed})
 	} else {
 		s, err = cluster.NewConventionalSim(model.VMCount, cluster.SimConfig{Seed: seed})
 	}
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return loadSweepRun{}, err
 	}
-	interval := time.Duration(float64(time.Second) / ratePerSec)
+	sum, err := openLoad(s, ratePerSec, window)
+	if err != nil {
+		return loadSweepRun{}, err
+	}
+	joules := float64(s.Meter.TotalEnergy(s.Engine.Now()))
+	return loadSweepRun{Summary: sum, joulesPer: joules / float64(sum.Completed)}, nil
+}
+
+// openLoad drives s with the paper's arrival process — one uniformly
+// drawn function every 1/ratePerSec — for the window, lets the queue drain
+// so every submission is measured, and reads the record table. A run that
+// completed nothing is an error.
+func openLoad(s *cluster.Sim, ratePerSec float64, window time.Duration) (trace.Summary, error) {
 	fns := model.Functions()
-	stop, err := s.Orch.StartArrivals(interval, 1, func(rng *rand.Rand) (string, []byte) {
+	stop, err := s.Orch.StartArrivals(time.Duration(float64(time.Second)/ratePerSec), 1, func(rng *rand.Rand) (string, []byte) {
 		return fns[rng.Intn(len(fns))].Name, nil
 	})
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return trace.Summary{}, err
 	}
 	s.Engine.Run(window)
 	stop()
-	// Drain what's queued so every submission is measured.
 	s.Engine.RunAll()
-
-	recs := s.Orch.Collector().Records()
-	var lats []time.Duration
-	var sum time.Duration
-	for _, r := range recs {
-		if r.Err != "" {
-			continue
-		}
-		lats = append(lats, r.Latency())
-		sum += r.Latency()
-		completed++
+	sum := trace.Summarize(s.Orch.Collector())
+	if sum.Completed == 0 {
+		return sum, fmt.Errorf("experiments: open load at %.3f/s completed nothing", ratePerSec)
 	}
-	if completed == 0 {
-		return 0, 0, 0, 0, fmt.Errorf("experiments: no completions at rate %.3f/s", ratePerSec)
-	}
-	mean = sum / time.Duration(completed)
-	p95 = trace.Percentile(lats, 95)
-	// Energy over the observation window only (the drain tail is workload
-	// accounting, idle draw beyond it would penalize neither honestly).
-	joulesPer = float64(s.Meter.TotalEnergy(s.Engine.Now())) / float64(completed)
-	return mean, p95, completed, joulesPer, nil
+	return sum, nil
 }
 
 // WriteLoadSweep prints the sweep.

@@ -289,22 +289,16 @@ func runPowerArm(arm string, sched replay.Schedule, day time.Duration, seed int6
 	s.Engine.Run(day)
 	s.Engine.RunAll() // drain the tail (and the managed arm's idle timers)
 
-	out := PowerMgmtArm{Name: arm}
-	var latSum time.Duration
-	var lats []time.Duration
-	for _, r := range s.Orch.Collector().Records() {
-		if r.Err != "" {
-			continue
-		}
-		out.Completed++
-		latSum += r.Latency()
-		lats = append(lats, r.Latency())
-	}
-	if out.Completed == 0 {
+	sum := trace.Summarize(s.Orch.Collector())
+	if sum.Completed == 0 {
 		return PowerMgmtArm{}, fmt.Errorf("experiments: power-mgmt %s arm completed nothing", arm)
 	}
-	out.MeanLatency = latSum / time.Duration(out.Completed)
-	out.P99Latency = trace.Percentile(lats, 99)
+	out := PowerMgmtArm{
+		Name:        arm,
+		Completed:   sum.Completed,
+		MeanLatency: sum.MeanLatency,
+		P99Latency:  sum.Percentile(99),
+	}
 	if ctl != nil {
 		snap := ctl.Snapshot()
 		out.ForecastError = snap.ErrorRatio

@@ -230,22 +230,9 @@ func runShardFailoverArm(cfg ShardFailoverConfig, churn bool, victims []int, kil
 	// post-recovery starts well after the kills to let re-homing finish.
 	preLo, preHi := horizon/10, killAt
 	postLo, postHi := horizon/2, horizon
-	pre, post := 0, 0
-	for _, o := range s.Orchs {
-		for _, r := range o.Collector().Records() {
-			if r.Err != "" {
-				continue
-			}
-			if r.Finished >= preLo && r.Finished < preHi {
-				pre++
-			}
-			if r.Finished >= postLo && r.Finished < postHi {
-				post++
-			}
-		}
-	}
-	arm.PrePerMin = float64(pre) / (preHi - preLo).Minutes()
-	arm.PostPerMin = float64(post) / (postHi - postLo).Minutes()
+	sum := s.Summary()
+	arm.PrePerMin = float64(sum.CountFinished(preLo, preHi)) / (preHi - preLo).Minutes()
+	arm.PostPerMin = float64(sum.CountFinished(postLo, postHi)) / (postHi - postLo).Minutes()
 	if arm.PrePerMin > 0 {
 		arm.Recovery = arm.PostPerMin / arm.PrePerMin
 	}

@@ -9,7 +9,9 @@
 //	GET  /jobs/{id}        async job status: 200 result, 404 unknown, 202 pending
 //	GET  /functions        list of deployable function names
 //	GET  /workers          per-worker health: breaker state, failure counts, queue depth
-//	GET  /stats            per-function runtime statistics and cluster totals
+//	GET  /stats            per-function runtime statistics and cluster totals (live:
+//	                       completed/errors are lifetime, functions cover the retained
+//	                       window of recent records)
 //	GET  /power            power-manager snapshots, one {"shard","snapshot"} row per shard:
 //	                       per-node power states, cap, pending wakes
 //	POST /power/cap        {"cap_w": N} adjusts the cluster power cap (0 removes it),
@@ -48,12 +50,29 @@
 // when the two code paths became one; rows and events of an unlabelled
 // lone orchestrator omit "shard".)
 //
-// Async results are retained for a bounded window (RetainAsync, default
-// 10 minutes) and deleted on first successful read.
+// Async jobs live in one table, one row per job, and move one way:
+//
+//	pending ──completion──► done ──first GET /jobs/{id}──► fetched
+//	  202                  200/422, once                    404
+//
+// A row is created when the job is first seen — by the submitting handler
+// or, when a fast worker wins the race, by the completion callback — and
+// never created twice, so a completed job is never re-marked pending. It
+// is dropped RetainAsync (10 minutes) after its last transition into
+// pending or done; a fetched row gives its result back at once and stays
+// only as a marker. One expiry queue in first-sight order makes every
+// async operation amortised O(1): a reap pops the expired prefix and
+// nothing else. A poll that finds its job pending is held one millisecond
+// and looks again before it answers, so a tight polling loop is paced by
+// the server and a fast function's result rides the first poll.
+//
+// POST /invoke bodies are limited to 1 MiB (413 beyond), and a connection
+// has 10 seconds to deliver its request headers.
 package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -128,15 +147,52 @@ type StatsResponse struct {
 	Functions []trace.FunctionStats `json:"functions"`
 }
 
-// asyncEntry is a completed async job's retained result.
-type asyncEntry struct {
-	resp      InvokeResponse
-	status    int
-	expiresAt time.Time
+// status is the HTTP status the reply travels under, sync or async: 422
+// when the function failed.
+func (r *InvokeResponse) status() int {
+	if r.Error != "" {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusOK
 }
 
-// RetainAsync is how long a completed async result stays fetchable.
+// asyncJob is one async invocation's row in the job table: pending (no
+// result, not completed: 202), then done (result held: 200 or 422, once),
+// then fetched (completed, result released: 404) until the row expires.
+// Expiries are offsets on the server's own clock (time since start): a row
+// and a queue entry are kept per job for the whole retention window, and a
+// time.Time would triple the size of both.
+type asyncJob struct {
+	result    *InvokeResponse
+	completed bool
+	expiresAt time.Duration
+}
+
+// asyncExpiry is a job's place in the expiry queue, filed when the job is
+// first seen under the expiry its row had then.
+type asyncExpiry struct {
+	id int64
+	at time.Duration
+}
+
+// RetainAsync is how long async state is kept: a pending job whose
+// completion never comes (abandoned in a drain) is forgotten this long
+// after submission, a completed one this long after completion.
 const RetainAsync = 10 * time.Minute
+
+// maxInvokeBody bounds a POST /invoke body (function name plus JSON
+// arguments); a larger one is answered 413 without being read further.
+const maxInvokeBody = 1 << 20
+
+// pollBeat is how long a poll that finds its job pending is held before it
+// looks again and answers: a client polling in a tight loop costs one
+// request per beat instead of all its connection can carry, and a job that
+// finishes within the beat is answered by the poll that found it pending.
+const pollBeat = time.Millisecond
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers: an idle or trickling client cannot hold one for free.
+const readHeaderTimeout = 10 * time.Second
 
 // Options configures a Server beyond the orchestrator it fronts.
 type Options struct {
@@ -214,16 +270,15 @@ type Server struct {
 	pprof    bool
 	start    time.Time
 
-	mu      sync.Mutex
-	http    *http.Server
-	pending map[int64]time.Time  // async jobs in flight -> expiry
-	done    map[int64]asyncEntry // async results awaiting pickup
-	// settled marks async jobs whose completion callback has fired,
-	// surviving the (pickup-once) deletion of their done entry. It closes
-	// the submit/complete race: a completion observed here is never
-	// re-marked pending, no matter how the callback and the submitting
-	// handler interleave. Entries expire with their done entry's window.
-	settled map[int64]time.Time
+	mu   sync.Mutex
+	http *http.Server
+	// jobs is the async job table and expiry its reaping order: one entry
+	// per row, in first-sight order. RetainAsync is one constant, so that
+	// is also expiry order — except that completion pushes a row's expiry
+	// back without moving its entry, which reapLocked re-files on sight.
+	jobs   map[int64]asyncJob
+	expiry []asyncExpiry
+	now    func() time.Time // time.Now; the async-table tests step it
 }
 
 // NewWithOptions wraps a lone orchestrator: a shard list of one, submitted
@@ -294,9 +349,8 @@ func newServer(opts Options, shards []shardRef) *Server {
 		forecast: opts.Forecast,
 		pprof:    opts.EnablePprof,
 		start:    time.Now(),
-		pending:  make(map[int64]time.Time),
-		done:     make(map[int64]asyncEntry),
-		settled:  make(map[int64]time.Time),
+		jobs:     make(map[int64]asyncJob),
+		now:      time.Now,
 	}
 }
 
@@ -359,7 +413,7 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("gateway: listen: %w", err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	s.mu.Lock()
 	s.http = srv
 	s.mu.Unlock()
@@ -395,8 +449,13 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InvokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInvokeBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad request body: "+err.Error())
 		return
 	}
 	if req.Function == "" {
@@ -431,11 +490,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	select {
 	case res := <-resCh:
 		resp := makeResponse(res)
-		status := http.StatusOK
-		if res.Err != "" {
-			status = http.StatusUnprocessableEntity
-		}
-		writeJSON(w, status, resp)
+		writeJSON(w, resp.status(), resp)
 	case <-timeout.C:
 		writeError(w, http.StatusGatewayTimeout, "invocation timed out")
 	case <-r.Context().Done():
@@ -454,90 +509,99 @@ func (s *Server) invokeAsync(w http.ResponseWriter, req InvokeRequest, args []by
 	writeJSON(w, http.StatusAccepted, map[string]int64{"job_id": jobID})
 }
 
-// recordAsync is the async completion callback: it retires the pending
-// entry and files the result for pickup.
-func (s *Server) recordAsync(res core.Result) {
-	entry := asyncEntry{
-		resp:      makeResponse(res),
-		status:    http.StatusOK,
-		expiresAt: time.Now().Add(RetainAsync),
-	}
-	if res.Err != "" {
-		entry.status = http.StatusUnprocessableEntity
-	}
-	s.mu.Lock()
-	delete(s.pending, res.Job.ID)
-	s.done[res.Job.ID] = entry
-	s.settled[res.Job.ID] = entry.expiresAt
-	s.reapLocked()
-	s.mu.Unlock()
-}
-
-// markPending files a just-submitted async job as in flight. The callback
-// may already have fired (live workers are fast) — or fired and had its
-// result fetched by a fast poller, erasing the done entry. settled
-// remembers every completion for the retention window, so a job is marked
-// pending only if it has genuinely not finished yet. Pending entries carry
-// their own expiry: a job whose callback never fires (abandoned in a
-// drain) would otherwise leak its entry forever.
+// markPending files a just-submitted async job as in flight — unless the
+// job has been seen already: live workers are fast, and its completion
+// (even the pickup of its result by a fast poller) can land before the
+// submitting handler gets here. A pending row carries its own expiry, or a
+// job whose callback never fires (abandoned in a drain) would stay forever.
 func (s *Server) markPending(jobID int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, completed := s.settled[jobID]; !completed {
-		s.pending[jobID] = time.Now().Add(RetainAsync)
+	if _, seen := s.jobs[jobID]; !seen {
+		at := s.now().Sub(s.start) + RetainAsync
+		s.jobs[jobID] = asyncJob{expiresAt: at}
+		s.expiry = append(s.expiry, asyncExpiry{id: jobID, at: at})
 	}
 }
 
-// reapLocked drops expired async state — results awaiting pickup, the
-// settled markers, and pending entries whose completion never came.
-// Caller holds s.mu.
-func (s *Server) reapLocked() {
-	now := time.Now()
-	for id, e := range s.done {
-		if now.After(e.expiresAt) {
-			delete(s.done, id)
-		}
+// recordAsync is the async completion callback: it files the result for
+// pickup and restarts the row's retention window. A row seen before keeps
+// its place in the expiry queue; reapLocked re-files it when it surfaces.
+func (s *Server) recordAsync(res core.Result) {
+	resp := makeResponse(res)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.now().Sub(s.start)
+	s.reapLocked(now)
+	at := now + RetainAsync
+	if _, seen := s.jobs[res.Job.ID]; !seen {
+		s.expiry = append(s.expiry, asyncExpiry{id: res.Job.ID, at: at})
 	}
-	for id, exp := range s.settled {
-		if now.After(exp) {
-			delete(s.settled, id)
-		}
-	}
-	for id, exp := range s.pending {
-		if now.After(exp) {
-			delete(s.pending, id)
+	s.jobs[res.Job.ID] = asyncJob{result: &resp, completed: true, expiresAt: at}
+}
+
+// reapLocked drops the rows whose retention has passed. It pops only the
+// expired prefix of the expiry queue, so its cost is the number of rows
+// that expired since the last call, not the size of the table. An entry
+// whose row was completed since it was filed carries a stale, early expiry
+// and is re-filed at the back — behind later expiries, so such a row may
+// outstay its own (by less than RetainAsync), which is why liveJobLocked
+// checks expiresAt itself. Caller holds s.mu.
+func (s *Server) reapLocked(now time.Duration) {
+	for len(s.expiry) > 0 && now > s.expiry[0].at {
+		id := s.expiry[0].id
+		s.expiry = s.expiry[1:]
+		if j := s.jobs[id]; now > j.expiresAt {
+			delete(s.jobs, id)
+		} else {
+			s.expiry = append(s.expiry, asyncExpiry{id: id, at: j.expiresAt})
 		}
 	}
 }
 
-// handleJobStatus serves GET /jobs/{id}: 200/422 with the result (consumed
-// on read), 202 while pending, 404 for unknown or expired jobs.
+// liveJobLocked reaps, then looks the job's row up; false when there is
+// none or it has expired. Caller holds s.mu.
+func (s *Server) liveJobLocked(id int64) (asyncJob, bool) {
+	now := s.now().Sub(s.start)
+	s.reapLocked(now)
+	j, ok := s.jobs[id]
+	return j, ok && now <= j.expiresAt
+}
+
+// handleJobStatus serves GET /jobs/{id}: 200/422 with the result (handed
+// over exactly once: the row stays, its result released), 202 while
+// pending (after holding the poll one pollBeat in case the job finishes),
+// 404 for unknown, expired or already-fetched jobs.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	idStr := strings.TrimPrefix(r.URL.Path, "/jobs/")
-	id, err := strconv.ParseInt(idStr, 10, 64)
+	id, err := strconv.ParseInt(strings.TrimPrefix(r.URL.Path, "/jobs/"), 10, 64)
 	if err != nil || id <= 0 {
 		writeError(w, http.StatusBadRequest, "bad job id")
 		return
 	}
 	s.mu.Lock()
-	s.reapLocked()
-	if entry, ok := s.done[id]; ok {
-		delete(s.done, id) // results are picked up exactly once
+	j, ok := s.liveJobLocked(id)
+	if ok && !j.completed { // pending: hold the poll one beat, look again
 		s.mu.Unlock()
-		writeJSON(w, entry.status, entry.resp)
-		return
+		time.Sleep(pollBeat)
+		s.mu.Lock()
+		j, ok = s.liveJobLocked(id)
 	}
-	_, pending := s.pending[id]
+	if ok && j.result != nil { // done → fetched: the row stays as the marker
+		s.jobs[id] = asyncJob{completed: true, expiresAt: j.expiresAt}
+	}
 	s.mu.Unlock()
-	if pending {
+	switch {
+	case ok && j.result != nil:
+		writeJSON(w, j.result.status(), j.result)
+	case ok && !j.completed:
 		writeJSON(w, http.StatusAccepted, map[string]string{"status": "pending"})
-		return
+	default:
+		writeError(w, http.StatusNotFound, "unknown, expired, or already-fetched job")
 	}
-	writeError(w, http.StatusNotFound, "unknown, expired, or already-fetched job")
 }
 
 func (s *Server) handleFunctions(w http.ResponseWriter, r *http.Request) {
@@ -713,27 +777,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	// One shard's collector is read in place; several are merged into one
-	// so the per-function stats (percentiles included) cover the cluster.
-	coll := s.shards[0].orch.Collector()
-	if len(s.shards) > 1 {
-		coll = trace.NewCollector()
-		for _, sh := range s.shards {
-			for _, r := range sh.orch.Collector().Records() {
-				coll.Add(r)
-			}
-		}
+	// Completed and Errors are lifetime counts; Functions covers the
+	// records the shards still retain (a live cluster keeps a recent
+	// window), read in place as one table so percentiles span the cluster.
+	var out StatsResponse
+	colls := make([]*trace.Collector, len(s.shards))
+	for i, sh := range s.shards {
+		colls[i] = sh.orch.Collector()
+		errs := colls[i].ErrorCount()
+		out.Completed += colls[i].Len() - errs
+		out.Errors += errs
+		out.Pending += sh.orch.Pending()
 	}
-	pending := 0
-	for _, sh := range s.shards {
-		pending += sh.orch.Pending()
-	}
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Completed: coll.Len() - coll.ErrorCount(),
-		Errors:    coll.ErrorCount(),
-		Pending:   pending,
-		Functions: coll.ByFunction(),
-	})
+	out.Functions = trace.ByFunction(colls...)
+	writeJSON(w, http.StatusOK, out)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -91,6 +92,19 @@ func TestInvokeValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage body → %d", resp.StatusCode)
+	}
+	// A body over the limit is refused with 413, one just under it is read
+	// and run: the limit bounds the body, it does not shrink the arguments.
+	pad := func(n int) string {
+		return `{"function":"RegExMatch","args":{"pattern":"a","text":"` + strings.Repeat("a", n) + `"}}`
+	}
+	resp, _ = postInvoke(t, base, pad(maxInvokeBody))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body → %d, want 413", resp.StatusCode)
+	}
+	resp, _ = postInvoke(t, base, pad(maxInvokeBody-128))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("body just under the limit → %d, want 200", resp.StatusCode)
 	}
 	resp, err = http.Get(base + "/invoke")
 	if err != nil {

@@ -164,10 +164,42 @@ func (r *Registry) takeOrdinals(n int) int {
 	return first
 }
 
+// lookup returns the existing child for kv (alternating label name and
+// value, names in the family's order), or nil. It builds the child key in
+// a stack buffer, so a hit allocates nothing.
+func (f *family) lookup(kv []string) *child {
+	if len(kv) != 2*len(f.labels) {
+		return nil
+	}
+	var buf [128]byte
+	key := buf[:0]
+	for i, label := range f.labels {
+		if kv[2*i] != label {
+			return nil
+		}
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, kv[2*i+1]...)
+	}
+	return f.byKey[string(key)]
+}
+
 // get is the family/child get-or-create shared by the typed accessors.
 func (r *Registry) get(name, help string, typ MetricType, buckets []float64, kv []string) *child {
 	if r == nil {
 		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// A series that exists is returned before anything is validated or
+	// allocated: callers with an open label set (a function name per job)
+	// come through here on every call, and the family's child map is the
+	// one handle cache they all share.
+	if f, ok := r.families[name]; ok && f.typ == typ && f.fn == nil {
+		if c := f.lookup(kv); c != nil {
+			return c
+		}
 	}
 	if len(kv)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: odd label kv list for %s", name))
@@ -180,8 +212,6 @@ func (r *Registry) get(name, help string, typ MetricType, buckets []float64, kv 
 		names = append(names, kv[i])
 		values = append(values, kv[i+1])
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{

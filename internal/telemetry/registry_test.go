@@ -295,3 +295,31 @@ func TestLabeledExpositionRoundTrip(t *testing.T) {
 		t.Fatalf("single-shard Sum = %v, want 5", got)
 	}
 }
+
+// TestExistingSeriesLookupAllocatesNothing pins the hit path of the typed
+// accessors: callers with an open label set (a function name per job)
+// resolve their series on every call, so finding one that exists must not
+// validate, build slices or allocate a key — for any label count — and
+// must return the very series creation did.
+func TestExistingSeriesLookupAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	one := r.Counter("energy_total", "h", "function", "MatMul")
+	two := r.Counter("outcomes_total", "h", "function", "MatMul", "result", "ok")
+	r.Counter("outcomes_total", "h", "function", "MatMul\x00ok", "result", "") // a key that must not collide
+	h := r.Histogram("lat_seconds", "h", []float64{1, 2}, "function", "MatMul")
+	if r.Counter("energy_total", "h", "function", "MatMul") != one ||
+		r.Counter("outcomes_total", "h", "function", "MatMul", "result", "ok") != two ||
+		r.Histogram("lat_seconds", "h", []float64{1, 2}, "function", "MatMul").child != h.child {
+		t.Fatal("a lookup of an existing series returned a different one")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Counter("energy_total", "h", "function", "MatMul").Inc()
+		r.Counter("outcomes_total", "h", "function", "MatMul", "result", "ok").Inc()
+	})
+	if allocs != 0 {
+		t.Fatalf("looking up existing series allocates %v times per run, want 0", allocs)
+	}
+	if one.Value() != 101 || two.Value() != 101 {
+		t.Fatalf("counters read %v and %v after 101 increments", one.Value(), two.Value())
+	}
+}

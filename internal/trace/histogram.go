@@ -135,10 +135,10 @@ func (c *Collector) LatencyHistogram(lo, hi time.Duration, buckets int) (*Histog
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range c.Records() {
+	c.each(func(r Record) {
 		if r.Err == "" {
 			h.Observe(r.Latency())
 		}
-	}
+	})
 	return h, nil
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -51,37 +52,117 @@ type Collector struct {
 	// hot path, and a flat slice's geometric regrowth (zero + copy the
 	// whole backing array at every doubling) dominated long runs.
 	records chunklog.Log[Record]
+	// window bounds the table (0 = keep every record); n and errs count
+	// every record ever added, so Len and ErrorCount stay exact and O(1).
+	window  int
+	n, errs int
 }
 
-// NewCollector returns an empty collector.
+// NewCollector returns an empty collector that keeps every record.
 func NewCollector() *Collector { return &Collector{} }
+
+// NewWindowCollector returns a collector that keeps the most recent window
+// records (plus at most one chunk), dropping the oldest chunk as new ones
+// arrive: the table for a live process, whose log would otherwise grow
+// without bound. Len and ErrorCount still count every record ever added;
+// Records, ByFunction, Summarize and the histogram see the retained window.
+func NewWindowCollector(window int) *Collector { return &Collector{window: window} }
 
 // Add appends one record.
 func (c *Collector) Add(r Record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.records.Append(r)
+	c.n++
+	if r.Err != "" {
+		c.errs++
+	}
+	if c.window > 0 && c.records.Len() >= c.window+chunklog.ChunkSize {
+		c.records.DropOldestChunk()
+	}
 }
 
-// Len returns the number of records.
+// Len returns the number of records ever added.
 func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.records.Len()
+	return c.n
 }
 
-// Records returns a copy of all records.
+// ErrorCount returns the number of failed invocations ever added.
+func (c *Collector) ErrorCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.errs
+}
+
+// Records returns a copy of the retained records.
 func (c *Collector) Records() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.records.Flatten()
 }
 
-// each visits every record in insertion order under the collector's lock.
+// each visits every retained record in insertion order under the lock.
 func (c *Collector) each(fn func(Record)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.records.Each(fn)
+}
+
+// Summary is the whole-table reading every experiment and stats view
+// takes, computed in place without copying the record table: successful
+// and failed records counted, the successful ones' mean end-to-end (submit
+// to result) latency and mean worker-side boot+overhead+exec cycle, and —
+// through Percentile and CountFinished — their latency distribution and
+// finish times.
+type Summary struct {
+	Completed, Errors      int
+	MeanLatency, MeanCycle time.Duration
+
+	// Each successful record's Latency() and Finished, in table order.
+	latencies, finished []time.Duration
+}
+
+// Summarize reads the collectors' retained records as one table (a
+// sharded cluster passes one collector per shard).
+func Summarize(colls ...*Collector) Summary {
+	var s Summary
+	var latency, cycle time.Duration
+	for _, c := range colls {
+		c.each(func(r Record) {
+			if r.Err != "" {
+				s.Errors++
+				return
+			}
+			s.Completed++
+			latency += r.Latency()
+			cycle += r.Total()
+			s.latencies = append(s.latencies, r.Latency())
+			s.finished = append(s.finished, r.Finished)
+		})
+	}
+	if s.Completed > 0 {
+		s.MeanLatency = latency / time.Duration(s.Completed)
+		s.MeanCycle = cycle / time.Duration(s.Completed)
+	}
+	return s
+}
+
+// Percentile returns the p-th percentile (nearest-rank, see Percentile)
+// of successful invocations' end-to-end latency.
+func (s Summary) Percentile(p float64) time.Duration { return Percentile(s.latencies, p) }
+
+// CountFinished returns how many successful invocations finished in the
+// half-open window [lo, hi).
+func (s Summary) CountFinished(lo, hi time.Duration) int {
+	n := 0
+	for _, f := range s.finished {
+		if f >= lo && f < hi {
+			n++
+		}
+	}
+	return n
 }
 
 // FunctionStats summarizes one function's invocations.
@@ -98,51 +179,51 @@ type FunctionStats struct {
 	P50Total, P95Total time.Duration
 }
 
-// ByFunction groups records and computes per-function statistics, sorted
-// by function name.
-func (c *Collector) ByFunction() []FunctionStats {
-	groups := map[string][]Record{}
-	c.each(func(r Record) {
-		groups[r.Function] = append(groups[r.Function], r)
-	})
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]FunctionStats, 0, len(names))
-	for _, n := range names {
-		out = append(out, summarize(n, groups[n]))
-	}
-	return out
-}
+// ByFunction is the package-level ByFunction over this collector alone.
+func (c *Collector) ByFunction() []FunctionStats { return ByFunction(c) }
 
-func summarize(name string, recs []Record) FunctionStats {
-	st := FunctionStats{Function: name, Count: len(recs)}
-	var exec, ovh, total, lat time.Duration
-	var totals []time.Duration
-	ok := 0
-	for _, r := range recs {
-		if r.Err != "" {
-			st.Errors++
-			continue
+// ByFunction groups the collectors' retained records (read as one table,
+// like Summarize) and computes per-function statistics, sorted by
+// function name.
+func ByFunction(colls ...*Collector) []FunctionStats {
+	type group struct {
+		st             FunctionStats
+		exec, ovh, lat time.Duration
+		totals         []time.Duration
+	}
+	groups := map[string]*group{}
+	for _, c := range colls {
+		c.each(func(r Record) {
+			g := groups[r.Function]
+			if g == nil {
+				g = &group{st: FunctionStats{Function: r.Function}}
+				groups[r.Function] = g
+			}
+			g.st.Count++
+			if r.Err != "" {
+				g.st.Errors++
+				return
+			}
+			g.exec += r.Exec
+			g.ovh += r.Overhead
+			g.lat += r.Latency()
+			g.totals = append(g.totals, r.Exec+r.Overhead)
+		})
+	}
+	out := make([]FunctionStats, 0, len(groups))
+	for _, g := range groups {
+		if ok := time.Duration(len(g.totals)); ok > 0 {
+			g.st.MeanExec = g.exec / ok
+			g.st.MeanOverhead = g.ovh / ok
+			g.st.MeanTotal = (g.exec + g.ovh) / ok
+			g.st.MeanLatency = g.lat / ok
+			g.st.P50Total = Percentile(g.totals, 50)
+			g.st.P95Total = Percentile(g.totals, 95)
 		}
-		ok++
-		exec += r.Exec
-		ovh += r.Overhead
-		total += r.Exec + r.Overhead
-		lat += r.Latency()
-		totals = append(totals, r.Exec+r.Overhead)
+		out = append(out, g.st)
 	}
-	if ok > 0 {
-		st.MeanExec = exec / time.Duration(ok)
-		st.MeanOverhead = ovh / time.Duration(ok)
-		st.MeanTotal = total / time.Duration(ok)
-		st.MeanLatency = lat / time.Duration(ok)
-		st.P50Total = Percentile(totals, 50)
-		st.P95Total = Percentile(totals, 95)
-	}
-	return st
+	sort.Slice(out, func(i, j int) bool { return out[i].Function < out[j].Function })
+	return out
 }
 
 // Percentile returns the p-th percentile (nearest-rank) of durations:
@@ -158,9 +239,8 @@ func Percentile(ds []time.Duration, p float64) time.Duration {
 	if len(ds) == 0 {
 		return 0
 	}
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
 	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
 	if rank < 1 {
 		rank = 1
@@ -168,32 +248,7 @@ func Percentile(ds []time.Duration, p float64) time.Duration {
 	return sorted[rank-1]
 }
 
-// Throughput returns successful invocations per minute over [start, end].
-func (c *Collector) Throughput(start, end time.Duration) float64 {
-	if end <= start {
-		return 0
-	}
-	n := 0
-	c.each(func(r Record) {
-		if r.Err == "" && r.Finished >= start && r.Finished <= end {
-			n++
-		}
-	})
-	return float64(n) / (end - start).Minutes()
-}
-
-// ErrorCount returns the number of failed invocations.
-func (c *Collector) ErrorCount() int {
-	n := 0
-	c.each(func(r Record) {
-		if r.Err != "" {
-			n++
-		}
-	})
-	return n
-}
-
-// WriteCSV emits all records as CSV (header + one row per record).
+// WriteCSV emits the retained records as CSV (header + one row per record).
 func (c *Collector) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "job_id,function,worker,attempt,submitted_ms,started_ms,finished_ms,boot_ms,overhead_ms,exec_ms,error"); err != nil {
 		return err

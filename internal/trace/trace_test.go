@@ -1,12 +1,16 @@
 package trace
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"microfaas/internal/chunklog"
 )
 
 func rec(fn string, exec, ovh time.Duration, err string) Record {
@@ -120,23 +124,142 @@ func TestPercentileProperty(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	c := NewCollector()
-	for i := 0; i < 60; i++ {
-		c.Add(Record{Function: "A", Finished: time.Duration(i) * time.Second})
+// referenceSummary is the loop every caller of Records() used to hand-roll
+// — copy the tables, skip errors, sum, collect, count a window — kept here
+// as what Summarize must equal.
+func referenceSummary(lo, hi time.Duration, colls ...*Collector) (completed, errors int, meanLat, meanCycle time.Duration, lats []time.Duration, inWindow int) {
+	var lat, cycle time.Duration
+	for _, c := range colls {
+		for _, r := range c.Records() {
+			if r.Err != "" {
+				errors++
+				continue
+			}
+			completed++
+			lat += r.Latency()
+			cycle += r.Total()
+			lats = append(lats, r.Latency())
+			if r.Finished >= lo && r.Finished < hi {
+				inWindow++
+			}
+		}
 	}
-	// 60 completions in the first minute (t=0..59s) and window [0,60s].
-	got := c.Throughput(0, time.Minute)
-	if got != 60 {
-		t.Fatalf("Throughput = %v func/min, want 60", got)
+	if completed > 0 {
+		meanLat = lat / time.Duration(completed)
+		meanCycle = cycle / time.Duration(completed)
 	}
-	// Errors excluded.
-	c.Add(Record{Function: "A", Finished: 30 * time.Second, Err: "x"})
-	if c.Throughput(0, time.Minute) != 60 {
-		t.Fatal("failed invocation counted in throughput")
+	return
+}
+
+func TestSummarizeMatchesCopyThenLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	colls := []*Collector{NewCollector(), NewCollector(), NewCollector()}
+	for i := 0; i < 5000; i++ {
+		r := Record{
+			JobID:     int64(i),
+			Submitted: time.Duration(rng.Intn(1000)) * time.Millisecond,
+			Boot:      time.Duration(rng.Intn(2000)) * time.Millisecond,
+			Overhead:  time.Duration(rng.Intn(300)) * time.Microsecond,
+			Exec:      time.Duration(rng.Intn(5000)) * time.Microsecond,
+		}
+		r.Started = r.Submitted + time.Duration(rng.Intn(50))*time.Millisecond
+		r.Finished = r.Started + r.Total()
+		if rng.Intn(10) == 0 {
+			r.Err = "boom"
+		}
+		colls[rng.Intn(len(colls))].Add(r)
 	}
-	if c.Throughput(time.Minute, time.Minute) != 0 {
-		t.Fatal("empty window must be 0")
+	// A record finishing exactly on either edge pins the half-open window.
+	lo, hi := 1500*time.Millisecond, 2500*time.Millisecond
+	colls[0].Add(Record{Finished: lo})
+	colls[1].Add(Record{Finished: hi})
+
+	completed, errors, meanLat, meanCycle, lats, inWindow := referenceSummary(lo, hi, colls...)
+	sum := Summarize(colls...)
+	if sum.Completed != completed || sum.Errors != errors {
+		t.Fatalf("counts %d/%d, want %d/%d", sum.Completed, sum.Errors, completed, errors)
+	}
+	if sum.MeanLatency != meanLat || sum.MeanCycle != meanCycle {
+		t.Fatalf("means %v/%v, want %v/%v", sum.MeanLatency, sum.MeanCycle, meanLat, meanCycle)
+	}
+	for _, p := range []float64{0, 50, 95, 99, 100} {
+		if got, want := sum.Percentile(p), Percentile(lats, p); got != want {
+			t.Fatalf("p%v = %v, want %v", p, got, want)
+		}
+	}
+	if got := sum.CountFinished(lo, hi); got != inWindow {
+		t.Fatalf("CountFinished = %d, want %d", got, inWindow)
+	}
+	if sum.CountFinished(lo, lo+1) == 0 || sum.CountFinished(hi, hi) != 0 {
+		t.Fatal("the window is not half-open: lo must count, an empty window must not")
+	}
+
+	if empty := Summarize(); empty.Completed != 0 || empty.MeanLatency != 0 || empty.Percentile(99) != 0 {
+		t.Fatalf("empty summary = %+v", empty)
+	}
+	if !reflect.DeepEqual(ByFunction(colls...), mergedByFunction(colls...)) {
+		t.Fatal("ByFunction over several collectors differs from one merged collector")
+	}
+}
+
+// mergedByFunction is the old sharded /stats path: copy every record into
+// one collector, then group.
+func mergedByFunction(colls ...*Collector) []FunctionStats {
+	merged := NewCollector()
+	for _, c := range colls {
+		for _, r := range c.Records() {
+			merged.Add(r)
+		}
+	}
+	return merged.ByFunction()
+}
+
+// TestWindowCollectorBoundsTheTableNotTheCounts feeds a windowed
+// collector well past its window: the table stays within window + one
+// chunk and keeps the newest records, while Len and ErrorCount — what a
+// replay's "wait until n invocations are recorded" loop polls — keep
+// counting.
+func TestWindowCollectorBoundsTheTableNotTheCounts(t *testing.T) {
+	const window = 2 * chunklog.ChunkSize
+	const n = window + 3*chunklog.ChunkSize
+	c := NewWindowCollector(window)
+	errs := 0
+	for i := 0; i < n; i++ {
+		r := Record{JobID: int64(i)}
+		if i%7 == 0 {
+			r.Err = "boom"
+			errs++
+		}
+		c.Add(r)
+		if i%97 != 0 && i != n-1 {
+			continue // a copy of the table per add is the slow part
+		}
+		if got := len(c.Records()); got > window+chunklog.ChunkSize || (i >= window && got < window) {
+			t.Fatalf("after %d adds the table holds %d records, want within [%d, %d]", i+1, got, window, window+chunklog.ChunkSize)
+		}
+	}
+	if c.Len() != n || c.ErrorCount() != errs {
+		t.Fatalf("lifetime Len/ErrorCount = %d/%d, want %d/%d", c.Len(), c.ErrorCount(), n, errs)
+	}
+	recs := c.Records()
+	if last := recs[len(recs)-1].JobID; last != n-1 {
+		t.Fatalf("newest retained record is job %d, want %d", last, n-1)
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].JobID != recs[i-1].JobID+1 {
+			t.Fatalf("retained window has a hole between jobs %d and %d", recs[i-1].JobID, recs[i].JobID)
+		}
+	}
+	if sum := Summarize(c); sum.Completed+sum.Errors != len(recs) {
+		t.Fatalf("Summarize saw %d records, the table holds %d", sum.Completed+sum.Errors, len(recs))
+	}
+
+	full := NewCollector()
+	for i := 0; i < n; i++ {
+		full.Add(Record{JobID: int64(i)})
+	}
+	if got := len(full.Records()); got != n {
+		t.Fatalf("an unwindowed collector dropped records: %d of %d", got, n)
 	}
 }
 
