@@ -81,7 +81,7 @@ func metricsDemo() {
 	invocations := 0
 	for _, r := range coll.Records() {
 		derived += r.Boot.Seconds()*float64(sbc.Power(microfaas.PowerBooting)) +
-			(r.Overhead + r.Exec).Seconds()*float64(sbc.Power(microfaas.PowerBusy))
+			(r.Overhead+r.Exec).Seconds()*float64(sbc.Power(microfaas.PowerBusy))
 		invocations++
 	}
 	for _, fn := range microfaas.FunctionNames() {

@@ -206,7 +206,7 @@ func verifyMigratedTraces(t *testing.T, seed int64, out *chaosOutcome) {
 			t.Fatalf("seed %d: job %d phase joules %v != summary joules %v", seed, sum.Job, phaseJoules, sum.EnergyJ)
 		}
 		want := r.boot.Seconds()*float64(sbc.Power(power.Booting)) +
-			(r.overhead + r.exec).Seconds()*float64(sbc.Power(power.Busy))
+			(r.overhead+r.exec).Seconds()*float64(sbc.Power(power.Busy))
 		if diff := math.Abs(sum.EnergyJ - want); diff > 0.01*want {
 			t.Fatalf("seed %d: job %d trace %.6f J vs record-derived %.6f J (%.2f%% off)",
 				seed, sum.Job, sum.EnergyJ, want, 100*diff/want)

@@ -101,7 +101,7 @@ func TestSimTraceSumsToLatencyAndEnergy(t *testing.T) {
 		// Energy: boot at boot draw plus overhead+exec at busy draw, the
 		// same arithmetic the meter applies, within the 1% tolerance.
 		want := r.Boot.Seconds()*float64(sbc.Power(power.Booting)) +
-			(r.Overhead + r.Exec).Seconds()*float64(sbc.Power(power.Busy))
+			(r.Overhead+r.Exec).Seconds()*float64(sbc.Power(power.Busy))
 		if phaseJoules != sum.EnergyJ {
 			t.Fatalf("job %d: phase joules %v != summary joules %v", sum.Job, phaseJoules, sum.EnergyJ)
 		}

@@ -502,9 +502,9 @@ type Orchestrator struct {
 	// breaker admits new work. It starts as all workers in registration
 	// order; breaker trips swap-remove, recoveries append. parole holds the
 	// ejected slots keyed by reopen time.
-	eligible  []*workerSlot
-	parole    paroleHeap
-	parked    map[int64]*parkedRetry
+	eligible []*workerSlot
+	parole   paroleHeap
+	parked   map[int64]*parkedRetry
 	// budgets holds per-function energy accounting (nil entries never
 	// exist; functions without a budget are simply absent). throttled
 	// parks budget-held submissions by job id, abandoned by Drain exactly
@@ -513,14 +513,14 @@ type Orchestrator struct {
 	budgetThrottle time.Duration
 	throttled      map[int64]*parkedThrottle
 	callbacks      map[int64]func(Result)
-	nextID    int64
-	nextIdx   int // next worker registration index (never reused)
-	rrNext    int // next round-robin index
-	pending   int // queued + running + backoff-parked jobs
-	draining  bool
-	sealed    bool // Seal called: queued jobs frozen for TakeAll recovery
-	idle      *sync.Cond
-	flFree    *inflight // recycled inflight records (see inflight)
+	nextID         int64
+	nextIdx        int // next worker registration index (never reused)
+	rrNext         int // next round-robin index
+	pending        int // queued + running + backoff-parked jobs
+	draining       bool
+	sealed         bool // Seal called: queued jobs frozen for TakeAll recovery
+	idle           *sync.Cond
+	flFree         *inflight // recycled inflight records (see inflight)
 
 	arrivalCancel func()
 }

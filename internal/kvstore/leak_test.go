@@ -28,8 +28,8 @@ func TestClientMidFrameErrorDoesNotLeakConn(t *testing.T) {
 		}
 		conns <- conn
 		buf := make([]byte, 4096)
-		conn.Read(buf)                       //nolint:errcheck // the command; content irrelevant
-		conn.Write([]byte("$100\r\nab"))     //nolint:errcheck // truncated bulk string, never completed
+		conn.Read(buf)                   //nolint:errcheck // the command; content irrelevant
+		conn.Write([]byte("$100\r\nab")) //nolint:errcheck // truncated bulk string, never completed
 	}()
 	c, err := Dial(ln.Addr().String(), 300*time.Millisecond)
 	if err != nil {

@@ -101,13 +101,13 @@ type SimWorker struct {
 	boot      time.Duration
 	specs     map[string]model.FunctionSpec
 	outputs   map[string][]byte // per-function canned payloads (read-only)
-	warm      bool        // booted state survives to the next job
-	state     power.State // current power state (ARM accounting)
+	warm      bool              // booted state survives to the next job
+	state     power.State       // current power state (ARM accounting)
 	cycles    int
-	hangs     int // injected wedges (jobs that never reported back)
-	coldStart int        // jobs that paid the boot
-	warmStart int        // jobs that skipped it
-	powerOff  sim.Timer  // pending keep-warm expiry (zero when none)
+	hangs     int       // injected wedges (jobs that never reported back)
+	coldStart int       // jobs that paid the boot
+	warmStart int       // jobs that skipped it
+	powerOff  sim.Timer // pending keep-warm expiry (zero when none)
 	m         workerMetrics
 }
 

@@ -222,7 +222,7 @@ func TestConnRedialsAfterPeerHangup(t *testing.T) {
 				defer c.Close()
 				if oneShot {
 					Serve(c, func(req Request) Response { return Response{Output: req.Args} }) //nolint:errcheck
-					return // hang up after one job, like a power-cycling node
+					return                                                                     // hang up after one job, like a power-cycling node
 				}
 				ServeLoop(c, func(req Request) Response { return Response{Output: req.Args} }) //nolint:errcheck
 			}(conn)

@@ -28,8 +28,8 @@ func TestClientMidFrameErrorDoesNotLeakConn(t *testing.T) {
 		}
 		conns <- conn
 		buf := make([]byte, 4096)
-		conn.Read(buf)                           //nolint:errcheck // the request; content irrelevant
-		conn.Write([]byte{0, 0, 0, 200, '{'})    //nolint:errcheck // truncated frame, never completed
+		conn.Read(buf)                        //nolint:errcheck // the request; content irrelevant
+		conn.Write([]byte{0, 0, 0, 200, '{'}) //nolint:errcheck // truncated frame, never completed
 	}()
 	c, err := Dial(ln.Addr().String(), 300*time.Millisecond)
 	if err != nil {

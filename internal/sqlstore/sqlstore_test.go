@@ -5,8 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 	"testing/quick"
+	"time"
 )
 
 // --- Lexer ---

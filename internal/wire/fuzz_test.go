@@ -22,12 +22,12 @@ func FuzzReadJSON(f *testing.F) {
 		return b.Bytes()
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0})                               // truncated header
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})             // length over MaxFrame
-	f.Add([]byte{0, 0, 0, 10, '{', '}'})              // truncated body
-	f.Add(frame(`{"op":"invoke","id":7}`))            // well-formed frame
-	f.Add(frame(`not json`))                          // framed garbage
-	f.Add(frame(``))                                  // zero-length body
+	f.Add([]byte{0, 0})                                // truncated header
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})              // length over MaxFrame
+	f.Add([]byte{0, 0, 0, 10, '{', '}'})               // truncated body
+	f.Add(frame(`{"op":"invoke","id":7}`))             // well-formed frame
+	f.Add(frame(`not json`))                           // framed garbage
+	f.Add(frame(``))                                   // zero-length body
 	f.Add(append(frame(`{"a":1}`), frame(`[2,3]`)...)) // two frames back to back
 
 	f.Fuzz(func(t *testing.T, data []byte) {
