@@ -1,5 +1,5 @@
 // Command docslint is the repository's documentation gate, run by
-// `make check` and CI. It enforces two invariants with nothing but the
+// `make check` and CI. It enforces three invariants with nothing but the
 // standard library:
 //
 //  1. Every exported identifier in the core API packages — including
@@ -8,6 +8,8 @@
 //     the block.
 //  2. Every relative link in the top-level markdown documentation points
 //     at a file that exists.
+//  3. Every `microfaas-sim` command in that documentation names a row of
+//     experiments.Suite and passes only flags that row reads.
 //
 // Usage:
 //
@@ -25,7 +27,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
+
+	"microfaas/internal/experiments"
 )
 
 // apiPackages are the packages whose exported surface must be fully
@@ -41,7 +46,8 @@ var apiPackages = []string{
 	"internal/telemetry",
 }
 
-// docFiles are the markdown documents whose relative links must resolve.
+// docFiles are the markdown documents whose relative links must resolve
+// and whose microfaas-sim commands must match the suite.
 var docFiles = []string{
 	"README.md",
 	"DESIGN.md",
@@ -203,9 +209,52 @@ func lintTypeBody(s *ast.TypeSpec, flag func(token.Pos, string)) {
 // mdLink matches inline markdown links and images; group 1 is the target.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// simCommand matches a microfaas-sim command — after `go run ./cmd/` or at
+// the start of an inline code span, so prose and directory listings are
+// not commands — and captures its arguments up to the end of the span, a
+// shell comment, a redirect or the end of the line.
+var simCommand = regexp.MustCompile("(?:go run \\./cmd/|`)microfaas-sim((?: +[^ `#>|]+)*)")
+
+// lintSimCommand checks one documented command line against
+// experiments.Suite: the experiment must be a row, and every flag one the
+// row reads (Experiment.CheckFlag, the rule microfaas-sim itself applies).
+// A mention that stops before the experiment, like `microfaas-sim -slo …`,
+// must still use flags some row reads. The word after a flag is taken as
+// its value unless it names a row.
+func lintSimCommand(args []string) error {
+	var flags [][2]string // name, value
+	var exp *experiments.Experiment
+	for len(args) > 0 && exp == nil {
+		a := args[0]
+		args = args[1:]
+		if !strings.HasPrefix(a, "-") {
+			if exp = experiments.Lookup(a); exp == nil {
+				return fmt.Errorf("unknown experiment %q", a)
+			}
+			continue
+		}
+		name, value, hasValue := strings.Cut(strings.TrimLeft(a, "-"), "=")
+		if !hasValue && len(args) > 0 && !strings.HasPrefix(args[0], "-") && experiments.Lookup(args[0]) == nil {
+			value, args = args[0], args[1:]
+		}
+		flags = append(flags, [2]string{name, value})
+	}
+	rows := experiments.Suite // a bare mention: some row must take each flag
+	if exp != nil {
+		rows = []experiments.Experiment{*exp}
+	}
+	for _, f := range flags {
+		if f[0] != "h" && !slices.ContainsFunc(rows, func(e experiments.Experiment) bool { return e.CheckFlag(f[0], f[1]) == nil }) {
+			return rows[0].CheckFlag(f[0], f[1])
+		}
+	}
+	return nil
+}
+
 // lintMarkdown returns a finding for every relative link in the document
-// whose target file does not exist. External links (scheme-prefixed) and
-// pure in-page anchors are skipped.
+// whose target file does not exist — external links (scheme-prefixed) and
+// pure in-page anchors are skipped — and for every microfaas-sim command
+// lintSimCommand rejects.
 func lintMarkdown(root, name string) ([]string, error) {
 	path := filepath.Join(root, name)
 	raw, err := os.ReadFile(path)
@@ -214,6 +263,11 @@ func lintMarkdown(root, name string) ([]string, error) {
 	}
 	var problems []string
 	for i, line := range strings.Split(string(raw), "\n") {
+		for _, m := range simCommand.FindAllStringSubmatch(line, -1) {
+			if err := lintSimCommand(strings.Fields(m[1])); err != nil {
+				problems = append(problems, fmt.Sprintf("%s:%d: microfaas-sim%s: %v", name, i+1, m[1], err))
+			}
+		}
 		for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
 			target := m[1]
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") || strings.HasPrefix(target, "#") {

@@ -105,6 +105,48 @@ func TestLintMarkdownFlagsBrokenLinks(t *testing.T) {
 	}
 }
 
+// TestLintMarkdownChecksSimCommands feeds lintMarkdown microfaas-sim
+// command lines: commands the suite accepts, prose that only looks like a
+// command, and one of each way a documented command can go stale.
+func TestLintMarkdownChecksSimCommands(t *testing.T) {
+	root := t.TempDir()
+	good := []string{
+		"go run ./cmd/microfaas-sim -n 1000 headline   # paper scale",
+		"go run ./cmd/microfaas-sim report > report.md",
+		"`microfaas-sim -predict -parallel 8 powermgmt` and `microfaas-sim -format csv fig4`",
+		"`microfaas-sim -slo examples/slo/rules.json -shards=16 shardfailover`",
+		"a flag mention, `microfaas-sim -slo …`, and the bare `microfaas-sim` name",
+		"  microfaas-sim         regenerate the paper's figures (a directory listing)",
+		"cmd/microfaas-sim  cmd/microfaas-live",
+	}
+	bad := map[string]string{
+		"`microfaas-sim fig9`":                            "unknown experiment",
+		"go run ./cmd/microfaas-sim -n 5 fig4":            "-n does not apply to fig4",
+		"`microfaas-sim -format csv headline`":            "-format csv does not apply to headline",
+		"`microfaas-sim -shards 8 -seed 2 fig3`":          "-shards does not apply to fig3",
+		"go run ./cmd/microfaas-sim -workers 4 rackscale": "no experiment takes -workers",
+		"the `microfaas-sim -sloo …` flag":                "no experiment takes -sloo",
+	}
+	writeFile(t, filepath.Join(root, "GOOD.md"), strings.Join(good, "\n"))
+	problems, err := lintMarkdown(root, "GOOD.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Errorf("valid line flagged: %s", p)
+	}
+	for line, want := range bad {
+		writeFile(t, filepath.Join(root, "BAD.md"), line)
+		problems, err := lintMarkdown(root, "BAD.md")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(problems) != 1 || !strings.Contains(problems[0], want) {
+			t.Errorf("%s: findings %q, want one containing %q", line, problems, want)
+		}
+	}
+}
+
 // TestRepositoryIsClean runs the real gate over the repository itself —
 // the same check `make docslint` enforces.
 func TestRepositoryIsClean(t *testing.T) {

@@ -1,338 +1,105 @@
 // Command microfaas-sim regenerates the paper's tables and figures from
-// the calibrated cluster simulator.
-//
-// Usage:
+// the calibrated cluster simulator:
 //
 //	microfaas-sim [flags] <experiment>
 //
-// Experiments: fig1, fig3, fig4, fig5, headline, table2, shardedrack,
-// shardfailover, ablations, all.
-//
-// Flags:
-//
-//	-n     invocations per function for fig3/headline (default 100;
-//	       the paper issues 1000)
-//	-seed  simulation seed (default 1)
-//	-csv   write the raw per-invocation trace of fig3's MicroFaaS run
-//	       to the given file
-//	-prom  write a Prometheus text-format metrics snapshot of fig3's
-//	       MicroFaaS run to the given file
-//	-trace write a Chrome trace_event dump (chrome://tracing, Perfetto)
-//	       of fig3's MicroFaaS run to the given file
-//	-slo   load SLO burn-rate rules (JSON) and print alert timelines;
-//	       supported by shardfailover and powermgmt
+// `microfaas-sim -h` lists the experiments (internal/experiments.Suite),
+// the flags each one reads, and every flag's default. -seed and -parallel
+// apply to every experiment: output is deterministic per seed and
+// byte-identical at any -parallel value. Every other flag is read by only
+// some experiments, and setting one the chosen experiment does not read
+// exits 2 rather than being silently dropped.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 
-	"microfaas/internal/cluster"
 	"microfaas/internal/experiments"
-	"microfaas/internal/model"
-	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
 	"microfaas/internal/tsdb"
 )
 
-// options carries the parsed flags into the experiment dispatch.
-type options struct {
-	n         int
-	seed      int64
-	parallel  int
-	shards    int
-	csvPath   string
-	promPath  string
-	tracePath string
-	asCSV     bool
-	slo       []tsdb.Rule
-	predict   bool
+func main() {
+	render, status := parse(os.Args[1:], os.Stderr)
+	if render != nil {
+		if err := render(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "microfaas-sim:", err)
+			status = 1
+		}
+	}
+	os.Exit(status)
 }
 
-func main() {
-	n := flag.Int("n", 100, "invocations per function (paper: 1000)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker-pool size for independent sim instances (1 = serial; output is identical at any value)")
-	shards := flag.Int("shards", 0, "control-plane shard count for shardedrack/shardfailover (0 = the experiment default, 64)")
-	csvPath := flag.String("csv", "", "write fig3 MicroFaaS trace CSV to this path")
-	promPath := flag.String("prom", "", "write fig3 MicroFaaS metrics snapshot (Prometheus text format) to this path")
-	tracePath := flag.String("trace", "", "write fig3 MicroFaaS span dump (Chrome trace_event JSON) to this path")
-	sloPath := flag.String("slo", "", "SLO burn-rate rule file (JSON); shardfailover and powermgmt print alert timelines")
-	predict := flag.Bool("predict", false, "add the forecast-steered predictive arm to powermgmt")
-	format := flag.String("format", "text", "output format for fig3/fig4/fig5/loadsweep/keepwarm: text or csv")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] fig1|table1|fig3|fig4|fig5|headline|table2|rackscale|rackscale10k|shardedrack|shardfailover|loadsweep|keepwarm|diurnal|powermgmt|sensitivity|bootimpact|ablations|report|all\n", os.Args[0])
-		flag.PrintDefaults()
+// parse turns the command line into the chosen experiment's renderer with
+// its parameters bound. A nil renderer means there is nothing to run and
+// the status says why: 0 after -h, 2 when the command line is wrong, with
+// the reason already on stderr.
+func parse(args []string, stderr io.Writer) (render func(io.Writer) error, status int) {
+	var p experiments.Params
+	fs := flag.NewFlagSet("microfaas-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&p.N, "n", 100, "invocations per function (paper: 1000)")
+	fs.Int64Var(&p.Seed, "seed", 1, "simulation seed")
+	fs.IntVar(&p.Parallel, "parallel", runtime.NumCPU(), "worker-pool size for independent sim instances (1 = serial; output is identical at any value)")
+	fs.IntVar(&p.Shards, "shards", 0, "control-plane shard count (0 = the experiment default, 64)")
+	fs.StringVar(&p.CSVPath, "csv", "", "write the MicroFaaS run's raw per-invocation trace (CSV) to this path")
+	fs.StringVar(&p.PromPath, "prom", "", "write the MicroFaaS run's metrics snapshot (Prometheus text format) to this path")
+	fs.StringVar(&p.TracePath, "trace", "", "write the MicroFaaS run's span dump (Chrome trace_event JSON) to this path")
+	sloPath := fs.String("slo", "", "SLO burn-rate rule file (JSON); print alert timelines")
+	fs.BoolVar(&p.Predict, "predict", false, "add the forecast-steered predictive arm")
+	format := fs.String("format", "text", "output format: text or csv")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: %s [flags] <experiment>\n\nexperiments (* = part of `all`; [flags it reads besides -seed and -parallel]):\n", fs.Name())
+		experiments.WriteSuiteList(stderr)
+		fmt.Fprintln(stderr, "\nflags:")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	fail := func(err error) (func(io.Writer) error, int) {
+		fmt.Fprintln(stderr, "microfaas-sim:", err)
+		return nil, 2
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return nil, 2
 	}
 	if *format != "text" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "microfaas-sim: unknown format %q\n", *format)
-		os.Exit(2)
+		return fail(fmt.Errorf("unknown format %q", *format))
 	}
-	opts := options{n: *n, seed: *seed, parallel: *parallel, shards: *shards,
-		csvPath: *csvPath, promPath: *promPath,
-		tracePath: *tracePath, asCSV: *format == "csv", predict: *predict}
+	exp := experiments.Lookup(fs.Arg(0))
+	if exp == nil {
+		return fail(fmt.Errorf("unknown experiment %q (see -h)", fs.Arg(0)))
+	}
+	// Only flags set on the command line count: the first one the
+	// experiment would silently ignore is an error.
+	var ignored error
+	fs.Visit(func(f *flag.Flag) {
+		if ignored == nil {
+			ignored = exp.CheckFlag(f.Name, f.Value.String())
+		}
+	})
+	if ignored != nil {
+		return fail(ignored)
+	}
 	if *sloPath != "" {
 		rules, err := tsdb.LoadRules(*sloPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "microfaas-sim:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		opts.slo = rules
+		p.SLO = rules
 	}
-	if err := run(os.Stdout, flag.Arg(0), opts); err != nil {
-		fmt.Fprintln(os.Stderr, "microfaas-sim:", err)
-		os.Exit(1)
+	chosen := exp.Text
+	if *format == "csv" {
+		chosen = exp.CSV
 	}
-}
-
-func run(out io.Writer, experiment string, opts options) error {
-	n, seed, par := opts.n, opts.seed, opts.parallel
-	switch experiment {
-	case "fig1":
-		return experiments.WriteFig1(out)
-	case "fig3":
-		rows, err := experiments.Fig3(experiments.Fig3Config{InvocationsPerFunction: n, Seed: seed, Parallel: par})
-		if err != nil {
-			return err
-		}
-		writeFig3 := experiments.WriteFig3
-		if opts.asCSV {
-			writeFig3 = experiments.WriteFig3CSV
-		}
-		if err := writeFig3(out, rows); err != nil {
-			return err
-		}
-		if opts.csvPath != "" {
-			if err := writeTraceCSV(opts.csvPath, n, seed); err != nil {
-				return err
-			}
-		}
-		if opts.promPath != "" {
-			if err := writePromSnapshot(opts.promPath, n, seed); err != nil {
-				return err
-			}
-		}
-		if opts.tracePath != "" {
-			return writeChromeTrace(opts.tracePath, n, seed)
-		}
-		return nil
-	case "fig4":
-		res, err := experiments.Fig4(experiments.Fig4Config{Seed: seed, Parallel: par})
-		if err != nil {
-			return err
-		}
-		if opts.asCSV {
-			return experiments.WriteFig4CSV(out, res)
-		}
-		return experiments.WriteFig4(out, res)
-	case "fig5":
-		pts, err := experiments.Fig5(experiments.Fig5Config{Seed: seed, Parallel: par})
-		if err != nil {
-			return err
-		}
-		if opts.asCSV {
-			return experiments.WriteFig5CSV(out, pts)
-		}
-		return experiments.WriteFig5(out, pts)
-	case "headline":
-		res, err := experiments.Headline(experiments.HeadlineConfig{InvocationsPerFunction: n, Seed: seed, Parallel: par})
-		if err != nil {
-			return err
-		}
-		return experiments.WriteHeadline(out, res)
-	case "bootimpact":
-		rows, err := experiments.BootImpact(experiments.BootImpactConfig{Seed: seed, Parallel: par})
-		if err != nil {
-			return err
-		}
-		return experiments.WriteBootImpact(out, rows)
-	case "report":
-		return experiments.WriteReport(out, experiments.ReportConfig{InvocationsPerFunction: n, Seed: seed, Parallel: par})
-	case "table1":
-		return experiments.WriteTable1(out)
-	case "table2":
-		return experiments.WriteTable2(out)
-	case "loadsweep":
-		pts, err := experiments.LoadSweep(experiments.LoadSweepConfig{Seed: seed, Parallel: par})
-		if err != nil {
-			return err
-		}
-		if opts.asCSV {
-			return experiments.WriteLoadSweepCSV(out, pts)
-		}
-		return experiments.WriteLoadSweep(out, pts)
-	case "keepwarm":
-		pts, err := experiments.KeepWarm(experiments.KeepWarmConfig{Seed: seed, Parallel: par})
-		if err != nil {
-			return err
-		}
-		if opts.asCSV {
-			return experiments.WriteKeepWarmCSV(out, pts)
-		}
-		return experiments.WriteKeepWarm(out, pts)
-	case "diurnal":
-		res, err := experiments.Diurnal(experiments.DiurnalConfig{Seed: seed, Parallel: par})
-		if err != nil {
-			return err
-		}
-		return experiments.WriteDiurnal(out, res)
-	case "powermgmt":
-		res, err := experiments.PowerMgmt(experiments.PowerMgmtConfig{Seed: seed, Parallel: par, SLO: opts.slo, Predict: opts.predict})
-		if err != nil {
-			return err
-		}
-		return experiments.WritePowerMgmt(out, res)
-	case "sensitivity":
-		res, err := experiments.Sensitivity(experiments.SensitivityConfig{Seed: seed, Parallel: par})
-		if err != nil {
-			return err
-		}
-		return experiments.WriteSensitivity(out, res)
-	case "rackscale":
-		res, err := experiments.RackScale(experiments.RackScaleConfig{Seed: seed, Parallel: par})
-		if err != nil {
-			return err
-		}
-		return experiments.WriteRackScale(out, res)
-	case "rackscale10k":
-		// The dispatch-scalability demonstration: a 10,000-SBC MicroFaaS
-		// rack against the throughput-matched 415-server conventional rack
-		// (10000/989 ≈ 10.1× the Table II sizing).
-		res, err := experiments.RackScale(experiments.RackScaleConfig{
-			SBCs: 10000, Servers: 415, Seed: seed, Parallel: par,
-		})
-		if err != nil {
-			return err
-		}
-		return experiments.WriteRackScale(out, res)
-	case "shardedrack":
-		// The sharded-control-plane demonstration: 64 shards × 1100 SBCs
-		// behind the consistent-hash tier, sustaining >1M func/min, with
-		// hot-key arms isolating the work stealer's p99 effect.
-		res, err := experiments.ShardedRack(experiments.ShardedRackConfig{
-			Shards: opts.shards, Seed: seed, Parallel: par,
-		})
-		if err != nil {
-			return err
-		}
-		return experiments.WriteShardedRack(out, res)
-	case "shardfailover":
-		// The dynamic-membership demonstration: 4 of 64 shards lose their
-		// control-plane hosts mid-run; the health checker drains their
-		// queues into survivors and re-homes their boards, losing nothing.
-		res, err := experiments.ShardFailover(experiments.ShardFailoverConfig{
-			Shards: opts.shards, Seed: seed, Parallel: par, SLO: opts.slo,
-		})
-		if err != nil {
-			return err
-		}
-		return experiments.WriteShardFailover(out, res)
-	case "ablations":
-		return writeAblations(out, seed, n, par)
-	case "all":
-		return experiments.WriteAll(out, experiments.AllConfig{InvocationsPerFunction: n, Seed: seed, Parallel: par})
-	default:
-		return fmt.Errorf("unknown experiment %q", experiment)
-	}
-}
-
-func writeAblations(out io.Writer, seed int64, n, par int) error {
-	crypto, err := experiments.AblationCryptoAccel(8, seed, n, par)
-	if err != nil {
-		return err
-	}
-	if err := experiments.WriteAblation(out, crypto); err != nil {
-		return err
-	}
-	gige, err := experiments.AblationGigE(seed, n, par)
-	if err != nil {
-		return err
-	}
-	if err := experiments.WriteAblation(out, gige); err != nil {
-		return err
-	}
-	noreboot, err := experiments.AblationNoReboot(seed, n, par)
-	if err != nil {
-		return err
-	}
-	return experiments.WriteAblation(out, noreboot)
-}
-
-// writeTraceCSV re-runs the MicroFaaS cluster and dumps its raw trace.
-func writeTraceCSV(path string, n int, seed int64) error {
-	s, err := cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: seed})
-	if err != nil {
-		return err
-	}
-	coll, err := s.RunSuite(n, nil)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := coll.WriteCSV(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d records to %s\n", coll.Len(), path)
-	return f.Close()
-}
-
-// writePromSnapshot re-runs the MicroFaaS cluster with telemetry enabled
-// and dumps the end-of-run registry — the same exposition a live
-// gateway's /metrics serves, frozen at drain time.
-func writePromSnapshot(path string, n int, seed int64) error {
-	tel := telemetry.New()
-	s, err := cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: seed, Telemetry: tel})
-	if err != nil {
-		return err
-	}
-	if _, err := s.RunSuite(n, nil); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tel.Registry().WritePrometheus(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote metrics snapshot to %s\n", path)
-	return f.Close()
-}
-
-// writeChromeTrace re-runs the MicroFaaS cluster with span recording
-// enabled (sample-all) and dumps every committed trace in Chrome
-// trace_event format — load the file in chrome://tracing or Perfetto to
-// see the queue→boot→exec→reboot timeline per worker.
-func writeChromeTrace(path string, n int, seed int64) error {
-	tr := tracing.NewWithConfig(tracing.Config{Seed: seed, MaxTraces: 1 << 20})
-	s, err := cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: seed, Tracer: tr})
-	if err != nil {
-		return err
-	}
-	if _, err := s.RunSuite(n, nil); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tracing.WriteChromeTrace(f, tr.Traces()); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d traces to %s\n", tr.Len(), path)
-	return f.Close()
+	return func(w io.Writer) error { return chosen(w, p) }, 0
 }

@@ -141,14 +141,29 @@ func AblationNoReboot(seed int64, invocations, parallel int) (AblationResult, er
 
 // WriteAblation prints one ablation's comparison.
 func WriteAblation(w io.Writer, r AblationResult) error {
-	if _, err := fmt.Fprintf(w, "Ablation: %s\n  throughput: %.1f -> %.1f func/min (%.2fx)\n  energy:     %.2f -> %.2f J/func\n",
+	out := &printer{w: w}
+	out.f("Ablation: %s\n  throughput: %.1f -> %.1f func/min (%.2fx)\n  energy:     %.2f -> %.2f J/func\n",
 		r.Name, r.BaselineThroughput, r.ModifiedThroughput, r.Speedup(),
-		r.BaselineJoules, r.ModifiedJoules); err != nil {
-		return err
-	}
+		r.BaselineJoules, r.ModifiedJoules)
 	for _, d := range r.FunctionDeltas {
-		if _, err := fmt.Fprintf(w, "  %-12s %8.1f ms -> %8.1f ms\n",
-			d.Function, ms(d.Before), ms(d.After)); err != nil {
+		out.f("  %-12s %8.1f ms -> %8.1f ms\n",
+			d.Function, ms(d.Before), ms(d.After))
+	}
+	return out.err
+}
+
+// renderAblations prints the three ablation studies back to back.
+func renderAblations(w io.Writer, p Params) error {
+	for _, run := range []func(seed int64, invocations, parallel int) (AblationResult, error){
+		func(seed int64, n, par int) (AblationResult, error) { return AblationCryptoAccel(8, seed, n, par) },
+		AblationGigE,
+		AblationNoReboot,
+	} {
+		res, err := run(p.Seed, p.N, p.Parallel)
+		if err != nil {
+			return err
+		}
+		if err := WriteAblation(w, res); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -71,19 +70,16 @@ func BootImpact(cfg BootImpactConfig) ([]BootImpactRow, error) {
 
 // WriteBootImpact prints the sweep.
 func WriteBootImpact(w io.Writer, rows []BootImpactRow) error {
-	if _, err := fmt.Fprintf(w, "Boot impact: cluster-level value of each Fig 1 OS optimization (10 SBCs)\n%-46s %8s %12s %10s\n",
-		"stage", "boot", "func/min", "J/func"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("Boot impact: cluster-level value of each Fig 1 OS optimization (10 SBCs)\n%-46s %8s %12s %10s\n",
+		"stage", "boot", "func/min", "J/func")
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-46s %7.2fs %12.1f %10.2f\n",
-			r.Stage, r.Boot.Seconds(), r.ThroughputPerMin, r.JoulesPerFunc); err != nil {
-			return err
-		}
+		out.f("%-46s %7.2fs %12.1f %10.2f\n",
+			r.Stage, r.Boot.Seconds(), r.ThroughputPerMin, r.JoulesPerFunc)
 	}
 	first, last := rows[0], rows[len(rows)-1]
-	_, err := fmt.Fprintf(w, "the OS work bought %.1fx throughput and %.1fx energy efficiency\n(reboot-per-job is only viable because the boot is fast — Sec III-a)\n",
+	out.f("the OS work bought %.1fx throughput and %.1fx energy efficiency\n(reboot-per-job is only viable because the boot is fast — Sec III-a)\n",
 		last.ThroughputPerMin/first.ThroughputPerMin,
 		first.JoulesPerFunc/last.JoulesPerFunc)
-	return err
+	return out.err
 }

@@ -100,13 +100,7 @@ func Diurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 }
 
 func replayDay(microfaas bool, sched replay.Schedule, day time.Duration, seed int64) (DiurnalClusterResult, error) {
-	var s *cluster.Sim
-	var err error
-	if microfaas {
-		s, err = cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: seed})
-	} else {
-		s, err = cluster.NewConventionalSim(model.VMCount, cluster.SimConfig{Seed: seed})
-	}
+	s, err := paperCluster(microfaas, cluster.SimConfig{Seed: seed})
 	if err != nil {
 		return DiurnalClusterResult{}, err
 	}

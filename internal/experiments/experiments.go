@@ -21,6 +21,19 @@ import (
 // ms renders a duration in fractional milliseconds for report rows.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+// printer formats onto w and keeps the first write error, so a renderer
+// checks once, when it returns, instead of after every line.
+type printer struct {
+	w   io.Writer
+	err error
+}
+
+func (p *printer) f(format string, args ...any) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
+	}
+}
+
 // --- Fig 1: worker-OS boot time through development stages ---
 
 // Fig1Row is one development stage's boot times on both platforms.
@@ -49,18 +62,15 @@ func Fig1() []Fig1Row {
 
 // WriteFig1 prints the Fig 1 series.
 func WriteFig1(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Fig 1: worker OS boot time by development stage\n%-45s %10s %10s %10s %10s\n",
-		"stage", "arm-real", "arm-cpu", "x86-real", "x86-cpu"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("Fig 1: worker OS boot time by development stage\n%-45s %10s %10s %10s %10s\n",
+		"stage", "arm-real", "arm-cpu", "x86-real", "x86-cpu")
 	for _, r := range Fig1() {
-		if _, err := fmt.Fprintf(w, "%-45s %9.2fs %9.2fs %9.2fs %9.2fs\n",
+		out.f("%-45s %9.2fs %9.2fs %9.2fs %9.2fs\n",
 			r.Label, r.ARMReal.Seconds(), r.ARMCPU.Seconds(),
-			r.X86Real.Seconds(), r.X86CPU.Seconds()); err != nil {
-			return err
-		}
+			r.X86Real.Seconds(), r.X86CPU.Seconds())
 	}
-	return nil
+	return out.err
 }
 
 // --- Fig 3: per-function runtime split (Working vs Overhead) ---
@@ -86,34 +96,44 @@ type Fig3Config struct {
 	Parallel int
 }
 
-func (c Fig3Config) invocations() int {
-	if c.InvocationsPerFunction <= 0 {
-		return 100
+// paperCluster builds one side of the paper's throughput-matched testbed:
+// the 10-SBC MicroFaaS cluster or the 6-VM rack server.
+func paperCluster(microfaas bool, cfg cluster.SimConfig) (*cluster.Sim, error) {
+	if microfaas {
+		return cluster.NewMicroFaaSSim(model.SBCCount, cfg)
 	}
-	return c.InvocationsPerFunction
+	return cluster.NewConventionalSim(model.VMCount, cfg)
 }
 
-// Fig3 runs both simulated clusters through the suite and reports the
-// per-function runtime split. The two clusters are independent sims, so
-// they run as two tasks on the parallel runner.
-func Fig3(cfg Fig3Config) ([]Fig3Row, error) {
-	colls, err := RunParallel(Parallelism(cfg.Parallel), 2, func(i int) (*trace.Collector, error) {
-		var s *cluster.Sim
-		var err error
-		if i == 0 {
-			s, err = cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: cfg.Seed})
-		} else {
-			s, err = cluster.NewConventionalSim(model.VMCount, cluster.SimConfig{Seed: cfg.Seed})
-		}
+// paperPair drains the suite (default 100 invocations per function) on
+// both clusters. They are independent sims, so they run as two tasks on
+// the parallel runner.
+func paperPair(invocations int, cfg cluster.SimConfig, parallel int) (mf, conv *cluster.Sim, err error) {
+	if invocations <= 0 {
+		invocations = 100
+	}
+	sims, err := RunParallel(Parallelism(parallel), 2, func(i int) (*cluster.Sim, error) {
+		s, err := paperCluster(i == 0, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return s.RunSuite(cfg.invocations(), nil)
+		_, err = s.RunSuite(invocations, nil)
+		return s, err
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return sims[0], sims[1], nil
+}
+
+// Fig3 runs both simulated clusters through the suite and reports the
+// per-function runtime split.
+func Fig3(cfg Fig3Config) ([]Fig3Row, error) {
+	mf, conv, err := paperPair(cfg.InvocationsPerFunction, cluster.SimConfig{Seed: cfg.Seed}, cfg.Parallel)
 	if err != nil {
 		return nil, err
 	}
-	return fig3Rows(colls[0], colls[1]), nil
+	return fig3Rows(mf.Orch.Collector(), conv.Orch.Collector()), nil
 }
 
 func fig3Rows(mf, conv *trace.Collector) []Fig3Row {
@@ -157,21 +177,18 @@ func Fig3Counts(rows []Fig3Row) (faster, atHalf, below int) {
 
 // WriteFig3 prints the Fig 3 table.
 func WriteFig3(w io.Writer, rows []Fig3Row) error {
-	if _, err := fmt.Fprintf(w, "Fig 3: mean runtime split (ms), MicroFaaS (10 SBCs) vs conventional (6 VMs)\n%-12s %12s %12s %12s %12s %8s\n",
-		"function", "mf-working", "mf-overhead", "conv-working", "conv-ovh", "speed"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("Fig 3: mean runtime split (ms), MicroFaaS (10 SBCs) vs conventional (6 VMs)\n%-12s %12s %12s %12s %12s %8s\n",
+		"function", "mf-working", "mf-overhead", "conv-working", "conv-ovh", "speed")
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-12s %12.1f %12.1f %12.1f %12.1f %7.2fx\n",
+		out.f("%-12s %12.1f %12.1f %12.1f %12.1f %7.2fx\n",
 			r.Function, ms(r.MFWorking), ms(r.MFOverhead),
-			ms(r.ConvWorking), ms(r.ConvOverhead), r.SpeedRatio); err != nil {
-			return err
-		}
+			ms(r.ConvWorking), ms(r.ConvOverhead), r.SpeedRatio)
 	}
 	faster, atHalf, below := Fig3Counts(rows)
-	_, err := fmt.Fprintf(w, "MicroFaaS faster: %d | >half speed: %d | <half speed: %d (paper: 4 / 9 / 4)\n",
+	out.f("MicroFaaS faster: %d | >half speed: %d | <half speed: %d (paper: 4 / 9 / 4)\n",
 		faster, atHalf, below)
-	return err
+	return out.err
 }
 
 // --- Fig 4: conventional efficiency & throughput vs VM count ---
@@ -266,10 +283,9 @@ func Fig4(cfg Fig4Config) (Fig4Result, error) {
 
 // WriteFig4 prints the Fig 4 series.
 func WriteFig4(w io.Writer, res Fig4Result) error {
-	if _, err := fmt.Fprintf(w, "Fig 4: conventional cluster vs VM count (MicroFaaS reference: %.1f J/func)\n%-5s %16s %14s\n",
-		res.MicroFaaSJoules, "vms", "func/min", "J/function"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("Fig 4: conventional cluster vs VM count (MicroFaaS reference: %.1f J/func)\n%-5s %16s %14s\n",
+		res.MicroFaaSJoules, "vms", "func/min", "J/function")
 	for _, p := range res.Points {
 		marker := ""
 		if p.VMs == model.VMCount {
@@ -278,14 +294,12 @@ func WriteFig4(w io.Writer, res Fig4Result) error {
 		if p.VMs == res.PeakVMs {
 			marker = "  <- peak efficiency"
 		}
-		if _, err := fmt.Fprintf(w, "%-5d %16.1f %14.1f%s\n",
-			p.VMs, p.ThroughputPerMin, p.JoulesPerFunc, marker); err != nil {
-			return err
-		}
+		out.f("%-5d %16.1f %14.1f%s\n",
+			p.VMs, p.ThroughputPerMin, p.JoulesPerFunc, marker)
 	}
-	_, err := fmt.Fprintf(w, "peak efficiency %.1f J/func at %d VMs (paper: 16.1 J/func at saturation)\n",
+	out.f("peak efficiency %.1f J/func at %d VMs (paper: 16.1 J/func at saturation)\n",
 		res.PeakJoules, res.PeakVMs)
-	return err
+	return out.err
 }
 
 // --- Fig 5: energy-proportionality power sweep ---
@@ -379,17 +393,14 @@ func platformOf(microfaas bool) model.Platform {
 
 // WriteFig5 prints the Fig 5 series.
 func WriteFig5(w io.Writer, pts []Fig5Point) error {
-	if _, err := fmt.Fprintf(w, "Fig 5: average cluster power vs active workers\n%-8s %18s %20s\n",
-		"workers", "microfaas (W)", "conventional (W)"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("Fig 5: average cluster power vs active workers\n%-8s %18s %20s\n",
+		"workers", "microfaas (W)", "conventional (W)")
 	for _, p := range pts {
-		if _, err := fmt.Fprintf(w, "%-8d %18.2f %20.2f\n",
-			p.ActiveWorkers, p.MicroFaaSWatts, p.ConventionalWatts); err != nil {
-			return err
-		}
+		out.f("%-8d %18.2f %20.2f\n",
+			p.ActiveWorkers, p.MicroFaaSWatts, p.ConventionalWatts)
 	}
-	return nil
+	return out.err
 }
 
 // --- Headline: throughput-matched comparison (Sec V's key numbers) ---
@@ -415,30 +426,11 @@ type HeadlineConfig struct {
 // Headline runs both throughput-matched clusters and reports the paper's
 // headline metrics.
 func Headline(cfg HeadlineConfig) (HeadlineResult, error) {
-	inv := cfg.InvocationsPerFunction
-	if inv <= 0 {
-		inv = 100
-	}
-	stats, err := RunParallel(Parallelism(cfg.Parallel), 2, func(i int) (cluster.SuiteStats, error) {
-		var s *cluster.Sim
-		var err error
-		if i == 0 {
-			s, err = cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: cfg.Seed})
-		} else {
-			s, err = cluster.NewConventionalSim(model.VMCount, cluster.SimConfig{Seed: cfg.Seed})
-		}
-		if err != nil {
-			return cluster.SuiteStats{}, err
-		}
-		if _, err := s.RunSuite(inv, nil); err != nil {
-			return cluster.SuiteStats{}, err
-		}
-		return s.Stats(), nil
-	})
+	mf, conv, err := paperPair(cfg.InvocationsPerFunction, cluster.SimConfig{Seed: cfg.Seed}, cfg.Parallel)
 	if err != nil {
 		return HeadlineResult{}, err
 	}
-	mfSt, convSt := stats[0], stats[1]
+	mfSt, convSt := mf.Stats(), conv.Stats()
 	return HeadlineResult{
 		SBCThroughputPerMin: mfSt.ThroughputPerMin,
 		VMThroughputPerMin:  convSt.ThroughputPerMin,
@@ -468,17 +460,14 @@ func Table2() ([]tco.Comparison, error) { return tco.TableII() }
 
 // WriteTable2 prints Table II in the paper's layout.
 func WriteTable2(w io.Writer) error {
+	out := &printer{w: w}
 	rows, err := Table2()
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(w, "Table II: 5-year single-rack lifetime cost (USD)"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-10s %14s %14s %14s %14s\n",
-		"expense", "ideal-conv", "ideal-mf", "real-conv", "real-mf"); err != nil {
-		return err
-	}
+	out.f("Table II: 5-year single-rack lifetime cost (USD)\n")
+	out.f("%-10s %14s %14s %14s %14s\n",
+		"expense", "ideal-conv", "ideal-mf", "real-conv", "real-mf")
 	ideal, realistic := rows[0], rows[1]
 	// The paper's Total row sums the rounded cells above it; do the same
 	// so the printed table matches Table II digit-for-digit.
@@ -501,12 +490,10 @@ func WriteTable2(w io.Writer) error {
 		lines[0].rm + lines[1].rm + lines[2].rm,
 	})
 	for _, l := range lines {
-		if _, err := fmt.Fprintf(w, "%-10s %14.0f %14.0f %14.0f %14.0f\n",
-			l.name, l.ic, l.im, l.rc, l.rm); err != nil {
-			return err
-		}
+		out.f("%-10s %14.0f %14.0f %14.0f %14.0f\n",
+			l.name, l.ic, l.im, l.rc, l.rm)
 	}
-	_, err = fmt.Fprintf(w, "savings: %.1f%% (ideal), %.1f%% (realistic) — paper: 34.2%% / 32.5%%\n",
+	out.f("savings: %.1f%% (ideal), %.1f%% (realistic) — paper: 34.2%% / 32.5%%\n",
 		ideal.Savings()*100, realistic.Savings()*100)
-	return err
+	return out.err
 }

@@ -91,22 +91,19 @@ func runKeepWarm(window time.Duration, load float64, duration time.Duration, see
 
 // WriteKeepWarm prints the sweep.
 func WriteKeepWarm(w io.Writer, pts []KeepWarmPoint) error {
-	if _, err := fmt.Fprintf(w, "Keep-warm sweep (10 SBCs, 50%% load): pricing the reboot-isolation guarantee\n%-10s %12s %12s %10s %10s\n",
-		"window", "mean-lat", "p95-lat", "J/func", "warm-%"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("Keep-warm sweep (10 SBCs, 50%% load): pricing the reboot-isolation guarantee\n%-10s %12s %12s %10s %10s\n",
+		"window", "mean-lat", "p95-lat", "J/func", "warm-%")
 	for _, p := range pts {
 		label := p.Window.String()
 		if p.Window == 0 {
 			label = "off(paper)"
 		}
-		if _, err := fmt.Fprintf(w, "%-10s %12s %12s %10.2f %9.1f%%\n",
+		out.f("%-10s %12s %12s %10.2f %9.1f%%\n",
 			label,
 			p.MeanLatency.Round(time.Millisecond), p.P95Latency.Round(time.Millisecond),
-			p.JoulesPerFunc, p.WarmFraction*100); err != nil {
-			return err
-		}
+			p.JoulesPerFunc, p.WarmFraction*100)
 	}
-	_, err := fmt.Fprintln(w, "warm starts skip the 1.51 s boot (lower latency) but forfeit the clean-\nenvironment guarantee and pay idle draw while parked (higher J at low warm-hit rates).")
-	return err
+	out.f("warm starts skip the 1.51 s boot (lower latency) but forfeit the clean-\nenvironment guarantee and pay idle draw while parked (higher J at low warm-hit rates).\n")
+	return out.err
 }

@@ -110,13 +110,7 @@ func LoadSweep(cfg LoadSweepConfig) ([]LoadSweepPoint, error) {
 
 // runLoadPoint measures one cluster at one offered rate.
 func runLoadPoint(microfaas bool, ratePerSec float64, window time.Duration, seed int64) (loadSweepRun, error) {
-	var s *cluster.Sim
-	var err error
-	if microfaas {
-		s, err = cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: seed})
-	} else {
-		s, err = cluster.NewConventionalSim(model.VMCount, cluster.SimConfig{Seed: seed})
-	}
+	s, err := paperCluster(microfaas, cluster.SimConfig{Seed: seed})
 	if err != nil {
 		return loadSweepRun{}, err
 	}
@@ -152,21 +146,16 @@ func openLoad(s *cluster.Sim, ratePerSec float64, window time.Duration) (trace.S
 
 // WriteLoadSweep prints the sweep.
 func WriteLoadSweep(w io.Writer, pts []LoadSweepPoint) error {
-	if _, err := fmt.Fprintf(w, "Load sweep: open arrivals at a fraction of matched capacity (%.0f func/min)\n", model.PaperSBCThroughput); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-6s %10s | %12s %12s %8s | %12s %12s %8s\n",
-		"load", "func/min", "mf-lat", "mf-p95", "mf-J/f", "conv-lat", "conv-p95", "conv-J/f"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("Load sweep: open arrivals at a fraction of matched capacity (%.0f func/min)\n", model.PaperSBCThroughput)
+	out.f("%-6s %10s | %12s %12s %8s | %12s %12s %8s\n",
+		"load", "func/min", "mf-lat", "mf-p95", "mf-J/f", "conv-lat", "conv-p95", "conv-J/f")
 	for _, p := range pts {
-		if _, err := fmt.Fprintf(w, "%-6.2f %10.1f | %12s %12s %8.2f | %12s %12s %8.2f\n",
+		out.f("%-6.2f %10.1f | %12s %12s %8.2f | %12s %12s %8.2f\n",
 			p.LoadFraction, p.OfferedPerMin,
 			p.MFMeanLatency.Round(time.Millisecond), p.MFP95Latency.Round(time.Millisecond), p.MFJoulesPer,
-			p.ConvMeanLat.Round(time.Millisecond), p.ConvP95Lat.Round(time.Millisecond), p.ConvJoulesPer); err != nil {
-			return err
-		}
+			p.ConvMeanLat.Round(time.Millisecond), p.ConvP95Lat.Round(time.Millisecond), p.ConvJoulesPer)
 	}
-	_, err := fmt.Fprintln(w, "MicroFaaS J/function stays near-flat with load (nodes power down);\nthe conventional rack's idle 60 W dominates at low load (Sec III-b, measured).")
-	return err
+	out.f("MicroFaaS J/function stays near-flat with load (nodes power down);\nthe conventional rack's idle 60 W dominates at low load (Sec III-b, measured).\n")
+	return out.err
 }

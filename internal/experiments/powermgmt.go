@@ -323,14 +323,11 @@ func runPowerArm(arm string, sched replay.Schedule, day time.Duration, seed int6
 
 // WritePowerMgmt prints the power-management comparison.
 func WritePowerMgmt(w io.Writer, r PowerMgmtResult) error {
-	if _, err := fmt.Fprintf(w, "Power management: %v diurnal trace per level, %d-SBC cluster, idle timeout %v\n",
-		r.Day, model.SBCCount, r.IdleTimeout); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  %-5s %-10s %10s %11s %10s %12s %9s %8s\n",
-		"util", "arm", "completed", "J/function", "mean-W", "mean-latency", "power-ons", "savings"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("Power management: %v diurnal trace per level, %d-SBC cluster, idle timeout %v\n",
+		r.Day, model.SBCCount, r.IdleTimeout)
+	out.f("  %-5s %-10s %10s %11s %10s %12s %9s %8s\n",
+		"util", "arm", "completed", "J/function", "mean-W", "mean-latency", "power-ons", "savings")
 	for _, lv := range r.Levels {
 		for _, arm := range lv.arms() {
 			savings := ""
@@ -340,11 +337,9 @@ func WritePowerMgmt(w io.Writer, r PowerMgmtResult) error {
 			case "predictive":
 				savings = fmt.Sprintf("%.1f%%", 100*lv.SavingsPredictive)
 			}
-			if _, err := fmt.Fprintf(w, "  %-5.0f%% %-9s %10d %11.2f %10.3f %12s %9d %8s\n",
+			out.f("  %-5.0f%% %-9s %10d %11.2f %10.3f %12s %9d %8s\n",
 				100*lv.Utilization, arm.Name, arm.Completed, arm.JoulesPer, arm.MeanPowerW,
-				arm.MeanLatency.Round(time.Millisecond), arm.PowerOns, savings); err != nil {
-				return err
-			}
+				arm.MeanLatency.Round(time.Millisecond), arm.PowerOns, savings)
 		}
 	}
 	for _, lv := range r.Levels {
@@ -352,13 +347,10 @@ func WritePowerMgmt(w io.Writer, r PowerMgmtResult) error {
 		if p.Name == "" {
 			continue
 		}
-		if _, err := fmt.Fprintf(w,
-			"  %.0f%% predictive: p99 %s vs managed %s, forecast error %.3f (~%.1f%% MAPE), fallbacks %d\n",
+		out.f("  %.0f%% predictive: p99 %s vs managed %s, forecast error %.3f (~%.1f%% MAPE), fallbacks %d\n",
 			100*lv.Utilization, p.P99Latency.Round(time.Millisecond),
 			lv.Managed.P99Latency.Round(time.Millisecond),
-			p.ForecastError, 50*p.ForecastError, p.Fallbacks); err != nil {
-			return err
-		}
+			p.ForecastError, 50*p.ForecastError, p.Fallbacks)
 	}
 	for _, lv := range r.Levels {
 		for _, arm := range lv.arms() {
@@ -371,5 +363,5 @@ func WritePowerMgmt(w io.Writer, r PowerMgmtResult) error {
 			}
 		}
 	}
-	return nil
+	return out.err
 }

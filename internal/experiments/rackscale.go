@@ -95,68 +95,45 @@ func RackScale(cfg RackScaleConfig) (RackScaleResult, error) {
 	}
 	workers := Parallelism(cfg.Parallel)
 
-	// MicroFaaS rack: shard the SBCs. Shard i seeds its own engine with
-	// DeriveSeed(seed, i), so shard streams are decorrelated and stable.
-	mfShards := shards
-	if mfShards > res.SBCs {
-		mfShards = res.SBCs
-	}
-	mfStats, err := RunParallel(workers, mfShards, func(i int) (rackShardStats, error) {
-		nodes := shardSize(res.SBCs, mfShards, i)
-		s, err := cluster.NewMicroFaaSSim(nodes, cluster.SimConfig{Seed: DeriveSeed(cfg.Seed, i)})
+	// rack runs one rack of nodes — SBCs, or servers: VMs share a host's
+	// cores but servers share nothing — split into shards. Shard i seeds its
+	// own engine with DeriveSeed(seed, seedBase+i), so shard streams are
+	// decorrelated and stable, and the two racks never reuse a stream.
+	rack := func(nodes, seedBase int, build func(n int, seed int64) (*cluster.Sim, error)) (perMin, watts, joulesPer float64, err error) {
+		k := min(shards, nodes)
+		stats, err := RunParallel(workers, k, func(i int) (rackShardStats, error) {
+			s, err := build(shardSize(nodes, k, i), DeriveSeed(cfg.Seed, seedBase+i))
+			if err != nil {
+				return rackShardStats{}, err
+			}
+			// jobs per worker ≈ jobsPerFunction×17/workers → jobsPerFunction = jobs×workers/17.
+			perFunction := max(1, jobs*len(s.Workers)/len(model.Functions()))
+			if _, err := s.RunSuite(perFunction, nil); err != nil {
+				return rackShardStats{}, err
+			}
+			st := s.Stats()
+			return rackShardStats{completed: st.Completed, energyJ: st.TotalEnergyJ, makespanS: st.MakespanS}, nil
+		})
 		if err != nil {
-			return rackShardStats{}, err
+			return 0, 0, 0, err
 		}
-		// jobs per worker ≈ jobsPerFunction×17/nodes → jobsPerFunction = jobs×nodes/17.
-		perFunction := jobs * nodes / len(model.Functions())
-		if perFunction < 1 {
-			perFunction = 1
-		}
-		if _, err := s.RunSuite(perFunction, nil); err != nil {
-			return rackShardStats{}, err
-		}
-		st := s.Stats()
-		return rackShardStats{completed: st.Completed, energyJ: st.TotalEnergyJ, makespanS: st.MakespanS}, nil
+		st := mergeRackShards(stats)
+		return float64(st.completed) / (st.makespanS / 60), st.energyJ/st.makespanS + switchW(nodes),
+			(st.energyJ + switchW(nodes)*st.makespanS) / float64(st.completed), nil
+	}
+	var err error
+	res.SBCThroughput, res.SBCPowerW, res.SBCJoulesPerFunc, err = rack(res.SBCs, 0, func(n int, seed int64) (*cluster.Sim, error) {
+		return cluster.NewMicroFaaSSim(n, cluster.SimConfig{Seed: seed})
 	})
 	if err != nil {
 		return RackScaleResult{}, err
 	}
-	mfSt := mergeRackShards(mfStats)
-	res.SBCThroughput = float64(mfSt.completed) / (mfSt.makespanS / 60)
-	res.SBCPowerW = mfSt.energyJ/mfSt.makespanS + switchW(res.SBCs)
-	res.SBCJoulesPerFunc = (mfSt.energyJ + switchW(res.SBCs)*mfSt.makespanS) / float64(mfSt.completed)
-
-	// Conventional rack: shard by server, since VMs share a host's cores
-	// but servers share nothing. Shard seeds are offset so the two racks
-	// never reuse a stream.
-	convShards := shards
-	if convShards > res.Servers {
-		convShards = res.Servers
-	}
-	convStats, err := RunParallel(workers, convShards, func(i int) (rackShardStats, error) {
-		servers := shardSize(res.Servers, convShards, i)
-		s, err := cluster.NewConventionalRackSim(servers, res.VMsPerServer, cluster.SimConfig{Seed: DeriveSeed(cfg.Seed, 1<<16+i)})
-		if err != nil {
-			return rackShardStats{}, err
-		}
-		vms := servers * res.VMsPerServer
-		perFunction := jobs * vms / len(model.Functions())
-		if perFunction < 1 {
-			perFunction = 1
-		}
-		if _, err := s.RunSuite(perFunction, nil); err != nil {
-			return rackShardStats{}, err
-		}
-		st := s.Stats()
-		return rackShardStats{completed: st.Completed, energyJ: st.TotalEnergyJ, makespanS: st.MakespanS}, nil
+	res.ServerThroughput, res.ServerPowerW, res.ServerJoulesPerFunc, err = rack(res.Servers, 1<<16, func(n int, seed int64) (*cluster.Sim, error) {
+		return cluster.NewConventionalRackSim(n, res.VMsPerServer, cluster.SimConfig{Seed: seed})
 	})
 	if err != nil {
 		return RackScaleResult{}, err
 	}
-	convSt := mergeRackShards(convStats)
-	res.ServerThroughput = float64(convSt.completed) / (convSt.makespanS / 60)
-	res.ServerPowerW = convSt.energyJ/convSt.makespanS + switchW(res.Servers)
-	res.ServerJoulesPerFunc = (convSt.energyJ + switchW(res.Servers)*convSt.makespanS) / float64(convSt.completed)
 	return res, nil
 }
 

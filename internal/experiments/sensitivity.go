@@ -102,18 +102,8 @@ func perturbSpecs(rng *rand.Rand, spread float64) []model.FunctionSpec {
 // measureGain runs both clusters with the perturbed tables and returns
 // conventional J/func ÷ MicroFaaS J/func.
 func measureGain(specs []model.FunctionSpec, inv int, seed int64) (float64, error) {
-	mf, err := cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: seed, Specs: specs})
+	mf, conv, err := paperPair(inv, cluster.SimConfig{Seed: seed, Specs: specs}, 1)
 	if err != nil {
-		return 0, err
-	}
-	if _, err := mf.RunSuite(inv, nil); err != nil {
-		return 0, err
-	}
-	conv, err := cluster.NewConventionalSim(model.VMCount, cluster.SimConfig{Seed: seed, Specs: specs})
-	if err != nil {
-		return 0, err
-	}
-	if _, err := conv.RunSuite(inv, nil); err != nil {
 		return 0, err
 	}
 	mfJ := mf.Stats().JoulesPerFunction

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 
@@ -173,16 +172,13 @@ func runShardedArm(cfg ShardedRackConfig, spec shardedArmSpec, seed int64) (Shar
 
 // WriteShardedRack prints the four-arm comparison.
 func WriteShardedRack(w io.Writer, r ShardedRackResult) error {
-	if _, err := fmt.Fprintf(w, `Sharded control plane (%d shards × %d SBCs = %d workers):
+	out := &printer{w: w}
+	out.f(`Sharded control plane (%d shards × %d SBCs = %d workers):
   arm              completed   func/min  sustained     p50 s     p99 s    stolen   J/func
-`, r.Shards, r.SBCs/r.Shards, r.SBCs); err != nil {
-		return err
-	}
+`, r.Shards, r.SBCs/r.Shards, r.SBCs)
 	for _, a := range r.Arms {
-		if _, err := fmt.Fprintf(w, "  %-14s %10d %10.0f %10.0f %9.2f %9.2f %9d %8.2f\n",
-			a.Name, a.Completed, a.FuncPerMin, a.SustainedPerMin, a.P50S, a.P99S, a.Stolen, a.JoulesPerFunc); err != nil {
-			return err
-		}
+		out.f("  %-14s %10d %10.0f %10.0f %9.2f %9.2f %9d %8.2f\n",
+			a.Name, a.Completed, a.FuncPerMin, a.SustainedPerMin, a.P50S, a.P99S, a.Stolen, a.JoulesPerFunc)
 	}
-	return nil
+	return out.err
 }

@@ -247,16 +247,13 @@ func runShardFailoverArm(cfg ShardFailoverConfig, churn bool, victims []int, kil
 
 // WriteShardFailover prints the two-arm comparison.
 func WriteShardFailover(w io.Writer, r ShardFailoverResult) error {
-	if _, err := fmt.Fprintf(w, `Shard failover (%d shards × %d SBCs, %d shards killed at t=%.1fs, victims %v):
+	out := &printer{w: w}
+	out.f(`Shard failover (%d shards × %d SBCs, %d shards killed at t=%.1fs, victims %v):
   arm        accepted  lost  deaths    stolen   pre/min  post/min  recovery     p99 s   J/func
-`, r.Shards, r.SBCs/r.Shards, r.Kills, r.KillAtS, r.Victims); err != nil {
-		return err
-	}
+`, r.Shards, r.SBCs/r.Shards, r.Kills, r.KillAtS, r.Victims)
 	for _, a := range r.Arms {
-		if _, err := fmt.Fprintf(w, "  %-9s %9d %5d %7d %9d %9.0f %9.0f %9.3f %9.2f %8.2f\n",
-			a.Name, a.Accepted, a.Lost, a.Deaths, a.Stolen, a.PrePerMin, a.PostPerMin, a.Recovery, a.P99S, a.JoulesPerFunc); err != nil {
-			return err
-		}
+		out.f("  %-9s %9d %5d %7d %9d %9.0f %9.0f %9.3f %9.2f %8.2f\n",
+			a.Name, a.Accepted, a.Lost, a.Deaths, a.Stolen, a.PrePerMin, a.PostPerMin, a.Recovery, a.P99S, a.JoulesPerFunc)
 	}
 	for _, a := range r.Arms {
 		if a.Alerts == nil {
@@ -266,25 +263,21 @@ func WriteShardFailover(w io.Writer, r ShardFailoverResult) error {
 			return err
 		}
 	}
-	return nil
+	return out.err
 }
 
 // WriteAlertTimeline prints one arm's SLO alert transitions in
 // virtual-clock order (or a "(none)" marker, so a run with rules but no
 // transitions is visibly distinct from a run without rules).
 func WriteAlertTimeline(w io.Writer, arm string, alerts []telemetry.Event) error {
-	if _, err := fmt.Fprintf(w, "  %s alert timeline:\n", arm); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("  %s alert timeline:\n", arm)
 	if len(alerts) == 0 {
-		_, err := fmt.Fprintln(w, "    (none)")
-		return err
+		out.f("    (none)\n")
 	}
 	for _, ev := range alerts {
-		if _, err := fmt.Fprintf(w, "    t=%7.2fs %-14s %-20s %-5s %s\n",
-			ev.AtMs/1000, ev.Type, ev.Function, ev.Worker, ev.Detail); err != nil {
-			return err
-		}
+		out.f("    t=%7.2fs %-14s %-20s %-5s %s\n",
+			ev.AtMs/1000, ev.Type, ev.Function, ev.Worker, ev.Detail)
 	}
-	return nil
+	return out.err
 }

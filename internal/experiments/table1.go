@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
-	"time"
 
 	"microfaas/internal/model"
 )
@@ -13,10 +11,9 @@ import (
 // service, FunctionBench provenance (the paper's asterisk), and the
 // calibrated compute times this repository assigns it.
 func WriteTable1(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Table I: workload functions (17; * = adapted from / inspired by FunctionBench)\n%-13s %-14s %-9s %9s %9s  %s\n",
-		"name", "class", "service", "arm-work", "x86-work", "description"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("Table I: workload functions (17; * = adapted from / inspired by FunctionBench)\n%-13s %-14s %-9s %9s %9s  %s\n",
+		"name", "class", "service", "arm-work", "x86-work", "description")
 	for _, f := range model.Functions() {
 		name := f.Name
 		if f.FromFunctionBench {
@@ -26,87 +23,68 @@ func WriteTable1(w io.Writer) error {
 		if service == "" {
 			service = "-"
 		}
-		if _, err := fmt.Fprintf(w, "%-13s %-14s %-9s %8.2fs %8.2fs  %s\n",
+		out.f("%-13s %-14s %-9s %8.2fs %8.2fs  %s\n",
 			name, f.Class, service,
-			f.WorkARM.Seconds(), f.WorkX86.Seconds(), f.Description); err != nil {
-			return err
-		}
+			f.WorkARM.Seconds(), f.WorkX86.Seconds(), f.Description)
 	}
-	return nil
+	return out.err
 }
 
 // WriteFig4CSV emits the Fig 4 sweep as CSV for plotting.
 func WriteFig4CSV(w io.Writer, res Fig4Result) error {
-	if _, err := fmt.Fprintln(w, "vms,throughput_per_min,joules_per_func,microfaas_ref_joules"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("vms,throughput_per_min,joules_per_func,microfaas_ref_joules\n")
 	for _, p := range res.Points {
-		if _, err := fmt.Fprintf(w, "%d,%.3f,%.3f,%.3f\n",
-			p.VMs, p.ThroughputPerMin, p.JoulesPerFunc, res.MicroFaaSJoules); err != nil {
-			return err
-		}
+		out.f("%d,%.3f,%.3f,%.3f\n",
+			p.VMs, p.ThroughputPerMin, p.JoulesPerFunc, res.MicroFaaSJoules)
 	}
-	return nil
+	return out.err
 }
 
 // WriteFig5CSV emits the Fig 5 power sweep as CSV.
 func WriteFig5CSV(w io.Writer, pts []Fig5Point) error {
-	if _, err := fmt.Fprintln(w, "active_workers,microfaas_watts,conventional_watts"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("active_workers,microfaas_watts,conventional_watts\n")
 	for _, p := range pts {
-		if _, err := fmt.Fprintf(w, "%d,%.4f,%.4f\n",
-			p.ActiveWorkers, p.MicroFaaSWatts, p.ConventionalWatts); err != nil {
-			return err
-		}
+		out.f("%d,%.4f,%.4f\n",
+			p.ActiveWorkers, p.MicroFaaSWatts, p.ConventionalWatts)
 	}
-	return nil
+	return out.err
 }
 
 // WriteFig3CSV emits the per-function runtime split as CSV.
 func WriteFig3CSV(w io.Writer, rows []Fig3Row) error {
-	if _, err := fmt.Fprintln(w, "function,mf_working_ms,mf_overhead_ms,conv_working_ms,conv_overhead_ms,speed_ratio"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("function,mf_working_ms,mf_overhead_ms,conv_working_ms,conv_overhead_ms,speed_ratio\n")
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%.3f,%.3f,%.3f,%.3f,%.4f\n",
+		out.f("%s,%.3f,%.3f,%.3f,%.3f,%.4f\n",
 			r.Function, ms(r.MFWorking), ms(r.MFOverhead),
-			ms(r.ConvWorking), ms(r.ConvOverhead), r.SpeedRatio); err != nil {
-			return err
-		}
+			ms(r.ConvWorking), ms(r.ConvOverhead), r.SpeedRatio)
 	}
-	return nil
+	return out.err
 }
 
 // WriteLoadSweepCSV emits the load sweep as CSV.
 func WriteLoadSweepCSV(w io.Writer, pts []LoadSweepPoint) error {
-	if _, err := fmt.Fprintln(w, "load_fraction,offered_per_min,mf_mean_latency_ms,mf_p95_latency_ms,mf_joules_per,conv_mean_latency_ms,conv_p95_latency_ms,conv_joules_per"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("load_fraction,offered_per_min,mf_mean_latency_ms,mf_p95_latency_ms,mf_joules_per,conv_mean_latency_ms,conv_p95_latency_ms,conv_joules_per\n")
 	for _, p := range pts {
-		if _, err := fmt.Fprintf(w, "%.3f,%.3f,%.3f,%.3f,%.4f,%.3f,%.3f,%.4f\n",
+		out.f("%.3f,%.3f,%.3f,%.3f,%.4f,%.3f,%.3f,%.4f\n",
 			p.LoadFraction, p.OfferedPerMin,
-			msD(p.MFMeanLatency), msD(p.MFP95Latency), p.MFJoulesPer,
-			msD(p.ConvMeanLat), msD(p.ConvP95Lat), p.ConvJoulesPer); err != nil {
-			return err
-		}
+			ms(p.MFMeanLatency), ms(p.MFP95Latency), p.MFJoulesPer,
+			ms(p.ConvMeanLat), ms(p.ConvP95Lat), p.ConvJoulesPer)
 	}
-	return nil
+	return out.err
 }
 
 // WriteKeepWarmCSV emits the keep-warm sweep as CSV.
 func WriteKeepWarmCSV(w io.Writer, pts []KeepWarmPoint) error {
-	if _, err := fmt.Fprintln(w, "window_s,mean_latency_ms,p95_latency_ms,joules_per,warm_fraction"); err != nil {
-		return err
-	}
+	out := &printer{w: w}
+	out.f("window_s,mean_latency_ms,p95_latency_ms,joules_per,warm_fraction\n")
 	for _, p := range pts {
-		if _, err := fmt.Fprintf(w, "%.3f,%.3f,%.3f,%.4f,%.4f\n",
-			p.Window.Seconds(), msD(p.MeanLatency), msD(p.P95Latency),
-			p.JoulesPerFunc, p.WarmFraction); err != nil {
-			return err
-		}
+		out.f("%.3f,%.3f,%.3f,%.4f,%.4f\n",
+			p.Window.Seconds(), ms(p.MeanLatency), ms(p.P95Latency),
+			p.JoulesPerFunc, p.WarmFraction)
 	}
-	return nil
+	return out.err
 }
-
-func msD(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"microfaas/internal/core"
@@ -46,8 +45,7 @@ func (s *Server) handleBudgets(w http.ResponseWriter, r *http.Request) {
 			Function string  `json:"function"`
 			LimitJ   float64 `json:"limit_j"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Function == "" {

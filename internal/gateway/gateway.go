@@ -443,6 +443,24 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// decodeBody reads a control route's JSON body into v, bounded like an
+// invoke body. On failure it has answered — 413 past the bound, 400
+// otherwise — and returns false. handleInvoke keeps its own copy: its
+// allocation count is pinned and v escapes here.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInvokeBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "bad request body: "+err.Error())
+	return false
+}
+
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -758,8 +776,7 @@ func (s *Server) handlePowerCap(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		CapW float64 `json:"cap_w"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	managed := s.managed()

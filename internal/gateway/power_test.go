@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,5 +129,31 @@ func TestPowerEndpointDisabled(t *testing.T) {
 	base, _ := startGateway(t)
 	if code, _ := getPower(t, base); code != http.StatusNotFound {
 		t.Fatalf("GET /power on unmanaged cluster → %d, want 404", code)
+	}
+}
+
+// TestControlBodiesAreBounded posts to the two control routes that take a
+// body: one past maxInvokeBody is refused with 413, one just under it is
+// read and applied.
+func TestControlBodiesAreBounded(t *testing.T) {
+	base, _ := startManagedGateway(t)
+	for route, fields := range map[string]string{
+		"/power/cap": `"cap_w":3.92`,
+		"/budgets":   `"function":"CascSHA","limit_j":12.5`,
+	} {
+		for pad, want := range map[int]int{
+			maxInvokeBody:       http.StatusRequestEntityTooLarge,
+			maxInvokeBody - 128: http.StatusOK,
+		} {
+			body := `{"pad":"` + strings.Repeat("a", pad) + `",` + fields + `}`
+			resp, err := http.Post(base+route, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("POST %s with a %d-byte pad → %d, want %d", route, pad, resp.StatusCode, want)
+			}
+		}
 	}
 }
