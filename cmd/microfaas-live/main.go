@@ -133,19 +133,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "microfaas-live: -power-cap and -power-minup require -power-idle")
 		os.Exit(2)
 	}
-	if *predict {
-		if opts.live.Power == nil {
-			fmt.Fprintln(os.Stderr, "microfaas-live: -predict requires -power-idle")
-			os.Exit(2)
-		}
-		// Forecast-driven floors make the reactive idle timeout a safety
-		// net rather than the only trim path; damp pre-sleep so a
-		// momentary forecast dip doesn't cycle nodes the next burst
-		// re-boots. These mirror the tuned predictive experiment arm.
-		opts.live.Power.PreSleepSlack = 1
-		opts.live.Power.PreSleepSlackFrac = 0.5
-		opts.live.Power.PreSleepMax = 1
-		opts.live.Power.PreSleepDebounce = 1
+	if *predict && opts.live.Power == nil {
+		fmt.Fprintln(os.Stderr, "microfaas-live: -predict requires -power-idle")
+		os.Exit(2)
 	}
 	if *traceSample > 0 {
 		// Flag semantics: 0 disables tracing outright. Internally a zero

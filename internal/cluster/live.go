@@ -105,10 +105,14 @@ type Live struct {
 	PowerMgr *powermgr.Manager
 	GPIO     *gpio.Controller
 
-	kv  *kvstore.Server
-	sql *sqlstore.Server
-	obj *objstore.Server
-	mqs *mq.Server
+	// services are the started backing services, in start order.
+	services []service
+}
+
+// service is the lifecycle every backing service's server shares.
+type service interface {
+	Listen(addr string) (string, error)
+	Close() error
 }
 
 // StartLive boots the full stack on loopback TCP and provisions the
@@ -133,31 +137,22 @@ func StartLive(opts LiveOptions) (*Live, error) {
 		}
 	}()
 
-	l.kv = kvstore.NewServer(nil)
-	kvAddr, err := l.kv.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	l.sql = sqlstore.NewServer(nil)
-	sqlAddr, err := l.sql.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	l.obj = objstore.NewServer(nil)
-	objAddr, err := l.obj.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	l.mqs = mq.NewServer(nil)
-	mqAddr, err := l.mqs.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	l.Env = &workload.Env{
-		KVStoreAddr:  kvAddr,
-		SQLStoreAddr: sqlAddr,
-		ObjStoreAddr: objAddr,
-		MQAddr:       mqAddr,
+	l.Env = &workload.Env{}
+	for _, b := range []struct {
+		srv  service
+		addr *string
+	}{
+		{kvstore.NewServer(nil), &l.Env.KVStoreAddr},
+		{sqlstore.NewServer(nil), &l.Env.SQLStoreAddr},
+		{objstore.NewServer(nil), &l.Env.ObjStoreAddr},
+		{mq.NewServer(nil), &l.Env.MQAddr},
+	} {
+		l.services = append(l.services, b.srv)
+		addr, err := b.srv.Listen("127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		*b.addr = addr
 	}
 	if err := workload.SetupBackends(l.Env); err != nil {
 		return nil, err
@@ -248,20 +243,8 @@ func (l *Live) Close() {
 		w.Close() //nolint:errcheck
 	}
 	l.Workers = nil
-	if l.kv != nil {
-		l.kv.Close() //nolint:errcheck
-		l.kv = nil
+	for i := len(l.services) - 1; i >= 0; i-- {
+		l.services[i].Close() //nolint:errcheck
 	}
-	if l.sql != nil {
-		l.sql.Close() //nolint:errcheck
-		l.sql = nil
-	}
-	if l.obj != nil {
-		l.obj.Close() //nolint:errcheck
-		l.obj = nil
-	}
-	if l.mqs != nil {
-		l.mqs.Close() //nolint:errcheck
-		l.mqs = nil
-	}
+	l.services = nil
 }

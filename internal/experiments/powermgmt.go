@@ -221,17 +221,6 @@ func runPowerArm(arm string, sched replay.Schedule, day time.Duration, seed int6
 		cfg.DisableReboot = true
 	case "managed", "predictive":
 		cfg.Power = &powermgr.Policy{IdleTimeout: idle}
-		if predict {
-			// Damp pre-sleep thrash: keep one node of slack above the
-			// forecast floor (plus half a node per floor level), trim at
-			// most one node per tick, and only after the surplus has
-			// persisted a tick — so a momentary forecast dip doesn't
-			// cycle nodes the next burst re-boots.
-			cfg.Power.PreSleepSlack = 1
-			cfg.Power.PreSleepSlackFrac = 0.5
-			cfg.Power.PreSleepMax = 1
-			cfg.Power.PreSleepDebounce = 1
-		}
 		cfg.Policy = core.AssignEnergyAware
 	}
 	var store *tsdb.Store

@@ -4,22 +4,19 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"microfaas/internal/wire"
 )
 
-// Server serves a Store over RESP on a TCP listener.
+// Server serves a Store over RESP. The embedded wire.Server owns the TCP
+// lifecycle (Listen, Close); RESP brings its own framing, so the protocol
+// here is serveConn and dispatch.
 type Server struct {
+	wire.Server
 	store *Store
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer returns a server backed by store (a fresh store if nil).
@@ -27,85 +24,16 @@ func NewServer(store *Store) *Server {
 	if store == nil {
 		store = NewStore()
 	}
-	return &Server{store: store, conns: make(map[net.Conn]struct{})}
+	s := &Server{store: store}
+	s.Name = "kvstore"
+	s.Serve = s.serveConn
+	return s
 }
 
 // Store returns the underlying store (useful for test assertions).
 func (s *Server) Store() *Store { return s.store }
 
-// Listen binds to addr (e.g. "127.0.0.1:0") and begins accepting
-// connections in the background. It returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("kvstore: listen: %w", err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return "", errors.New("kvstore: server already closed")
-	}
-	s.listener = ln
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-// Close stops accepting, closes all live connections, and waits for
-// handler goroutines to finish.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+func (s *Server) serveConn(r *bufio.Reader, w *bufio.Writer) {
 	for {
 		args, err := readCommand(r)
 		if err != nil {

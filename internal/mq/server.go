@@ -1,11 +1,8 @@
 package mq
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"microfaas/internal/wire"
@@ -50,15 +47,11 @@ func clampWait(waitMs int64) time.Duration {
 	return wait
 }
 
-// Server serves a Broker over TCP.
+// Server serves a Broker over TCP. The embedded wire.Server owns the
+// connection lifecycle (Listen, and the tail of Close).
 type Server struct {
+	wire.Server
 	broker *Broker
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer returns a server backed by broker (a fresh broker if nil).
@@ -66,97 +59,21 @@ func NewServer(broker *Broker) *Server {
 	if broker == nil {
 		broker = NewBroker()
 	}
-	return &Server{broker: broker, conns: make(map[net.Conn]struct{})}
+	s := &Server{broker: broker}
+	s.Name = "mq"
+	s.Serve = wire.ServeJSON(s.handle)
+	return s
 }
 
 // Broker returns the underlying broker.
 func (s *Server) Broker() *Broker { return s.broker }
 
-// Listen binds to addr and serves in the background, returning the bound
-// address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("mq: listen: %w", err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return "", errors.New("mq: server already closed")
-	}
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-// Close stops the server, the broker, and every open connection.
+// Close stops the server, the broker, and every open connection. The
+// broker closes first: a handler blocked in a long poll is parked on the
+// broker, not on its socket, and must wake before it can be awaited.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
 	s.broker.Close()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		var req request
-		if err := wire.ReadJSON(r, &req); err != nil {
-			return
-		}
-		resp := s.handle(req)
-		if err := wire.WriteJSON(w, resp); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
+	return s.Server.Close()
 }
 
 func (s *Server) handle(req request) response {
@@ -216,10 +133,7 @@ func (s *Server) handle(req request) response {
 // Client speaks the broker protocol over TCP. Like the other service
 // clients it is single-connection and sequential.
 type Client struct {
-	conn    net.Conn
-	r       *bufio.Reader
-	w       *bufio.Writer
-	timeout time.Duration // per-operation I/O deadline (0 = none)
+	c *wire.Client
 }
 
 // Dial connects to an mq server. The timeout bounds the dial and, as a
@@ -227,33 +141,21 @@ type Client struct {
 // by their wait), so a broker dying mid-frame fails the call instead of
 // wedging the client forever with the connection held open.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	c, err := wire.Dial("mq", addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("mq: dial %s: %w", addr, err)
+		return nil, err
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), timeout: timeout}, nil
+	return &Client{c: c}, nil
 }
 
 // Close terminates the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.c.Close() }
 
 func (c *Client) do(req request) (response, error) {
-	if c.timeout > 0 {
-		// Long-polling ops legitimately sit quiet for WaitMs; the
-		// deadline budgets that on top of the base timeout.
-		deadline := c.timeout + time.Duration(req.WaitMs)*time.Millisecond
-		if err := c.conn.SetDeadline(time.Now().Add(deadline)); err != nil {
-			return response{}, fmt.Errorf("mq: deadline: %w", err)
-		}
-	}
-	if err := wire.WriteJSON(c.w, req); err != nil {
-		return response{}, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return response{}, err
-	}
+	// Long-polling ops legitimately sit quiet for WaitMs; the deadline
+	// budgets that on top of the base timeout.
 	var resp response
-	if err := wire.ReadJSON(c.r, &resp); err != nil {
+	if err := c.c.Call(req, &resp, time.Duration(req.WaitMs)*time.Millisecond); err != nil {
 		return response{}, err
 	}
 	if resp.Error != "" {

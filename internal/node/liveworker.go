@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"microfaas/internal/proto"
 	"microfaas/internal/telemetry"
 	"microfaas/internal/tracing"
+	"microfaas/internal/wire"
 	"microfaas/internal/workload"
 )
 
@@ -102,7 +102,7 @@ type liveJob struct {
 type LiveWorker struct {
 	cfg  LiveWorkerConfig
 	sbc  power.SBCModel
-	ln   net.Listener
+	srv  wire.Server // the worker's TCP endpoint; Serve is serveConn
 	addr string
 	m    workerMetrics
 	quit chan struct{} // closed on Close; releases hung invocations
@@ -143,25 +143,25 @@ func StartLiveWorker(cfg LiveWorkerConfig) (*LiveWorker, error) {
 	} else {
 		w.sbc = power.DefaultSBCModel()
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	w.srv.Name = "node: live worker " + cfg.ID
+	w.srv.Serve = w.serveConn
+	addr, err := w.srv.Listen("127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("node: live worker %s: %w", cfg.ID, err)
+		return nil, err
 	}
-	w.ln = ln
-	w.addr = ln.Addr().String()
+	w.addr = addr
 	if cfg.Meter != nil {
 		cfg.Meter.Set(cfg.ID, w.sbc.Power(power.Off), cfg.Clock())
 	}
 	if cfg.GPIO != nil {
 		if _, err := cfg.GPIO.WireNext(cfg.ID); err != nil {
-			ln.Close() //nolint:errcheck
+			w.srv.Close() //nolint:errcheck // never dialed
 			return nil, err
 		}
 	}
 	w.pc = proto.NewConn(w.addr)
 	w.jobs = make(chan liveJob, 1)
-	w.wg.Add(2)
-	go w.acceptLoop()
+	w.wg.Add(1)
 	go w.invokeLoop()
 	return w, nil
 }
@@ -180,7 +180,8 @@ func (w *LiveWorker) now() time.Duration {
 // Addr returns the worker's TCP endpoint.
 func (w *LiveWorker) Addr() string { return w.addr }
 
-// Close stops the worker's listener and waits for in-flight handlers.
+// Close stops the worker's listener, closes every connection open on it
+// (the OP's own and any other), and waits for in-flight handlers.
 func (w *LiveWorker) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -191,7 +192,7 @@ func (w *LiveWorker) Close() error {
 	w.mu.Unlock()
 	close(w.quit) // release invocations wedged by fault injection
 	w.pc.Close()  // settle in-flight invokes so the invoker can drain
-	err := w.ln.Close()
+	err := w.srv.Close()
 	w.wg.Wait()
 	return err
 }
@@ -305,22 +306,6 @@ func (w *LiveWorker) drawFault() faultAction {
 	return faultNone
 }
 
-func (w *LiveWorker) acceptLoop() {
-	defer w.wg.Done()
-	for {
-		conn, err := w.ln.Accept()
-		if err != nil {
-			return
-		}
-		w.wg.Add(1)
-		go func(c net.Conn) {
-			defer w.wg.Done()
-			defer c.Close()
-			w.serveConn(c)
-		}(conn)
-	}
-}
-
 // serveConn handles invocations on one connection sequentially until the
 // peer hangs up. The persistent session is the OP's management plane; the
 // worker itself stays single-tenant and run-to-completion — each request
@@ -329,9 +314,7 @@ func (w *LiveWorker) acceptLoop() {
 // reproducible environment. The request frame is the dispatch signal, so
 // the boot is modeled after the frame arrives (with per-job connections
 // the connect itself carried that signal).
-func (w *LiveWorker) serveConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+func (w *LiveWorker) serveConn(br *bufio.Reader, bw *bufio.Writer) {
 	var scratch []byte
 	for {
 		req, err := proto.ReadRequest(br, &scratch)

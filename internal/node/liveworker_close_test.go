@@ -1,0 +1,69 @@
+package node
+
+import (
+	"errors"
+	"net"
+	"os"
+	"testing"
+	"time"
+
+	"microfaas/internal/proto"
+	"microfaas/internal/wire"
+	"microfaas/internal/workload"
+)
+
+// TestLiveWorkerCloseDropsForeignConnections is the regression test for
+// the untracked-connection hang: any connection on the worker's port other
+// than the OP's own — a client gone idle, one that died half way through a
+// frame — parks a handler in a read, and Close must close it rather than
+// wait for a frame that never comes. Each stranger completes one real
+// invocation first, which proves its handler is up before Close runs.
+func TestLiveWorkerCloseDropsForeignConnections(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sent []byte
+	}{
+		{"idle connection", nil},
+		{"half a frame", []byte{0, 0, 0, 200, '{'}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := StartLiveWorker(LiveWorkerConfig{ID: "live-close", Env: &workload.Env{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.Dial("tcp", w.Addr())
+			if err != nil {
+				w.Close() //nolint:errcheck
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			req := proto.Request{JobID: 1, Function: "CascSHA", Args: []byte(`{"rounds":1,"seed":"x"}`)}
+			var resp proto.Response
+			var scratch []byte
+			if err := wire.WriteJSON(conn, req); err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.ReadJSONInto(conn, &resp, &scratch); err != nil || resp.Err != "" {
+				t.Fatalf("warm-up invocation: %v %q", err, resp.Err)
+			}
+			if _, err := conn.Write(tc.sent); err != nil {
+				t.Fatal(err)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- w.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("close: %v", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Close hung on a connection the worker does not own")
+			}
+			// The worker hung up on the stranger, not the other way round.
+			conn.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+			if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("foreign connection still open after Close (read: %v)", err)
+			}
+		})
+	}
+}

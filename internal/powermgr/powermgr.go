@@ -97,28 +97,33 @@ type Policy struct {
 	// NodeW is one node's budgeted worst-case draw in watts used for cap
 	// accounting (default: the paper SBC's busy draw, 1.96 W).
 	NodeW power.Watts
-	// PreSleepSlack widens the predictive pre-sleep band: SetWarmTarget
-	// trims idle surplus only while more than target+PreSleepSlack nodes
-	// are powered, keeping that many spares warm as burst headroom
-	// (default 0 — trim straight down to the floor).
-	PreSleepSlack int
-	// PreSleepMax bounds how many nodes one SetWarmTarget call may
-	// pre-sleep (0 = unlimited). A tick-driven forecast controller uses
-	// it to drain surplus gradually instead of mass-trimming on a
-	// momentary forecast dip it would re-wake a tick later.
-	PreSleepMax int
-	// PreSleepSlackFrac adds ceil(frac × target) nodes to PreSleepSlack,
-	// scaling the burst headroom with the floor itself: a two-node floor
-	// tolerates a one-node overshoot that a ten-node floor should shrug
-	// off several of (default 0 — fixed slack only).
-	PreSleepSlackFrac float64
-	// PreSleepDebounce is how many consecutive SetWarmTarget calls must
-	// observe surplus beyond the slack band before pre-sleep engages
-	// (default 0 — trim on the first). It distinguishes a genuine trough
-	// (surplus persists tick after tick, so trimming proceeds) from a
-	// momentary forecast dip (the streak resets before it ever trims).
-	PreSleepDebounce int
 }
+
+// Pre-sleep damping. Forecast-driven floors make the reactive idle timeout
+// a safety net rather than the only trim path, so SetWarmTarget's trim is
+// damped: a momentary forecast dip must not cycle nodes the next burst
+// re-boots. Every SetWarmTarget caller is a tick-driven forecast
+// controller and all of them ran this one tuning, so it is policy, not
+// configuration.
+const (
+	// preSleepSlack keeps this many spares warm above the floor as burst
+	// headroom: surplus is trimmed only while more than target+slack nodes
+	// are powered.
+	preSleepSlack = 1
+	// preSleepSlackFrac adds ceil(frac × target) nodes to the slack, scaling
+	// the headroom with the floor itself: a two-node floor tolerates a
+	// one-node overshoot that a ten-node floor should shrug off several of.
+	preSleepSlackFrac = 0.5
+	// preSleepMax bounds how many nodes one SetWarmTarget call may
+	// pre-sleep, draining surplus gradually instead of mass-trimming on a
+	// dip the controller would re-wake a tick later.
+	preSleepMax = 1
+	// preSleepDebounce is how many consecutive SetWarmTarget calls must
+	// observe surplus beyond the slack band before pre-sleep engages. It
+	// tells a genuine trough (surplus persists tick after tick, so trimming
+	// proceeds) from a momentary dip (the streak resets before it trims).
+	preSleepDebounce = 1
+)
 
 // Config assembles a Manager.
 type Config struct {
@@ -191,14 +196,10 @@ type managed struct {
 // orchestrator calls in while holding its own lock, and the manager
 // invokes orchestrator callbacks only after releasing its lock).
 type Manager struct {
-	rt               Runtime
-	idleTimeout      time.Duration
-	minUp            time.Duration
-	nodeW            power.Watts
-	preSleepSlack    int
-	preSleepMax      int
-	preSleepFrac     float64
-	preSleepDebounce int
+	rt          Runtime
+	idleTimeout time.Duration
+	minUp       time.Duration
+	nodeW       power.Watts
 
 	mu       sync.Mutex
 	nodes    map[string]*managed
@@ -213,7 +214,7 @@ type Manager struct {
 	// pure reactive behavior, byte-identical to a pre-forecast build.
 	target int
 	// trimStreak counts consecutive SetWarmTarget calls that saw surplus
-	// beyond the slack band — the PreSleepDebounce persistence counter.
+	// beyond the slack band — the preSleepDebounce persistence counter.
 	trimStreak int
 
 	m mgrMetrics
@@ -228,9 +229,7 @@ func New(cfg Config) (*Manager, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("powermgr: at least one node is required")
 	}
-	if cfg.Policy.IdleTimeout < 0 || cfg.Policy.MinUp < 0 || cfg.Policy.CapW < 0 || cfg.Policy.NodeW < 0 ||
-		cfg.Policy.PreSleepSlack < 0 || cfg.Policy.PreSleepMax < 0 ||
-		cfg.Policy.PreSleepSlackFrac < 0 || cfg.Policy.PreSleepDebounce < 0 {
+	if cfg.Policy.IdleTimeout < 0 || cfg.Policy.MinUp < 0 || cfg.Policy.CapW < 0 || cfg.Policy.NodeW < 0 {
 		return nil, fmt.Errorf("powermgr: negative policy values")
 	}
 	idle := cfg.Policy.IdleTimeout
@@ -246,17 +245,13 @@ func New(cfg Config) (*Manager, error) {
 		nodeW = power.DefaultSBCModel().BusyW
 	}
 	m := &Manager{
-		rt:               cfg.Runtime,
-		idleTimeout:      idle,
-		minUp:            minUp,
-		nodeW:            nodeW,
-		preSleepSlack:    cfg.Policy.PreSleepSlack,
-		preSleepMax:      cfg.Policy.PreSleepMax,
-		preSleepFrac:     cfg.Policy.PreSleepSlackFrac,
-		preSleepDebounce: cfg.Policy.PreSleepDebounce,
-		capW:             cfg.Policy.CapW,
-		nodes:            make(map[string]*managed, len(cfg.Nodes)),
-		target:           -1,
+		rt:          cfg.Runtime,
+		idleTimeout: idle,
+		minUp:       minUp,
+		nodeW:       nodeW,
+		capW:        cfg.Policy.CapW,
+		nodes:       make(map[string]*managed, len(cfg.Nodes)),
+		target:      -1,
 	}
 	for i, n := range cfg.Nodes {
 		if _, dup := m.nodes[n.ID()]; dup {
@@ -579,9 +574,9 @@ func (m *Manager) SetCapW(w power.Watts) error {
 // pre-wakes powered-down nodes (in registration order, within the power
 // cap) until at least n are powered, and pre-sleeps surplus — idle
 // nodes beyond the floor are powered off now instead of waiting out the
-// idle timeout (tempered by the policy's PreSleepSlack headroom,
-// PreSleepMax per-call trim bound, and PreSleepDebounce persistence
-// gate). The floor also holds nodes warm when their idle timers fire.
+// idle timeout (tempered by the preSleepSlack headroom, preSleepMax
+// per-call trim bound, and preSleepDebounce persistence gate). The floor
+// also holds nodes warm when their idle timers fire.
 // n < 0 disables predictive control and returns the manager to pure
 // reactive behavior (already-warm nodes decay through the normal idle
 // countdown). The forecast controller calls this every tick; it is a
@@ -633,17 +628,17 @@ func (m *Manager) setWarm(n int, trim bool) {
 		}
 	}
 	// Pre-sleep the surplus, highest index first: idle, past the MinUp
-	// hysteresis, outside the PreSleepSlack band, and not holding the
-	// cluster below the floor. PreSleepMax rate-limits the trim per call;
+	// hysteresis, outside the preSleepSlack band, and not holding the
+	// cluster below the floor. preSleepMax rate-limits the trim per call;
 	// nodes it leaves powered keep their reactive idle countdown, so a
 	// genuine trough still drains them.
-	slack := m.preSleepSlack + int(math.Ceil(m.preSleepFrac*float64(n)))
+	slack := preSleepSlack + int(math.Ceil(preSleepSlackFrac*float64(n)))
 	if m.powered > n+slack {
 		m.trimStreak++
 	} else {
 		m.trimStreak = 0
 	}
-	if !trim || m.trimStreak <= m.preSleepDebounce {
+	if !trim || m.trimStreak <= preSleepDebounce {
 		m.mu.Unlock()
 		return
 	}
@@ -658,7 +653,7 @@ func (m *Manager) setWarm(n int, trim bool) {
 			nd.cancelIdle = nil
 		}
 		m.powerDownLocked(nd, "predictive trough", "predictive")
-		if trimmed++; m.preSleepMax > 0 && trimmed >= m.preSleepMax {
+		if trimmed++; trimmed >= preSleepMax {
 			break
 		}
 	}

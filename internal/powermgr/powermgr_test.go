@@ -279,8 +279,9 @@ func TestNoteFaultPowerCycles(t *testing.T) {
 
 // TestSetWarmTargetStateMachine tables the predictive-mode transitions:
 // pre-wake up to the floor, demand conversion mid-boot, floor holding
-// idle timers, pre-sleep of surplus, MinUp protecting fresh nodes, and
-// the return to reactive decay when the controller disengages.
+// idle timers, damped pre-sleep of surplus (one tick of debounce, then
+// one node per tick), MinUp protecting fresh nodes, and the return to
+// reactive decay when the controller disengages.
 func TestSetWarmTargetStateMachine(t *testing.T) {
 	const (
 		idle  = 4 * time.Second
@@ -328,11 +329,26 @@ func TestSetWarmTargetStateMachine(t *testing.T) {
 			want: map[string]string{"a": "on", "b": "on", "c": "on"},
 		},
 		{
-			name: "pre-sleep surplus keeps in-use node",
+			name: "first trough tick only arms the debounce",
 			run: func(r *rig) {
-				// Floor drops to 1 while a is granted: b and c (idle,
-				// past MinUp) pre-sleep immediately; a stays.
-				r.mgr.SetWarmTarget(1)
+				// Floor drops to 0 while a is granted: b and c are idle
+				// surplus, but one tick of surplus may be a forecast dip.
+				r.mgr.SetWarmTarget(0)
+			},
+			want: map[string]string{"a": "on", "b": "on", "c": "on"},
+		},
+		{
+			name: "persisting surplus pre-sleeps one node per tick, highest index first",
+			run: func(r *rig) {
+				r.mgr.SetWarmTarget(0)
+			},
+			want: map[string]string{"a": "on", "b": "on", "c": "off"},
+		},
+		{
+			name: "pre-sleep keeps the in-use node",
+			run: func(r *rig) {
+				r.mgr.SetWarmTarget(0) // trims b
+				r.mgr.SetWarmTarget(0) // only a is left, and it is granted
 			},
 			want: map[string]string{"a": "on", "b": "off", "c": "off"},
 		},
@@ -342,7 +358,8 @@ func TestSetWarmTargetStateMachine(t *testing.T) {
 				r.mgr.SetWarmTarget(2) // re-wakes b
 				// Advance just past b's boot; MinUp is not yet met.
 				r.engine.Run(r.engine.Now() + bootTime)
-				r.mgr.SetWarmTarget(0) // trough: trim everything idle
+				r.mgr.SetWarmTarget(0) // trough: arms the debounce
+				r.mgr.SetWarmTarget(0) // would trim b, were it not fresh
 			},
 			// b survives the trim (fresh); a survives (in use).
 			want: map[string]string{"a": "on", "b": "on", "c": "off"},
@@ -413,28 +430,27 @@ func TestSetWarmFloorNeverTrims(t *testing.T) {
 
 // TestPreSleepSlackAndDebounce tables the trim dampers: surplus within
 // the slack band is never trimmed, a surplus beyond it must persist for
-// more than PreSleepDebounce consecutive calls, and PreSleepMax bounds
-// each call's trims.
+// more than preSleepDebounce (1) consecutive calls, and preSleepMax (1)
+// bounds each call's trims.
 func TestPreSleepSlackAndDebounce(t *testing.T) {
-	r := newRig(t, 4, powermgr.Policy{
-		IdleTimeout:      time.Hour, // keep reactive decay out of the way
-		PreSleepSlack:    1,
-		PreSleepMax:      1,
-		PreSleepDebounce: 1,
-	})
+	r := newRig(t, 4, powermgr.Policy{IdleTimeout: time.Hour}) // keep reactive decay out of the way
 	r.mgr.SetWarmTarget(4)
 	r.engine.RunAll()
 	steps := []struct {
-		name string
-		want int // powered after one more SetWarmTarget(1)
+		name   string
+		target int
+		want   int // powered after one more SetWarmTarget(target)
 	}{
-		{"first surplus call only arms the debounce", 4},
-		{"second call trims, capped at PreSleepMax=1", 3},
-		{"third call trims the next one", 2},
-		{"at target+slack the trim disengages", 2},
+		{"first surplus call only arms the debounce", 0, 4},
+		{"a call without surplus resets the streak", 4, 4},
+		{"so the next surplus call only arms again", 0, 4},
+		{"second consecutive call trims, capped at one node", 0, 3},
+		{"third call trims the next one", 0, 2},
+		{"fourth call trims down to the slack band", 0, 1},
+		{"at target+slack the trim disengages", 0, 1},
 	}
 	for _, st := range steps {
-		r.mgr.SetWarmTarget(1)
+		r.mgr.SetWarmTarget(st.target)
 		r.engine.RunAll()
 		if got := r.mgr.PoweredUp(); got != st.want {
 			t.Fatalf("%s: powered = %d, want %d", st.name, got, st.want)
@@ -442,20 +458,29 @@ func TestPreSleepSlackAndDebounce(t *testing.T) {
 	}
 }
 
-// TestPreSleepSlackFrac pins the target-scaled slack: ceil(frac×target)
-// joins the flat headroom before any trim fires.
+// TestPreSleepSlackFrac pins the target-scaled slack: ceil(0.5×target)
+// joins the one node of flat headroom before any trim fires.
 func TestPreSleepSlackFrac(t *testing.T) {
-	r := newRig(t, 6, powermgr.Policy{
-		IdleTimeout:       time.Hour,
-		PreSleepSlackFrac: 0.5,
-	})
+	r := newRig(t, 6, powermgr.Policy{IdleTimeout: time.Hour})
 	r.mgr.SetWarmTarget(6)
 	r.engine.RunAll()
-	// slack = ceil(0.5×2) = 1 → trim down to target+1 = 3 in one call
-	// (PreSleepMax 0 = unbounded, PreSleepDebounce 0 = immediate).
-	r.mgr.SetWarmTarget(2)
-	if got := r.mgr.PoweredUp(); got != 3 {
-		t.Fatalf("powered = %d, want 3 (target 2 + ceil(0.5×2) slack)", got)
+	// Floor 2: slack = 1 + ceil(0.5×2) = 2, so the trim stops at 4 — one
+	// node above where the flat slack alone would.
+	for i := 0; i < 6; i++ {
+		r.mgr.SetWarmTarget(2)
+	}
+	if got := r.mgr.PoweredUp(); got != 4 {
+		t.Fatalf("powered = %d, want 4 (target 2 + 1 flat + ceil(0.5×2) scaled slack)", got)
+	}
+	// Floor 3 earns another node of headroom: 3 + 1 + ceil(0.5×3) = 6, so
+	// a cluster of 5 is inside the band and nothing ever trims.
+	r.mgr.SetWarmTarget(5)
+	r.engine.RunAll()
+	for i := 0; i < 6; i++ {
+		r.mgr.SetWarmTarget(3)
+	}
+	if got := r.mgr.PoweredUp(); got != 5 {
+		t.Fatalf("powered = %d, want 5 (inside floor 3's band of 6)", got)
 	}
 }
 

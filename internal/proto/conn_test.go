@@ -12,30 +12,9 @@ import (
 	"microfaas/internal/wire"
 )
 
-// loopWorker accepts connections and serves each with ServeLoop, echoing
-// args back as output — the persistent-session counterpart of echoWorker.
+// loopWorker echoes args back as output.
 func loopWorker(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				ServeLoop(c, func(req Request) Response { //nolint:errcheck
-					return Response{Output: req.Args}
-				})
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
+	return serveWorker(t, func(req Request) Response { return Response{Output: req.Args} })
 }
 
 // TestConnConcurrentInvokes hammers one multiplexed Conn from many
@@ -221,8 +200,13 @@ func TestConnRedialsAfterPeerHangup(t *testing.T) {
 			go func(c net.Conn) {
 				defer c.Close()
 				if oneShot {
-					Serve(c, func(req Request) Response { return Response{Output: req.Args} }) //nolint:errcheck
-					return                                                                     // hang up after one job, like a power-cycling node
+					// Answer one job, then hang up like a power-cycling node.
+					var scratch []byte
+					req, err := ReadRequest(bufio.NewReader(c), &scratch)
+					if err == nil {
+						WriteResponse(bufio.NewWriter(c), req, Response{Output: req.Args}) //nolint:errcheck
+					}
+					return
 				}
 				ServeLoop(c, func(req Request) Response { return Response{Output: req.Args} }) //nolint:errcheck
 			}(conn)

@@ -12,10 +12,6 @@
 // fails every in-flight call exactly once and redials lazily on the next
 // invoke, so the reboot-per-job execution model is untouched while the
 // per-invocation dial/teardown cost disappears.
-//
-// The one-shot Invoke/Serve pair remains for tools that genuinely want a
-// single exchange; the serve loop handles both shapes (a one-shot client
-// simply hangs up after its first response).
 package proto
 
 import (
@@ -34,7 +30,7 @@ import (
 type Request struct {
 	// RID is the connection-scoped request id used to pair responses with
 	// in-flight requests on a multiplexed connection. Servers echo it
-	// verbatim. Zero on one-shot connections.
+	// verbatim.
 	RID int64 `json:"rid,omitempty"`
 	// JobID correlates the response with the OP's queue entry.
 	JobID int64 `json:"job_id"`
@@ -290,37 +286,6 @@ func (c *Conn) Close() {
 	c.Reset("closed")
 }
 
-// Invoke performs one invocation against the worker at addr over a fresh
-// connection, with timeout covering dial + full round trip. It is the
-// one-shot form; steady-state callers hold a Conn instead.
-func Invoke(addr string, req Request, timeout time.Duration) (Response, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return Response{}, fmt.Errorf("proto: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return Response{}, fmt.Errorf("proto: deadline: %w", err)
-		}
-	}
-	w := bufio.NewWriter(conn)
-	if err := wire.WriteJSON(w, req); err != nil {
-		return Response{}, fmt.Errorf("proto: send: %w", err)
-	}
-	if err := w.Flush(); err != nil {
-		return Response{}, fmt.Errorf("proto: send: %w", err)
-	}
-	var resp Response
-	if err := wire.ReadJSON(bufio.NewReader(conn), &resp); err != nil {
-		return Response{}, fmt.Errorf("proto: recv: %w", err)
-	}
-	if resp.JobID != req.JobID {
-		return Response{}, fmt.Errorf("proto: response for job %d, expected %d", resp.JobID, req.JobID)
-	}
-	return resp, nil
-}
-
 // ReadRequest reads one framed Request from br, reusing *scratch for the
 // payload. Servers that loop over a connection hold one bufio.Reader and
 // one scratch buffer for its lifetime and read every request with zero
@@ -369,16 +334,4 @@ func ServeLoop(conn net.Conn, handle func(Request) Response) error {
 			return err
 		}
 	}
-}
-
-// Serve handles exactly one invocation on conn: read a Request, call
-// handle, write the Response. The caller owns the connection lifecycle.
-func Serve(conn net.Conn, handle func(Request) Response) error {
-	br := bufio.NewReader(conn)
-	var scratch []byte
-	req, err := ReadRequest(br, &scratch)
-	if err != nil {
-		return err
-	}
-	return WriteResponse(bufio.NewWriter(conn), req, handle(req))
 }

@@ -3,13 +3,13 @@ package proto
 import (
 	"bytes"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
 
-// echoWorker accepts connections and serves one invocation each, echoing
-// args back as output with fixed timings.
-func echoWorker(t *testing.T) string {
+// serveWorker accepts connections and serves each with ServeLoop.
+func serveWorker(t *testing.T, handle func(Request) Response) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -24,22 +24,34 @@ func echoWorker(t *testing.T) string {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				Serve(c, func(req Request) Response { //nolint:errcheck
-					if req.Function == "fail" {
-						return Response{Err: "requested failure"}
-					}
-					return Response{Output: req.Args, BootMs: 1510, OverheadMs: 42.5, ExecMs: 100}
-				})
+				ServeLoop(c, handle) //nolint:errcheck
 			}(conn)
 		}
 	}()
 	return ln.Addr().String()
 }
 
+// echoWorker echoes args back as output with fixed timings.
+func echoWorker(t *testing.T) string {
+	return serveWorker(t, func(req Request) Response {
+		if req.Function == "fail" {
+			return Response{Err: "requested failure"}
+		}
+		return Response{Output: req.Args, BootMs: 1510, OverheadMs: 42.5, ExecMs: 100}
+	})
+}
+
+// invoke performs one invocation over a fresh Conn to addr.
+func invoke(addr string, req Request, timeout time.Duration) (Response, error) {
+	c := NewConn(addr)
+	defer c.Close()
+	return c.Invoke(req, timeout)
+}
+
 func TestInvokeRoundTrip(t *testing.T) {
 	addr := echoWorker(t)
 	args := []byte(`{"rounds":3}`)
-	resp, err := Invoke(addr, Request{JobID: 9, Function: "CascSHA", Args: args}, 2*time.Second)
+	resp, err := invoke(addr, Request{JobID: 9, Function: "CascSHA", Args: args}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +71,7 @@ func TestInvokeRoundTrip(t *testing.T) {
 
 func TestInvokeCarriesWorkerError(t *testing.T) {
 	addr := echoWorker(t)
-	resp, err := Invoke(addr, Request{JobID: 1, Function: "fail"}, 2*time.Second)
+	resp, err := invoke(addr, Request{JobID: 1, Function: "fail"}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +81,7 @@ func TestInvokeCarriesWorkerError(t *testing.T) {
 }
 
 func TestInvokeDialFailure(t *testing.T) {
-	if _, err := Invoke("127.0.0.1:1", Request{JobID: 1, Function: "x"}, 200*time.Millisecond); err == nil {
+	if _, err := invoke("127.0.0.1:1", Request{JobID: 1, Function: "x"}, 200*time.Millisecond); err == nil {
 		t.Fatal("invoking a dead address succeeded")
 	}
 }
@@ -92,7 +104,7 @@ func TestInvokeTimeout(t *testing.T) {
 		}
 	}()
 	start := time.Now()
-	_, err = Invoke(ln.Addr().String(), Request{JobID: 1, Function: "x"}, 150*time.Millisecond)
+	_, err = invoke(ln.Addr().String(), Request{JobID: 1, Function: "x"}, 150*time.Millisecond)
 	if err == nil {
 		t.Fatal("silent worker did not time out")
 	}
@@ -104,15 +116,18 @@ func TestInvokeTimeout(t *testing.T) {
 func TestServeRejectsGarbage(t *testing.T) {
 	client, server := net.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- Serve(server, func(Request) Response { return Response{} }) }()
+	go func() { done <- ServeLoop(server, func(Request) Response { return Response{} }) }()
 	client.Write([]byte{0, 0, 0, 4, 'n', 'o', 'p', 'e'}) //nolint:errcheck
 	client.Close()
 	if err := <-done; err == nil {
-		t.Fatal("Serve accepted a garbage frame")
+		t.Fatal("ServeLoop accepted a garbage frame")
 	}
 }
 
 func TestJobIDMismatchDetected(t *testing.T) {
+	// WriteResponse forces resp.JobID = req.JobID, so the mismatch comes
+	// from a raw listener that answers the Conn's first request (rid 1)
+	// with a fixed frame for another job.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -124,30 +139,14 @@ func TestJobIDMismatchDetected(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		// Deliberately reply with the wrong job id.
-		Serve(conn, func(req Request) Response { return Response{} }) //nolint:errcheck
-	}()
-	// Serve forces resp.JobID = req.JobID, so craft a raw mismatch instead:
-	// easiest is a second listener that writes a fixed frame.
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln2.Close()
-	go func() {
-		conn, err := ln2.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
 		buf := make([]byte, 1024)
 		conn.Read(buf) //nolint:errcheck
-		// {"job_id":999}
-		body := []byte(`{"job_id":999}`)
+		body := []byte(`{"rid":1,"job_id":999}`)
 		frame := append([]byte{0, 0, 0, byte(len(body))}, body...)
 		conn.Write(frame) //nolint:errcheck
 	}()
-	if _, err := Invoke(ln2.Addr().String(), Request{JobID: 1, Function: "x"}, time.Second); err == nil {
-		t.Fatal("mismatched job id accepted")
+	_, err = invoke(ln.Addr().String(), Request{JobID: 1, Function: "x"}, time.Second)
+	if err == nil || !strings.Contains(err.Error(), "response for job 999") {
+		t.Fatalf("mismatched job id: err = %v, want the mismatch reported", err)
 	}
 }

@@ -1,12 +1,9 @@
 package sqlstore
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"microfaas/internal/wire"
@@ -50,15 +47,11 @@ func normalizeValues(rows [][]Value) error {
 	return nil
 }
 
-// Server serves a Database over the framed JSON protocol.
+// Server serves a Database over the framed JSON protocol. The embedded
+// wire.Server owns the TCP lifecycle (Listen, Close).
 type Server struct {
+	wire.Server
 	db *Database
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer returns a server backed by db (a fresh database if nil).
@@ -66,112 +59,26 @@ func NewServer(db *Database) *Server {
 	if db == nil {
 		db = NewDatabase()
 	}
-	return &Server{db: db, conns: make(map[net.Conn]struct{})}
+	s := &Server{db: db}
+	s.Name = "sqlstore"
+	s.Serve = wire.ServeJSON(s.handle)
+	return s
 }
 
 // Database returns the underlying database.
 func (s *Server) Database() *Database { return s.db }
 
-// Listen binds to addr and serves in the background, returning the bound
-// address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+func (s *Server) handle(req request) response {
+	res, err := s.db.Exec(req.Query)
 	if err != nil {
-		return "", fmt.Errorf("sqlstore: listen: %w", err)
+		return response{Error: err.Error()}
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return "", errors.New("sqlstore: server already closed")
-	}
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-// Close stops the server and waits for connection handlers.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		var req request
-		if err := wire.ReadJSON(r, &req); err != nil {
-			return
-		}
-		var resp response
-		res, err := s.db.Exec(req.Query)
-		if err != nil {
-			resp.Error = err.Error()
-		} else {
-			resp.Columns = res.Columns
-			resp.Rows = res.Rows
-			resp.Affected = res.Affected
-		}
-		if err := wire.WriteJSON(w, resp); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
+	return response{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}
 }
 
 // Client speaks the framed JSON protocol to a sqlstore server.
 type Client struct {
-	conn    net.Conn
-	r       *bufio.Reader
-	w       *bufio.Writer
-	timeout time.Duration // per-operation I/O deadline (0 = none)
+	c *wire.Client
 }
 
 // Dial connects to a sqlstore server with the given timeout, matching
@@ -180,33 +87,22 @@ type Client struct {
 // mid-conversation fails the call instead of hanging the worker forever.
 // A zero timeout disables both bounds.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	c, err := wire.Dial("sqlstore", addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("sqlstore: dial %s: %w", addr, err)
+		return nil, err
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), timeout: timeout}, nil
+	return &Client{c: c}, nil
 }
 
 // Close terminates the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.c.Close() }
 
 // Query executes one SQL statement on the server. Each call runs under
 // the client's dial timeout as an I/O deadline: a backend that goes
 // silent mid-conversation fails the query instead of hanging it.
 func (c *Client) Query(sql string) (*Result, error) {
-	if c.timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-			return nil, fmt.Errorf("sqlstore: deadline: %w", err)
-		}
-	}
-	if err := wire.WriteJSON(c.w, request{Query: sql}); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
 	var resp response
-	if err := wire.ReadJSON(c.r, &resp); err != nil {
+	if err := c.c.Call(request{Query: sql}, &resp, 0); err != nil {
 		return nil, err
 	}
 	if resp.Error != "" {

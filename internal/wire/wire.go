@@ -1,7 +1,16 @@
-// Package wire implements the length-framed JSON message format shared by
-// the cluster's TCP protocols: the OP↔worker invocation protocol
-// (internal/proto), the message-queue protocol (internal/mq), and the SQL
-// protocol (internal/sqlstore).
+// Package wire is what the cluster's TCP services share: the length-framed
+// JSON message format, and the one service lifecycle and client built on
+// it.
+//
+// The frame codec (WriteJSON, ReadFrame, ReadJSON, ReadJSONInto) carries
+// the OP↔worker invocation protocol (internal/proto), the message-queue
+// protocol (internal/mq) and the SQL protocol (internal/sqlstore). Server
+// is the listen / accept / track-connections / close machine all of them
+// run on — kvstore, sqlstore, mq and the live worker embed it and supply
+// only their protocol — with ServeJSON as the read-frame/answer-frame loop
+// and Client as its calling half (per-operation I/O deadlines included).
+// Two protocols bring their own framing: kvstore speaks RESP (over Server,
+// with its own client) and objstore speaks HTTP (over net/http).
 //
 // Every frame is a 4-byte big-endian payload length followed by a JSON
 // body. JSON keeps the protocols debuggable with nothing but netcat, which
