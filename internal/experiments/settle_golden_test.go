@@ -39,7 +39,7 @@ func compareGolden(t *testing.T, name string, buf []byte) {
 		t.Fatalf("missing golden (run with -update-settle-golden): %v", err)
 	}
 	if !bytes.Equal(buf, want) {
-		t.Fatalf("output drifted from the PR 14 golden (%d bytes, want %d); diff a -update-settle-golden render against %s", len(buf), len(want), path)
+		t.Fatalf("output drifted from the committed golden (%d bytes, want %d); diff a -update-settle-golden render against %s", len(buf), len(want), path)
 	}
 }
 

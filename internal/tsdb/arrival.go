@@ -124,7 +124,7 @@ func (a *arrivalTracker) update(s *Store, now, interval time.Duration) {
 		// Sum the counter across shards, in series order.
 		total := 0.0
 		for _, sr := range st.subs {
-			total += sr.raw.newest().Value
+			total += sr.open.value
 		}
 		if !st.seeded || interval <= 0 {
 			st.lastTotal = total
@@ -155,7 +155,7 @@ func (a *arrivalTracker) update(s *Store, now, interval time.Duration) {
 			}
 		}
 		for i, v := range [4]float64{rate, st.ewma, mean, max} {
-			st.out[i].push(now, v)
+			st.out[i].push(v)
 		}
 	}
 }

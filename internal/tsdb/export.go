@@ -25,11 +25,12 @@ func (s *Store) WriteNDJSON(w io.Writer, metric string, match map[string]string,
 	defer s.mu.Unlock()
 	from := time.Duration(0)
 	if window > 0 {
-		if from = s.lastAt - window; from < 0 {
+		if from = s.clk.last() - window; from < 0 {
 			from = 0
 		}
 	}
 	bw := bufio.NewWriter(w)
+	var line []byte // one buffer for every line of the export
 	names := s.names
 	if metric != "" {
 		names = []string{metric}
@@ -43,7 +44,8 @@ func (s *Store) WriteNDJSON(w io.Writer, metric string, match map[string]string,
 			if !matchesAll(sr.labels, match) {
 				continue
 			}
-			if err := writeSeriesNDJSON(bw, name, sr, from); err != nil {
+			var err error
+			if line, err = writeSeriesNDJSON(bw, line, name, sr, from); err != nil {
 				return err
 			}
 		}
@@ -51,21 +53,22 @@ func (s *Store) WriteNDJSON(w io.Writer, metric string, match map[string]string,
 	return bw.Flush()
 }
 
-// writeSeriesNDJSON streams one series' windowed points.
-func writeSeriesNDJSON(w *bufio.Writer, name string, sr *series, from time.Duration) error {
-	prefix := `{"metric":` + jsonString(name) + `,"labels":{` + jsonLabels(sr.labels) + `},"at_ms":`
+// writeSeriesNDJSON streams one series' windowed points, building each
+// line in line (returned for the next series to reuse): the series'
+// prefix once, then per point only the two numbers after it.
+func writeSeriesNDJSON(w *bufio.Writer, line []byte, name string, sr *series, from time.Duration) ([]byte, error) {
+	line = append(line[:0], `{"metric":`+jsonString(name)+`,"labels":{`+jsonLabels(sr.labels)+`},"at_ms":`...)
+	prefix := len(line)
 	var err error
-	sr.raw.ascend(from, func(p Point) bool {
-		_, werr := w.WriteString(prefix +
-			jsonFloat(float64(p.At)/float64(time.Millisecond)) +
-			`,"value":` + jsonFloat(p.Value) + "}\n")
-		if werr != nil {
-			err = werr
-			return false
-		}
-		return true
+	sr.ascend(from, func(p Point) bool {
+		line = appendJSONFloat(line[:prefix], float64(p.At)/float64(time.Millisecond))
+		line = append(line, `,"value":`...)
+		line = appendJSONFloat(line, p.Value)
+		line = append(line, "}\n"...)
+		_, err = w.Write(line)
+		return err == nil
 	})
-	return err
+	return line, err
 }
 
 // jsonLabels renders a label map as sorted JSON members (no braces).

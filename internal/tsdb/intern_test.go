@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"microfaas/internal/telemetry"
 )
@@ -28,12 +29,9 @@ func shippedRules(t *testing.T) []Rule {
 func scrapeBySnapshot(s *Store, now time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var interval time.Duration
-	if s.scrapes > 0 {
-		if now <= s.lastAt {
-			return
-		}
-		interval = now - s.lastAt
+	interval, ok := s.tickLocked(now)
+	if !ok {
+		return
 	}
 	for _, src := range s.sources {
 		extra := ""
@@ -41,13 +39,11 @@ func scrapeBySnapshot(s *Store, now time.Duration) {
 			extra = "shard"
 		}
 		for _, smp := range src.reg.Snapshot(extra, src.shard) {
-			s.seriesLocked(smp.Name, smp.Labels).push(now, smp.Value)
+			s.seriesLocked(smp.Name, smp.Labels).push(smp.Value)
 		}
 	}
 	s.arrival.update(s, now, interval)
 	s.slo.eval(s, now)
-	s.lastAt = now
-	s.scrapes++
 }
 
 // growingCluster is a set of registries that random steps mutate: values
@@ -180,90 +176,173 @@ func TestInternedScrapeMatchesSnapshotIngest(t *testing.T) {
 	}
 }
 
-// TestPointRingGrowsInChunks checks a raw ring against a plain slice of
-// everything pushed: it starts at no more than rawChunk points, never
-// holds more than its bound, and retains exactly the newest points.
-func TestPointRingGrowsInChunks(t *testing.T) {
-	for _, bound := range []int{1, 5, rawChunk, 100, 4 * rawChunk} {
-		r := newPointRing(bound)
-		if cap(r.buf) > rawChunk || cap(r.buf) > bound {
-			t.Fatalf("bound %d: first allocation holds %d points", bound, cap(r.buf))
+// warmKeep is the sample capacity of warmedStore's series.
+const warmKeep = 8
+
+// warmedStore returns a store over two registries, scraped 200 times
+// while every counter and histogram moved, so runs and tiers are at their
+// bounds and nothing is left to grow. tick moves them all again and
+// scrapes; idle scrapes alone.
+func warmedStore(t *testing.T, rules []Rule) (store *Store, tick, idle func()) {
+	store = New(Config{RawCapacity: warmKeep, TierCapacity: 2})
+	if err := store.SetRules(rules); err != nil {
+		t.Fatal(err)
+	}
+	var counters []*telemetry.Counter
+	var hists []*telemetry.Histogram
+	for s := 0; s < 2; s++ {
+		reg := telemetry.NewRegistry()
+		for f := 0; f < 4; f++ {
+			fn := fmt.Sprintf("fn-%02d", f)
+			counters = append(counters,
+				reg.Counter(MetricSubmittedByFunction, "Submitted.", "function", fn),
+				reg.Counter(DefaultErrorMetric, "Outcomes.", "function", fn, "result", "ok"),
+				reg.Counter(DefaultEnergyMetric, "Joules.", "function", fn))
+			reg.Counter(DefaultErrorMetric, "Outcomes.", "function", fn, "result", "error")
+			hists = append(hists, reg.Histogram(DefaultLatencyMetric, "Latency.", latencyBuckets, "function", fn))
 		}
-		for n := 1; n <= 3*bound+2; n++ {
-			r.push(Point{At: time.Duration(n), Value: float64(n)})
-			if cap(r.buf) > bound {
-				t.Fatalf("bound %d: buffer grew to %d points", bound, cap(r.buf))
+		reg.GaugeFunc("microfaas_cluster_power_watts", "Draw.", func() float64 { return 19.6 })
+		store.AddSource(fmt.Sprintf("shard-%02d", s), reg)
+	}
+	now := time.Duration(0)
+	idle = func() {
+		now += time.Second
+		store.Scrape(now)
+	}
+	tick = func() {
+		for _, c := range counters {
+			c.Add(2)
+		}
+		for _, h := range hists {
+			h.Observe(0.5)
+		}
+		idle()
+	}
+	for i := 0; i < 200; i++ { // past both tiers' capacity: 2 × 1m
+		tick()
+	}
+	return store, tick, idle
+}
+
+// withAndWithoutRules runs f against a store with no SLO rules and one
+// with the shipped rule file.
+func withAndWithoutRules(t *testing.T, f func(t *testing.T, rules []Rule)) {
+	t.Run("no rules", func(t *testing.T) { f(t, nil) })
+	t.Run("shipped rules", func(t *testing.T) { f(t, shippedRules(t)) })
+}
+
+// TestScrapeSteadyStateAllocs pins the cost of a scrape that meets no
+// new series on a warmed store: the walk, the per-ordinal lookup, a run
+// closed and another opened per moving series, the arrival tracker and a
+// rule evaluation that flips no alert allocate nothing.
+func TestScrapeSteadyStateAllocs(t *testing.T) {
+	withAndWithoutRules(t, func(t *testing.T, rules []Rule) {
+		store, tick, _ := warmedStore(t, rules)
+		if got := allocsPerRun(100, tick); got != 0 {
+			t.Errorf("%v allocations per steady-state scrape, want 0", got)
+		}
+		if len(store.ActiveAlerts()) != 0 {
+			t.Error("an alert fired; the scenario is meant to stay quiet")
+		}
+	})
+}
+
+// TestScrapeUnchangedWritesNothing scrapes the warmed store over
+// registries nobody touches any more: every scraped series extends its
+// open run — none is closed, so none is opened — until that one run is
+// all it retains, and nothing allocates. (The arrival tracker's own
+// series do move: the rates fall to zero and the EWMA decays.)
+func TestScrapeUnchangedWritesNothing(t *testing.T) {
+	withAndWithoutRules(t, func(t *testing.T, rules []Rule) {
+		store, _, idle := warmedStore(t, rules)
+		scraped := func(visit func(name string, sr *series)) {
+		names:
+			for _, name := range store.names {
+				for _, derived := range arrivalMetrics {
+					if name == derived {
+						continue names
+					}
+				}
+				for _, sr := range store.metrics[name].order {
+					visit(name, sr)
+				}
 			}
-			kept := n
-			if kept > bound {
-				kept = bound
+		}
+		for i := 0; i < warmKeep; i++ {
+			ends := map[*series]int64{}
+			scraped(func(_ string, sr *series) { ends[sr] = sr.open.first + sr.open.n })
+			idle()
+			scraped(func(name string, sr *series) {
+				if end := sr.open.first + sr.open.n; end != ends[sr]+1 {
+					t.Fatalf("idle scrape %d: %s %v: open run ends at scrape %d, was %d: a run was opened",
+						i, name, sr.labels, end, ends[sr])
+				}
+			})
+		}
+		scraped(func(name string, sr *series) {
+			if sr.runs() != 1 || sr.open.n != warmKeep {
+				t.Fatalf("%s %v: %d runs, the open one of %d samples; want one run of %d",
+					name, sr.labels, sr.runs(), sr.open.n, warmKeep)
 			}
-			if r.len() != kept || r.newest().Value != float64(n) || r.at(0).Value != float64(n-kept+1) {
-				t.Fatalf("bound %d after %d pushes: %d retained, oldest %v, newest %v",
-					bound, n, r.len(), r.at(0), r.newest())
+		})
+		if got := allocsPerRun(100, idle); got != 0 {
+			t.Errorf("%v allocations per scrape of unchanged registries, want 0", got)
+		}
+	})
+}
+
+// TestConstantSeriesMemoryIsFlat scrapes one gauge that never moves. While
+// its samples fit the series' capacity it is one inline run with nothing
+// behind it — no run ring, no tier bucket — after 10 scrapes and after
+// 10,000, and the scrapes in between allocate nothing. At the default
+// capacity the 10,000 outlast it: the run is trimmed to the newest 1,024
+// samples, still inline, and the tiers hold what was let go, up to their
+// own bound.
+func TestConstantSeriesMemoryIsFlat(t *testing.T) {
+	held := func(sr *series) int {
+		return cap(sr.closed.buf)*int(unsafe.Sizeof(run{})) + (cap(sr.t1.buf)+cap(sr.t2.buf))*int(unsafe.Sizeof(Bucket{}))
+	}
+	for _, capacity := range []int{10000, DefaultRawCapacity} {
+		store := New(Config{RawCapacity: capacity})
+		reg := telemetry.NewRegistry()
+		reg.Gauge("level", "Constant.").Set(0.1)
+		store.AddSource("", reg)
+		now := time.Duration(0)
+		scrape := func() {
+			now += time.Second
+			store.Scrape(now)
+		}
+		for i := 0; i < 10; i++ {
+			scrape()
+		}
+		sr := store.metrics["level"].order[0]
+		if got := held(sr); got != 0 {
+			t.Fatalf("capacity %d: %d bytes behind the series after 10 scrapes, want 0", capacity, got)
+		}
+		allocs := allocsPerRun(9990-1, scrape) // AllocsPerRun warms up with one more
+		if sr.runs() != 1 || sr.open.n != int64(capacity) || cap(sr.closed.buf) != 0 {
+			t.Fatalf("capacity %d: %d runs, the open one of %d samples, a run ring of %d; want one inline run of %d",
+				capacity, sr.runs(), sr.open.n, cap(sr.closed.buf), capacity)
+		}
+		if capacity == 10000 {
+			if got := held(sr); got != 0 || allocs != 0 {
+				t.Fatalf("%d bytes behind the series after 10,000 scrapes and %v allocations per scrape, want 0 and 0", got, allocs)
 			}
-			// covers: everything is retained until the first eviction.
-			if got, want := r.covers(0), n <= bound; got != want {
-				t.Fatalf("bound %d after %d pushes: covers(0) = %v", bound, n, got)
-			}
+		} else if sr.t1.len() != DefaultTierCapacity || sr.t2.len() > DefaultTierCapacity {
+			t.Fatalf("tiers hold %d and %d buckets, bound %d", sr.t1.len(), sr.t2.len(), DefaultTierCapacity)
 		}
 	}
 }
 
-// TestScrapeSteadyStateAllocs pins the cost of a scrape that meets no
-// new series on a warmed store (rings and tiers full, so nothing grows):
-// the walk, the per-ordinal lookup, the ring pushes, the arrival tracker
-// and a rule evaluation that flips no alert allocate nothing.
-func TestScrapeSteadyStateAllocs(t *testing.T) {
+// allocsPerRun is testing.AllocsPerRun, except that under the race
+// detector — which allocates on its own account — it only runs f, as
+// many times (the warm-up call included).
+func allocsPerRun(runs int, f func()) float64 {
 	if raceEnabled {
-		t.Skip("the race detector allocates on its own account")
+		for i := 0; i <= runs; i++ {
+			f()
+		}
+		return 0
 	}
-	for _, tc := range []struct {
-		name  string
-		rules []Rule
-	}{
-		{"no rules", nil},
-		{"shipped rules", shippedRules(t)},
-	} {
-		store := New(Config{RawCapacity: 8, TierCapacity: 2})
-		if err := store.SetRules(tc.rules); err != nil {
-			t.Fatal(err)
-		}
-		var counters []*telemetry.Counter
-		var hists []*telemetry.Histogram
-		for s := 0; s < 2; s++ {
-			reg := telemetry.NewRegistry()
-			for f := 0; f < 4; f++ {
-				fn := fmt.Sprintf("fn-%02d", f)
-				counters = append(counters,
-					reg.Counter(MetricSubmittedByFunction, "Submitted.", "function", fn),
-					reg.Counter(DefaultErrorMetric, "Outcomes.", "function", fn, "result", "ok"),
-					reg.Counter(DefaultEnergyMetric, "Joules.", "function", fn))
-				reg.Counter(DefaultErrorMetric, "Outcomes.", "function", fn, "result", "error")
-				hists = append(hists, reg.Histogram(DefaultLatencyMetric, "Latency.", latencyBuckets, "function", fn))
-			}
-			reg.GaugeFunc("microfaas_cluster_power_watts", "Draw.", func() float64 { return 19.6 })
-			store.AddSource(fmt.Sprintf("shard-%02d", s), reg)
-		}
-		now := time.Duration(0)
-		tick := func() {
-			for _, c := range counters {
-				c.Add(2)
-			}
-			for _, h := range hists {
-				h.Observe(0.5)
-			}
-			now += time.Second
-			store.Scrape(now)
-		}
-		for i := 0; i < 200; i++ { // past both tiers' capacity: 2 × 1m
-			tick()
-		}
-		if got := testing.AllocsPerRun(100, tick); got != 0 {
-			t.Errorf("%s: %v allocations per steady-state scrape, want 0", tc.name, got)
-		}
-		if len(store.ActiveAlerts()) != 0 {
-			t.Errorf("%s: an alert fired; the scenario is meant to stay quiet", tc.name)
-		}
-	}
+	return testing.AllocsPerRun(runs, f)
 }

@@ -93,7 +93,7 @@ func (s *Store) Query(q Query) ([]SeriesResult, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	from := s.lastAt - q.Window
+	from := s.clk.last() - q.Window
 	if from < 0 {
 		from = 0
 	}

@@ -1,10 +1,20 @@
 // Package tsdb is the platform's embedded time-series store: a
 // dependency-free, bounded-memory recorder that scrapes telemetry
 // registries on the capacity-aggregator tick (virtual clock in sim
-// mode, wall clock in live mode) into per-series ring buffers with two
+// mode, wall clock in live mode) into per-label-set series with two
 // downsample tiers (raw → 10s → 1m), plus a small windowed query
 // engine (rate, increase, avg/min/max/last_over_time, histogram
-// quantile_over_time via bucket merge) over per-label-set series.
+// quantile_over_time via bucket merge) over them.
+//
+// Storage: most series do not move between two scrapes, so a series
+// holds its raw samples as runs — a value, the scrape it was first seen
+// at and how many scrapes it lasted — against one store-wide clock of
+// scrape offsets. A sample that repeats the one before it bumps a count;
+// only a changed value writes anything. Config.RawCapacity still bounds
+// a series in samples (the oldest run is trimmed a sample at a time), a
+// sample is folded into the tiers when it leaves the runs or when a tier
+// is read, whichever is first, and every read answers bit for bit what a
+// ring of one Point per scrape folded at every push would.
 //
 // On top of the store sit two consumers:
 //
@@ -25,6 +35,7 @@
 package tsdb
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,7 +48,7 @@ import (
 
 // Defaults for Config zero values.
 const (
-	// DefaultRawCapacity is the per-series raw ring size in points.
+	// DefaultRawCapacity is how many raw samples a series retains.
 	DefaultRawCapacity = 1024
 	// DefaultTierCapacity is the per-series per-tier ring size in buckets.
 	DefaultTierCapacity = 512
@@ -51,8 +62,8 @@ const (
 
 // Config tunes a Store.
 type Config struct {
-	// RawCapacity bounds each series' raw ring (default
-	// DefaultRawCapacity points; the oldest points are overwritten).
+	// RawCapacity is how many raw samples each series retains (default
+	// DefaultRawCapacity; the oldest go first, into the tiers).
 	RawCapacity int
 	// TierCapacity bounds each downsample tier's ring (default
 	// DefaultTierCapacity buckets per tier).
@@ -111,21 +122,24 @@ type source struct {
 	byOrd []*series // indexed by registry series ordinal; nil = not yet seen
 }
 
-// series is one (metric, label set) stream: the raw ring plus its two
-// downsample tiers.
+// series is one (metric, label set) stream: its newest samples as runs
+// of equal values against the store's scrape clock, and the two
+// downsample tiers that remember what the runs have let go.
 type series struct {
+	// What a push of an unchanged value reads and writes comes first, so
+	// it is one cache line of the tens of thousands a scrape visits.
+	clk  *clock
+	open run // the newest run, inline; n is 0 until the first push
+	// total counts the samples ever pushed; the oldest evicted of them
+	// are gone from the runs and the oldest folded are in the tiers, with
+	// evicted <= folded <= total.
+	total, evicted, folded int64
+
+	closed runRing // the runs before open
+	t1, t2 bucketRing
 	labels map[string]string
 	le     float64 // the parsed le label; hasLE is false when absent or malformed
 	hasLE  bool
-	raw    pointRing
-	t1, t2 bucketRing
-}
-
-// push appends one sample to the raw ring and both downsample tiers.
-func (sr *series) push(now time.Duration, value float64) {
-	sr.raw.push(Point{At: now, Value: value})
-	sr.t1.push(now, value)
-	sr.t2.push(now, value)
 }
 
 // metricSeries indexes every series of one metric name, preserving
@@ -144,8 +158,7 @@ type Store struct {
 	sources []source
 	metrics map[string]*metricSeries
 	names   []string // metric names, first-seen order
-	lastAt  time.Duration
-	scrapes int64
+	clk     clock
 
 	arrival *arrivalTracker
 	slo     *sloEngine
@@ -175,6 +188,7 @@ func New(cfg Config) *Store {
 	s := &Store{
 		cfg:     cfg,
 		metrics: make(map[string]*metricSeries),
+		clk:     clock{keep: cfg.RawCapacity},
 		alerts:  telemetry.NewEventLog(cfg.AlertCapacity),
 	}
 	s.arrival = newArrivalTracker(cfg.EWMAAlpha, cfg.ArrivalWindow)
@@ -206,15 +220,9 @@ func (s *Store) Scrape(now time.Duration) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var interval time.Duration
-	if s.scrapes > 0 {
-		if now <= s.lastAt {
-			// Same-instant double sample (a scheduled scrape coinciding
-			// with a tick) adds nothing; a backwards clock would corrupt
-			// the rings' time order.
-			return
-		}
-		interval = now - s.lastAt
+	interval, ok := s.tickLocked(now)
+	if !ok {
+		return
 	}
 	for i := range s.sources {
 		src := &s.sources[i]
@@ -226,13 +234,28 @@ func (s *Store) Scrape(now time.Duration) {
 			if sr == nil {
 				sr = s.internLocked(src, ord, ref)
 			}
-			sr.push(now, value)
+			sr.push(value)
 		})
 	}
 	s.arrival.update(s, now, interval)
 	s.slo.eval(s, now)
-	s.lastAt = now
-	s.scrapes++
+}
+
+// tickLocked advances the scrape clock to now, the stamp of every sample
+// pushed until the next call, and returns the time since the previous
+// scrape (0 on the first). A now that is not after it moves nothing and
+// returns ok false: a same-instant double sample (a scheduled scrape
+// coinciding with a tick) adds nothing, and a backwards clock would
+// corrupt the series' time order. Caller holds s.mu.
+func (s *Store) tickLocked(now time.Duration) (interval time.Duration, ok bool) {
+	if s.clk.scrapes() > 0 {
+		if now <= s.clk.last() {
+			return 0, false
+		}
+		interval = now - s.clk.last()
+	}
+	s.clk.tick(now)
+	return interval, true
 }
 
 // LastScrape returns the clock offset of the most recent scrape and how
@@ -243,7 +266,7 @@ func (s *Store) LastScrape() (time.Duration, int64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lastAt, s.scrapes
+	return s.clk.last(), s.clk.scrapes()
 }
 
 // internLocked resolves a registry series met for the first time — at
@@ -278,7 +301,7 @@ func (s *Store) seriesLocked(name string, labels map[string]string) *series {
 	if !ok {
 		sr = &series{
 			labels: labels,
-			raw:    newPointRing(s.cfg.RawCapacity),
+			clk:    &s.clk,
 			t1:     bucketRing{res: s.cfg.Tier1, cap: s.cfg.TierCapacity},
 			t2:     bucketRing{res: s.cfg.Tier2, cap: s.cfg.TierCapacity},
 		}
@@ -385,16 +408,17 @@ func labelsKey(labels map[string]string) string {
 	return b.String()
 }
 
-// jsonFloat renders a float for JSON output, spelling non-finite values
-// as quoted strings (encoding/json rejects bare Inf/NaN).
-func jsonFloat(v float64) string {
-	s := strconv.FormatFloat(v, 'g', -1, 64)
-	switch s {
-	case "+Inf", "-Inf", "NaN":
-		return `"` + s + `"`
+// appendJSONFloat appends a float as JSON renders it, spelling non-finite
+// values as quoted strings (encoding/json rejects bare Inf/NaN).
+func appendJSONFloat(b []byte, v float64) []byte {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return append(strconv.AppendFloat(append(b, '"'), v, 'g', -1, 64), '"')
 	}
-	return s
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
+
+// jsonFloat is appendJSONFloat as a string.
+func jsonFloat(v float64) string { return string(appendJSONFloat(nil, v)) }
 
 // matchesAll reports whether every matcher pair is present in labels.
 func matchesAll(labels map[string]string, match map[string]string) bool {
