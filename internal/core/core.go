@@ -306,6 +306,11 @@ type workerSlot struct {
 	// (-1 while assignable). Exactly one is >= 0 at any time.
 	eligPos   int
 	parolePos int
+	// loadPos is this slot's index in the load index (-1 once detached);
+	// queued is the queue depth loadChangedLocked last published, the
+	// slot's share of Orchestrator.queued.
+	loadPos int
+	queued  int
 
 	// detached marks a slot spliced out by RemoveWorker: it takes no new
 	// assignments but stays alive for its in-flight attempt.
@@ -504,7 +509,12 @@ type Orchestrator struct {
 	// ejected slots keyed by reopen time.
 	eligible []*workerSlot
 	parole   paroleHeap
-	parked   map[int64]*parkedRetry
+	// load indexes every attached slot by (ejected, load, idx) for the
+	// least-loaded policy; queued is the running total of their queue
+	// depths. loadChangedLocked maintains both.
+	load   loadIndex
+	queued int
+	parked map[int64]*parkedRetry
 	// budgets holds per-function energy accounting (nil entries never
 	// exist; functions without a budget are simply absent). throttled
 	// parks budget-held submissions by job id, abandoned by Drain exactly
@@ -687,6 +697,7 @@ func New(cfg Config) (*Orchestrator, error) {
 		slots:            make([]*workerSlot, 0, len(cfg.Workers)),
 		byID:             make(map[string]*workerSlot, len(cfg.Workers)),
 		eligible:         make([]*workerSlot, 0, len(cfg.Workers)),
+		load:             make(loadIndex, 0, len(cfg.Workers)),
 		parked:           make(map[int64]*parkedRetry),
 		budgets:          make(map[string]*fnBudget, len(cfg.EnergyBudgets)),
 		budgetThrottle:   cfg.BudgetThrottle,
@@ -699,10 +710,11 @@ func New(cfg Config) (*Orchestrator, error) {
 		if _, dup := o.byID[w.ID()]; dup {
 			return nil, fmt.Errorf("core: duplicate worker id %q", w.ID())
 		}
-		s := &workerSlot{w: w, id: w.ID(), idx: i, eligPos: i, parolePos: -1}
+		s := &workerSlot{w: w, id: w.ID(), idx: i, eligPos: i, parolePos: -1, loadPos: -1}
 		o.slots = append(o.slots, s)
 		o.byID[s.id] = s
 		o.eligible = append(o.eligible, s)
+		o.load.push(s)
 	}
 	o.nextIdx = len(cfg.Workers)
 	o.initTelemetry(cfg.Telemetry)
@@ -857,6 +869,7 @@ func (o *Orchestrator) addEligibleLocked(s *workerSlot) {
 	}
 	s.eligPos = len(o.eligible)
 	o.eligible = append(o.eligible, s)
+	o.load.fix(s)
 }
 
 // removeEligibleLocked swap-removes a slot from the free-list. Caller
@@ -872,6 +885,7 @@ func (o *Orchestrator) removeEligibleLocked(s *workerSlot) {
 	o.eligible[last] = nil
 	o.eligible = o.eligible[:last]
 	s.eligPos = -1
+	o.load.fix(s)
 }
 
 // promoteParoledLocked moves every breaker-ejected worker whose probe
@@ -914,19 +928,9 @@ func (o *Orchestrator) pickWorkerLocked(function string) *workerSlot {
 		o.rrNext++
 		return s
 	case AssignLeastLoaded:
-		// Ties break by registration order regardless of free-list order.
-		var best *workerSlot
-		bestLoad := int(^uint(0) >> 1)
-		for _, s := range ws {
-			load := s.qlen()
-			if s.busy {
-				load++
-			}
-			if load < bestLoad || (load == bestLoad && s.idx < best.idx) {
-				best, bestLoad = s, load
-			}
-		}
-		return best
+		// The index's root: parole promotion has just run, and the key's
+		// ejected bit applies the rest of assignableLocked's rule.
+		return o.load[0]
 	case AssignEnergyAware:
 		return o.pickEnergyAwareLocked(ws, o.exhaustedLocked(function))
 	default: // AssignRandom, the paper's policy
@@ -953,17 +957,16 @@ func (o *Orchestrator) exhaustedLocked(function string) bool {
 // policy degrades to least-loaded. noWake flips the preference for a
 // budget-exhausted function: an already-powered worker (even a loaded one)
 // always beats waking a node, so exhausted functions stop pulling hardware
-// out of power gating. Caller holds o.mu.
+// out of power gating. The policy scans: its order depends on pm.IsUp,
+// power-plane state the orchestrator does not own and is not told about, so
+// no index kept at loadChangedLocked could stay current. Caller holds o.mu.
 func (o *Orchestrator) pickEnergyAwareLocked(ws []*workerSlot, noWake bool) *workerSlot {
 	const maxInt = int(^uint(0) >> 1)
 	var idleUp, down, leastUp *workerSlot
 	leastLoad := maxInt
 	for _, s := range ws {
 		poweredUp := o.pm == nil || s.waking || o.pm.IsUp(s.id)
-		load := s.qlen()
-		if s.busy {
-			load++
-		}
+		load := s.load()
 		if !poweredUp {
 			if down == nil || s.idx < down.idx {
 				down = s
@@ -1052,7 +1055,7 @@ func (o *Orchestrator) pushJobLocked(s *workerSlot, job Job, detail string) {
 		job.queuedAt = o.runtime.Now()
 	}
 	s.qpush(job)
-	o.queueDepthChangedLocked(s)
+	o.loadChangedLocked(s)
 	o.emit(telemetry.EventQueue, job, s.id, detail)
 }
 
@@ -1080,7 +1083,7 @@ func (o *Orchestrator) maybeDispatchLocked(s *workerSlot) *inflight {
 	}
 	job := s.qpop()
 	s.busy = true
-	o.queueDepthChangedLocked(s)
+	o.loadChangedLocked(s)
 	o.m.busy[s.id].Set(1)
 	o.emit(telemetry.EventAssign, job, s.id, "")
 	started := o.runtime.Now()
@@ -1192,6 +1195,7 @@ func (o *Orchestrator) completed(fl *inflight, res Result) {
 	o.mu.Lock()
 	s, job, started := fl.slot, fl.job, fl.started
 	s.busy = false
+	o.loadChangedLocked(s)
 	o.m.busy[s.id].Set(0)
 	var runs []*inflight
 	var cb func(Result)
@@ -1280,16 +1284,16 @@ func (o *Orchestrator) deadlineExpired(fl *inflight, gen uint64) {
 	}
 }
 
-// reassignQueueLocked moves a wedged worker's queued (not yet started)
-// jobs onto other workers. With a single-worker cluster there is nowhere
-// to move them, so they stay put and wait for the worker's late recovery.
-// Caller holds o.mu.
+// reassignQueueLocked moves a wedged (or just detached) worker's queued,
+// not yet started jobs onto other workers. When it is the only attached
+// worker there is nowhere to move them, so they stay put and wait for its
+// late recovery. Caller holds o.mu.
 func (o *Orchestrator) reassignQueueLocked(wedged *workerSlot) []*inflight {
-	if wedged.qlen() == 0 || len(o.slots) == 1 {
+	if wedged.qlen() == 0 || (len(o.slots) == 1 && o.slots[0] == wedged) {
 		return nil
 	}
 	q := wedged.qtake()
-	o.queueDepthChangedLocked(wedged)
+	o.loadChangedLocked(wedged)
 	var runs []*inflight
 	for _, job := range q {
 		s := o.pickRetryWorkerLocked(wedged)
@@ -1457,16 +1461,12 @@ func (o *Orchestrator) Pending() int {
 }
 
 // Queued returns the total queued (not yet running) jobs across all
-// workers. O(workers); the capacity aggregator and the per-shard
-// queue-depth gauge poll it.
+// workers: a running total, since the capacity aggregator and the
+// per-shard queue-depth gauge poll it every tick.
 func (o *Orchestrator) Queued() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	total := 0
-	for _, s := range o.slots {
-		total += s.qlen()
-	}
-	return total
+	return o.queued
 }
 
 // QueueDepth returns the queued (not yet running) jobs for a worker.
@@ -1597,7 +1597,7 @@ func (o *Orchestrator) Drain(ctx context.Context) []Job {
 	var abandoned []Job
 	for _, s := range o.slots {
 		abandoned = append(abandoned, s.qtake()...)
-		o.queueDepthChangedLocked(s)
+		o.loadChangedLocked(s)
 	}
 	for id, p := range o.parked {
 		p.cancel()

@@ -86,7 +86,7 @@ func (o *Orchestrator) TakeAll() []Stolen {
 			delete(o.callbacks, job.ID)
 			out = append(out, Stolen{Job: job, Callback: cb})
 		}
-		o.queueDepthChangedLocked(s)
+		o.loadChangedLocked(s)
 	}
 	if len(o.parked) > 0 {
 		ids := make([]int64, 0, len(o.parked))
@@ -130,11 +130,12 @@ func (o *Orchestrator) AddWorker(w Worker) error {
 	if _, dup := o.byID[id]; dup {
 		return fmt.Errorf("core: duplicate worker id %q", id)
 	}
-	s := &workerSlot{w: w, id: id, idx: o.nextIdx, eligPos: -1, parolePos: -1}
+	s := &workerSlot{w: w, id: id, idx: o.nextIdx, eligPos: -1, parolePos: -1, loadPos: -1}
 	o.nextIdx++
 	o.slots = append(o.slots, s)
 	o.byID[id] = s
 	o.addEligibleLocked(s)
+	o.load.push(s)
 	o.initWorkerTelemetry(id)
 	return nil
 }
@@ -185,10 +186,10 @@ func (o *Orchestrator) RemoveWorker(workerID string, handoff func(Worker)) error
 }
 
 // detachLocked splices a slot out of every assignment structure: the
-// slot list, the id index, and the eligible/parole split. Registration
-// indices are not renumbered (idx stays unique; order comparisons still
-// work). The slot object itself stays alive for any in-flight attempt
-// that still points at it. Caller holds o.mu.
+// slot list, the id index, the load index, and the eligible/parole
+// split. Registration indices are not renumbered (idx stays unique; order
+// comparisons still work). The slot object itself stays alive for any
+// in-flight attempt that still points at it. Caller holds o.mu.
 func (o *Orchestrator) detachLocked(s *workerSlot) {
 	for i, t := range o.slots {
 		if t == s {
@@ -197,6 +198,7 @@ func (o *Orchestrator) detachLocked(s *workerSlot) {
 		}
 	}
 	delete(o.byID, s.id)
+	o.load.remove(s)
 	o.removeEligibleLocked(s)
 	if s.parolePos >= 0 {
 		heap.Remove(&o.parole, s.parolePos)

@@ -1,0 +1,74 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"microfaas/internal/sim"
+)
+
+// TestRemoveWorkerMovesItsQueue: a removed worker's queued jobs run on the
+// workers that remain — including when exactly one remains, where the
+// "nowhere to move them" guard used to see the already-shrunk slot list and
+// strand the queue on a slot that would never dispatch again.
+func TestRemoveWorkerMovesItsQueue(t *testing.T) {
+	const jobs = 8
+	for _, workers := range []int{2, 3} {
+		for _, busy := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d/busy=%v", workers, busy), func(t *testing.T) {
+				e := sim.NewEngine(7)
+				var ws []Worker
+				for i := 0; i < workers; i++ {
+					ws = append(ws, &fakeWorker{id: fmt.Sprintf("w%02d", i), engine: e, service: 10 * time.Millisecond})
+				}
+				// Round-robin: every worker ends up running one job with more
+				// queued behind it.
+				o, err := New(Config{Runtime: SimRuntime{Engine: e}, Workers: ws, Policy: AssignRoundRobin})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fired := map[int64]int{}
+				submit := func() {
+					for i := 0; i < jobs; i++ {
+						if o.SubmitAsync("f", nil, func(r Result) { fired[r.Job.ID]++ }) == 0 {
+							t.Fatal("submission refused")
+						}
+					}
+				}
+				var released []string
+				handoff := func(w Worker) { released = append(released, w.ID()) }
+				if busy {
+					submit()
+					if got := o.QueueDepth("w01"); got == 0 {
+						t.Fatal("the victim has nothing queued; the test would prove nothing")
+					}
+				}
+				if err := o.RemoveWorker("w01", handoff); err != nil {
+					t.Fatal(err)
+				}
+				if busy && len(released) != 0 {
+					t.Fatal("a busy worker was handed off before its attempt settled")
+				}
+				if !busy {
+					submit()
+				}
+				e.RunAll()
+				if got := o.Pending(); got != 0 {
+					t.Errorf("Pending() = %d after the run, want 0", got)
+				}
+				if len(fired) != jobs {
+					t.Errorf("%d of %d callbacks fired", len(fired), jobs)
+				}
+				for id, n := range fired {
+					if n != 1 {
+						t.Errorf("job %d's callback fired %d times", id, n)
+					}
+				}
+				if len(released) != 1 || released[0] != "w01" {
+					t.Errorf("handoff saw %v, want [w01]", released)
+				}
+			})
+		}
+	}
+}

@@ -71,7 +71,7 @@ func (o *Orchestrator) TakeQueued(max int) []Stolen {
 			o.pending--
 			out = append(out, Stolen{Job: job, Callback: cb})
 		}
-		o.queueDepthChangedLocked(victim)
+		o.loadChangedLocked(victim)
 		if len(out) == max {
 			break
 		}

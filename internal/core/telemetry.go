@@ -172,9 +172,3 @@ func (o *Orchestrator) noteFinal(job Job, res Result, finished time.Duration) {
 		o.m.latency.Observe((finished - job.SubmittedAt).Seconds())
 	}
 }
-
-// queueDepthChangedLocked refreshes a worker's queue-depth gauge. Caller
-// holds o.mu.
-func (o *Orchestrator) queueDepthChangedLocked(s *workerSlot) {
-	o.m.queueDepth[s.id].Set(float64(s.qlen()))
-}

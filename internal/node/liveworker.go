@@ -101,6 +101,7 @@ type liveJob struct {
 // framed request, execution, framed response — still runs over real TCP.
 type LiveWorker struct {
 	cfg  LiveWorkerConfig
+	dev  *power.Device // meter handle, taken once at start; nil when unmetered
 	sbc  power.SBCModel
 	srv  wire.Server // the worker's TCP endpoint; Serve is serveConn
 	addr string
@@ -151,7 +152,8 @@ func StartLiveWorker(cfg LiveWorkerConfig) (*LiveWorker, error) {
 	}
 	w.addr = addr
 	if cfg.Meter != nil {
-		cfg.Meter.Set(cfg.ID, w.sbc.Power(power.Off), cfg.Clock())
+		w.dev = cfg.Meter.Device(cfg.ID)
+		w.dev.Set(w.sbc.Power(power.Off), cfg.Clock())
 	}
 	if cfg.GPIO != nil {
 		if _, err := cfg.GPIO.WireNext(cfg.ID); err != nil {
@@ -216,8 +218,8 @@ func (w *LiveWorker) setStateLocked(to power.State, cause string) {
 	from := w.state
 	w.state = to
 	now := w.now()
-	if w.cfg.Meter != nil {
-		w.cfg.Meter.Set(w.cfg.ID, w.sbc.Power(to), now)
+	if w.dev != nil {
+		w.dev.Set(w.sbc.Power(to), now)
 	}
 	if w.cfg.GPIO != nil {
 		w.cfg.GPIO.TransitionMonotone(w.cfg.ID, now, from, to, cause) //nolint:errcheck // wired at start; clamp keeps the log monotone
@@ -421,8 +423,8 @@ func (w *LiveWorker) traceSpan(ctx tracing.Context, req proto.Request, phase tra
 		return
 	}
 	var energy float64
-	if w.cfg.Meter != nil {
-		energy = float64(w.cfg.Meter.Energy(w.cfg.ID, end) - w.cfg.Meter.Energy(w.cfg.ID, start))
+	if w.dev != nil {
+		energy = float64(w.dev.Energy(end) - w.dev.Energy(start))
 	}
 	w.cfg.Tracer.Record(ctx, tracing.Span{
 		Phase:    phase,
@@ -482,16 +484,16 @@ func (w *LiveWorker) invoke(job core.Job, done func(core.Result)) {
 	}
 	var started time.Duration
 	var energyStart power.Joules
-	if w.cfg.Meter != nil || w.cfg.Managed {
+	if w.dev != nil || w.cfg.Managed {
 		started = w.cfg.Clock()
 	}
-	if w.cfg.Meter != nil {
-		energyStart = w.cfg.Meter.Energy(w.cfg.ID, started)
+	if w.dev != nil {
+		energyStart = w.dev.Energy(started)
 	}
 	if w.cfg.Managed {
 		w.setState(power.Busy, fmt.Sprintf("exec (job %d)", job.ID))
-	} else if w.cfg.Meter != nil {
-		w.cfg.Meter.Set(w.cfg.ID, w.sbc.Power(power.Busy), started)
+	} else if w.dev != nil {
+		w.dev.Set(w.sbc.Power(power.Busy), started)
 	}
 	traceID, parentSpan := job.Trace.Wire()
 	resp, err := w.pc.Invoke(proto.Request{
@@ -508,20 +510,20 @@ func (w *LiveWorker) invoke(job core.Job, done func(core.Result)) {
 		res.Overhead = resp.Overhead()
 		res.Exec = resp.Exec()
 	}
-	if w.cfg.Meter != nil || w.cfg.Managed {
+	if w.dev != nil || w.cfg.Managed {
 		now := w.cfg.Clock()
 		res.FinishedAt = now
 		if w.cfg.Managed {
 			// The manager decides when the worker powers off; the job
 			// just hands the node back to idle draw.
 			w.setState(power.Idle, "job done (managed idle)")
-		} else if w.cfg.Meter != nil {
-			w.cfg.Meter.Set(w.cfg.ID, w.sbc.Power(power.Off), now)
+		} else if w.dev != nil {
+			w.dev.Set(w.sbc.Power(power.Off), now)
 		}
-		if w.cfg.Meter != nil {
+		if w.dev != nil {
 			// Failed attempts are charged too: the joules were burned on
 			// this function's behalf even if the result was lost.
-			delta := w.cfg.Meter.Energy(w.cfg.ID, now) - energyStart
+			delta := w.dev.Energy(now) - energyStart
 			res.Joules = float64(delta)
 			w.m.energy(job.Function).Add(float64(delta))
 		}

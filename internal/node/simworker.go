@@ -95,7 +95,10 @@ type SimWorkerConfig struct {
 
 // SimWorker is a discrete-event worker node implementing core.Worker.
 type SimWorker struct {
-	cfg       SimWorkerConfig
+	cfg SimWorkerConfig
+	// dev is the worker's meter handle, taken once at construction; nil
+	// unless this is a metered ARM worker (a microVM's host reports for it).
+	dev       *power.Device
 	link      netsim.Link
 	sbc       power.SBCModel
 	boot      time.Duration
@@ -168,7 +171,8 @@ func NewSimWorker(cfg SimWorkerConfig) (*SimWorker, error) {
 	w.m = newWorkerMetrics(cfg.Telemetry, cfg.ID)
 	w.state = power.Off
 	if cfg.Platform == model.ARM && cfg.Meter != nil {
-		cfg.Meter.Set(cfg.ID, w.sbc.Power(power.Off), cfg.Engine.Now())
+		w.dev = cfg.Meter.Device(cfg.ID)
+		w.dev.Set(w.sbc.Power(power.Off), cfg.Engine.Now())
 	}
 	if cfg.GPIO != nil {
 		if _, err := cfg.GPIO.WireNext(cfg.ID); err != nil {
@@ -185,8 +189,8 @@ func (w *SimWorker) setState(to power.State, cause string) {
 		return
 	}
 	now := w.cfg.Engine.Now()
-	if w.cfg.Meter != nil {
-		w.cfg.Meter.Set(w.cfg.ID, w.sbc.Power(to), now)
+	if w.dev != nil {
+		w.dev.Set(w.sbc.Power(to), now)
 	}
 	if w.cfg.GPIO != nil {
 		if err := w.cfg.GPIO.Transition(w.cfg.ID, now, w.state, to, cause); err != nil {
@@ -301,10 +305,10 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 	// Per-function energy: snapshot the meter now, bank the delta when the
 	// job finishes. Only metered ARM workers attribute joules — an X86
 	// microVM is not a metered device, its host rack server is.
-	metered := w.cfg.Platform == model.ARM && w.cfg.Meter != nil
+	metered := w.dev != nil
 	var energyStart power.Joules
 	if metered {
-		energyStart = w.cfg.Meter.Energy(w.cfg.ID, started)
+		energyStart = w.dev.Energy(started)
 	}
 
 	finish := func() {
@@ -353,7 +357,7 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 			// this function's behalf even if the result was lost. The
 			// result carries the joules so the orchestrator can account
 			// them against the function's energy budget.
-			delta := w.cfg.Meter.Energy(w.cfg.ID, engine.Now()) - energyStart
+			delta := w.dev.Energy(engine.Now()) - energyStart
 			res.Joules = float64(delta)
 			w.m.energy(job.Function).Add(float64(delta))
 		}
@@ -448,11 +452,10 @@ func (w *SimWorker) WarmStarts() int { return w.warmStart }
 // Zero when the job is untraced or the worker unmetered, so both
 // boundaries of a span read zero and the span's energy stays zero.
 func (w *SimWorker) traceJoules(job core.Job, now time.Duration) float64 {
-	if w.cfg.Tracer == nil || !job.Trace.Valid() ||
-		w.cfg.Platform != model.ARM || w.cfg.Meter == nil {
+	if w.cfg.Tracer == nil || !job.Trace.Valid() || w.dev == nil {
 		return 0
 	}
-	return float64(w.cfg.Meter.Energy(w.cfg.ID, now))
+	return float64(w.dev.Energy(now))
 }
 
 // runARM chains the SBC's phases on the engine; nothing contends, so each

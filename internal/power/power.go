@@ -64,23 +64,48 @@ func (s State) String() string {
 // use (live workers report from their own goroutines).
 type Meter struct {
 	mu      sync.Mutex
-	devices map[string]*deviceTrack
-	// order holds device ids in registration order. Totals sum in this
-	// order, not map order: float addition is not associative, so summing
-	// in randomized map order would perturb the last ULP from run to run
-	// and break the simulator's bit-exact determinism guarantee.
-	order []string
+	devices map[string]*Device
+	// order holds the devices in registration (first-Set) order. Totals sum
+	// in this order, not map order: float addition is not associative, so
+	// summing in randomized map order would perturb the last ULP from run to
+	// run and break the simulator's bit-exact determinism guarantee.
+	order []*Device
 }
 
-type deviceTrack struct {
-	lastTime time.Duration
-	watts    Watts
-	energy   Joules
+// Device is one device's handle on its Meter: the same Set and Energy the
+// meter offers by id, without hashing the id on every power transition. A
+// worker takes its handle once at construction. Taking a handle does not
+// register the device — its first Set does, exactly as by id.
+type Device struct {
+	m          *Meter
+	id         string
+	registered bool // first Set seen; listed in m.order
+	lastTime   time.Duration
+	watts      Watts
+	energy     Joules
 }
 
 // NewMeter returns an empty meter.
 func NewMeter() *Meter {
-	return &Meter{devices: make(map[string]*deviceTrack)}
+	return &Meter{devices: make(map[string]*Device)}
+}
+
+// Device returns the handle for device id, the same one on every call.
+func (m *Meter) Device(id string) *Device {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.deviceLocked(id)
+}
+
+// deviceLocked finds or creates id's (not yet registered) handle. Caller
+// holds m.mu.
+func (m *Meter) deviceLocked(id string) *Device {
+	d, ok := m.devices[id]
+	if !ok {
+		d = &Device{m: m, id: id}
+		m.devices[id] = d
+	}
+	return d
 }
 
 // Set records that device id draws p watts from time now onward.
@@ -92,17 +117,30 @@ func NewMeter() *Meter {
 func (m *Meter) Set(id string, p Watts, now time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.deviceLocked(id).setLocked(p, now)
+}
+
+// Set is Meter.Set for this device.
+func (d *Device) Set(p Watts, now time.Duration) {
+	d.m.mu.Lock()
+	defer d.m.mu.Unlock()
+	d.setLocked(p, now)
+}
+
+// setLocked is the one implementation behind both Sets. Caller holds the
+// meter's mutex.
+func (d *Device) setLocked(p Watts, now time.Duration) {
 	if p < 0 {
-		panic(fmt.Sprintf("power: negative draw %v for %s", p, id))
+		panic(fmt.Sprintf("power: negative draw %v for %s", p, d.id))
 	}
-	d, ok := m.devices[id]
-	if !ok {
-		m.devices[id] = &deviceTrack{lastTime: now, watts: p}
-		m.order = append(m.order, id)
+	if !d.registered {
+		d.registered = true
+		d.lastTime, d.watts = now, p
+		d.m.order = append(d.m.order, d)
 		return
 	}
 	if now < d.lastTime {
-		panic(fmt.Sprintf("power: time went backwards for %s: %v < %v", id, now, d.lastTime))
+		panic(fmt.Sprintf("power: time went backwards for %s: %v < %v", d.id, now, d.lastTime))
 	}
 	d.energy += Energy(d.watts, now-d.lastTime)
 	d.lastTime = now
@@ -125,21 +163,29 @@ func (m *Meter) Energy(id string, now time.Duration) Joules {
 	return d.readLocked(now)
 }
 
+// Energy is Meter.Energy for this device.
+func (d *Device) Energy(now time.Duration) Joules {
+	d.m.mu.Lock()
+	defer d.m.mu.Unlock()
+	return d.readLocked(now)
+}
+
 // TotalEnergy returns the energy of all devices up to now (per-device
 // reads clamp exactly as Energy does).
 func (m *Meter) TotalEnergy(now time.Duration) Joules {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var sum Joules
-	for _, id := range m.order {
-		sum += m.devices[id].readLocked(now)
+	for _, d := range m.order {
+		sum += d.readLocked(now)
 	}
 	return sum
 }
 
 // readLocked integrates a device's energy up to now, clamping reads that
-// predate its last update. Caller holds m.mu.
-func (d *deviceTrack) readLocked(now time.Duration) Joules {
+// predate its last update; a device never Set draws nothing and reads
+// zero. Caller holds the meter's mutex.
+func (d *Device) readLocked(now time.Duration) Joules {
 	if now <= d.lastTime {
 		return d.energy
 	}
@@ -163,8 +209,8 @@ func (m *Meter) TotalPower() Watts {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var sum Watts
-	for _, id := range m.order {
-		sum += m.devices[id].watts
+	for _, d := range m.order {
+		sum += d.watts
 	}
 	return sum
 }
@@ -173,9 +219,9 @@ func (m *Meter) TotalPower() Watts {
 func (m *Meter) Devices() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ids := make([]string, 0, len(m.devices))
-	for id := range m.devices {
-		ids = append(ids, id)
+	ids := make([]string, len(m.order))
+	for i, d := range m.order {
+		ids[i] = d.id
 	}
 	sort.Strings(ids)
 	return ids

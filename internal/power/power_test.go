@@ -2,6 +2,9 @@ package power
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -265,5 +268,102 @@ func TestMeterSetUnchangedPowerIsNoOp(t *testing.T) {
 	}
 	if got := m.Power("d"); got != 2 {
 		t.Fatalf("power = %v, want 2", got)
+	}
+}
+
+// TestDeviceHandleMatchesStringAPI feeds one seeded stream of transitions
+// and reads to two meters — one through Set/Energy by id only, one through
+// a per-call coin flip between the id and the device's handle — and holds
+// every reading equal by bits. The second meter takes its handles up front
+// in reverse order: taking a handle must not register the device, or
+// TotalEnergy's summation order (first Set) would differ and so would its
+// last bit.
+func TestDeviceHandleMatchesStringAPI(t *testing.T) {
+	ids := []string{"sbc-00", "sbc-01", "sbc-02", "sbc-03", "sbc-04"}
+	byID, mixed := NewMeter(), NewMeter()
+	handles := make([]*Device, len(ids))
+	for i := len(ids) - 1; i >= 0; i-- {
+		handles[i] = mixed.Device(ids[i])
+		if mixed.Device(ids[i]) != handles[i] {
+			t.Fatalf("Device(%q) returned two different handles", ids[i])
+		}
+	}
+	if got := mixed.Devices(); len(got) != 0 {
+		t.Fatalf("handles alone registered %v", got)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var now time.Duration
+	for step := 0; step < 2000; step++ {
+		now += time.Duration(rng.Intn(1e6)) * time.Microsecond
+		i := rng.Intn(len(ids))
+		if rng.Intn(3) > 0 {
+			p := Watts(rng.Float64() * 3)
+			byID.Set(ids[i], p, now)
+			if rng.Intn(2) == 0 {
+				mixed.Set(ids[i], p, now)
+			} else {
+				handles[i].Set(p, now)
+			}
+		}
+		want := byID.Energy(ids[i], now)
+		if got := mixed.Energy(ids[i], now); got != want {
+			t.Fatalf("step %d: Energy(%s) by id = %v, reference %v", step, ids[i], got, want)
+		}
+		if got := handles[i].Energy(now); got != want {
+			t.Fatalf("step %d: Energy(%s) by handle = %v, reference %v", step, ids[i], got, want)
+		}
+		if got, want := mixed.TotalEnergy(now), byID.TotalEnergy(now); got != want {
+			t.Fatalf("step %d: TotalEnergy = %v, reference %v", step, got, want)
+		}
+		if got, want := mixed.TotalPower(), byID.TotalPower(); got != want {
+			t.Fatalf("step %d: TotalPower = %v, reference %v", step, got, want)
+		}
+		if got, want := mixed.Devices(), byID.Devices(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: Devices = %v, reference %v", step, got, want)
+		}
+	}
+}
+
+func TestDeviceHandleKeepsThePanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic through the handle", name)
+			}
+		}()
+		f()
+	}
+	d := NewMeter().Device("d")
+	d.Set(1, 10*time.Second)
+	mustPanic("backwards time", func() { d.Set(2, 5*time.Second) })
+	mustPanic("negative draw", func() { d.Set(-1, 20*time.Second) })
+	// A panicking Set releases the meter's lock and banks nothing.
+	if got := d.Energy(20 * time.Second); got != 10 {
+		t.Fatalf("energy after the refused updates = %v, want 10 J", got)
+	}
+}
+
+// TestDeviceHandlesConcurrent is for the race detector: live workers report
+// through their handles from their own goroutines while a scraper totals.
+func TestDeviceHandlesConcurrent(t *testing.T) {
+	m := NewMeter()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		d := m.Device(string(rune('a' + i)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for step := 1; step <= 500; step++ {
+				now := time.Duration(step) * time.Millisecond
+				d.Set(Watts(step%3), now)
+				_ = d.Energy(now)
+				_ = m.TotalEnergy(now)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(m.Devices()); got != 8 {
+		t.Fatalf("%d devices registered, want 8", got)
 	}
 }
