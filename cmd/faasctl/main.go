@@ -25,6 +25,12 @@
 // On a live gateway, stats reports completed/errors as lifetime totals
 // and its per-function table over the retained window of recent records.
 //
+// job <id> collects an async invocation's result: the gateway holds the
+// request up to a second for a job still running and answers the moment it
+// finishes, so one call usually returns the result; it prints
+// {"status":"pending"} when the job outlasts the hold (ask again), and a
+// result is handed over once — a second job <id> is 404.
+//
 // -gateway accepts a comma-separated address list; workers, top, and
 // shards aggregate across every listed gateway (one dashboard over a
 // multi-gateway sharded deployment), while the single-target commands
@@ -46,13 +52,13 @@ import (
 func main() {
 	gatewayAddr := flag.String("gateway", "127.0.0.1:8080", "gateway address, or a comma-separated list (workers/top/shards aggregate across all)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "invocation timeout")
-	async := flag.Bool("async", false, "submit invocations asynchronously (poll with 'job <id>')")
+	async := flag.Bool("async", false, "submit invocations asynchronously (collect the result with 'job <id>', which waits up to a second for it)")
 	interval := flag.Duration("interval", 2*time.Second, "top/watch: refresh interval")
 	iterations := flag.Int("iterations", 0, "top/watch: stop after N refreshes (0 = until interrupted)")
 	once := flag.Bool("once", false, "top/watch: render a single frame and exit (same as -iterations 1)")
 	jsonOut := flag.Bool("json", false, "top: emit one JSON object per frame instead of the table")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] functions|workers|stats|shards|top|watch|slo|alerts|power|forecast|trace|invoke <function> [args-json]\n", os.Args[0])
+		fmt.Fprintf(os.Stderr, "usage: %s [flags] functions|workers|stats|shards|top|watch|slo|alerts|power|forecast|trace|job <id>|invoke <function> [args-json]\n", os.Args[0])
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -6,7 +6,8 @@
 //
 //	POST /invoke           {"function": "...", "args": {...}} → synchronous result
 //	POST /invoke?async=1   same body → 202 with {"job_id": N} immediately
-//	GET  /jobs/{id}        async job status: 200 result, 404 unknown, 202 pending
+//	GET  /jobs/{id}        async job result: 200/422 once, 404 unknown, 202 still pending
+//	                       (a poll of a pending job waits up to a second for it)
 //	GET  /functions        list of deployable function names
 //	GET  /workers          per-worker health: breaker state, failure counts, queue depth
 //	GET  /stats            per-function runtime statistics and cluster totals (live:
@@ -50,24 +51,28 @@
 // when the two code paths became one; rows and events of an unlabelled
 // lone orchestrator omit "shard".)
 //
-// Async jobs live in one table, one row per job, and move one way:
+// Async jobs live in one table, one row per unfetched job, and move one way:
 //
-//	pending ──completion──► done ──first GET /jobs/{id}──► fetched
+//	pending ──completion──► done ──first GET /jobs/{id}──► gone
 //	  202                  200/422, once                    404
 //
-// A row is created when the job is first seen — by the submitting handler
-// or, when a fast worker wins the race, by the completion callback — and
-// never created twice, so a completed job is never re-marked pending. It
-// is dropped RetainAsync (10 minutes) after its last transition into
-// pending or done; a fetched row gives its result back at once and stays
-// only as a marker. One expiry queue in first-sight order makes every
-// async operation amortised O(1): a reap pops the expired prefix and
-// nothing else. A poll that finds its job pending is held one millisecond
-// and looks again before it answers, so a tight polling loop is paced by
-// the server and a fast function's result rides the first poll.
+// The submitting handler makes the row and the completion callback closes
+// over it, so a worker that finishes before the handler has filed the row
+// just leaves its result on it. The row is dropped when its result is
+// fetched, or RetainAsync (10 minutes) after its last transition into
+// pending or done, so the table holds the jobs in flight and the results
+// nobody has collected yet, and nothing per fetched job. Rows are threaded
+// on a list in exact expiry order — completion moves a row to the back, a
+// fetch unlinks it, a reap pops the expired head — so every async
+// operation is O(1). A poll that finds its job pending parks on the row's
+// completion and answers the moment the result is in; one that is still
+// parked after pollHold answers 202, and one whose client hangs up goes
+// away and leaves the result for a client that can read it.
 //
-// POST /invoke bodies are limited to 1 MiB (413 beyond), and a connection
-// has 10 seconds to deliver its request headers.
+// POST /invoke bodies are limited to 1 MiB (413 beyond). A connection has
+// 10 seconds to deliver its request headers and 30 for the whole request,
+// and is closed after two idle minutes; replies are not timed, because a
+// sync invoke and a parked poll answer late by design.
 package gateway
 
 import (
@@ -157,22 +162,22 @@ func (r *InvokeResponse) status() int {
 }
 
 // asyncJob is one async invocation's row in the job table: pending (no
-// result, not completed: 202), then done (result held: 200 or 422, once),
-// then fetched (completed, result released: 404) until the row expires.
-// Expiries are offsets on the server's own clock (time since start): a row
-// and a queue entry are kept per job for the whole retention window, and a
-// time.Time would triple the size of both.
+// result yet: 202), then done (result held: 200 or 422, once), then gone —
+// the fetch, or expiry, drops the row. The submitting handler allocates it
+// and files it under the job id (resp.JobID from then on); the completion
+// callback holds the pointer, so it needs no lookup and works on a row not
+// filed yet. Expiries are offsets on the server's own clock (time since
+// start).
 type asyncJob struct {
-	result    *InvokeResponse
+	resp      InvokeResponse
 	completed bool
 	expiresAt time.Duration
-}
-
-// asyncExpiry is a job's place in the expiry queue, filed when the job is
-// first seen under the expiry its row had then.
-type asyncExpiry struct {
-	id int64
-	at time.Duration
+	// done is made by the first poll that parks on the row and closed by
+	// the completion.
+	done chan struct{}
+	// prev and next thread the row on the server's expiry list; both nil
+	// while the row is not in the table.
+	prev, next *asyncJob
 }
 
 // RetainAsync is how long async state is kept: a pending job whose
@@ -184,15 +189,21 @@ const RetainAsync = 10 * time.Minute
 // arguments); a larger one is answered 413 without being read further.
 const maxInvokeBody = 1 << 20
 
-// pollBeat is how long a poll that finds its job pending is held before it
-// looks again and answers: a client polling in a tight loop costs one
-// request per beat instead of all its connection can carry, and a job that
-// finishes within the beat is answered by the poll that found it pending.
-const pollBeat = time.Millisecond
+// pollHold is how long a poll that finds its job pending stays parked on
+// the job's completion before it answers 202: long enough that a client
+// polling in a loop costs one request a second, far inside any client's
+// own timeout (faasctl's is 5 minutes).
+const pollHold = time.Second
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers: an idle or trickling client cannot hold one for free.
-const readHeaderTimeout = 10 * time.Second
+// The network edge's patience, applied by Listen: a connection may take
+// readHeaderTimeout to send its request headers and readTimeout for the
+// whole request, body included, and is closed after idleTimeout between
+// requests, so an idle or trickling client cannot hold one for free.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // Options configures a Server beyond the orchestrator it fronts.
 type Options struct {
@@ -272,13 +283,25 @@ type Server struct {
 
 	mu   sync.Mutex
 	http *http.Server
-	// jobs is the async job table and expiry its reaping order: one entry
-	// per row, in first-sight order. RetainAsync is one constant, so that
-	// is also expiry order — except that completion pushes a row's expiry
-	// back without moving its entry, which reapLocked re-files on sight.
-	jobs   map[int64]asyncJob
-	expiry []asyncExpiry
-	now    func() time.Time // time.Now; the async-table tests step it
+	// jobs is the async job table: a row per unfetched job. expiry is the
+	// root of the ring that threads the rows in expiry order (expiry.next
+	// expires first): RetainAsync is one constant and the clock does not run
+	// backwards, so filing at the back keeps it sorted.
+	jobs   map[int64]*asyncJob
+	expiry asyncJob
+	// now and newTimer are time.Now and time.NewTimer; the async-table
+	// tests step the clock and the hold through them. edge is Listen's
+	// connection timeouts, which the edge tests shorten.
+	now      func() time.Time
+	newTimer func(time.Duration) *time.Timer
+	edge     struct{ header, read, idle time.Duration }
+
+	// The async table's self-metrics (nil handles, costing nothing, without
+	// telemetry): rows in the table, polls parked, and rows that expired
+	// with nobody to tell — a result never collected, a callback that never
+	// came.
+	unfetched, pollsParked      *telemetry.Gauge
+	expiredPending, expiredDone *telemetry.Counter
 }
 
 // NewWithOptions wraps a lone orchestrator: a shard list of one, submitted
@@ -290,7 +313,7 @@ func NewWithOptions(orch *core.Orchestrator, opts Options) (*Server, error) {
 	if opts.ShardID == "" {
 		opts.ShardID = orch.ShardLabel()
 	}
-	s := newServer(opts, []shardRef{{label: orch.ShardLabel(), orch: orch, tel: opts.Telemetry}})
+	s := newServer(opts, []shardRef{{label: orch.ShardLabel(), orch: orch, tel: opts.Telemetry}}, opts.Telemetry.Registry())
 	s.submit = func(req InvokeRequest, args []byte, cb func(core.Result)) int64 {
 		return orch.SubmitAsync(req.Function, args, cb)
 	}
@@ -315,7 +338,7 @@ func NewSharded(plane *shard.Plane, opts Options) (*Server, error) {
 	for i, o := range plane.Shards() {
 		shards[i] = shardRef{label: labels[i], orch: o, tel: o.Telemetry()}
 	}
-	s := newServer(opts, shards)
+	s := newServer(opts, shards, plane.Registry())
 	s.plane = plane
 	s.submit = func(req InvokeRequest, args []byte, cb func(core.Result)) int64 {
 		key := req.Key
@@ -331,15 +354,17 @@ func NewSharded(plane *shard.Plane, opts Options) (*Server, error) {
 
 // newServer applies option defaults and builds a Server over the shard
 // list; the two exported constructors attach the submit and metrics
-// routes.
-func newServer(opts Options, shards []shardRef) *Server {
+// routes. reg is the registry /metrics serves first (nil when telemetry is
+// off): the gateway's own metrics go there.
+func newServer(opts Options, shards []shardRef, reg *telemetry.Registry) *Server {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 5 * time.Minute
 	}
 	if opts.Mode == "" {
 		opts.Mode = "live"
 	}
-	return &Server{
+	const expiredHelp = "Async rows dropped at RetainAsync, by the state they were in: a result nobody collected (done) or a job whose completion never came (pending)."
+	s := &Server{
 		shards:   shards,
 		timeout:  opts.Timeout,
 		mode:     opts.Mode,
@@ -349,9 +374,18 @@ func newServer(opts Options, shards []shardRef) *Server {
 		forecast: opts.Forecast,
 		pprof:    opts.EnablePprof,
 		start:    time.Now(),
-		jobs:     make(map[int64]asyncJob),
+		jobs:     make(map[int64]*asyncJob),
 		now:      time.Now,
+		newTimer: time.NewTimer,
+
+		unfetched:      reg.Gauge("microfaas_gateway_async_unfetched", "Async jobs in the gateway's table: in flight, or done and not yet fetched."),
+		pollsParked:    reg.Gauge("microfaas_gateway_polls_parked", "GET /jobs/{id} requests parked on a pending job's completion."),
+		expiredPending: reg.Counter("microfaas_gateway_async_expired_total", expiredHelp, "state", "pending"),
+		expiredDone:    reg.Counter("microfaas_gateway_async_expired_total", expiredHelp, "state", "done"),
 	}
+	s.expiry.prev, s.expiry.next = &s.expiry, &s.expiry
+	s.edge.header, s.edge.read, s.edge.idle = readHeaderTimeout, readTimeout, idleTimeout
+	return s
 }
 
 // Handler returns the HTTP handler (useful for embedding and tests).
@@ -413,7 +447,15 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("gateway: listen: %w", err)
 	}
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: s.edge.header,
+		ReadTimeout:       s.edge.read,
+		IdleTimeout:       s.edge.idle,
+		// No WriteTimeout: it runs from the end of the request headers, so it
+		// would cut off a parked poll and a slow function's sync reply.
+		// (ReadTimeout does not: net/http lifts it once the body is read.)
+	}
 	s.mu.Lock()
 	s.http = srv
 	s.mu.Unlock()
@@ -437,6 +479,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck
+}
+
+// pendingBody is the 202 a poll gets for a job still pending at the hold.
+var pendingBody = []byte(`{"status":"pending"}` + "\n")
+
+// writeBody replies with a JSON body that is already bytes: the async
+// replies that carry no result are written without the encoder.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body) //nolint:errcheck // peer gone: nothing to do
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
@@ -516,80 +569,110 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// invokeAsync submits without waiting and returns 202 with the job id.
+// invokeAsync submits without waiting and returns 202 with the job id. The
+// row is filed once the id is known; a worker that has finished by then has
+// left its result on the row through the callback. No client can ask for
+// the job sooner: the id is not on the wire yet.
 func (s *Server) invokeAsync(w http.ResponseWriter, req InvokeRequest, args []byte) {
-	jobID := s.submit(req, args, s.recordAsync)
+	j := new(asyncJob)
+	jobID := s.submit(req, args, func(res core.Result) { s.recordAsync(j, res) })
 	if jobID == 0 {
 		writeError(w, http.StatusServiceUnavailable, "gateway draining; not accepting new invocations")
 		return
 	}
-	s.markPending(jobID)
-	writeJSON(w, http.StatusAccepted, map[string]int64{"job_id": jobID})
-}
-
-// markPending files a just-submitted async job as in flight — unless the
-// job has been seen already: live workers are fast, and its completion
-// (even the pickup of its result by a fast poller) can land before the
-// submitting handler gets here. A pending row carries its own expiry, or a
-// job whose callback never fires (abandoned in a drain) would stay forever.
-func (s *Server) markPending(jobID int64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, seen := s.jobs[jobID]; !seen {
-		at := s.now().Sub(s.start) + RetainAsync
-		s.jobs[jobID] = asyncJob{expiresAt: at}
-		s.expiry = append(s.expiry, asyncExpiry{id: jobID, at: at})
-	}
+	j.resp.JobID = jobID
+	s.jobs[jobID] = j
+	s.fileLocked(j, s.now().Sub(s.start))
+	s.mu.Unlock()
+	body := append(make([]byte, 0, 32), `{"job_id":`...)
+	writeBody(w, http.StatusAccepted, append(strconv.AppendInt(body, jobID, 10), "}\n"...))
 }
 
-// recordAsync is the async completion callback: it files the result for
-// pickup and restarts the row's retention window. A row seen before keeps
-// its place in the expiry queue; reapLocked re-files it when it surfaces.
-func (s *Server) recordAsync(res core.Result) {
-	resp := makeResponse(res)
+// recordAsync is the async completion callback: it leaves the result on
+// the job's row, restarts the row's retention window and wakes the polls
+// parked on it. A row not in the table only takes the result: either the
+// submitting handler is about to file it, or it expired while pending (a
+// job abandoned in a drain that finished after all) and nobody can ask.
+func (s *Server) recordAsync(j *asyncJob, res core.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now().Sub(s.start)
 	s.reapLocked(now)
-	at := now + RetainAsync
-	if _, seen := s.jobs[res.Job.ID]; !seen {
-		s.expiry = append(s.expiry, asyncExpiry{id: res.Job.ID, at: at})
+	j.resp, j.completed = makeResponse(res), true
+	if j.next == nil {
+		return
 	}
-	s.jobs[res.Job.ID] = asyncJob{result: &resp, completed: true, expiresAt: at}
+	s.fileLocked(j, now)
+	if j.done != nil {
+		close(j.done)
+	}
 }
 
-// reapLocked drops the rows whose retention has passed. It pops only the
-// expired prefix of the expiry queue, so its cost is the number of rows
-// that expired since the last call, not the size of the table. An entry
-// whose row was completed since it was filed carries a stale, early expiry
-// and is re-filed at the back — behind later expiries, so such a row may
-// outstay its own (by less than RetainAsync), which is why liveJobLocked
-// checks expiresAt itself. Caller holds s.mu.
+// fileLocked starts j's retention window at now and moves the row to the
+// back of the expiry list, linking it first if it is new. Caller holds s.mu.
+func (s *Server) fileLocked(j *asyncJob, now time.Duration) {
+	if j.next != nil {
+		j.prev.next, j.next.prev = j.next, j.prev
+	} else {
+		s.unfetched.Add(1)
+	}
+	j.expiresAt = now + RetainAsync
+	j.prev, j.next = s.expiry.prev, &s.expiry
+	j.prev.next, s.expiry.prev = j, j
+}
+
+// dropLocked takes j's row out of the table and the expiry list: fetched,
+// or expired. Caller holds s.mu.
+func (s *Server) dropLocked(j *asyncJob) {
+	delete(s.jobs, j.resp.JobID)
+	j.prev.next, j.next.prev = j.next, j.prev
+	j.prev, j.next = nil, nil
+	s.unfetched.Add(-1)
+}
+
+// reapLocked drops the rows whose retention has passed: the expired head
+// of the expiry list, so its cost is the number of rows that expired since
+// the last call, not the size of the table. Caller holds s.mu.
 func (s *Server) reapLocked(now time.Duration) {
-	for len(s.expiry) > 0 && now > s.expiry[0].at {
-		id := s.expiry[0].id
-		s.expiry = s.expiry[1:]
-		if j := s.jobs[id]; now > j.expiresAt {
-			delete(s.jobs, id)
+	for j := s.expiry.next; j != &s.expiry && now > j.expiresAt; j = s.expiry.next {
+		if j.completed {
+			s.expiredDone.Inc()
 		} else {
-			s.expiry = append(s.expiry, asyncExpiry{id: id, at: j.expiresAt})
+			s.expiredPending.Inc()
 		}
+		s.dropLocked(j)
 	}
 }
 
-// liveJobLocked reaps, then looks the job's row up; false when there is
-// none or it has expired. Caller holds s.mu.
-func (s *Server) liveJobLocked(id int64) (asyncJob, bool) {
-	now := s.now().Sub(s.start)
-	s.reapLocked(now)
-	j, ok := s.jobs[id]
-	return j, ok && now <= j.expiresAt
+// liveJobLocked reaps, then looks the job's row up; nil when there is none
+// (never filed, fetched, or expired). Caller holds s.mu.
+func (s *Server) liveJobLocked(id int64) *asyncJob {
+	s.reapLocked(s.now().Sub(s.start))
+	return s.jobs[id]
+}
+
+// park holds a poll on a pending job's done channel until the job
+// completes, pollHold passes, or the client hangs up — false then: there is
+// nobody to answer, and a result must not be spent on a closed connection.
+func (s *Server) park(r *http.Request, done <-chan struct{}) bool {
+	s.pollsParked.Add(1)
+	defer s.pollsParked.Add(-1)
+	hold := s.newTimer(pollHold)
+	defer hold.Stop()
+	select {
+	case <-done:
+	case <-hold.C:
+	case <-r.Context().Done():
+		return false
+	}
+	return true
 }
 
 // handleJobStatus serves GET /jobs/{id}: 200/422 with the result (handed
-// over exactly once: the row stays, its result released), 202 while
-// pending (after holding the poll one pollBeat in case the job finishes),
-// 404 for unknown, expired or already-fetched jobs.
+// over exactly once: the fetch drops the row), 202 for a job still pending
+// after the poll has been parked on it for pollHold, 404 for unknown,
+// expired or already-fetched jobs.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
@@ -601,22 +684,29 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	j, ok := s.liveJobLocked(id)
-	if ok && !j.completed { // pending: hold the poll one beat, look again
+	j := s.liveJobLocked(id)
+	if j != nil && !j.completed {
+		if j.done == nil {
+			j.done = make(chan struct{})
+		}
+		done := j.done
 		s.mu.Unlock()
-		time.Sleep(pollBeat)
+		if !s.park(r, done) {
+			return
+		}
 		s.mu.Lock()
-		j, ok = s.liveJobLocked(id)
+		j = s.liveJobLocked(id)
 	}
-	if ok && j.result != nil { // done → fetched: the row stays as the marker
-		s.jobs[id] = asyncJob{completed: true, expiresAt: j.expiresAt}
+	fetched := j != nil && j.completed
+	if fetched {
+		s.dropLocked(j) // done → gone: the row, and its result, are this handler's alone now
 	}
 	s.mu.Unlock()
 	switch {
-	case ok && j.result != nil:
-		writeJSON(w, j.result.status(), j.result)
-	case ok && !j.completed:
-		writeJSON(w, http.StatusAccepted, map[string]string{"status": "pending"})
+	case fetched:
+		writeJSON(w, j.resp.status(), &j.resp)
+	case j != nil:
+		writeBody(w, http.StatusAccepted, pendingBody)
 	default:
 		writeError(w, http.StatusNotFound, "unknown, expired, or already-fetched job")
 	}

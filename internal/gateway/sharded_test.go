@@ -131,6 +131,7 @@ func TestShardedGatewayEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"microfaas_shard_queue_depth",
 		"microfaas_shard_stolen_total",
+		"microfaas_gateway_async_unfetched 0", // the gateway's own, on the plane's registry
 		`shard="shard-00"`,
 		`shard="shard-01"`,
 	} {

@@ -95,6 +95,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := samples.Sum("microfaas_worker_boots_total"); got != 1 {
 		t.Fatalf("boots = %v", got)
 	}
+	// The gateway's own families are there from the start, at zero.
+	for _, name := range []string{"microfaas_gateway_async_unfetched", "microfaas_gateway_polls_parked"} {
+		if got, ok := samples.Value(name); !ok || got != 0 {
+			t.Fatalf("%s = %v (present %v)", name, got, ok)
+		}
+	}
+	for _, state := range []string{"pending", "done"} {
+		if got, ok := samples.Value("microfaas_gateway_async_expired_total", "state", state); !ok || got != 0 {
+			t.Fatalf("async_expired_total{%s} = %v (present %v)", state, got, ok)
+		}
+	}
 }
 
 func TestMetricsDisabled(t *testing.T) {

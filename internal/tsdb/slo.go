@@ -216,7 +216,7 @@ func (r Rule) ValidateMetric(known []string) error {
 
 // KnownMetrics returns the platform's metric catalogue: every family
 // the orchestrator, workers, power manager, shard plane, cluster
-// meters, and the store's own synthetic series register. slolint
+// meters, gateway, and the store's own synthetic series register. slolint
 // validates rule files against it.
 func KnownMetrics() []string {
 	return []string{
@@ -258,6 +258,9 @@ func KnownMetrics() []string {
 		"microfaas_function_budget_spent_joules",
 		"microfaas_function_budget_exhausted",
 		"microfaas_budget_throttled_total",
+		"microfaas_gateway_async_unfetched",
+		"microfaas_gateway_polls_parked",
+		"microfaas_gateway_async_expired_total",
 	}
 }
 
