@@ -142,10 +142,10 @@ func StartLive(opts LiveOptions) (*Live, error) {
 		srv  service
 		addr *string
 	}{
-		{kvstore.NewServer(nil), &l.Env.KVStoreAddr},
-		{sqlstore.NewServer(nil), &l.Env.SQLStoreAddr},
-		{objstore.NewServer(nil), &l.Env.ObjStoreAddr},
-		{mq.NewServer(nil), &l.Env.MQAddr},
+		{kvstore.NewServer(), &l.Env.KVStoreAddr},
+		{sqlstore.NewServer(), &l.Env.SQLStoreAddr},
+		{objstore.NewServer(), &l.Env.ObjStoreAddr},
+		{mq.NewServer(), &l.Env.MQAddr},
 	} {
 		l.services = append(l.services, b.srv)
 		addr, err := b.srv.Listen("127.0.0.1:0")

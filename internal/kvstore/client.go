@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
-	"strconv"
 	"time"
 )
 
@@ -98,173 +96,4 @@ func (c *Client) Get(key string) (value []byte, ok bool, err error) {
 		return nil, false, nil
 	}
 	return v.bulk, true, nil
-}
-
-// Del removes keys, returning how many existed.
-func (c *Client) Del(keys ...string) (int, error) {
-	args := [][]byte{[]byte("DEL")}
-	for _, k := range keys {
-		args = append(args, []byte(k))
-	}
-	v, err := c.do(args...)
-	if err != nil {
-		return 0, err
-	}
-	return int(v.num), nil
-}
-
-// Exists returns how many of the keys exist.
-func (c *Client) Exists(keys ...string) (int, error) {
-	args := [][]byte{[]byte("EXISTS")}
-	for _, k := range keys {
-		args = append(args, []byte(k))
-	}
-	v, err := c.do(args...)
-	if err != nil {
-		return 0, err
-	}
-	return int(v.num), nil
-}
-
-// Incr increments the integer at key by one and returns the new value.
-func (c *Client) Incr(key string) (int64, error) {
-	v, err := c.do([]byte("INCR"), []byte(key))
-	if err != nil {
-		return 0, err
-	}
-	return v.num, nil
-}
-
-// IncrBy adds delta to the integer at key and returns the new value.
-func (c *Client) IncrBy(key string, delta int64) (int64, error) {
-	v, err := c.do([]byte("INCRBY"), []byte(key), []byte(fmt.Sprintf("%d", delta)))
-	if err != nil {
-		return 0, err
-	}
-	return v.num, nil
-}
-
-// Keys lists keys matching a glob pattern.
-func (c *Client) Keys(pattern string) ([]string, error) {
-	v, err := c.do([]byte("KEYS"), []byte(pattern))
-	if err != nil {
-		return nil, err
-	}
-	if v.kind != '*' {
-		return nil, errors.New("kvstore: unexpected KEYS reply")
-	}
-	out := make([]string, len(v.array))
-	for i, el := range v.array {
-		out[i] = string(el.bulk)
-	}
-	return out, nil
-}
-
-// DBSize returns the number of keys on the server.
-func (c *Client) DBSize() (int, error) {
-	v, err := c.do([]byte("DBSIZE"))
-	if err != nil {
-		return 0, err
-	}
-	return int(v.num), nil
-}
-
-// FlushAll clears the server's keyspace.
-func (c *Client) FlushAll() error {
-	_, err := c.do([]byte("FLUSHALL"))
-	return err
-}
-
-// SetEX stores value under key with a time-to-live (rounded up to whole
-// seconds on the wire, as Redis EX does).
-func (c *Client) SetEX(key string, value []byte, ttl time.Duration) error {
-	secs := int64((ttl + time.Second - 1) / time.Second)
-	if secs <= 0 {
-		return errors.New("kvstore: SetEX requires a positive TTL")
-	}
-	v, err := c.do([]byte("SET"), []byte(key), value, []byte("EX"), []byte(strconv.FormatInt(secs, 10)))
-	if err != nil {
-		return err
-	}
-	if v.kind != '+' || v.str != "OK" {
-		return errors.New("kvstore: unexpected SET reply")
-	}
-	return nil
-}
-
-// Expire sets a TTL on an existing key; reports whether the key exists.
-func (c *Client) Expire(key string, ttl time.Duration) (bool, error) {
-	secs := int64(ttl / time.Second)
-	v, err := c.do([]byte("EXPIRE"), []byte(key), []byte(strconv.FormatInt(secs, 10)))
-	if err != nil {
-		return false, err
-	}
-	return v.num == 1, nil
-}
-
-// TTL returns a key's remaining time-to-live. Following Redis: ok=false
-// means no such key; ttl<0 means the key has no expiry.
-func (c *Client) TTL(key string) (ttl time.Duration, ok bool, err error) {
-	v, err := c.do([]byte("TTL"), []byte(key))
-	if err != nil {
-		return 0, false, err
-	}
-	switch {
-	case v.num == -2:
-		return 0, false, nil
-	case v.num == -1:
-		return -1, true, nil
-	default:
-		return time.Duration(v.num) * time.Second, true, nil
-	}
-}
-
-// Append appends data to the value at key and returns the new length.
-func (c *Client) Append(key string, data []byte) (int, error) {
-	v, err := c.do([]byte("APPEND"), []byte(key), data)
-	if err != nil {
-		return 0, err
-	}
-	return int(v.num), nil
-}
-
-// MGet fetches several keys at once; missing keys yield nil entries.
-func (c *Client) MGet(keys ...string) ([][]byte, error) {
-	args := [][]byte{[]byte("MGET")}
-	for _, k := range keys {
-		args = append(args, []byte(k))
-	}
-	v, err := c.do(args...)
-	if err != nil {
-		return nil, err
-	}
-	if v.kind != '*' || len(v.array) != len(keys) {
-		return nil, errors.New("kvstore: unexpected MGET reply")
-	}
-	out := make([][]byte, len(keys))
-	for i, el := range v.array {
-		if !el.null {
-			out[i] = el.bulk
-		}
-	}
-	return out, nil
-}
-
-// MSet stores several key/value pairs at once.
-func (c *Client) MSet(pairs map[string][]byte) error {
-	if len(pairs) == 0 {
-		return errors.New("kvstore: MSet requires at least one pair")
-	}
-	args := [][]byte{[]byte("MSET")}
-	// Deterministic order keeps the wire traffic reproducible.
-	keys := make([]string, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		args = append(args, []byte(k), pairs[k])
-	}
-	_, err := c.do(args...)
-	return err
 }

@@ -2,33 +2,52 @@ package kvstore
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 )
 
-// This file implements the wire format: RESP2 (the protocol Redis clients
-// speak). Requests are arrays of bulk strings; responses are simple
-// strings, errors, integers, bulk strings, nulls, or arrays.
+// This file implements the wire format: the slice of RESP2 (the protocol
+// Redis clients speak) the served commands use. Requests are arrays of
+// bulk strings; responses are simple strings, errors, integers, bulk
+// strings, or nulls. No served command answers with an array, so the
+// reader has no recursive case: a request is one count header followed by
+// that many bulk strings, read in a flat bounded loop.
 
 // respValue is one parsed RESP value.
 type respValue struct {
-	kind  byte // '+', '-', ':', '$', '*'
-	str   string
-	num   int64
-	bulk  []byte // nil means null bulk string when kind == '$'
-	array []respValue
-	null  bool
+	kind byte // '+', '-', ':', '$'
+	str  string
+	num  int64
+	bulk []byte
+	null bool // null bulk string, when kind == '$'
 }
 
 var errProtocol = errors.New("kvstore: RESP protocol error")
 
-const maxBulkLen = 64 << 20 // 64 MiB guard against hostile lengths
+const (
+	maxBulkLen = 64 << 20 // 64 MiB guard against hostile lengths
+	// maxLineLen bounds a header or status line ("*3", "$5", "+OK",
+	// "-ERR ..."): a peer that never sends '\n' costs this much, not memory
+	// until the process dies.
+	maxLineLen = 512
+	// maxCommandArgs bounds a request's element count, checked before
+	// anything is allocated from it. The longest served command has three
+	// (SET key value); the headroom lets an over-long or cut command be
+	// answered with an error instead of a dropped connection.
+	maxCommandArgs = 8
+)
 
-// readLine reads a CRLF-terminated line without the terminator.
+// readLine reads a CRLF-terminated line of at most maxLineLen bytes,
+// without the terminator. The result aliases r's buffer: use it before the
+// next read.
 func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadBytes('\n')
+	line, err := r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) || len(line) > maxLineLen+2 {
+		return nil, errProtocol
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -67,52 +86,48 @@ func readValue(r *bufio.Reader) (respValue, error) {
 		if n < 0 {
 			return respValue{kind: '$', null: true}, nil
 		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		// n is the peer's claim: grow toward it as bytes arrive (as
+		// wire.ReadFrame does) rather than pin up to maxBulkLen for a
+		// twelve-byte header.
+		var body bytes.Buffer
+		if _, err := io.CopyN(&body, r, n+2); err != nil {
 			return respValue{}, err
 		}
+		buf := body.Bytes()
 		if buf[n] != '\r' || buf[n+1] != '\n' {
 			return respValue{}, errProtocol
 		}
-		return respValue{kind: '$', bulk: buf[:n]}, nil
-	case '*':
-		n, err := strconv.ParseInt(rest, 10, 64)
-		if err != nil || n > 1<<20 {
-			return respValue{}, errProtocol
-		}
-		if n < 0 {
-			return respValue{kind: '*', null: true}, nil
-		}
-		arr := make([]respValue, 0, n)
-		for i := int64(0); i < n; i++ {
-			v, err := readValue(r)
-			if err != nil {
-				return respValue{}, err
-			}
-			arr = append(arr, v)
-		}
-		return respValue{kind: '*', array: arr}, nil
+		return respValue{kind: '$', bulk: buf[:n:n]}, nil
 	default:
 		return respValue{}, errProtocol
 	}
 }
 
-// readCommand parses a client request: an array of bulk strings. The first
-// element is the command name; the rest are arguments.
+// readCommand parses a client request: "*N" and then N non-null bulk
+// strings, 1 <= N <= maxCommandArgs. The first element is the command
+// name; the rest are arguments.
 func readCommand(r *bufio.Reader) ([][]byte, error) {
-	v, err := readValue(r)
+	line, err := readLine(r)
 	if err != nil {
 		return nil, err
 	}
-	if v.kind != '*' || v.null || len(v.array) == 0 {
+	if len(line) == 0 || line[0] != '*' {
 		return nil, errProtocol
 	}
-	args := make([][]byte, len(v.array))
-	for i, el := range v.array {
-		if el.kind != '$' || el.null {
+	n, err := strconv.Atoi(string(line[1:]))
+	if err != nil || n < 1 || n > maxCommandArgs {
+		return nil, errProtocol
+	}
+	args := make([][]byte, n)
+	for i := range args {
+		v, err := readValue(r)
+		if err != nil {
+			return nil, err
+		}
+		if v.kind != '$' || v.null {
 			return nil, errProtocol
 		}
-		args[i] = el.bulk
+		args[i] = v.bulk
 	}
 	return args, nil
 }
@@ -149,13 +164,8 @@ func writeBulk(w *bufio.Writer, b []byte) error {
 	return err
 }
 
-func writeArrayHeader(w *bufio.Writer, n int) error {
-	_, err := fmt.Fprintf(w, "*%d\r\n", n)
-	return err
-}
-
 func writeCommand(w *bufio.Writer, args ...[]byte) error {
-	if err := writeArrayHeader(w, len(args)); err != nil {
+	if _, err := fmt.Fprintf(w, "*%d\r\n", len(args)); err != nil {
 		return err
 	}
 	for _, a := range args {

@@ -7,79 +7,34 @@
 // keeps the network-bound workloads exercising a real request/response
 // protocol path — connection handling, serialization, server-side work —
 // without an external dependency.
+//
+// It serves the commands those two functions send and nothing else: SET
+// key value, SETNX, GET, and PING for smoke probes. PR 24 cut the rest —
+// TTLs (SET ... EX, EXPIRE, TTL), APPEND, MGET/MSET, DEL, EXISTS,
+// INCR/DECR[BY], KEYS, DBSIZE, FLUSHALL, QUIT, and RESP array replies with
+// them — each now answers "-ERR unknown command"; any of them is one
+// `git revert` hunk away.
 package kvstore
 
-import (
-	"fmt"
-	"path"
-	"sort"
-	"strconv"
-	"sync"
-	"time"
-)
+import "sync"
 
-// entry is one stored value with an optional expiry deadline.
-type entry struct {
-	value    []byte
-	expireAt time.Time // zero = never expires
-}
-
-func (e entry) expired(now time.Time) bool {
-	return !e.expireAt.IsZero() && !now.Before(e.expireAt)
-}
-
-// Store is a thread-safe in-memory key-value map with optional per-key
-// TTLs. Expired keys are reaped lazily, the way Redis mostly does it.
+// Store is a thread-safe in-memory key-value map.
 // The zero value is not usable; create one with NewStore.
 type Store struct {
 	mu   sync.RWMutex
-	data map[string]entry
-	now  func() time.Time
+	data map[string][]byte
 }
 
-// NewStore returns an empty store on the wall clock.
-func NewStore() *Store { return NewStoreWithClock(time.Now) }
+// NewStore returns an empty store.
+func NewStore() *Store { return &Store{data: make(map[string][]byte)} }
 
-// NewStoreWithClock returns a store whose TTLs follow the given clock
-// (tests inject a fake one).
-func NewStoreWithClock(now func() time.Time) *Store {
-	if now == nil {
-		now = time.Now
-	}
-	return &Store{data: make(map[string]entry), now: now}
-}
-
-// getLive fetches a non-expired entry, reaping it if stale. Caller must
-// hold the write lock.
-func (s *Store) getLive(key string) (entry, bool) {
-	e, ok := s.data[key]
-	if !ok {
-		return entry{}, false
-	}
-	if e.expired(s.now()) {
-		delete(s.data, key)
-		return entry{}, false
-	}
-	return e, true
-}
-
-// Set stores value under key (clearing any TTL), returning true if the
-// key already existed.
+// Set stores a copy of value under key, returning true if the key already
+// existed.
 func (s *Store) Set(key string, value []byte) bool {
-	return s.SetWithTTL(key, value, 0)
-}
-
-// SetWithTTL stores value under key with a time-to-live (0 = no expiry),
-// returning true if the key already existed.
-func (s *Store) SetWithTTL(key string, value []byte, ttl time.Duration) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, existed := s.getLive(key)
-	e := entry{value: append([]byte(nil), value...)}
-	if ttl > 0 {
-		e.expireAt = s.now().Add(ttl)
-	}
-	s.data[key] = e
+	_, existed := s.data[key]
+	s.data[key] = append([]byte(nil), value...)
 	return existed
 }
 
@@ -87,152 +42,20 @@ func (s *Store) SetWithTTL(key string, value []byte, ttl time.Duration) bool {
 func (s *Store) SetNX(key string, value []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, existed := s.getLive(key); existed {
+	if _, existed := s.data[key]; existed {
 		return false
 	}
-	s.data[key] = entry{value: append([]byte(nil), value...)}
+	s.data[key] = append([]byte(nil), value...)
 	return true
 }
 
 // Get returns a copy of the value for key, or ok=false.
 func (s *Store) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.getLive(key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.data[key]
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), e.value...), true
-}
-
-// Append appends data to the value at key (creating it if absent) and
-// returns the new length.
-func (s *Store) Append(key string, data []byte) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, _ := s.getLive(key)
-	e.value = append(e.value, data...)
-	s.data[key] = e
-	return len(e.value)
-}
-
-// Expire sets a TTL on an existing key; reports whether the key exists.
-func (s *Store) Expire(key string, ttl time.Duration) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.getLive(key)
-	if !ok {
-		return false
-	}
-	if ttl <= 0 {
-		delete(s.data, key)
-		return true
-	}
-	e.expireAt = s.now().Add(ttl)
-	s.data[key] = e
-	return true
-}
-
-// TTL returns the remaining time-to-live. Following Redis: ok=false means
-// the key does not exist; ttl<0 means the key exists without an expiry.
-func (s *Store) TTL(key string) (ttl time.Duration, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.getLive(key)
-	if !ok {
-		return 0, false
-	}
-	if e.expireAt.IsZero() {
-		return -1, true
-	}
-	return e.expireAt.Sub(s.now()), true
-}
-
-// Del removes keys and returns how many existed.
-func (s *Store) Del(keys ...string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, k := range keys {
-		if _, ok := s.getLive(k); ok {
-			delete(s.data, k)
-			n++
-		}
-	}
-	return n
-}
-
-// Exists returns how many of the given keys exist.
-func (s *Store) Exists(keys ...string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, k := range keys {
-		if _, ok := s.getLive(k); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// IncrBy adds delta to the integer stored at key (0 if absent) and returns
-// the new value. It fails if the current value is not an integer.
-func (s *Store) IncrBy(key string, delta int64) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := int64(0)
-	e, ok := s.getLive(key)
-	if ok {
-		parsed, err := strconv.ParseInt(string(e.value), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("kvstore: value at %q is not an integer", key)
-		}
-		cur = parsed
-	}
-	cur += delta
-	e.value = []byte(strconv.FormatInt(cur, 10))
-	s.data[key] = e
-	return cur, nil
-}
-
-// Keys returns the sorted live keys matching a glob pattern ("*" for all).
-func (s *Store) Keys(pattern string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.now()
-	var out []string
-	for k, e := range s.data {
-		if e.expired(now) {
-			delete(s.data, k)
-			continue
-		}
-		if ok, err := path.Match(pattern, k); err == nil && ok {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of live keys (DBSIZE).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.now()
-	n := 0
-	for k, e := range s.data {
-		if e.expired(now) {
-			delete(s.data, k)
-			continue
-		}
-		n++
-	}
-	return n
-}
-
-// Flush removes all keys (FLUSHALL).
-func (s *Store) Flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data = make(map[string]entry)
+	return append([]byte(nil), v...), true
 }

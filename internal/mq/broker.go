@@ -1,19 +1,25 @@
 // Package mq is the repository's Kafka substitute: a topic-based message
-// broker with append-only logs, consumer-group offsets, and long-polling
-// fetch, served over a length-framed JSON TCP protocol.
+// broker with append-only logs addressed by offset, served over a
+// length-framed JSON TCP protocol.
 //
 // The paper's MQProduce and MQConsume workload functions send to and
 // receive from a Kafka topic (Table I). The broker keeps Kafka's essential
 // semantics for those workloads: messages in a topic are totally ordered
-// and durable for the broker's lifetime, consumers address messages by
-// offset, and consumer groups track commit positions independently.
+// and durable for the broker's lifetime, and consumers address messages by
+// offset.
+//
+// It serves the three operations those functions and their fixture
+// perform: produce, fetch (which answers at once with what the log holds),
+// and end. PR 24 cut the rest — consumer groups (consume, commit,
+// committed), the topics listing, and the long-poll wait on fetch, with the
+// condition variables and the broker-closes-first shutdown it needed —
+// each op now answers "unknown op"; any of them is one `git revert` hunk
+// away.
 package mq
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 )
 
 // Message is one record in a topic log.
@@ -25,35 +31,15 @@ type Message struct {
 }
 
 // Broker is a thread-safe in-memory message broker. Topics are created on
-// first produce or subscribe.
+// first produce.
 type Broker struct {
-	mu      sync.Mutex
-	topics  map[string]*topicLog
-	commits map[string]map[string]int64 // group -> topic -> next offset to read
-	closed  bool
-}
-
-type topicLog struct {
-	messages []Message
-	cond     *sync.Cond // signalled on append; waits use the broker mutex
+	mu     sync.Mutex
+	topics map[string][]Message
 }
 
 // NewBroker returns an empty broker.
 func NewBroker() *Broker {
-	return &Broker{
-		topics:  make(map[string]*topicLog),
-		commits: make(map[string]map[string]int64),
-	}
-}
-
-func (b *Broker) topic(name string) *topicLog {
-	t, ok := b.topics[name]
-	if !ok {
-		t = &topicLog{}
-		t.cond = sync.NewCond(&b.mu)
-		b.topics[name] = t
-	}
-	return t
+	return &Broker{topics: make(map[string][]Message)}
 }
 
 // Produce appends a message to a topic and returns its offset.
@@ -63,25 +49,19 @@ func (b *Broker) Produce(topic string, key, value []byte) (int64, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return 0, fmt.Errorf("mq: broker closed")
-	}
-	t := b.topic(topic)
-	off := int64(len(t.messages))
-	t.messages = append(t.messages, Message{
+	off := int64(len(b.topics[topic]))
+	b.topics[topic] = append(b.topics[topic], Message{
 		Topic:  topic,
 		Offset: off,
 		Key:    append([]byte(nil), key...),
 		Value:  append([]byte(nil), value...),
 	})
-	t.cond.Broadcast()
 	return off, nil
 }
 
-// Fetch returns up to max messages from topic starting at offset. When the
-// log has no messages at or past offset, Fetch blocks up to wait for new
-// ones (wait<=0 returns immediately). An empty slice means nothing arrived.
-func (b *Broker) Fetch(topic string, offset int64, max int, wait time.Duration) ([]Message, error) {
+// Fetch returns up to max messages from topic starting at offset; an empty
+// slice means the log has nothing at or past offset.
+func (b *Broker) Fetch(topic string, offset int64, max int) ([]Message, error) {
 	if topic == "" {
 		return nil, fmt.Errorf("mq: empty topic")
 	}
@@ -93,103 +73,19 @@ func (b *Broker) Fetch(topic string, offset int64, max int, wait time.Duration) 
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	t := b.topic(topic)
-	deadline := time.Now().Add(wait)
-	for int64(len(t.messages)) <= offset {
-		if b.closed {
-			return nil, fmt.Errorf("mq: broker closed")
-		}
-		if wait <= 0 || !time.Now().Before(deadline) {
-			return nil, nil
-		}
-		// sync.Cond has no timed wait; poke the condition on a timer so a
-		// quiet topic can't wedge the fetch past its deadline.
-		timer := time.AfterFunc(time.Until(deadline), t.cond.Broadcast)
-		t.cond.Wait()
-		timer.Stop()
+	log := b.topics[topic]
+	if int64(len(log)) <= offset {
+		return nil, nil
 	}
 	// Clamp by remaining count, not by computing offset+max: with a huge
 	// max the sum overflows int64 and the slice size goes negative.
-	n := int64(len(t.messages)) - offset
+	n := int64(len(log)) - offset
 	if n > int64(max) {
 		n = int64(max)
 	}
 	out := make([]Message, n)
-	copy(out, t.messages[offset:offset+n])
+	copy(out, log[offset:offset+n])
 	return out, nil
-}
-
-// Commit records that a consumer group has processed a topic up to (but not
-// including) offset.
-func (b *Broker) Commit(group, topic string, offset int64) error {
-	if group == "" || topic == "" {
-		return fmt.Errorf("mq: group and topic required")
-	}
-	if offset < 0 {
-		return fmt.Errorf("mq: negative offset %d", offset)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	g, ok := b.commits[group]
-	if !ok {
-		g = make(map[string]int64)
-		b.commits[group] = g
-	}
-	g[topic] = offset
-	return nil
-}
-
-// Committed returns a group's committed offset for a topic (0 if none).
-func (b *Broker) Committed(group, topic string) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.commits[group][topic]
-}
-
-// ConsumeGroup atomically fetches up to max messages from the group's
-// committed position and advances the commit past what it returns — the
-// classic at-most-once group consume. It long-polls up to wait when the
-// group is already caught up. Concurrent group consumers never receive the
-// same message.
-func (b *Broker) ConsumeGroup(group, topic string, max int, wait time.Duration) ([]Message, error) {
-	if group == "" || topic == "" {
-		return nil, fmt.Errorf("mq: group and topic required")
-	}
-	if max <= 0 {
-		max = 1
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t := b.topic(topic)
-	deadline := time.Now().Add(wait)
-	for {
-		if b.closed {
-			return nil, fmt.Errorf("mq: broker closed")
-		}
-		offset := b.commits[group][topic]
-		if int64(len(t.messages)) > offset {
-			// Same overflow-safe clamp as Fetch.
-			n := int64(len(t.messages)) - offset
-			if n > int64(max) {
-				n = int64(max)
-			}
-			out := make([]Message, n)
-			copy(out, t.messages[offset:offset+n])
-			g, ok := b.commits[group]
-			if !ok {
-				g = make(map[string]int64)
-				b.commits[group] = g
-			}
-			g[topic] = offset + n
-			return out, nil
-		}
-		if wait <= 0 || !time.Now().Before(deadline) {
-			return nil, nil
-		}
-		timer := time.AfterFunc(time.Until(deadline), t.cond.Broadcast)
-		t.cond.Wait()
-		timer.Stop()
-	}
 }
 
 // End returns the next offset that a produce to the topic would receive
@@ -197,34 +93,5 @@ func (b *Broker) ConsumeGroup(group, topic string, max int, wait time.Duration) 
 func (b *Broker) End(topic string) int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	t, ok := b.topics[topic]
-	if !ok {
-		return 0
-	}
-	return int64(len(t.messages))
-}
-
-// Topics returns the sorted topic names.
-func (b *Broker) Topics() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Close wakes all blocked fetches and rejects further operations.
-func (b *Broker) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.closed = true
-	for _, t := range b.topics {
-		t.cond.Broadcast()
-	}
+	return int64(len(b.topics[topic]))
 }

@@ -56,29 +56,3 @@ func TestClientMidFrameErrorDoesNotLeakConn(t *testing.T) {
 		return // EOF or reset: the client really hung up
 	}
 }
-
-// TestLongPollDeadlineBudgetsWait locks the deadline arithmetic: a fetch
-// long-polling longer than the base timeout must still complete (the
-// deadline extends by the wait) rather than being cut off early.
-func TestLongPollDeadlineBudgetsWait(t *testing.T) {
-	srv := NewServer(nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr, 200*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// Wait (400ms) exceeds the base timeout (200ms); the poll must return
-	// empty at the wait, not fail at the timeout.
-	msgs, err := c.Fetch("empty-topic", 0, 10, 400*time.Millisecond)
-	if err != nil {
-		t.Fatalf("long poll past the base timeout failed: %v", err)
-	}
-	if len(msgs) != 0 {
-		t.Fatalf("empty topic returned %d messages", len(msgs))
-	}
-}

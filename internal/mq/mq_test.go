@@ -29,7 +29,7 @@ func TestFetchFromOffset(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Produce("t", nil, []byte{byte(i)}) //nolint:errcheck
 	}
-	msgs, err := b.Fetch("t", 7, 100, 0)
+	msgs, err := b.Fetch("t", 7, 100)
 	if err != nil || len(msgs) != 3 {
 		t.Fatalf("Fetch = %d msgs, %v", len(msgs), err)
 	}
@@ -43,7 +43,7 @@ func TestFetchHonorsMax(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Produce("t", nil, nil) //nolint:errcheck
 	}
-	msgs, _ := b.Fetch("t", 0, 4, 0)
+	msgs, _ := b.Fetch("t", 0, 4)
 	if len(msgs) != 4 {
 		t.Fatalf("len = %d, want 4", len(msgs))
 	}
@@ -52,7 +52,7 @@ func TestFetchHonorsMax(t *testing.T) {
 func TestFetchPastEndReturnsEmptyImmediately(t *testing.T) {
 	b := NewBroker()
 	start := time.Now()
-	msgs, err := b.Fetch("empty", 0, 1, 0)
+	msgs, err := b.Fetch("empty", 0, 1)
 	if err != nil || len(msgs) != 0 {
 		t.Fatalf("Fetch = %v, %v", msgs, err)
 	}
@@ -61,70 +61,16 @@ func TestFetchPastEndReturnsEmptyImmediately(t *testing.T) {
 	}
 }
 
-func TestFetchLongPollWakesOnProduce(t *testing.T) {
-	b := NewBroker()
-	done := make(chan []Message, 1)
-	go func() {
-		msgs, _ := b.Fetch("t", 0, 1, 5*time.Second)
-		done <- msgs
-	}()
-	time.Sleep(20 * time.Millisecond)
-	b.Produce("t", nil, []byte("wake")) //nolint:errcheck
-	select {
-	case msgs := <-done:
-		if len(msgs) != 1 || string(msgs[0].Value) != "wake" {
-			t.Fatalf("msgs = %v", msgs)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("long poll did not wake on produce")
-	}
-}
-
-func TestFetchLongPollTimesOut(t *testing.T) {
-	b := NewBroker()
-	start := time.Now()
-	msgs, err := b.Fetch("quiet", 0, 1, 50*time.Millisecond)
-	if err != nil || len(msgs) != 0 {
-		t.Fatalf("Fetch = %v, %v", msgs, err)
-	}
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond || elapsed > 2*time.Second {
-		t.Fatalf("timeout took %v", elapsed)
-	}
-}
-
-func TestCommitAndCommitted(t *testing.T) {
-	b := NewBroker()
-	if b.Committed("g", "t") != 0 {
-		t.Fatal("fresh group should start at 0")
-	}
-	if err := b.Commit("g", "t", 42); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Committed("g", "t"); got != 42 {
-		t.Fatalf("Committed = %d", got)
-	}
-	// Groups are independent.
-	if b.Committed("other", "t") != 0 {
-		t.Fatal("groups must not share commits")
-	}
-}
-
 func TestValidation(t *testing.T) {
 	b := NewBroker()
 	if _, err := b.Produce("", nil, nil); err == nil {
 		t.Fatal("empty topic accepted")
 	}
-	if _, err := b.Fetch("", 0, 1, 0); err == nil {
+	if _, err := b.Fetch("", 0, 1); err == nil {
 		t.Fatal("empty topic accepted in fetch")
 	}
-	if _, err := b.Fetch("t", -1, 1, 0); err == nil {
+	if _, err := b.Fetch("t", -1, 1); err == nil {
 		t.Fatal("negative offset accepted")
-	}
-	if err := b.Commit("", "t", 0); err == nil {
-		t.Fatal("empty group accepted")
-	}
-	if err := b.Commit("g", "t", -1); err == nil {
-		t.Fatal("negative commit accepted")
 	}
 }
 
@@ -133,41 +79,9 @@ func TestMessagesAreCopied(t *testing.T) {
 	val := []byte("original")
 	b.Produce("t", nil, val) //nolint:errcheck
 	val[0] = 'X'
-	msgs, _ := b.Fetch("t", 0, 1, 0)
+	msgs, _ := b.Fetch("t", 0, 1)
 	if string(msgs[0].Value) != "original" {
 		t.Fatal("Produce aliased caller's buffer")
-	}
-}
-
-func TestTopics(t *testing.T) {
-	b := NewBroker()
-	b.Produce("zeta", nil, nil)  //nolint:errcheck
-	b.Produce("alpha", nil, nil) //nolint:errcheck
-	got := b.Topics()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Fatalf("Topics = %v", got)
-	}
-}
-
-func TestCloseWakesBlockedFetch(t *testing.T) {
-	b := NewBroker()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := b.Fetch("t", 0, 1, 10*time.Second)
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	b.Close()
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("fetch on closed broker should error")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not wake blocked fetch")
-	}
-	if _, err := b.Produce("t", nil, nil); err == nil {
-		t.Fatal("produce after Close should error")
 	}
 }
 
@@ -188,7 +102,7 @@ func TestConcurrentProducersTotalOrder(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	msgs, err := b.Fetch("t", 0, producers*each+1, 0)
+	msgs, err := b.Fetch("t", 0, producers*each+1)
 	if err != nil || len(msgs) != producers*each {
 		t.Fatalf("fetched %d, %v", len(msgs), err)
 	}
@@ -209,7 +123,7 @@ func TestProduceFetchOrderProperty(t *testing.T) {
 				return false
 			}
 		}
-		msgs, err := b.Fetch("t", 0, len(payloads)+1, 0)
+		msgs, err := b.Fetch("t", 0, len(payloads)+1)
 		if err != nil || len(msgs) != len(payloads) {
 			return len(payloads) == 0 && err == nil
 		}
@@ -229,7 +143,7 @@ func TestProduceFetchOrderProperty(t *testing.T) {
 
 func startMQServer(t *testing.T) string {
 	t.Helper()
-	srv := NewServer(nil)
+	srv := NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +177,7 @@ func TestEndToEndProduceConsume(t *testing.T) {
 	if err != nil || off != 1 {
 		t.Fatalf("Produce = %d, %v", off, err)
 	}
-	msgs, err := c.Fetch("orders", 0, 10, 0)
+	msgs, err := c.Fetch("orders", 0, 10)
 	if err != nil || len(msgs) != 2 {
 		t.Fatalf("Fetch = %v, %v", msgs, err)
 	}
@@ -276,33 +190,6 @@ func TestEndToEndProduceConsume(t *testing.T) {
 	}
 }
 
-func TestEndToEndConsumerGroupFlow(t *testing.T) {
-	c := startMQ(t)
-	for i := 0; i < 3; i++ {
-		c.Produce("t", nil, []byte{byte(i)}) //nolint:errcheck
-	}
-	pos, err := c.Committed("workers", "t")
-	if err != nil || pos != 0 {
-		t.Fatalf("Committed = %d, %v", pos, err)
-	}
-	msgs, err := c.Fetch("t", pos, 2, 0)
-	if err != nil || len(msgs) != 2 {
-		t.Fatalf("Fetch = %v, %v", msgs, err)
-	}
-	next := msgs[len(msgs)-1].Offset + 1
-	if err := c.Commit("workers", "t", next); err != nil {
-		t.Fatal(err)
-	}
-	pos, err = c.Committed("workers", "t")
-	if err != nil || pos != 2 {
-		t.Fatalf("Committed after commit = %d, %v", pos, err)
-	}
-	msgs, err = c.Fetch("t", pos, 10, 0)
-	if err != nil || len(msgs) != 1 || msgs[0].Value[0] != 2 {
-		t.Fatalf("remaining = %v, %v", msgs, err)
-	}
-}
-
 func TestEndToEndErrorsKeepConnection(t *testing.T) {
 	c := startMQ(t)
 	if _, err := c.Produce("", nil, nil); err == nil {
@@ -311,155 +198,10 @@ func TestEndToEndErrorsKeepConnection(t *testing.T) {
 	if _, err := c.Produce("ok", nil, []byte("x")); err != nil {
 		t.Fatalf("connection unusable after error: %v", err)
 	}
-	if _, err := c.Fetch("t", -5, 1, 0); err == nil {
+	if _, err := c.Fetch("t", -5, 1); err == nil {
 		t.Fatal("negative offset accepted over the wire")
 	}
-	if _, err := c.Topics(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEndToEndLongPollOverTCP(t *testing.T) {
-	addr := startMQServer(t)
-	c, producer := dialMQ(t, addr), dialMQ(t, addr)
-	done := make(chan []Message, 1)
-	go func() {
-		msgs, _ := c.Fetch("live", 0, 1, 5*time.Second)
-		done <- msgs
-	}()
-	time.Sleep(30 * time.Millisecond)
-	if _, err := producer.Produce("live", nil, []byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case msgs := <-done:
-		if len(msgs) != 1 || string(msgs[0].Value) != "ping" {
-			t.Fatalf("msgs = %v", msgs)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("TCP long poll did not deliver")
-	}
-}
-
-func TestConsumeGroupAdvancesCommit(t *testing.T) {
-	b := NewBroker()
-	for i := 0; i < 5; i++ {
-		b.Produce("t", nil, []byte{byte(i)}) //nolint:errcheck
-	}
-	first, err := b.ConsumeGroup("g", "t", 2, 0)
-	if err != nil || len(first) != 2 || first[0].Offset != 0 {
-		t.Fatalf("first = %v, %v", first, err)
-	}
-	second, err := b.ConsumeGroup("g", "t", 10, 0)
-	if err != nil || len(second) != 3 || second[0].Offset != 2 {
-		t.Fatalf("second = %v, %v", second, err)
-	}
-	// Caught up: immediate return with nothing.
-	third, err := b.ConsumeGroup("g", "t", 1, 0)
-	if err != nil || len(third) != 0 {
-		t.Fatalf("third = %v, %v", third, err)
-	}
-	if b.Committed("g", "t") != 5 {
-		t.Fatalf("committed = %d", b.Committed("g", "t"))
-	}
-	// A different group starts from the beginning.
-	other, _ := b.ConsumeGroup("g2", "t", 1, 0)
-	if len(other) != 1 || other[0].Offset != 0 {
-		t.Fatalf("other group = %v", other)
-	}
-}
-
-func TestConsumeGroupNoDuplicatesUnderConcurrency(t *testing.T) {
-	b := NewBroker()
-	const total = 300
-	for i := 0; i < total; i++ {
-		b.Produce("t", nil, []byte(fmt.Sprintf("%d", i))) //nolint:errcheck
-	}
-	var mu sync.Mutex
-	seen := map[int64]int{}
-	var wg sync.WaitGroup
-	for c := 0; c < 6; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				msgs, err := b.ConsumeGroup("workers", "t", 7, 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(msgs) == 0 {
-					return
-				}
-				mu.Lock()
-				for _, m := range msgs {
-					seen[m.Offset]++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != total {
-		t.Fatalf("consumed %d distinct messages, want %d", len(seen), total)
-	}
-	for off, n := range seen {
-		if n != 1 {
-			t.Fatalf("offset %d delivered %d times", off, n)
-		}
-	}
-}
-
-func TestConsumeGroupLongPoll(t *testing.T) {
-	b := NewBroker()
-	done := make(chan []Message, 1)
-	go func() {
-		msgs, _ := b.ConsumeGroup("g", "t", 1, 5*time.Second)
-		done <- msgs
-	}()
-	time.Sleep(20 * time.Millisecond)
-	b.Produce("t", nil, []byte("late")) //nolint:errcheck
-	select {
-	case msgs := <-done:
-		if len(msgs) != 1 || string(msgs[0].Value) != "late" {
-			t.Fatalf("msgs = %v", msgs)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("group long poll missed the produce")
-	}
-	if b.Committed("g", "t") != 1 {
-		t.Fatal("commit not advanced by long-polled consume")
-	}
-}
-
-func TestConsumeGroupValidation(t *testing.T) {
-	b := NewBroker()
-	if _, err := b.ConsumeGroup("", "t", 1, 0); err == nil {
-		t.Fatal("empty group accepted")
-	}
-	if _, err := b.ConsumeGroup("g", "", 1, 0); err == nil {
-		t.Fatal("empty topic accepted")
-	}
-}
-
-func TestEndToEndConsumeGroup(t *testing.T) {
-	c := startMQ(t)
-	for i := 0; i < 4; i++ {
-		c.Produce("jobs", nil, []byte{byte(i)}) //nolint:errcheck
-	}
-	msgs, err := c.ConsumeGroup("team", "jobs", 3, 0)
-	if err != nil || len(msgs) != 3 {
-		t.Fatalf("ConsumeGroup = %v, %v", msgs, err)
-	}
-	pos, err := c.Committed("team", "jobs")
-	if err != nil || pos != 3 {
-		t.Fatalf("Committed = %d, %v", pos, err)
-	}
-	msgs, err = c.ConsumeGroup("team", "jobs", 3, 0)
-	if err != nil || len(msgs) != 1 || msgs[0].Value[0] != 3 {
-		t.Fatalf("second ConsumeGroup = %v, %v", msgs, err)
-	}
-	if _, err := c.ConsumeGroup("", "jobs", 1, 0); err == nil {
-		t.Fatal("empty group accepted over the wire")
+	if end, err := c.End("ok"); err != nil || end != 1 {
+		t.Fatalf("End after the errors = %d, %v", end, err)
 	}
 }

@@ -3,32 +3,28 @@
 //
 // The paper's COSGet and COSPut workload functions download from and upload
 // to a MinIO cloud object store hosted on a dedicated SBC (Table I). This
-// package provides the same bucket/object model — PUT, GET, DELETE, HEAD,
-// bucket listing, MD5 ETags — over net/http, so the bulk-transfer workloads
-// move real bytes through a real HTTP stack.
+// package provides the same bucket/object model over net/http, so the
+// bulk-transfer workloads move real bytes through a real HTTP stack.
+//
+// It serves what those two functions and their fixture do: create a bucket
+// (PUT), store an object (PUT, answering its MD5 ETag), fetch one (GET).
+// PR 24 cut the rest — HEAD/Stat, DELETE, bucket listing, Range requests —
+// each now answers 405 (a Range header is ignored and the whole object
+// sent, as HTTP allows); any of them is one `git revert` hunk away.
 package objstore
 
 import (
 	"bytes"
 	"crypto/md5"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
-
-// ObjectInfo describes one stored object.
-type ObjectInfo struct {
-	Key  string `json:"key"`
-	Size int64  `json:"size"`
-	ETag string `json:"etag"`
-}
 
 // Store is a thread-safe in-memory bucket/object map.
 type Store struct {
@@ -85,50 +81,6 @@ func (s *Store) Get(bucket, key string) ([]byte, bool) {
 	return append([]byte(nil), data...), true
 }
 
-// Delete removes an object; reports whether it existed.
-func (s *Store) Delete(bucket, key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[bucket]
-	if !ok {
-		return false
-	}
-	if _, ok := b[key]; !ok {
-		return false
-	}
-	delete(b, key)
-	return true
-}
-
-// List returns the bucket's objects sorted by key; ok=false for a missing
-// bucket.
-func (s *Store) List(bucket string) ([]ObjectInfo, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.buckets[bucket]
-	if !ok {
-		return nil, false
-	}
-	out := make([]ObjectInfo, 0, len(b))
-	for k, v := range b {
-		out = append(out, ObjectInfo{Key: k, Size: int64(len(v)), ETag: etag(v)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, true
-}
-
-// Buckets returns the sorted bucket names.
-func (s *Store) Buckets() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.buckets))
-	for b := range s.buckets {
-		out = append(out, b)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func etag(data []byte) string {
 	sum := md5.Sum(data)
 	return hex.EncodeToString(sum[:])
@@ -136,48 +88,30 @@ func etag(data []byte) string {
 
 // Server serves a Store over HTTP. Routes:
 //
-//	PUT    /b/{bucket}            create bucket
-//	GET    /b/{bucket}            list objects (JSON)
-//	PUT    /b/{bucket}/{key...}   store object (body = bytes)
-//	GET    /b/{bucket}/{key...}   fetch object
-//	HEAD   /b/{bucket}/{key...}   stat object
-//	DELETE /b/{bucket}/{key...}   delete object
+//	PUT /b/{bucket}            create bucket
+//	PUT /b/{bucket}/{key...}   store object (body = bytes)
+//	GET /b/{bucket}/{key...}   fetch object
 type Server struct {
 	store *Store
 	http  *http.Server
 
-	mu   sync.Mutex
-	addr string
+	mu sync.Mutex
 }
 
-// NewServer returns a server backed by store (a fresh store if nil).
-func NewServer(store *Store) *Server {
-	if store == nil {
-		store = NewStore()
-	}
-	return &Server{store: store}
-}
-
-// Store returns the underlying store.
-func (s *Server) Store() *Store { return s.store }
-
-// Handler returns the HTTP handler (exposed for httptest-style embedding).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/b/", s.handle)
-	return mux
-}
+// NewServer returns a server backed by a fresh store.
+func NewServer() *Server { return &Server{store: NewStore()} }
 
 // Listen binds to addr and serves in the background, returning the bound
 // address.
 func (s *Server) Listen(addr string) (string, error) {
-	ln, err := newListener(addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("objstore: listen: %w", err)
 	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/b/", s.handle)
 	s.mu.Lock()
-	s.addr = ln.Addr().String()
-	s.http = &http.Server{Handler: s.Handler()}
+	s.http = &http.Server{Handler: mux}
 	srv := s.http
 	s.mu.Unlock()
 	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
@@ -217,14 +151,6 @@ func (s *Server) handleBucket(w http.ResponseWriter, r *http.Request, bucket str
 			return
 		}
 		w.WriteHeader(http.StatusCreated)
-	case http.MethodGet:
-		objs, ok := s.store.List(bucket)
-		if !ok {
-			http.Error(w, "no such bucket", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(objs) //nolint:errcheck
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -245,38 +171,17 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, bucket, ke
 		}
 		w.Header().Set("ETag", tag)
 		w.WriteHeader(http.StatusCreated)
-	case http.MethodGet, http.MethodHead:
+	case http.MethodGet:
 		data, ok := s.store.Get(bucket, key)
 		if !ok {
 			http.Error(w, "no such object", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("ETag", etag(data))
-		w.Header().Set("Accept-Ranges", "bytes")
 		w.Header().Set("Content-Type", "application/octet-stream")
-		status := http.StatusOK
-		if rangeHdr := r.Header.Get("Range"); rangeHdr != "" && r.Method == http.MethodGet {
-			start, end, err := parseRange(rangeHdr, len(data))
-			if err != nil {
-				w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", len(data)))
-				http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
-				return
-			}
-			w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, end, len(data)))
-			data = data[start : end+1]
-			status = http.StatusPartialContent
-		}
 		w.Header().Set("Content-Length", fmt.Sprint(len(data)))
-		w.WriteHeader(status)
-		if r.Method == http.MethodGet {
-			w.Write(data) //nolint:errcheck
-		}
-	case http.MethodDelete:
-		if !s.store.Delete(bucket, key) {
-			http.Error(w, "no such object", http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+		w.WriteHeader(http.StatusOK)
+		w.Write(data) //nolint:errcheck
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -352,137 +257,6 @@ func (c *Client) Get(bucket, key string) (data []byte, ok bool, err error) {
 		return nil, false, err
 	}
 	return data, true, nil
-}
-
-// Stat returns an object's size and ETag without fetching its bytes.
-func (c *Client) Stat(bucket, key string) (info ObjectInfo, ok bool, err error) {
-	resp, err := c.http.Head(c.url(bucket, key))
-	if err != nil {
-		return ObjectInfo{}, false, fmt.Errorf("objstore: stat: %w", err)
-	}
-	defer drain(resp)
-	if resp.StatusCode == http.StatusNotFound {
-		return ObjectInfo{}, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return ObjectInfo{}, false, statusErr("stat", resp)
-	}
-	return ObjectInfo{Key: key, Size: resp.ContentLength, ETag: resp.Header.Get("ETag")}, true, nil
-}
-
-// Delete removes an object; ok=false means it did not exist.
-func (c *Client) Delete(bucket, key string) (bool, error) {
-	req, err := http.NewRequest(http.MethodDelete, c.url(bucket, key), nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return false, fmt.Errorf("objstore: delete: %w", err)
-	}
-	defer drain(resp)
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
-	default:
-		return false, statusErr("delete", resp)
-	}
-}
-
-// List returns the objects in a bucket.
-func (c *Client) List(bucket string) ([]ObjectInfo, error) {
-	resp, err := c.http.Get(c.url(bucket))
-	if err != nil {
-		return nil, fmt.Errorf("objstore: list: %w", err)
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusErr("list", resp)
-	}
-	var out []ObjectInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("objstore: decode list: %w", err)
-	}
-	return out, nil
-}
-
-// parseRange interprets a single "bytes=a-b" range (the S3-style subset:
-// one range, absolute offsets or a suffix length) against an object of
-// size n, returning inclusive byte positions.
-func parseRange(hdr string, n int) (start, end int, err error) {
-	spec, ok := strings.CutPrefix(hdr, "bytes=")
-	if !ok || strings.Contains(spec, ",") {
-		return 0, 0, fmt.Errorf("objstore: unsupported range %q", hdr)
-	}
-	lo, hi, ok := strings.Cut(spec, "-")
-	if !ok {
-		return 0, 0, fmt.Errorf("objstore: malformed range %q", hdr)
-	}
-	if lo == "" {
-		// Suffix form: last N bytes.
-		suffix, err := strconv.Atoi(hi)
-		if err != nil || suffix <= 0 {
-			return 0, 0, fmt.Errorf("objstore: malformed range %q", hdr)
-		}
-		if suffix > n {
-			suffix = n
-		}
-		if n == 0 {
-			return 0, 0, fmt.Errorf("objstore: empty object has no bytes")
-		}
-		return n - suffix, n - 1, nil
-	}
-	start, err = strconv.Atoi(lo)
-	if err != nil || start < 0 {
-		return 0, 0, fmt.Errorf("objstore: malformed range %q", hdr)
-	}
-	if hi == "" {
-		end = n - 1
-	} else {
-		end, err = strconv.Atoi(hi)
-		if err != nil || end < start {
-			return 0, 0, fmt.Errorf("objstore: malformed range %q", hdr)
-		}
-		if end > n-1 {
-			end = n - 1
-		}
-	}
-	if start > n-1 {
-		return 0, 0, fmt.Errorf("objstore: range %q starts past object end", hdr)
-	}
-	return start, end, nil
-}
-
-// GetRange downloads a byte range [offset, offset+length) of an object;
-// ok=false means the object does not exist.
-func (c *Client) GetRange(bucket, key string, offset, length int) (data []byte, ok bool, err error) {
-	if offset < 0 || length <= 0 {
-		return nil, false, fmt.Errorf("objstore: bad range offset=%d length=%d", offset, length)
-	}
-	req, err := http.NewRequest(http.MethodGet, c.url(bucket, key), nil)
-	if err != nil {
-		return nil, false, err
-	}
-	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", offset, offset+length-1))
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, false, fmt.Errorf("objstore: get range: %w", err)
-	}
-	defer drain(resp)
-	switch resp.StatusCode {
-	case http.StatusNotFound:
-		return nil, false, nil
-	case http.StatusPartialContent, http.StatusOK:
-		data, err = io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, false, err
-		}
-		return data, true, nil
-	default:
-		return nil, false, statusErr("get range", resp)
-	}
 }
 
 func drain(resp *http.Response) {

@@ -3,6 +3,8 @@ package objstore
 import (
 	"bytes"
 	"crypto/rand"
+	"io"
+	"net/http"
 	"testing"
 	"testing/quick"
 )
@@ -23,9 +25,13 @@ func TestStorePutGet(t *testing.T) {
 
 func TestStorePutAutoCreatesBucket(t *testing.T) {
 	s := NewStore()
-	s.Put("auto", "k", nil) //nolint:errcheck
-	if got := s.Buckets(); len(got) != 1 || got[0] != "auto" {
-		t.Fatalf("Buckets = %v", got)
+	s.Put("auto", "k", []byte("v")) //nolint:errcheck
+	// Creating the bucket afterwards finds it there: a no-op, the object stays.
+	if err := s.CreateBucket("auto"); err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := s.Get("auto", "k"); !ok || string(data) != "v" {
+		t.Fatalf("Get = %q/%v", data, ok)
 	}
 }
 
@@ -42,37 +48,6 @@ func TestStoreIsolation(t *testing.T) {
 	again, _ := s.Get("b", "k")
 	if string(again) != "abc" {
 		t.Fatal("Get leaked internal storage")
-	}
-}
-
-func TestStoreDelete(t *testing.T) {
-	s := NewStore()
-	s.Put("b", "k", nil) //nolint:errcheck
-	if !s.Delete("b", "k") {
-		t.Fatal("Delete existing = false")
-	}
-	if s.Delete("b", "k") {
-		t.Fatal("Delete missing = true")
-	}
-	if s.Delete("nope", "k") {
-		t.Fatal("Delete in missing bucket = true")
-	}
-}
-
-func TestStoreList(t *testing.T) {
-	s := NewStore()
-	s.CreateBucket("b")                 //nolint:errcheck
-	s.Put("b", "zeta", []byte("12345")) //nolint:errcheck
-	s.Put("b", "alpha", []byte("1"))    //nolint:errcheck
-	objs, ok := s.List("b")
-	if !ok || len(objs) != 2 {
-		t.Fatalf("List = %v/%v", objs, ok)
-	}
-	if objs[0].Key != "alpha" || objs[1].Key != "zeta" || objs[1].Size != 5 {
-		t.Fatalf("List = %+v", objs)
-	}
-	if _, ok := s.List("missing"); ok {
-		t.Fatal("List on missing bucket = ok")
 	}
 }
 
@@ -124,7 +99,7 @@ func TestStoreRoundTripProperty(t *testing.T) {
 
 func startObjServer(t *testing.T) *Client {
 	t.Helper()
-	srv := NewServer(nil)
+	srv := NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -146,24 +121,18 @@ func TestEndToEndObjectLifecycle(t *testing.T) {
 	if err != nil || tag == "" {
 		t.Fatalf("Put: %q, %v", tag, err)
 	}
-	info, ok, err := c.Stat("photos", "cat.jpg")
-	if err != nil || !ok || info.Size != int64(len(payload)) || info.ETag != tag {
-		t.Fatalf("Stat = %+v/%v/%v", info, ok, err)
-	}
 	data, ok, err := c.Get("photos", "cat.jpg")
 	if err != nil || !ok || !bytes.Equal(data, payload) {
 		t.Fatalf("Get mismatch: ok=%v err=%v len=%d", ok, err, len(data))
 	}
-	objs, err := c.List("photos")
-	if err != nil || len(objs) != 1 || objs[0].Key != "cat.jpg" {
-		t.Fatalf("List = %v, %v", objs, err)
+	// A second PUT to the key replaces the object and its ETag.
+	tag2, err := c.Put("photos", "cat.jpg", []byte("smaller"))
+	if err != nil || tag2 == "" || tag2 == tag {
+		t.Fatalf("overwrite: %q (was %q), %v", tag2, tag, err)
 	}
-	existed, err := c.Delete("photos", "cat.jpg")
-	if err != nil || !existed {
-		t.Fatalf("Delete = %v, %v", existed, err)
-	}
-	if _, ok, _ := c.Get("photos", "cat.jpg"); ok {
-		t.Fatal("object survived delete")
+	data, ok, err = c.Get("photos", "cat.jpg")
+	if err != nil || !ok || string(data) != "smaller" {
+		t.Fatalf("Get after overwrite = %d bytes/%v/%v", len(data), ok, err)
 	}
 }
 
@@ -172,14 +141,11 @@ func TestEndToEndMissing(t *testing.T) {
 	if _, ok, err := c.Get("nope", "k"); ok || err != nil {
 		t.Fatalf("Get missing = %v/%v", ok, err)
 	}
-	if _, ok, err := c.Stat("nope", "k"); ok || err != nil {
-		t.Fatalf("Stat missing = %v/%v", ok, err)
+	if err := c.CreateBucket("b"); err != nil {
+		t.Fatal(err)
 	}
-	if existed, err := c.Delete("nope", "k"); existed || err != nil {
-		t.Fatalf("Delete missing = %v/%v", existed, err)
-	}
-	if _, err := c.List("nope"); err == nil {
-		t.Fatal("List on missing bucket must error")
+	if _, ok, err := c.Get("b", "k"); ok || err != nil {
+		t.Fatalf("Get missing key in a bucket that exists = %v/%v", ok, err)
 	}
 }
 
@@ -204,35 +170,77 @@ func TestEndToEndCreateBucketIdempotent(t *testing.T) {
 	}
 }
 
-func TestParseRange(t *testing.T) {
-	cases := []struct {
-		hdr        string
-		n          int
-		start, end int
-		wantErr    bool
-	}{
-		{"bytes=0-9", 100, 0, 9, false},
-		{"bytes=90-", 100, 90, 99, false},
-		{"bytes=-10", 100, 90, 99, false},
-		{"bytes=0-1000", 100, 0, 99, false}, // end clamped
-		{"bytes=-1000", 100, 0, 99, false},  // suffix clamped
-		{"bytes=100-", 100, 0, 0, true},     // starts past end
-		{"bytes=5-2", 100, 0, 0, true},
-		{"bytes=0-9,20-29", 100, 0, 0, true}, // multi-range unsupported
-		{"bits=0-9", 100, 0, 0, true},
-		{"bytes=x-y", 100, 0, 0, true},
-		{"bytes=-0", 100, 0, 0, true},
+// The tests from here on carry the names of the tests that exercised the
+// operations PR 24 cut — object DELETE and HEAD, bucket listing, Range
+// requests — and pin what a client of one sees now: 405 through the method
+// switch's default arm (a Range header is ignored, as HTTP allows), and the
+// stored object untouched.
+
+// request sends a bare HTTP request to the store and returns the response
+// with its body read.
+func request(t *testing.T, c *Client, method, rangeHdr string, parts ...string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, c.url(parts...), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		start, end, err := parseRange(c.hdr, c.n)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("parseRange(%q,%d) accepted", c.hdr, c.n)
-			}
-			continue
+	if rangeHdr != "" {
+		req.Header.Set("Range", rangeHdr)
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+func TestStoreDelete(t *testing.T) {
+	c := startObjServer(t)
+	if _, err := c.Put("b", "k", []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{http.MethodDelete, http.MethodHead, http.MethodPost} {
+		if resp, _ := request(t, c, method, "", "b", "k"); resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("%s object: %s, want 405", method, resp.Status)
 		}
-		if err != nil || start != c.start || end != c.end {
-			t.Errorf("parseRange(%q,%d) = %d,%d,%v want %d,%d", c.hdr, c.n, start, end, err, c.start, c.end)
+	}
+	if data, ok, err := c.Get("b", "k"); err != nil || !ok || string(data) != "kept" {
+		t.Fatalf("object after the refused DELETE = %q/%v/%v", data, ok, err)
+	}
+}
+
+func TestStoreList(t *testing.T) {
+	c := startObjServer(t)
+	if _, err := c.Put("b", "alpha", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	for _, bucket := range []string{"b", "missing"} {
+		if resp, _ := request(t, c, http.MethodGet, "", bucket); resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("GET bucket %q: %s, want 405", bucket, resp.Status)
+		}
+	}
+}
+
+// Every header the range parser used to accept or refuse gets the same
+// answer: 200 and the whole object.
+func TestParseRange(t *testing.T) {
+	c := startObjServer(t)
+	payload := bytes.Repeat([]byte("0123456789"), 10)
+	if _, err := c.Put("b", "blob", payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, hdr := range []string{
+		"bytes=0-9", "bytes=90-", "bytes=-10", "bytes=0-1000", "bytes=-1000", "bytes=100-",
+		"bytes=5-2", "bytes=0-9,20-29", "bits=0-9", "bytes=x-y", "bytes=-0",
+	} {
+		resp, body := request(t, c, http.MethodGet, hdr, "b", "blob")
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+			t.Errorf("Range %q: %s with %d bytes, want 200 and all %d", hdr, resp.Status, len(body), len(payload))
 		}
 	}
 }
@@ -243,33 +251,14 @@ func TestEndToEndRangeGet(t *testing.T) {
 	if _, err := c.Put("b", "blob", payload); err != nil {
 		t.Fatal(err)
 	}
-	data, ok, err := c.GetRange("b", "blob", 5, 5)
-	if err != nil || !ok || string(data) != "56789" {
-		t.Fatalf("GetRange = %q/%v/%v", data, ok, err)
+	resp, body := request(t, c, http.MethodGet, "bytes=5-9", "b", "blob")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+		t.Fatalf("ranged GET: %s with %q, want 200 and the whole object", resp.Status, body)
 	}
-	// Range past the end clamps.
-	data, ok, err = c.GetRange("b", "blob", 15, 100)
-	if err != nil || !ok || string(data) != "fghij" {
-		t.Fatalf("clamped GetRange = %q/%v/%v", data, ok, err)
+	if resp.Header.Get("Content-Range") != "" || resp.Header.Get("Accept-Ranges") != "" {
+		t.Fatalf("response advertises ranges: %v", resp.Header)
 	}
-	// Missing object.
-	if _, ok, err := c.GetRange("b", "missing", 0, 1); ok || err != nil {
-		t.Fatalf("missing GetRange = %v/%v", ok, err)
-	}
-	// Bad client-side arguments.
-	if _, _, err := c.GetRange("b", "blob", -1, 5); err == nil {
-		t.Fatal("negative offset accepted")
-	}
-	if _, _, err := c.GetRange("b", "blob", 0, 0); err == nil {
-		t.Fatal("zero length accepted")
-	}
-	// Server-side unsatisfiable range (start past end) is an error.
-	if _, _, err := c.GetRange("b", "blob", 1000, 5); err == nil {
-		t.Fatal("unsatisfiable range accepted")
-	}
-	// Full GET still works and returns everything.
-	full, ok, err := c.Get("b", "blob")
-	if err != nil || !ok || len(full) != len(payload) {
-		t.Fatalf("full Get after range = %d bytes/%v/%v", len(full), ok, err)
+	if resp, _ := request(t, c, http.MethodGet, "bytes=0-0", "b", "missing"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("ranged GET of a missing object: %s, want 404", resp.Status)
 	}
 }

@@ -30,7 +30,7 @@ type Result struct {
 	Columns []string `json:"columns,omitempty"`
 	// Rows is set for SELECT.
 	Rows [][]Value `json:"rows,omitempty"`
-	// Affected is the row count for INSERT/UPDATE/DELETE.
+	// Affected is the row count for INSERT/UPDATE.
 	Affected int `json:"affected"`
 }
 
@@ -48,31 +48,15 @@ func (db *Database) ExecStatement(st Statement) (*Result, error) {
 	switch s := st.(type) {
 	case CreateTable:
 		return db.createTable(s)
-	case DropTable:
-		return db.dropTable(s)
 	case Insert:
 		return db.insert(s)
 	case Select:
 		return db.selectRows(s)
 	case Update:
 		return db.update(s)
-	case Delete:
-		return db.deleteRows(s)
 	default:
 		return nil, fmt.Errorf("sqlstore: unsupported statement %T", st)
 	}
-}
-
-// Tables returns the sorted table names.
-func (db *Database) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func (db *Database) createTable(s CreateTable) (*Result, error) {
@@ -97,17 +81,6 @@ func (db *Database) createTable(s CreateTable) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (db *Database) dropTable(s DropTable) (*Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	key := strings.ToLower(s.Table)
-	if _, exists := db.tables[key]; !exists {
-		return nil, fmt.Errorf("sqlstore: no such table %q", s.Table)
-	}
-	delete(db.tables, key)
-	return &Result{}, nil
-}
-
 func (db *Database) lookup(name string) (*table, error) {
 	t, ok := db.tables[strings.ToLower(name)]
 	if !ok {
@@ -123,34 +96,18 @@ func (db *Database) insert(s Insert) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Map the insert's column order to table positions.
-	targets := make([]int, 0, len(t.cols))
-	if len(s.Columns) == 0 {
-		for i := range t.cols {
-			targets = append(targets, i)
-		}
-	} else {
-		for _, c := range s.Columns {
-			idx, ok := t.colIdx[strings.ToLower(c)]
-			if !ok {
-				return nil, fmt.Errorf("sqlstore: no such column %q in %q", c, s.Table)
-			}
-			targets = append(targets, idx)
-		}
-	}
 	inserted := make([][]Value, 0, len(s.Rows))
 	for _, vals := range s.Rows {
-		if len(vals) != len(targets) {
-			return nil, fmt.Errorf("sqlstore: expected %d values, got %d", len(targets), len(vals))
+		if len(vals) != len(t.cols) {
+			return nil, fmt.Errorf("sqlstore: expected %d values, got %d", len(t.cols), len(vals))
 		}
 		row := make([]Value, len(t.cols))
 		for i, v := range vals {
-			col := targets[i]
-			cv, err := coerce(v, t.cols[col].Type)
+			cv, err := coerce(v, t.cols[i].Type)
 			if err != nil {
 				return nil, err
 			}
-			row[col] = cv
+			row[i] = cv
 		}
 		inserted = append(inserted, row)
 	}
@@ -167,16 +124,13 @@ func (db *Database) selectRows(s Select) (*Result, error) {
 	}
 	var matched [][]Value
 	for _, row := range t.rows {
-		ok, err := matches(s.Where, t.colIdx, row)
+		ok, err := s.Where.matches(t.colIdx, row)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			matched = append(matched, row)
 		}
-	}
-	if s.Aggregated() || s.GroupBy != "" {
-		return aggregate(t, s, matched)
 	}
 	if s.OrderBy != "" {
 		idx, ok := t.colIdx[strings.ToLower(s.OrderBy)]
@@ -213,16 +167,16 @@ func (db *Database) selectRows(s Select) (*Result, error) {
 	// Project columns.
 	proj := make([]int, 0, len(t.cols))
 	var names []string
-	if len(s.Items) == 0 {
+	if len(s.Columns) == 0 {
 		for i, c := range t.cols {
 			proj = append(proj, i)
 			names = append(names, c.Name)
 		}
 	} else {
-		for _, it := range s.Items {
-			idx, ok := t.colIdx[strings.ToLower(it.Column)]
+		for _, col := range s.Columns {
+			idx, ok := t.colIdx[strings.ToLower(col)]
 			if !ok {
-				return nil, fmt.Errorf("sqlstore: no such column %q", it.Column)
+				return nil, fmt.Errorf("sqlstore: no such column %q", col)
 			}
 			proj = append(proj, idx)
 			names = append(names, t.cols[idx].Name)
@@ -267,7 +221,7 @@ func (db *Database) update(s Update) (*Result, error) {
 	// so an UPDATE whose SET changes its own predicate stays consistent.
 	var hit []int
 	for i, row := range t.rows {
-		ok, err := matches(s.Where, t.colIdx, row)
+		ok, err := s.Where.matches(t.colIdx, row)
 		if err != nil {
 			return nil, err
 		}
@@ -281,36 +235,4 @@ func (db *Database) update(s Update) (*Result, error) {
 		}
 	}
 	return &Result{Affected: len(hit)}, nil
-}
-
-func (db *Database) deleteRows(s Delete) (*Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, err := db.lookup(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	kept := t.rows[:0]
-	deleted := 0
-	for _, row := range t.rows {
-		ok, err := matches(s.Where, t.colIdx, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			deleted++
-		} else {
-			kept = append(kept, row)
-		}
-	}
-	t.rows = kept
-	return &Result{Affected: deleted}, nil
-}
-
-// matches applies a nullable WHERE expression.
-func matches(w Expr, cols map[string]int, row []Value) (bool, error) {
-	if w == nil {
-		return true, nil
-	}
-	return w.eval(cols, row)
 }

@@ -23,62 +23,29 @@ type CreateTable struct {
 	Columns []ColumnDef
 }
 
-// DropTable is DROP TABLE name.
-type DropTable struct{ Table string }
-
-// Insert is INSERT INTO name [(cols)] VALUES (...), (...).
+// Insert is INSERT INTO name VALUES (...), (...): every row in table
+// column order.
 type Insert struct {
-	Table   string
-	Columns []string // empty means table order
-	Rows    [][]Value
+	Table string
+	Rows  [][]Value
 }
 
-// SelectItem is one projection in a SELECT list: a plain column or an
-// aggregate over one (COUNT also accepts *, leaving Column empty).
-type SelectItem struct {
-	Column string
-	// Agg is "", "count", "sum", "avg", "min", or "max".
-	Agg string
-}
-
-// Name returns the result-column label for the item.
-func (it SelectItem) Name() string {
-	if it.Agg == "" {
-		return it.Column
-	}
-	if it.Column == "" {
-		return it.Agg // COUNT(*)
-	}
-	return it.Agg + "(" + it.Column + ")"
-}
-
-// Select is SELECT items FROM name [WHERE] [GROUP BY] [ORDER BY] [LIMIT].
+// Select is SELECT cols|* FROM name [WHERE] [ORDER BY] [LIMIT].
 type Select struct {
 	Table string
-	// Items is the projection list; empty means *.
-	Items   []SelectItem
-	Where   Expr   // nil means all rows
-	GroupBy string // empty means no grouping
+	// Columns is the projection list; empty means *.
+	Columns []string
+	Where   Where
 	OrderBy string // empty means unordered
 	Desc    bool
 	Limit   int // -1 means no limit
-}
-
-// Aggregated reports whether any item is an aggregate.
-func (s Select) Aggregated() bool {
-	for _, it := range s.Items {
-		if it.Agg != "" {
-			return true
-		}
-	}
-	return false
 }
 
 // Update is UPDATE name SET col=val,... [WHERE].
 type Update struct {
 	Table string
 	Set   []Assignment
-	Where Expr
+	Where Where
 }
 
 // Assignment is one col=value pair in UPDATE ... SET.
@@ -87,49 +54,25 @@ type Assignment struct {
 	Value  Value
 }
 
-// Delete is DELETE FROM name [WHERE].
-type Delete struct {
-	Table string
-	Where Expr
-}
-
 func (CreateTable) stmt() {}
-func (DropTable) stmt()   {}
 func (Insert) stmt()      {}
 func (Select) stmt()      {}
 func (Update) stmt()      {}
-func (Delete) stmt()      {}
 
-// Expr is a WHERE-clause expression evaluated against a row.
-type Expr interface {
-	eval(cols map[string]int, row []Value) (bool, error)
-}
+// Where is a WHERE clause: comparisons joined by AND. Empty matches every
+// row.
+type Where []comparison
 
-type binaryLogic struct {
-	op   string // "AND" | "OR"
-	l, r Expr
-}
-
-func (b binaryLogic) eval(cols map[string]int, row []Value) (bool, error) {
-	lv, err := b.l.eval(cols, row)
-	if err != nil {
-		return false, err
+// matches evaluates the conjunction left to right, stopping at the first
+// comparison that is false or fails, like every SQL engine does.
+func (w Where) matches(cols map[string]int, row []Value) (bool, error) {
+	for _, c := range w {
+		ok, err := c.eval(cols, row)
+		if err != nil || !ok {
+			return false, err
+		}
 	}
-	// Short-circuit like every SQL engine does.
-	if b.op == "AND" && !lv {
-		return false, nil
-	}
-	if b.op == "OR" && lv {
-		return true, nil
-	}
-	return b.r.eval(cols, row)
-}
-
-type notExpr struct{ x Expr }
-
-func (n notExpr) eval(cols map[string]int, row []Value) (bool, error) {
-	v, err := n.x.eval(cols, row)
-	return !v, err
+	return true, nil
 }
 
 // operand is either a column reference or a literal.
@@ -190,23 +133,6 @@ func (c comparison) eval(cols map[string]int, row []Value) (bool, error) {
 	}
 }
 
-type isNull struct {
-	col    string
-	negate bool
-}
-
-func (n isNull) eval(cols map[string]int, row []Value) (bool, error) {
-	idx, ok := cols[strings.ToLower(n.col)]
-	if !ok {
-		return false, fmt.Errorf("sqlstore: unknown column %q", n.col)
-	}
-	null := row[idx] == nil
-	if n.negate {
-		return !null, nil
-	}
-	return null, nil
-}
-
 // --- Parser ---
 
 type parser struct {
@@ -214,8 +140,19 @@ type parser struct {
 	pos  int
 }
 
+// maxStatementLen bounds what Parse will lex. The longest statement the
+// suite sends is SetupBackends' 200-row INSERT, about 10 KB; a frame may
+// carry 64 MiB, and the lexer holds a statement as runes and tokens,
+// several times its size.
+const maxStatementLen = 1 << 20
+
 // Parse parses one SQL statement (an optional trailing ';' is allowed).
+// The grammar has no nesting — WHERE is a flat AND-list — so parsing is
+// loops over the token slice, never recursion on the input.
 func Parse(src string) (Statement, error) {
+	if len(src) > maxStatementLen {
+		return nil, fmt.Errorf("sqlstore: statement of %d bytes exceeds %d limit", len(src), maxStatementLen)
+	}
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -294,25 +231,14 @@ func (p *parser) statement() (Statement, error) {
 	switch {
 	case p.accept(tokIdent, "CREATE"):
 		return p.createTable()
-	case p.accept(tokIdent, "DROP"):
-		if _, err := p.expect(tokIdent, "TABLE"); err != nil {
-			return nil, err
-		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return DropTable{Table: name}, nil
 	case p.accept(tokIdent, "INSERT"):
 		return p.insert()
 	case p.accept(tokIdent, "SELECT"):
 		return p.selectStmt()
 	case p.accept(tokIdent, "UPDATE"):
 		return p.update()
-	case p.accept(tokIdent, "DELETE"):
-		return p.deleteStmt()
 	default:
-		return nil, p.errHere("expected CREATE, DROP, INSERT, SELECT, UPDATE, or DELETE")
+		return nil, p.errHere("expected CREATE, INSERT, SELECT, or UPDATE")
 	}
 }
 
@@ -377,23 +303,6 @@ func (p *parser) insert() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cols []string
-	if p.accept(tokSymbol, "(") {
-		for {
-			c, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			cols = append(cols, c)
-			if p.accept(tokSymbol, ",") {
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return nil, err
-		}
-	}
 	if _, err := p.expect(tokIdent, "VALUES"); err != nil {
 		return nil, err
 	}
@@ -423,53 +332,18 @@ func (p *parser) insert() (Statement, error) {
 		}
 		break
 	}
-	return Insert{Table: name, Columns: cols, Rows: rows}, nil
-}
-
-// aggregateNames are the supported aggregate functions.
-var aggregateNames = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
-// selectItem parses one projection: column, AGG(column), or COUNT(*).
-func (p *parser) selectItem() (SelectItem, error) {
-	t := p.cur()
-	if t.kind == tokIdent && aggregateNames[strings.ToUpper(t.text)] && p.toks[p.pos+1].kind == tokSymbol && p.toks[p.pos+1].text == "(" {
-		agg := strings.ToLower(t.text)
-		p.pos += 2 // name and "("
-		item := SelectItem{Agg: agg}
-		if p.accept(tokSymbol, "*") {
-			if agg != "count" {
-				return SelectItem{}, p.errHere(fmt.Sprintf("%s(*) is not supported; name a column", strings.ToUpper(agg)))
-			}
-		} else {
-			col, err := p.ident()
-			if err != nil {
-				return SelectItem{}, err
-			}
-			item.Column = col
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return SelectItem{}, err
-		}
-		return item, nil
-	}
-	col, err := p.ident()
-	if err != nil {
-		return SelectItem{}, err
-	}
-	return SelectItem{Column: col}, nil
+	return Insert{Table: name, Rows: rows}, nil
 }
 
 func (p *parser) selectStmt() (Statement, error) {
 	sel := Select{Limit: -1}
 	if !p.accept(tokSymbol, "*") {
 		for {
-			item, err := p.selectItem()
+			col, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			sel.Items = append(sel.Items, item)
+			sel.Columns = append(sel.Columns, col)
 			if p.accept(tokSymbol, ",") {
 				continue
 			}
@@ -484,22 +358,8 @@ func (p *parser) selectStmt() (Statement, error) {
 		return nil, err
 	}
 	sel.Table = name
-	if p.accept(tokIdent, "WHERE") {
-		w, err := p.orExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Where = w
-	}
-	if p.accept(tokIdent, "GROUP") {
-		if _, err := p.expect(tokIdent, "BY"); err != nil {
-			return nil, err
-		}
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		sel.GroupBy = col
+	if sel.Where, err = p.where(); err != nil {
+		return nil, err
 	}
 	if p.accept(tokIdent, "ORDER") {
 		if _, err := p.expect(tokIdent, "BY"); err != nil {
@@ -557,34 +417,11 @@ func (p *parser) update() (Statement, error) {
 		}
 		break
 	}
-	up := Update{Table: name, Set: sets}
-	if p.accept(tokIdent, "WHERE") {
-		w, err := p.orExpr()
-		if err != nil {
-			return nil, err
-		}
-		up.Where = w
-	}
-	return up, nil
-}
-
-func (p *parser) deleteStmt() (Statement, error) {
-	if _, err := p.expect(tokIdent, "FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
+	w, err := p.where()
 	if err != nil {
 		return nil, err
 	}
-	del := Delete{Table: name}
-	if p.accept(tokIdent, "WHERE") {
-		w, err := p.orExpr()
-		if err != nil {
-			return nil, err
-		}
-		del.Where = w
-	}
-	return del, nil
+	return Update{Table: name, Set: sets, Where: w}, nil
 }
 
 // literal parses a number, string, NULL, TRUE, or FALSE (booleans stored
@@ -620,92 +457,41 @@ func (p *parser) literal() (Value, error) {
 	}
 }
 
-// --- WHERE expression grammar: or -> and (OR and)*, and -> unary (AND unary)*,
-// unary -> NOT unary | primary, primary -> (or) | predicate ---
-
-func (p *parser) orExpr() (Expr, error) {
-	left, err := p.andExpr()
-	if err != nil {
-		return nil, err
+// where parses an optional WHERE clause: comparison (AND comparison)*.
+func (p *parser) where() (Where, error) {
+	if !p.accept(tokIdent, "WHERE") {
+		return nil, nil
 	}
-	for p.accept(tokIdent, "OR") {
-		right, err := p.andExpr()
+	var w Where
+	for {
+		c, err := p.comparison()
 		if err != nil {
 			return nil, err
 		}
-		left = binaryLogic{op: "OR", l: left, r: right}
+		w = append(w, c)
+		if !p.accept(tokIdent, "AND") {
+			return w, nil
+		}
 	}
-	return left, nil
 }
 
-func (p *parser) andExpr() (Expr, error) {
-	left, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokIdent, "AND") {
-		right, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = binaryLogic{op: "AND", l: left, r: right}
-	}
-	return left, nil
-}
+var comparisonOps = map[string]bool{"=": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
 
-func (p *parser) unaryExpr() (Expr, error) {
-	if p.accept(tokIdent, "NOT") {
-		x, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return notExpr{x: x}, nil
-	}
-	if p.accept(tokSymbol, "(") {
-		x, err := p.orExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return x, nil
-	}
-	return p.predicate()
-}
-
-func (p *parser) predicate() (Expr, error) {
+func (p *parser) comparison() (comparison, error) {
 	left, err := p.operand()
 	if err != nil {
-		return nil, err
-	}
-	// col IS [NOT] NULL
-	if p.accept(tokIdent, "IS") {
-		if !left.isCol {
-			return nil, p.errHere("IS NULL requires a column")
-		}
-		neg := p.accept(tokIdent, "NOT")
-		if _, err := p.expect(tokIdent, "NULL"); err != nil {
-			return nil, err
-		}
-		return isNull{col: left.column, negate: neg}, nil
+		return comparison{}, err
 	}
 	t := p.cur()
-	if t.kind != tokSymbol || !strings.Contains("= != < <= > >=", t.text) || t.text == "" {
-		return nil, p.errHere("expected comparison operator")
-	}
-	op := t.text
-	switch op {
-	case "=", "!=", "<", "<=", ">", ">=":
-	default:
-		return nil, p.errHere("expected comparison operator")
+	if t.kind != tokSymbol || !comparisonOps[t.text] {
+		return comparison{}, p.errHere("expected comparison operator")
 	}
 	p.pos++
 	right, err := p.operand()
 	if err != nil {
-		return nil, err
+		return comparison{}, err
 	}
-	return comparison{op: op, l: left, r: right}, nil
+	return comparison{op: t.text, l: left, r: right}, nil
 }
 
 func (p *parser) operand() (operand, error) {
@@ -723,11 +509,9 @@ func (p *parser) operand() (operand, error) {
 
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
-	"TABLE": true, "DROP": true, "AND": true, "OR": true, "NOT": true,
-	"NULL": true, "TRUE": true, "FALSE": true, "ORDER": true, "BY": true,
-	"LIMIT": true, "IS": true, "ASC": true, "DESC": true, "COUNT": true,
-	"SUM": true, "AVG": true, "MIN": true, "MAX": true, "GROUP": true,
+	"VALUES": true, "UPDATE": true, "SET": true, "CREATE": true, "TABLE": true,
+	"AND": true, "NULL": true, "TRUE": true, "FALSE": true, "ORDER": true,
+	"BY": true, "LIMIT": true, "ASC": true, "DESC": true,
 }
 
 func isKeyword(s string) bool { return keywords[strings.ToUpper(s)] }

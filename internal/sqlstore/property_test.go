@@ -61,29 +61,22 @@ type predicate struct {
 	eval func(refRow) bool
 }
 
-func randomPredicate(rng *rand.Rand, depth int) predicate {
-	if depth > 0 && rng.Intn(3) == 0 {
-		left := randomPredicate(rng, depth-1)
-		right := randomPredicate(rng, depth-1)
-		if rng.Intn(2) == 0 {
-			return predicate{
-				sql:  "(" + left.sql + " AND " + right.sql + ")",
-				eval: func(r refRow) bool { return left.eval(r) && right.eval(r) },
-			}
-		}
-		return predicate{
-			sql:  "(" + left.sql + " OR " + right.sql + ")",
-			eval: func(r refRow) bool { return left.eval(r) || right.eval(r) },
+// randomPredicate returns a conjunction of 1..max comparisons — the whole
+// WHERE grammar.
+func randomPredicate(rng *rand.Rand, max int) predicate {
+	pred := randomComparison(rng)
+	for n := rng.Intn(max); n > 0; n-- {
+		left, right := pred, randomComparison(rng)
+		pred = predicate{
+			sql:  left.sql + " AND " + right.sql,
+			eval: func(r refRow) bool { return left.eval(r) && right.eval(r) },
 		}
 	}
-	if depth > 0 && rng.Intn(6) == 0 {
-		inner := randomPredicate(rng, depth-1)
-		return predicate{
-			sql:  "NOT " + inner.sql,
-			eval: func(r refRow) bool { return !inner.eval(r) },
-		}
-	}
-	switch rng.Intn(5) {
+	return pred
+}
+
+func randomComparison(rng *rand.Rand) predicate {
+	switch rng.Intn(4) {
 	case 0:
 		v := int64(rng.Intn(20) - 5)
 		op, cmp := randomOp(rng)
@@ -110,10 +103,13 @@ func randomPredicate(rng *rand.Rand, depth int) predicate {
 				return cmp(strings.Compare(r.name, v))
 			},
 		}
-	case 3:
-		return predicate{sql: "name IS NULL", eval: func(r refRow) bool { return !r.hasName }}
-	default:
-		return predicate{sql: "name IS NOT NULL", eval: func(r refRow) bool { return r.hasName }}
+	default: // literal on the left, column on the right
+		v := int64(rng.Intn(20) - 5)
+		op, cmp := randomOp(rng)
+		return predicate{
+			sql:  fmt.Sprintf("%d %s qty", v, op),
+			eval: func(r refRow) bool { return cmp(compareInt(v, r.qty)) },
+		}
 	}
 }
 
@@ -162,7 +158,7 @@ func TestRandomWhereClausesAgainstReference(t *testing.T) {
 		db := NewDatabase()
 		rows := buildRandomTable(t, rng, db)
 		for q := 0; q < 25; q++ {
-			pred := randomPredicate(rng, 2)
+			pred := randomPredicate(rng, 4)
 			query := "SELECT id FROM items WHERE " + pred.sql + " ORDER BY id"
 			res, err := db.Exec(query)
 			if err != nil {
@@ -186,33 +182,44 @@ func TestRandomWhereClausesAgainstReference(t *testing.T) {
 	}
 }
 
+// TestRandomUpdateDeleteAgainstReference kept its name when DELETE was cut
+// (PR 24); UPDATE is the one statement left that writes through a WHERE.
 func TestRandomUpdateDeleteAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
 		db := NewDatabase()
 		rows := buildRandomTable(t, rng, db)
-		pred := randomPredicate(rng, 1)
+		pred := randomPredicate(rng, 2)
 
-		// Count first, then DELETE must affect exactly that many.
-		matching := 0
+		// UPDATE must touch exactly the reference's rows: mark them with a
+		// qty no seeded row has, then read the marks back.
+		var want []int64
 		for _, r := range rows {
 			if pred.eval(r) {
-				matching++
+				want = append(want, r.id)
 			}
 		}
-		res, err := db.Exec("DELETE FROM items WHERE " + pred.sql)
+		res, err := db.Exec("UPDATE items SET qty = 999 WHERE " + pred.sql)
 		if err != nil {
-			t.Fatalf("trial %d: DELETE %s: %v", trial, pred.sql, err)
+			t.Fatalf("trial %d: UPDATE %s: %v", trial, pred.sql, err)
 		}
-		if res.Affected != matching {
-			t.Fatalf("trial %d: DELETE %s affected %d, reference %d", trial, pred.sql, res.Affected, matching)
+		if res.Affected != len(want) {
+			t.Fatalf("trial %d: UPDATE %s affected %d, reference %d", trial, pred.sql, res.Affected, len(want))
 		}
-		left, err := db.Exec("SELECT COUNT(*) FROM items")
+		marked, err := db.Exec("SELECT id FROM items WHERE qty = 999 ORDER BY id")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if left.Rows[0][0] != int64(len(rows)-matching) {
-			t.Fatalf("trial %d: %v rows remain, want %d", trial, left.Rows[0][0], len(rows)-matching)
+		if len(marked.Rows) != len(want) {
+			t.Fatalf("trial %d: UPDATE %s marked %d rows, reference %d", trial, pred.sql, len(marked.Rows), len(want))
+		}
+		for i, id := range want {
+			if marked.Rows[i][0] != id {
+				t.Fatalf("trial %d: UPDATE %s marked row %v, reference %d", trial, pred.sql, marked.Rows[i][0], id)
+			}
+		}
+		if all, err := db.Exec("SELECT id FROM items"); err != nil || len(all.Rows) != len(rows) {
+			t.Fatalf("trial %d: %d rows after UPDATE, want %d (%v)", trial, len(all.Rows), len(rows), err)
 		}
 	}
 }

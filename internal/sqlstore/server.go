@@ -54,19 +54,13 @@ type Server struct {
 	db *Database
 }
 
-// NewServer returns a server backed by db (a fresh database if nil).
-func NewServer(db *Database) *Server {
-	if db == nil {
-		db = NewDatabase()
-	}
-	s := &Server{db: db}
+// NewServer returns a server backed by a fresh database.
+func NewServer() *Server {
+	s := &Server{db: NewDatabase()}
 	s.Name = "sqlstore"
 	s.Serve = wire.ServeJSON(s.handle)
 	return s
 }
-
-// Database returns the underlying database.
-func (s *Server) Database() *Database { return s.db }
 
 func (s *Server) handle(req request) response {
 	res, err := s.db.Exec(req.Query)
@@ -102,7 +96,7 @@ func (c *Client) Close() error { return c.c.Close() }
 // silent mid-conversation fails the query instead of hanging it.
 func (c *Client) Query(sql string) (*Result, error) {
 	var resp response
-	if err := c.c.Call(request{Query: sql}, &resp, 0); err != nil {
+	if err := c.c.Call(request{Query: sql}, &resp); err != nil {
 		return nil, err
 	}
 	if resp.Error != "" {

@@ -2,6 +2,7 @@ package sqlstore
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -69,7 +70,7 @@ func TestParseCreateTable(t *testing.T) {
 }
 
 func TestParseInsertMultiRow(t *testing.T) {
-	st, err := Parse("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')")
+	st, err := Parse("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,30 +81,24 @@ func TestParseInsertMultiRow(t *testing.T) {
 }
 
 func TestParseSelectFull(t *testing.T) {
-	st, err := Parse("SELECT a, b FROM t WHERE (a > 1 AND b != 'x') OR NOT c IS NULL ORDER BY a DESC LIMIT 10")
+	st, err := Parse("SELECT a, b FROM t WHERE a > 1 AND b != 'x' AND 3 <= c ORDER BY a DESC LIMIT 10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sel := st.(Select)
-	if sel.Table != "t" || len(sel.Items) != 2 || sel.OrderBy != "a" || !sel.Desc || sel.Limit != 10 {
+	if sel.Table != "t" || len(sel.Columns) != 2 || sel.OrderBy != "a" || !sel.Desc || sel.Limit != 10 {
 		t.Fatalf("parsed %+v", sel)
 	}
-	if sel.Items[0] != (SelectItem{Column: "a"}) || sel.Items[1] != (SelectItem{Column: "b"}) {
-		t.Fatalf("items = %+v", sel.Items)
+	if sel.Columns[0] != "a" || sel.Columns[1] != "b" {
+		t.Fatalf("columns = %+v", sel.Columns)
 	}
-	if sel.Where == nil {
-		t.Fatal("missing WHERE")
+	want := Where{
+		{op: ">", l: operand{isCol: true, column: "a"}, r: operand{literal: int64(1)}},
+		{op: "!=", l: operand{isCol: true, column: "b"}, r: operand{literal: "x"}},
+		{op: "<=", l: operand{literal: int64(3)}, r: operand{isCol: true, column: "c"}},
 	}
-}
-
-func TestParseCountStar(t *testing.T) {
-	st, err := Parse("SELECT COUNT(*) FROM t WHERE a = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := st.(Select)
-	if !sel.Aggregated() || len(sel.Items) != 1 || sel.Items[0].Agg != "count" || sel.Items[0].Column != "" {
-		t.Fatalf("COUNT(*) parsed as %+v", sel.Items)
+	if !reflect.DeepEqual(sel.Where, want) {
+		t.Fatalf("WHERE = %+v, want %+v", sel.Where, want)
 	}
 }
 
@@ -127,6 +122,11 @@ func TestParseRejects(t *testing.T) {
 		"SELECT * FROM t; garbage",
 		"DELETE t WHERE a = 1",
 		"SELECT * FROM t WHERE 1 IS NULL",
+		"SELECT * FROM t WHERE a",
+		"SELECT * FROM t WHERE a = 1 AND",
+		"SELECT * FROM t WHERE a = 1 b = 2",
+		"UPDATE t SET a = 1 WHERE",
+		strings.Repeat(" ", maxStatementLen) + ";",
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {
@@ -159,6 +159,12 @@ func mustExec(t *testing.T, db *Database, q string) *Result {
 	return res
 }
 
+// countRows returns how many rows "SELECT * FROM <from>" yields.
+func countRows(t *testing.T, db *Database, from string) int {
+	t.Helper()
+	return len(mustExec(t, db, "SELECT * FROM "+from).Rows)
+}
+
 func TestSelectAll(t *testing.T) {
 	db := newTestDB(t)
 	res := mustExec(t, db, "SELECT * FROM emp")
@@ -175,14 +181,6 @@ func TestSelectWhereAndProjection(t *testing.T) {
 	}
 }
 
-func TestSelectOr(t *testing.T) {
-	db := newTestDB(t)
-	res := mustExec(t, db, "SELECT id FROM emp WHERE dept = 'mgmt' OR dept = 'ops' ORDER BY id")
-	if len(res.Rows) != 2 || res.Rows[0][0] != int64(3) || res.Rows[1][0] != int64(4) {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
 func TestSelectNullSemantics(t *testing.T) {
 	db := newTestDB(t)
 	// NULL never matches comparisons...
@@ -190,30 +188,23 @@ func TestSelectNullSemantics(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("NULL salary matched a comparison: %v", res.Rows)
 	}
-	// ...but IS NULL finds it.
-	res = mustExec(t, db, "SELECT name FROM emp WHERE salary IS NULL")
-	if len(res.Rows) != 1 || res.Rows[0][0] != "erin" {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	res = mustExec(t, db, "SELECT COUNT(*) FROM emp WHERE salary IS NOT NULL")
-	if res.Rows[0][0] != int64(4) {
-		t.Fatalf("count = %v", res.Rows)
+	// ...not even a comparison with NULL itself, on either side.
+	for _, q := range []string{
+		"SELECT id FROM emp WHERE salary = NULL",
+		"SELECT id FROM emp WHERE salary != NULL",
+		"SELECT id FROM emp WHERE NULL = NULL",
+	} {
+		if res := mustExec(t, db, q); len(res.Rows) != 0 {
+			t.Fatalf("%s matched %v", q, res.Rows)
+		}
 	}
 }
 
 func TestSelectOrderByAndLimit(t *testing.T) {
 	db := newTestDB(t)
-	res := mustExec(t, db, "SELECT name FROM emp WHERE salary IS NOT NULL ORDER BY salary DESC LIMIT 2")
+	res := mustExec(t, db, "SELECT name FROM emp WHERE salary > 0 ORDER BY salary DESC LIMIT 2")
 	if len(res.Rows) != 2 || res.Rows[0][0] != "carol" || res.Rows[1][0] != "alice" {
 		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
-func TestSelectCountStar(t *testing.T) {
-	db := newTestDB(t)
-	res := mustExec(t, db, "SELECT COUNT(*) FROM emp WHERE dept = 'eng'")
-	if res.Rows[0][0] != int64(3) {
-		t.Fatalf("count = %v", res.Rows[0][0])
 	}
 }
 
@@ -223,9 +214,8 @@ func TestUpdate(t *testing.T) {
 	if res.Affected != 3 {
 		t.Fatalf("affected = %d, want 3", res.Affected)
 	}
-	check := mustExec(t, db, "SELECT COUNT(*) FROM emp WHERE dept = 'core' AND salary = 100.0")
-	if check.Rows[0][0] != int64(3) {
-		t.Fatalf("post-update count = %v", check.Rows[0][0])
+	if n := countRows(t, db, "emp WHERE dept = 'core' AND salary = 100.0"); n != 3 {
+		t.Fatalf("post-update count = %d", n)
 	}
 }
 
@@ -237,27 +227,6 @@ func TestUpdateIsAtomicOnBadAssignment(t *testing.T) {
 	res := mustExec(t, db, "SELECT salary FROM emp WHERE id = 1")
 	if res.Rows[0][0] != 90.5 {
 		t.Fatalf("row mutated by failed update: %v", res.Rows[0][0])
-	}
-}
-
-func TestDelete(t *testing.T) {
-	db := newTestDB(t)
-	res := mustExec(t, db, "DELETE FROM emp WHERE salary < 85")
-	if res.Affected != 2 {
-		t.Fatalf("affected = %d, want 2 (NULL must not match)", res.Affected)
-	}
-	left := mustExec(t, db, "SELECT COUNT(*) FROM emp")
-	if left.Rows[0][0] != int64(3) {
-		t.Fatalf("remaining = %v", left.Rows[0][0])
-	}
-}
-
-func TestInsertColumnSubsetFillsNull(t *testing.T) {
-	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO emp (id, name) VALUES (6, 'frank')")
-	res := mustExec(t, db, "SELECT salary, dept FROM emp WHERE id = 6")
-	if res.Rows[0][0] != nil || res.Rows[0][1] != nil {
-		t.Fatalf("unspecified columns = %v, want NULLs", res.Rows[0])
 	}
 }
 
@@ -278,11 +247,9 @@ func TestExecErrors(t *testing.T) {
 		"SELECT * FROM emp WHERE nope = 1",
 		"SELECT * FROM emp ORDER BY nope",
 		"INSERT INTO emp VALUES (1)",
-		"INSERT INTO emp (nope) VALUES (1)",
 		"INSERT INTO emp VALUES ('x', 'y', 'z', 'w')",
 		"CREATE TABLE emp (id INT)",
 		"CREATE TABLE t2 (a INT, a TEXT)",
-		"DROP TABLE nope",
 		"UPDATE nope SET a = 1",
 		"SELECT * FROM emp WHERE name > 5",
 	}
@@ -293,21 +260,12 @@ func TestExecErrors(t *testing.T) {
 	}
 }
 
-func TestDropTable(t *testing.T) {
-	db := newTestDB(t)
-	mustExec(t, db, "DROP TABLE emp")
-	if len(db.Tables()) != 0 {
-		t.Fatalf("tables = %v", db.Tables())
-	}
-}
-
 func TestTableNamesCaseInsensitive(t *testing.T) {
 	db := newTestDB(t)
-	res := mustExec(t, db, "SELECT COUNT(*) FROM EMP")
-	if res.Rows[0][0] != int64(5) {
+	if countRows(t, db, "EMP") != 5 {
 		t.Fatal("table lookup should be case-insensitive")
 	}
-	res = mustExec(t, db, "SELECT NAME FROM emp WHERE ID = 1")
+	res := mustExec(t, db, "SELECT NAME FROM emp WHERE ID = 1")
 	if res.Rows[0][0] != "alice" {
 		t.Fatal("column lookup should be case-insensitive")
 	}
@@ -327,7 +285,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := db.Exec("SELECT COUNT(*) FROM ctr"); err != nil {
+				if _, err := db.Exec("SELECT id FROM ctr WHERE n >= 0"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -335,9 +293,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	res := mustExec(t, db, "SELECT COUNT(*) FROM ctr")
-	if res.Rows[0][0] != int64(201) {
-		t.Fatalf("rows = %v, want 201", res.Rows[0][0])
+	if n := countRows(t, db, "ctr"); n != 201 {
+		t.Fatalf("rows = %d, want 201", n)
 	}
 }
 
@@ -361,8 +318,8 @@ func TestInsertSelectProperty(t *testing.T) {
 				return false
 			}
 		}
-		res, err := db.Exec("SELECT COUNT(*) FROM t")
-		if err != nil || res.Rows[0][0] != int64(n) {
+		res, err := db.Exec("SELECT id FROM t")
+		if err != nil || len(res.Rows) != n {
 			return false
 		}
 		for id := range seen {
@@ -392,7 +349,7 @@ func TestFormatValue(t *testing.T) {
 
 func startSQLServer(t *testing.T) string {
 	t.Helper()
-	srv := NewServer(nil)
+	srv := NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -463,8 +420,8 @@ func TestEndToEndFloatsSurviveWire(t *testing.T) {
 	}
 	// Integral floats decode as int64 on the wire (JSON erases the
 	// distinction); comparisons still work across the int/float divide.
-	res, err = c.Query("SELECT COUNT(*) FROM f WHERE x >= 2.5")
-	if err != nil || res.Rows[0][0] != int64(2) {
-		t.Fatalf("count = %v, %v", res.Rows, err)
+	res, err = c.Query("SELECT x FROM f WHERE x >= 2.5")
+	if err != nil || len(res.Rows) != 2 || res.Rows[1][0] != int64(3) {
+		t.Fatalf("rows = %v, %v", res.Rows, err)
 	}
 }

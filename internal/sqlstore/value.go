@@ -3,11 +3,21 @@
 //
 // The paper points its SQLSelect and SQLUpdate workload functions at a
 // PostgreSQL server hosted on a dedicated SBC (Sec IV-C). This package
-// implements the slice of SQL those workloads need — CREATE TABLE, INSERT,
-// SELECT with WHERE/ORDER BY/LIMIT and COUNT(*), UPDATE, DELETE, DROP —
-// with a real lexer, parser, and executor, so the network-bound SQL
+// implements the four statement shapes those workloads and their fixture
+// send, with a real lexer, parser, and executor, so the network-bound SQL
 // workloads exercise genuine query parsing and evaluation on the far side
-// of a TCP connection.
+// of a TCP connection:
+//
+//	CREATE TABLE t (col type, ...)
+//	INSERT INTO t VALUES (...), (...)
+//	SELECT cols|* FROM t [WHERE p AND p ...] [ORDER BY c [ASC|DESC]] [LIMIT n]
+//	UPDATE t SET c = v, ... [WHERE p AND p ...]
+//
+// with p a single comparison (= != <> < <= > >=) between columns and
+// literals. PR 24 cut the rest — aggregates and GROUP BY, DELETE, DROP
+// TABLE, OR/NOT/parentheses/IS NULL in WHERE, INSERT with a column list —
+// and with the nesting went the parser's recursion; each is a parse error
+// now and one `git revert` hunk away.
 package sqlstore
 
 import (

@@ -35,11 +35,10 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // Call sends req as one frame and decodes the reply frame into resp (as
 // ReadJSON does: numbers in `any` fields arrive as json.Number). The
-// exchange runs under the dial timeout plus wait — the time the server is
-// allowed to sit legitimately quiet, as a long poll does.
-func (c *Client) Call(req, resp any, wait time.Duration) error {
+// exchange runs under the dial timeout.
+func (c *Client) Call(req, resp any) error {
 	if c.timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.timeout + wait)); err != nil {
+		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 			return fmt.Errorf("%s: deadline: %w", c.name, err)
 		}
 	}

@@ -52,7 +52,7 @@ func TestServerCloseIsIdempotentAndUnblocksClientMidRead(t *testing.T) {
 	}
 	defer c.Close()
 	var got payload
-	if err := c.Call(payload{Name: "a", N: 1}, &got, 0); err != nil || got.N != 1 {
+	if err := c.Call(payload{Name: "a", N: 1}, &got); err != nil || got.N != 1 {
 		t.Fatalf("echo = %+v, %v", got, err)
 	}
 	readErr := make(chan error, 1)
@@ -140,7 +140,7 @@ func TestServerCloseRacingDialsLeavesNoGoroutines(t *testing.T) {
 					return // the listener is gone
 				}
 				var got payload
-				err = c.Call(payload{Name: "x"}, &got, 0)
+				err = c.Call(payload{Name: "x"}, &got)
 				c.Close() //nolint:errcheck
 				if err != nil {
 					return // hung up on by Close
@@ -167,10 +167,9 @@ func TestServerCloseRacingDialsLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestClientCallDeadline pins the per-operation deadline arithmetic against
-// a server that accepts and then never speaks: a plain call fails at the
-// dial timeout, and a long poll is allowed its wait on top — no less (the
-// poll would be cut short) and not forever.
+// TestClientCallDeadline pins the per-operation deadline against a server
+// that accepts and then never speaks: a call fails at the dial timeout — no
+// sooner, and not forever.
 func TestClientCallDeadline(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -187,28 +186,20 @@ func TestClientCallDeadline(t *testing.T) {
 		}
 	}()
 	const timeout = 150 * time.Millisecond
-	for _, tc := range []struct {
-		name string
-		wait time.Duration
-	}{
-		{"plain call", 0},
-		{"long poll", 300 * time.Millisecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := Dial("echo", ln.Addr().String(), timeout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			start := time.Now()
-			var got payload
-			within(t, timeout+tc.wait+2*time.Second, "Call", func() { err = c.Call(payload{}, &got, tc.wait) })
-			if err == nil {
-				t.Fatal("call against a silent server succeeded")
-			}
-			if waited := time.Since(start); waited < timeout+tc.wait {
-				t.Fatalf("call failed after %v, before its %v budget", waited, timeout+tc.wait)
-			}
-		})
-	}
+	t.Run("plain call", func(t *testing.T) {
+		c, err := Dial("echo", ln.Addr().String(), timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		start := time.Now()
+		var got payload
+		within(t, timeout+2*time.Second, "Call", func() { err = c.Call(payload{}, &got) })
+		if err == nil {
+			t.Fatal("call against a silent server succeeded")
+		}
+		if waited := time.Since(start); waited < timeout {
+			t.Fatalf("call failed after %v, before its %v budget", waited, timeout)
+		}
+	})
 }

@@ -386,7 +386,7 @@ func runMQConsume(env *Env, raw []byte) ([]byte, error) {
 	if off < 0 {
 		off += end
 	}
-	msgs, err := c.Fetch(MQTopic, off, 1, 0)
+	msgs, err := c.Fetch(MQTopic, off, 1)
 	if err != nil {
 		return nil, err
 	}

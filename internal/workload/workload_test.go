@@ -30,28 +30,28 @@ func newBackends() (*Env, func(), error) {
 		return nil, nil, err
 	}
 
-	kv := kvstore.NewServer(nil)
+	kv := kvstore.NewServer()
 	kvAddr, err := kv.Listen("127.0.0.1:0")
 	if err != nil {
 		return fail(err)
 	}
 	closers = append(closers, func() { kv.Close() })
 
-	sql := sqlstore.NewServer(nil)
+	sql := sqlstore.NewServer()
 	sqlAddr, err := sql.Listen("127.0.0.1:0")
 	if err != nil {
 		return fail(err)
 	}
 	closers = append(closers, func() { sql.Close() })
 
-	obj := objstore.NewServer(nil)
+	obj := objstore.NewServer()
 	objAddr, err := obj.Listen("127.0.0.1:0")
 	if err != nil {
 		return fail(err)
 	}
 	closers = append(closers, func() { obj.Close() })
 
-	broker := mq.NewServer(nil)
+	broker := mq.NewServer()
 	mqAddr, err := broker.Listen("127.0.0.1:0")
 	if err != nil {
 		return fail(err)
