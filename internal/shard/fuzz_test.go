@@ -1,6 +1,35 @@
 package shard
 
-import "testing"
+import (
+	"slices"
+	"sort"
+	"testing"
+)
+
+// rebuiltPoints is the point list as rebuild made it before it kept an
+// unchanged list: every point hashed again and sorted with sort.Slice.
+func rebuiltPoints(r *Ring) []ringPoint {
+	var points []ringPoint
+	for s, w := range r.weights {
+		if !r.present[s] {
+			continue
+		}
+		n := int(w*float64(r.vnodes) + 0.5)
+		if n < 1 {
+			n = 1
+		}
+		for v := 0; v < n; v++ {
+			points = append(points, ringPoint{hash: pointHash(s, v), shard: s})
+		}
+	}
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].hash != points[j].hash {
+			return points[i].hash < points[j].hash
+		}
+		return points[i].shard < points[j].shard
+	})
+	return points
+}
 
 // FuzzRing drives ring construction, membership churn, reweighting, and
 // both lookup paths with arbitrary shapes, checking the invariants that
@@ -32,6 +61,9 @@ func FuzzRing(f *testing.F) {
 		// bits: each step removes, re-adds, or reweights some shard. The
 		// bounded-load invariant below must hold at every step.
 		check := func(step int) {
+			if want := rebuiltPoints(r); !slices.Equal(r.points, want) {
+				t.Fatalf("step %d: ring holds %d points, a full rebuild %d, or they differ", step, len(r.points), len(want))
+			}
 			if r.Members() < 1 || r.Members() > shards {
 				t.Fatalf("step %d: Members() = %d outside [1,%d]", step, r.Members(), shards)
 			}
@@ -71,6 +103,15 @@ func FuzzRing(f *testing.F) {
 					t.Fatalf("step %d: Add(%d) of an absent shard failed: %v", step, target, err)
 				}
 			default:
+				if bits%2 == 0 {
+					// Nudge every weight by under a quarter vnode: most
+					// counts stay put, and where none moves the ring
+					// keeps the list it has.
+					for i := range weights {
+						weights[i] = r.Weight(i) + 0.25/float64(vn+1)
+					}
+					break
+				}
 				for i := range weights {
 					weights[i] = 0.1 + float64((int(wseed)+step+i*11)%100)/10
 				}

@@ -22,7 +22,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -54,6 +56,7 @@ type Ring struct {
 	weights []float64
 	present []bool
 	members int
+	counts  []int // points per shard in the current list; 0 when absent
 	points  []ringPoint
 }
 
@@ -67,7 +70,7 @@ func NewRing(n, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{vnodes: vnodes, weights: make([]float64, n), present: make([]bool, n), members: n}
+	r := &Ring{vnodes: vnodes, weights: make([]float64, n), present: make([]bool, n), members: n, counts: make([]int, n)}
 	for i := range r.weights {
 		r.weights[i] = 1
 		r.present[i] = true
@@ -111,28 +114,39 @@ func pointHash(shard, v int) uint64 {
 // rebuild regenerates the sorted point list from the weight vector,
 // skipping absent shards entirely (their keys fall through to the next
 // present point clockwise — exactly the keys the removed shard owned,
-// nothing else).
+// nothing else). The list is a function of the per-shard point counts
+// alone, so when none of them moved — a reweight that rounds to the same
+// vnodes everywhere — the list it has is kept.
 func (r *Ring) rebuild() {
-	r.points = r.points[:0]
+	same := r.points != nil
 	for s, w := range r.weights {
-		if !r.present[s] {
-			continue
+		n := 0
+		if r.present[s] {
+			n = int(w*float64(r.vnodes) + 0.5)
+			if n < 1 {
+				n = 1 // a present shard always owns at least one point
+			}
 		}
-		n := int(w*float64(r.vnodes) + 0.5)
-		if n < 1 {
-			n = 1 // a present shard always owns at least one point
+		if n != r.counts[s] {
+			r.counts[s], same = n, false
 		}
+	}
+	if same {
+		return
+	}
+	r.points = r.points[:0]
+	for s, n := range r.counts {
 		for v := 0; v < n; v++ {
 			r.points = append(r.points, ringPoint{hash: pointHash(s, v), shard: s})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	slices.SortFunc(r.points, func(a, b ringPoint) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
 		// 64-bit collisions are astronomically rare but must not make the
 		// ring order depend on sort stability: break by shard id.
-		return r.points[i].shard < r.points[j].shard
+		return cmp.Compare(a.shard, b.shard)
 	})
 }
 

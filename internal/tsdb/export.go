@@ -16,13 +16,15 @@ import (
 // by label pairs; window bounds the lookback from the last scrape
 // (<= 0 = all retained points). Metrics stream in first-seen order,
 // series within a metric likewise, points oldest first — fully
-// deterministic under a seed.
+// deterministic under a seed. A worker=w pair in match asks for w's own
+// series, as Query does.
 func (s *Store) WriteNDJSON(w io.Writer, metric string, match map[string]string, window time.Duration) error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.askMatchLocked(match)
 	from := time.Duration(0)
 	if window > 0 {
 		if from = s.clk.last() - window; from < 0 {

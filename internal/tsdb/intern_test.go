@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -25,8 +26,16 @@ func shippedRules(t *testing.T) []Rule {
 
 // scrapeBySnapshot is Scrape as it stood before series were interned:
 // every sample of every source is materialised by Registry.Snapshot and
-// found by metric name and label-set key, every time.
-func scrapeBySnapshot(s *Store, now time.Duration) {
+// found by metric name and label-set key, every time. It applies the
+// worker rule on its own terms: a source's samples with a worker label
+// are grouped by their label set without it, and once the source's
+// samples are all in, each group's sum — added up in snapshot order from
+// zero — is pushed, groups in the order this snapshot first met them. A
+// sample whose worker is in asked is also pushed under its own label set
+// where the snapshot meets it. Sources are summed apart: two unlabelled
+// sources with the same family push one sum each into the series their
+// label sets share, as two same-key plain samples do.
+func scrapeBySnapshot(s *Store, now time.Duration, asked map[string]bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	interval, ok := s.tickLocked(now)
@@ -38,8 +47,35 @@ func scrapeBySnapshot(s *Store, now time.Duration) {
 		if src.shard != "" {
 			extra = "shard"
 		}
+		var groups []*series
+		sums := map[*series]float64{}
 		for _, smp := range src.reg.Snapshot(extra, src.shard) {
-			s.seriesLocked(smp.Name, smp.Labels).push(smp.Value)
+			w, ok := smp.Labels["worker"]
+			if !ok {
+				s.seriesLocked(smp.Name, smp.Labels).push(smp.Value)
+				continue
+			}
+			var rest map[string]string
+			for k, v := range smp.Labels {
+				if k == "worker" {
+					continue
+				}
+				if rest == nil {
+					rest = map[string]string{}
+				}
+				rest[k] = v
+			}
+			group := s.seriesLocked(smp.Name, rest)
+			if _, seen := sums[group]; !seen {
+				groups = append(groups, group)
+			}
+			sums[group] += smp.Value
+			if asked[w] {
+				s.seriesLocked(smp.Name, smp.Labels).push(smp.Value)
+			}
+		}
+		for _, group := range groups {
+			group.push(sums[group])
 		}
 	}
 	s.arrival.update(s, now, interval)
@@ -57,12 +93,15 @@ type growingCluster struct {
 
 var latencyBuckets = telemetry.LogBuckets(1e-3, 60, 12)
 
-// step applies a few random mutations to every registry.
+// step applies a few random mutations to every registry. The function
+// names double as worker names, so a worker-labelled family's children
+// come and go with them; the two fixed worker families exist in every
+// registry, so unlabelled sources share their sums' series.
 func (g *growingCluster) step() {
 	for _, reg := range g.regs {
 		for i := 0; i < 6; i++ {
 			fn := g.fns[g.rng.Intn(len(g.fns))]
-			switch g.rng.Intn(7) {
+			switch g.rng.Intn(9) {
 			case 0:
 				reg.Counter(MetricSubmittedByFunction, "Submitted.", "function", fn).Add(float64(1 + g.rng.Intn(5)))
 			case 1:
@@ -92,88 +131,217 @@ func (g *growingCluster) step() {
 				if len(g.fns) < 12 {
 					g.fns = append(g.fns, fmt.Sprintf("fn-%02d", len(g.fns)))
 				}
+			case 7:
+				reg.Gauge("microfaas_worker_busy", "Busy.", "worker", fn).Set(float64(g.rng.Intn(2)))
+			case 8:
+				result := "ok"
+				if g.rng.Intn(3) == 0 {
+					result = "error"
+				}
+				reg.Counter("microfaas_attempts_total", "Attempts.", "worker", fn, "result", result).Inc()
 			}
 		}
 	}
 }
 
+// ingestOracle holds a store that scrapes through interned ordinals
+// (got) to one that scrapes through scrapeBySnapshot (want), over the
+// same growing registries. Asks go to got through its query surface; the
+// oracle models them on its own, from the registries' snapshots.
+type ingestOracle struct {
+	t         testing.TB
+	g         *growingCluster
+	got, want *Store
+	asked     map[string]bool // the workers want records one by one
+	scrapes   int
+	now       time.Duration
+	where     string
+}
+
+// newIngestOracle builds the pair of stores over the four sources the
+// property test starts with: two carry no shard label, so their equal
+// label sets merge into shared series.
+func newIngestOracle(t testing.TB, cfg Config, seed int64, rules []Rule) *ingestOracle {
+	o := &ingestOracle{
+		t:     t,
+		g:     &growingCluster{rng: rand.New(rand.NewSource(seed)), fns: []string{"fn-00", "fn-01"}},
+		got:   New(cfg),
+		want:  New(cfg),
+		asked: map[string]bool{},
+		where: fmt.Sprintf("config %+v seed %d", cfg, seed),
+	}
+	for _, label := range []string{"shard-00", "", "shard-01", ""} {
+		o.add(label)
+	}
+	for _, s := range []*Store{o.got, o.want} {
+		if err := s.SetRules(rules); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return o
+}
+
+// add registers one more registry with both stores.
+func (o *ingestOracle) add(label string) {
+	reg := telemetry.NewRegistry()
+	o.g.regs = append(o.g.regs, reg)
+	o.got.AddSource(label, reg)
+	o.want.AddSource(label, reg)
+}
+
+// export renders s's points newer than window (all of them at 0).
+func (o *ingestOracle) export(s *Store, window time.Duration) string {
+	var b strings.Builder
+	if err := s.WriteNDJSON(&b, "", nil, window); err != nil {
+		o.t.Fatal(err)
+	}
+	return b.String()
+}
+
+// ask names worker w to got, through a query or an export in turn, and
+// records it for want if a registry has a series labelled worker=w. The
+// ask itself adds no series.
+func (o *ingestOracle) ask(w string) {
+	series := o.got.SeriesCount()
+	match := map[string]string{"worker": w}
+	if len(o.asked)%2 == 0 {
+		if _, err := o.got.Query(Query{Metric: "microfaas_worker_busy", Match: match}); err != nil {
+			o.t.Fatal(err)
+		}
+	} else if err := o.got.WriteNDJSON(io.Discard, "", match, 0); err != nil {
+		o.t.Fatal(err)
+	}
+	for _, reg := range o.g.regs {
+		for _, smp := range reg.Snapshot("", "") {
+			if v, ok := smp.Labels["worker"]; ok && v == w {
+				o.asked[w] = true
+			}
+		}
+	}
+	if got := o.got.SeriesCount(); got != series {
+		o.t.Fatalf("%s after %d scrapes: asking for %q took the store from %d series to %d", o.where, o.scrapes, w, series, got)
+	}
+	if got, want := len(o.got.asked), len(o.asked); got != want {
+		o.t.Fatalf("%s after %d scrapes: asking for %q: the store has asked for %d workers, want %d", o.where, o.scrapes, w, got, want)
+	}
+}
+
+// scrape scrapes both stores at the next instant and compares this
+// scrape's points, metric order, series count, SLO state and forecasts.
+func (o *ingestOracle) scrape(interval time.Duration) {
+	o.scrapes++
+	o.now += interval
+	o.got.Scrape(o.now)
+	scrapeBySnapshot(o.want, o.now, o.asked)
+	where := fmt.Sprintf("%s scrape %d", o.where, o.scrapes)
+	if a, b := o.export(o.got, time.Nanosecond), o.export(o.want, time.Nanosecond); a != b {
+		o.t.Fatalf("%s: newest points differ:\n%s\nvs\n%s", where, a, b)
+	}
+	if a, b := o.got.MetricNames(), o.want.MetricNames(); !reflect.DeepEqual(a, b) {
+		o.t.Fatalf("%s: metric order %v vs %v", where, a, b)
+	}
+	if a, b := o.got.SeriesCount(), o.want.SeriesCount(); a != b {
+		o.t.Fatalf("%s: %d series vs %d", where, a, b)
+	}
+	if a, b := o.got.SLOStatus(), o.want.SLOStatus(); !reflect.DeepEqual(a, b) {
+		o.t.Fatalf("%s: SLO status %+v vs %+v", where, a, b)
+	}
+	if a, b := o.got.Forecasts(), o.want.Forecasts(); !reflect.DeepEqual(a, b) {
+		o.t.Fatalf("%s: forecasts %+v vs %+v", where, a, b)
+	}
+}
+
+// finish compares everything retained, the alert history and two
+// whole-history queries.
+func (o *ingestOracle) finish() {
+	if a, b := o.export(o.got, 0), o.export(o.want, 0); a != b {
+		o.t.Fatalf("%s: full export differs", o.where)
+	}
+	if a, b := o.got.AlertHistory(), o.want.AlertHistory(); !reflect.DeepEqual(a, b) {
+		o.t.Fatalf("%s: alert history %+v vs %+v", o.where, a, b)
+	}
+	for _, q := range []Query{
+		{Metric: DefaultErrorMetric, Op: OpRate, Window: time.Hour},
+		{Metric: DefaultLatencyMetric, Op: OpQuantile, Q: 0.9, Window: time.Hour},
+	} {
+		a, errA := o.got.Query(q)
+		b, errB := o.want.Query(q)
+		if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+			o.t.Fatalf("%s: query %+v: %+v (%v) vs %+v (%v)", o.where, q, a, errA, b, errB)
+		}
+	}
+}
+
 // TestInternedScrapeMatchesSnapshotIngest drives random registry growth
-// between scrapes into two stores over the same sources — one scraping
-// through interned ordinals, one through scrapeBySnapshot — and holds
-// them to identical exports, metric order, SLO state and forecasts after
-// every scrape. Two sources carry no shard label, so their equal label
-// sets merge into shared series; one source joins after the first scrape.
+// between scrapes into the oracle's two stores and holds them to
+// identical exports, metric order, SLO state and forecasts after every
+// scrape. One source joins after the first scrape; a worker is asked for
+// once its series exist, one before it has any, and one no registry has.
 func TestInternedScrapeMatchesSnapshotIngest(t *testing.T) {
 	rules := shippedRules(t)
 	// Default rings (which only grow here), rings that grow to an odd bound
 	// and then evict, and rings too small for the SLO windows, which then
 	// fall back to the downsample tiers — each on its own seed.
 	for i, cfg := range []Config{{}, {RawCapacity: 100, TierCapacity: 3}, {RawCapacity: 5}} {
-		seed := int64(i + 1)
-		g := &growingCluster{rng: rand.New(rand.NewSource(seed)), fns: []string{"fn-00", "fn-01"}}
-		got, want := New(cfg), New(cfg)
-		add := func(label string) {
-			reg := telemetry.NewRegistry()
-			g.regs = append(g.regs, reg)
-			got.AddSource(label, reg)
-			want.AddSource(label, reg)
-		}
-		for _, label := range []string{"shard-00", "", "shard-01", ""} {
-			add(label)
-		}
-		for _, s := range []*Store{got, want} {
-			if err := s.SetRules(rules); err != nil {
-				t.Fatal(err)
-			}
-		}
-		export := func(s *Store, window time.Duration) string {
-			var b strings.Builder
-			if err := s.WriteNDJSON(&b, "", nil, window); err != nil {
-				t.Fatal(err)
-			}
-			return b.String()
-		}
-		const interval = 700 * time.Millisecond
+		o := newIngestOracle(t, cfg, int64(i+1), rules)
 		for i := 1; i <= 130; i++ {
-			g.step()
-			if i == 2 {
-				add("shard-late")
+			o.g.step()
+			switch i {
+			case 2:
+				o.add("shard-late")
+			case 20:
+				o.ask("fn-01")
+			case 40:
+				o.ask("nope")
+			case 60:
+				o.ask("fn-09") // may not exist yet: then it is asked for again
+			case 90:
+				o.ask("fn-09")
 			}
-			now := time.Duration(i) * interval
-			got.Scrape(now)
-			scrapeBySnapshot(want, now)
-			where := fmt.Sprintf("config %+v seed %d scrape %d", cfg, seed, i)
-			// This scrape's points now, everything retained at the end.
-			if a, b := export(got, time.Nanosecond), export(want, time.Nanosecond); a != b {
-				t.Fatalf("%s: newest points differ:\n%s\nvs\n%s", where, a, b)
-			}
-			if a, b := got.MetricNames(), want.MetricNames(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: metric order %v vs %v", where, a, b)
-			}
-			if a, b := got.SLOStatus(), want.SLOStatus(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: SLO status %+v vs %+v", where, a, b)
-			}
-			if a, b := got.Forecasts(), want.Forecasts(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: forecasts %+v vs %+v", where, a, b)
-			}
+			o.scrape(700 * time.Millisecond)
 		}
-		if a, b := export(got, 0), export(want, 0); a != b {
-			t.Fatalf("config %+v seed %d: full export differs", cfg, seed)
-		}
-		if a, b := got.AlertHistory(), want.AlertHistory(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("config %+v seed %d: alert history %+v vs %+v", cfg, seed, a, b)
-		}
-		for _, q := range []Query{
-			{Metric: DefaultErrorMetric, Op: OpRate, Window: time.Hour},
-			{Metric: DefaultLatencyMetric, Op: OpQuantile, Q: 0.9, Window: time.Hour},
-		} {
-			a, errA := got.Query(q)
-			b, errB := want.Query(q)
-			if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
-				t.Fatalf("config %+v seed %d: query %+v: %+v (%v) vs %+v (%v)", cfg, seed, q, a, errA, b, errB)
-			}
-		}
+		o.finish()
 	}
+}
+
+// FuzzScrapeAsks interleaves registry growth, scrapes, asks — for
+// workers that exist, do not yet, or never will — and late sources, and
+// holds the interned scrape to scrapeBySnapshot after every scrape.
+func FuzzScrapeAsks(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 2, 1, 6, 1, 0, 1, 10, 1})
+	f.Add([]byte{1, 7, 2, 6, 10, 0, 1, 0, 0, 1, 3, 1, 0, 0, 14, 1})
+	f.Add([]byte{2, 3, 0, 1, 46, 1, 0, 0, 0, 1, 3, 0, 1, 50, 0, 1, 0, 1})
+	rules, err := LoadRules(filepath.Join("..", "..", "examples", "slo", "rules.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	configs := []Config{{}, {RawCapacity: 6, TierCapacity: 2}, {RawCapacity: 3}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		o := newIngestOracle(t, configs[int(data[0])%len(configs)], int64(data[1]), rules)
+		if len(data) > 400 {
+			data = data[:400]
+		}
+		for _, b := range data[2:] {
+			switch b % 4 {
+			case 0:
+				o.g.step()
+			case 1:
+				o.scrape(time.Duration(1+b/4%3) * 500 * time.Millisecond)
+			case 2:
+				// fn-00 … fn-11, which the registries grow into, and two workers
+				// they never have.
+				o.ask(fmt.Sprintf("fn-%02d", b/4%14))
+			default:
+				if len(o.g.regs) < 7 {
+					o.add([]string{"", "shard-late"}[b/4%2])
+				}
+			}
+		}
+		o.finish()
+	})
 }
 
 // warmKeep is the sample capacity of warmedStore's series.
@@ -181,8 +349,9 @@ const warmKeep = 8
 
 // warmedStore returns a store over two registries, scraped 200 times
 // while every counter and histogram moved, so runs and tiers are at their
-// bounds and nothing is left to grow. tick moves them all again and
-// scrapes; idle scrapes alone.
+// bounds and nothing is left to grow. Each registry has four workers'
+// counters and gauges, summed per shard, one of whose workers has been
+// asked for. tick moves them all again and scrapes; idle scrapes alone.
 func warmedStore(t *testing.T, rules []Rule) (store *Store, tick, idle func()) {
 	store = New(Config{RawCapacity: warmKeep, TierCapacity: 2})
 	if err := store.SetRules(rules); err != nil {
@@ -190,6 +359,7 @@ func warmedStore(t *testing.T, rules []Rule) (store *Store, tick, idle func()) {
 	}
 	var counters []*telemetry.Counter
 	var hists []*telemetry.Histogram
+	var busy []*telemetry.Gauge
 	for s := 0; s < 2; s++ {
 		reg := telemetry.NewRegistry()
 		for f := 0; f < 4; f++ {
@@ -201,8 +371,16 @@ func warmedStore(t *testing.T, rules []Rule) (store *Store, tick, idle func()) {
 			reg.Counter(DefaultErrorMetric, "Outcomes.", "function", fn, "result", "error")
 			hists = append(hists, reg.Histogram(DefaultLatencyMetric, "Latency.", latencyBuckets, "function", fn))
 		}
+		for w := 0; w < 4; w++ {
+			worker := fmt.Sprintf("sbc-%d%d", s, w)
+			counters = append(counters, reg.Counter("microfaas_attempts_total", "Attempts.", "worker", worker, "result", "ok"))
+			busy = append(busy, reg.Gauge("microfaas_worker_busy", "Busy.", "worker", worker))
+		}
 		reg.GaugeFunc("microfaas_cluster_power_watts", "Draw.", func() float64 { return 19.6 })
 		store.AddSource(fmt.Sprintf("shard-%02d", s), reg)
+	}
+	if _, err := store.Query(Query{Metric: "microfaas_worker_busy", Match: map[string]string{"worker": "sbc-12"}}); err != nil {
+		t.Fatal(err)
 	}
 	now := time.Duration(0)
 	idle = func() {
@@ -215,6 +393,9 @@ func warmedStore(t *testing.T, rules []Rule) (store *Store, tick, idle func()) {
 		}
 		for _, h := range hists {
 			h.Observe(0.5)
+		}
+		for _, g := range busy {
+			g.Set(1 - g.Value())
 		}
 		idle()
 	}

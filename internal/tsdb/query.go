@@ -68,7 +68,9 @@ type SeriesResult struct {
 
 // Query evaluates q against the store. Series come back in first-seen
 // order (deterministic under a seed). An unknown metric yields an empty
-// result, not an error; errors are reserved for malformed queries.
+// result, not an error; errors are reserved for malformed queries. A
+// worker=w matcher asks for w's own series, which the store records from
+// the next scrape on (see the package doc).
 func (s *Store) Query(q Query) ([]SeriesResult, error) {
 	if s == nil {
 		return nil, nil
@@ -93,6 +95,7 @@ func (s *Store) Query(q Query) ([]SeriesResult, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.askMatchLocked(q.Match)
 	from := s.clk.last() - q.Window
 	if from < 0 {
 		from = 0
@@ -147,7 +150,12 @@ func increase(w windowStats) float64 {
 	if w.count < 2 {
 		return 0
 	}
-	d := w.last - w.first
+	return growth(w.first, w.last)
+}
+
+// growth is last - first clamped at zero.
+func growth(first, last float64) float64 {
+	d := last - first
 	if d < 0 {
 		return 0
 	}
@@ -176,7 +184,7 @@ func (s *Store) quantileLocked(metric string, q float64, from time.Duration, mat
 		if !sr.hasLE || !matchesAllExceptLE(sr.labels, match) {
 			continue
 		}
-		byLE[sr.le] += increase(sr.window(from))
+		byLE[sr.le] += sr.increase(from)
 	}
 	if len(byLE) == 0 {
 		return 0

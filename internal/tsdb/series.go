@@ -387,17 +387,43 @@ func (sr *series) tier(from time.Duration) *bucketRing {
 // to from. The chosen tier is used alone — mixing tiers would
 // double-count the overlap.
 func (sr *series) window(from time.Duration) windowStats {
-	var w windowStats
-	if sr.covers(from) {
-		j, start := sr.seek(from)
-		for n := sr.runs(); j < n; j++ {
-			r := sr.runFrom(j, start)
-			w.addRun(sr.clk.time(r.first), sr.clk.time(r.first+r.n-1), r.value, r.n)
-		}
-		return w
+	if !sr.covers(from) {
+		return sr.tierWindow(from)
 	}
+	var w windowStats
+	j, start := sr.seek(from)
+	for n := sr.runs(); j < n; j++ {
+		r := sr.runFrom(j, start)
+		w.addRun(sr.clk.time(r.first), sr.clk.time(r.first+r.n-1), r.value, r.n)
+	}
+	return w
+}
+
+// tierWindow is window answered from the tier that reaches back to from.
+func (sr *series) tierWindow(from time.Duration) windowStats {
+	var w windowStats
 	sr.tier(from).ascend(from, func(b Bucket) bool { w.addBucket(b); return true })
 	return w
+}
+
+// increase is increase(sr.window(from)) — what an SLO burn reads of a
+// counter — without visiting every sample: from the runs it needs only
+// the window's first value, its last (the open run's) and whether it
+// holds two samples, which seek finds in O(log runs).
+func (sr *series) increase(from time.Duration) float64 {
+	if !sr.covers(from) {
+		return increase(sr.tierWindow(from))
+	}
+	j, start := sr.seek(from)
+	n := sr.runs()
+	if j == n {
+		return 0
+	}
+	first := sr.runFrom(j, start)
+	if j == n-1 && first.n < 2 {
+		return 0
+	}
+	return growth(first.value, sr.open.value)
 }
 
 // points returns the series' retained samples in [from, ∞) as plot

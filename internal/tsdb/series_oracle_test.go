@@ -326,6 +326,9 @@ func compareSeries(t testing.TB, where string, sr *series, ref *refSeries) {
 		if got, want := sr.window(from), ref.window(from); !sameStats(got, want) {
 			t.Fatalf("%s: window(%v) = %+v, want %+v", where, from, got, want)
 		}
+		if got, want := sr.increase(from), increase(ref.window(from)); !sameFloat(got, want) {
+			t.Fatalf("%s: increase(%v) = %v, want %v", where, from, got, want)
+		}
 		if got, want := sr.points(from), ref.points(from); !samePoints(got, want) {
 			t.Fatalf("%s: points(%v) = %v, want %v", where, from, got, want)
 		}

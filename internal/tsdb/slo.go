@@ -560,7 +560,7 @@ func (s *Store) sumIncreaseLocked(metric string, from time.Duration, match map[s
 	total := 0.0
 	for _, sr := range ms.order {
 		if matchesAll(sr.labels, match) {
-			total += increase(sr.window(from))
+			total += sr.increase(from)
 		}
 	}
 	return total
@@ -600,7 +600,7 @@ func (s *Store) latencySplitLocked(bucketMetric string, thresholdS float64, from
 		if !sr.hasLE || (sr.le != goodLE && sr.le != totalLE) || !matchesAllExceptLE(sr.labels, match) {
 			continue
 		}
-		inc := increase(sr.window(from))
+		inc := sr.increase(from)
 		if sr.le == goodLE {
 			good += inc
 		}

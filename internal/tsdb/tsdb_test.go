@@ -350,33 +350,61 @@ func TestArrivalTrackerEWMAAndForecasts(t *testing.T) {
 	}
 }
 
+// TestWriteNDJSON exports a worker-labelled gauge: by default as its
+// shard's sum, and — once an export names the worker and one more scrape
+// has run — also as the worker's own series, from that scrape on. Naming a
+// worker no source has exports nothing and adds no series.
 func TestWriteNDJSON(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	g := reg.Gauge("depth", "queue depth", "worker", "w0")
+	reg.Gauge("depth", "queue depth", "worker", "w1").Set(10)
 	s := New(Config{})
 	s.AddSource("shard-01", reg)
 	scrapeN(s, 3, time.Second, func(i int) { g.Set(float64(i)) })
 
-	var b strings.Builder
-	if err := s.WriteNDJSON(&b, "depth", nil, 0); err != nil {
-		t.Fatal(err)
+	export := func(match map[string]string) []string {
+		t.Helper()
+		var b strings.Builder
+		if err := s.WriteNDJSON(&b, "depth", match, 0); err != nil {
+			t.Fatal(err)
+		}
+		if b.Len() == 0 {
+			return nil
+		}
+		return strings.Split(strings.TrimSpace(b.String()), "\n")
 	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	lines := export(nil)
 	if len(lines) != 3 {
-		t.Fatalf("ndjson lines = %d: %q", len(lines), b.String())
+		t.Fatalf("ndjson lines = %d: %q", len(lines), lines)
 	}
-	want := `{"metric":"depth","labels":{"shard":"shard-01","worker":"w0"},"at_ms":1000,"value":0}`
+	want := `{"metric":"depth","labels":{"shard":"shard-01"},"at_ms":1000,"value":10}`
 	if lines[0] != want {
 		t.Fatalf("line 0 = %s, want %s", lines[0], want)
 	}
 
-	// Label filter drops everything when no series matches.
-	b.Reset()
-	if err := s.WriteNDJSON(&b, "depth", map[string]string{"worker": "nope"}, 0); err != nil {
-		t.Fatal(err)
+	// Naming w0 returns nothing yet; the next scrape starts its history.
+	if lines := export(map[string]string{"worker": "w0"}); lines != nil {
+		t.Fatalf("w0 exported before a scrape recorded it: %q", lines)
 	}
-	if b.Len() != 0 {
-		t.Fatalf("filtered export not empty: %q", b.String())
+	g.Set(7)
+	s.Scrape(4 * time.Second)
+	lines = export(map[string]string{"worker": "w0"})
+	want = `{"metric":"depth","labels":{"shard":"shard-01","worker":"w0"},"at_ms":4000,"value":7}`
+	if len(lines) != 1 || lines[0] != want {
+		t.Fatalf("w0 after one scrape = %q, want [%s]", lines, want)
+	}
+	if lines := export(nil); len(lines) != 5 || lines[3] != `{"metric":"depth","labels":{"shard":"shard-01"},"at_ms":4000,"value":17}` {
+		t.Fatalf("the shard sum stopped counting w0: %q", lines)
+	}
+
+	// A worker no source has: nothing matches, and nothing is added.
+	series := s.SeriesCount()
+	if lines := export(map[string]string{"worker": "nope"}); lines != nil {
+		t.Fatalf("filtered export not empty: %q", lines)
+	}
+	s.Scrape(5 * time.Second)
+	if got := s.SeriesCount(); got != series {
+		t.Fatalf("naming an unknown worker took the store from %d series to %d", series, got)
 	}
 }
 
