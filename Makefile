@@ -63,28 +63,23 @@ loc:
 	done
 	@printf '%6d total\n' "$$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
-# `make store-reach` prints, per backing store and in total, how many of
-# the store's statements internal/workload's tests (all 17 functions plus
-# SetupBackends) execute — "sized to the traffic" as a number. It is the
-# test run's own coverage profile read with awk; no production code is
-# instrumented. Fails if the total is under STORE_REACH_MIN percent: what
-# the suite does not reach should be error handling for malformed input,
-# not operations nobody calls.
-STORES := kvstore sqlstore objstore mq
+# `make reach` builds every binary — microfaas-sim, microfaas-live, faasctl,
+# slolint, docslint and examples/* — with coverage of the whole module,
+# drives each through what it ships (scripts/reach.sh: every simulator row,
+# load and replay runs, two serve sessions poked by every faasctl command),
+# and prints the statements reached per package under internal/ and cmd/
+# plus every function no run entered, each with its reason from
+# scripts/reach-allow.txt. Fails if a driven command or route answers
+# wrongly, the total is under REACH_MIN percent, the four backing stores
+# together are under STORE_REACH_MIN percent, a never-entered function is
+# not on the allowlist, or an allowlist entry is gone or now entered. The
+# report stays in .reach/.
+REACH_MIN := 80
 STORE_REACH_MIN := 70
-comma := ,
 
-.PHONY: store-reach
-store-reach:
-	@$(GO) test -count=1 -coverpkg=$(subst $() ,$(comma),$(addprefix ./internal/,$(STORES))) \
-		-coverprofile=.store-reach.out ./internal/workload/ >/dev/null
-	@awk -v min=$(STORE_REACH_MIN) -v stores="$(STORES)" \
-		'NR > 1 { split($$1, p, "/"); all[p[3]] += $$2; if ($$3 > 0) hit[p[3]] += $$2 } \
-		END { n = split(stores, order, " "); \
-		for (i = 1; i <= n; i++) { s = order[i]; h += hit[s]; a += all[s]; \
-			printf "%5d / %5d  %5.1f%%  internal/%s\n", hit[s], all[s], 100*hit[s]/all[s], s } \
-		printf "%5d / %5d  %5.1f%%  total (minimum %d%%)\n", h, a, 100*h/a, min; \
-		exit (100*h < min*a) }' .store-reach.out; st=$$?; rm -f .store-reach.out; exit $$st
+.PHONY: reach
+reach:
+	bash scripts/reach.sh $(REACH_MIN) $(STORE_REACH_MIN)
 
 # `make bench` runs the full benchmark suite and records it as a JSON
 # baseline (BENCH_pr14.json) via cmd/benchjson. `make bench-smoke` is the

@@ -199,33 +199,31 @@ func replayMode(w io.Writer, l *cluster.Live, opts options) error {
 		sched[i].At = time.Duration(float64(sched[i].At) / speedup)
 	}
 	// Trace functions carry no arguments; generate realistic ones per
-	// submission by wrapping the orchestrator.
+	// submission by wrapping the orchestrator. Each invocation reports its
+	// final result (after any retries) once, and the report waits for all.
 	rng := rand.New(rand.NewSource(opts.live.Seed))
+	var done sync.WaitGroup
+	done.Add(len(sched))
 	start := l.Runtime.Now()
-	n, err := replay.Feed(l.Runtime, &argFiller{orch: l.Orch, rng: rng}, sched)
+	n, err := replay.Feed(l.Runtime, &argFiller{orch: l.Orch, rng: rng, done: &done}, sched)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "replaying %d invocations over %v (%.0fx compression)\n",
 		n, sched.Duration().Round(time.Millisecond), speedup)
-	// Wait out the schedule. Quiesce alone is racy at the tail: the final
-	// timer may not have fired when the queue momentarily drains, so also
-	// wait until every traced invocation has been recorded.
-	time.Sleep(sched.Duration())
-	for l.Orch.Collector().Len() < n {
-		time.Sleep(10 * time.Millisecond)
-	}
-	l.Orch.Quiesce()
+	done.Wait()
 	return printReport(w, l, n, l.Runtime.Now()-start)
 }
 
 // argFiller adapts the orchestrator to replay.Submitter, generating
-// arguments for each traced function on the fly. Replay timers fire on
+// arguments for each traced function on the fly, and marks done once per
+// invocation when its final result is in. Replay timers fire on
 // independent goroutines, so the shared random source is guarded.
 type argFiller struct {
 	orch *core.Orchestrator
 	mu   sync.Mutex
 	rng  *rand.Rand
+	done *sync.WaitGroup
 }
 
 func (a *argFiller) Submit(function string, _ []byte) int64 {
@@ -235,7 +233,11 @@ func (a *argFiller) Submit(function string, _ []byte) int64 {
 		args = f.GenArgs(a.rng)
 		a.mu.Unlock()
 	}
-	return a.orch.Submit(function, args)
+	id := a.orch.SubmitAsync(function, args, func(core.Result) { a.done.Done() })
+	if id == 0 { // refused (draining): no result will come
+		a.done.Done()
+	}
+	return id
 }
 
 func serveMode(l *cluster.Live, opts options) error {
@@ -341,8 +343,10 @@ func loadMode(w io.Writer, l *cluster.Live, opts options) error {
 	return printReport(w, l, opts.jobs, l.Runtime.Now()-start)
 }
 
-// printReport renders per-function statistics (over the retained records)
-// and lifetime cluster totals; failed invocations come back as an error.
+// printReport renders per-function statistics (over the retained records,
+// one per attempt) and lifetime cluster totals. Failed invocations — jobs
+// that did not complete, however many attempts each made — come back as
+// an error.
 func printReport(w io.Writer, l *cluster.Live, jobs int, elapsed time.Duration) error {
 	coll := l.Orch.Collector()
 	fmt.Fprintf(w, "\n%-12s %6s %10s %12s %10s %10s\n",
@@ -354,8 +358,7 @@ func printReport(w io.Writer, l *cluster.Live, jobs int, elapsed time.Duration) 
 			st.MeanOverhead.Round(time.Microsecond),
 			st.P95Total.Round(time.Microsecond))
 	}
-	errs := coll.ErrorCount()
-	completed := coll.Len() - errs
+	completed := coll.Len() - coll.ErrorCount() // each job succeeds at most once
 	if completed > 0 {
 		if h, err := coll.LatencyHistogram(100*time.Microsecond, 10*time.Second, 14); err == nil {
 			fmt.Fprintln(w, "\nend-to-end latency distribution:")
@@ -373,8 +376,8 @@ func printReport(w io.Writer, l *cluster.Live, jobs int, elapsed time.Duration) 
 		fmt.Fprintf(w, "modelled energy: %.2f J total, %.3f J/function\n",
 			energy, energy/float64(completed))
 	}
-	if errs > 0 {
-		return fmt.Errorf("%d invocations failed", errs)
+	if failed := jobs - completed; failed > 0 {
+		return fmt.Errorf("%d invocations failed", failed)
 	}
 	return nil
 }

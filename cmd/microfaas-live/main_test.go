@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -84,5 +85,50 @@ func TestReplayModeValidation(t *testing.T) {
 	}
 	if err := replayMode(&sb, l, options{replayPath: "/dev/null"}); err == nil {
 		t.Fatal("zero speedup accepted")
+	}
+}
+
+// TestReportCountsInvocationsNotAttempts times out every attempt — each
+// worker reboot outlasts the deadline — so each of n jobs fails three
+// times. The report must count n failed invocations, not 3n failed
+// attempts, in load mode and in replay mode, and replay must wait for
+// every job's final result rather than for n attempt records.
+func TestReportCountsInvocationsNotAttempts(t *testing.T) {
+	live := cluster.LiveOptions{Workers: 2, Seed: 4, BootDelay: 30 * time.Millisecond,
+		JobTimeout: 5 * time.Millisecond, MaxAttempts: 3}
+	trace := t.TempDir() + "/trace.csv"
+	if err := os.WriteFile(trace, []byte("at_ms,function\n0,CascSHA\n1,RegExMatch\n2,CascSHA\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*strings.Builder, *cluster.Live) error
+		jobs int
+	}{
+		{"load", func(sb *strings.Builder, l *cluster.Live) error {
+			return loadMode(sb, l, options{live: live, jobs: 4})
+		}, 4},
+		{"replay", func(sb *strings.Builder, l *cluster.Live) error {
+			return replayMode(sb, l, options{live: live, replayPath: trace, speedup: 1})
+		}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := cluster.StartLive(live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			var sb strings.Builder
+			err = tc.run(&sb, l)
+			if want := fmt.Sprintf("%d invocations failed", tc.jobs); err == nil || err.Error() != want {
+				t.Fatalf("error = %v, want %q:\n%s", err, want, sb.String())
+			}
+			if want := fmt.Sprintf("completed 0/%d", tc.jobs); !strings.Contains(sb.String(), want) {
+				t.Fatalf("report lacks %q:\n%s", want, sb.String())
+			}
+			if got, want := l.Orch.Collector().ErrorCount(), 3*tc.jobs; got != want {
+				t.Fatalf("%d failed attempts on record, want %d", got, want)
+			}
+		})
 	}
 }

@@ -69,16 +69,6 @@ func (p Profile) CPUTime() time.Duration {
 	return sum
 }
 
-// Component returns the named component, or false if absent.
-func (p Profile) Component(name string) (Component, bool) {
-	for _, c := range p.Components {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Component{}, false
-}
-
 // clone returns a deep copy so optimizations never alias profiles.
 func (p Profile) clone() Profile {
 	out := Profile{Platform: p.Platform, Components: make([]Component, len(p.Components))}

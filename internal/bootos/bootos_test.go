@@ -166,11 +166,14 @@ func TestApplyNegativePanics(t *testing.T) {
 }
 
 func TestComponentLookup(t *testing.T) {
-	prof := FinalProfile(ARM)
-	if _, ok := prof.Component("kernel"); !ok {
+	names := map[string]bool{}
+	for _, c := range FinalProfile(ARM).Components {
+		names[c.Name] = true
+	}
+	if !names["kernel"] {
 		t.Fatal("kernel component missing")
 	}
-	if _, ok := prof.Component("flux-capacitor"); ok {
+	if names["flux-capacitor"] {
 		t.Fatal("unexpected component")
 	}
 }

@@ -79,13 +79,15 @@ func chaosChurnRun(t *testing.T, seed int64) *chaosOutcome {
 	for _, si := range rng.Perm(6)[:2] {
 		kill := time.Duration(1000+rng.Intn(3000)) * time.Millisecond
 		s.ScheduleKill(kill, si)
-		s.ScheduleRevive(kill+time.Duration(2000+rng.Intn(2000))*time.Millisecond, si)
+		s.Engine.At(kill+time.Duration(2000+rng.Intn(2000))*time.Millisecond, func() { _ = s.Revive(si) })
 	}
 
 	if err := s.Run(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	out.epoch = s.Plane.Epoch()
+	for _, st := range s.Plane.Status() {
+		out.epoch += st.Epoch
+	}
 	out.stats = s.Stats()
 	return out
 }

@@ -12,8 +12,8 @@ import (
 // control-plane host down (the probe starts failing and the
 // orchestrator seals — queued jobs freeze for recovery, in-flight
 // attempts finish on their boards), Revive brings it back. Schedule the
-// churn on the shared virtual clock (ScheduleKill/ScheduleRevive) and a
-// seeded run replays byte-identically, kill timing included.
+// churn on the shared virtual clock and a seeded run replays
+// byte-identically, kill timing included.
 //
 // Worker re-homing rides the plane's membership hooks: when the health
 // checker declares a killed shard dead, its worker partition moves
@@ -59,7 +59,7 @@ func (s *ShardedSim) Revive(si int) error {
 		return nil
 	}
 	s.down[si] = false
-	if s.Plane.MemberState(si) != shard.ShardDead {
+	if s.Plane.Status()[si].State != shard.ShardDead.String() {
 		// Never declared dead, so no rejoin transition will fire: undo the
 		// seal directly.
 		s.Orchs[si].Reopen()
@@ -71,16 +71,6 @@ func (s *ShardedSim) Revive(si int) error {
 // ScheduleKill arranges Kill(si) at virtual time at.
 func (s *ShardedSim) ScheduleKill(at time.Duration, si int) {
 	s.Engine.At(at, func() { _ = s.Kill(si) })
-}
-
-// ScheduleRevive arranges Revive(si) at virtual time at.
-func (s *ShardedSim) ScheduleRevive(at time.Duration, si int) {
-	s.Engine.At(at, func() { _ = s.Revive(si) })
-}
-
-// Down reports whether shard si's host is currently killed.
-func (s *ShardedSim) Down(si int) bool {
-	return si >= 0 && si < len(s.down) && s.down[si]
 }
 
 // churnable validates a Kill/Revive target.

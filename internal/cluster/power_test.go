@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"microfaas/internal/core"
+	"microfaas/internal/gpio"
 	"microfaas/internal/model"
 	"microfaas/internal/power"
 	"microfaas/internal/powermgr"
@@ -42,7 +43,7 @@ func TestManagedSimEndToEnd(t *testing.T) {
 	}
 	presses := 0
 	for _, id := range s.Orch.Workers() {
-		presses += s.GPIO.PowerOnCount(id)
+		presses += powerOns(s.GPIO, id)
 	}
 	if presses == 0 || presses >= coll.Len() {
 		t.Fatalf("%d PWR_BUT presses for %d jobs; wake-on-demand should amortize boots", presses, coll.Len())
@@ -76,9 +77,8 @@ func TestManagedSimEndToEnd(t *testing.T) {
 		t.Fatalf("%d workers still powered after idle timeout", up)
 	}
 	for _, id := range s.Orch.Workers() {
-		evs := s.GPIO.EventsFor(id)
-		if len(evs) > 0 && evs[len(evs)-1].To != power.Off {
-			t.Fatalf("%s ended in state %v", id, evs[len(evs)-1].To)
+		if last, ok := lastEvent(s.GPIO, id); ok && last.To != power.Off {
+			t.Fatalf("%s ended in state %v", id, last.To)
 		}
 	}
 }
@@ -217,14 +217,36 @@ func TestBudgetExhaustedFunctionStopsWakingNodes(t *testing.T) {
 	}
 
 	free := run(nil)
-	if boots := free.GPIO.PowerOnCount("sbc-001"); boots == 0 {
+	if boots := powerOns(free.GPIO, "sbc-001"); boots == 0 {
 		t.Fatal("without budgets, concurrent load should wake the second node")
 	}
 	capped := run(map[string]float64{fn: 0.1})
 	if bs := capped.Orch.EnergyBudgets(); len(bs) != 1 || !bs[0].Exhausted {
 		t.Fatalf("budget not exhausted after warm-up: %+v", bs)
 	}
-	if boots := capped.GPIO.PowerOnCount("sbc-001"); boots != 0 {
+	if boots := powerOns(capped.GPIO, "sbc-001"); boots != 0 {
 		t.Fatalf("exhausted function woke the second node %d times; want 0 (queue on powered hardware)", boots)
 	}
+}
+
+// powerOns counts node's PWR_BUT presses in c's log: its transitions out
+// of Off.
+func powerOns(c *gpio.Controller, node string) int {
+	n := 0
+	for _, e := range c.Events() {
+		if e.Node == node && e.From == power.Off {
+			n++
+		}
+	}
+	return n
+}
+
+// lastEvent returns node's most recent transition in c's log.
+func lastEvent(c *gpio.Controller, node string) (last gpio.Event, ok bool) {
+	for _, e := range c.Events() {
+		if e.Node == node {
+			last, ok = e, true
+		}
+	}
+	return last, ok
 }

@@ -151,7 +151,7 @@ func TestGPIOAuditLogTracksJobCycles(t *testing.T) {
 	// transitions per job (off→booting→busy→off).
 	presses := 0
 	for _, id := range s.Orch.Workers() {
-		presses += s.GPIO.PowerOnCount(id)
+		presses += powerOns(s.GPIO, id)
 	}
 	if presses != jobs {
 		t.Fatalf("%d PWR_BUT presses for %d jobs", presses, jobs)
@@ -161,11 +161,7 @@ func TestGPIOAuditLogTracksJobCycles(t *testing.T) {
 	}
 	// Every worker ends powered off.
 	for _, id := range s.Orch.Workers() {
-		evs := s.GPIO.EventsFor(id)
-		if len(evs) == 0 {
-			continue
-		}
-		if last := evs[len(evs)-1]; last.To.String() != "off" {
+		if last, ok := lastEvent(s.GPIO, id); ok && last.To.String() != "off" {
 			t.Fatalf("%s ended in state %v", id, last.To)
 		}
 	}

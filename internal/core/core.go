@@ -734,16 +734,9 @@ func New(cfg Config) (*Orchestrator, error) {
 // Telemetry returns the orchestrator's telemetry (nil when disabled).
 func (o *Orchestrator) Telemetry() *telemetry.Telemetry { return o.tel }
 
-// Tracer returns the orchestrator's tracer (nil when disabled).
-func (o *Orchestrator) Tracer() *tracing.Tracer { return o.tracer }
-
 // PowerManager returns the power-management plane (nil when the cluster
 // runs the static per-job power policy).
 func (o *Orchestrator) PowerManager() *powermgr.Manager { return o.pm }
-
-// Now returns the current cluster-clock offset (virtual in sim mode,
-// wall-clock-since-start in live mode).
-func (o *Orchestrator) Now() time.Duration { return o.runtime.Now() }
 
 // ShardLabel returns the control-plane shard name this orchestrator was
 // configured with ("" for an unsharded deployment).
@@ -1467,16 +1460,6 @@ func (o *Orchestrator) Queued() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.queued
-}
-
-// QueueDepth returns the queued (not yet running) jobs for a worker.
-func (o *Orchestrator) QueueDepth(workerID string) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if s, ok := o.byID[workerID]; ok {
-		return s.qlen()
-	}
-	return 0
 }
 
 // StartArrivals begins the paper's arrival process: every interval, one

@@ -143,11 +143,11 @@ func TestPendingAndQueueDepth(t *testing.T) {
 	if got := o.Pending(); got != 3 {
 		t.Fatalf("Pending = %d", got)
 	}
-	if got := o.QueueDepth("w00"); got != 2 { // one running, two queued
+	if got := queueDepth(o, "w00"); got != 2 { // one running, two queued
 		t.Fatalf("QueueDepth = %d", got)
 	}
 	e.RunAll()
-	if o.Pending() != 0 || o.QueueDepth("w00") != 0 {
+	if o.Pending() != 0 || queueDepth(o, "w00") != 0 {
 		t.Fatal("cluster did not drain")
 	}
 }
@@ -293,4 +293,14 @@ func TestWallRuntimeArrivals(t *testing.T) {
 	if got < 3 || got > 12 {
 		t.Fatalf("wall arrivals produced %d jobs in ~150ms at 20ms cadence", got)
 	}
+}
+
+// queueDepth reads a worker's queued (not yet running) jobs off Health.
+func queueDepth(o *Orchestrator, id string) int {
+	for _, h := range o.Health() {
+		if h.ID == id {
+			return h.QueueDepth
+		}
+	}
+	return 0
 }

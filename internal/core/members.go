@@ -40,13 +40,6 @@ func (o *Orchestrator) Seal() {
 	}
 }
 
-// Sealed reports whether Seal has been called without a matching Reopen.
-func (o *Orchestrator) Sealed() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.sealed
-}
-
 // Reopen reverses Seal: submissions are accepted again and any jobs
 // still queued (frozen by the seal) dispatch immediately.
 func (o *Orchestrator) Reopen() {

@@ -40,7 +40,7 @@ func TestRemoveWorkerMovesItsQueue(t *testing.T) {
 				handoff := func(w Worker) { released = append(released, w.ID()) }
 				if busy {
 					submit()
-					if got := o.QueueDepth("w01"); got == 0 {
+					if got := queueDepth(o, "w01"); got == 0 {
 						t.Fatal("the victim has nothing queued; the test would prove nothing")
 					}
 				}

@@ -83,8 +83,8 @@ func TestSettleGoldenPR14(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintln(&buf, "== events ==")
-	events := tel.Events().Since(0, telemetry.DefaultEventCapacity)
-	if gap := tel.Events().Gap(0); gap != 0 {
+	events, gap, _ := tel.Events().Page(0, telemetry.DefaultEventCapacity)
+	if gap != 0 {
 		t.Fatalf("event ring overwrote %d events; shrink the run", gap)
 	}
 	enc := json.NewEncoder(&buf)

@@ -73,18 +73,53 @@ func TestTSDBGoldenPR18(t *testing.T) {
 		if err := store.SetRules(rules); err != nil {
 			t.Fatal(err)
 		}
-		shardedRunInto(t, store, nil)
-		digestStore(t, &buf, store)
+		scrapes, last := shardedRunInto(t, store, nil)
+		// The size line prints the harness's count; the store's export
+		// must agree with it: its newest instant is the last scrape, and
+		// at the default capacity, which retains the whole run, it holds
+		// one instant per scrape.
+		n, at := exportedInstants(t, store)
+		if at != last || (cfg.RawCapacity == 0 && n != scrapes) {
+			t.Fatalf("config %+v: export holds %d instants, newest %v; the run made %d scrapes, last at %v", cfg, n, at, scrapes, last)
+		}
+		digestStore(t, &buf, store, scrapes, last)
 	}
 	compareGolden(t, "tsdb_golden.txt", buf.Bytes())
+}
+
+// exportedInstants returns how many distinct instants store's whole
+// export holds and the newest of them.
+func exportedInstants(t *testing.T, store *tsdb.Store) (n int, newest time.Duration) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := store.WriteNDJSON(&out, "", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[float64]bool{}
+	dec := json.NewDecoder(&out)
+	for dec.More() {
+		var p struct {
+			AtMS float64 `json:"at_ms"`
+		}
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		seen[p.AtMS] = true
+		if at := time.Duration(p.AtMS * float64(time.Millisecond)); at > newest {
+			newest = at
+		}
+	}
+	return len(seen), newest
 }
 
 // shardedRunInto drives shardfailover's failover arm in small — 8 shards
 // of 4 workers, timed bursts, two shards killed a tick apart — with store
 // scraped on every aggregator tick and then past the horizon. hook, when
 // set, is called once the store is attached and returns what every scrape
-// calls in place of store.Scrape.
-func shardedRunInto(t *testing.T, store *tsdb.Store, hook func(*cluster.ShardedSim) func(time.Duration)) {
+// calls in place of store.Scrape. It returns how many scrapes the store
+// recorded and when the last one was: like the store, it counts a scrape
+// at an instant not after the previous one as none.
+func shardedRunInto(t *testing.T, store *tsdb.Store, hook func(*cluster.ShardedSim) func(time.Duration)) (scrapes int, last time.Duration) {
 	t.Helper()
 	s, err := cluster.NewShardedMicroFaaSSim(8, 4,
 		cluster.SimConfig{Seed: 1, Policy: core.AssignLeastLoaded, Telemetry: telemetry.New()},
@@ -99,8 +134,14 @@ func shardedRunInto(t *testing.T, store *tsdb.Store, hook func(*cluster.ShardedS
 	scrape := store.Scrape
 	if hook != nil {
 		scrape = hook(s)
-		s.Plane.SetTickHook(scrape)
 	}
+	tick := func(now time.Duration) {
+		if scrapes == 0 || now > last {
+			scrapes, last = scrapes+1, now
+		}
+		scrape(now)
+	}
+	s.Plane.SetTickHook(tick)
 	const bursts, every = 60, 250 * time.Millisecond
 	fns := model.Functions()
 	for b := 0; b < bursts; b++ {
@@ -117,11 +158,12 @@ func shardedRunInto(t *testing.T, store *tsdb.Store, hook func(*cluster.ShardedS
 	s.ScheduleKill(horizon*3/10+shard.DefaultStealInterval, 1)
 	for at := horizon; at <= 3*horizon; at += 500 * time.Millisecond {
 		at := at
-		s.Engine.At(at, func() { scrape(at) })
+		s.Engine.At(at, func() { tick(at) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return scrapes, last
 }
 
 // TestTSDBAskedWorkersMatchPerWorkerIngest names every worker to the
@@ -230,16 +272,16 @@ func workerSeries(t *testing.T, store *tsdb.Store, label, as string) map[string]
 	return series
 }
 
-// digestStore writes the store's size, then a line per metric name — in
+// digestStore writes the store's size (scrapes and last as shardedRunInto
+// counted them, checked against the export), then a line per metric name — in
 // MetricNames order — for each export window and each query window: its
 // size and SHA-256. A change to one family's series so moves only that
 // family's lines. Alert history, SLO status and forecasts go in whole.
-func digestStore(t *testing.T, buf *bytes.Buffer, store *tsdb.Store) {
+func digestStore(t *testing.T, buf *bytes.Buffer, store *tsdb.Store, scrapes int, last time.Duration) {
 	t.Helper()
 	digest := func(name string, b []byte) {
 		fmt.Fprintf(buf, "%s: %d bytes, %d lines, sha256 %x\n", name, len(b), bytes.Count(b, []byte("\n")), sha256.Sum256(b))
 	}
-	last, scrapes := store.LastScrape()
 	fmt.Fprintf(buf, "%d scrapes, last at %v, %d series\n", scrapes, last, store.SeriesCount())
 	names := store.MetricNames()
 	for _, window := range []time.Duration{0, 10 * time.Second} {

@@ -107,8 +107,8 @@ func TestControllerSteersWarmFloorAndRecovers(t *testing.T) {
 		t.Fatalf("steady mode = %q, want predictive", snap.Mode)
 	}
 	// demand ≈ 2/s × 1 s × 1.25 margin → 3 nodes.
-	if snap.Target != 3 || r.mgr.WarmTarget() != 3 {
-		t.Fatalf("steady target = %d (mgr %d), want 3", snap.Target, r.mgr.WarmTarget())
+	if snap.Target != 3 || warmTarget(r.mgr) != 3 {
+		t.Fatalf("steady target = %d (mgr %d), want 3", snap.Target, warmTarget(r.mgr))
 	}
 	if got := r.mgr.PoweredUp(); got != 3 {
 		t.Fatalf("powered = %d, want 3 pre-warmed", got)
@@ -133,8 +133,8 @@ func TestControllerSteersWarmFloorAndRecovers(t *testing.T) {
 	if snap.Fallbacks < 1 {
 		t.Fatalf("fallbacks = %d, want ≥1", snap.Fallbacks)
 	}
-	if r.mgr.WarmTarget() != -1 {
-		t.Fatalf("mgr warm target in fallback = %d, want -1 (disengaged)", r.mgr.WarmTarget())
+	if warmTarget(r.mgr) != -1 {
+		t.Fatalf("mgr warm target in fallback = %d, want -1 (disengaged)", warmTarget(r.mgr))
 	}
 
 	// Steady again: the error decays under ErrRecover and, after
@@ -144,8 +144,8 @@ func TestControllerSteersWarmFloorAndRecovers(t *testing.T) {
 	if snap.Mode != "predictive" {
 		t.Fatalf("recovered mode = %q (err %.2f), want predictive", snap.Mode, snap.ErrorRatio)
 	}
-	if r.mgr.WarmTarget() != 3 {
-		t.Fatalf("recovered mgr target = %d, want 3", r.mgr.WarmTarget())
+	if warmTarget(r.mgr) != 3 {
+		t.Fatalf("recovered mgr target = %d, want 3", warmTarget(r.mgr))
 	}
 }
 
@@ -171,14 +171,14 @@ func TestSpareHeadroomOnSaturation(t *testing.T) {
 
 	// Saturate: the orchestrator grabs all four warm nodes. The next
 	// tick sees busy == powered == 4 ≥ spareMinBusy and wakes a spare.
-	warm := r.mgr.PoweredIDs()
+	warm := poweredIDs(r.mgr)
 	for _, id := range warm {
 		if !r.mgr.RequestUp(id, "burst", nil) {
 			t.Fatalf("RequestUp(%s) on a warm node returned false", id)
 		}
 	}
 	r.phase(21, 22, func(i int) float64 { return 3 })
-	if got := r.mgr.WarmTarget(); got != 5 {
+	if got := warmTarget(r.mgr); got != 5 {
 		t.Fatalf("saturated warm target = %d, want 5 (powered 4 + spare 1)", got)
 	}
 	r.engine.Run(23 * time.Second) // the spare's boot completes
@@ -214,13 +214,13 @@ func TestSpareIgnoresSmallSaturation(t *testing.T) {
 	if got := r.mgr.PoweredUp(); got != 2 {
 		t.Fatalf("steady powered = %d, want 2", got)
 	}
-	for _, id := range r.mgr.PoweredIDs() {
+	for _, id := range poweredIDs(r.mgr) {
 		if !r.mgr.RequestUp(id, "trough", nil) {
 			t.Fatalf("RequestUp(%s) returned false", id)
 		}
 	}
 	r.phase(21, 22, func(i int) float64 { return 1.5 })
-	if got := r.mgr.WarmTarget(); got != 2 {
+	if got := warmTarget(r.mgr); got != 2 {
 		t.Fatalf("warm target with 2 busy = %d, want 2 (below spareMinBusy)", got)
 	}
 }
@@ -267,8 +267,8 @@ func TestControllerStartStop(t *testing.T) {
 		t.Fatalf("ticker snapshot = %+v, want live ticks and a target", snap)
 	}
 	stop()
-	if r.mgr.WarmTarget() != -1 {
-		t.Fatalf("warm target after stop = %d, want -1", r.mgr.WarmTarget())
+	if warmTarget(r.mgr) != -1 {
+		t.Fatalf("warm target after stop = %d, want -1", warmTarget(r.mgr))
 	}
 	// The ticker must actually stop: no further events accumulate.
 	before := r.engine.Pending()
@@ -276,4 +276,25 @@ func TestControllerStartStop(t *testing.T) {
 	if r.engine.Pending() != 0 || before > 3 {
 		t.Fatalf("pending after stop = %d (was %d), want the queue to drain", r.engine.Pending(), before)
 	}
+}
+
+// warmTarget reads the manager's active predictive warm floor off its
+// snapshot: −1 while no forecast controller steers it.
+func warmTarget(m *powermgr.Manager) int {
+	if st := m.Snapshot(); st.Predictive {
+		return st.WarmTarget
+	}
+	return -1
+}
+
+// poweredIDs returns the manager's powered (on or waking) nodes, in
+// registration order.
+func poweredIDs(m *powermgr.Manager) []string {
+	var out []string
+	for _, n := range m.Snapshot().Nodes {
+		if n.State != "off" {
+			out = append(out, n.ID)
+		}
+	}
+	return out
 }

@@ -200,7 +200,6 @@ type fnState struct {
 	// errSeeded marks the first scored prediction.
 	errEWMA   float64
 	errSeeded bool
-	scored    int // predictions scored so far
 	samples   int // observations so far (drives the cold-start warmup)
 }
 
@@ -227,7 +226,6 @@ type Predictor struct {
 	aggPending []pendingPred
 	aggErr     float64
 	aggSeeded  bool
-	aggScored  int
 }
 
 // NewPredictor builds a Predictor with defaults applied.
@@ -335,7 +333,6 @@ func (p *Predictor) Observe(now time.Duration, samples []Sample) {
 				} else {
 					p.aggErr = p.pol.ErrAlpha*e + (1-p.pol.ErrAlpha)*p.aggErr
 				}
-				p.aggScored++
 			}
 		}
 		var ahead float64
@@ -368,7 +365,6 @@ func (p *Predictor) scoreLocked(st *fnState, pred, actual float64) {
 	} else {
 		st.errEWMA = p.pol.ErrAlpha*e + (1-p.pol.ErrAlpha)*st.errEWMA
 	}
-	st.scored++
 }
 
 // aheadLocked is the rate forecast for now+Horizon: the trend-
@@ -462,14 +458,4 @@ func (p *Predictor) ErrorRatio() float64 {
 		return 0
 	}
 	return esum / wsum
-}
-
-// Scored returns how many predictions have been scored across all
-// functions — the experiment's denominator for forecast accuracy.
-func (p *Predictor) Scored() int {
-	n := 0
-	for _, st := range p.order {
-		n += st.scored
-	}
-	return n
 }

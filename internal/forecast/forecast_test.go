@@ -26,8 +26,8 @@ func TestColdStartEmptyHistory(t *testing.T) {
 	if len(fns) != 0 || target != 0 {
 		t.Fatalf("cold predict = %v, %d; want empty, 0", fns, target)
 	}
-	if p.ErrorRatio() != 0 || p.Scored() != 0 {
-		t.Fatalf("cold error = %g scored = %d, want 0, 0", p.ErrorRatio(), p.Scored())
+	if p.ErrorRatio() != 0 || len(p.order) != 0 {
+		t.Fatalf("cold error = %g over %d functions, want 0 over none", p.ErrorRatio(), len(p.order))
 	}
 	// Observing an empty sample set must not corrupt anything.
 	p.Observe(time.Second, nil)
@@ -57,7 +57,7 @@ func TestStepTraceConvergesToLittleLaw(t *testing.T) {
 	if e := p.ErrorRatio(); e > DefaultErrLimit {
 		t.Fatalf("steady error ratio = %g, want ≤ %g", e, DefaultErrLimit)
 	}
-	if p.Scored() == 0 {
+	if !p.byFn["f"].errSeeded {
 		t.Fatal("no predictions were scored")
 	}
 }

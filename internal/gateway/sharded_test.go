@@ -216,7 +216,7 @@ func TestShardedGatewayDrainJoin(t *testing.T) {
 	if code != http.StatusOK || st.State != "dead" || st.Index != 1 {
 		t.Fatalf("drain = %d, %+v", code, st)
 	}
-	if got := plane.MemberState(1); got != shard.ShardDead {
+	if got := plane.Status()[1].State; got != shard.ShardDead.String() {
 		t.Fatalf("shard 1 state after drain = %v", got)
 	}
 

@@ -13,8 +13,6 @@ package gpio
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -91,26 +89,6 @@ func (c *Controller) WireNext(node string) (int, error) {
 	return pin, nil
 }
 
-// Pin returns the node's wired pin.
-func (c *Controller) Pin(node string) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pin, ok := c.pins[node]
-	return pin, ok
-}
-
-// Nodes returns the wired node names, sorted.
-func (c *Controller) Nodes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.pins))
-	for n := range c.pins {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Transition records a power-state change for a wired node. Unwired nodes
 // are rejected: in the prototype the OP physically cannot actuate them.
 func (c *Controller) Transition(node string, at time.Duration, from, to power.State, cause string) error {
@@ -159,45 +137,4 @@ func (c *Controller) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.events.Flatten()
-}
-
-// EventsFor returns one node's transitions.
-func (c *Controller) EventsFor(node string) []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Event
-	c.events.Each(func(e Event) {
-		if e.Node == node {
-			out = append(out, e)
-		}
-	})
-	return out
-}
-
-// PowerOnCount returns how many times a node was powered on (Off →
-// anything) — the number of PWR_BUT presses the OP issued for it.
-func (c *Controller) PowerOnCount(node string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	c.events.Each(func(e Event) {
-		if e.Node == node && e.From == power.Off {
-			n++
-		}
-	})
-	return n
-}
-
-// WriteCSV dumps the transition log (the cluster's power timeline).
-func (c *Controller) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "at_ms,node,pin,from,to,cause"); err != nil {
-		return err
-	}
-	for _, e := range c.Events() {
-		if _, err := fmt.Fprintf(w, "%.3f,%s,%d,%s,%s,%q\n",
-			float64(e.At)/float64(time.Millisecond), e.Node, e.Pin, e.From, e.To, e.Cause); err != nil {
-			return err
-		}
-	}
-	return nil
 }

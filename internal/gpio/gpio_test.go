@@ -14,11 +14,13 @@ func TestWireAndPinLookup(t *testing.T) {
 	if err := c.Wire("sbc-0", 7); err != nil {
 		t.Fatal(err)
 	}
-	pin, ok := c.Pin("sbc-0")
-	if !ok || pin != 7 {
-		t.Fatalf("Pin = %d/%v", pin, ok)
+	if err := c.Transition("sbc-0", 0, power.Off, power.Booting, "on"); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.Pin("ghost"); ok {
+	if pin := c.Events()[0].Pin; pin != 7 {
+		t.Fatalf("sbc-0 actuated through pin %d, want 7", pin)
+	}
+	if _, ok := c.pins["ghost"]; ok {
 		t.Fatal("unwired node has a pin")
 	}
 }
@@ -51,9 +53,8 @@ func TestWireNextSkipsUsedPins(t *testing.T) {
 	if err != nil || pin != 4 {
 		t.Fatalf("WireNext = %d, %v (want 4, after the manually-used 3)", pin, err)
 	}
-	nodes := c.Nodes()
-	if len(nodes) != 2 || nodes[0] != "auto" || nodes[1] != "manual" {
-		t.Fatalf("Nodes = %v", nodes)
+	if len(c.pins) != 2 || c.pins["auto"] != 4 || c.pins["manual"] != 3 {
+		t.Fatalf("pins = %v", c.pins)
 	}
 }
 
@@ -105,14 +106,21 @@ func TestEventLogAndPowerOnCount(t *testing.T) {
 	if got := len(c.Events()); got != 5 {
 		t.Fatalf("%d events", got)
 	}
-	if got := len(c.EventsFor("a")); got != 4 {
-		t.Fatalf("a has %d events", got)
+	events, powerOns := map[string]int{}, map[string]int{}
+	for _, e := range c.Events() {
+		events[e.Node]++
+		if e.From == power.Off {
+			powerOns[e.Node]++
+		}
 	}
-	if got := c.PowerOnCount("a"); got != 2 {
-		t.Fatalf("a powered on %d times, want 2", got)
+	if events["a"] != 4 {
+		t.Fatalf("a has %d events", events["a"])
 	}
-	if got := c.PowerOnCount("b"); got != 1 {
-		t.Fatalf("b powered on %d times, want 1", got)
+	if powerOns["a"] != 2 {
+		t.Fatalf("a powered on %d times, want 2", powerOns["a"])
+	}
+	if powerOns["b"] != 1 {
+		t.Fatalf("b powered on %d times, want 1", powerOns["b"])
 	}
 }
 
@@ -124,23 +132,6 @@ func TestEventsReturnsCopy(t *testing.T) {
 	evs[0].Node = "tampered"
 	if c.Events()[0].Node != "a" {
 		t.Fatal("Events leaked internal storage")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	c := NewController()
-	c.Wire("sbc-0", 1)                                                                              //nolint:errcheck
-	c.Transition("sbc-0", 1510*time.Millisecond, power.Off, power.Booting, "PWR_BUT press (job 1)") //nolint:errcheck
-	var sb strings.Builder
-	if err := c.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "at_ms,node,pin,from,to,cause") {
-		t.Fatalf("header missing:\n%s", out)
-	}
-	if !strings.Contains(out, "1510.000,sbc-0,1,off,booting") {
-		t.Fatalf("row malformed:\n%s", out)
 	}
 }
 

@@ -53,18 +53,6 @@ func (c *Client) do(args ...[]byte) (respValue, error) {
 	return v, nil
 }
 
-// Ping round-trips a PING.
-func (c *Client) Ping() error {
-	v, err := c.do([]byte("PING"))
-	if err != nil {
-		return err
-	}
-	if v.kind != '+' || v.str != "PONG" {
-		return errors.New("kvstore: unexpected PING reply")
-	}
-	return nil
-}
-
 // Set stores value under key.
 func (c *Client) Set(key string, value []byte) error {
 	v, err := c.do([]byte("SET"), []byte(key), value)
@@ -84,16 +72,4 @@ func (c *Client) SetNX(key string, value []byte) (bool, error) {
 		return false, err
 	}
 	return v.num == 1, nil
-}
-
-// Get fetches key; ok=false means the key does not exist.
-func (c *Client) Get(key string) (value []byte, ok bool, err error) {
-	v, err := c.do([]byte("GET"), []byte(key))
-	if err != nil {
-		return nil, false, err
-	}
-	if v.null {
-		return nil, false, nil
-	}
-	return v.bulk, true, nil
 }

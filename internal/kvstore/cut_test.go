@@ -63,8 +63,8 @@ func TestSetWithTTLExpires(t *testing.T) {
 	if got, want := reply(t, s, "SET k v EX 10"), "-ERR wrong number of arguments for 'set'\r\n"; got != want {
 		t.Fatalf("SET with EX: reply %q, want %q", got, want)
 	}
-	if got := reply(t, s, "GET k"); got != "$-1\r\n" {
-		t.Fatalf("rejected SET stored something: GET answers %q", got)
+	if v, ok := value(s.store, "k"); ok {
+		t.Fatalf("rejected SET stored %q", v)
 	}
 }
 
@@ -75,8 +75,8 @@ func TestPlainSetClearsTTL(t *testing.T) {
 	if got := reply(t, s, "SET k v2"); got != "+OK\r\n" {
 		t.Fatalf("plain SET: reply %q", got)
 	}
-	if got := reply(t, s, "GET k"); got != "$2\r\nv2\r\n" {
-		t.Fatalf("GET: reply %q", got)
+	if v, _ := value(s.store, "k"); string(v) != "v2" {
+		t.Fatalf("stored %q, want v2", v)
 	}
 }
 
@@ -87,8 +87,8 @@ func TestSetNXSucceedsAfterExpiry(t *testing.T) {
 	if got := reply(t, s, "SETNX k new"); got != ":1\r\n" {
 		t.Fatalf("SETNX: reply %q", got)
 	}
-	if got := reply(t, s, "GET k"); got != "$3\r\nnew\r\n" {
-		t.Fatalf("GET: reply %q", got)
+	if v, _ := value(s.store, "k"); string(v) != "new" {
+		t.Fatalf("stored %q, want new", v)
 	}
 }
 
@@ -120,26 +120,26 @@ func (c rawConn) do(line string) (respValue, error) {
 }
 
 // wantErr requires an error reply containing text, and the connection
-// still answering PING afterwards.
+// still answering a SETNX afterwards.
 func (c rawConn) wantErr(line, text string) {
 	c.t.Helper()
 	v, err := c.do(line)
 	if err != nil || v.kind != '-' || !strings.Contains(v.str, text) {
 		c.t.Fatalf("%s: got %+v, %v; want an error reply containing %q", line, v, err, text)
 	}
-	if v, err := c.do("PING"); err != nil || v.str != "PONG" {
+	if v, err := c.do("SETNX alive 1"); err != nil || v.kind != ':' {
 		c.t.Fatalf("connection dead after %s: %+v, %v", line, v, err)
 	}
 }
 
 func TestEndToEndTTLCommands(t *testing.T) {
-	_, addr := startServer(t)
+	srv, addr := startServer(t)
 	c := dialRaw(t, addr)
 	c.wantErr("SET session tok EX 30", "wrong number of arguments for 'set'")
 	c.wantErr("TTL session", "unknown command 'ttl'")
 	c.wantErr("EXPIRE session 60", "unknown command 'expire'")
-	if v, err := c.do("GET session"); err != nil || !v.null {
-		t.Fatalf("GET session = %+v, %v; the rejected SET must not have stored", v, err)
+	if v, ok := value(srv.store, "session"); ok {
+		t.Fatalf("the rejected SET stored %q", v)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestEndToEndMGetMSetAppend(t *testing.T) {
 }
 
 func TestEndToEndKeysAndFlush(t *testing.T) {
-	_, addr := startServer(t)
+	srv, addr := startServer(t)
 	c := dialRaw(t, addr)
 	for i := 0; i < 5; i++ {
 		if v, err := c.do(fmt.Sprintf("SET item:%d x", i)); err != nil || v.str != "OK" {
@@ -168,14 +168,14 @@ func TestEndToEndKeysAndFlush(t *testing.T) {
 	c.wantErr("DBSIZE", "unknown command 'dbsize'")
 	c.wantErr("FLUSHALL", "unknown command 'flushall'")
 	for i := 0; i < 5; i++ {
-		if v, err := c.do(fmt.Sprintf("GET item:%d", i)); err != nil || string(v.bulk) != "x" {
-			t.Fatalf("item:%d after the rejected FLUSHALL = %+v, %v", i, v, err)
+		if v, ok := value(srv.store, fmt.Sprintf("item:%d", i)); !ok || string(v) != "x" {
+			t.Fatalf("item:%d after the rejected FLUSHALL = %q/%v", i, v, ok)
 		}
 	}
 }
 
 func TestEndToEndSetNXAndExists(t *testing.T) {
-	_, addr := startServer(t)
+	srv, addr := startServer(t)
 	c := dial(t, addr)
 	stored, err := c.SetNX("once", []byte("1"))
 	if err != nil || !stored {
@@ -185,8 +185,8 @@ func TestEndToEndSetNXAndExists(t *testing.T) {
 	if err != nil || stored {
 		t.Fatalf("SetNX second = %v, %v", stored, err)
 	}
-	if v, ok, err := c.Get("once"); err != nil || !ok || string(v) != "1" {
-		t.Fatalf("Get = %q/%v/%v, want the first value", v, ok, err)
+	if v, ok := value(srv.store, "once"); !ok || string(v) != "1" {
+		t.Fatalf("stored = %q/%v, want the first value", v, ok)
 	}
 	dialRaw(t, addr).wantErr("EXISTS once never", "unknown command 'exists'")
 }

@@ -122,7 +122,7 @@ func TestEndToEndDeepNestingDropsConnectionNotProcess(t *testing.T) {
 	} else if !errors.Is(err, io.EOF) && !isReset(err) {
 		t.Fatalf("read after flood: %v", err)
 	}
-	if err := dial(t, addr).Ping(); err != nil {
+	if err := dial(t, addr).Set("alive", []byte("1")); err != nil {
 		t.Fatalf("server gone after the flood: %v", err)
 	}
 }

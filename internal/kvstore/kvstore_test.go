@@ -23,20 +23,22 @@ func TestStoreSetGet(t *testing.T) {
 	if existed := s.Set("k", []byte("v2")); !existed {
 		t.Fatal("overwrite not reported as existing")
 	}
-	v, ok := s.Get("k")
+	v, ok := value(s, "k")
 	if !ok || string(v) != "v2" {
-		t.Fatalf("Get = %q/%v", v, ok)
+		t.Fatalf("stored = %q/%v", v, ok)
 	}
 }
 
+// No function reads a key back, so the store serves no GET: it answers
+// the unknown-command error and leaves the key as it was.
 func TestStoreGetReturnsCopy(t *testing.T) {
-	s := NewStore()
-	s.Set("k", []byte("abc"))
-	v, _ := s.Get("k")
-	v[0] = 'X'
-	v2, _ := s.Get("k")
-	if string(v2) != "abc" {
-		t.Fatal("Get leaked internal storage")
+	s := NewServer()
+	s.store.Set("k", []byte("abc"))
+	if got, want := reply(t, s, "GET k"), "-ERR unknown command 'get'\r\n"; got != want {
+		t.Fatalf("GET k: reply %q, want %q", got, want)
+	}
+	if v, _ := value(s.store, "k"); string(v) != "abc" {
+		t.Fatalf("GET disturbed the key: %q", v)
 	}
 }
 
@@ -45,7 +47,7 @@ func TestStoreSetCopiesInput(t *testing.T) {
 	buf := []byte("abc")
 	s.Set("k", buf)
 	buf[0] = 'X'
-	v, _ := s.Get("k")
+	v, _ := value(s, "k")
 	if string(v) != "abc" {
 		t.Fatal("Set aliased caller's buffer")
 	}
@@ -59,7 +61,7 @@ func TestStoreSetNX(t *testing.T) {
 	if s.SetNX("k", []byte("2")) {
 		t.Fatal("second SetNX should not store")
 	}
-	v, _ := s.Get("k")
+	v, _ := value(s, "k")
 	if string(v) != "1" {
 		t.Fatal("SetNX overwrote")
 	}
@@ -76,7 +78,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", i%10)
 				s.Set(key, []byte("v"))
-				s.Get(key)
+				value(s, key)
 				if s.SetNX(fmt.Sprintf("once%d", i), []byte{byte(g)}) {
 					wins[g]++
 				}
@@ -95,17 +97,27 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
-// Property: after Set(k,v), Get(k) returns v, for arbitrary binary values.
+// Property: after Set(k,v) the store holds v under k, for arbitrary binary
+// values.
 func TestStoreRoundTripProperty(t *testing.T) {
 	s := NewStore()
 	prop := func(key string, val []byte) bool {
 		s.Set(key, val)
-		got, ok := s.Get(key)
+		got, ok := value(s, key)
 		return ok && bytes.Equal(got, val)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// value reads key straight from the store's map, under its lock: the
+// store serves no read of its own.
+func value(s *Store, key string) ([]byte, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.data[key]
+	return v, ok
 }
 
 // --- RESP parser tests ---
@@ -243,39 +255,36 @@ func dial(t *testing.T, addr string) *Client {
 }
 
 func TestEndToEndBasicOps(t *testing.T) {
-	_, addr := startServer(t)
+	srv, addr := startServer(t)
 	c := dial(t, addr)
 
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.Set("greeting", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := c.Get("greeting")
-	if err != nil || !ok || string(v) != "hello" {
-		t.Fatalf("Get = %q/%v/%v", v, ok, err)
-	}
-	if _, ok, _ := c.Get("missing"); ok {
-		t.Fatal("missing key reported present")
+	if v, ok := value(srv.store, "greeting"); !ok || string(v) != "hello" {
+		t.Fatalf("stored = %q/%v", v, ok)
 	}
 	if err := c.Set("greeting", []byte("hello again")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err = c.Get("greeting")
-	if err != nil || !ok || string(v) != "hello again" {
-		t.Fatalf("Get after overwrite = %q/%v/%v", v, ok, err)
+	if v, ok := value(srv.store, "greeting"); !ok || string(v) != "hello again" {
+		t.Fatalf("stored after overwrite = %q/%v", v, ok)
 	}
+	// Reads and pings are not served: refused by name on a connection that
+	// stays open.
+	raw := dialRaw(t, addr)
+	raw.wantErr("PING", "unknown command 'ping'")
+	raw.wantErr("GET greeting", "unknown command 'get'")
 }
 
 func TestEndToEndServerError(t *testing.T) {
 	_, addr := startServer(t)
 	c := dial(t, addr)
-	if _, err := c.do([]byte("GET")); err == nil || !strings.Contains(err.Error(), "wrong number of arguments for 'get'") {
-		t.Fatalf("GET without a key: err = %v, want the server's arity error", err)
+	if _, err := c.do([]byte("SET"), []byte("k")); err == nil || !strings.Contains(err.Error(), "wrong number of arguments for 'set'") {
+		t.Fatalf("SET without a value: err = %v, want the server's arity error", err)
 	}
 	// The connection must survive a command error.
-	if err := c.Ping(); err != nil {
+	if err := c.Set("k", []byte("v")); err != nil {
 		t.Fatalf("connection dead after error: %v", err)
 	}
 }
@@ -335,7 +344,7 @@ func TestEndToEndConcurrentClients(t *testing.T) {
 func TestServerCloseIsIdempotentAndUnblocksClients(t *testing.T) {
 	srv, addr := startServer(t)
 	c := dial(t, addr)
-	if err := c.Ping(); err != nil {
+	if err := c.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -344,8 +353,8 @@ func TestServerCloseIsIdempotentAndUnblocksClients(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ping(); err == nil {
-		t.Fatal("ping succeeded after server close")
+	if err := c.Set("k", []byte("v")); err == nil {
+		t.Fatal("SET succeeded after server close")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestClientMidFrameErrorDoesNotLeakConn pairs the client with a raw
-// listener that answers a GET with a truncated RESP bulk string (the
+// listener that answers a SET with a truncated RESP bulk string (the
 // header promises 100 bytes, two arrive) and never finishes it. The
 // client must surface an error at its deadline (not wedge forever
 // holding the conn), and Close must actually release the TCP connection
@@ -35,7 +35,7 @@ func TestClientMidFrameErrorDoesNotLeakConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get("k"); err == nil {
+	if err := c.Set("k", []byte("v")); err == nil {
 		t.Fatal("truncated reply did not error")
 	}
 	if err := c.Close(); err != nil {

@@ -11,10 +11,10 @@ import (
 
 // This file implements the wire format: the slice of RESP2 (the protocol
 // Redis clients speak) the served commands use. Requests are arrays of
-// bulk strings; responses are simple strings, errors, integers, bulk
-// strings, or nulls. No served command answers with an array, so the
-// reader has no recursive case: a request is one count header followed by
-// that many bulk strings, read in a flat bounded loop.
+// bulk strings; responses are simple strings, errors, or integers. No
+// served command answers with an array, so the reader has no recursive
+// case: a request is one count header followed by that many bulk strings,
+// read in a flat bounded loop.
 
 // respValue is one parsed RESP value.
 type respValue struct {

@@ -44,12 +44,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) {
 	wrongArgs := func() { writeError(w, fmt.Sprintf("wrong number of arguments for '%s'", strings.ToLower(cmd))) } //nolint:errcheck
 
 	switch cmd {
-	case "PING":
-		if len(argv) == 1 {
-			writeBulk(w, argv[0]) //nolint:errcheck
-		} else {
-			writeSimple(w, "PONG") //nolint:errcheck
-		}
 	case "SET":
 		if len(argv) != 2 {
 			wrongArgs()
@@ -67,16 +61,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) {
 			stored = 1
 		}
 		writeInt(w, stored) //nolint:errcheck
-	case "GET":
-		if len(argv) != 1 {
-			wrongArgs()
-			return
-		}
-		v, ok := s.store.Get(string(argv[0]))
-		if !ok {
-			v = nil
-		}
-		writeBulk(w, v) //nolint:errcheck
 	default:
 		writeError(w, fmt.Sprintf("unknown command '%s'", strings.ToLower(cmd))) //nolint:errcheck
 	}

@@ -8,12 +8,10 @@
 // protocol path — connection handling, serialization, server-side work —
 // without an external dependency.
 //
-// It serves the commands those two functions send and nothing else: SET
-// key value, SETNX, GET, and PING for smoke probes. PR 24 cut the rest —
-// TTLs (SET ... EX, EXPIRE, TTL), APPEND, MGET/MSET, DEL, EXISTS,
-// INCR/DECR[BY], KEYS, DBSIZE, FLUSHALL, QUIT, and RESP array replies with
-// them — each now answers "-ERR unknown command"; any of them is one
-// `git revert` hunk away.
+// It serves the two commands those functions send and nothing else: SET
+// key value and SETNX. Every other command — GET, PING, TTLs (SET ... EX,
+// EXPIRE, TTL), APPEND, MGET/MSET, DEL, EXISTS, INCR/DECR[BY], KEYS,
+// DBSIZE, FLUSHALL, QUIT — answers "-ERR unknown command".
 package kvstore
 
 import "sync"
@@ -47,15 +45,4 @@ func (s *Store) SetNX(key string, value []byte) bool {
 	}
 	s.data[key] = append([]byte(nil), value...)
 	return true
-}
-
-// Get returns a copy of the value for key, or ok=false.
-func (s *Store) Get(key string) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
 }

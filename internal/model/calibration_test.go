@@ -130,7 +130,7 @@ func TestConventionalEnergyPerFunction(t *testing.T) {
 	// Six busy VMs: server power at their utilization over the cluster's
 	// throughput: 32.0 J/function.
 	srv := power.DefaultServerModel()
-	util := VMUtilization(VMCount)
+	util := vmUtilization(VMCount)
 	watts := float64(srv.Power(util))
 	thpt := ClusterThroughput(VMCount, X86, DefaultWorkerLink(X86)) / 60 // func/s
 	joules := watts / thpt
@@ -148,19 +148,19 @@ func TestHeadlineEfficiencyGain(t *testing.T) {
 	sbc := power.DefaultSBCModel()
 	mfJ := float64(power.Energy(sbc.BusyW, MeanCycleTime(ARM, DefaultWorkerLink(ARM))))
 	srv := power.DefaultServerModel()
-	convJ := float64(srv.Power(VMUtilization(VMCount))) /
+	convJ := float64(srv.Power(vmUtilization(VMCount))) /
 		(ClusterThroughput(VMCount, X86, DefaultWorkerLink(X86)) / 60)
 	within(t, "energy-efficiency gain (x)", convJ/mfJ, PaperEnergyEfficiencyGain, 0.05)
 }
 
 func TestVMUtilizationSaneAtSixVMs(t *testing.T) {
-	u := VMUtilization(VMCount)
+	u := vmUtilization(VMCount)
 	if u <= 0.25 || u >= 0.6 {
 		t.Fatalf("utilization at 6 VMs = %.3f, expect mid-range (six single-core VMs on 12 cores)", u)
 	}
 	// Saturation should land in the mid-teens of VMs (Fig 4's sweep).
 	nSat := 1
-	for VMUtilization(nSat) < 1 {
+	for vmUtilization(nSat) < 1 {
 		nSat++
 		if nSat > 50 {
 			t.Fatal("server never saturates")
@@ -190,24 +190,11 @@ func TestCOSGetDominatedByFastEthernetTransfer(t *testing.T) {
 	// Sec V: upgrading the SBC NIC to GigE "would likely reduce the
 	// overhead of functions like COSGet" — the 8 MiB download must dominate
 	// COSGet's ARM runtime on Fast Ethernet.
-	f, err := FunctionByName("COSGet")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := specNamed(t, "COSGet")
 	fe := f.ExecTime(ARM, netsim.FastEthernet())
 	ge := f.ExecTime(ARM, netsim.GigabitEthernet())
 	if fe < 2*ge {
 		t.Fatalf("COSGet on FE %v vs GigE %v: transfer should dominate", fe, ge)
-	}
-}
-
-func TestFunctionByName(t *testing.T) {
-	f, err := FunctionByName("CascSHA")
-	if err != nil || f.Name != "CascSHA" {
-		t.Fatalf("FunctionByName: %+v, %v", f, err)
-	}
-	if _, err := FunctionByName("Nope"); err == nil {
-		t.Fatal("unknown name accepted")
 	}
 }
 
@@ -217,4 +204,24 @@ func TestFunctionsReturnsCopy(t *testing.T) {
 	if Functions()[0].WorkARM == time.Hour {
 		t.Fatal("Functions leaked internal slice")
 	}
+}
+
+// vmUtilization is the fraction of the rack server's cores demanded by n
+// always-busy VMs (may exceed 1, meaning saturation).
+func vmUtilization(n int) float64 {
+	link := DefaultWorkerLink(X86)
+	perVM := float64(MeanCPUPerJob(X86)) / float64(MeanCycleTime(X86, link))
+	return float64(n) * perVM / ServerCores
+}
+
+// specNamed returns the calibration table's spec for name.
+func specNamed(t *testing.T, name string) FunctionSpec {
+	t.Helper()
+	for _, f := range Functions() {
+		if f.Name == name {
+			return f
+		}
+	}
+	t.Fatalf("no function %q in the calibration table", name)
+	return FunctionSpec{}
 }

@@ -24,7 +24,6 @@
 package model
 
 import (
-	"fmt"
 	"time"
 
 	"microfaas/internal/bootos"
@@ -244,16 +243,6 @@ func Functions() []FunctionSpec {
 	return out
 }
 
-// FunctionByName returns the named spec.
-func FunctionByName(name string) (FunctionSpec, error) {
-	for _, f := range functions {
-		if f.Name == name {
-			return f, nil
-		}
-	}
-	return FunctionSpec{}, fmt.Errorf("model: unknown function %q", name)
-}
-
 // Cluster-scale constants from Sec IV/V.
 const (
 	// SBCCount is the MicroFaaS evaluation cluster size.
@@ -316,14 +305,6 @@ func MeanCPUPerJob(p Platform) time.Duration {
 	mean := sum / time.Duration(len(functions))
 	bootCPU := time.Duration(float64(bootos.BootTime(p)) * bootos.BootCPUFraction(p))
 	return bootCPU + mean
-}
-
-// VMUtilization is the fraction of the rack server's cores demanded by n
-// always-busy VMs (may exceed 1, meaning saturation).
-func VMUtilization(n int) float64 {
-	link := DefaultWorkerLink(X86)
-	perVM := float64(MeanCPUPerJob(X86)) / float64(MeanCycleTime(X86, link))
-	return float64(n) * perVM / ServerCores
 }
 
 // SaturatedThroughput is the conventional cluster's core-limited ceiling in

@@ -81,10 +81,7 @@ func TestARMNeverOutcomputesX86(t *testing.T) {
 }
 
 func TestOverheadGrowsWithPayloadProperty(t *testing.T) {
-	base, err := FunctionByName("FloatOps")
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := specNamed(t, "FloatOps")
 	link := DefaultWorkerLink(ARM)
 	prop := func(extraKB uint16) bool {
 		bigger := base
@@ -108,15 +105,22 @@ func TestThroughputScalesLinearlyInNodes(t *testing.T) {
 	}
 }
 
+// n always-busy VMs demand n times one VM's cores — exactly the model's
+// throughput times its CPU per job, spread over the server's cores.
 func TestVMUtilizationLinearInVMs(t *testing.T) {
-	u1 := VMUtilization(1)
+	link := DefaultWorkerLink(X86)
+	u1 := vmUtilization(1)
 	if u1 <= 0 {
 		t.Fatal("single VM demands no CPU")
 	}
 	for _, n := range []int{2, 6, 12} {
-		got := VMUtilization(n)
+		got := vmUtilization(n)
 		if got < u1*float64(n)*0.999 || got > u1*float64(n)*1.001 {
 			t.Fatalf("utilization(%d) = %v, want %v", n, got, u1*float64(n))
+		}
+		want := ClusterThroughput(n, X86, link) / 60 * MeanCPUPerJob(X86).Seconds() / ServerCores
+		if got < want*0.999 || got > want*1.001 {
+			t.Fatalf("utilization(%d) = %v, but throughput × CPU per job gives %v", n, got, want)
 		}
 	}
 }

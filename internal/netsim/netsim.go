@@ -89,9 +89,3 @@ func (l Link) RoundTrips(n int) time.Duration {
 	}
 	return time.Duration(n) * (l.RTT + l.PerRTTOverhead)
 }
-
-// RequestResponse returns the time for one request of reqBytes and one
-// response of respBytes, plus extra protocol round trips.
-func (l Link) RequestResponse(reqBytes, respBytes, extraRTTs int) time.Duration {
-	return l.TransferTime(reqBytes) + l.TransferTime(respBytes) + l.RoundTrips(extraRTTs)
-}

@@ -56,15 +56,6 @@ func TestRoundTripsZero(t *testing.T) {
 	}
 }
 
-func TestRequestResponseComposition(t *testing.T) {
-	l := GigabitEthernet()
-	got := l.RequestResponse(1000, 2000, 3)
-	want := l.TransferTime(1000) + l.TransferTime(2000) + l.RoundTrips(3)
-	if got != want {
-		t.Fatalf("RequestResponse = %v, want %v", got, want)
-	}
-}
-
 func TestNegativeSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

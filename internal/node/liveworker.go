@@ -179,9 +179,6 @@ func (w *LiveWorker) now() time.Duration {
 	return 0
 }
 
-// Addr returns the worker's TCP endpoint.
-func (w *LiveWorker) Addr() string { return w.addr }
-
 // Close stops the worker's listener, closes every connection open on it
 // (the OP's own and any other), and waits for in-flight handlers.
 func (w *LiveWorker) Close() error {

@@ -31,7 +31,7 @@ func TestLiveWorkerCloseDropsForeignConnections(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn, err := net.Dial("tcp", w.Addr())
+			conn, err := net.Dial("tcp", w.addr)
 			if err != nil {
 				w.Close() //nolint:errcheck
 				t.Fatal(err)

@@ -118,12 +118,14 @@ func TestRackServerRejectsBadTask(t *testing.T) {
 
 func TestRackServerUtilizationCap(t *testing.T) {
 	e := sim.NewEngine(1)
-	rs := NewRackServer("srv", 2, e, nil, power.DefaultServerModel())
+	meter := power.NewMeter()
+	srv := power.DefaultServerModel()
+	rs := NewRackServer("srv", 2, e, meter, srv)
 	for i := 0; i < 10; i++ {
 		rs.Run(5, 1, func() {})
 	}
-	if got := rs.Utilization(); got != 1 {
-		t.Fatalf("utilization = %v, want capped at 1", got)
+	if got, want := meter.Power("srv"), srv.Power(1); got != want {
+		t.Fatalf("draw = %v, want %v: utilization capped at 1", got, want)
 	}
 }
 
@@ -146,7 +148,7 @@ func TestARMWorkerCycleTimingMatchesModel(t *testing.T) {
 	var res core.Result
 	w.RunJob(core.Job{ID: 1, Function: "CascSHA"}, func(r core.Result) { res = r })
 	e.RunAll()
-	spec, _ := model.FunctionByName("CascSHA")
+	spec := specNamed(t, "CascSHA")
 	link := model.DefaultWorkerLink(model.ARM)
 	wantBoot := bootos.BootTime(model.ARM)
 	wantExec := spec.ExecTime(model.ARM, link)
@@ -217,7 +219,7 @@ func TestARMWorkerJitterPerturbsButBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, _ := model.FunctionByName("FloatOps")
+	spec := specNamed(t, "FloatOps")
 	link := model.DefaultWorkerLink(model.ARM)
 	nominal := spec.ExecTime(model.ARM, link)
 	distinct := map[time.Duration]bool{}
@@ -294,7 +296,7 @@ func TestVMWorkerUncontendedTimingMatchesModel(t *testing.T) {
 	var res core.Result
 	w.RunJob(core.Job{ID: 1, Function: "CascSHA"}, func(r core.Result) { res = r })
 	e.RunAll()
-	spec, _ := model.FunctionByName("CascSHA")
+	spec := specNamed(t, "CascSHA")
 	link := model.DefaultWorkerLink(model.X86)
 	want := bootos.BootTime(model.X86) + spec.TotalTime(model.X86, link)
 	got := res.FinishedAt - res.StartedAt
@@ -608,4 +610,16 @@ func TestFaultForcesPowerCycleDespiteKeepWarm(t *testing.T) {
 	if w.WarmStarts() != 0 {
 		t.Fatalf("crashed worker warm-started %d times", w.WarmStarts())
 	}
+}
+
+// specNamed returns the model's calibration spec for name.
+func specNamed(t *testing.T, name string) model.FunctionSpec {
+	t.Helper()
+	for _, f := range model.Functions() {
+		if f.Name == name {
+			return f
+		}
+	}
+	t.Fatalf("no function %q in the model", name)
+	return model.FunctionSpec{}
 }

@@ -65,18 +65,6 @@ func NewRackServer(id string, cores int, engine *sim.Engine, meter *power.Meter,
 	return rs
 }
 
-// ID returns the meter device id.
-func (rs *RackServer) ID() string { return rs.id }
-
-// Utilization returns the current fraction of cores in use (capped at 1).
-func (rs *RackServer) Utilization() float64 {
-	demand := 0.0
-	for _, t := range rs.tasks {
-		demand += t.demand
-	}
-	return math.Min(demand, rs.cores) / rs.cores
-}
-
 // Run schedules a CPU task of cpuSeconds total work consumed at up to
 // demand cores; done fires when the work completes. A task with no CPU
 // work completes after a zero-length event (still asynchronously).

@@ -106,11 +106,10 @@ type SimWorker struct {
 	outputs   map[string][]byte // per-function canned payloads (read-only)
 	warm      bool              // booted state survives to the next job
 	state     power.State       // current power state (ARM accounting)
-	cycles    int
-	hangs     int       // injected wedges (jobs that never reported back)
-	coldStart int       // jobs that paid the boot
-	warmStart int       // jobs that skipped it
-	powerOff  sim.Timer // pending keep-warm expiry (zero when none)
+	hangs     int               // injected wedges (jobs that never reported back)
+	coldStart int               // jobs that paid the boot
+	warmStart int               // jobs that skipped it
+	powerOff  sim.Timer         // pending keep-warm expiry (zero when none)
 	m         workerMetrics
 }
 
@@ -225,9 +224,6 @@ func (w *SimWorker) setStateJob(to power.State, prefix string, jobID int64) {
 // ID implements core.Worker.
 func (w *SimWorker) ID() string { return w.cfg.ID }
 
-// Cycles returns how many jobs the worker has completed.
-func (w *SimWorker) Cycles() int { return w.cycles }
-
 // Hangs returns how many injected wedges the worker has suffered.
 func (w *SimWorker) Hangs() int { return w.hangs }
 
@@ -312,7 +308,6 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 	}
 
 	finish := func() {
-		w.cycles++
 		rebootDetail := "power-down"
 		switch {
 		case fail && w.cfg.Managed:

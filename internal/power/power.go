@@ -10,7 +10,6 @@ package power
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -20,9 +19,6 @@ type Watts float64
 
 // Joules is electrical energy.
 type Joules float64
-
-// KilowattHours converts energy to kWh, the unit the TCO model bills in.
-func (j Joules) KilowattHours() float64 { return float64(j) / 3.6e6 }
 
 // Energy returns the energy consumed drawing p watts for d.
 func Energy(p Watts, d time.Duration) Joules {
@@ -213,18 +209,6 @@ func (m *Meter) TotalPower() Watts {
 		sum += d.watts
 	}
 	return sum
-}
-
-// Devices returns the tracked device ids, sorted for stable output.
-func (m *Meter) Devices() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]string, len(m.order))
-	for i, d := range m.order {
-		ids[i] = d.id
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // SBCModel maps an SBC worker's state to its power draw. Defaults come

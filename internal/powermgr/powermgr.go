@@ -46,7 +46,6 @@ package powermgr
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -660,14 +659,6 @@ func (m *Manager) setWarm(n int, trim bool) {
 	m.mu.Unlock()
 }
 
-// WarmTarget returns the active predictive warm floor (−1 when
-// predictive control is disabled).
-func (m *Manager) WarmTarget() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.target
-}
-
 // NodeStatus is one node's row in a Status snapshot.
 type NodeStatus struct {
 	// ID names the node (matches its core.Worker id).
@@ -755,19 +746,4 @@ func (m *Manager) Occupancy() (busy, powered int) {
 		}
 	}
 	return busy, m.powered
-}
-
-// PoweredIDs returns the ids of powered (Up or Waking) nodes, sorted —
-// handy in tests and status displays.
-func (m *Manager) PoweredIDs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for _, n := range m.order {
-		if n.state != stateDown {
-			out = append(out, n.node.ID())
-		}
-	}
-	sort.Strings(out)
-	return out
 }

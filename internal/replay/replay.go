@@ -64,21 +64,9 @@ func (s Schedule) Rate() float64 {
 	return float64(len(s)) / d.Minutes()
 }
 
-// WriteCSV emits "at_ms,function" rows.
-func (s Schedule) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "at_ms,function"); err != nil {
-		return err
-	}
-	for _, e := range s {
-		if _, err := fmt.Fprintf(w, "%.3f,%s\n", float64(e.At)/float64(time.Millisecond), e.Function); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadCSV parses a schedule written by WriteCSV (or by hand). The header
-// row is required; entries are sorted by offset on load.
+// ReadCSV parses "at_ms,function" rows (offsets in milliseconds, e.g.
+// "1500.000,RedisInsert"). The header row is required; entries are sorted
+// by offset on load.
 func ReadCSV(r io.Reader) (Schedule, error) {
 	scanner := bufio.NewScanner(r)
 	if !scanner.Scan() {
@@ -161,27 +149,6 @@ func Diurnal(cfg DiurnalConfig) (Schedule, error) {
 		}
 	}
 	return out, nil
-}
-
-// Constant generates a homogeneous Poisson schedule at ratePerMin.
-func Constant(duration time.Duration, ratePerMin float64, functions []string, seed int64) (Schedule, error) {
-	if duration <= 0 || ratePerMin <= 0 {
-		return nil, fmt.Errorf("replay: need positive duration and rate")
-	}
-	if len(functions) == 0 {
-		return nil, fmt.Errorf("replay: constant trace needs functions")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var out Schedule
-	t := time.Duration(0)
-	for {
-		gapMin := rng.ExpFloat64() / ratePerMin
-		t += time.Duration(gapMin * float64(time.Minute))
-		if t >= duration {
-			return out, nil
-		}
-		out = append(out, Entry{At: t, Function: functions[rng.Intn(len(functions))]})
-	}
 }
 
 // Submitter is the slice of an orchestrator replay needs (satisfied by

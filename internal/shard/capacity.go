@@ -42,7 +42,6 @@ func (p *Plane) tick() {
 	}
 	p.tickArmed = false
 	p.cancelTick = nil
-	p.ticks++
 	hook := p.tickHook
 	p.mu.Unlock()
 

@@ -67,7 +67,7 @@ func FuzzRing(f *testing.F) {
 			if r.Members() < 1 || r.Members() > shards {
 				t.Fatalf("step %d: Members() = %d outside [1,%d]", step, r.Members(), shards)
 			}
-			if got := r.Lookup(key); got < 0 || got >= shards || !r.Present(got) {
+			if got := r.Lookup(key); got < 0 || got >= shards || !r.present[got] {
 				t.Fatalf("step %d: Lookup(%q) = %d not a present shard", step, key, got)
 			}
 			loads := make([]int, shards)
@@ -77,7 +77,7 @@ func FuzzRing(f *testing.F) {
 				total += loads[i]
 			}
 			got := r.LookupBounded(key, factor, total, func(s int) int { return loads[s] })
-			if got < 0 || got >= shards || !r.Present(got) {
+			if got < 0 || got >= shards || !r.present[got] {
 				t.Fatalf("step %d: LookupBounded(%q) = %d not a present shard", step, key, got)
 			}
 		}
@@ -88,18 +88,18 @@ func FuzzRing(f *testing.F) {
 			switch bits % 3 {
 			case 0:
 				if err := r.Remove(target); err == nil {
-					if r.Present(target) {
+					if r.present[target] {
 						t.Fatalf("step %d: Remove(%d) succeeded but shard still present", step, target)
 					}
-				} else if r.Present(target) && r.Members() > 1 {
+				} else if r.present[target] && r.Members() > 1 {
 					t.Fatalf("step %d: Remove(%d) of a present, non-last shard failed: %v", step, target, err)
 				}
 			case 1:
 				if err := r.Add(target); err == nil {
-					if !r.Present(target) || r.Weight(target) != 1 {
-						t.Fatalf("step %d: Add(%d) left present=%v weight=%v", step, target, r.Present(target), r.Weight(target))
+					if !r.present[target] || r.Weight(target) != 1 {
+						t.Fatalf("step %d: Add(%d) left present=%v weight=%v", step, target, r.present[target], r.Weight(target))
 					}
-				} else if !r.Present(target) {
+				} else if !r.present[target] {
 					t.Fatalf("step %d: Add(%d) of an absent shard failed: %v", step, target, err)
 				}
 			default:

@@ -39,7 +39,6 @@ func (p *Plane) healthTick() {
 			case ShardSuspect:
 				rec.state = ShardUp
 				rec.epoch++
-				p.epoch++
 				rec.leaseUntil = now + cfg.LeaseTTL
 			case ShardDead:
 				rec.streak++
@@ -59,7 +58,6 @@ func (p *Plane) healthTick() {
 			} else if rec.missed >= cfg.SuspectAfter {
 				rec.state = ShardSuspect
 				rec.epoch++
-				p.epoch++
 			}
 		case ShardSuspect:
 			if (rec.missed >= cfg.DeadAfter || expired) && p.ring.Members() > 1 {
@@ -98,7 +96,6 @@ func (p *Plane) killShard(i int, admin bool) {
 	rec.missed, rec.streak = 0, 0
 	rec.admin = admin
 	rec.epoch++
-	p.epoch++
 	p.mu.Unlock()
 
 	o := p.shards[i]
@@ -154,7 +151,6 @@ func (p *Plane) rejoinShard(i int) {
 	rec.admin = false
 	rec.leaseUntil = p.runtime.Now() + p.cfg.Membership.LeaseTTL
 	rec.epoch++
-	p.epoch++
 	p.weight[i].Set(1)
 	p.mu.Unlock()
 	p.shards[i].Reopen()
@@ -233,26 +229,6 @@ func (p *Plane) JoinShard(idx int) error {
 	}
 	p.rejoinShard(idx)
 	return nil
-}
-
-// MemberState returns a shard's current membership state. Out-of-range
-// indices report ShardDead.
-func (p *Plane) MemberState(idx int) ShardState {
-	if idx < 0 || idx >= len(p.shards) {
-		return ShardDead
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.members[idx].state
-}
-
-// Epoch returns the plane-wide membership epoch: the total number of
-// state transitions any shard has made. Two views of the plane agree
-// whenever their epochs match.
-func (p *Plane) Epoch() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
 }
 
 // Kick arms the capacity aggregator if it is idle. Submissions arm it

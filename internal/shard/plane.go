@@ -98,9 +98,7 @@ type Plane struct {
 	mu          sync.Mutex
 	ring        *Ring
 	members     []memberRecord
-	epoch       int64
 	stolenTotal int64
-	ticks       int64
 	tickArmed   bool
 	cancelTick  func()
 	closed      bool
@@ -310,27 +308,11 @@ func (p *Plane) Pending() int {
 	return total
 }
 
-// Queued returns the cluster-wide queued (not yet running) count.
-func (p *Plane) Queued() int {
-	total := 0
-	for _, o := range p.shards {
-		total += o.Queued()
-	}
-	return total
-}
-
 // StolenTotal returns how many jobs the aggregator has migrated.
 func (p *Plane) StolenTotal() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stolenTotal
-}
-
-// Ticks returns how many aggregator ticks have run.
-func (p *Plane) Ticks() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ticks
 }
 
 // Status snapshots every shard's capacity view, in ring order.

@@ -150,17 +150,8 @@ func (r *Ring) rebuild() {
 	})
 }
 
-// Shards returns the number of shard slots the ring was built over
-// (present or not).
-func (r *Ring) Shards() int { return len(r.weights) }
-
 // Members returns the number of shards currently present on the ring.
 func (r *Ring) Members() int { return r.members }
-
-// Present reports whether a shard currently owns points on the ring.
-func (r *Ring) Present(shard int) bool {
-	return shard >= 0 && shard < len(r.present) && r.present[shard]
-}
 
 // Weight returns a shard's current weight.
 func (r *Ring) Weight(shard int) float64 { return r.weights[shard] }

@@ -20,8 +20,8 @@ func TestNewRingValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Shards() != 4 {
-		t.Fatalf("Shards() = %d", r.Shards())
+	if len(r.weights) != 4 {
+		t.Fatalf("ring built over %d shards", len(r.weights))
 	}
 }
 
@@ -135,8 +135,8 @@ func TestRingStabilityUnderRemoval(t *testing.T) {
 		if err := r.Remove(victim); err != nil {
 			t.Fatal(err)
 		}
-		if r.Members() != n-1 || r.Present(victim) {
-			t.Fatalf("n=%d: Members()=%d Present(%d)=%v after Remove", n, r.Members(), victim, r.Present(victim))
+		if r.Members() != n-1 || r.present[victim] {
+			t.Fatalf("n=%d: Members()=%d Present(%d)=%v after Remove", n, r.Members(), victim, r.present[victim])
 		}
 		moved := 0
 		for i := range before {

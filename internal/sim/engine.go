@@ -80,15 +80,6 @@ type Timer struct {
 	gen uint64
 }
 
-// Time returns the virtual time at which the event fires (or would have).
-// Zero once the event has fired and its node moved on.
-func (t Timer) Time() time.Duration {
-	if t.ev == nil || t.ev.gen != t.gen {
-		return 0
-	}
-	return t.ev.at
-}
-
 // Cancel prevents the event's callback from running. Cancelling an event
 // that already fired or was already cancelled is a no-op. A cancelled
 // event stays in the heap as a tombstone until it is popped or the engine

@@ -39,8 +39,8 @@ func TestPendingAfterMassCancel(t *testing.T) {
 		t.Fatalf("Pending() = %d after double-cancel, want 1", got)
 	}
 	// The survivor still fires at its scheduled time.
-	if keep.Time() != time.Hour {
-		t.Fatalf("survivor scheduled at %v, want %v", keep.Time(), time.Hour)
+	if keep.ev.at != time.Hour {
+		t.Fatalf("survivor scheduled at %v, want %v", keep.ev.at, time.Hour)
 	}
 	if !e.Step() {
 		t.Fatal("Step() found no event, survivor lost in compaction")

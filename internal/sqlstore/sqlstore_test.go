@@ -336,15 +336,6 @@ func TestInsertSelectProperty(t *testing.T) {
 	}
 }
 
-func TestFormatValue(t *testing.T) {
-	cases := map[string]Value{"NULL": nil, "42": int64(42), "3.5": 3.5, "hi": "hi"}
-	for want, v := range cases {
-		if got := formatValue(v); got != want {
-			t.Fatalf("formatValue(%v) = %q, want %q", v, got, want)
-		}
-	}
-}
-
 // --- End-to-end over TCP ---
 
 func startSQLServer(t *testing.T) string {

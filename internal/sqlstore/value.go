@@ -22,7 +22,6 @@ package sqlstore
 
 import (
 	"fmt"
-	"strconv"
 )
 
 // Type is a column type.
@@ -131,21 +130,5 @@ func cmpFloat(a, b float64) int {
 		return 1
 	default:
 		return 0
-	}
-}
-
-// formatValue renders a value the way results print it (for tests/CLIs).
-func formatValue(v Value) string {
-	switch x := v.(type) {
-	case nil:
-		return "NULL"
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case string:
-		return x
-	default:
-		return fmt.Sprintf("%v", x)
 	}
 }

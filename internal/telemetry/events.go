@@ -31,10 +31,9 @@ type Event struct {
 // and never grow memory: the oldest events are overwritten. Safe for
 // concurrent use; a nil *EventLog no-ops.
 type EventLog struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int64 // sequence number of the next append
-	count int64 // total events ever appended (== next)
+	mu   sync.Mutex
+	ring []Event
+	next int64 // sequence number of the next append
 }
 
 // NewEventLog returns an empty ring holding up to capacity events.
@@ -95,20 +94,10 @@ func (l *EventLog) sinceLocked(seq int64, max int) []Event {
 	return out
 }
 
-// Gap returns how many events with sequence numbers strictly greater
-// than seq the ring has already overwritten — the precise count a
+// gapLocked returns how many events with sequence numbers strictly
+// greater than seq the ring has already overwritten — the precise count a
 // consumer who last saw seq has lost, rather than the seq-jump inference
-// it would otherwise make. Pass seq = -1 to count all loss ever.
-func (l *EventLog) Gap(seq int64) int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gapLocked(seq)
-}
-
-// gapLocked computes Gap under l.mu.
+// it would otherwise make. Caller holds l.mu.
 func (l *EventLog) gapLocked(seq int64) int64 {
 	oldest := l.next - int64(len(l.ring))
 	if oldest < 0 {
@@ -122,10 +111,12 @@ func (l *EventLog) gapLocked(seq int64) int64 {
 }
 
 // Page atomically reads one poll's worth of state: the events Since(seq,
-// max) would return, the Gap(seq) loss count, and LastSeq — all under one
-// lock acquisition, so a concurrent appender cannot make the three
-// disagree (a gap computed after a separate Since call could blame events
-// the page actually delivered).
+// max) would return, how many events past seq the ring overwrote (pass
+// seq = -1 to count all loss ever), and the sequence number of the most
+// recent event (-1 when nothing has been appended) — all under one lock
+// acquisition, so a concurrent appender cannot make the three disagree (a
+// gap computed after a separate Since call could blame events the page
+// actually delivered).
 func (l *EventLog) Page(seq int64, max int) (events []Event, gap, lastSeq int64) {
 	if l == nil {
 		return nil, 0, -1
@@ -133,28 +124,4 @@ func (l *EventLog) Page(seq int64, max int) (events []Event, gap, lastSeq int64)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.sinceLocked(seq, max), l.gapLocked(seq), l.next - 1
-}
-
-// LastSeq returns the sequence number of the most recent event, or -1
-// when nothing has been appended.
-func (l *EventLog) LastSeq() int64 {
-	if l == nil {
-		return -1
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next - 1
-}
-
-// Len returns how many events are currently retained.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.next < int64(len(l.ring)) {
-		return int(l.next)
-	}
-	return len(l.ring)
 }

@@ -218,7 +218,7 @@ func (ss Samples) LabelValues(name, label string) []string {
 
 // HistogramQuantile resolves quantile q from a family's parsed _bucket
 // samples (matching the given non-le label pairs), using the same
-// upper-bound convention as Histogram.Quantile. Samples sharing an le
+// upper-bound convention as QuantileFromCumulative. Samples sharing an le
 // bound are summed first, so the quantile works over a merged
 // exposition (e.g. a sharded gateway's /metrics, where every shard
 // contributes the same bucket grid under its own shard label).

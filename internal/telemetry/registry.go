@@ -350,48 +350,13 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.child.mu.Lock()
-	defer h.child.mu.Unlock()
-	return h.child.count
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.child.mu.Lock()
-	defer h.child.mu.Unlock()
-	return h.child.sum
-}
-
-// Quantile returns an upper bound on the q-th quantile — the bound of the
-// cumulative bucket containing it (+Inf maps to the last finite bound).
-// Mirrors internal/trace.Histogram.Quantile.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("telemetry: quantile %v outside [0,1]", q))
-	}
-	h.child.mu.Lock()
-	defer h.child.mu.Unlock()
-	return QuantileFromCumulative(h.child.bucketBounds, h.child.counts, h.child.count, q)
-}
-
 // QuantileFromCumulative resolves quantile q over cumulative le-bucket
 // counts: bounds are the finite bucket upper bounds, cumulative the
 // per-bucket cumulative counts (the +Inf bucket last), total the
 // observation count. Samples landing only in the +Inf bucket report
 // the highest finite bound (the same convention Prometheus's
-// histogram_quantile uses). Shared by Histogram.Quantile,
-// Samples.HistogramQuantile, and the tsdb quantile_over_time op.
+// histogram_quantile uses). Shared by Samples.HistogramQuantile and the
+// tsdb quantile_over_time op.
 func QuantileFromCumulative(bounds []float64, cumulative []uint64, total uint64, q float64) float64 {
 	if total == 0 {
 		return 0

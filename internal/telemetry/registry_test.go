@@ -92,15 +92,18 @@ func TestNilSafety(t *testing.T) {
 	}
 	h := r.Histogram("h", "", []float64{1})
 	h.Observe(0.5)
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("nil histogram holds samples")
+	if h != nil {
+		t.Fatal("nil registry made a histogram")
 	}
 	r.CounterFunc("fn_total", "", nil) // nil fn on nil registry: no panic
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
 	var l *EventLog
-	if l.Append(Event{}) != 0 || l.Since(-1, 0) != nil || l.LastSeq() != -1 || l.Len() != 0 {
+	if l.Append(Event{}) != 0 || l.Since(-1, 0) != nil {
+		t.Fatal("nil event log misbehaved")
+	}
+	if events, gap, last := l.Page(-1, 0); events != nil || gap != 0 || last != -1 {
 		t.Fatal("nil event log misbehaved")
 	}
 	if tel.Registry() != nil || tel.Events() != nil {
@@ -114,21 +117,23 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
+	c := h.child
+	if c.count != 5 {
+		t.Fatalf("count = %d", c.count)
 	}
-	if math.Abs(h.Sum()-106.05) > 1e-9 {
-		t.Fatalf("sum = %v", h.Sum())
+	if math.Abs(c.sum-106.05) > 1e-9 {
+		t.Fatalf("sum = %v", c.sum)
 	}
+	quantile := func(q float64) float64 { return QuantileFromCumulative(c.bucketBounds, c.counts, c.count, q) }
 	// Cumulative buckets: ≤0.1 → 1, ≤1 → 3, ≤10 → 4, +Inf → 5.
-	if q := h.Quantile(0.5); q != 1 {
+	if q := quantile(0.5); q != 1 {
 		t.Fatalf("p50 = %v, want 1", q)
 	}
 	// p99 lands in the +Inf bucket → highest finite bound.
-	if q := h.Quantile(0.99); q != 10 {
+	if q := quantile(0.99); q != 10 {
 		t.Fatalf("p99 = %v, want 10", q)
 	}
-	if q := h.Quantile(0); q != 0.1 {
+	if q := quantile(0); q != 0.1 {
 		t.Fatalf("p0 = %v, want 0.1", q)
 	}
 }

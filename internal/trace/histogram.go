@@ -63,9 +63,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[len(h.counts)-1]++
 }
 
-// Total returns the number of observed samples.
-func (h *Histogram) Total() int { return h.total }
-
 // Quantile returns an upper bound on the q-th quantile (the edge of the
 // bucket containing it); q in [0,1].
 func (h *Histogram) Quantile(q float64) time.Duration {

@@ -29,8 +29,8 @@ func TestHistogramBucketsAndOverflow(t *testing.T) {
 	h.Observe(time.Millisecond)       // exactly lo → first bucket
 	h.Observe(900 * time.Millisecond) // last bounded bucket
 	h.Observe(2 * time.Second)        // overflow
-	if h.Total() != 4 {
-		t.Fatalf("total = %d", h.Total())
+	if h.total != 4 {
+		t.Fatalf("total = %d", h.total)
 	}
 	if h.counts[0] != 2 {
 		t.Fatalf("first bucket = %d, want 2", h.counts[0])
@@ -104,8 +104,8 @@ func TestCollectorLatencyHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Total() != 5 {
-		t.Fatalf("histogram saw %d samples, want 5 (errors excluded)", h.Total())
+	if h.total != 5 {
+		t.Fatalf("histogram saw %d samples, want 5 (errors excluded)", h.total)
 	}
 }
 

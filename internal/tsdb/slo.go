@@ -337,23 +337,6 @@ func (s *Store) SetRules(rules []Rule) error {
 	return nil
 }
 
-// Rules returns the installed rules.
-func (s *Store) Rules() []Rule {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.slo == nil {
-		return nil
-	}
-	out := make([]Rule, len(s.slo.rules))
-	for i, rs := range s.slo.rules {
-		out[i] = rs.rule
-	}
-	return out
-}
-
 // PageStatus is one burn-rate page's current view.
 type PageStatus struct {
 	// Page is "fast" or "slow".

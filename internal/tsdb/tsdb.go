@@ -305,17 +305,6 @@ func (s *Store) tickLocked(now time.Duration) (interval time.Duration, ok bool) 
 	return interval, true
 }
 
-// LastScrape returns the clock offset of the most recent scrape and how
-// many scrapes have run.
-func (s *Store) LastScrape() (time.Duration, int64) {
-	if s == nil {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clk.last(), s.clk.scrapes()
-}
-
 // internLocked resolves a registry series met for the first time — at
 // the point of the walk where its first sample is due, so metrics and
 // series keep the first-seen order a by-name ingest would give them —
@@ -479,15 +468,6 @@ func (s *Store) SeriesCount() int {
 		n += len(ms.order)
 	}
 	return n
-}
-
-// AlertLog returns the alert-transition event ring (never nil on a
-// non-nil store).
-func (s *Store) AlertLog() *telemetry.EventLog {
-	if s == nil {
-		return nil
-	}
-	return s.alerts
 }
 
 // AlertHistory returns every retained alert transition, oldest first.

@@ -456,9 +456,6 @@ func TestNilStoreNoOps(t *testing.T) {
 	if s.MetricNames() != nil || s.SeriesCount() != 0 {
 		t.Fatal("nil store reports data")
 	}
-	if at, n := s.LastScrape(); at != 0 || n != 0 {
-		t.Fatal("nil store scraped")
-	}
 	if err := s.WriteNDJSON(&strings.Builder{}, "", nil, 0); err != nil {
 		t.Fatal(err)
 	}

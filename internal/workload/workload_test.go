@@ -6,7 +6,10 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
+	"sync"
 	"testing"
 
 	"microfaas/internal/kvstore"
@@ -88,13 +91,15 @@ func TestRegistryMatchesModelSuite(t *testing.T) {
 	if len(names) != 17 {
 		t.Fatalf("registry has %d functions, want 17", len(names))
 	}
+	modelled := map[string]bool{}
 	for _, spec := range model.Functions() {
+		modelled[spec.Name] = true
 		if _, err := Get(spec.Name); err != nil {
 			t.Errorf("model function %q has no implementation", spec.Name)
 		}
 	}
 	for _, n := range names {
-		if _, err := model.FunctionByName(n); err != nil {
+		if !modelled[n] {
 			t.Errorf("implemented function %q missing from model", n)
 		}
 	}
@@ -347,8 +352,60 @@ func TestRegExRejectsBadPattern(t *testing.T) {
 
 // --- Network functions against live backends ---
 
+// recordKV puts a proxy in front of env's kvstore that keeps every byte
+// clients send, in arrival order, and points env at it. The real server
+// still answers.
+func recordKV(t *testing.T, env *Env) func() string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	upstream := env.KVStoreAddr
+	env.KVStoreAddr = ln.Addr().String()
+	var mu sync.Mutex
+	var sent bytes.Buffer
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			srv, err := net.Dial("tcp", upstream)
+			if err != nil {
+				conn.Close()
+				continue
+			}
+			go func() { io.Copy(conn, srv); conn.Close() }() //nolint:errcheck
+			go func() {
+				buf := make([]byte, 512)
+				for {
+					n, err := conn.Read(buf)
+					if n > 0 {
+						mu.Lock()
+						sent.Write(buf[:n])
+						mu.Unlock()
+						srv.Write(buf[:n]) //nolint:errcheck
+					}
+					if err != nil {
+						srv.Close()
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return sent.String()
+	}
+}
+
 func TestRedisInsertThenUpdateFlow(t *testing.T) {
 	env := startBackends(t)
+	sent := recordKV(t, env)
 	out, err := runRedisInsert(env, mustJSON(kvArgs{Key: "rec:1", Value: "v1"}))
 	if err != nil {
 		t.Fatal(err)
@@ -361,14 +418,14 @@ func TestRedisInsertThenUpdateFlow(t *testing.T) {
 	if _, err := runRedisUpdate(env, mustJSON(kvArgs{Key: "rec:1", Value: "v2"})); err != nil {
 		t.Fatal(err)
 	}
-	c, err := kvstore.Dial(env.KVStoreAddr, env.dialTimeout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	v, ok, err := c.Get("rec:1")
-	if err != nil || !ok || string(v) != "v2" {
-		t.Fatalf("final value = %q/%v/%v", v, ok, err)
+	// The store serves no reads, so the flow is checked on the wire: each
+	// command was answered before the function returned, so all of them are
+	// recorded. That SET overwrites is kvstore's own end-to-end test.
+	want := "*3\r\n$5\r\nSETNX\r\n$5\r\nrec:1\r\n$2\r\nv1\r\n" +
+		"*3\r\n$5\r\nSETNX\r\n$5\r\nrec:1\r\n$7\r\ninitial\r\n" +
+		"*3\r\n$3\r\nSET\r\n$5\r\nrec:1\r\n$2\r\nv2\r\n"
+	if got := sent(); got != want {
+		t.Fatalf("commands sent:\n%q\nwant:\n%q", got, want)
 	}
 }
 
