@@ -81,32 +81,12 @@ STORE_REACH_MIN := 70
 reach:
 	bash scripts/reach.sh $(REACH_MIN) $(STORE_REACH_MIN)
 
-# `make bench` runs the full benchmark suite and records it as a JSON
-# baseline (BENCH_pr14.json) via cmd/benchjson. `make bench-smoke` is the
-# CI variant: one iteration of everything, just proving the benchmarks run.
-BENCH_OUT ?= BENCH_pr14.json
-
-.PHONY: bench
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./... | tee .bench.out
-	$(GO) run ./cmd/benchjson -label "$(BENCH_OUT)" -hardware "$$(nproc) cores" < .bench.out > $(BENCH_OUT)
-	rm -f .bench.out
-
-.PHONY: bench-smoke
-bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-
-# `make bench-diff` re-runs the hot-path benchmarks and gates them against
-# the committed baseline: a >20% regression in ns/op or allocs/op fails
-# (cmd/benchjson -diff). CI runs this in the bench-smoke job.
-BENCH_BASELINE ?= BENCH_pr14.json
-# ShardedRackScale and ShardFailover are gated on allocs/op only: one op
-# is a long deterministic simulation whose wall-clock tracks machine
-# load, not code.
-BENCH_GATED := BenchmarkLiveInvocation,BenchmarkSimulatorEventRate,BenchmarkRackScale10K,BenchmarkShardedRackScale:allocs/op,BenchmarkShardFailover:allocs/op,BenchmarkTSDBScrape:allocs/op,BenchmarkForecastTick:allocs/op
+# `make bench-diff` runs the benchmark (bench/run.sh) at the commit BASE and
+# then at the working tree, and fails if bench/run.sh -compare finds an
+# end-to-end metric worse than BENCHMARK.json's bound (scripts/bench-diff.sh;
+# about 4 min). After committing, compare with the parent: BASE=HEAD~1.
+BASE ?= HEAD
 
 .PHONY: bench-diff
 bench-diff:
-	$(GO) test -bench '^(BenchmarkLiveInvocation|BenchmarkSimulatorEventRate|BenchmarkRackScale10K|BenchmarkShardedRackScale|BenchmarkShardFailover|BenchmarkTSDBScrape|BenchmarkForecastTick)$$' -benchmem -run '^$$' . | tee .bench-diff.out
-	$(GO) run ./cmd/benchjson -diff $(BENCH_BASELINE) -gate $(BENCH_GATED) < .bench-diff.out
-	rm -f .bench-diff.out
+	bash scripts/bench-diff.sh $(BASE)

@@ -212,7 +212,7 @@ func TestTopWithoutTelemetry(t *testing.T) {
 // the fixture for the trace-command acceptance test.
 func startTracedSimStack(t *testing.T) (*client, *strings.Builder, *tracing.Tracer, *trace.Collector) {
 	t.Helper()
-	tr := tracing.New()
+	tr := tracing.NewWithConfig(tracing.Config{})
 	s, err := cluster.NewMicroFaaSSim(4, cluster.SimConfig{Seed: 7, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)

@@ -27,10 +27,14 @@
 // evaluate SLO burn-rate rules against it:
 //
 //	microfaas-live -slo examples/slo/rules.json -scrape-interval 2s
+//
+// A flag set on the command line that the chosen mode does not read exits
+// 2 naming it, rather than being silently dropped.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,96 +72,123 @@ type options struct {
 	predict      bool
 }
 
-func main() {
-	workers := flag.Int("workers", 4, "live worker count")
-	listen := flag.String("listen", "127.0.0.1:8080", "gateway listen address (serve mode)")
-	jobs := flag.Int("jobs", 0, "run N invocations and exit (load mode; 0 = serve mode)")
-	replayPath := flag.String("replay", "", "replay an at_ms,function CSV trace and exit (replay mode)")
-	speedup := flag.Float64("speedup", 1, "time compression for -replay (e.g. 60 = 1 virtual minute per second)")
-	bootDelay := flag.Duration("boot-delay", 0, "simulated worker reboot before each job (BeagleBone: 1.51s)")
-	seed := flag.Int64("seed", 1, "assignment seed")
-	jobTimeout := flag.Duration("job-timeout", 0, "per-attempt invocation deadline enforced by the OP (0 = none)")
-	maxAttempts := flag.Int("max-attempts", 1, "attempts per invocation before its failure is final")
-	retryBase := flag.Duration("retry-base", 0, "base delay for exponential retry backoff (0 = immediate re-queue)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures before a worker's circuit breaker opens (0 = disabled)")
-	breakerProbe := flag.Duration("breaker-probe", 30*time.Second, "how long an open breaker waits before probing the worker again")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "in serve mode, how long shutdown waits for in-flight jobs")
-	traceSample := flag.Float64("trace-sample", 0, "head-sampling rate for per-invocation tracing, 0..1 (1 = every invocation; errors and >30s outliers always kept; 0 = tracing off)")
-	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the gateway")
-	powerIdle := flag.Duration("power-idle", 0, "enable dynamic power management: power-gate workers idle this long (0 = static power, every worker always on)")
-	powerCap := flag.Float64("power-cap", 0, "cluster power budget in watts; bounds simultaneously powered workers (0 = no cap; requires -power-idle)")
-	powerMinUp := flag.Duration("power-minup", 0, "hysteresis: minimum time a woken worker stays powered (0 = powermgr default; requires -power-idle)")
-	policyFlag := flag.String("policy", "", "assignment policy: round-robin, random, least-loaded, or energy-aware (default: platform default; energy-aware pairs with -power-idle)")
-	sloPath := flag.String("slo", "", "SLO burn-rate rules (JSON) evaluated on every scrape in serve mode")
-	scrapeEvery := flag.Duration("scrape-interval", time.Second, "telemetry scrape cadence for the embedded time-series store (serve mode)")
-	predict := flag.Bool("predict", false, "predictive power management: forecast arrival rates and steer the warm pool ahead of demand (serve mode; requires -power-idle)")
-	flag.Parse()
+// mode is what the command does: replay a trace, drive a load, or serve.
+func (o options) mode() string {
+	if o.replayPath != "" {
+		return "replay"
+	}
+	if o.jobs > 0 {
+		return "load"
+	}
+	return "serve"
+}
 
-	opts := options{
-		live: cluster.LiveOptions{
-			Workers:          *workers,
-			BootDelay:        *bootDelay,
-			Seed:             *seed,
-			Meter:            true,
-			JobTimeout:       *jobTimeout,
-			MaxAttempts:      *maxAttempts,
-			RetryBase:        *retryBase,
-			BreakerThreshold: *breakerThreshold,
-			BreakerProbe:     *breakerProbe,
-			Telemetry:        telemetry.New(),
-		},
-		listen:       *listen,
-		jobs:         *jobs,
-		replayPath:   *replayPath,
-		speedup:      *speedup,
-		drainTimeout: *drainTimeout,
-		pprof:        *pprofFlag,
-		scrapeEvery:  *scrapeEvery,
-		predict:      *predict,
+// onlyIn names the flags a single mode reads. Spans are read only through
+// the gateway's /traces, so -trace-sample is a serve flag too.
+var onlyIn = map[string]string{
+	"listen": "serve", "drain-timeout": "serve", "pprof": "serve", "slo": "serve",
+	"scrape-interval": "serve", "predict": "serve", "trace-sample": "serve",
+	"jobs": "load", "speedup": "replay",
+}
+
+func main() {
+	opts, status := parse(os.Args[1:], os.Stderr)
+	if opts == nil {
+		os.Exit(status)
+	}
+	if err := run(*opts); err != nil {
+		fmt.Fprintln(os.Stderr, "microfaas-live:", err)
+		os.Exit(1)
+	}
+}
+
+// parse turns the command line into options. Nil options mean there is
+// nothing to run and the status says why: 0 after -h, 2 when the command
+// line is wrong, with the reason already on stderr. A flag set on the
+// command line that the chosen mode does not read is wrong.
+func parse(args []string, stderr io.Writer) (*options, int) {
+	fs := flag.NewFlagSet("microfaas-live", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	opts := options{live: cluster.LiveOptions{Meter: true, Telemetry: telemetry.New()}}
+	live := &opts.live
+	fs.IntVar(&live.Workers, "workers", 4, "live worker count")
+	fs.StringVar(&opts.listen, "listen", "127.0.0.1:8080", "gateway listen address (serve mode)")
+	fs.IntVar(&opts.jobs, "jobs", 0, "run N > 0 invocations and exit (load mode)")
+	fs.StringVar(&opts.replayPath, "replay", "", "replay an at_ms,function CSV trace and exit (replay mode)")
+	fs.Float64Var(&opts.speedup, "speedup", 1, "time compression for -replay (e.g. 60 = 1 virtual minute per second)")
+	fs.DurationVar(&live.BootDelay, "boot-delay", 0, "simulated worker reboot before each job (BeagleBone: 1.51s)")
+	fs.Int64Var(&live.Seed, "seed", 1, "assignment seed")
+	fs.DurationVar(&live.JobTimeout, "job-timeout", 0, "per-attempt invocation deadline enforced by the OP (0 = none)")
+	fs.IntVar(&live.MaxAttempts, "max-attempts", 1, "attempts per invocation before its failure is final")
+	fs.DurationVar(&live.RetryBase, "retry-base", 0, "base delay for exponential retry backoff (0 = immediate re-queue)")
+	fs.IntVar(&live.BreakerThreshold, "breaker-threshold", 0, "consecutive failures before a worker's circuit breaker opens (0 = disabled)")
+	fs.DurationVar(&live.BreakerProbe, "breaker-probe", 30*time.Second, "how long an open breaker waits before probing the worker again")
+	fs.DurationVar(&opts.drainTimeout, "drain-timeout", 30*time.Second, "in serve mode, how long shutdown waits for in-flight jobs")
+	traceSample := fs.Float64("trace-sample", 0, "head-sampling rate for per-invocation tracing, 0..1 (1 = every invocation; errors and >30s outliers always kept; 0 = tracing off; serve mode)")
+	fs.BoolVar(&opts.pprof, "pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the gateway (serve mode)")
+	powerIdle := fs.Duration("power-idle", 0, "enable dynamic power management: power-gate workers idle this long (0 = static power, every worker always on)")
+	powerCap := fs.Float64("power-cap", 0, "cluster power budget in watts; bounds simultaneously powered workers (0 = no cap; requires -power-idle)")
+	powerMinUp := fs.Duration("power-minup", 0, "hysteresis: minimum time a woken worker stays powered (0 = powermgr default; requires -power-idle)")
+	policyFlag := fs.String("policy", "", "assignment policy: round-robin, random, least-loaded, or energy-aware (default: platform default; energy-aware pairs with -power-idle)")
+	sloPath := fs.String("slo", "", "SLO burn-rate rules (JSON) evaluated on every scrape in serve mode")
+	fs.DurationVar(&opts.scrapeEvery, "scrape-interval", time.Second, "telemetry scrape cadence for the embedded time-series store (serve mode)")
+	fs.BoolVar(&opts.predict, "predict", false, "predictive power management: forecast arrival rates and steer the warm pool ahead of demand (serve mode; requires -power-idle)")
+	err := fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil, 0
+	}
+	if err != nil {
+		return nil, 2
+	}
+	fail := func(err error) (*options, int) {
+		fmt.Fprintln(stderr, "microfaas-live:", err)
+		return nil, 2
+	}
+	if opts.jobs < 0 {
+		return fail(fmt.Errorf("-jobs must be positive, got %d", opts.jobs))
+	}
+	mode := opts.mode()
+	fs.Visit(func(f *flag.Flag) {
+		if m := onlyIn[f.Name]; err == nil && m != "" && m != mode {
+			err = fmt.Errorf("-%s is read only in %s mode, and this is %s mode", f.Name, m, mode)
+		}
+	})
+	if err != nil {
+		return fail(err)
 	}
 	if *policyFlag != "" {
-		pol, err := core.ParsePolicy(*policyFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "microfaas-live:", err)
-			os.Exit(2)
+		if live.Policy, err = core.ParsePolicy(*policyFlag); err != nil {
+			return fail(err)
 		}
-		opts.live.Policy = pol
 	}
 	if *powerIdle > 0 {
-		opts.live.Power = &powermgr.Policy{
+		live.Power = &powermgr.Policy{
 			IdleTimeout: *powerIdle,
 			MinUp:       *powerMinUp,
 			CapW:        power.Watts(*powerCap),
 		}
 	} else if *powerCap != 0 || *powerMinUp != 0 {
-		fmt.Fprintln(os.Stderr, "microfaas-live: -power-cap and -power-minup require -power-idle")
-		os.Exit(2)
+		return fail(errors.New("-power-cap and -power-minup require -power-idle"))
 	}
-	if *predict && opts.live.Power == nil {
-		fmt.Fprintln(os.Stderr, "microfaas-live: -predict requires -power-idle")
-		os.Exit(2)
+	if opts.predict && live.Power == nil {
+		return fail(errors.New("-predict requires -power-idle"))
 	}
 	if *traceSample > 0 {
 		// Flag semantics: 0 disables tracing outright. Internally a zero
 		// SampleRate means "sample everything", so pass the rate through
 		// only once we know tracing is on.
-		opts.live.Tracer = tracing.NewWithConfig(tracing.Config{
-			Seed:          *seed,
+		live.Tracer = tracing.NewWithConfig(tracing.Config{
+			Seed:          live.Seed,
 			SampleRate:    *traceSample,
 			SlowThreshold: 30 * time.Second,
 		})
 	}
 	if *sloPath != "" {
-		var err error
 		if opts.slo, err = tsdb.LoadRules(*sloPath); err != nil {
-			fmt.Fprintln(os.Stderr, "microfaas-live:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	}
-	if err := run(opts); err != nil {
-		fmt.Fprintln(os.Stderr, "microfaas-live:", err)
-		os.Exit(1)
-	}
+	return &opts, 0
 }
 
 func run(opts options) error {
@@ -169,10 +200,10 @@ func run(opts options) error {
 	fmt.Printf("live cluster up: %d workers, services kv=%s sql=%s cos=%s mq=%s\n",
 		len(l.Workers), l.Env.KVStoreAddr, l.Env.SQLStoreAddr, l.Env.ObjStoreAddr, l.Env.MQAddr)
 
-	if opts.replayPath != "" {
+	switch opts.mode() {
+	case "replay":
 		return replayMode(os.Stdout, l, opts)
-	}
-	if opts.jobs > 0 {
+	case "load":
 		return loadMode(os.Stdout, l, opts)
 	}
 	return serveMode(l, opts)

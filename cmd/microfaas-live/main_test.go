@@ -132,3 +132,42 @@ func TestReportCountsInvocationsNotAttempts(t *testing.T) {
 		})
 	}
 }
+
+// TestFlagsTheModeDoesNotRead holds parse to the rule that a flag set on
+// the command line is read by the mode it picks, or the run is refused
+// with that flag named before anything starts.
+func TestFlagsTheModeDoesNotRead(t *testing.T) {
+	rules := "../../examples/slo/rules.json"
+	for _, tc := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{[]string{"-jobs", "-1"}, "-jobs"},
+		{[]string{"-jobs", "17", "-slo", rules, "-speedup", "60", "-drain-timeout", "1s"}, "-drain-timeout"},
+		{[]string{"-jobs", "17", "-speedup", "60"}, "-speedup"},
+		{[]string{"-jobs", "17", "-power-idle", "1s", "-predict"}, "-predict"},
+		{[]string{"-jobs", "17", "-trace-sample", "1"}, "-trace-sample"},
+		{[]string{"-jobs", "17", "-listen", "127.0.0.1:0"}, "-listen"},
+		{[]string{"-jobs", "5", "-replay", "trace.csv"}, "-jobs"},
+		{[]string{"-replay", "trace.csv", "-pprof"}, "-pprof"},
+		{[]string{"-replay", "trace.csv", "-scrape-interval", "2s"}, "-scrape-interval"},
+		{[]string{"-speedup", "10"}, "-speedup"},
+		{[]string{"-predict"}, "-predict requires -power-idle"},
+		{[]string{"-jobs", "0", "-listen", "127.0.0.1:0"}, "-jobs"},
+		{[]string{"-jobs", "17", "-workers", "2", "-boot-delay", "1ms", "-power-idle", "1s", "-policy", "energy-aware"}, ""},
+		{[]string{"-replay", "trace.csv", "-speedup", "60", "-seed", "3"}, ""},
+		{[]string{"-listen", "127.0.0.1:0", "-slo", rules, "-power-idle", "1s", "-predict", "-trace-sample", "1", "-pprof"}, ""},
+	} {
+		var stderr strings.Builder
+		opts, status := parse(tc.args, &stderr)
+		if tc.want == "" {
+			if opts == nil || status != 0 {
+				t.Errorf("%q refused (status %d): %s", tc.args, status, stderr.String())
+			}
+			continue
+		}
+		if opts != nil || status != 2 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%q: status %d, stderr %q; want status 2 naming %q", tc.args, status, stderr.String(), tc.want)
+		}
+	}
+}

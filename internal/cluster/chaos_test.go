@@ -33,7 +33,7 @@ type chaosOutcome struct {
 
 func chaosChurnRun(t *testing.T, seed int64) *chaosOutcome {
 	t.Helper()
-	out := &chaosOutcome{fired: map[int64]int{}, tracer: tracing.New()}
+	out := &chaosOutcome{fired: map[int64]int{}, tracer: tracing.NewWithConfig(tracing.Config{})}
 	scfg := shard.Config{
 		BoundFactor: -1, // keep keys home so kills catch real backlogs
 		Steal:       shard.StealConfig{Enabled: true, Interval: 100 * time.Millisecond},

@@ -233,3 +233,33 @@ func TestLiveCloseIdempotent(t *testing.T) {
 	l.Close()
 	l.Close()
 }
+
+// TestSimJobCycleAllocs pins what one job costs the simulator's hot path
+// end to end: a SubmitTo on a 10-SBC cluster, then the engine running it
+// through boot, execution, settle and power-down. Seven allocations per
+// job is the count this test was written at.
+func TestSimJobCycleAllocs(t *testing.T) {
+	s, err := NewMicroFaaSSim(model.SBCCount, SimConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := s.Orch.Workers()
+	fns := model.Functions()
+	i := 0
+	cycle := func() {
+		if _, err := s.Orch.SubmitTo(ids[i%len(ids)], fns[i%len(fns)].Name, nil); err != nil {
+			t.Fatal(err)
+		}
+		s.Engine.RunAll()
+		i++
+	}
+	for i < 2000 {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(1000, cycle); got > 7 {
+		t.Fatalf("%v allocations per simulated job, want at most 7", got)
+	}
+	if s.Orch.Pending() != 0 {
+		t.Fatal("jobs stuck")
+	}
+}

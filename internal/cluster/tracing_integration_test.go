@@ -36,7 +36,7 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 			return coll.Records()
 		}
 		plain := run(nil)
-		traced := run(tracing.New())
+		traced := run(tracing.NewWithConfig(tracing.Config{}))
 		if !reflect.DeepEqual(plain, traced) {
 			t.Fatalf("seed %d: tracing changed the seeded run's records", seed)
 		}
@@ -51,7 +51,7 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 // SBC power model within 1% — the critical path accounted for both
 // ways.
 func TestSimTraceSumsToLatencyAndEnergy(t *testing.T) {
-	tr := tracing.New()
+	tr := tracing.NewWithConfig(tracing.Config{})
 	s, err := NewMicroFaaSSim(8, SimConfig{Seed: 7, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestSimTraceSumsToLatencyAndEnergy(t *testing.T) {
 // failed attempt, a retry span per re-queue, attempts counted on the
 // root, and per-attempt boot/exec spans.
 func TestSimTraceRetryFaultShape(t *testing.T) {
-	tr := tracing.New()
+	tr := tracing.NewWithConfig(tracing.Config{})
 	s, err := NewMicroFaaSSim(4, SimConfig{
 		Seed:        11,
 		FailureRate: 0.3,
@@ -171,7 +171,7 @@ func TestSimTraceRetryFaultShape(t *testing.T) {
 // carry the worker's metered joules, and telescope into the end-to-end
 // latency like the sim spans do.
 func TestLiveTraceWirePropagation(t *testing.T) {
-	tr := tracing.New()
+	tr := tracing.NewWithConfig(tracing.Config{})
 	l, err := StartLive(LiveOptions{
 		Workers: 2, Seed: 3, Meter: true, Tracer: tr,
 		BootDelay: 20 * time.Millisecond,

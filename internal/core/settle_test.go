@@ -51,7 +51,7 @@ func TestSettleParity(t *testing.T) {
 		w := tc.worker
 		w.engine = e
 		tel := telemetry.New()
-		tr := tracing.New()
+		tr := tracing.NewWithConfig(tracing.Config{})
 		o, err := New(Config{
 			Runtime: SimRuntime{Engine: e}, Workers: []Worker{&w},
 			JobTimeout: time.Second, Telemetry: tel, Tracer: tr,

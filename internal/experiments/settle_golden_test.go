@@ -55,7 +55,7 @@ func compareGolden(t *testing.T, name string, buf []byte) {
 // breaker trips, and a function that spends through its energy budget.
 func TestSettleGoldenPR14(t *testing.T) {
 	tel := telemetry.New()
-	tr := tracing.New() // samples every trace
+	tr := tracing.NewWithConfig(tracing.Config{}) // samples every trace
 	s, err := cluster.NewMicroFaaSSim(8, cluster.SimConfig{
 		Seed:             settleGoldenSeed,
 		FailureRate:      0.1,

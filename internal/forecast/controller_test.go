@@ -5,6 +5,7 @@
 package forecast_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -297,4 +298,42 @@ func poweredIDs(m *powermgr.Manager) []string {
 		}
 	}
 	return out
+}
+
+// TestControllerTickAllocs pins the predictive loop's steady-state cost:
+// one scrape of 16 per-function submission counters and one Tick that
+// reads their arrival rates and updates every predictor. Twenty
+// allocations per tick is the count this test was written at.
+func TestControllerTickAllocs(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	subs := make([]*telemetry.Counter, 16)
+	for f := range subs {
+		subs[f] = reg.Counter(tsdb.MetricSubmittedByFunction, "Submitted.",
+			"function", fmt.Sprintf("fn-%02d", f))
+	}
+	store := tsdb.New(tsdb.Config{})
+	store.AddSource("", reg)
+	ctl, err := forecast.NewController(forecast.ControllerConfig{
+		Store:  store,
+		Policy: forecast.Policy{Tick: time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	tick := func() {
+		for f, c := range subs {
+			c.Add(float64(1 + (i+f)%3))
+		}
+		now := time.Duration(i+1) * time.Second
+		store.Scrape(now)
+		ctl.Tick(now)
+		i++
+	}
+	for i < 2000 {
+		tick()
+	}
+	if got := testing.AllocsPerRun(1000, tick); got > 20 {
+		t.Fatalf("%v allocations per scrape and tick, want at most 20", got)
+	}
 }

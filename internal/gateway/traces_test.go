@@ -20,7 +20,7 @@ import (
 // the /traces tests read back.
 func startTracedSimGateway(t *testing.T) (base string, tr *tracing.Tracer) {
 	t.Helper()
-	tr = tracing.New()
+	tr = tracing.NewWithConfig(tracing.Config{})
 	s, err := cluster.NewMicroFaaSSim(4, cluster.SimConfig{Seed: 7, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)

@@ -300,11 +300,8 @@ type activeTrace struct {
 	sampled bool
 }
 
-// New returns a tracer with default settings: sample everything, keep
-// errors and default bounds.
-func New() *Tracer { return NewWithConfig(Config{}) }
-
-// NewWithConfig returns a tracer with the given settings.
+// NewWithConfig returns a tracer with the given settings. The zero Config
+// samples everything and keeps default bounds.
 func NewWithConfig(cfg Config) *Tracer {
 	if cfg.MaxTraces <= 0 {
 		cfg.MaxTraces = 4096

@@ -62,7 +62,7 @@ func TestNilTracerNoOps(t *testing.T) {
 }
 
 func TestInvalidContextNoOps(t *testing.T) {
-	tr := New()
+	tr := NewWithConfig(Config{})
 	tr.Record(Context{}, Span{Phase: PhaseQueue})
 	tr.EndTrace(Context{}, time.Second, "", "")
 	if tr.Len() != 0 {
@@ -71,7 +71,7 @@ func TestInvalidContextNoOps(t *testing.T) {
 }
 
 func TestRecordAndLookup(t *testing.T) {
-	tr := New()
+	tr := NewWithConfig(Config{})
 	ctx := tr.StartTrace("CascSHA", 7, "CascSHA", 10*time.Millisecond)
 	if !ctx.Valid() {
 		t.Fatal("StartTrace returned invalid context")
@@ -243,7 +243,7 @@ func TestSamplingOverrides(t *testing.T) {
 }
 
 func TestSlowest(t *testing.T) {
-	tr := New()
+	tr := NewWithConfig(Config{})
 	for j := int64(1); j <= 4; j++ {
 		ctx := tr.StartTrace("f", j, "f", 0)
 		// Job 3 slowest, then 1, 4, 2.
@@ -261,7 +261,7 @@ func TestSlowest(t *testing.T) {
 }
 
 func TestSummarizeTelescopes(t *testing.T) {
-	tr := New()
+	tr := NewWithConfig(Config{})
 	ctx := tr.StartTrace("f", 1, "f", 0)
 	// Contiguous phases: queue [0,10] → boot [10,40] → exec [40,70].
 	tr.Record(ctx, Span{Phase: PhaseSubmit, Start: 0, End: 0})
@@ -300,7 +300,7 @@ func TestSummarizeTelescopes(t *testing.T) {
 }
 
 func TestSummarizeUnattributedGap(t *testing.T) {
-	tr := New()
+	tr := NewWithConfig(Config{})
 	ctx := tr.StartTrace("f", 1, "f", 0)
 	// A hung attempt: queue covered, then nothing until the deadline fired.
 	tr.Record(ctx, Span{Phase: PhaseQueue, Start: 0, End: 5 * time.Millisecond})

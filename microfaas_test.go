@@ -43,11 +43,15 @@ func TestPublicGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	gw, addr, err := ServeGateway(cl, "127.0.0.1:0", 30*time.Second)
+	gw, err := NewGateway(cl.Orch, GatewayOptions{Timeout: 30 * time.Second, Mode: "live", Telemetry: cl.Telemetry})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gw.Close()
+	addr, err := gw.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp, err := http.Post("http://"+addr+"/invoke", "application/json",
 		strings.NewReader(`{"function":"RegExMatch","args":{"pattern":"a","text":"abc"}}`))
 	if err != nil {
@@ -86,89 +90,5 @@ func TestPublicSimClusters(t *testing.T) {
 func TestPublicSuiteListings(t *testing.T) {
 	if len(Functions()) != 17 || len(FunctionNames()) != 17 || len(FunctionSpecs()) != 17 {
 		t.Fatal("suite listings disagree with Table I")
-	}
-}
-
-func TestPublicExperimentsRun(t *testing.T) {
-	if rows := Fig1(); len(rows) != 10 {
-		t.Fatalf("Fig1 stages = %d", len(rows))
-	}
-	rows, err := TableII()
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("TableII: %v, %d rows", err, len(rows))
-	}
-	if s := rows[0].Savings(); s < 0.30 || s > 0.40 {
-		t.Fatalf("ideal savings = %.3f", s)
-	}
-	res, err := Headline(HeadlineConfig{InvocationsPerFunction: 20, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EfficiencyGain < PaperEfficiencyGain*0.85 || res.EfficiencyGain > PaperEfficiencyGain*1.15 {
-		t.Fatalf("gain = %.2f, paper %.1f", res.EfficiencyGain, PaperEfficiencyGain)
-	}
-}
-
-func TestPublicAblations(t *testing.T) {
-	res, err := AblationNoReboot(1, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Speedup() <= 1.5 {
-		t.Fatalf("no-reboot speedup = %.2f", res.Speedup())
-	}
-}
-
-func TestPaperConstantsExposed(t *testing.T) {
-	if PaperSBCThroughput != 200.6 || PaperVMThroughput != 211.7 {
-		t.Fatal("throughput constants wrong")
-	}
-	if PaperMicroFaaSJoules != 5.7 || PaperConventionalJoules != 32.0 {
-		t.Fatal("energy constants wrong")
-	}
-	if PaperPeakConventionalJoules != 16.1 || PaperEfficiencyGain != 5.6 {
-		t.Fatal("efficiency constants wrong")
-	}
-}
-
-func TestPublicExtensionExperiments(t *testing.T) {
-	// Small configurations keep this fast; each wrapper must round-trip.
-	if _, err := Fig4(Fig4Config{MaxVMs: 3, JobsPerVM: 20, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	pts5, err := Fig5(Fig5Config{MaxWorkers: 2, Seed: 1})
-	if err != nil || len(pts5) != 3 {
-		t.Fatalf("Fig5: %d points, %v", len(pts5), err)
-	}
-	rows3, err := Fig3(Fig3Config{InvocationsPerFunction: 10, Seed: 1})
-	if err != nil || len(rows3) != 17 {
-		t.Fatalf("Fig3: %d rows, %v", len(rows3), err)
-	}
-	ls, err := LoadSweep(LoadSweepConfig{Fractions: []float64{0.5}, Window: 3 * time.Minute, Seed: 1})
-	if err != nil || len(ls) != 1 {
-		t.Fatalf("LoadSweep: %v, %v", ls, err)
-	}
-	kw, err := KeepWarm(KeepWarmConfig{Windows: []time.Duration{0}, Duration: 3 * time.Minute, Seed: 1})
-	if err != nil || len(kw) != 1 {
-		t.Fatalf("KeepWarm: %v, %v", kw, err)
-	}
-	rs, err := RackScale(RackScaleConfig{SBCs: 24, Servers: 1, VMsPerServer: 12, JobsPerWorker: 3, Seed: 1})
-	if err != nil || rs.SBCThroughput <= 0 {
-		t.Fatalf("RackScale: %+v, %v", rs, err)
-	}
-	dn, err := Diurnal(DiurnalConfig{TroughPerMin: 4, PeakPerMin: 40, Day: time.Hour, Seed: 1})
-	if err != nil || dn.MF.Completed == 0 {
-		t.Fatalf("Diurnal: %+v, %v", dn, err)
-	}
-	sv, err := Sensitivity(SensitivityConfig{Trials: 2, InvocationsPerFunction: 5, Seed: 1})
-	if err != nil || sv.MedianGain <= 1 {
-		t.Fatalf("Sensitivity: %+v, %v", sv, err)
-	}
-	ab, err := AblationCryptoAccel(4, 1, 5, 1)
-	if err != nil || ab.Speedup() <= 1 {
-		t.Fatalf("AblationCryptoAccel: %+v, %v", ab, err)
-	}
-	if _, err := AblationGigE(1, 5, 1); err != nil {
-		t.Fatal(err)
 	}
 }
