@@ -63,6 +63,14 @@ loc:
 	done
 	@printf '%6d total\n' "$$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
+# `make knobs` prints the settable fields of every *Config, *Options and
+# *Policy struct in non-test Go under internal/ and cmd/, per struct and in
+# total (scripts/knobs.sh) — each is a configuration the tests must cover
+# (ROADMAP needle 2). Informational: it gates nothing.
+.PHONY: knobs
+knobs:
+	@bash scripts/knobs.sh
+
 # `make reach` builds every binary — microfaas-sim, microfaas-live, faasctl,
 # slolint, docslint and examples/* — with coverage of the whole module,
 # drives each through what it ships (scripts/reach.sh: every simulator row,

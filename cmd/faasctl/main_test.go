@@ -26,7 +26,7 @@ func startStack(t *testing.T) (*client, *strings.Builder) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Timeout: 30 * time.Second})
+	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func startTelemetryStack(t *testing.T) (*client, *strings.Builder) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Timeout: 30 * time.Second, Telemetry: tel})
+	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func startObservedStack(t *testing.T, rules []tsdb.Rule) (*client, *strings.Buil
 		t.Fatal(err)
 	}
 	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{
-		Timeout: 30 * time.Second, Telemetry: tel, TSDB: store,
+		Telemetry: tel, TSDB: store,
 	})
 	if err != nil {
 		t.Fatal(err)

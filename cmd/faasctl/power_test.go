@@ -30,7 +30,7 @@ func startManagedStack(t *testing.T) (*client, *strings.Builder) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Timeout: 30 * time.Second, Telemetry: tel})
+	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func startShardedStack(t *testing.T) (*client, *strings.Builder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := gateway.NewSharded(plane, gateway.Options{Timeout: 30 * time.Second, Mode: "live"})
+	gw, err := gateway.NewSharded(plane, gateway.Options{Mode: "live"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestMultiGatewayAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(l.Close)
-		gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Timeout: 30 * time.Second, Telemetry: l.Telemetry})
+		gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Telemetry: l.Telemetry})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -306,7 +306,6 @@ func serveMode(l *cluster.Live, opts options) error {
 		defer stopForecast()
 	}
 	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{
-		Timeout:     5 * time.Minute,
 		Mode:        "live",
 		Telemetry:   l.Telemetry,
 		Tracer:      tracer,

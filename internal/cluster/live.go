@@ -35,17 +35,13 @@ type LiveOptions struct {
 	MaxAttempts int
 	// JobTimeout bounds each attempt on the wall clock (zero = none).
 	JobTimeout time.Duration
-	// RetryBase/RetryMax enable exponential backoff with seeded jitter
-	// between attempts (zero RetryBase = immediate re-queue).
+	// RetryBase enables exponential backoff with seeded jitter between
+	// attempts (zero = immediate re-queue; see core.Config.RetryBase).
 	RetryBase time.Duration
-	RetryMax  time.Duration
 	// BreakerThreshold/BreakerProbe configure the OP's per-worker circuit
 	// breaker (zero threshold = disabled).
 	BreakerThreshold int
 	BreakerProbe     time.Duration
-	// InvokeTimeout bounds one worker invocation round trip (see
-	// node.LiveWorkerConfig).
-	InvokeTimeout time.Duration
 	// Faults injects hang/error/slow faults into every worker (each
 	// worker draws from Faults.Seed offset by its index, so runs are
 	// reproducible per node). See node.FaultSpec.
@@ -70,14 +66,14 @@ type LiveOptions struct {
 	// ShardLabel names this cluster's orchestrator as one shard of a
 	// larger deployment (see core.Config.ShardLabel); JobIDBase gives it
 	// a disjoint job-id space so ids stay cluster-unique when several
-	// live clusters sit behind one shard.Plane.
+	// live clusters sit behind one shard.Plane. No binary sets them until
+	// microfaas-live assembles a sharded plane.
 	ShardLabel string
 	JobIDBase  int64
-	// EnergyBudgets caps the listed functions' metered joules (requires
-	// Meter for anything to accrue); see core.Config.EnergyBudgets.
-	EnergyBudgets map[string]float64
 	// BudgetThrottle is the pre-queue hold served by submissions of
-	// budget-exhausted functions (zero = deprioritize only).
+	// budget-exhausted functions (zero = deprioritize only; budgets are
+	// set with Orchestrator.SetEnergyBudget and accrue only with Meter).
+	// Kept for the same reason as core.Config.BudgetThrottle.
 	BudgetThrottle time.Duration
 }
 
@@ -164,10 +160,9 @@ func StartLive(opts LiveOptions) (*Live, error) {
 	workers := make([]core.Worker, 0, n)
 	for i := 0; i < n; i++ {
 		cfg := node.LiveWorkerConfig{
-			ID:            fmt.Sprintf("live-%03d", i),
-			Env:           l.Env,
-			BootDelay:     opts.BootDelay,
-			InvokeTimeout: opts.InvokeTimeout,
+			ID:        fmt.Sprintf("live-%03d", i),
+			Env:       l.Env,
+			BootDelay: opts.BootDelay,
 		}
 		if opts.Faults != nil {
 			spec := *opts.Faults
@@ -208,14 +203,12 @@ func StartLive(opts LiveOptions) (*Live, error) {
 			MaxAttempts:      opts.MaxAttempts,
 			JobTimeout:       opts.JobTimeout,
 			RetryBase:        opts.RetryBase,
-			RetryMax:         opts.RetryMax,
 			BreakerThreshold: opts.BreakerThreshold,
 			BreakerProbe:     opts.BreakerProbe,
 			Telemetry:        opts.Telemetry,
 			Tracer:           opts.Tracer,
 			ShardLabel:       opts.ShardLabel,
 			JobIDBase:        opts.JobIDBase,
-			EnergyBudgets:    opts.EnergyBudgets,
 			BudgetThrottle:   opts.BudgetThrottle,
 		}
 		if opts.Power != nil {

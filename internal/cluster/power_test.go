@@ -191,16 +191,16 @@ func TestPowerPolicyRejectedOnConventionalSims(t *testing.T) {
 // of pulling more nodes out of power gating.
 func TestBudgetExhaustedFunctionStopsWakingNodes(t *testing.T) {
 	fn := model.Functions()[0].Name
-	run := func(budgets map[string]float64) *Sim {
+	run := func(budget float64) *Sim {
 		s, err := NewMicroFaaSSim(2, SimConfig{
-			Seed:          3,
-			Policy:        core.AssignEnergyAware,
-			Power:         &powermgr.Policy{IdleTimeout: 10 * time.Minute},
-			EnergyBudgets: budgets,
+			Seed:   3,
+			Policy: core.AssignEnergyAware,
+			Power:  &powermgr.Policy{IdleTimeout: 10 * time.Minute},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.Orch.SetEnergyBudget(fn, budget) // 0 sets none
 		// One warm-up job wakes sbc-000 (and, with any budget present,
 		// exhausts it — a single ARM cycle burns a few joules).
 		s.Orch.Submit(fn, nil)
@@ -216,11 +216,11 @@ func TestBudgetExhaustedFunctionStopsWakingNodes(t *testing.T) {
 		return s
 	}
 
-	free := run(nil)
+	free := run(0)
 	if boots := powerOns(free.GPIO, "sbc-001"); boots == 0 {
 		t.Fatal("without budgets, concurrent load should wake the second node")
 	}
-	capped := run(map[string]float64{fn: 0.1})
+	capped := run(0.1)
 	if bs := capped.Orch.EnergyBudgets(); len(bs) != 1 || !bs[0].Exhausted {
 		t.Fatalf("budget not exhausted after warm-up: %+v", bs)
 	}

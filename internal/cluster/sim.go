@@ -35,16 +35,12 @@ import (
 type SimConfig struct {
 	// Seed drives all randomness (assignment, jitter); same seed → same run.
 	Seed int64
-	// Jitter is the relative service-time perturbation (default 0.03).
-	Jitter float64
 	// Link overrides the worker link (the GigE-NIC ablation).
 	Link *netsim.Link
 	// Specs overrides the function table (the crypto-accelerator ablation).
 	Specs []model.FunctionSpec
 	// DisableReboot is the no-reboot ablation.
 	DisableReboot bool
-	// Cores overrides the rack server core count (conventional only).
-	Cores int
 	// FailureRate injects per-job worker faults (see node.SimWorkerConfig).
 	FailureRate float64
 	// HangRate injects per-job worker wedges: the worker powers on and
@@ -66,10 +62,9 @@ type SimConfig struct {
 	MaxAttempts int
 	// JobTimeout bounds each attempt on the virtual clock (zero = none).
 	JobTimeout time.Duration
-	// RetryBase/RetryMax enable exponential backoff with seeded jitter
-	// between attempts (zero RetryBase = immediate re-queue).
+	// RetryBase enables exponential backoff with seeded jitter between
+	// attempts (zero = immediate re-queue; see core.Config.RetryBase).
 	RetryBase time.Duration
-	RetryMax  time.Duration
 	// BreakerThreshold/BreakerProbe configure the OP's per-worker circuit
 	// breaker (zero threshold = disabled).
 	BreakerThreshold int
@@ -92,25 +87,16 @@ type SimConfig struct {
 	// and KeepWarm. Nil (the default) leaves seeded runs byte-identical
 	// to clusters built before the power manager existed.
 	Power *powermgr.Policy
-	// EnergyBudgets caps the listed functions' metered joules
-	// (core.Config.EnergyBudgets): exhausted functions are deprioritized
-	// by the energy-aware policy and throttled when BudgetThrottle is
-	// set. Nil disables budget accounting.
-	EnergyBudgets map[string]float64
 	// BudgetThrottle is the pre-queue hold served by submissions of
-	// budget-exhausted functions (zero = deprioritize only).
+	// budget-exhausted functions (zero = deprioritize only; budgets are
+	// set with Orchestrator.SetEnergyBudget). Kept for the same reason as
+	// core.Config.BudgetThrottle.
 	BudgetThrottle time.Duration
 }
 
-func (c SimConfig) jitter() float64 {
-	if c.Jitter == 0 {
-		return 0.03
-	}
-	if c.Jitter < 0 {
-		return 0
-	}
-	return c.Jitter
-}
+// simJitter is every sim worker's relative service-time perturbation
+// (node.SimWorkerConfig.Jitter).
+const simJitter = 0.03
 
 // Sim is an assembled simulated cluster.
 type Sim struct {
@@ -163,11 +149,7 @@ func newConventionalBuilder(cfg SimConfig) (*simBuilder, error) {
 
 // rackServer adds one rack server to the cluster's meter.
 func (b *simBuilder) rackServer(id string) *node.RackServer {
-	cores := b.cfg.Cores
-	if cores == 0 {
-		cores = model.ServerCores
-	}
-	return node.NewRackServer(id, cores, b.engine, b.meter, power.DefaultServerModel())
+	return node.NewRackServer(id, model.ServerCores, b.engine, b.meter, power.DefaultServerModel())
 }
 
 // workers appends n workers named id(0..n-1) to dst: SBCs on the shared
@@ -187,7 +169,7 @@ func (b *simBuilder) workers(dst []*node.SimWorker, n int, server *node.RackServ
 			Meter:         b.meter,
 			Server:        server,
 			GPIO:          controller,
-			Jitter:        b.cfg.jitter(),
+			Jitter:        simJitter,
 			BootTime:      b.cfg.BootTime,
 			Specs:         b.cfg.Specs,
 			DisableReboot: b.cfg.DisableReboot,
@@ -222,14 +204,12 @@ func (b *simBuilder) shard(si int, label string, tel *telemetry.Telemetry, worke
 		MaxAttempts:      b.cfg.MaxAttempts,
 		JobTimeout:       b.cfg.JobTimeout,
 		RetryBase:        b.cfg.RetryBase,
-		RetryMax:         b.cfg.RetryMax,
 		BreakerThreshold: b.cfg.BreakerThreshold,
 		BreakerProbe:     b.cfg.BreakerProbe,
 		Telemetry:        tel,
 		Tracer:           b.cfg.Tracer,
 		ShardLabel:       label,
 		JobIDBase:        int64(si) * shardIDSpan,
-		EnergyBudgets:    b.cfg.EnergyBudgets,
 		BudgetThrottle:   b.cfg.BudgetThrottle,
 	}
 	for i, w := range workers {

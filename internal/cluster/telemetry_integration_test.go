@@ -108,7 +108,6 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	run := func(tel *telemetry.Telemetry) interface{} {
 		s, err := NewMicroFaaSSim(4, SimConfig{
 			Seed:        11,
-			Jitter:      0.05,
 			FailureRate: 0.15,
 			MaxAttempts: 3,
 			JobTimeout:  2 * time.Minute,

@@ -20,7 +20,6 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 		run := func(tr *tracing.Tracer) interface{} {
 			s, err := NewMicroFaaSSim(4, SimConfig{
 				Seed:        seed,
-				Jitter:      0.05,
 				FailureRate: 0.15,
 				MaxAttempts: 3,
 				JobTimeout:  2 * time.Minute,

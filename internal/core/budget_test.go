@@ -30,11 +30,11 @@ func TestEnergyBudgetAccountingAndExhaustion(t *testing.T) {
 	w := &jouleWorker{id: "w0", engine: e, service: 10 * time.Millisecond, joules: 10}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{w},
-		EnergyBudgets: map[string]float64{"F": 25},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.SetEnergyBudget("F", 25)
 	// Two 10 J jobs: 20 J spent, under the 25 J cap.
 	o.Submit("F", nil)
 	o.Submit("F", nil)
@@ -77,12 +77,12 @@ func TestBudgetThrottleHoldsSubmissions(t *testing.T) {
 	w := &jouleWorker{id: "w0", engine: e, service: 10 * time.Millisecond, joules: 10}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{w},
-		EnergyBudgets:  map[string]float64{"F": 5},
 		BudgetThrottle: hold,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.SetEnergyBudget("F", 5)
 	// Job 1 exhausts the 5 J budget on completion.
 	o.Submit("F", nil)
 	e.RunAll()
@@ -121,12 +121,12 @@ func TestBudgetThrottledJobAbandonedByDrain(t *testing.T) {
 	w := &jouleWorker{id: "w0", engine: e, service: 10 * time.Millisecond, joules: 10}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{w},
-		EnergyBudgets:  map[string]float64{"F": 5},
 		BudgetThrottle: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.SetEnergyBudget("F", 5)
 	o.Submit("F", nil)
 	e.RunAll()
 	fired := false

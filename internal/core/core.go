@@ -420,12 +420,11 @@ type Config struct {
 	// it behaves identically in sim and live modes.
 	JobTimeout time.Duration
 	// RetryBase enables exponential backoff between attempts: attempt n
-	// waits in [d/2, d] where d = min(RetryBase·2^(n-1), RetryMax), with
-	// the jitter drawn from the orchestrator's seeded RNG (sim runs stay
-	// deterministic). Zero keeps the immediate re-queue.
+	// waits in [d/2, d] where d = min(RetryBase·2^(n-1), max) and max is
+	// 30·RetryBase, at least 1s, with the jitter drawn from the
+	// orchestrator's seeded RNG (sim runs stay deterministic). Zero keeps
+	// the immediate re-queue.
 	RetryBase time.Duration
-	// RetryMax caps the backoff delay (default 30·RetryBase, at least 1s).
-	RetryMax time.Duration
 	// BreakerThreshold opens a worker's circuit breaker after this many
 	// consecutive failed attempts, ejecting it from assignment policies.
 	// Zero disables health-based ejection.
@@ -460,19 +459,13 @@ type Config struct {
 	// cluster's critical-path analysis shows which control plane owned
 	// each phase. Empty (the default) adds nothing.
 	ShardLabel string
-	// EnergyBudgets caps each listed function's metered joules
-	// (FaasMeter-style accounting: every attempt's worker-metered energy
-	// — including failed attempts — is charged to its function). A
-	// function that exhausts its budget is deprioritized by the
-	// energy-aware policy (no new node wakes on its behalf) and, when
-	// BudgetThrottle is set, has new submissions held before queueing.
-	// Nil or empty disables budget accounting entirely and leaves seeded
-	// runs byte-identical.
-	EnergyBudgets map[string]float64
 	// BudgetThrottle is how long a budget-exhausted function's new
-	// submissions are parked before they may enter a queue (each hold is
-	// recorded as a throttle span). Zero disables throttling: exhausted
-	// functions are then only deprioritized, never delayed.
+	// submissions (see SetEnergyBudget) are parked before they may enter
+	// a queue (each hold is recorded as a throttle span). Zero disables
+	// throttling: exhausted functions are then only deprioritized, never
+	// delayed. Settable although no binary sets it: deleting it would
+	// delete microfaas_budget_throttled_total, which the goldens and
+	// slolint's catalogue pin.
 	BudgetThrottle time.Duration
 }
 
@@ -647,7 +640,7 @@ func New(cfg Config) (*Orchestrator, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown assignment policy %d", int(cfg.Policy))
 	}
-	if cfg.JobTimeout < 0 || cfg.RetryBase < 0 || cfg.RetryMax < 0 ||
+	if cfg.JobTimeout < 0 || cfg.RetryBase < 0 ||
 		cfg.BreakerThreshold < 0 || cfg.BreakerProbe < 0 {
 		return nil, fmt.Errorf("core: negative failure-handling durations/thresholds")
 	}
@@ -655,15 +648,9 @@ func New(cfg Config) (*Orchestrator, error) {
 	if maxAttempts <= 0 {
 		maxAttempts = 1
 	}
-	retryMax := cfg.RetryMax
-	if cfg.RetryBase > 0 && retryMax == 0 {
-		retryMax = 30 * cfg.RetryBase
-		if retryMax < time.Second {
-			retryMax = time.Second
-		}
-	}
-	if retryMax > 0 && retryMax < cfg.RetryBase {
-		return nil, fmt.Errorf("core: RetryMax %v below RetryBase %v", retryMax, cfg.RetryBase)
+	retryMax := 30 * cfg.RetryBase
+	if cfg.RetryBase > 0 && retryMax < time.Second {
+		retryMax = time.Second
 	}
 	breakerProbe := cfg.BreakerProbe
 	if cfg.BreakerThreshold > 0 && breakerProbe == 0 {
@@ -674,11 +661,6 @@ func New(cfg Config) (*Orchestrator, error) {
 	}
 	if cfg.BudgetThrottle < 0 {
 		return nil, fmt.Errorf("core: negative BudgetThrottle %v", cfg.BudgetThrottle)
-	}
-	for fn, j := range cfg.EnergyBudgets {
-		if j <= 0 {
-			return nil, fmt.Errorf("core: non-positive energy budget %g J for %q", j, fn)
-		}
 	}
 	o := &Orchestrator{
 		runtime:          cfg.Runtime,
@@ -699,7 +681,7 @@ func New(cfg Config) (*Orchestrator, error) {
 		eligible:         make([]*workerSlot, 0, len(cfg.Workers)),
 		load:             make(loadIndex, 0, len(cfg.Workers)),
 		parked:           make(map[int64]*parkedRetry),
-		budgets:          make(map[string]*fnBudget, len(cfg.EnergyBudgets)),
+		budgets:          make(map[string]*fnBudget),
 		budgetThrottle:   cfg.BudgetThrottle,
 		throttled:        make(map[int64]*parkedThrottle),
 		callbacks:        make(map[int64]func(Result)),
@@ -718,16 +700,6 @@ func New(cfg Config) (*Orchestrator, error) {
 	}
 	o.nextIdx = len(cfg.Workers)
 	o.initTelemetry(cfg.Telemetry)
-	// Budgets seed in sorted order so their telemetry series appear in a
-	// deterministic first-seen order.
-	fns := make([]string, 0, len(cfg.EnergyBudgets))
-	for fn := range cfg.EnergyBudgets {
-		fns = append(fns, fn)
-	}
-	sort.Strings(fns)
-	for _, fn := range fns {
-		o.setBudgetLocked(fn, cfg.EnergyBudgets[fn])
-	}
 	return o, nil
 }
 
@@ -1337,7 +1309,7 @@ func (o *Orchestrator) resolveAttemptLocked(failedOn *workerSlot, job Job, res R
 }
 
 // retryDelayLocked computes attempt n's backoff: a jittered value in
-// [d/2, d] with d = min(RetryBase·2^(n-1), RetryMax). Zero when backoff is
+// [d/2, d] with d = min(RetryBase·2^(n-1), retryMax). Zero when backoff is
 // disabled. The jitter comes from the orchestrator's seeded RNG, so sim
 // runs remain deterministic. Caller holds o.mu.
 func (o *Orchestrator) retryDelayLocked(attempt int) time.Duration {

@@ -492,7 +492,6 @@ func TestFailureConfigValidation(t *testing.T) {
 		"negative timeout":   func(c *Config) { c.JobTimeout = -time.Second },
 		"negative base":      func(c *Config) { c.RetryBase = -time.Second },
 		"negative threshold": func(c *Config) { c.BreakerThreshold = -1 },
-		"max below base":     func(c *Config) { c.RetryBase = time.Second; c.RetryMax = time.Millisecond },
 	} {
 		cfg := base
 		mutate(&cfg)

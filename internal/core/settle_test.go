@@ -55,11 +55,11 @@ func TestSettleParity(t *testing.T) {
 		o, err := New(Config{
 			Runtime: SimRuntime{Engine: e}, Workers: []Worker{&w},
 			JobTimeout: time.Second, Telemetry: tel, Tracer: tr,
-			EnergyBudgets: map[string]float64{"F": 100},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		o.SetEnergyBudget("F", 100)
 		var final Result
 		id := o.SubmitAsync("F", nil, func(r Result) { final = r })
 		e.RunAll()

@@ -67,11 +67,12 @@ func TestSettleGoldenPR14(t *testing.T) {
 		BreakerProbe:     1000 * time.Hour, // a wedged sim worker never comes back
 		Telemetry:        tel,
 		Tracer:           tr,
-		EnergyBudgets:    map[string]float64{"CascSHA": 8, "MatMul": 1e6},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Orch.SetEnergyBudget("CascSHA", 8)
+	s.Orch.SetEnergyBudget("MatMul", 1e6)
 	coll, err := s.RunSuite(1, []string{"CascSHA", "MatMul", "RegExMatch", "RedisInsert", "HTMLGen"})
 	if err != nil {
 		t.Fatal(err)

@@ -138,14 +138,14 @@ func (c *Controller) Tick(now time.Duration) {
 	declining := aheadSum < ewmaSum
 	switch c.mode {
 	case ModePredictive:
-		if errRatio > c.pol.ErrLimit {
+		if errRatio > DefaultErrLimit {
 			c.mode = ModeFallback
 			c.goodTicks = 0
 			c.fallbacks++
 			c.m.fallbacks.Inc()
 		}
 	case ModeFallback:
-		if errRatio <= c.pol.ErrRecover {
+		if errRatio <= DefaultErrRecover {
 			c.goodTicks++
 			if c.goodTicks >= c.pol.RecoverTicks {
 				c.mode = ModePredictive

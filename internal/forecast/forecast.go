@@ -39,7 +39,9 @@ import (
 	"time"
 )
 
-// Defaults for Policy zero values.
+// The predictor's and controller's tuning. Tick, Horizon, CycleTime,
+// Period and RecoverTicks are the defaults for Policy zero values; the
+// rest are fixed.
 const (
 	// DefaultTick is the controller's tick cadence.
 	DefaultTick = 5 * time.Second
@@ -81,10 +83,8 @@ type Policy struct {
 	Tick time.Duration
 	// Horizon is the look-ahead: wake latency plus safety margin
 	// (default DefaultHorizon). Predictions made now are for now+Horizon.
+	// Settable because the controller tests run a 1 s horizon.
 	Horizon time.Duration
-	// Margin multiplies the summed worker demand before rounding up —
-	// the pre-wake headroom (dimensionless, default DefaultMargin).
-	Margin float64
 	// CycleTime is the mean per-invocation service time used to convert
 	// predicted arrival rate into worker demand (Little's law: workers =
 	// rate × CycleTime; default DefaultCycleTime).
@@ -92,22 +92,10 @@ type Policy struct {
 	// Period is the diurnal histogram's cycle (default DefaultPeriod;
 	// experiments pass their trace's day length).
 	Period time.Duration
-	// Bins is the histogram resolution per period (default DefaultBins).
-	Bins int
-	// ErrLimit is the fallback threshold on the rate-weighted error
-	// ratio (default DefaultErrLimit).
-	ErrLimit float64
-	// ErrRecover is the re-engage threshold (default DefaultErrRecover).
-	ErrRecover float64
 	// RecoverTicks is how many consecutive good ticks re-engage
-	// predictive mode (default DefaultRecoverTicks).
+	// predictive mode (default DefaultRecoverTicks). Settable because the
+	// controller tests recover after 2.
 	RecoverTicks int
-	// ErrAlpha smooths the per-function error EWMA (default
-	// DefaultErrAlpha).
-	ErrAlpha float64
-	// ErrFloor is the rate (per second) below which errors are not
-	// scored (default DefaultErrFloor).
-	ErrFloor float64
 	// MaxWorkers caps the warm-pool target in nodes (0 = uncapped;
 	// callers normally pass the cluster size).
 	MaxWorkers int
@@ -126,32 +114,14 @@ func (p Policy) withDefaults() Policy {
 	if p.Horizon <= 0 {
 		p.Horizon = DefaultHorizon
 	}
-	if p.Margin <= 0 {
-		p.Margin = DefaultMargin
-	}
 	if p.CycleTime <= 0 {
 		p.CycleTime = DefaultCycleTime
 	}
 	if p.Period <= 0 {
 		p.Period = DefaultPeriod
 	}
-	if p.Bins <= 0 {
-		p.Bins = DefaultBins
-	}
-	if p.ErrLimit <= 0 {
-		p.ErrLimit = DefaultErrLimit
-	}
-	if p.ErrRecover <= 0 {
-		p.ErrRecover = DefaultErrRecover
-	}
 	if p.RecoverTicks <= 0 {
 		p.RecoverTicks = DefaultRecoverTicks
-	}
-	if p.ErrAlpha <= 0 || p.ErrAlpha > 1 {
-		p.ErrAlpha = DefaultErrAlpha
-	}
-	if p.ErrFloor <= 0 {
-		p.ErrFloor = DefaultErrFloor
 	}
 	return p
 }
@@ -237,9 +207,9 @@ func NewPredictor(pol Policy) *Predictor {
 func (p *Predictor) binOf(at time.Duration) int {
 	period := p.pol.Period
 	phase := at % period
-	b := int(float64(phase) / float64(period) * float64(p.pol.Bins))
-	if b >= p.pol.Bins {
-		b = p.pol.Bins - 1
+	b := int(float64(phase) / float64(period) * float64(DefaultBins))
+	if b >= DefaultBins {
+		b = DefaultBins - 1
 	}
 	return b
 }
@@ -263,10 +233,10 @@ func (p *Predictor) Observe(now time.Duration, samples []Sample) {
 		if !ok {
 			st = &fnState{
 				name:      smp.Function,
-				histSum:   make([]float64, p.pol.Bins),
-				histCnt:   make([]int, p.pol.Bins),
-				curSum:    make([]float64, p.pol.Bins),
-				curCnt:    make([]int, p.pol.Bins),
+				histSum:   make([]float64, DefaultBins),
+				histCnt:   make([]int, DefaultBins),
+				curSum:    make([]float64, DefaultBins),
+				curCnt:    make([]int, DefaultBins),
 				curPeriod: int64(now / p.pol.Period),
 			}
 			p.byFn[smp.Function] = st
@@ -325,13 +295,13 @@ func (p *Predictor) Observe(now time.Duration, samples []Sample) {
 		for len(p.aggPending) > 0 && p.aggPending[0].due <= now {
 			pred := p.aggPending[0]
 			p.aggPending = p.aggPending[1:]
-			if pred.rate >= p.pol.ErrFloor || total >= p.pol.ErrFloor {
+			if pred.rate >= DefaultErrFloor || total >= DefaultErrFloor {
 				e := math.Abs(pred.rate-total) / ((pred.rate + total) / 2)
 				if !p.aggSeeded {
 					p.aggErr = e
 					p.aggSeeded = true
 				} else {
-					p.aggErr = p.pol.ErrAlpha*e + (1-p.pol.ErrAlpha)*p.aggErr
+					p.aggErr = DefaultErrAlpha*e + (1-DefaultErrAlpha)*p.aggErr
 				}
 			}
 		}
@@ -355,7 +325,7 @@ func (p *Predictor) Observe(now time.Duration, samples []Sample) {
 // scoreLocked folds one resolved prediction into the function's error
 // EWMA. Near-zero rates are not scored: sMAPE at the floor is noise.
 func (p *Predictor) scoreLocked(st *fnState, pred, actual float64) {
-	if pred < p.pol.ErrFloor && actual < p.pol.ErrFloor {
+	if pred < DefaultErrFloor && actual < DefaultErrFloor {
 		return
 	}
 	e := math.Abs(pred-actual) / ((pred + actual) / 2)
@@ -363,7 +333,7 @@ func (p *Predictor) scoreLocked(st *fnState, pred, actual float64) {
 		st.errEWMA = e
 		st.errSeeded = true
 	} else {
-		st.errEWMA = p.pol.ErrAlpha*e + (1-p.pol.ErrAlpha)*st.errEWMA
+		st.errEWMA = DefaultErrAlpha*e + (1-DefaultErrAlpha)*st.errEWMA
 	}
 }
 
@@ -424,7 +394,7 @@ func (p *Predictor) Predict(now time.Duration) ([]FunctionForecast, int) {
 	}
 	// The epsilon keeps a float residual (e.g. a decayed-to-nothing
 	// slope term) from bumping an exact integer demand up a node.
-	target := int(math.Ceil(demand*p.pol.Margin - 1e-6))
+	target := int(math.Ceil(demand*DefaultMargin - 1e-6))
 	if target < 0 {
 		target = 0
 	}
@@ -448,7 +418,7 @@ func (p *Predictor) ErrorRatio() float64 {
 	}
 	var wsum, esum float64
 	for _, st := range p.order {
-		if !st.errSeeded || st.activity < p.pol.ErrFloor {
+		if !st.errSeeded || st.activity < DefaultErrFloor {
 			continue
 		}
 		esum += st.activity * st.errEWMA

@@ -37,7 +37,7 @@ func TestColdStartEmptyHistory(t *testing.T) {
 }
 
 func TestStepTraceConvergesToLittleLaw(t *testing.T) {
-	p := NewPredictor(Policy{Horizon: 2 * time.Second, Margin: 1.25, CycleTime: time.Second})
+	p := NewPredictor(Policy{Horizon: 2 * time.Second, CycleTime: time.Second})
 	// Quiet, then a step to 4/s.
 	now := tickN(p, 0, 10, func(i int) float64 { return 0 })
 	now = tickN(p, now, 30, func(i int) float64 { return 4 })
@@ -84,7 +84,7 @@ func TestRampTraceExtrapolatesAhead(t *testing.T) {
 
 func TestDiurnalPriorAnticipatesRepeatedRamp(t *testing.T) {
 	const period = 100 * time.Second
-	pol := Policy{Horizon: 2 * time.Second, Period: period, Bins: 10}
+	pol := Policy{Horizon: 2 * time.Second, Period: period}
 	// Square diurnal shape: 1/s in the first half of the period, 9/s in
 	// the second.
 	shape := func(i int) float64 {
@@ -152,7 +152,7 @@ func TestClockSkewDropsNonAdvancingSamples(t *testing.T) {
 }
 
 func TestPredictRespectsMaxWorkers(t *testing.T) {
-	p := NewPredictor(Policy{CycleTime: time.Second, Margin: 1, MaxWorkers: 3})
+	p := NewPredictor(Policy{CycleTime: time.Second, MaxWorkers: 3})
 	now := tickN(p, 0, 10, func(i int) float64 { return 50 })
 	if _, target := p.Predict(now); target != 3 {
 		t.Fatalf("target = %d, want capped at 3", target)

@@ -59,9 +59,10 @@ func newAsyncTable(t testing.TB) *asyncTable {
 		t.Fatal(err)
 	}
 	a := &asyncTable{t: t, tel: telemetry.New(), parked: make(chan struct{}), callbacks: map[int64]func(core.Result){}}
-	if a.gw, err = NewWithOptions(orch, Options{Timeout: time.Second, Telemetry: a.tel}); err != nil {
+	if a.gw, err = NewWithOptions(orch, Options{Telemetry: a.tel}); err != nil {
 		t.Fatal(err)
 	}
+	a.gw.timeout = time.Second
 	a.h = a.gw.Handler()
 	a.gw.now = func() time.Time {
 		a.clk.Lock()

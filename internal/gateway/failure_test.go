@@ -24,7 +24,7 @@ func TestQueuedMsReportsWaitNotTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{Timeout: 30 * time.Second})
+	gw, err := NewWithOptions(l.Orch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +80,37 @@ func TestQueuedMsReportsWaitNotTotal(t *testing.T) {
 		if out.TotalLatencyMs < out.QueuedMs+out.TotalMs-1 {
 			t.Fatalf("total_latency_ms %.1f < queued %.1f + cycle %.1f", out.TotalLatencyMs, out.QueuedMs, out.TotalMs)
 		}
+	}
+}
+
+// TestSyncInvokeTimeoutLeavesJobRunning drives the sync wait past its
+// bound: the client gets 504, and the job, which outlasts the wait by its
+// boot delay alone, still completes and lands in the collector.
+func TestSyncInvokeTimeoutLeavesJobRunning(t *testing.T) {
+	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 1, Seed: 9, BootDelay: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	gw, err := NewWithOptions(l.Orch, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.timeout = 20 * time.Millisecond
+	addr, err := gw.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() }) //nolint:errcheck
+
+	resp, out := postInvoke(t, "http://"+addr, `{"function":"CascSHA","args":{"rounds":3,"seed":"late"}}`)
+	if resp.StatusCode != http.StatusGatewayTimeout || out.Error != "invocation timed out" {
+		t.Fatalf("sync invoke past the wait → %d %+v, want 504 invocation timed out", resp.StatusCode, out)
+	}
+	l.Orch.Quiesce()
+	recs := l.Orch.Collector().Records()
+	if len(recs) != 1 || recs[0].Function != "CascSHA" || recs[0].Err != "" {
+		t.Fatalf("records after the 504 = %+v, want the job completed", recs)
 	}
 }
 

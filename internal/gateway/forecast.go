@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"microfaas/internal/core"
+	"microfaas/internal/workload"
 )
 
 // shardBudgets is one shard's energy-budget rows inside the /budgets
@@ -50,6 +51,12 @@ func (s *Server) handleBudgets(w http.ResponseWriter, r *http.Request) {
 		}
 		if req.Function == "" {
 			writeError(w, http.StatusBadRequest, "function name required")
+			return
+		}
+		// Each budgeted name adds per-shard gauges the registry never
+		// drops, so only a function that exists may have one.
+		if _, err := workload.Get(req.Function); err != nil {
+			writeError(w, http.StatusNotFound, err.Error())
 			return
 		}
 		for _, sh := range s.shards {

@@ -34,7 +34,7 @@ func startForecastGateway(t *testing.T) (base string, ctl *forecast.Controller, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := NewWithOptions(l.Orch, Options{Timeout: 30 * time.Second, Forecast: ctl})
+	gw, err := NewWithOptions(l.Orch, Options{Forecast: ctl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,5 +139,22 @@ func TestBudgetsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("POST /budgets without function → %d, want 400", resp.StatusCode)
+	}
+	// A name the suite does not have is 404, as on /invoke, and leaves no
+	// budget (and so no per-name gauges) behind.
+	resp, err = http.Post(base+"/budgets", "application/json",
+		bytes.NewReader([]byte(`{"function":"nope-1","limit_j":5}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /budgets for an unknown function → %d, want 404", resp.StatusCode)
+	}
+	if resp, err = http.Get(base + "/budgets"); err != nil {
+		t.Fatal(err)
+	}
+	if rows := decodeLoneBudgets(t, resp); len(rows) != 0 {
+		t.Fatalf("budgets after an unknown name = %+v, want none", rows)
 	}
 }

@@ -205,10 +205,12 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
+// syncTimeout bounds a synchronous invocation wait; past it the client
+// gets 504 while the job runs on.
+const syncTimeout = 5 * time.Minute
+
 // Options configures a Server beyond the orchestrator it fronts.
 type Options struct {
-	// Timeout bounds a synchronous invocation wait (default 5 minutes).
-	Timeout time.Duration
 	// Mode labels the cluster behind the gateway — "sim" or "live" — in
 	// the /healthz body (default "live").
 	Mode string
@@ -227,10 +229,6 @@ type Options struct {
 	// default: the profiler exposes heap and goroutine internals, so it is
 	// strictly opt-in).
 	EnablePprof bool
-	// ShardID overrides the shard label reported in /healthz. Defaults to
-	// the fronted orchestrator's core.Config.ShardLabel ("" when
-	// unsharded, or when the gateway fronts a whole plane).
-	ShardID string
 	// Forecast, when set, backs GET /forecast with the prediction
 	// controller's live snapshot. Without it the route answers 404.
 	Forecast *forecast.Controller
@@ -272,6 +270,8 @@ type Server struct {
 	submit  func(req InvokeRequest, args []byte, cb func(core.Result)) int64
 	metrics func(io.Writer) error
 
+	// timeout is syncTimeout; in-package tests shorten it. shardID is the
+	// /healthz shard label: the lone orchestrator's, or "" for a plane.
 	timeout  time.Duration
 	mode     string
 	shardID  string
@@ -310,10 +310,8 @@ func NewWithOptions(orch *core.Orchestrator, opts Options) (*Server, error) {
 	if orch == nil {
 		return nil, fmt.Errorf("gateway: orchestrator required")
 	}
-	if opts.ShardID == "" {
-		opts.ShardID = orch.ShardLabel()
-	}
 	s := newServer(opts, []shardRef{{label: orch.ShardLabel(), orch: orch, tel: opts.Telemetry}}, opts.Telemetry.Registry())
+	s.shardID = orch.ShardLabel()
 	s.submit = func(req InvokeRequest, args []byte, cb func(core.Result)) int64 {
 		return orch.SubmitAsync(req.Function, args, cb)
 	}
@@ -357,18 +355,14 @@ func NewSharded(plane *shard.Plane, opts Options) (*Server, error) {
 // routes. reg is the registry /metrics serves first (nil when telemetry is
 // off): the gateway's own metrics go there.
 func newServer(opts Options, shards []shardRef, reg *telemetry.Registry) *Server {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Minute
-	}
 	if opts.Mode == "" {
 		opts.Mode = "live"
 	}
 	const expiredHelp = "Async rows dropped at RetainAsync, by the state they were in: a result nobody collected (done) or a job whose completion never came (pending)."
 	s := &Server{
 		shards:   shards,
-		timeout:  opts.Timeout,
+		timeout:  syncTimeout,
 		mode:     opts.Mode,
-		shardID:  opts.ShardID,
 		tracer:   opts.Tracer,
 		tsdb:     opts.TSDB,
 		forecast: opts.Forecast,

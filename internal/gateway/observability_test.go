@@ -15,17 +15,16 @@ import (
 	"microfaas/internal/tsdb"
 )
 
-// startObservedShardedGateway boots two live shards (tiny event rings so
-// overwrite paths are reachable), fronts them with a sharded gateway, and
-// attaches a time-series store scraping both shard registries. The store
-// is scraped manually — tests control the clock.
-func startObservedShardedGateway(t *testing.T, eventCap int) (base string, plane *shard.Plane, store *tsdb.Store, tels []*telemetry.Telemetry) {
+// startObservedShardedGateway boots two live shards, fronts them with a
+// sharded gateway, and attaches a time-series store scraping both shard
+// registries. The store is scraped manually — tests control the clock.
+func startObservedShardedGateway(t *testing.T) (base string, plane *shard.Plane, store *tsdb.Store, tels []*telemetry.Telemetry) {
 	t.Helper()
 	labels := []string{"shard-00", "shard-01"}
 	lives := make([]*cluster.Live, 2)
 	tels = make([]*telemetry.Telemetry, 2)
 	for i := range lives {
-		tels[i] = telemetry.NewWithConfig(telemetry.Config{EventCapacity: eventCap})
+		tels[i] = telemetry.New()
 		l, err := cluster.StartLive(cluster.LiveOptions{
 			Workers:    2,
 			Seed:       int64(11 + i),
@@ -47,7 +46,7 @@ func startObservedShardedGateway(t *testing.T, eventCap int) (base string, plane
 	for i, tel := range tels {
 		store.AddSource(labels[i], tel.Registry())
 	}
-	gw, err := NewSharded(plane, Options{Timeout: 30 * time.Second, Mode: "live", TSDB: store})
+	gw, err := NewSharded(plane, Options{Mode: "live", TSDB: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func startObservedShardedGateway(t *testing.T, eventCap int) (base string, plane
 }
 
 func TestQueryEndpointMergesShards(t *testing.T) {
-	base, _, store, _ := startObservedShardedGateway(t, 0)
+	base, _, store, _ := startObservedShardedGateway(t)
 
 	// Baseline scrape, traffic, follow-up scrape: the counter increase
 	// across the window is exactly the invocations driven in between.
@@ -135,6 +134,7 @@ func TestQueryEndpointMergesShards(t *testing.T) {
 	for _, bad := range []string{
 		"/query?metric=depth&window=abc",
 		"/query?metric=depth&op=quantile&q=nope",
+		"/query?metric=depth&op=quantile&q=NaN",
 		"/query?metric=depth&label=nokey",
 		"/query?metric=depth&op=median",
 		"/query?op=last", // metric missing
@@ -174,7 +174,7 @@ func TestSLOAndAlertsEndpoints(t *testing.T) {
 	if err := store.SetRules([]tsdb.Rule{rule}); err != nil {
 		t.Fatal(err)
 	}
-	gw, err := NewWithOptions(l.Orch, Options{Timeout: 30 * time.Second, TSDB: store})
+	gw, err := NewWithOptions(l.Orch, Options{TSDB: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestObservabilityEndpointsDisabledWithoutStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{Timeout: 30 * time.Second})
+	gw, err := NewWithOptions(l.Orch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,27 +284,31 @@ func shardKeys(t *testing.T, plane *shard.Plane) []string {
 	return keys
 }
 
-// TestShardedEventsRingOverwritePaging drives each shard's tiny event
-// ring past capacity, then checks the merged /events page: survivors
-// only, loss accounted as the sum of every shard's overwrite gap, and a
-// vector cursor that resumes exactly — including a cursor taken before
-// the overwrite happened.
+// TestShardedEventsRingOverwritePaging drives each shard's event ring
+// past capacity, then checks the merged /events stream: survivors only,
+// loss accounted as the sum of every shard's overwrite gap, and a vector
+// cursor that resumes exactly — including a cursor taken before the
+// overwrite happened.
 func TestShardedEventsRingOverwritePaging(t *testing.T) {
-	base, plane, _, tels := startObservedShardedGateway(t, 4)
+	const maxPage = 4096 // the largest page /events serves
+	base, plane, _, tels := startObservedShardedGateway(t)
 	keys := shardKeys(t, plane)
 
-	// One invocation emits a full lifecycle (6+ events), overflowing a
-	// 4-slot ring; drive one through each shard.
+	// One invocation emits a full lifecycle (6+ events); drive one through
+	// each shard, then a ring's worth of cluster-level events after it.
 	for _, key := range keys {
 		body := `{"function":"CascSHA","args":{"rounds":3,"seed":"ev"},"key":"` + key + `"}`
 		if resp, out := postInvoke(t, base, body); resp.StatusCode != http.StatusOK || out.Error != "" {
 			t.Fatalf("invoke %s: status %d, %+v", key, resp.StatusCode, out)
 		}
 	}
+	for _, tel := range tels {
+		emitRing(tel)
+	}
 	var survivors int
 	var wantDropped int64
 	for i, tel := range tels {
-		evs, gap, _ := tel.Events().Page(-1, 4096)
+		evs, gap, _ := tel.Events().Page(-1, maxPage)
 		if gap == 0 {
 			t.Fatalf("shard %d ring never overwrote (%d events)", i, len(evs))
 		}
@@ -312,21 +316,56 @@ func TestShardedEventsRingOverwritePaging(t *testing.T) {
 		wantDropped += gap
 	}
 
+	// readAll chains pages of at most max from since until one comes back
+	// empty: the events, the first page, and the cursor it ended at. (A
+	// shard whose cursor has not yet passed its overwritten range
+	// re-reports that gap on each page — loss is relative to the
+	// request's cursor — so Dropped is bounded by the fresh-poller figure,
+	// not zero.) Passing the final cursor back reads nothing and loses
+	// nothing.
+	readAll := func(since string, max int64) (events []ShardEvent, first EventsResponse, cursor string) {
+		t.Helper()
+		cursor = since
+		for i := 0; ; i++ {
+			var p EventsResponse
+			getJSON(t, base+"/events?since="+cursor+"&max="+itoa(max), &p)
+			if i == 0 {
+				first = p
+			}
+			if int64(len(p.Events)) > max {
+				t.Fatalf("page exceeded max: %d events", len(p.Events))
+			}
+			if p.Dropped > wantDropped {
+				t.Fatalf("page reported more loss than the rings overwrote: %+v", p)
+			}
+			if len(p.Events) == 0 {
+				if i > 0 && (p.Dropped != 0 || p.Cursor != cursor) {
+					t.Fatalf("caught-up page = %+v", p)
+				}
+				return events, first, cursor
+			}
+			if i > survivors {
+				t.Fatalf("%d pages from %s never caught up", i, since)
+			}
+			events = append(events, p.Events...)
+			cursor = p.Cursor
+		}
+	}
+
 	// A fresh poller gets every survivor, the exact merged loss, and a
 	// per-shard cursor.
-	var page EventsResponse
-	getJSON(t, base+"/events?max=4096", &page)
-	if len(page.Events) != survivors {
-		t.Fatalf("merged page has %d events, want %d survivors", len(page.Events), survivors)
+	all, page, end := readAll("-1", maxPage)
+	if len(all) != survivors {
+		t.Fatalf("merged pages have %d events, want %d survivors", len(all), survivors)
 	}
 	if page.Dropped != wantDropped {
 		t.Fatalf("dropped = %d, want %d (summed per-shard gaps)", page.Dropped, wantDropped)
 	}
-	if parts := strings.Split(page.Cursor, ","); len(parts) != 2 {
-		t.Fatalf("cursor %q is not a 2-shard vector", page.Cursor)
+	if parts := strings.Split(end, ","); len(parts) != 2 {
+		t.Fatalf("cursor %q is not a 2-shard vector", end)
 	}
-	for i := 1; i < len(page.Events); i++ {
-		a, b := page.Events[i-1], page.Events[i]
+	for i := 1; i < len(all); i++ {
+		a, b := all[i-1], all[i]
 		if a.AtMs > b.AtMs {
 			t.Fatalf("merged events out of time order: %+v before %+v", a, b)
 		}
@@ -335,57 +374,30 @@ func TestShardedEventsRingOverwritePaging(t *testing.T) {
 		}
 	}
 
-	// Passing the cursor back reads nothing and loses nothing.
-	var tail EventsResponse
-	getJSON(t, base+"/events?since="+page.Cursor+"&max=4096", &tail)
-	if len(tail.Events) != 0 || tail.Dropped != 0 || tail.Cursor != page.Cursor {
-		t.Fatalf("caught-up page = %+v", tail)
-	}
-
 	// Regression: a cursor taken before the rings overwrote (seq 0 on
 	// both shards) still accounts the loss exactly — the events between
 	// the cursor and each ring's oldest survivor.
-	var span EventsResponse
-	getJSON(t, base+"/events?since=0,0&max=4096", &span)
+	spanEvents, span, _ := readAll("0,0", maxPage)
 	var wantSpanDropped int64
 	wantSpanEvents := 0
 	for _, tel := range tels {
-		evs, gap, _ := tel.Events().Page(0, 4096)
+		evs, gap, _ := tel.Events().Page(0, maxPage)
 		wantSpanDropped += gap
 		wantSpanEvents += len(evs)
 	}
-	if span.Dropped != wantSpanDropped || len(span.Events) != wantSpanEvents {
+	if span.Dropped != wantSpanDropped || len(spanEvents) != wantSpanEvents {
 		t.Fatalf("overwrite-spanning cursor: dropped=%d events=%d, want %d/%d",
-			span.Dropped, len(span.Events), wantSpanDropped, wantSpanEvents)
+			span.Dropped, len(spanEvents), wantSpanDropped, wantSpanEvents)
 	}
 
 	// Small pages chained by cursor reassemble the full stream with no
-	// duplicates. (A shard whose cursor has not yet passed its
-	// overwritten range re-reports that gap on each page — loss is
-	// relative to the request's cursor — so Dropped is bounded by the
-	// fresh-poller figure, not zero.)
-	var got []ShardEvent
-	cursor := "-1"
-	for i := 0; i < 20; i++ {
-		var p EventsResponse
-		getJSON(t, base+"/events?since="+cursor+"&max=3", &p)
-		if len(p.Events) == 0 {
-			break
-		}
-		if len(p.Events) > 3 {
-			t.Fatalf("page exceeded max: %d events", len(p.Events))
-		}
-		if p.Dropped > wantDropped {
-			t.Fatalf("page reported more loss than the rings overwrote: %+v", p)
-		}
-		got = append(got, p.Events...)
-		cursor = p.Cursor
-	}
+	// duplicates.
+	got, _, cursor := readAll("-1", 1000)
 	if len(got) != survivors {
 		t.Fatalf("chained pages yielded %d events, want %d", len(got), survivors)
 	}
-	if cursor != page.Cursor {
-		t.Fatalf("chained cursor ended at %q, full page at %q", cursor, page.Cursor)
+	if cursor != end {
+		t.Fatalf("chained cursor ended at %q, full pages at %q", cursor, end)
 	}
 	seen := map[string]bool{}
 	for _, ev := range got {

@@ -25,7 +25,7 @@ func startManagedGateway(t *testing.T) (base string, l *cluster.Live) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{Timeout: 30 * time.Second})
+	gw, err := NewWithOptions(l.Orch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

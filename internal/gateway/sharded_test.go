@@ -39,7 +39,7 @@ func startShardedGateway(t *testing.T) (base string, plane *shard.Plane) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := NewSharded(plane, Options{Timeout: 30 * time.Second, Mode: "live"})
+	gw, err := NewSharded(plane, Options{Mode: "live"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func startBothFronts(t *testing.T) (fronts map[string]string, l *cluster.Live, t
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	lone, err := NewWithOptions(l.Orch, Options{Timeout: 30 * time.Second, Telemetry: tel})
+	lone, err := NewWithOptions(l.Orch, Options{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func startBothFronts(t *testing.T) (fronts map[string]string, l *cluster.Live, t
 		t.Fatal(err)
 	}
 	t.Cleanup(plane.Close)
-	sharded, err := NewSharded(plane, Options{Timeout: 30 * time.Second})
+	sharded, err := NewSharded(plane, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

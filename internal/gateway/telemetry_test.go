@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"microfaas/internal/cluster"
 	"microfaas/internal/telemetry"
@@ -24,7 +23,7 @@ func startTelemetryGateway(t *testing.T) (base string, tel *telemetry.Telemetry)
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{Timeout: 30 * time.Second, Telemetry: tel})
+	gw, err := NewWithOptions(l.Orch, Options{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

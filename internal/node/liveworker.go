@@ -49,15 +49,12 @@ type LiveWorkerConfig struct {
 	// BootDelay simulates the worker-OS reboot before each job. The
 	// BeagleBone value is 1.51 s; tests usually shrink or zero it.
 	BootDelay time.Duration
-	// Meter optionally receives wall-clock power accounting using Clock.
+	// Meter optionally receives wall-clock power accounting using Clock,
+	// at power.DefaultSBCModel's draws.
 	Meter *power.Meter
-	// SBC is the power model used with Meter (default DefaultSBCModel).
-	SBC *power.SBCModel
 	// Clock is the cluster clock for meter timestamps (required when
 	// Meter is set); typically core.WallRuntime.Now.
 	Clock func() time.Duration
-	// InvokeTimeout bounds one invocation round trip (default 2 minutes).
-	InvokeTimeout time.Duration
 	// Faults, when set, injects hang/error/slow faults into this worker's
 	// invocations (see FaultSpec).
 	Faults *FaultSpec
@@ -134,15 +131,10 @@ func StartLiveWorker(cfg LiveWorkerConfig) (*LiveWorker, error) {
 	if cfg.GPIO != nil && !cfg.Managed {
 		return nil, fmt.Errorf("node: live worker %s: GPIO audit logging requires managed mode", cfg.ID)
 	}
-	w := &LiveWorker{cfg: cfg, quit: make(chan struct{}), state: power.Off}
+	w := &LiveWorker{cfg: cfg, sbc: power.DefaultSBCModel(), quit: make(chan struct{}), state: power.Off}
 	w.m = newWorkerMetrics(cfg.Telemetry, cfg.ID)
 	if cfg.Faults != nil {
 		w.rng = rand.New(rand.NewSource(cfg.Faults.Seed))
-	}
-	if cfg.SBC != nil {
-		w.sbc = *cfg.SBC
-	} else {
-		w.sbc = power.DefaultSBCModel()
 	}
 	w.srv.Name = "node: live worker " + cfg.ID
 	w.srv.Serve = w.serveConn
@@ -472,13 +464,13 @@ func (w *LiveWorker) invokeLoop() {
 	}
 }
 
+// invokeTimeout bounds one invocation round trip over the worker's
+// connection.
+const invokeTimeout = 2 * time.Minute
+
 // invoke performs one invocation over the persistent connection and
 // settles it through done exactly once.
 func (w *LiveWorker) invoke(job core.Job, done func(core.Result)) {
-	timeout := w.cfg.InvokeTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Minute
-	}
 	var started time.Duration
 	var energyStart power.Joules
 	if w.dev != nil || w.cfg.Managed {
@@ -496,7 +488,7 @@ func (w *LiveWorker) invoke(job core.Job, done func(core.Result)) {
 	resp, err := w.pc.Invoke(proto.Request{
 		JobID: job.ID, Function: job.Function, Args: job.Args,
 		TraceID: traceID, ParentSpan: parentSpan, Attempt: job.Attempt,
-	}, timeout)
+	}, invokeTimeout)
 	res := core.Result{Job: job, WorkerID: w.cfg.ID, StartedAt: started}
 	if err != nil {
 		res.Err = err.Error()

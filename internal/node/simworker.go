@@ -30,8 +30,6 @@ type SimWorkerConfig struct {
 	// Meter receives power accounting; optional. VM workers do not report
 	// to the meter themselves — their host RackServer does.
 	Meter *power.Meter
-	// SBC is the power model for ARM workers (default power.DefaultSBCModel).
-	SBC *power.SBCModel
 	// Server hosts X86 workers; required for X86, must be nil for ARM.
 	Server *RackServer
 	// Jitter is the half-width of the uniform relative perturbation
@@ -128,16 +126,11 @@ func NewSimWorker(cfg SimWorkerConfig) (*SimWorker, error) {
 	if cfg.Platform == model.ARM && cfg.Server != nil {
 		return nil, fmt.Errorf("node: SBC worker %s cannot have a rack server", cfg.ID)
 	}
-	w := &SimWorker{cfg: cfg}
+	w := &SimWorker{cfg: cfg, sbc: power.DefaultSBCModel()}
 	if cfg.Link != nil {
 		w.link = *cfg.Link
 	} else {
 		w.link = model.DefaultWorkerLink(cfg.Platform)
-	}
-	if cfg.SBC != nil {
-		w.sbc = *cfg.SBC
-	} else {
-		w.sbc = power.DefaultSBCModel()
 	}
 	if cfg.BootTime > 0 {
 		w.boot = cfg.BootTime

@@ -24,9 +24,10 @@
 //     virtual delay; live: a real wall-clock delay), and the orchestrator
 //     records it as a `boot` span on the invocation's critical path.
 //   - Power capping: CapW bounds the cluster's worst-case draw by limiting
-//     how many nodes may be powered simultaneously (CapW / NodeW, both in
-//     watts). Wakes beyond the cap park in a FIFO queue — backpressure the
-//     submitting jobs feel as queue wait — and start as capacity frees.
+//     how many nodes may be powered simultaneously (CapW over one node's
+//     1.96 W busy draw). Wakes beyond the cap park in a FIFO queue —
+//     backpressure the submitting jobs feel as queue wait — and start as
+//     capacity frees.
 //   - Predictive warm floor (SetWarmTarget): a forecast controller
 //     (internal/forecast) may steer the manager ahead of demand —
 //     pre-waking nodes before a load ramp so jobs land on warm workers,
@@ -91,11 +92,8 @@ type Policy struct {
 	MinUp time.Duration
 	// CapW is the optional cluster-wide power budget in watts (0 = no
 	// cap). The manager bounds simultaneously-powered nodes to
-	// floor(CapW/NodeW), never below 1.
+	// floor(CapW / 1.96 W), the paper SBC's busy draw, never below 1.
 	CapW power.Watts
-	// NodeW is one node's budgeted worst-case draw in watts used for cap
-	// accounting (default: the paper SBC's busy draw, 1.96 W).
-	NodeW power.Watts
 }
 
 // Pre-sleep damping. Forecast-driven floors make the reactive idle timeout
@@ -198,7 +196,6 @@ type Manager struct {
 	rt          Runtime
 	idleTimeout time.Duration
 	minUp       time.Duration
-	nodeW       power.Watts
 
 	mu       sync.Mutex
 	nodes    map[string]*managed
@@ -228,7 +225,7 @@ func New(cfg Config) (*Manager, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("powermgr: at least one node is required")
 	}
-	if cfg.Policy.IdleTimeout < 0 || cfg.Policy.MinUp < 0 || cfg.Policy.CapW < 0 || cfg.Policy.NodeW < 0 {
+	if cfg.Policy.IdleTimeout < 0 || cfg.Policy.MinUp < 0 || cfg.Policy.CapW < 0 {
 		return nil, fmt.Errorf("powermgr: negative policy values")
 	}
 	idle := cfg.Policy.IdleTimeout
@@ -239,15 +236,10 @@ func New(cfg Config) (*Manager, error) {
 	if minUp == 0 {
 		minUp = 5 * time.Second
 	}
-	nodeW := cfg.Policy.NodeW
-	if nodeW == 0 {
-		nodeW = power.DefaultSBCModel().BusyW
-	}
 	m := &Manager{
 		rt:          cfg.Runtime,
 		idleTimeout: idle,
 		minUp:       minUp,
-		nodeW:       nodeW,
 		capW:        cfg.Policy.CapW,
 		nodes:       make(map[string]*managed, len(cfg.Nodes)),
 		target:      -1,
@@ -270,7 +262,7 @@ func (m *Manager) maxPoweredLocked() int {
 	if m.capW <= 0 {
 		return 0
 	}
-	n := int(m.capW / m.nodeW)
+	n := int(m.capW / power.DefaultSBCModel().BusyW)
 	if n < 1 {
 		n = 1 // a cap below one node's draw still admits one node
 	}

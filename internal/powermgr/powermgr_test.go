@@ -200,9 +200,10 @@ func TestWakeMidDrainDoesNotResurrect(t *testing.T) {
 }
 
 func TestPowerCapFIFO(t *testing.T) {
-	// Cap admits two nodes at 1 W each; the third and fourth wakes park
-	// and must start in FIFO order as capacity frees.
-	r := newRig(t, 4, powermgr.Policy{IdleTimeout: time.Hour, CapW: 2, NodeW: 1})
+	// Cap admits two nodes at 1.96 W each; the third and fourth wakes
+	// park and must start in FIFO order as capacity frees.
+	nodeW := power.DefaultSBCModel().BusyW
+	r := newRig(t, 4, powermgr.Policy{IdleTimeout: time.Hour, CapW: 2 * nodeW})
 	order := make([]string, 0, 4)
 	for _, id := range []string{"a", "b", "c", "d"} {
 		id := id
@@ -227,7 +228,7 @@ func TestPowerCapFIFO(t *testing.T) {
 		t.Fatalf("ready order after freed budget = %v, want [a b c]", order)
 	}
 	// Raising the cap starts the rest.
-	if err := r.mgr.SetCapW(4); err != nil {
+	if err := r.mgr.SetCapW(4 * nodeW); err != nil {
 		t.Fatal(err)
 	}
 	r.engine.RunAll()
@@ -506,10 +507,10 @@ func TestOccupancy(t *testing.T) {
 }
 
 // TestSetWarmTargetRespectsCap pins the cap interaction: the floor never
-// powers past CapW/NodeW.
+// powers past CapW over one node's busy draw.
 func TestSetWarmTargetRespectsCap(t *testing.T) {
 	nodeW := power.DefaultSBCModel().BusyW
-	r := newRig(t, 4, powermgr.Policy{IdleTimeout: time.Hour, CapW: 2 * nodeW, NodeW: nodeW})
+	r := newRig(t, 4, powermgr.Policy{IdleTimeout: time.Hour, CapW: 2 * nodeW})
 	r.mgr.SetWarmTarget(4)
 	r.engine.RunAll()
 	if got := r.mgr.PoweredUp(); got != 2 {

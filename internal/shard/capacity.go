@@ -96,7 +96,7 @@ func (p *Plane) stealTick(queued, pending []int, totalQ int) {
 		return
 	}
 	mean := float64(totalQ) / float64(n)
-	trigger := p.cfg.Steal.Threshold * mean
+	trigger := DefaultStealThreshold * mean
 	if trigger < 2 {
 		// Below two queued jobs there is nothing stealable anyway (heads
 		// stay local); don't thrash on near-empty clusters.
@@ -208,7 +208,7 @@ func (p *Plane) rebalanceTick(queued []int, totalQ int) {
 	for i := range weights {
 		w := p.ring.Weight(i)
 		target := w * (mean + 1) / (float64(queued[i]) + 1)
-		nw := w + p.cfg.Rebalance.Gain*(target-w)
+		nw := w + DefaultRebalanceGain*(target-w)
 		weights[i] = nw
 		if diff := nw - w; diff > 0.05*w || diff < -0.05*w {
 			material = true

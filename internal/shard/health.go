@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // The health checker: the membership half of the aggregator tick (see
 // membership.go for the state machine it implements). Like the steal
@@ -35,14 +32,14 @@ func (p *Plane) healthTick() {
 			rec.missed = 0
 			switch rec.state {
 			case ShardUp:
-				rec.leaseUntil = now + cfg.LeaseTTL
+				rec.leaseUntil = now + p.leaseTTL
 			case ShardSuspect:
 				rec.state = ShardUp
 				rec.epoch++
-				rec.leaseUntil = now + cfg.LeaseTTL
+				rec.leaseUntil = now + p.leaseTTL
 			case ShardDead:
 				rec.streak++
-				if rec.streak >= cfg.RejoinAfter {
+				if rec.streak >= DefaultRejoinAfter {
 					rejoins = append(rejoins, i)
 				}
 			}
@@ -53,14 +50,14 @@ func (p *Plane) healthTick() {
 		expired := now >= rec.leaseUntil
 		switch rec.state {
 		case ShardUp:
-			if (rec.missed >= cfg.DeadAfter || expired) && p.ring.Members() > 1 {
+			if (rec.missed >= DefaultDeadAfter || expired) && p.ring.Members() > 1 {
 				deaths = append(deaths, i)
-			} else if rec.missed >= cfg.SuspectAfter {
+			} else if rec.missed >= DefaultSuspectAfter {
 				rec.state = ShardSuspect
 				rec.epoch++
 			}
 		case ShardSuspect:
-			if (rec.missed >= cfg.DeadAfter || expired) && p.ring.Members() > 1 {
+			if (rec.missed >= DefaultDeadAfter || expired) && p.ring.Members() > 1 {
 				deaths = append(deaths, i)
 			}
 		}
@@ -149,7 +146,7 @@ func (p *Plane) rejoinShard(i int) {
 	rec.state = ShardUp
 	rec.missed, rec.streak = 0, 0
 	rec.admin = false
-	rec.leaseUntil = p.runtime.Now() + p.cfg.Membership.LeaseTTL
+	rec.leaseUntil = p.runtime.Now() + p.leaseTTL
 	rec.epoch++
 	p.weight[i].Set(1)
 	p.mu.Unlock()
@@ -236,27 +233,3 @@ func (p *Plane) JoinShard(idx int) error {
 // tick loop running — e.g. a revived host that should start earning its
 // rejoin streak while the cluster is otherwise quiet.
 func (p *Plane) Kick() { p.armTick() }
-
-// normalizeMembership fills MembershipConfig defaults (NewPlane calls
-// it after the steal interval is normalized, since the heartbeat rides
-// the aggregator tick).
-func normalizeMembership(m *MembershipConfig, tick time.Duration) {
-	if !m.Enabled {
-		return
-	}
-	if m.SuspectAfter <= 0 {
-		m.SuspectAfter = DefaultSuspectAfter
-	}
-	if m.DeadAfter <= 0 {
-		m.DeadAfter = DefaultDeadAfter
-	}
-	if m.DeadAfter <= m.SuspectAfter {
-		m.DeadAfter = m.SuspectAfter + 1
-	}
-	if m.RejoinAfter <= 0 {
-		m.RejoinAfter = DefaultRejoinAfter
-	}
-	if m.LeaseTTL <= 0 {
-		m.LeaseTTL = time.Duration(m.DeadAfter+1) * tick
-	}
-}

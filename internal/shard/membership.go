@@ -11,8 +11,8 @@ import (
 // Every tick the plane probes each shard (Probe — in a sharded sim this
 // is backed by the harness's kill mask; a multi-host deployment would
 // probe the shard's control socket). A successful probe renews the
-// shard's lease to now+LeaseTTL; a failed one counts a missed
-// heartbeat. The per-shard state machine is:
+// shard's lease to now + (DeadAfter+1) ticks; a failed one counts a
+// missed heartbeat. The per-shard state machine is:
 //
 //	up ──(SuspectAfter missed)──▶ suspect ──(DeadAfter missed)──▶ dead
 //	 ▲                              │ probe ok: streak resets to up
@@ -35,9 +35,9 @@ import (
 // 1, and fires OnRejoin (the sim hands the worker partition back).
 // Every transition bumps the membership epoch.
 
-// Default membership tuning. Thresholds are in aggregator ticks (the
-// heartbeat is taken on the capacity tick), so wall-clock reaction time
-// scales with Steal.Interval.
+// Membership thresholds. They are in aggregator ticks (the heartbeat is
+// taken on the capacity tick), so wall-clock reaction time scales with
+// Steal.Interval.
 const (
 	// DefaultSuspectAfter is the missed-heartbeat count that turns an up
 	// shard suspect.
@@ -94,19 +94,6 @@ type MembershipConfig struct {
 	// means every shard always probes healthy (membership still tracks
 	// administrative drains).
 	Probe func(shard int) bool
-	// SuspectAfter / DeadAfter are missed-heartbeat thresholds in
-	// aggregator ticks (defaults 2 and 4). DeadAfter must exceed
-	// SuspectAfter.
-	SuspectAfter int
-	DeadAfter    int
-	// RejoinAfter is the consecutive-successful-probe count a dead shard
-	// needs before rejoining the ring (default 3) — hysteresis so a
-	// flapping host does not thrash ring membership.
-	RejoinAfter int
-	// LeaseTTL is the liveness lease granted per successful heartbeat.
-	// Zero derives DeadAfter+1 tick intervals, so lease expiry and the
-	// missed-heartbeat count agree under a steady tick.
-	LeaseTTL time.Duration
 	// OnDeath fires after a shard is declared dead and its queue has
 	// been drained into survivors (the sharded sim re-homes the worker
 	// partition here). Called outside the plane lock.

@@ -36,11 +36,9 @@ const (
 type StealConfig struct {
 	// Enabled turns the stealing half of the aggregator on.
 	Enabled bool
-	// Interval is the aggregator tick period (default 250ms).
+	// Interval is the aggregator tick period (default 250ms). Settable
+	// because the sharded chaos test ticks at 100ms.
 	Interval time.Duration
-	// Threshold is the queue-depth multiple of the cluster mean beyond
-	// which a shard's queue is raided (default 2.0).
-	Threshold float64
 	// MaxPerTick bounds migrations per tick (default 256).
 	MaxPerTick int
 }
@@ -49,15 +47,10 @@ type StealConfig struct {
 type RebalanceConfig struct {
 	// Enabled turns weight rebalancing on.
 	Enabled bool
-	// Gain in (0,1] damps per-tick weight movement (default 0.25).
-	Gain float64
 }
 
 // Config configures a Plane.
 type Config struct {
-	// VNodes is the virtual-node count per unit weight (default
-	// DefaultVNodes).
-	VNodes int
 	// BoundFactor is the bounded-load factor for routing; values <= 1
 	// select plain consistent hashing. Zero means DefaultBoundFactor —
 	// pass a negative value to explicitly disable bounded loads.
@@ -88,6 +81,10 @@ type Plane struct {
 	shards  []*core.Orchestrator
 	labels  []string
 	cfg     Config
+	// leaseTTL is the liveness lease a heartbeat grants: DeadAfter+1
+	// ticks, so lease expiry and the missed-heartbeat count agree under a
+	// steady tick.
+	leaseTTL time.Duration
 
 	reg        *telemetry.Registry
 	queueDepth []*telemetry.Gauge
@@ -163,42 +160,33 @@ func NewPlane(rt core.Runtime, shards []*core.Orchestrator, cfg Config) (*Plane,
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: a plane needs at least one shard")
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
 	if cfg.BoundFactor == 0 {
 		cfg.BoundFactor = DefaultBoundFactor
 	}
 	if cfg.Steal.Interval <= 0 {
 		cfg.Steal.Interval = DefaultStealInterval
 	}
-	if cfg.Steal.Threshold <= 0 {
-		cfg.Steal.Threshold = DefaultStealThreshold
-	}
 	if cfg.Steal.MaxPerTick <= 0 {
 		cfg.Steal.MaxPerTick = DefaultMaxStealPerTick
 	}
-	if cfg.Rebalance.Gain <= 0 || cfg.Rebalance.Gain > 1 {
-		cfg.Rebalance.Gain = DefaultRebalanceGain
-	}
-	normalizeMembership(&cfg.Membership, cfg.Steal.Interval)
-	ring, err := NewRing(len(shards), cfg.VNodes)
+	ring, err := NewRing(len(shards), DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
 	p := &Plane{
-		runtime: rt,
-		shards:  shards,
-		labels:  make([]string, len(shards)),
-		cfg:     cfg,
-		reg:     telemetry.NewRegistry(),
-		ring:    ring,
-		members: make([]memberRecord, len(shards)),
+		runtime:  rt,
+		shards:   shards,
+		labels:   make([]string, len(shards)),
+		cfg:      cfg,
+		leaseTTL: time.Duration(DefaultDeadAfter+1) * cfg.Steal.Interval,
+		reg:      telemetry.NewRegistry(),
+		ring:     ring,
+		members:  make([]memberRecord, len(shards)),
 	}
 	if cfg.Membership.Enabled {
 		for i := range p.members {
 			p.members[i].lastAlive = true
-			p.members[i].leaseUntil = rt.Now() + cfg.Membership.LeaseTTL
+			p.members[i].leaseUntil = rt.Now() + p.leaseTTL
 		}
 	}
 	for i, o := range shards {

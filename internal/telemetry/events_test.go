@@ -108,7 +108,7 @@ func TestEventLogPageAtomicity(t *testing.T) {
 }
 
 func TestTelemetryEmit(t *testing.T) {
-	tel := NewWithConfig(Config{EventCapacity: 8})
+	tel := New()
 	tel.Emit(1500*time.Millisecond, EventBoot, 7, "CascSHA", "sbc-001", 1, "cold")
 	evs := tel.Events().Since(-1, 0)
 	if len(evs) != 1 {

@@ -50,15 +50,9 @@ const (
 	EventAlertResolved = "alert_resolved"
 )
 
-// DefaultEventCapacity is the event ring's size when Config leaves it zero.
+// DefaultEventCapacity is the size of a Telemetry's event ring. Older
+// events are overwritten.
 const DefaultEventCapacity = 4096
-
-// Config tunes a Telemetry instance.
-type Config struct {
-	// EventCapacity bounds the event ring buffer (default
-	// DefaultEventCapacity). Older events are overwritten.
-	EventCapacity int
-}
 
 // Telemetry bundles the metrics registry and the event log. The zero of
 // *Telemetry (nil) is a valid, fully disabled instance.
@@ -67,16 +61,9 @@ type Telemetry struct {
 	events   *EventLog
 }
 
-// New returns an enabled Telemetry with a default-capacity event ring.
-func New() *Telemetry { return NewWithConfig(Config{}) }
-
-// NewWithConfig returns an enabled Telemetry.
-func NewWithConfig(cfg Config) *Telemetry {
-	capacity := cfg.EventCapacity
-	if capacity <= 0 {
-		capacity = DefaultEventCapacity
-	}
-	return &Telemetry{registry: NewRegistry(), events: NewEventLog(capacity)}
+// New returns an enabled Telemetry with a DefaultEventCapacity event ring.
+func New() *Telemetry {
+	return &Telemetry{registry: NewRegistry(), events: NewEventLog(DefaultEventCapacity)}
 }
 
 // Registry returns the metrics registry (nil when telemetry is disabled).

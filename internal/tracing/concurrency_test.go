@@ -12,7 +12,7 @@ import (
 // live-mode shape, where worker goroutines record spans as gateway
 // handlers stream /traces dumps. Run under -race.
 func TestConcurrentRecordAndExport(t *testing.T) {
-	tr := NewWithConfig(Config{MaxTraces: 64, MaxActive: 1024})
+	tr := NewWithConfig(Config{MaxTraces: 64})
 	const producers = 8
 	const tracesEach = 50
 	var wg sync.WaitGroup

@@ -239,24 +239,24 @@ type Config struct {
 	Seed int64
 	// SampleRate is the head-sampled fraction of traces in [0,1]. Zero
 	// means sample everything (the default); negative means sample nothing
-	// except what the error/slow overrides keep.
+	// except what the error/slow overrides keep. A trace whose root ends
+	// with an error is kept regardless of rate.
 	SampleRate float64
-	// DropErrors disables the always-sample-errors override (by default a
-	// trace whose root ends with an error is kept regardless of rate).
-	DropErrors bool
 	// SlowThreshold, when positive, keeps every trace at least this slow
 	// regardless of the sampling rate (tail-latency forensics).
 	SlowThreshold time.Duration
 	// MaxTraces bounds the committed-trace ring (default 4096); the oldest
 	// committed trace is evicted when full.
 	MaxTraces int
-	// MaxActive bounds the in-flight staging area (default 4096); traces
-	// started beyond it are dropped at birth.
-	MaxActive int
-	// MaxSpans bounds one trace's child spans (default 512); spans past
-	// the cap are dropped and counted.
-	MaxSpans int
 }
+
+// The tracer's fixed bounds: a trace started while maxActive traces are in
+// flight is dropped at birth, and a trace's spans past maxSpans are dropped
+// and counted.
+const (
+	maxActive = 4096
+	maxSpans  = 512
+)
 
 // Stats counts a tracer's retention behaviour, for loss reporting.
 type Stats struct {
@@ -266,14 +266,14 @@ type Stats struct {
 	Active int `json:"active"`
 	// Unsampled traces discarded at commit by the head-sampling decision;
 	// Evicted committed traces overwritten by the ring; Overflow traces
-	// dropped at birth by the MaxActive bound; TruncatedSpans child spans
-	// dropped by the per-trace MaxSpans bound.
+	// dropped at birth by the in-flight bound; TruncatedSpans child spans
+	// dropped by the per-trace span bound.
 	Unsampled int64 `json:"unsampled"`
 	// Evicted counts committed traces overwritten by the ring buffer.
 	Evicted int64 `json:"evicted"`
-	// Overflow counts traces dropped at birth by the MaxActive bound.
+	// Overflow counts traces dropped at birth by the in-flight bound.
 	Overflow int64 `json:"overflow"`
-	// TruncatedSpans counts child spans dropped by the MaxSpans bound.
+	// TruncatedSpans counts child spans dropped by the per-trace bound.
 	TruncatedSpans int64 `json:"truncated_spans"`
 }
 
@@ -281,6 +281,8 @@ type Stats struct {
 // concurrent use; a nil *Tracer no-ops everywhere.
 type Tracer struct {
 	cfg Config
+	// maxActive and maxSpans are the package bounds; tests shrink them.
+	maxActive, maxSpans int
 
 	mu        sync.Mutex
 	nextTrace uint64
@@ -306,16 +308,12 @@ func NewWithConfig(cfg Config) *Tracer {
 	if cfg.MaxTraces <= 0 {
 		cfg.MaxTraces = 4096
 	}
-	if cfg.MaxActive <= 0 {
-		cfg.MaxActive = 4096
-	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = 512
-	}
 	return &Tracer{
-		cfg:    cfg,
-		active: make(map[TraceID]*activeTrace),
-		done:   make([]Trace, 0, cfg.MaxTraces),
+		cfg:       cfg,
+		maxActive: maxActive,
+		maxSpans:  maxSpans,
+		active:    make(map[TraceID]*activeTrace),
+		done:      make([]Trace, 0, cfg.MaxTraces),
 	}
 }
 
@@ -358,7 +356,7 @@ func (t *Tracer) StartTrace(name string, job int64, function string, at time.Dur
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.active) >= t.cfg.MaxActive {
+	if len(t.active) >= t.maxActive {
 		t.stats.Overflow++
 		return Context{}
 	}
@@ -395,7 +393,7 @@ func (t *Tracer) Record(ctx Context, s Span) {
 	if !ok {
 		return
 	}
-	if len(at.spans) >= t.cfg.MaxSpans {
+	if len(at.spans) >= t.maxSpans {
 		t.stats.TruncatedSpans++
 		return
 	}
@@ -410,7 +408,7 @@ func (t *Tracer) Record(ctx Context, s Span) {
 
 // EndTrace closes the context's root span at cluster-clock offset at and
 // commits or drops the trace: it is kept when head-sampled, when errMsg
-// is non-empty (unless DropErrors), or when at least SlowThreshold long.
+// is non-empty, or when at least SlowThreshold long.
 func (t *Tracer) EndTrace(ctx Context, at time.Duration, worker, errMsg string) {
 	if t == nil || !ctx.Valid() {
 		return
@@ -431,7 +429,7 @@ func (t *Tracer) EndTrace(ctx Context, at time.Duration, worker, errMsg string) 
 		}
 	}
 	keep := tr.sampled ||
-		(errMsg != "" && !t.cfg.DropErrors) ||
+		errMsg != "" ||
 		(t.cfg.SlowThreshold > 0 && tr.root.Duration() >= t.cfg.SlowThreshold)
 	if !keep {
 		t.stats.Unsampled++

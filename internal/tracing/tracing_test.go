@@ -141,7 +141,8 @@ func TestRingEviction(t *testing.T) {
 }
 
 func TestMaxActiveOverflow(t *testing.T) {
-	tr := NewWithConfig(Config{MaxActive: 1})
+	tr := NewWithConfig(Config{})
+	tr.maxActive = 1
 	a := tr.StartTrace("a", 1, "a", 0)
 	b := tr.StartTrace("b", 2, "b", 0)
 	if !a.Valid() || b.Valid() {
@@ -157,7 +158,8 @@ func TestMaxActiveOverflow(t *testing.T) {
 }
 
 func TestMaxSpansTruncation(t *testing.T) {
-	tr := NewWithConfig(Config{MaxSpans: 2})
+	tr := NewWithConfig(Config{})
+	tr.maxSpans = 2
 	ctx := tr.StartTrace("f", 1, "f", 0)
 	for i := 0; i < 5; i++ {
 		tr.Record(ctx, Span{Phase: PhaseRetry})
@@ -233,12 +235,12 @@ func TestSamplingOverrides(t *testing.T) {
 		t.Fatalf("unsampled = %d", st.Unsampled)
 	}
 
-	// DropErrors disables the error override.
-	tr2 := NewWithConfig(Config{SampleRate: -1, DropErrors: true})
+	// The error override needs no slow threshold beside it.
+	tr2 := NewWithConfig(Config{SampleRate: -1})
 	f := tr2.StartTrace("bad", 1, "bad", 0)
 	tr2.EndTrace(f, time.Millisecond, "", "worker exploded")
-	if tr2.Len() != 0 {
-		t.Fatal("DropErrors kept an error trace")
+	if tr2.Len() != 1 {
+		t.Fatal("an error trace was dropped")
 	}
 }
 

@@ -22,12 +22,11 @@ const (
 	MetricArrivalWindowMax = "microfaas_function_arrival_window_max_per_s"
 )
 
-// Arrival tracker defaults.
+// The arrival tracker's smoothing.
 const (
-	// DefaultEWMAAlpha is the smoothing factor when Config leaves it 0.
+	// DefaultEWMAAlpha is the EWMA's smoothing factor.
 	DefaultEWMAAlpha = 0.3
-	// DefaultArrivalWindow is the sliding window in scrapes when Config
-	// leaves it 0.
+	// DefaultArrivalWindow is the sliding window, in scrapes.
 	DefaultArrivalWindow = 20
 )
 
@@ -71,8 +70,6 @@ func (st *arrivalState) windowStats() (mean, max float64) {
 // functions in first-seen order, so its synthetic series are as
 // deterministic as the counters they derive from.
 type arrivalTracker struct {
-	alpha      float64
-	wsize      int
 	byFn       map[string]*arrivalState
 	order      []*arrivalState
 	classified int // submission-counter series already filed under a function
@@ -80,17 +77,6 @@ type arrivalTracker struct {
 
 // arrivalMetrics names arrivalState.out, in ingest order.
 var arrivalMetrics = [4]string{MetricArrivalRate, MetricArrivalEWMA, MetricArrivalWindowMean, MetricArrivalWindowMax}
-
-// newArrivalTracker applies defaults and builds the tracker.
-func newArrivalTracker(alpha float64, window int) *arrivalTracker {
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultEWMAAlpha
-	}
-	if window <= 0 {
-		window = DefaultArrivalWindow
-	}
-	return &arrivalTracker{alpha: alpha, wsize: window, byFn: map[string]*arrivalState{}}
-}
 
 // update differentiates this scrape's per-function submission totals
 // into rates and injects the rate and EWMA series. Called from Scrape
@@ -113,7 +99,7 @@ func (a *arrivalTracker) update(s *Store, now, interval time.Duration) {
 		}
 		st, ok := a.byFn[fn]
 		if !ok {
-			st = &arrivalState{function: fn, window: make([]float64, a.wsize)}
+			st = &arrivalState{function: fn, window: make([]float64, DefaultArrivalWindow)}
 			a.byFn[fn] = st
 			a.order = append(a.order, st)
 		}
@@ -140,12 +126,12 @@ func (a *arrivalTracker) update(s *Store, now, interval time.Duration) {
 		if st.n == 0 {
 			st.ewma = rate
 		} else {
-			st.ewma = a.alpha*rate + (1-a.alpha)*st.ewma
+			st.ewma = DefaultEWMAAlpha*rate + (1-DefaultEWMAAlpha)*st.ewma
 		}
 		st.lastRate = rate
 		st.window[st.next] = rate
-		st.next = (st.next + 1) % a.wsize
-		if st.n < a.wsize {
+		st.next = (st.next + 1) % DefaultArrivalWindow
+		if st.n < DefaultArrivalWindow {
 			st.n++
 		}
 		mean, max := st.windowStats()

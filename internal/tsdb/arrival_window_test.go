@@ -17,7 +17,7 @@ func TestArrivalWindowSeriesExported(t *testing.T) {
 	regB := telemetry.NewRegistry()
 	subA := regA.Counter(MetricSubmittedByFunction, "submissions", "function", "matmul")
 	subB := regB.Counter(MetricSubmittedByFunction, "submissions", "function", "matmul")
-	s := New(Config{ArrivalWindow: 4})
+	s := New(Config{})
 	s.AddSource("shard-00", regA)
 	s.AddSource("shard-01", regB)
 
@@ -56,15 +56,17 @@ func TestArrivalWindowSeriesExported(t *testing.T) {
 // series far past the raw ring so queries must be answered from the
 // downsample tiers, and checks the ring rotation stays correct as
 // buckets open and close at tier boundaries: a rate step from 3/s to
-// 9/s must march through the window mean exactly (window size 5 →
-// mean climbs in 1.2/s increments) whether the answering tier is raw,
+// 9/s must march through the window mean exactly (window size 20 →
+// mean climbs in 0.3/s increments) whether the answering tier is raw,
 // t1, or t2.
 func TestArrivalWindowRotationAcrossTierBoundaries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sub := reg.Counter(MetricSubmittedByFunction, "submissions", "function", "fft")
 	// Tiny raw ring so the tail of the run is only visible downsampled;
-	// tier boundaries land every 4th and 12th scrape.
-	s := New(Config{RawCapacity: 8, Tier1: 4 * time.Second, Tier2: 12 * time.Second, ArrivalWindow: 5})
+	// at one scrape every 2.5 s, tier boundaries land every 4th and 24th
+	// scrape.
+	const interval = 2500 * time.Millisecond
+	s := New(Config{RawCapacity: 8})
 	s.AddSource("", reg)
 
 	const step = 40 // scrape index where the rate steps 3/s → 9/s
@@ -73,7 +75,7 @@ func TestArrivalWindowRotationAcrossTierBoundaries(t *testing.T) {
 		// Scrape 1 only seeds the counter diff; rates exist from scrape 2.
 		rates := 0
 		sum := 0.0
-		for k := i; k >= 2 && rates < 5; k-- {
+		for k := i; k >= 2 && rates < DefaultArrivalWindow; k-- {
 			r := 3.0
 			if k > step {
 				r = 9.0
@@ -87,17 +89,17 @@ func TestArrivalWindowRotationAcrossTierBoundaries(t *testing.T) {
 		return sum / float64(rates)
 	}
 	for i := 1; i <= 80; i++ {
-		add := 3.0
+		rate := 3.0
 		if i > step {
-			add = 9.0
+			rate = 9.0
 		}
-		sub.Add(add)
-		at := time.Duration(i) * time.Second
+		sub.Add(rate * interval.Seconds())
+		at := time.Duration(i) * interval
 		s.Scrape(at)
 		if i < 2 {
 			continue
 		}
-		res, err := s.Query(Query{Metric: MetricArrivalWindowMean, Op: OpLast, Window: 2 * time.Second})
+		res, err := s.Query(Query{Metric: MetricArrivalWindowMean, Op: OpLast, Window: 2 * interval})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,10 +112,10 @@ func TestArrivalWindowRotationAcrossTierBoundaries(t *testing.T) {
 	}
 
 	// By now only the last 8 raw points survive; a window reaching back
-	// a full minute must be served by the tiers. The max series saw the
+	// 60 scrapes must be served by the tiers. The max series saw the
 	// 9/s plateau and the mean settled back to 9 after the window
 	// rotated the 3/s samples out.
-	mx, err := s.Query(Query{Metric: MetricArrivalWindowMax, Op: OpMax, Window: time.Minute})
+	mx, err := s.Query(Query{Metric: MetricArrivalWindowMax, Op: OpMax, Window: 60 * interval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestArrivalWindowRotationAcrossTierBoundaries(t *testing.T) {
 	// Range query across the step: the returned points (raw + tier
 	// buckets merged) must cover the pre-step era even though the raw
 	// ring no longer does.
-	rng, err := s.Query(Query{Metric: MetricArrivalWindowMean, Op: OpAvg, Window: 79 * time.Second})
+	rng, err := s.Query(Query{Metric: MetricArrivalWindowMean, Op: OpAvg, Window: 79 * interval})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func (s *Store) Query(q Query) ([]SeriesResult, error) {
 	switch q.Op {
 	case OpLast, OpAvg, OpMin, OpMax, OpIncrease, OpRate:
 	case OpQuantile:
-		if q.Q < 0 || q.Q > 1 {
+		if !(q.Q >= 0 && q.Q <= 1) { // NaN fails both comparisons
 			return nil, fmt.Errorf("tsdb: quantile %v outside [0,1]", q.Q)
 		}
 	default:

@@ -63,11 +63,13 @@ import (
 // rather than keeping one by one, until a query names its value.
 const workerLabel = "worker"
 
-// Defaults for Config zero values.
+// The store's sizes and resolutions.
 const (
-	// DefaultRawCapacity is how many raw samples a series retains.
+	// DefaultRawCapacity is how many raw samples a series retains when
+	// Config leaves it zero.
 	DefaultRawCapacity = 1024
-	// DefaultTierCapacity is the per-series per-tier ring size in buckets.
+	// DefaultTierCapacity is the per-series per-tier ring size in buckets
+	// when Config leaves it zero.
 	DefaultTierCapacity = 512
 	// DefaultTier1 is the first downsample resolution.
 	DefaultTier1 = 10 * time.Second
@@ -80,23 +82,12 @@ const (
 // Config tunes a Store.
 type Config struct {
 	// RawCapacity is how many raw samples each series retains (default
-	// DefaultRawCapacity; the oldest go first, into the tiers).
+	// DefaultRawCapacity; the oldest go first, into the tiers). Settable
+	// because the experiments' tsdb golden renders a small-store arm.
 	RawCapacity int
 	// TierCapacity bounds each downsample tier's ring (default
-	// DefaultTierCapacity buckets per tier).
+	// DefaultTierCapacity buckets per tier). Settable for the same arm.
 	TierCapacity int
-	// Tier1 and Tier2 are the downsample resolutions (defaults 10s and
-	// 1m). Tier2 must be a coarser resolution than Tier1.
-	Tier1, Tier2 time.Duration
-	// EWMAAlpha is the arrival tracker's smoothing factor in (0,1]
-	// (default DefaultEWMAAlpha).
-	EWMAAlpha float64
-	// ArrivalWindow is the arrival tracker's sliding window, in scrapes
-	// (default DefaultArrivalWindow).
-	ArrivalWindow int
-	// AlertCapacity bounds the alert-transition ring (default
-	// DefaultAlertCapacity).
-	AlertCapacity int
 	// Tracer, when set, receives a one-span annotation trace per alert
 	// transition (phase "alert").
 	Tracer *tracing.Tracer
@@ -209,26 +200,13 @@ func New(cfg Config) *Store {
 	if cfg.TierCapacity <= 0 {
 		cfg.TierCapacity = DefaultTierCapacity
 	}
-	if cfg.Tier1 <= 0 {
-		cfg.Tier1 = DefaultTier1
-	}
-	if cfg.Tier2 <= cfg.Tier1 {
-		cfg.Tier2 = DefaultTier2
-		if cfg.Tier2 <= cfg.Tier1 {
-			cfg.Tier2 = 6 * cfg.Tier1
-		}
-	}
-	if cfg.AlertCapacity <= 0 {
-		cfg.AlertCapacity = DefaultAlertCapacity
-	}
-	s := &Store{
+	return &Store{
 		cfg:     cfg,
 		metrics: make(map[string]*metricSeries),
 		clk:     clock{keep: cfg.RawCapacity},
-		alerts:  telemetry.NewEventLog(cfg.AlertCapacity),
+		arrival: &arrivalTracker{byFn: map[string]*arrivalState{}},
+		alerts:  telemetry.NewEventLog(DefaultAlertCapacity),
 	}
-	s.arrival = newArrivalTracker(cfg.EWMAAlpha, cfg.ArrivalWindow)
-	return s
 }
 
 // AddSource registers a registry to scrape. Samples from it carry
@@ -431,8 +409,8 @@ func (s *Store) seriesLocked(name string, labels map[string]string) *series {
 		sr = &series{
 			labels: labels,
 			clk:    &s.clk,
-			t1:     bucketRing{res: s.cfg.Tier1, cap: s.cfg.TierCapacity},
-			t2:     bucketRing{res: s.cfg.Tier2, cap: s.cfg.TierCapacity},
+			t1:     bucketRing{res: DefaultTier1, cap: s.cfg.TierCapacity},
+			t2:     bucketRing{res: DefaultTier2, cap: s.cfg.TierCapacity},
 		}
 		if le, ok := labels["le"]; ok {
 			bound, err := parseLE(le)

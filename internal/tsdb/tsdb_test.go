@@ -176,8 +176,10 @@ func TestQuantileOverTimeMergesShards(t *testing.T) {
 	if v := res[0].Value; v <= 1 || v > 10 {
 		t.Fatalf("p99 = %g, want within (1, 10]", v)
 	}
-	if _, err := s.Query(Query{Metric: "lat_seconds", Op: OpQuantile, Q: 1.5}); err == nil {
-		t.Fatal("out-of-range quantile accepted")
+	for _, q := range []float64{1.5, -0.5, math.NaN()} {
+		if _, err := s.Query(Query{Metric: "lat_seconds", Op: OpQuantile, Q: q}); err == nil {
+			t.Fatalf("out-of-range quantile %v accepted", q)
+		}
 	}
 }
 
@@ -317,7 +319,7 @@ func TestSLOErrorRatioAndEnergyBudget(t *testing.T) {
 func TestArrivalTrackerEWMAAndForecasts(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sub := reg.Counter(MetricSubmittedByFunction, "submissions", "function", "matmul")
-	s := New(Config{EWMAAlpha: 0.5, ArrivalWindow: 4})
+	s := New(Config{})
 	s.AddSource("shard-00", reg)
 
 	// 5/s for 8 scrapes.

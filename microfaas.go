@@ -53,8 +53,8 @@ func StartLiveCluster(opts LiveOptions) (*LiveCluster, error) {
 // Gateway is an HTTP FaaS endpoint over a cluster's orchestrator.
 type Gateway = gateway.Server
 
-// GatewayOptions configures a gateway beyond its orchestrator (timeout,
-// sim/live mode label, telemetry backing /metrics and /events).
+// GatewayOptions configures a gateway beyond its orchestrator (sim/live
+// mode label, telemetry backing /metrics and /events, tracer, store).
 type GatewayOptions = gateway.Options
 
 // NewGateway builds an HTTP gateway over any orchestrator — live or
@@ -83,8 +83,8 @@ const BreakerOpen = core.BreakerOpen
 // backlogged shards. See ARCHITECTURE.md's shard-tier section.
 type ShardPlane = shard.Plane
 
-// ShardPlaneConfig tunes a ShardPlane (virtual nodes, bounded-load
-// factor, stealing, rebalancing).
+// ShardPlaneConfig tunes a ShardPlane (bounded-load factor, stealing,
+// rebalancing, membership).
 type ShardPlaneConfig = shard.Config
 
 // ShardStealConfig and ShardRebalanceConfig tune the plane's capacity

@@ -213,6 +213,8 @@ says '"spans"'
 get /budgets
 curl -sS -f -o "$tmp/out" -d '{"function":"MatMul","limit_j":100}' "http://$gw/budgets" || die "POST /budgets failed"
 says '"limit_joules":100'
+code=$(curl -sS -o "$tmp/out" -w '%{http_code}' -d '{"function":"nope-1","limit_j":5}' "http://$gw/budgets")
+[ "$code" = 404 ] || die "POST /budgets for an unknown function answered $code, want 404"
 get /events
 says '"cursor"'
 get /metrics
