@@ -1,23 +1,11 @@
 package main
 
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-)
+import "fmt"
 
 // forecastTable renders GET /forecast: the controller's mode and error
 // accounting, then one row per tracked function with its observed and
 // forecast arrival rates.
 func (c *client) forecastTable() error {
-	resp, err := c.http.Get(c.base + "/forecast")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.prettyPrint(resp.Body)
-	}
 	var snap struct {
 		Mode       string  `json:"mode"`
 		ErrorRatio float64 `json:"error_ratio"`
@@ -35,7 +23,7 @@ func (c *client) forecastTable() error {
 			ErrorRatio float64 `json:"error_ratio"`
 		} `json:"functions"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := c.getJSON("/forecast", &snap); err != nil {
 		return err
 	}
 	trend := "rising/flat"

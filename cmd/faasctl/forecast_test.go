@@ -40,11 +40,11 @@ func TestForecastCommand(t *testing.T) {
 }
 
 // TestForecastCommandDisabled surfaces the gateway's 404 body when the
-// cluster runs without a predictor.
+// cluster runs without a predictor, and fails.
 func TestForecastCommandDisabled(t *testing.T) {
 	c, out := startManagedStack(t)
-	if err := c.run([]string{"forecast"}); err != nil {
-		t.Fatal(err)
+	if err := c.run([]string{"forecast"}); err == nil {
+		t.Fatal("forecast against a 404 succeeded")
 	}
 	if got := out.String(); !strings.Contains(got, "prediction disabled") {
 		t.Fatalf("forecast output = %s, want the 404 body", got)

@@ -31,10 +31,8 @@
 // {"status":"pending"} when the job outlasts the hold (ask again), and a
 // result is handed over once — a second job <id> is 404.
 //
-// -gateway accepts a comma-separated address list; workers, top, and
-// shards aggregate across every listed gateway (one dashboard over a
-// multi-gateway sharded deployment), while the single-target commands
-// (invoke, job, trace, stats, power) talk to the first address.
+// A gateway fronts the whole control plane and merges every shard, so
+// faasctl talks to one. Any reply other than 2xx is printed and exits 1.
 package main
 
 import (
@@ -43,14 +41,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
-	"strings"
+	"strconv"
 	"time"
 )
 
 func main() {
-	gatewayAddr := flag.String("gateway", "127.0.0.1:8080", "gateway address, or a comma-separated list (workers/top/shards aggregate across all)")
+	gatewayAddr := flag.String("gateway", "127.0.0.1:8080", "gateway address (host:port)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "invocation timeout")
 	async := flag.Bool("async", false, "submit invocations asynchronously (collect the result with 'job <id>', which waits up to a second for it)")
 	interval := flag.Duration("interval", 2*time.Second, "top/watch: refresh interval")
@@ -66,21 +65,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var bases []string
-	for _, addr := range strings.Split(*gatewayAddr, ",") {
-		if addr = strings.TrimSpace(addr); addr != "" {
-			bases = append(bases, "http://"+addr)
-		}
-	}
-	if len(bases) == 0 {
-		fmt.Fprintln(os.Stderr, "faasctl: no gateway address")
-		os.Exit(2)
-	}
 	iters := *iterations
 	if *once {
 		iters = 1
 	}
-	c := &client{base: bases[0], bases: bases, http: &http.Client{Timeout: *timeout}, out: os.Stdout,
+	c := &client{base: "http://" + *gatewayAddr, http: &http.Client{Timeout: *timeout}, out: os.Stdout,
 		async: *async, interval: *interval, iterations: iters, jsonOut: *jsonOut}
 	if err := c.run(flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "faasctl:", err)
@@ -89,8 +78,7 @@ func main() {
 }
 
 type client struct {
-	base       string   // primary gateway, for single-target commands
-	bases      []string // every gateway; empty means just base
+	base       string // the gateway's base URL
 	http       *http.Client
 	out        io.Writer
 	async      bool
@@ -131,32 +119,37 @@ func (c *client) observeFlags(name string, args []string) ([]string, error) {
 	return pos, nil
 }
 
-// allBases returns every configured gateway base URL; clients built
-// with only base get a one-element list.
-func (c *client) allBases() []string {
-	if len(c.bases) > 0 {
-		return c.bases
+// positiveOperand returns the one operand in args — a job id or a count —
+// if it is a positive decimal integer, re-rendered so that nothing but
+// digits reaches the request path.
+func positiveOperand(args []string) (string, bool) {
+	if len(args) != 1 {
+		return "", false
 	}
-	return []string{c.base}
+	n, err := strconv.ParseInt(args[0], 10, 64)
+	if err != nil || n <= 0 {
+		return "", false
+	}
+	return strconv.FormatInt(n, 10), true
 }
 
 func (c *client) run(args []string) error {
 	switch args[0] {
 	case "functions":
-		return c.get("/functions")
+		return c.show(http.MethodGet, "/functions", nil)
 	case "workers":
 		if len(args) >= 2 && args[1] == "-v" {
-			return c.get("/workers")
+			return c.show(http.MethodGet, "/workers", nil)
 		}
 		return c.workersTable()
 	case "stats":
-		return c.get("/stats")
+		return c.show(http.MethodGet, "/stats", nil)
 	case "shards":
 		switch {
 		case len(args) == 1:
 			return c.shardsTable()
 		case len(args) == 3 && (args[1] == "drain" || args[1] == "join"):
-			return c.shardOp(args[1], args[2])
+			return c.show(http.MethodPost, "/shards/"+args[2]+"/"+args[1], nil)
 		default:
 			return fmt.Errorf("usage: shards | shards drain <shard> | shards join <shard>")
 		}
@@ -182,7 +175,7 @@ func (c *client) run(args []string) error {
 	case "power":
 		switch {
 		case len(args) == 1:
-			return c.get("/power")
+			return c.show(http.MethodGet, "/power", nil)
 		case len(args) == 3 && args[1] == "cap":
 			return c.powerCap(args[2])
 		default:
@@ -200,10 +193,11 @@ func (c *client) run(args []string) error {
 		}
 		return c.invoke(args[1], payload)
 	case "job":
-		if len(args) < 2 {
-			return fmt.Errorf("job requires an id")
+		id, ok := positiveOperand(args[1:])
+		if !ok {
+			return fmt.Errorf("usage: job <id>, a positive integer")
 		}
-		return c.get("/jobs/" + args[1])
+		return c.show(http.MethodGet, "/jobs/"+id, nil)
 	case "trace":
 		return c.trace(args[1:])
 	default:
@@ -234,27 +228,18 @@ type traceSummary struct {
 // job's trace (`trace <job-id>`) or the N slowest traces on record
 // (`trace --slowest N`).
 func (c *client) trace(args []string) error {
-	var path string
-	switch {
-	case len(args) >= 2 && (args[0] == "--slowest" || args[0] == "-slowest"):
-		path = "/traces?slowest=" + args[1]
-	case len(args) == 1:
-		path = "/traces?job=" + args[0]
-	default:
-		return fmt.Errorf("usage: trace <job-id> | trace --slowest <n>")
+	query := "job="
+	if len(args) == 2 && (args[0] == "--slowest" || args[0] == "-slowest") {
+		query, args = "slowest=", args[1:]
 	}
-	resp, err := c.http.Get(c.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.prettyPrint(resp.Body)
+	n, ok := positiveOperand(args)
+	if !ok {
+		return fmt.Errorf("usage: trace <job-id> | trace --slowest <n>, each a positive integer")
 	}
 	var reply struct {
 		Traces []traceSummary `json:"traces"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+	if err := c.getJSON("/traces?"+query+n, &reply); err != nil {
 		return err
 	}
 	if len(reply.Traces) == 0 {
@@ -303,8 +288,7 @@ func fmtJoules(v float64) string {
 	return fmt.Sprintf("%.3f J", v)
 }
 
-// workerRow mirrors one /workers entry (the shard label is empty on
-// unsharded gateways).
+// workerRow mirrors one /workers entry.
 type workerRow struct {
 	ID         string `json:"id"`
 	Shard      string `json:"shard"`
@@ -317,71 +301,27 @@ type workerRow struct {
 	Busy       bool   `json:"busy"`
 }
 
-// fetchWorkers concatenates /workers from every configured gateway.
-func (c *client) fetchWorkers() ([]workerRow, error) {
-	var all []workerRow
-	for _, base := range c.allBases() {
-		resp, err := c.http.Get(base + "/workers")
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			return nil, fmt.Errorf("%s/workers returned %s: %s", base, resp.Status, bytes.TrimSpace(body))
-		}
-		var page []workerRow
-		err = json.NewDecoder(resp.Body).Decode(&page)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, page...)
-	}
-	return all, nil
-}
-
-// workersTable renders /workers — aggregated across every configured
-// gateway — as a compact health table; `workers -v` prints the primary
-// gateway's raw JSON instead.
+// workersTable renders /workers as a compact health table, one row per
+// worker under its shard; `workers -v` prints the raw JSON instead.
 func (c *client) workersTable() error {
-	workers, err := c.fetchWorkers()
-	if err != nil {
+	var workers []workerRow
+	if err := c.getJSON("/workers", &workers); err != nil {
 		return err
 	}
-	sharded := false
+	fmt.Fprintf(c.out, "%-10s %-12s %-9s %5s %9s %7s %9s %6s %5s\n",
+		"shard", "worker", "breaker", "queue", "completed", "failed", "timed-out", "consec", "busy")
 	for _, w := range workers {
-		if w.Shard != "" {
-			sharded = true
-			break
-		}
-	}
-	shardCol := ""
-	if sharded {
-		shardCol = fmt.Sprintf("%-10s ", "shard")
-	}
-	fmt.Fprintf(c.out, "%s%-12s %-9s %5s %9s %7s %9s %6s %5s\n",
-		shardCol, "worker", "breaker", "queue", "completed", "failed", "timed-out", "consec", "busy")
-	for _, w := range workers {
-		if sharded {
-			fmt.Fprintf(c.out, "%-10s ", w.Shard)
-		}
-		fmt.Fprintf(c.out, "%-12s %-9s %5d %9d %7d %9d %6d %5v\n",
-			w.ID, w.Breaker, w.QueueDepth, w.Completed, w.Failed, w.TimedOut, w.Consec, w.Busy)
+		fmt.Fprintf(c.out, "%-10s %-12s %-9s %5d %9d %7d %9d %6d %5v\n",
+			w.Shard, w.ID, w.Breaker, w.QueueDepth, w.Completed, w.Failed, w.TimedOut, w.Consec, w.Busy)
 	}
 	return nil
 }
 
 // shardsTable renders the /shards capacity snapshot — shard label,
 // membership state and epoch, worker-partition size, pending and queued
-// depth, ring weight, and steal counters — aggregated across every
-// configured gateway. With several gateways listed, ones fronting an
-// unsharded control plane are skipped and unreachable ones degrade to a
-// warning line over the partial table; the command only fails outright
-// when no gateway produced a row.
+// depth, ring weight, and steal counters — with a total row.
 func (c *client) shardsTable() error {
-	type shardRow struct {
-		Index     int     `json:"index"`
+	var rows []struct {
 		Label     string  `json:"label"`
 		Workers   int     `json:"workers"`
 		Pending   int     `json:"pending"`
@@ -392,55 +332,8 @@ func (c *client) shardsTable() error {
 		State     string  `json:"state"`
 		Epoch     int64   `json:"epoch"`
 	}
-	var rows []shardRow
-	var warnings []string
-	bases := c.allBases()
-	degrade := func(err error) error {
-		if len(bases) > 1 {
-			warnings = append(warnings, "warning: "+err.Error())
-			return nil
-		}
+	if err := c.getJSON("/shards", &rows); err != nil {
 		return err
-	}
-	for _, base := range bases {
-		resp, err := c.http.Get(base + "/shards")
-		if err != nil {
-			if err = degrade(err); err != nil {
-				return err
-			}
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound && len(bases) > 1 {
-			resp.Body.Close()
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err = degrade(fmt.Errorf("%s/shards returned %s: %s", base, resp.Status, bytes.TrimSpace(body))); err != nil {
-				return err
-			}
-			continue
-		}
-		var page []shardRow
-		err = json.NewDecoder(resp.Body).Decode(&page)
-		resp.Body.Close()
-		if err != nil {
-			if err = degrade(fmt.Errorf("%s/shards: %v", base, err)); err != nil {
-				return err
-			}
-			continue
-		}
-		rows = append(rows, page...)
-	}
-	if len(rows) == 0 {
-		if len(warnings) > 0 {
-			return fmt.Errorf("every configured gateway failed:\n%s", strings.Join(warnings, "\n"))
-		}
-		return fmt.Errorf("no configured gateway fronts a sharded control plane")
-	}
-	for _, w := range warnings {
-		fmt.Fprintln(c.out, w)
 	}
 	fmt.Fprintf(c.out, "%-10s %-8s %8s %8s %7s %7s %6s %10s %11s\n",
 		"shard", "state", "workers", "pending", "queued", "weight", "epoch", "stolen-in", "stolen-out")
@@ -459,56 +352,19 @@ func (c *client) shardsTable() error {
 	return nil
 }
 
-// shardOp posts one administrative membership operation — shards drain
-// <shard> or shards join <shard>, by index or label — to the primary
-// gateway and prints the shard's resulting status snapshot.
-func (c *client) shardOp(op, id string) error {
-	resp, err := c.http.Post(c.base+"/shards/"+id+"/"+op, "application/json", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := c.prettyPrint(resp.Body); err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("gateway returned %s", resp.Status)
-	}
-	return nil
-}
-
 // powerCap posts a new cluster power budget in watts (0 removes the cap)
-// and prints the resulting snapshot.
+// and prints the resulting snapshot. The whole operand must be a finite
+// number.
 func (c *client) powerCap(watts string) error {
-	var w float64
-	if _, err := fmt.Sscanf(watts, "%f", &w); err != nil {
+	w, err := strconv.ParseFloat(watts, 64)
+	if err != nil || math.IsNaN(w) || math.IsInf(w, 0) {
 		return fmt.Errorf("power cap: %q is not a wattage", watts)
 	}
 	body, err := json.Marshal(map[string]float64{"cap_w": w})
 	if err != nil {
 		return err
 	}
-	resp, err := c.http.Post(c.base+"/power/cap", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := c.prettyPrint(resp.Body); err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("gateway returned %s", resp.Status)
-	}
-	return nil
-}
-
-func (c *client) get(path string) error {
-	resp, err := c.http.Get(c.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return c.prettyPrint(resp.Body)
+	return c.show(http.MethodPost, "/power/cap", body)
 }
 
 func (c *client) invoke(function, argsJSON string) error {
@@ -522,24 +378,57 @@ func (c *client) invoke(function, argsJSON string) error {
 	if err != nil {
 		return err
 	}
-	url := c.base + "/invoke"
-	okStatus := http.StatusOK
+	path := "/invoke"
 	if c.async {
-		url += "?async=1"
-		okStatus = http.StatusAccepted
+		path += "?async=1"
 	}
-	resp, err := c.http.Post(url, "application/json", bytes.NewReader(body))
+	return c.show(http.MethodPost, path, body)
+}
+
+// call sends one request to the gateway and hands back a 2xx reply for
+// the caller to read and close. Any other reply is printed and becomes the
+// error, so every command exits nonzero on an HTTP error (a 202 pending
+// poll is a 2xx, and a success).
+func (c *client) call(method, path string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 == 2 {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	if err := c.prettyPrint(resp.Body); err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("gateway returned %s", resp.Status)
+}
+
+// show calls the gateway and prints the reply.
+func (c *client) show(method, path string, body []byte) error {
+	resp, err := c.call(method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if err := c.prettyPrint(resp.Body); err != nil {
+	return c.prettyPrint(resp.Body)
+}
+
+// getJSON GETs path and decodes the reply into v.
+func (c *client) getJSON(path string, v any) error {
+	resp, err := c.call(http.MethodGet, path, nil)
+	if err != nil {
 		return err
 	}
-	if resp.StatusCode != okStatus {
-		return fmt.Errorf("gateway returned %s", resp.Status)
-	}
-	return nil
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // prettyPrint re-indents the gateway's JSON for terminal reading.

@@ -5,28 +5,27 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"microfaas/internal/cluster"
+	"microfaas/internal/core"
 	"microfaas/internal/gateway"
 	"microfaas/internal/power"
+	"microfaas/internal/shard"
 	"microfaas/internal/telemetry"
 	"microfaas/internal/trace"
 	"microfaas/internal/tracing"
 )
 
-// startStack boots a live cluster + gateway and returns a client aimed at
-// it, capturing output.
-func startStack(t *testing.T) (*client, *strings.Builder) {
+// serve fronts plane with a gateway on a free port and returns a client
+// aimed at it, capturing output.
+func serve(t *testing.T, plane *shard.Plane, opts gateway.Options) (*client, *strings.Builder) {
 	t.Helper()
-	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 2, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(l.Close)
-	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{})
+	gw, err := gateway.New(plane, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +40,29 @@ func startStack(t *testing.T) (*client, *strings.Builder) {
 		http: &http.Client{Timeout: 30 * time.Second},
 		out:  &sb,
 	}, &sb
+}
+
+// planeOf is orch as a plane of one shard, the way microfaas-live serves
+// its cluster.
+func planeOf(t *testing.T, orch *core.Orchestrator) *shard.Plane {
+	t.Helper()
+	plane, err := shard.NewPlane(orch.Runtime(), []*core.Orchestrator{orch}, shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plane
+}
+
+// startStack boots a live cluster + gateway and returns a client aimed at
+// it, capturing output.
+func startStack(t *testing.T) (*client, *strings.Builder) {
+	t.Helper()
+	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	return serve(t, planeOf(t, l.Orch), gateway.Options{})
 }
 
 func TestInvokeCommand(t *testing.T) {
@@ -99,7 +121,8 @@ func TestWorkersAndStatsCommands(t *testing.T) {
 	if err := c.run([]string{"workers"}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "live-000") {
+	// A lone orchestrator is a plane of one: its rows name shard-00.
+	if !strings.Contains(out.String(), "live-000") || !strings.Contains(out.String(), "shard-00") {
 		t.Fatalf("workers output = %s", out.String())
 	}
 	out.Reset()
@@ -157,29 +180,14 @@ func TestAsyncInvokeAndJobCommands(t *testing.T) {
 // and top have data behind them.
 func startTelemetryStack(t *testing.T) (*client, *strings.Builder) {
 	t.Helper()
-	tel := telemetry.New()
-	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 2, Seed: 4, Meter: true, Telemetry: tel})
+	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 2, Seed: 4, Meter: true, Telemetry: telemetry.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Telemetry: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := gw.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gw.Close() })
-	var sb strings.Builder
-	return &client{
-		base:       "http://" + addr,
-		http:       &http.Client{Timeout: 30 * time.Second},
-		out:        &sb,
-		interval:   10 * time.Millisecond,
-		iterations: 2,
-	}, &sb
+	c, sb := serve(t, planeOf(t, l.Orch), gateway.Options{})
+	c.interval, c.iterations = 10*time.Millisecond, 2
+	return c, sb
 }
 
 func TestTopCommand(t *testing.T) {
@@ -221,21 +229,8 @@ func startTracedSimStack(t *testing.T) (*client, *strings.Builder, *tracing.Trac
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := gateway.NewWithOptions(s.Orch, gateway.Options{Mode: "sim", Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := gw.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gw.Close() })
-	var sb strings.Builder
-	return &client{
-		base: "http://" + addr,
-		http: &http.Client{Timeout: 30 * time.Second},
-		out:  &sb,
-	}, &sb, tr, coll
+	c, sb := serve(t, planeOf(t, s.Orch), gateway.Options{Mode: "sim", Tracer: tr})
+	return c, sb, tr, coll
 }
 
 // parseTraceTable picks the phase rows and the total row out of the
@@ -367,5 +362,79 @@ func TestTraceCommandUsage(t *testing.T) {
 	}
 	if err := c.run([]string{"trace", "999999"}); err == nil {
 		t.Fatal("trace for unknown job succeeded")
+	}
+}
+
+// fakeGateway answers 404 to everything but GET /jobs/5, a job still
+// pending (202), and counts the requests that reach it.
+func fakeGateway(t *testing.T) (*client, *strings.Builder, *atomic.Int64) {
+	t.Helper()
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/jobs/5" {
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprintln(w, `{"status":"pending"}`)
+			return
+		}
+		w.WriteHeader(http.StatusNotFound)
+		fmt.Fprintln(w, `{"error":"not here"}`)
+	}))
+	t.Cleanup(srv.Close)
+	var sb strings.Builder
+	return &client{base: srv.URL, http: srv.Client(), out: &sb, iterations: 1}, &sb, &hits
+}
+
+// TestHTTPErrorsExitNonzero: every command prints a non-2xx reply's body
+// and fails, so the process exits 1; a 202 pending poll is a success.
+func TestHTTPErrorsExitNonzero(t *testing.T) {
+	for _, args := range [][]string{
+		{"job", "999"}, {"forecast"}, {"slo"}, {"alerts"}, {"trace", "7"},
+		{"trace", "--slowest", "3"}, {"functions"}, {"stats"}, {"workers"}, {"workers", "-v"},
+		{"shards"}, {"shards", "drain", "0"}, {"power"}, {"power", "cap", "5"},
+		{"invoke", "CascSHA"}, {"top"}, {"watch", "m"},
+	} {
+		c, out, _ := fakeGateway(t)
+		if err := c.run(args); err == nil || !strings.Contains(err.Error(), "404") {
+			t.Errorf("%v against a 404: err %v, want the status", args, err)
+		}
+		if !strings.Contains(out.String(), "not here") {
+			t.Errorf("%v did not print the 404 body: %q", args, out.String())
+		}
+	}
+	c, out, _ := fakeGateway(t)
+	if err := c.run([]string{"job", "5"}); err != nil || !strings.Contains(out.String(), `"pending"`) {
+		t.Fatalf("job 5 (pending): err %v, output %q", err, out.String())
+	}
+}
+
+// TestMalformedOperandsAreUsageErrors: a wattage is a whole finite number
+// and a job id or count a positive decimal integer; anything else is
+// refused before a request is made.
+func TestMalformedOperandsAreUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"power", "cap", "12abc"}, "not a wattage"},
+		{[]string{"power", "cap", "NaN"}, "not a wattage"},
+		{[]string{"power", "cap", "+Inf"}, "not a wattage"},
+		{[]string{"job", "1/../../functions"}, "usage"},
+		{[]string{"job", "0"}, "usage"},
+		{[]string{"job", "-3"}, "usage"},
+		{[]string{"job", "7x"}, "usage"},
+		{[]string{"job", "1", "2"}, "usage"},
+		{[]string{"trace", "--slowest"}, "usage"},
+		{[]string{"trace", "--slowest", "0"}, "usage"},
+		{[]string{"trace", "1/../x"}, "usage"},
+	} {
+		c, _, hits := fakeGateway(t)
+		if err := c.run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err %v, want %q", tc.args, err, tc.want)
+		}
+		if n := hits.Load(); n != 0 {
+			t.Errorf("%q reached the gateway %d times", tc.args, n)
+		}
 	}
 }

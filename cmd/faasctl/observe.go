@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"net/url"
 	"sort"
 	"strings"
@@ -50,34 +47,6 @@ type querySeries struct {
 	} `json:"points"`
 }
 
-// fetchQuery runs one /query against every configured gateway and
-// concatenates the series (shard labels make them distinct; with
-// several gateways each contributes its own shards).
-func (c *client) fetchQuery(params url.Values) ([]querySeries, error) {
-	var all []querySeries
-	for _, base := range c.allBases() {
-		resp, err := c.http.Get(base + "/query?" + params.Encode())
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			return nil, fmt.Errorf("%s/query returned %s: %s", base, resp.Status, strings.TrimSpace(string(body)))
-		}
-		var reply struct {
-			Series []querySeries `json:"series"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&reply)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, reply.Series...)
-	}
-	return all, nil
-}
-
 // labelsColumn renders a label set as sorted k=v pairs for table rows.
 func labelsColumn(labels map[string]string) string {
 	if len(labels) == 0 {
@@ -120,16 +89,18 @@ func (c *client) watch(args []string, interval time.Duration, iterations int) er
 			time.Sleep(interval)
 			fmt.Fprintln(c.out)
 		}
-		series, err := c.fetchQuery(params)
-		if err != nil {
+		var reply struct {
+			Series []querySeries `json:"series"`
+		}
+		if err := c.getJSON("/query?"+params.Encode(), &reply); err != nil {
 			return err
 		}
-		if len(series) == 0 {
+		if len(reply.Series) == 0 {
 			fmt.Fprintf(c.out, "%s: no series (metric unseen, or store not scraping yet)\n", metric)
 			continue
 		}
 		fmt.Fprintf(c.out, "%s (%s)\n", metric, op)
-		for _, sr := range series {
+		for _, sr := range reply.Series {
 			vals := make([]float64, len(sr.Points))
 			for j, p := range sr.Points {
 				vals[j] = p.Value
@@ -142,14 +113,6 @@ func (c *client) watch(args []string, interval time.Duration, iterations int) er
 
 // sloTable renders GET /slo as one row per burn-rate page.
 func (c *client) sloTable() error {
-	resp, err := c.http.Get(c.base + "/slo")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.prettyPrint(resp.Body)
-	}
 	var rules []struct {
 		Rule struct {
 			Name string `json:"name"`
@@ -165,7 +128,7 @@ func (c *client) sloTable() error {
 			Firing      bool    `json:"firing"`
 		} `json:"pages"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rules); err != nil {
+	if err := c.getJSON("/slo", &rules); err != nil {
 		return err
 	}
 	if len(rules) == 0 {
@@ -191,14 +154,6 @@ func (c *client) sloTable() error {
 // alertsTable renders GET /alerts: firing pages first, then the
 // transition history (oldest first).
 func (c *client) alertsTable() error {
-	resp, err := c.http.Get(c.base + "/alerts")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.prettyPrint(resp.Body)
-	}
 	var reply struct {
 		Active []struct {
 			Rule      string  `json:"rule"`
@@ -216,7 +171,7 @@ func (c *client) alertsTable() error {
 			Detail   string  `json:"detail"`
 		} `json:"history"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+	if err := c.getJSON("/alerts", &reply); err != nil {
 		return err
 	}
 	if len(reply.Active) == 0 {

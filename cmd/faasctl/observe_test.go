@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -33,25 +32,9 @@ func startObservedStack(t *testing.T, rules []tsdb.Rule) (*client, *strings.Buil
 	if err := store.SetRules(rules); err != nil {
 		t.Fatal(err)
 	}
-	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{
-		Telemetry: tel, TSDB: store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := gw.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gw.Close() })
-	var sb strings.Builder
-	return &client{
-		base:       "http://" + addr,
-		http:       &http.Client{Timeout: 30 * time.Second},
-		out:        &sb,
-		interval:   10 * time.Millisecond,
-		iterations: 1,
-	}, &sb, store, synth
+	c, sb := serve(t, planeOf(t, l.Orch), gateway.Options{TSDB: store})
+	c.interval, c.iterations = 10*time.Millisecond, 1
+	return c, sb, store, synth
 }
 
 // TestTopOnceRendersSingleFrame pins the -once behavior (main maps the

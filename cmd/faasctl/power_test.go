@@ -30,23 +30,9 @@ func startManagedStack(t *testing.T) (*client, *strings.Builder) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Telemetry: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := gw.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gw.Close() })
-	var sb strings.Builder
-	return &client{
-		base:       "http://" + addr,
-		http:       &http.Client{Timeout: 30 * time.Second},
-		out:        &sb,
-		interval:   10 * time.Millisecond,
-		iterations: 1,
-	}, &sb
+	c, sb := serve(t, planeOf(t, l.Orch), gateway.Options{})
+	c.interval, c.iterations = 10*time.Millisecond, 1
+	return c, sb
 }
 
 func TestPowerCommand(t *testing.T) {

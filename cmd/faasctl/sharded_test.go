@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -38,21 +37,7 @@ func startShardedStack(t *testing.T) (*client, *strings.Builder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := gateway.NewSharded(plane, gateway.Options{Mode: "live"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := gw.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gw.Close() })
-	var sb strings.Builder
-	return &client{
-		base: "http://" + addr,
-		http: &http.Client{Timeout: 30 * time.Second},
-		out:  &sb,
-	}, &sb
+	return serve(t, plane, gateway.Options{Mode: "live"})
 }
 
 func TestShardsCommand(t *testing.T) {
@@ -116,43 +101,6 @@ func TestShardsDrainJoinCommand(t *testing.T) {
 	}
 }
 
-// TestShardsCommandDegradedGateway checks the multi-gateway path keeps
-// working when one listed gateway is unreachable: the table renders
-// from the reachable gateways with a warning line, and the command only
-// fails when every gateway is down.
-func TestShardsCommandDegradedGateway(t *testing.T) {
-	c, out := startShardedStack(t)
-	// 127.0.0.1:1 refuses connections; with a healthy gateway alongside
-	// it the table must still render.
-	c.bases = []string{c.base, "http://127.0.0.1:1"}
-	if err := c.run([]string{"shards"}); err != nil {
-		t.Fatalf("shards with one dead gateway: %v", err)
-	}
-	got := out.String()
-	if !strings.Contains(got, "warning:") || !strings.Contains(got, "shard-00") || !strings.Contains(got, "total") {
-		t.Fatalf("degraded shards table:\n%s", got)
-	}
-
-	// Every gateway unreachable: now it is an error, carrying the detail.
-	c.bases = []string{"http://127.0.0.1:1", "http://127.0.0.1:1"}
-	if err := c.run([]string{"shards"}); err == nil {
-		t.Fatal("shards with every gateway down succeeded")
-	}
-
-	// A single unreachable gateway stays a hard error too.
-	c.bases = []string{"http://127.0.0.1:1"}
-	if err := c.run([]string{"shards"}); err == nil {
-		t.Fatal("shards against one dead gateway succeeded")
-	}
-}
-
-func TestShardsCommandOnUnshardedGateway(t *testing.T) {
-	c, _ := startStack(t)
-	if err := c.run([]string{"shards"}); err == nil {
-		t.Fatal("shards against an unsharded gateway succeeded")
-	}
-}
-
 func TestWorkersTableShardColumn(t *testing.T) {
 	c, out := startShardedStack(t)
 	if err := c.run([]string{"workers"}); err != nil {
@@ -198,53 +146,5 @@ func TestTopAggregatesShardLabels(t *testing.T) {
 	// "live-NNN" names, so the two shards' partitions fold together).
 	if !strings.Contains(got, "workers: live-000") {
 		t.Fatalf("workers line missing:\n%s", got)
-	}
-}
-
-// TestMultiGatewayAggregation points one client at two independent
-// unsharded gateways (the -gateway comma-list path) and checks workers
-// and top merge both clusters' views.
-func TestMultiGatewayAggregation(t *testing.T) {
-	var bases []string
-	for i := 0; i < 2; i++ {
-		l, err := cluster.StartLive(cluster.LiveOptions{Workers: 2, Seed: int64(31 + i), Telemetry: telemetry.New()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(l.Close)
-		gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{Telemetry: l.Telemetry})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := gw.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { gw.Close() })
-		bases = append(bases, "http://"+addr)
-	}
-	var sb strings.Builder
-	c := &client{base: bases[0], bases: bases, http: &http.Client{Timeout: 30 * time.Second}, out: &sb}
-
-	if err := c.run([]string{"invoke", "CascSHA", `{"rounds":2,"seed":"mg"}`}); err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if err := c.run([]string{"workers"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(sb.String(), "live-"); got != 4 {
-		t.Fatalf("aggregated workers table lists %d workers, want 4:\n%s", got, sb.String())
-	}
-	sb.Reset()
-	if err := c.top(time.Millisecond, 1); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	if !strings.Contains(got, "invocations 1") {
-		t.Fatalf("aggregated top missing the invocation:\n%s", got)
-	}
-	if !strings.Contains(got, "live-000") {
-		t.Fatalf("aggregated top missing workers line:\n%s", got)
 	}
 }

@@ -10,12 +10,10 @@ import (
 	"microfaas/internal/telemetry"
 )
 
-// top polls /metrics (and /workers for breaker states) on every
-// configured gateway and renders one cluster dashboard every interval:
-// throughput, latency quantiles, per-function J/function, worker
-// health. Sharded gateways expose shard-labeled samples and multiple
-// gateways each contribute their own — both aggregate the same way,
-// by summing counters and merging histogram buckets before any
+// top polls /metrics (and /workers for breaker states) and renders one
+// cluster dashboard every interval: throughput, latency quantiles,
+// per-function J/function, worker health. Samples are shard-labeled and
+// aggregate by summing counters and merging histogram buckets before any
 // quantile is taken. iterations > 0 stops after that many refreshes
 // (scripts and tests); 0 runs until interrupted.
 func (c *client) top(interval time.Duration, iterations int) error {
@@ -44,33 +42,28 @@ func (c *client) top(interval time.Duration, iterations int) error {
 	return nil
 }
 
-// scrapeMetrics fetches and parses one /metrics exposition from every
-// configured gateway, concatenating the samples into one set.
+// scrapeMetrics fetches and parses the gateway's /metrics exposition. It
+// answers without cluster telemetry too (the gateway's own families are
+// always there), so an exposition with no cluster families is an error.
 func (c *client) scrapeMetrics() (telemetry.Samples, error) {
-	var all telemetry.Samples
-	for _, base := range c.allBases() {
-		resp, err := c.http.Get(base + "/metrics")
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return nil, fmt.Errorf("%s/metrics returned %s (telemetry disabled?)", base, resp.Status)
-		}
-		samples, err := telemetry.ParseText(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, samples...)
+	resp, err := c.call(http.MethodGet, "/metrics", nil)
+	if err != nil {
+		return nil, err
 	}
-	return all, nil
+	defer resp.Body.Close()
+	samples, err := telemetry.ParseText(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := samples.Value("microfaas_jobs_pending"); !ok {
+		return nil, fmt.Errorf("%s/metrics has no cluster metrics (telemetry disabled?)", c.base)
+	}
+	return samples, nil
 }
 
 // renderTop writes one dashboard frame. Scalar families are read with
-// Sum, not Value: a sharded gateway splits microfaas_jobs_pending and
-// friends into one sample per shard, and a multi-gateway scrape yields
-// one per gateway — the cluster view is always their sum.
+// Sum, not Value: the gateway splits microfaas_jobs_pending and friends
+// into one sample per shard, and the cluster view is their sum.
 func (c *client) renderTop(samples telemetry.Samples, total, prevTotal float64, now, prevAt time.Time) {
 	pending := samples.Sum("microfaas_jobs_pending")
 	fmt.Fprintf(c.out, "invocations %.0f  pending %.0f", total, pending)
@@ -183,12 +176,12 @@ func (c *client) renderWorkers(samples telemetry.Samples) {
 	fmt.Fprintln(c.out)
 }
 
-// fetchBreakers maps worker id → current breaker state from /workers on
-// every configured gateway. Best-effort: on any error the dashboard
-// renders with "?" states rather than failing the refresh.
+// fetchBreakers maps worker id → current breaker state from /workers.
+// Best-effort: on any error the dashboard renders with "?" states rather
+// than failing the refresh.
 func (c *client) fetchBreakers() map[string]string {
-	workers, err := c.fetchWorkers()
-	if err != nil {
+	var workers []workerRow
+	if err := c.getJSON("/workers", &workers); err != nil {
 		return nil
 	}
 	states := make(map[string]string, len(workers))

@@ -52,6 +52,7 @@ import (
 	"microfaas/internal/power"
 	"microfaas/internal/powermgr"
 	"microfaas/internal/replay"
+	"microfaas/internal/shard"
 	"microfaas/internal/telemetry"
 	"microfaas/internal/tracing"
 	"microfaas/internal/tsdb"
@@ -273,14 +274,23 @@ func (a *argFiller) Submit(function string, _ []byte) int64 {
 
 func serveMode(l *cluster.Live, opts options) error {
 	tracer, scrapeEvery := opts.live.Tracer, opts.scrapeEvery
+	// The gateway fronts a control plane; this deployment is a plane of one
+	// shard.
+	plane, err := shard.NewPlane(l.Runtime, []*core.Orchestrator{l.Orch}, shard.Config{})
+	if err != nil {
+		return err
+	}
 	// Serve mode carries the embedded time-series store: it scrapes the
-	// cluster's registry on the wall clock (the sim scrapes on the
-	// aggregator tick instead) and backs /query, /slo, and /alerts.
+	// plane's registry (the gateway's own families) and the shard's under
+	// its label, as the sharded sim does, on the wall clock (the sim
+	// scrapes on the aggregator tick instead), and backs /query, /slo, and
+	// /alerts.
 	store := tsdb.New(tsdb.Config{Tracer: tracer})
 	if err := store.SetRules(opts.slo); err != nil {
 		return err
 	}
-	store.AddSource("", l.Telemetry.Registry())
+	store.AddSource("", plane.Registry())
+	store.AddSource(plane.Labels()[0], l.Telemetry.Registry())
 	stopScrape := store.Start(l.Runtime.Now, scrapeEvery)
 	defer stopScrape()
 	var ctl *forecast.Controller
@@ -288,7 +298,6 @@ func serveMode(l *cluster.Live, opts options) error {
 		// The predictor ticks on the scrape cadence so every tick sees a
 		// fresh arrival-rate sample; it steers the same power manager the
 		// reactive idle timeout owns.
-		var err error
 		ctl, err = forecast.NewController(forecast.ControllerConfig{
 			Store:   store,
 			Manager: l.PowerMgr,
@@ -305,9 +314,8 @@ func serveMode(l *cluster.Live, opts options) error {
 		stopForecast := ctl.Start(l.Runtime, scrapeEvery)
 		defer stopForecast()
 	}
-	gw, err := gateway.NewWithOptions(l.Orch, gateway.Options{
+	gw, err := gateway.New(plane, gateway.Options{
 		Mode:        "live",
-		Telemetry:   l.Telemetry,
 		Tracer:      tracer,
 		EnablePprof: opts.pprof,
 		TSDB:        store,
@@ -351,7 +359,7 @@ func serveMode(l *cluster.Live, opts options) error {
 	fmt.Printf("\ndraining (up to %v for in-flight jobs)\n", opts.drainTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
 	defer cancel()
-	abandoned := l.Orch.Drain(ctx)
+	abandoned := plane.Drain(ctx)
 	if len(abandoned) > 0 {
 		fmt.Printf("drain deadline hit: %d queued jobs abandoned\n", len(abandoned))
 	}

@@ -53,7 +53,7 @@ func metricsDemo() {
 		log.Fatal(err)
 	}
 
-	gw, err := microfaas.NewGateway(s.Orch, microfaas.GatewayOptions{Mode: "sim", Telemetry: tel})
+	gw, err := microfaas.NewGateway(s.Orch, microfaas.GatewayOptions{Mode: "sim"})
 	if err != nil {
 		log.Fatal(err)
 	}

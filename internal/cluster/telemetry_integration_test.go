@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"microfaas/internal/core"
 	"microfaas/internal/gateway"
 	"microfaas/internal/model"
 	"microfaas/internal/power"
+	"microfaas/internal/shard"
 	"microfaas/internal/telemetry"
 )
 
@@ -31,7 +33,11 @@ func TestSimMetricsEnergyMatchesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gw, err := gateway.NewWithOptions(s.Orch, gateway.Options{Mode: "sim", Telemetry: tel})
+	plane, err := shard.NewPlane(s.Orch.Runtime(), []*core.Orchestrator{s.Orch}, shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := gateway.New(plane, gateway.Options{Mode: "sim"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -703,6 +703,9 @@ func New(cfg Config) (*Orchestrator, error) {
 	return o, nil
 }
 
+// Runtime returns the clock the orchestrator runs on.
+func (o *Orchestrator) Runtime() Runtime { return o.runtime }
+
 // Telemetry returns the orchestrator's telemetry (nil when disabled).
 func (o *Orchestrator) Telemetry() *telemetry.Telemetry { return o.tel }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"microfaas/internal/core"
-	"microfaas/internal/telemetry"
 )
 
 // idleWorker is the worker behind a table-test gateway; the tests replace
@@ -27,10 +26,9 @@ func (idleWorker) RunJob(core.Job, func(core.Result)) {}
 // one that numbers the jobs and keeps their callbacks for the test to fire;
 // everything else goes through the real handlers.
 type asyncTable struct {
-	t   testing.TB
-	gw  *Server
-	h   http.Handler
-	tel *telemetry.Telemetry
+	t  testing.TB
+	gw *Server
+	h  http.Handler
 
 	// Handlers read the clock and arm their holds on their own goroutines.
 	clk   sync.Mutex
@@ -58,10 +56,8 @@ func newAsyncTable(t testing.TB) *asyncTable {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &asyncTable{t: t, tel: telemetry.New(), parked: make(chan struct{}), callbacks: map[int64]func(core.Result){}}
-	if a.gw, err = NewWithOptions(orch, Options{Telemetry: a.tel}); err != nil {
-		t.Fatal(err)
-	}
+	a := &asyncTable{t: t, parked: make(chan struct{}), callbacks: map[int64]func(core.Result){}}
+	a.gw = front(t, orch, Options{})
 	a.gw.timeout = time.Second
 	a.h = a.gw.Handler()
 	a.gw.now = func() time.Time {
@@ -77,13 +73,13 @@ func newAsyncTable(t testing.TB) *asyncTable {
 		a.parked <- struct{}{}
 		return timer
 	}
-	a.gw.submit = func(_ InvokeRequest, _ []byte, cb func(core.Result)) int64 {
+	a.gw.submit = func(_, _ string, _ []byte, cb func(core.Result)) (int64, int) {
 		a.nextID++
 		a.callbacks[a.nextID] = cb
 		if a.settle {
 			a.complete(a.nextID)
 		}
-		return a.nextID
+		return a.nextID, 0
 	}
 	return a
 }
@@ -240,7 +236,7 @@ func (a *asyncTable) rows() int {
 
 // expired reads microfaas_gateway_async_expired_total for one state.
 func (a *asyncTable) expired(state string) float64 {
-	return a.tel.Registry().Snapshot("", "").Sum("microfaas_gateway_async_expired_total", "state", state)
+	return a.gw.plane.Registry().Snapshot("", "").Sum("microfaas_gateway_async_expired_total", "state", state)
 }
 
 // TestAsyncPendingSurvivesFastPollerRace is the regression test for the

@@ -109,9 +109,9 @@ func TestEdgeKeepsParkedPoll(t *testing.T) {
 func TestEdgeKeepsSlowInvoke(t *testing.T) {
 	const beat = 50 * time.Millisecond
 	a := newAsyncTable(t)
-	a.gw.submit = func(_ InvokeRequest, _ []byte, cb func(core.Result)) int64 {
+	a.gw.submit = func(_, _ string, _ []byte, cb func(core.Result)) (int64, int) {
 		time.AfterFunc(10*beat, func() { cb(core.Result{Job: core.Job{ID: 1}, WorkerID: "w"}) })
-		return 1
+		return 1, 0
 	}
 	conn := a.listen(beat)
 	body := `{"function":"RegExMatch"}`

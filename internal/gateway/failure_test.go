@@ -24,10 +24,7 @@ func TestQueuedMsReportsWaitNotTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := front(t, l.Orch, Options{})
 	addr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -92,10 +89,7 @@ func TestSyncInvokeTimeoutLeavesJobRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := front(t, l.Orch, Options{})
 	gw.timeout = 20 * time.Millisecond
 	addr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // shardBudgets is one shard's energy-budget rows inside the /budgets
 // reply.
 type shardBudgets struct {
-	Shard   string              `json:"shard,omitempty"`
+	Shard   string              `json:"shard"`
 	Budgets []core.BudgetStatus `json:"budgets"`
 }
 

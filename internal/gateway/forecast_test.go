@@ -34,10 +34,7 @@ func startForecastGateway(t *testing.T) (base string, ctl *forecast.Controller, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := NewWithOptions(l.Orch, Options{Forecast: ctl})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := front(t, l.Orch, Options{Forecast: ctl})
 	addr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +83,8 @@ func TestForecastEndpointDisabled(t *testing.T) {
 	}
 }
 
-// decodeLoneBudgets reads a /budgets reply from a gateway over one
-// unlabelled orchestrator: a one-row array with no shard name.
+// decodeLoneBudgets reads a /budgets reply from a gateway over a plane of
+// one: a one-row array naming shard-00.
 func decodeLoneBudgets(t *testing.T, resp *http.Response) []core.BudgetStatus {
 	t.Helper()
 	defer resp.Body.Close()
@@ -95,8 +92,8 @@ func decodeLoneBudgets(t *testing.T, resp *http.Response) []core.BudgetStatus {
 	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Shard != "" {
-		t.Fatalf("lone /budgets rows = %+v, want one unlabelled row", rows)
+	if len(rows) != 1 || rows[0].Shard != "shard-00" {
+		t.Fatalf("lone /budgets rows = %+v, want one shard-00 row", rows)
 	}
 	return rows[0].Budgets
 }

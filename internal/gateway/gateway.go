@@ -23,8 +23,9 @@
 //	                       shard: limit, spent, exhausted
 //	POST /budgets          {"function": "...", "limit_j": N} sets/updates a budget on every
 //	                       shard (N <= 0 removes); replies like GET /budgets
-//	GET  /healthz          liveness probe: mode, uptime, build version
-//	GET  /metrics          Prometheus text exposition (telemetry-enabled servers)
+//	GET  /healthz          liveness probe: mode, uptime, build version, shard count
+//	GET  /metrics          Prometheus text exposition: the plane's registry, then every
+//	                       shard's under its shard label
 //	GET  /events           ring-buffered invocation lifecycle events, every shard's ring
 //	                       merged by time (?since=CURSOR&max=N; the reply's "cursor" is
 //	                       the last sequence returned per shard, comma-separated)
@@ -35,21 +36,17 @@
 //	GET  /traces           per-invocation trace summaries (?job=N | ?slowest=N | ?limit=N;
 //	                       ?format=chrome|ndjson streams a raw export instead)
 //	GET  /traces/{id}      one trace's critical-path breakdown plus its raw spans
-//	GET  /shards           per-shard capacity snapshots (sharded gateways only)
+//	GET  /shards           per-shard capacity snapshots
 //	POST /shards/{id}/drain  take one shard out of service, migrating its queue
 //	POST /shards/{id}/join   return a drained/dead shard to service
 //	GET  /debug/pprof/*    net/http/pprof profiler (only when Options.EnablePprof)
 //
-// A gateway fronts an ordered list of orchestrator shards. A lone
-// orchestrator (NewWithOptions) is a list of one; a sharded control plane
-// (NewSharded) is its shards in ring order, plus the plane itself for
-// key routing on /invoke and the /shards admin routes. Every read
-// endpoint is one loop over that list, so both answer in the same shape:
-// /events pages by per-shard cursor and /power, /power/cap and /budgets
-// reply with one row per shard whether there is one shard or sixty-four.
-// (Those four were the only routes whose lone-orchestrator reply changed
-// when the two code paths became one; rows and events of an unlabelled
-// lone orchestrator omit "shard".)
+// A gateway fronts one shard.Plane; a lone orchestrator is a plane of one
+// shard. /invoke routes through the plane by key, and every read endpoint
+// is one loop over its shards in ring order, so the replies have one
+// shape whether there is one shard or sixty-four: rows and events name
+// their shard, /events pages by per-shard cursor, and /power, /power/cap
+// and /budgets reply with one row per shard.
 //
 // Async jobs live in one table, one row per unfetched job, and move one way:
 //
@@ -79,7 +76,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -100,10 +96,10 @@ import (
 	"microfaas/internal/workload"
 )
 
-// InvokeRequest is the POST /invoke body. Key only matters on sharded
-// gateways: it is the consistent-hash routing key, defaulting to the
-// function name (so a function's invocations colocate on one shard);
-// pass a compound key like "user/123" to spread a hot function.
+// InvokeRequest is the POST /invoke body. Key is the plane's
+// consistent-hash routing key, defaulting to the function name (so a
+// function's invocations colocate on one shard); pass a compound key like
+// "user/123" to spread a hot function.
 type InvokeRequest struct {
 	Function string          `json:"function"`
 	Args     json.RawMessage `json:"args"`
@@ -209,14 +205,14 @@ const (
 // gets 504 while the job runs on.
 const syncTimeout = 5 * time.Minute
 
-// Options configures a Server beyond the orchestrator it fronts.
+// Options configures a Server beyond the plane it fronts.
 type Options struct {
 	// Mode labels the cluster behind the gateway — "sim" or "live" — in
 	// the /healthz body (default "live").
 	Mode string
-	// Telemetry, when set, backs a lone orchestrator's GET /metrics and
-	// GET /events. Without it both routes answer 404. (A plane's shards
-	// each carry their own; see NewSharded.)
+	// Telemetry is not read: each shard's own telemetry backs /metrics and
+	// /events (see New). It is the instance the orchestrator already
+	// carries wherever it is set.
 	Telemetry *telemetry.Telemetry
 	// Tracer, when set, backs GET /traces and GET /traces/{id}. Without it
 	// both routes answer 404. Usually the same tracer wired into the
@@ -234,47 +230,38 @@ type Options struct {
 	Forecast *forecast.Controller
 }
 
-// HealthResponse is the GET /healthz reply. ShardID and ShardCount are
-// always present: an unsharded gateway reports "" and 1, a gateway
-// fronting a whole plane reports "" and the shard count, and a gateway
-// fronting one shard of a larger deployment reports that shard's label.
+// HealthResponse is the GET /healthz reply.
 type HealthResponse struct {
 	Status     string  `json:"status"`
 	Mode       string  `json:"mode"`
 	UptimeS    float64 `json:"uptime_s"`
 	Version    string  `json:"version"`
-	ShardID    string  `json:"shard_id"`
 	ShardCount int     `json:"shard_count"`
 }
 
 // shardRef is one orchestrator behind the gateway: the label its rows
-// and events carry ("" for an unlabelled lone orchestrator) and the
-// telemetry backing its slice of /events (nil when disabled).
+// and events carry and the telemetry backing its slice of /events (nil
+// when disabled).
 type shardRef struct {
 	label string
 	orch  *core.Orchestrator
 	tel   *telemetry.Telemetry
 }
 
-// Server serves the gateway over HTTP. It always holds an ordered shard
-// list — one entry for a lone orchestrator — and every read handler is a
-// loop over it. plane is set only when the gateway fronts a whole
-// shard.Plane, for the /shards admin routes.
+// Server serves the gateway over HTTP: the plane's shards in ring order,
+// which every read handler loops over, and the plane itself for /invoke,
+// /metrics and the /shards admin routes.
 type Server struct {
 	shards []shardRef
 	plane  *shard.Plane
-	// submit hands one invocation to the cluster and returns its job id
-	// (0 while draining); metrics writes the /metrics exposition (nil =
-	// 404). Both are chosen once at construction, so a lone orchestrator
-	// pays no ring lookup on /invoke and serves its registry unlabelled.
-	submit  func(req InvokeRequest, args []byte, cb func(core.Result)) int64
-	metrics func(io.Writer) error
+	// submit is the plane's Submit: it routes one invocation by key and
+	// returns its job id (0 while draining). The async-table tests swap it
+	// for a fake.
+	submit func(key, function string, args []byte, cb func(core.Result)) (int64, int)
 
-	// timeout is syncTimeout; in-package tests shorten it. shardID is the
-	// /healthz shard label: the lone orchestrator's, or "" for a plane.
+	// timeout is syncTimeout; in-package tests shorten it.
 	timeout  time.Duration
 	mode     string
-	shardID  string
 	tracer   *tracing.Tracer
 	tsdb     *tsdb.Store
 	forecast *forecast.Controller
@@ -304,63 +291,31 @@ type Server struct {
 	expiredPending, expiredDone *telemetry.Counter
 }
 
-// NewWithOptions wraps a lone orchestrator: a shard list of one, submitted
-// to directly. Options.Telemetry backs its /metrics and /events.
-func NewWithOptions(orch *core.Orchestrator, opts Options) (*Server, error) {
-	if orch == nil {
-		return nil, fmt.Errorf("gateway: orchestrator required")
-	}
-	s := newServer(opts, []shardRef{{label: orch.ShardLabel(), orch: orch, tel: opts.Telemetry}}, opts.Telemetry.Registry())
-	s.shardID = orch.ShardLabel()
-	s.submit = func(req InvokeRequest, args []byte, cb func(core.Result)) int64 {
-		return orch.SubmitAsync(req.Function, args, cb)
-	}
-	if opts.Telemetry != nil {
-		s.metrics = opts.Telemetry.Registry().WritePrometheus
-	}
-	return s, nil
-}
-
-// NewSharded fronts a whole sharded control plane: /invoke routes
-// through the plane's consistent-hash tier (keyed by InvokeRequest.Key,
-// defaulting to the function name), and the read endpoints cover every
-// shard. Each shard's own telemetry backs /metrics (merged under shard
-// labels, after the plane's registry) and /events; Options.Telemetry is
-// not consulted. Options.Tracer should be the instance the shards share.
-func NewSharded(plane *shard.Plane, opts Options) (*Server, error) {
+// New fronts a control plane — a lone orchestrator is a plane of one
+// shard. /invoke routes through the plane's consistent-hash tier (keyed
+// by InvokeRequest.Key, defaulting to the function name), and the read
+// endpoints cover every shard. /metrics is the plane's registry, which
+// holds the gateway's own families, followed by every shard's under its
+// shard label; each shard's telemetry backs its slice of /events.
+// Options.Tracer should be the instance the shards share.
+func New(plane *shard.Plane, opts Options) (*Server, error) {
 	if plane == nil {
 		return nil, fmt.Errorf("gateway: shard plane required")
+	}
+	if opts.Mode == "" {
+		opts.Mode = "live"
 	}
 	labels := plane.Labels()
 	shards := make([]shardRef, plane.NumShards())
 	for i, o := range plane.Shards() {
 		shards[i] = shardRef{label: labels[i], orch: o, tel: o.Telemetry()}
 	}
-	s := newServer(opts, shards, plane.Registry())
-	s.plane = plane
-	s.submit = func(req InvokeRequest, args []byte, cb func(core.Result)) int64 {
-		key := req.Key
-		if key == "" {
-			key = req.Function
-		}
-		id, _ := plane.Submit(key, req.Function, args, cb)
-		return id
-	}
-	s.metrics = plane.WriteMergedMetrics
-	return s, nil
-}
-
-// newServer applies option defaults and builds a Server over the shard
-// list; the two exported constructors attach the submit and metrics
-// routes. reg is the registry /metrics serves first (nil when telemetry is
-// off): the gateway's own metrics go there.
-func newServer(opts Options, shards []shardRef, reg *telemetry.Registry) *Server {
-	if opts.Mode == "" {
-		opts.Mode = "live"
-	}
+	reg := plane.Registry()
 	const expiredHelp = "Async rows dropped at RetainAsync, by the state they were in: a result nobody collected (done) or a job whose completion never came (pending)."
 	s := &Server{
 		shards:   shards,
+		plane:    plane,
+		submit:   plane.Submit,
 		timeout:  syncTimeout,
 		mode:     opts.Mode,
 		tracer:   opts.Tracer,
@@ -379,7 +334,7 @@ func newServer(opts Options, shards []shardRef, reg *telemetry.Registry) *Server
 	}
 	s.expiry.prev, s.expiry.next = &s.expiry, &s.expiry
 	s.edge.header, s.edge.read, s.edge.idle = readHeaderTimeout, readTimeout, idleTimeout
-	return s
+	return s, nil
 }
 
 // Handler returns the HTTP handler (useful for embedding and tests).
@@ -416,22 +371,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Mode:       s.mode,
 		UptimeS:    time.Since(s.start).Seconds(),
 		Version:    version.Version,
-		ShardID:    s.shardID,
 		ShardCount: len(s.shards),
 	})
 }
 
+// handleMetrics serves the plane's merged exposition. The gateway's own
+// families are on the plane's registry, so it answers even when the
+// shards run without telemetry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	if s.metrics == nil {
-		writeError(w, http.StatusNotFound, "telemetry disabled on this gateway")
-		return
-	}
 	w.Header().Set("Content-Type", telemetry.TextContentType)
-	s.metrics(w) //nolint:errcheck // peer gone: nothing to do
+	s.plane.WriteMergedMetrics(w) //nolint:errcheck // peer gone: nothing to do
 }
 
 // Listen binds addr and serves in the background, returning the bound
@@ -535,12 +488,15 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if len(args) == 0 {
 		args = []byte("{}")
 	}
+	if req.Key == "" {
+		req.Key = req.Function
+	}
 	if r.URL.Query().Get("async") != "" {
 		s.invokeAsync(w, req, args)
 		return
 	}
 	resCh := make(chan core.Result, 1)
-	jobID := s.submit(req, args, func(res core.Result) {
+	jobID, _ := s.submit(req.Key, req.Function, args, func(res core.Result) {
 		resCh <- res
 	})
 	if jobID == 0 {
@@ -569,7 +525,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 // the job sooner: the id is not on the wire yet.
 func (s *Server) invokeAsync(w http.ResponseWriter, req InvokeRequest, args []byte) {
 	j := new(asyncJob)
-	jobID := s.submit(req, args, func(res core.Result) { s.recordAsync(j, res) })
+	jobID, _ := s.submit(req.Key, req.Function, args, func(res core.Result) { s.recordAsync(j, res) })
 	if jobID == 0 {
 		writeError(w, http.StatusServiceUnavailable, "gateway draining; not accepting new invocations")
 		return
@@ -722,7 +678,7 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	type workerInfo struct {
 		core.WorkerHealth
 		Breaker string `json:"breaker"`
-		Shard   string `json:"shard,omitempty"`
+		Shard   string `json:"shard"`
 	}
 	out := []workerInfo{} // stable shape: [] even with nothing to report
 	for _, sh := range s.shards {
@@ -735,14 +691,10 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 
 // handleShards serves GET /shards: every shard's capacity snapshot —
 // worker count, pending and queued depth, ring weight, and steal
-// counters — in ring order. Unsharded gateways answer 404.
+// counters — in ring order.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.plane == nil {
-		writeError(w, http.StatusNotFound, "this gateway fronts an unsharded control plane")
 		return
 	}
 	writeJSON(w, http.StatusOK, s.plane.Status())
@@ -756,10 +708,6 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.plane == nil {
-		writeError(w, http.StatusNotFound, "this gateway fronts an unsharded control plane")
 		return
 	}
 	rest := strings.TrimPrefix(r.URL.Path, "/shards/")
@@ -803,7 +751,7 @@ func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
 // shardPower is one shard's power snapshot inside the /power and
 // /power/cap replies.
 type shardPower struct {
-	Shard    string          `json:"shard,omitempty"`
+	Shard    string          `json:"shard"`
 	Snapshot powermgr.Status `json:"snapshot"`
 }
 
@@ -849,7 +797,7 @@ func (s *Server) handlePower(w http.ResponseWriter, r *http.Request) {
 // the cluster power budget at runtime (0 removes the cap) and returns the
 // resulting snapshots, shaped like GET /power. The budget is divided
 // evenly across the shards that run a power manager (each shard caps its
-// own partition; a lone orchestrator gets all of it). Lowering the cap
+// own partition; a plane of one gets all of it). Lowering the cap
 // never force-kills powered nodes; the cluster converges downward as they
 // idle out.
 func (s *Server) handlePowerCap(w http.ResponseWriter, r *http.Request) {

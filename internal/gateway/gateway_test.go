@@ -11,7 +11,24 @@ import (
 	"time"
 
 	"microfaas/internal/cluster"
+	"microfaas/internal/core"
+	"microfaas/internal/shard"
 )
+
+// front builds a gateway over orch as a plane of one shard, the way
+// microfaas-live serves its cluster.
+func front(t testing.TB, orch *core.Orchestrator, opts Options) *Server {
+	t.Helper()
+	plane, err := shard.NewPlane(orch.Runtime(), []*core.Orchestrator{orch}, shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := New(plane, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gw
+}
 
 // startGateway boots a 2-worker live cluster with a gateway in front.
 func startGateway(t *testing.T) (base string, l *cluster.Live) {
@@ -21,10 +38,7 @@ func startGateway(t *testing.T) (base string, l *cluster.Live) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := front(t, l.Orch, Options{})
 	addr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -204,10 +218,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := NewWithOptions(nil, Options{}); err == nil {
-		t.Fatal("nil orchestrator accepted")
-	}
-	if _, err := NewSharded(nil, Options{}); err == nil {
+	if _, err := New(nil, Options{}); err == nil {
 		t.Fatal("nil plane accepted")
 	}
 }

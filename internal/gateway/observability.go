@@ -125,11 +125,10 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 }
 
 // ShardEvent is one lifecycle event in the /events reply, tagged with
-// the shard whose log it came from ("shard" is omitted for an unlabelled
-// lone orchestrator).
+// the shard whose log it came from.
 type ShardEvent struct {
 	telemetry.Event
-	Shard string `json:"shard,omitempty"`
+	Shard string `json:"shard"`
 }
 
 // EventsResponse is the GET /events reply. Cursor carries, per shard in
@@ -137,7 +136,7 @@ type ShardEvent struct {
 // returned (or the request's own cursor where the page returned nothing
 // for that shard); pass it back as ?since= to poll incrementally. Each
 // shard's event log numbers independently, so the cursor is a vector —
-// for a lone orchestrator it is a single integer. Dropped is the exact
+// for a plane of one it is a single integer. Dropped is the exact
 // number of events newer than the cursor that the rings overwrote before
 // this page was read, summed over shards: a poller that sees Dropped > 0
 // lost that many events, no seq-jump inference needed. Events is always

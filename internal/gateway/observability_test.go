@@ -46,7 +46,7 @@ func startObservedShardedGateway(t *testing.T) (base string, plane *shard.Plane,
 	for i, tel := range tels {
 		store.AddSource(labels[i], tel.Registry())
 	}
-	gw, err := NewSharded(plane, Options{Mode: "live", TSDB: store})
+	gw, err := New(plane, Options{Mode: "live", TSDB: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +174,7 @@ func TestSLOAndAlertsEndpoints(t *testing.T) {
 	if err := store.SetRules([]tsdb.Rule{rule}); err != nil {
 		t.Fatal(err)
 	}
-	gw, err := NewWithOptions(l.Orch, Options{TSDB: store})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := front(t, l.Orch, Options{TSDB: store})
 	srv := httptest.NewServer(gw.Handler())
 	t.Cleanup(srv.Close)
 	base := srv.URL
@@ -247,10 +244,7 @@ func TestObservabilityEndpointsDisabledWithoutStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := front(t, l.Orch, Options{})
 	srv := httptest.NewServer(gw.Handler())
 	t.Cleanup(srv.Close)
 	for _, path := range []string{"/query?metric=x", "/slo", "/alerts"} {

@@ -25,10 +25,7 @@ func startManagedGateway(t *testing.T) (base string, l *cluster.Live) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := front(t, l.Orch, Options{})
 	addr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +44,9 @@ func getPower(t *testing.T, base string) (int, powermgr.Status) {
 	return resp.StatusCode, decodeLonePower(t, resp)
 }
 
-// decodeLonePower reads a /power or /power/cap reply from a gateway over
-// one unlabelled orchestrator: a one-row array with no shard name. Any
-// status but 200 decodes to the zero Status.
+// decodeLonePower reads a /power or /power/cap reply from a gateway over a
+// plane of one: a one-row array naming shard-00. Any status but 200
+// decodes to the zero Status.
 func decodeLonePower(t *testing.T, resp *http.Response) powermgr.Status {
 	t.Helper()
 	if resp.StatusCode != http.StatusOK {
@@ -59,8 +56,8 @@ func decodeLonePower(t *testing.T, resp *http.Response) powermgr.Status {
 	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Shard != "" {
-		t.Fatalf("lone /power rows = %+v, want one unlabelled row", rows)
+	if len(rows) != 1 || rows[0].Shard != "shard-00" {
+		t.Fatalf("lone /power rows = %+v, want one shard-00 row", rows)
 	}
 	return rows[0].Snapshot
 }

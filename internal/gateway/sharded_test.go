@@ -39,7 +39,7 @@ func startShardedGateway(t *testing.T) (base string, plane *shard.Plane) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := NewSharded(plane, Options{Mode: "live"})
+	gw, err := New(plane, Options{Mode: "live"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,10 @@ func TestShardedGatewayEndToEnd(t *testing.T) {
 		t.Fatalf("ShardFor out of range: %d", got)
 	}
 
-	// /healthz always carries the shard fields; a plane gateway reports
-	// the shard count.
+	// /healthz reports the shard count.
 	var health HealthResponse
 	getJSON(t, base+"/healthz", &health)
-	if health.ShardCount != 2 || health.ShardID != "" || health.Status != "ok" {
+	if health.ShardCount != 2 || health.Status != "ok" {
 		t.Fatalf("healthz = %+v", health)
 	}
 

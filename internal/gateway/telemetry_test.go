@@ -23,10 +23,7 @@ func startTelemetryGateway(t *testing.T) (base string, tel *telemetry.Telemetry)
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{Telemetry: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := front(t, l.Orch, Options{})
 	addr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -107,17 +104,33 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsDisabled: with cluster telemetry off, /events has nothing to
+// serve (404), while /metrics still answers with the plane's and the
+// gateway's own families and no cluster family.
 func TestMetricsDisabled(t *testing.T) {
 	base, _ := startGateway(t)
-	for _, path := range []string{"/metrics", "/events"} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s on plain gateway → %d, want 404", path, resp.StatusCode)
-		}
+	resp, err := http.Get(base + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/events on plain gateway → %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples, err := telemetry.ParseText(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics on plain gateway → %d, %v", resp.StatusCode, err)
+	}
+	if _, ok := samples.Value("microfaas_gateway_polls_parked"); !ok {
+		t.Fatal("/metrics lacks the gateway's own families")
+	}
+	if _, ok := samples.Value("microfaas_jobs_pending"); ok {
+		t.Fatal("/metrics serves a cluster family with telemetry off")
 	}
 }
 

@@ -28,10 +28,7 @@ func startTracedSimGateway(t *testing.T) (base string, tr *tracing.Tracer) {
 	if _, err := s.RunSuite(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	gw, err := NewWithOptions(s.Orch, Options{Mode: "sim", Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := front(t, s.Orch, Options{Mode: "sim", Tracer: tr})
 	srv := httptest.NewServer(gw.Handler())
 	t.Cleanup(srv.Close)
 	return srv.URL, tr
@@ -198,10 +195,7 @@ func TestEventsRingOverwritePaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	gw, err := NewWithOptions(l.Orch, Options{Telemetry: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := front(t, l.Orch, Options{})
 	srv := httptest.NewServer(gw.Handler())
 	t.Cleanup(srv.Close)
 	base := srv.URL
@@ -256,10 +250,7 @@ func TestPprofMounting(t *testing.T) {
 	}
 	t.Cleanup(l.Close)
 
-	on, err := NewWithOptions(l.Orch, Options{EnablePprof: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	on := front(t, l.Orch, Options{EnablePprof: true})
 	srvOn := httptest.NewServer(on.Handler())
 	t.Cleanup(srvOn.Close)
 	if resp := getJSON(t, srvOn.URL+"/debug/pprof/", nil); resp.StatusCode != http.StatusOK {
@@ -269,10 +260,7 @@ func TestPprofMounting(t *testing.T) {
 		t.Fatalf("pprof cmdline with -pprof → %d", resp.StatusCode)
 	}
 
-	off, err := NewWithOptions(l.Orch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := front(t, l.Orch, Options{})
 	srvOff := httptest.NewServer(off.Handler())
 	t.Cleanup(srvOff.Close)
 	if resp := getJSON(t, srvOff.URL+"/debug/pprof/", nil); resp.StatusCode != http.StatusNotFound {

@@ -7,9 +7,10 @@ import "fmt"
 // and rebalance halves it visits shards in index order, draws no
 // randomness, and runs on the cluster clock, so churn under a seeded
 // simulation replays byte-identically. Lock discipline: member records
-// and the ring mutate under p.mu; orchestrator calls (Seal, TakeAll,
-// SubmitJob, Reopen) happen with p.mu released — orchestrator locks are
-// leaves and must never nest inside the plane's.
+// and the ring mutate under p.mu; orchestrator calls that move work (Seal,
+// TakeAll, SubmitJob, Reopen) happen with p.mu released. Only the
+// read-only Pending, which takes nothing after the orchestrator's own
+// lock, is called under p.mu (by route).
 
 // healthTick probes every shard once and advances the membership state
 // machine. Deaths and rejoins decided this pass execute after the scan,

@@ -240,15 +240,15 @@ func (p *Plane) ShardFor(key string) int {
 
 // route picks the destination shard for a key under the configured
 // bounded-load factor, reading live pending counts as the load signal.
+// The walk reads each shard's count as it visits it, so routing allocates
+// nothing; Pending is a leaf read, so it may run under p.mu.
 func (p *Plane) route(key string) (*core.Orchestrator, int) {
-	loads := make([]int, len(p.shards))
 	total := 0
-	for i, o := range p.shards {
-		loads[i] = o.Pending()
-		total += loads[i]
+	for _, o := range p.shards {
+		total += o.Pending()
 	}
 	p.mu.Lock()
-	idx := p.ring.LookupBounded(key, p.cfg.BoundFactor, total, func(s int) int { return loads[s] })
+	idx := p.ring.LookupBounded(key, p.cfg.BoundFactor, total, func(s int) int { return p.shards[s].Pending() })
 	p.mu.Unlock()
 	return p.shards[idx], idx
 }

@@ -58,6 +58,7 @@ type Ring struct {
 	members int
 	counts  []int // points per shard in the current list; 0 when absent
 	points  []ringPoint
+	seen    []bool // LookupBounded's scratch: shards its walk has visited
 }
 
 // NewRing builds a ring over n shards (ids 0..n-1), all present, at
@@ -70,7 +71,7 @@ func NewRing(n, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{vnodes: vnodes, weights: make([]float64, n), present: make([]bool, n), members: n, counts: make([]int, n)}
+	r := &Ring{vnodes: vnodes, weights: make([]float64, n), present: make([]bool, n), members: n, counts: make([]int, n), seen: make([]bool, n)}
 	for i := range r.weights {
 		r.weights[i] = 1
 		r.present[i] = true
@@ -251,7 +252,8 @@ func (r *Ring) LookupBounded(key string, factor float64, total int, load func(sh
 	n := r.members
 	bound := factor*float64(total)/float64(n) + 1
 	visited := 0
-	seen := make([]bool, len(r.weights))
+	seen := r.seen
+	clear(seen)
 	for i := 0; visited < n && i < len(r.points); i++ {
 		p := r.points[(home+i)%len(r.points)]
 		if seen[p.shard] {

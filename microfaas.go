@@ -50,18 +50,23 @@ func StartLiveCluster(opts LiveOptions) (*LiveCluster, error) {
 	return cluster.StartLive(opts)
 }
 
-// Gateway is an HTTP FaaS endpoint over a cluster's orchestrator.
+// Gateway is an HTTP FaaS endpoint over a cluster's control plane.
 type Gateway = gateway.Server
 
-// GatewayOptions configures a gateway beyond its orchestrator (sim/live
-// mode label, telemetry backing /metrics and /events, tracer, store).
+// GatewayOptions configures a gateway beyond its control plane (sim/live
+// mode label, tracer, store). Its Telemetry field is not read: the
+// orchestrator's own telemetry backs /metrics and /events.
 type GatewayOptions = gateway.Options
 
 // NewGateway builds an HTTP gateway over any orchestrator — live or
-// simulated — without binding it to a port; call Listen to bind, or
-// mount Handler on a server of your own.
+// simulated — as a control plane of one shard, without binding it to a
+// port; call Listen to bind, or mount Handler on a server of your own.
 func NewGateway(orch *Orchestrator, opts GatewayOptions) (*Gateway, error) {
-	return gateway.NewWithOptions(orch, opts)
+	plane, err := shard.NewPlane(orch.Runtime(), []*core.Orchestrator{orch}, shard.Config{})
+	if err != nil {
+		return nil, err
+	}
+	return gateway.New(plane, opts)
 }
 
 // Orchestrator is the cluster orchestration platform (the OP of Sec IV-D).

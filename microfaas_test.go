@@ -43,7 +43,7 @@ func TestPublicGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	gw, err := NewGateway(cl.Orch, GatewayOptions{Mode: "live", Telemetry: cl.Telemetry})
+	gw, err := NewGateway(cl.Orch, GatewayOptions{Mode: "live"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,14 +173,18 @@ for i in 1 2 3 4 5; do # each poll holds up to a second
 	grep -q '"pending"' "$tmp/out" || break
 done
 says '"output"'
-run ctl job "$job"
-says "already-fetched"
+refused "already-fetched" ctl job "$job"
 run ctl workers
 says live-001
 run ctl workers -v
 run ctl stats
 says '"completed"'
-refused "unsharded control plane" ctl shards
+# A lone orchestrator is a plane of one: its one shard cannot be drained,
+# and it is already in service.
+run ctl shards
+says shard-00
+refused "last live shard" ctl shards drain 0
+refused "already in service" ctl shards join shard-00
 run ctl top -once
 run ctl top -once -json
 run ctl watch -once microfaas_jobs_submitted_total
@@ -219,6 +223,7 @@ get /events
 says '"cursor"'
 get /metrics
 says microfaas_gateway_polls_parked
+says 'shard="shard-00"'
 get /healthz
 get /debug/pprof/
 stop "$tmp/serve1.log"
