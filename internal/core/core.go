@@ -102,9 +102,10 @@ type Result struct {
 // prototype), worker-OS boot, input receive, execution, result return, and
 // power-down. done is invoked at most once, and never synchronously from
 // inside RunJob itself — sim workers fire it from a scheduled event, live
-// workers from their own goroutine. A wedged worker may never invoke done
-// at all; the OP's deadline covers that case. The orchestrator never calls
-// RunJob concurrently on the same worker.
+// workers from their connection's reader (or its timeout, or a fresh
+// goroutine when the request never left). A wedged worker may never invoke
+// done at all; the OP's deadline covers that case. The orchestrator never
+// calls RunJob concurrently on the same worker.
 type Worker interface {
 	// ID returns the worker's stable, cluster-unique name.
 	ID() string

@@ -83,19 +83,15 @@ type LiveWorkerConfig struct {
 	GPIO *gpio.Controller
 }
 
-// liveJob is one dispatch queued to the worker's invoker goroutine.
-type liveJob struct {
-	job  core.Job
-	done func(core.Result)
-}
-
 // LiveWorker implements core.Worker by serving the invocation protocol on
 // a real TCP listener and executing internal/workload functions. The OP
 // side holds one persistent multiplexed connection (proto.Conn) to the
 // worker for its whole life — dialed lazily, redialed after faults or
 // power cycles — so steady-state invocations pay framing and execution
-// but no per-job dial or goroutine spawn. The full protocol path —
-// framed request, execution, framed response — still runs over real TCP.
+// but no per-job dial or goroutine spawn: RunJob writes the request and
+// returns, and the connection's reader settles the job when the reply
+// arrives. The full protocol path — framed request, execution, framed
+// response — still runs over real TCP.
 type LiveWorker struct {
 	cfg  LiveWorkerConfig
 	dev  *power.Device // meter handle, taken once at start; nil when unmetered
@@ -105,13 +101,11 @@ type LiveWorker struct {
 	m    workerMetrics
 	quit chan struct{} // closed on Close; releases hung invocations
 	pc   *proto.Conn   // the OP's persistent connection to this worker
-	jobs chan liveJob  // RunJob → invokeLoop handoff
 
 	mu     sync.Mutex
 	closed bool
 	rng    *rand.Rand  // fault draws; guarded by mu
 	state  power.State // modeled power state (managed mode); guarded by mu
-	wg     sync.WaitGroup
 }
 
 // StartLiveWorker binds the worker's TCP endpoint and begins serving.
@@ -154,9 +148,6 @@ func StartLiveWorker(cfg LiveWorkerConfig) (*LiveWorker, error) {
 		}
 	}
 	w.pc = proto.NewConn(w.addr)
-	w.jobs = make(chan liveJob, 1)
-	w.wg.Add(1)
-	go w.invokeLoop()
 	return w, nil
 }
 
@@ -172,7 +163,8 @@ func (w *LiveWorker) now() time.Duration {
 }
 
 // Close stops the worker's listener, closes every connection open on it
-// (the OP's own and any other), and waits for in-flight handlers.
+// (the OP's own and any other), and waits for in-flight handlers. Jobs in
+// flight settle with an error, and so does every later RunJob.
 func (w *LiveWorker) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -182,10 +174,8 @@ func (w *LiveWorker) Close() error {
 	w.closed = true
 	w.mu.Unlock()
 	close(w.quit) // release invocations wedged by fault injection
-	w.pc.Close()  // settle in-flight invokes so the invoker can drain
-	err := w.srv.Close()
-	w.wg.Wait()
-	return err
+	w.pc.Close()  // settle in-flight calls and refuse new ones
+	return w.srv.Close()
 }
 
 // setState moves the modeled power state (managed mode only).
@@ -428,49 +418,17 @@ func (w *LiveWorker) traceSpan(ctx tracing.Context, req proto.Request, phase tra
 	})
 }
 
-// RunJob implements core.Worker: it hands the job to the worker's
-// long-lived invoker goroutine, which performs the invocation over the
-// persistent TCP connection (the OP side of the exchange). The handoff is
-// allocation-free; after Close, jobs settle immediately with an error.
-func (w *LiveWorker) RunJob(job core.Job, done func(core.Result)) {
-	select {
-	case w.jobs <- liveJob{job: job, done: done}:
-	case <-w.quit:
-		done(core.Result{Job: job, WorkerID: w.cfg.ID, Err: "node: worker closed"})
-	}
-}
-
-// invokeLoop is the OP-side invoker: one goroutine per worker, alive for
-// the worker's lifetime, replacing the per-job goroutine spawn. The
-// orchestrator dispatches at most one job at a time per worker, so a
-// single loop never delays a job.
-func (w *LiveWorker) invokeLoop() {
-	defer w.wg.Done()
-	for {
-		select {
-		case lj := <-w.jobs:
-			w.invoke(lj.job, lj.done)
-		case <-w.quit:
-			// Settle anything that raced into the queue before the close.
-			for {
-				select {
-				case lj := <-w.jobs:
-					lj.done(core.Result{Job: lj.job, WorkerID: w.cfg.ID, Err: "node: worker closed"})
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
 // invokeTimeout bounds one invocation round trip over the worker's
 // connection.
 const invokeTimeout = 2 * time.Minute
 
-// invoke performs one invocation over the persistent connection and
-// settles it through done exactly once.
-func (w *LiveWorker) invoke(job core.Job, done func(core.Result)) {
+// RunJob implements core.Worker, as the OP side of the exchange: it moves
+// the meter and power state to busy, writes the request on the persistent
+// connection, and returns. The connection settles the call off this
+// goroutine (see proto.Conn.Go), and the completion turns that into the
+// job's Result: worker timings, the power state back to idle or off, and
+// the metered joules.
+func (w *LiveWorker) RunJob(job core.Job, done func(core.Result)) {
 	var started time.Duration
 	var energyStart power.Joules
 	if w.dev != nil || w.cfg.Managed {
@@ -485,37 +443,38 @@ func (w *LiveWorker) invoke(job core.Job, done func(core.Result)) {
 		w.dev.Set(w.sbc.Power(power.Busy), started)
 	}
 	traceID, parentSpan := job.Trace.Wire()
-	resp, err := w.pc.Invoke(proto.Request{
+	w.pc.Go(proto.Request{
 		JobID: job.ID, Function: job.Function, Args: job.Args,
 		TraceID: traceID, ParentSpan: parentSpan, Attempt: job.Attempt,
-	}, invokeTimeout)
-	res := core.Result{Job: job, WorkerID: w.cfg.ID, StartedAt: started}
-	if err != nil {
-		res.Err = err.Error()
-	} else {
-		res.Output = resp.Output
-		res.Err = resp.Err
-		res.Boot = resp.Boot()
-		res.Overhead = resp.Overhead()
-		res.Exec = resp.Exec()
-	}
-	if w.dev != nil || w.cfg.Managed {
-		now := w.cfg.Clock()
-		res.FinishedAt = now
-		if w.cfg.Managed {
-			// The manager decides when the worker powers off; the job
-			// just hands the node back to idle draw.
-			w.setState(power.Idle, "job done (managed idle)")
-		} else if w.dev != nil {
-			w.dev.Set(w.sbc.Power(power.Off), now)
+	}, invokeTimeout, func(resp proto.Response, err error) {
+		res := core.Result{Job: job, WorkerID: w.cfg.ID, StartedAt: started}
+		if err != nil {
+			res.Err = err.Error()
+		} else {
+			res.Output = resp.Output
+			res.Err = resp.Err
+			res.Boot = resp.Boot()
+			res.Overhead = resp.Overhead()
+			res.Exec = resp.Exec()
 		}
-		if w.dev != nil {
-			// Failed attempts are charged too: the joules were burned on
-			// this function's behalf even if the result was lost.
-			delta := w.dev.Energy(now) - energyStart
-			res.Joules = float64(delta)
-			w.m.energy(job.Function).Add(float64(delta))
+		if w.dev != nil || w.cfg.Managed {
+			now := w.cfg.Clock()
+			res.FinishedAt = now
+			if w.cfg.Managed {
+				// The manager decides when the worker powers off; the job
+				// just hands the node back to idle draw.
+				w.setState(power.Idle, "job done (managed idle)")
+			} else if w.dev != nil {
+				w.dev.Set(w.sbc.Power(power.Off), now)
+			}
+			if w.dev != nil {
+				// Failed attempts are charged too: the joules were burned on
+				// this function's behalf even if the result was lost.
+				delta := w.dev.Energy(now) - energyStart
+				res.Joules = float64(delta)
+				w.m.energy(job.Function).Add(float64(delta))
+			}
 		}
-	}
-	done(res)
+		done(res)
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"microfaas/internal/core"
 	"microfaas/internal/proto"
 	"microfaas/internal/wire"
 	"microfaas/internal/workload"
@@ -65,5 +66,43 @@ func TestLiveWorkerCloseDropsForeignConnections(t *testing.T) {
 				t.Fatalf("foreign connection still open after Close (read: %v)", err)
 			}
 		})
+	}
+}
+
+// TestLiveWorkerRunJobAfterCloseSettlesOffCaller pins the core.Worker
+// contract on a closed worker: the job settles with an error, and done
+// never runs inside RunJob. A done that blocks until RunJob has returned
+// would deadlock a synchronous settle.
+func TestLiveWorkerRunJobAfterCloseSettlesOffCaller(t *testing.T) {
+	w, err := StartLiveWorker(LiveWorkerConfig{ID: "live-closed", Env: &workload.Env{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	settled := make(chan core.Result, 1)
+	returned := make(chan struct{})
+	go func() {
+		w.RunJob(core.Job{ID: 1, Function: "CascSHA"}, func(r core.Result) {
+			<-release
+			settled <- r
+		})
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunJob settled the job inside itself")
+	}
+	close(release)
+	select {
+	case r := <-settled:
+		if r.Err == "" {
+			t.Fatal("a closed worker ran a job")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a job on a closed worker never settled")
 	}
 }

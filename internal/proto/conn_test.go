@@ -256,3 +256,44 @@ func TestConnClosedRefusesInvokes(t *testing.T) {
 		t.Fatal("closed conn accepted an invoke")
 	}
 }
+
+// TestConnTimeoutSettlesSiblings is the regression test for stranded
+// siblings: one call's timeout tears the connection down, and every other
+// call in flight on it must settle with an error then — not at its own
+// timeout, and not never when it has none.
+func TestConnTimeoutSettlesSiblings(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+	}{
+		{"sibling with a timeout", 2 * time.Second},
+		{"sibling without a timeout", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, recvd := silentThenEchoWorker(t)
+			c := NewConn(addr)
+			defer c.Close()
+			start := time.Now()
+			sibling := make(chan error, 1)
+			go func() {
+				_, err := c.Invoke(Request{JobID: 1, Function: "x"}, tc.timeout)
+				sibling <- err
+			}()
+			<-recvd // the sibling is in flight on the silent connection
+			if _, err := c.Invoke(Request{JobID: 2, Function: "x"}, 100*time.Millisecond); err == nil {
+				t.Fatal("silent worker did not time out")
+			}
+			select {
+			case err := <-sibling:
+				if err == nil {
+					t.Fatal("sibling succeeded on a silent connection")
+				}
+				if tc.timeout > 0 && time.Since(start) >= tc.timeout {
+					t.Fatalf("sibling settled only at its own timeout: %v", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("sibling stranded: the timeout's teardown never settled it")
+			}
+		})
+	}
+}

@@ -10,7 +10,7 @@
 // worker: requests carry a connection-scoped id (RID), responses echo it,
 // and in-flight calls may interleave. A broken or power-cycled connection
 // fails every in-flight call exactly once and redials lazily on the next
-// invoke, so the reboot-per-job execution model is untouched while the
+// call, so the reboot-per-job execution model is untouched while the
 // per-invocation dial/teardown cost disappears.
 package proto
 
@@ -77,73 +77,94 @@ func msToDur(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// invokeResult is what a waiting call receives: the matched response or
-// the connection-level error that killed it.
-type invokeResult struct {
-	resp Response
-	err  error
+// errStaleConn marks a write failure on a connection that was reused from
+// a previous call: the peer may simply have hung up between calls, so the
+// call is safe to retry once on a fresh dial (the request never completed
+// its frame, so the worker never started the job).
+var errStaleConn = errors.New("proto: stale connection")
+
+// dial opens a connection to a worker. Tests replace it to put faults on
+// the wire.
+var dial = net.DialTimeout
+
+// call is one call in flight: the job its reply must name, and the
+// callback that hears how it ended.
+type call struct {
+	jobID int64
+	done  func(Response, error)
+	timer *time.Timer // runs expire; nil without a timeout
 }
 
-// errStaleConn marks a write failure on a connection that was reused from
-// a previous invoke: the peer may simply have hung up between calls, so
-// the invoke is safe to retry once on a fresh dial (the request never
-// completed its frame, so the worker never started the job).
-var errStaleConn = errors.New("proto: stale connection")
+// settle ends cl. Only the path that withdrew cl from pending calls it, so
+// done runs exactly once.
+func (cl call) settle(resp Response, err error) {
+	if cl.timer != nil {
+		cl.timer.Stop()
+	}
+	cl.done(resp, err)
+}
 
 // Conn is a persistent, multiplexed client connection to one worker. The
 // zero value is not usable; construct with NewConn. All methods are safe
-// for concurrent use: any number of goroutines may Invoke over the same
-// Conn and responses are paired to callers by RID.
+// for concurrent use: any number of calls may be in flight over the same
+// Conn and replies are paired to calls by RID.
 //
-// The connection dials lazily on first use and redials after any failure
-// (read error, invoke timeout, Reset). Failure handling is all-or-nothing:
-// a connection-level error settles every in-flight invoke exactly once
-// with that error, and the next invoke starts clean.
+// The connection dials lazily on the first call and redials after any
+// failure (read error, timeout, Reset). Whoever withdraws a call from
+// pending settles it: the reader when its reply arrives, its timer when
+// the timeout passes, or a teardown, which withdraws every call in flight
+// on a send failure, a read failure, a timeout, Reset or Close and
+// settles each with that error. The next call starts clean.
 type Conn struct {
 	addr string
 
 	mu      sync.Mutex
 	conn    net.Conn
 	bw      *bufio.Writer
-	pending map[int64]chan invokeResult
+	pending map[int64]call // the calls in flight on conn, by RID
 	nextRID int64
 	closed  bool
 }
 
 // NewConn returns a Conn for the worker at addr. No I/O happens until the
-// first Invoke.
+// first call.
 func NewConn(addr string) *Conn {
-	return &Conn{addr: addr, pending: make(map[int64]chan invokeResult)}
+	return &Conn{addr: addr, pending: make(map[int64]call)}
 }
 
-// Invoke performs one invocation over the persistent connection, with
-// timeout covering dial (when the connection is down) + full round trip.
-// A write failure on a reused connection — the worker hung up between
-// jobs — is retried once on a fresh dial; every other failure is
-// returned as-is. A timeout tears the connection down: a request with no
-// response leaves the stream's health unknown, and the lazy redial is
-// cheaper than trusting it.
-func (c *Conn) Invoke(req Request, timeout time.Duration) (Response, error) {
-	resp, err := c.invokeOnce(req, timeout)
+// Invoke performs one call and waits for it to settle (see Go).
+func (c *Conn) Invoke(req Request, timeout time.Duration) (resp Response, err error) {
+	settled := make(chan struct{})
+	c.Go(req, timeout, func(r Response, e error) { resp, err = r, e; close(settled) })
+	<-settled
+	return resp, err
+}
+
+// Go sends one call over the persistent connection and returns without
+// waiting. done runs exactly once, with the worker's reply or with the
+// error that ended the call, and never on the calling goroutine. timeout
+// (zero = none) covers dial plus the full round trip. A send failure on a
+// reused connection (the worker hung up between jobs) is retried once on a
+// fresh dial. A timeout tears the connection down: a request with no reply
+// leaves the stream's health unknown, and the lazy redial is cheaper than
+// trusting it.
+func (c *Conn) Go(req Request, timeout time.Duration, done func(Response, error)) {
+	err := c.send(req, timeout, done)
 	if errors.Is(err, errStaleConn) {
-		resp, err = c.invokeOnce(req, timeout)
+		err = c.send(req, timeout, done)
 	}
 	if err != nil {
-		return Response{}, err
+		go done(Response{}, err)
 	}
-	if resp.JobID != req.JobID {
-		return Response{}, fmt.Errorf("proto: response for job %d, expected %d", resp.JobID, req.JobID)
-	}
-	return resp, nil
 }
 
-// invokeOnce registers the call, writes the request frame, and waits for
-// the reader goroutine (or a connection failure) to settle it.
-func (c *Conn) invokeOnce(req Request, timeout time.Duration) (Response, error) {
+// send writes the request frame and registers the call. An error means the
+// call was never registered, so settling it is the caller's job.
+func (c *Conn) send(req Request, timeout time.Duration, done func(Response, error)) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
-		return Response{}, fmt.Errorf("proto: connection to %s is closed", c.addr)
+		return fmt.Errorf("proto: connection to %s is closed", c.addr)
 	}
 	reused := c.conn != nil
 	if !reused {
@@ -151,134 +172,119 @@ func (c *Conn) invokeOnce(req Request, timeout time.Duration) (Response, error) 
 		if dialTimeout <= 0 {
 			dialTimeout = 30 * time.Second
 		}
-		conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
+		conn, err := dial("tcp", c.addr, dialTimeout)
 		if err != nil {
-			c.mu.Unlock()
-			return Response{}, fmt.Errorf("proto: dial %s: %w", c.addr, err)
+			return fmt.Errorf("proto: dial %s: %w", c.addr, err)
 		}
 		c.conn = conn
 		c.bw = bufio.NewWriter(conn)
 		go c.readLoop(conn)
 	}
-	conn := c.conn
 	c.nextRID++
 	req.RID = c.nextRID
-	ch := make(chan invokeResult, 1)
-	c.pending[req.RID] = ch
 	err := wire.WriteJSON(c.bw, req)
 	if err == nil {
 		err = c.bw.Flush()
 	}
 	if err != nil {
-		delete(c.pending, req.RID)
-		c.teardownLocked(conn, fmt.Errorf("proto: send to %s: %w", c.addr, err))
-		c.mu.Unlock()
+		c.teardownLocked(c.conn, fmt.Errorf("proto: send to %s: %w", c.addr, err))
 		if reused {
-			return Response{}, fmt.Errorf("%w: %v", errStaleConn, err)
+			return fmt.Errorf("%w: %v", errStaleConn, err)
 		}
-		return Response{}, fmt.Errorf("proto: send to %s: %w", c.addr, err)
+		return fmt.Errorf("proto: send to %s: %w", c.addr, err)
 	}
-	c.mu.Unlock()
-
-	if timeout <= 0 {
-		r := <-ch
-		return r.resp, r.err
+	cl := call{jobID: req.JobID, done: done}
+	if timeout > 0 {
+		rid := req.RID
+		cl.timer = time.AfterFunc(timeout, func() { c.expire(rid, timeout) })
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-timer.C:
-	}
-	// Timed out. If the call is still registered, withdraw it and kill the
-	// connection (its stream now carries an orphaned response). If it is
-	// gone, a settle is already in flight on the buffered channel — take
-	// that result instead of inventing a timeout.
-	c.mu.Lock()
-	if _, ok := c.pending[req.RID]; ok {
-		delete(c.pending, req.RID)
-		c.teardownLocked(conn, fmt.Errorf("proto: invoke timed out after %v", timeout))
-		c.mu.Unlock()
-		return Response{}, fmt.Errorf("proto: invoke %s: timed out after %v", c.addr, timeout)
-	}
-	c.mu.Unlock()
-	r := <-ch
-	return r.resp, r.err
+	c.pending[req.RID] = cl
+	return nil
 }
 
-// readLoop pairs response frames with pending calls until the connection
-// dies, then fails whatever is still in flight.
+// expire ends call rid if it is still in flight when its timeout passes,
+// and tears its connection down: the stream now owes a reply nobody awaits.
+func (c *Conn) expire(rid int64, timeout time.Duration) {
+	c.mu.Lock()
+	cl, ok := c.pending[rid]
+	if !ok {
+		c.mu.Unlock()
+		return // settled first
+	}
+	delete(c.pending, rid)
+	c.teardownLocked(c.conn, fmt.Errorf("proto: connection to %s dropped: a call timed out after %v", c.addr, timeout))
+	c.mu.Unlock()
+	cl.settle(Response{}, fmt.Errorf("proto: invoke %s: timed out after %v", c.addr, timeout))
+}
+
+// readLoop settles each call as its reply arrives, until conn fails or is
+// replaced. A reply that names no call in flight, or the wrong job, means
+// the stream can no longer be trusted, and it is torn down like a read
+// failure.
 func (c *Conn) readLoop(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	var scratch []byte
 	for {
 		var resp Response
-		if err := wire.ReadJSONInto(br, &resp, &scratch); err != nil {
-			c.fail(conn, fmt.Errorf("proto: recv from %s: %w", c.addr, err))
-			return
-		}
+		err := wire.ReadJSONInto(br, &resp, &scratch)
 		c.mu.Lock()
-		ch, ok := c.pending[resp.RID]
-		if ok {
+		if c.conn != conn {
+			c.mu.Unlock()
+			return // torn down, and its calls with it
+		}
+		cl, ok := c.pending[resp.RID]
+		switch {
+		case err != nil:
+			c.teardownLocked(conn, fmt.Errorf("proto: recv from %s: %w", c.addr, err))
+		case !ok || cl.jobID != resp.JobID:
+			c.teardownLocked(conn, fmt.Errorf("proto: response for job %d (rid %d) from %s matches no call in flight", resp.JobID, resp.RID, c.addr))
+		default:
 			delete(c.pending, resp.RID)
+			c.mu.Unlock()
+			cl.settle(resp, nil)
+			continue
 		}
 		c.mu.Unlock()
-		if ok {
-			ch <- invokeResult{resp: resp}
-		}
-		// An unmatched RID is a late response to a withdrawn (timed-out)
-		// call: drop it.
+		return
 	}
 }
 
-// fail tears down conn (if it is still the active connection) and settles
-// every in-flight call with err.
-func (c *Conn) fail(conn net.Conn, err error) {
-	c.mu.Lock()
-	waiters := c.teardownLocked(conn, err)
-	c.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- invokeResult{err: err}
-	}
-}
-
-// teardownLocked detaches conn if it is current, closes it, and returns
-// the calls to settle (the caller must deliver err to each outside the
-// lock). A conn that has already been replaced is just closed.
-func (c *Conn) teardownLocked(conn net.Conn, err error) []chan invokeResult {
+// teardownLocked closes conn and, if it is still the current connection,
+// detaches it and withdraws every call in flight on it. Those calls settle
+// with err on a fresh goroutine, because the caller holds c.mu and a done
+// may call Go. A conn that was already replaced is just closed.
+func (c *Conn) teardownLocked(conn net.Conn, err error) {
 	conn.Close() //nolint:errcheck // teardown
 	if c.conn != conn {
-		return nil
+		return
 	}
 	c.conn = nil
 	c.bw = nil
 	if len(c.pending) == 0 {
-		return nil
-	}
-	waiters := make([]chan invokeResult, 0, len(c.pending))
-	for _, ch := range c.pending {
-		waiters = append(waiters, ch)
-	}
-	c.pending = make(map[int64]chan invokeResult)
-	return waiters
-}
-
-// Reset drops the current connection, failing every in-flight invoke with
-// an error naming reason. The next Invoke redials. It models the node
-// side of a power-cycle: a gated-off SBC drops its TCP sessions, and the
-// OP reconnects when it next powers the node up.
-func (c *Conn) Reset(reason string) {
-	c.mu.Lock()
-	conn := c.conn
-	c.mu.Unlock()
-	if conn == nil {
 		return
 	}
-	c.fail(conn, fmt.Errorf("proto: connection to %s reset: %s", c.addr, reason))
+	calls := c.pending
+	c.pending = make(map[int64]call)
+	go func() {
+		for _, cl := range calls {
+			cl.settle(Response{}, err)
+		}
+	}()
 }
 
-// Close resets the connection and refuses all future invokes.
+// Reset drops the current connection, failing every call in flight with an
+// error naming reason. The next call redials. It models the node side of a
+// power-cycle: a gated-off SBC drops its TCP sessions, and the OP
+// reconnects when it next powers the node up.
+func (c *Conn) Reset(reason string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.conn != nil {
+		c.teardownLocked(c.conn, fmt.Errorf("proto: connection to %s reset: %s", c.addr, reason))
+	}
+}
+
+// Close resets the connection and refuses all future calls.
 func (c *Conn) Close() {
 	c.mu.Lock()
 	c.closed = true
