@@ -2,11 +2,14 @@ package gateway
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,6 +122,30 @@ func TestEdgeKeepsSlowInvoke(t *testing.T) {
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("the slow invoke's reply: %v, %v", resp, err)
+	}
+}
+
+// TestReplyThatDoesNotEncodeIs502 settles jobs with an Output that is not
+// JSON, which only a misbehaving worker sends: sync /invoke and the async
+// fetch each answer 502 with the reason, not 200 with an empty body.
+func TestReplyThatDoesNotEncodeIs502(t *testing.T) {
+	a := newAsyncTable(t)
+	a.gw.submit = func(_, fn string, _ []byte, cb func(core.Result)) (int64, int) {
+		a.nextID++
+		cb(core.Result{Job: core.Job{ID: a.nextID, Function: fn}, WorkerID: "w", Output: []byte(`{"a":`)})
+		return a.nextID, 0
+	}
+	invoked := httptest.NewRecorder()
+	a.h.ServeHTTP(invoked, httptest.NewRequest(http.MethodPost, "/invoke", strings.NewReader(`{"function":"RegExMatch"}`)))
+	fetched := httptest.NewRecorder()
+	a.h.ServeHTTP(fetched, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/jobs/%d", a.submit()), nil))
+	for name, rec := range map[string]*httptest.ResponseRecorder{"POST /invoke": invoked, "GET /jobs/{id}": fetched} {
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusBadGateway || err != nil || body.Error == "" {
+			t.Errorf("%s → %d %q, want 502 with an error body", name, rec.Code, rec.Body)
+		}
 	}
 }
 

@@ -70,9 +70,13 @@
 // 10 seconds to deliver its request headers and 30 for the whole request,
 // and is closed after two idle minutes; replies are not timed, because a
 // sync invoke and a parked poll answer late by design.
+//
+// A result whose output is not JSON, which only a misbehaving worker
+// sends, answers 502 on /invoke and /jobs/{id} alike.
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -422,17 +426,37 @@ func (s *Server) Close() error {
 	return srv.Close()
 }
 
+// replyEncoder is a pooled reply buffer with its json.Encoder bound to it.
+type replyEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var replyPool = sync.Pool{New: func() any {
+	e := &replyEncoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// writeJSON encodes v before it writes the status, so a reply that does not
+// encode — a worker's Output that is not JSON — answers 502 with the
+// reason, not status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
+	e := replyPool.Get().(*replyEncoder)
+	defer replyPool.Put(e)
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		writeError(w, http.StatusBadGateway, "reply does not encode: "+err.Error())
+		return
+	}
+	writeBody(w, status, e.buf.Bytes())
 }
 
 // pendingBody is the 202 a poll gets for a job still pending at the hold.
 var pendingBody = []byte(`{"status":"pending"}` + "\n")
 
-// writeBody replies with a JSON body that is already bytes: the async
-// replies that carry no result are written without the encoder.
+// writeBody replies with a JSON body that is already bytes: an encoded
+// reply, or an async reply that carries no result.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

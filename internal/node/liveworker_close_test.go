@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"os"
@@ -9,7 +10,6 @@ import (
 
 	"microfaas/internal/core"
 	"microfaas/internal/proto"
-	"microfaas/internal/wire"
 	"microfaas/internal/workload"
 )
 
@@ -25,7 +25,7 @@ func TestLiveWorkerCloseDropsForeignConnections(t *testing.T) {
 		sent []byte
 	}{
 		{"idle connection", nil},
-		{"half a frame", []byte{0, 0, 0, 200, '{'}},
+		{"half a frame", []byte{0, 0, 0, 200, 'Q'}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, err := StartLiveWorker(LiveWorkerConfig{ID: "live-close", Env: &workload.Env{}})
@@ -39,12 +39,11 @@ func TestLiveWorkerCloseDropsForeignConnections(t *testing.T) {
 			}
 			defer conn.Close()
 			req := proto.Request{JobID: 1, Function: "CascSHA", Args: []byte(`{"rounds":1,"seed":"x"}`)}
-			var resp proto.Response
-			var scratch []byte
-			if err := wire.WriteJSON(conn, req); err != nil {
+			if err := proto.WriteRequest(bufio.NewWriter(conn), req); err != nil {
 				t.Fatal(err)
 			}
-			if err := wire.ReadJSONInto(conn, &resp, &scratch); err != nil || resp.Err != "" {
+			var scratch []byte
+			if resp, err := proto.ReadResponse(bufio.NewReader(conn), &scratch); err != nil || resp.Err != "" {
 				t.Fatalf("warm-up invocation: %v %q", err, resp.Err)
 			}
 			if _, err := conn.Write(tc.sent); err != nil {

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"microfaas/internal/wire"
 )
 
 // loopWorker echoes args back as output.
@@ -85,8 +83,8 @@ func silentThenEchoWorker(t *testing.T) (addr string, recvd <-chan Request) {
 				br := bufio.NewReader(c)
 				var scratch []byte
 				for {
-					var req Request
-					if err := wire.ReadJSONInto(br, &req, &scratch); err != nil {
+					req, err := ReadRequest(br, &scratch)
+					if err != nil {
 						return // peer tore the session down
 					}
 					ch <- req

@@ -3,6 +3,7 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -13,20 +14,20 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"microfaas/internal/wire"
 )
 
 // wireFault is one way the wire between the OP and a worker misbehaves.
 type wireFault int
 
 const (
-	faultStall      wireFault = iota // the reply never comes: the read blocks past every timeout
-	faultTruncate                    // half a reply frame, then the stream ends
-	faultRST                         // the peer resets the connection
-	faultHalfClose                   // the peer shuts its write side: reads see EOF, writes still land
-	faultUnknownRID                  // a reply names a call that was never made
-	faultWrongJob                    // a reply pairs with its call but names another job
+	faultStall        wireFault = iota // the reply never comes: the read blocks past every timeout
+	faultTruncate                      // half a reply frame, then the stream ends
+	faultRST                           // the peer resets the connection
+	faultHalfClose                     // the peer shuts its write side: reads see EOF, writes still land
+	faultUnknownRID                    // a reply names a call that was never made
+	faultWrongJob                      // a reply pairs with its call but names another job
+	faultErrPastFrame                  // a reply's Err length runs past the end of its frame
+	faultWrongKind                     // a request arrives where a reply is due
 )
 
 // faultConn is the OP's end of a worker connection. It hands the worker's
@@ -37,6 +38,7 @@ type faultConn struct {
 	fault wireFault
 	at    int
 	br    *bufio.Reader
+	frame []byte // scratch for the worker's reply frames
 	n     int    // reply frames read so far
 	buf   []byte // the current frame's bytes not yet delivered
 	err   error  // what every read returns once buf drains
@@ -63,8 +65,8 @@ func (f *faultConn) Read(p []byte) (int, error) {
 // next reads the worker's next reply into buf, striking when its turn
 // comes. An error ends the stream once buf drains.
 func (f *faultConn) next() error {
-	var resp Response
-	if err := wire.ReadJSON(f.br, &resp); err != nil {
+	resp, err := ReadResponse(f.br, &f.frame)
+	if err != nil {
 		return err
 	}
 	hit := f.n == f.at
@@ -85,10 +87,22 @@ func (f *faultConn) next() error {
 		}
 	}
 	var b bytes.Buffer
-	if err := wire.WriteJSON(&b, resp); err != nil {
+	bw := bufio.NewWriter(&b)
+	ids := Request{RID: resp.RID, JobID: resp.JobID}
+	if hit && f.fault == faultWrongKind {
+		ids.Function = "echo"
+		err = WriteRequest(bw, ids)
+	} else {
+		err = WriteResponse(bw, ids, resp)
+	}
+	if err != nil {
 		return err
 	}
 	f.buf = b.Bytes()
+	if hit && f.fault == faultErrPastFrame {
+		// The Err length is the last word of the response head.
+		binary.BigEndian.PutUint32(f.buf[4+responseHead-4:], uint32(len(f.buf)))
+	}
 	if hit && f.fault == faultTruncate {
 		f.buf = f.buf[:len(f.buf)/2]
 		return io.ErrUnexpectedEOF
@@ -117,6 +131,8 @@ func TestConnHostileWire(t *testing.T) {
 		{"half-close", faultHalfClose},
 		{"unknown RID", faultUnknownRID},
 		{"wrong JobID", faultWrongJob},
+		{"Err length past the frame", faultErrPastFrame},
+		{"a request where a reply is due", faultWrongKind},
 	} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {

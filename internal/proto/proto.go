@@ -12,13 +12,38 @@
 // fails every in-flight call exactly once and redials lazily on the next
 // call, so the reboot-per-job execution model is untouched while the
 // per-invocation dial/teardown cost disappears.
+//
+// # Frame
+//
+// A frame is wire's 4-byte big-endian body length (at most wire.MaxFrame)
+// followed by a binary body, every number big-endian:
+//
+//	bytes   request              response
+//	1       kind 'Q'             kind 'R'
+//	8       RID                  RID
+//	8       JobID                JobID
+//	8       Attempt (int64)      BootMs (float64 bits)
+//	8                            OverheadMs (float64 bits)
+//	8                            ExecMs (float64 bits)
+//	4 + n   Function             Err
+//	4 + n   TraceID
+//	4 + n   ParentSpan
+//	rest    Args                 Output
+//
+// Each string is a uint32 length n and its n bytes. The payload is the raw
+// rest of the frame; an empty one decodes as nil. The kind byte makes a
+// JSON peer ('{') or a crossed stream fail to decode rather than be
+// misread, and a decoder checks every length against the frame before it
+// slices, so a lying frame is an error, never a panic.
 package proto
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -31,37 +56,37 @@ type Request struct {
 	// RID is the connection-scoped request id used to pair responses with
 	// in-flight requests on a multiplexed connection. Servers echo it
 	// verbatim.
-	RID int64 `json:"rid,omitempty"`
+	RID int64
 	// JobID correlates the response with the OP's queue entry.
-	JobID int64 `json:"job_id"`
+	JobID int64
 	// Function is the workload function name (Table I).
-	Function string `json:"function"`
+	Function string
 	// Args is the JSON argument payload.
-	Args []byte `json:"args"`
+	Args []byte
 	// TraceID and ParentSpan propagate the invocation's tracing context
 	// (hex, per tracing.Context.Wire; empty when untraced), so the
 	// worker's boot/exec spans join the OP's trace across the wire.
 	// Attempt travels with them so worker-side spans carry the OP's
 	// attempt number.
-	TraceID    string `json:"trace_id,omitempty"`
-	ParentSpan string `json:"parent_span,omitempty"`
-	Attempt    int    `json:"attempt,omitempty"`
+	TraceID    string
+	ParentSpan string
+	Attempt    int
 }
 
 // Response is the worker's reply.
 type Response struct {
 	// RID echoes the request's connection-scoped id.
-	RID   int64 `json:"rid,omitempty"`
-	JobID int64 `json:"job_id"`
+	RID   int64
+	JobID int64
 	// Output is the function's JSON result (nil on error).
-	Output []byte `json:"output,omitempty"`
+	Output []byte
 	// Err is the failure message ("" on success).
-	Err string `json:"err,omitempty"`
+	Err string
 	// BootMs, OverheadMs, ExecMs are the worker's own timing split, in
 	// fractional milliseconds (the paper's workers timestamp themselves).
-	BootMs     float64 `json:"boot_ms"`
-	OverheadMs float64 `json:"overhead_ms"`
-	ExecMs     float64 `json:"exec_ms"`
+	BootMs     float64
+	OverheadMs float64
+	ExecMs     float64
 }
 
 // Boot returns the boot time as a duration.
@@ -182,11 +207,7 @@ func (c *Conn) send(req Request, timeout time.Duration, done func(Response, erro
 	}
 	c.nextRID++
 	req.RID = c.nextRID
-	err := wire.WriteJSON(c.bw, req)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	if err != nil {
+	if err := WriteRequest(c.bw, req); err != nil {
 		c.teardownLocked(c.conn, fmt.Errorf("proto: send to %s: %w", c.addr, err))
 		if reused {
 			return fmt.Errorf("%w: %v", errStaleConn, err)
@@ -225,8 +246,7 @@ func (c *Conn) readLoop(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	var scratch []byte
 	for {
-		var resp Response
-		err := wire.ReadJSONInto(br, &resp, &scratch)
+		resp, err := ReadResponse(br, &scratch)
 		c.mu.Lock()
 		if c.conn != conn {
 			c.mu.Unlock()
@@ -292,13 +312,49 @@ func (c *Conn) Close() {
 	c.Reset("closed")
 }
 
+// The kind byte that opens every frame body.
+const (
+	kindRequest  byte = 'Q'
+	kindResponse byte = 'R'
+)
+
+// The bytes of a body before its strings' and payload's own: the kind, the
+// fixed-width fields and one uint32 length per string.
+const (
+	requestHead  = 1 + 3*8 + 3*4
+	responseHead = 1 + 5*8 + 4
+)
+
+// WriteRequest writes req to bw as one flushed frame: the client half of
+// the exchange ReadRequest and WriteResponse serve, and what Conn sends.
+// Its errors are the writer's or the frame limit's, unwrapped: the caller
+// names the peer.
+func WriteRequest(bw *bufio.Writer, req Request) error {
+	size := requestHead + len(req.Function) + len(req.TraceID) + len(req.ParentSpan) + len(req.Args)
+	if err := checkSize(size); err != nil {
+		return err
+	}
+	b := binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(size))
+	b = append(b, kindRequest)
+	b = binary.BigEndian.AppendUint64(b, uint64(req.RID))
+	b = binary.BigEndian.AppendUint64(b, uint64(req.JobID))
+	b = binary.BigEndian.AppendUint64(b, uint64(req.Attempt))
+	b = appendString(b, req.Function)
+	b = appendString(b, req.TraceID)
+	b = appendString(b, req.ParentSpan)
+	return flushFrame(bw, b, req.Args)
+}
+
 // ReadRequest reads one framed Request from br, reusing *scratch for the
-// payload. Servers that loop over a connection hold one bufio.Reader and
-// one scratch buffer for its lifetime and read every request with zero
-// steady-state allocations.
+// frame. Servers that loop over a connection hold one bufio.Reader and one
+// scratch buffer for its lifetime. Nothing in the Request aliases scratch.
 func ReadRequest(br *bufio.Reader, scratch *[]byte) (Request, error) {
+	body, err := wire.ReadFrame(br, scratch)
 	var req Request
-	if err := wire.ReadJSONInto(br, &req, scratch); err != nil {
+	if err == nil {
+		req, err = decodeRequest(body)
+	}
+	if err != nil {
 		return Request{}, fmt.Errorf("proto: read request: %w", err)
 	}
 	return req, nil
@@ -307,15 +363,138 @@ func ReadRequest(br *bufio.Reader, scratch *[]byte) (Request, error) {
 // WriteResponse stamps resp with req's correlation ids (RID and JobID) and
 // writes it to bw as one flushed frame.
 func WriteResponse(bw *bufio.Writer, req Request, resp Response) error {
-	resp.RID = req.RID
-	resp.JobID = req.JobID
-	if err := wire.WriteJSON(bw, resp); err != nil {
+	size := responseHead + len(resp.Err) + len(resp.Output)
+	if err := checkSize(size); err != nil {
 		return fmt.Errorf("proto: write response: %w", err)
 	}
-	if err := bw.Flush(); err != nil {
+	b := binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(size))
+	b = append(b, kindResponse)
+	b = binary.BigEndian.AppendUint64(b, uint64(req.RID))
+	b = binary.BigEndian.AppendUint64(b, uint64(req.JobID))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(resp.BootMs))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(resp.OverheadMs))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(resp.ExecMs))
+	b = appendString(b, resp.Err)
+	if err := flushFrame(bw, b, resp.Output); err != nil {
 		return fmt.Errorf("proto: write response: %w", err)
 	}
 	return nil
+}
+
+// ReadResponse reads one framed Response from br, reusing *scratch for the
+// frame, as ReadRequest does. Its errors are the reader's or the decoder's,
+// unwrapped: the caller names the peer.
+func ReadResponse(br *bufio.Reader, scratch *[]byte) (Response, error) {
+	body, err := wire.ReadFrame(br, scratch)
+	if err != nil {
+		return Response{}, err
+	}
+	return decodeResponse(body)
+}
+
+func checkSize(size int) error {
+	if size > wire.MaxFrame {
+		return fmt.Errorf("frame of %d bytes exceeds the %d-byte limit", size, wire.MaxFrame)
+	}
+	return nil
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
+}
+
+// flushFrame writes a frame's head, built in bw's free buffer, then its
+// payload, and flushes. A failed write sticks to bw, so Flush reports it.
+func flushFrame(bw *bufio.Writer, head, payload []byte) error {
+	bw.Write(head)    //nolint:errcheck // reported by Flush
+	bw.Write(payload) //nolint:errcheck // reported by Flush
+	return bw.Flush()
+}
+
+func decodeRequest(body []byte) (Request, error) {
+	d := decoder{b: body}
+	d.kind(kindRequest)
+	var req Request
+	req.RID = d.int64("RID")
+	req.JobID = d.int64("JobID")
+	req.Attempt = int(d.int64("Attempt"))
+	req.Function = d.string("Function")
+	req.TraceID = d.string("TraceID")
+	req.ParentSpan = d.string("ParentSpan")
+	req.Args = d.rest()
+	if d.err != nil {
+		return Request{}, d.err
+	}
+	return req, nil
+}
+
+func decodeResponse(body []byte) (Response, error) {
+	d := decoder{b: body}
+	d.kind(kindResponse)
+	var resp Response
+	resp.RID = d.int64("RID")
+	resp.JobID = d.int64("JobID")
+	resp.BootMs = math.Float64frombits(uint64(d.int64("BootMs")))
+	resp.OverheadMs = math.Float64frombits(uint64(d.int64("OverheadMs")))
+	resp.ExecMs = math.Float64frombits(uint64(d.int64("ExecMs")))
+	resp.Err = d.string("Err")
+	resp.Output = d.rest()
+	if d.err != nil {
+		return Response{}, d.err
+	}
+	return resp, nil
+}
+
+// decoder walks one frame body, which aliases the read scratch: every field
+// it returns is a copy. The first field that runs past the body sets err,
+// and every read after it yields a zero value.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+// take returns the body's next n bytes, or nil once it has run out.
+func (d *decoder) take(n uint64, field string) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.b)) {
+		d.err = fmt.Errorf("%s needs %d bytes, the frame has %d left", field, n, len(d.b))
+		return nil
+	}
+	v := d.b[:n]
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) kind(want byte) {
+	if k := d.take(1, "kind"); k != nil && k[0] != want {
+		d.err = fmt.Errorf("frame of kind %q where %q is due", k[0], want)
+	}
+}
+
+func (d *decoder) int64(field string) int64 {
+	b := d.take(8, field)
+	if b == nil {
+		return 0
+	}
+	return int64(binary.BigEndian.Uint64(b))
+}
+
+func (d *decoder) string(field string) string {
+	n := d.take(4, field)
+	if n == nil {
+		return ""
+	}
+	return string(d.take(uint64(binary.BigEndian.Uint32(n)), field))
+}
+
+// rest copies out the payload: the rest of the body, nil when empty.
+func (d *decoder) rest() []byte {
+	if d.err != nil || len(d.b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), d.b...)
 }
 
 // ServeLoop handles invocations on conn sequentially until the peer hangs

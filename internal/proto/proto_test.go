@@ -1,7 +1,9 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
@@ -113,21 +115,57 @@ func TestInvokeTimeout(t *testing.T) {
 	}
 }
 
+// encode returns the bytes write puts on the wire.
+func encode(t testing.TB, write func(*bufio.Writer) error) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := write(bufio.NewWriter(&b)); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestServeRejectsGarbage feeds a worker frames that are not requests:
+// each ends the session with an error, and none reaches the handler.
 func TestServeRejectsGarbage(t *testing.T) {
-	client, server := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- ServeLoop(server, func(Request) Response { return Response{} }) }()
-	client.Write([]byte{0, 0, 0, 4, 'n', 'o', 'p', 'e'}) //nolint:errcheck
-	client.Close()
-	if err := <-done; err == nil {
-		t.Fatal("ServeLoop accepted a garbage frame")
+	reply := encode(t, func(bw *bufio.Writer) error { return WriteResponse(bw, Request{RID: 1, JobID: 1}, Response{}) })
+	longName := encode(t, func(bw *bufio.Writer) error { return WriteRequest(bw, Request{RID: 1, JobID: 1, Function: "x"}) })
+	binary.BigEndian.PutUint32(longName[4+1+3*8:], 1<<20) // Function's length
+	jsonBody := []byte(`{"rid":1,"job_id":1,"function":"x"}`)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"not a frame kind", []byte{0, 0, 0, 4, 'n', 'o', 'p', 'e'}},
+		{"a JSON peer", append([]byte{0, 0, 0, byte(len(jsonBody))}, jsonBody...)},
+		{"a reply where a request is due", reply},
+		{"Function length past the frame", longName},
+		{"a frame shorter than its fixed fields", []byte{0, 0, 0, 3, kindRequest, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			done := make(chan error, 1)
+			go func() {
+				done <- ServeLoop(server, func(Request) Response {
+					t.Error("a garbage frame reached the handler")
+					return Response{}
+				})
+			}()
+			go func() {
+				client.Write(tc.frame) //nolint:errcheck
+				client.Close()
+			}()
+			if err := <-done; err == nil {
+				t.Fatal("ServeLoop accepted a garbage frame")
+			}
+		})
 	}
 }
 
 func TestJobIDMismatchDetected(t *testing.T) {
-	// WriteResponse forces resp.JobID = req.JobID, so the mismatch comes
-	// from a raw listener that answers the Conn's first request (rid 1)
-	// with a fixed frame for another job.
+	// WriteResponse stamps the ids of the request it is handed, so the
+	// mismatch comes from a raw listener that answers the Conn's first
+	// request (rid 1) with a reply for another job.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -139,11 +177,11 @@ func TestJobIDMismatchDetected(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		buf := make([]byte, 1024)
-		conn.Read(buf) //nolint:errcheck
-		body := []byte(`{"rid":1,"job_id":999}`)
-		frame := append([]byte{0, 0, 0, byte(len(body))}, body...)
-		conn.Write(frame) //nolint:errcheck
+		var scratch []byte
+		if _, err := ReadRequest(bufio.NewReader(conn), &scratch); err != nil {
+			return
+		}
+		WriteResponse(bufio.NewWriter(conn), Request{RID: 1, JobID: 999}, Response{}) //nolint:errcheck
 	}()
 	_, err = invoke(ln.Addr().String(), Request{JobID: 1, Function: "x"}, time.Second)
 	if err == nil || !strings.Contains(err.Error(), "response for job 999") {

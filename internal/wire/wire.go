@@ -1,26 +1,26 @@
-// Package wire is what the cluster's TCP services share: the length-framed
-// JSON message format, and the one service lifecycle and client built on
-// it.
+// Package wire is what the cluster's TCP services share: the
+// length-prefixed frame, the JSON codec the stores speak inside it, and the
+// one service lifecycle and client built on it.
 //
-// The frame codec (WriteJSON, ReadFrame, ReadJSON, ReadJSONInto) carries
-// the OP↔worker invocation protocol (internal/proto), the message-queue
-// protocol (internal/mq) and the SQL protocol (internal/sqlstore). Server
-// is the listen / accept / track-connections / close machine all of them
-// run on — kvstore, sqlstore, mq and the live worker embed it and supply
-// only their protocol — with ServeJSON as the read-frame/answer-frame loop
-// and Client as its calling half (per-operation I/O deadlines included).
-// Two protocols bring their own framing: kvstore speaks RESP (over Server,
-// with its own client) and objstore speaks HTTP (over net/http).
+// Every frame is a 4-byte big-endian body length (at most MaxFrame)
+// followed by the body, so message boundaries are explicit and
+// binary-safe. ReadFrame reads one into a caller-held scratch buffer. The
+// message-queue protocol (internal/mq) and the SQL protocol
+// (internal/sqlstore) carry JSON bodies (WriteJSON, ReadJSON), in which
+// []byte fields ride as base64. The OP↔worker invocation protocol
+// (internal/proto) keeps the same length prefix, MaxFrame and ReadFrame,
+// and puts its own binary body inside.
 //
-// Every frame is a 4-byte big-endian payload length followed by a JSON
-// body. JSON keeps the protocols debuggable with nothing but netcat, which
-// matches the plain-text spirit of the paper's Python control plane; the
-// length prefix keeps message boundaries explicit and binary-safe ([]byte
-// fields ride as base64).
+// Server is the listen / accept / track-connections / close machine all of
+// them run on — kvstore, sqlstore, mq and the live worker embed it and
+// supply only their protocol — with ServeJSON as the read-frame/answer-frame
+// loop and Client as its calling half (per-operation I/O deadlines
+// included). Two protocols bring their own framing: kvstore speaks RESP
+// (over Server, with its own client) and objstore speaks HTTP (over
+// net/http).
 //
 // The encode and decode paths are pooled: steady-state traffic reuses
-// buffers instead of allocating per frame, which matters on the invocation
-// hot path where every worker round trip crosses this package twice.
+// buffers instead of allocating per frame.
 package wire
 
 import (
@@ -134,10 +134,9 @@ func ReadFrame(r io.Reader, scratch *[]byte) ([]byte, error) {
 
 // ReadJSONInto reads one frame and unmarshals it into v, reusing *scratch
 // for the payload. Unlike ReadJSON it decodes with plain json.Unmarshal
-// (no json.Number), so it is meant for struct targets without `any` fields
-// — the invocation protocol's fixed request/response shapes. Decoded
-// strings and []byte fields are copies; nothing in v aliases the scratch
-// buffer after return.
+// (no json.Number), so it is meant for fixed struct targets without `any`
+// fields. Decoded strings and []byte fields are copies; nothing in v
+// aliases the scratch buffer after return.
 func ReadJSONInto(r io.Reader, v any, scratch *[]byte) error {
 	body, err := ReadFrame(r, scratch)
 	if err != nil {
