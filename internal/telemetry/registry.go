@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,6 +49,14 @@ func (t MetricType) String() string {
 // len(buckets)+3 consecutive ones (its _bucket series incl. +Inf, then
 // _sum and _count). Children are never removed, so an ordinal names
 // the same series for the registry's lifetime — see Walk.
+//
+// Rollups: a family with a WorkerLabel label also keeps one rollup per
+// label set without the worker, holding its members' sum at write time;
+// it is created with its first member and takes the ordinal just before
+// it. Worker-labelled values are integers, so the sums are exact in any
+// order: a non-integer, NaN or infinite Add or Set on such a child panics,
+// and a worker-labelled histogram cannot be registered. Walk shows every
+// member and no rollup; WalkRollups shows the rollups and asked members.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -55,24 +64,31 @@ type Registry struct {
 	series   int       // ordinals handed out so far
 }
 
+// WorkerLabel is the label whose families keep rollups.
+const WorkerLabel = "worker"
+
 // family is one exposition family: a name, help, type, and its children.
 type family struct {
-	name    string
-	help    string
-	typ     MetricType
-	labels  []string  // label names, creation order
-	buckets []float64 // TypeHistogram only
-	byKey   map[string]*child
-	order   []*child // creation order, for stable exposition; append-only
-	fn      func() float64
-	ord     int // the func family's series ordinal
+	name     string
+	help     string
+	typ      MetricType
+	labels   []string  // label names, creation order
+	buckets  []float64 // TypeHistogram only
+	byKey    map[string]*child
+	order    []*child // creation order, for stable exposition; append-only
+	fn       func() float64
+	ord      int               // the func family's series ordinal
+	worker   int               // index of WorkerLabel in labels; -1 without one
+	rollups  []*child          // creation order; append-only
+	rollupOf map[string]*child // rollups by the key rollupLocked builds
 }
 
 // child is one labeled series within a family.
 type child struct {
-	labelValues []string
+	labelValues []string      // a rollup's lack the worker's
 	ord         int           // first series ordinal (histograms take a run)
 	bits        atomic.Uint64 // counter/gauge value as float64 bits
+	rollup      *child        // a worker-labelled child's rollup; nil otherwise
 
 	// histogram state, guarded by mu (only allocated for histograms)
 	mu           *sync.Mutex
@@ -147,7 +163,7 @@ func (r *Registry) registerFunc(name, help string, typ MetricType, fn func() flo
 	if _, dup := r.families[name]; dup {
 		panic(fmt.Sprintf("telemetry: metric %s already registered", name))
 	}
-	r.addFamily(&family{name: name, help: help, typ: typ, fn: fn, ord: r.takeOrdinals(1)})
+	r.addFamily(&family{name: name, help: help, typ: typ, fn: fn, ord: r.takeOrdinals(1), worker: -1})
 }
 
 // addFamily registers f and drops the cached name order. Caller holds r.mu.
@@ -215,17 +231,22 @@ func (r *Registry) get(name, help string, typ MetricType, buckets []float64, kv 
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{
-			name:    name,
-			help:    help,
-			typ:     typ,
-			labels:  names,
-			buckets: append([]float64(nil), buckets...),
-			byKey:   make(map[string]*child),
+			name:     name,
+			help:     help,
+			typ:      typ,
+			labels:   names,
+			buckets:  append([]float64(nil), buckets...),
+			byKey:    make(map[string]*child),
+			worker:   slices.Index(names, WorkerLabel),
+			rollupOf: make(map[string]*child),
 		}
 		for i := 1; i < len(f.buckets); i++ {
 			if f.buckets[i] <= f.buckets[i-1] {
 				panic(fmt.Sprintf("telemetry: histogram %s buckets not strictly increasing", name))
 			}
+		}
+		if typ == TypeHistogram && f.worker >= 0 {
+			panic(fmt.Sprintf("telemetry: histogram %s cannot have a %s label", name, WorkerLabel))
 		}
 		r.addFamily(f)
 	}
@@ -254,11 +275,75 @@ func (r *Registry) get(name, help string, typ MetricType, buckets []float64, kv 
 		c.counts = make([]uint64, len(f.buckets)+1)
 		c.ord = r.takeOrdinals(len(f.buckets) + 3)
 	} else {
+		if f.worker >= 0 {
+			c.rollup = r.rollupLocked(f, values)
+		}
 		c.ord = r.takeOrdinals(1)
 	}
 	f.byKey[key] = c
 	f.order = append(f.order, c)
 	return c
+}
+
+// rollupLocked returns the rollup of a new child of f with label values
+// values, creating it, with the next ordinal, for its first member. The
+// key is built in a stack buffer, as lookup's is. Caller holds r.mu.
+func (r *Registry) rollupLocked(f *family, values []string) *child {
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i != f.worker {
+			key = append(append(key, 0), v...)
+		}
+	}
+	if ru, ok := f.rollupOf[string(key)]; ok {
+		return ru
+	}
+	rest := append(values[:f.worker:f.worker], values[f.worker+1:]...)
+	ru := &child{labelValues: rest, ord: r.takeOrdinals(1)}
+	f.rollupOf[string(key)] = ru
+	f.rollups = append(f.rollups, ru)
+	return ru
+}
+
+// member returns f's child for worker w with rollup ru's other label
+// values, or nil: the child map, read through the rollups, is the
+// registry's worker index. Caller holds r.mu.
+func (f *family) member(ru *child, w string) *child {
+	var buf [128]byte
+	key := buf[:0]
+	for i := range f.labels {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		switch {
+		case i == f.worker:
+			key = append(key, w...)
+		case i < f.worker:
+			key = append(key, ru.labelValues[i]...)
+		default:
+			key = append(key, ru.labelValues[i-1]...)
+		}
+	}
+	return f.byKey[string(key)]
+}
+
+// HasWorker reports whether some child carries WorkerLabel=w: one lookup
+// per rollup, whatever the number of workers. A nil registry has none.
+func (r *Registry) HasWorker(w string) bool {
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range r.families {
+		for _, ru := range f.rollups {
+			if f.member(ru, w) != nil {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Counter is a monotonically increasing metric. Nil-safe.
@@ -275,7 +360,7 @@ func (c *Counter) Add(v float64) {
 	if v < 0 {
 		panic(fmt.Sprintf("telemetry: negative counter add %v", v))
 	}
-	(*child)(c).addFloat(v)
+	(*child)(c).add(v)
 }
 
 // Value returns the current count.
@@ -294,7 +379,12 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	g.bits.Store(math.Float64bits(v))
+	if g.rollup == nil {
+		g.bits.Store(math.Float64bits(v))
+		return
+	}
+	mustWhole(v)
+	g.rollup.addFloat(v - math.Float64frombits(g.bits.Swap(math.Float64bits(v))))
 }
 
 // Add adjusts the value by v (may be negative).
@@ -302,7 +392,7 @@ func (g *Gauge) Add(v float64) {
 	if g == nil {
 		return
 	}
-	(*child)(g).addFloat(v)
+	(*child)(g).add(v)
 }
 
 // Value returns the current value.
@@ -311,6 +401,22 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
+}
+
+// add adds v to the child and, for a worker-labelled child, to its rollup.
+func (c *child) add(v float64) {
+	if c.rollup != nil {
+		mustWhole(v)
+		c.rollup.addFloat(v)
+	}
+	c.addFloat(v)
+}
+
+// mustWhole panics unless v is an integer a float64 holds exactly.
+func mustWhole(v float64) {
+	if !(math.Abs(v) <= 1<<53 && v == math.Trunc(v)) {
+		panic(fmt.Sprintf("telemetry: worker-labelled value %v is not an integer", v))
+	}
 }
 
 // addFloat CAS-adds v to the child's float64 bits.

@@ -9,17 +9,17 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("jobs_total", "jobs", "worker", "sbc-000")
+	c := r.Counter("jobs_total", "jobs", "function", "MatMul")
 	c.Inc()
 	c.Add(2.5)
 	if got := c.Value(); got != 3.5 {
 		t.Fatalf("counter = %v, want 3.5", got)
 	}
 	// Get-or-create: same handle for same labels, distinct otherwise.
-	if r.Counter("jobs_total", "jobs", "worker", "sbc-000") != c {
+	if r.Counter("jobs_total", "jobs", "function", "MatMul") != c {
 		t.Fatal("same labels returned a different handle")
 	}
-	if r.Counter("jobs_total", "jobs", "worker", "sbc-001") == c {
+	if r.Counter("jobs_total", "jobs", "function", "CascSHA") == c {
 		t.Fatal("different labels shared a handle")
 	}
 	g := r.Gauge("queue_depth", "depth")

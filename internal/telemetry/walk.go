@@ -2,14 +2,15 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
 // SeriesRef names one series during a Walk: a counter or gauge child, a
-// func family's single value, or one expanded series of a histogram
-// child. It is a plain value — holding one allocates nothing — and
-// materialises the series' name and label map only when Describe is
-// called.
+// func family's single value, one expanded series of a histogram child,
+// or, in WalkRollups, a rollup. It is a plain value — holding one
+// allocates nothing — and materialises the series' name and label map
+// only when Describe is called.
 type SeriesRef struct {
 	f    *family
 	c    *child // nil for a func family
@@ -21,29 +22,49 @@ type SeriesRef struct {
 // registry: families sorted by name, children in creation order, each
 // histogram child expanded to its _bucket series (le ascending, +Inf
 // last), then _sum, then _count — the order Snapshot returns and
-// WritePrometheus prints, stable between calls.
+// WritePrometheus prints, stable between calls. Rollups are not walked.
 //
-// Ordinals are dense (0..n-1 over the registry's n series), assigned at
-// creation, and never reused or reassigned, so a consumer can keep
-// per-series state in a slice indexed by ordinal; a family created later
-// may sort before existing ones, so ordinals are not ascending in walk
-// order. The walk itself allocates nothing (histograms wider than
+// Ordinals are dense (0..n-1 over the registry's n series and rollups),
+// assigned at creation, and never reused or reassigned, so a consumer can
+// keep per-series state in a slice indexed by ordinal; a family created
+// later may sort before existing ones, so ordinals are not ascending in
+// walk order. The walk itself allocates nothing (histograms wider than
 // histScratch buckets excepted) and holds no registry or histogram lock
 // while fn runs. A nil registry walks nothing.
 func (r *Registry) Walk(fn func(ord int, value float64, ref SeriesRef)) {
+	r.walk(false, nil, fn)
+}
+
+// WalkRollups is Walk as the time-series store reads a registry: a family
+// with a WorkerLabel label yields its rollups (see Registry) and the
+// children of the workers in asked, merged by ordinal, so a rollup comes
+// where Walk meets its first member. Other members are not visited: the
+// walk follows the families, not the boards. It allocates nothing while a
+// family has at most 64 rollups and asked children.
+func (r *Registry) WalkRollups(asked map[string]struct{}, fn func(ord int, value float64, ref SeriesRef)) {
+	r.walk(true, asked, fn)
+}
+
+// walk is Walk, or WalkRollups when rolled is set.
+func (r *Registry) walk(rolled bool, asked map[string]struct{}, fn func(ord int, value float64, ref SeriesRef)) {
 	if r == nil {
 		return
 	}
 	var scratch [histScratch]uint64
+	var picked [64]*child
 	for _, f := range r.sortedFamilies() {
 		if f.fn != nil {
 			fn(f.ord, f.fn(), SeriesRef{f: f})
 			continue
 		}
-		// get appends to f.order under r.mu; children are append-only, so
-		// the prefix captured here stays valid after the unlock.
+		// get appends to f.order and f.rollups under r.mu; both are
+		// append-only, so the prefix captured here stays valid after the
+		// unlock.
 		r.mu.Lock()
 		children := f.order
+		if rolled && f.worker >= 0 {
+			children = f.rolled(asked, picked[:0])
+		}
 		r.mu.Unlock()
 		for _, c := range children {
 			ref := SeriesRef{f: f, c: c}
@@ -70,6 +91,21 @@ func (r *Registry) Walk(fn func(ord int, value float64, ref SeriesRef)) {
 // histScratch is how many cumulative counts (finite buckets plus +Inf)
 // Walk copies out of a histogram child without allocating.
 const histScratch = 32
+
+// rolled returns f's rollups merged by ordinal, in buf, with the
+// children of the workers in asked. Caller holds the registry's mu.
+func (f *family) rolled(asked map[string]struct{}, buf []*child) []*child {
+	buf = append(buf, f.rollups...)
+	for w := range asked {
+		for _, ru := range f.rollups {
+			if c := f.member(ru, w); c != nil {
+				buf = append(buf, c)
+			}
+		}
+	}
+	slices.SortFunc(buf, func(a, b *child) int { return a.ord - b.ord })
+	return buf
+}
 
 // sortedFamilies returns the registry's families sorted by name. The
 // slice is cached until the next family is created and never written
@@ -119,6 +155,9 @@ func (s SeriesRef) le() (bound float64, ok bool) {
 func (s SeriesRef) labelPairs() (names, values []string) {
 	if s.c == nil {
 		return nil, nil
+	}
+	if w := s.f.worker; w >= 0 && s.c.rollup == nil {
+		return append(s.f.labels[:w:w], s.f.labels[w+1:]...), s.c.labelValues
 	}
 	return s.f.labels, s.c.labelValues
 }

@@ -120,7 +120,7 @@ func (g *growingCluster) step() {
 				g.seq++
 				name := fmt.Sprintf("%c_grown_%d", 'a'+rune(g.rng.Intn(26)), g.seq)
 				if g.rng.Intn(2) == 0 {
-					reg.Gauge(name, "", "worker", fn).Set(g.rng.Float64())
+					reg.Gauge(name, "", "worker", fn).Set(float64(g.rng.Intn(5)))
 				} else {
 					v := g.rng.Float64()
 					reg.GaugeFunc(name, "", func() float64 { return v })
@@ -342,6 +342,36 @@ func FuzzScrapeAsks(f *testing.F) {
 		}
 		o.finish()
 	})
+}
+
+// TestAskUnknownWorkerIsFlat queries for a worker no source has, over a
+// store scraping one shard of 16 boards and one of 1,024, five worker
+// series a board: the ask is a lookup per rollup, not a scan of the
+// boards, so the query allocates as often at both sizes.
+func TestAskUnknownWorkerIsFlat(t *testing.T) {
+	allocs := func(boards int) float64 {
+		reg := telemetry.NewRegistry()
+		for b := 0; b < boards; b++ {
+			w := fmt.Sprintf("sbc-%04d", b)
+			reg.Gauge("microfaas_worker_busy", "Busy.", "worker", w).Set(1)
+			reg.Gauge("microfaas_queue_depth", "Depth.", "worker", w)
+			for _, result := range []string{"ok", "error", "timeout"} {
+				reg.Counter("microfaas_attempts_total", "Attempts.", "worker", w, "result", result).Inc()
+			}
+		}
+		store := New(Config{})
+		store.AddSource("shard-00", reg)
+		store.Scrape(time.Second)
+		q := Query{Metric: "microfaas_worker_busy", Match: map[string]string{"worker": "nope"}}
+		return allocsPerRun(50, func() {
+			if _, err := store.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(1024); small != large {
+		t.Fatalf("asking for an unknown worker allocates %v times at 16 boards and %v at 1,024", small, large)
+	}
 }
 
 // warmKeep is the sample capacity of warmedStore's series.

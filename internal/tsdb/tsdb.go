@@ -17,17 +17,16 @@
 // ring of one Point per scrape folded at every push would.
 //
 // Worker series: the paper meters the rack, not the board, so a series
-// whose label set includes "worker" gets no series of its own. It is
-// added into its source's sum — one series per source keyed by the same
-// name and labels without "worker" (shard stays), pushed once per scrape
-// with the walk's total — so microfaas_worker_busy is a shard's busy
-// boards and the per-worker counters its attempts, boots and faults.
-// The registries and their /metrics exposition keep every worker's
-// series; only what the store records changes. A Query or WriteNDJSON
-// whose matchers name worker=w asks for w: from the next scrape on the
-// store also records w's own series, the values it would always have
-// recorded, and they still feed the sum. A worker no source has adds no
-// state. SLO rules cannot name a worker: a Rule scopes by function only.
+// whose label set includes "worker" gets no series of its own. The store
+// reads registries with telemetry.Registry.WalkRollups, which yields the
+// sums the registry keeps at write time over the same name and labels
+// without "worker" — one series per source (shard stays): a shard's busy
+// boards, attempts, boots and faults — and never visits the boards. The
+// registries and /metrics keep every worker's series. A Query or
+// WriteNDJSON whose matchers name worker=w asks for w: from the next
+// scrape on the walk also yields w's own series. An ask is a lookup per
+// rollup of each source; a worker no source has adds no state. SLO
+// rules cannot name a worker: a Rule scopes by function only.
 //
 // On top of the store sit two consumers:
 //
@@ -58,10 +57,6 @@ import (
 	"microfaas/internal/telemetry"
 	"microfaas/internal/tracing"
 )
-
-// workerLabel is the label whose series the store sums per source
-// rather than keeping one by one, until a query names its value.
-const workerLabel = "worker"
 
 // The store's sizes and resolutions.
 const (
@@ -123,29 +118,12 @@ type Bucket struct {
 }
 
 // source is one scraped registry, the shard label its samples carry,
-// and where each of the registry's ordinals sends its value.
+// and the series each ordinal its walk yields is pushed to.
 type source struct {
-	shard string
-	reg   *telemetry.Registry
-	byOrd []int32 // registry series ordinal → 1 + index into sinks; 0 = not yet seen
-	sinks []sink
-	sums  []sum             // this source's worker sums, first-seen order
-	sumOf map[*series]int32 // a sum's series → 1 + index of the sink its unasked members share
-}
-
-// sink is where a walked value goes: pushed to a series of its own,
-// added to one of the source's worker sums, or both.
-type sink struct {
-	sr  *series // nil for a worker nobody has asked for
-	sum int32   // 1 + index into the source's sums; 0 for a series without a worker label
-}
-
-// sum is one source's per-shard aggregate of a worker-labelled family:
-// the walk adds every member's value to v, and the scrape pushes v once
-// the source's walk is done.
-type sum struct {
-	sr *series
-	v  float64
+	shard  string
+	reg    *telemetry.Registry
+	byOrd  []int32 // registry series ordinal → 1 + index into series; 0 = not yet seen
+	series []*series
 }
 
 // series is one (metric, label set) stream: its newest samples as runs
@@ -153,7 +131,7 @@ type sum struct {
 // downsample tiers that remember what the runs have let go.
 type series struct {
 	// What a push of an unchanged value reads and writes comes first, so
-	// it is one cache line of the tens of thousands a scrape visits.
+	// it is one cache line of the hundreds a scrape visits.
 	clk  *clock
 	open run // the newest run, inline; n is 0 until the first push
 	// total counts the samples ever pushed; the oldest evicted of them
@@ -203,6 +181,7 @@ func New(cfg Config) *Store {
 	return &Store{
 		cfg:     cfg,
 		metrics: make(map[string]*metricSeries),
+		asked:   make(map[string]struct{}),
 		clk:     clock{keep: cfg.RawCapacity},
 		arrival: &arrivalTracker{byFn: map[string]*arrivalState{}},
 		alerts:  telemetry.NewEventLog(DefaultAlertCapacity),
@@ -240,7 +219,7 @@ func (s *Store) Scrape(now time.Duration) {
 	}
 	for i := range s.sources {
 		src := &s.sources[i]
-		src.reg.Walk(func(ord int, value float64, ref telemetry.SeriesRef) {
+		src.reg.WalkRollups(s.asked, func(ord int, value float64, ref telemetry.SeriesRef) {
 			var k int32
 			if ord < len(src.byOrd) {
 				k = src.byOrd[ord]
@@ -248,19 +227,8 @@ func (s *Store) Scrape(now time.Duration) {
 			if k == 0 {
 				k = s.internLocked(src, ord, ref)
 			}
-			sk := src.sinks[k-1]
-			if sk.sr != nil {
-				sk.sr.push(value)
-			}
-			if sk.sum != 0 {
-				src.sums[sk.sum-1].v += value
-			}
+			src.series[k-1].push(value)
 		})
-		for j := range src.sums {
-			sm := &src.sums[j]
-			sm.sr.push(sm.v)
-			sm.v = 0
-		}
 	}
 	s.arrival.update(s, now, interval)
 	s.slo.eval(s, now)
@@ -283,113 +251,35 @@ func (s *Store) tickLocked(now time.Duration) (interval time.Duration, ok bool) 
 	return interval, true
 }
 
-// internLocked resolves a registry series met for the first time — at
-// the point of the walk where its first sample is due, so metrics and
-// series keep the first-seen order a by-name ingest would give them —
-// and remembers its sink under the series' ordinal. A series with a
-// worker label feeds its source's sum over the label set without it,
-// and gets a series of its own only once its worker has been asked for.
-// Caller holds s.mu.
+// internLocked resolves a series met for the first time — at the point
+// of the walk where its first sample is due, so metrics and series keep
+// the first-seen order a by-name ingest would give them — and remembers
+// it under the series' ordinal. Caller holds s.mu.
 func (s *Store) internLocked(src *source, ord int, ref telemetry.SeriesRef) int32 {
 	extra := ""
 	if src.shard != "" {
 		extra = "shard"
 	}
-	name, labels := ref.Describe(extra, src.shard)
-	var k int32
-	if w, ok := labels[workerLabel]; !ok {
-		k = src.addSink(sink{sr: s.seriesLocked(name, labels)})
-	} else {
-		_, asked := s.asked[w]
-		own := labels
-		if asked {
-			labels = make(map[string]string, len(own))
-			for n, v := range own {
-				labels[n] = v
-			}
-		}
-		delete(labels, workerLabel)
-		if len(labels) == 0 {
-			labels = nil
-		}
-		k = s.sumSinkLocked(src, s.seriesLocked(name, labels))
-		if asked {
-			k = src.addSink(sink{sr: s.seriesLocked(name, own), sum: src.sinks[k-1].sum})
-		}
-	}
+	src.series = append(src.series, s.seriesLocked(ref.Describe(extra, src.shard)))
 	for len(src.byOrd) <= ord {
 		src.byOrd = append(src.byOrd, 0)
 	}
-	src.byOrd[ord] = k
-	return k
+	src.byOrd[ord] = int32(len(src.series))
+	return src.byOrd[ord]
 }
 
-// sumSinkLocked returns the sink the source's unasked members of the sum
-// series sr share, adding sr to the source's sums on first sight.
-// Caller holds s.mu.
-func (s *Store) sumSinkLocked(src *source, sr *series) int32 {
-	if k, ok := src.sumOf[sr]; ok {
-		return k
-	}
-	src.sums = append(src.sums, sum{sr: sr})
-	k := src.addSink(sink{sum: int32(len(src.sums))})
-	if src.sumOf == nil {
-		src.sumOf = make(map[*series]int32)
-	}
-	src.sumOf[sr] = k
-	return k
-}
-
-// addSink appends a sink and returns 1 + its index.
-func (src *source) addSink(sk sink) int32 {
-	src.sinks = append(src.sinks, sk)
-	return int32(len(src.sinks))
-}
-
-// askLocked makes the store record worker w's own series from the next
-// scrape on, as well as summing them, if some source has a series
-// labelled worker=w; a worker no source has adds no state. Its series
-// already interned are forgotten, so the next scrape interns them again
-// where the walk meets them. Caller holds s.mu.
-func (s *Store) askLocked(w string) {
-	if _, ok := s.asked[w]; ok {
-		return
-	}
-	found := false
-	for i := range s.sources {
-		src := &s.sources[i]
-		src.reg.Walk(func(ord int, _ float64, ref telemetry.SeriesRef) {
-			var k int32
-			if ord < len(src.byOrd) {
-				k = src.byOrd[ord]
-			}
-			if k != 0 && src.sinks[k-1].sr != nil {
-				return // no worker label, or an asked worker's
-			}
-			_, labels := ref.Describe("", "")
-			if v, ok := labels[workerLabel]; !ok || v != w {
-				return
-			}
-			found = true
-			if k != 0 {
-				src.byOrd[ord] = 0
-			}
-		})
-	}
-	if !found {
-		return
-	}
-	if s.asked == nil {
-		s.asked = make(map[string]struct{})
-	}
-	s.asked[w] = struct{}{}
-}
-
-// askMatchLocked asks for the worker a query's matchers name, if any.
-// Caller holds s.mu.
+// askMatchLocked asks for the worker w a query's matchers name, if some
+// source has a series labelled worker=w. Caller holds s.mu.
 func (s *Store) askMatchLocked(match map[string]string) {
-	if w, ok := match[workerLabel]; ok {
-		s.askLocked(w)
+	w, ok := match[telemetry.WorkerLabel]
+	if _, asked := s.asked[w]; !ok || asked {
+		return
+	}
+	for _, src := range s.sources {
+		if src.reg.HasWorker(w) {
+			s.asked[w] = struct{}{}
+			return
+		}
 	}
 }
 
