@@ -118,15 +118,19 @@ type Sim struct {
 }
 
 // simBuilder carries what every worker and orchestrator of one simulated
-// cluster shares — the config, the single virtual clock, the meter, and
-// (MicroFaaS clusters) the GPIO power plane — and builds the cluster one
-// control-plane shard at a time. The unsharded constructors are the
-// one-shard case: shard 0, no label, the caller's own telemetry.
+// cluster shares — the config, the single virtual clock, the meter, the
+// function table, and (MicroFaaS clusters) the GPIO power plane — and
+// builds the cluster one control-plane shard at a time. The unsharded
+// constructors are the one-shard case: shard 0, no label, the caller's
+// own telemetry.
 type simBuilder struct {
 	cfg    SimConfig
 	engine *sim.Engine
 	meter  *power.Meter
 	gpio   *gpio.Controller
+	// fns is the table built from cfg.Specs; nil (the workers' shared
+	// Table I default) when the config overrides nothing.
+	fns *node.FunctionTable
 }
 
 // newSimBuilder starts a cluster on a fresh engine seeded from cfg; the
@@ -134,6 +138,9 @@ type simBuilder struct {
 // for rack-server clusters.
 func newSimBuilder(cfg SimConfig, controller *gpio.Controller) *simBuilder {
 	b := &simBuilder{cfg: cfg, engine: sim.NewEngine(cfg.Seed), meter: power.NewMeter(), gpio: controller}
+	if cfg.Specs != nil {
+		b.fns = node.NewFunctionTable(cfg.Specs)
+	}
 	registerMeterMetrics(cfg.Telemetry, b.meter, b.engine.Now)
 	return b
 }
@@ -171,7 +178,7 @@ func (b *simBuilder) workers(dst []*node.SimWorker, n int, server *node.RackServ
 			GPIO:          controller,
 			Jitter:        simJitter,
 			BootTime:      b.cfg.BootTime,
-			Specs:         b.cfg.Specs,
+			Functions:     b.fns,
 			DisableReboot: b.cfg.DisableReboot,
 			FailureRate:   b.cfg.FailureRate,
 			HangRate:      b.cfg.HangRate,

@@ -95,6 +95,7 @@ type LiveWorkerConfig struct {
 type LiveWorker struct {
 	cfg  LiveWorkerConfig
 	dev  *power.Device // meter handle, taken once at start; nil when unmetered
+	pin  *gpio.Pin     // PWR_BUT line, wired once at start; nil without GPIO
 	sbc  power.SBCModel
 	srv  wire.Server // the worker's TCP endpoint; Serve is serveConn
 	addr string
@@ -142,7 +143,7 @@ func StartLiveWorker(cfg LiveWorkerConfig) (*LiveWorker, error) {
 		w.dev.Set(w.sbc.Power(power.Off), cfg.Clock())
 	}
 	if cfg.GPIO != nil {
-		if _, err := cfg.GPIO.WireNext(cfg.ID); err != nil {
+		if w.pin, err = cfg.GPIO.WireNext(cfg.ID); err != nil {
 			w.srv.Close() //nolint:errcheck // never dialed
 			return nil, err
 		}
@@ -179,9 +180,9 @@ func (w *LiveWorker) Close() error {
 }
 
 // setState moves the modeled power state (managed mode only).
-func (w *LiveWorker) setState(to power.State, cause string) {
+func (w *LiveWorker) setState(to power.State, cause string, job int64) {
 	w.mu.Lock()
-	w.setStateLocked(to, cause)
+	w.setStateLocked(to, cause, job)
 	w.mu.Unlock()
 }
 
@@ -189,8 +190,9 @@ func (w *LiveWorker) setState(to power.State, cause string) {
 // meter at the new state's draw and appends to the GPIO audit log. Same-
 // state calls are no-ops. Callers hold w.mu. Timestamps come from the
 // cluster clock; the audit log uses the monotone-clamping variant because
-// concurrent wall-clock callers can race to the controller's lock.
-func (w *LiveWorker) setStateLocked(to power.State, cause string) {
+// concurrent wall-clock callers can race to the controller's lock. job is
+// the job the cause names, gpio.NoJob for none.
+func (w *LiveWorker) setStateLocked(to power.State, cause string, job int64) {
 	if w.state == to {
 		return
 	}
@@ -200,8 +202,8 @@ func (w *LiveWorker) setStateLocked(to power.State, cause string) {
 	if w.dev != nil {
 		w.dev.Set(w.sbc.Power(to), now)
 	}
-	if w.cfg.GPIO != nil {
-		w.cfg.GPIO.TransitionMonotone(w.cfg.ID, now, from, to, cause) //nolint:errcheck // wired at start; clamp keeps the log monotone
+	if w.pin != nil {
+		w.pin.TransitionMonotone(now, from, to, cause, job) //nolint:errcheck // wired at start; clamp keeps the log monotone
 	}
 }
 
@@ -221,12 +223,12 @@ func (w *LiveWorker) PowerUp(cause string, ready func()) {
 		return
 	}
 	w.m.bootsCold.Inc()
-	w.setStateLocked(power.Booting, cause)
+	w.setStateLocked(power.Booting, cause, gpio.NoJob)
 	w.mu.Unlock()
 	time.AfterFunc(w.cfg.BootDelay, func() {
 		w.mu.Lock()
 		if w.state == power.Booting {
-			w.setStateLocked(power.Idle, "boot complete (managed)")
+			w.setStateLocked(power.Idle, "boot complete (managed)", gpio.NoJob)
 		}
 		w.mu.Unlock()
 		if ready != nil {
@@ -251,7 +253,7 @@ func (w *LiveWorker) PowerDown(cause string) bool {
 		w.mu.Unlock()
 		return true
 	}
-	w.setStateLocked(power.Off, cause)
+	w.setStateLocked(power.Off, cause, gpio.NoJob)
 	w.mu.Unlock()
 	w.pc.Reset(fmt.Sprintf("power-cycled (%s)", cause))
 	return true
@@ -438,7 +440,7 @@ func (w *LiveWorker) RunJob(job core.Job, done func(core.Result)) {
 		energyStart = w.dev.Energy(started)
 	}
 	if w.cfg.Managed {
-		w.setState(power.Busy, fmt.Sprintf("exec (job %d)", job.ID))
+		w.setState(power.Busy, "exec", job.ID)
 	} else if w.dev != nil {
 		w.dev.Set(w.sbc.Power(power.Busy), started)
 	}
@@ -463,7 +465,7 @@ func (w *LiveWorker) RunJob(job core.Job, done func(core.Result)) {
 			if w.cfg.Managed {
 				// The manager decides when the worker powers off; the job
 				// just hands the node back to idle draw.
-				w.setState(power.Idle, "job done (managed idle)")
+				w.setState(power.Idle, "job done (managed idle)", gpio.NoJob)
 			} else if w.dev != nil {
 				w.dev.Set(w.sbc.Power(power.Off), now)
 			}

@@ -2,7 +2,7 @@ package node
 
 import (
 	"fmt"
-	"strconv"
+	"sync"
 	"time"
 
 	"microfaas/internal/bootos"
@@ -38,10 +38,11 @@ type SimWorkerConfig struct {
 	// BootTime overrides the worker-OS boot duration (default: the
 	// bootos final profile for the platform).
 	BootTime time.Duration
-	// Specs overrides the function table (default: model.Functions()).
-	// Ablations (crypto accelerator, GigE NIC, no-reboot) pass modified
-	// copies here.
-	Specs []model.FunctionSpec
+	// Functions is the function table the worker runs, shared by every
+	// worker of a cluster (default: one table of model.Functions() shared
+	// by every worker that names none). Ablations (crypto accelerator)
+	// pass a table built from modified specs.
+	Functions *FunctionTable
 	// DisableReboot is the no-reboot ablation: after the first job the
 	// worker stays up and skips the boot phase (sacrificing the clean-
 	// environment guarantee of Sec III-a).
@@ -91,24 +92,81 @@ type SimWorkerConfig struct {
 	Tracer *tracing.Tracer
 }
 
-// SimWorker is a discrete-event worker node implementing core.Worker.
+// FunctionTable is the immutable function table of a simulated cluster:
+// each function's calibration spec and the canned output a finished job
+// returns, stored in table order behind one name→entry map. A cluster
+// builds it once and every worker holds the same pointer, so a board
+// costs nothing per function.
+type FunctionTable struct {
+	byName map[string]*simFunction
+}
+
+// simFunction is one table entry.
+type simFunction struct {
+	spec model.FunctionSpec
+	// output is the simulated payload. It depends only on the function
+	// name, so one never-mutated []byte serves every job of every worker.
+	output []byte
+}
+
+// NewFunctionTable builds a table from specs. A name listed twice keeps
+// its last spec.
+func NewFunctionTable(specs []model.FunctionSpec) *FunctionTable {
+	fns := make([]simFunction, len(specs))
+	t := &FunctionTable{byName: make(map[string]*simFunction, len(specs))}
+	for i, s := range specs {
+		fns[i] = simFunction{spec: s, output: []byte(fmt.Sprintf(`{"simulated":true,"function":%q}`, s.Name))}
+		t.byName[s.Name] = &fns[i]
+	}
+	return t
+}
+
+// defaultFunctions is Table I as one table, built on first use, for every
+// worker whose config names no table.
+var defaultFunctions = sync.OnceValue(func() *FunctionTable { return NewFunctionTable(model.Functions()) })
+
+// SimWorker is a discrete-event worker node implementing core.Worker. It
+// holds handles into state its cluster builds once — the function table,
+// its meter device, its GPIO pin — and the state of the one job it runs.
 type SimWorker struct {
 	cfg SimWorkerConfig
 	// dev is the worker's meter handle, taken once at construction; nil
 	// unless this is a metered ARM worker (a microVM's host reports for it).
-	dev       *power.Device
+	dev *power.Device
+	// pin is the worker's PWR_BUT line on the OP's GPIO header; nil
+	// unless a controller is attached.
+	pin       *gpio.Pin
 	link      netsim.Link
 	sbc       power.SBCModel
 	boot      time.Duration
-	specs     map[string]model.FunctionSpec
-	outputs   map[string][]byte // per-function canned payloads (read-only)
-	warm      bool              // booted state survives to the next job
-	state     power.State       // current power state (ARM accounting)
-	hangs     int               // injected wedges (jobs that never reported back)
-	coldStart int               // jobs that paid the boot
-	warmStart int               // jobs that skipped it
-	powerOff  sim.Timer         // pending keep-warm expiry (zero when none)
+	warm      bool        // booted state survives to the next job
+	state     power.State // current power state (ARM accounting)
+	hangs     int         // injected wedges (jobs that never reported back)
+	coldStart int         // jobs that paid the boot
+	warmStart int         // jobs that skipped it
+	powerOff  sim.Timer   // pending keep-warm expiry (zero when none)
 	m         workerMetrics
+	// job is the job in flight. Core hands a worker its next job only
+	// after the last one's done fired (even when its deadline fired
+	// first), so one record per worker suffices, and the phase callbacks
+	// below are method values bound once: running a job allocates nothing.
+	job                       simJob
+	booted, executed, expired func()
+}
+
+// simJob is the state of a worker's job in flight, from RunJob to done.
+type simJob struct {
+	job                  core.Job
+	done                 func(core.Result)
+	fn                   *simFunction
+	started              time.Duration
+	boot, overhead, exec time.Duration
+	fail                 bool
+	energyStart          power.Joules
+	// phase is when the current phase began, and joules the meter reading
+	// then, for the span that phase ends.
+	phase  time.Duration
+	joules float64
 }
 
 // NewSimWorker validates the config and registers the worker with the
@@ -126,6 +184,9 @@ func NewSimWorker(cfg SimWorkerConfig) (*SimWorker, error) {
 	if cfg.Platform == model.ARM && cfg.Server != nil {
 		return nil, fmt.Errorf("node: SBC worker %s cannot have a rack server", cfg.ID)
 	}
+	if cfg.Functions == nil {
+		cfg.Functions = defaultFunctions()
+	}
 	w := &SimWorker{cfg: cfg, sbc: power.DefaultSBCModel()}
 	if cfg.Link != nil {
 		w.link = *cfg.Link
@@ -136,18 +197,6 @@ func NewSimWorker(cfg SimWorkerConfig) (*SimWorker, error) {
 		w.boot = cfg.BootTime
 	} else {
 		w.boot = bootos.BootTime(cfg.Platform)
-	}
-	specs := cfg.Specs
-	if specs == nil {
-		specs = model.Functions()
-	}
-	w.specs = make(map[string]model.FunctionSpec, len(specs))
-	w.outputs = make(map[string][]byte, len(specs))
-	for _, s := range specs {
-		w.specs[s.Name] = s
-		// The simulated payload depends only on the function name, so one
-		// shared, never-mutated []byte per function serves every job.
-		w.outputs[s.Name] = []byte(fmt.Sprintf(`{"simulated":true,"function":%q}`, s.Name))
 	}
 	if cfg.Platform == model.X86 && cfg.GPIO != nil {
 		return nil, fmt.Errorf("node: worker %s: GPIO power control wires worker SBCs only", cfg.ID)
@@ -167,16 +216,27 @@ func NewSimWorker(cfg SimWorkerConfig) (*SimWorker, error) {
 		w.dev.Set(w.sbc.Power(power.Off), cfg.Engine.Now())
 	}
 	if cfg.GPIO != nil {
-		if _, err := cfg.GPIO.WireNext(cfg.ID); err != nil {
+		var err error
+		if w.pin, err = cfg.GPIO.WireNext(cfg.ID); err != nil {
 			return nil, err
 		}
+	}
+	if cfg.Platform == model.ARM {
+		w.booted = w.armBooted
+	} else {
+		w.booted = w.vmBooted
+	}
+	w.executed = w.execDone
+	if cfg.KeepWarm > 0 {
+		w.expired = w.keepWarmExpired
 	}
 	return w, nil
 }
 
 // setState moves an ARM worker to a new power state, updating the meter
-// and the GPIO controller's audit log.
-func (w *SimWorker) setState(to power.State, cause string) {
+// and the GPIO controller's audit log with the cause and the job that
+// caused it (gpio.NoJob for none).
+func (w *SimWorker) setState(to power.State, cause string, job int64) {
 	if w.cfg.Platform != model.ARM || to == w.state {
 		return
 	}
@@ -184,34 +244,14 @@ func (w *SimWorker) setState(to power.State, cause string) {
 	if w.dev != nil {
 		w.dev.Set(w.sbc.Power(to), now)
 	}
-	if w.cfg.GPIO != nil {
-		if err := w.cfg.GPIO.Transition(w.cfg.ID, now, w.state, to, cause); err != nil {
+	if w.pin != nil {
+		if err := w.pin.Transition(now, w.state, to, cause, job); err != nil {
 			// Wiring and ordering are established at construction; a
 			// failure here is a programming error in the simulation.
 			panic(err)
 		}
 	}
 	w.state = to
-}
-
-// setStateJob is setState with a lazily built "<prefix> (job <id>)" cause:
-// the string is only materialized when a GPIO audit log will record it,
-// and via strconv instead of fmt — these transitions run several times per
-// simulated job, and fmt's reflection dominated the sim's alloc profile.
-func (w *SimWorker) setStateJob(to power.State, prefix string, jobID int64) {
-	if w.cfg.Platform != model.ARM || to == w.state {
-		return
-	}
-	var cause string
-	if w.cfg.GPIO != nil {
-		var arr [64]byte
-		buf := append(arr[:0], prefix...)
-		buf = append(buf, " (job "...)
-		buf = strconv.AppendInt(buf, jobID, 10)
-		buf = append(buf, ')')
-		cause = string(buf)
-	}
-	w.setState(to, cause)
 }
 
 // ID implements core.Worker.
@@ -237,7 +277,7 @@ func perturb(d time.Duration, f float64) time.Duration {
 // return result, power down. All timing comes from the calibrated model.
 func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 	engine := w.cfg.Engine
-	spec, ok := w.specs[job.Function]
+	fn, ok := w.cfg.Functions.byName[job.Function]
 	if !ok {
 		engine.Schedule(0, func() {
 			done(core.Result{
@@ -262,8 +302,8 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 		w.coldStart++
 		w.m.bootsCold.Inc()
 	}
-	overhead := perturb(spec.OverheadTime(w.cfg.Platform, w.link), w.jitter())
-	exec := perturb(spec.ExecTime(w.cfg.Platform, w.link), w.jitter())
+	overhead := perturb(fn.spec.OverheadTime(w.cfg.Platform, w.link), w.jitter())
+	exec := perturb(fn.spec.ExecTime(w.cfg.Platform, w.link), w.jitter())
 	fail := w.cfg.FailureRate > 0 && engine.Rand().Float64() < w.cfg.FailureRate
 	if fail {
 		// The fault strikes partway through execution; the OP sees a dead
@@ -279,7 +319,7 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 		recordSpan(w.cfg.Tracer, job, tracing.PhaseFault, w.cfg.ID,
 			engine.Now(), engine.Now(), 0, "injected-hang", "node: injected worker hang")
 		w.warm = false
-		w.setStateJob(power.Busy, "wedged", job.ID)
+		w.setState(power.Busy, "wedged", job.ID)
 		return
 	}
 	if slow := w.cfg.SlowRate > 0 && engine.Rand().Float64() < w.cfg.SlowRate; slow {
@@ -290,77 +330,84 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 		exec = time.Duration(float64(exec) * factor)
 		w.m.faultSlow.Inc()
 	}
-	started := engine.Now()
+	w.job = simJob{
+		job: job, done: done, fn: fn, started: engine.Now(),
+		boot: boot, overhead: overhead, exec: exec, fail: fail,
+	}
 	// Per-function energy: snapshot the meter now, bank the delta when the
 	// job finishes. Only metered ARM workers attribute joules — an X86
 	// microVM is not a metered device, its host rack server is.
-	metered := w.dev != nil
-	var energyStart power.Joules
-	if metered {
-		energyStart = w.dev.Energy(started)
+	if w.dev != nil {
+		w.job.energyStart = w.dev.Energy(w.job.started)
 	}
-
-	finish := func() {
-		rebootDetail := "power-down"
-		switch {
-		case fail && w.cfg.Managed:
-			// The environment is suspect but the manager owns the power
-			// plane: go cold-idle and let the orchestrator's NoteFault
-			// power-cycle the node through the manager.
-			w.warm = false
-			w.setState(power.Idle, "fault: awaiting power-cycle")
-			rebootDetail = "fault-power-cycle"
-		case fail:
-			// A crashed worker cannot be trusted warm: the OP power-cycles
-			// it regardless of the keep-warm/no-reboot policy.
-			w.warm = false
-			w.setState(power.Off, "fault: forced power-off")
-			rebootDetail = "fault-power-off"
-		default:
-			w.afterJob()
-			switch {
-			case w.cfg.DisableReboot:
-				rebootDetail = "stay-up"
-			case w.cfg.KeepWarm > 0:
-				rebootDetail = "keep-warm"
-			case w.cfg.Managed:
-				rebootDetail = "managed-idle"
-			}
-		}
-		res := core.Result{
-			Job: job, WorkerID: w.cfg.ID,
-			Output:     w.outputs[job.Function],
-			StartedAt:  started,
-			FinishedAt: engine.Now(),
-			Boot:       boot,
-			Overhead:   overhead,
-			Exec:       exec,
-		}
-		if fail {
-			res.Err = "node: injected worker fault"
-			res.Output = nil
-		}
-		if metered {
-			// Crashed attempts are charged too: the joules were burned on
-			// this function's behalf even if the result was lost. The
-			// result carries the joules so the orchestrator can account
-			// them against the function's energy budget.
-			delta := w.dev.Energy(engine.Now()) - energyStart
-			res.Joules = float64(delta)
-			w.m.energy(job.Function).Add(float64(delta))
-		}
-		// The post-job power transition is instantaneous in the sim, so the
-		// reboot span is a zero-length marker naming the policy applied.
-		recordSpan(w.cfg.Tracer, job, tracing.PhaseReboot, w.cfg.ID,
-			engine.Now(), engine.Now(), 0, rebootDetail, "")
-		done(res)
-	}
-
 	if w.cfg.Platform == model.ARM {
-		w.runARM(job, boot, overhead, exec, finish)
+		w.runARM()
 	} else {
-		w.runX86(job, spec, boot, overhead, exec, finish)
+		w.runX86()
 	}
+}
+
+// finish ends the job in flight: the post-job power policy, the result,
+// the energy charge and the reboot span, then done. The record is cleared
+// before done runs, because done may hand this worker its next job.
+func (w *SimWorker) finish() {
+	j := &w.job
+	now := w.cfg.Engine.Now()
+	rebootDetail := "power-down"
+	switch {
+	case j.fail && w.cfg.Managed:
+		// The environment is suspect but the manager owns the power
+		// plane: go cold-idle and let the orchestrator's NoteFault
+		// power-cycle the node through the manager.
+		w.warm = false
+		w.setState(power.Idle, "fault: awaiting power-cycle", gpio.NoJob)
+		rebootDetail = "fault-power-cycle"
+	case j.fail:
+		// A crashed worker cannot be trusted warm: the OP power-cycles
+		// it regardless of the keep-warm/no-reboot policy.
+		w.warm = false
+		w.setState(power.Off, "fault: forced power-off", gpio.NoJob)
+		rebootDetail = "fault-power-off"
+	default:
+		w.afterJob()
+		switch {
+		case w.cfg.DisableReboot:
+			rebootDetail = "stay-up"
+		case w.cfg.KeepWarm > 0:
+			rebootDetail = "keep-warm"
+		case w.cfg.Managed:
+			rebootDetail = "managed-idle"
+		}
+	}
+	res := core.Result{
+		Job: j.job, WorkerID: w.cfg.ID,
+		Output:     j.fn.output,
+		StartedAt:  j.started,
+		FinishedAt: now,
+		Boot:       j.boot,
+		Overhead:   j.overhead,
+		Exec:       j.exec,
+	}
+	if j.fail {
+		res.Err = "node: injected worker fault"
+		res.Output = nil
+	}
+	if w.dev != nil {
+		// Crashed attempts are charged too: the joules were burned on
+		// this function's behalf even if the result was lost. The
+		// result carries the joules so the orchestrator can account
+		// them against the function's energy budget.
+		delta := w.dev.Energy(now) - j.energyStart
+		res.Joules = float64(delta)
+		w.m.energy(j.job.Function).Add(float64(delta))
+	}
+	// The post-job power transition is instantaneous in the sim, so the
+	// reboot span is a zero-length marker naming the policy applied.
+	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseReboot, w.cfg.ID,
+		now, now, 0, rebootDetail, "")
+	done := j.done
+	*j = simJob{}
+	done(res)
 }
 
 // afterJob applies the worker's post-job power policy: the paper's
@@ -371,22 +418,25 @@ func (w *SimWorker) afterJob() {
 	switch {
 	case w.cfg.Managed:
 		w.warm = true
-		w.setState(power.Idle, "job done (managed idle)")
+		w.setState(power.Idle, "job done (managed idle)", gpio.NoJob)
 	case w.cfg.DisableReboot:
 		w.warm = true
-		w.setState(power.Idle, "job done (no-reboot ablation)")
+		w.setState(power.Idle, "job done (no-reboot ablation)", gpio.NoJob)
 	case w.cfg.KeepWarm > 0:
 		w.warm = true
-		w.setState(power.Idle, "job done (parked warm)")
-		w.powerOff = w.cfg.Engine.Schedule(w.cfg.KeepWarm, func() {
-			w.warm = false
-			w.powerOff = sim.Timer{}
-			w.setState(power.Off, "keep-warm window expired")
-		})
+		w.setState(power.Idle, "job done (parked warm)", gpio.NoJob)
+		w.powerOff = w.cfg.Engine.Schedule(w.cfg.KeepWarm, w.expired)
 	default: // the paper's policy
 		w.warm = false
-		w.setState(power.Off, "job done (power down)")
+		w.setState(power.Off, "job done (power down)", gpio.NoJob)
 	}
+}
+
+// keepWarmExpired closes a KeepWarm window: the parked worker powers off.
+func (w *SimWorker) keepWarmExpired() {
+	w.warm = false
+	w.powerOff = sim.Timer{}
+	w.setState(power.Off, "keep-warm window expired", gpio.NoJob)
 }
 
 // PowerUp implements powermgr.Node (managed mode): Off→Booting now,
@@ -403,10 +453,10 @@ func (w *SimWorker) PowerUp(cause string, ready func()) {
 		return
 	}
 	w.m.bootsCold.Inc()
-	w.setState(power.Booting, cause)
+	w.setState(power.Booting, cause, gpio.NoJob)
 	engine.Schedule(perturb(w.boot, w.jitter()), func() {
 		w.warm = true
-		w.setState(power.Idle, "boot complete (managed)")
+		w.setState(power.Idle, "boot complete (managed)", gpio.NoJob)
 		if ready != nil {
 			ready()
 		}
@@ -425,7 +475,7 @@ func (w *SimWorker) PowerDown(cause string) bool {
 		return true
 	}
 	w.warm = false
-	w.setState(power.Off, cause)
+	w.setState(power.Off, cause, gpio.NoJob)
 	return true
 }
 
@@ -452,80 +502,83 @@ func (w *SimWorker) traceJoules(job core.Job, now time.Duration) float64 {
 // ends) so a trace's phase durations telescope to its end-to-end latency,
 // and with meter-snapshot energy deltas so its phase joules telescope to
 // the invocation's metered energy.
-func (w *SimWorker) runARM(job core.Job, boot, overhead, exec time.Duration, finish func()) {
+func (w *SimWorker) runARM() {
+	j := &w.job
 	engine := w.cfg.Engine
-	if boot > 0 {
-		bootStart := engine.Now()
-		e0 := w.traceJoules(job, bootStart)
-		w.setStateJob(power.Booting, "PWR_BUT press", job.ID)
-		w.m.event(bootStart, telemetry.EventBoot, job, w.cfg.ID, "cold")
-		engine.Schedule(boot, func() {
-			bootEnd := engine.Now()
-			e1 := w.traceJoules(job, bootEnd)
-			recordSpan(w.cfg.Tracer, job, tracing.PhaseBoot, w.cfg.ID,
-				bootStart, bootEnd, e1-e0, "cold", "")
-			w.setStateJob(power.Busy, "boot complete", job.ID)
-			w.m.event(bootEnd, telemetry.EventExec, job, w.cfg.ID, "")
-			engine.Schedule(overhead+exec, func() {
-				end := engine.Now()
-				recordSpan(w.cfg.Tracer, job, tracing.PhaseExec, w.cfg.ID,
-					bootEnd, end, w.traceJoules(job, end)-e1, "overhead+exec", "")
-				finish()
-			})
-		})
+	j.phase = engine.Now()
+	j.joules = w.traceJoules(j.job, j.phase)
+	if j.boot > 0 {
+		w.setState(power.Booting, "PWR_BUT press", j.job.ID)
+		w.m.event(j.phase, telemetry.EventBoot, j.job, w.cfg.ID, "cold")
+		engine.Schedule(j.boot, w.booted)
 		return
 	}
 	// Warm start: already booted, straight to work.
-	start := engine.Now()
-	e0 := w.traceJoules(job, start)
-	recordSpan(w.cfg.Tracer, job, tracing.PhaseBoot, w.cfg.ID, start, start, 0, "warm", "")
-	w.setStateJob(power.Busy, "warm start", job.ID)
-	w.m.event(start, telemetry.EventExec, job, w.cfg.ID, "warm")
-	engine.Schedule(overhead+exec, func() {
-		end := engine.Now()
-		recordSpan(w.cfg.Tracer, job, tracing.PhaseExec, w.cfg.ID,
-			start, end, w.traceJoules(job, end)-e0, "overhead+exec", "")
-		finish()
-	})
+	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.cfg.ID, j.phase, j.phase, 0, "warm", "")
+	w.setState(power.Busy, "warm start", j.job.ID)
+	w.m.event(j.phase, telemetry.EventExec, j.job, w.cfg.ID, "warm")
+	engine.Schedule(j.overhead+j.exec, w.executed)
+}
+
+// armBooted ends an SBC's cold boot and starts its execution.
+func (w *SimWorker) armBooted() {
+	j := &w.job
+	bootEnd := w.cfg.Engine.Now()
+	e1 := w.traceJoules(j.job, bootEnd)
+	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.cfg.ID,
+		j.phase, bootEnd, e1-j.joules, "cold", "")
+	w.setState(power.Busy, "boot complete", j.job.ID)
+	w.m.event(bootEnd, telemetry.EventExec, j.job, w.cfg.ID, "")
+	j.phase, j.joules = bootEnd, e1
+	w.cfg.Engine.Schedule(j.overhead+j.exec, w.executed)
+}
+
+// execDone ends execution on either platform: the exec span, then finish.
+// A microVM's span carries zero joules (its phase reading stays zero and
+// it has no meter device); its host's energy is attributed at cluster level.
+func (w *SimWorker) execDone() {
+	j := &w.job
+	end := w.cfg.Engine.Now()
+	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseExec, w.cfg.ID,
+		j.phase, end, w.traceJoules(j.job, end)-j.joules, "overhead+exec", "")
+	w.finish()
 }
 
 // runX86 runs the microVM's phases as rack-server CPU tasks: wall time
 // stretches when the host's cores are oversubscribed.
-func (w *SimWorker) runX86(job core.Job, spec model.FunctionSpec, boot, overhead, exec time.Duration, finish func()) {
-	bootCPU := float64(boot) / float64(time.Second) * bootos.BootCPUFraction(model.X86)
+func (w *SimWorker) runX86() {
+	j := &w.job
+	j.phase = w.cfg.Engine.Now()
+	if j.boot == 0 {
+		recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.cfg.ID, j.phase, j.phase, 0, "warm", "")
+		w.m.event(j.phase, telemetry.EventExec, j.job, w.cfg.ID, "warm")
+		w.vmExec()
+		return
+	}
+	w.m.event(j.phase, telemetry.EventBoot, j.job, w.cfg.ID, "cold")
 	bootDemand := bootos.BootCPUFraction(model.X86)
-	jobWall := overhead + exec
-	jobCPU := spec.CPUTime(model.X86)
+	w.cfg.Server.Run(float64(j.boot)/float64(time.Second)*bootDemand, bootDemand, w.booted)
+}
+
+// vmBooted ends a microVM's cold boot and starts its execution.
+func (w *SimWorker) vmBooted() {
+	j := &w.job
+	bootEnd := w.cfg.Engine.Now()
+	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.cfg.ID,
+		j.phase, bootEnd, 0, "cold", "")
+	w.m.event(bootEnd, telemetry.EventExec, j.job, w.cfg.ID, "")
+	j.phase = bootEnd
+	w.vmExec()
+}
+
+// vmExec queues the microVM's overhead and execution on its host.
+func (w *SimWorker) vmExec() {
+	j := &w.job
+	jobWall := j.overhead + j.exec
 	// Demand so that uncontended wall time equals the calibrated total.
-	demand := float64(jobCPU) / float64(jobWall)
+	demand := float64(j.fn.spec.CPUTime(model.X86)) / float64(jobWall)
 	if demand > 1 {
 		demand = 1 // a 1-vCPU microVM cannot exceed one core
 	}
-	cpuSeconds := demand * jobWall.Seconds()
-	engine := w.cfg.Engine
-	// A microVM is not a metered device (its host rack server is), so its
-	// spans carry zero joules — host energy is attributed at cluster level.
-	runExec := func(from time.Duration) {
-		w.cfg.Server.Run(cpuSeconds, demand, func() {
-			recordSpan(w.cfg.Tracer, job, tracing.PhaseExec, w.cfg.ID,
-				from, engine.Now(), 0, "overhead+exec", "")
-			finish()
-		})
-	}
-	if boot == 0 {
-		start := engine.Now()
-		recordSpan(w.cfg.Tracer, job, tracing.PhaseBoot, w.cfg.ID, start, start, 0, "warm", "")
-		w.m.event(start, telemetry.EventExec, job, w.cfg.ID, "warm")
-		runExec(start)
-		return
-	}
-	bootStart := engine.Now()
-	w.m.event(bootStart, telemetry.EventBoot, job, w.cfg.ID, "cold")
-	w.cfg.Server.Run(bootCPU, bootDemand, func() {
-		bootEnd := engine.Now()
-		recordSpan(w.cfg.Tracer, job, tracing.PhaseBoot, w.cfg.ID,
-			bootStart, bootEnd, 0, "cold", "")
-		w.m.event(bootEnd, telemetry.EventExec, job, w.cfg.ID, "")
-		runExec(bootEnd)
-	})
+	w.cfg.Server.Run(demand*jobWall.Seconds(), demand, w.executed)
 }
