@@ -32,6 +32,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"microfaas/internal/powermgr"
@@ -504,10 +505,8 @@ type Orchestrator struct {
 	eligible []*workerSlot
 	parole   paroleHeap
 	// load indexes every attached slot by (ejected, load, idx) for the
-	// least-loaded policy; queued is the running total of their queue
-	// depths. loadChangedLocked maintains both.
+	// least-loaded policy. loadChangedLocked maintains it and queued.
 	load   loadIndex
-	queued int
 	parked map[int64]*parkedRetry
 	// budgets holds per-function energy accounting (nil entries never
 	// exist; functions without a budget are simply absent). throttled
@@ -518,15 +517,21 @@ type Orchestrator struct {
 	throttled      map[int64]*parkedThrottle
 	callbacks      map[int64]func(Result)
 	nextID         int64
-	nextIdx        int // next worker registration index (never reused)
-	rrNext         int // next round-robin index
-	pending        int // queued + running + backoff-parked jobs
-	draining       bool
+	nextIdx        int  // next worker registration index (never reused)
+	rrNext         int  // next round-robin index
 	sealed         bool // Seal called: queued jobs frozen for TakeAll recovery
 	idle           *sync.Cond
 	flFree         *inflight // recycled inflight records (see inflight)
 
 	arrivalCancel func()
+
+	// The load counts the shard plane reads on every routed submit. Each is
+	// written only under mu, so every read-modify-write stays serialised,
+	// and read anywhere without it: Pending, Queued and Draining are plain
+	// loads, and a routing plane never takes a shard's lock.
+	pending  atomic.Int64 // queued + running + backoff-parked jobs; see addPendingLocked
+	queued   atomic.Int64 // total of every slot's queue depth; see loadChangedLocked
+	draining atomic.Bool
 }
 
 // inflight tracks one dispatched attempt. Exactly one of the worker's done
@@ -785,7 +790,7 @@ func (o *Orchestrator) SubmitAsync(function string, args []byte, cb func(Result)
 // configured JobTimeout (zero = no deadline for this job).
 func (o *Orchestrator) SubmitWithTimeout(function string, args []byte, timeout time.Duration, cb func(Result)) int64 {
 	o.mu.Lock()
-	if o.draining {
+	if o.draining.Load() {
 		o.mu.Unlock()
 		return 0
 	}
@@ -966,7 +971,7 @@ func (o *Orchestrator) pickEnergyAwareLocked(ws []*workerSlot, noWake bool) *wor
 // SubmitTo enqueues an invocation on a specific worker's queue.
 func (o *Orchestrator) SubmitTo(workerID, function string, args []byte) (int64, error) {
 	o.mu.Lock()
-	if o.draining {
+	if o.draining.Load() {
 		o.mu.Unlock()
 		return 0, fmt.Errorf("core: orchestrator is draining")
 	}
@@ -999,9 +1004,19 @@ func (o *Orchestrator) newJobLocked(function string, args []byte, timeout time.D
 	if cb != nil {
 		o.callbacks[id] = cb
 	}
-	o.pending++
-	o.m.pending.Set(float64(o.pending))
+	o.addPendingLocked(1)
 	return job
+}
+
+// addPendingLocked moves the pending count by delta, republishes the
+// jobs-pending gauge, and wakes Quiesce and Drain when the count reaches
+// zero. Every change to the count goes through it. Caller holds o.mu.
+func (o *Orchestrator) addPendingLocked(delta int) {
+	n := o.pending.Add(int64(delta))
+	o.m.pending.Set(float64(n))
+	if n == 0 {
+		o.idle.Broadcast()
+	}
 }
 
 // enqueueLocked appends the job and returns its id plus the dispatched
@@ -1278,7 +1293,7 @@ func (o *Orchestrator) reassignQueueLocked(wedged *workerSlot) []*inflight {
 // It returns dispatch closures to run after o.mu is released and, when the
 // outcome is final, the job's completion callback. Caller holds o.mu.
 func (o *Orchestrator) resolveAttemptLocked(failedOn *workerSlot, job Job, res Result, finished time.Duration) (runs []*inflight, cb func(Result)) {
-	retry := res.Err != "" && job.Attempt+1 < o.maxAttempts && !o.draining
+	retry := res.Err != "" && job.Attempt+1 < o.maxAttempts && !o.draining.Load()
 	if retry {
 		// The job stays pending: re-queue it on a different worker (a
 		// fresh hardware environment — worker-local faults don't follow),
@@ -1302,13 +1317,9 @@ func (o *Orchestrator) resolveAttemptLocked(failedOn *workerSlot, job Job, res R
 	}
 	o.tracer.EndTrace(job.Trace, finished, res.WorkerID, res.Err)
 	o.noteFinal(job, res, finished)
-	o.pending--
-	o.m.pending.Set(float64(o.pending))
+	o.addPendingLocked(-1)
 	cb = o.callbacks[job.ID]
 	delete(o.callbacks, job.ID)
-	if o.pending == 0 {
-		o.idle.Broadcast()
-	}
 	return runs, cb
 }
 
@@ -1422,21 +1433,14 @@ func (o *Orchestrator) noteAttemptLocked(s *workerSlot, ok, timedOut bool) {
 	}
 }
 
-// Pending returns queued plus running (plus backoff-parked) jobs.
-func (o *Orchestrator) Pending() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.pending
-}
+// Pending returns queued plus running (plus backoff-parked) jobs. It
+// takes no lock, so the shard plane reads it on every routed submit.
+func (o *Orchestrator) Pending() int { return int(o.pending.Load()) }
 
 // Queued returns the total queued (not yet running) jobs across all
-// workers: a running total, since the capacity aggregator and the
-// per-shard queue-depth gauge poll it every tick.
-func (o *Orchestrator) Queued() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.queued
-}
+// workers: a running total, read without a lock, since the capacity
+// aggregator and the per-shard queue-depth gauge poll it every tick.
+func (o *Orchestrator) Queued() int { return int(o.queued.Load()) }
 
 // StartArrivals begins the paper's arrival process: every interval, one
 // job is added to each of sampleSize randomly-chosen queues (with
@@ -1458,7 +1462,7 @@ func (o *Orchestrator) StartArrivals(interval time.Duration, sampleSize int, gen
 	if o.arrivalCancel != nil {
 		return nil, fmt.Errorf("core: arrival process already running")
 	}
-	if o.draining {
+	if o.draining.Load() {
 		return nil, fmt.Errorf("core: orchestrator is draining")
 	}
 	stopped := false
@@ -1466,7 +1470,7 @@ func (o *Orchestrator) StartArrivals(interval time.Duration, sampleSize int, gen
 	tick = func() {
 		var runs []*inflight
 		o.mu.Lock()
-		if stopped || o.draining {
+		if stopped || o.draining.Load() {
 			o.mu.Unlock()
 			return
 		}
@@ -1513,7 +1517,7 @@ func (o *Orchestrator) StartArrivals(interval time.Duration, sampleSize int, gen
 func (o *Orchestrator) Quiesce() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for o.pending > 0 {
+	for o.pending.Load() > 0 {
 		o.idle.Wait()
 	}
 }
@@ -1527,7 +1531,7 @@ func (o *Orchestrator) Quiesce() {
 // their completion callbacks. Live mode only, like Quiesce.
 func (o *Orchestrator) Drain(ctx context.Context) []Job {
 	o.mu.Lock()
-	o.draining = true
+	o.draining.Store(true)
 	if o.arrivalCancel != nil {
 		o.arrivalCancel()
 		o.arrivalCancel = nil
@@ -1546,10 +1550,10 @@ func (o *Orchestrator) Drain(ctx context.Context) []Job {
 		o.mu.Unlock()
 	})
 	defer stopWatch()
-	for o.pending > 0 && ctx.Err() == nil {
+	for o.pending.Load() > 0 && ctx.Err() == nil {
 		o.idle.Wait()
 	}
-	if o.pending == 0 {
+	if o.pending.Load() == 0 {
 		o.mu.Unlock()
 		return nil
 	}
@@ -1575,21 +1579,13 @@ func (o *Orchestrator) Drain(ctx context.Context) []Job {
 			o.tracer.EndTrace(j.Trace, now, "", "core: abandoned at drain")
 		}
 	}
-	o.pending -= len(abandoned)
-	o.m.pending.Set(float64(o.pending))
+	o.addPendingLocked(-len(abandoned))
 	for _, j := range abandoned {
 		delete(o.callbacks, j.ID)
-	}
-	if o.pending == 0 {
-		o.idle.Broadcast()
 	}
 	o.mu.Unlock()
 	return abandoned
 }
 
 // Draining reports whether Drain has been called.
-func (o *Orchestrator) Draining() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.draining
-}
+func (o *Orchestrator) Draining() bool { return o.draining.Load() }

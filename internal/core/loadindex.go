@@ -107,7 +107,7 @@ func (h *loadIndex) remove(s *workerSlot) {
 // the load index. Caller holds o.mu.
 func (o *Orchestrator) loadChangedLocked(s *workerSlot) {
 	if q := s.qlen(); q != s.queued {
-		o.queued += q - s.queued
+		o.queued.Add(int64(q - s.queued))
 		s.queued = q
 		o.m.queueDepth[s.id].Set(float64(q))
 	}

@@ -32,7 +32,7 @@ import (
 func (o *Orchestrator) Seal() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.draining = true
+	o.draining.Store(true)
 	o.sealed = true
 	if o.arrivalCancel != nil {
 		o.arrivalCancel()
@@ -44,7 +44,7 @@ func (o *Orchestrator) Seal() {
 // still queued (frozen by the seal) dispatch immediately.
 func (o *Orchestrator) Reopen() {
 	o.mu.Lock()
-	o.draining = false
+	o.draining.Store(false)
 	o.sealed = false
 	var runs []*inflight
 	for _, s := range o.slots {
@@ -97,13 +97,7 @@ func (o *Orchestrator) TakeAll() []Stolen {
 			out = append(out, Stolen{Job: p.job, Callback: cb})
 		}
 	}
-	if len(out) > 0 {
-		o.pending -= len(out)
-		o.m.pending.Set(float64(o.pending))
-		if o.pending == 0 {
-			o.idle.Broadcast()
-		}
-	}
+	o.addPendingLocked(-len(out))
 	return out
 }
 

@@ -68,7 +68,6 @@ func (o *Orchestrator) TakeQueued(max int) []Stolen {
 			o.emit(telemetry.EventQueue, job, victim.id, "stolen-from")
 			cb := o.callbacks[job.ID]
 			delete(o.callbacks, job.ID)
-			o.pending--
 			out = append(out, Stolen{Job: job, Callback: cb})
 		}
 		o.loadChangedLocked(victim)
@@ -76,12 +75,7 @@ func (o *Orchestrator) TakeQueued(max int) []Stolen {
 			break
 		}
 	}
-	if len(out) > 0 {
-		o.m.pending.Set(float64(o.pending))
-		if o.pending == 0 {
-			o.idle.Broadcast()
-		}
-	}
+	o.addPendingLocked(-len(out))
 	return out
 }
 
@@ -96,7 +90,7 @@ func (o *Orchestrator) SubmitJob(job Job, cb func(Result)) (int64, error) {
 		return 0, fmt.Errorf("core: SubmitJob needs a job with an assigned id")
 	}
 	o.mu.Lock()
-	if o.draining {
+	if o.draining.Load() {
 		o.mu.Unlock()
 		return 0, nil
 	}
@@ -106,8 +100,7 @@ func (o *Orchestrator) SubmitJob(job Job, cb func(Result)) (int64, error) {
 	if cb != nil {
 		o.callbacks[job.ID] = cb
 	}
-	o.pending++
-	o.m.pending.Set(float64(o.pending))
+	o.addPendingLocked(1)
 	run := o.maybeDispatchLocked(s)
 	o.mu.Unlock()
 	if run != nil {

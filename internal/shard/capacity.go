@@ -35,6 +35,8 @@ func (p *Plane) armTick() {
 // declared dead this pass is off the ring before the steal half reads
 // queue depths), then snapshot, steal, rebalance, re-arm.
 func (p *Plane) tick() {
+	p.tickMu.Lock()
+	defer p.tickMu.Unlock()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -49,9 +51,7 @@ func (p *Plane) tick() {
 		p.healthTick()
 	}
 
-	n := len(p.shards)
-	queued := make([]int, n)
-	pending := make([]int, n)
+	queued, pending := p.tickQueued, p.tickPending
 	totalQ, totalP := 0, 0
 	for i, o := range p.shards {
 		queued[i] = o.Queued()
@@ -203,7 +203,7 @@ func (p *Plane) rebalanceTick(queued []int, totalQ int) {
 	mean := float64(totalQ) / float64(n)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	weights := make([]float64, n)
+	weights := p.tickWeights
 	material := false
 	for i := range weights {
 		w := p.ring.Weight(i)

@@ -9,8 +9,7 @@ import "fmt"
 // simulation replays byte-identically. Lock discipline: member records
 // and the ring mutate under p.mu; orchestrator calls that move work (Seal,
 // TakeAll, SubmitJob, Reopen) happen with p.mu released. Only the
-// read-only Pending, which takes nothing after the orchestrator's own
-// lock, is called under p.mu (by route).
+// read-only Pending, a lock-free load, is called under p.mu (by route).
 
 // healthTick probes every shard once and advances the membership state
 // machine. Deaths and rejoins decided this pass execute after the scan,

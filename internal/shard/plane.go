@@ -15,7 +15,7 @@ import (
 // Default tuning for the capacity aggregator. The steal interval is a
 // compromise between reaction time (a hot shard's queue is visible for
 // at most one interval before relief arrives) and overhead (each tick
-// snapshots every shard under its own lock).
+// snapshots every shard's load counts).
 const (
 	// DefaultStealInterval is how often the capacity aggregator runs.
 	DefaultStealInterval = 250 * time.Millisecond
@@ -92,8 +92,13 @@ type Plane struct {
 	stolenIn   []*telemetry.Counter
 	stolenOut  []*telemetry.Counter
 
-	mu          sync.Mutex
-	ring        *Ring
+	mu   sync.Mutex
+	ring *Ring
+	// loads is route's snapshot of every shard's pending count, taken
+	// under mu; loadOf (p.loadAt, bound once in NewPlane) is how the
+	// ring's bounded walk reads it, so a routed submit allocates nothing.
+	loads       []int
+	loadOf      func(shard int) int
 	members     []memberRecord
 	stolenTotal int64
 	tickArmed   bool
@@ -105,6 +110,14 @@ type Plane struct {
 	// armTick fast path can check without taking mu.
 	tickHook func(time.Duration)
 	hookSet  atomic.Bool
+
+	// The aggregator tick's scratch, so a tick allocates nothing. tickMu
+	// keeps two ticks off it: in wall-clock mode a tick slower than the
+	// interval overlaps the next one.
+	tickMu      sync.Mutex
+	tickQueued  []int
+	tickPending []int
+	tickWeights []float64
 }
 
 // SetTickHook registers fn to run at the end of every capacity-
@@ -181,8 +194,14 @@ func NewPlane(rt core.Runtime, shards []*core.Orchestrator, cfg Config) (*Plane,
 		leaseTTL: time.Duration(DefaultDeadAfter+1) * cfg.Steal.Interval,
 		reg:      telemetry.NewRegistry(),
 		ring:     ring,
+		loads:    make([]int, len(shards)),
 		members:  make([]memberRecord, len(shards)),
+
+		tickQueued:  make([]int, len(shards)),
+		tickPending: make([]int, len(shards)),
+		tickWeights: make([]float64, len(shards)),
 	}
+	p.loadOf = p.loadAt
 	if cfg.Membership.Enabled {
 		for i := range p.members {
 			p.members[i].lastAlive = true
@@ -239,19 +258,26 @@ func (p *Plane) ShardFor(key string) int {
 }
 
 // route picks the destination shard for a key under the configured
-// bounded-load factor, reading live pending counts as the load signal.
-// The walk reads each shard's count as it visits it, so routing allocates
-// nothing; Pending is a leaf read, so it may run under p.mu.
+// bounded-load factor, with pending counts as the load signal. It reads
+// each shard's count once, into one snapshot under p.mu: the total and
+// the ring's bounded walk both come from it. Pending is a lock-free load,
+// so routing takes no shard's lock and allocates nothing.
 func (p *Plane) route(key string) (*core.Orchestrator, int) {
-	total := 0
-	for _, o := range p.shards {
-		total += o.Pending()
-	}
 	p.mu.Lock()
-	idx := p.ring.LookupBounded(key, p.cfg.BoundFactor, total, func(s int) int { return p.shards[s].Pending() })
+	total := 0
+	for i, o := range p.shards {
+		n := o.Pending()
+		p.loads[i] = n
+		total += n
+	}
+	idx := p.ring.LookupBounded(key, p.cfg.BoundFactor, total, p.loadOf)
 	p.mu.Unlock()
 	return p.shards[idx], idx
 }
+
+// loadAt is the bounded walk's load callback: route's snapshot of shard
+// s. Caller holds p.mu.
+func (p *Plane) loadAt(s int) int { return p.loads[s] }
 
 // Submit routes one invocation by key and submits it asynchronously to
 // the chosen shard. It returns the cluster-unique job id and the shard

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"microfaas/internal/core"
@@ -16,17 +18,15 @@ func (w nullWorker) RunJob(job core.Job, done func(core.Result)) {
 	done(core.Result{Job: job, WorkerID: w.id})
 }
 
-// TestPlaneSubmitAllocs pins the plane tier at zero allocations per
-// routed submit, so fronting every live request with a plane costs none:
-// the bounded-load walk reads loads through its callback and keeps its
-// visited set on the ring.
-func TestPlaneSubmitAllocs(t *testing.T) {
-	shards := make([]*core.Orchestrator, 4)
+// wallPlane builds a plane over n wall-clock shards, one worker each.
+func wallPlane(t *testing.T, n int, worker func(id string) core.Worker) *Plane {
+	t.Helper()
+	shards := make([]*core.Orchestrator, n)
 	for i := range shards {
 		label := fmt.Sprintf("shard-%02d", i)
 		o, err := core.New(core.Config{
 			Runtime:    core.NewWallRuntime(),
-			Workers:    []core.Worker{nullWorker{id: label + "-null"}},
+			Workers:    []core.Worker{worker(label + "-w")},
 			Seed:       1,
 			JobIDBase:  int64(i) << 40,
 			ShardLabel: label,
@@ -40,29 +40,143 @@ func TestPlaneSubmitAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("u/%d", i)
+	t.Cleanup(p.Close)
+	return p
+}
+
+// TestPlaneSubmitAllocs pins the plane tier at zero allocations per
+// routed submit, so fronting every live request with a plane costs none:
+// route snapshots the loads into the plane's own slice and the bounded
+// walk reads it through a method value bound once. 32 shards is the
+// benchmark's sim_sharded shape.
+func TestPlaneSubmitAllocs(t *testing.T) {
+	for _, n := range []int{4, 32} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			p := wallPlane(t, n, func(id string) core.Worker { return nullWorker{id: id} })
+			keys := make([]string, 64)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("u/%d", i)
+			}
+			args := []byte(`{}`)
+			settled := false
+			cb := func(core.Result) { settled = true }
+			i := 0
+			submit := func() {
+				settled = false
+				if id, _ := p.Submit(keys[i%len(keys)], "CascSHA", args, cb); id == 0 || !settled {
+					t.Fatal("null worker did not settle the job inside submit")
+				}
+				i++
+			}
+			for i < 2000 {
+				submit()
+			}
+			if got := testing.AllocsPerRun(1000, submit); got != 0 {
+				t.Fatalf("%v allocations per routed submit, want 0", got)
+			}
+			if p.Pending() != 0 {
+				t.Fatal("jobs stuck")
+			}
+		})
 	}
-	args := []byte(`{}`)
-	settled := false
-	cb := func(core.Result) { settled = true }
-	i := 0
-	submit := func() {
-		settled = false
-		if id, _ := p.Submit(keys[i%len(keys)], "CascSHA", args, cb); id == 0 || !settled {
-			t.Fatal("null worker did not settle the job inside submit")
+}
+
+// asyncWorker settles every job on a fresh goroutine, so jobs queue
+// behind it and its shard's counts move while readers poll them.
+type asyncWorker struct{ id string }
+
+func (w asyncWorker) ID() string { return w.id }
+func (w asyncWorker) RunJob(job core.Job, done func(core.Result)) {
+	go done(core.Result{Job: job, WorkerID: w.id})
+}
+
+// TestShardLoadReadsRace drives concurrent routed submits into four
+// wall-clock shards while readers poll every lock-free load count (the
+// plane's Pending and Status, each shard's Queued and Draining) and one
+// shard is sealed and reopened over and over. Under -race it holds the
+// counts to their discipline: written under the shard's lock, read
+// anywhere. Once the submitters stop and every shard quiesces, nothing
+// is pending or queued.
+func TestShardLoadReadsRace(t *testing.T) {
+	p := wallPlane(t, 4, func(id string) core.Worker { return asyncWorker{id: id} })
+	const submitters, perSubmitter = 4, 500
+	var submitted atomic.Int64
+	// A job's callback runs after its shard's lock is released, so it can
+	// trail Quiesce; settled counts callbacks still to come.
+	var settled sync.WaitGroup
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	poll := func(read func()) {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					read()
+				}
+			}
+		}()
+	}
+	poll(func() {
+		if p.Pending() < 0 {
+			t.Error("negative plane pending count")
 		}
-		i++
+	})
+	poll(func() { _ = p.Status() })
+	poll(func() {
+		for _, o := range p.Shards() {
+			if o.Queued() < 0 {
+				t.Error("negative queued count")
+			}
+			_ = o.Draining()
+		}
+	})
+	poll(func() {
+		o := p.Shards()[1]
+		o.Seal()
+		if !o.Draining() {
+			t.Error("a sealed shard does not report draining")
+		}
+		o.Reopen()
+	})
+
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				settled.Add(1)
+				id, _ := p.Submit(fmt.Sprintf("k/%d/%d", g, i%16), "CascSHA", nil, func(core.Result) { settled.Done() })
+				if id == 0 {
+					settled.Done()
+					t.Error("every shard refused a submit")
+					return
+				}
+				submitted.Add(1)
+			}
+		}()
 	}
-	for i < 2000 {
-		submit()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	p.Shards()[1].Reopen()
+	for _, o := range p.Shards() {
+		o.Quiesce()
 	}
-	if got := testing.AllocsPerRun(1000, submit); got != 0 {
-		t.Fatalf("%v allocations per routed submit, want 0", got)
+	settled.Wait()
+	if got := submitted.Load(); got != submitters*perSubmitter {
+		t.Fatalf("%d jobs accepted, want %d", got, submitters*perSubmitter)
 	}
-	if p.Pending() != 0 {
-		t.Fatal("jobs stuck")
+	if got := p.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after quiesce, want 0", got)
+	}
+	for i, o := range p.Shards() {
+		if got := o.Queued(); got != 0 {
+			t.Fatalf("shard %d: Queued() = %d after quiesce, want 0", i, got)
+		}
 	}
 }

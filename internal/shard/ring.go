@@ -35,10 +35,25 @@ import (
 // at rack scale).
 const DefaultVNodes = 128
 
-// ringPoint is one virtual node on the hash circle.
+// ringPoint is one virtual node on the hash circle: point v of a shard,
+// at pointHash(shard, v). The list is ordered by (hash, shard, v).
 type ringPoint struct {
 	hash  uint64
-	shard int
+	shard int32
+	v     int32
+}
+
+// comparePoints is the ring's order. pointHash is a bijection of
+// (shard, v), so two points never share a hash; the tie-break only keeps
+// the order total without relying on that.
+func comparePoints(a, b ringPoint) int {
+	if c := cmp.Compare(a.hash, b.hash); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.shard, b.shard); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.v, b.v)
 }
 
 // Ring is a weighted consistent-hash ring with virtual nodes and
@@ -58,7 +73,9 @@ type Ring struct {
 	members int
 	counts  []int // points per shard in the current list; 0 when absent
 	points  []ringPoint
-	seen    []bool // LookupBounded's scratch: shards its walk has visited
+	spare   []ringPoint // rebuild merges into it, then it swaps with points
+	grown   []ringPoint // rebuild's scratch: the points it adds, sorted
+	seen    []bool      // LookupBounded's scratch: shards its walk has visited
 }
 
 // NewRing builds a ring over n shards (ids 0..n-1), all present, at
@@ -76,6 +93,12 @@ func NewRing(n, vnodes int) (*Ring, error) {
 		r.weights[i] = 1
 		r.present[i] = true
 	}
+	// Both merge buffers hold the most points the weight clamp allows
+	// (every shard at 4), so no rebuild ever grows them; the first
+	// rebuild adds every point at weight 1.
+	most := n * 4 * vnodes
+	r.points, r.spare = make([]ringPoint, 0, most), make([]ringPoint, 0, most)
+	r.grown = make([]ringPoint, 0, n*vnodes)
 	r.rebuild()
 	return r, nil
 }
@@ -112,14 +135,19 @@ func pointHash(shard, v int) uint64 {
 	return splitmix64(uint64(shard)<<32 | uint64(v))
 }
 
-// rebuild regenerates the sorted point list from the weight vector,
+// rebuild brings the sorted point list in line with the weight vector,
 // skipping absent shards entirely (their keys fall through to the next
 // present point clockwise — exactly the keys the removed shard owned,
-// nothing else). The list is a function of the per-shard point counts
-// alone, so when none of them moved — a reweight that rounds to the same
-// vnodes everywhere — the list it has is kept.
+// nothing else). A shard's points are always pointHash(s, 0..count-1),
+// so a new list differs from the old one only at the ends of those runs:
+// rebuild drops the points of a shrinking (or removed) shard whose v is
+// past its new count, hashes and sorts only the points a growing shard
+// adds, and merges the two sorted runs into the spare buffer. When no
+// count moved — a reweight that rounds to the same vnodes everywhere —
+// the list it has is kept.
 func (r *Ring) rebuild() {
-	same := r.points != nil
+	changed := false
+	r.grown = r.grown[:0]
 	for s, w := range r.weights {
 		n := 0
 		if r.present[s] {
@@ -128,27 +156,30 @@ func (r *Ring) rebuild() {
 				n = 1 // a present shard always owns at least one point
 			}
 		}
+		for v := r.counts[s]; v < n; v++ {
+			r.grown = append(r.grown, ringPoint{hash: pointHash(s, v), shard: int32(s), v: int32(v)})
+		}
 		if n != r.counts[s] {
-			r.counts[s], same = n, false
+			r.counts[s] = n
+			changed = true
 		}
 	}
-	if same {
+	if !changed {
 		return
 	}
-	r.points = r.points[:0]
-	for s, n := range r.counts {
-		for v := 0; v < n; v++ {
-			r.points = append(r.points, ringPoint{hash: pointHash(s, v), shard: s})
+	slices.SortFunc(r.grown, comparePoints)
+	out, add := r.spare[:0], r.grown
+	for _, p := range r.points {
+		if int(p.v) >= r.counts[p.shard] {
+			continue
 		}
+		for len(add) > 0 && comparePoints(add[0], p) < 0 {
+			out = append(out, add[0])
+			add = add[1:]
+		}
+		out = append(out, p)
 	}
-	slices.SortFunc(r.points, func(a, b ringPoint) int {
-		if c := cmp.Compare(a.hash, b.hash); c != 0 {
-			return c
-		}
-		// 64-bit collisions are astronomically rare but must not make the
-		// ring order depend on sort stability: break by shard id.
-		return cmp.Compare(a.shard, b.shard)
-	})
+	r.points, r.spare = append(out, add...), r.points
 }
 
 // Members returns the number of shards currently present on the ring.
@@ -222,7 +253,7 @@ func (r *Ring) SetWeights(w []float64) error {
 // Lookup maps a key to its owning shard: the first point clockwise of
 // the key's hash.
 func (r *Ring) Lookup(key string) int {
-	return r.points[r.successor(hashKey(key))].shard
+	return int(r.points[r.successor(hashKey(key))].shard)
 }
 
 // successor returns the index of the first point at or after h, wrapping
@@ -247,7 +278,7 @@ func (r *Ring) successor(h uint64) int {
 func (r *Ring) LookupBounded(key string, factor float64, total int, load func(shard int) int) int {
 	home := r.successor(hashKey(key))
 	if factor <= 1 {
-		return r.points[home].shard
+		return int(r.points[home].shard)
 	}
 	n := r.members
 	bound := factor*float64(total)/float64(n) + 1
@@ -255,15 +286,15 @@ func (r *Ring) LookupBounded(key string, factor float64, total int, load func(sh
 	seen := r.seen
 	clear(seen)
 	for i := 0; visited < n && i < len(r.points); i++ {
-		p := r.points[(home+i)%len(r.points)]
-		if seen[p.shard] {
+		s := int(r.points[(home+i)%len(r.points)].shard)
+		if seen[s] {
 			continue
 		}
-		seen[p.shard] = true
+		seen[s] = true
 		visited++
-		if float64(load(p.shard)) < bound {
-			return p.shard
+		if float64(load(s)) < bound {
+			return s
 		}
 	}
-	return r.points[home].shard
+	return int(r.points[home].shard)
 }

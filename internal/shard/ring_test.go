@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -250,6 +251,38 @@ func TestRingBoundedLoadDiverts(t *testing.T) {
 	// Factor <= 1 is plain consistent hashing regardless of load.
 	if got := r.LookupBounded("hot", -1, 400, func(s int) int { return loads[s] }); got != home {
 		t.Fatalf("unbounded lookup %d != home %d", got, home)
+	}
+}
+
+// TestRingReweightAllocs pins the merge at zero allocations: once the
+// scratch for added points has grown, swinging every weight between two
+// vectors (half the shards at each clamp end, then the reverse) rebuilds
+// the ring without allocating.
+func TestRingReweightAllocs(t *testing.T) {
+	const n = 32
+	r, _ := NewRing(n, DefaultVNodes)
+	a, b := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i], b[i] = 0.25, 4
+		if i%2 == 1 {
+			a[i], b[i] = 4, 0.25
+		}
+	}
+	swing := func() {
+		if err := r.SetWeights(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SetWeights(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swing()
+	swing()
+	if got := testing.AllocsPerRun(100, swing); got != 0 {
+		t.Fatalf("%v allocations per pair of reweights, want 0", got)
+	}
+	if want := rebuiltPoints(r); !slices.Equal(r.points, want) {
+		t.Fatal("the merged ring differs from a full rebuild")
 	}
 }
 
