@@ -54,6 +54,7 @@ import (
 	"microfaas/internal/replay"
 	"microfaas/internal/shard"
 	"microfaas/internal/telemetry"
+	"microfaas/internal/trace"
 	"microfaas/internal/tracing"
 	"microfaas/internal/tsdb"
 	"microfaas/internal/workload"
@@ -397,14 +398,10 @@ func printReport(w io.Writer, l *cluster.Live, jobs int, elapsed time.Duration) 
 			st.P95Total.Round(time.Microsecond))
 	}
 	completed := coll.Len() - coll.ErrorCount() // each job succeeds at most once
-	if completed > 0 {
-		if h, err := coll.LatencyHistogram(100*time.Microsecond, 10*time.Second, 14); err == nil {
-			fmt.Fprintln(w, "\nend-to-end latency distribution:")
-			h.Write(w) //nolint:errcheck
-			fmt.Fprintf(w, "p50 ≤ %v, p95 ≤ %v\n",
-				h.Quantile(0.5).Round(time.Microsecond),
-				h.Quantile(0.95).Round(time.Microsecond))
-		}
+	if sum := trace.Summarize(coll); sum.Completed > 0 {
+		fmt.Fprintf(w, "\nend-to-end latency: p50 %v, p95 %v\n",
+			sum.Percentile(50).Round(time.Microsecond),
+			sum.Percentile(95).Round(time.Microsecond))
 	}
 	fmt.Fprintf(w, "\ncompleted %d/%d in %v (%.1f func/min)\n",
 		completed, jobs, elapsed.Round(time.Millisecond),

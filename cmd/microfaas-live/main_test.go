@@ -22,7 +22,7 @@ func TestLoadModeRunsFullSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"CascSHA", "RedisInsert", "completed 34/34", "modelled energy"} {
+	for _, want := range []string{"CascSHA", "RedisInsert", "end-to-end latency: p50 ", "completed 34/34", "modelled energy"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("load output missing %q:\n%s", want, out)
 		}

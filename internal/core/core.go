@@ -783,12 +783,6 @@ func (o *Orchestrator) Submit(function string, args []byte) int64 {
 // orchestrator lock; sim-mode callbacks run on the engine thread. When the
 // orchestrator is draining, SubmitAsync returns 0 and cb never fires.
 func (o *Orchestrator) SubmitAsync(function string, args []byte, cb func(Result)) int64 {
-	return o.SubmitWithTimeout(function, args, o.jobTimeout, cb)
-}
-
-// SubmitWithTimeout is SubmitAsync with a per-job deadline overriding the
-// configured JobTimeout (zero = no deadline for this job).
-func (o *Orchestrator) SubmitWithTimeout(function string, args []byte, timeout time.Duration, cb func(Result)) int64 {
 	o.mu.Lock()
 	if o.draining.Load() {
 		o.mu.Unlock()
@@ -797,7 +791,7 @@ func (o *Orchestrator) SubmitWithTimeout(function string, args []byte, timeout t
 	if o.budgetThrottle > 0 && o.exhaustedLocked(function) {
 		// Budget-exhausted: the job is accepted (id, trace, pending) but
 		// serves a throttle hold before it may enter any queue.
-		job := o.newJobLocked(function, args, timeout, cb)
+		job := o.newJobLocked(function, args, cb)
 		o.m.budgetThrottled.Inc()
 		o.emit(telemetry.EventQueue, job, "", "budget-throttle")
 		p := &parkedThrottle{job: job}
@@ -806,7 +800,7 @@ func (o *Orchestrator) SubmitWithTimeout(function string, args []byte, timeout t
 		o.mu.Unlock()
 		return job.ID
 	}
-	id, run := o.enqueueLocked(o.pickWorkerLocked(function), function, args, timeout, cb)
+	id, run := o.enqueueLocked(o.pickWorkerLocked(function), function, args, cb)
 	o.mu.Unlock()
 	if run != nil {
 		run.run()
@@ -980,7 +974,7 @@ func (o *Orchestrator) SubmitTo(workerID, function string, args []byte) (int64, 
 		o.mu.Unlock()
 		return 0, fmt.Errorf("core: unknown worker %q", workerID)
 	}
-	id, run := o.enqueueLocked(s, function, args, o.jobTimeout, nil)
+	id, run := o.enqueueLocked(s, function, args, nil)
 	o.mu.Unlock()
 	if run != nil {
 		run.run()
@@ -988,14 +982,15 @@ func (o *Orchestrator) SubmitTo(workerID, function string, args []byte) (int64, 
 	return id, nil
 }
 
-// newJobLocked accepts a submission: it allocates the job id, starts the
-// trace, bumps the submission metrics, registers the callback, and counts
-// the job pending — everything except placing the job on a queue (the
-// budget-throttle path defers that part). Caller holds o.mu.
-func (o *Orchestrator) newJobLocked(function string, args []byte, timeout time.Duration, cb func(Result)) Job {
+// newJobLocked accepts a submission: it allocates the job id, stamps the
+// configured JobTimeout, starts the trace, bumps the submission metrics,
+// registers the callback, and counts the job pending — everything except
+// placing the job on a queue (the budget-throttle path defers that part).
+// Caller holds o.mu.
+func (o *Orchestrator) newJobLocked(function string, args []byte, cb func(Result)) Job {
 	o.nextID++
 	id := o.nextID
-	job := Job{ID: id, Function: function, Args: args, SubmittedAt: o.runtime.Now(), Timeout: timeout}
+	job := Job{ID: id, Function: function, Args: args, SubmittedAt: o.runtime.Now(), Timeout: o.jobTimeout}
 	job.Trace = o.tracer.StartTrace(function, id, function, job.SubmittedAt)
 	o.spanMarker(job, tracing.PhaseSubmit, "", job.SubmittedAt, "")
 	o.m.submitted.Inc()
@@ -1022,8 +1017,8 @@ func (o *Orchestrator) addPendingLocked(delta int) {
 // enqueueLocked appends the job and returns its id plus the dispatched
 // attempt to run once o.mu is released (nil when the worker is already
 // busy). Caller holds o.mu.
-func (o *Orchestrator) enqueueLocked(s *workerSlot, function string, args []byte, timeout time.Duration, cb func(Result)) (int64, *inflight) {
-	job := o.newJobLocked(function, args, timeout, cb)
+func (o *Orchestrator) enqueueLocked(s *workerSlot, function string, args []byte, cb func(Result)) (int64, *inflight) {
+	job := o.newJobLocked(function, args, cb)
 	o.pushJobLocked(s, job, "")
 	return job.ID, o.maybeDispatchLocked(s)
 }
@@ -1488,7 +1483,7 @@ func (o *Orchestrator) StartArrivals(interval time.Duration, sampleSize int, gen
 		}
 		for _, s := range targets {
 			fn, args := gen(o.rng)
-			_, run := o.enqueueLocked(s, fn, args, o.jobTimeout, nil)
+			_, run := o.enqueueLocked(s, fn, args, nil)
 			if run != nil {
 				runs = append(runs, run)
 			}

@@ -466,24 +466,6 @@ func TestStartArrivalsStopPreventsInFlightTick(t *testing.T) {
 	}
 }
 
-func TestSubmitWithTimeoutOverridesDefault(t *testing.T) {
-	e := sim.NewEngine(7)
-	w := &hangWorker{id: "w", engine: e}
-	o, err := New(Config{
-		Runtime: SimRuntime{Engine: e}, Workers: []Worker{w},
-		Seed: 11, JobTimeout: time.Hour, // default would outlast the test
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var final Result
-	o.SubmitWithTimeout("F", nil, 2*time.Second, func(res Result) { final = res })
-	e.RunAll()
-	if !final.TimedOut || final.FinishedAt != 2*time.Second {
-		t.Fatalf("result = %+v", final)
-	}
-}
-
 func TestFailureConfigValidation(t *testing.T) {
 	e := sim.NewEngine(1)
 	w := &fakeWorker{id: "w", engine: e, service: time.Millisecond}

@@ -114,26 +114,30 @@ type PowerMgmtConfig struct {
 	// Day is the trace length (default 2 h of virtual time — long enough
 	// for the diurnal shape to matter, short enough to fan out widely).
 	Day time.Duration
-	// IdleTimeout for the managed arm (default 15 s).
-	IdleTimeout time.Duration
-	Seed        int64
+	// Seed derives each level's trace and seeds every arm's sim.
+	Seed int64
 	// Parallel bounds the worker pool (<=0 = GOMAXPROCS, 1 = serial). All
 	// levels × arms fan through it; output is identical at any value.
 	Parallel int
 	// SLO, when set, enables telemetry plus an embedded time-series
-	// store sampling on a fixed virtual-clock cadence (SLOInterval) and
+	// store sampling every powerMgmtScrapeEvery of virtual time and
 	// reports each arm's alert timeline across the diurnal trace. Nil
 	// keeps the run byte-identical to an unobserved one.
 	SLO []tsdb.Rule
-	// SLOInterval is the scrape cadence for SLO runs (default 5s; the
-	// unsharded sim has no aggregator tick to piggyback on, so scrapes
-	// are pre-scheduled across the trace).
-	SLOInterval time.Duration
 	// Predict adds the fourth, forecast-steered arm to every level. Off
 	// (the default) keeps the three-arm run byte-identical to runs from
 	// before the predictor existed.
 	Predict bool
 }
+
+// The experiment's fixed cadences: the managed arms' idle power-down
+// timeout, and the scrape (and forecast tick) cadence of an observed arm —
+// the unsharded sim has no aggregator tick to piggyback on, so scrapes are
+// pre-scheduled across the trace.
+const (
+	powerMgmtIdle        = 15 * time.Second
+	powerMgmtScrapeEvery = 5 * time.Second
+)
 
 // PowerMgmt runs the three-way power-policy comparison across the
 // configured utilization levels.
@@ -146,10 +150,6 @@ func PowerMgmt(cfg PowerMgmtConfig) (PowerMgmtResult, error) {
 	if day <= 0 {
 		day = 2 * time.Hour
 	}
-	idle := cfg.IdleTimeout
-	if idle <= 0 {
-		idle = 15 * time.Second
-	}
 	capacity := model.ClusterThroughput(model.SBCCount, model.ARM, model.DefaultWorkerLink(model.ARM))
 	var fns []string
 	for _, f := range model.Functions() {
@@ -157,7 +157,7 @@ func PowerMgmt(cfg PowerMgmtConfig) (PowerMgmtResult, error) {
 	}
 	// Generate each level's trace serially (cheap), then fan the expensive
 	// replays — len(levels)×3 day-long sims — through the bounded pool.
-	res := PowerMgmtResult{Day: day, IdleTimeout: idle, Levels: make([]PowerMgmtLevel, len(levels))}
+	res := PowerMgmtResult{Day: day, IdleTimeout: powerMgmtIdle, Levels: make([]PowerMgmtLevel, len(levels))}
 	scheds := make([]replay.Schedule, len(levels))
 	for i, u := range levels {
 		rate := u * capacity
@@ -178,16 +178,12 @@ func PowerMgmt(cfg PowerMgmtConfig) (PowerMgmtResult, error) {
 			Invocations: len(sched),
 		}
 	}
-	sloEvery := cfg.SLOInterval
-	if sloEvery <= 0 {
-		sloEvery = 5 * time.Second
-	}
 	arms := []string{"per-job", "always-on", "managed"}
 	if cfg.Predict {
 		arms = append(arms, "predictive")
 	}
 	runs, err := RunParallel(Parallelism(cfg.Parallel), len(levels)*len(arms), func(i int) (PowerMgmtArm, error) {
-		return runPowerArm(arms[i%len(arms)], scheds[i/len(arms)], day, cfg.Seed, idle, cfg.SLO, sloEvery)
+		return runPowerArm(arms[i%len(arms)], scheds[i/len(arms)], day, cfg.Seed, cfg.SLO)
 	})
 	if err != nil {
 		return PowerMgmtResult{}, err
@@ -213,14 +209,14 @@ func PowerMgmt(cfg PowerMgmtConfig) (PowerMgmtResult, error) {
 
 // runPowerArm replays one trace into one power-policy arm and summarizes
 // its energy bill.
-func runPowerArm(arm string, sched replay.Schedule, day time.Duration, seed int64, idle time.Duration, slo []tsdb.Rule, sloEvery time.Duration) (PowerMgmtArm, error) {
+func runPowerArm(arm string, sched replay.Schedule, day time.Duration, seed int64, slo []tsdb.Rule) (PowerMgmtArm, error) {
 	cfg := cluster.SimConfig{Seed: seed}
 	predict := arm == "predictive"
 	switch arm {
 	case "always-on":
 		cfg.DisableReboot = true
 	case "managed", "predictive":
-		cfg.Power = &powermgr.Policy{IdleTimeout: idle}
+		cfg.Power = &powermgr.Policy{IdleTimeout: powerMgmtIdle}
 		cfg.Policy = core.AssignEnergyAware
 	}
 	var store *tsdb.Store
@@ -247,7 +243,7 @@ func runPowerArm(arm string, sched replay.Schedule, day time.Duration, seed int6
 				Store:   store,
 				Manager: s.PowerMgr,
 				Policy: forecast.Policy{
-					Tick:       sloEvery,
+					Tick:       powerMgmtScrapeEvery,
 					CycleTime:  model.MeanJobTime(model.ARM, model.DefaultWorkerLink(model.ARM)),
 					Period:     day,
 					MaxWorkers: model.SBCCount,
@@ -259,10 +255,7 @@ func runPowerArm(arm string, sched replay.Schedule, day time.Duration, seed int6
 				return PowerMgmtArm{}, err
 			}
 		}
-		// No aggregator tick to piggyback on in an unsharded sim:
-		// pre-schedule the scrape (and, for the predictive arm, the
-		// forecast-controller tick) cadence across the whole trace.
-		for t := sloEvery; t <= day; t += sloEvery {
+		for t := powerMgmtScrapeEvery; t <= day; t += powerMgmtScrapeEvery {
 			at := t
 			s.Engine.At(at, func() {
 				store.Scrape(at)

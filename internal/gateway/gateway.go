@@ -41,6 +41,21 @@
 //	POST /shards/{id}/join   return a drained/dead shard to service
 //	GET  /debug/pprof/*    net/http/pprof profiler (only when Options.EnablePprof)
 //
+// Handler registers exactly these method-and-path patterns, in this order,
+// so the list is the contract. Routing errors come from net/http's mux and
+// are text/plain: a path not listed answers 404, and a listed path under a
+// method it does not serve answers 405 with an Allow header naming the
+// methods it does. Every error a handler writes is JSON, {"error": "..."}.
+// HEAD is served wherever GET is, with the headers and no body — except on
+// /jobs/{id}, whose GET hands a result over exactly once: a HEAD there
+// answers 405 (Allow: GET), spending no result and parking on no job. The
+// profiler routes take any method.
+//
+// Which routes have a backing is fixed when the gateway is built: without
+// Options.Tracer, Options.TSDB or Options.Forecast, without a power manager
+// on any shard (/power, /power/cap), or without telemetry on any shard
+// (/events), a route answers a JSON 404 naming what is disabled.
+//
 // A gateway fronts one shard.Plane; a lone orchestrator is a plane of one
 // shard. /invoke routes through the plane by key, and every read endpoint
 // is one loop over its shards in ring order, so the replies have one
@@ -83,7 +98,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -271,6 +285,9 @@ type Server struct {
 	forecast *forecast.Controller
 	pprof    bool
 	start    time.Time
+	// powered is the shards that run a power manager, in shard order: the
+	// ones /power reads and /power/cap divides the cap across.
+	powered []shardRef
 
 	mu   sync.Mutex
 	http *http.Server
@@ -311,8 +328,12 @@ func New(plane *shard.Plane, opts Options) (*Server, error) {
 	}
 	labels := plane.Labels()
 	shards := make([]shardRef, plane.NumShards())
+	var powered []shardRef
 	for i, o := range plane.Shards() {
 		shards[i] = shardRef{label: labels[i], orch: o, tel: o.Telemetry()}
+		if o.PowerManager() != nil {
+			powered = append(powered, shards[i])
+		}
 	}
 	reg := plane.Registry()
 	const expiredHelp = "Async rows dropped at RetainAsync, by the state they were in: a result nobody collected (done) or a job whose completion never came (pending)."
@@ -327,6 +348,7 @@ func New(plane *shard.Plane, opts Options) (*Server, error) {
 		forecast: opts.Forecast,
 		pprof:    opts.EnablePprof,
 		start:    time.Now(),
+		powered:  powered,
 		jobs:     make(map[int64]*asyncJob),
 		now:      time.Now,
 		newTimer: time.NewTimer,
@@ -341,32 +363,63 @@ func New(plane *shard.Plane, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the HTTP handler (useful for embedding and tests).
+// Handler returns the HTTP handler (useful for embedding and tests): the
+// package doc's route table, each route bound to its handler, or to a JSON
+// 404 when what backs it is absent from this gateway.
 func (s *Server) Handler() http.Handler {
+	telemetered := false
+	for _, sh := range s.shards {
+		telemetered = telemetered || sh.tel != nil
+	}
+	const (
+		noPower  = "power management disabled on this cluster"
+		noTSDB   = "time-series store disabled on this gateway"
+		noTracer = "tracing disabled on this gateway"
+	)
 	mux := http.NewServeMux()
-	mux.HandleFunc("/invoke", s.handleInvoke)
-	mux.HandleFunc("/jobs/", s.handleJobStatus)
-	mux.HandleFunc("/functions", s.handleFunctions)
-	mux.HandleFunc("/workers", s.handleWorkers)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/power", s.handlePower)
-	mux.HandleFunc("/power/cap", s.handlePowerCap)
-	mux.HandleFunc("/forecast", s.handleForecast)
-	mux.HandleFunc("/budgets", s.handleBudgets)
-	mux.HandleFunc("/shards", s.handleShards)
-	mux.HandleFunc("/shards/", s.handleShardOp)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/slo", s.handleSLO)
-	mux.HandleFunc("/alerts", s.handleAlerts)
-	mux.HandleFunc("/traces", s.handleTraces)
-	mux.HandleFunc("/traces/", s.handleTraceByID)
+	mux.HandleFunc("POST /invoke", s.handleInvoke)
+	mux.HandleFunc("GET /jobs/{id}", s.handleJobStatus)
+	mux.HandleFunc("HEAD /jobs/{id}", refuseHead)
+	mux.HandleFunc("GET /functions", s.handleFunctions)
+	mux.HandleFunc("GET /workers", s.handleWorkers)
+	mux.HandleFunc("GET /stats", s.handleStats)
+	mux.HandleFunc("GET /power", backed(len(s.powered) > 0, s.handlePower, noPower))
+	mux.HandleFunc("POST /power/cap", backed(len(s.powered) > 0, s.handlePowerCap, noPower))
+	mux.HandleFunc("GET /forecast", backed(s.forecast != nil, s.handleForecast, "prediction disabled on this cluster"))
+	mux.HandleFunc("GET /budgets", s.handleBudgets)
+	mux.HandleFunc("POST /budgets", s.handleSetBudget)
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /events", backed(telemetered, s.handleEvents, "telemetry disabled on this gateway"))
+	mux.HandleFunc("GET /query", backed(s.tsdb != nil, s.handleQuery, noTSDB))
+	mux.HandleFunc("GET /slo", backed(s.tsdb != nil, s.handleSLO, noTSDB))
+	mux.HandleFunc("GET /alerts", backed(s.tsdb != nil, s.handleAlerts, noTSDB))
+	mux.HandleFunc("GET /traces", backed(s.tracer != nil, s.handleTraces, noTracer))
+	mux.HandleFunc("GET /traces/{id}", backed(s.tracer != nil, s.handleTraceByID, noTracer))
+	mux.HandleFunc("GET /shards", s.handleShards)
+	mux.HandleFunc("POST /shards/{id}/drain", s.handleShardOp(s.plane.DrainShard))
+	mux.HandleFunc("POST /shards/{id}/join", s.handleShardOp(s.plane.JoinShard))
 	if s.pprof {
 		mountPprof(mux)
 	}
 	return mux
+}
+
+// backed is h when the route's backing is present, and otherwise a handler
+// that answers 404 with why.
+func backed(present bool, h http.HandlerFunc, why string) http.HandlerFunc {
+	if present {
+		return h
+	}
+	return func(w http.ResponseWriter, _ *http.Request) { writeError(w, http.StatusNotFound, why) }
+}
+
+// refuseHead answers HEAD /jobs/{id} as the mux answers a method a route
+// does not serve: the GET there spends the result it reports, so a HEAD
+// must not run it.
+func refuseHead(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Allow", http.MethodGet)
+	http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -382,11 +435,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics serves the plane's merged exposition. The gateway's own
 // families are on the plane's registry, so it answers even when the
 // shards run without telemetry.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", telemetry.TextContentType)
 	s.plane.WriteMergedMetrics(w) //nolint:errcheck // peer gone: nothing to do
 }
@@ -486,10 +535,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req InvokeRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInvokeBody)).Decode(&req); err != nil {
 		status := http.StatusBadRequest
@@ -648,11 +693,7 @@ func (s *Server) park(r *http.Request, done <-chan struct{}) bool {
 // after the poll has been parked on it for pollHold, 404 for unknown,
 // expired or already-fetched jobs.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	id, err := strconv.ParseInt(strings.TrimPrefix(r.URL.Path, "/jobs/"), 10, 64)
+	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil || id <= 0 {
 		writeError(w, http.StatusBadRequest, "bad job id")
 		return
@@ -686,19 +727,11 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleFunctions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
+func (s *Server) handleFunctions(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, workload.Names())
 }
 
-func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
+func (s *Server) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 	type workerInfo struct {
 		core.WorkerHealth
 		Breaker string `json:"breaker"`
@@ -716,60 +749,39 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 // handleShards serves GET /shards: every shard's capacity snapshot —
 // worker count, pending and queued depth, ring weight, and steal
 // counters — in ring order.
-func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
+func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.plane.Status())
 }
 
-// handleShardOp serves POST /shards/{id}/drain and /shards/{id}/join:
-// administratively take one shard out of service (its queued work
-// migrates to the others, exactly like a health-detected death) or
-// return it. {id} is the shard index or its label. Replies with the
-// shard's fresh status snapshot.
-func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	rest := strings.TrimPrefix(r.URL.Path, "/shards/")
-	name, op, ok := strings.Cut(rest, "/")
-	if !ok || name == "" {
-		writeError(w, http.StatusNotFound, "use /shards/{id}/drain or /shards/{id}/join")
-		return
-	}
-	idx := -1
-	if n, err := strconv.Atoi(name); err == nil {
-		idx = n
-	} else {
-		for i, label := range s.plane.Labels() {
-			if label == name {
-				idx = i
-				break
+// handleShardOp serves POST /shards/{id}/drain and /shards/{id}/join, op
+// being the plane's DrainShard or JoinShard: administratively take one
+// shard out of service (its queued work migrates to the others, exactly
+// like a health-detected death) or return it. {id} is the shard index or
+// its label. Replies with the shard's fresh status snapshot.
+func (s *Server) handleShardOp(op func(int) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("id")
+		idx := -1
+		if n, err := strconv.Atoi(name); err == nil {
+			idx = n
+		} else {
+			for i, label := range s.plane.Labels() {
+				if label == name {
+					idx = i
+					break
+				}
 			}
 		}
+		if idx < 0 || idx >= s.plane.NumShards() {
+			writeError(w, http.StatusNotFound, fmt.Sprintf("unknown shard %q", name))
+			return
+		}
+		if err := op(idx); err != nil {
+			writeError(w, http.StatusConflict, err.Error())
+			return
+		}
+		writeJSON(w, http.StatusOK, s.plane.Status()[idx])
 	}
-	if idx < 0 || idx >= s.plane.NumShards() {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown shard %q", name))
-		return
-	}
-	var err error
-	switch op {
-	case "drain":
-		err = s.plane.DrainShard(idx)
-	case "join":
-		err = s.plane.JoinShard(idx)
-	default:
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown shard operation %q", op))
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusConflict, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, s.plane.Status()[idx])
 }
 
 // shardPower is one shard's power snapshot inside the /power and
@@ -779,42 +791,15 @@ type shardPower struct {
 	Snapshot powermgr.Status `json:"snapshot"`
 }
 
-// managed returns the shards that run a power manager, in shard order.
-func (s *Server) managed() []shardRef {
-	var out []shardRef
-	for _, sh := range s.shards {
-		if sh.orch.PowerManager() != nil {
-			out = append(out, sh)
-		}
-	}
-	return out
-}
-
-// writePower replies with every managed shard's power snapshot, or 404
-// when no shard runs a power manager (the static power policy).
-func (s *Server) writePower(w http.ResponseWriter) {
-	managed := s.managed()
-	if len(managed) == 0 {
-		writeError(w, http.StatusNotFound, "power management disabled on this cluster")
-		return
-	}
-	out := make([]shardPower, len(managed))
-	for i, sh := range managed {
+// handlePower serves GET /power: each powered shard's power-manager
+// snapshot — per-node states, the active cap, and cap-parked wakes — as an
+// array in shard order.
+func (s *Server) handlePower(w http.ResponseWriter, _ *http.Request) {
+	out := make([]shardPower, len(s.powered))
+	for i, sh := range s.powered {
 		out[i] = shardPower{Shard: sh.label, Snapshot: sh.orch.PowerManager().Snapshot()}
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// handlePower serves GET /power: each shard's power-manager snapshot —
-// per-node states, the active cap, and cap-parked wakes — as an array in
-// shard order. Clusters running the static power policy (no manager)
-// answer 404.
-func (s *Server) handlePower(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	s.writePower(w)
 }
 
 // handlePowerCap serves POST /power/cap with body {"cap_w": N}: it adjusts
@@ -825,31 +810,22 @@ func (s *Server) handlePower(w http.ResponseWriter, r *http.Request) {
 // never force-kills powered nodes; the cluster converges downward as they
 // idle out.
 func (s *Server) handlePowerCap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req struct {
 		CapW float64 `json:"cap_w"`
 	}
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	managed := s.managed()
-	for _, sh := range managed {
-		if err := sh.orch.PowerManager().SetCapW(power.Watts(req.CapW / float64(len(managed)))); err != nil {
+	for _, sh := range s.powered {
+		if err := sh.orch.PowerManager().SetCapW(power.Watts(req.CapW / float64(len(s.powered)))); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
-	s.writePower(w)
+	s.handlePower(w, r)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	// Completed and Errors are lifetime counts; Functions covers the
 	// records the shards still retain (a live cluster keeps a recent
 	// window), read in place as one table so percentiles span the cluster.

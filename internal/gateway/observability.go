@@ -34,14 +34,6 @@ type AlertsResponse struct {
 // (include the window's points), format=ndjson (stream the matching
 // raw samples as NDJSON instead of evaluating the op).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.tsdb == nil {
-		writeError(w, http.StatusNotFound, "time-series store disabled on this gateway")
-		return
-	}
 	params := r.URL.Query()
 	q := tsdb.Query{
 		Metric: params.Get("metric"),
@@ -94,29 +86,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleSLO serves GET /slo: every configured objective's fast and slow
 // burn-rate pages as of the last scrape.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.tsdb == nil {
-		writeError(w, http.StatusNotFound, "time-series store disabled on this gateway")
-		return
-	}
+func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.tsdb.SLOStatus())
 }
 
 // handleAlerts serves GET /alerts: currently-firing pages plus the
 // retained transition history.
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.tsdb == nil {
-		writeError(w, http.StatusNotFound, "time-series store disabled on this gateway")
-		return
-	}
+func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
 	resp := AlertsResponse{Active: s.tsdb.ActiveAlerts(), History: s.tsdb.AlertHistory()}
 	if resp.History == nil {
 		resp.History = []telemetry.Event{}
@@ -154,13 +130,8 @@ type EventsResponse struct {
 // shards' rings: the earliest head event (ties to the lower shard index)
 // is taken until the page is full, so each shard contributes a prefix of
 // what it holds past the cursor, in sequence order, and a truncated page
-// resumes exactly where it stopped. Gateways without telemetry on any
-// shard answer 404.
+// resumes exactly where it stopped.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	max := 256
 	if v := r.URL.Query().Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -193,21 +164,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		cursors[i] = n
 	}
-	enabled := false
 	pages := make([][]telemetry.Event, len(s.shards))
 	var dropped int64
 	for si, sh := range s.shards {
-		if sh.tel == nil {
-			continue
-		}
-		enabled = true
-		var gap int64
+		var gap int64 // a shard without telemetry has no ring: an empty page
 		pages[si], gap, _ = sh.tel.Events().Page(cursors[si], max)
 		dropped += gap
-	}
-	if !enabled {
-		writeError(w, http.StatusNotFound, "telemetry disabled on this gateway")
-		return
 	}
 	merged := []ShardEvent{} // stable shape: [] even with nothing to report
 	for len(merged) < max {

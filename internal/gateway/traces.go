@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 
 	"microfaas/internal/tracing"
 )
@@ -92,14 +91,6 @@ func makeSummary(sum tracing.Summary) TraceSummary {
 // ?format=chrome or ?format=ndjson the selection is streamed as a raw
 // export (Chrome trace_event JSON / newline-delimited spans) instead.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled on this gateway")
-		return
-	}
 	var traces []tracing.Trace
 	q := r.URL.Query()
 	switch {
@@ -155,15 +146,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // handleTraceByID serves GET /traces/{id}: the trace's critical-path
 // breakdown plus its raw spans. The id is the 16-hex-digit trace id.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled on this gateway")
-		return
-	}
-	idStr := strings.TrimPrefix(r.URL.Path, "/traces/")
+	idStr := r.PathValue("id")
 	id, err := tracing.ParseTraceID(idStr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad trace id: "+idStr)

@@ -479,9 +479,9 @@ func QuantileFromCumulative(bounds []float64, cumulative []uint64, total uint64,
 	return bounds[len(bounds)-1]
 }
 
-// LogBuckets returns n log-spaced bucket bounds from lo to hi inclusive —
-// the same spacing internal/trace.NewHistogram uses for its latency
-// report. lo must be positive, hi greater than lo, n at least 2.
+// LogBuckets returns n log-spaced bucket bounds from lo to hi inclusive:
+// each bound is the one before it times (hi/lo)^(1/(n-1)). lo must be
+// positive, hi greater than lo, n at least 2.
 func LogBuckets(lo, hi float64, n int) []float64 {
 	if lo <= 0 || hi <= lo || n < 2 {
 		panic(fmt.Sprintf("telemetry: bad bucket shape lo=%v hi=%v n=%d", lo, hi, n))

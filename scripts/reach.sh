@@ -168,6 +168,11 @@ refused "422" ctl invoke CascSHA '{"rounds":"many"}'
 run ctl -async invoke MatMul '{"n":512,"seed":7}'
 job=$(sed -n 's/.*"job_id": *\([0-9]*\).*/\1/p' "$tmp/out")
 [ -n "$job" ] || die "async invoke returned no job id"
+# HEAD on a job is refused: its GET spends the result, which the polls
+# below must still get.
+code=$(curl -sS -o /dev/null -D "$tmp/out" -w '%{http_code}' -I "http://$gw/jobs/$job")
+[ "$code" = 405 ] || die "HEAD /jobs/$job answered $code, want 405"
+grep -qiE '^allow: GET[[:space:]]*$' "$tmp/out" || { cat "$tmp/out" >&2; die "HEAD /jobs/$job: no Allow header naming GET"; }
 for i in 1 2 3 4 5; do # each poll holds up to a second
 	run ctl job "$job"
 	grep -q '"pending"' "$tmp/out" || break
@@ -224,6 +229,13 @@ says '"cursor"'
 get /metrics
 says microfaas_gateway_polls_parked
 says 'shard="shard-00"'
+# The route table is the mux's: a method a route does not serve answers 405
+# naming the ones it does, and HEAD is served wherever GET is.
+code=$(curl -sS -o /dev/null -D "$tmp/out" -w '%{http_code}' -X DELETE "http://$gw/metrics")
+[ "$code" = 405 ] || die "DELETE /metrics answered $code, want 405"
+grep -qiE '^allow: GET, HEAD[[:space:]]*$' "$tmp/out" || { cat "$tmp/out" >&2; die "DELETE /metrics: no Allow header naming GET"; }
+code=$(curl -sS -o /dev/null -w '%{http_code}' -I "http://$gw/metrics")
+[ "$code" = 200 ] || die "HEAD /metrics answered $code, want 200"
 get /healthz
 get /debug/pprof/
 stop "$tmp/serve1.log"
