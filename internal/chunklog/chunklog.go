@@ -1,5 +1,6 @@
 // Package chunklog provides an append-only log that stores its entries in
-// fixed-size chunks instead of one flat slice.
+// fixed-size chunks instead of one flat slice, and Names, the ordinal
+// table such a log's rows name their strings by.
 //
 // The flat-slice alternative (`s = append(s, v)`) regrows geometrically:
 // every doubling allocates a fresh array of the full length and zeroes it
@@ -10,10 +11,14 @@
 // log and the trace collector both append once per event on the hot path.
 // Chunking makes every append touch at most one small, freshly allocated
 // chunk: no entry is ever copied or re-zeroed after it is written.
+//
+// Both logs keep their rows free of pointers (a GPIO transition is 24
+// bytes, a trace record 72), naming strings by Names ordinals instead of
+// string headers, so the garbage collector never scans a chunk.
 package chunklog
 
-// ChunkSize is the number of entries per chunk. 1024 keeps chunks of
-// typical record types (≈100 bytes) around 100 KiB — big enough to
+// ChunkSize is the number of entries per chunk. 1024 keeps a chunk of
+// the audit logs' rows (24 and 72 bytes) at 24 and 72 KiB — big enough to
 // amortize allocation, small enough that allocating one never stalls on
 // zeroing megabytes.
 const ChunkSize = 1024
@@ -42,14 +47,17 @@ func (l *Log[T]) Append(v T) {
 
 // DropOldestChunk discards the oldest chunk — the first ChunkSize entries,
 // or everything when the log holds a single chunk — which is how a caller
-// bounds the log to a recent window. No-op on an empty log.
-func (l *Log[T]) DropOldestChunk() {
+// bounds the log to a recent window, and returns the dropped entries so
+// the caller can release what they index. Nil on an empty log.
+func (l *Log[T]) DropOldestChunk() []T {
 	if len(l.chunks) == 0 {
-		return
+		return nil
 	}
-	l.n -= len(l.chunks[0])
+	dropped := l.chunks[0]
+	l.n -= len(dropped)
 	l.chunks[0] = nil
 	l.chunks = l.chunks[1:]
+	return dropped
 }
 
 // Last returns the most recent entry and whether the log is non-empty.
@@ -62,17 +70,7 @@ func (l *Log[T]) Last() (T, bool) {
 	return last[len(last)-1], true
 }
 
-// Flatten returns a fresh flat copy of all entries in append order.
-func (l *Log[T]) Flatten() []T {
-	out := make([]T, 0, l.n)
-	for _, c := range l.chunks {
-		out = append(out, c...)
-	}
-	return out
-}
-
-// Each calls fn for every entry in append order. It exists so read paths
-// that only need to scan (counters, CSV writers) can skip Flatten's copy.
+// Each calls fn for every entry in append order, without copying the log.
 func (l *Log[T]) Each(fn func(T)) {
 	for _, c := range l.chunks {
 		for i := range c {
@@ -80,3 +78,47 @@ func (l *Log[T]) Each(fn func(T)) {
 		}
 	}
 }
+
+// Names numbers the distinct strings it is given 0, 1, 2, … in first-seen
+// order, so a log row names a function, a worker or a cause in four bytes
+// instead of a string header. Give it values from a bounded set only —
+// never text that carries an id, such as an error message — or the table
+// grows with the log. The zero value is empty and ready for use. Names is
+// not safe for concurrent use.
+type Names struct {
+	names []string
+	index map[string]uint32
+}
+
+// scanNames is the table size up to which Ordinal finds a name by
+// comparing instead of hashing. A log's names come from a short static
+// list (Table I's 17 functions, a dozen causes) whose strings usually
+// share their bytes with the caller's, and a string compare of shared
+// bytes is a length check and a pointer check.
+const scanNames = 32
+
+// Ordinal returns s's ordinal, adding s to the table if it is new.
+func (t *Names) Ordinal(s string) uint32 {
+	if len(t.names) <= scanNames {
+		for i, n := range t.names {
+			if n == s {
+				return uint32(i)
+			}
+		}
+	} else if i, ok := t.index[s]; ok {
+		return i
+	}
+	i := uint32(len(t.names))
+	t.names = append(t.names, s)
+	if t.index == nil {
+		t.index = make(map[string]uint32)
+	}
+	t.index[s] = i
+	return i
+}
+
+// Name returns the string whose ordinal is i.
+func (t *Names) Name(i uint32) string { return t.names[i] }
+
+// Len returns the number of distinct strings in the table.
+func (t *Names) Len() int { return len(t.names) }

@@ -78,9 +78,10 @@ type LiveOptions struct {
 }
 
 // liveRecordWindow is how many of the most recent per-invocation records a
-// live orchestrator keeps (≈7 MB at ~110 B a record): a live process serves
-// until it is stopped, so an append-only log there is a leak, while a
-// finite simulation reads its whole table back and keeps every record.
+// live orchestrator keeps (≈4.7 MB of 72-byte rows, plus the text of each
+// retained failure): a live process serves until it is stopped, so an
+// append-only log there is a leak, while a finite simulation reads its
+// whole table back and keeps every record.
 // Lifetime totals survive the window (trace.Collector.Len/ErrorCount).
 const liveRecordWindow = 64 * 1024
 

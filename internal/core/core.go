@@ -281,6 +281,11 @@ type workerSlot struct {
 	w   Worker
 	id  string
 	idx int // registration order
+	// rec is the worker's handle in the collector and m its metric
+	// series, both taken once at registration: settling an attempt files
+	// its record and counts its outcome through them.
+	rec trace.WorkerRef
+	m   workerMetrics
 
 	// queue[qhead:] is the worker's FIFO of waiting jobs. Popping advances
 	// qhead instead of reslicing (`queue = queue[1:]`), which would strand
@@ -698,7 +703,7 @@ func New(cfg Config) (*Orchestrator, error) {
 		if _, dup := o.byID[w.ID()]; dup {
 			return nil, fmt.Errorf("core: duplicate worker id %q", w.ID())
 		}
-		s := &workerSlot{w: w, id: w.ID(), idx: i, eligPos: i, parolePos: -1, loadPos: -1}
+		s := &workerSlot{w: w, id: w.ID(), idx: i, rec: coll.Worker(w.ID()), eligPos: i, parolePos: -1, loadPos: -1}
 		o.slots = append(o.slots, s)
 		o.byID[s.id] = s
 		o.eligible = append(o.eligible, s)
@@ -1051,8 +1056,7 @@ func (o *Orchestrator) maybeDispatchLocked(s *workerSlot) *inflight {
 		if s.waking {
 			return nil // the manager's ready callback resumes this queue
 		}
-		cause := fmt.Sprintf("wake-on-demand (job %d)", s.qhead0().ID)
-		if !o.pm.RequestUp(s.id, cause, func() { o.workerPowered(s) }) {
+		if !o.pm.RequestUp(s.id, "wake-on-demand", s.qhead0().ID, func() { o.workerPowered(s) }) {
 			// Powered down (or cap-parked): the wake is in flight and the
 			// queued jobs wait it out — their queue spans absorb the boot.
 			s.waking = true
@@ -1063,7 +1067,7 @@ func (o *Orchestrator) maybeDispatchLocked(s *workerSlot) *inflight {
 	job := s.qpop()
 	s.busy = true
 	o.loadChangedLocked(s)
-	o.m.busy[s.id].Set(1)
+	s.m.busy.Set(1)
 	o.emit(telemetry.EventAssign, job, s.id, "")
 	started := o.runtime.Now()
 	if s.bootPending {
@@ -1141,10 +1145,9 @@ func (o *Orchestrator) settleAttemptLocked(s *workerSlot, job Job, started, fini
 	case res.Err != "":
 		outcome = "error"
 	}
-	o.collector.Add(trace.Record{
+	o.collector.Add(s.rec, trace.Record{
 		JobID:     job.ID,
 		Function:  job.Function,
-		Worker:    s.id,
 		Attempt:   job.Attempt,
 		Submitted: job.SubmittedAt,
 		Started:   started,
@@ -1156,7 +1159,7 @@ func (o *Orchestrator) settleAttemptLocked(s *workerSlot, job Job, started, fini
 	})
 	o.noteAttemptLocked(s, res.Err == "", res.TimedOut)
 	o.chargeEnergyLocked(job.Function, res.Joules)
-	o.m.attempts[s.id][outcome].Inc()
+	s.m.attempts[outcome].Inc()
 	o.emit(telemetry.EventSettle, job, s.id, outcome)
 	o.spanMarker(job, tracing.PhaseSettle, s.id, finished, outcome)
 	if res.Err != "" {
@@ -1175,7 +1178,7 @@ func (o *Orchestrator) completed(fl *inflight, res Result) {
 	s, job, started := fl.slot, fl.job, fl.started
 	s.busy = false
 	o.loadChangedLocked(s)
-	o.m.busy[s.id].Set(0)
+	s.m.busy.Set(0)
 	var runs []*inflight
 	var cb func(Result)
 	if !fl.settled {
@@ -1395,7 +1398,7 @@ func (o *Orchestrator) noteAttemptLocked(s *workerSlot, ok, timedOut bool) {
 		h.completed++
 		h.consec = 0
 		if h.open {
-			o.m.breakerTo[s.id]["closed"].Inc()
+			s.m.breakerTo["closed"].Inc()
 			h.open = false
 			// A half-open probe succeeded; a still-parked slot (probe work
 			// arrived via SubmitTo or the all-breakers-open fallback) comes
@@ -1414,7 +1417,7 @@ func (o *Orchestrator) noteAttemptLocked(s *workerSlot, ok, timedOut bool) {
 	h.consec++
 	if o.breakerThreshold > 0 && h.consec >= o.breakerThreshold {
 		if !h.open {
-			o.m.breakerTo[s.id]["open"].Inc()
+			s.m.breakerTo["open"].Inc()
 		}
 		h.open = true
 		h.reopenAt = o.runtime.Now() + o.breakerProbe

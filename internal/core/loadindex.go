@@ -109,7 +109,7 @@ func (o *Orchestrator) loadChangedLocked(s *workerSlot) {
 	if q := s.qlen(); q != s.queued {
 		o.queued.Add(int64(q - s.queued))
 		s.queued = q
-		o.m.queueDepth[s.id].Set(float64(q))
+		s.m.queueDepth.Set(float64(q))
 	}
 	o.load.fix(s)
 }

@@ -117,13 +117,13 @@ func (o *Orchestrator) AddWorker(w Worker) error {
 	if _, dup := o.byID[id]; dup {
 		return fmt.Errorf("core: duplicate worker id %q", id)
 	}
-	s := &workerSlot{w: w, id: id, idx: o.nextIdx, eligPos: -1, parolePos: -1, loadPos: -1}
+	s := &workerSlot{w: w, id: id, idx: o.nextIdx, rec: o.collector.Worker(id), eligPos: -1, parolePos: -1, loadPos: -1}
 	o.nextIdx++
 	o.slots = append(o.slots, s)
 	o.byID[id] = s
 	o.addEligibleLocked(s)
 	o.load.push(s)
-	o.initWorkerTelemetry(id)
+	o.initWorkerTelemetry(s)
 	return nil
 }
 

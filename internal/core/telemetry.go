@@ -35,11 +35,6 @@ type orchMetrics struct {
 	pending   *telemetry.Gauge
 	retries   *telemetry.Counter
 	latency   *telemetry.Histogram
-	// per-worker series, keyed by worker id
-	queueDepth map[string]*telemetry.Gauge
-	busy       map[string]*telemetry.Gauge
-	attempts   map[string]map[string]*telemetry.Counter // worker → result
-	breakerTo  map[string]map[string]*telemetry.Counter // worker → state
 	// energy-budget series: one counter for throttle holds, and a gauge
 	// triple per budgeted function (filled as budgets are installed)
 	budgetThrottled *telemetry.Counter
@@ -63,10 +58,6 @@ func (o *Orchestrator) initTelemetry(tel *telemetry.Telemetry) {
 		latency: reg.Histogram(metricLatency,
 			"End-to-end latency of successful invocations (submit to final result).",
 			telemetry.LogBuckets(0.001, 60, 14)),
-		queueDepth: make(map[string]*telemetry.Gauge, len(o.slots)),
-		busy:       make(map[string]*telemetry.Gauge, len(o.slots)),
-		attempts:   make(map[string]map[string]*telemetry.Counter, len(o.slots)),
-		breakerTo:  make(map[string]map[string]*telemetry.Counter, len(o.slots)),
 		budgetThrottled: reg.Counter(metricBudgetThrottled,
 			"Submissions held before queueing because their function's energy budget was spent."),
 		budgetLimit:     make(map[string]*telemetry.Gauge),
@@ -74,30 +65,40 @@ func (o *Orchestrator) initTelemetry(tel *telemetry.Telemetry) {
 		budgetExhausted: make(map[string]*telemetry.Gauge),
 	}
 	for _, s := range o.slots {
-		o.initWorkerTelemetry(s.id)
+		o.initWorkerTelemetry(s)
 	}
+}
+
+// workerMetrics is one worker's metric series, held on its slot so a
+// settle or a queue change reaches them without a lookup by worker id.
+// The zero value (telemetry off) is all nil handles, which no-op.
+type workerMetrics struct {
+	queueDepth, busy *telemetry.Gauge
+	attempts         map[string]*telemetry.Counter // result → series
+	breakerTo        map[string]*telemetry.Counter // state → series
 }
 
 // initWorkerTelemetry (re-)creates one worker's metric series. Called
 // per worker at construction and again from AddWorker — the registry
 // returns the existing series for a repeated (name, labels) pair, so a
 // worker re-homed back to its original shard resumes its old counters.
-func (o *Orchestrator) initWorkerTelemetry(id string) {
+func (o *Orchestrator) initWorkerTelemetry(s *workerSlot) {
 	if o.tel == nil {
 		return
 	}
 	reg := o.tel.Registry()
-	o.m.queueDepth[id] = reg.Gauge(metricQueueDepth, "Queued (not yet running) jobs per worker.", "worker", id)
-	o.m.busy[id] = reg.Gauge(metricWorkerBusy, "1 while the worker is executing a job.", "worker", id)
-	o.m.attempts[id] = map[string]*telemetry.Counter{}
+	id := s.id
+	s.m.queueDepth = reg.Gauge(metricQueueDepth, "Queued (not yet running) jobs per worker.", "worker", id)
+	s.m.busy = reg.Gauge(metricWorkerBusy, "1 while the worker is executing a job.", "worker", id)
+	s.m.attempts = map[string]*telemetry.Counter{}
 	for _, result := range []string{"ok", "error", "timeout"} {
-		o.m.attempts[id][result] = reg.Counter(metricAttempts,
+		s.m.attempts[result] = reg.Counter(metricAttempts,
 			"Finished attempts per worker and outcome (timeouts are deadline expiries).",
 			"worker", id, "result", result)
 	}
-	o.m.breakerTo[id] = map[string]*telemetry.Counter{}
+	s.m.breakerTo = map[string]*telemetry.Counter{}
 	for _, state := range []string{"open", "closed"} {
-		o.m.breakerTo[id][state] = reg.Counter(metricBreaker,
+		s.m.breakerTo[state] = reg.Counter(metricBreaker,
 			"Circuit-breaker transitions per worker.", "worker", id, "to", state)
 	}
 }

@@ -174,7 +174,7 @@ func TestSpareHeadroomOnSaturation(t *testing.T) {
 	// tick sees busy == powered == 4 ≥ spareMinBusy and wakes a spare.
 	warm := poweredIDs(r.mgr)
 	for _, id := range warm {
-		if !r.mgr.RequestUp(id, "burst", nil) {
+		if !r.mgr.RequestUp(id, "burst", gpio.NoJob, nil) {
 			t.Fatalf("RequestUp(%s) on a warm node returned false", id)
 		}
 	}
@@ -216,7 +216,7 @@ func TestSpareIgnoresSmallSaturation(t *testing.T) {
 		t.Fatalf("steady powered = %d, want 2", got)
 	}
 	for _, id := range poweredIDs(r.mgr) {
-		if !r.mgr.RequestUp(id, "trough", nil) {
+		if !r.mgr.RequestUp(id, "trough", gpio.NoJob, nil) {
 			t.Fatalf("RequestUp(%s) returned false", id)
 		}
 	}

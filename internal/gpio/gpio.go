@@ -13,14 +13,18 @@
 // the evaluation's power timeline and the data behind Fig 5-style plots.
 // Workers report their transitions here when a controller is attached.
 //
-// A cause is logged as its static text plus the job it names, not as a
-// formatted string: the simulator logs several transitions per job, and
-// building "PWR_BUT press (job 42)" on each would allocate on its hot
-// path. Events renders the full cause on read.
+// A transition is logged as a 24-byte row with no pointer in it: the time,
+// the job that caused it, the pin's line number, the cause's ordinal in
+// the controller's cause table, and the two states. A cause is its static
+// text plus the job it names, not a formatted string: the simulator logs
+// several transitions per job, building "PWR_BUT press (job 42)" on each
+// would allocate on its hot path, and a text carrying a job id would grow
+// the cause table with the log. Events renders the full cause on read.
 package gpio
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -51,8 +55,12 @@ type Event struct {
 // Controller is the OP's GPIO header: wiring registry plus transition log.
 // Safe for concurrent use.
 type Controller struct {
-	mu   sync.Mutex
-	pins map[string]*Pin // node -> its wired line; never shrinks
+	mu sync.Mutex
+	// pins holds every wired pin by line number (line n at n-1); byNode
+	// finds a node's pin when it is wired again. Neither shrinks.
+	pins   []*Pin
+	byNode map[string]*Pin
+	causes chunklog.Names
 	// events is chunked: the log grows by one entry per power transition
 	// on the simulator's hot path, and a flat slice's geometric regrowth
 	// (zero + copy the whole array at every doubling) was the dominant
@@ -69,20 +77,20 @@ type Pin struct {
 	num  int
 }
 
-// entry is one logged transition as stored: the pin stands for the node
-// and line number, and the cause is kept as its static text plus a job id
-// until Events renders it.
+// entry is one logged transition as stored: the line number stands for
+// the pin and its node, and the cause is an ordinal in the controller's
+// cause table plus the job id, until Events renders them.
 type entry struct {
 	at       time.Duration
-	pin      *Pin
-	cause    string
 	job      int64
+	pin      int32
+	cause    uint16
 	from, to uint8 // power.State; every state fits
 }
 
 // NewController returns an empty controller whose pins number from 1.
 func NewController() *Controller {
-	return &Controller{pins: make(map[string]*Pin)}
+	return &Controller{byNode: make(map[string]*Pin)}
 }
 
 // WireNext wires a node's PWR_BUT to the next pin — one past the last
@@ -96,11 +104,12 @@ func (c *Controller) WireNext(node string) (*Pin, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p, dup := c.pins[node]; dup {
+	if p, dup := c.byNode[node]; dup {
 		return nil, fmt.Errorf("gpio: node %s already wired to pin %d", node, p.num)
 	}
 	p := &Pin{c: c, node: node, num: len(c.pins) + 1}
-	c.pins[node] = p
+	c.pins = append(c.pins, p)
+	c.byNode[node] = p
 	return p, nil
 }
 
@@ -141,7 +150,11 @@ func (p *Pin) record(at time.Duration, from, to power.State, cause string, job i
 		}
 		at = last.at
 	}
-	c.events.Append(entry{at: at, pin: p, cause: cause, job: job, from: uint8(from), to: uint8(to)})
+	ord := c.causes.Ordinal(cause)
+	if ord > math.MaxUint16 {
+		return fmt.Errorf("gpio: cause %q is past the log's %d distinct causes", cause, math.MaxUint16+1)
+	}
+	c.events.Append(entry{at: at, job: job, pin: int32(p.num), cause: uint16(ord), from: uint8(from), to: uint8(to)})
 	return nil
 }
 
@@ -152,12 +165,12 @@ func (c *Controller) Events() []Event {
 	defer c.mu.Unlock()
 	out := make([]Event, 0, c.events.Len())
 	c.events.Each(func(e entry) {
-		cause := e.cause
+		cause := c.causes.Name(uint32(e.cause))
 		if e.job != NoJob {
 			cause += " (job " + strconv.FormatInt(e.job, 10) + ")"
 		}
 		out = append(out, Event{
-			At: e.at, Node: e.pin.node, Pin: e.pin.num,
+			At: e.at, Node: c.pins[e.pin-1].node, Pin: int(e.pin),
 			From: power.State(e.from), To: power.State(e.to), Cause: cause,
 		})
 	})

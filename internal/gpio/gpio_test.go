@@ -2,11 +2,13 @@ package gpio
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"microfaas/internal/power"
 )
@@ -31,7 +33,7 @@ func TestWireAndPinLookup(t *testing.T) {
 	if e := c.Events()[0]; e.Node != "sbc-1" || e.Pin != 2 {
 		t.Fatalf("%s actuated through pin %d, want sbc-1 through 2", e.Node, e.Pin)
 	}
-	if _, ok := c.pins["ghost"]; ok {
+	if _, ok := c.byNode["ghost"]; ok {
 		t.Fatal("unwired node has a pin")
 	}
 }
@@ -60,8 +62,8 @@ func TestWireNextSkipsUsedPins(t *testing.T) {
 	if err != nil || pin.num != 3 {
 		t.Fatalf("WireNext = %v, %v (want pin 3, after the used 1 and 2)", pin, err)
 	}
-	if len(c.pins) != 3 || c.pins["auto"] != pin || c.pins["b"].num != 2 {
-		t.Fatalf("pins = %v", c.pins)
+	if len(c.pins) != 3 || c.pins[2] != pin || c.byNode["auto"] != pin || c.byNode["b"].num != 2 {
+		t.Fatalf("pins = %v, by node %v", c.pins, c.byNode)
 	}
 }
 
@@ -215,5 +217,34 @@ func TestWireNextDistinctProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEntryLayout pins the stored transition: no field, walked through
+// structs and arrays, that the garbage collector would scan, and at most
+// 24 bytes.
+func TestEntryLayout(t *testing.T) {
+	var walk func(t reflect.Type, path string) error
+	walk = func(t reflect.Type, path string) error {
+		switch t.Kind() {
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			return fmt.Errorf("%s is a %s", path, t.Kind())
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if err := walk(t.Field(i).Type, path+"."+t.Field(i).Name); err != nil {
+					return err
+				}
+			}
+		case reflect.Array:
+			return walk(t.Elem(), path+"[]")
+		}
+		return nil
+	}
+	if err := walk(reflect.TypeOf(entry{}), "entry"); err != nil {
+		t.Fatal(err)
+	}
+	if size := unsafe.Sizeof(entry{}); size > 24 {
+		t.Fatalf("entry is %d bytes, want at most 24", size)
 	}
 }

@@ -212,8 +212,9 @@ func (w *LiveWorker) setStateLocked(to power.State, cause string, job int64) {
 // settling to Idle and invoking ready. ready always runs from a fresh
 // goroutine or timer — never synchronously — because the manager calls
 // PowerUp while holding both its own and the orchestrator's locks. An
-// already-powered worker skips straight to ready.
-func (w *LiveWorker) PowerUp(cause string, ready func()) {
+// already-powered worker skips straight to ready. cause and job go to the
+// GPIO log as the Off→Booting transition's cause.
+func (w *LiveWorker) PowerUp(cause string, job int64, ready func()) {
 	w.mu.Lock()
 	if w.state != power.Off {
 		w.mu.Unlock()
@@ -223,7 +224,7 @@ func (w *LiveWorker) PowerUp(cause string, ready func()) {
 		return
 	}
 	w.m.bootsCold.Inc()
-	w.setStateLocked(power.Booting, cause, gpio.NoJob)
+	w.setStateLocked(power.Booting, cause, job)
 	w.mu.Unlock()
 	time.AfterFunc(w.cfg.BootDelay, func() {
 		w.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"microfaas/internal/core"
+	"microfaas/internal/gpio"
 	"microfaas/internal/powermgr"
 	"microfaas/internal/workload"
 )
@@ -36,7 +37,7 @@ func TestManagedLiveWorkerPowerCycleReconnects(t *testing.T) {
 	}
 	wake := func() {
 		ready := make(chan struct{})
-		if m.RequestUp("live-pc", "test", func() { close(ready) }) {
+		if m.RequestUp("live-pc", "test", gpio.NoJob, func() { close(ready) }) {
 			return // already up
 		}
 		select {

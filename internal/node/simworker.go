@@ -444,7 +444,8 @@ func (w *SimWorker) keepWarmExpired() {
 // virtual clock, then ready fires on the engine thread. A node that is
 // not Off boots nothing; ready is still scheduled (never synchronously —
 // the manager may call PowerUp while holding locks the callback retakes).
-func (w *SimWorker) PowerUp(cause string, ready func()) {
+// cause and job go to the GPIO log as the Off→Booting transition's cause.
+func (w *SimWorker) PowerUp(cause string, job int64, ready func()) {
 	engine := w.cfg.Engine
 	if w.state != power.Off {
 		if ready != nil {
@@ -453,7 +454,7 @@ func (w *SimWorker) PowerUp(cause string, ready func()) {
 		return
 	}
 	w.m.bootsCold.Inc()
-	w.setState(power.Booting, cause, gpio.NoJob)
+	w.setState(power.Booting, cause, job)
 	engine.Schedule(perturb(w.boot, w.jitter()), func() {
 		w.warm = true
 		w.setState(power.Idle, "boot complete (managed)", gpio.NoJob)

@@ -50,6 +50,7 @@ import (
 	"sync"
 	"time"
 
+	"microfaas/internal/gpio"
 	"microfaas/internal/power"
 	"microfaas/internal/telemetry"
 )
@@ -74,7 +75,9 @@ type Node interface {
 	// wall-clock in live mode), then ready is invoked exactly once on the
 	// cluster runtime. Calling PowerUp on a node that is not Off is a
 	// no-op that still invokes ready once the node is up.
-	PowerUp(cause string, ready func())
+	// cause is the wake's static text and job the job it was woken for
+	// (gpio.NoJob for none), kept apart for the GPIO audit log.
+	PowerUp(cause string, job int64, ready func())
 	// PowerDown powers an idle node off, logging the transition to the
 	// GPIO audit trail. It reports false — and does nothing — if the node
 	// is mid-job and cannot be powered down.
@@ -179,8 +182,10 @@ type managed struct {
 	readyCbs []func()
 	// pendingWake marks the node parked in the cap FIFO.
 	pendingWake bool
-	// wakeCause is the cause string for a cap-parked wake.
+	// wakeCause and wakeJob are a cap-parked wake's cause and the job it
+	// wakes for.
 	wakeCause string
+	wakeJob   int64
 	// prewarm marks an in-flight wake issued by SetWarmTarget rather
 	// than demand: the node comes up idle-warm instead of granted. A
 	// RequestUp arriving mid-boot converts the wake back to demand.
@@ -275,7 +280,9 @@ func (m *Manager) maxPoweredLocked() int {
 // invoked (outside the manager's lock) once the node finishes booting; if
 // the power cap binds, the wake parks in FIFO order until capacity frees.
 // During drain, RequestUp refuses (returns false and never calls ready).
-func (m *Manager) RequestUp(id, cause string, ready func()) bool {
+// cause is the wake's static text and job the job that demands it
+// (gpio.NoJob for none): the GPIO log renders them as "cause (job N)".
+func (m *Manager) RequestUp(id, cause string, job int64, ready func()) bool {
 	m.mu.Lock()
 	n, ok := m.nodes[id]
 	if !ok {
@@ -311,14 +318,14 @@ func (m *Manager) RequestUp(id, cause string, ready func()) bool {
 	if max := m.maxPoweredLocked(); max > 0 && m.powered >= max {
 		if !n.pendingWake {
 			n.pendingWake = true
-			n.wakeCause = cause
+			n.wakeCause, n.wakeJob = cause, job
 			m.waitq = append(m.waitq, n)
 			m.m.capDeferred.Inc()
 		}
 		m.mu.Unlock()
 		return false
 	}
-	m.startWakeLocked(n, cause)
+	m.startWakeLocked(n, cause, job)
 	m.mu.Unlock()
 	return false
 }
@@ -327,13 +334,13 @@ func (m *Manager) RequestUp(id, cause string, ready func()) bool {
 // button. Caller holds m.mu; the node's PowerUp must not call back into
 // the manager synchronously (both worker implementations complete the
 // boot via a scheduled timer).
-func (m *Manager) startWakeLocked(n *managed, cause string) {
+func (m *Manager) startWakeLocked(n *managed, cause string, job int64) {
 	n.state = stateWaking
 	n.pendingWake = false
 	m.powered++
 	m.m.wakes.Inc()
 	m.m.poweredGauge(n.node.ID()).Set(1)
-	n.node.PowerUp(cause, func() { m.wakeComplete(n) })
+	n.node.PowerUp(cause, job, func() { m.wakeComplete(n) })
 }
 
 // wakeComplete fires on the cluster runtime when a node's boot latency has
@@ -473,7 +480,7 @@ func (m *Manager) startNextWakeLocked() {
 		if !next.pendingWake {
 			continue // cancelled while parked
 		}
-		m.startWakeLocked(next, next.wakeCause)
+		m.startWakeLocked(next, next.wakeCause, next.wakeJob)
 	}
 }
 
@@ -615,7 +622,7 @@ func (m *Manager) setWarm(n int, trim bool) {
 		}
 		if nd.state == stateDown && !nd.pendingWake {
 			nd.prewarm = true
-			m.startWakeLocked(nd, "prewarm")
+			m.startWakeLocked(nd, "prewarm", gpio.NoJob)
 		}
 	}
 	// Pre-sleep the surplus, highest index first: idle, past the MinUp

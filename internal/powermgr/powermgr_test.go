@@ -87,7 +87,7 @@ func sameSeq(a, b []string) bool {
 func TestWakeOnDemand(t *testing.T) {
 	r := newRig(t, 1, powermgr.Policy{IdleTimeout: 10 * time.Second})
 	ready := false
-	if r.mgr.RequestUp("a", "test wake", func() { ready = true }) {
+	if r.mgr.RequestUp("a", "test wake", gpio.NoJob, func() { ready = true }) {
 		t.Fatal("RequestUp on a powered-down node returned true")
 	}
 	if got := r.mgr.StateName("a"); got != "waking" {
@@ -100,7 +100,7 @@ func TestWakeOnDemand(t *testing.T) {
 	if got := r.mgr.StateName("a"); got != "on" {
 		t.Fatalf("state = %q, want on", got)
 	}
-	if !r.mgr.RequestUp("a", "again", nil) {
+	if !r.mgr.RequestUp("a", "again", gpio.NoJob, nil) {
 		t.Fatal("RequestUp on an up node returned false")
 	}
 	if got := r.mgr.PoweredUp(); got != 1 {
@@ -136,10 +136,10 @@ func TestIdlePowerDownWakeRace(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, 1, powermgr.Policy{IdleTimeout: idle, MinUp: time.Millisecond})
-			r.mgr.RequestUp("a", "first wake", nil)
+			r.mgr.RequestUp("a", "first wake", gpio.NoJob, nil)
 			r.engine.Run(bootTime) // node is up at t=bootTime
 			raceAt := bootTime + idle
-			wake := func() { r.mgr.RequestUp("a", "racing wake", nil) }
+			wake := func() { r.mgr.RequestUp("a", "racing wake", gpio.NoJob, nil) }
 			if tc.timerFirst {
 				// NoteIdle arms the timer for raceAt; the wake event is
 				// scheduled after it, so with equal timestamps the engine
@@ -175,7 +175,7 @@ func TestIdlePowerDownWakeRace(t *testing.T) {
 func TestWakeMidDrainDoesNotResurrect(t *testing.T) {
 	r := newRig(t, 1, powermgr.Policy{IdleTimeout: 10 * time.Second})
 	ready := false
-	r.mgr.RequestUp("a", "doomed wake", func() { ready = true })
+	r.mgr.RequestUp("a", "doomed wake", gpio.NoJob, func() { ready = true })
 	r.engine.Run(bootTime / 2)
 	r.mgr.Drain()
 	r.engine.RunAll()
@@ -193,7 +193,7 @@ func TestWakeMidDrainDoesNotResurrect(t *testing.T) {
 		t.Fatalf("audit log = %v, want %v", got, want)
 	}
 	// And a fresh request during drain must refuse outright.
-	if r.mgr.RequestUp("a", "post-drain", func() { t.Fatal("ready fired during drain") }) {
+	if r.mgr.RequestUp("a", "post-drain", gpio.NoJob, func() { t.Fatal("ready fired during drain") }) {
 		t.Fatal("RequestUp succeeded on a draining manager")
 	}
 	r.engine.RunAll()
@@ -207,7 +207,7 @@ func TestPowerCapFIFO(t *testing.T) {
 	order := make([]string, 0, 4)
 	for _, id := range []string{"a", "b", "c", "d"} {
 		id := id
-		r.mgr.RequestUp(id, "cap test", func() { order = append(order, id) })
+		r.mgr.RequestUp(id, "cap test", gpio.NoJob, func() { order = append(order, id) })
 	}
 	if !r.mgr.CanWake() {
 		// expected: cap is saturated with a and b waking
@@ -240,7 +240,7 @@ func TestPowerCapFIFO(t *testing.T) {
 func TestMinUpHysteresis(t *testing.T) {
 	const minUp = 10 * time.Second
 	r := newRig(t, 1, powermgr.Policy{IdleTimeout: time.Second, MinUp: minUp})
-	r.mgr.RequestUp("a", "wake", nil)
+	r.mgr.RequestUp("a", "wake", gpio.NoJob, nil)
 	r.engine.Run(bootTime)
 	r.mgr.NoteIdle("a") // idle immediately after boot
 	r.engine.RunAll()
@@ -264,14 +264,14 @@ func TestSetCapWRejectsNegative(t *testing.T) {
 
 func TestNoteFaultPowerCycles(t *testing.T) {
 	r := newRig(t, 1, powermgr.Policy{IdleTimeout: time.Hour})
-	r.mgr.RequestUp("a", "wake", nil)
+	r.mgr.RequestUp("a", "wake", gpio.NoJob, nil)
 	r.engine.RunAll()
 	r.mgr.NoteFault("a")
 	if got := r.mgr.StateName("a"); got != "off" {
 		t.Fatalf("state after fault = %q, want off (power-cycled)", got)
 	}
 	// The next request boots it fresh.
-	if r.mgr.RequestUp("a", "rewake", nil) {
+	if r.mgr.RequestUp("a", "rewake", gpio.NoJob, nil) {
 		t.Fatal("RequestUp returned true on a power-cycled node")
 	}
 	r.engine.RunAll()
@@ -325,7 +325,7 @@ func TestSetWarmTargetStateMachine(t *testing.T) {
 		{
 			name: "demand grant from warm pool is instant",
 			run: func(r *rig) {
-				if !r.mgr.RequestUp("a", "demand", nil) {
+				if !r.mgr.RequestUp("a", "demand", gpio.NoJob, nil) {
 					t.Fatal("RequestUp on a pre-warmed node returned false, want instant grant")
 				}
 			},
@@ -418,7 +418,7 @@ func TestSetWarmFloorNeverTrims(t *testing.T) {
 	}
 	// A demand grant + release re-arms one node's countdown; with the
 	// cluster above the floor, that node now decays reactively.
-	if !r.mgr.RequestUp("c", "demand", nil) {
+	if !r.mgr.RequestUp("c", "demand", gpio.NoJob, nil) {
 		t.Fatal("RequestUp on a warm node returned false")
 	}
 	r.mgr.NoteIdle("c")
@@ -496,7 +496,7 @@ func TestOccupancy(t *testing.T) {
 	if busy, powered := r.mgr.Occupancy(); busy != 0 || powered != 2 {
 		t.Fatalf("idle occupancy = %d/%d, want 0/2", busy, powered)
 	}
-	r.mgr.RequestUp("a", "demand", nil)
+	r.mgr.RequestUp("a", "demand", gpio.NoJob, nil)
 	if busy, powered := r.mgr.Occupancy(); busy != 1 || powered != 2 {
 		t.Fatalf("granted occupancy = %d/%d, want 1/2", busy, powered)
 	}

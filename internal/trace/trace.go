@@ -39,24 +39,49 @@ type Record struct {
 	Err string
 }
 
-// Total is the worker-side cycle time (boot + overhead + exec).
-func (r Record) Total() time.Duration { return r.Boot + r.Overhead + r.Exec }
-
-// Latency is the end-to-end time from submission to result.
-func (r Record) Latency() time.Duration { return r.Finished - r.Submitted }
-
 // Collector accumulates records; safe for concurrent use.
+//
+// It stores each record as a row that holds no pointer: the job id, the
+// six durations, the attempt, and ordinals into two name tables, one for
+// functions and one for workers. A failed row's error text sits in a side
+// log, never in a name table: an error names its job, so interning it
+// would grow the table with the log. Records and WriteCSV hand the rows
+// back as Records; Summarize and ByFunction read them in place.
 type Collector struct {
 	mu sync.Mutex
-	// records is chunked: Add runs once per completed invocation on the
-	// hot path, and a flat slice's geometric regrowth (zero + copy the
-	// whole backing array at every doubling) dominated long runs.
-	records chunklog.Log[Record]
-	// window bounds the table (0 = keep every record); n and errs count
+	// rows is chunked: Add runs once per completed invocation on the hot
+	// path, and a flat slice's geometric regrowth (zero + copy the whole
+	// backing array at every doubling) dominated long runs.
+	rows         chunklog.Log[row]
+	fns, workers chunklog.Names
+	// errs holds the error texts of the retained failed rows, in row
+	// order; dropping a chunk of rows drops its rows' texts.
+	errs []string
+	// window bounds the table (0 = keep every record); n and nerrs count
 	// every record ever added, so Len and ErrorCount stay exact and O(1).
-	window  int
-	n, errs int
+	window   int
+	n, nerrs int
 }
+
+// row is one record as a Collector stores it: 72 bytes with no pointer
+// for the garbage collector to scan.
+type row struct {
+	job                          int64
+	submitted, started, finished time.Duration
+	boot, overhead, exec         time.Duration
+	// attempt counts from 0 and stays below core's MaxAttempts: no job
+	// lives through 2^31 attempts.
+	attempt int32
+	// fn and worker are ordinals in the collector's name tables.
+	fn, worker uint32
+	// failed marks a row whose error text is the next one in errs.
+	failed bool
+}
+
+// WorkerRef is a worker's ordinal in one collector's worker table, the
+// handle Worker returns: a caller takes it once per worker and passes it
+// to Add, so filing a record never looks its worker up by name.
+type WorkerRef uint32
 
 // NewCollector returns an empty collector that keeps every record.
 func NewCollector() *Collector { return &Collector{} }
@@ -65,20 +90,47 @@ func NewCollector() *Collector { return &Collector{} }
 // records (plus at most one chunk), dropping the oldest chunk as new ones
 // arrive: the table for a live process, whose log would otherwise grow
 // without bound. Len and ErrorCount still count every record ever added;
-// Records, ByFunction, Summarize and the histogram see the retained window.
+// Records, ByFunction and Summarize see the retained window.
 func NewWindowCollector(window int) *Collector { return &Collector{window: window} }
 
-// Add appends one record.
-func (c *Collector) Add(r Record) {
+// Worker returns the named worker's handle in this collector, adding the
+// name to its worker table on first use.
+func (c *Collector) Worker(name string) WorkerRef {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.records.Append(r)
+	return WorkerRef(c.workers.Ordinal(name))
+}
+
+// Add appends one record, settled on worker w, a handle from this
+// collector's Worker: w names the worker, and r.Worker is not read.
+func (c *Collector) Add(w WorkerRef, r Record) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	failed := r.Err != ""
+	c.rows.Append(row{
+		job:       r.JobID,
+		submitted: r.Submitted, started: r.Started, finished: r.Finished,
+		boot: r.Boot, overhead: r.Overhead, exec: r.Exec,
+		attempt: int32(r.Attempt),
+		fn:      c.fns.Ordinal(r.Function),
+		worker:  uint32(w),
+		failed:  failed,
+	})
 	c.n++
-	if r.Err != "" {
-		c.errs++
+	if failed {
+		c.nerrs++
+		c.errs = append(c.errs, r.Err)
 	}
-	if c.window > 0 && c.records.Len() >= c.window+chunklog.ChunkSize {
-		c.records.DropOldestChunk()
+	if c.window > 0 && c.rows.Len() >= c.window+chunklog.ChunkSize {
+		dropped := c.rows.DropOldestChunk()
+		k := 0
+		for i := range dropped {
+			if dropped[i].failed {
+				k++
+			}
+		}
+		clear(c.errs[:k])
+		c.errs = c.errs[k:]
 	}
 }
 
@@ -93,21 +145,31 @@ func (c *Collector) Len() int {
 func (c *Collector) ErrorCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.errs
+	return c.nerrs
 }
 
 // Records returns a copy of the retained records.
 func (c *Collector) Records() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.records.Flatten()
-}
-
-// each visits every retained record in insertion order under the lock.
-func (c *Collector) each(fn func(Record)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.records.Each(fn)
+	out := make([]Record, 0, c.rows.Len())
+	e := 0
+	c.rows.Each(func(r row) {
+		rec := Record{
+			JobID:     r.job,
+			Function:  c.fns.Name(r.fn),
+			Worker:    c.workers.Name(r.worker),
+			Attempt:   int(r.attempt),
+			Submitted: r.submitted, Started: r.started, Finished: r.finished,
+			Boot: r.boot, Overhead: r.overhead, Exec: r.exec,
+		}
+		if r.failed {
+			rec.Err = c.errs[e]
+			e++
+		}
+		out = append(out, rec)
+	})
+	return out
 }
 
 // Summary is the whole-table reading every experiment and stats view
@@ -120,7 +182,8 @@ type Summary struct {
 	Completed, Errors      int
 	MeanLatency, MeanCycle time.Duration
 
-	// Each successful record's Latency() and Finished, in table order.
+	// Each successful record's latency (Finished − Submitted) and Finished,
+	// in table order.
 	latencies, finished []time.Duration
 }
 
@@ -130,17 +193,20 @@ func Summarize(colls ...*Collector) Summary {
 	var s Summary
 	var latency, cycle time.Duration
 	for _, c := range colls {
-		c.each(func(r Record) {
-			if r.Err != "" {
+		c.mu.Lock()
+		c.rows.Each(func(r row) {
+			if r.failed {
 				s.Errors++
 				return
 			}
 			s.Completed++
-			latency += r.Latency()
-			cycle += r.Total()
-			s.latencies = append(s.latencies, r.Latency())
-			s.finished = append(s.finished, r.Finished)
+			lat := r.finished - r.submitted
+			latency += lat
+			cycle += r.boot + r.overhead + r.exec
+			s.latencies = append(s.latencies, lat)
+			s.finished = append(s.finished, r.finished)
 		})
+		c.mu.Unlock()
 	}
 	if s.Completed > 0 {
 		s.MeanLatency = latency / time.Duration(s.Completed)
@@ -193,22 +259,31 @@ func ByFunction(colls ...*Collector) []FunctionStats {
 	}
 	groups := map[string]*group{}
 	for _, c := range colls {
-		c.each(func(r Record) {
-			g := groups[r.Function]
+		c.mu.Lock()
+		// Each collector numbers its functions its own way: resolve each
+		// ordinal to its group once, not once per row.
+		byOrd := make([]*group, c.fns.Len())
+		c.rows.Each(func(r row) {
+			g := byOrd[r.fn]
 			if g == nil {
-				g = &group{st: FunctionStats{Function: r.Function}}
-				groups[r.Function] = g
+				name := c.fns.Name(r.fn)
+				if g = groups[name]; g == nil {
+					g = &group{st: FunctionStats{Function: name}}
+					groups[name] = g
+				}
+				byOrd[r.fn] = g
 			}
 			g.st.Count++
-			if r.Err != "" {
+			if r.failed {
 				g.st.Errors++
 				return
 			}
-			g.exec += r.Exec
-			g.ovh += r.Overhead
-			g.lat += r.Latency()
-			g.totals = append(g.totals, r.Exec+r.Overhead)
+			g.exec += r.exec
+			g.ovh += r.overhead
+			g.lat += r.finished - r.submitted
+			g.totals = append(g.totals, r.exec+r.overhead)
 		})
+		c.mu.Unlock()
 	}
 	out := make([]FunctionStats, 0, len(groups))
 	for _, g := range groups {

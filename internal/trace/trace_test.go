@@ -13,27 +13,20 @@ import (
 	"microfaas/internal/chunklog"
 )
 
+// add files r on the worker it names, through the collector's handle for
+// that worker, the way core's settle does.
+func add(c *Collector, r Record) { c.Add(c.Worker(r.Worker), r) }
+
 func rec(fn string, exec, ovh time.Duration, err string) Record {
 	return Record{Function: fn, Exec: exec, Overhead: ovh, Err: err,
 		Submitted: 0, Started: time.Second, Finished: time.Second + exec + ovh}
 }
 
-func TestRecordDerivedTimes(t *testing.T) {
-	r := Record{Boot: time.Second, Overhead: 100 * time.Millisecond,
-		Exec: 2 * time.Second, Submitted: time.Second, Finished: 5 * time.Second}
-	if r.Total() != 3100*time.Millisecond {
-		t.Fatalf("Total = %v", r.Total())
-	}
-	if r.Latency() != 4*time.Second {
-		t.Fatalf("Latency = %v", r.Latency())
-	}
-}
-
 func TestByFunctionMeans(t *testing.T) {
 	c := NewCollector()
-	c.Add(rec("A", 100*time.Millisecond, 10*time.Millisecond, ""))
-	c.Add(rec("A", 300*time.Millisecond, 30*time.Millisecond, ""))
-	c.Add(rec("B", time.Second, 0, ""))
+	add(c, rec("A", 100*time.Millisecond, 10*time.Millisecond, ""))
+	add(c, rec("A", 300*time.Millisecond, 30*time.Millisecond, ""))
+	add(c, rec("B", time.Second, 0, ""))
 	stats := c.ByFunction()
 	if len(stats) != 2 || stats[0].Function != "A" || stats[1].Function != "B" {
 		t.Fatalf("stats = %+v", stats)
@@ -49,8 +42,8 @@ func TestByFunctionMeans(t *testing.T) {
 
 func TestErrorsExcludedFromMeans(t *testing.T) {
 	c := NewCollector()
-	c.Add(rec("A", 100*time.Millisecond, 0, ""))
-	c.Add(rec("A", time.Hour, 0, "boom"))
+	add(c, rec("A", 100*time.Millisecond, 0, ""))
+	add(c, rec("A", time.Hour, 0, "boom"))
 	stats := c.ByFunction()
 	if stats[0].Errors != 1 || stats[0].Count != 2 {
 		t.Fatalf("stats = %+v", stats[0])
@@ -136,9 +129,9 @@ func referenceSummary(lo, hi time.Duration, colls ...*Collector) (completed, err
 				continue
 			}
 			completed++
-			lat += r.Latency()
-			cycle += r.Total()
-			lats = append(lats, r.Latency())
+			lat += r.Finished - r.Submitted
+			cycle += r.Boot + r.Overhead + r.Exec
+			lats = append(lats, r.Finished-r.Submitted)
 			if r.Finished >= lo && r.Finished < hi {
 				inWindow++
 			}
@@ -163,16 +156,16 @@ func TestSummarizeMatchesCopyThenLoop(t *testing.T) {
 			Exec:      time.Duration(rng.Intn(5000)) * time.Microsecond,
 		}
 		r.Started = r.Submitted + time.Duration(rng.Intn(50))*time.Millisecond
-		r.Finished = r.Started + r.Total()
+		r.Finished = r.Started + r.Boot + r.Overhead + r.Exec
 		if rng.Intn(10) == 0 {
 			r.Err = "boom"
 		}
-		colls[rng.Intn(len(colls))].Add(r)
+		add(colls[rng.Intn(len(colls))], r)
 	}
 	// A record finishing exactly on either edge pins the half-open window.
 	lo, hi := 1500*time.Millisecond, 2500*time.Millisecond
-	colls[0].Add(Record{Finished: lo})
-	colls[1].Add(Record{Finished: hi})
+	add(colls[0], Record{Finished: lo})
+	add(colls[1], Record{Finished: hi})
 
 	completed, errors, meanLat, meanCycle, lats, inWindow := referenceSummary(lo, hi, colls...)
 	sum := Summarize(colls...)
@@ -208,7 +201,7 @@ func mergedByFunction(colls ...*Collector) []FunctionStats {
 	merged := NewCollector()
 	for _, c := range colls {
 		for _, r := range c.Records() {
-			merged.Add(r)
+			add(merged, r)
 		}
 	}
 	return merged.ByFunction()
@@ -230,7 +223,7 @@ func TestWindowCollectorBoundsTheTableNotTheCounts(t *testing.T) {
 			r.Err = "boom"
 			errs++
 		}
-		c.Add(r)
+		add(c, r)
 		if i%97 != 0 && i != n-1 {
 			continue // a copy of the table per add is the slow part
 		}
@@ -256,7 +249,7 @@ func TestWindowCollectorBoundsTheTableNotTheCounts(t *testing.T) {
 
 	full := NewCollector()
 	for i := 0; i < n; i++ {
-		full.Add(Record{JobID: int64(i)})
+		add(full, Record{JobID: int64(i)})
 	}
 	if got := len(full.Records()); got != n {
 		t.Fatalf("an unwindowed collector dropped records: %d of %d", got, n)
@@ -265,7 +258,7 @@ func TestWindowCollectorBoundsTheTableNotTheCounts(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	c := NewCollector()
-	c.Add(Record{JobID: 7, Function: "CascSHA", Worker: "sbc-3",
+	add(c, Record{JobID: 7, Function: "CascSHA", Worker: "sbc-3",
 		Boot: 1510 * time.Millisecond, Exec: 2 * time.Second, Err: ""})
 	var sb strings.Builder
 	if err := c.WriteCSV(&sb); err != nil {
@@ -292,7 +285,7 @@ func TestCollectorConcurrentAdd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				c.Add(rec("A", time.Millisecond, 0, ""))
+				add(c, rec("A", time.Millisecond, 0, ""))
 			}
 		}()
 	}
@@ -304,7 +297,7 @@ func TestCollectorConcurrentAdd(t *testing.T) {
 
 func TestRecordsReturnsCopy(t *testing.T) {
 	c := NewCollector()
-	c.Add(rec("A", time.Millisecond, 0, ""))
+	add(c, rec("A", time.Millisecond, 0, ""))
 	rs := c.Records()
 	rs[0].Function = "mutated"
 	if c.Records()[0].Function != "A" {
