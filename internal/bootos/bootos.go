@@ -263,15 +263,28 @@ func Timeline(p Platform) []Stage {
 	return stages
 }
 
+// bootTotals is a platform's final boot time and the CPU's share of it.
+type bootTotals struct {
+	real    time.Duration
+	cpuFrac float64
+}
+
+// finalBoot holds each platform's bootTotals, computed once: every
+// simulated board reads its boot time when it is built, and every microVM
+// cold boot reads the CPU share.
+var finalBoot = [...]bootTotals{ARM: totalsOf(ARM), X86: totalsOf(X86)}
+
+func totalsOf(p Platform) bootTotals {
+	prof := FinalProfile(p)
+	return bootTotals{real: prof.RealTime(), cpuFrac: float64(prof.CPUTime()) / float64(prof.RealTime())}
+}
+
 // BootTime returns the fully-optimized wall-clock boot time for a platform.
 // This is the value every node model in the simulator uses: 1.51 s for SBC
 // workers, 0.96 s for microVM workers.
-func BootTime(p Platform) time.Duration { return FinalProfile(p).RealTime() }
+func BootTime(p Platform) time.Duration { return finalBoot[p].real }
 
 // BootCPUFraction returns the share of boot wall-clock time during which
 // the CPU is non-idle. The rack server's contention model uses this: a
 // booting VM loads its host core at this fraction.
-func BootCPUFraction(p Platform) float64 {
-	prof := FinalProfile(p)
-	return float64(prof.CPUTime()) / float64(prof.RealTime())
-}
+func BootCPUFraction(p Platform) float64 { return finalBoot[p].cpuFrac }

@@ -204,3 +204,30 @@ func TestPlatformString(t *testing.T) {
 		t.Fatal("platform names wrong")
 	}
 }
+
+// TestBootTotalsComputedOnce: BootTime and BootCPUFraction read totals
+// computed once per platform, so the per-board and per-cold-boot reads
+// allocate nothing, and they agree with a fresh FinalProfile, which stays
+// the caller's own copy.
+func TestBootTotalsComputedOnce(t *testing.T) {
+	for _, p := range []Platform{ARM, X86} {
+		allocs := testing.AllocsPerRun(100, func() {
+			_ = BootTime(p)
+			_ = BootCPUFraction(p)
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: BootTime + BootCPUFraction allocate %v times, want 0", p, allocs)
+		}
+		prof := FinalProfile(p)
+		if BootTime(p) != prof.RealTime() {
+			t.Fatalf("%v: BootTime %v, final profile %v", p, BootTime(p), prof.RealTime())
+		}
+		if want := float64(prof.CPUTime()) / float64(prof.RealTime()); BootCPUFraction(p) != want {
+			t.Fatalf("%v: BootCPUFraction %v, final profile %v", p, BootCPUFraction(p), want)
+		}
+		prof.Components[0].Real += time.Hour
+		if again := FinalProfile(p); again.RealTime() != BootTime(p) {
+			t.Fatalf("%v: editing one FinalProfile changed the next (%v, want %v)", p, again.RealTime(), BootTime(p))
+		}
+	}
+}

@@ -17,6 +17,8 @@
 // string headers, so the garbage collector never scans a chunk.
 package chunklog
 
+import "slices"
+
 // ChunkSize is the number of entries per chunk. 1024 keeps a chunk of
 // the audit logs' rows (24 and 72 bytes) at 24 and 72 KiB — big enough to
 // amortize allocation, small enough that allocating one never stalls on
@@ -115,6 +117,15 @@ func (t *Names) Ordinal(s string) uint32 {
 	}
 	t.index[s] = i
 	return i
+}
+
+// Grow makes room for n more names, so a caller adding a known number of
+// them (a cluster's workers) sizes the table once instead of regrowing it.
+func (t *Names) Grow(n int) {
+	t.names = slices.Grow(t.names, n)
+	if t.index == nil {
+		t.index = make(map[string]uint32, len(t.names)+n)
+	}
 }
 
 // Name returns the string whose ordinal is i.

@@ -84,8 +84,7 @@ func NewShardedMicroFaaSSim(shards, workersPerShard int, cfg SimConfig, scfg sha
 		if cfg.Telemetry != nil {
 			tel = telemetry.New()
 		}
-		workers, err := b.workers(nil, workersPerShard, nil, tel,
-			func(i int) string { return fmt.Sprintf("s%02d-sbc-%04d", si, i) })
+		workers, err := b.workers(boardIDs(fmt.Sprintf("s%02d-sbc-", si), 4, workersPerShard), nil, tel)
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
+	"strconv"
 	"time"
 
 	"microfaas/internal/core"
@@ -159,42 +159,69 @@ func (b *simBuilder) rackServer(id string) *node.RackServer {
 	return node.NewRackServer(id, model.ServerCores, b.engine, b.meter, power.DefaultServerModel())
 }
 
-// workers appends n workers named id(0..n-1) to dst: SBCs on the shared
-// GPIO plane when server is nil, microVMs hosted on server otherwise.
-func (b *simBuilder) workers(dst []*node.SimWorker, n int, server *node.RackServer, tel *telemetry.Telemetry, id func(i int) string) ([]*node.SimWorker, error) {
+// workers builds one worker per id in one batch: SBCs on the shared GPIO
+// plane when server is nil, microVMs hosted on server otherwise.
+func (b *simBuilder) workers(ids []string, server *node.RackServer, tel *telemetry.Telemetry) ([]*node.SimWorker, error) {
+	return node.NewSimWorkers(b.workerConfig(server, tel), ids)
+}
+
+// workerConfig is the config of every worker the cluster builds on
+// server (nil for SBCs) reporting to tel; its ID is left for the caller.
+func (b *simBuilder) workerConfig(server *node.RackServer, tel *telemetry.Telemetry) node.SimWorkerConfig {
 	platform, controller := model.ARM, b.gpio
 	if server != nil {
 		platform, controller = model.X86, nil
 	}
-	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		w, err := node.NewSimWorker(node.SimWorkerConfig{
-			ID:            id(i),
-			Platform:      platform,
-			Link:          b.cfg.Link,
-			Engine:        b.engine,
-			Meter:         b.meter,
-			Server:        server,
-			GPIO:          controller,
-			Jitter:        simJitter,
-			BootTime:      b.cfg.BootTime,
-			Functions:     b.fns,
-			DisableReboot: b.cfg.DisableReboot,
-			FailureRate:   b.cfg.FailureRate,
-			HangRate:      b.cfg.HangRate,
-			SlowRate:      b.cfg.SlowRate,
-			SlowFactor:    b.cfg.SlowFactor,
-			KeepWarm:      b.cfg.KeepWarm,
-			Managed:       b.cfg.Power != nil,
-			Telemetry:     tel,
-			Tracer:        b.cfg.Tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, w)
+	return node.SimWorkerConfig{
+		Platform:      platform,
+		Link:          b.cfg.Link,
+		Engine:        b.engine,
+		Meter:         b.meter,
+		Server:        server,
+		GPIO:          controller,
+		Jitter:        simJitter,
+		BootTime:      b.cfg.BootTime,
+		Functions:     b.fns,
+		DisableReboot: b.cfg.DisableReboot,
+		FailureRate:   b.cfg.FailureRate,
+		HangRate:      b.cfg.HangRate,
+		SlowRate:      b.cfg.SlowRate,
+		SlowFactor:    b.cfg.SlowFactor,
+		KeepWarm:      b.cfg.KeepWarm,
+		Managed:       b.cfg.Power != nil,
+		Telemetry:     tel,
+		Tracer:        b.cfg.Tracer,
 	}
-	return dst, nil
+}
+
+// boardIDs names n boards prefix+i, i zero-padded to width digits as
+// %0*d pads it, all cut from one string: a shard's names cost three
+// allocations, not one per board.
+func boardIDs(prefix string, width, n int) []string {
+	buf := make([]byte, 0, n*(len(prefix)+width))
+	for i := 0; i < n; i++ {
+		buf = append(buf, prefix...)
+		for d := digits(i); d < width; d++ {
+			buf = append(buf, '0')
+		}
+		buf = strconv.AppendInt(buf, int64(i), 10)
+	}
+	all := string(buf)
+	ids := make([]string, n)
+	for i := range ids {
+		l := len(prefix) + max(width, digits(i))
+		ids[i], all = all[:l], all[l:]
+	}
+	return ids
+}
+
+// digits is the number of decimal digits of i >= 0.
+func digits(i int) int {
+	d := 1
+	for ; i >= 10; i /= 10 {
+		d++
+	}
+	return d
 }
 
 // shard wires control-plane shard si over workers: the OP config every
@@ -263,7 +290,7 @@ func NewMicroFaaSSim(n int, cfg SimConfig) (*Sim, error) {
 		return nil, fmt.Errorf("cluster: need at least one SBC, got %d", n)
 	}
 	b := newSimBuilder(cfg, gpio.NewController())
-	workers, err := b.workers(nil, n, nil, cfg.Telemetry, func(i int) string { return fmt.Sprintf("sbc-%03d", i) })
+	workers, err := b.workers(boardIDs("sbc-", 3, n), nil, cfg.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +308,7 @@ func NewConventionalSim(vms int, cfg SimConfig) (*Sim, error) {
 		return nil, err
 	}
 	server := b.rackServer("rack-server")
-	workers, err := b.workers(nil, vms, server, cfg.Telemetry, func(i int) string { return fmt.Sprintf("vm-%03d", i) })
+	workers, err := b.workers(boardIDs("vm-", 3, vms), server, cfg.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -307,11 +334,11 @@ func NewConventionalRackSim(servers, vmsPerServer int, cfg SimConfig) (*Sim, err
 		if sv == 0 {
 			first = server
 		}
-		workers, err = b.workers(workers, vmsPerServer, server, cfg.Telemetry,
-			func(i int) string { return fmt.Sprintf("vm-%03d-%03d", sv, i) })
+		vms, err := b.workers(boardIDs(fmt.Sprintf("vm-%03d-", sv), 3, vmsPerServer), server, cfg.Telemetry)
 		if err != nil {
 			return nil, err
 		}
+		workers = append(workers, vms...)
 	}
 	return b.sim(first, workers)
 }

@@ -699,19 +699,36 @@ func New(cfg Config) (*Orchestrator, error) {
 		nextID:           cfg.JobIDBase,
 	}
 	o.idle = sync.NewCond(&o.mu)
-	for i, w := range cfg.Workers {
-		if _, dup := o.byID[w.ID()]; dup {
-			return nil, fmt.Errorf("core: duplicate worker id %q", w.ID())
-		}
-		s := &workerSlot{w: w, id: w.ID(), idx: i, rec: coll.Worker(w.ID()), eligPos: i, parolePos: -1, loadPos: -1}
-		o.slots = append(o.slots, s)
-		o.byID[s.id] = s
-		o.eligible = append(o.eligible, s)
-		o.load.push(s)
-	}
-	o.nextIdx = len(cfg.Workers)
 	o.initTelemetry(cfg.Telemetry)
+	if err := o.addWorkersLocked(cfg.Workers); err != nil {
+		return nil, err
+	}
 	return o, nil
+}
+
+// addWorkersLocked registers ws at the end of the registration order —
+// New's whole list or AddWorker's one worker — from one slab of slots,
+// with the collector's worker table grown once for the batch. A duplicate
+// id stops it with the workers before it registered, which only AddWorker
+// (a batch of one) leaves behind. Caller holds o.mu, or is New.
+func (o *Orchestrator) addWorkersLocked(ws []Worker) error {
+	slab := make([]workerSlot, len(ws))
+	o.collector.GrowWorkers(len(ws))
+	for i, w := range ws {
+		id := w.ID()
+		if _, dup := o.byID[id]; dup {
+			return fmt.Errorf("core: duplicate worker id %q", id)
+		}
+		s := &slab[i]
+		*s = workerSlot{w: w, id: id, idx: o.nextIdx, rec: o.collector.Worker(id), eligPos: -1, parolePos: -1, loadPos: -1}
+		o.nextIdx++
+		o.slots = append(o.slots, s)
+		o.byID[id] = s
+		o.addEligibleLocked(s)
+		o.load.push(s)
+		o.initWorkerTelemetry(s)
+	}
+	return nil
 }
 
 // Runtime returns the clock the orchestrator runs on.

@@ -113,18 +113,7 @@ func (o *Orchestrator) AddWorker(w Worker) error {
 	if o.pm != nil {
 		return fmt.Errorf("core: cannot add workers to a power-managed orchestrator")
 	}
-	id := w.ID()
-	if _, dup := o.byID[id]; dup {
-		return fmt.Errorf("core: duplicate worker id %q", id)
-	}
-	s := &workerSlot{w: w, id: id, idx: o.nextIdx, rec: o.collector.Worker(id), eligPos: -1, parolePos: -1, loadPos: -1}
-	o.nextIdx++
-	o.slots = append(o.slots, s)
-	o.byID[id] = s
-	o.addEligibleLocked(s)
-	o.load.push(s)
-	o.initWorkerTelemetry(s)
-	return nil
+	return o.addWorkersLocked([]Worker{w})
 }
 
 // RemoveWorker detaches a worker from this orchestrator so it can be

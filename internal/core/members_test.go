@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,5 +72,58 @@ func TestRemoveWorkerMovesItsQueue(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAddWorkerRegistersAsNew: workers registered one at a time through
+// AddWorker land exactly as New registers a list — the same order, trace
+// ordinals and least-loaded picks — since both run one registration path.
+func TestAddWorkerRegistersAsNew(t *testing.T) {
+	const n = 6
+	build := func(oneByOne bool) (*Orchestrator, *sim.Engine) {
+		e := sim.NewEngine(3)
+		var ws []Worker
+		for i := 0; i < n; i++ {
+			ws = append(ws, &fakeWorker{id: fmt.Sprintf("w%02d", i), engine: e, service: time.Duration(i+1) * time.Millisecond})
+		}
+		first := ws
+		if oneByOne {
+			first = ws[:1]
+		}
+		o, err := New(Config{Runtime: SimRuntime{Engine: e}, Workers: first, Policy: AssignLeastLoaded})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range ws[len(first):] {
+			if err := o.AddWorker(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := o.AddWorker(ws[0]); err == nil {
+			t.Fatal("a duplicate id was registered")
+		}
+		return o, e
+	}
+	bulk, be := build(false)
+	single, se := build(true)
+	if got, want := single.Workers(), bulk.Workers(); !slices.Equal(got, want) {
+		t.Fatalf("workers %v, New's %v", got, want)
+	}
+	for i, id := range bulk.Workers() {
+		if a, b := bulk.Collector().Worker(id), single.Collector().Worker(id); int(a) != i || a != b {
+			t.Fatalf("%s: ordinals %d and %d, want %d", id, a, b, i)
+		}
+	}
+	for _, run := range []struct {
+		o *Orchestrator
+		e *sim.Engine
+	}{{bulk, be}, {single, se}} {
+		for j := 0; j < 40; j++ {
+			run.o.Submit("f", nil)
+		}
+		run.e.RunAll()
+	}
+	if got, want := single.Collector().Records(), bulk.Collector().Records(); len(got) != 40 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the same 40 submissions settled differently (%d and %d records)", len(got), len(want))
 	}
 }

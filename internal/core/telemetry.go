@@ -43,8 +43,9 @@ type orchMetrics struct {
 	budgetExhausted map[string]*telemetry.Gauge
 }
 
-// initTelemetry pre-creates the orchestrator's metric families so
-// every per-worker series is present (at zero) from the first scrape.
+// initTelemetry pre-creates the orchestrator's metric families; each
+// worker's series are created as it registers (initWorkerTelemetry), so
+// every series is present (at zero) from the first scrape.
 func (o *Orchestrator) initTelemetry(tel *telemetry.Telemetry) {
 	o.tel = tel
 	if tel == nil {
@@ -64,9 +65,6 @@ func (o *Orchestrator) initTelemetry(tel *telemetry.Telemetry) {
 		budgetSpent:     make(map[string]*telemetry.Gauge),
 		budgetExhausted: make(map[string]*telemetry.Gauge),
 	}
-	for _, s := range o.slots {
-		o.initWorkerTelemetry(s)
-	}
 }
 
 // workerMetrics is one worker's metric series, held on its slot so a
@@ -78,8 +76,8 @@ type workerMetrics struct {
 	breakerTo        map[string]*telemetry.Counter // state → series
 }
 
-// initWorkerTelemetry (re-)creates one worker's metric series. Called
-// per worker at construction and again from AddWorker — the registry
+// initWorkerTelemetry (re-)creates one worker's metric series. Called as
+// a worker registers, at construction or from AddWorker — the registry
 // returns the existing series for a repeated (name, labels) pair, so a
 // worker re-homed back to its original shard resumes its old counters.
 func (o *Orchestrator) initWorkerTelemetry(s *workerSlot) {

@@ -36,19 +36,22 @@ func newCtlRig(t *testing.T, n int, pol forecast.Policy) *ctlRig {
 	meter := power.NewMeter()
 	g := gpio.NewController()
 	nodes := make([]powermgr.Node, 0, n)
-	for i := 0; i < n; i++ {
-		w, err := node.NewSimWorker(node.SimWorkerConfig{
-			ID:       string(rune('a' + i)),
-			Platform: model.ARM,
-			Engine:   r.engine,
-			Meter:    meter,
-			GPIO:     g,
-			BootTime: time.Second,
-			Managed:  true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = string(rune('a' + i))
+	}
+	ws, err := node.NewSimWorkers(node.SimWorkerConfig{
+		Platform: model.ARM,
+		Engine:   r.engine,
+		Meter:    meter,
+		GPIO:     g,
+		BootTime: time.Second,
+		Managed:  true,
+	}, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ws {
 		nodes = append(nodes, w)
 	}
 	mgr, err := powermgr.New(powermgr.Config{

@@ -25,6 +25,7 @@ package gpio
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -89,9 +90,7 @@ type entry struct {
 }
 
 // NewController returns an empty controller whose pins number from 1.
-func NewController() *Controller {
-	return &Controller{byNode: make(map[string]*Pin)}
-}
+func NewController() *Controller { return &Controller{} }
 
 // WireNext wires a node's PWR_BUT to the next pin — one past the last
 // pin wired, so pins number 1, 2, … in wiring order — and returns the
@@ -99,18 +98,50 @@ func NewController() *Controller {
 // wiring it happen under one lock, so concurrent callers get distinct
 // pins.
 func (c *Controller) WireNext(node string) (*Pin, error) {
-	if node == "" {
-		return nil, fmt.Errorf("gpio: empty node name")
+	pins, err := c.Wire([]string{node})
+	if err != nil {
+		return nil, err
 	}
+	return pins[0], nil
+}
+
+// Wire wires each of nodes to the next pin in order, as WireNext would one
+// by one, and returns their handles. The pins come from one slab, so a
+// rack's boards wire with no allocation of their own, and the wiring index
+// is sized to the first batch it sees. A batch wires all its nodes or, on
+// an empty name or one already wired, none.
+func (c *Controller) Wire(nodes []string) ([]*Pin, error) {
+	slab := make([]Pin, len(nodes))
+	out := make([]*Pin, len(nodes))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p, dup := c.byNode[node]; dup {
-		return nil, fmt.Errorf("gpio: node %s already wired to pin %d", node, p.num)
+	if c.byNode == nil {
+		c.byNode = make(map[string]*Pin, len(nodes))
 	}
-	p := &Pin{c: c, node: node, num: len(c.pins) + 1}
-	c.pins = append(c.pins, p)
-	c.byNode[node] = p
-	return p, nil
+	c.pins = slices.Grow(c.pins, len(nodes))
+	for i, node := range nodes {
+		var err error
+		if node == "" {
+			err = fmt.Errorf("gpio: empty node name")
+		} else if p, dup := c.byNode[node]; dup {
+			err = fmt.Errorf("gpio: node %s already wired to pin %d", node, p.num)
+		}
+		if err != nil {
+			for _, p := range out[:i] {
+				delete(c.byNode, p.node)
+			}
+			kept := len(c.pins) - i
+			clear(c.pins[kept:])
+			c.pins = c.pins[:kept]
+			return nil, err
+		}
+		p := &slab[i]
+		*p = Pin{c: c, node: node, num: len(c.pins) + 1}
+		c.pins = append(c.pins, p)
+		c.byNode[node] = p
+		out[i] = p
+	}
+	return out, nil
 }
 
 // Transition records a power-state change of the pin's node, caused by

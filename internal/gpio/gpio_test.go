@@ -67,6 +67,34 @@ func TestWireNextSkipsUsedPins(t *testing.T) {
 	}
 }
 
+// TestWireBatch: a batch numbers its pins on from the last one wired, as
+// WireNext would one by one, and a batch naming an empty, already-wired
+// or repeated node wires none of its nodes.
+func TestWireBatch(t *testing.T) {
+	c := NewController()
+	mustWire(t, c, "a")
+	pins, err := c.Wire([]string{"b", "c", "d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pins {
+		if p.num != i+2 || c.byNode[p.node] != p || c.pins[i+1] != p {
+			t.Fatalf("pin %d: %+v, want line %d", i, p, i+2)
+		}
+	}
+	for _, bad := range [][]string{{"e", "a"}, {"e", ""}, {"e", "f", "e"}} {
+		if _, err := c.Wire(bad); err == nil {
+			t.Fatalf("Wire(%q) accepted", bad)
+		}
+		if len(c.pins) != 4 || len(c.byNode) != 4 {
+			t.Fatalf("refused Wire(%q) left %d pins, %d wired nodes; want 4 and 4", bad, len(c.pins), len(c.byNode))
+		}
+	}
+	if p := mustWire(t, c, "e"); p.num != 5 {
+		t.Fatalf("after refused batches e got line %d, want 5", p.num)
+	}
+}
+
 // TestWireNextConcurrent: callers racing WireNext each get their own pin.
 // Picking the pin and wiring it were two critical sections, so two
 // callers could pick the same pin and the second failed.

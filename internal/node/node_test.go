@@ -133,9 +133,9 @@ func TestRackServerUtilizationCap(t *testing.T) {
 
 func newARMWorker(t *testing.T, e *sim.Engine, meter *power.Meter) *SimWorker {
 	t.Helper()
-	w, err := NewSimWorker(SimWorkerConfig{
-		ID: "sbc-00", Platform: model.ARM, Engine: e, Meter: meter,
-	})
+	w, err := newSimWorker(SimWorkerConfig{
+		Platform: model.ARM, Engine: e, Meter: meter,
+	}, "sbc-00")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +213,9 @@ func TestARMWorkerUnknownFunctionFailsAsync(t *testing.T) {
 
 func TestARMWorkerJitterPerturbsButBounded(t *testing.T) {
 	e := sim.NewEngine(1)
-	w, err := NewSimWorker(SimWorkerConfig{
-		ID: "sbc-j", Platform: model.ARM, Engine: e, Jitter: 0.05,
-	})
+	w, err := newSimWorker(SimWorkerConfig{
+		Platform: model.ARM, Engine: e, Jitter: 0.05,
+	}, "sbc-j")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +242,9 @@ func TestARMWorkerJitterPerturbsButBounded(t *testing.T) {
 func TestNoRebootAblationSkipsBootWhenWarm(t *testing.T) {
 	e := sim.NewEngine(1)
 	meter := power.NewMeter()
-	w, err := NewSimWorker(SimWorkerConfig{
-		ID: "sbc-nr", Platform: model.ARM, Engine: e, Meter: meter, DisableReboot: true,
-	})
+	w, err := newSimWorker(SimWorkerConfig{
+		Platform: model.ARM, Engine: e, Meter: meter, DisableReboot: true,
+	}, "sbc-nr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,17 +267,17 @@ func TestNoRebootAblationSkipsBootWhenWarm(t *testing.T) {
 
 func TestSimWorkerConfigValidation(t *testing.T) {
 	e := sim.NewEngine(1)
-	if _, err := NewSimWorker(SimWorkerConfig{Platform: model.ARM, Engine: e}); err == nil {
+	if _, err := newSimWorker(SimWorkerConfig{Platform: model.ARM, Engine: e}, ""); err == nil {
 		t.Fatal("missing id accepted")
 	}
-	if _, err := NewSimWorker(SimWorkerConfig{ID: "x", Platform: model.ARM}); err == nil {
+	if _, err := newSimWorker(SimWorkerConfig{Platform: model.ARM}, "x"); err == nil {
 		t.Fatal("missing engine accepted")
 	}
-	if _, err := NewSimWorker(SimWorkerConfig{ID: "x", Platform: model.X86, Engine: e}); err == nil {
+	if _, err := newSimWorker(SimWorkerConfig{Platform: model.X86, Engine: e}, "x"); err == nil {
 		t.Fatal("VM without server accepted")
 	}
 	rs := NewRackServer("srv", 12, e, nil, power.DefaultServerModel())
-	if _, err := NewSimWorker(SimWorkerConfig{ID: "x", Platform: model.ARM, Engine: e, Server: rs}); err == nil {
+	if _, err := newSimWorker(SimWorkerConfig{Platform: model.ARM, Engine: e, Server: rs}, "x"); err == nil {
 		t.Fatal("SBC with server accepted")
 	}
 }
@@ -287,9 +287,9 @@ func TestSimWorkerConfigValidation(t *testing.T) {
 func TestVMWorkerUncontendedTimingMatchesModel(t *testing.T) {
 	e := sim.NewEngine(1)
 	rs := NewRackServer("srv", 12, e, nil, power.DefaultServerModel())
-	w, err := NewSimWorker(SimWorkerConfig{
-		ID: "vm-0", Platform: model.X86, Engine: e, Server: rs,
-	})
+	w, err := newSimWorker(SimWorkerConfig{
+		Platform: model.X86, Engine: e, Server: rs,
+	}, "vm-0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,9 +314,9 @@ func TestVMWorkersContendPastSaturation(t *testing.T) {
 		rs := NewRackServer("srv", 12, e, nil, power.DefaultServerModel())
 		var last time.Duration
 		for i := 0; i < vms; i++ {
-			w, err := NewSimWorker(SimWorkerConfig{
-				ID: "vm", Platform: model.X86, Engine: e, Server: rs,
-			})
+			w, err := newSimWorker(SimWorkerConfig{
+				Platform: model.X86, Engine: e, Server: rs,
+			}, "vm")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -433,10 +433,10 @@ func TestLiveWorkerConfigValidation(t *testing.T) {
 func TestKeepWarmWindowSkipsBootThenExpires(t *testing.T) {
 	e := sim.NewEngine(1)
 	meter := power.NewMeter()
-	w, err := NewSimWorker(SimWorkerConfig{
-		ID: "sbc-kw", Platform: model.ARM, Engine: e, Meter: meter,
+	w, err := newSimWorker(SimWorkerConfig{
+		Platform: model.ARM, Engine: e, Meter: meter,
 		KeepWarm: 10 * time.Second,
-	})
+	}, "sbc-kw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,10 +480,10 @@ func TestKeepWarmWindowSkipsBootThenExpires(t *testing.T) {
 func TestKeepWarmExpiryCancelledByNextJob(t *testing.T) {
 	e := sim.NewEngine(1)
 	meter := power.NewMeter()
-	w, err := NewSimWorker(SimWorkerConfig{
-		ID: "sbc-kw2", Platform: model.ARM, Engine: e, Meter: meter,
+	w, err := newSimWorker(SimWorkerConfig{
+		Platform: model.ARM, Engine: e, Meter: meter,
 		KeepWarm: 10 * time.Second,
-	})
+	}, "sbc-kw2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,10 +588,10 @@ func TestRackServerUncontendedExactProperty(t *testing.T) {
 
 func TestFaultForcesPowerCycleDespiteKeepWarm(t *testing.T) {
 	e := sim.NewEngine(1)
-	w, err := NewSimWorker(SimWorkerConfig{
-		ID: "sbc-fkw", Platform: model.ARM, Engine: e,
+	w, err := newSimWorker(SimWorkerConfig{
+		Platform: model.ARM, Engine: e,
 		KeepWarm: time.Hour, FailureRate: 1, // every job faults
-	})
+	}, "sbc-fkw")
 	if err != nil {
 		t.Fatal(err)
 	}

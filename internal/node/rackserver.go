@@ -2,6 +2,11 @@
 // modes: discrete-event simulated SBC and microVM workers (with a
 // processor-sharing rack-server contention model), and live TCP workers
 // that execute the real Go workload functions.
+//
+// Simulated workers are built in bulk: NewSimWorkers builds a cluster's
+// shard of boards in one call, validating their config once and sharing
+// one read-only copy of it, with the workers, their meter devices and
+// their GPIO pins each cut from one slab.
 package node
 
 import (

@@ -24,11 +24,11 @@ func TestClusterWorkersShareOneTable(t *testing.T) {
 			}
 		}
 	}
-	d, err := node.NewSimWorker(node.SimWorkerConfig{ID: "x", Platform: model.ARM, Engine: s.Engine})
+	d, err := node.NewSimWorkers(node.SimWorkerConfig{Platform: model.ARM, Engine: s.Engine}, []string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node.FunctionsOf(d) == first {
+	if node.FunctionsOf(d[0]) == first {
 		t.Fatal("a cluster with its own specs shares the package default table")
 	}
 }

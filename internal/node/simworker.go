@@ -16,10 +16,9 @@ import (
 	"microfaas/internal/tracing"
 )
 
-// SimWorkerConfig assembles a discrete-event worker.
+// SimWorkerConfig assembles discrete-event workers: every worker one
+// NewSimWorkers call builds shares it, and the call names each.
 type SimWorkerConfig struct {
-	// ID is the worker's (and meter device's) name, e.g. "sbc-03".
-	ID string
 	// Platform selects ARM (SBC) or X86 (microVM).
 	Platform model.Platform
 	// Link is the worker's last-hop network; defaults to the paper's
@@ -126,19 +125,20 @@ func NewFunctionTable(specs []model.FunctionSpec) *FunctionTable {
 var defaultFunctions = sync.OnceValue(func() *FunctionTable { return NewFunctionTable(model.Functions()) })
 
 // SimWorker is a discrete-event worker node implementing core.Worker. It
-// holds handles into state its cluster builds once — the function table,
-// its meter device, its GPIO pin — and the state of the one job it runs.
+// holds handles into state its cluster builds once — its batch's shared
+// config, the function table, its meter device, its GPIO pin — and the
+// state of the one job it runs.
 type SimWorker struct {
-	cfg SimWorkerConfig
+	// simSpec is the config and the constants derived from it, shared
+	// read-only with every worker built in the same NewSimWorkers call.
+	*simSpec
+	id string
 	// dev is the worker's meter handle, taken once at construction; nil
 	// unless this is a metered ARM worker (a microVM's host reports for it).
 	dev *power.Device
 	// pin is the worker's PWR_BUT line on the OP's GPIO header; nil
 	// unless a controller is attached.
 	pin       *gpio.Pin
-	link      netsim.Link
-	sbc       power.SBCModel
-	boot      time.Duration
 	warm      bool        // booted state survives to the next job
 	state     power.State // current power state (ARM accounting)
 	hangs     int         // injected wedges (jobs that never reported back)
@@ -152,6 +152,16 @@ type SimWorker struct {
 	// below are method values bound once: running a job allocates nothing.
 	job                       simJob
 	booted, executed, expired func()
+}
+
+// simSpec is what the workers of one NewSimWorkers call share: the
+// validated config and the link, power model and boot time every one of
+// them derives from it.
+type simSpec struct {
+	cfg  SimWorkerConfig
+	link netsim.Link
+	sbc  power.SBCModel
+	boot time.Duration
 }
 
 // simJob is the state of a worker's job in flight, from RunJob to done.
@@ -169,68 +179,91 @@ type simJob struct {
 	joules float64
 }
 
-// NewSimWorker validates the config and registers the worker with the
-// meter (ARM workers start powered down).
-func NewSimWorker(cfg SimWorkerConfig) (*SimWorker, error) {
-	if cfg.ID == "" {
-		return nil, fmt.Errorf("node: worker needs an id")
+// NewSimWorkers builds one worker per id — the worker's and its meter
+// device's name, e.g. "sbc-03" — in ids' order: meter devices register
+// and GPIO pins number in that order, and ARM workers start powered down.
+// The config is validated once and shared read-only by the batch, and the
+// workers, their meter handles and their pins come from one slab each, so
+// a cluster builds a shard of boards in a few allocations plus the phase
+// callbacks each board binds. A batch of one is a one-off worker.
+func NewSimWorkers(cfg SimWorkerConfig, ids []string) ([]*SimWorker, error) {
+	for _, id := range ids {
+		if id == "" {
+			return nil, fmt.Errorf("node: worker needs an id")
+		}
 	}
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	name := ids[0] // a config error stops the batch at its first worker
 	if cfg.Engine == nil {
-		return nil, fmt.Errorf("node: worker %s needs an engine", cfg.ID)
+		return nil, fmt.Errorf("node: worker %s needs an engine", name)
 	}
 	if cfg.Platform == model.X86 && cfg.Server == nil {
-		return nil, fmt.Errorf("node: VM worker %s needs a rack server", cfg.ID)
+		return nil, fmt.Errorf("node: VM worker %s needs a rack server", name)
 	}
 	if cfg.Platform == model.ARM && cfg.Server != nil {
-		return nil, fmt.Errorf("node: SBC worker %s cannot have a rack server", cfg.ID)
+		return nil, fmt.Errorf("node: SBC worker %s cannot have a rack server", name)
+	}
+	if cfg.Platform == model.X86 && cfg.GPIO != nil {
+		return nil, fmt.Errorf("node: worker %s: GPIO power control wires worker SBCs only", name)
+	}
+	if cfg.Managed {
+		if cfg.Platform != model.ARM {
+			return nil, fmt.Errorf("node: worker %s: power management gates worker SBCs only", name)
+		}
+		if cfg.DisableReboot || cfg.KeepWarm > 0 {
+			return nil, fmt.Errorf("node: worker %s: Managed excludes DisableReboot/KeepWarm (the manager owns the power policy)", name)
+		}
 	}
 	if cfg.Functions == nil {
 		cfg.Functions = defaultFunctions()
 	}
-	w := &SimWorker{cfg: cfg, sbc: power.DefaultSBCModel()}
+	spec := &simSpec{cfg: cfg, sbc: power.DefaultSBCModel(), boot: cfg.BootTime}
 	if cfg.Link != nil {
-		w.link = *cfg.Link
+		spec.link = *cfg.Link
 	} else {
-		w.link = model.DefaultWorkerLink(cfg.Platform)
+		spec.link = model.DefaultWorkerLink(cfg.Platform)
 	}
-	if cfg.BootTime > 0 {
-		w.boot = cfg.BootTime
-	} else {
-		w.boot = bootos.BootTime(cfg.Platform)
+	if spec.boot <= 0 {
+		spec.boot = bootos.BootTime(cfg.Platform)
 	}
-	if cfg.Platform == model.X86 && cfg.GPIO != nil {
-		return nil, fmt.Errorf("node: worker %s: GPIO power control wires worker SBCs only", cfg.ID)
-	}
-	if cfg.Managed {
-		if cfg.Platform != model.ARM {
-			return nil, fmt.Errorf("node: worker %s: power management gates worker SBCs only", cfg.ID)
-		}
-		if cfg.DisableReboot || cfg.KeepWarm > 0 {
-			return nil, fmt.Errorf("node: worker %s: Managed excludes DisableReboot/KeepWarm (the manager owns the power policy)", cfg.ID)
-		}
-	}
-	w.m = newWorkerMetrics(cfg.Telemetry, cfg.ID)
-	w.state = power.Off
+	var devs []*power.Device
 	if cfg.Platform == model.ARM && cfg.Meter != nil {
-		w.dev = cfg.Meter.Device(cfg.ID)
-		w.dev.Set(w.sbc.Power(power.Off), cfg.Engine.Now())
+		devs = cfg.Meter.Devices(ids)
 	}
+	var pins []*gpio.Pin
 	if cfg.GPIO != nil {
 		var err error
-		if w.pin, err = cfg.GPIO.WireNext(cfg.ID); err != nil {
+		if pins, err = cfg.GPIO.Wire(ids); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.Platform == model.ARM {
-		w.booted = w.armBooted
-	} else {
-		w.booted = w.vmBooted
+	slab := make([]SimWorker, len(ids))
+	ws := make([]*SimWorker, len(ids))
+	for i, id := range ids {
+		w := &slab[i]
+		w.simSpec, w.id, w.state = spec, id, power.Off
+		w.m = newWorkerMetrics(cfg.Telemetry, id)
+		if devs != nil {
+			w.dev = devs[i]
+			w.dev.Set(w.sbc.Power(power.Off), cfg.Engine.Now())
+		}
+		if pins != nil {
+			w.pin = pins[i]
+		}
+		if cfg.Platform == model.ARM {
+			w.booted = w.armBooted
+		} else {
+			w.booted = w.vmBooted
+		}
+		w.executed = w.execDone
+		if cfg.KeepWarm > 0 {
+			w.expired = w.keepWarmExpired
+		}
+		ws[i] = w
 	}
-	w.executed = w.execDone
-	if cfg.KeepWarm > 0 {
-		w.expired = w.keepWarmExpired
-	}
-	return w, nil
+	return ws, nil
 }
 
 // setState moves an ARM worker to a new power state, updating the meter
@@ -255,7 +288,7 @@ func (w *SimWorker) setState(to power.State, cause string, job int64) {
 }
 
 // ID implements core.Worker.
-func (w *SimWorker) ID() string { return w.cfg.ID }
+func (w *SimWorker) ID() string { return w.id }
 
 // Hangs returns how many injected wedges the worker has suffered.
 func (w *SimWorker) Hangs() int { return w.hangs }
@@ -281,7 +314,7 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 	if !ok {
 		engine.Schedule(0, func() {
 			done(core.Result{
-				Job: job, WorkerID: w.cfg.ID,
+				Job: job, WorkerID: w.id,
 				Err:        fmt.Sprintf("node: unknown function %q", job.Function),
 				StartedAt:  engine.Now(),
 				FinishedAt: engine.Now(),
@@ -316,7 +349,7 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 		// never invokes done. Only an OP deadline can reclaim the job.
 		w.hangs++
 		w.m.faultHang.Inc()
-		recordSpan(w.cfg.Tracer, job, tracing.PhaseFault, w.cfg.ID,
+		recordSpan(w.cfg.Tracer, job, tracing.PhaseFault, w.id,
 			engine.Now(), engine.Now(), 0, "injected-hang", "node: injected worker hang")
 		w.warm = false
 		w.setState(power.Busy, "wedged", job.ID)
@@ -380,7 +413,7 @@ func (w *SimWorker) finish() {
 		}
 	}
 	res := core.Result{
-		Job: j.job, WorkerID: w.cfg.ID,
+		Job: j.job, WorkerID: w.id,
 		Output:     j.fn.output,
 		StartedAt:  j.started,
 		FinishedAt: now,
@@ -403,7 +436,7 @@ func (w *SimWorker) finish() {
 	}
 	// The post-job power transition is instantaneous in the sim, so the
 	// reboot span is a zero-length marker naming the policy applied.
-	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseReboot, w.cfg.ID,
+	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseReboot, w.id,
 		now, now, 0, rebootDetail, "")
 	done := j.done
 	*j = simJob{}
@@ -510,14 +543,14 @@ func (w *SimWorker) runARM() {
 	j.joules = w.traceJoules(j.job, j.phase)
 	if j.boot > 0 {
 		w.setState(power.Booting, "PWR_BUT press", j.job.ID)
-		w.m.event(j.phase, telemetry.EventBoot, j.job, w.cfg.ID, "cold")
+		w.m.event(j.phase, telemetry.EventBoot, j.job, w.id, "cold")
 		engine.Schedule(j.boot, w.booted)
 		return
 	}
 	// Warm start: already booted, straight to work.
-	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.cfg.ID, j.phase, j.phase, 0, "warm", "")
+	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.id, j.phase, j.phase, 0, "warm", "")
 	w.setState(power.Busy, "warm start", j.job.ID)
-	w.m.event(j.phase, telemetry.EventExec, j.job, w.cfg.ID, "warm")
+	w.m.event(j.phase, telemetry.EventExec, j.job, w.id, "warm")
 	engine.Schedule(j.overhead+j.exec, w.executed)
 }
 
@@ -526,10 +559,10 @@ func (w *SimWorker) armBooted() {
 	j := &w.job
 	bootEnd := w.cfg.Engine.Now()
 	e1 := w.traceJoules(j.job, bootEnd)
-	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.cfg.ID,
+	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.id,
 		j.phase, bootEnd, e1-j.joules, "cold", "")
 	w.setState(power.Busy, "boot complete", j.job.ID)
-	w.m.event(bootEnd, telemetry.EventExec, j.job, w.cfg.ID, "")
+	w.m.event(bootEnd, telemetry.EventExec, j.job, w.id, "")
 	j.phase, j.joules = bootEnd, e1
 	w.cfg.Engine.Schedule(j.overhead+j.exec, w.executed)
 }
@@ -540,7 +573,7 @@ func (w *SimWorker) armBooted() {
 func (w *SimWorker) execDone() {
 	j := &w.job
 	end := w.cfg.Engine.Now()
-	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseExec, w.cfg.ID,
+	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseExec, w.id,
 		j.phase, end, w.traceJoules(j.job, end)-j.joules, "overhead+exec", "")
 	w.finish()
 }
@@ -551,12 +584,12 @@ func (w *SimWorker) runX86() {
 	j := &w.job
 	j.phase = w.cfg.Engine.Now()
 	if j.boot == 0 {
-		recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.cfg.ID, j.phase, j.phase, 0, "warm", "")
-		w.m.event(j.phase, telemetry.EventExec, j.job, w.cfg.ID, "warm")
+		recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.id, j.phase, j.phase, 0, "warm", "")
+		w.m.event(j.phase, telemetry.EventExec, j.job, w.id, "warm")
 		w.vmExec()
 		return
 	}
-	w.m.event(j.phase, telemetry.EventBoot, j.job, w.cfg.ID, "cold")
+	w.m.event(j.phase, telemetry.EventBoot, j.job, w.id, "cold")
 	bootDemand := bootos.BootCPUFraction(model.X86)
 	w.cfg.Server.Run(float64(j.boot)/float64(time.Second)*bootDemand, bootDemand, w.booted)
 }
@@ -565,9 +598,9 @@ func (w *SimWorker) runX86() {
 func (w *SimWorker) vmBooted() {
 	j := &w.job
 	bootEnd := w.cfg.Engine.Now()
-	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.cfg.ID,
+	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.id,
 		j.phase, bootEnd, 0, "cold", "")
-	w.m.event(bootEnd, telemetry.EventExec, j.job, w.cfg.ID, "")
+	w.m.event(bootEnd, telemetry.EventExec, j.job, w.id, "")
 	j.phase = bootEnd
 	w.vmExec()
 }

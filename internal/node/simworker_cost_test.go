@@ -34,20 +34,29 @@ func TestSimJobAllocatesNothing(t *testing.T) {
 		t.Skip("the race detector allocates on its own account")
 	}
 	e := sim.NewEngine(1)
-	bare, err := NewSimWorker(SimWorkerConfig{ID: "sbc-00", Platform: model.ARM, Engine: e})
+	bare, err := newSimWorker(SimWorkerConfig{Platform: model.ARM, Engine: e}, "sbc-00")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := coldJobAllocs(bare, e); got != 0 {
 		t.Fatalf("cold ARM job: %v allocations, want 0", got)
 	}
-	wired, err := NewSimWorker(SimWorkerConfig{ID: "sbc-01", Platform: model.ARM, Engine: e, GPIO: gpio.NewController()})
+	wired, err := newSimWorker(SimWorkerConfig{Platform: model.ARM, Engine: e, GPIO: gpio.NewController()}, "sbc-01")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := coldJobAllocs(wired, e); got >= 0.1 {
 		t.Fatalf("cold ARM job with GPIO: %v allocations, want < 0.1", got)
 	}
+}
+
+// newSimWorker builds the one worker id.
+func newSimWorker(cfg SimWorkerConfig, id string) (*SimWorker, error) {
+	ws, err := NewSimWorkers(cfg, []string{id})
+	if err != nil {
+		return nil, err
+	}
+	return ws[0], nil
 }
 
 // TestNewSimWorkerCostFlatInFunctions: a worker holds its cluster's
@@ -68,15 +77,15 @@ func TestNewSimWorkerCostFlatInFunctions(t *testing.T) {
 		i := 0
 		return testing.AllocsPerRun(100, func() {
 			i++
-			if _, err := NewSimWorker(SimWorkerConfig{
-				ID: fmt.Sprint(i), Platform: model.ARM, Engine: e, Meter: meter, GPIO: ctl, Functions: fns,
-			}); err != nil {
+			if _, err := newSimWorker(SimWorkerConfig{
+				Platform: model.ARM, Engine: e, Meter: meter, GPIO: ctl, Functions: fns,
+			}, fmt.Sprint(i)); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if one, many := build(1), build(170); one != many {
-		t.Fatalf("NewSimWorker: %v allocations over a 1-function table, %v over 170", one, many)
+		t.Fatalf("a one-worker batch: %v allocations over a 1-function table, %v over 170", one, many)
 	}
 }
 
@@ -84,12 +93,42 @@ func TestNewSimWorkerCostFlatInFunctions(t *testing.T) {
 func TestWorkersShareDefaultTable(t *testing.T) {
 	e := sim.NewEngine(1)
 	a := newARMWorker(t, e, nil)
-	b, err := NewSimWorker(SimWorkerConfig{ID: "sbc-01", Platform: model.ARM, Engine: e})
+	b, err := newSimWorker(SimWorkerConfig{Platform: model.ARM, Engine: e}, "sbc-01")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.cfg.Functions == nil || a.cfg.Functions != b.cfg.Functions {
 		t.Fatalf("default tables %p and %p, want one shared table", a.cfg.Functions, b.cfg.Functions)
+	}
+}
+
+// TestNewSimWorkersSharesOneSpec: a batch's workers hold one shared
+// config, each with its own id, meter device and pin in ids' order; a
+// batch with an empty id builds nothing.
+func TestNewSimWorkersSharesOneSpec(t *testing.T) {
+	e := sim.NewEngine(1)
+	meter, ctl := power.NewMeter(), gpio.NewController()
+	cfg := SimWorkerConfig{Platform: model.ARM, Engine: e, Meter: meter, GPIO: ctl}
+	if _, err := NewSimWorkers(cfg, []string{"a", ""}); err == nil {
+		t.Fatal("an empty id was accepted")
+	}
+	ws, err := NewSimWorkers(cfg, []string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range ws {
+		if w.simSpec != ws[0].simSpec {
+			t.Fatalf("worker %d: spec %p, want the batch's %p", i, w.simSpec, ws[0].simSpec)
+		}
+		if w.ID() != string(rune('a'+i)) || w.dev != meter.Device(w.ID()) {
+			t.Fatalf("worker %d: id %q, or its device is not the meter's", i, w.ID())
+		}
+		if err := w.pin.Transition(0, power.Off, power.Booting, "t", gpio.NoJob); err != nil {
+			t.Fatal(err)
+		}
+		if ev := ctl.Events()[i]; ev.Node != w.ID() || ev.Pin != i+1 {
+			t.Fatalf("worker %d actuated %s through pin %d", i, ev.Node, ev.Pin)
+		}
 	}
 }
 

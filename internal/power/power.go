@@ -82,26 +82,43 @@ type Device struct {
 }
 
 // NewMeter returns an empty meter.
-func NewMeter() *Meter {
-	return &Meter{devices: make(map[string]*Device)}
-}
+func NewMeter() *Meter { return &Meter{} }
 
 // Device returns the handle for device id, the same one on every call.
-func (m *Meter) Device(id string) *Device {
+func (m *Meter) Device(id string) *Device { return m.Devices([]string{id})[0] }
+
+// Devices returns the handles for ids in order, each the one Device
+// returns for it: an id the meter knows keeps its handle, and the new ones
+// come from one slab. A rack's boards take their handles in one call, so
+// a board costs no allocation of its own, and the meter's index is sized
+// to the first batch it sees.
+func (m *Meter) Devices(ids []string) []*Device {
+	out := make([]*Device, len(ids))
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.deviceLocked(id)
+	m.devicesLocked(ids, out)
+	return out
 }
 
-// deviceLocked finds or creates id's (not yet registered) handle. Caller
-// holds m.mu.
-func (m *Meter) deviceLocked(id string) *Device {
-	d, ok := m.devices[id]
-	if !ok {
-		d = &Device{m: m, id: id}
-		m.devices[id] = d
+// devicesLocked finds or creates the (not yet registered) handle of each
+// of ids into out. Caller holds m.mu.
+func (m *Meter) devicesLocked(ids []string, out []*Device) {
+	if m.devices == nil {
+		m.devices = make(map[string]*Device, len(ids))
 	}
-	return d
+	var slab []Device
+	for i, id := range ids {
+		d, ok := m.devices[id]
+		if !ok {
+			if len(slab) == 0 {
+				slab = make([]Device, len(ids)-i)
+			}
+			d, slab = &slab[0], slab[1:]
+			d.m, d.id = m, id
+			m.devices[id] = d
+		}
+		out[i] = d
+	}
 }
 
 // Set records that device id draws p watts from time now onward.
@@ -111,9 +128,11 @@ func (m *Meter) deviceLocked(id string) *Device {
 // leaves the integral unchanged); moving a device's clock backwards
 // panics — per-device update times must be monotone.
 func (m *Meter) Set(id string, p Watts, now time.Duration) {
+	var d [1]*Device
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.deviceLocked(id).setLocked(p, now)
+	m.devicesLocked([]string{id}, d[:])
+	d[0].setLocked(p, now)
 }
 
 // Set is Meter.Set for this device.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -271,15 +272,21 @@ func TestMeterSetUnchangedPowerIsNoOp(t *testing.T) {
 // and reads to two meters — one through Set/Energy by id only, one through
 // a per-call coin flip between the id and the device's handle — and holds
 // every reading equal by bits. The second meter takes its handles up front
-// in reverse order: taking a handle must not register the device, or
-// TotalEnergy's summation order (first Set) would differ and so would its
-// last bit.
+// in reverse order, two one by one and then all five in one batch: taking a
+// handle must not register the device, or TotalEnergy's summation order
+// (first Set) would differ and so would its last bit, and a batch must
+// hand back the handles already taken.
 func TestDeviceHandleMatchesStringAPI(t *testing.T) {
 	ids := []string{"sbc-00", "sbc-01", "sbc-02", "sbc-03", "sbc-04"}
 	byID, mixed := NewMeter(), NewMeter()
-	handles := make([]*Device, len(ids))
-	for i := len(ids) - 1; i >= 0; i-- {
-		handles[i] = mixed.Device(ids[i])
+	early := []*Device{mixed.Device(ids[4]), mixed.Device(ids[3])}
+	reversed := []string{ids[4], ids[3], ids[2], ids[1], ids[0]}
+	handles := mixed.Devices(reversed)
+	slices.Reverse(handles)
+	if handles[4] != early[0] || handles[3] != early[1] {
+		t.Fatal("Devices returned new handles for ids Device had already handed out")
+	}
+	for i := range ids {
 		if mixed.Device(ids[i]) != handles[i] {
 			t.Fatalf("Device(%q) returned two different handles", ids[i])
 		}

@@ -33,20 +33,23 @@ func newRig(t *testing.T, n int, pol powermgr.Policy) *rig {
 	r := &rig{engine: sim.NewEngine(1), gpio: gpio.NewController()}
 	meter := power.NewMeter()
 	nodes := make([]powermgr.Node, 0, n)
-	for i := 0; i < n; i++ {
-		w, err := node.NewSimWorker(node.SimWorkerConfig{
-			ID:       string(rune('a' + i)),
-			Platform: model.ARM,
-			Engine:   r.engine,
-			Meter:    meter,
-			GPIO:     r.gpio,
-			BootTime: bootTime,
-			Managed:  true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.workers = append(r.workers, w)
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = string(rune('a' + i))
+	}
+	ws, err := node.NewSimWorkers(node.SimWorkerConfig{
+		Platform: model.ARM,
+		Engine:   r.engine,
+		Meter:    meter,
+		GPIO:     r.gpio,
+		BootTime: bootTime,
+		Managed:  true,
+	}, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.workers = ws
+	for _, w := range ws {
 		nodes = append(nodes, w)
 	}
 	mgr, err := powermgr.New(powermgr.Config{

@@ -60,7 +60,6 @@ type event struct {
 	at        time.Duration
 	seq       uint64
 	fn        func()
-	index     int // heap index; -1 once removed
 	cancelled bool
 	// gen increments every time the node is recycled; a Timer whose
 	// generation no longer matches refers to an earlier life of the node
@@ -113,7 +112,6 @@ func (e *Engine) putNode(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.cancelled = false
-	ev.index = -1
 	ev.next = e.free
 	e.free = ev
 }
@@ -242,7 +240,6 @@ func (e *Engine) maybeCompact() {
 			continue
 		}
 		e.queue[kept] = ev
-		ev.index = kept
 		kept++
 	}
 	for i := kept; i < len(e.queue); i++ {
@@ -263,9 +260,8 @@ func eventLess(a, b *event) bool {
 
 // heapPush appends ev and restores the heap invariant.
 func (e *Engine) heapPush(ev *event) {
-	ev.index = len(e.queue)
 	e.queue = append(e.queue, ev)
-	e.siftUp(ev.index)
+	e.siftUp(len(e.queue) - 1)
 }
 
 // heapPop removes and returns the minimum (time, seq) event.
@@ -274,13 +270,11 @@ func (e *Engine) heapPop() *event {
 	root := q[0]
 	last := len(q) - 1
 	q[0] = q[last]
-	q[0].index = 0
 	q[last] = nil
 	e.queue = q[:last]
 	if last > 0 {
 		e.siftDown(0)
 	}
-	root.index = -1
 	return root
 }
 
@@ -301,11 +295,9 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].index = i
 		i = parent
 	}
 	q[i] = ev
-	ev.index = i
 }
 
 func (e *Engine) siftDown(i int) {
@@ -325,9 +317,7 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		q[i] = q[least]
-		q[i].index = i
 		i = least
 	}
 	q[i] = ev
-	ev.index = i
 }

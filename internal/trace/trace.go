@@ -101,6 +101,14 @@ func (c *Collector) Worker(name string) WorkerRef {
 	return WorkerRef(c.workers.Ordinal(name))
 }
 
+// GrowWorkers makes room for n more worker names, so registering a
+// cluster's workers sizes the worker table once.
+func (c *Collector) GrowWorkers(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.workers.Grow(n)
+}
+
 // Add appends one record, settled on worker w, a handle from this
 // collector's Worker: w names the worker, and r.Worker is not read.
 func (c *Collector) Add(w WorkerRef, r Record) {
