@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"microfaas/internal/cluster"
+	"microfaas/internal/core"
 )
 
 func TestLoadModeRunsFullSuite(t *testing.T) {
@@ -95,7 +96,7 @@ func TestReplayModeValidation(t *testing.T) {
 // every job's final result rather than for n attempt records.
 func TestReportCountsInvocationsNotAttempts(t *testing.T) {
 	live := cluster.LiveOptions{Workers: 2, Seed: 4, BootDelay: 30 * time.Millisecond,
-		JobTimeout: 5 * time.Millisecond, MaxAttempts: 3}
+		AttemptPolicy: core.AttemptPolicy{JobTimeout: 5 * time.Millisecond, MaxAttempts: 3}}
 	trace := t.TempDir() + "/trace.csv"
 	if err := os.WriteFile(trace, []byte("at_ms,function\n0,CascSHA\n1,RegExMatch\n2,CascSHA\n"), 0o644); err != nil {
 		t.Fatal(err)

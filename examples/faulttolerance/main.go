@@ -114,10 +114,8 @@ func hangDemo() {
 
 	// Without deadlines the cluster cannot even drain: the wedged workers
 	// hold their queues forever.
-	s, err := microfaas.NewMicroFaaSSim(10, microfaas.SimOptions{
-		Seed:     42,
-		HangRate: hangRate,
-	})
+	wedging := microfaas.BoardConfig{Faults: microfaas.FaultPolicy{HangProb: hangRate}}
+	s, err := microfaas.NewMicroFaaSSim(10, microfaas.SimOptions{Seed: 42, BoardConfig: wedging})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,12 +129,14 @@ func hangDemo() {
 	// wedge costs one timed-out attempt, the job finishes on another board,
 	// and the wedged board is ejected from assignment.
 	s, err = microfaas.NewMicroFaaSSim(10, microfaas.SimOptions{
-		Seed:             42,
-		HangRate:         hangRate,
-		MaxAttempts:      4,
-		JobTimeout:       10 * time.Minute,
-		BreakerThreshold: 1,
-		BreakerProbe:     1000 * time.Hour,
+		Seed:        42,
+		BoardConfig: wedging,
+		AttemptPolicy: microfaas.AttemptPolicy{
+			MaxAttempts:      4,
+			JobTimeout:       10 * time.Minute,
+			BreakerThreshold: 1,
+			BreakerProbe:     1000 * time.Hour,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -173,11 +173,10 @@ func hangDemo() {
 
 // run drives one cluster configuration and reports job-level outcomes.
 func run(faultRate float64, maxAttempts int) (jobs, failed int, goodputPerMin float64) {
-	s, err := microfaas.NewMicroFaaSSim(10, microfaas.SimOptions{
-		Seed:        42,
-		FailureRate: faultRate,
-		MaxAttempts: maxAttempts,
-	})
+	opts := microfaas.SimOptions{Seed: 42}
+	opts.Faults.ErrorProb = faultRate
+	opts.MaxAttempts = maxAttempts
+	s, err := microfaas.NewMicroFaaSSim(10, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -88,8 +88,10 @@ func meterOrder(m *power.Meter) []string {
 func TestBulkBuildMatchesBoardByBoard(t *testing.T) {
 	const shards, per, jobs = 3, 12, 400
 	cfg := SimConfig{
-		Seed: 5, Policy: core.AssignEnergyAware, FailureRate: 0.1, MaxAttempts: 3,
-		Power: &powermgr.Policy{IdleTimeout: 5 * time.Second},
+		Seed: 5, Policy: core.AssignEnergyAware,
+		BoardConfig:   node.BoardConfig{Faults: node.FaultPolicy{ErrorProb: 0.1}},
+		AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3},
+		Power:         &powermgr.Policy{IdleTimeout: 5 * time.Second},
 	}
 	scfg := shard.Config{Steal: shard.StealConfig{Enabled: true}}
 	bulk, err := NewShardedMicroFaaSSim(shards, per, cfg, scfg)

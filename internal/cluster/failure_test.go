@@ -7,6 +7,7 @@ import (
 
 	"microfaas/internal/core"
 	"microfaas/internal/node"
+	"microfaas/internal/trace"
 )
 
 // TestDeadlinesAndBreakerMaskHangs drives the simulated cluster with
@@ -16,12 +17,14 @@ import (
 // workers are ejected, and only the hung attempts show as errors.
 func TestDeadlinesAndBreakerMaskHangs(t *testing.T) {
 	s, err := NewMicroFaaSSim(8, SimConfig{
-		Seed:             11,
-		HangRate:         0.02,
-		MaxAttempts:      4,
-		JobTimeout:       10 * time.Minute,
-		BreakerThreshold: 1,
-		BreakerProbe:     1000 * time.Hour, // never re-admit within the run
+		Seed:        11,
+		BoardConfig: node.BoardConfig{Faults: node.FaultPolicy{HangProb: 0.02}},
+		AttemptPolicy: core.AttemptPolicy{
+			MaxAttempts:      4,
+			JobTimeout:       10 * time.Minute,
+			BreakerThreshold: 1,
+			BreakerProbe:     1000 * time.Hour, // never re-admit within the run
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +76,7 @@ func TestDeadlinesAndBreakerMaskHangs(t *testing.T) {
 
 func TestSlowInjectionStretchesTail(t *testing.T) {
 	run := func(slowRate float64) time.Duration {
-		s, err := NewMicroFaaSSim(4, SimConfig{Seed: 11, SlowRate: slowRate, SlowFactor: 20})
+		s, err := NewMicroFaaSSim(4, SimConfig{Seed: 11, BoardConfig: node.BoardConfig{Faults: node.FaultPolicy{SlowProb: slowRate, SlowFactor: 20}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,20 +112,22 @@ func TestLiveHungWorkerDoesNotBlockQueue(t *testing.T) {
 	hung, err := node.StartLiveWorker(node.LiveWorkerConfig{
 		ID:     "wedge",
 		Env:    l.Env,
-		Faults: &node.FaultSpec{Seed: 1, HangProb: 1},
+		Faults: node.FaultPolicy{Seed: 1, HangProb: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { hung.Close() }) //nolint:errcheck
 	orch, err := core.New(core.Config{
-		Runtime:          core.NewWallRuntime(),
-		Workers:          []core.Worker{hung, l.Workers[0]},
-		Seed:             3,
-		MaxAttempts:      2,
-		JobTimeout:       300 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerProbe:     time.Hour,
+		Runtime: core.NewWallRuntime(),
+		Workers: []core.Worker{hung, l.Workers[0]},
+		Seed:    3,
+		AttemptPolicy: core.AttemptPolicy{
+			MaxAttempts:      2,
+			JobTimeout:       300 * time.Millisecond,
+			BreakerThreshold: 1,
+			BreakerProbe:     time.Hour,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,10 +191,10 @@ func TestLiveHungWorkerDoesNotBlockQueue(t *testing.T) {
 // can retry, and injected slowness delays but does not fail the reply.
 func TestLiveErrorAndSlowFaultInjection(t *testing.T) {
 	l, err := StartLive(LiveOptions{
-		Workers:     2,
-		Seed:        5,
-		MaxAttempts: 3,
-		Faults:      &node.FaultSpec{Seed: 7, ErrorProb: 0.5},
+		Workers:       2,
+		Seed:          5,
+		AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3},
+		Faults:        node.FaultPolicy{Seed: 7, ErrorProb: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +229,7 @@ func TestLiveErrorAndSlowFaultInjection(t *testing.T) {
 	slow, err := StartLive(LiveOptions{
 		Workers: 1,
 		Seed:    5,
-		Faults:  &node.FaultSpec{Seed: 7, SlowProb: 1, SlowDelay: 200 * time.Millisecond},
+		Faults:  node.FaultPolicy{Seed: 7, SlowProb: 1, SlowDelay: 200 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,5 +243,106 @@ func TestLiveErrorAndSlowFaultInjection(t *testing.T) {
 	}
 	if slow.Orch.Collector().ErrorCount() != 0 {
 		t.Fatal("slow fault failed the job")
+	}
+}
+
+// oneJob runs one RegExMatch job to its final outcome on a one-worker
+// cluster of either half, with the given faults and attempt policy, and
+// returns every attempt's record.
+type oneJob func(t *testing.T, faults node.FaultPolicy, ap core.AttemptPolicy) []trace.Record
+
+const parityFn, parityArgs = "RegExMatch", `{"pattern":"a+","text":"aaa"}`
+
+func simOneJob(t *testing.T, faults node.FaultPolicy, ap core.AttemptPolicy) []trace.Record {
+	s, err := NewMicroFaaSSim(1, SimConfig{Seed: 1, BoardConfig: node.BoardConfig{Faults: faults}, AttemptPolicy: ap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Orch.Submit(parityFn, []byte(parityArgs))
+	s.Engine.RunAll()
+	if n := s.Orch.Pending(); n != 0 {
+		t.Fatalf("%d jobs still pending after the engine drained", n)
+	}
+	return s.Orch.Collector().Records()
+}
+
+func liveOneJob(t *testing.T, faults node.FaultPolicy, ap core.AttemptPolicy) []trace.Record {
+	l, err := StartLive(LiveOptions{Workers: 1, Seed: 1, Faults: faults, AttemptPolicy: ap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.Orch.Submit(parityFn, []byte(parityArgs))
+	done := make(chan struct{})
+	go func() { l.Orch.Quiesce(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job never settled")
+	}
+	return l.Orch.Collector().Records()
+}
+
+// TestFaultPolicyParity runs one FaultPolicy through a one-board sim and
+// a one-worker live cluster: the same spec must mean the same outcome on
+// both halves, whatever each half's draw order and slow semantics.
+func TestFaultPolicyParity(t *testing.T) {
+	cycle := func(r trace.Record) time.Duration { return r.Finished - r.Started }
+	for _, half := range []struct {
+		name string
+		run  oneJob
+	}{{"sim", simOneJob}, {"live", liveOneJob}} {
+		clean := half.run(t, node.FaultPolicy{}, core.AttemptPolicy{})
+		if len(clean) != 1 || clean[0].Err != "" {
+			t.Fatalf("%s: clean run records %+v", half.name, clean)
+		}
+		for _, c := range []struct {
+			name   string
+			faults node.FaultPolicy
+			ap     core.AttemptPolicy
+			want   func(rs []trace.Record) string // "" when rs is right
+		}{{
+			name:   "error",
+			faults: node.FaultPolicy{Seed: 3, ErrorProb: 1},
+			ap:     core.AttemptPolicy{MaxAttempts: 3},
+			want: func(rs []trace.Record) string {
+				if len(rs) != 3 {
+					return "want 3 attempts"
+				}
+				for _, r := range rs {
+					if !strings.Contains(r.Err, "injected worker fault") {
+						return "an attempt did not fail with the injected fault"
+					}
+				}
+				return ""
+			},
+		}, {
+			// A wedged worker takes no second job, so one attempt.
+			name:   "hang",
+			faults: node.FaultPolicy{Seed: 3, HangProb: 1},
+			ap:     core.AttemptPolicy{JobTimeout: 100 * time.Millisecond},
+			want: func(rs []trace.Record) string {
+				if len(rs) != 1 || !strings.Contains(rs[0].Err, "deadline") {
+					return "want one attempt that timed out"
+				}
+				return ""
+			},
+		}, {
+			name:   "slow",
+			faults: node.FaultPolicy{Seed: 3, SlowProb: 1, SlowDelay: 200 * time.Millisecond},
+			want: func(rs []trace.Record) string {
+				if len(rs) != 1 || rs[0].Err != "" {
+					return "want one successful attempt"
+				}
+				if cycle(rs[0]) <= cycle(clean[0]) {
+					return "slow attempt no slower than the clean one"
+				}
+				return ""
+			},
+		}} {
+			if rs := half.run(t, c.faults, c.ap); c.want(rs) != "" {
+				t.Errorf("%s %s: %s; records %+v", half.name, c.name, c.want(rs), rs)
+			}
+		}
 	}
 }

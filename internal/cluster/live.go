@@ -31,21 +31,13 @@ type LiveOptions struct {
 	Seed int64
 	// Meter enables wall-clock power accounting when true.
 	Meter bool
-	// MaxAttempts enables OP-level retries of failed jobs (default 1).
-	MaxAttempts int
-	// JobTimeout bounds each attempt on the wall clock (zero = none).
-	JobTimeout time.Duration
-	// RetryBase enables exponential backoff with seeded jitter between
-	// attempts (zero = immediate re-queue; see core.Config.RetryBase).
-	RetryBase time.Duration
-	// BreakerThreshold/BreakerProbe configure the OP's per-worker circuit
-	// breaker (zero threshold = disabled).
-	BreakerThreshold int
-	BreakerProbe     time.Duration
-	// Faults injects hang/error/slow faults into every worker (each
-	// worker draws from Faults.Seed offset by its index, so runs are
-	// reproducible per node). See node.FaultSpec.
-	Faults *node.FaultSpec
+	// AttemptPolicy is the OP's retries, deadlines (on the wall clock),
+	// backoff, breakers and budget hold (see core.AttemptPolicy).
+	core.AttemptPolicy
+	// Faults injects hang/error/slow faults into every worker; worker i
+	// draws from Faults.Seed+i, so runs are reproducible per node. The
+	// zero value injects none.
+	Faults node.FaultPolicy
 	// Telemetry enables the metrics registry and event stream across the
 	// OP, the workers, and (when Meter is on) the power meter. Nil
 	// disables instrumentation entirely.
@@ -70,11 +62,6 @@ type LiveOptions struct {
 	// microfaas-live assembles a sharded plane.
 	ShardLabel string
 	JobIDBase  int64
-	// BudgetThrottle is the pre-queue hold served by submissions of
-	// budget-exhausted functions (zero = deprioritize only; budgets are
-	// set with Orchestrator.SetEnergyBudget and accrue only with Meter).
-	// Kept for the same reason as core.Config.BudgetThrottle.
-	BudgetThrottle time.Duration
 }
 
 // liveRecordWindow is how many of the most recent per-invocation records a
@@ -164,12 +151,9 @@ func StartLive(opts LiveOptions) (*Live, error) {
 			ID:        fmt.Sprintf("live-%03d", i),
 			Env:       l.Env,
 			BootDelay: opts.BootDelay,
+			Faults:    opts.Faults,
 		}
-		if opts.Faults != nil {
-			spec := *opts.Faults
-			spec.Seed += int64(i)
-			cfg.Faults = &spec
-		}
+		cfg.Faults.Seed += int64(i)
 		if l.Meter != nil {
 			cfg.Meter = l.Meter
 			cfg.Clock = l.Runtime.Now
@@ -194,38 +178,31 @@ func StartLive(opts LiveOptions) (*Live, error) {
 		l.Workers = append(l.Workers, w)
 		workers = append(workers, w)
 	}
-	if n > 0 {
-		cc := core.Config{
-			Runtime:          l.Runtime,
-			Workers:          workers,
-			Collector:        trace.NewWindowCollector(liveRecordWindow),
-			Seed:             opts.Seed,
-			Policy:           opts.Policy,
-			MaxAttempts:      opts.MaxAttempts,
-			JobTimeout:       opts.JobTimeout,
-			RetryBase:        opts.RetryBase,
-			BreakerThreshold: opts.BreakerThreshold,
-			BreakerProbe:     opts.BreakerProbe,
-			Telemetry:        opts.Telemetry,
-			Tracer:           opts.Tracer,
-			ShardLabel:       opts.ShardLabel,
-			JobIDBase:        opts.JobIDBase,
-			BudgetThrottle:   opts.BudgetThrottle,
-		}
-		if opts.Power != nil {
-			pm, err := newPowerManager(l.Runtime, l.Workers, *opts.Power, opts.Telemetry)
-			if err != nil {
-				return nil, err
-			}
-			l.PowerMgr = pm
-			cc.PowerManager = pm
-		}
-		orch, err := core.New(cc)
+	cc := core.Config{
+		Runtime:       l.Runtime,
+		Workers:       workers,
+		Collector:     trace.NewWindowCollector(liveRecordWindow),
+		Seed:          opts.Seed,
+		Policy:        opts.Policy,
+		AttemptPolicy: opts.AttemptPolicy,
+		Telemetry:     opts.Telemetry,
+		Tracer:        opts.Tracer,
+		ShardLabel:    opts.ShardLabel,
+		JobIDBase:     opts.JobIDBase,
+	}
+	if opts.Power != nil {
+		pm, err := newPowerManager(l.Runtime, l.Workers, *opts.Power, opts.Telemetry)
 		if err != nil {
 			return nil, err
 		}
-		l.Orch = orch
+		l.PowerMgr = pm
+		cc.PowerManager = pm
 	}
+	orch, err := core.New(cc)
+	if err != nil {
+		return nil, err
+	}
+	l.Orch = orch
 	ok = true
 	return l, nil
 }

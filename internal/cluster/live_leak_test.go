@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"microfaas/internal/core"
 	"microfaas/internal/node"
 	"microfaas/internal/power"
 	"microfaas/internal/powermgr"
@@ -17,12 +18,11 @@ import (
 func TestLiveCloseLeavesNothingRunning(t *testing.T) {
 	before := runtime.NumGoroutine()
 	l, err := StartLive(LiveOptions{
-		Workers:     4,
-		Seed:        3,
-		MaxAttempts: 3,
-		JobTimeout:  200 * time.Millisecond,
-		Faults:      &node.FaultSpec{Seed: 9, HangProb: 0.2},
-		Power:       &powermgr.Policy{IdleTimeout: 20 * time.Millisecond, MinUp: 10 * time.Millisecond},
+		Workers:       4,
+		Seed:          3,
+		AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3, JobTimeout: 200 * time.Millisecond},
+		Faults:        node.FaultPolicy{Seed: 9, HangProb: 0.2},
+		Power:         &powermgr.Policy{IdleTimeout: 20 * time.Millisecond, MinUp: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

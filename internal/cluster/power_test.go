@@ -9,6 +9,7 @@ import (
 	"microfaas/internal/core"
 	"microfaas/internal/gpio"
 	"microfaas/internal/model"
+	"microfaas/internal/node"
 	"microfaas/internal/power"
 	"microfaas/internal/powermgr"
 	"microfaas/internal/telemetry"
@@ -112,7 +113,7 @@ func TestManagedSimUsesLessEnergyAtLowLoad(t *testing.T) {
 		Policy: core.AssignEnergyAware,
 		Power:  &powermgr.Policy{IdleTimeout: 15 * time.Second},
 	})
-	alwaysOn := run(SimConfig{Seed: 7, DisableReboot: true})
+	alwaysOn := run(SimConfig{Seed: 7, BoardConfig: node.BoardConfig{DisableReboot: true}})
 	if managed >= alwaysOn {
 		t.Fatalf("managed cluster used %.1f J, always-on %.1f J", managed, alwaysOn)
 	}
@@ -180,7 +181,7 @@ func TestPowerPolicyRejectedOnConventionalSims(t *testing.T) {
 	if _, err := NewConventionalRackSim(2, 4, SimConfig{Power: pol}); err == nil {
 		t.Fatal("conventional rack sim accepted a power policy")
 	}
-	if _, err := NewMicroFaaSSim(4, SimConfig{Power: pol, DisableReboot: true}); err == nil {
+	if _, err := NewMicroFaaSSim(4, SimConfig{Power: pol, BoardConfig: node.BoardConfig{DisableReboot: true}}); err == nil {
 		t.Fatal("power policy combined with DisableReboot accepted")
 	}
 }

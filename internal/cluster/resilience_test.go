@@ -7,8 +7,17 @@ import (
 	"microfaas/internal/model"
 )
 
+// erroring is a cluster config whose boards fail each attempt with
+// probability p and whose OP runs each job up to attempts times.
+func erroring(seed int64, p float64, attempts int) SimConfig {
+	cfg := SimConfig{Seed: seed}
+	cfg.Faults.ErrorProb = p
+	cfg.MaxAttempts = attempts
+	return cfg
+}
+
 func TestFaultInjectionWithoutRetriesSurfacesErrors(t *testing.T) {
-	s, err := NewMicroFaaSSim(6, SimConfig{Seed: 11, FailureRate: 0.25})
+	s, err := NewMicroFaaSSim(6, erroring(11, 0.25, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +34,7 @@ func TestFaultInjectionWithoutRetriesSurfacesErrors(t *testing.T) {
 }
 
 func TestRetriesMaskInjectedFaults(t *testing.T) {
-	s, err := NewMicroFaaSSim(6, SimConfig{Seed: 11, FailureRate: 0.25, MaxAttempts: 4})
+	s, err := NewMicroFaaSSim(6, erroring(11, 0.25, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,7 @@ func TestRetriesMaskInjectedFaults(t *testing.T) {
 
 func TestFaultsCostThroughput(t *testing.T) {
 	run := func(rate float64, attempts int) float64 {
-		s, err := NewMicroFaaSSim(model.SBCCount, SimConfig{Seed: 5, FailureRate: rate, MaxAttempts: attempts})
+		s, err := NewMicroFaaSSim(model.SBCCount, erroring(5, rate, attempts))
 		if err != nil {
 			t.Fatal(err)
 		}

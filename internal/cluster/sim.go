@@ -21,7 +21,6 @@ import (
 	"microfaas/internal/core"
 	"microfaas/internal/gpio"
 	"microfaas/internal/model"
-	"microfaas/internal/netsim"
 	"microfaas/internal/node"
 	"microfaas/internal/power"
 	"microfaas/internal/powermgr"
@@ -35,40 +34,16 @@ import (
 type SimConfig struct {
 	// Seed drives all randomness (assignment, jitter); same seed → same run.
 	Seed int64
-	// Link overrides the worker link (the GigE-NIC ablation).
-	Link *netsim.Link
+	// BoardConfig is every worker's link, boot, power policy and faults
+	// (see node.BoardConfig; the ablations override it).
+	node.BoardConfig
 	// Specs overrides the function table (the crypto-accelerator ablation).
 	Specs []model.FunctionSpec
-	// DisableReboot is the no-reboot ablation.
-	DisableReboot bool
-	// FailureRate injects per-job worker faults (see node.SimWorkerConfig).
-	FailureRate float64
-	// HangRate injects per-job worker wedges: the worker powers on and
-	// never reports back, so only JobTimeout can rescue the job.
-	HangRate float64
-	// SlowRate/SlowFactor inject per-job stragglers (see
-	// node.SimWorkerConfig).
-	SlowRate   float64
-	SlowFactor float64
-	// KeepWarm keeps workers booted-idle after a job for this long (the
-	// warm-pool extension; zero = the paper's immediate power-down).
-	KeepWarm time.Duration
-	// BootTime overrides the worker-OS boot duration (zero = the final
-	// bootos profile; the boot-stage ablation passes intermediate stages).
-	BootTime time.Duration
 	// Policy selects the OP's queue-assignment policy.
 	Policy core.AssignPolicy
-	// MaxAttempts enables OP-level retries of failed jobs.
-	MaxAttempts int
-	// JobTimeout bounds each attempt on the virtual clock (zero = none).
-	JobTimeout time.Duration
-	// RetryBase enables exponential backoff with seeded jitter between
-	// attempts (zero = immediate re-queue; see core.Config.RetryBase).
-	RetryBase time.Duration
-	// BreakerThreshold/BreakerProbe configure the OP's per-worker circuit
-	// breaker (zero threshold = disabled).
-	BreakerThreshold int
-	BreakerProbe     time.Duration
+	// AttemptPolicy is the OP's retries, deadlines (on the virtual
+	// clock), backoff, breakers and budget hold (see core.AttemptPolicy).
+	core.AttemptPolicy
 	// Telemetry enables the metrics registry and event stream across the
 	// OP, the workers, and the power meter. Nil (the default) disables
 	// instrumentation entirely; because telemetry never draws from the
@@ -87,11 +62,6 @@ type SimConfig struct {
 	// and KeepWarm. Nil (the default) leaves seeded runs byte-identical
 	// to clusters built before the power manager existed.
 	Power *powermgr.Policy
-	// BudgetThrottle is the pre-queue hold served by submissions of
-	// budget-exhausted functions (zero = deprioritize only; budgets are
-	// set with Orchestrator.SetEnergyBudget). Kept for the same reason as
-	// core.Config.BudgetThrottle.
-	BudgetThrottle time.Duration
 }
 
 // simJitter is every sim worker's relative service-time perturbation
@@ -173,24 +143,17 @@ func (b *simBuilder) workerConfig(server *node.RackServer, tel *telemetry.Teleme
 		platform, controller = model.X86, nil
 	}
 	return node.SimWorkerConfig{
-		Platform:      platform,
-		Link:          b.cfg.Link,
-		Engine:        b.engine,
-		Meter:         b.meter,
-		Server:        server,
-		GPIO:          controller,
-		Jitter:        simJitter,
-		BootTime:      b.cfg.BootTime,
-		Functions:     b.fns,
-		DisableReboot: b.cfg.DisableReboot,
-		FailureRate:   b.cfg.FailureRate,
-		HangRate:      b.cfg.HangRate,
-		SlowRate:      b.cfg.SlowRate,
-		SlowFactor:    b.cfg.SlowFactor,
-		KeepWarm:      b.cfg.KeepWarm,
-		Managed:       b.cfg.Power != nil,
-		Telemetry:     tel,
-		Tracer:        b.cfg.Tracer,
+		Platform:    platform,
+		BoardConfig: b.cfg.BoardConfig,
+		Engine:      b.engine,
+		Meter:       b.meter,
+		Server:      server,
+		GPIO:        controller,
+		Jitter:      simJitter,
+		Functions:   b.fns,
+		Managed:     b.cfg.Power != nil,
+		Telemetry:   tel,
+		Tracer:      b.cfg.Tracer,
 	}
 }
 
@@ -231,20 +194,15 @@ func digits(i int) int {
 func (b *simBuilder) shard(si int, label string, tel *telemetry.Telemetry, workers []*node.SimWorker) (*core.Orchestrator, *powermgr.Manager, error) {
 	rt := core.SimRuntime{Engine: b.engine}
 	cc := core.Config{
-		Runtime:          rt,
-		Workers:          make([]core.Worker, len(workers)),
-		Seed:             b.cfg.Seed + 1 + int64(si),
-		Policy:           b.cfg.Policy,
-		MaxAttempts:      b.cfg.MaxAttempts,
-		JobTimeout:       b.cfg.JobTimeout,
-		RetryBase:        b.cfg.RetryBase,
-		BreakerThreshold: b.cfg.BreakerThreshold,
-		BreakerProbe:     b.cfg.BreakerProbe,
-		Telemetry:        tel,
-		Tracer:           b.cfg.Tracer,
-		ShardLabel:       label,
-		JobIDBase:        int64(si) * shardIDSpan,
-		BudgetThrottle:   b.cfg.BudgetThrottle,
+		Runtime:       rt,
+		Workers:       make([]core.Worker, len(workers)),
+		Seed:          b.cfg.Seed + 1 + int64(si),
+		Policy:        b.cfg.Policy,
+		AttemptPolicy: b.cfg.AttemptPolicy,
+		Telemetry:     tel,
+		Tracer:        b.cfg.Tracer,
+		ShardLabel:    label,
+		JobIDBase:     int64(si) * shardIDSpan,
 	}
 	for i, w := range workers {
 		cc.Workers[i] = w

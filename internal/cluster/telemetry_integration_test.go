@@ -12,6 +12,7 @@ import (
 	"microfaas/internal/core"
 	"microfaas/internal/gateway"
 	"microfaas/internal/model"
+	"microfaas/internal/node"
 	"microfaas/internal/power"
 	"microfaas/internal/shard"
 	"microfaas/internal/telemetry"
@@ -113,11 +114,10 @@ func TestSimMetricsEnergyMatchesTrace(t *testing.T) {
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	run := func(tel *telemetry.Telemetry) interface{} {
 		s, err := NewMicroFaaSSim(4, SimConfig{
-			Seed:        11,
-			FailureRate: 0.15,
-			MaxAttempts: 3,
-			JobTimeout:  2 * time.Minute,
-			Telemetry:   tel,
+			Seed:          11,
+			BoardConfig:   node.BoardConfig{Faults: node.FaultPolicy{ErrorProb: 0.15}},
+			AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3, JobTimeout: 2 * time.Minute},
+			Telemetry:     tel,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"microfaas/internal/core"
+	"microfaas/internal/node"
 	"microfaas/internal/power"
 	"microfaas/internal/tracing"
 )
@@ -19,11 +21,10 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		run := func(tr *tracing.Tracer) interface{} {
 			s, err := NewMicroFaaSSim(4, SimConfig{
-				Seed:        seed,
-				FailureRate: 0.15,
-				MaxAttempts: 3,
-				JobTimeout:  2 * time.Minute,
-				Tracer:      tr,
+				Seed:          seed,
+				BoardConfig:   node.BoardConfig{Faults: node.FaultPolicy{ErrorProb: 0.15}},
+				AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3, JobTimeout: 2 * time.Minute},
+				Tracer:        tr,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -118,12 +119,10 @@ func TestSimTraceSumsToLatencyAndEnergy(t *testing.T) {
 func TestSimTraceRetryFaultShape(t *testing.T) {
 	tr := tracing.NewWithConfig(tracing.Config{})
 	s, err := NewMicroFaaSSim(4, SimConfig{
-		Seed:        11,
-		FailureRate: 0.3,
-		MaxAttempts: 3,
-		RetryBase:   10 * time.Millisecond,
-		JobTimeout:  2 * time.Minute,
-		Tracer:      tr,
+		Seed:          11,
+		BoardConfig:   node.BoardConfig{Faults: node.FaultPolicy{ErrorProb: 0.3}},
+		AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3, RetryBase: 10 * time.Millisecond, JobTimeout: 2 * time.Minute},
+		Tracer:        tr,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -77,7 +77,7 @@ func TestBudgetThrottleHoldsSubmissions(t *testing.T) {
 	w := &jouleWorker{id: "w0", engine: e, service: 10 * time.Millisecond, joules: 10}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{w},
-		BudgetThrottle: hold,
+		AttemptPolicy: AttemptPolicy{BudgetThrottle: hold},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestBudgetThrottledJobAbandonedByDrain(t *testing.T) {
 	w := &jouleWorker{id: "w0", engine: e, service: 10 * time.Millisecond, joules: 10}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{w},
-		BudgetThrottle: time.Hour,
+		AttemptPolicy: AttemptPolicy{BudgetThrottle: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)

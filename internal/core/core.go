@@ -402,21 +402,13 @@ func (h *paroleHeap) Pop() any {
 	return s
 }
 
-// Config assembles an Orchestrator.
-type Config struct {
-	// Runtime supplies the cluster clock and timers (SimRuntime or
-	// WallRuntime).
-	Runtime Runtime
-	// Workers is the fixed worker fleet, in registration order (the order
-	// round-robin and tie-breaks follow).
-	Workers   []Worker
-	Collector *trace.Collector // optional; a fresh one is created if nil
-	// Seed drives the random queue-assignment sampling, retry jitter, and
-	// retry-target selection.
-	Seed int64
-	// Policy selects the queue-assignment policy (default AssignRandom,
-	// the paper's).
-	Policy AssignPolicy
+// AttemptPolicy is how the OP attempts each job: how many times, how long
+// an attempt may run, the backoff between attempts, the per-worker circuit
+// breaker, and the hold on budget-exhausted functions. Config and both
+// cluster configs embed it, so each setting is declared once and a
+// cluster hands it to its orchestrators whole. The zero value is the
+// paper's OP: one attempt, no deadline, no breaker, no hold.
+type AttemptPolicy struct {
 	// MaxAttempts caps executions per job (default 1 = no retries).
 	// Failed jobs are re-queued onto a different worker until the cap;
 	// every attempt is recorded in the collector, and SubmitAsync
@@ -439,6 +431,34 @@ type Config struct {
 	// BreakerProbe is how long an open breaker ejects its worker before
 	// the worker is probed with real work again (default 30s).
 	BreakerProbe time.Duration
+	// BudgetThrottle is how long a budget-exhausted function's new
+	// submissions (see SetEnergyBudget) are parked before they may enter
+	// a queue (each hold is recorded as a throttle span). Zero disables
+	// throttling: exhausted functions are then only deprioritized, never
+	// delayed. Settable although no binary sets it: deleting it would
+	// delete microfaas_budget_throttled_total, which the goldens and
+	// slolint's catalogue pin.
+	BudgetThrottle time.Duration
+}
+
+// Config assembles an Orchestrator.
+type Config struct {
+	// Runtime supplies the cluster clock and timers (SimRuntime or
+	// WallRuntime).
+	Runtime Runtime
+	// Workers is the fixed worker fleet, in registration order (the order
+	// round-robin and tie-breaks follow).
+	Workers   []Worker
+	Collector *trace.Collector // optional; a fresh one is created if nil
+	// Seed drives the random queue-assignment sampling, retry jitter, and
+	// retry-target selection.
+	Seed int64
+	// Policy selects the queue-assignment policy (default AssignRandom,
+	// the paper's).
+	Policy AssignPolicy
+	// AttemptPolicy is how each job is attempted: retries, deadlines,
+	// backoff, breakers and the budget hold.
+	AttemptPolicy
 	// Telemetry receives metrics and lifecycle events (nil = disabled;
 	// the disabled path costs one nil check per site and leaves seeded
 	// runs bit-identical — telemetry never touches the RNG or the clock).
@@ -466,14 +486,6 @@ type Config struct {
 	// cluster's critical-path analysis shows which control plane owned
 	// each phase. Empty (the default) adds nothing.
 	ShardLabel string
-	// BudgetThrottle is how long a budget-exhausted function's new
-	// submissions (see SetEnergyBudget) are parked before they may enter
-	// a queue (each hold is recorded as a throttle span). Zero disables
-	// throttling: exhausted functions are then only deprioritized, never
-	// delayed. Settable although no binary sets it: deleting it would
-	// delete microfaas_budget_throttled_total, which the goldens and
-	// slolint's catalogue pin.
-	BudgetThrottle time.Duration
 }
 
 // Orchestrator is the OP: per-worker job queues, random assignment,

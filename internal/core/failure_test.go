@@ -65,7 +65,7 @@ func TestDeadlineRescuesJobFromHungWorker(t *testing.T) {
 	good := &fakeWorker{id: "good", engine: e, service: 10 * time.Millisecond}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{hung, good},
-		Seed: 11, MaxAttempts: 2, JobTimeout: time.Second,
+		Seed: 11, AttemptPolicy: AttemptPolicy{MaxAttempts: 2, JobTimeout: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestDeadlineReassignsQueuedJobsOffWedgedWorker(t *testing.T) {
 	good := &fakeWorker{id: "good", engine: e, service: 10 * time.Millisecond}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{hung, good},
-		Seed: 11, MaxAttempts: 2, JobTimeout: time.Second,
+		Seed: 11, AttemptPolicy: AttemptPolicy{MaxAttempts: 2, JobTimeout: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestLateResultAfterDeadlineIsDiscardedAndUnwedges(t *testing.T) {
 	w := &hangWorker{id: "slow", engine: e, lateAfter: 5 * time.Second}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{w},
-		Seed: 11, JobTimeout: time.Second,
+		Seed: 11, AttemptPolicy: AttemptPolicy{JobTimeout: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestRetryBackoffScheduleIsDeterministic(t *testing.T) {
 		b := &errWorker{id: "b", engine: e}
 		o, err := New(Config{
 			Runtime: SimRuntime{Engine: e}, Workers: []Worker{a, b},
-			Seed: 11, MaxAttempts: 3, RetryBase: 100 * time.Millisecond,
+			Seed: 11, AttemptPolicy: AttemptPolicy{MaxAttempts: 3, RetryBase: 100 * time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -221,7 +221,7 @@ func TestBreakerOpensEjectsAndProbes(t *testing.T) {
 	good := &fakeWorker{id: "good", engine: e, service: time.Millisecond}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{bad, good},
-		Seed: 11, BreakerThreshold: 2, BreakerProbe: 10 * time.Second,
+		Seed: 11, AttemptPolicy: AttemptPolicy{BreakerThreshold: 2, BreakerProbe: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestBreakerSuccessResetsConsecutiveFailures(t *testing.T) {
 	w := &fakeWorker{id: "w", engine: e, service: time.Millisecond}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{w},
-		Seed: 11, BreakerThreshold: 3,
+		Seed: 11, AttemptPolicy: AttemptPolicy{BreakerThreshold: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestAllBreakersOpenStillAssigns(t *testing.T) {
 	b := &errWorker{id: "b", engine: e}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{a, b},
-		Seed: 11, BreakerThreshold: 1, BreakerProbe: time.Hour,
+		Seed: 11, AttemptPolicy: AttemptPolicy{BreakerThreshold: 1, BreakerProbe: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func TestDrainStopsRetries(t *testing.T) {
 	w := &goErrWorker{id: "w", service: 10 * time.Millisecond}
 	o, err := New(Config{
 		Runtime: rt, Workers: []Worker{w}, Seed: 3,
-		MaxAttempts: 100, RetryBase: 20 * time.Millisecond,
+		AttemptPolicy: AttemptPolicy{MaxAttempts: 100, RetryBase: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

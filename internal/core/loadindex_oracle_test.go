@@ -119,11 +119,10 @@ func runLoadSchedule(t testing.TB, data []byte) {
 	e := sim.NewEngine(3)
 	newWorker := func(id string) Worker { return &scriptWorker{id: id, engine: e, salt: salt} }
 	cfg := Config{
-		Runtime:     SimRuntime{Engine: e},
-		Policy:      AssignLeastLoaded,
-		Seed:        int64(salt),
-		JobTimeout:  loadTimeout,
-		MaxAttempts: 1 + int(flags>>2)%3,
+		Runtime:       SimRuntime{Engine: e},
+		Policy:        AssignLeastLoaded,
+		Seed:          int64(salt),
+		AttemptPolicy: AttemptPolicy{JobTimeout: loadTimeout, MaxAttempts: 1 + int(flags>>2)%3},
 	}
 	for i := 0; i < n; i++ {
 		cfg.Workers = append(cfg.Workers, newWorker(fmt.Sprintf("w%02d", i)))

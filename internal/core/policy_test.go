@@ -37,7 +37,7 @@ func TestRetryReassignsFailedJob(t *testing.T) {
 	good := &flakyWorker{id: "good", engine: e, service: 10 * time.Millisecond}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{bad, good},
-		Seed: 1, MaxAttempts: 5,
+		Seed: 1, AttemptPolicy: AttemptPolicy{MaxAttempts: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestRetryExhaustionDeliversFailure(t *testing.T) {
 	bad2 := &flakyWorker{id: "b2", engine: e, service: time.Millisecond, failCount: 1 << 30}
 	o, err := New(Config{
 		Runtime: SimRuntime{Engine: e}, Workers: []Worker{bad1, bad2},
-		Seed: 1, MaxAttempts: 3,
+		Seed: 1, AttemptPolicy: AttemptPolicy{MaxAttempts: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestNoRetriesByDefault(t *testing.T) {
 func TestRetrySingleWorkerReusesIt(t *testing.T) {
 	e := sim.NewEngine(3)
 	w := &flakyWorker{id: "only", engine: e, service: time.Millisecond, failCount: 2}
-	o, err := New(Config{Runtime: SimRuntime{Engine: e}, Workers: []Worker{w}, Seed: 1, MaxAttempts: 5})
+	o, err := New(Config{Runtime: SimRuntime{Engine: e}, Workers: []Worker{w}, Seed: 1, AttemptPolicy: AttemptPolicy{MaxAttempts: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}

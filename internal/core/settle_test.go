@@ -54,7 +54,7 @@ func TestSettleParity(t *testing.T) {
 		tr := tracing.NewWithConfig(tracing.Config{})
 		o, err := New(Config{
 			Runtime: SimRuntime{Engine: e}, Workers: []Worker{&w},
-			JobTimeout: time.Second, Telemetry: tel, Tracer: tr,
+			AttemptPolicy: AttemptPolicy{JobTimeout: time.Second}, Telemetry: tel, Tracer: tr,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"microfaas/internal/cluster"
 	"microfaas/internal/model"
 	"microfaas/internal/netsim"
+	"microfaas/internal/node"
 )
 
 // This file implements the ablations the paper's discussion motivates
@@ -127,7 +128,7 @@ var BulkTransferFunctions = []string{"COSGet", "COSPut"}
 func AblationGigE(seed int64, invocations, parallel int) (AblationResult, error) {
 	link := netsim.GigabitEthernet()
 	return runPair("gigabit NIC upgrade", seed, invocations, parallel,
-		cluster.SimConfig{Link: &link}, BulkTransferFunctions)
+		cluster.SimConfig{BoardConfig: node.BoardConfig{Link: &link}}, BulkTransferFunctions)
 }
 
 // AblationNoReboot disables the reboot between jobs, quantifying what the
@@ -136,7 +137,7 @@ func AblationGigE(seed int64, invocations, parallel int) (AblationResult, error)
 // guarantee; this is the trade the paper's design explicitly refuses.)
 func AblationNoReboot(seed int64, invocations, parallel int) (AblationResult, error) {
 	return runPair("no reboot between jobs", seed, invocations, parallel,
-		cluster.SimConfig{DisableReboot: true}, nil)
+		cluster.SimConfig{BoardConfig: node.BoardConfig{DisableReboot: true}}, nil)
 }
 
 // WriteAblation prints one ablation's comparison.

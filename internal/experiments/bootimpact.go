@@ -7,6 +7,7 @@ import (
 	"microfaas/internal/bootos"
 	"microfaas/internal/cluster"
 	"microfaas/internal/model"
+	"microfaas/internal/node"
 )
 
 // BootImpact connects Fig 1 to the cluster-level results: for every stage
@@ -49,8 +50,8 @@ func BootImpact(cfg BootImpactConfig) ([]BootImpactRow, error) {
 		stage := stages[i]
 		boot := stage.Profile.RealTime()
 		s, err := cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{
-			Seed:     cfg.Seed,
-			BootTime: boot,
+			Seed:        cfg.Seed,
+			BoardConfig: node.BoardConfig{BootTime: boot},
 		})
 		if err != nil {
 			return BootImpactRow{}, err

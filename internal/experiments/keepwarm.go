@@ -7,6 +7,7 @@ import (
 
 	"microfaas/internal/cluster"
 	"microfaas/internal/model"
+	"microfaas/internal/node"
 )
 
 // KeepWarm quantifies the warm-pool trade the paper's design refuses
@@ -67,7 +68,7 @@ func KeepWarm(cfg KeepWarmConfig) ([]KeepWarmPoint, error) {
 }
 
 func runKeepWarm(window time.Duration, load float64, duration time.Duration, seed int64) (KeepWarmPoint, error) {
-	s, err := cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: seed, KeepWarm: window})
+	s, err := cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: seed, BoardConfig: node.BoardConfig{KeepWarm: window}})
 	if err != nil {
 		return KeepWarmPoint{}, err
 	}

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"microfaas/internal/cluster"
+	"microfaas/internal/core"
+	"microfaas/internal/node"
 	"microfaas/internal/telemetry"
 	"microfaas/internal/tracing"
 )
@@ -57,16 +59,17 @@ func TestSettleGoldenPR14(t *testing.T) {
 	tel := telemetry.New()
 	tr := tracing.NewWithConfig(tracing.Config{}) // samples every trace
 	s, err := cluster.NewMicroFaaSSim(8, cluster.SimConfig{
-		Seed:             settleGoldenSeed,
-		FailureRate:      0.1,
-		HangRate:         0.03,
-		MaxAttempts:      2,
-		JobTimeout:       30 * time.Second,
-		RetryBase:        50 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerProbe:     1000 * time.Hour, // a wedged sim worker never comes back
-		Telemetry:        tel,
-		Tracer:           tr,
+		Seed:        settleGoldenSeed,
+		BoardConfig: node.BoardConfig{Faults: node.FaultPolicy{ErrorProb: 0.1, HangProb: 0.03}},
+		AttemptPolicy: core.AttemptPolicy{
+			MaxAttempts:      2,
+			JobTimeout:       30 * time.Second,
+			RetryBase:        50 * time.Millisecond,
+			BreakerThreshold: 1,
+			BreakerProbe:     1000 * time.Hour, // a wedged sim worker never comes back
+		},
+		Telemetry: tel,
+		Tracer:    tr,
 	})
 	if err != nil {
 		t.Fatal(err)

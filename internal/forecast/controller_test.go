@@ -41,12 +41,12 @@ func newCtlRig(t *testing.T, n int, pol forecast.Policy) *ctlRig {
 		ids[i] = string(rune('a' + i))
 	}
 	ws, err := node.NewSimWorkers(node.SimWorkerConfig{
-		Platform: model.ARM,
-		Engine:   r.engine,
-		Meter:    meter,
-		GPIO:     g,
-		BootTime: time.Second,
-		Managed:  true,
+		Platform:    model.ARM,
+		BoardConfig: node.BoardConfig{BootTime: time.Second},
+		Engine:      r.engine,
+		Meter:       meter,
+		GPIO:        g,
+		Managed:     true,
 	}, ids)
 	if err != nil {
 		t.Fatal(err)

@@ -17,26 +17,38 @@ import (
 	"microfaas/internal/workload"
 )
 
-// FaultSpec injects worker-side faults into a live worker, making the
-// OP's failure path testable end-to-end over the real TCP protocol. Each
-// invocation independently draws its fate from a seeded RNG: hang (hold
-// the connection open and never reply — only the OP's deadline rescues
-// the job), error (reply with an injected failure), or slow (delay the
-// reply by SlowDelay). Probabilities are evaluated in that order.
-type FaultSpec struct {
-	// Seed drives the fault draws (a per-worker seed keeps runs
-	// reproducible).
+// FaultPolicy injects worker-side faults, one spec for both halves: a sim
+// board takes it in BoardConfig.Faults and a live worker in
+// LiveWorkerConfig.Faults. Each attempt independently may hang (the worker
+// never reports back, so only the OP's JobTimeout rescues the job), fail
+// with an injected error, or straggle. The zero value injects nothing and
+// draws no randomness.
+//
+// The halves draw in different orders from different random streams, and
+// each half's seeded outputs pin its order, so neither may move:
+//   - A sim board draws from its engine's RNG in the order error (then
+//     the crash point partway through exec), hang, slow, and multiplies a
+//     slow job's exec by SlowFactor. It reads neither Seed nor SlowDelay.
+//   - A live worker draws from its own RNG seeded with Seed in the order
+//     hang, error, slow, and delays a slow job by SlowDelay before it
+//     executes: a real function's run time cannot be stretched, only
+//     waited on. It reads no SlowFactor.
+type FaultPolicy struct {
+	// Seed seeds a live worker's fault draws (StartLive gives its worker
+	// i the seed Seed+i, so each node is reproducible).
 	Seed int64
-	// HangProb is the probability an invocation wedges forever.
-	HangProb float64
-	// ErrorProb is the probability an invocation fails with an injected
-	// error.
-	ErrorProb float64
-	// SlowProb is the probability an invocation is delayed by SlowDelay
-	// before executing.
-	SlowProb float64
-	// SlowDelay is the injected straggler delay (default 1s).
+	// HangProb, ErrorProb and SlowProb are each attempt's independent
+	// probabilities of wedging, failing and straggling.
+	HangProb, ErrorProb, SlowProb float64
+	// SlowFactor multiplies a slow sim job's exec time (default 10).
+	SlowFactor float64
+	// SlowDelay is a slow live job's added delay (default 1s).
 	SlowDelay time.Duration
+}
+
+// injects reports whether the policy can inject any fault.
+func (f FaultPolicy) injects() bool {
+	return f.HangProb > 0 || f.ErrorProb > 0 || f.SlowProb > 0
 }
 
 // LiveWorkerConfig assembles a live worker: a real TCP server executing
@@ -55,9 +67,9 @@ type LiveWorkerConfig struct {
 	// Clock is the cluster clock for meter timestamps (required when
 	// Meter is set); typically core.WallRuntime.Now.
 	Clock func() time.Duration
-	// Faults, when set, injects hang/error/slow faults into this worker's
-	// invocations (see FaultSpec).
-	Faults *FaultSpec
+	// Faults injects hang/error/slow faults into this worker's
+	// invocations (the zero value injects none).
+	Faults FaultPolicy
 	// Telemetry optionally receives boot/exec lifecycle events, boot and
 	// fault-injection counters, and — when Meter is set — per-function
 	// joules attribution. Events stamped on the worker's server side carry
@@ -128,7 +140,7 @@ func StartLiveWorker(cfg LiveWorkerConfig) (*LiveWorker, error) {
 	}
 	w := &LiveWorker{cfg: cfg, sbc: power.DefaultSBCModel(), quit: make(chan struct{}), state: power.Off}
 	w.m = newWorkerMetrics(cfg.Telemetry, cfg.ID)
-	if cfg.Faults != nil {
+	if cfg.Faults.injects() {
 		w.rng = rand.New(rand.NewSource(cfg.Faults.Seed))
 	}
 	w.srv.Name = "node: live worker " + cfg.ID
@@ -272,8 +284,8 @@ const (
 
 // drawFault rolls the worker's fault dice for one invocation.
 func (w *LiveWorker) drawFault() faultAction {
-	f := w.cfg.Faults
-	if f == nil {
+	f := &w.cfg.Faults
+	if !f.injects() {
 		return faultNone
 	}
 	w.mu.Lock()

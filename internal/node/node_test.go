@@ -243,7 +243,7 @@ func TestNoRebootAblationSkipsBootWhenWarm(t *testing.T) {
 	e := sim.NewEngine(1)
 	meter := power.NewMeter()
 	w, err := newSimWorker(SimWorkerConfig{
-		Platform: model.ARM, Engine: e, Meter: meter, DisableReboot: true,
+		Platform: model.ARM, Engine: e, Meter: meter, BoardConfig: BoardConfig{DisableReboot: true},
 	}, "sbc-nr")
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +435,7 @@ func TestKeepWarmWindowSkipsBootThenExpires(t *testing.T) {
 	meter := power.NewMeter()
 	w, err := newSimWorker(SimWorkerConfig{
 		Platform: model.ARM, Engine: e, Meter: meter,
-		KeepWarm: 10 * time.Second,
+		BoardConfig: BoardConfig{KeepWarm: 10 * time.Second},
 	}, "sbc-kw")
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +482,7 @@ func TestKeepWarmExpiryCancelledByNextJob(t *testing.T) {
 	meter := power.NewMeter()
 	w, err := newSimWorker(SimWorkerConfig{
 		Platform: model.ARM, Engine: e, Meter: meter,
-		KeepWarm: 10 * time.Second,
+		BoardConfig: BoardConfig{KeepWarm: 10 * time.Second},
 	}, "sbc-kw2")
 	if err != nil {
 		t.Fatal(err)
@@ -590,7 +590,7 @@ func TestFaultForcesPowerCycleDespiteKeepWarm(t *testing.T) {
 	e := sim.NewEngine(1)
 	w, err := newSimWorker(SimWorkerConfig{
 		Platform: model.ARM, Engine: e,
-		KeepWarm: time.Hour, FailureRate: 1, // every job faults
+		BoardConfig: BoardConfig{KeepWarm: time.Hour, Faults: FaultPolicy{ErrorProb: 1}}, // every job faults
 	}, "sbc-fkw")
 	if err != nil {
 		t.Fatal(err)

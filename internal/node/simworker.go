@@ -16,14 +16,41 @@ import (
 	"microfaas/internal/tracing"
 )
 
+// BoardConfig is a simulated board beyond its platform and the cluster it
+// is wired into: its link, its boot, its power policy between jobs, and
+// the faults injected into it. SimWorkerConfig embeds it, and so does
+// cluster.SimConfig, which hands it to every board whole.
+type BoardConfig struct {
+	// Link is the board's last-hop network; defaults to the paper's
+	// evaluation link for the platform (Fast Ethernet / bridged virtio).
+	// The GigE-NIC ablation overrides it.
+	Link *netsim.Link
+	// BootTime overrides the worker-OS boot duration (default: the
+	// bootos final profile for the platform; the boot-stage ablation
+	// passes intermediate stages).
+	BootTime time.Duration
+	// DisableReboot is the no-reboot ablation: after the first job the
+	// worker stays up and skips the boot phase (sacrificing the clean-
+	// environment guarantee of Sec III-a).
+	DisableReboot bool
+	// KeepWarm keeps the worker booted and idle (drawing idle power) for
+	// this long after a job, so a prompt next job skips the boot. This is
+	// the Firecracker-style warm-pool trade the paper's design refuses:
+	// it cuts latency but sacrifices both the clean-environment guarantee
+	// and some energy proportionality. Zero (the paper's policy) powers
+	// down immediately. Ignored when DisableReboot is set (always warm).
+	KeepWarm time.Duration
+	// Faults injects worker faults (the zero value injects none).
+	Faults FaultPolicy
+}
+
 // SimWorkerConfig assembles discrete-event workers: every worker one
 // NewSimWorkers call builds shares it, and the call names each.
 type SimWorkerConfig struct {
 	// Platform selects ARM (SBC) or X86 (microVM).
 	Platform model.Platform
-	// Link is the worker's last-hop network; defaults to the paper's
-	// evaluation link for the platform (Fast Ethernet / bridged virtio).
-	Link *netsim.Link
+	// BoardConfig is each worker's link, boot, power policy and faults.
+	BoardConfig
 	// Engine drives virtual time (required).
 	Engine *sim.Engine
 	// Meter receives power accounting; optional. VM workers do not report
@@ -34,44 +61,15 @@ type SimWorkerConfig struct {
 	// Jitter is the half-width of the uniform relative perturbation
 	// applied to each phase duration (e.g. 0.05 → ±5 %).
 	Jitter float64
-	// BootTime overrides the worker-OS boot duration (default: the
-	// bootos final profile for the platform).
-	BootTime time.Duration
 	// Functions is the function table the worker runs, shared by every
 	// worker of a cluster (default: one table of model.Functions() shared
 	// by every worker that names none). Ablations (crypto accelerator)
 	// pass a table built from modified specs.
 	Functions *FunctionTable
-	// DisableReboot is the no-reboot ablation: after the first job the
-	// worker stays up and skips the boot phase (sacrificing the clean-
-	// environment guarantee of Sec III-a).
-	DisableReboot bool
-	// FailureRate injects faults: each job independently fails with this
-	// probability, crashing partway through execution (the OP's retry
-	// policy is exercised against it). Zero disables injection.
-	FailureRate float64
-	// HangRate injects wedges: each job independently hangs with this
-	// probability — the worker powers on and never reports back, so only
-	// an OP-level deadline can rescue the job. Zero disables injection.
-	HangRate float64
-	// SlowRate injects straggling: each job independently runs SlowFactor
-	// times slower with this probability (tail-latency and deadline
-	// experiments). Zero disables injection.
-	SlowRate float64
-	// SlowFactor is the execution-time multiplier for SlowRate jobs
-	// (default 10).
-	SlowFactor float64
 	// GPIO, when set, wires this worker's PWR_BUT to the OP's GPIO
 	// controller (Sec IV-D) and logs every power-state transition there.
 	// ARM workers only (the paper wires only the worker SBCs).
 	GPIO *gpio.Controller
-	// KeepWarm keeps the worker booted and idle (drawing idle power) for
-	// this long after a job, so a prompt next job skips the boot. This is
-	// the Firecracker-style warm-pool trade the paper's design refuses:
-	// it cuts latency but sacrifices both the clean-environment guarantee
-	// and some energy proportionality. Zero (the paper's policy) powers
-	// down immediately. Ignored when DisableReboot is set (always warm).
-	KeepWarm time.Duration
 	// Managed hands the worker's power lifecycle to a powermgr.Manager:
 	// the worker implements powermgr.Node (PowerUp boots it over the
 	// modeled boot time, PowerDown gates it off), stays idle-warm between
@@ -337,14 +335,15 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 	}
 	overhead := perturb(fn.spec.OverheadTime(w.cfg.Platform, w.link), w.jitter())
 	exec := perturb(fn.spec.ExecTime(w.cfg.Platform, w.link), w.jitter())
-	fail := w.cfg.FailureRate > 0 && engine.Rand().Float64() < w.cfg.FailureRate
+	f := &w.cfg.Faults
+	fail := f.ErrorProb > 0 && engine.Rand().Float64() < f.ErrorProb
 	if fail {
 		// The fault strikes partway through execution; the OP sees a dead
 		// worker and records the attempt as failed.
 		exec = time.Duration(float64(exec) * engine.Rand().Float64())
 		w.m.faultCrash.Inc()
 	}
-	if hang := w.cfg.HangRate > 0 && engine.Rand().Float64() < w.cfg.HangRate; hang {
+	if hang := f.HangProb > 0 && engine.Rand().Float64() < f.HangProb; hang {
 		// The worker wedges mid-job: it powers on, draws busy power, and
 		// never invokes done. Only an OP deadline can reclaim the job.
 		w.hangs++
@@ -355,8 +354,8 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 		w.setState(power.Busy, "wedged", job.ID)
 		return
 	}
-	if slow := w.cfg.SlowRate > 0 && engine.Rand().Float64() < w.cfg.SlowRate; slow {
-		factor := w.cfg.SlowFactor
+	if slow := f.SlowProb > 0 && engine.Rand().Float64() < f.SlowProb; slow {
+		factor := f.SlowFactor
 		if factor <= 0 {
 			factor = 10
 		}

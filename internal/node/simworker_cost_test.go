@@ -163,7 +163,7 @@ func TestJobStateSurvivesDeadline(t *testing.T) {
 	w := &recorder{SimWorker: newARMWorker(t, e, meter), e: e}
 	o, err := core.New(core.Config{
 		Runtime: core.SimRuntime{Engine: e}, Workers: []core.Worker{w},
-		JobTimeout: time.Second, // a cold boot alone is longer
+		AttemptPolicy: core.AttemptPolicy{JobTimeout: time.Second}, // a cold boot alone is longer
 	})
 	if err != nil {
 		t.Fatal(err)

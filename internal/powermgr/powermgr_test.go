@@ -38,12 +38,12 @@ func newRig(t *testing.T, n int, pol powermgr.Policy) *rig {
 		ids[i] = string(rune('a' + i))
 	}
 	ws, err := node.NewSimWorkers(node.SimWorkerConfig{
-		Platform: model.ARM,
-		Engine:   r.engine,
-		Meter:    meter,
-		GPIO:     r.gpio,
-		BootTime: bootTime,
-		Managed:  true,
+		Platform:    model.ARM,
+		BoardConfig: node.BoardConfig{BootTime: bootTime},
+		Engine:      r.engine,
+		Meter:       meter,
+		GPIO:        r.gpio,
+		Managed:     true,
 	}, ids)
 	if err != nil {
 		t.Fatal(err)

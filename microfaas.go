@@ -28,6 +28,7 @@ import (
 	"microfaas/internal/experiments"
 	"microfaas/internal/gateway"
 	"microfaas/internal/model"
+	"microfaas/internal/node"
 	"microfaas/internal/power"
 	"microfaas/internal/powermgr"
 	"microfaas/internal/shard"
@@ -40,6 +41,19 @@ import (
 
 // LiveOptions configures StartLiveCluster.
 type LiveOptions = cluster.LiveOptions
+
+// AttemptPolicy is how the orchestrator attempts each job: the attempt
+// cap, the per-attempt deadline, retry backoff, the per-worker circuit
+// breaker and the budget hold. LiveOptions and SimOptions both embed one.
+type AttemptPolicy = core.AttemptPolicy
+
+// FaultPolicy injects worker faults, one spec for both halves:
+// LiveOptions.Faults and SimOptions.Faults take it, and its zero value
+// injects none. A live worker draws hang, error, slow from its own RNG
+// seeded with Seed and delays a slow job by SlowDelay; a sim board draws
+// error, hang, slow from the engine's RNG and multiplies a slow job's
+// exec by SlowFactor.
+type FaultPolicy = node.FaultPolicy
 
 // LiveCluster is a running in-process MicroFaaS deployment.
 type LiveCluster = cluster.Live
@@ -191,6 +205,11 @@ const (
 
 // SimOptions configures a simulated cluster.
 type SimOptions = cluster.SimConfig
+
+// BoardConfig is every simulated board's link, boot time, power policy
+// between jobs (the no-reboot and keep-warm ablations) and injected
+// faults. SimOptions embeds one.
+type BoardConfig = node.BoardConfig
 
 // SimCluster is a discrete-event MicroFaaS or conventional cluster.
 type SimCluster = cluster.Sim

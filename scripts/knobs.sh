@@ -5,11 +5,13 @@
 # an `A, B T` line counts once; an embedded field counts none. It reads the
 # gofmt layout (make fmt-check holds the tree to it): a field is a line one
 # tab deeper than its type's declaration, so a nested struct's own fields
-# are not counted. Run it as `make knobs`; it gates nothing.
+# are not counted. Run it as `make knobs`: given a ceiling as its argument
+# (the Makefile's KNOBS_MAX), it fails if the total is over it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+max=${1:-}
 
-find internal cmd -name '*.go' ! -name '*_test.go' | sort | xargs awk '
+report=$(find internal cmd -name '*.go' ! -name '*_test.go' | sort | xargs awk '
 function tabs(s) { match(s, /^\t*/); return RLENGTH }
 function flush() {
 	if (name != "") {
@@ -38,4 +40,10 @@ name != "" {
 	count = 0
 }
 END { flush(); printf "%4d total in %d structs\n", total, structs }
-'
+')
+echo "$report"
+total=$(echo "$report" | awk '/ total in / { print $1 }')
+if [[ -n "$max" && "$total" -gt "$max" ]]; then
+	echo "knobs: $total settable fields, over KNOBS_MAX=$max" >&2
+	exit 1
+fi
