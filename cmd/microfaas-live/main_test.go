@@ -9,6 +9,7 @@ import (
 
 	"microfaas/internal/cluster"
 	"microfaas/internal/core"
+	"microfaas/internal/node"
 )
 
 func TestLoadModeRunsFullSuite(t *testing.T) {
@@ -31,7 +32,7 @@ func TestLoadModeRunsFullSuite(t *testing.T) {
 }
 
 func TestLoadModeReportsWorkerBootDelay(t *testing.T) {
-	opts := options{live: cluster.LiveOptions{Workers: 2, Seed: 2, BootDelay: 20 * time.Millisecond}, jobs: 4}
+	opts := options{live: cluster.LiveOptions{Workers: 2, Seed: 2, LiveBoardConfig: node.LiveBoardConfig{BootDelay: 20 * time.Millisecond}}, jobs: 4}
 	l, err := cluster.StartLive(opts.live)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestReplayModeValidation(t *testing.T) {
 // attempts, in load mode and in replay mode, and replay must wait for
 // every job's final result rather than for n attempt records.
 func TestReportCountsInvocationsNotAttempts(t *testing.T) {
-	live := cluster.LiveOptions{Workers: 2, Seed: 4, BootDelay: 30 * time.Millisecond,
+	live := cluster.LiveOptions{Workers: 2, Seed: 4, LiveBoardConfig: node.LiveBoardConfig{BootDelay: 30 * time.Millisecond},
 		AttemptPolicy: core.AttemptPolicy{JobTimeout: 5 * time.Millisecond, MaxAttempts: 3}}
 	trace := t.TempDir() + "/trace.csv"
 	if err := os.WriteFile(trace, []byte("at_ms,function\n0,CascSHA\n1,RegExMatch\n2,CascSHA\n"), 0o644); err != nil {

@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	pts, err := microfaas.Fig5(microfaas.Fig5Config{MaxWorkers: 10, Seed: 1})
+	pts, err := microfaas.Fig5(microfaas.Fig5Config{MaxWorkers: 10, RunConfig: microfaas.RunConfig{Seed: 1}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,9 +19,9 @@ func main() {
 	// between jobs (the BeagleBone pays 1.51 s; see -boot-delay on
 	// cmd/microfaas-live for paper-faithful pacing).
 	cl, err := microfaas.StartLiveCluster(microfaas.LiveOptions{
-		Workers:   4,
-		BootDelay: 25 * time.Millisecond,
-		Meter:     true,
+		Workers:         4,
+		LiveBoardConfig: microfaas.LiveBoardConfig{BootDelay: 25 * time.Millisecond},
+		Meter:           true,
 	})
 	if err != nil {
 		log.Fatal(err)

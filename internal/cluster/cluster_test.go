@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"microfaas/internal/model"
+	"microfaas/internal/node"
 	"microfaas/internal/workload"
 )
 
@@ -160,7 +161,7 @@ func TestConventionalThroughputSaturates(t *testing.T) {
 }
 
 func TestLiveClusterEndToEnd(t *testing.T) {
-	l, err := StartLive(LiveOptions{Workers: 3, Seed: 5, Meter: true, BootDelay: 5 * time.Millisecond})
+	l, err := StartLive(LiveOptions{Workers: 3, Seed: 5, Meter: true, LiveBoardConfig: node.LiveBoardConfig{BootDelay: 5 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,9 @@ func TestLiveHungWorkerDoesNotBlockQueue(t *testing.T) {
 	}
 	t.Cleanup(l.Close)
 	hung, err := node.StartLiveWorker(node.LiveWorkerConfig{
-		ID:     "wedge",
-		Env:    l.Env,
-		Faults: node.FaultPolicy{Seed: 1, HangProb: 1},
+		ID:              "wedge",
+		Env:             l.Env,
+		LiveBoardConfig: node.LiveBoardConfig{Faults: node.FaultPolicy{Seed: 1, HangProb: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,10 +191,10 @@ func TestLiveHungWorkerDoesNotBlockQueue(t *testing.T) {
 // can retry, and injected slowness delays but does not fail the reply.
 func TestLiveErrorAndSlowFaultInjection(t *testing.T) {
 	l, err := StartLive(LiveOptions{
-		Workers:       2,
-		Seed:          5,
-		AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3},
-		Faults:        node.FaultPolicy{Seed: 7, ErrorProb: 0.5},
+		Workers:         2,
+		Seed:            5,
+		AttemptPolicy:   core.AttemptPolicy{MaxAttempts: 3},
+		LiveBoardConfig: node.LiveBoardConfig{Faults: node.FaultPolicy{Seed: 7, ErrorProb: 0.5}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,9 +227,9 @@ func TestLiveErrorAndSlowFaultInjection(t *testing.T) {
 	}
 
 	slow, err := StartLive(LiveOptions{
-		Workers: 1,
-		Seed:    5,
-		Faults:  node.FaultPolicy{Seed: 7, SlowProb: 1, SlowDelay: 200 * time.Millisecond},
+		Workers:         1,
+		Seed:            5,
+		LiveBoardConfig: node.LiveBoardConfig{Faults: node.FaultPolicy{Seed: 7, SlowProb: 1, SlowDelay: 200 * time.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func simOneJob(t *testing.T, faults node.FaultPolicy, ap core.AttemptPolicy) []t
 }
 
 func liveOneJob(t *testing.T, faults node.FaultPolicy, ap core.AttemptPolicy) []trace.Record {
-	l, err := StartLive(LiveOptions{Workers: 1, Seed: 1, Faults: faults, AttemptPolicy: ap})
+	l, err := StartLive(LiveOptions{Workers: 1, Seed: 1, LiveBoardConfig: node.LiveBoardConfig{Faults: faults}, AttemptPolicy: ap})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,6 @@ var sharedNames = map[string]string{
 	"Meter":      "a switch in LiveOptions, the meter device itself in LiveWorkerConfig",
 	"Telemetry":  "the sharded sim gives each shard its own registry, so a layer's sink is not always its parent's",
 	"Tracer":     "a handle on the one span sink every layer records into, not a setting",
-	"Faults":     "the cluster's spec; StartLive gives worker i a copy reseeded to Seed+i",
-	"BootDelay":  "the one live-worker setting besides Faults, handed to every worker; no live board struct groups them yet",
 }
 
 // directFields lists the fields declared on t itself, not promoted from

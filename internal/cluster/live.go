@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"microfaas/internal/core"
 	"microfaas/internal/gpio"
@@ -23,10 +22,9 @@ import (
 type LiveOptions struct {
 	// Workers is the node count (default 4).
 	Workers int
-	// BootDelay simulates the per-job worker reboot (default 0 — tests
-	// and examples usually don't want to pay 1.51 s per job; pass
-	// bootos.BootTime(bootos.ARM) for paper-faithful pacing).
-	BootDelay time.Duration
+	// LiveBoardConfig is every worker's modeled reboot and fault spec,
+	// handed to worker i whole with the fault seed Faults.Seed+i.
+	node.LiveBoardConfig
 	// Seed drives the OP's random assignment.
 	Seed int64
 	// Meter enables wall-clock power accounting when true.
@@ -34,10 +32,6 @@ type LiveOptions struct {
 	// AttemptPolicy is the OP's retries, deadlines (on the wall clock),
 	// backoff, breakers and budget hold (see core.AttemptPolicy).
 	core.AttemptPolicy
-	// Faults injects hang/error/slow faults into every worker; worker i
-	// draws from Faults.Seed+i, so runs are reproducible per node. The
-	// zero value injects none.
-	Faults node.FaultPolicy
 	// Telemetry enables the metrics registry and event stream across the
 	// OP, the workers, and (when Meter is on) the power meter. Nil
 	// disables instrumentation entirely.
@@ -147,30 +141,20 @@ func StartLive(opts LiveOptions) (*Live, error) {
 	}
 	workers := make([]core.Worker, 0, n)
 	for i := 0; i < n; i++ {
+		// Meter readings, events, spans and power transitions all stamp
+		// on the cluster clock.
 		cfg := node.LiveWorkerConfig{
-			ID:        fmt.Sprintf("live-%03d", i),
-			Env:       l.Env,
-			BootDelay: opts.BootDelay,
-			Faults:    opts.Faults,
+			ID:              fmt.Sprintf("live-%03d", i),
+			Env:             l.Env,
+			LiveBoardConfig: opts.LiveBoardConfig,
+			Meter:           l.Meter,
+			Clock:           l.Runtime.Now,
+			Telemetry:       opts.Telemetry,
+			Tracer:          opts.Tracer,
+			Managed:         opts.Power != nil,
+			GPIO:            l.GPIO,
 		}
 		cfg.Faults.Seed += int64(i)
-		if l.Meter != nil {
-			cfg.Meter = l.Meter
-			cfg.Clock = l.Runtime.Now
-		}
-		if opts.Telemetry != nil {
-			cfg.Telemetry = opts.Telemetry
-			cfg.Clock = l.Runtime.Now // events stamp on the cluster clock
-		}
-		if opts.Tracer != nil {
-			cfg.Tracer = opts.Tracer
-			cfg.Clock = l.Runtime.Now // spans stamp on the cluster clock
-		}
-		if opts.Power != nil {
-			cfg.Managed = true
-			cfg.GPIO = l.GPIO
-			cfg.Clock = l.Runtime.Now // power transitions stamp on the cluster clock
-		}
 		w, err := node.StartLiveWorker(cfg)
 		if err != nil {
 			return nil, err

@@ -18,11 +18,11 @@ import (
 func TestLiveCloseLeavesNothingRunning(t *testing.T) {
 	before := runtime.NumGoroutine()
 	l, err := StartLive(LiveOptions{
-		Workers:       4,
-		Seed:          3,
-		AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3, JobTimeout: 200 * time.Millisecond},
-		Faults:        node.FaultPolicy{Seed: 9, HangProb: 0.2},
-		Power:         &powermgr.Policy{IdleTimeout: 20 * time.Millisecond, MinUp: 10 * time.Millisecond},
+		Workers:         4,
+		Seed:            3,
+		AttemptPolicy:   core.AttemptPolicy{MaxAttempts: 3, JobTimeout: 200 * time.Millisecond},
+		LiveBoardConfig: node.LiveBoardConfig{Faults: node.FaultPolicy{Seed: 9, HangProb: 0.2}},
+		Power:           &powermgr.Policy{IdleTimeout: 20 * time.Millisecond, MinUp: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func TestLiveMetricsEnergyMatchesTrace(t *testing.T) {
 	tel := telemetry.New()
 	l, err := StartLive(LiveOptions{
 		Workers: 2, Seed: 3, Meter: true, Telemetry: tel,
-		BootDelay: 25 * time.Millisecond,
+		LiveBoardConfig: node.LiveBoardConfig{BootDelay: 25 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -172,7 +172,7 @@ func TestLiveTraceWirePropagation(t *testing.T) {
 	tr := tracing.NewWithConfig(tracing.Config{})
 	l, err := StartLive(LiveOptions{
 		Workers: 2, Seed: 3, Meter: true, Tracer: tr,
-		BootDelay: 20 * time.Millisecond,
+		LiveBoardConfig: node.LiveBoardConfig{BootDelay: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

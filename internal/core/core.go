@@ -499,14 +499,13 @@ type Orchestrator struct {
 
 	pm *powermgr.Manager // nil = static power policy
 
-	shardLabel       string
-	policy           AssignPolicy
-	maxAttempts      int
-	jobTimeout       time.Duration
-	retryBase        time.Duration
-	retryMax         time.Duration
-	breakerThreshold int
-	breakerProbe     time.Duration
+	shardLabel string
+	policy     AssignPolicy
+	// attempt is Config.AttemptPolicy with its MaxAttempts and
+	// BreakerProbe defaults filled in; retryMax derives from its
+	// RetryBase.
+	attempt  AttemptPolicy
+	retryMax time.Duration
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -529,16 +528,15 @@ type Orchestrator struct {
 	// exist; functions without a budget are simply absent). throttled
 	// parks budget-held submissions by job id, abandoned by Drain exactly
 	// like backoff-parked retries.
-	budgets        map[string]*fnBudget
-	budgetThrottle time.Duration
-	throttled      map[int64]*parkedThrottle
-	callbacks      map[int64]func(Result)
-	nextID         int64
-	nextIdx        int  // next worker registration index (never reused)
-	rrNext         int  // next round-robin index
-	sealed         bool // Seal called: queued jobs frozen for TakeAll recovery
-	idle           *sync.Cond
-	flFree         *inflight // recycled inflight records (see inflight)
+	budgets   map[string]*fnBudget
+	throttled map[int64]*parkedThrottle
+	callbacks map[int64]func(Result)
+	nextID    int64
+	nextIdx   int  // next worker registration index (never reused)
+	rrNext    int  // next round-robin index
+	sealed    bool // Seal called: queued jobs frozen for TakeAll recovery
+	idle      *sync.Cond
+	flFree    *inflight // recycled inflight records (see inflight)
 
 	arrivalCancel func()
 
@@ -667,17 +665,16 @@ func New(cfg Config) (*Orchestrator, error) {
 		cfg.BreakerThreshold < 0 || cfg.BreakerProbe < 0 {
 		return nil, fmt.Errorf("core: negative failure-handling durations/thresholds")
 	}
-	maxAttempts := cfg.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 1
+	attempt := cfg.AttemptPolicy
+	if attempt.MaxAttempts <= 0 {
+		attempt.MaxAttempts = 1
 	}
-	retryMax := 30 * cfg.RetryBase
-	if cfg.RetryBase > 0 && retryMax < time.Second {
+	if attempt.BreakerThreshold > 0 && attempt.BreakerProbe == 0 {
+		attempt.BreakerProbe = 30 * time.Second
+	}
+	retryMax := 30 * attempt.RetryBase
+	if attempt.RetryBase > 0 && retryMax < time.Second {
 		retryMax = time.Second
-	}
-	breakerProbe := cfg.BreakerProbe
-	if cfg.BreakerThreshold > 0 && breakerProbe == 0 {
-		breakerProbe = 30 * time.Second
 	}
 	if cfg.JobIDBase < 0 {
 		return nil, fmt.Errorf("core: negative JobIDBase %d", cfg.JobIDBase)
@@ -686,29 +683,24 @@ func New(cfg Config) (*Orchestrator, error) {
 		return nil, fmt.Errorf("core: negative BudgetThrottle %v", cfg.BudgetThrottle)
 	}
 	o := &Orchestrator{
-		runtime:          cfg.Runtime,
-		collector:        coll,
-		pm:               cfg.PowerManager,
-		shardLabel:       cfg.ShardLabel,
-		policy:           cfg.Policy,
-		maxAttempts:      maxAttempts,
-		jobTimeout:       cfg.JobTimeout,
-		retryBase:        cfg.RetryBase,
-		retryMax:         retryMax,
-		breakerThreshold: cfg.BreakerThreshold,
-		breakerProbe:     breakerProbe,
-		tracer:           cfg.Tracer,
-		rng:              rand.New(rand.NewSource(cfg.Seed)),
-		slots:            make([]*workerSlot, 0, len(cfg.Workers)),
-		byID:             make(map[string]*workerSlot, len(cfg.Workers)),
-		eligible:         make([]*workerSlot, 0, len(cfg.Workers)),
-		load:             make(loadIndex, 0, len(cfg.Workers)),
-		parked:           make(map[int64]*parkedRetry),
-		budgets:          make(map[string]*fnBudget),
-		budgetThrottle:   cfg.BudgetThrottle,
-		throttled:        make(map[int64]*parkedThrottle),
-		callbacks:        make(map[int64]func(Result)),
-		nextID:           cfg.JobIDBase,
+		runtime:    cfg.Runtime,
+		collector:  coll,
+		pm:         cfg.PowerManager,
+		shardLabel: cfg.ShardLabel,
+		policy:     cfg.Policy,
+		attempt:    attempt,
+		retryMax:   retryMax,
+		tracer:     cfg.Tracer,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		slots:      make([]*workerSlot, 0, len(cfg.Workers)),
+		byID:       make(map[string]*workerSlot, len(cfg.Workers)),
+		eligible:   make([]*workerSlot, 0, len(cfg.Workers)),
+		load:       make(loadIndex, 0, len(cfg.Workers)),
+		parked:     make(map[int64]*parkedRetry),
+		budgets:    make(map[string]*fnBudget),
+		throttled:  make(map[int64]*parkedThrottle),
+		callbacks:  make(map[int64]func(Result)),
+		nextID:     cfg.JobIDBase,
 	}
 	o.idle = sync.NewCond(&o.mu)
 	o.initTelemetry(cfg.Telemetry)
@@ -822,7 +814,7 @@ func (o *Orchestrator) SubmitAsync(function string, args []byte, cb func(Result)
 		o.mu.Unlock()
 		return 0
 	}
-	if o.budgetThrottle > 0 && o.exhaustedLocked(function) {
+	if o.attempt.BudgetThrottle > 0 && o.exhaustedLocked(function) {
 		// Budget-exhausted: the job is accepted (id, trace, pending) but
 		// serves a throttle hold before it may enter any queue.
 		job := o.newJobLocked(function, args, cb)
@@ -830,7 +822,7 @@ func (o *Orchestrator) SubmitAsync(function string, args []byte, cb func(Result)
 		o.emit(telemetry.EventQueue, job, "", "budget-throttle")
 		p := &parkedThrottle{job: job}
 		o.throttled[job.ID] = p
-		p.cancel = o.runtime.After(o.budgetThrottle, func() { o.releaseThrottled(job.ID) })
+		p.cancel = o.runtime.After(o.attempt.BudgetThrottle, func() { o.releaseThrottled(job.ID) })
 		o.mu.Unlock()
 		return job.ID
 	}
@@ -908,7 +900,7 @@ func (o *Orchestrator) promoteParoledLocked() {
 // when every breaker is open there is nowhere better to send work, so all
 // workers stay assignable. Caller holds o.mu.
 func (o *Orchestrator) assignableLocked() []*workerSlot {
-	if o.breakerThreshold <= 0 {
+	if o.attempt.BreakerThreshold <= 0 {
 		return o.slots
 	}
 	o.promoteParoledLocked()
@@ -1024,7 +1016,7 @@ func (o *Orchestrator) SubmitTo(workerID, function string, args []byte) (int64, 
 func (o *Orchestrator) newJobLocked(function string, args []byte, cb func(Result)) Job {
 	o.nextID++
 	id := o.nextID
-	job := Job{ID: id, Function: function, Args: args, SubmittedAt: o.runtime.Now(), Timeout: o.jobTimeout}
+	job := Job{ID: id, Function: function, Args: args, SubmittedAt: o.runtime.Now(), Timeout: o.attempt.JobTimeout}
 	job.Trace = o.tracer.StartTrace(function, id, function, job.SubmittedAt)
 	o.spanMarker(job, tracing.PhaseSubmit, "", job.SubmittedAt, "")
 	o.m.submitted.Inc()
@@ -1320,7 +1312,7 @@ func (o *Orchestrator) reassignQueueLocked(wedged *workerSlot) []*inflight {
 // It returns dispatch closures to run after o.mu is released and, when the
 // outcome is final, the job's completion callback. Caller holds o.mu.
 func (o *Orchestrator) resolveAttemptLocked(failedOn *workerSlot, job Job, res Result, finished time.Duration) (runs []*inflight, cb func(Result)) {
-	retry := res.Err != "" && job.Attempt+1 < o.maxAttempts && !o.draining.Load()
+	retry := res.Err != "" && job.Attempt+1 < o.attempt.MaxAttempts && !o.draining.Load()
 	if retry {
 		// The job stays pending: re-queue it on a different worker (a
 		// fresh hardware environment — worker-local faults don't follow),
@@ -1355,13 +1347,13 @@ func (o *Orchestrator) resolveAttemptLocked(failedOn *workerSlot, job Job, res R
 // disabled. The jitter comes from the orchestrator's seeded RNG, so sim
 // runs remain deterministic. Caller holds o.mu.
 func (o *Orchestrator) retryDelayLocked(attempt int) time.Duration {
-	if o.retryBase <= 0 {
+	if o.attempt.RetryBase <= 0 {
 		return 0
 	}
 	shift := uint(attempt - 1)
 	d := o.retryMax
 	if shift < 62 {
-		if exp := o.retryBase << shift; exp > 0 && exp < d {
+		if exp := o.attempt.RetryBase << shift; exp > 0 && exp < d {
 			d = exp
 		}
 	}
@@ -1444,12 +1436,12 @@ func (o *Orchestrator) noteAttemptLocked(s *workerSlot, ok, timedOut bool) {
 		h.timedOut++
 	}
 	h.consec++
-	if o.breakerThreshold > 0 && h.consec >= o.breakerThreshold {
+	if o.attempt.BreakerThreshold > 0 && h.consec >= o.attempt.BreakerThreshold {
 		if !h.open {
 			s.m.breakerTo["open"].Inc()
 		}
 		h.open = true
-		h.reopenAt = o.runtime.Now() + o.breakerProbe
+		h.reopenAt = o.runtime.Now() + o.attempt.BreakerProbe
 		if s.eligPos >= 0 {
 			o.removeEligibleLocked(s)
 			heap.Push(&o.parole, s)

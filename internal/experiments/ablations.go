@@ -52,13 +52,13 @@ type ablationArm struct {
 
 // runPair measures the baseline cluster and a modified one — the two
 // independent arms run on the parallel runner.
-func runPair(name string, seed int64, invocations, parallel int, modified cluster.SimConfig, targets []string) (AblationResult, error) {
+func runPair(name string, run RunConfig, invocations int, modified cluster.SimConfig, targets []string) (AblationResult, error) {
 	if invocations <= 0 {
 		invocations = 40
 	}
-	modified.Seed = seed
-	arms, err := RunParallel(Parallelism(parallel), 2, func(i int) (ablationArm, error) {
-		cfg := cluster.SimConfig{Seed: seed}
+	modified.Seed = run.Seed
+	arms, err := RunParallel(Parallelism(run.Parallel), 2, func(i int) (ablationArm, error) {
+		cfg := cluster.SimConfig{Seed: run.Seed}
 		if i == 1 {
 			cfg = modified
 		}
@@ -102,7 +102,7 @@ var CryptoKernels = []string{"CascSHA", "CascMD5", "AES128"}
 // (Sec V: "adding a cryptographic accelerator might significantly reduce
 // the runtime of CascSHA"): the crypto kernels' ARM compute time shrinks
 // by the given factor.
-func AblationCryptoAccel(speedup float64, seed int64, invocations, parallel int) (AblationResult, error) {
+func AblationCryptoAccel(speedup float64, run RunConfig, invocations int) (AblationResult, error) {
 	if speedup <= 1 {
 		return AblationResult{}, fmt.Errorf("experiments: accelerator speedup must exceed 1, got %v", speedup)
 	}
@@ -116,7 +116,7 @@ func AblationCryptoAccel(speedup float64, seed int64, invocations, parallel int)
 			specs[i].WorkARM = time.Duration(float64(specs[i].WorkARM) / speedup)
 		}
 	}
-	return runPair(fmt.Sprintf("crypto-accelerator %.0fx", speedup), seed, invocations, parallel,
+	return runPair(fmt.Sprintf("crypto-accelerator %.0fx", speedup), run, invocations,
 		cluster.SimConfig{Specs: specs}, CryptoKernels)
 }
 
@@ -125,9 +125,9 @@ var BulkTransferFunctions = []string{"COSGet", "COSPut"}
 
 // AblationGigE models upgrading the SBC NIC from Fast Ethernet to Gigabit
 // (Sec V: "would likely reduce the overhead of functions like COSGet").
-func AblationGigE(seed int64, invocations, parallel int) (AblationResult, error) {
+func AblationGigE(run RunConfig, invocations int) (AblationResult, error) {
 	link := netsim.GigabitEthernet()
-	return runPair("gigabit NIC upgrade", seed, invocations, parallel,
+	return runPair("gigabit NIC upgrade", run, invocations,
 		cluster.SimConfig{BoardConfig: node.BoardConfig{Link: &link}}, BulkTransferFunctions)
 }
 
@@ -135,8 +135,8 @@ func AblationGigE(seed int64, invocations, parallel int) (AblationResult, error)
 // hardware-reset isolation guarantee of Sec III-a costs in throughput and
 // energy. (The modified cluster sacrifices the clean-environment
 // guarantee; this is the trade the paper's design explicitly refuses.)
-func AblationNoReboot(seed int64, invocations, parallel int) (AblationResult, error) {
-	return runPair("no reboot between jobs", seed, invocations, parallel,
+func AblationNoReboot(run RunConfig, invocations int) (AblationResult, error) {
+	return runPair("no reboot between jobs", run, invocations,
 		cluster.SimConfig{BoardConfig: node.BoardConfig{DisableReboot: true}}, nil)
 }
 
@@ -155,12 +155,12 @@ func WriteAblation(w io.Writer, r AblationResult) error {
 
 // renderAblations prints the three ablation studies back to back.
 func renderAblations(w io.Writer, p Params) error {
-	for _, run := range []func(seed int64, invocations, parallel int) (AblationResult, error){
-		func(seed int64, n, par int) (AblationResult, error) { return AblationCryptoAccel(8, seed, n, par) },
+	for _, ablate := range []func(RunConfig, int) (AblationResult, error){
+		func(run RunConfig, n int) (AblationResult, error) { return AblationCryptoAccel(8, run, n) },
 		AblationGigE,
 		AblationNoReboot,
 	} {
-		res, err := run(p.Seed, p.N, p.Parallel)
+		res, err := ablate(p.RunConfig, p.N)
 		if err != nil {
 			return err
 		}

@@ -33,10 +33,9 @@ type BootImpactConfig struct {
 	// InvocationsPerFunction per stage (default 10 — the slow early stages
 	// make each job cycle tens of seconds).
 	InvocationsPerFunction int
-	Seed                   int64
-	// Parallel bounds the worker pool fanning stages across cores
-	// (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	// RunConfig seeds every stage's cluster and bounds the pool fanning
+	// stages across cores.
+	RunConfig
 }
 
 // BootImpact sweeps the Fig 1 development stages.

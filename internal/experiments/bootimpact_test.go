@@ -8,7 +8,7 @@ import (
 )
 
 func TestBootImpactMonotoneAndEndsAtPaper(t *testing.T) {
-	rows, err := BootImpact(BootImpactConfig{InvocationsPerFunction: 10, Seed: 1})
+	rows, err := BootImpact(BootImpactConfig{InvocationsPerFunction: 10, RunConfig: RunConfig{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestBootImpactMonotoneAndEndsAtPaper(t *testing.T) {
 }
 
 func TestWriteBootImpact(t *testing.T) {
-	rows, err := BootImpact(BootImpactConfig{InvocationsPerFunction: 5, Seed: 2})
+	rows, err := BootImpact(BootImpactConfig{InvocationsPerFunction: 5, RunConfig: RunConfig{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

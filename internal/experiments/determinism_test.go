@@ -40,73 +40,73 @@ func runTwiceAndCompare[T any](t *testing.T, name string, fn func(parallel int) 
 
 func TestDeterminismFig3(t *testing.T) {
 	runTwiceAndCompare(t, "fig3", func(p int) ([]Fig3Row, error) {
-		return Fig3(Fig3Config{InvocationsPerFunction: 10, Seed: detSeed, Parallel: p})
+		return Fig3(Fig3Config{InvocationsPerFunction: 10, RunConfig: RunConfig{Seed: detSeed, Parallel: p}})
 	})
 }
 
 func TestDeterminismFig4(t *testing.T) {
 	runTwiceAndCompare(t, "fig4", func(p int) (Fig4Result, error) {
-		return Fig4(Fig4Config{Seed: detSeed, Parallel: p})
+		return Fig4(Fig4Config{RunConfig: RunConfig{Seed: detSeed, Parallel: p}})
 	})
 }
 
 func TestDeterminismFig5(t *testing.T) {
 	runTwiceAndCompare(t, "fig5", func(p int) ([]Fig5Point, error) {
-		return Fig5(Fig5Config{Seed: detSeed, Parallel: p})
+		return Fig5(Fig5Config{RunConfig: RunConfig{Seed: detSeed, Parallel: p}})
 	})
 }
 
 func TestDeterminismHeadline(t *testing.T) {
 	runTwiceAndCompare(t, "headline", func(p int) (HeadlineResult, error) {
-		return Headline(HeadlineConfig{InvocationsPerFunction: 10, Seed: detSeed, Parallel: p})
+		return Headline(HeadlineConfig{InvocationsPerFunction: 10, RunConfig: RunConfig{Seed: detSeed, Parallel: p}})
 	})
 }
 
 func TestDeterminismSensitivity(t *testing.T) {
 	runTwiceAndCompare(t, "sensitivity", func(p int) (SensitivityResult, error) {
-		return Sensitivity(SensitivityConfig{Trials: 8, InvocationsPerFunction: 5, Seed: detSeed, Parallel: p})
+		return Sensitivity(SensitivityConfig{Trials: 8, InvocationsPerFunction: 5, RunConfig: RunConfig{Seed: detSeed, Parallel: p}})
 	})
 }
 
 func TestDeterminismLoadSweep(t *testing.T) {
 	runTwiceAndCompare(t, "loadsweep", func(p int) ([]LoadSweepPoint, error) {
-		return LoadSweep(LoadSweepConfig{Seed: detSeed, Parallel: p})
+		return LoadSweep(LoadSweepConfig{RunConfig: RunConfig{Seed: detSeed, Parallel: p}})
 	})
 }
 
 func TestDeterminismKeepWarm(t *testing.T) {
 	runTwiceAndCompare(t, "keepwarm", func(p int) ([]KeepWarmPoint, error) {
-		return KeepWarm(KeepWarmConfig{Seed: detSeed, Parallel: p})
+		return KeepWarm(KeepWarmConfig{RunConfig: RunConfig{Seed: detSeed, Parallel: p}})
 	})
 }
 
 func TestDeterminismDiurnal(t *testing.T) {
 	runTwiceAndCompare(t, "diurnal", func(p int) (DiurnalResult, error) {
-		return Diurnal(DiurnalConfig{Seed: detSeed, Parallel: p})
+		return Diurnal(DiurnalConfig{RunConfig: RunConfig{Seed: detSeed, Parallel: p}})
 	})
 }
 
 func TestDeterminismBootImpact(t *testing.T) {
 	runTwiceAndCompare(t, "bootimpact", func(p int) ([]BootImpactRow, error) {
-		return BootImpact(BootImpactConfig{Seed: detSeed, Parallel: p})
+		return BootImpact(BootImpactConfig{RunConfig: RunConfig{Seed: detSeed, Parallel: p}})
 	})
 }
 
 func TestDeterminismRackScale(t *testing.T) {
 	runTwiceAndCompare(t, "rackscale", func(p int) (RackScaleResult, error) {
-		return RackScale(RackScaleConfig{Seed: detSeed, Parallel: p})
+		return RackScale(RackScaleConfig{RunConfig: RunConfig{Seed: detSeed, Parallel: p}})
 	})
 }
 
 func TestDeterminismAblations(t *testing.T) {
 	runTwiceAndCompare(t, "ablation-crypto", func(p int) (AblationResult, error) {
-		return AblationCryptoAccel(8, detSeed, 10, p)
+		return AblationCryptoAccel(8, RunConfig{Seed: detSeed, Parallel: p}, 10)
 	})
 	runTwiceAndCompare(t, "ablation-gige", func(p int) (AblationResult, error) {
-		return AblationGigE(detSeed, 10, p)
+		return AblationGigE(RunConfig{Seed: detSeed, Parallel: p}, 10)
 	})
 	runTwiceAndCompare(t, "ablation-noreboot", func(p int) (AblationResult, error) {
-		return AblationNoReboot(detSeed, 10, p)
+		return AblationNoReboot(RunConfig{Seed: detSeed, Parallel: p}, 10)
 	})
 }
 
@@ -121,7 +121,7 @@ func TestDeterminismWriteAll(t *testing.T) {
 	render := func(p int) []byte {
 		t.Helper()
 		var b bytes.Buffer
-		if err := WriteAll(&b, AllConfig{InvocationsPerFunction: 10, Seed: detSeed, Parallel: p}); err != nil {
+		if err := WriteAll(&b, Params{N: 10, RunConfig: RunConfig{Seed: detSeed, Parallel: p}}); err != nil {
 			t.Fatalf("WriteAll(parallel=%d): %v", p, err)
 		}
 		return b.Bytes()

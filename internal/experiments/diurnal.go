@@ -45,11 +45,10 @@ type DiurnalConfig struct {
 	// 180 func/min (peak ≈90 % of matched capacity).
 	TroughPerMin, PeakPerMin float64
 	// Day length (default 24 h of virtual time).
-	Day  time.Duration
-	Seed int64
-	// Parallel bounds the worker pool running the two clusters' days
-	// concurrently (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	Day time.Duration
+	// RunConfig seeds the demand trace and both clusters, and bounds the
+	// pool running the two clusters' days concurrently.
+	RunConfig
 }
 
 // Diurnal runs the day on both clusters.

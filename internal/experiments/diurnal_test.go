@@ -13,7 +13,7 @@ func shortDay(t *testing.T, seed int64) DiurnalResult {
 		TroughPerMin: 5,
 		PeakPerMin:   120,
 		Day:          4 * time.Hour,
-		Seed:         seed,
+		RunConfig:    RunConfig{Seed: seed},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -90,10 +90,9 @@ type Fig3Row struct {
 // function; sim runs accept smaller counts for speed.
 type Fig3Config struct {
 	InvocationsPerFunction int
-	Seed                   int64
-	// Parallel bounds the worker pool running the two clusters
-	// concurrently (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	// RunConfig seeds both clusters and bounds the pool running them
+	// concurrently.
+	RunConfig
 }
 
 // paperCluster builds one side of the paper's throughput-matched testbed:
@@ -106,13 +105,15 @@ func paperCluster(microfaas bool, cfg cluster.SimConfig) (*cluster.Sim, error) {
 }
 
 // paperPair drains the suite (default 100 invocations per function) on
-// both clusters. They are independent sims, so they run as two tasks on
-// the parallel runner.
-func paperPair(invocations int, cfg cluster.SimConfig, parallel int) (mf, conv *cluster.Sim, err error) {
+// both clusters, with the given function models (nil = the calibrated
+// ones). They are independent sims, so they run as two tasks on the
+// parallel runner.
+func paperPair(invocations int, run RunConfig, specs []model.FunctionSpec) (mf, conv *cluster.Sim, err error) {
 	if invocations <= 0 {
 		invocations = 100
 	}
-	sims, err := RunParallel(Parallelism(parallel), 2, func(i int) (*cluster.Sim, error) {
+	cfg := cluster.SimConfig{Seed: run.Seed, Specs: specs}
+	sims, err := RunParallel(Parallelism(run.Parallel), 2, func(i int) (*cluster.Sim, error) {
 		s, err := paperCluster(i == 0, cfg)
 		if err != nil {
 			return nil, err
@@ -129,7 +130,7 @@ func paperPair(invocations int, cfg cluster.SimConfig, parallel int) (mf, conv *
 // Fig3 runs both simulated clusters through the suite and reports the
 // per-function runtime split.
 func Fig3(cfg Fig3Config) ([]Fig3Row, error) {
-	mf, conv, err := paperPair(cfg.InvocationsPerFunction, cluster.SimConfig{Seed: cfg.Seed}, cfg.Parallel)
+	mf, conv, err := paperPair(cfg.InvocationsPerFunction, cfg.RunConfig, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -214,10 +215,9 @@ type Fig4Result struct {
 type Fig4Config struct {
 	MaxVMs    int // default 24
 	JobsPerVM int // default 60
-	Seed      int64
-	// Parallel bounds the worker pool fanning sweep points across cores
-	// (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	// RunConfig seeds every sweep point and bounds the pool fanning them
+	// across cores.
+	RunConfig
 }
 
 // Fig4 sweeps the number of VMs on the rack server, measuring throughput
@@ -313,13 +313,14 @@ type Fig5Point struct {
 
 // Fig5Config sizes the sweep.
 type Fig5Config struct {
-	MaxWorkers int           // default 10 (the evaluation cluster size)
-	Window     time.Duration // averaging window (default 2 min virtual)
-	Seed       int64
-	// Parallel bounds the worker pool fanning sweep points across cores
-	// (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	MaxWorkers int // default 10 (the evaluation cluster size)
+	// RunConfig seeds every sweep point and bounds the pool fanning them
+	// across cores.
+	RunConfig
 }
+
+// fig5Window is the virtual time each Fig 5 point averages power over.
+const fig5Window = 2 * time.Minute
 
 // Fig5 measures average cluster power while 0..MaxWorkers workers run
 // continuously: the MicroFaaS cluster keeps its remaining nodes powered
@@ -330,14 +331,10 @@ func Fig5(cfg Fig5Config) ([]Fig5Point, error) {
 	if maxW <= 0 {
 		maxW = model.SBCCount
 	}
-	window := cfg.Window
-	if window <= 0 {
-		window = 2 * time.Minute
-	}
 	// 2(maxW+1) independent runs: task 2n is the MicroFaaS cluster with n
 	// busy workers, task 2n+1 the conventional one.
 	watts, err := RunParallel(Parallelism(cfg.Parallel), 2*(maxW+1), func(i int) (float64, error) {
-		return clusterPower(i%2 == 0, maxW, i/2, window, cfg.Seed)
+		return clusterPower(i%2 == 0, maxW, i/2, fig5Window, cfg.Seed)
 	})
 	if err != nil {
 		return nil, err
@@ -417,16 +414,15 @@ type HeadlineResult struct {
 // HeadlineConfig sizes the run (paper scale: 1,000 invocations/function).
 type HeadlineConfig struct {
 	InvocationsPerFunction int
-	Seed                   int64
-	// Parallel bounds the worker pool running the two clusters
-	// concurrently (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	// RunConfig seeds both clusters and bounds the pool running them
+	// concurrently.
+	RunConfig
 }
 
 // Headline runs both throughput-matched clusters and reports the paper's
 // headline metrics.
 func Headline(cfg HeadlineConfig) (HeadlineResult, error) {
-	mf, conv, err := paperPair(cfg.InvocationsPerFunction, cluster.SimConfig{Seed: cfg.Seed}, cfg.Parallel)
+	mf, conv, err := paperPair(cfg.InvocationsPerFunction, cfg.RunConfig, nil)
 	if err != nil {
 		return HeadlineResult{}, err
 	}

@@ -28,7 +28,7 @@ func TestFig1EndsAtPaperBootTimes(t *testing.T) {
 }
 
 func TestFig3ReproducesSpeedCounts(t *testing.T) {
-	rows, err := Fig3(Fig3Config{InvocationsPerFunction: 30, Seed: 1})
+	rows, err := Fig3(Fig3Config{InvocationsPerFunction: 30, RunConfig: RunConfig{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFig3ReproducesSpeedCounts(t *testing.T) {
 }
 
 func TestFig4ShapeMatchesPaper(t *testing.T) {
-	res, err := Fig4(Fig4Config{MaxVMs: 24, JobsPerVM: 150, Seed: 2})
+	res, err := Fig4(Fig4Config{MaxVMs: 24, JobsPerVM: 150, RunConfig: RunConfig{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFig4ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig5EnergyProportionality(t *testing.T) {
-	pts, err := Fig5(Fig5Config{MaxWorkers: 10, Seed: 3})
+	pts, err := Fig5(Fig5Config{MaxWorkers: 10, RunConfig: RunConfig{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFig5EnergyProportionality(t *testing.T) {
 }
 
 func TestHeadlineMatchesPaper(t *testing.T) {
-	res, err := Headline(HeadlineConfig{InvocationsPerFunction: 40, Seed: 4})
+	res, err := Headline(HeadlineConfig{InvocationsPerFunction: 40, RunConfig: RunConfig{Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestWriteTable2(t *testing.T) {
 }
 
 func TestAblationCryptoAccel(t *testing.T) {
-	res, err := AblationCryptoAccel(8, 5, 20, 1)
+	res, err := AblationCryptoAccel(8, RunConfig{Seed: 5, Parallel: 1}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +192,13 @@ func TestAblationCryptoAccel(t *testing.T) {
 			t.Fatalf("%s did not get faster: %v -> %v", d.Function, d.Before, d.After)
 		}
 	}
-	if _, err := AblationCryptoAccel(0.5, 1, 5, 1); err == nil {
+	if _, err := AblationCryptoAccel(0.5, RunConfig{Seed: 1, Parallel: 1}, 5); err == nil {
 		t.Fatal("speedup below 1 accepted")
 	}
 }
 
 func TestAblationGigE(t *testing.T) {
-	res, err := AblationGigE(6, 20, 1)
+	res, err := AblationGigE(RunConfig{Seed: 6, Parallel: 1}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestAblationGigE(t *testing.T) {
 }
 
 func TestAblationNoReboot(t *testing.T) {
-	res, err := AblationNoReboot(7, 20, 1)
+	res, err := AblationNoReboot(RunConfig{Seed: 7, Parallel: 1}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,9 @@ type KeepWarmConfig struct {
 	LoadFraction float64
 	// Duration is virtual observation time (default 20 min).
 	Duration time.Duration
-	Seed     int64
-	// Parallel bounds the worker pool fanning windows across cores
-	// (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	// RunConfig seeds every window's cluster and bounds the pool fanning
+	// windows across cores.
+	RunConfig
 }
 
 // KeepWarm runs the sweep on the 10-SBC MicroFaaS cluster.

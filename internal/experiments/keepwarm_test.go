@@ -8,9 +8,9 @@ import (
 
 func TestKeepWarmTradesEnergyForLatency(t *testing.T) {
 	pts, err := KeepWarm(KeepWarmConfig{
-		Windows:  []time.Duration{0, 30 * time.Second},
-		Duration: 10 * time.Minute,
-		Seed:     1,
+		Windows:   []time.Duration{0, 30 * time.Second},
+		Duration:  10 * time.Minute,
+		RunConfig: RunConfig{Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,9 +39,9 @@ func TestKeepWarmTradesEnergyForLatency(t *testing.T) {
 
 func TestKeepWarmLongerWindowsCostMore(t *testing.T) {
 	pts, err := KeepWarm(KeepWarmConfig{
-		Windows:  []time.Duration{5 * time.Second, 2 * time.Minute},
-		Duration: 10 * time.Minute,
-		Seed:     2,
+		Windows:   []time.Duration{5 * time.Second, 2 * time.Minute},
+		Duration:  10 * time.Minute,
+		RunConfig: RunConfig{Seed: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +66,9 @@ func TestKeepWarmValidation(t *testing.T) {
 
 func TestWriteKeepWarm(t *testing.T) {
 	pts, err := KeepWarm(KeepWarmConfig{
-		Windows:  []time.Duration{0},
-		Duration: 5 * time.Minute,
-		Seed:     1,
+		Windows:   []time.Duration{0},
+		Duration:  5 * time.Minute,
+		RunConfig: RunConfig{Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

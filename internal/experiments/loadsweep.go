@@ -47,10 +47,9 @@ type LoadSweepConfig struct {
 	Fractions []float64
 	// Window is the virtual observation time per point (default 20 min).
 	Window time.Duration
-	Seed   int64
-	// Parallel bounds the worker pool fanning sweep points across cores
-	// (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	// RunConfig seeds every sweep point and bounds the pool fanning them
+	// across cores.
+	RunConfig
 }
 
 // loadSweepRun is one cluster's measurement at one offered load.

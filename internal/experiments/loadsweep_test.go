@@ -10,7 +10,7 @@ func TestLoadSweepEnergyProportionality(t *testing.T) {
 	pts, err := LoadSweep(LoadSweepConfig{
 		Fractions: []float64{0.1, 0.5, 0.9},
 		Window:    10 * time.Minute,
-		Seed:      1,
+		RunConfig: RunConfig{Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestLoadSweepLatencyGrowsWithLoad(t *testing.T) {
 	pts, err := LoadSweep(LoadSweepConfig{
 		Fractions: []float64{0.25, 0.9},
 		Window:    10 * time.Minute,
-		Seed:      2,
+		RunConfig: RunConfig{Seed: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestLoadSweepLatencyGrowsWithLoad(t *testing.T) {
 
 func TestLoadSweepCompletesOfferedLoad(t *testing.T) {
 	window := 10 * time.Minute
-	pts, err := LoadSweep(LoadSweepConfig{Fractions: []float64{0.5}, Window: window, Seed: 3})
+	pts, err := LoadSweep(LoadSweepConfig{Fractions: []float64{0.5}, Window: window, RunConfig: RunConfig{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestLoadSweepValidation(t *testing.T) {
 }
 
 func TestWriteLoadSweep(t *testing.T) {
-	pts, err := LoadSweep(LoadSweepConfig{Fractions: []float64{0.5}, Window: 5 * time.Minute, Seed: 1})
+	pts, err := LoadSweep(LoadSweepConfig{Fractions: []float64{0.5}, Window: 5 * time.Minute, RunConfig: RunConfig{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

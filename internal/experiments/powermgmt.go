@@ -114,11 +114,9 @@ type PowerMgmtConfig struct {
 	// Day is the trace length (default 2 h of virtual time — long enough
 	// for the diurnal shape to matter, short enough to fan out widely).
 	Day time.Duration
-	// Seed derives each level's trace and seeds every arm's sim.
-	Seed int64
-	// Parallel bounds the worker pool (<=0 = GOMAXPROCS, 1 = serial). All
-	// levels × arms fan through it; output is identical at any value.
-	Parallel int
+	// RunConfig derives each level's trace, seeds every arm's sim and
+	// bounds the pool all levels × arms fan through.
+	RunConfig
 	// SLO, when set, enables telemetry plus an embedded time-series
 	// store sampling every powerMgmtScrapeEvery of virtual time and
 	// reports each arm's alert timeline across the diurnal trace. Nil

@@ -10,7 +10,7 @@ import (
 // shortPM keeps the test runs cheap: a 20-minute virtual day is long
 // enough for idle power-downs and wakes to happen many times over.
 func shortPM(seed int64, parallel int) PowerMgmtConfig {
-	return PowerMgmtConfig{Day: 20 * time.Minute, Seed: seed, Parallel: parallel}
+	return PowerMgmtConfig{Day: 20 * time.Minute, RunConfig: RunConfig{Seed: seed, Parallel: parallel}}
 }
 
 func TestPowerMgmtSavings(t *testing.T) {

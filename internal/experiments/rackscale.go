@@ -38,18 +38,18 @@ type RackScaleConfig struct {
 	VMsPerServer int
 	// JobsPerWorker sets run length (default 8).
 	JobsPerWorker int
-	Seed          int64
-	// Shards splits each rack into independent sub-simulations (default
-	// 16, clamped to the node count). MicroFaaS SBCs never interact and
-	// conventional servers only couple VMs on the same host, so sharding
-	// by node group is exact, not an approximation. The shard count is
-	// fixed by the config — never by Parallel — so the report is
-	// byte-identical at any parallelism.
-	Shards int
-	// Parallel bounds the worker pool running shards across cores
-	// (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	// RunConfig derives every shard's seed and bounds the pool running
+	// shards across cores.
+	RunConfig
 }
+
+// rackScaleShards splits each rack into independent sub-simulations
+// (clamped to the node count). MicroFaaS SBCs never interact and
+// conventional servers only couple VMs on the same host, so sharding by
+// node group is exact, not an approximation. The shard count is a
+// constant — never derived from Parallel — so the report is byte-identical
+// at any parallelism.
+const rackScaleShards = 16
 
 // rackShardStats is the subset of cluster.SuiteStats a rack merge needs.
 type rackShardStats struct {
@@ -85,10 +85,6 @@ func RackScale(cfg RackScaleConfig) (RackScaleResult, error) {
 	if jobs <= 0 {
 		jobs = 8
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 16
-	}
 	assumptions := tco.PaperAssumptions()
 	switchW := func(nodes int) float64 {
 		return float64(tco.Switches(nodes, assumptions)) * float64(power.DefaultSwitchModel().Power())
@@ -100,7 +96,7 @@ func RackScale(cfg RackScaleConfig) (RackScaleResult, error) {
 	// own engine with DeriveSeed(seed, seedBase+i), so shard streams are
 	// decorrelated and stable, and the two racks never reuse a stream.
 	rack := func(nodes, seedBase int, build func(n int, seed int64) (*cluster.Sim, error)) (perMin, watts, joulesPer float64, err error) {
-		k := min(shards, nodes)
+		k := min(rackScaleShards, nodes)
 		stats, err := RunParallel(workers, k, func(i int) (rackShardStats, error) {
 			s, err := build(shardSize(nodes, k, i), DeriveSeed(cfg.Seed, seedBase+i))
 			if err != nil {

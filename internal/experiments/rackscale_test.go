@@ -7,7 +7,7 @@ import (
 
 func TestRackScaleSmall(t *testing.T) {
 	// A scaled-down rack (fast in CI): 96 SBCs vs 4 servers × 16 VMs.
-	res, err := RackScale(RackScaleConfig{SBCs: 96, Servers: 4, VMsPerServer: 16, JobsPerWorker: 6, Seed: 1})
+	res, err := RackScale(RackScaleConfig{SBCs: 96, Servers: 4, VMsPerServer: 16, JobsPerWorker: 6, RunConfig: RunConfig{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRackScaleDefaultsToTableIISizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 989-SBC rack in -short mode")
 	}
-	res, err := RackScale(RackScaleConfig{JobsPerWorker: 2, Seed: 2})
+	res, err := RackScale(RackScaleConfig{JobsPerWorker: 2, RunConfig: RunConfig{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRackScale10K(t *testing.T) {
 	// (the `rackscale10k` command's configuration, shortened to 2 jobs per
 	// worker) must run to completion — 20,000 completions across 16 shards
 	// — with the energy ordering intact.
-	res, err := RackScale(RackScaleConfig{SBCs: 10000, Servers: 415, JobsPerWorker: 2, Seed: 1})
+	res, err := RackScale(RackScaleConfig{SBCs: 10000, Servers: 415, JobsPerWorker: 2, RunConfig: RunConfig{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,18 @@ import (
 // Events *within* one engine are never parallelized; see DESIGN.md's
 // "Concurrency model" section.
 
-// Parallelism normalizes a config's Parallel field: values <= 0 select
+// RunConfig is what every experiment run takes: the seed its result is a
+// pure function of, and the pool size it does not depend on. Params and
+// each experiment's Config embed it, so a row hands it over whole.
+type RunConfig struct {
+	Seed int64
+	// Parallel bounds the worker pool fanning the run's independent
+	// simulations across cores (<=0 = GOMAXPROCS, 1 = serial). Output is
+	// byte-identical at any value.
+	Parallel int
+}
+
+// Parallelism normalizes RunConfig.Parallel: values <= 0 select
 // GOMAXPROCS (all available cores), anything else is used as given.
 func Parallelism(n int) int {
 	if n <= 0 {

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"microfaas/internal/cluster"
 	"microfaas/internal/model"
 )
 
@@ -36,10 +35,9 @@ type SensitivityConfig struct {
 	Spread float64
 	// InvocationsPerFunction per trial (default 20).
 	InvocationsPerFunction int
-	Seed                   int64
-	// Parallel bounds the worker pool fanning trials across cores
-	// (<=0 = GOMAXPROCS, 1 = serial). Results are identical at any value.
-	Parallel int
+	// RunConfig derives every trial's perturbation and seed, and bounds
+	// the pool fanning trials across cores.
+	RunConfig
 }
 
 // Sensitivity runs the Monte-Carlo perturbation study.
@@ -102,7 +100,7 @@ func perturbSpecs(rng *rand.Rand, spread float64) []model.FunctionSpec {
 // measureGain runs both clusters with the perturbed tables and returns
 // conventional J/func ÷ MicroFaaS J/func.
 func measureGain(specs []model.FunctionSpec, inv int, seed int64) (float64, error) {
-	mf, conv, err := paperPair(inv, cluster.SimConfig{Seed: seed, Specs: specs}, 1)
+	mf, conv, err := paperPair(inv, RunConfig{Seed: seed, Parallel: 1}, specs)
 	if err != nil {
 		return 0, err
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSensitivityVerdictSurvivesPerturbation(t *testing.T) {
-	res, err := Sensitivity(SensitivityConfig{Trials: 12, Spread: 0.2, InvocationsPerFunction: 10, Seed: 1})
+	res, err := Sensitivity(SensitivityConfig{Trials: 12, Spread: 0.2, InvocationsPerFunction: 10, RunConfig: RunConfig{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,11 +23,11 @@ func TestSensitivityVerdictSurvivesPerturbation(t *testing.T) {
 }
 
 func TestSensitivityWiderSpreadWidensRange(t *testing.T) {
-	narrow, err := Sensitivity(SensitivityConfig{Trials: 10, Spread: 0.05, InvocationsPerFunction: 10, Seed: 2})
+	narrow, err := Sensitivity(SensitivityConfig{Trials: 10, Spread: 0.05, InvocationsPerFunction: 10, RunConfig: RunConfig{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Sensitivity(SensitivityConfig{Trials: 10, Spread: 0.4, InvocationsPerFunction: 10, Seed: 2})
+	wide, err := Sensitivity(SensitivityConfig{Trials: 10, Spread: 0.4, InvocationsPerFunction: 10, RunConfig: RunConfig{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSensitivityValidation(t *testing.T) {
 }
 
 func TestWriteSensitivity(t *testing.T) {
-	res, err := Sensitivity(SensitivityConfig{Trials: 3, InvocationsPerFunction: 5, Seed: 1})
+	res, err := Sensitivity(SensitivityConfig{Trials: 3, InvocationsPerFunction: 5, RunConfig: RunConfig{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,8 +139,7 @@ func TestShardFailoverGoldenPR14(t *testing.T) {
 			BurstEvery:      250 * time.Millisecond,
 			JobsPerBurst:    8,
 			KeySpace:        32,
-			Seed:            seed,
-			Parallel:        1,
+			RunConfig:       RunConfig{Seed: seed, Parallel: 1},
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

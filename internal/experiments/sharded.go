@@ -35,14 +35,14 @@ type ShardedRackConfig struct {
 	// KeySpace is the number of distinct routing keys for uniform
 	// traffic (default 4096).
 	KeySpace int
-	// HotPermille is the share of hot-arm traffic pinned to a single
-	// key, in tenths of a percent (default 300 = 30%).
-	HotPermille int
-	Seed        int64
-	// Parallel bounds the worker pool running arms across cores
-	// (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	// RunConfig derives every arm's seed and bounds the pool running arms
+	// across cores.
+	RunConfig
 }
+
+// shardedHotPermille is the share of hot-arm traffic pinned to a single
+// key, in tenths of a percent (30%).
+const shardedHotPermille = 300
 
 // ShardedArm is one arm's aggregate result.
 type ShardedArm struct {
@@ -115,9 +115,6 @@ func ShardedRack(cfg ShardedRackConfig) (ShardedRackResult, error) {
 	if cfg.KeySpace <= 0 {
 		cfg.KeySpace = 4096
 	}
-	if cfg.HotPermille <= 0 {
-		cfg.HotPermille = 300
-	}
 	res := ShardedRackResult{Shards: cfg.Shards, SBCs: cfg.Shards * cfg.WorkersPerShard}
 	specs := shardedArms()
 	arms, err := RunParallel(Parallelism(cfg.Parallel), len(specs), func(i int) (ShardedArm, error) {
@@ -146,8 +143,8 @@ func runShardedArm(cfg ShardedRackConfig, spec shardedArmSpec, seed int64) (Shar
 	for j := 0; j < total; j++ {
 		key := "u/" + strconv.Itoa(j%cfg.KeySpace)
 		// The hot arms pin a fixed slice of traffic to one key,
-		// deterministically: job j is hot iff j mod 1000 < HotPermille.
-		if spec.hot && j%1000 < cfg.HotPermille {
+		// deterministically: job j is hot iff j mod 1000 < shardedHotPermille.
+		if spec.hot && j%1000 < shardedHotPermille {
 			key = "hot"
 		}
 		s.Plane.Submit(key, fns[j%len(fns)].Name, nil, nil)

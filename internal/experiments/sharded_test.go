@@ -13,8 +13,7 @@ func smallShardedCfg(seed int64, parallel int) ShardedRackConfig {
 		WorkersPerShard: 12,
 		JobsPerWorker:   3,
 		KeySpace:        64,
-		Seed:            seed,
-		Parallel:        parallel,
+		RunConfig:       RunConfig{Seed: seed, Parallel: parallel},
 	}
 }
 

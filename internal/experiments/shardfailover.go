@@ -46,10 +46,9 @@ type ShardFailoverConfig struct {
 	JobsPerBurst int
 	// KeySpace is the number of distinct routing keys (default 256).
 	KeySpace int
-	Seed     int64
-	// Parallel bounds the worker pool running arms across cores
-	// (<=0 = GOMAXPROCS, 1 = serial).
-	Parallel int
+	// RunConfig derives the victims and every arm's seed, and bounds the
+	// pool running arms across cores.
+	RunConfig
 	// SLO, when set, enables per-shard telemetry plus an embedded
 	// time-series store scraping on the aggregator tick, evaluates these
 	// rules on every scrape, and reports each arm's alert timeline. Nil

@@ -21,8 +21,7 @@ func smallFailover(parallel int) (ShardFailoverResult, error) {
 		BurstEvery:      250 * time.Millisecond,
 		JobsPerBurst:    8,
 		KeySpace:        32,
-		Seed:            detSeed,
-		Parallel:        parallel,
+		RunConfig:       RunConfig{Seed: detSeed, Parallel: parallel},
 	})
 }
 
@@ -102,8 +101,7 @@ func sloFailover(parallel int) (ShardFailoverResult, error) {
 		BurstEvery:      500 * time.Millisecond,
 		JobsPerBurst:    7,
 		KeySpace:        32,
-		Seed:            detSeed,
-		Parallel:        parallel,
+		RunConfig:       RunConfig{Seed: detSeed, Parallel: parallel},
 		SLO: []tsdb.Rule{{
 			Name: "latency-burn", Kind: tsdb.KindLatency,
 			ThresholdS: 4.7, Target: 0.7,
@@ -180,7 +178,7 @@ func TestShardFailoverSLOAlertTimeline(t *testing.T) {
 	bare, err := ShardFailover(ShardFailoverConfig{
 		Shards: 8, WorkersPerShard: 4, Kills: 4, Bursts: 80,
 		BurstEvery: 500 * time.Millisecond, JobsPerBurst: 7, KeySpace: 32,
-		Seed: detSeed, Parallel: 1,
+		RunConfig: RunConfig{Seed: detSeed, Parallel: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

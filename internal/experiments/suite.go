@@ -11,13 +11,13 @@ import (
 )
 
 // Params is everything cmd/microfaas-sim can hand an experiment. Every
-// row reads Seed and Parallel; the rest only reach the rows whose Reads
-// lists the flag that sets them.
+// row reads RunConfig (-seed, -parallel) and hands it to its experiment
+// whole; the rest only reach the rows whose Reads lists the flag that
+// sets them.
 type Params struct {
-	N        int   // -n: invocations per function
-	Seed     int64 // -seed
-	Parallel int   // -parallel: worker-pool size (<=0 = GOMAXPROCS, 1 = serial)
-	Shards   int   // -shards: control-plane shard count (0 = the experiment default)
+	RunConfig
+	N      int // -n: invocations per function
+	Shards int // -shards: control-plane shard count (0 = the experiment default)
 	// SLO (-slo) is a loaded burn-rate rule file; rows that read it print
 	// alert timelines.
 	SLO     []tsdb.Rule
@@ -62,16 +62,12 @@ func static(write func(io.Writer) error) Renderer {
 }
 
 func fig3Config(p Params) Fig3Config {
-	return Fig3Config{InvocationsPerFunction: p.N, Seed: p.Seed, Parallel: p.Parallel}
+	return Fig3Config{InvocationsPerFunction: p.N, RunConfig: p.RunConfig}
 }
-func fig4Config(p Params) Fig4Config { return Fig4Config{Seed: p.Seed, Parallel: p.Parallel} }
-func fig5Config(p Params) Fig5Config { return Fig5Config{Seed: p.Seed, Parallel: p.Parallel} }
-func loadSweepConfig(p Params) LoadSweepConfig {
-	return LoadSweepConfig{Seed: p.Seed, Parallel: p.Parallel}
-}
-func keepWarmConfig(p Params) KeepWarmConfig {
-	return KeepWarmConfig{Seed: p.Seed, Parallel: p.Parallel}
-}
+func fig4Config(p Params) Fig4Config           { return Fig4Config{RunConfig: p.RunConfig} }
+func fig5Config(p Params) Fig5Config           { return Fig5Config{RunConfig: p.RunConfig} }
+func loadSweepConfig(p Params) LoadSweepConfig { return LoadSweepConfig{RunConfig: p.RunConfig} }
+func keepWarmConfig(p Params) KeepWarmConfig   { return KeepWarmConfig{RunConfig: p.RunConfig} }
 
 // Suite is the experiment list, declared once: cmd/microfaas-sim looks a
 // name up here, renders its usage text from here and rejects flags a row
@@ -96,29 +92,29 @@ var Suite = []Experiment{
 	{Name: "headline", Summary: "Sec V headline: func/min and J/func, both clusters", InAll: true,
 		Reads: []string{"n"},
 		Text: render(func(p Params) HeadlineConfig {
-			return HeadlineConfig{InvocationsPerFunction: p.N, Seed: p.Seed, Parallel: p.Parallel}
+			return HeadlineConfig{InvocationsPerFunction: p.N, RunConfig: p.RunConfig}
 		}, Headline, WriteHeadline)},
 	{Name: "table2", Summary: "Table II: 5-year single-rack TCO", InAll: true,
 		Text: static(WriteTable2)},
 	{Name: "rackscale", Summary: "Table II's 989-SBC and 41-server racks, simulated", InAll: true,
 		Text: render(func(p Params) RackScaleConfig {
-			return RackScaleConfig{Seed: p.Seed, Parallel: p.Parallel}
+			return RackScaleConfig{RunConfig: p.RunConfig}
 		}, RackScale, WriteRackScale)},
 	// 10000/989 ≈ 10.1× the Table II sizing, against the
 	// throughput-matched 415-server conventional rack.
 	{Name: "rackscale10k", Summary: "dispatch scalability: a 10,000-SBC rack vs 415 servers",
 		Text: render(func(p Params) RackScaleConfig {
-			return RackScaleConfig{SBCs: 10000, Servers: 415, Seed: p.Seed, Parallel: p.Parallel}
+			return RackScaleConfig{SBCs: 10000, Servers: 415, RunConfig: p.RunConfig}
 		}, RackScale, WriteRackScale)},
 	{Name: "shardedrack", Summary: "sharded control plane: 64 shards x 1100 SBCs, hot-key stealing arms",
 		Reads: []string{"shards"},
 		Text: render(func(p Params) ShardedRackConfig {
-			return ShardedRackConfig{Shards: p.Shards, Seed: p.Seed, Parallel: p.Parallel}
+			return ShardedRackConfig{Shards: p.Shards, RunConfig: p.RunConfig}
 		}, ShardedRack, WriteShardedRack)},
 	{Name: "shardfailover", Summary: "dynamic membership: 4 of 64 shards die mid-run, nothing is lost",
 		Reads: []string{"shards", "slo"},
 		Text: render(func(p Params) ShardFailoverConfig {
-			return ShardFailoverConfig{Shards: p.Shards, Seed: p.Seed, Parallel: p.Parallel, SLO: p.SLO}
+			return ShardFailoverConfig{Shards: p.Shards, RunConfig: p.RunConfig, SLO: p.SLO}
 		}, ShardFailover, WriteShardFailover)},
 	{Name: "loadsweep", Summary: "energy proportionality under open load, 10-90%", InAll: true,
 		Text: render(loadSweepConfig, LoadSweep, WriteLoadSweep),
@@ -128,29 +124,27 @@ var Suite = []Experiment{
 		CSV:  render(keepWarmConfig, KeepWarm, WriteKeepWarmCSV)},
 	{Name: "diurnal", Summary: "a 24-hour day replayed: daily energy bills", InAll: true,
 		Text: render(func(p Params) DiurnalConfig {
-			return DiurnalConfig{Seed: p.Seed, Parallel: p.Parallel}
+			return DiurnalConfig{RunConfig: p.RunConfig}
 		}, Diurnal, WriteDiurnal)},
 	{Name: "powermgmt", Summary: "dynamic power manager vs per-job cycling vs always-on", InAll: true,
 		Reads: []string{"slo", "predict"},
 		Text: render(func(p Params) PowerMgmtConfig {
-			return PowerMgmtConfig{Seed: p.Seed, Parallel: p.Parallel, SLO: p.SLO, Predict: p.Predict}
+			return PowerMgmtConfig{RunConfig: p.RunConfig, SLO: p.SLO, Predict: p.Predict}
 		}, PowerMgmt, WritePowerMgmt)},
 	{Name: "sensitivity", Summary: "the 5.6x verdict under calibration noise (Monte Carlo)", InAll: true,
 		Text: render(func(p Params) SensitivityConfig {
-			return SensitivityConfig{Seed: p.Seed, Parallel: p.Parallel}
+			return SensitivityConfig{RunConfig: p.RunConfig}
 		}, Sensitivity, WriteSensitivity)},
 	{Name: "bootimpact", Summary: "cluster-level value of each Fig 1 boot optimisation", InAll: true,
 		Text: render(func(p Params) BootImpactConfig {
-			return BootImpactConfig{Seed: p.Seed, Parallel: p.Parallel}
+			return BootImpactConfig{RunConfig: p.RunConfig}
 		}, BootImpact, WriteBootImpact)},
 	{Name: "ablations", Summary: "crypto accelerator, gigabit NIC, no reboot between jobs", InAll: true,
 		Reads: []string{"n"},
 		Text:  renderAblations},
 	{Name: "report", Summary: "markdown report of measured-vs-paper values",
 		Reads: []string{"n"},
-		Text: func(w io.Writer, p Params) error {
-			return WriteReport(w, ReportConfig{InvocationsPerFunction: p.N, Seed: p.Seed, Parallel: p.Parallel})
-		}},
+		Text:  WriteReport},
 }
 
 // The `all` row renders the rows above it, so it cannot sit in Suite's own
@@ -159,9 +153,7 @@ func init() {
 	Suite = append(Suite, Experiment{
 		Name: "all", Summary: "every row marked *, in that order",
 		Reads: []string{"n"},
-		Text: func(w io.Writer, p Params) error {
-			return WriteAll(w, AllConfig{InvocationsPerFunction: p.N, Seed: p.Seed, Parallel: p.Parallel})
-		}})
+		Text:  WriteAll})
 }
 
 // Lookup returns the row with the given name, or nil.
@@ -218,23 +210,13 @@ func WriteSuiteList(w io.Writer) {
 	}
 }
 
-// AllConfig sizes the full experiment suite behind `microfaas-sim all`.
-type AllConfig struct {
-	// InvocationsPerFunction for the fig3/headline/ablation runs
-	// (default 100).
-	InvocationsPerFunction int
-	Seed                   int64
-	// Parallel bounds the worker pool (<=0 = GOMAXPROCS, 1 = serial).
-	// Sections render concurrently into per-section buffers and print in
-	// suite order, and each section fans its own trials/sweep points
-	// through the same pool, so output is byte-identical at any value.
-	Parallel int
-}
-
-// WriteAll runs every InAll row of Suite and prints each section in table
-// order, separated by blank lines — the `microfaas-sim all` report.
-func WriteAll(w io.Writer, cfg AllConfig) error {
-	p := Params{N: cfg.InvocationsPerFunction, Seed: cfg.Seed, Parallel: cfg.Parallel}
+// WriteAll runs every InAll row of Suite with p (p.N defaults to 100 for
+// the fig3/headline/ablation runs) and prints each section in table order,
+// separated by blank lines — the `microfaas-sim all` report. Sections
+// render concurrently into per-section buffers through p.Parallel's pool,
+// and each section fans its own trials/sweep points through the same
+// bound, so output is byte-identical at any value.
+func WriteAll(w io.Writer, p Params) error {
 	if p.N <= 0 {
 		p.N = 100
 	}

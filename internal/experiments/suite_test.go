@@ -38,10 +38,10 @@ func TestSuiteRendersIdenticallyAtAnyPoolSize(t *testing.T) {
 			}
 			t.Run(e.Name+"/"+format, func(t *testing.T) {
 				var serial, wide bytes.Buffer
-				if err := render(&serial, Params{N: 10, Seed: detSeed, Parallel: 1}); err != nil {
+				if err := render(&serial, Params{N: 10, RunConfig: RunConfig{Seed: detSeed, Parallel: 1}}); err != nil {
 					t.Fatal(err)
 				}
-				if err := render(&wide, Params{N: 10, Seed: detSeed, Parallel: 8}); err != nil {
+				if err := render(&wide, Params{N: 10, RunConfig: RunConfig{Seed: detSeed, Parallel: 8}}); err != nil {
 					t.Fatal(err)
 				}
 				if serial.Len() == 0 {
@@ -87,7 +87,7 @@ func TestSuiteIsWellFormed(t *testing.T) {
 // runs — bare, telemetry only, tracer only — write.
 func TestFig3ArtifactsMatchSingleInstrumentRuns(t *testing.T) {
 	dir := t.TempDir()
-	p := Params{N: 20, Seed: detSeed, Parallel: 1,
+	p := Params{N: 20, RunConfig: RunConfig{Seed: detSeed, Parallel: 1},
 		CSVPath: filepath.Join(dir, "a.csv"), PromPath: filepath.Join(dir, "b.prom"), TracePath: filepath.Join(dir, "c.json")}
 	if err := Lookup("fig3").Text(io.Discard, p); err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func TestTSDBGoldenPR18(t *testing.T) {
 	fmt.Fprintln(&buf, "== shardfailover -slo ==")
 	sf, err := ShardFailover(ShardFailoverConfig{
 		Shards: 8, WorkersPerShard: 4, Kills: 2, Bursts: 60, JobsPerBurst: 8, KeySpace: 32,
-		Seed: 1, Parallel: 1, SLO: rules,
+		RunConfig: RunConfig{Seed: 1, Parallel: 1}, SLO: rules,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestTSDBGoldenPR18(t *testing.T) {
 		}
 	}
 	fmt.Fprintln(&buf, "== powermgmt -slo -predict ==")
-	pm, err := PowerMgmt(PowerMgmtConfig{Levels: []float64{0.3}, Seed: 1, Parallel: 1, SLO: rules, Predict: true})
+	pm, err := PowerMgmt(PowerMgmtConfig{Levels: []float64{0.3}, RunConfig: RunConfig{Seed: 1, Parallel: 1}, SLO: rules, Predict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestUnshardedGoldenPR12(t *testing.T) {
 	var buf bytes.Buffer
 	for seed := int64(1); seed <= 2; seed++ {
 		fmt.Fprintf(&buf, "== all seed %d ==\n", seed)
-		if err := WriteAll(&buf, AllConfig{InvocationsPerFunction: n, Seed: seed}); err != nil {
+		if err := WriteAll(&buf, Params{N: n, RunConfig: RunConfig{Seed: seed}}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

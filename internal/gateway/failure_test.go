@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"microfaas/internal/cluster"
+	"microfaas/internal/node"
 )
 
 // TestQueuedMsReportsWaitNotTotal is the regression test for the latency
@@ -19,7 +20,7 @@ import (
 // first job starts immediately (tiny queued_ms), the second waits out the
 // first's full cycle.
 func TestQueuedMsReportsWaitNotTotal(t *testing.T) {
-	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 1, Seed: 9, BootDelay: 60 * time.Millisecond})
+	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 1, Seed: 9, LiveBoardConfig: node.LiveBoardConfig{BootDelay: 60 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestQueuedMsReportsWaitNotTotal(t *testing.T) {
 // bound: the client gets 504, and the job, which outlasts the wait by its
 // boot delay alone, still completes and lands in the collector.
 func TestSyncInvokeTimeoutLeavesJobRunning(t *testing.T) {
-	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 1, Seed: 9, BootDelay: 200 * time.Millisecond})
+	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 1, Seed: 9, LiveBoardConfig: node.LiveBoardConfig{BootDelay: 200 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 
 // FaultPolicy injects worker-side faults, one spec for both halves: a sim
 // board takes it in BoardConfig.Faults and a live worker in
-// LiveWorkerConfig.Faults. Each attempt independently may hang (the worker
+// LiveBoardConfig.Faults. Each attempt independently may hang (the worker
 // never reports back, so only the OP's JobTimeout rescues the job), fail
 // with an injected error, or straggle. The zero value injects nothing and
 // draws no randomness.
@@ -51,6 +51,20 @@ func (f FaultPolicy) injects() bool {
 	return f.HangProb > 0 || f.ErrorProb > 0 || f.SlowProb > 0
 }
 
+// LiveBoardConfig is what a live cluster hands every one of its workers
+// whole: the modeled reboot and the fault spec. cluster.LiveOptions and
+// LiveWorkerConfig both embed it, so each setting is declared once.
+type LiveBoardConfig struct {
+	// BootDelay simulates the worker-OS reboot before each job (default
+	// 0). The BeagleBone value is 1.51 s (bootos.BootTime(bootos.ARM));
+	// tests and examples usually shrink or zero it.
+	BootDelay time.Duration
+	// Faults injects hang/error/slow faults into the worker's invocations
+	// (the zero value injects none). A live cluster gives its worker i the
+	// seed Faults.Seed+i, so runs are reproducible per node.
+	Faults FaultPolicy
+}
+
 // LiveWorkerConfig assembles a live worker: a real TCP server executing
 // the real Go workload functions.
 type LiveWorkerConfig struct {
@@ -58,18 +72,13 @@ type LiveWorkerConfig struct {
 	ID string
 	// Env provides the backing-service addresses.
 	Env *workload.Env
-	// BootDelay simulates the worker-OS reboot before each job. The
-	// BeagleBone value is 1.51 s; tests usually shrink or zero it.
-	BootDelay time.Duration
+	LiveBoardConfig
 	// Meter optionally receives wall-clock power accounting using Clock,
 	// at power.DefaultSBCModel's draws.
 	Meter *power.Meter
 	// Clock is the cluster clock for meter timestamps (required when
 	// Meter is set); typically core.WallRuntime.Now.
 	Clock func() time.Duration
-	// Faults injects hang/error/slow faults into this worker's
-	// invocations (the zero value injects none).
-	Faults FaultPolicy
 	// Telemetry optionally receives boot/exec lifecycle events, boot and
 	// fault-injection counters, and — when Meter is set — per-function
 	// joules attribution. Events stamped on the worker's server side carry

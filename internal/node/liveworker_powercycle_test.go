@@ -20,7 +20,7 @@ func TestManagedLiveWorkerPowerCycleReconnects(t *testing.T) {
 	rt := core.NewWallRuntime()
 	w, err := StartLiveWorker(LiveWorkerConfig{
 		ID: "live-pc", Env: &workload.Env{}, Managed: true,
-		Clock: rt.Now, BootDelay: 5 * time.Millisecond,
+		Clock: rt.Now, LiveBoardConfig: LiveBoardConfig{BootDelay: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

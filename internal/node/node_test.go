@@ -341,7 +341,7 @@ func TestVMWorkersContendPastSaturation(t *testing.T) {
 
 func TestLiveWorkerExecutesRealFunction(t *testing.T) {
 	env := &workload.Env{} // CPU-bound functions need no services
-	w, err := StartLiveWorker(LiveWorkerConfig{ID: "live-0", Env: env, BootDelay: 10 * time.Millisecond})
+	w, err := StartLiveWorker(LiveWorkerConfig{ID: "live-0", Env: env, LiveBoardConfig: LiveBoardConfig{BootDelay: 10 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

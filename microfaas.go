@@ -42,6 +42,10 @@ import (
 // LiveOptions configures StartLiveCluster.
 type LiveOptions = cluster.LiveOptions
 
+// LiveBoardConfig is every live worker's modeled reboot (BootDelay) and
+// injected faults. LiveOptions embeds one and hands it to each worker.
+type LiveBoardConfig = node.LiveBoardConfig
+
 // AttemptPolicy is how the orchestrator attempts each job: the attempt
 // cap, the per-attempt deadline, retry backoff, the per-worker circuit
 // breaker and the budget hold. LiveOptions and SimOptions both embed one.
@@ -245,9 +249,12 @@ func FunctionSpecs() []FunctionSpec { return model.Functions() }
 // --- Paper results ---
 
 // Fig5Config and Fig5Point are Fig 5's parameters and measured points.
+// RunConfig is the seed and worker-pool size Fig5Config embeds, as every
+// experiment's config does; the result depends on the seed only.
 type (
 	Fig5Config = experiments.Fig5Config
 	Fig5Point  = experiments.Fig5Point
+	RunConfig  = experiments.RunConfig
 )
 
 // Fig5 measures cluster power versus active worker count.
