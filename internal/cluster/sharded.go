@@ -78,6 +78,10 @@ func NewShardedMicroFaaSSim(shards, workersPerShard int, cfg SimConfig, scfg sha
 		return nil, fmt.Errorf("cluster: need at least one SBC per shard, got %d", workersPerShard)
 	}
 	b := newSimBuilder(cfg, gpio.NewController())
+	// Every shard registers into the one meter and GPIO plane: size their
+	// indices for the whole rack before the first shard does.
+	b.meter.Grow(shards * workersPerShard)
+	b.gpio.Grow(shards * workersPerShard)
 	s := &ShardedSim{Engine: b.engine, Meter: b.meter, GPIO: b.gpio, SharedTelemetry: cfg.Telemetry}
 	for si := 0; si < shards; si++ {
 		var tel *telemetry.Telemetry

@@ -24,6 +24,7 @@ package gpio
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -105,11 +106,23 @@ func (c *Controller) WireNext(node string) (*Pin, error) {
 	return pins[0], nil
 }
 
+// Grow makes room for n more wired nodes, so a rack that wires its boards
+// in batches sizes the wiring index and pin list once. Every pin wired
+// before keeps its handle and number.
+func (c *Controller) Grow(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	byNode := make(map[string]*Pin, len(c.byNode)+n)
+	maps.Copy(byNode, c.byNode)
+	c.byNode = byNode
+	c.pins = slices.Grow(c.pins, n)
+}
+
 // Wire wires each of nodes to the next pin in order, as WireNext would one
 // by one, and returns their handles. The pins come from one slab, so a
 // rack's boards wire with no allocation of their own, and the wiring index
-// is sized to the first batch it sees. A batch wires all its nodes or, on
-// an empty name or one already wired, none.
+// is sized to the first batch it sees unless Grow sized it. A batch wires
+// all its nodes or, on an empty name or one already wired, none.
 func (c *Controller) Wire(nodes []string) ([]*Pin, error) {
 	slab := make([]Pin, len(nodes))
 	out := make([]*Pin, len(nodes))

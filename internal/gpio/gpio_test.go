@@ -276,3 +276,55 @@ func TestEntryLayout(t *testing.T) {
 		t.Fatalf("entry is %d bytes, want at most 24", size)
 	}
 }
+
+// TestGrowSizesOnce: after Grow(n), batches adding up to n wire without
+// regrowing the wiring index or the pin list — each batch allocates its
+// slab and its output slice and nothing else — on the pin numbers a
+// controller never grown gives, and Grow on a non-empty controller keeps
+// every pin wired before it: the same handle, the same number, the same
+// refusal to wire its node again.
+func TestGrowSizesOnce(t *testing.T) {
+	const batches, batch = 16, 64
+	ids := make([][]string, batches)
+	for b := range ids {
+		for i := 0; i < batch; i++ {
+			ids[b] = append(ids[b], fmt.Sprintf("b%02d-%03d", b, i))
+		}
+	}
+	grown, plain := NewController(), NewController()
+	early := mustWire(t, grown, "switch")
+	mustWire(t, plain, "switch")
+	_, before := grown.WireNext("switch")
+	grown.Grow(batches * batch)
+	if _, after := grown.WireNext("switch"); before == nil || after == nil || after.Error() != before.Error() {
+		t.Fatalf("re-wiring after Grow: %v, before: %v", after, before)
+	}
+	if grown.byNode["switch"] != early || grown.pins[0] != early || early.num != 1 {
+		t.Fatal("Grow replaced or renumbered a pin wired before it")
+	}
+	for _, c := range []*Controller{grown, plain} {
+		for b := range ids {
+			warm := true
+			allocs := testing.AllocsPerRun(1, func() {
+				if warm { // skip AllocsPerRun's warm-up call: wire each batch once
+					warm = false
+					return
+				}
+				if _, err := c.Wire(ids[b]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if c == grown && allocs > 2 {
+				t.Fatalf("batch %d after Grow: %v allocations, want ≤ 2 (its slab and its pins)", b, allocs)
+			}
+		}
+	}
+	for n, p := range plain.pins {
+		if q := grown.pins[n]; q.node != p.node || q.num != p.num || grown.byNode[p.node] != q {
+			t.Fatalf("pin %d: %s on line %d after Grow, %s on line %d without", n+1, q.node, q.num, p.node, p.num)
+		}
+	}
+	if len(grown.pins) != len(plain.pins) {
+		t.Fatalf("%d pins after Grow, %d without", len(grown.pins), len(plain.pins))
+	}
+}

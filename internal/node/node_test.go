@@ -21,7 +21,7 @@ func TestRackServerUncontendedTaskKeepsWallTime(t *testing.T) {
 	rs := NewRackServer("srv", 12, e, nil, power.DefaultServerModel())
 	doneAt := time.Duration(-1)
 	// 0.5 cpu-s at 0.5 cores → 1 s wall when uncontended.
-	rs.Run(0.5, 0.5, func() { doneAt = e.Now() })
+	rs.Run(0.5, 0.5, e.Register(func(int32) { doneAt = e.Now() }), 0)
 	e.RunAll()
 	if doneAt != time.Second {
 		t.Fatalf("completed at %v, want 1s", doneAt)
@@ -35,7 +35,7 @@ func TestRackServerSaturationStretchesTasks(t *testing.T) {
 	// Four tasks each demanding a full core on a 2-core server: everything
 	// runs at half rate, so 1 cpu-s tasks take 2 s.
 	for i := 0; i < 4; i++ {
-		rs.Run(1.0, 1.0, func() { finished = append(finished, e.Now()) })
+		rs.Run(1.0, 1.0, e.Register(func(int32) { finished = append(finished, e.Now()) }), 0)
 	}
 	e.RunAll()
 	if len(finished) != 4 {
@@ -52,10 +52,10 @@ func TestRackServerDynamicRebalance(t *testing.T) {
 	e := sim.NewEngine(1)
 	rs := NewRackServer("srv", 1, e, nil, power.DefaultServerModel())
 	var first, second time.Duration
-	rs.Run(1.0, 1.0, func() { first = e.Now() })
+	rs.Run(1.0, 1.0, e.Register(func(int32) { first = e.Now() }), 0)
 	// Second task arrives at t=0.5s; from then on both run at half rate.
 	e.Schedule(500*time.Millisecond, func() {
-		rs.Run(1.0, 1.0, func() { second = e.Now() })
+		rs.Run(1.0, 1.0, e.Register(func(int32) { second = e.Now() }), 0)
 	})
 	e.RunAll()
 	// First: 0.5 cpu-s done by 0.5s, then 0.5 cpu-s at half rate → +1s → 1.5s.
@@ -77,7 +77,7 @@ func TestRackServerPowerFollowsUtilization(t *testing.T) {
 	if got := meter.Power("srv"); got != 60 {
 		t.Fatalf("idle draw = %v, want 60", got)
 	}
-	rs.Run(6.0, 6.0, func() {}) // half the cores
+	rs.Run(6.0, 6.0, e.Register(func(int32) {}), 0) // half the cores
 	if got, want := float64(meter.Power("srv")), float64(power.DefaultServerModel().Power(0.5)); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("draw at u=0.5 = %v, want %v", got, want)
 	}
@@ -91,7 +91,7 @@ func TestRackServerZeroWorkTaskCompletesAsync(t *testing.T) {
 	e := sim.NewEngine(1)
 	rs := NewRackServer("srv", 1, e, nil, power.DefaultServerModel())
 	fired := false
-	rs.Run(0, 1, func() { fired = true })
+	rs.Run(0, 1, e.Register(func(int32) { fired = true }), 0)
 	if fired {
 		t.Fatal("zero-work task completed synchronously")
 	}
@@ -111,7 +111,7 @@ func TestRackServerRejectsBadTask(t *testing.T) {
 					t.Fatalf("bad task %v accepted", args)
 				}
 			}()
-			rs.Run(args[0], args[1], func() {})
+			rs.Run(args[0], args[1], e.Register(func(int32) {}), 0)
 		}()
 	}
 }
@@ -122,7 +122,7 @@ func TestRackServerUtilizationCap(t *testing.T) {
 	srv := power.DefaultServerModel()
 	rs := NewRackServer("srv", 2, e, meter, srv)
 	for i := 0; i < 10; i++ {
-		rs.Run(5, 1, func() {})
+		rs.Run(5, 1, e.Register(func(int32) {}), 0)
 	}
 	if got, want := meter.Power("srv"), srv.Power(1); got != want {
 		t.Fatalf("draw = %v, want %v: utilization capped at 1", got, want)
@@ -527,7 +527,7 @@ func TestRackServerSchedulingProperty(t *testing.T) {
 			demand := float64(r.DemandP%100+1) / 100
 			results[i] = res{work: work, demand: demand}
 			i := i
-			rs.Run(work, demand, func() { results[i].doneAt = e.Now() })
+			rs.Run(work, demand, e.Register(func(int32) { results[i].doneAt = e.Now() }), 0)
 		}
 		e.RunAll()
 		makespan := e.Now().Seconds()
@@ -571,7 +571,7 @@ func TestRackServerUncontendedExactProperty(t *testing.T) {
 			demand := float64(r%99+1) / 100
 			results[i] = res{uncontended: work / demand}
 			i := i
-			rs.Run(work, demand, func() { results[i].doneAt = e.Now() })
+			rs.Run(work, demand, e.Register(func(int32) { results[i].doneAt = e.Now() }), 0)
 		}
 		e.RunAll()
 		for _, r := range results {

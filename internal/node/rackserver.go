@@ -6,7 +6,10 @@
 // Simulated workers are built in bulk: NewSimWorkers builds a cluster's
 // shard of boards in one call, validating their config once and sharing
 // one read-only copy of it, with the workers, their meter devices and
-// their GPIO pins each cut from one slab.
+// their GPIO pins each cut from one slab. A board binds no callbacks: the
+// batch registers its phase handlers (boot done, exec done, keep-warm
+// expiry) with the engine once, and a board's phases are typed sim events
+// that target its index in the slab.
 package node
 
 import (
@@ -48,7 +51,8 @@ type cpuTask struct {
 	demand    float64 // max rate in cores
 	remaining float64 // cpu-seconds left
 	rate      float64 // current rate in cores
-	done      func()
+	done      sim.Kind
+	target    int32 // done's target
 	event     sim.Timer
 }
 
@@ -71,18 +75,19 @@ func NewRackServer(id string, cores int, engine *sim.Engine, meter *power.Meter,
 }
 
 // Run schedules a CPU task of cpuSeconds total work consumed at up to
-// demand cores; done fires when the work completes. A task with no CPU
-// work completes after a zero-length event (still asynchronously).
-func (rs *RackServer) Run(cpuSeconds, demand float64, done func()) {
+// demand cores; the engine's handler done runs on target when the work
+// completes, called by the completion itself. A task with no CPU work
+// completes after a zero-length event (still asynchronously).
+func (rs *RackServer) Run(cpuSeconds, demand float64, done sim.Kind, target int32) {
 	if cpuSeconds < 0 || demand <= 0 {
 		panic(fmt.Sprintf("node: bad cpu task (%v cpu-s at %v cores)", cpuSeconds, demand))
 	}
 	if cpuSeconds == 0 {
-		rs.engine.Schedule(0, done)
+		rs.engine.ScheduleKind(0, done, target)
 		return
 	}
 	rs.advance()
-	t := &cpuTask{demand: demand, remaining: cpuSeconds, done: done}
+	t := &cpuTask{demand: demand, remaining: cpuSeconds, done: done, target: target}
 	rs.tasks = append(rs.tasks, t)
 	rs.rebalance()
 }
@@ -116,7 +121,6 @@ func (rs *RackServer) rebalance() {
 	for _, t := range rs.tasks {
 		t.rate = t.demand * scale
 		t.event.Cancel()
-		t := t
 		eta := time.Duration(t.remaining / t.rate * float64(time.Second))
 		t.event = rs.engine.Schedule(eta, func() { rs.complete(t) })
 	}
@@ -135,5 +139,5 @@ func (rs *RackServer) complete(t *cpuTask) {
 		}
 	}
 	rs.rebalance()
-	t.done()
+	rs.engine.Dispatch(t.done, t.target)
 }

@@ -136,8 +136,11 @@ type SimWorker struct {
 	dev *power.Device
 	// pin is the worker's PWR_BUT line on the OP's GPIO header; nil
 	// unless a controller is attached.
-	pin       *gpio.Pin
-	warm      bool        // booted state survives to the next job
+	pin  *gpio.Pin
+	warm bool // booted state survives to the next job
+	// idx is the worker's index in its batch's slab, the target of its
+	// phase events.
+	idx       int32
 	state     power.State // current power state (ARM accounting)
 	hangs     int         // injected wedges (jobs that never reported back)
 	coldStart int         // jobs that paid the boot
@@ -146,20 +149,21 @@ type SimWorker struct {
 	m         workerMetrics
 	// job is the job in flight. Core hands a worker its next job only
 	// after the last one's done fired (even when its deadline fired
-	// first), so one record per worker suffices, and the phase callbacks
-	// below are method values bound once: running a job allocates nothing.
-	job                       simJob
-	booted, executed, expired func()
+	// first), so one record per worker suffices, and its phases are typed
+	// events on the worker's index: running a job allocates nothing.
+	job simJob
 }
 
 // simSpec is what the workers of one NewSimWorkers call share: the
 // validated config and the link, power model and boot time every one of
-// them derives from it.
+// them derives from it, and the engine event kinds of their phases (boot
+// done, exec done, keep-warm expiry), registered once for the batch.
 type simSpec struct {
-	cfg  SimWorkerConfig
-	link netsim.Link
-	sbc  power.SBCModel
-	boot time.Duration
+	cfg                       SimWorkerConfig
+	link                      netsim.Link
+	sbc                       power.SBCModel
+	boot                      time.Duration
+	booted, executed, expired sim.Kind
 }
 
 // simJob is the state of a worker's job in flight, from RunJob to done.
@@ -180,10 +184,12 @@ type simJob struct {
 // NewSimWorkers builds one worker per id — the worker's and its meter
 // device's name, e.g. "sbc-03" — in ids' order: meter devices register
 // and GPIO pins number in that order, and ARM workers start powered down.
-// The config is validated once and shared read-only by the batch, and the
-// workers, their meter handles and their pins come from one slab each, so
-// a cluster builds a shard of boards in a few allocations plus the phase
-// callbacks each board binds. A batch of one is a one-off worker.
+// The config is validated once and shared read-only by the batch, the
+// workers, their meter handles and their pins come from one slab each, and
+// the batch registers its phase handlers with the engine once, each
+// addressing a worker by its slab index: a cluster builds a shard of
+// boards in a few allocations, none of them a board's own. A batch of one
+// is a one-off worker.
 func NewSimWorkers(cfg SimWorkerConfig, ids []string) ([]*SimWorker, error) {
 	for _, id := range ids {
 		if id == "" {
@@ -238,10 +244,19 @@ func NewSimWorkers(cfg SimWorkerConfig, ids []string) ([]*SimWorker, error) {
 		}
 	}
 	slab := make([]SimWorker, len(ids))
+	if cfg.Platform == model.ARM {
+		spec.booted = cfg.Engine.Register(func(i int32) { slab[i].armBooted() })
+	} else {
+		spec.booted = cfg.Engine.Register(func(i int32) { slab[i].vmBooted() })
+	}
+	spec.executed = cfg.Engine.Register(func(i int32) { slab[i].execDone() })
+	if cfg.KeepWarm > 0 {
+		spec.expired = cfg.Engine.Register(func(i int32) { slab[i].keepWarmExpired() })
+	}
 	ws := make([]*SimWorker, len(ids))
 	for i, id := range ids {
 		w := &slab[i]
-		w.simSpec, w.id, w.state = spec, id, power.Off
+		w.simSpec, w.id, w.state, w.idx = spec, id, power.Off, int32(i)
 		w.m = newWorkerMetrics(cfg.Telemetry, id)
 		if devs != nil {
 			w.dev = devs[i]
@@ -249,15 +264,6 @@ func NewSimWorkers(cfg SimWorkerConfig, ids []string) ([]*SimWorker, error) {
 		}
 		if pins != nil {
 			w.pin = pins[i]
-		}
-		if cfg.Platform == model.ARM {
-			w.booted = w.armBooted
-		} else {
-			w.booted = w.vmBooted
-		}
-		w.executed = w.execDone
-		if cfg.KeepWarm > 0 {
-			w.expired = w.keepWarmExpired
 		}
 		ws[i] = w
 	}
@@ -457,7 +463,7 @@ func (w *SimWorker) afterJob() {
 	case w.cfg.KeepWarm > 0:
 		w.warm = true
 		w.setState(power.Idle, "job done (parked warm)", gpio.NoJob)
-		w.powerOff = w.cfg.Engine.Schedule(w.cfg.KeepWarm, w.expired)
+		w.powerOff = w.cfg.Engine.ScheduleKind(w.cfg.KeepWarm, w.expired, w.idx)
 	default: // the paper's policy
 		w.warm = false
 		w.setState(power.Off, "job done (power down)", gpio.NoJob)
@@ -543,14 +549,14 @@ func (w *SimWorker) runARM() {
 	if j.boot > 0 {
 		w.setState(power.Booting, "PWR_BUT press", j.job.ID)
 		w.m.event(j.phase, telemetry.EventBoot, j.job, w.id, "cold")
-		engine.Schedule(j.boot, w.booted)
+		engine.ScheduleKind(j.boot, w.booted, w.idx)
 		return
 	}
 	// Warm start: already booted, straight to work.
 	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.id, j.phase, j.phase, 0, "warm", "")
 	w.setState(power.Busy, "warm start", j.job.ID)
 	w.m.event(j.phase, telemetry.EventExec, j.job, w.id, "warm")
-	engine.Schedule(j.overhead+j.exec, w.executed)
+	engine.ScheduleKind(j.overhead+j.exec, w.executed, w.idx)
 }
 
 // armBooted ends an SBC's cold boot and starts its execution.
@@ -563,7 +569,7 @@ func (w *SimWorker) armBooted() {
 	w.setState(power.Busy, "boot complete", j.job.ID)
 	w.m.event(bootEnd, telemetry.EventExec, j.job, w.id, "")
 	j.phase, j.joules = bootEnd, e1
-	w.cfg.Engine.Schedule(j.overhead+j.exec, w.executed)
+	w.cfg.Engine.ScheduleKind(j.overhead+j.exec, w.executed, w.idx)
 }
 
 // execDone ends execution on either platform: the exec span, then finish.
@@ -590,7 +596,7 @@ func (w *SimWorker) runX86() {
 	}
 	w.m.event(j.phase, telemetry.EventBoot, j.job, w.id, "cold")
 	bootDemand := bootos.BootCPUFraction(model.X86)
-	w.cfg.Server.Run(float64(j.boot)/float64(time.Second)*bootDemand, bootDemand, w.booted)
+	w.cfg.Server.Run(float64(j.boot)/float64(time.Second)*bootDemand, bootDemand, w.booted, w.idx)
 }
 
 // vmBooted ends a microVM's cold boot and starts its execution.
@@ -613,5 +619,5 @@ func (w *SimWorker) vmExec() {
 	if demand > 1 {
 		demand = 1 // a 1-vCPU microVM cannot exceed one core
 	}
-	w.cfg.Server.Run(demand*jobWall.Seconds(), demand, w.executed)
+	w.cfg.Server.Run(demand*jobWall.Seconds(), demand, w.executed, w.idx)
 }

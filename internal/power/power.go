@@ -9,7 +9,9 @@ package power
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -87,11 +89,23 @@ func NewMeter() *Meter { return &Meter{} }
 // Device returns the handle for device id, the same one on every call.
 func (m *Meter) Device(id string) *Device { return m.Devices([]string{id})[0] }
 
+// Grow makes room for n more devices, so a rack that registers its boards
+// in batches sizes the meter's index and registration list once. Every
+// handle taken before stays valid.
+func (m *Meter) Grow(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	devices := make(map[string]*Device, len(m.devices)+n)
+	maps.Copy(devices, m.devices)
+	m.devices = devices
+	m.order = slices.Grow(m.order, n)
+}
+
 // Devices returns the handles for ids in order, each the one Device
 // returns for it: an id the meter knows keeps its handle, and the new ones
 // come from one slab. A rack's boards take their handles in one call, so
 // a board costs no allocation of its own, and the meter's index is sized
-// to the first batch it sees.
+// to the first batch it sees unless Grow sized it.
 func (m *Meter) Devices(ids []string) []*Device {
 	out := make([]*Device, len(ids))
 	m.mu.Lock()

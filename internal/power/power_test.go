@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -381,4 +382,67 @@ func registered(m *Meter) []string {
 		ids[i] = d.id
 	}
 	return ids
+}
+
+// batchIDs names k batches of n devices each, "b<batch>-<device>".
+func batchIDs(k, n int) [][]string {
+	ids := make([][]string, k)
+	for b := range ids {
+		ids[b] = make([]string, n)
+		for i := range ids[b] {
+			ids[b][i] = fmt.Sprintf("b%02d-%03d", b, i)
+		}
+	}
+	return ids
+}
+
+// allocsOnce counts what f allocates on one call (AllocsPerRun's warm-up
+// call is skipped, so f runs once).
+func allocsOnce(f func()) float64 {
+	warm := true
+	return testing.AllocsPerRun(1, func() {
+		if warm {
+			warm = false
+			return
+		}
+		f()
+	})
+}
+
+// TestMeterGrowSizesOnce: after Grow(n), batches adding up to n take
+// their handles and register without regrowing the index or the
+// registration list — each batch allocates its slab and its output slice
+// and nothing else — in the order and with the handles of a meter never
+// grown, and Grow on a non-empty meter keeps every handle taken before it.
+func TestMeterGrowSizesOnce(t *testing.T) {
+	const batches, batch = 16, 64
+	ids := batchIDs(batches, batch)
+	grown, plain := NewMeter(), NewMeter()
+	var early []*Device
+	for _, m := range []*Meter{grown, plain} {
+		m.Set("switch", 40, 0)
+		early = append(early, m.Device("switch"), m.Device("spare"))
+	}
+	grown.Grow(batches * batch)
+	if grown.Device("switch") != early[0] || grown.Device("spare") != early[1] {
+		t.Fatal("Grow replaced a handle taken before it")
+	}
+	for _, m := range []*Meter{grown, plain} {
+		for b := range ids {
+			allocs := allocsOnce(func() {
+				for _, d := range m.Devices(ids[b]) {
+					d.Set(1, time.Second)
+				}
+			})
+			if m == grown && allocs > 2 {
+				t.Fatalf("batch %d after Grow: %v allocations, want ≤ 2 (its slab and its handles)", b, allocs)
+			}
+		}
+	}
+	if got, want := registered(grown), registered(plain); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registration order after Grow %v, without %v", got, want)
+	}
+	if got, want := grown.TotalEnergy(time.Hour), plain.TotalEnergy(time.Hour); got != want {
+		t.Fatalf("total energy after Grow %v, without %v", got, want)
+	}
 }

@@ -165,22 +165,13 @@ func tail(xs []int) []int {
 }
 
 // TestEnginePendingConsistentAcrossCompaction drives the engine straight
-// through its compaction threshold and checks Pending() from the counter
+// through its compaction threshold and checks Pending() from the counters
 // against a ground-truth walk of the heap before and after.
 func TestEnginePendingConsistentAcrossCompaction(t *testing.T) {
 	e := NewEngine(1)
 	var events []Timer
 	for i := 0; i < 500; i++ {
 		events = append(events, e.Schedule(time.Duration(i)*time.Millisecond, func() {}))
-	}
-	walk := func() int {
-		n := 0
-		for _, ev := range e.queue {
-			if !ev.cancelled {
-				n++
-			}
-		}
-		return n
 	}
 	rng := rand.New(rand.NewSource(7))
 	liveWant := 500
@@ -190,7 +181,7 @@ func TestEnginePendingConsistentAcrossCompaction(t *testing.T) {
 		if got := e.Pending(); got != liveWant {
 			t.Fatalf("after %d cancels: Pending() = %d, want %d", 500-liveWant, got, liveWant)
 		}
-		if got := walk(); got != liveWant {
+		if got := walkPending(e); got != liveWant {
 			t.Fatalf("after %d cancels: heap walk = %d live, want %d (compaction lost or kept the wrong events)", 500-liveWant, got, liveWant)
 		}
 	}
