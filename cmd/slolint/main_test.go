@@ -56,6 +56,9 @@ func TestLintRejections(t *testing.T) {
 			"windows": {"fast_short": "10s", "fast_long": "4s", "fast_burn": 2,
 			            "slow_short": "8s", "slow_long": "20s", "slow_burn": 1}}]`, "shorter than"},
 		{"badmetric.json", `[{"name": "x", "kind": "error_ratio", "target": 0.5, "metric": "microfaas_no_such_total"}]`, "unknown metric"},
+		{"scopedlatency.json", `[{"name": "x", "kind": "latency", "threshold_s": 1, "target": 0.9, "function": "MatMul"}]`, "no function label"},
+		{"scopedclusterenergy.json", `[{"name": "x", "kind": "energy_budget", "budget_j": 5, "function": "MatMul",
+			"metric": "microfaas_cluster_energy_joules_total"}]`, "no function label"},
 		{"dupname.json", `[{"name": "x", "kind": "error_ratio", "target": 0.5},
 			{"name": "x", "kind": "error_ratio", "target": 0.9}]`, "duplicate rule name"},
 	}

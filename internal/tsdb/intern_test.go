@@ -435,11 +435,20 @@ func warmedStore(t *testing.T, rules []Rule) (store *Store, tick, idle func()) {
 	return store, tick, idle
 }
 
-// withAndWithoutRules runs f against a store with no SLO rules and one
-// with the shipped rule file.
+// withAndWithoutRules runs f against a store with no SLO rules, one with
+// the shipped rule file (all three kinds, the benchmark's latency rule
+// among them), and one that adds function-scoped error-ratio and energy
+// rules to it.
 func withAndWithoutRules(t *testing.T, f func(t *testing.T, rules []Rule)) {
 	t.Run("no rules", func(t *testing.T) { f(t, nil) })
 	t.Run("shipped rules", func(t *testing.T) { f(t, shippedRules(t)) })
+	t.Run("scoped rules", func(t *testing.T) {
+		rules := shippedRules(t)
+		win := rules[0].Windows
+		f(t, append(rules,
+			Rule{Name: "fn-01-errors", Kind: KindErrorRatio, Function: "fn-01", Target: 0.99, Windows: win},
+			Rule{Name: "fn-02-energy", Kind: KindEnergyBudget, Function: "fn-02", BudgetJ: 8, Windows: win}))
+	})
 }
 
 // TestScrapeSteadyStateAllocs pins the cost of a scrape that meets no

@@ -154,6 +154,7 @@ func (sr *series) evict() {
 	r.n--
 	if r.n == 0 {
 		sr.closed.pop() // never the open run: it holds the sample just pushed
+		sr.popped++
 	}
 	sr.evicted++
 }
@@ -406,7 +407,7 @@ func (sr *series) tierWindow(from time.Duration) windowStats {
 	return w
 }
 
-// increase is increase(sr.window(from)) — what an SLO burn reads of a
+// increase is increase(sr.window(from)) — what a query reads of a
 // counter — without visiting every sample: from the runs it needs only
 // the window's first value, its last (the open run's) and whether it
 // holds two samples, which seek finds in O(log runs).
@@ -414,7 +415,35 @@ func (sr *series) increase(from time.Duration) float64 {
 	if !sr.covers(from) {
 		return increase(sr.tierWindow(from))
 	}
-	j, start := sr.seek(from)
+	return sr.growthFrom(sr.seek(from))
+}
+
+// increaseAt is increase(from) for an SLO window whose first scrape,
+// start, the caller found: it walks the cursor *cur — an absolute run
+// number, popped plus index, so it outlives pushes and evictions —
+// forward to the first run reaching start, stopping at the open run. A
+// window's start and the runs' ends only move forward, so a passed run
+// never reaches a later start.
+func (sr *series) increaseAt(from time.Duration, start int64, cur *int64) float64 {
+	if !sr.covers(from) {
+		return increase(sr.tierWindow(from))
+	}
+	j, n := int(*cur-sr.popped), sr.runs()
+	if j < 0 {
+		j = 0 // the runs it pointed into have been evicted
+	}
+	for ; j < n-1; j++ {
+		if r := sr.runAt(j); r.first+r.n > start {
+			break
+		}
+	}
+	*cur = sr.popped + int64(j)
+	return sr.growthFrom(j, start)
+}
+
+// growthFrom is the increase over the retained samples from scrape start
+// on, given j, the first run reaching it (runs() when none does).
+func (sr *series) growthFrom(j int, start int64) float64 {
 	n := sr.runs()
 	if j == n {
 		return 0

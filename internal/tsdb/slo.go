@@ -146,7 +146,8 @@ func (r Rule) metric() string {
 }
 
 // Validate checks the rule's internal consistency: known kind,
-// parameter signs, target range, and window ordering (short < long in
+// parameter signs, target range, no function scope over a metric the
+// platform registers without a function label, and window ordering (short < long in
 // each pair, fast windows no longer than slow ones, positive burn
 // thresholds). It does not check the metric against a catalogue — see
 // ValidateMetric.
@@ -173,6 +174,10 @@ func (r Rule) Validate() error {
 	default:
 		return fmt.Errorf("tsdb: rule %s: unknown kind %q (want %s, %s, or %s)",
 			r.Name, r.Kind, KindLatency, KindErrorRatio, KindEnergyBudget)
+	}
+	if m := r.metric(); r.Function != "" && (m == DefaultLatencyMetric || m == "microfaas_cluster_energy_joules_total") {
+		return fmt.Errorf("tsdb: rule %s: %s carries no function label, so scoped to function %q it would match no series and never fire",
+			r.Name, m, r.Function)
 	}
 	w := r.windows()
 	for _, pair := range []struct {
@@ -277,33 +282,121 @@ type pageState struct {
 	shortBurn, longBurn float64
 }
 
-// ruleState pairs a rule with its two pages and with what an
-// evaluation looks series up by, compiled once so that it builds no
-// maps or strings.
+// The page windows, each with its own run cursor on every bound series.
+const (
+	fastShort = iota
+	fastLong
+	slowShort
+	slowLong
+	pageWindows
+)
+
+// ruleState pairs a rule with its two pages and the series its burns
+// read: num and den sum the error series and every outcome
+// (KindErrorRatio) or joules and completions (KindEnergyBudget); a
+// KindLatency rule reads both sides of its split from num.
 type ruleState struct {
 	rule       Rule
 	fast, slow pageState
-	metric     string            // the series read: rule.metric(), _bucket-suffixed for KindLatency
-	match      map[string]string // the function scope; nil = cluster-wide
-	matchBad   map[string]string // match plus result="error" (KindErrorRatio)
+	num, den   binding
 }
 
-// newRuleState compiles r's metric name and matchers.
+// newRuleState compiles r's metric names and matchers into bindings.
 func newRuleState(r Rule) ruleState {
-	rs := ruleState{rule: r, metric: r.metric()}
-	if r.Kind == KindLatency {
-		rs.metric += "_bucket"
-	}
+	rs := ruleState{rule: r}
+	var scope map[string]string // the function scope; nil = cluster-wide
 	if r.Function != "" {
-		rs.match = map[string]string{"function": r.Function}
+		scope = map[string]string{"function": r.Function}
 	}
-	if r.Kind == KindErrorRatio {
-		rs.matchBad = map[string]string{"result": "error"}
-		for k, v := range rs.match {
-			rs.matchBad[k] = v
+	switch r.Kind {
+	case KindErrorRatio:
+		bad := map[string]string{"result": "error"}
+		for k, v := range scope {
+			bad[k] = v
 		}
+		rs.num = binding{metric: r.metric(), match: bad}
+		rs.den = binding{metric: r.metric(), match: scope}
+	case KindEnergyBudget:
+		rs.num = binding{metric: r.metric(), match: scope}
+		rs.den = binding{metric: DefaultErrorMetric, match: scope}
+	default: // KindLatency
+		rs.num = binding{metric: r.metric() + "_bucket", match: scope,
+			split: true, thresholdS: r.ThresholdS, goodLE: math.Inf(1), totalLE: math.Inf(-1)}
 	}
 	return rs
+}
+
+// bound is one series a rule reads and its run cursor per page window.
+type bound struct {
+	sr  *series
+	cur [pageWindows]int64
+}
+
+// binding holds the series of metric that match, in the store's
+// first-seen order, so a sum adds the terms a scan of the metric would,
+// in the same order. A latency split binds only the two bounds it reads,
+// over every bucket series in scope: good, the smallest le ≥ thresholdS,
+// and total, the largest (+Inf on a well-formed histogram).
+type binding struct {
+	metric                      string
+	match                       map[string]string
+	ms                          *metricSeries // nil until the store has a series of metric
+	seen                        int           // how many of ms.order have been tested
+	series                      []bound
+	split                       bool
+	thresholdS, goodLE, totalLE float64
+}
+
+// bind tests the series the metric gained since the last call. A new
+// series that moves a split's bounds rebinds it from the metric's first
+// series, with fresh cursors.
+func (b *binding) bind(s *Store) {
+	if b.ms == nil {
+		if b.ms = s.metrics[b.metric]; b.ms == nil {
+			return
+		}
+	}
+	fresh := b.ms.order[b.seen:]
+	b.seen = len(b.ms.order)
+	if b.split {
+		good, total := b.goodLE, b.totalLE
+		for _, sr := range fresh {
+			if sr.hasLE && matchesAll(sr.labels, b.match) {
+				if sr.le >= b.thresholdS && sr.le < b.goodLE {
+					b.goodLE = sr.le
+				}
+				if sr.le > b.totalLE {
+					b.totalLE = sr.le
+				}
+			}
+		}
+		if good != b.goodLE || total != b.totalLE {
+			b.series, fresh = b.series[:0], b.ms.order
+		}
+	}
+	for _, sr := range fresh {
+		if matchesAll(sr.labels, b.match) && (!b.split || sr.hasLE && (sr.le == b.goodLE || sr.le == b.totalLE)) {
+			b.series = append(b.series, bound{sr: sr})
+		}
+	}
+}
+
+// sum adds up the bound series' increase over page window win, which
+// starts at from, in scrape start. A split sums its good bound's series
+// into good and its total bound's into total; any other binding all of
+// them into total.
+func (b *binding) sum(win int, from time.Duration, start int64) (good, total float64) {
+	for i := range b.series {
+		bs := &b.series[i]
+		inc := bs.sr.increaseAt(from, start, &bs.cur[win])
+		if b.split && bs.sr.le == b.goodLE {
+			good += inc
+		}
+		if !b.split || bs.sr.le == b.totalLE {
+			total += inc
+		}
+	}
+	return good, total
 }
 
 // sloEngine evaluates the configured rules on every scrape. Nil when no
@@ -438,25 +531,32 @@ func (s *Store) ActiveAlerts() []Alert {
 	return out
 }
 
-// eval runs one evaluation pass over every rule. Called from Scrape
-// with s.mu held; a nil engine no-ops.
+// eval runs one evaluation pass over every rule: it binds the series
+// the scrape met for the first time, then burns each page window and
+// judges both pages. Called from Scrape with s.mu held; a nil engine
+// no-ops.
 func (e *sloEngine) eval(s *Store, now time.Duration) {
 	if e == nil {
 		return
 	}
 	for i := range e.rules {
 		rs := &e.rules[i]
+		rs.num.bind(s)
+		rs.den.bind(s) // a latency rule's den has no metric: it binds nothing
 		w := rs.rule.windows()
+		rs.fast.shortBurn = s.burnLocked(rs, now, fastShort, w.FastShort)
+		rs.fast.longBurn = s.burnLocked(rs, now, fastLong, w.FastLong)
+		rs.slow.shortBurn = s.burnLocked(rs, now, slowShort, w.SlowShort)
+		rs.slow.longBurn = s.burnLocked(rs, now, slowLong, w.SlowLong)
 		e.evalPage(s, now, rs, &rs.fast, "fast", w.FastShort, w.FastLong, w.FastBurn)
 		e.evalPage(s, now, rs, &rs.slow, "slow", w.SlowShort, w.SlowLong, w.SlowBurn)
 	}
 }
 
-// evalPage recomputes one page's burn pair and records a transition
-// event (plus a tracing annotation) when the firing state flips.
+// evalPage judges one page on its freshly burned pair and records a
+// transition event (plus a tracing annotation) when the firing state
+// flips.
 func (e *sloEngine) evalPage(s *Store, now time.Duration, rs *ruleState, st *pageState, page string, short, long Duration, threshold float64) {
-	st.shortBurn = s.burnLocked(rs, now, time.Duration(short))
-	st.longBurn = s.burnLocked(rs, now, time.Duration(long))
 	// Until the clock has covered the short window, the burn measures the
 	// startup transient (a handful of samples against a mostly-empty
 	// window), not the service; hold the page's state until then.
@@ -495,33 +595,35 @@ func (e *sloEngine) evalPage(s *Store, now time.Duration, rs *ruleState, st *pag
 	}
 }
 
-// burnLocked computes a rule's burn rate over the window ending now.
-// Burn 1.0 means the objective is being consumed exactly at budget;
-// above 1.0 the SLO is being violated at that multiple. Windows with no
-// traffic burn 0. Caller holds s.mu.
-func (s *Store) burnLocked(rs *ruleState, now, window time.Duration) float64 {
-	from := now - window
+// burnLocked computes a rule's burn rate over page window win, of
+// length window, ending now; the scrape clock is searched once, for every
+// series. Burn 1.0 means the objective is being consumed exactly at
+// budget; above 1.0 the SLO is being violated at that multiple. Windows
+// with no traffic burn 0. Caller holds s.mu.
+func (s *Store) burnLocked(rs *ruleState, now time.Duration, win int, window Duration) float64 {
+	from := now - time.Duration(window)
 	if from < 0 {
 		from = 0
 	}
-	r, match := &rs.rule, rs.match
+	start := s.clk.search(from)
+	r := &rs.rule
 	switch r.Kind {
 	case KindErrorRatio:
-		bad := s.sumIncreaseLocked(rs.metric, from, rs.matchBad)
-		total := s.sumIncreaseLocked(rs.metric, from, match)
+		_, bad := rs.num.sum(win, from, start)
+		_, total := rs.den.sum(win, from, start)
 		if total <= 0 {
 			return 0
 		}
 		return (bad / total) / (1 - r.Target)
 	case KindEnergyBudget:
-		joules := s.sumIncreaseLocked(rs.metric, from, match)
-		completions := s.sumIncreaseLocked(DefaultErrorMetric, from, match)
+		_, joules := rs.num.sum(win, from, start)
+		_, completions := rs.den.sum(win, from, start)
 		if completions <= 0 {
 			return 0
 		}
 		return (joules / completions) / r.BudgetJ
 	default: // KindLatency
-		good, total := s.latencySplitLocked(rs.metric, r.ThresholdS, from, match)
+		good, total := rs.num.sum(win, from, start)
 		if total <= 0 {
 			return 0
 		}
@@ -531,65 +633,4 @@ func (s *Store) burnLocked(rs *ruleState, now, window time.Duration) float64 {
 		}
 		return (bad / total) / (1 - r.Target)
 	}
-}
-
-// sumIncreaseLocked sums the window increase of every series of metric
-// matching match. Caller holds s.mu.
-func (s *Store) sumIncreaseLocked(metric string, from time.Duration, match map[string]string) float64 {
-	ms, ok := s.metrics[metric]
-	if !ok {
-		return 0
-	}
-	total := 0.0
-	for _, sr := range ms.order {
-		if matchesAll(sr.labels, match) {
-			total += sr.increase(from)
-		}
-	}
-	return total
-}
-
-// latencySplitLocked splits a latency histogram's window growth into
-// (good, total): good is the cumulative growth at the smallest bucket
-// bound ≥ thresholdS (so the split is conservative by at most one
-// bucket width), total the growth of the +Inf bucket, both merged
-// across matching series (all shards share one bucket grid). Caller
-// holds s.mu.
-func (s *Store) latencySplitLocked(bucketMetric string, thresholdS float64, from time.Duration, match map[string]string) (good, total float64) {
-	ms, ok := s.metrics[bucketMetric]
-	if !ok {
-		return 0, 0
-	}
-	// Only two bounds' sums are read: the smallest bound ≥ thresholdS
-	// and the largest (+Inf on a well-formed histogram). Find them, then
-	// add up just their series, in series order.
-	goodLE, totalLE, matched := math.Inf(1), math.Inf(-1), false
-	for _, sr := range ms.order {
-		if !sr.hasLE || !matchesAllExceptLE(sr.labels, match) {
-			continue
-		}
-		matched = true
-		if sr.le >= thresholdS && sr.le < goodLE {
-			goodLE = sr.le
-		}
-		if sr.le > totalLE {
-			totalLE = sr.le
-		}
-	}
-	if !matched {
-		return 0, 0
-	}
-	for _, sr := range ms.order {
-		if !sr.hasLE || (sr.le != goodLE && sr.le != totalLE) || !matchesAllExceptLE(sr.labels, match) {
-			continue
-		}
-		inc := sr.increase(from)
-		if sr.le == goodLE {
-			good += inc
-		}
-		if sr.le == totalLE {
-			total += inc
-		}
-	}
-	return good, total
 }

@@ -33,7 +33,9 @@
 //   - an SLO engine (slo.go) evaluating declarative objectives —
 //     latency threshold, error ratio, J/function energy budget — as
 //     multi-window burn-rate alerts, with firing/resolved transitions
-//     recorded as telemetry events and tracing annotations;
+//     recorded as telemetry events and tracing annotations. A rule binds
+//     the series it reads once, in first-seen order, and walks each
+//     window forward through a run cursor instead of searching;
 //   - an arrival-rate tracker (arrival.go) maintaining EWMA and
 //     sliding-window per-function submission rates as synthetic,
 //     queryable series — the feed-in for forecast-driven warm pools.
@@ -140,6 +142,7 @@ type series struct {
 	total, evicted, folded int64
 
 	closed runRing // the runs before open
+	popped int64   // runs evicted whole: a run's absolute number is popped plus its index
 	t1, t2 bucketRing
 	labels map[string]string
 	le     float64 // the parsed le label; hasLE is false when absent or malformed

@@ -425,11 +425,24 @@ func TestParseRulesValidation(t *testing.T) {
 		`[{"name":"x","kind":"energy_budget","budget_j":-5}]`,            // bad budget
 		`[{"name":"x","kind":"latency","threshold_s":1,"target":0.9,"windows":{"fast_short":"1h","fast_long":"5m","fast_burn":14,"slow_short":"30m","slow_long":"6h","slow_burn":6}}]`, // short > long
 		`not json`,
+		// A function scope over a metric with no function label.
+		`[{"name":"x","kind":"latency","threshold_s":1,"target":0.9,"function":"MatMul"}]`,
+		`[{"name":"x","kind":"energy_budget","budget_j":5,"function":"MatMul","metric":"microfaas_cluster_energy_joules_total"}]`,
 	}
 	for _, tc := range bad {
 		if _, err := ParseRules([]byte(tc)); err == nil {
 			t.Fatalf("accepted bad rules: %s", tc)
 		}
+	}
+	// Such a rule could never fire, and the error says why; over a
+	// histogram that does carry the label the scope is accepted.
+	scoped := Rule{Name: "x", Kind: KindLatency, ThresholdS: 1, Target: 0.9, Function: "MatMul"}
+	if err := scoped.Validate(); err == nil || !strings.Contains(err.Error(), "no function label") {
+		t.Fatalf("function-scoped latency rule: %v", err)
+	}
+	scoped.Metric = "custom_latency_seconds"
+	if err := scoped.Validate(); err != nil {
+		t.Fatalf("function-scoped latency rule over a custom histogram: %v", err)
 	}
 	// Metric catalogue check.
 	r := Rule{Name: "x", Kind: KindLatency, ThresholdS: 1, Target: 0.9, Metric: "typo_metric"}
