@@ -38,19 +38,7 @@ func (w *parkWorker) RunJob(job Job, done func(Result)) {
 func BenchmarkSubmitLeastLoaded(b *testing.B) {
 	for _, workers := range []int{64, 1024, 16384} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			lot := &parkingLot{}
-			ws := make([]Worker, workers)
-			for i := range ws {
-				ws[i] = &parkWorker{id: fmt.Sprintf("w%05d", i), lot: lot}
-			}
-			o, err := New(Config{
-				Runtime: SimRuntime{Engine: sim.NewEngine(1)},
-				Workers: ws,
-				Policy:  AssignLeastLoaded,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			lot, o := parkedRack(b, workers)
 			step := func() {
 				o.Submit("f", nil)
 				if len(lot.runs)-lot.head > workers/2 {
@@ -73,4 +61,42 @@ func BenchmarkSubmitLeastLoaded(b *testing.B) {
 			}
 		})
 	}
+	// Every slot but the last is busy, so each pick finds the one idle
+	// slot at the far end of its level: the summary words keep that a
+	// lookup rather than a scan of the level's 256 bitset words.
+	b.Run("workers=16384/last-idle", func(b *testing.B) {
+		lot, o := parkedRack(b, 16384)
+		ids := o.Workers()
+		for _, id := range ids[:len(ids)-1] {
+			if _, err := o.SubmitTo(id, "f", nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o.Submit("f", nil)
+			run := lot.runs[len(lot.runs)-1]
+			lot.runs = lot.runs[:len(lot.runs)-1]
+			run.done(Result{Job: run.job, WorkerID: run.w.id})
+		}
+	})
+}
+
+// parkedRack is a least-loaded orchestrator over n parkWorkers.
+func parkedRack(tb testing.TB, n int) (*parkingLot, *Orchestrator) {
+	lot := &parkingLot{}
+	ws := make([]Worker, n)
+	for i := range ws {
+		ws[i] = &parkWorker{id: fmt.Sprintf("w%05d", i), lot: lot}
+	}
+	o, err := New(Config{
+		Runtime: SimRuntime{Engine: sim.NewEngine(1)},
+		Workers: ws,
+		Policy:  AssignLeastLoaded,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lot, o
 }

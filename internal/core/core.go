@@ -278,9 +278,11 @@ type workerHealth struct {
 // keyed by worker id) keeps the dispatch hot path to a single pointer
 // dereference per field.
 type workerSlot struct {
-	w   Worker
-	id  string
-	idx int // registration order
+	w  Worker
+	id string
+	// rank is the slot's position in Orchestrator.slots, so ranks order the
+	// attached slots by registration; detachLocked closes the gap it leaves.
+	rank int
 	// rec is the worker's handle in the collector and m its metric
 	// series, both taken once at registration: settling an attempt files
 	// its record and counts its outcome through them.
@@ -313,11 +315,12 @@ type workerSlot struct {
 	// (-1 while assignable). Exactly one is >= 0 at any time.
 	eligPos   int
 	parolePos int
-	// loadPos is this slot's index in the load index (-1 once detached);
-	// queued is the queue depth loadChangedLocked last published, the
-	// slot's share of Orchestrator.queued.
-	loadPos int
-	queued  int
+	// lvl is the load-index level the slot is filed under (-1 when the
+	// policy keeps no index, or once detached); queued is the queue depth
+	// loadChangedLocked last published, the slot's share of
+	// Orchestrator.queued.
+	lvl    int32
+	queued int32
 
 	// detached marks a slot spliced out by RemoveWorker: it takes no new
 	// assignments but stays alive for its in-flight attempt.
@@ -377,7 +380,7 @@ func (h paroleHeap) Less(i, j int) bool {
 	if h[i].health.reopenAt != h[j].health.reopenAt {
 		return h[i].health.reopenAt < h[j].health.reopenAt
 	}
-	return h[i].idx < h[j].idx
+	return h[i].rank < h[j].rank
 }
 
 func (h paroleHeap) Swap(i, j int) {
@@ -520,9 +523,10 @@ type Orchestrator struct {
 	// ejected slots keyed by reopen time.
 	eligible []*workerSlot
 	parole   paroleHeap
-	// load indexes every attached slot by (ejected, load, idx) for the
-	// least-loaded policy. loadChangedLocked maintains it and queued.
-	load   loadIndex
+	// load files every attached slot by (ejected, load) for the
+	// least-loaded policy; nil under the others. loadChangedLocked
+	// maintains it and queued.
+	load   *loadIndex
 	parked map[int64]*parkedRetry
 	// budgets holds per-function energy accounting (nil entries never
 	// exist; functions without a budget are simply absent). throttled
@@ -532,7 +536,6 @@ type Orchestrator struct {
 	throttled map[int64]*parkedThrottle
 	callbacks map[int64]func(Result)
 	nextID    int64
-	nextIdx   int  // next worker registration index (never reused)
 	rrNext    int  // next round-robin index
 	sealed    bool // Seal called: queued jobs frozen for TakeAll recovery
 	idle      *sync.Cond
@@ -695,12 +698,14 @@ func New(cfg Config) (*Orchestrator, error) {
 		slots:      make([]*workerSlot, 0, len(cfg.Workers)),
 		byID:       make(map[string]*workerSlot, len(cfg.Workers)),
 		eligible:   make([]*workerSlot, 0, len(cfg.Workers)),
-		load:       make(loadIndex, 0, len(cfg.Workers)),
 		parked:     make(map[int64]*parkedRetry),
 		budgets:    make(map[string]*fnBudget),
 		throttled:  make(map[int64]*parkedThrottle),
 		callbacks:  make(map[int64]func(Result)),
 		nextID:     cfg.JobIDBase,
+	}
+	if cfg.Policy == AssignLeastLoaded {
+		o.load = &loadIndex{}
 	}
 	o.idle = sync.NewCond(&o.mu)
 	o.initTelemetry(cfg.Telemetry)
@@ -718,18 +723,18 @@ func New(cfg Config) (*Orchestrator, error) {
 func (o *Orchestrator) addWorkersLocked(ws []Worker) error {
 	slab := make([]workerSlot, len(ws))
 	o.collector.GrowWorkers(len(ws))
+	o.load.grow(len(o.slots) + len(ws))
 	for i, w := range ws {
 		id := w.ID()
 		if _, dup := o.byID[id]; dup {
 			return fmt.Errorf("core: duplicate worker id %q", id)
 		}
 		s := &slab[i]
-		*s = workerSlot{w: w, id: id, idx: o.nextIdx, rec: o.collector.Worker(id), eligPos: -1, parolePos: -1, loadPos: -1}
-		o.nextIdx++
+		*s = workerSlot{w: w, id: id, rank: len(o.slots), rec: o.collector.Worker(id), eligPos: -1, parolePos: -1, lvl: -1}
 		o.slots = append(o.slots, s)
 		o.byID[id] = s
 		o.addEligibleLocked(s)
-		o.load.push(s)
+		o.load.add(s)
 		o.initWorkerTelemetry(s)
 	}
 	return nil
@@ -863,7 +868,7 @@ func (o *Orchestrator) addEligibleLocked(s *workerSlot) {
 	}
 	s.eligPos = len(o.eligible)
 	o.eligible = append(o.eligible, s)
-	o.load.fix(s)
+	o.load.refile(s)
 }
 
 // removeEligibleLocked swap-removes a slot from the free-list. Caller
@@ -879,7 +884,7 @@ func (o *Orchestrator) removeEligibleLocked(s *workerSlot) {
 	o.eligible[last] = nil
 	o.eligible = o.eligible[:last]
 	s.eligPos = -1
-	o.load.fix(s)
+	o.load.refile(s)
 }
 
 // promoteParoledLocked moves every breaker-ejected worker whose probe
@@ -922,9 +927,9 @@ func (o *Orchestrator) pickWorkerLocked(function string) *workerSlot {
 		o.rrNext++
 		return s
 	case AssignLeastLoaded:
-		// The index's root: parole promotion has just run, and the key's
-		// ejected bit applies the rest of assignableLocked's rule.
-		return o.load[0]
+		// Parole promotion has just run, and the index's class applies the
+		// rest of assignableLocked's rule.
+		return o.slots[o.load.least()]
 	case AssignEnergyAware:
 		return o.pickEnergyAwareLocked(ws, o.exhaustedLocked(function))
 	default: // AssignRandom, the paper's policy
@@ -962,15 +967,15 @@ func (o *Orchestrator) pickEnergyAwareLocked(ws []*workerSlot, noWake bool) *wor
 		poweredUp := o.pm == nil || s.waking || o.pm.IsUp(s.id)
 		load := s.load()
 		if !poweredUp {
-			if down == nil || s.idx < down.idx {
+			if down == nil || s.rank < down.rank {
 				down = s
 			}
 			continue
 		}
-		if load == 0 && (idleUp == nil || s.idx < idleUp.idx) {
+		if load == 0 && (idleUp == nil || s.rank < idleUp.rank) {
 			idleUp = s
 		}
-		if load < leastLoad || (load == leastLoad && s.idx < leastUp.idx) {
+		if load < leastLoad || (load == leastLoad && s.rank < leastUp.rank) {
 			leastUp, leastLoad = s, load
 		}
 	}

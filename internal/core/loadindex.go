@@ -1,22 +1,29 @@
 package core
 
-// loadIndex is the least-loaded policy's worker index: a binary min-heap
-// over every attached slot, each slot carrying its own position (loadPos)
-// the way eligPos and parolePos do, so the policy's pick is the root and a
-// slot whose key changed is repaired in O(log W) instead of the pick
-// rescanning the rack.
-//
-// The key is (breaker-ejected, load, registration idx). Ejected slots sort
-// after every eligible one, which is assignableLocked's rule without a
-// second structure: the root is the least-loaded eligible worker while any
-// is eligible, and the least-loaded worker outright once every breaker is
-// open. idx is unique, so the order is total and the root is exactly the
-// worker a scan in registration order would have chosen.
-//
-// The sifts are written out rather than taken from container/heap (which
-// paroleHeap, off the hot path, uses): they run several times per job and
-// the interface dispatch per comparison would be most of their cost.
-type loadIndex []*workerSlot
+import "math/bits"
+
+// loadIndex is the least-loaded policy's worker index. It files each
+// attached slot under its level (class, load) — class 1 while the breaker
+// has it ejected, load its queued-plus-running jobs — as one bit in the
+// level's bitset over slot ranks (positions in Orchestrator.slots, which is
+// registration order), with a summary bit per bitset word. A load change
+// moves one bit; the pick, the lowest rank in the lowest non-empty level of
+// the eligible class (of the ejected class once none is eligible), reads a
+// summary word and a bitset word. That is assignableLocked's rule scanned
+// in registration order, so the pick is exactly the scan's. Only that
+// policy builds an index; the methods are no-ops on nil. An emptied
+// level's set is freed for reuse, so the index holds a set of fleet/64
+// words per level in use and a level table as deep as the deepest load.
+type loadIndex struct {
+	words  int      // bitset words per set: one bit per slot rank
+	stride int      // words plus their summary words
+	bits   []uint64 // set k is bits[k*stride:][:stride]
+	size   []int32  // slots filed in set k
+	free   []int32  // sets whose level emptied, reused first
+	level  []int32  // level (levelOf) → set k+1; 0 while the level is empty
+	min    [2]int32 // each class's lowest non-empty level, while count > 0
+	count  [2]int   // slots filed in each class
+}
 
 // load is the slot's queued-plus-running job count.
 func (s *workerSlot) load() int {
@@ -27,89 +34,157 @@ func (s *workerSlot) load() int {
 	return n
 }
 
-// loadLess orders two slots by the index key.
-func loadLess(a, b *workerSlot) bool {
-	if ae, be := a.eligPos < 0, b.eligPos < 0; ae != be {
-		return be
+// levelOf packs the level s belongs under as load<<1 | class.
+func levelOf(s *workerSlot) int32 {
+	lvl := int32(s.load()) << 1
+	if s.eligPos < 0 {
+		lvl |= 1
 	}
-	if la, lb := a.load(), b.load(); la != lb {
-		return la < lb
-	}
-	return a.idx < b.idx
+	return lvl
 }
 
-func (h loadIndex) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].loadPos = i
-	h[j].loadPos = j
+// grow sizes every set for n slot ranks, once per registration batch.
+func (ix *loadIndex) grow(n int) {
+	words := (n + 63) / 64
+	if ix == nil || words <= ix.words {
+		return
+	}
+	stride := words + (words+63)/64
+	grown := make([]uint64, len(ix.size)*stride)
+	for k := range ix.size {
+		old, set := ix.set(int32(k)), grown[k*stride:][:stride]
+		copy(set, old[:ix.words])
+		copy(set[words:], old[ix.words:])
+	}
+	ix.words, ix.stride, ix.bits = words, stride, grown
 }
 
-func (h loadIndex) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !loadLess(h[i], h[parent]) {
-			return
+// set returns set k's bitset words followed by their summary words.
+func (ix *loadIndex) set(k int32) []uint64 {
+	return ix.bits[int(k)*ix.stride:][:ix.stride]
+}
+
+// mark sets or clears rank r's bit in set k, and its word's summary bit.
+func (ix *loadIndex) mark(k int32, r int, on bool) {
+	set := ix.set(k)
+	w := r >> 6
+	if on {
+		set[w] |= 1 << (r & 63)
+		set[ix.words+w>>6] |= 1 << (w & 63)
+		return
+	}
+	if set[w] &^= 1 << (r & 63); set[w] == 0 {
+		set[ix.words+w>>6] &^= 1 << (w & 63)
+	}
+}
+
+// file sets rank r's bit under lvl, taking a set if the level has none.
+func (ix *loadIndex) file(r int, lvl int32) {
+	if n := int(lvl) + 1 - len(ix.level); n > 0 {
+		ix.level = append(ix.level, make([]int32, n)...)
+	}
+	k := ix.level[lvl] - 1
+	if k < 0 {
+		if n := len(ix.free); n > 0 {
+			k, ix.free = ix.free[n-1], ix.free[:n-1]
+		} else {
+			k = int32(len(ix.size))
+			ix.bits = append(ix.bits, make([]uint64, ix.stride)...)
+			ix.size = append(ix.size, 0)
 		}
-		h.swap(i, parent)
-		i = parent
+		ix.level[lvl] = k + 1
 	}
+	ix.mark(k, r, true)
+	ix.size[k]++
+	c := lvl & 1
+	if ix.count[c] == 0 || lvl < ix.min[c] {
+		ix.min[c] = lvl
+	}
+	ix.count[c]++
 }
 
-// down sifts h[i] towards the leaves and reports whether it moved.
-func (h loadIndex) down(i int) bool {
-	start := i
-	for {
-		least := 2*i + 1
-		if least >= len(h) {
-			break
+// unfile clears rank r's bit under lvl. An emptied level frees its set
+// and, if it was its class's lowest, passes that on up.
+func (ix *loadIndex) unfile(r int, lvl int32) {
+	c, k := lvl&1, ix.level[lvl]-1
+	ix.mark(k, r, false)
+	ix.count[c]--
+	if ix.size[k]--; ix.size[k] > 0 {
+		return
+	}
+	ix.level[lvl] = 0
+	ix.free = append(ix.free, k)
+	if ix.count[c] > 0 && lvl == ix.min[c] {
+		for ix.level[ix.min[c]] == 0 {
+			ix.min[c] += 2
 		}
-		if r := least + 1; r < len(h) && loadLess(h[r], h[least]) {
-			least = r
+	}
+}
+
+// add files a newly registered slot; remove unfiles a detached one.
+func (ix *loadIndex) add(s *workerSlot) {
+	if ix != nil {
+		s.lvl = levelOf(s)
+		ix.file(s.rank, s.lvl)
+	}
+}
+
+func (ix *loadIndex) remove(s *workerSlot) {
+	if ix != nil && s.lvl >= 0 {
+		ix.unfile(s.rank, s.lvl)
+		s.lvl = -1
+	}
+}
+
+// refile moves s to its current level, skipping an unfiled slot. The new
+// level is filed first, so the old one's emptying scans no further up.
+func (ix *loadIndex) refile(s *workerSlot) {
+	if ix == nil || s.lvl < 0 {
+		return
+	}
+	if lvl := levelOf(s); lvl != s.lvl {
+		ix.file(s.rank, lvl)
+		ix.unfile(s.rank, s.lvl)
+		s.lvl = lvl
+	}
+}
+
+// rerank moves s's bit to rank r, as detachLocked closes a rank gap.
+func (ix *loadIndex) rerank(s *workerSlot, r int) {
+	if ix != nil && s.lvl >= 0 {
+		k := ix.level[s.lvl] - 1
+		ix.mark(k, s.rank, false)
+		ix.mark(k, r, true)
+	}
+}
+
+// least returns the rank of the policy's pick. An orchestrator always has
+// an attached worker, so the index is never empty.
+func (ix *loadIndex) least() int {
+	c := 0
+	if ix.count[0] == 0 {
+		c = 1
+	}
+	set := ix.set(ix.level[ix.min[c]] - 1)
+	for i, sum := range set[ix.words:] {
+		if sum != 0 {
+			w := i<<6 | bits.TrailingZeros64(sum)
+			return w<<6 | bits.TrailingZeros64(set[w])
 		}
-		if !loadLess(h[least], h[i]) {
-			break
-		}
-		h.swap(i, least)
-		i = least
 	}
-	return i > start
-}
-
-// fix restores heap order after s's key changed. A detached slot is in no
-// index and is skipped.
-func (h loadIndex) fix(s *workerSlot) {
-	if s.loadPos >= 0 && !h.down(s.loadPos) {
-		h.up(s.loadPos)
-	}
-}
-
-func (h *loadIndex) push(s *workerSlot) {
-	s.loadPos = len(*h)
-	*h = append(*h, s)
-	h.up(s.loadPos)
-}
-
-func (h *loadIndex) remove(s *workerSlot) {
-	i, last := s.loadPos, len(*h)-1
-	h.swap(i, last)
-	(*h)[last] = nil
-	*h = (*h)[:last]
-	s.loadPos = -1
-	if i < last {
-		h.fix((*h)[i])
-	}
+	panic("core: least-loaded level filed with no slot")
 }
 
 // loadChangedLocked is the one hook every change to a slot's load passes:
 // each queue mutation (qpush, qpop, qtake, qpoptail) and each flip of the
 // busy flag is followed by a call. It republishes the queue-depth gauge,
-// keeps the orchestrator's queued total, and repairs the slot's place in
-// the load index. Caller holds o.mu.
+// keeps the orchestrator's queued total, and refiles the slot in the load
+// index. Caller holds o.mu.
 func (o *Orchestrator) loadChangedLocked(s *workerSlot) {
-	if q := s.qlen(); q != s.queued {
+	if q := int32(s.qlen()); q != s.queued {
 		o.queued.Add(int64(q - s.queued))
 		s.queued = q
 		s.m.queueDepth.Set(float64(q))
 	}
-	o.load.fix(s)
+	o.load.refile(s)
 }

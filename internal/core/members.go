@@ -162,22 +162,23 @@ func (o *Orchestrator) RemoveWorker(workerID string, handoff func(Worker)) error
 }
 
 // detachLocked splices a slot out of every assignment structure: the
-// slot list, the id index, the load index, and the eligible/parole
-// split. Registration indices are not renumbered (idx stays unique; order
-// comparisons still work). The slot object itself stays alive for any
-// in-flight attempt that still points at it. Caller holds o.mu.
+// load index, the eligible/parole split, the id index and the slot list.
+// The slots after it move down one rank, in the load index too, which
+// keeps every rank comparison in registration order. The slot object
+// itself stays alive for any in-flight attempt that still points at it.
+// Caller holds o.mu.
 func (o *Orchestrator) detachLocked(s *workerSlot) {
-	for i, t := range o.slots {
-		if t == s {
-			o.slots = append(o.slots[:i], o.slots[i+1:]...)
-			break
-		}
-	}
-	delete(o.byID, s.id)
 	o.load.remove(s)
 	o.removeEligibleLocked(s)
 	if s.parolePos >= 0 {
 		heap.Remove(&o.parole, s.parolePos)
+	}
+	delete(o.byID, s.id)
+	o.slots = append(o.slots[:s.rank], o.slots[s.rank+1:]...)
+	for r := s.rank; r < len(o.slots); r++ {
+		t := o.slots[r]
+		o.load.rerank(t, r)
+		t.rank = r
 	}
 	s.detached = true
 }

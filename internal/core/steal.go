@@ -59,7 +59,7 @@ func (o *Orchestrator) TakeQueued(max int) []Stolen {
 		if victims[i].qlen() != victims[j].qlen() {
 			return victims[i].qlen() > victims[j].qlen()
 		}
-		return victims[i].idx < victims[j].idx
+		return victims[i].rank < victims[j].rank
 	})
 	var out []Stolen
 	for _, victim := range victims {
