@@ -42,7 +42,7 @@ var apiPackages = []string{
 	"internal/power",
 	"internal/powermgr",
 	"internal/forecast",
-	"internal/tracing",
+	"internal/trace",
 	"internal/telemetry",
 }
 

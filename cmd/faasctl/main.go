@@ -205,9 +205,8 @@ func (c *client) run(args []string) error {
 	}
 }
 
-// traceSummary mirrors the gateway's /traces reply shape.
+// traceSummary mirrors a job's breakdown in the gateway's /traces replies.
 type traceSummary struct {
-	Trace          string  `json:"trace"`
 	Job            int64   `json:"job"`
 	Function       string  `json:"function"`
 	Worker         string  `json:"worker"`
@@ -225,12 +224,12 @@ type traceSummary struct {
 }
 
 // trace renders a phase-by-phase latency and energy breakdown for one
-// job's trace (`trace <job-id>`) or the N slowest traces on record
-// (`trace --slowest N`).
+// job (`trace <job-id>`) or the N slowest jobs in the gateway's record
+// window (`trace --slowest N`).
 func (c *client) trace(args []string) error {
-	query := "job="
-	if len(args) == 2 && (args[0] == "--slowest" || args[0] == "-slowest") {
-		query, args = "slowest=", args[1:]
+	slowest := len(args) == 2 && (args[0] == "--slowest" || args[0] == "-slowest")
+	if slowest {
+		args = args[1:]
 	}
 	n, ok := positiveOperand(args)
 	if !ok {
@@ -239,11 +238,17 @@ func (c *client) trace(args []string) error {
 	var reply struct {
 		Traces []traceSummary `json:"traces"`
 	}
-	if err := c.getJSON("/traces?"+query+n, &reply); err != nil {
+	if !slowest {
+		var one traceSummary
+		if err := c.getJSON("/traces/"+n, &one); err != nil {
+			return err // a miss prints the gateway's "not in the record window"
+		}
+		reply.Traces = append(reply.Traces, one)
+	} else if err := c.getJSON("/traces?slowest="+n, &reply); err != nil {
 		return err
 	}
 	if len(reply.Traces) == 0 {
-		return fmt.Errorf("no trace on record (is tracing enabled, and was the job sampled?)")
+		return fmt.Errorf("no trace on record: the record window is empty")
 	}
 	for i, t := range reply.Traces {
 		if i > 0 {
@@ -258,7 +263,7 @@ func (c *client) trace(args []string) error {
 // joules, then a total row that the phases (plus any unattributed gap)
 // sum to.
 func (c *client) printTrace(t traceSummary) {
-	fmt.Fprintf(c.out, "trace %s  job %d  %s", t.Trace, t.Job, t.Function)
+	fmt.Fprintf(c.out, "job %d  %s", t.Job, t.Function)
 	if t.Worker != "" {
 		fmt.Fprintf(c.out, "  worker %s", t.Worker)
 	}

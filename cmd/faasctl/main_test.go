@@ -18,7 +18,6 @@ import (
 	"microfaas/internal/shard"
 	"microfaas/internal/telemetry"
 	"microfaas/internal/trace"
-	"microfaas/internal/tracing"
 )
 
 // serve fronts plane with a gateway on a free port and returns a client
@@ -215,13 +214,12 @@ func TestTopWithoutTelemetry(t *testing.T) {
 	}
 }
 
-// startTracedSimStack runs a seeded MicroFaaS simulation with tracing on,
-// serves its orchestrator through a gateway, and aims a client at it —
-// the fixture for the trace-command acceptance test.
-func startTracedSimStack(t *testing.T) (*client, *strings.Builder, *tracing.Tracer, *trace.Collector) {
+// startTracedSimStack runs a seeded MicroFaaS simulation, serves its
+// orchestrator through a gateway, and aims a client at it — the fixture
+// for the trace-command acceptance test. Every job in the run has a trace.
+func startTracedSimStack(t *testing.T) (*client, *strings.Builder, *trace.Collector) {
 	t.Helper()
-	tr := tracing.NewWithConfig(tracing.Config{})
-	s, err := cluster.NewMicroFaaSSim(4, cluster.SimConfig{Seed: 7, Tracer: tr})
+	s, err := cluster.NewMicroFaaSSim(4, cluster.SimConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +227,8 @@ func startTracedSimStack(t *testing.T) (*client, *strings.Builder, *tracing.Trac
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, sb := serve(t, planeOf(t, s.Orch), gateway.Options{Mode: "sim", Tracer: tr})
-	return c, sb, tr, coll
+	c, sb := serve(t, planeOf(t, s.Orch), gateway.Options{Mode: "sim"})
+	return c, sb, coll
 }
 
 // parseTraceTable picks the phase rows and the total row out of the
@@ -286,12 +284,12 @@ func parseTraceTable(t *testing.T, out string) (phases map[string]struct {
 // phase breakdown whose latencies sum to the end-to-end latency and
 // whose joules sum to the invocation's metered energy within 1%.
 func TestTraceSlowestCommand(t *testing.T) {
-	c, out, tr, coll := startTracedSimStack(t)
+	c, out, coll := startTracedSimStack(t)
 	if err := c.run([]string{"trace", "--slowest", "1"}); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"trace ", "queue", "boot", "exec", "total"} {
+	for _, want := range []string{"job ", "queue", "boot", "exec", "total"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("trace output missing %q:\n%s", want, got)
 		}
@@ -316,9 +314,9 @@ func TestTraceSlowestCommand(t *testing.T) {
 
 	// And the totals must agree with ground truth: the slowest trace's
 	// record, its latency exactly and its metered energy within 1%.
-	slow := tr.Slowest(1)
+	slow := trace.Slowest(trace.Traces(coll), 1)
 	if len(slow) != 1 {
-		t.Fatalf("tracer has no slowest trace")
+		t.Fatalf("the record window has no slowest trace")
 	}
 	var rec *trace.Record
 	records := coll.Records()
@@ -344,8 +342,8 @@ func TestTraceSlowestCommand(t *testing.T) {
 }
 
 func TestTraceByJobCommand(t *testing.T) {
-	c, out, tr, _ := startTracedSimStack(t)
-	job := tr.Traces()[0].Root.Job
+	c, out, coll := startTracedSimStack(t)
+	job := coll.Records()[0].JobID
 	if err := c.run([]string{"trace", fmt.Sprintf("%d", job)}); err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +354,15 @@ func TestTraceByJobCommand(t *testing.T) {
 }
 
 func TestTraceCommandUsage(t *testing.T) {
-	c, _, _, _ := startTracedSimStack(t)
+	c, out, _ := startTracedSimStack(t)
 	if err := c.run([]string{"trace"}); err == nil {
 		t.Fatal("bare trace accepted")
 	}
 	if err := c.run([]string{"trace", "999999"}); err == nil {
 		t.Fatal("trace for unknown job succeeded")
+	}
+	if !strings.Contains(out.String(), "not in the record window") {
+		t.Fatalf("a miss does not say the job is not in the record window:\n%s", out.String())
 	}
 }
 

@@ -55,7 +55,6 @@ import (
 	"microfaas/internal/shard"
 	"microfaas/internal/telemetry"
 	"microfaas/internal/trace"
-	"microfaas/internal/tracing"
 	"microfaas/internal/tsdb"
 	"microfaas/internal/workload"
 )
@@ -85,11 +84,10 @@ func (o options) mode() string {
 	return "serve"
 }
 
-// onlyIn names the flags a single mode reads. Spans are read only through
-// the gateway's /traces, so -trace-sample is a serve flag too.
+// onlyIn names the flags a single mode reads.
 var onlyIn = map[string]string{
 	"listen": "serve", "drain-timeout": "serve", "pprof": "serve", "slo": "serve",
-	"scrape-interval": "serve", "predict": "serve", "trace-sample": "serve",
+	"scrape-interval": "serve", "predict": "serve",
 	"jobs": "load", "speedup": "replay",
 }
 
@@ -126,7 +124,6 @@ func parse(args []string, stderr io.Writer) (*options, int) {
 	fs.IntVar(&live.BreakerThreshold, "breaker-threshold", 0, "consecutive failures before a worker's circuit breaker opens (0 = disabled)")
 	fs.DurationVar(&live.BreakerProbe, "breaker-probe", 30*time.Second, "how long an open breaker waits before probing the worker again")
 	fs.DurationVar(&opts.drainTimeout, "drain-timeout", 30*time.Second, "in serve mode, how long shutdown waits for in-flight jobs")
-	traceSample := fs.Float64("trace-sample", 0, "head-sampling rate for per-invocation tracing, 0..1 (1 = every invocation; errors and >30s outliers always kept; 0 = tracing off; serve mode)")
 	fs.BoolVar(&opts.pprof, "pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the gateway (serve mode)")
 	powerIdle := fs.Duration("power-idle", 0, "enable dynamic power management: power-gate workers idle this long (0 = static power, every worker always on)")
 	powerCap := fs.Float64("power-cap", 0, "cluster power budget in watts; bounds simultaneously powered workers (0 = no cap; requires -power-idle)")
@@ -174,16 +171,6 @@ func parse(args []string, stderr io.Writer) (*options, int) {
 	}
 	if opts.predict && live.Power == nil {
 		return fail(errors.New("-predict requires -power-idle"))
-	}
-	if *traceSample > 0 {
-		// Flag semantics: 0 disables tracing outright. Internally a zero
-		// SampleRate means "sample everything", so pass the rate through
-		// only once we know tracing is on.
-		live.Tracer = tracing.NewWithConfig(tracing.Config{
-			Seed:          live.Seed,
-			SampleRate:    *traceSample,
-			SlowThreshold: 30 * time.Second,
-		})
 	}
 	if *sloPath != "" {
 		if opts.slo, err = tsdb.LoadRules(*sloPath); err != nil {
@@ -274,7 +261,7 @@ func (a *argFiller) Submit(function string, _ []byte) int64 {
 }
 
 func serveMode(l *cluster.Live, opts options) error {
-	tracer, scrapeEvery := opts.live.Tracer, opts.scrapeEvery
+	scrapeEvery := opts.scrapeEvery
 	// The gateway fronts a control plane; this deployment is a plane of one
 	// shard.
 	plane, err := shard.NewPlane(l.Runtime, []*core.Orchestrator{l.Orch}, shard.Config{})
@@ -286,7 +273,7 @@ func serveMode(l *cluster.Live, opts options) error {
 	// its label, as the sharded sim does, on the wall clock (the sim
 	// scrapes on the aggregator tick instead), and backs /query, /slo, and
 	// /alerts.
-	store := tsdb.New(tsdb.Config{Tracer: tracer})
+	store := tsdb.New(tsdb.Config{})
 	if err := store.SetRules(opts.slo); err != nil {
 		return err
 	}
@@ -317,7 +304,6 @@ func serveMode(l *cluster.Live, opts options) error {
 	}
 	gw, err := gateway.New(plane, gateway.Options{
 		Mode:        "live",
-		Tracer:      tracer,
 		EnablePprof: opts.pprof,
 		TSDB:        store,
 		Forecast:    ctl,
@@ -346,9 +332,7 @@ func serveMode(l *cluster.Live, opts options) error {
 		fmt.Printf("  faasctl -gateway %s forecast\n", addr)
 	}
 	fmt.Printf("  curl http://%s/metrics\n", addr)
-	if tracer != nil {
-		fmt.Printf("  faasctl -gateway %s trace --slowest 5\n", addr)
-	}
+	fmt.Printf("  faasctl -gateway %s trace --slowest 5\n", addr)
 	if opts.pprof {
 		fmt.Printf("  go tool pprof http://%s/debug/pprof/profile?seconds=10\n", addr)
 	}

@@ -148,7 +148,7 @@ func TestFlagsTheModeDoesNotRead(t *testing.T) {
 		{[]string{"-jobs", "17", "-slo", rules, "-speedup", "60", "-drain-timeout", "1s"}, "-drain-timeout"},
 		{[]string{"-jobs", "17", "-speedup", "60"}, "-speedup"},
 		{[]string{"-jobs", "17", "-power-idle", "1s", "-predict"}, "-predict"},
-		{[]string{"-jobs", "17", "-trace-sample", "1"}, "-trace-sample"},
+		{[]string{"-trace-sample", "1"}, "-trace-sample"}, // gone: every job is traced
 		{[]string{"-jobs", "17", "-listen", "127.0.0.1:0"}, "-listen"},
 		{[]string{"-jobs", "5", "-replay", "trace.csv"}, "-jobs"},
 		{[]string{"-replay", "trace.csv", "-pprof"}, "-pprof"},
@@ -158,7 +158,7 @@ func TestFlagsTheModeDoesNotRead(t *testing.T) {
 		{[]string{"-jobs", "0", "-listen", "127.0.0.1:0"}, "-jobs"},
 		{[]string{"-jobs", "17", "-workers", "2", "-boot-delay", "1ms", "-power-idle", "1s", "-policy", "energy-aware"}, ""},
 		{[]string{"-replay", "trace.csv", "-speedup", "60", "-seed", "3"}, ""},
-		{[]string{"-listen", "127.0.0.1:0", "-slo", rules, "-power-idle", "1s", "-predict", "-trace-sample", "1", "-pprof"}, ""},
+		{[]string{"-listen", "127.0.0.1:0", "-slo", rules, "-power-idle", "1s", "-predict", "-pprof"}, ""},
 	} {
 		var stderr strings.Builder
 		opts, status := parse(tc.args, &stderr)

@@ -48,7 +48,7 @@ func parse(args []string, stderr io.Writer) (render func(io.Writer) error, statu
 	fs.IntVar(&p.Shards, "shards", 0, "control-plane shard count (0 = the experiment default, 64)")
 	fs.StringVar(&p.CSVPath, "csv", "", "write the MicroFaaS run's raw per-invocation trace (CSV) to this path")
 	fs.StringVar(&p.PromPath, "prom", "", "write the MicroFaaS run's metrics snapshot (Prometheus text format) to this path")
-	fs.StringVar(&p.TracePath, "trace", "", "write the MicroFaaS run's span dump (Chrome trace_event JSON) to this path")
+	fs.StringVar(&p.TracePath, "trace", "", "write the MicroFaaS run's per-job traces (Chrome trace_event JSON) to this path")
 	sloPath := fs.String("slo", "", "SLO burn-rate rule file (JSON); print alert timelines")
 	fs.BoolVar(&p.Predict, "predict", false, "add the forecast-steered predictive arm")
 	format := fs.String("format", "text", "output format: text or csv")

@@ -10,7 +10,8 @@ import (
 	"microfaas/internal/core"
 	"microfaas/internal/power"
 	"microfaas/internal/shard"
-	"microfaas/internal/tracing"
+	"microfaas/internal/telemetry"
+	"microfaas/internal/trace"
 )
 
 // chaosChurnRun drives one seeded kill/revive schedule against a
@@ -26,14 +27,13 @@ type chaosOutcome struct {
 	rejoins  int
 	epoch    int64
 	stats    ShardedStats
-	tracer   *tracing.Tracer
 	sim      *ShardedSim
 	rejected int
 }
 
 func chaosChurnRun(t *testing.T, seed int64) *chaosOutcome {
 	t.Helper()
-	out := &chaosOutcome{fired: map[int64]int{}, tracer: tracing.NewWithConfig(tracing.Config{})}
+	out := &chaosOutcome{fired: map[int64]int{}}
 	scfg := shard.Config{
 		BoundFactor: -1, // keep keys home so kills catch real backlogs
 		Steal:       shard.StealConfig{Enabled: true, Interval: 100 * time.Millisecond},
@@ -44,9 +44,9 @@ func chaosChurnRun(t *testing.T, seed int64) *chaosOutcome {
 		},
 	}
 	s, err := NewShardedMicroFaaSSim(6, 8, SimConfig{
-		Seed:   seed,
-		Policy: core.AssignLeastLoaded,
-		Tracer: out.tracer,
+		Seed:      seed,
+		Policy:    core.AssignLeastLoaded,
+		Telemetry: telemetry.New(), // each shard's event ring names its steals
 	}, scfg)
 	if err != nil {
 		t.Fatalf("NewShardedMicroFaaSSim: %v", err)
@@ -95,9 +95,10 @@ func chaosChurnRun(t *testing.T, seed int64) *chaosOutcome {
 // TestShardedChaosChurn is the failover acceptance test: across seeds
 // 1–4, every accepted invocation settles exactly once (no losses, no
 // duplicates) even though shards die with queued backlogs and rejoin
-// mid-run, job ids stay unique cluster-wide, and migrated traces still
-// telescope — phases plus unattributed gap equal end-to-end latency,
-// and span joules match the energy reconstructed from the run records.
+// mid-run, job ids stay unique cluster-wide, and migrated jobs' traces
+// still telescope — phases plus unattributed gap equal end-to-end
+// latency, and phase joules match the energy reconstructed from the run
+// records.
 func TestShardedChaosChurn(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		out := chaosChurnRun(t, seed)
@@ -154,68 +155,72 @@ func TestShardedChaosChurn(t *testing.T) {
 	}
 }
 
-// verifyMigratedTraces checks the FaasMeter-style invariant on every
-// trace that crossed shards: span joules must still telescope to the
-// energy the run records imply, and phase latencies (plus the
-// unattributed gap) to the end-to-end latency.
+// verifyMigratedTraces checks the FaasMeter-style invariant on every job
+// that crossed shards, found by the "stolen-from" events in the shards'
+// event rings: its trace, rendered from every shard's rows, still
+// telescopes — phase latencies plus the unattributed gap equal the
+// end-to-end latency — and its joules match the energy the run records
+// imply.
 func verifyMigratedTraces(t *testing.T, seed int64, out *chaosOutcome) {
 	t.Helper()
-	type rec struct {
-		boot, overhead, exec time.Duration
-		submitted, finished  time.Duration
+	colls := make([]*trace.Collector, len(out.sim.Orchs))
+	for i, o := range out.sim.Orchs {
+		colls[i] = o.Collector()
 	}
-	byJob := map[int64]rec{}
-	for _, o := range out.sim.Orchs {
-		for _, r := range o.Collector().Records() {
-			if r.Err == "" {
-				byJob[r.JobID] = rec{r.Boot, r.Overhead, r.Exec, r.Submitted, r.Finished}
+	moved := map[int64]bool{}
+	for i, tel := range out.sim.Telemetries {
+		events, gap, _ := tel.Events().Page(-1, 0)
+		if gap != 0 {
+			t.Fatalf("seed %d: shard %d's event ring dropped %d events", seed, i, gap)
+		}
+		for _, ev := range events {
+			if ev.Detail == "stolen-from" {
+				moved[ev.Job] = true
 			}
 		}
+	}
+	if len(moved) == 0 {
+		t.Fatalf("seed %d: churn produced no migrated jobs", seed)
 	}
 	sbc := power.DefaultSBCModel()
-	migrated := 0
-	for _, x := range out.tracer.Traces() {
-		moved := false
-		for _, sp := range x.Spans {
-			if sp.Phase == tracing.PhaseSteal {
-				moved = true
-				break
-			}
-		}
-		if !moved {
-			continue
-		}
-		migrated++
-		sum := tracing.Summarize(x)
-		r, ok := byJob[sum.Job]
+	for job := range moved {
+		x, ok := trace.TraceOf(job, colls...)
 		if !ok {
-			t.Fatalf("seed %d: migrated job %d has no successful record", seed, sum.Job)
+			t.Fatalf("seed %d: migrated job %d has no trace", seed, job)
 		}
-		if wantLat := r.finished - r.submitted; sum.Latency != wantLat {
-			t.Fatalf("seed %d: job %d trace latency %v != record latency %v", seed, sum.Job, sum.Latency, wantLat)
+		sum := x.Breakdown()
+		if sum.Err != "" {
+			t.Fatalf("seed %d: migrated job %d failed: %s", seed, job, sum.Err)
 		}
 		var phaseTotal time.Duration
-		var phaseJoules float64
+		var phaseJoules, want float64
 		for _, p := range sum.Phases {
 			phaseTotal += p.Duration
 			phaseJoules += p.EnergyJ
 		}
 		if phaseTotal+sum.Unattributed != sum.Latency {
 			t.Fatalf("seed %d: job %d phases %v + unattributed %v != latency %v",
-				seed, sum.Job, phaseTotal, sum.Unattributed, sum.Latency)
+				seed, job, phaseTotal, sum.Unattributed, sum.Latency)
 		}
 		if phaseJoules != sum.EnergyJ {
-			t.Fatalf("seed %d: job %d phase joules %v != summary joules %v", seed, sum.Job, phaseJoules, sum.EnergyJ)
+			t.Fatalf("seed %d: job %d phase joules %v != summary joules %v", seed, job, phaseJoules, sum.EnergyJ)
 		}
-		want := r.boot.Seconds()*float64(sbc.Power(power.Booting)) +
-			(r.overhead+r.exec).Seconds()*float64(sbc.Power(power.Busy))
+		for _, c := range colls {
+			for _, r := range c.Records() {
+				if r.JobID != job {
+					continue
+				}
+				if wantLat := r.Finished - r.Submitted; r.Err == "" && sum.Latency != wantLat {
+					t.Fatalf("seed %d: job %d trace latency %v != record latency %v", seed, job, sum.Latency, wantLat)
+				}
+				want += r.Boot.Seconds()*float64(sbc.Power(power.Booting)) +
+					(r.Overhead+r.Exec).Seconds()*float64(sbc.Power(power.Busy))
+			}
+		}
 		if diff := math.Abs(sum.EnergyJ - want); diff > 0.01*want {
 			t.Fatalf("seed %d: job %d trace %.6f J vs record-derived %.6f J (%.2f%% off)",
-				seed, sum.Job, sum.EnergyJ, want, 100*diff/want)
+				seed, job, sum.EnergyJ, want, 100*diff/want)
 		}
-	}
-	if migrated == 0 {
-		t.Fatalf("seed %d: churn produced no migrated traces", seed)
 	}
 }
 

@@ -19,7 +19,6 @@ var sharedNames = map[string]string{
 	"Workers":    "a count in LiveOptions, the fleet itself in core.Config",
 	"Meter":      "a switch in LiveOptions, the meter device itself in LiveWorkerConfig",
 	"Telemetry":  "the sharded sim gives each shard its own registry, so a layer's sink is not always its parent's",
-	"Tracer":     "a handle on the one span sink every layer records into, not a setting",
 }
 
 // directFields lists the fields declared on t itself, not promoted from

@@ -14,7 +14,6 @@ import (
 	"microfaas/internal/sqlstore"
 	"microfaas/internal/telemetry"
 	"microfaas/internal/trace"
-	"microfaas/internal/tracing"
 	"microfaas/internal/workload"
 )
 
@@ -36,10 +35,10 @@ type LiveOptions struct {
 	// OP, the workers, and (when Meter is on) the power meter. Nil
 	// disables instrumentation entirely.
 	Telemetry *telemetry.Telemetry
-	// Tracer enables per-invocation lifecycle span recording across the
-	// OP and the workers, with trace ids propagated to the workers over
-	// the wire protocol. Nil disables tracing entirely.
-	Tracer *tracing.Tracer
+	// Tracer is not read: every job in the record window has a trace,
+	// rendered from the collector's rows (trace.Traces). It stays so code
+	// that still sets it compiles.
+	Tracer *trace.Tracer
 	// Policy selects the OP's queue-assignment policy (default
 	// AssignRandom, the paper's).
 	Policy core.AssignPolicy
@@ -141,8 +140,8 @@ func StartLive(opts LiveOptions) (*Live, error) {
 	}
 	workers := make([]core.Worker, 0, n)
 	for i := 0; i < n; i++ {
-		// Meter readings, events, spans and power transitions all stamp
-		// on the cluster clock.
+		// Meter readings, events and power transitions all stamp on the
+		// cluster clock.
 		cfg := node.LiveWorkerConfig{
 			ID:              fmt.Sprintf("live-%03d", i),
 			Env:             l.Env,
@@ -150,7 +149,6 @@ func StartLive(opts LiveOptions) (*Live, error) {
 			Meter:           l.Meter,
 			Clock:           l.Runtime.Now,
 			Telemetry:       opts.Telemetry,
-			Tracer:          opts.Tracer,
 			Managed:         opts.Power != nil,
 			GPIO:            l.GPIO,
 		}
@@ -170,7 +168,6 @@ func StartLive(opts LiveOptions) (*Live, error) {
 		Policy:        opts.Policy,
 		AttemptPolicy: opts.AttemptPolicy,
 		Telemetry:     opts.Telemetry,
-		Tracer:        opts.Tracer,
 		ShardLabel:    opts.ShardLabel,
 		JobIDBase:     opts.JobIDBase,
 	}

@@ -21,7 +21,7 @@ import (
 // what lets the work stealer migrate jobs identity-intact.
 const shardIDSpan = int64(1) << 40
 
-// shardLabel names shard si in spans, metrics, and gateway rows.
+// shardLabel names shard si in metrics and gateway rows.
 func shardLabel(si int) string { return fmt.Sprintf("shard-%02d", si) }
 
 // ShardedSim is a MicroFaaS cluster split into N control-plane shards
@@ -31,8 +31,8 @@ func shardLabel(si int) string { return fmt.Sprintf("shard-%02d", si) }
 // deterministic under a seed, exactly like a single-shard sim. Each
 // shard owns a disjoint worker partition, its own telemetry registry,
 // its own trace collector, and (when power management is enabled) its
-// own power manager; the tracer is shared so a stolen job's spans stay
-// in one trace.
+// own power manager; a stolen job's trace reads every shard's collector
+// (trace.Traces).
 type ShardedSim struct {
 	// Engine is the single virtual clock every shard runs on.
 	Engine *sim.Engine
@@ -69,7 +69,6 @@ type ShardedSim struct {
 // SimConfig applies per shard (its Telemetry field acts as an on/off
 // switch: when non-nil, each shard gets its OWN fresh registry, and
 // the passed-in instance carries only the shared power-meter gauges).
-// The Tracer is shared by every shard.
 func NewShardedMicroFaaSSim(shards, workersPerShard int, cfg SimConfig, scfg shard.Config) (*ShardedSim, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one shard, got %d", shards)

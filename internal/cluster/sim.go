@@ -27,7 +27,6 @@ import (
 	"microfaas/internal/sim"
 	"microfaas/internal/telemetry"
 	"microfaas/internal/trace"
-	"microfaas/internal/tracing"
 )
 
 // SimConfig tunes a simulated cluster.
@@ -50,11 +49,6 @@ type SimConfig struct {
 	// seeded RNG or schedules events, enabling it leaves a seeded run's
 	// trace bit-identical.
 	Telemetry *telemetry.Telemetry
-	// Tracer enables per-invocation lifecycle span recording across the
-	// OP and the workers, with the same bit-identical guarantee as
-	// Telemetry (the tracer never draws randomness; sampling hashes the
-	// deterministic trace id).
-	Tracer *tracing.Tracer
 	// Power enables the dynamic power-management plane (MicroFaaS
 	// clusters only): workers run managed — powered off until the OP
 	// wakes them, idle-powered-down per the policy — instead of the
@@ -153,7 +147,6 @@ func (b *simBuilder) workerConfig(server *node.RackServer, tel *telemetry.Teleme
 		Functions:   b.fns,
 		Managed:     b.cfg.Power != nil,
 		Telemetry:   tel,
-		Tracer:      b.cfg.Tracer,
 	}
 }
 
@@ -200,7 +193,6 @@ func (b *simBuilder) shard(si int, label string, tel *telemetry.Telemetry, worke
 		Policy:        b.cfg.Policy,
 		AttemptPolicy: b.cfg.AttemptPolicy,
 		Telemetry:     tel,
-		Tracer:        b.cfg.Tracer,
 		ShardLabel:    label,
 		JobIDBase:     int64(si) * shardIDSpan,
 	}

@@ -7,52 +7,70 @@ import (
 	"time"
 
 	"microfaas/internal/core"
+	"microfaas/internal/model"
 	"microfaas/internal/node"
 	"microfaas/internal/power"
-	"microfaas/internal/tracing"
+	"microfaas/internal/proto"
+	"microfaas/internal/telemetry"
+	"microfaas/internal/trace"
 )
 
-// TestTracingDoesNotPerturbSimulation is the bit-identical guarantee:
-// the tracer never draws randomness and never schedules events, so a
-// seeded run's collected records must be byte-for-byte the same with
-// tracing off (nil) and on — across several seeds, with the failure
-// path exercised so retry/fault instrumentation is covered too.
-func TestTracingDoesNotPerturbSimulation(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		run := func(tr *tracing.Tracer) interface{} {
-			s, err := NewMicroFaaSSim(4, SimConfig{
-				Seed:          seed,
-				BoardConfig:   node.BoardConfig{Faults: node.FaultPolicy{ErrorProb: 0.15}},
-				AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3, JobTimeout: 2 * time.Minute},
-				Tracer:        tr,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			coll, err := s.RunSuite(1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return coll.Records()
+// meteredJoules is every attempt's Result.Joules, as the per-function
+// energy counters bank them.
+func meteredJoules(tel *telemetry.Telemetry) float64 {
+	var sum float64
+	for _, f := range model.Functions() {
+		sum += tel.Registry().Counter("microfaas_function_energy_joules_total", "", "function", f.Name).Value()
+	}
+	return sum
+}
+
+// viewJoules sums every phase's joules over the traces.
+func viewJoules(traces []trace.Trace) float64 {
+	var sum float64
+	for _, tr := range traces {
+		sum += tr.Breakdown().EnergyJ
+	}
+	return sum
+}
+
+// TestSimTracesEveryJob: a seeded sim, retries and all, has exactly one
+// trace per submitted job — nothing is sampled away.
+func TestSimTracesEveryJob(t *testing.T) {
+	s, err := NewMicroFaaSSim(4, SimConfig{
+		Seed:          3,
+		BoardConfig:   node.BoardConfig{Faults: node.FaultPolicy{ErrorProb: 0.15}},
+		AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3, JobTimeout: 2 * time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := map[int64]bool{}
+	for i := 0; i < 60; i++ {
+		submitted[s.Orch.Submit(model.Functions()[i%len(model.Functions())].Name, nil)] = true
+	}
+	s.Engine.RunAll()
+	traces := trace.Traces(s.Orch.Collector())
+	if len(traces) != len(submitted) {
+		t.Fatalf("%d traces for %d submitted jobs", len(traces), len(submitted))
+	}
+	for _, tr := range traces {
+		if !submitted[tr.Root.Job] {
+			t.Fatalf("trace for job %d, which was not submitted", tr.Root.Job)
 		}
-		plain := run(nil)
-		traced := run(tracing.NewWithConfig(tracing.Config{}))
-		if !reflect.DeepEqual(plain, traced) {
-			t.Fatalf("seed %d: tracing changed the seeded run's records", seed)
-		}
+		delete(submitted, tr.Root.Job)
 	}
 }
 
-// TestSimTraceSumsToLatencyAndEnergy is the tracing acceptance check:
-// for every committed trace of a seeded MicroFaaS sim run, the phase
-// latencies (plus any unattributed gap) must sum to the invocation's
-// end-to-end latency exactly, and the phase joules must match the
-// energy reconstructed from the collector's record and the calibrated
-// SBC power model within 1% — the critical path accounted for both
-// ways.
+// TestSimTraceSumsToLatencyAndEnergy is the view's acceptance check on a
+// seeded MicroFaaS sim: every job's phases (plus any unattributed gap)
+// sum to its end-to-end latency exactly, the view's joules sum to every
+// attempt's metered joules within 1e-6, and each job's joules match the
+// energy reconstructed from its record and the calibrated SBC power model
+// within 1%.
 func TestSimTraceSumsToLatencyAndEnergy(t *testing.T) {
-	tr := tracing.NewWithConfig(tracing.Config{})
-	s, err := NewMicroFaaSSim(8, SimConfig{Seed: 7, Tracer: tr})
+	tel := telemetry.New()
+	s, err := NewMicroFaaSSim(8, SimConfig{Seed: 7, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,26 +79,22 @@ func TestSimTraceSumsToLatencyAndEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := coll.Records()
-	byJob := map[int64]int{}
-	for i, r := range records {
-		byJob[r.JobID] = i
+	byJob := map[int64]trace.Record{}
+	for _, r := range records {
+		byJob[r.JobID] = r
 	}
-	traces := tr.Traces()
+	traces := trace.Traces(coll)
 	if len(traces) != len(records) {
 		t.Fatalf("traces %d != records %d", len(traces), len(records))
 	}
 
 	sbc := power.DefaultSBCModel()
 	for _, x := range traces {
-		sum := tracing.Summarize(x)
-		i, ok := byJob[sum.Job]
+		sum := x.Breakdown()
+		r, ok := byJob[sum.Job]
 		if !ok {
-			t.Fatalf("trace %v for unknown job %d", x.ID, sum.Job)
+			t.Fatalf("trace for unknown job %d", sum.Job)
 		}
-		r := records[i]
-
-		// Latency: the root must cover submit→finish, and the phases must
-		// telescope to it with nothing unattributed on the clean path.
 		if wantLat := r.Finished - r.Submitted; sum.Latency != wantLat {
 			t.Fatalf("job %d: trace latency %v != record latency %v", sum.Job, sum.Latency, wantLat)
 		}
@@ -97,47 +111,62 @@ func TestSimTraceSumsToLatencyAndEnergy(t *testing.T) {
 		if sum.Unattributed != 0 {
 			t.Fatalf("job %d: clean invocation left %v unattributed", sum.Job, sum.Unattributed)
 		}
-
-		// Energy: boot at boot draw plus overhead+exec at busy draw, the
-		// same arithmetic the meter applies, within the 1% tolerance.
-		want := r.Boot.Seconds()*float64(sbc.Power(power.Booting)) +
-			(r.Overhead+r.Exec).Seconds()*float64(sbc.Power(power.Busy))
 		if phaseJoules != sum.EnergyJ {
 			t.Fatalf("job %d: phase joules %v != summary joules %v", sum.Job, phaseJoules, sum.EnergyJ)
 		}
+		// Boot at boot draw plus overhead+exec at busy draw, the same
+		// arithmetic the meter applies.
+		want := r.Boot.Seconds()*float64(sbc.Power(power.Booting)) +
+			(r.Overhead+r.Exec).Seconds()*float64(sbc.Power(power.Busy))
 		if diff := math.Abs(sum.EnergyJ - want); diff > 0.01*want {
 			t.Fatalf("job %d: trace %.6f J vs record-derived %.6f J (%.2f%% off)",
 				sum.Job, sum.EnergyJ, want, 100*diff/want)
 		}
+		wantBoot := r.Boot.Seconds() * float64(sbc.Power(power.Booting))
+		if boot := sum.Phases[1]; boot.Phase != trace.PhaseBoot || math.Abs(boot.EnergyJ-wantBoot) > 0.01*wantBoot {
+			t.Fatalf("job %d: boot phase %+v, want %.6f J", sum.Job, boot, wantBoot)
+		}
+	}
+	if got, want := viewJoules(traces), meteredJoules(tel); math.Abs(got-want) > 1e-6*want {
+		t.Fatalf("the view's joules %.9f vs the attempts' metered %.9f", got, want)
 	}
 }
 
 // TestSimTraceRetryFaultShape runs a failure-heavy seed and checks that
-// retried invocations carry the full forensic shape: a fault span per
-// failed attempt, a retry span per re-queue, attempts counted on the
-// root, and per-attempt boot/exec spans.
+// retried invocations render the full forensic shape: a fault marker per
+// failed attempt, a retry wait per re-queue, attempts counted on the
+// root, and per-attempt boot and exec — with every failed attempt's
+// joules in the view.
 func TestSimTraceRetryFaultShape(t *testing.T) {
-	tr := tracing.NewWithConfig(tracing.Config{})
+	tel := telemetry.New()
 	s, err := NewMicroFaaSSim(4, SimConfig{
 		Seed:          11,
 		BoardConfig:   node.BoardConfig{Faults: node.FaultPolicy{ErrorProb: 0.3}},
 		AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3, RetryBase: 10 * time.Millisecond, JobTimeout: 2 * time.Minute},
-		Tracer:        tr,
+		Telemetry:     tel,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunSuite(2, nil); err != nil {
+	coll, err := s.RunSuite(2, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	traces := trace.Traces(coll)
 	var sawRetry bool
-	for _, x := range tr.Traces() {
-		counts := map[tracing.Phase]int{}
+	for _, x := range traces {
+		counts := map[trace.Phase]int{}
 		for _, sp := range x.Spans {
 			counts[sp.Phase]++
 		}
+		if b := x.Breakdown(); b.Unattributed != 0 {
+			t.Fatalf("job %d: %v unattributed", x.Root.Job, b.Unattributed)
+		}
+		if counts[trace.PhaseQueue] != 1 {
+			t.Fatalf("job %d: %d queue waits", x.Root.Job, counts[trace.PhaseQueue])
+		}
 		if x.Root.Attempt == 0 {
-			if counts[tracing.PhaseRetry] != 0 {
+			if counts[trace.PhaseRetry] != 0 {
 				t.Fatalf("job %d: single-attempt trace has retry spans", x.Root.Job)
 			}
 			continue
@@ -145,33 +174,35 @@ func TestSimTraceRetryFaultShape(t *testing.T) {
 		sawRetry = true
 		// N+1 attempts → N retries, and at least N faults (the final
 		// attempt may succeed).
-		if counts[tracing.PhaseRetry] != x.Root.Attempt {
+		if counts[trace.PhaseRetry] != x.Root.Attempt {
 			t.Fatalf("job %d: %d attempts but %d retry spans",
-				x.Root.Job, x.Root.Attempt+1, counts[tracing.PhaseRetry])
+				x.Root.Job, x.Root.Attempt+1, counts[trace.PhaseRetry])
 		}
-		if counts[tracing.PhaseFault] < x.Root.Attempt {
+		if counts[trace.PhaseFault] < x.Root.Attempt {
 			t.Fatalf("job %d: %d attempts but only %d fault spans",
-				x.Root.Job, x.Root.Attempt+1, counts[tracing.PhaseFault])
+				x.Root.Job, x.Root.Attempt+1, counts[trace.PhaseFault])
 		}
-		if counts[tracing.PhaseQueue] != x.Root.Attempt+1 || counts[tracing.PhaseExec] != x.Root.Attempt+1 {
-			t.Fatalf("job %d: queue/exec spans %d/%d for %d attempts",
-				x.Root.Job, counts[tracing.PhaseQueue], counts[tracing.PhaseExec], x.Root.Attempt+1)
+		if counts[trace.PhaseBoot] != x.Root.Attempt+1 || counts[trace.PhaseExec] != x.Root.Attempt+1 {
+			t.Fatalf("job %d: boot/exec spans %d/%d for %d attempts",
+				x.Root.Job, counts[trace.PhaseBoot], counts[trace.PhaseExec], x.Root.Attempt+1)
 		}
 	}
 	if !sawRetry {
 		t.Fatal("failure-heavy run produced no retried traces; pick a different seed")
 	}
+	if got, want := viewJoules(traces), meteredJoules(tel); math.Abs(got-want) > 1e-6*want {
+		t.Fatalf("the view's joules %.9f vs the attempts' metered %.9f", got, want)
+	}
 }
 
-// TestLiveTraceWirePropagation boots a real TCP cluster with tracing
-// and checks the distributed path: worker-recorded boot/exec spans must
-// land in the orchestrator-side tracer via the wire-propagated context,
-// carry the worker's metered joules, and telescope into the end-to-end
-// latency like the sim spans do.
+// TestLiveTraceWirePropagation boots a real TCP cluster and checks the
+// live path: each job renders its worker's boot and exec with the
+// worker's metered joules, the phases telescope into the end-to-end
+// latency, and the request frame carries no trace strings — the worker
+// reports its timings in the reply, and nothing else crosses the wire.
 func TestLiveTraceWirePropagation(t *testing.T) {
-	tr := tracing.NewWithConfig(tracing.Config{})
 	l, err := StartLive(LiveOptions{
-		Workers: 2, Seed: 3, Meter: true, Tracer: tr,
+		Workers: 2, Seed: 3, Meter: true,
 		LiveBoardConfig: node.LiveBoardConfig{BootDelay: 20 * time.Millisecond},
 	})
 	if err != nil {
@@ -184,27 +215,32 @@ func TestLiveTraceWirePropagation(t *testing.T) {
 	}
 	l.Orch.Quiesce()
 
-	traces := tr.Traces()
+	traces := trace.Traces(l.Orch.Collector())
 	if len(traces) != jobs {
 		t.Fatalf("traces = %d, want %d", len(traces), jobs)
 	}
+	var joules float64
+	for _, r := range l.Orch.Collector().Records() {
+		joules += r.Joules
+	}
 	for _, x := range traces {
-		counts := map[tracing.Phase]int{}
+		counts := map[trace.Phase]int{}
 		var bootDur time.Duration
-		var execJ float64
+		var bootJ, execJ float64
 		for _, sp := range x.Spans {
 			counts[sp.Phase]++
 			switch sp.Phase {
-			case tracing.PhaseBoot:
+			case trace.PhaseBoot:
 				bootDur += sp.Duration()
+				bootJ += sp.EnergyJ
 				if sp.Worker == "" {
 					t.Fatalf("job %d: boot span without worker id", x.Root.Job)
 				}
-			case tracing.PhaseExec:
+			case trace.PhaseExec:
 				execJ += sp.EnergyJ
 			}
 		}
-		for _, p := range []tracing.Phase{tracing.PhaseQueue, tracing.PhaseBoot, tracing.PhaseExec, tracing.PhaseSettle} {
+		for _, p := range []trace.Phase{trace.PhaseQueue, trace.PhaseBoot, trace.PhaseExec, trace.PhaseSettle} {
 			if counts[p] == 0 {
 				t.Fatalf("job %d: missing %s span (got %v)", x.Root.Job, p, counts)
 			}
@@ -212,10 +248,10 @@ func TestLiveTraceWirePropagation(t *testing.T) {
 		if bootDur < 15*time.Millisecond {
 			t.Fatalf("job %d: boot span %v does not cover the 20ms boot delay", x.Root.Job, bootDur)
 		}
-		if execJ <= 0 {
-			t.Fatalf("job %d: exec span carries no metered energy", x.Root.Job)
+		if bootJ <= 0 || execJ <= 0 {
+			t.Fatalf("job %d: boot %.6f J, exec %.6f J: a phase carries no metered energy", x.Root.Job, bootJ, execJ)
 		}
-		sum := tracing.Summarize(x)
+		sum := x.Breakdown()
 		var phaseTotal time.Duration
 		for _, p := range sum.Phases {
 			phaseTotal += p.Duration
@@ -223,6 +259,15 @@ func TestLiveTraceWirePropagation(t *testing.T) {
 		if phaseTotal+sum.Unattributed != sum.Latency {
 			t.Fatalf("job %d: phases %v + unattributed %v != latency %v",
 				sum.Job, phaseTotal, sum.Unattributed, sum.Latency)
+		}
+	}
+	if got := viewJoules(traces); math.Abs(got-joules) > 1e-6*joules {
+		t.Fatalf("the view's joules %.9f vs the records' %.9f", got, joules)
+	}
+	req := reflect.TypeOf(proto.Request{})
+	for i := 0; i < req.NumField(); i++ {
+		if f := req.Field(i); f.Type.Kind() == reflect.String && f.Name != "Function" {
+			t.Fatalf("the request frame carries string %s beside the function name", f.Name)
 		}
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"microfaas/internal/sim"
 	"microfaas/internal/telemetry"
 	"microfaas/internal/trace"
-	"microfaas/internal/tracing"
 )
 
 // Job is one queued function invocation.
@@ -62,14 +61,6 @@ type Job struct {
 	// expires the OP synthesizes a failed Result and moves on (retrying the
 	// job elsewhere while attempts remain). Zero means no deadline.
 	Timeout time.Duration
-	// Trace is the job's tracing context (the invalid zero Context when
-	// tracing is disabled). Workers record their boot/exec spans under it,
-	// and live workers propagate it over the wire protocol.
-	Trace tracing.Context
-	// queuedAt is when the current attempt entered its worker's queue, for
-	// the queue span. Reassignment away from a wedged worker preserves it:
-	// the job was waiting the whole time.
-	queuedAt time.Duration
 }
 
 // Result is a completed (or failed) invocation as reported by a worker.
@@ -95,7 +86,8 @@ type Result struct {
 	// Joules is the metered energy the attempt consumed on its worker
 	// (boot through power-down), zero when the worker has no meter. The
 	// orchestrator charges it against the function's energy budget.
-	Joules float64
+	// BootJoules is the part of it the boot drew.
+	Joules, BootJoules float64
 }
 
 // Worker is a single-tenant, run-to-completion worker node. RunJob carries
@@ -300,12 +292,10 @@ type workerSlot struct {
 
 	// waking is set while a wake-on-demand power-up requested for this
 	// worker is in flight; dispatch waits for the manager's ready
-	// callback. wakeStart is when that wake was requested (cluster clock),
-	// the boot span's earliest possible start. bootPending marks the first
-	// dispatch after a wake so it records the boot span the queue wait
-	// absorbed. All three are meaningful only with a power manager.
+	// callback. bootPending marks the first dispatch after a wake, which
+	// must not ask the manager again. Both are meaningful only with a
+	// power manager.
 	waking      bool
-	wakeStart   time.Duration
 	bootPending bool
 
 	health workerHealth
@@ -436,7 +426,7 @@ type AttemptPolicy struct {
 	BreakerProbe time.Duration
 	// BudgetThrottle is how long a budget-exhausted function's new
 	// submissions (see SetEnergyBudget) are parked before they may enter
-	// a queue (each hold is recorded as a throttle span). Zero disables
+	// a queue (the hold counts as the job's queue wait). Zero disables
 	// throttling: exhausted functions are then only deprioritized, never
 	// delayed. Settable although no binary sets it: deleting it would
 	// delete microfaas_budget_throttled_total, which the goldens and
@@ -466,10 +456,6 @@ type Config struct {
 	// the disabled path costs one nil check per site and leaves seeded
 	// runs bit-identical — telemetry never touches the RNG or the clock).
 	Telemetry *telemetry.Telemetry
-	// Tracer records per-invocation lifecycle spans (nil = disabled, with
-	// the same bit-identical guarantee as Telemetry: the tracer never
-	// draws randomness or schedules events).
-	Tracer *tracing.Tracer
 	// PowerManager, when set, puts every scheduling decision through the
 	// dynamic power-management plane: dispatch against a powered-down
 	// worker first wakes it (the job's queue wait absorbs the boot), idle
@@ -485,9 +471,8 @@ type Config struct {
 	// migrate between shards. Zero keeps the historical 1,2,3,… sequence.
 	JobIDBase int64
 	// ShardLabel names the control-plane shard this orchestrator is (for
-	// example "shard-03") on every span it records, so a sharded
-	// cluster's critical-path analysis shows which control plane owned
-	// each phase. Empty (the default) adds nothing.
+	// example "shard-03"), as the plane and its gateway label the shard's
+	// rows and events. Empty (the default) adds nothing.
 	ShardLabel string
 }
 
@@ -497,7 +482,6 @@ type Orchestrator struct {
 	runtime   Runtime
 	collector *trace.Collector
 	tel       *telemetry.Telemetry
-	tracer    *tracing.Tracer
 	m         orchMetrics
 
 	pm *powermgr.Manager // nil = static power policy
@@ -611,10 +595,9 @@ func (o *Orchestrator) putInflightLocked(fl *inflight) {
 
 // parkedRetry is a failed job waiting out its backoff delay.
 type parkedRetry struct {
-	job      Job
-	exclude  string // the worker the previous attempt failed on
-	parkedAt time.Duration
-	cancel   func()
+	job     Job
+	exclude string // the worker the previous attempt failed on
+	cancel  func()
 }
 
 // parkedThrottle is a submission serving its energy-budget hold before it
@@ -693,7 +676,6 @@ func New(cfg Config) (*Orchestrator, error) {
 		policy:     cfg.Policy,
 		attempt:    attempt,
 		retryMax:   retryMax,
-		tracer:     cfg.Tracer,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		slots:      make([]*workerSlot, 0, len(cfg.Workers)),
 		byID:       make(map[string]*workerSlot, len(cfg.Workers)),
@@ -820,8 +802,8 @@ func (o *Orchestrator) SubmitAsync(function string, args []byte, cb func(Result)
 		return 0
 	}
 	if o.attempt.BudgetThrottle > 0 && o.exhaustedLocked(function) {
-		// Budget-exhausted: the job is accepted (id, trace, pending) but
-		// serves a throttle hold before it may enter any queue.
+		// Budget-exhausted: the job is accepted (id, pending) but serves
+		// a throttle hold before it may enter any queue.
 		job := o.newJobLocked(function, args, cb)
 		o.m.budgetThrottled.Inc()
 		o.emit(telemetry.EventQueue, job, "", "budget-throttle")
@@ -850,8 +832,6 @@ func (o *Orchestrator) releaseThrottled(id int64) {
 		return
 	}
 	delete(o.throttled, id)
-	now := o.runtime.Now()
-	o.span(p.job, tracing.PhaseThrottle, "", p.job.SubmittedAt, now, "budget")
 	s := o.pickWorkerLocked(p.job.Function)
 	o.pushJobLocked(s, p.job, "budget-release")
 	run := o.maybeDispatchLocked(s)
@@ -1014,16 +994,14 @@ func (o *Orchestrator) SubmitTo(workerID, function string, args []byte) (int64, 
 }
 
 // newJobLocked accepts a submission: it allocates the job id, stamps the
-// configured JobTimeout, starts the trace, bumps the submission metrics,
-// registers the callback, and counts the job pending — everything except
+// configured JobTimeout, bumps the submission metrics, registers the
+// callback, and counts the job pending — everything except
 // placing the job on a queue (the budget-throttle path defers that part).
 // Caller holds o.mu.
 func (o *Orchestrator) newJobLocked(function string, args []byte, cb func(Result)) Job {
 	o.nextID++
 	id := o.nextID
 	job := Job{ID: id, Function: function, Args: args, SubmittedAt: o.runtime.Now(), Timeout: o.attempt.JobTimeout}
-	job.Trace = o.tracer.StartTrace(function, id, function, job.SubmittedAt)
-	o.spanMarker(job, tracing.PhaseSubmit, "", job.SubmittedAt, "")
 	o.m.submitted.Inc()
 	o.noteSubmitted(function)
 	o.emit(telemetry.EventSubmit, job, "", "")
@@ -1058,12 +1036,6 @@ func (o *Orchestrator) enqueueLocked(s *workerSlot, function string, args []byte
 // queue-depth gauge current and emitting the queue lifecycle event.
 // Caller holds o.mu.
 func (o *Orchestrator) pushJobLocked(s *workerSlot, job Job, detail string) {
-	// A reassigned or stolen job keeps its original queuedAt: it has been
-	// waiting since it first entered a queue, and the queue span should
-	// show that.
-	if detail != "reassigned" && detail != "stolen" {
-		job.queuedAt = o.runtime.Now()
-	}
 	s.qpush(job)
 	o.loadChangedLocked(s)
 	o.emit(telemetry.EventQueue, job, s.id, detail)
@@ -1084,9 +1056,8 @@ func (o *Orchestrator) maybeDispatchLocked(s *workerSlot) *inflight {
 		}
 		if !o.pm.RequestUp(s.id, "wake-on-demand", s.qhead0().ID, func() { o.workerPowered(s) }) {
 			// Powered down (or cap-parked): the wake is in flight and the
-			// queued jobs wait it out — their queue spans absorb the boot.
+			// queued jobs wait it out — their queue waits absorb the boot.
 			s.waking = true
-			s.wakeStart = o.runtime.Now()
 			return nil
 		}
 	}
@@ -1096,21 +1067,7 @@ func (o *Orchestrator) maybeDispatchLocked(s *workerSlot) *inflight {
 	s.m.busy.Set(1)
 	o.emit(telemetry.EventAssign, job, s.id, "")
 	started := o.runtime.Now()
-	if s.bootPending {
-		// First dispatch after a wake: split the wait into the true queue
-		// span and the boot the wake paid, so the critical path shows the
-		// power-up instead of blaming scheduling.
-		s.bootPending = false
-		bootStart := job.queuedAt
-		if s.wakeStart > bootStart {
-			bootStart = s.wakeStart
-		}
-		o.span(job, tracing.PhaseQueue, s.id, job.queuedAt, bootStart, "")
-		o.span(job, tracing.PhaseBoot, s.id, bootStart, started, "wake")
-	} else {
-		o.span(job, tracing.PhaseQueue, s.id, job.queuedAt, started, "")
-	}
-	o.spanMarker(job, tracing.PhaseDispatch, s.id, started, "")
+	s.bootPending = false
 	fl := o.getInflightLocked()
 	fl.job = job
 	fl.slot = s
@@ -1157,10 +1114,9 @@ func (o *Orchestrator) noteWorkerIdleLocked(s *workerSlot) {
 
 // settleAttemptLocked writes one finished attempt down, and is the only
 // code that does: the collector record, the worker's health and breaker,
-// the function's energy-budget charge, the per-worker attempt counter, the
-// settle event, the settle span and — for a failed attempt — the fault
-// span. The outcome label (ok, error, timeout) comes from res alone, so
-// no two sinks can disagree about it. What a worker's report and a
+// the function's energy-budget charge, the per-worker attempt counter and
+// the settle event. The outcome label (ok, error, timeout) comes from res
+// alone, so no two sinks can disagree about it. What a worker's report and a
 // deadline expiry do differently (the busy flag, power-cycling, queue
 // reassignment, inflight recycling) stays with the callers, who hold o.mu.
 func (o *Orchestrator) settleAttemptLocked(s *workerSlot, job Job, started, finished time.Duration, res Result) {
@@ -1172,25 +1128,24 @@ func (o *Orchestrator) settleAttemptLocked(s *workerSlot, job Job, started, fini
 		outcome = "error"
 	}
 	o.collector.Add(s.rec, trace.Record{
-		JobID:     job.ID,
-		Function:  job.Function,
-		Attempt:   job.Attempt,
-		Submitted: job.SubmittedAt,
-		Started:   started,
-		Finished:  finished,
-		Boot:      res.Boot,
-		Overhead:  res.Overhead,
-		Exec:      res.Exec,
-		Err:       res.Err,
+		JobID:      job.ID,
+		Function:   job.Function,
+		Attempt:    job.Attempt,
+		Submitted:  job.SubmittedAt,
+		Started:    started,
+		Finished:   finished,
+		Boot:       res.Boot,
+		Overhead:   res.Overhead,
+		Exec:       res.Exec,
+		BootJoules: res.BootJoules,
+		Joules:     res.Joules,
+		Err:        res.Err,
+		TimedOut:   res.TimedOut,
 	})
 	o.noteAttemptLocked(s, res.Err == "", res.TimedOut)
 	o.chargeEnergyLocked(job.Function, res.Joules)
 	s.m.attempts[outcome].Inc()
 	o.emit(telemetry.EventSettle, job, s.id, outcome)
-	o.spanMarker(job, tracing.PhaseSettle, s.id, finished, outcome)
-	if res.Err != "" {
-		o.recordSpan(job, tracing.Span{Phase: tracing.PhaseFault, Worker: s.id, Start: finished, End: finished, Err: res.Err})
-	}
 }
 
 // completed handles a worker's done callback: it settles the attempt,
@@ -1326,12 +1281,11 @@ func (o *Orchestrator) resolveAttemptLocked(failedOn *workerSlot, job Job, res R
 		next := job
 		next.Attempt++
 		if delay := o.retryDelayLocked(next.Attempt); delay > 0 {
-			p := &parkedRetry{job: next, exclude: failedOn.id, parkedAt: finished}
+			p := &parkedRetry{job: next, exclude: failedOn.id}
 			o.parked[next.ID] = p
 			p.cancel = o.runtime.After(delay, func() { o.requeueParked(next.ID) })
 			return nil, nil
 		}
-		o.span(next, tracing.PhaseRetry, "", finished, finished, "immediate")
 		s := o.pickRetryWorkerLocked(failedOn)
 		o.pushJobLocked(s, next, "retry")
 		if run := o.maybeDispatchLocked(s); run != nil {
@@ -1339,7 +1293,6 @@ func (o *Orchestrator) resolveAttemptLocked(failedOn *workerSlot, job Job, res R
 		}
 		return runs, nil
 	}
-	o.tracer.EndTrace(job.Trace, finished, res.WorkerID, res.Err)
 	o.noteFinal(job, res, finished)
 	o.addPendingLocked(-1)
 	cb = o.callbacks[job.ID]
@@ -1377,7 +1330,6 @@ func (o *Orchestrator) requeueParked(id int64) {
 		return
 	}
 	delete(o.parked, id)
-	o.span(p.job, tracing.PhaseRetry, "", p.parkedAt, o.runtime.Now(), "backoff")
 	var s *workerSlot
 	if failed, ok := o.byID[p.exclude]; ok {
 		s = o.pickRetryWorkerLocked(failed)
@@ -1597,12 +1549,6 @@ func (o *Orchestrator) Drain(ctx context.Context) []Job {
 		delete(o.throttled, id)
 	}
 	sort.Slice(abandoned, func(i, j int) bool { return abandoned[i].ID < abandoned[j].ID })
-	if o.tracer != nil {
-		now := o.runtime.Now()
-		for _, j := range abandoned {
-			o.tracer.EndTrace(j.Trace, now, "", "core: abandoned at drain")
-		}
-	}
 	o.addPendingLocked(-len(abandoned))
 	for _, j := range abandoned {
 		delete(o.callbacks, j.ID)

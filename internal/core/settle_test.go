@@ -6,7 +6,7 @@ import (
 
 	"microfaas/internal/sim"
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
+	"microfaas/internal/trace"
 )
 
 // outcomeWorker settles every job the way the test case says: a clean
@@ -25,7 +25,7 @@ func (w *outcomeWorker) RunJob(job Job, done func(Result)) {
 		return
 	}
 	w.engine.Schedule(10*time.Millisecond, func() {
-		done(Result{Job: job, WorkerID: "w0", Err: w.errMsg, Joules: w.joules,
+		done(Result{Job: job, WorkerID: "w0", Err: w.errMsg, Joules: w.joules, BootJoules: w.joules / 4,
 			Boot: time.Millisecond, Exec: 9 * time.Millisecond})
 	})
 }
@@ -33,8 +33,9 @@ func (w *outcomeWorker) RunJob(job Job, done func(Result)) {
 // TestSettleParity is the "cannot drift apart" property as an assertion:
 // whichever way an attempt ends, it is written down exactly once in every
 // sink, under the same outcome — one record, one attempt-counter bump,
-// one settle event, one settle span, a fault span iff it failed, and one
-// budget charge iff the worker metered any joules.
+// one settle event, one settle phase and a fault marker iff it failed in
+// the job's trace, the worker's joules on its record, and one budget
+// charge iff the worker metered any joules.
 func TestSettleParity(t *testing.T) {
 	cases := []struct {
 		outcome string
@@ -51,10 +52,9 @@ func TestSettleParity(t *testing.T) {
 		w := tc.worker
 		w.engine = e
 		tel := telemetry.New()
-		tr := tracing.NewWithConfig(tracing.Config{})
 		o, err := New(Config{
 			Runtime: SimRuntime{Engine: e}, Workers: []Worker{&w},
-			AttemptPolicy: AttemptPolicy{JobTimeout: time.Second}, Telemetry: tel, Tracer: tr,
+			AttemptPolicy: AttemptPolicy{JobTimeout: time.Second}, Telemetry: tel,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -103,19 +103,27 @@ func TestSettleParity(t *testing.T) {
 			t.Fatalf("%s: %d settle events, want 1", name, settles)
 		}
 
-		trace, ok := tr.ByJob(id)
+		// A timed-out attempt never reported, so it drew nothing the OP saw.
+		wantJ := w.joules
+		if w.hang {
+			wantJ = 0
+		}
+		if recs[0].Joules != wantJ || recs[0].BootJoules != wantJ/4 {
+			t.Fatalf("%s: record carries %v J (%v J boot), want %v J (%v J boot)", name, recs[0].Joules, recs[0].BootJoules, wantJ, wantJ/4)
+		}
+		tr, ok := trace.TraceOf(id, o.Collector())
 		if !ok {
-			t.Fatalf("%s: no committed trace", name)
+			t.Fatalf("%s: no trace", name)
 		}
 		settleSpans, faultSpans := 0, 0
-		for _, s := range trace.Spans {
+		for _, s := range tr.Spans {
 			switch s.Phase {
-			case tracing.PhaseSettle:
+			case trace.PhaseSettle:
 				settleSpans++
 				if s.Detail != tc.outcome || s.Start != recs[0].Finished {
 					t.Fatalf("%s: settle span = %+v, record finished at %v", name, s, recs[0].Finished)
 				}
-			case tracing.PhaseFault:
+			case trace.PhaseFault:
 				faultSpans++
 				if s.Err != recs[0].Err {
 					t.Fatalf("%s: fault span carries %q, record %q", name, s.Err, recs[0].Err)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
 )
 
 // Cross-shard work stealing (the victim and thief halves of the shard
@@ -16,11 +15,10 @@ import (
 // how classic work stealing takes from the tail — together with their
 // completion callbacks, and forgets them entirely (pending count, queue
 // gauges, callbacks). SubmitJob is the thief side: it enqueues a job
-// built elsewhere while preserving its identity — id, submission time,
-// attempt count, and trace context — so latency accounting, async
-// pickup, and span telescoping survive the migration. Job ids must be
-// cluster-unique across shards for this to be safe; Config.JobIDBase
-// gives each shard a disjoint id space.
+// built elsewhere while preserving its identity — id, submission time
+// and attempt count — so latency accounting and async pickup survive the
+// migration. Job ids must be cluster-unique across shards for this to be
+// safe; Config.JobIDBase gives each shard a disjoint id space.
 
 // Stolen is one job removed by TakeQueued: the job itself plus the
 // completion callback registered at submit (nil when the submitter did
@@ -81,7 +79,7 @@ func (o *Orchestrator) TakeQueued(max int) []Stolen {
 
 // SubmitJob enqueues a job that already exists elsewhere in the cluster
 // (a steal, or any cross-shard handoff), preserving its id, submission
-// time, attempt count, timeout, and trace context. The assignment policy
+// time, attempt count and timeout. The assignment policy
 // picks the local worker. Returns the job's (unchanged) id, or 0 without
 // enqueueing when this orchestrator is draining — the caller still holds
 // the job and must re-route it.
@@ -95,7 +93,6 @@ func (o *Orchestrator) SubmitJob(job Job, cb func(Result)) (int64, error) {
 		return 0, nil
 	}
 	s := o.pickWorkerLocked(job.Function)
-	o.span(job, tracing.PhaseSteal, s.id, o.runtime.Now(), o.runtime.Now(), "migrated")
 	o.pushJobLocked(s, job, "stolen")
 	if cb != nil {
 		o.callbacks[job.ID] = cb

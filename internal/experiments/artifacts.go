@@ -8,7 +8,7 @@ import (
 	"microfaas/internal/cluster"
 	"microfaas/internal/model"
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
+	"microfaas/internal/trace"
 )
 
 // withFig3Artifacts runs render, then writes the files Params names.
@@ -22,20 +22,19 @@ func withFig3Artifacts(render Renderer) Renderer {
 }
 
 // writeFig3Artifacts re-runs fig3's MicroFaaS cluster once, with telemetry
-// and span recording (sample-all) attached, and writes whichever files
-// were asked for: the raw per-invocation trace as CSV; the end-of-run
-// registry in Prometheus text format — the exposition a live gateway's
-// /metrics serves, frozen at drain time; and every committed trace in
-// Chrome trace_event format — load it in chrome://tracing or Perfetto to
-// see the queue→boot→exec→reboot timeline per worker. Neither instrument
-// perturbs the run, so each file is what a run with it alone would write.
+// attached, and writes whichever files were asked for: the raw
+// per-invocation trace as CSV; the end-of-run registry in Prometheus text
+// format — the exposition a live gateway's /metrics serves, frozen at
+// drain time; and every job's trace, rendered from the records, in Chrome
+// trace_event format — load it in chrome://tracing or Perfetto to see the
+// queue→boot→exec timeline per worker. Telemetry does not perturb the
+// run, so each file is what a run without it would write.
 func writeFig3Artifacts(p Params) error {
 	if p.CSVPath == "" && p.PromPath == "" && p.TracePath == "" {
 		return nil
 	}
 	tel := telemetry.New()
-	tr := tracing.NewWithConfig(tracing.Config{Seed: p.Seed, MaxTraces: 1 << 20})
-	s, err := cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: p.Seed, Telemetry: tel, Tracer: tr})
+	s, err := cluster.NewMicroFaaSSim(model.SBCCount, cluster.SimConfig{Seed: p.Seed, Telemetry: tel})
 	if err != nil {
 		return err
 	}
@@ -43,6 +42,7 @@ func writeFig3Artifacts(p Params) error {
 	if err != nil {
 		return err
 	}
+	traces := trace.Traces(coll)
 	for _, f := range []struct {
 		path  string
 		write func(io.Writer) error
@@ -50,7 +50,7 @@ func writeFig3Artifacts(p Params) error {
 	}{
 		{p.CSVPath, coll.WriteCSV, fmt.Sprintf("%d records", coll.Len())},
 		{p.PromPath, tel.Registry().WritePrometheus, "metrics snapshot"},
-		{p.TracePath, func(w io.Writer) error { return tracing.WriteChromeTrace(w, tr.Traces()) }, fmt.Sprintf("%d traces", tr.Len())},
+		{p.TracePath, func(w io.Writer) error { return trace.WriteChromeTrace(w, traces) }, fmt.Sprintf("%d traces", len(traces))},
 	} {
 		if f.path == "" {
 			continue

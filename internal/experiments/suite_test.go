@@ -10,7 +10,7 @@ import (
 	"microfaas/internal/cluster"
 	"microfaas/internal/model"
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
+	"microfaas/internal/trace"
 )
 
 // TestSuiteRendersIdenticallyAtAnyPoolSize walks the table and renders
@@ -83,8 +83,8 @@ func TestSuiteIsWellFormed(t *testing.T) {
 }
 
 // TestFig3ArtifactsMatchSingleInstrumentRuns: the one run that carries
-// both telemetry and a tracer writes, file for file, what three separate
-// runs — bare, telemetry only, tracer only — write.
+// telemetry writes, file for file, what separate runs — bare, telemetry
+// only, and bare again rendered as traces — write.
 func TestFig3ArtifactsMatchSingleInstrumentRuns(t *testing.T) {
 	dir := t.TempDir()
 	p := Params{N: 20, RunConfig: RunConfig{Seed: detSeed, Parallel: 1},
@@ -93,14 +93,15 @@ func TestFig3ArtifactsMatchSingleInstrumentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
-	tr := tracing.NewWithConfig(tracing.Config{Seed: p.Seed, MaxTraces: 1 << 20})
 	for path, run := range map[string]struct {
 		cfg   cluster.SimConfig
 		write func(*cluster.Sim, io.Writer) error
 	}{
-		p.CSVPath:   {cluster.SimConfig{}, func(s *cluster.Sim, w io.Writer) error { return s.Orch.Collector().WriteCSV(w) }},
-		p.PromPath:  {cluster.SimConfig{Telemetry: tel}, func(_ *cluster.Sim, w io.Writer) error { return tel.Registry().WritePrometheus(w) }},
-		p.TracePath: {cluster.SimConfig{Tracer: tr}, func(_ *cluster.Sim, w io.Writer) error { return tracing.WriteChromeTrace(w, tr.Traces()) }},
+		p.CSVPath:  {cluster.SimConfig{}, func(s *cluster.Sim, w io.Writer) error { return s.Orch.Collector().WriteCSV(w) }},
+		p.PromPath: {cluster.SimConfig{Telemetry: tel}, func(_ *cluster.Sim, w io.Writer) error { return tel.Registry().WritePrometheus(w) }},
+		p.TracePath: {cluster.SimConfig{}, func(s *cluster.Sim, w io.Writer) error {
+			return trace.WriteChromeTrace(w, trace.Traces(s.Orch.Collector()))
+		}},
 	} {
 		run.cfg.Seed = p.Seed
 		s, err := cluster.NewMicroFaaSSim(model.SBCCount, run.cfg)

@@ -33,9 +33,11 @@
 //	                       &range=1; ?format=ndjson streams raw samples instead)
 //	GET  /slo              every SLO rule's fast/slow burn-rate page state
 //	GET  /alerts           currently-firing pages plus the alert transition history
-//	GET  /traces           per-invocation trace summaries (?job=N | ?slowest=N | ?limit=N;
-//	                       ?format=chrome|ndjson streams a raw export instead)
-//	GET  /traces/{id}      one trace's critical-path breakdown plus its raw spans
+//	GET  /traces           critical-path breakdowns of the jobs in the record window, newest
+//	                       last (?slowest=N | ?limit=N, default 100; ?format=chrome|ndjson
+//	                       streams a raw export instead)
+//	GET  /traces/{id}      one job's breakdown plus its phases; the id is the job id, and a
+//	                       job not in the record window answers 404
 //	GET  /shards           per-shard capacity snapshots
 //	POST /shards/{id}/drain  take one shard out of service, migrating its queue
 //	POST /shards/{id}/join   return a drained/dead shard to service
@@ -52,7 +54,7 @@
 // profiler routes take any method.
 //
 // Which routes have a backing is fixed when the gateway is built: without
-// Options.Tracer, Options.TSDB or Options.Forecast, without a power manager
+// Options.TSDB or Options.Forecast, without a power manager
 // on any shard (/power, /power/cap), or without telemetry on any shard
 // (/events), a route answers a JSON 404 naming what is disabled.
 //
@@ -108,7 +110,6 @@ import (
 	"microfaas/internal/shard"
 	"microfaas/internal/telemetry"
 	"microfaas/internal/trace"
-	"microfaas/internal/tracing"
 	"microfaas/internal/tsdb"
 	"microfaas/internal/version"
 	"microfaas/internal/workload"
@@ -232,10 +233,9 @@ type Options struct {
 	// /events (see New). It is the instance the orchestrator already
 	// carries wherever it is set.
 	Telemetry *telemetry.Telemetry
-	// Tracer, when set, backs GET /traces and GET /traces/{id}. Without it
-	// both routes answer 404. Usually the same tracer wired into the
-	// cluster behind the orchestrator.
-	Tracer *tracing.Tracer
+	// Tracer is not read: GET /traces and GET /traces/{id} render every
+	// shard's record window. It stays so code that still sets it compiles.
+	Tracer *trace.Tracer
 	// TSDB, when set, backs GET /query, GET /slo, and GET /alerts.
 	// Without it all three answer 404.
 	TSDB *tsdb.Store
@@ -280,7 +280,6 @@ type Server struct {
 	// timeout is syncTimeout; in-package tests shorten it.
 	timeout  time.Duration
 	mode     string
-	tracer   *tracing.Tracer
 	tsdb     *tsdb.Store
 	forecast *forecast.Controller
 	pprof    bool
@@ -317,8 +316,8 @@ type Server struct {
 // by InvokeRequest.Key, defaulting to the function name), and the read
 // endpoints cover every shard. /metrics is the plane's registry, which
 // holds the gateway's own families, followed by every shard's under its
-// shard label; each shard's telemetry backs its slice of /events.
-// Options.Tracer should be the instance the shards share.
+// shard label; each shard's telemetry backs its slice of /events, and
+// each shard's record window its slice of /traces.
 func New(plane *shard.Plane, opts Options) (*Server, error) {
 	if plane == nil {
 		return nil, fmt.Errorf("gateway: shard plane required")
@@ -343,7 +342,6 @@ func New(plane *shard.Plane, opts Options) (*Server, error) {
 		submit:   plane.Submit,
 		timeout:  syncTimeout,
 		mode:     opts.Mode,
-		tracer:   opts.Tracer,
 		tsdb:     opts.TSDB,
 		forecast: opts.Forecast,
 		pprof:    opts.EnablePprof,
@@ -372,9 +370,8 @@ func (s *Server) Handler() http.Handler {
 		telemetered = telemetered || sh.tel != nil
 	}
 	const (
-		noPower  = "power management disabled on this cluster"
-		noTSDB   = "time-series store disabled on this gateway"
-		noTracer = "tracing disabled on this gateway"
+		noPower = "power management disabled on this cluster"
+		noTSDB  = "time-series store disabled on this gateway"
 	)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /invoke", s.handleInvoke)
@@ -394,8 +391,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /query", backed(s.tsdb != nil, s.handleQuery, noTSDB))
 	mux.HandleFunc("GET /slo", backed(s.tsdb != nil, s.handleSLO, noTSDB))
 	mux.HandleFunc("GET /alerts", backed(s.tsdb != nil, s.handleAlerts, noTSDB))
-	mux.HandleFunc("GET /traces", backed(s.tracer != nil, s.handleTraces, noTracer))
-	mux.HandleFunc("GET /traces/{id}", backed(s.tracer != nil, s.handleTraceByID, noTracer))
+	mux.HandleFunc("GET /traces", s.handleTraces)
+	mux.HandleFunc("GET /traces/{id}", s.handleTraceByID)
 	mux.HandleFunc("GET /shards", s.handleShards)
 	mux.HandleFunc("POST /shards/{id}/drain", s.handleShardOp(s.plane.DrainShard))
 	mux.HandleFunc("POST /shards/{id}/join", s.handleShardOp(s.plane.JoinShard))

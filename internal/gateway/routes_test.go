@@ -14,7 +14,6 @@ import (
 	"microfaas/internal/forecast"
 	"microfaas/internal/powermgr"
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
 	"microfaas/internal/tsdb"
 )
 
@@ -29,12 +28,11 @@ type contractRoute struct {
 // contractRoutes lists every documented route in the package doc's order.
 // The mux lists HEAD wherever GET is, so /jobs/{id}'s Allow names it too,
 // though its HEAD then refuses.
-func contractRoutes(trace string) []contractRoute {
+func contractRoutes(job string) []contractRoute {
 	const (
 		get, post, getPost = "GET, HEAD", "POST", "GET, HEAD, POST"
 		noPower            = "power management disabled on this cluster"
 		noTSDB             = "time-series store disabled on this gateway"
-		noTracer           = "tracing disabled on this gateway"
 	)
 	return []contractRoute{
 		{"POST", "/invoke", post, ""},
@@ -53,8 +51,8 @@ func contractRoutes(trace string) []contractRoute {
 		{"GET", "/query?metric=microfaas_jobs_submitted_total", get, noTSDB},
 		{"GET", "/slo", get, noTSDB},
 		{"GET", "/alerts", get, noTSDB},
-		{"GET", "/traces", get, noTracer},
-		{"GET", "/traces/" + trace, get, noTracer},
+		{"GET", "/traces", get, ""},
+		{"GET", "/traces/" + job, get, ""},
 		{"GET", "/shards", get, ""},
 		{"POST", "/shards/0/drain", post, ""},
 		{"POST", "/shards/0/join", post, ""},
@@ -92,14 +90,14 @@ func do(t *testing.T, method, url string, body []byte) (*http.Response, string) 
 }
 
 // startBackedGateway serves a live cluster with every route backed: a power
-// manager, telemetry, a tracer, a scraped store, a forecast controller and
-// the profiler. It has run one traced invocation, whose trace id it returns.
-func startBackedGateway(t *testing.T) (base string, l *cluster.Live, trace string) {
+// manager, telemetry, a scraped store, a forecast controller and the
+// profiler. It has run one invocation, whose job id — its trace's id — it
+// returns.
+func startBackedGateway(t *testing.T) (base string, l *cluster.Live, job string) {
 	t.Helper()
 	tel := telemetry.New()
-	tr := tracing.NewWithConfig(tracing.Config{})
 	l, err := cluster.StartLive(cluster.LiveOptions{
-		Workers: 2, Seed: 9, Telemetry: tel, Tracer: tr,
+		Workers: 2, Seed: 9, Telemetry: tel,
 		Power: &powermgr.Policy{IdleTimeout: time.Minute},
 	})
 	if err != nil {
@@ -115,19 +113,16 @@ func startBackedGateway(t *testing.T) (base string, l *cluster.Live, trace strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := front(t, l.Orch, Options{Tracer: tr, TSDB: store, Forecast: ctl, EnablePprof: true})
+	gw := front(t, l.Orch, Options{TSDB: store, Forecast: ctl, EnablePprof: true})
 	srv := httptest.NewServer(gw.Handler())
 	t.Cleanup(srv.Close)
-	if resp, _ := postInvoke(t, srv.URL, `{"function":"CascSHA","args":{"rounds":1}}`); resp.StatusCode != http.StatusOK {
+	resp, invoked := postInvoke(t, srv.URL, `{"function":"CascSHA","args":{"rounds":1}}`)
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("invoke → %d", resp.StatusCode)
 	}
 	l.Orch.Quiesce()
 	store.Scrape(time.Second)
-	traces := tr.Traces()
-	if len(traces) == 0 {
-		t.Fatal("the invocation left no trace")
-	}
-	return srv.URL, l, traces[0].ID.String()
+	return srv.URL, l, jsonInt(invoked.JobID)
 }
 
 // TestRouteContract holds the gateway to its route table: a documented
@@ -135,8 +130,8 @@ func startBackedGateway(t *testing.T) (base string, l *cluster.Live, trace strin
 // HEAD answers wherever GET does except on /jobs/{id}, and a route whose
 // backing is off is a JSON 404 saying what is off.
 func TestRouteContract(t *testing.T) {
-	base, l, trace := startBackedGateway(t)
-	for _, rt := range contractRoutes(trace) {
+	base, l, traced := startBackedGateway(t)
+	for _, rt := range contractRoutes(traced) {
 		method := rt.wrongMethod()
 		resp, body := do(t, method, base+rt.path, nil)
 		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != rt.allow {
@@ -181,7 +176,7 @@ func TestRouteContract(t *testing.T) {
 	// Without their backing, the gated routes answer a JSON 404 with the
 	// reason, under the methods they serve.
 	plain, _ := startGateway(t)
-	for _, rt := range contractRoutes("0000000000000001") {
+	for _, rt := range contractRoutes("1") {
 		if rt.off == "" {
 			continue
 		}

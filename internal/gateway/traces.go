@@ -1,11 +1,12 @@
 package gateway
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 
-	"microfaas/internal/tracing"
+	"microfaas/internal/trace"
 )
 
 // PhaseBreakdown is one lifecycle phase's share of a trace, in the
@@ -17,10 +18,10 @@ type PhaseBreakdown struct {
 	Count      int     `json:"count"`
 }
 
-// TraceSummary is a trace's critical-path breakdown: phase latencies sum
-// (with UnattributedMs) to LatencyMs, and phase joules sum to EnergyJ.
+// TraceSummary is a job's critical-path breakdown: phase latencies sum
+// (with UnattributedMs) to LatencyMs, and phase joules sum to EnergyJ. A
+// trace's id is its job id.
 type TraceSummary struct {
-	Trace          string           `json:"trace"`
 	Job            int64            `json:"job"`
 	Function       string           `json:"function"`
 	Worker         string           `json:"worker,omitempty"`
@@ -33,10 +34,8 @@ type TraceSummary struct {
 	Phases         []PhaseBreakdown `json:"phases"`
 }
 
-// SpanInfo is one raw span in a GET /traces/{id} reply.
+// SpanInfo is one phase in a GET /traces/{id} reply.
 type SpanInfo struct {
-	ID         string  `json:"id"`
-	Parent     string  `json:"parent,omitempty"`
 	Phase      string  `json:"phase"`
 	Worker     string  `json:"worker,omitempty"`
 	Attempt    int     `json:"attempt"`
@@ -50,7 +49,6 @@ type SpanInfo struct {
 // TracesResponse is the GET /traces reply.
 type TracesResponse struct {
 	Traces []TraceSummary `json:"traces"`
-	Stats  tracing.Stats  `json:"stats"`
 }
 
 // TraceResponse is the GET /traces/{id} reply.
@@ -59,22 +57,22 @@ type TraceResponse struct {
 	Spans []SpanInfo `json:"spans"`
 }
 
-// makeSummary converts an analyzer summary to wire units.
-func makeSummary(sum tracing.Summary) TraceSummary {
+// makeSummary converts a trace's breakdown to wire units.
+func makeSummary(tr trace.Trace) TraceSummary {
+	b := tr.Breakdown()
 	out := TraceSummary{
-		Trace:          sum.Trace.String(),
-		Job:            sum.Job,
-		Function:       sum.Function,
-		Worker:         sum.Worker,
-		Attempts:       sum.Attempts,
-		Error:          sum.Err,
-		StartMs:        ms(sum.Start),
-		LatencyMs:      ms(sum.Latency),
-		UnattributedMs: ms(sum.Unattributed),
-		EnergyJ:        sum.EnergyJ,
-		Phases:         make([]PhaseBreakdown, 0, len(sum.Phases)),
+		Job:            b.Job,
+		Function:       b.Function,
+		Worker:         b.Worker,
+		Attempts:       b.Attempts,
+		Error:          b.Err,
+		StartMs:        ms(b.Start),
+		LatencyMs:      ms(b.Latency),
+		UnattributedMs: ms(b.Unattributed),
+		EnergyJ:        b.EnergyJ,
+		Phases:         make([]PhaseBreakdown, 0, len(b.Phases)),
 	}
-	for _, p := range sum.Phases {
+	for _, p := range b.Phases {
 		out.Phases = append(out.Phases, PhaseBreakdown{
 			Phase:      string(p.Phase),
 			DurationMs: ms(p.Duration),
@@ -85,32 +83,32 @@ func makeSummary(sum tracing.Summary) TraceSummary {
 	return out
 }
 
-// handleTraces serves GET /traces: committed-trace summaries, newest
-// last. ?job=N returns the trace for one job; ?slowest=N the N slowest by
+// collectors is every shard's record window, in shard order: what the
+// trace routes render from.
+func (s *Server) collectors() []*trace.Collector {
+	out := make([]*trace.Collector, len(s.shards))
+	for i, sh := range s.shards {
+		out[i] = sh.orch.Collector()
+	}
+	return out
+}
+
+// handleTraces serves GET /traces: the breakdowns of the jobs in the
+// record window, newest last. ?slowest=N returns the N slowest by
 // end-to-end latency; ?limit=N caps the default listing (100). With
 // ?format=chrome or ?format=ndjson the selection is streamed as a raw
 // export (Chrome trace_event JSON / newline-delimited spans) instead.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	var traces []tracing.Trace
 	q := r.URL.Query()
-	switch {
-	case q.Get("job") != "":
-		job, err := strconv.ParseInt(q.Get("job"), 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad job: "+q.Get("job"))
-			return
-		}
-		if tr, ok := s.tracer.ByJob(job); ok {
-			traces = []tracing.Trace{tr}
-		}
-	case q.Get("slowest") != "":
-		n, err := strconv.Atoi(q.Get("slowest"))
+	traces := trace.Traces(s.collectors()...)
+	if v := q.Get("slowest"); v != "" {
+		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, "bad slowest: "+q.Get("slowest"))
+			writeError(w, http.StatusBadRequest, "bad slowest: "+v)
 			return
 		}
-		traces = s.tracer.Slowest(n)
-	default:
+		traces = trace.Slowest(traces, n)
+	} else {
 		limit := 100
 		if v := q.Get("limit"); v != "" {
 			n, err := strconv.Atoi(v)
@@ -120,58 +118,50 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			}
 			limit = n
 		}
-		traces = s.tracer.Traces()
 		if len(traces) > limit {
-			traces = traces[len(traces)-limit:] // newest, in stored order
+			traces = traces[len(traces)-limit:] // newest, in settle order
 		}
 	}
 	switch q.Get("format") {
 	case "":
-		out := TracesResponse{Traces: make([]TraceSummary, 0, len(traces)), Stats: s.tracer.Stats()}
-		for _, sum := range tracing.SummarizeAll(traces) {
-			out.Traces = append(out.Traces, makeSummary(sum))
+		out := TracesResponse{Traces: make([]TraceSummary, 0, len(traces))}
+		for _, tr := range traces {
+			out.Traces = append(out.Traces, makeSummary(tr))
 		}
 		writeJSON(w, http.StatusOK, out)
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		tracing.WriteChromeTrace(w, traces) //nolint:errcheck // peer gone: nothing to do
+		trace.WriteChromeTrace(w, traces) //nolint:errcheck // peer gone: nothing to do
 	case "ndjson":
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		tracing.WriteNDJSON(w, traces) //nolint:errcheck // peer gone: nothing to do
+		trace.WriteNDJSON(w, traces) //nolint:errcheck // peer gone: nothing to do
 	default:
 		writeError(w, http.StatusBadRequest, "bad format: "+q.Get("format"))
 	}
 }
 
-// handleTraceByID serves GET /traces/{id}: the trace's critical-path
-// breakdown plus its raw spans. The id is the 16-hex-digit trace id.
+// handleTraceByID serves GET /traces/{id}: one job's critical-path
+// breakdown plus its phases. The id is the job id.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	idStr := r.PathValue("id")
-	id, err := tracing.ParseTraceID(idStr)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad trace id: "+idStr)
+	job, err := strconv.ParseInt(idStr, 10, 64)
+	if err != nil || job <= 0 {
+		writeError(w, http.StatusBadRequest, "bad job id: "+idStr)
 		return
 	}
-	tr, ok := s.tracer.Get(id)
+	tr, ok := trace.TraceOf(job, s.collectors()...)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown or unsampled trace "+idStr)
+		writeError(w, http.StatusNotFound, fmt.Sprintf("job %d is not in the record window: it never ran, or has left it", job))
 		return
 	}
-	resp := TraceResponse{TraceSummary: makeSummary(tracing.Summarize(tr)), Spans: make([]SpanInfo, 0, len(tr.Spans)+1)}
-	all := append([]tracing.Span{tr.Root}, tr.Spans...)
-	for _, sp := range all {
-		parent := ""
-		if sp.Parent != 0 {
-			parent = sp.Parent.String()
-		}
+	resp := TraceResponse{TraceSummary: makeSummary(tr), Spans: make([]SpanInfo, 0, len(tr.Spans))}
+	for _, sp := range tr.Spans {
 		resp.Spans = append(resp.Spans, SpanInfo{
-			ID:         sp.ID.String(),
-			Parent:     parent,
 			Phase:      string(sp.Phase),
 			Worker:     sp.Worker,
 			Attempt:    sp.Attempt,
 			StartMs:    ms(sp.Start),
-			DurationMs: ms(sp.End - sp.Start),
+			DurationMs: ms(sp.Duration()),
 			EnergyJ:    sp.EnergyJ,
 			Detail:     sp.Detail,
 			Error:      sp.Err,

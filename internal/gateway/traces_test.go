@@ -12,26 +12,25 @@ import (
 
 	"microfaas/internal/cluster"
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
+	"microfaas/internal/trace"
 )
 
-// startTracedSimGateway runs a seeded MicroFaaS sim with tracing on and
-// serves its orchestrator through a gateway — the deterministic fixture
-// the /traces tests read back.
-func startTracedSimGateway(t *testing.T) (base string, tr *tracing.Tracer) {
+// startTracedSimGateway runs a seeded MicroFaaS sim and serves its
+// orchestrator through a gateway — the deterministic fixture the /traces
+// tests read back. Every job in the run has a trace.
+func startTracedSimGateway(t *testing.T) (base string, coll *trace.Collector) {
 	t.Helper()
-	tr = tracing.NewWithConfig(tracing.Config{})
-	s, err := cluster.NewMicroFaaSSim(4, cluster.SimConfig{Seed: 7, Tracer: tr})
+	s, err := cluster.NewMicroFaaSSim(4, cluster.SimConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunSuite(1, nil); err != nil {
+	if coll, err = s.RunSuite(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	gw := front(t, s.Orch, Options{Mode: "sim", Tracer: tr})
+	gw := front(t, s.Orch, Options{Mode: "sim"})
 	srv := httptest.NewServer(gw.Handler())
 	t.Cleanup(srv.Close)
-	return srv.URL, tr
+	return srv.URL, coll
 }
 
 func getJSON(t *testing.T, url string, v interface{}) *http.Response {
@@ -50,19 +49,16 @@ func getJSON(t *testing.T, url string, v interface{}) *http.Response {
 }
 
 func TestTracesEndpoint(t *testing.T) {
-	base, tr := startTracedSimGateway(t)
+	base, coll := startTracedSimGateway(t)
 	var out TracesResponse
-	if resp := getJSON(t, base+"/traces", &out); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, base+"/traces?limit=1000", &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("traces → %d", resp.StatusCode)
 	}
-	if len(out.Traces) != tr.Len() {
-		t.Fatalf("listed %d traces, tracer holds %d", len(out.Traces), tr.Len())
-	}
-	if out.Stats.Committed != tr.Len() {
-		t.Fatalf("stats = %+v", out.Stats)
+	if len(out.Traces) != coll.Len() {
+		t.Fatalf("listed %d traces for %d records", len(out.Traces), coll.Len())
 	}
 	for _, sum := range out.Traces {
-		if sum.Trace == "" || sum.Function == "" || sum.LatencyMs <= 0 || len(sum.Phases) == 0 {
+		if sum.Job == 0 || sum.Function == "" || sum.LatencyMs <= 0 || len(sum.Phases) == 0 {
 			t.Fatalf("malformed summary %+v", sum)
 		}
 		var phaseMs float64
@@ -76,14 +72,6 @@ func TestTracesEndpoint(t *testing.T) {
 		}
 	}
 
-	// ?job=N returns exactly that job's trace.
-	job := out.Traces[0].Job
-	var one TracesResponse
-	getJSON(t, base+"/traces?job="+itoa(job), &one)
-	if len(one.Traces) != 1 || one.Traces[0].Job != job {
-		t.Fatalf("?job=%d → %+v", job, one.Traces)
-	}
-
 	// ?slowest=2 returns two traces in descending latency order.
 	var slow TracesResponse
 	getJSON(t, base+"/traces?slowest=2", &slow)
@@ -91,15 +79,20 @@ func TestTracesEndpoint(t *testing.T) {
 		t.Fatalf("?slowest=2 → %+v", slow.Traces)
 	}
 
-	// ?limit=1 caps the default listing at the newest trace.
-	var lim TracesResponse
+	// ?limit=1 caps the default listing at the newest trace, and the
+	// default listing at 100.
+	var lim, def TracesResponse
 	getJSON(t, base+"/traces?limit=1", &lim)
-	if len(lim.Traces) != 1 {
-		t.Fatalf("?limit=1 → %d traces", len(lim.Traces))
+	if len(lim.Traces) != 1 || lim.Traces[0].Job != out.Traces[len(out.Traces)-1].Job {
+		t.Fatalf("?limit=1 → %+v", lim.Traces)
+	}
+	getJSON(t, base+"/traces", &def)
+	if len(out.Traces) > 100 && len(def.Traces) != 100 {
+		t.Fatalf("the default listing holds %d traces, want 100", len(def.Traces))
 	}
 
 	// Bad parameters are 400s.
-	for _, q := range []string{"?job=abc", "?slowest=0", "?limit=-1", "?format=yaml"} {
+	for _, q := range []string{"?slowest=0", "?limit=-1", "?format=yaml"} {
 		if resp := getJSON(t, base+"/traces"+q, nil); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s → %d, want 400", q, resp.StatusCode)
 		}
@@ -144,43 +137,47 @@ func TestTracesExportFormats(t *testing.T) {
 	}
 }
 
+// TestTraceByID: a trace's id is its job id, and its reply carries the
+// job's phases as the view renders them.
 func TestTraceByID(t *testing.T) {
-	base, tr := startTracedSimGateway(t)
-	want := tr.Traces()[0]
+	base, coll := startTracedSimGateway(t)
+	want, _ := trace.TraceOf(coll.Records()[0].JobID, coll)
 	var out TraceResponse
-	if resp := getJSON(t, base+"/traces/"+want.ID.String(), &out); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, base+"/traces/"+itoa(want.Root.Job), &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace by id → %d", resp.StatusCode)
 	}
-	if out.Trace != want.ID.String() || out.Job != want.Root.Job {
-		t.Fatalf("got %+v, want trace %v job %d", out.TraceSummary, want.ID, want.Root.Job)
+	if out.Job != want.Root.Job || out.Worker != want.Root.Worker {
+		t.Fatalf("got %+v, want job %d on %s", out.TraceSummary, want.Root.Job, want.Root.Worker)
 	}
-	// Root plus every child span, root first.
-	if len(out.Spans) != len(want.Spans)+1 {
-		t.Fatalf("spans = %d, want %d", len(out.Spans), len(want.Spans)+1)
+	if len(out.Spans) != len(want.Spans) {
+		t.Fatalf("spans = %d, want %d", len(out.Spans), len(want.Spans))
 	}
-	if out.Spans[0].Phase != string(tracing.PhaseInvocation) {
-		t.Fatalf("first span is %q, want the root", out.Spans[0].Phase)
-	}
-	for _, sp := range out.Spans[1:] {
-		if sp.Parent == "" || sp.ID == "" {
-			t.Fatalf("child span missing ids: %+v", sp)
+	for i, sp := range out.Spans {
+		if sp.Phase != string(want.Spans[i].Phase) {
+			t.Fatalf("span %d is %q, want %q", i, sp.Phase, want.Spans[i].Phase)
 		}
 	}
-
-	if resp := getJSON(t, base+"/traces/zzzz", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad id → %d, want 400", resp.StatusCode)
-	}
-	if resp := getJSON(t, base+"/traces/ffffffffffffffff", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown id → %d, want 404", resp.StatusCode)
+	for _, id := range []string{"zzzz", "0", "-3"} {
+		if resp := getJSON(t, base+"/traces/"+id, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad id %s → %d, want 400", id, resp.StatusCode)
+		}
 	}
 }
 
-func TestTracesDisabled(t *testing.T) {
+// TestTraceOutsideWindow: every gateway backs the trace routes, and a job
+// with no row in the record window — one that never ran — is a 404 that
+// says so.
+func TestTraceOutsideWindow(t *testing.T) {
 	base, _ := startGateway(t)
-	for _, path := range []string{"/traces", "/traces/0000000000000001"} {
-		if resp := getJSON(t, base+path, nil); resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s on untraced gateway → %d, want 404", path, resp.StatusCode)
-		}
+	var out TracesResponse
+	if resp := getJSON(t, base+"/traces", &out); resp.StatusCode != http.StatusOK || len(out.Traces) != 0 {
+		t.Fatalf("/traces before any job → %d with %d traces, want 200 and none", resp.StatusCode, len(out.Traces))
+	}
+	resp, body := do(t, http.MethodGet, base+"/traces/999", nil)
+	var reply struct{ Error string }
+	if err := json.Unmarshal([]byte(body), &reply); err != nil || resp.StatusCode != http.StatusNotFound ||
+		!strings.Contains(reply.Error, "not in the record window") {
+		t.Fatalf("/traces/999 → %d %q, want a 404 naming the record window", resp.StatusCode, body)
 	}
 }
 

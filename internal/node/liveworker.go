@@ -12,7 +12,6 @@ import (
 	"microfaas/internal/power"
 	"microfaas/internal/proto"
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
 	"microfaas/internal/wire"
 	"microfaas/internal/workload"
 )
@@ -84,12 +83,6 @@ type LiveWorkerConfig struct {
 	// joules attribution. Events stamped on the worker's server side carry
 	// attempt 0: the attempt number does not travel the wire.
 	Telemetry *telemetry.Telemetry
-	// Tracer optionally records worker-side boot/exec spans. The trace
-	// context arrives over the wire protocol (proto.Request.TraceID), so
-	// the server side of the worker joins the OP's trace exactly the way a
-	// remote SBC would. Span timestamps use Clock, so set a cluster clock
-	// when tracing.
-	Tracer *tracing.Tracer
 	// Managed hands the worker's power lifecycle to a powermgr.Manager:
 	// the worker implements powermgr.Node (PowerUp sleeps BootDelay on
 	// the wall clock as the modeled boot, PowerDown gates it off), tracks
@@ -366,7 +359,6 @@ func (w *LiveWorker) handleRequest(req proto.Request, recvAt time.Time) (resp pr
 	// manager's wake already paid the boot before the job was dispatched,
 	// so the job lands warm.
 	bootStart := time.Now()
-	bootStartC := w.now()
 	bootDetail := "cold"
 	if w.cfg.Managed {
 		w.m.bootsWarm.Inc()
@@ -378,9 +370,6 @@ func (w *LiveWorker) handleRequest(req proto.Request, recvAt time.Time) (resp pr
 		}
 	}
 	boot := time.Since(bootStart)
-	bootEndC := w.now()
-	ctx := tracing.ContextFromWire(req.TraceID, req.ParentSpan)
-	w.traceSpan(ctx, req, tracing.PhaseBoot, bootStartC, bootEndC, bootDetail)
 	w.m.rawEvent(w.now(), telemetry.EventBoot, req.JobID, req.Function, w.cfg.ID, bootDetail)
 	if fault == faultError {
 		return proto.Response{
@@ -403,9 +392,6 @@ func (w *LiveWorker) handleRequest(req proto.Request, recvAt time.Time) (resp pr
 	w.m.rawEvent(w.now(), telemetry.EventExec, req.JobID, req.Function, w.cfg.ID, "")
 	out, err := workload.Invoke(w.cfg.Env, req.Function, req.Args)
 	exec := time.Since(execStart)
-	// The exec span starts where the boot span ended, covering any
-	// injected delay and the execution itself.
-	w.traceSpan(ctx, req, tracing.PhaseExec, bootEndC, w.now(), "overhead+exec")
 	resp = proto.Response{
 		Output:     out,
 		BootMs:     float64(boot) / float64(time.Millisecond),
@@ -419,29 +405,6 @@ func (w *LiveWorker) handleRequest(req proto.Request, recvAt time.Time) (resp pr
 	return resp, true
 }
 
-// traceSpan records one worker-side span under the wire-delivered trace
-// context, with the phase's metered joules when the worker has a meter.
-func (w *LiveWorker) traceSpan(ctx tracing.Context, req proto.Request, phase tracing.Phase, start, end time.Duration, detail string) {
-	if w.cfg.Tracer == nil || !ctx.Valid() {
-		return
-	}
-	var energy float64
-	if w.dev != nil {
-		energy = float64(w.dev.Energy(end) - w.dev.Energy(start))
-	}
-	w.cfg.Tracer.Record(ctx, tracing.Span{
-		Phase:    phase,
-		Job:      req.JobID,
-		Function: req.Function,
-		Worker:   w.cfg.ID,
-		Attempt:  req.Attempt,
-		Start:    start,
-		End:      end,
-		EnergyJ:  energy,
-		Detail:   detail,
-	})
-}
-
 // invokeTimeout bounds one invocation round trip over the worker's
 // connection.
 const invokeTimeout = 2 * time.Minute
@@ -451,7 +414,8 @@ const invokeTimeout = 2 * time.Minute
 // connection, and returns. The connection settles the call off this
 // goroutine (see proto.Conn.Go), and the completion turns that into the
 // job's Result: worker timings, the power state back to idle or off, and
-// the metered joules.
+// the metered joules, of which the boot drew Busy watts for its reported
+// length (RunJob sets Busy for the whole attempt).
 func (w *LiveWorker) RunJob(job core.Job, done func(core.Result)) {
 	var started time.Duration
 	var energyStart power.Joules
@@ -466,10 +430,8 @@ func (w *LiveWorker) RunJob(job core.Job, done func(core.Result)) {
 	} else if w.dev != nil {
 		w.dev.Set(w.sbc.Power(power.Busy), started)
 	}
-	traceID, parentSpan := job.Trace.Wire()
 	w.pc.Go(proto.Request{
-		JobID: job.ID, Function: job.Function, Args: job.Args,
-		TraceID: traceID, ParentSpan: parentSpan, Attempt: job.Attempt,
+		JobID: job.ID, Function: job.Function, Args: job.Args, Attempt: job.Attempt,
 	}, invokeTimeout, func(resp proto.Response, err error) {
 		res := core.Result{Job: job, WorkerID: w.cfg.ID, StartedAt: started}
 		if err != nil {
@@ -496,6 +458,7 @@ func (w *LiveWorker) RunJob(job core.Job, done func(core.Result)) {
 				// this function's behalf even if the result was lost.
 				delta := w.dev.Energy(now) - energyStart
 				res.Joules = float64(delta)
+				res.BootJoules = min(float64(power.Energy(w.sbc.Power(power.Busy), res.Boot)), res.Joules)
 				w.m.energy(job.Function).Add(float64(delta))
 			}
 		}

@@ -13,7 +13,6 @@ import (
 	"microfaas/internal/power"
 	"microfaas/internal/sim"
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
 )
 
 // BoardConfig is a simulated board beyond its platform and the cluster it
@@ -82,11 +81,6 @@ type SimWorkerConfig struct {
 	// per-function joules attribution. Nil disables all of it with zero
 	// overhead and leaves seeded runs bit-identical.
 	Telemetry *telemetry.Telemetry
-	// Tracer optionally records per-invocation boot/exec/reboot spans,
-	// with per-span joules from meter snapshots at the span boundaries on
-	// metered ARM workers. Nil disables with the same bit-identical
-	// guarantee as Telemetry.
-	Tracer *tracing.Tracer
 }
 
 // FunctionTable is the immutable function table of a simulated cluster:
@@ -174,11 +168,10 @@ type simJob struct {
 	started              time.Duration
 	boot, overhead, exec time.Duration
 	fail                 bool
-	energyStart          power.Joules
-	// phase is when the current phase began, and joules the meter reading
-	// then, for the span that phase ends.
-	phase  time.Duration
-	joules float64
+	// energyStart is the meter's reading when the job started, and bootJ
+	// the joules its boot drew (metered ARM boards only).
+	energyStart power.Joules
+	bootJ       float64
 }
 
 // NewSimWorkers builds one worker per id — the worker's and its meter
@@ -249,7 +242,7 @@ func NewSimWorkers(cfg SimWorkerConfig, ids []string) ([]*SimWorker, error) {
 	} else {
 		spec.booted = cfg.Engine.Register(func(i int32) { slab[i].vmBooted() })
 	}
-	spec.executed = cfg.Engine.Register(func(i int32) { slab[i].execDone() })
+	spec.executed = cfg.Engine.Register(func(i int32) { slab[i].finish() })
 	if cfg.KeepWarm > 0 {
 		spec.expired = cfg.Engine.Register(func(i int32) { slab[i].keepWarmExpired() })
 	}
@@ -354,8 +347,6 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 		// never invokes done. Only an OP deadline can reclaim the job.
 		w.hangs++
 		w.m.faultHang.Inc()
-		recordSpan(w.cfg.Tracer, job, tracing.PhaseFault, w.id,
-			engine.Now(), engine.Now(), 0, "injected-hang", "node: injected worker hang")
 		w.warm = false
 		w.setState(power.Busy, "wedged", job.ID)
 		return
@@ -385,13 +376,12 @@ func (w *SimWorker) RunJob(job core.Job, done func(core.Result)) {
 	}
 }
 
-// finish ends the job in flight: the post-job power policy, the result,
-// the energy charge and the reboot span, then done. The record is cleared
-// before done runs, because done may hand this worker its next job.
+// finish ends the job in flight: the post-job power policy, the result and
+// the energy charge, then done. The record is cleared before done runs,
+// because done may hand this worker its next job.
 func (w *SimWorker) finish() {
 	j := &w.job
 	now := w.cfg.Engine.Now()
-	rebootDetail := "power-down"
 	switch {
 	case j.fail && w.cfg.Managed:
 		// The environment is suspect but the manager owns the power
@@ -399,23 +389,13 @@ func (w *SimWorker) finish() {
 		// power-cycle the node through the manager.
 		w.warm = false
 		w.setState(power.Idle, "fault: awaiting power-cycle", gpio.NoJob)
-		rebootDetail = "fault-power-cycle"
 	case j.fail:
 		// A crashed worker cannot be trusted warm: the OP power-cycles
 		// it regardless of the keep-warm/no-reboot policy.
 		w.warm = false
 		w.setState(power.Off, "fault: forced power-off", gpio.NoJob)
-		rebootDetail = "fault-power-off"
 	default:
 		w.afterJob()
-		switch {
-		case w.cfg.DisableReboot:
-			rebootDetail = "stay-up"
-		case w.cfg.KeepWarm > 0:
-			rebootDetail = "keep-warm"
-		case w.cfg.Managed:
-			rebootDetail = "managed-idle"
-		}
 	}
 	res := core.Result{
 		Job: j.job, WorkerID: w.id,
@@ -425,6 +405,7 @@ func (w *SimWorker) finish() {
 		Boot:       j.boot,
 		Overhead:   j.overhead,
 		Exec:       j.exec,
+		BootJoules: j.bootJ,
 	}
 	if j.fail {
 		res.Err = "node: injected worker fault"
@@ -439,10 +420,6 @@ func (w *SimWorker) finish() {
 		res.Joules = float64(delta)
 		w.m.energy(j.job.Function).Add(float64(delta))
 	}
-	// The post-job power transition is instantaneous in the sim, so the
-	// reboot span is a zero-length marker naming the policy applied.
-	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseReboot, w.id,
-		now, now, 0, rebootDetail, "")
 	done := j.done
 	*j = simJob{}
 	done(res)
@@ -525,88 +502,53 @@ func (w *SimWorker) ColdStarts() int { return w.coldStart }
 // WarmStarts reports boot-skipping job starts (keep-warm / no-reboot).
 func (w *SimWorker) WarmStarts() int { return w.warmStart }
 
-// traceJoules snapshots the worker's metered energy for span attribution.
-// Zero when the job is untraced or the worker unmetered, so both
-// boundaries of a span read zero and the span's energy stays zero.
-func (w *SimWorker) traceJoules(job core.Job, now time.Duration) float64 {
-	if w.cfg.Tracer == nil || !job.Trace.Valid() || w.dev == nil {
-		return 0
-	}
-	return float64(w.dev.Energy(now))
-}
-
 // runARM chains the SBC's phases on the engine; nothing contends, so each
-// phase is a plain delay with the right meter state. Boot and exec spans
-// are recorded with contiguous boundaries (exec starts the instant boot
-// ends) so a trace's phase durations telescope to its end-to-end latency,
-// and with meter-snapshot energy deltas so its phase joules telescope to
-// the invocation's metered energy.
+// phase is a plain delay with the right meter state.
 func (w *SimWorker) runARM() {
 	j := &w.job
 	engine := w.cfg.Engine
-	j.phase = engine.Now()
-	j.joules = w.traceJoules(j.job, j.phase)
 	if j.boot > 0 {
 		w.setState(power.Booting, "PWR_BUT press", j.job.ID)
-		w.m.event(j.phase, telemetry.EventBoot, j.job, w.id, "cold")
+		w.m.event(j.started, telemetry.EventBoot, j.job, w.id, "cold")
 		engine.ScheduleKind(j.boot, w.booted, w.idx)
 		return
 	}
 	// Warm start: already booted, straight to work.
-	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.id, j.phase, j.phase, 0, "warm", "")
 	w.setState(power.Busy, "warm start", j.job.ID)
-	w.m.event(j.phase, telemetry.EventExec, j.job, w.id, "warm")
+	w.m.event(j.started, telemetry.EventExec, j.job, w.id, "warm")
 	engine.ScheduleKind(j.overhead+j.exec, w.executed, w.idx)
 }
 
-// armBooted ends an SBC's cold boot and starts its execution.
+// armBooted ends an SBC's cold boot, reading the joules it drew off the
+// meter, and starts its execution.
 func (w *SimWorker) armBooted() {
 	j := &w.job
 	bootEnd := w.cfg.Engine.Now()
-	e1 := w.traceJoules(j.job, bootEnd)
-	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.id,
-		j.phase, bootEnd, e1-j.joules, "cold", "")
+	if w.dev != nil {
+		j.bootJ = float64(w.dev.Energy(bootEnd) - j.energyStart)
+	}
 	w.setState(power.Busy, "boot complete", j.job.ID)
 	w.m.event(bootEnd, telemetry.EventExec, j.job, w.id, "")
-	j.phase, j.joules = bootEnd, e1
 	w.cfg.Engine.ScheduleKind(j.overhead+j.exec, w.executed, w.idx)
-}
-
-// execDone ends execution on either platform: the exec span, then finish.
-// A microVM's span carries zero joules (its phase reading stays zero and
-// it has no meter device); its host's energy is attributed at cluster level.
-func (w *SimWorker) execDone() {
-	j := &w.job
-	end := w.cfg.Engine.Now()
-	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseExec, w.id,
-		j.phase, end, w.traceJoules(j.job, end)-j.joules, "overhead+exec", "")
-	w.finish()
 }
 
 // runX86 runs the microVM's phases as rack-server CPU tasks: wall time
 // stretches when the host's cores are oversubscribed.
 func (w *SimWorker) runX86() {
 	j := &w.job
-	j.phase = w.cfg.Engine.Now()
 	if j.boot == 0 {
-		recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.id, j.phase, j.phase, 0, "warm", "")
-		w.m.event(j.phase, telemetry.EventExec, j.job, w.id, "warm")
+		w.m.event(j.started, telemetry.EventExec, j.job, w.id, "warm")
 		w.vmExec()
 		return
 	}
-	w.m.event(j.phase, telemetry.EventBoot, j.job, w.id, "cold")
+	w.m.event(j.started, telemetry.EventBoot, j.job, w.id, "cold")
 	bootDemand := bootos.BootCPUFraction(model.X86)
 	w.cfg.Server.Run(float64(j.boot)/float64(time.Second)*bootDemand, bootDemand, w.booted, w.idx)
 }
 
 // vmBooted ends a microVM's cold boot and starts its execution.
 func (w *SimWorker) vmBooted() {
-	j := &w.job
-	bootEnd := w.cfg.Engine.Now()
-	recordSpan(w.cfg.Tracer, j.job, tracing.PhaseBoot, w.id,
-		j.phase, bootEnd, 0, "cold", "")
-	w.m.event(bootEnd, telemetry.EventExec, j.job, w.id, "")
-	j.phase = bootEnd
+	w.m.event(w.cfg.Engine.Now(), telemetry.EventExec, w.job.job, w.id, "")
 	w.vmExec()
 }
 

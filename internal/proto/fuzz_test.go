@@ -17,11 +17,8 @@ import (
 // payload arriving as nil, as an absent one does.
 func FuzzProtoFrame(f *testing.F) {
 	floor := Request{RID: 1, JobID: 1, Function: "CascSHA", Args: []byte(`{"rounds":1,"seed":"floor"}`)}
-	traced := Request{
-		RID: 7, JobID: 1<<40 + 3, Function: "MatMul", Args: []byte(`{"n":64,"seed":7}`),
-		TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", ParentSpan: "00f067aa0ba902b7", Attempt: 2,
-	}
-	long := Request{RID: 3, JobID: 3, Function: "RegExMatch", TraceID: strings.Repeat("f", 255), ParentSpan: strings.Repeat("e", 255)}
+	retried := Request{RID: 7, JobID: 1<<40 + 3, Function: "MatMul", Args: []byte(`{"n":64,"seed":7}`), Attempt: 2}
+	long := Request{RID: 3, JobID: 3, Function: strings.Repeat("f", 255)}
 	failed := Response{RID: 2, JobID: 9, Err: "node: injected worker fault on live-001", BootMs: 1510.25}
 	reqFrame := func(req Request) []byte {
 		return encode(f, func(bw *bufio.Writer) error { return WriteRequest(bw, req) })
@@ -36,7 +33,7 @@ func FuzzProtoFrame(f *testing.F) {
 		resp  Response
 	}{
 		{reqFrame(floor)[4:], floor, Response{Output: []byte(`{"digest":"ab"}`), BootMs: math.NaN(), ExecMs: 0.031}},
-		{reqFrame(traced)[4:], traced, Response{}},
+		{reqFrame(retried)[4:], retried, Response{}},
 		{reqFrame(long)[4:], long, Response{OverheadMs: math.Inf(-1)}},
 		{failedFrame[4:], Request{}, failed},
 		{whole[:len(whole)/2], floor, failed}, // a frame cut off mid-Function
@@ -45,10 +42,10 @@ func FuzzProtoFrame(f *testing.F) {
 		if payload == nil {
 			payload = seed.resp.Output
 		}
-		f.Add(seed.frame, seed.req.RID, seed.req.JobID, seed.req.Attempt, seed.req.Function, seed.req.TraceID, seed.req.ParentSpan,
+		f.Add(seed.frame, seed.req.RID, seed.req.JobID, seed.req.Attempt, seed.req.Function,
 			math.Float64bits(seed.resp.BootMs), math.Float64bits(seed.resp.OverheadMs), math.Float64bits(seed.resp.ExecMs), seed.resp.Err, payload)
 	}
-	f.Fuzz(func(t *testing.T, frame []byte, rid, jobID int64, attempt int, function, traceID, parentSpan string,
+	f.Fuzz(func(t *testing.T, frame []byte, rid, jobID int64, attempt int, function string,
 		boot, overhead, exec uint64, errMsg string, payload []byte) {
 		if req, err := decodeRequest(frame); err == nil {
 			got := encode(t, func(bw *bufio.Writer) error { return WriteRequest(bw, req) })
@@ -83,7 +80,7 @@ func FuzzProtoFrame(f *testing.F) {
 			payloads = [][]byte{nil, {}}
 		}
 		for _, p := range payloads {
-			in := Request{RID: rid, JobID: jobID, Function: function, Args: p, TraceID: traceID, ParentSpan: parentSpan, Attempt: attempt}
+			in := Request{RID: rid, JobID: jobID, Function: function, Args: p, Attempt: attempt}
 			out, err := decodeRequest(encode(t, func(bw *bufio.Writer) error { return WriteRequest(bw, in) })[4:])
 			in.Args = want
 			if err != nil || !reflect.DeepEqual(out, in) {

@@ -26,8 +26,6 @@
 //	8                            OverheadMs (float64 bits)
 //	8                            ExecMs (float64 bits)
 //	4 + n   Function             Err
-//	4 + n   TraceID
-//	4 + n   ParentSpan
 //	rest    Args                 Output
 //
 // Each string is a uint32 length n and its n bytes. The payload is the raw
@@ -63,14 +61,8 @@ type Request struct {
 	Function string
 	// Args is the JSON argument payload.
 	Args []byte
-	// TraceID and ParentSpan propagate the invocation's tracing context
-	// (hex, per tracing.Context.Wire; empty when untraced), so the
-	// worker's boot/exec spans join the OP's trace across the wire.
-	// Attempt travels with them so worker-side spans carry the OP's
-	// attempt number.
-	TraceID    string
-	ParentSpan string
-	Attempt    int
+	// Attempt is the OP's attempt number for the job (0 = first).
+	Attempt int
 }
 
 // Response is the worker's reply.
@@ -321,7 +313,7 @@ const (
 // The bytes of a body before its strings' and payload's own: the kind, the
 // fixed-width fields and one uint32 length per string.
 const (
-	requestHead  = 1 + 3*8 + 3*4
+	requestHead  = 1 + 3*8 + 4
 	responseHead = 1 + 5*8 + 4
 )
 
@@ -330,7 +322,7 @@ const (
 // Its errors are the writer's or the frame limit's, unwrapped: the caller
 // names the peer.
 func WriteRequest(bw *bufio.Writer, req Request) error {
-	size := requestHead + len(req.Function) + len(req.TraceID) + len(req.ParentSpan) + len(req.Args)
+	size := requestHead + len(req.Function) + len(req.Args)
 	if err := checkSize(size); err != nil {
 		return err
 	}
@@ -340,8 +332,6 @@ func WriteRequest(bw *bufio.Writer, req Request) error {
 	b = binary.BigEndian.AppendUint64(b, uint64(req.JobID))
 	b = binary.BigEndian.AppendUint64(b, uint64(req.Attempt))
 	b = appendString(b, req.Function)
-	b = appendString(b, req.TraceID)
-	b = appendString(b, req.ParentSpan)
 	return flushFrame(bw, b, req.Args)
 }
 
@@ -419,8 +409,6 @@ func decodeRequest(body []byte) (Request, error) {
 	req.JobID = d.int64("JobID")
 	req.Attempt = int(d.int64("Attempt"))
 	req.Function = d.string("Function")
-	req.TraceID = d.string("TraceID")
-	req.ParentSpan = d.string("ParentSpan")
 	req.Args = d.rest()
 	if d.err != nil {
 		return Request{}, d.err

@@ -1,15 +1,16 @@
-package tracing
+package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 )
 
-// WriteNDJSON writes one Span per line (root first, then children in
-// recording order), newline-delimited — the grep/jq-friendly dump format.
+// WriteNDJSON writes one Span per line (root first, then its phases in
+// order), newline-delimited — the grep/jq-friendly dump format.
 func WriteNDJSON(w io.Writer, traces []Trace) error {
 	enc := json.NewEncoder(w)
 	for _, tr := range traces {
@@ -49,13 +50,13 @@ func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // WriteChromeTrace writes the traces in Chrome trace_event JSON object
 // format, loadable in Perfetto or chrome://tracing. Each trace's root
-// span and its orchestrator-side phases (submit, queue, dispatch, settle,
-// retry, fault) render on the "orchestrator" track (tid 0); worker-side
-// phases (boot, exec, reboot) render on a per-worker track. All events
-// are complete events ("ph":"X") with microsecond timestamps, preceded by
-// metadata events naming the process and threads. Output is deterministic
-// for a given input: tracks are assigned in sorted worker-id order and
-// args maps serialize in sorted key order (encoding/json sorts map keys).
+// span and its orchestrator-side phases (queue, retry, settle, fault)
+// render on the "orchestrator" track (tid 0); worker-side phases (boot,
+// exec) render on a per-worker track. All events are complete events
+// ("ph":"X") with microsecond timestamps, preceded by metadata events
+// naming the process and threads. Output is deterministic for a given
+// input: tracks are assigned in sorted worker-id order and args maps
+// serialize in sorted key order (encoding/json sorts map keys).
 func WriteChromeTrace(w io.Writer, traces []Trace) error {
 	// Assign tids: 0 = orchestrator, then sorted worker ids.
 	workers := map[string]int{}
@@ -103,9 +104,7 @@ func WriteChromeTrace(w io.Writer, traces []Trace) error {
 
 // workerPhase reports whether the phase executes on a worker node (and so
 // renders on the worker's track rather than the orchestrator's).
-func workerPhase(p Phase) bool {
-	return p == PhaseBoot || p == PhaseExec || p == PhaseReboot
-}
+func workerPhase(p Phase) bool { return p == PhaseBoot || p == PhaseExec }
 
 // completeEvent renders one span as a trace_event complete event.
 func completeEvent(s Span, tid int) chromeEvent {
@@ -114,8 +113,8 @@ func completeEvent(s Span, tid int) chromeEvent {
 		name = fmt.Sprintf("%s #%d", s.Function, s.Job)
 	}
 	args := map[string]string{
-		"trace":   s.Trace.String(),
-		"attempt": fmt.Sprintf("%d", s.Attempt),
+		"job":     strconv.FormatInt(s.Job, 10),
+		"attempt": strconv.Itoa(s.Attempt),
 	}
 	if s.Function != "" {
 		args["function"] = s.Function

@@ -35,13 +35,13 @@ func pointerFree(t reflect.Type, path string) error {
 }
 
 // TestRowLayout pins the stored record: no pointer for the collector to
-// scan, and at most 72 bytes.
+// scan, and at most 80 bytes (the attempt's two energies included).
 func TestRowLayout(t *testing.T) {
 	if err := pointerFree(reflect.TypeOf(row{}), "row"); err != nil {
 		t.Fatal(err)
 	}
-	if size := unsafe.Sizeof(row{}); size > 72 {
-		t.Fatalf("row is %d bytes, want at most 72", size)
+	if size := unsafe.Sizeof(row{}); size > 80 {
+		t.Fatalf("row is %d bytes, want at most 80", size)
 	}
 }
 
@@ -222,10 +222,14 @@ func fuzzRecords(data []byte, n int) []Record {
 		}
 		if h[2]%3 == 0 {
 			r.Err = "boom"
+			r.TimedOut = h[2]%2 == 0
 		}
 		for _, d := range []*time.Duration{&r.Submitted, &r.Started, &r.Finished, &r.Boot, &r.Overhead, &r.Exec} {
 			*d = time.Duration(int32(binary.LittleEndian.Uint32(next(4)))) * time.Microsecond
 		}
+		// Energies a float32 holds exactly, as a row stores them.
+		r.BootJoules = float64(float32(r.Boot.Seconds() * 1.96))
+		r.Joules = float64(float32(r.Boot.Seconds()*1.96 + (r.Overhead+r.Exec).Seconds()*2.1))
 		templates = append(templates, r)
 	}
 	if len(templates) == 0 {

@@ -21,9 +21,12 @@ import (
 
 // Record is one completed (or failed) function invocation.
 type Record struct {
-	JobID    int64
+	// JobID is the invocation's job id.
+	JobID int64
+	// Function names the invoked function.
 	Function string
-	Worker   string
+	// Worker names the worker the attempt ran on.
+	Worker string
 	// Attempt is 0 for the first execution, >0 for OP-level retries.
 	Attempt int
 
@@ -35,14 +38,22 @@ type Record struct {
 	// network/protocol overhead, and function execution (Fig 3's split).
 	Boot, Overhead, Exec time.Duration
 
+	// BootJoules and Joules are the metered energy the attempt drew on its
+	// worker during its boot and in all (zero when the worker has no
+	// meter); the rest of Joules is the overhead and execution's.
+	BootJoules, Joules float64
+
 	// Err is non-empty when the invocation failed.
 	Err string
+	// TimedOut marks a failure the OP's deadline settled before the
+	// worker reported.
+	TimedOut bool
 }
 
 // Collector accumulates records; safe for concurrent use.
 //
 // It stores each record as a row that holds no pointer: the job id, the
-// six durations, the attempt, and ordinals into two name tables, one for
+// six durations, the attempt, the two energies, and ordinals into two name tables, one for
 // functions and one for workers. A failed row's error text sits in a side
 // log, never in a name table: an error names its job, so interning it
 // would grow the table with the log. Records and WriteCSV hand the rows
@@ -63,7 +74,7 @@ type Collector struct {
 	n, nerrs int
 }
 
-// row is one record as a Collector stores it: 72 bytes with no pointer
+// row is one record as a Collector stores it: 80 bytes with no pointer
 // for the garbage collector to scan.
 type row struct {
 	job                          int64
@@ -74,8 +85,12 @@ type row struct {
 	attempt int32
 	// fn and worker are ordinals in the collector's name tables.
 	fn, worker uint32
-	// failed marks a row whose error text is the next one in errs.
-	failed bool
+	// bootJ and joules are the record's energies: a float32 carries a
+	// board's joules to seven digits, and a trace sums them in float64.
+	bootJ, joules float32
+	// failed marks a row whose error text is the next one in errs, and
+	// timedOut one the deadline settled.
+	failed, timedOut bool
 }
 
 // WorkerRef is a worker's ordinal in one collector's worker table, the
@@ -122,7 +137,8 @@ func (c *Collector) Add(w WorkerRef, r Record) {
 		attempt: int32(r.Attempt),
 		fn:      c.fns.Ordinal(r.Function),
 		worker:  uint32(w),
-		failed:  failed,
+		bootJ:   float32(r.BootJoules), joules: float32(r.Joules),
+		failed: failed, timedOut: r.TimedOut,
 	})
 	c.n++
 	if failed {
@@ -161,6 +177,13 @@ func (c *Collector) Records() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Record, 0, c.rows.Len())
+	c.eachLocked(func(rec Record) { out = append(out, rec) })
+	return out
+}
+
+// eachLocked hands every retained row to fn as a Record, oldest first.
+// Caller holds c.mu.
+func (c *Collector) eachLocked(fn func(Record)) {
 	e := 0
 	c.rows.Each(func(r row) {
 		rec := Record{
@@ -170,14 +193,15 @@ func (c *Collector) Records() []Record {
 			Attempt:   int(r.attempt),
 			Submitted: r.submitted, Started: r.started, Finished: r.finished,
 			Boot: r.boot, Overhead: r.overhead, Exec: r.exec,
+			BootJoules: float64(r.bootJ), Joules: float64(r.joules),
+			TimedOut: r.timedOut,
 		}
 		if r.failed {
 			rec.Err = c.errs[e]
 			e++
 		}
-		out = append(out, rec)
+		fn(rec)
 	})
-	return out
 }
 
 // Summary is the whole-table reading every experiment and stats view
@@ -187,7 +211,9 @@ func (c *Collector) Records() []Record {
 // through Percentile and CountFinished — their latency distribution and
 // finish times.
 type Summary struct {
-	Completed, Errors      int
+	// Completed and Errors count the successful and the failed records.
+	Completed, Errors int
+	// MeanLatency and MeanCycle are the successful records' means.
 	MeanLatency, MeanCycle time.Duration
 
 	// Each successful record's latency (Finished − Submitted) and Finished,
@@ -241,14 +267,13 @@ func (s Summary) CountFinished(lo, hi time.Duration) int {
 
 // FunctionStats summarizes one function's invocations.
 type FunctionStats struct {
+	// Function names the function.
 	Function string
-	Count    int
-	Errors   int
-	// Means over successful invocations.
-	MeanExec     time.Duration
-	MeanOverhead time.Duration
-	MeanTotal    time.Duration
-	MeanLatency  time.Duration
+	// Count counts its records, and Errors the failed ones.
+	Count, Errors int
+	// Means over successful invocations: execution, overhead, their sum
+	// (the worker-side total), and end-to-end latency.
+	MeanExec, MeanOverhead, MeanTotal, MeanLatency time.Duration
 	// P50/P95 of worker-side total time.
 	P50Total, P95Total time.Duration
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
 )
 
 // Rule kinds: what an SLO objective constrains.
@@ -402,8 +401,7 @@ func (b *binding) sum(win int, from time.Duration, start int64) (good, total flo
 // sloEngine evaluates the configured rules on every scrape. Nil when no
 // rules are set.
 type sloEngine struct {
-	rules  []ruleState
-	tracer *tracing.Tracer
+	rules []ruleState
 }
 
 // SetRules installs the SLO rules (replacing any previous set) after
@@ -426,7 +424,7 @@ func (s *Store) SetRules(rules []Rule) error {
 		s.slo = nil
 		return nil
 	}
-	s.slo = &sloEngine{rules: states, tracer: s.cfg.Tracer}
+	s.slo = &sloEngine{rules: states}
 	return nil
 }
 
@@ -554,8 +552,7 @@ func (e *sloEngine) eval(s *Store, now time.Duration) {
 }
 
 // evalPage judges one page on its freshly burned pair and records a
-// transition event (plus a tracing annotation) when the firing state
-// flips.
+// transition event in the alert log when the firing state flips.
 func (e *sloEngine) evalPage(s *Store, now time.Duration, rs *ruleState, st *pageState, page string, short, long Duration, threshold float64) {
 	// Until the clock has covered the short window, the burn measures the
 	// startup transient (a handful of samples against a mostly-empty
@@ -585,14 +582,6 @@ func (e *sloEngine) evalPage(s *Store, now time.Duration, rs *ruleState, st *pag
 		Worker:   page,
 		Detail:   detail,
 	})
-	if e.tracer != nil {
-		ctx := e.tracer.StartTrace("slo:"+rs.rule.Name, 0, rs.rule.Name, now)
-		e.tracer.Record(ctx, tracing.Span{
-			Phase: tracing.PhaseAlert, Name: page + " " + typ,
-			Function: rs.rule.Name, Start: now, End: now, Detail: detail,
-		})
-		e.tracer.EndTrace(ctx, now, "", "")
-	}
 }
 
 // burnLocked computes a rule's burn rate over page window win, of

@@ -33,7 +33,7 @@
 //   - an SLO engine (slo.go) evaluating declarative objectives —
 //     latency threshold, error ratio, J/function energy budget — as
 //     multi-window burn-rate alerts, with firing/resolved transitions
-//     recorded as telemetry events and tracing annotations. A rule binds
+//     recorded in the store's alert log. A rule binds
 //     the series it reads once, in first-seen order, and walks each
 //     window forward through a run cursor instead of searching;
 //   - an arrival-rate tracker (arrival.go) maintaining EWMA and
@@ -57,7 +57,7 @@ import (
 	"time"
 
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
+	"microfaas/internal/trace"
 )
 
 // The store's sizes and resolutions.
@@ -85,9 +85,9 @@ type Config struct {
 	// TierCapacity bounds each downsample tier's ring (default
 	// DefaultTierCapacity buckets per tier). Settable for the same arm.
 	TierCapacity int
-	// Tracer, when set, receives a one-span annotation trace per alert
-	// transition (phase "alert").
-	Tracer *tracing.Tracer
+	// Tracer is not read: alert transitions are in the alert log
+	// (Alerts). It stays so code that still sets it compiles.
+	Tracer *trace.Tracer
 }
 
 // Point is one raw sample: a cluster-clock offset and a value.

@@ -22,6 +22,7 @@ package microfaas
 
 import (
 	"io"
+	"time"
 
 	"microfaas/internal/cluster"
 	"microfaas/internal/core"
@@ -33,7 +34,7 @@ import (
 	"microfaas/internal/powermgr"
 	"microfaas/internal/shard"
 	"microfaas/internal/telemetry"
-	"microfaas/internal/tracing"
+	"microfaas/internal/trace"
 	"microfaas/internal/workload"
 )
 
@@ -72,8 +73,9 @@ func StartLiveCluster(opts LiveOptions) (*LiveCluster, error) {
 type Gateway = gateway.Server
 
 // GatewayOptions configures a gateway beyond its control plane (sim/live
-// mode label, tracer, store). Its Telemetry field is not read: the
-// orchestrator's own telemetry backs /metrics and /events.
+// mode label, store). Its Telemetry and Tracer fields are not read: the
+// orchestrator's own telemetry backs /metrics and /events, and its
+// record window /traces.
 type GatewayOptions = gateway.Options
 
 // NewGateway builds an HTTP gateway over any orchestrator — live or
@@ -161,18 +163,26 @@ type MetricSamples = telemetry.Samples
 // ParseMetrics parses a Prometheus text-format exposition.
 func ParseMetrics(r io.Reader) (MetricSamples, error) { return telemetry.ParseText(r) }
 
-// Tracer records per-invocation lifecycle spans; pass one via
-// LiveOptions.Tracer or SimOptions.Tracer and read it back through a
-// Gateway's /traces routes or directly. Nil disables tracing with zero
-// overhead — seeded sim runs are bit-identical either way.
-type Tracer = tracing.Tracer
+// Tracer is what the sampled tracer's callers still hold: an empty value
+// nothing reads. Every job in a cluster's record window has a trace,
+// rendered from its invocation records (a Gateway's /traces routes), so
+// there is nothing to sample. LiveOptions.Tracer, GatewayOptions.Tracer
+// and tsdb.Config.Tracer still accept one, so code that sets them
+// compiles until it drops them.
+type Tracer = trace.Tracer
 
-// TracerConfig tunes a Tracer's sampling and retention bounds; the zero
-// value samples everything with default bounds.
-type TracerConfig = tracing.Config
+// TracerConfig is the sampled tracer's settings, kept so code that builds
+// one compiles. Nothing reads them.
+type TracerConfig struct {
+	// Seed, SampleRate and SlowThreshold were the head sampler's seed,
+	// kept fraction and always-kept latency.
+	Seed          int64
+	SampleRate    float64
+	SlowThreshold time.Duration
+}
 
-// NewTracerWithConfig returns a tracer with explicit sampling/bounds.
-func NewTracerWithConfig(cfg TracerConfig) *Tracer { return tracing.NewWithConfig(cfg) }
+// NewTracerWithConfig returns an empty Tracer; cfg is not read.
+func NewTracerWithConfig(cfg TracerConfig) *Tracer { return &Tracer{} }
 
 // --- Power ---
 

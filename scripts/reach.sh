@@ -97,7 +97,7 @@ done
 # --- the linters, passing and failing, and the examples ---
 run "$bin/docslint"
 lint=$tmp/lint
-for p in core node gpio power powermgr forecast tracing telemetry; do mkdir -p "$lint/internal/$p"; done
+for p in core node gpio power powermgr forecast trace telemetry; do mkdir -p "$lint/internal/$p"; done
 printf 'package core\n\nfunc F() {}\n\ntype T struct{}\n\nfunc (T) M() {}\n\nconst C = 1\n' >"$lint/internal/core/core.go"
 refused "F is exported but undocumented" "$bin/docslint" -root "$lint"
 run "$bin/slolint" "$rules" examples/slo/diurnal.json
@@ -152,11 +152,11 @@ get() {
 	curl -sS -f -o "$tmp/out" "http://$gw$1" || die "GET $1 failed"
 }
 
-# Session one: power management under a cap, SLO rules, forecasting,
-# tracing and pprof. The boot delay makes every job outlast the poll that
+# Session one: power management under a cap, SLO rules, forecasting
+# and pprof. The boot delay makes every job outlast the poll that
 # follows its submission, so `job <id>` always parks.
 serve "$tmp/serve1.log" -workers 4 -boot-delay 200ms -power-idle 300ms -power-cap 12 \
-	-policy energy-aware -predict -slo "$rules" -trace-sample 1 -pprof -scrape-interval 50ms
+	-policy energy-aware -predict -slo "$rules" -pprof -scrape-interval 50ms
 run ctl functions
 says CascSHA
 run ctl invoke CascSHA '{"rounds":1000,"seed":"hi"}'
@@ -203,6 +203,7 @@ run ctl forecast
 run ctl trace "$job"
 says MatMul
 run ctl trace --slowest 3
+refused "not in the record window" ctl trace 999999
 get '/query?metric=microfaas_invocation_latency_seconds&op=quantile&q=0.99'
 [ "$(grep -o '"value"' "$tmp/out" | wc -l)" -eq 1 ] || die "quantile query: want one series, got $(cat "$tmp/out")"
 get '/query?metric=microfaas_jobs_submitted_total&op=rate'
@@ -212,12 +213,12 @@ get '/query?metric=microfaas_worker_busy&label=worker=live-001'
 says '"worker":"live-001"'
 get '/query?metric=microfaas_jobs_submitted_total&format=ndjson'
 get '/traces?format=ndjson'
-says '"trace"'
+says '"job"'
 get '/traces?format=chrome'
 get '/traces?limit=5'
-trace=$(grep -o '"trace":"[0-9a-f]*"' "$tmp/out" | head -n 1 | cut -d'"' -f4)
-[ -n "$trace" ] || die "no trace id in /traces"
-get "/traces/$trace"
+traced=$(grep -o '"job":[0-9]*' "$tmp/out" | head -n 1 | cut -d: -f2)
+[ -n "$traced" ] || die "no job id in /traces"
+get "/traces/$traced"
 says '"spans"'
 get /budgets
 curl -sS -f -o "$tmp/out" -d '{"function":"MatMul","limit_j":100}' "http://$gw/budgets" || die "POST /budgets failed"
