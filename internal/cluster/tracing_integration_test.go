@@ -34,23 +34,33 @@ func viewJoules(traces []trace.Trace) float64 {
 	return sum
 }
 
-// TestSimTracesEveryJob: a seeded sim, retries and all, has exactly one
-// trace per submitted job — nothing is sampled away.
-func TestSimTracesEveryJob(t *testing.T) {
+// runFaultySim runs jobs through a seeded 4-board sim whose boards fail
+// attempts with probability errProb, and returns the submitted job ids
+// and the orchestrator's collector.
+func runFaultySim(t *testing.T, seed int64, errProb float64, maxAttempts, jobs int) (map[int64]bool, *trace.Collector) {
+	t.Helper()
 	s, err := NewMicroFaaSSim(4, SimConfig{
-		Seed:          3,
-		BoardConfig:   node.BoardConfig{Faults: node.FaultPolicy{ErrorProb: 0.15}},
-		AttemptPolicy: core.AttemptPolicy{MaxAttempts: 3, JobTimeout: 2 * time.Minute},
+		Seed:          seed,
+		BoardConfig:   node.BoardConfig{Faults: node.FaultPolicy{ErrorProb: errProb}},
+		AttemptPolicy: core.AttemptPolicy{MaxAttempts: maxAttempts, JobTimeout: 2 * time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	submitted := map[int64]bool{}
-	for i := 0; i < 60; i++ {
+	for i := 0; i < jobs; i++ {
 		submitted[s.Orch.Submit(model.Functions()[i%len(model.Functions())].Name, nil)] = true
 	}
 	s.Engine.RunAll()
-	traces := trace.Traces(s.Orch.Collector())
+	return submitted, s.Orch.Collector()
+}
+
+// TestSimTracesEveryJob: a seeded sim, retries and all, has exactly one
+// trace per submitted job (nothing is sampled away), and the same seed
+// renders the same traces.
+func TestSimTracesEveryJob(t *testing.T) {
+	submitted, coll := runFaultySim(t, 3, 0.15, 3, 60)
+	traces := trace.Traces(coll)
 	if len(traces) != len(submitted) {
 		t.Fatalf("%d traces for %d submitted jobs", len(traces), len(submitted))
 	}
@@ -59,6 +69,38 @@ func TestSimTracesEveryJob(t *testing.T) {
 			t.Fatalf("trace for job %d, which was not submitted", tr.Root.Job)
 		}
 		delete(submitted, tr.Root.Job)
+	}
+	_, again := runFaultySim(t, 3, 0.15, 3, 60)
+	if !reflect.DeepEqual(trace.Traces(again), traces) {
+		t.Fatal("the same seed rendered different traces")
+	}
+}
+
+// TestSimTracesFailedJobs: a job whose every attempt failed is traced
+// like any other, its root naming the final error and each failed
+// attempt ending in a fault marker that carries its error.
+func TestSimTracesFailedJobs(t *testing.T) {
+	_, coll := runFaultySim(t, 5, 0.3, 1, 60)
+	failed := 0
+	for _, r := range coll.Records() {
+		if r.Err == "" {
+			continue
+		}
+		failed++
+		tr, ok := trace.TraceOf(r.JobID, coll)
+		if !ok {
+			t.Fatalf("failed job %d has no trace", r.JobID)
+		}
+		if tr.Root.Err != r.Err {
+			t.Fatalf("job %d: root error %q, record error %q", r.JobID, tr.Root.Err, r.Err)
+		}
+		last := tr.Spans[len(tr.Spans)-1]
+		if last.Phase != trace.PhaseFault || last.Err != r.Err {
+			t.Fatalf("job %d: last span %+v, want a fault marker with %q", r.JobID, last, r.Err)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("a 30% fault rate failed no job; pick a different seed")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -159,6 +160,29 @@ func TestServeRejectsGarbage(t *testing.T) {
 				t.Fatal("ServeLoop accepted a garbage frame")
 			}
 		})
+	}
+}
+
+// TestRequestFrameCarriesNoTraceContext: a request frame holds the ids,
+// the attempt, the function name and the args, and round-trips whole. No
+// trace context crosses the wire: the OP renders a job's trace from its
+// own records of the worker's reply.
+func TestRequestFrameCarriesNoTraceContext(t *testing.T) {
+	req := Request{RID: 7, JobID: 1<<40 + 3, Function: "MatMul", Args: []byte(`{"n":64,"seed":7}`), Attempt: 2}
+	frame := encode(t, func(bw *bufio.Writer) error { return WriteRequest(bw, req) })
+	if want := 4 + requestHead + len(req.Function) + len(req.Args); len(frame) != want {
+		t.Fatalf("request frame is %d bytes, want %d: something beside the fields travels", len(frame), want)
+	}
+	var scratch []byte
+	got, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)), &scratch)
+	if err != nil || !reflect.DeepEqual(got, req) {
+		t.Fatalf("round trip: %+v, %v; want %+v", got, err, req)
+	}
+	typ := reflect.TypeOf(Request{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.String && f.Name != "Function" {
+			t.Fatalf("the request frame carries string %s beside the function name", f.Name)
+		}
 	}
 }
 

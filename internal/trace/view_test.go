@@ -302,6 +302,65 @@ func TestTraceLeavesWithWindow(t *testing.T) {
 	}
 }
 
+// TestUnsettledAttemptHasNoTrace: the view stages nothing in flight. A
+// job with no settled attempt has no trace, and a job whose retry is
+// still running renders only the attempt that settled, so unsettled work
+// holds no trace state to bound.
+func TestUnsettledAttemptHasNoTrace(t *testing.T) {
+	c := NewCollector()
+	if _, ok := TraceOf(1, c); ok || len(Traces(c)) != 0 {
+		t.Fatal("a job with no settled attempt has a trace")
+	}
+	add(c, Record{JobID: 1, Function: "f", Worker: "w", Started: millis(10), Finished: millis(20), Exec: millis(10), Err: "boom"})
+	tr, ok := TraceOf(1, c)
+	if !ok || tr.Root.Attempt != 0 || tr.Root.Err != "boom" || len(tr.Spans) != 5 {
+		t.Fatalf("with the retry in flight: ok=%v root=%+v spans=%d, want attempt 0 failed with 5 spans", ok, tr.Root, len(tr.Spans))
+	}
+	add(c, Record{JobID: 1, Function: "f", Worker: "w", Attempt: 1, Started: millis(30), Finished: millis(40), Exec: millis(10)})
+	tr, _ = TraceOf(1, c)
+	if tr.Root.Attempt != 1 || tr.Root.Err != "" || len(tr.Spans) != 9 {
+		t.Fatalf("after the retry settled: root=%+v spans=%d, want attempt 1 ok with 9 spans", tr.Root, len(tr.Spans))
+	}
+	if got := len(Traces(c)); got != 1 {
+		t.Fatalf("%d traces for one job", got)
+	}
+}
+
+// TestTraceSpansScaleWithAttempts: a trace's size is fixed by its
+// attempts (a wait, a boot, an exec and a settle marker each, plus a
+// fault marker per failed one), so the retry budget bounds it and no
+// span cap is needed.
+func TestTraceSpansScaleWithAttempts(t *testing.T) {
+	const attempts = 5
+	c := NewCollector()
+	for a := attempts - 1; a >= 0; a-- { // settle order does not matter
+		r := Record{JobID: 1, Function: "f", Worker: "w", Attempt: a,
+			Started: millis(10*a + 1), Finished: millis(10*a + 10), Exec: millis(9)}
+		if a < attempts-1 {
+			r.Err = "boom"
+		}
+		add(c, r)
+	}
+	tr, _ := TraceOf(1, c)
+	if want := 4*attempts + attempts - 1; len(tr.Spans) != want {
+		t.Fatalf("%d spans for %d attempts, want %d", len(tr.Spans), attempts, want)
+	}
+	counts := map[Phase]int{}
+	for i, s := range tr.Spans {
+		counts[s.Phase]++
+		if i > 0 && s.Attempt < tr.Spans[i-1].Attempt {
+			t.Fatalf("span %d (attempt %d) follows attempt %d", i, s.Attempt, tr.Spans[i-1].Attempt)
+		}
+	}
+	want := map[Phase]int{PhaseQueue: 1, PhaseRetry: attempts - 1, PhaseBoot: attempts, PhaseExec: attempts,
+		PhaseSettle: attempts, PhaseFault: attempts - 1}
+	for p, n := range want {
+		if counts[p] != n {
+			t.Fatalf("%d %s spans, want %d (all: %v)", counts[p], p, n, counts)
+		}
+	}
+}
+
 // TestConcurrentAddAndExport settles records from parallel producers
 // while readers render and export the view — the live shape, where
 // workers' completions settle as gateway handlers stream /traces. Run
