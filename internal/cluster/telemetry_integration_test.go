@@ -173,3 +173,57 @@ func TestLiveMetricsEnergyMatchesTrace(t *testing.T) {
 func jsonDecode(resp *http.Response, v interface{}) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
+
+// TestLiveRetryEventsCarryTheAttempt holds a live worker's own events to
+// the attempt the request frame carries: a job whose first attempt failed
+// on an injected fault and whose retry succeeded shows attempt-1 boot and
+// exec events on the worker its attempt-1 queue, assign and settle events
+// name.
+func TestLiveRetryEventsCarryTheAttempt(t *testing.T) {
+	tel := telemetry.New()
+	l, err := StartLive(LiveOptions{
+		Workers: 2, Seed: 5, Telemetry: tel,
+		AttemptPolicy:   core.AttemptPolicy{MaxAttempts: 3},
+		LiveBoardConfig: node.LiveBoardConfig{Faults: node.FaultPolicy{Seed: 7, ErrorProb: 0.5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	for i := 0; i < 40; i++ {
+		l.Orch.Submit("RegExMatch", []byte(`{"pattern":"a+","text":"aaa"}`))
+	}
+	l.Orch.Quiesce()
+
+	type key struct {
+		job     int64
+		attempt int
+	}
+	byAttempt := map[key]map[string]telemetry.Event{}
+	for _, ev := range tel.Events().Since(-1, 0) {
+		k := key{ev.Job, ev.Attempt}
+		if byAttempt[k] == nil {
+			byAttempt[k] = map[string]telemetry.Event{}
+		}
+		byAttempt[k][ev.Type] = ev
+	}
+	retried := 0
+	for k, evs := range byAttempt {
+		if k.attempt != 1 || evs[telemetry.EventSettle].Detail != "ok" {
+			continue
+		}
+		if first := byAttempt[key{k.job, 0}][telemetry.EventSettle]; first.Detail != "error" {
+			continue
+		}
+		retried++
+		worker := evs[telemetry.EventAssign].Worker
+		for _, typ := range []string{telemetry.EventQueue, telemetry.EventAssign, telemetry.EventBoot, telemetry.EventExec, telemetry.EventSettle} {
+			if ev, ok := evs[typ]; !ok || ev.Worker != worker {
+				t.Fatalf("job %d attempt 1: %s event %+v, want one on %s", k.job, typ, ev, worker)
+			}
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no job failed its first attempt and succeeded its second")
+	}
+}

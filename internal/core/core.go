@@ -279,7 +279,7 @@ type workerSlot struct {
 	// series, both taken once at registration: settling an attempt files
 	// its record and counts its outcome through them.
 	rec trace.WorkerRef
-	m   workerMetrics
+	m   *workerMetrics
 
 	// queue[qhead:] is the worker's FIFO of waiting jobs. Popping advances
 	// qhead instead of reslicing (`queue = queue[1:]`), which would strand
@@ -698,12 +698,17 @@ func New(cfg Config) (*Orchestrator, error) {
 }
 
 // addWorkersLocked registers ws at the end of the registration order —
-// New's whole list or AddWorker's one worker — from one slab of slots,
-// with the collector's worker table grown once for the batch. A duplicate
+// New's whole list or AddWorker's one worker — from one slab of slots
+// (and, with telemetry on, one of their metric series), with the
+// collector's worker table grown once for the batch. A duplicate
 // id stops it with the workers before it registered, which only AddWorker
 // (a batch of one) leaves behind. Caller holds o.mu, or is New.
 func (o *Orchestrator) addWorkersLocked(ws []Worker) error {
 	slab := make([]workerSlot, len(ws))
+	var ms []workerMetrics
+	if o.tel != nil {
+		ms = make([]workerMetrics, len(ws))
+	}
 	o.collector.GrowWorkers(len(ws))
 	o.load.grow(len(o.slots) + len(ws))
 	for i, w := range ws {
@@ -712,12 +717,15 @@ func (o *Orchestrator) addWorkersLocked(ws []Worker) error {
 			return fmt.Errorf("core: duplicate worker id %q", id)
 		}
 		s := &slab[i]
-		*s = workerSlot{w: w, id: id, rank: len(o.slots), rec: o.collector.Worker(id), eligPos: -1, parolePos: -1, lvl: -1}
+		*s = workerSlot{w: w, id: id, rank: len(o.slots), rec: o.collector.Worker(id), m: &noWorkerMetrics, eligPos: -1, parolePos: -1, lvl: -1}
+		if ms != nil {
+			s.m = &ms[i]
+			o.initWorkerTelemetry(id, s.m)
+		}
 		o.slots = append(o.slots, s)
 		o.byID[id] = s
 		o.addEligibleLocked(s)
 		o.load.add(s)
-		o.initWorkerTelemetry(s)
 	}
 	return nil
 }
@@ -1120,12 +1128,12 @@ func (o *Orchestrator) noteWorkerIdleLocked(s *workerSlot) {
 // deadline expiry do differently (the busy flag, power-cycling, queue
 // reassignment, inflight recycling) stays with the callers, who hold o.mu.
 func (o *Orchestrator) settleAttemptLocked(s *workerSlot, job Job, started, finished time.Duration, res Result) {
-	outcome := "ok"
+	oc := outcomeOK
 	switch {
 	case res.TimedOut:
-		outcome = "timeout"
+		oc = outcomeTimeout
 	case res.Err != "":
-		outcome = "error"
+		oc = outcomeError
 	}
 	o.collector.Add(s.rec, trace.Record{
 		JobID:      job.ID,
@@ -1144,8 +1152,8 @@ func (o *Orchestrator) settleAttemptLocked(s *workerSlot, job Job, started, fini
 	})
 	o.noteAttemptLocked(s, res.Err == "", res.TimedOut)
 	o.chargeEnergyLocked(job.Function, res.Joules)
-	s.m.attempts[outcome].Inc()
-	o.emit(telemetry.EventSettle, job, s.id, outcome)
+	s.m.attempts[oc].Inc()
+	o.emit(telemetry.EventSettle, job, s.id, outcomeNames[oc])
 }
 
 // completed handles a worker's done callback: it settles the attempt,
@@ -1376,7 +1384,7 @@ func (o *Orchestrator) noteAttemptLocked(s *workerSlot, ok, timedOut bool) {
 		h.completed++
 		h.consec = 0
 		if h.open {
-			s.m.breakerTo["closed"].Inc()
+			s.m.breakerTo[BreakerClosed].Inc()
 			h.open = false
 			// A half-open probe succeeded; a still-parked slot (probe work
 			// arrived via SubmitTo or the all-breakers-open fallback) comes
@@ -1395,7 +1403,7 @@ func (o *Orchestrator) noteAttemptLocked(s *workerSlot, ok, timedOut bool) {
 	h.consec++
 	if o.attempt.BreakerThreshold > 0 && h.consec >= o.attempt.BreakerThreshold {
 		if !h.open {
-			s.m.breakerTo["open"].Inc()
+			s.m.breakerTo[BreakerOpen].Inc()
 		}
 		h.open = true
 		h.reopenAt = o.runtime.Now() + o.attempt.BreakerProbe

@@ -26,21 +26,25 @@ const (
 	metricBudgetThrottled = "microfaas_budget_throttled_total"
 )
 
-// orchMetrics holds the orchestrator's pre-created metric handles. Every
-// handle type no-ops on nil, and a nil map lookup yields a nil handle, so
-// the zero orchMetrics is the disabled instrumentation path — call sites
-// need no guards.
+// orchMetrics holds the orchestrator's pre-created metric handles and
+// the handles of its per-worker and per-function families, resolved once
+// here so a worker's registration or a job's count asks its family by
+// label values alone. Every handle type no-ops on nil, so the zero
+// orchMetrics is the disabled instrumentation path — call sites need no
+// guards.
 type orchMetrics struct {
 	submitted *telemetry.Counter
 	pending   *telemetry.Gauge
 	retries   *telemetry.Counter
 	latency   *telemetry.Histogram
+	// per-worker families (label worker, then result or to)
+	queueDepth, busy, attempts, breakerTo *telemetry.Family
+	// per-function families (label function, then result)
+	fnSubmitted, invocations *telemetry.Family
 	// energy-budget series: one counter for throttle holds, and a gauge
-	// triple per budgeted function (filled as budgets are installed)
-	budgetThrottled *telemetry.Counter
-	budgetLimit     map[string]*telemetry.Gauge
-	budgetSpent     map[string]*telemetry.Gauge
-	budgetExhausted map[string]*telemetry.Gauge
+	// triple per budgeted function (created as budgets are installed)
+	budgetThrottled                         *telemetry.Counter
+	budgetLimit, budgetSpent, budgetExhaust *telemetry.Family
 }
 
 // initTelemetry pre-creates the orchestrator's metric families; each
@@ -59,45 +63,66 @@ func (o *Orchestrator) initTelemetry(tel *telemetry.Telemetry) {
 		latency: reg.Histogram(metricLatency,
 			"End-to-end latency of successful invocations (submit to final result).",
 			telemetry.LogBuckets(0.001, 60, 14)),
+		queueDepth: reg.GaugeFamily(metricQueueDepth, "Queued (not yet running) jobs per worker.", "worker"),
+		busy:       reg.GaugeFamily(metricWorkerBusy, "1 while the worker is executing a job.", "worker"),
+		attempts: reg.CounterFamily(metricAttempts,
+			"Finished attempts per worker and outcome (timeouts are deadline expiries).", "worker", "result"),
+		breakerTo: reg.CounterFamily(metricBreaker, "Circuit-breaker transitions per worker.", "worker", "to"),
+		fnSubmitted: reg.CounterFamily(metricFnSubmitted,
+			"Jobs submitted per function (before scheduling or retries).", "function"),
+		invocations: reg.CounterFamily(metricInvocations,
+			"Final per-function outcomes (after any retries).", "function", "result"),
 		budgetThrottled: reg.Counter(metricBudgetThrottled,
 			"Submissions held before queueing because their function's energy budget was spent."),
-		budgetLimit:     make(map[string]*telemetry.Gauge),
-		budgetSpent:     make(map[string]*telemetry.Gauge),
-		budgetExhausted: make(map[string]*telemetry.Gauge),
+		budgetLimit: reg.GaugeFamily(metricBudgetLimit,
+			"Configured per-function energy cap (0 after budget removal).", "function"),
+		budgetSpent: reg.GaugeFamily(metricBudgetSpent,
+			"Metered joules charged against the function's budget (all attempts).", "function"),
+		budgetExhaust: reg.GaugeFamily(metricBudgetExhausted,
+			"1 while the function's energy budget is spent (deprioritized/throttled).", "function"),
 	}
 }
 
-// workerMetrics is one worker's metric series, held on its slot so a
-// settle or a queue change reaches them without a lookup by worker id.
-// The zero value (telemetry off) is all nil handles, which no-op.
+// outcome is how an attempt settled, the index of its attempts series.
+type outcome int
+
+const (
+	outcomeOK outcome = iota
+	outcomeError
+	outcomeTimeout
+	numOutcomes
+)
+
+// outcomeNames are the outcomes' result labels and settle-event details.
+var outcomeNames = [numOutcomes]string{"ok", "error", "timeout"}
+
+// workerMetrics is one worker's metric series, held by its slot so a
+// settle or a queue change reaches them without a lookup by worker id:
+// outcome and breaker counters are arrays indexed by outcome and by the
+// BreakerState a transition enters. With telemetry off every slot shares
+// noWorkerMetrics, whose nil handles no-op.
 type workerMetrics struct {
 	queueDepth, busy *telemetry.Gauge
-	attempts         map[string]*telemetry.Counter // result → series
-	breakerTo        map[string]*telemetry.Counter // state → series
+	attempts         [numOutcomes]*telemetry.Counter
+	breakerTo        [BreakerOpen + 1]*telemetry.Counter
 }
 
-// initWorkerTelemetry (re-)creates one worker's metric series. Called as
-// a worker registers, at construction or from AddWorker — the registry
-// returns the existing series for a repeated (name, labels) pair, so a
-// worker re-homed back to its original shard resumes its old counters.
-func (o *Orchestrator) initWorkerTelemetry(s *workerSlot) {
-	if o.tel == nil {
-		return
+// noWorkerMetrics is every slot's series while telemetry is off. Nothing
+// writes it.
+var noWorkerMetrics workerMetrics
+
+// initWorkerTelemetry (re-)creates worker id's series into m. Called as a
+// worker registers, at construction or from AddWorker — a family returns
+// the existing series for repeated label values, so a worker re-homed
+// back to its original shard resumes its old counters.
+func (o *Orchestrator) initWorkerTelemetry(id string, m *workerMetrics) {
+	m.queueDepth = o.m.queueDepth.Gauge(id)
+	m.busy = o.m.busy.Gauge(id)
+	for oc, result := range outcomeNames {
+		m.attempts[oc] = o.m.attempts.Counter(id, result)
 	}
-	reg := o.tel.Registry()
-	id := s.id
-	s.m.queueDepth = reg.Gauge(metricQueueDepth, "Queued (not yet running) jobs per worker.", "worker", id)
-	s.m.busy = reg.Gauge(metricWorkerBusy, "1 while the worker is executing a job.", "worker", id)
-	s.m.attempts = map[string]*telemetry.Counter{}
-	for _, result := range []string{"ok", "error", "timeout"} {
-		s.m.attempts[result] = reg.Counter(metricAttempts,
-			"Finished attempts per worker and outcome (timeouts are deadline expiries).",
-			"worker", id, "result", result)
-	}
-	s.m.breakerTo = map[string]*telemetry.Counter{}
-	for _, state := range []string{"open", "closed"} {
-		s.m.breakerTo[state] = reg.Counter(metricBreaker,
-			"Circuit-breaker transitions per worker.", "worker", id, "to", state)
+	for _, st := range []BreakerState{BreakerOpen, BreakerClosed} {
+		m.breakerTo[st] = o.m.breakerTo.Counter(id, st.String())
 	}
 }
 
@@ -113,45 +138,21 @@ func (o *Orchestrator) emit(typ string, job Job, worker, detail string) {
 // noteSubmitted bumps the per-function submission counter — the
 // arrival-rate tracker's source series. Per-function series are looked up
 // per call, so a family only carries functions the workload actually
-// uses; finding a series that exists costs no validation and no
-// allocation (telemetry.Registry's hit path).
+// uses; finding a series that exists allocates nothing.
 func (o *Orchestrator) noteSubmitted(function string) {
-	if o.tel == nil {
-		return
-	}
-	o.tel.Registry().Counter(metricFnSubmitted,
-		"Jobs submitted per function (before scheduling or retries).",
-		"function", function).Inc()
+	o.m.fnSubmitted.Counter(function).Inc()
 }
 
 // noteBudgetLocked refreshes one function's budget gauge triple, creating
-// the series on the budget's first installation. Caller holds o.mu, which
-// serializes the lazy map fill.
+// the series on the budget's first installation. Caller holds o.mu.
 func (o *Orchestrator) noteBudgetLocked(function string, limit, spent float64, exhausted bool) {
-	if o.tel == nil {
-		return
-	}
-	lg, ok := o.m.budgetLimit[function]
-	if !ok {
-		reg := o.tel.Registry()
-		lg = reg.Gauge(metricBudgetLimit,
-			"Configured per-function energy cap (0 after budget removal).",
-			"function", function)
-		o.m.budgetLimit[function] = lg
-		o.m.budgetSpent[function] = reg.Gauge(metricBudgetSpent,
-			"Metered joules charged against the function's budget (all attempts).",
-			"function", function)
-		o.m.budgetExhausted[function] = reg.Gauge(metricBudgetExhausted,
-			"1 while the function's energy budget is spent (deprioritized/throttled).",
-			"function", function)
-	}
-	lg.Set(limit)
-	o.m.budgetSpent[function].Set(spent)
+	o.m.budgetLimit.Gauge(function).Set(limit)
+	o.m.budgetSpent.Gauge(function).Set(spent)
 	x := 0.0
 	if exhausted {
 		x = 1
 	}
-	o.m.budgetExhausted[function].Set(x)
+	o.m.budgetExhaust.Gauge(function).Set(x)
 }
 
 // noteFinal records a job's final outcome: the per-function counter and,
@@ -164,9 +165,7 @@ func (o *Orchestrator) noteFinal(job Job, res Result, finished time.Duration) {
 	if res.Err != "" {
 		result = "error"
 	}
-	o.tel.Registry().Counter(metricInvocations,
-		"Final per-function outcomes (after any retries).",
-		"function", job.Function, "result", result).Inc()
+	o.m.invocations.Counter(job.Function, result).Inc()
 	if res.Err == "" {
 		o.m.latency.Observe((finished - job.SubmittedAt).Seconds())
 	}

@@ -287,8 +287,7 @@ type ctlMetrics struct {
 	errRatio   *telemetry.Gauge
 	predictive *telemetry.Gauge
 	fallbacks  *telemetry.Counter
-	rateAhead  map[string]*telemetry.Gauge // function → forecast rate
-	reg        *telemetry.Registry
+	rateAhead  *telemetry.Family // label function: forecast rate
 }
 
 // initTelemetry pre-creates the controller's cluster-level series.
@@ -306,25 +305,15 @@ func (c *Controller) initTelemetry(tel *telemetry.Telemetry) {
 			"1 while the controller is in predictive mode, 0 during reactive fallback."),
 		fallbacks: reg.Counter(metricFallbacks,
 			"Predictive-to-fallback transitions caused by forecast error."),
-		rateAhead: map[string]*telemetry.Gauge{},
-		reg:       reg,
+		rateAhead: reg.GaugeFamily(metricRateAhead,
+			"Forecast arrival rate at now+horizon per function (per second).", "function"),
 	}
 }
 
 // noteRatesLocked refreshes the per-function forecast-rate gauges,
 // creating them lazily in first-seen order. Caller holds c.mu.
 func (c *Controller) noteRatesLocked(fns []FunctionForecast) {
-	if c.m.reg == nil {
-		return
-	}
 	for _, f := range fns {
-		g, ok := c.m.rateAhead[f.Function]
-		if !ok {
-			g = c.m.reg.Gauge(metricRateAhead,
-				"Forecast arrival rate at now+horizon per function (per second).",
-				"function", f.Function)
-			c.m.rateAhead[f.Function] = g
-		}
-		g.Set(f.RateAhead)
+		c.m.rateAhead.Gauge(f.Function).Set(f.RateAhead)
 	}
 }

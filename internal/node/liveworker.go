@@ -81,7 +81,7 @@ type LiveWorkerConfig struct {
 	// Telemetry optionally receives boot/exec lifecycle events, boot and
 	// fault-injection counters, and — when Meter is set — per-function
 	// joules attribution. Events stamped on the worker's server side carry
-	// attempt 0: the attempt number does not travel the wire.
+	// the attempt number the request frame brings.
 	Telemetry *telemetry.Telemetry
 	// Managed hands the worker's power lifecycle to a powermgr.Manager:
 	// the worker implements powermgr.Node (PowerUp sleeps BootDelay on
@@ -141,7 +141,7 @@ func StartLiveWorker(cfg LiveWorkerConfig) (*LiveWorker, error) {
 		return nil, fmt.Errorf("node: live worker %s: GPIO audit logging requires managed mode", cfg.ID)
 	}
 	w := &LiveWorker{cfg: cfg, sbc: power.DefaultSBCModel(), quit: make(chan struct{}), state: power.Off}
-	w.m = newWorkerMetrics(cfg.Telemetry, cfg.ID)
+	w.m = newWorkerFamilies(cfg.Telemetry).worker(cfg.ID)
 	if cfg.Faults.injects() {
 		w.rng = rand.New(rand.NewSource(cfg.Faults.Seed))
 	}
@@ -370,7 +370,7 @@ func (w *LiveWorker) handleRequest(req proto.Request, recvAt time.Time) (resp pr
 		}
 	}
 	boot := time.Since(bootStart)
-	w.m.rawEvent(w.now(), telemetry.EventBoot, req.JobID, req.Function, w.cfg.ID, bootDetail)
+	w.m.rawEvent(w.now(), telemetry.EventBoot, req.JobID, req.Function, w.cfg.ID, req.Attempt, bootDetail)
 	if fault == faultError {
 		return proto.Response{
 			Err:    fmt.Sprintf("node: injected worker fault on %s", w.cfg.ID),
@@ -389,7 +389,7 @@ func (w *LiveWorker) handleRequest(req proto.Request, recvAt time.Time) (resp pr
 		}
 	}
 	execStart := time.Now()
-	w.m.rawEvent(w.now(), telemetry.EventExec, req.JobID, req.Function, w.cfg.ID, "")
+	w.m.rawEvent(w.now(), telemetry.EventExec, req.JobID, req.Function, w.cfg.ID, req.Attempt, "")
 	out, err := workload.Invoke(w.cfg.Env, req.Function, req.Args)
 	exec := time.Since(execStart)
 	resp = proto.Response{

@@ -246,11 +246,12 @@ func NewSimWorkers(cfg SimWorkerConfig, ids []string) ([]*SimWorker, error) {
 	if cfg.KeepWarm > 0 {
 		spec.expired = cfg.Engine.Register(func(i int32) { slab[i].keepWarmExpired() })
 	}
+	fam := newWorkerFamilies(cfg.Telemetry)
 	ws := make([]*SimWorker, len(ids))
 	for i, id := range ids {
 		w := &slab[i]
 		w.simSpec, w.id, w.state, w.idx = spec, id, power.Off, int32(i)
-		w.m = newWorkerMetrics(cfg.Telemetry, id)
+		w.m = fam.worker(id)
 		if devs != nil {
 			w.dev = devs[i]
 			w.dev.Set(w.sbc.Power(power.Off), cfg.Engine.Now())

@@ -24,11 +24,34 @@ const (
 	helpFnEnergy = "Metered joules attributed to the function that consumed them."
 )
 
+// workerFamilies are the worker families' handles, resolved once for the
+// workers that share them (a NewSimWorkers batch, or one live worker), so
+// each worker registers its series, and each job finds its function's
+// joules counter, through its family. Nil when telemetry is off.
+type workerFamilies struct {
+	tel                   *telemetry.Telemetry
+	boots, faults, energy *telemetry.Family
+}
+
+// newWorkerFamilies returns tel's worker family handles, or nil.
+func newWorkerFamilies(tel *telemetry.Telemetry) *workerFamilies {
+	if tel == nil {
+		return nil
+	}
+	reg := tel.Registry()
+	return &workerFamilies{
+		tel:    tel,
+		boots:  reg.CounterFamily(metricBoots, helpBoots, "worker", "kind"),
+		faults: reg.CounterFamily(metricFaults, helpFaults, "worker", "kind"),
+		energy: reg.CounterFamily(metricFnEnergy, helpFnEnergy, "function"),
+	}
+}
+
 // workerMetrics holds a worker's pre-created handles. The zero value is
 // the disabled path: every handle no-ops on nil, so call sites need no
 // guards.
 type workerMetrics struct {
-	tel        *telemetry.Telemetry
+	fam        *workerFamilies
 	bootsCold  *telemetry.Counter
 	bootsWarm  *telemetry.Counter
 	faultCrash *telemetry.Counter
@@ -37,47 +60,46 @@ type workerMetrics struct {
 	faultSlow  *telemetry.Counter
 }
 
-// newWorkerMetrics pre-creates one worker's series so they are present
-// (at zero) from the first scrape.
-func newWorkerMetrics(tel *telemetry.Telemetry, workerID string) workerMetrics {
-	if tel == nil {
+// worker pre-creates one worker's series so they are present (at zero)
+// from the first scrape.
+func (fam *workerFamilies) worker(workerID string) workerMetrics {
+	if fam == nil {
 		return workerMetrics{}
 	}
-	reg := tel.Registry()
 	return workerMetrics{
-		tel:        tel,
-		bootsCold:  reg.Counter(metricBoots, helpBoots, "worker", workerID, "kind", "cold"),
-		bootsWarm:  reg.Counter(metricBoots, helpBoots, "worker", workerID, "kind", "warm"),
-		faultCrash: reg.Counter(metricFaults, helpFaults, "worker", workerID, "kind", "crash"),
-		faultHang:  reg.Counter(metricFaults, helpFaults, "worker", workerID, "kind", "hang"),
-		faultError: reg.Counter(metricFaults, helpFaults, "worker", workerID, "kind", "error"),
-		faultSlow:  reg.Counter(metricFaults, helpFaults, "worker", workerID, "kind", "slow"),
+		fam:        fam,
+		bootsCold:  fam.boots.Counter(workerID, "cold"),
+		bootsWarm:  fam.boots.Counter(workerID, "warm"),
+		faultCrash: fam.faults.Counter(workerID, "crash"),
+		faultHang:  fam.faults.Counter(workerID, "hang"),
+		faultError: fam.faults.Counter(workerID, "error"),
+		faultSlow:  fam.faults.Counter(workerID, "slow"),
 	}
 }
 
 // energy returns the per-function joules counter, created lazily:
 // functions are an open set, unlike workers.
 func (m workerMetrics) energy(function string) *telemetry.Counter {
-	if m.tel == nil {
+	if m.fam == nil {
 		return nil
 	}
-	return m.tel.Registry().Counter(metricFnEnergy, helpFnEnergy, "function", function)
+	return m.fam.energy.Counter(function)
 }
 
 // event appends one worker lifecycle event; no-op when telemetry is off.
 func (m workerMetrics) event(at time.Duration, typ string, job core.Job, worker, detail string) {
-	if m.tel == nil {
+	if m.fam == nil {
 		return
 	}
-	m.tel.Emit(at, typ, job.ID, job.Function, worker, job.Attempt, detail)
+	m.fam.tel.Emit(at, typ, job.ID, job.Function, worker, job.Attempt, detail)
 }
 
 // rawEvent appends an event for call sites that only have the protocol
-// request, not the full core.Job (the live worker's server side — the
-// attempt number does not travel the wire, so it reports as 0).
-func (m workerMetrics) rawEvent(at time.Duration, typ string, job int64, function, worker, detail string) {
-	if m.tel == nil {
+// request, not the full core.Job (the live worker's server side; the
+// request carries the job's attempt number).
+func (m workerMetrics) rawEvent(at time.Duration, typ string, job int64, function, worker string, attempt int, detail string) {
+	if m.fam == nil {
 		return
 	}
-	m.tel.Emit(at, typ, job, function, worker, 0, detail)
+	m.fam.tel.Emit(at, typ, job, function, worker, attempt, detail)
 }

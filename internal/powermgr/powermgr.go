@@ -339,7 +339,7 @@ func (m *Manager) startWakeLocked(n *managed, cause string, job int64) {
 	n.pendingWake = false
 	m.powered++
 	m.m.wakes.Inc()
-	m.m.poweredGauge(n.node.ID()).Set(1)
+	m.m.powered.Gauge(n.node.ID()).Set(1)
 	n.node.PowerUp(cause, job, func() { m.wakeComplete(n) })
 }
 
@@ -355,8 +355,8 @@ func (m *Manager) wakeComplete(n *managed) {
 		n.prewarm = false
 		n.readyCbs = nil
 		m.powered--
-		m.m.poweredGauge(n.node.ID()).Set(0)
-		m.m.downs("drain").Inc()
+		m.m.powered.Gauge(n.node.ID()).Set(0)
+		m.m.downs.Counter("drain").Inc()
 		n.node.PowerDown("drain: wake aborted")
 		m.mu.Unlock()
 		return
@@ -462,8 +462,8 @@ func (m *Manager) powerDownLocked(n *managed, cause, reason string) {
 	}
 	n.state = stateDown
 	m.powered--
-	m.m.poweredGauge(n.node.ID()).Set(0)
-	m.m.downs(reason).Inc()
+	m.m.powered.Gauge(n.node.ID()).Set(0)
+	m.m.downs.Counter(reason).Inc()
 	m.startNextWakeLocked()
 }
 

@@ -22,15 +22,15 @@ const (
 	metricPrewarmTarget = "microfaas_power_prewarm_target"
 )
 
-// mgrMetrics holds the manager's pre-created metric handles. Every handle
-// no-ops on nil and a nil map lookup yields a nil handle, so the zero
-// value is the disabled-instrumentation path.
+// mgrMetrics holds the manager's pre-created metric handles and its
+// per-reason and per-worker family handles. Every handle no-ops on nil, so
+// the zero value is the disabled-instrumentation path.
 type mgrMetrics struct {
 	wakes         *telemetry.Counter
 	capDeferred   *telemetry.Counter
 	prewarmTarget *telemetry.Gauge
-	downsBy       map[string]*telemetry.Counter // reason → counter
-	powered       map[string]*telemetry.Gauge   // worker id → 0/1
+	downs         *telemetry.Family // label reason
+	powered       *telemetry.Family // label worker: 0/1
 }
 
 // initTelemetry pre-creates the manager's metric families so every
@@ -54,23 +54,15 @@ func (m *Manager) initTelemetry(tel *telemetry.Telemetry) {
 			"Wakes parked in the FIFO because the power cap was binding."),
 		prewarmTarget: reg.Gauge(metricPrewarmTarget,
 			"Predictive warm floor in nodes last set by the forecast controller (0 = predictive control off)."),
-		downsBy: make(map[string]*telemetry.Counter, 4),
-		powered: make(map[string]*telemetry.Gauge, len(m.order)),
+		downs: reg.CounterFamily(metricDowns,
+			"Power-downs issued by the power manager, by reason.", "reason"),
+		powered: reg.GaugeFamily(metricWorkerPowered,
+			"1 while the worker is powered (booting or up), 0 while powered off.", "worker"),
 	}
 	for _, reason := range []string{"idle", "fault", "drain", "predictive"} {
-		m.m.downsBy[reason] = reg.Counter(metricDowns,
-			"Power-downs issued by the power manager, by reason.", "reason", reason)
+		m.m.downs.Counter(reason)
 	}
 	for _, n := range m.order {
-		m.m.powered[n.node.ID()] = reg.Gauge(metricWorkerPowered,
-			"1 while the worker is powered (booting or up), 0 while powered off.",
-			"worker", n.node.ID())
+		m.m.powered.Gauge(n.node.ID())
 	}
 }
-
-// poweredGauge returns the per-worker powered gauge (nil when telemetry is
-// disabled; the handle no-ops).
-func (m *mgrMetrics) poweredGauge(id string) *telemetry.Gauge { return m.powered[id] }
-
-// downs returns the power-down counter for a reason (nil-safe).
-func (m *mgrMetrics) downs(reason string) *telemetry.Counter { return m.downsBy[reason] }

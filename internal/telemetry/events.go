@@ -51,11 +51,22 @@ func (l *EventLog) Append(ev Event) int64 {
 		return 0
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	ev.Seq = l.next
-	l.ring[l.next%int64(len(l.ring))] = ev
-	l.next++
+	slot := l.slotLocked()
+	ev.Seq = slot.Seq
+	*slot = ev
+	l.mu.Unlock()
 	return ev.Seq
+}
+
+// slotLocked claims the ring slot of the next sequence number, stamps the
+// number into it and returns it for the caller to fill in place; the
+// slot's other fields still hold the event it overwrites. Caller holds
+// l.mu until the slot is filled.
+func (l *EventLog) slotLocked() *Event {
+	slot := &l.ring[l.next%int64(len(l.ring))]
+	slot.Seq = l.next
+	l.next++
+	return slot
 }
 
 // Since returns up to max events with sequence numbers strictly greater

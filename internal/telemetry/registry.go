@@ -62,6 +62,12 @@ type Registry struct {
 	families map[string]*family
 	sorted   []*family // families by name; nil after a family is created
 	series   int       // ordinals handed out so far
+	// children and values are the slabs new series are cut from, a chunk
+	// at a time, so registering thousands of series allocates little more
+	// than their keys; children are never removed, so no slab is freed
+	// early.
+	children []child
+	values   []string
 }
 
 // WorkerLabel is the label whose families keep rollups.
@@ -89,9 +95,12 @@ type child struct {
 	ord         int           // first series ordinal (histograms take a run)
 	bits        atomic.Uint64 // counter/gauge value as float64 bits
 	rollup      *child        // a worker-labelled child's rollup; nil otherwise
+	*histogram                // a histogram child's state; nil otherwise
+}
 
-	// histogram state, guarded by mu (only allocated for histograms)
-	mu           *sync.Mutex
+// histogram is a histogram child's state, guarded by mu.
+type histogram struct {
+	mu           sync.Mutex
 	bucketBounds []float64 // finite upper bounds, shared with the family
 	counts       []uint64  // cumulative per-bucket counts plus +Inf
 	sum          float64
@@ -180,64 +189,47 @@ func (r *Registry) takeOrdinals(n int) int {
 	return first
 }
 
-// lookup returns the existing child for kv (alternating label name and
-// value, names in the family's order), or nil. It builds the child key in
-// a stack buffer, so a hit allocates nothing.
-func (f *family) lookup(kv []string) *child {
-	if len(kv) != 2*len(f.labels) {
-		return nil
-	}
-	var buf [128]byte
-	key := buf[:0]
-	for i, label := range f.labels {
-		if kv[2*i] != label {
-			return nil
-		}
-		if i > 0 {
-			key = append(key, 0)
-		}
-		key = append(key, kv[2*i+1]...)
-	}
-	return f.byKey[string(key)]
-}
-
-// get is the family/child get-or-create shared by the typed accessors.
+// get is the by-name get-or-create of the typed accessors. It resolves
+// the family on every call and then takes a handle's path, so a series
+// that exists is found without allocating.
 func (r *Registry) get(name, help string, typ MetricType, buckets []float64, kv []string) *child {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// A series that exists is returned before anything is validated or
-	// allocated: callers with an open label set (a function name per job)
-	// come through here on every call, and the family's child map is the
-	// one handle cache they all share.
-	if f, ok := r.families[name]; ok && f.typ == typ && f.fn == nil {
-		if c := f.lookup(kv); c != nil {
-			return c
-		}
-	}
 	if len(kv)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: odd label kv list for %s", name))
 	}
-	mustValidName(name)
-	names := make([]string, 0, len(kv)/2)
-	values := make([]string, 0, len(kv)/2)
+	var nb, vb [8]string
+	names, values := nb[:0], vb[:0]
 	for i := 0; i < len(kv); i += 2 {
-		mustValidLabel(kv[i])
 		names = append(names, kv[i])
 		values = append(values, kv[i+1])
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var f *family
+	return r.seriesLocked(&f, name, help, typ, buckets, names, values)
+}
+
+// familyLocked returns the family name, checking that it is typ with
+// labels, or validates name and labels and creates it. The caller creates
+// the family's first child before it lets go of r.mu, so a family never
+// shows without one. Caller holds r.mu.
+func (r *Registry) familyLocked(name, help string, typ MetricType, buckets []float64, labels []string) *family {
 	f, ok := r.families[name]
 	if !ok {
+		mustValidName(name)
+		for _, l := range labels {
+			mustValidLabel(l)
+		}
 		f = &family{
 			name:     name,
 			help:     help,
 			typ:      typ,
-			labels:   names,
+			labels:   slices.Clone(labels),
 			buckets:  append([]float64(nil), buckets...),
 			byKey:    make(map[string]*child),
-			worker:   slices.Index(names, WorkerLabel),
+			worker:   slices.Index(labels, WorkerLabel),
 			rollupOf: make(map[string]*child),
 		}
 		for i := 1; i < len(f.buckets); i++ {
@@ -256,23 +248,20 @@ func (r *Registry) get(name, help string, typ MetricType, buckets []float64, kv 
 	if f.fn != nil {
 		panic(fmt.Sprintf("telemetry: metric %s is func-backed", name))
 	}
-	if len(names) != len(f.labels) {
-		panic(fmt.Sprintf("telemetry: metric %s has labels %v, requested with %v", name, f.labels, names))
+	if !slices.Equal(labels, f.labels) {
+		panic(fmt.Sprintf("telemetry: metric %s has labels %v, requested with [%s]", name, f.labels, strings.Join(labels, " ")))
 	}
-	for i := range names {
-		if names[i] != f.labels[i] {
-			panic(fmt.Sprintf("telemetry: metric %s has labels %v, requested with %v", name, f.labels, names))
-		}
-	}
-	key := strings.Join(values, "\x00")
-	if c, ok := f.byKey[key]; ok {
-		return c
-	}
-	c := &child{labelValues: values}
-	if typ == TypeHistogram {
-		c.mu = &sync.Mutex{}
-		c.bucketBounds = f.buckets
-		c.counts = make([]uint64, len(f.buckets)+1)
+	return f
+}
+
+// childLocked creates f's child with label values values under key, which
+// no child of f has yet: its rollup, its ordinals, its place in the
+// creation order. It is the one creation path of a labelled series.
+// Caller holds r.mu.
+func (r *Registry) childLocked(f *family, values []string, key string) *child {
+	c := r.newChildLocked(values)
+	if f.typ == TypeHistogram {
+		c.histogram = &histogram{bucketBounds: f.buckets, counts: make([]uint64, len(f.buckets)+1)}
 		c.ord = r.takeOrdinals(len(f.buckets) + 3)
 	} else {
 		if f.worker >= 0 {
@@ -283,6 +272,116 @@ func (r *Registry) get(name, help string, typ MetricType, buckets []float64, kv 
 	f.byKey[key] = c
 	f.order = append(f.order, c)
 	return c
+}
+
+// newChildLocked returns a zero child, cut from the registry's slab, with
+// a copy of values. A slab is a quarter of the series so far, within
+// 16..256 children. Caller holds r.mu.
+func (r *Registry) newChildLocked(values []string) *child {
+	if len(r.children) == 0 {
+		r.children = make([]child, min(max(r.series/4, 16), 256))
+	}
+	c := &r.children[0]
+	r.children = r.children[1:]
+	if cap(r.values)-len(r.values) < len(values) {
+		r.values = make([]string, 0, max(len(values), 2*len(r.children)+2))
+	}
+	n := len(r.values)
+	r.values = append(r.values, values...)
+	c.labelValues = r.values[n:len(r.values):len(r.values)]
+	return c
+}
+
+// appendKey appends a child's key, its label values joined by NUL bytes.
+func appendKey(key []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, v...)
+	}
+	return key
+}
+
+// Family is a handle on one counter or gauge family, resolved once: a
+// component that registers a family's children by the thousand (a series
+// per worker) or looks one up per job (a series per function) keeps it
+// and asks it for children by label values alone. The family's name and
+// label names are validated when the handle first creates or finds a
+// child, and a lookup after that is one lock, a key built on the stack
+// and one map probe. A family still appears with its first child: taking
+// the handle registers nothing. Children are those the by-name accessors
+// return for the same labels. A nil *Family, which a nil *Registry hands
+// out, returns nil children.
+type Family struct {
+	r      *Registry
+	name   string
+	help   string
+	typ    MetricType
+	labels []string
+	f      *family // bound by the first lookup; read and written under r.mu
+}
+
+// CounterFamily returns a handle on the counter family name with label
+// names labels.
+func (r *Registry) CounterFamily(name, help string, labels ...string) *Family {
+	return r.newFamily(name, help, TypeCounter, labels)
+}
+
+// GaugeFamily returns a handle on the gauge family name with label names
+// labels.
+func (r *Registry) GaugeFamily(name, help string, labels ...string) *Family {
+	return r.newFamily(name, help, TypeGauge, labels)
+}
+
+func (r *Registry) newFamily(name, help string, typ MetricType, labels []string) *Family {
+	if r == nil {
+		return nil
+	}
+	return &Family{r: r, name: name, help: help, typ: typ, labels: labels}
+}
+
+// Counter returns the counter family's child for values, one per label
+// name in order, creating it as needed.
+func (h *Family) Counter(values ...string) *Counter {
+	return (*Counter)(h.child(TypeCounter, values))
+}
+
+// Gauge returns the gauge family's child for values; see Counter.
+func (h *Family) Gauge(values ...string) *Gauge {
+	return (*Gauge)(h.child(TypeGauge, values))
+}
+
+// child is Counter and Gauge: a hit allocates nothing.
+func (h *Family) child(typ MetricType, values []string) *child {
+	if h == nil {
+		return nil
+	}
+	if h.typ != typ {
+		panic(fmt.Sprintf("telemetry: %s family %s requested as a %s", h.typ, h.name, typ))
+	}
+	h.r.mu.Lock()
+	defer h.r.mu.Unlock()
+	return h.r.seriesLocked(&h.f, h.name, h.help, typ, nil, h.labels, values)
+}
+
+// seriesLocked returns the child for values of the family *fp, binding
+// *fp first when it is nil (familyLocked) and creating the child when it
+// is new (childLocked). Its key is built in a stack buffer, so a hit
+// allocates nothing. Caller holds r.mu.
+func (r *Registry) seriesLocked(fp **family, name, help string, typ MetricType, buckets []float64, labels, values []string) *child {
+	if len(values) != len(labels) {
+		panic(fmt.Sprintf("telemetry: metric %s has labels [%s], requested with %d values", name, strings.Join(labels, " "), len(values)))
+	}
+	if *fp == nil {
+		*fp = r.familyLocked(name, help, typ, buckets, labels)
+	}
+	var buf [128]byte
+	key := appendKey(buf[:0], values)
+	if c := (*fp).byKey[string(key)]; c != nil {
+		return c
+	}
+	return r.childLocked(*fp, values, string(key))
 }
 
 // rollupLocked returns the rollup of a new child of f with label values
@@ -299,8 +398,8 @@ func (r *Registry) rollupLocked(f *family, values []string) *child {
 	if ru, ok := f.rollupOf[string(key)]; ok {
 		return ru
 	}
-	rest := append(values[:f.worker:f.worker], values[f.worker+1:]...)
-	ru := &child{labelValues: rest, ord: r.takeOrdinals(1)}
+	ru := r.newChildLocked(append(values[:f.worker:f.worker], values[f.worker+1:]...))
+	ru.ord = r.takeOrdinals(1)
 	f.rollupOf[string(key)] = ru
 	f.rollups = append(f.rollups, ru)
 	return ru

@@ -82,18 +82,21 @@ func (t *Telemetry) Events() *EventLog {
 	return t.events
 }
 
-// Emit appends one lifecycle event stamped at cluster-clock offset at.
+// Emit appends one lifecycle event stamped at cluster-clock offset at,
+// written in place into its ring slot.
 func (t *Telemetry) Emit(at time.Duration, typ string, job int64, function, worker string, attempt int, detail string) {
 	if t == nil {
 		return
 	}
-	t.events.Append(Event{
-		AtMs:     float64(at) / float64(time.Millisecond),
-		Type:     typ,
-		Job:      job,
-		Function: function,
-		Worker:   worker,
-		Attempt:  attempt,
-		Detail:   detail,
-	})
+	l := t.events
+	l.mu.Lock()
+	ev := l.slotLocked()
+	ev.AtMs = float64(at) / float64(time.Millisecond)
+	ev.Type = typ
+	ev.Job = job
+	ev.Function = function
+	ev.Worker = worker
+	ev.Attempt = attempt
+	ev.Detail = detail
+	l.mu.Unlock()
 }

@@ -4,6 +4,12 @@
 #
 #	bash scripts/bench-pairs.sh [<base>]    (default HEAD)
 #	WORKLOAD=sim_sharded SEED=1 N=10 bash scripts/bench-pairs.sh HEAD~1
+#	WORKLOAD=sim_observed,sim_sharded,live_floor bash scripts/bench-pairs.sh HEAD~1
+#
+# WORKLOAD is one workload or a comma-separated list: both sides are built
+# once, and the workloads run in turn, each with its own pairs, table and
+# rows, so one command checks a claimed workload beside the ones that must
+# not move.
 #
 # The base commit is `git archive`d into a temporary directory (no worktree,
 # .git untouched) and the benchmark (bench/) is built once on each side,
@@ -25,13 +31,14 @@
 # otherwise. A trial that fails, or reports a failed operation or a wrong
 # output, fails the run. Every trial's report is kept as one JSON line in
 # .bench_build/pairs/<workload>-seed<S>.jsonl, tagged with its side and
-# pair. `make bench-pairs` runs this script with BASE, WORKLOAD, SEED and
+# pair. The run fails after the first workload that fails, with the tables
+# of the workloads before it printed. `make bench-pairs` runs this script with BASE, WORKLOAD, SEED and
 # N; after committing, compare against the parent with BASE=HEAD~1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 base=${1:-HEAD}
-workload=${WORKLOAD:-live_floor}
+workloads=${WORKLOAD:-live_floor}
 seed=${SEED:-1}
 n=${N:-10}
 root=$(pwd)
@@ -46,27 +53,31 @@ git archive "$base" | tar -x -C "$tmp/src"
 go build -C "$tmp/src/bench" -o "$tmp/bench-base" .
 go build -C bench -o "$tmp/bench-tree" .
 
-rows="$out/pairs/$workload-seed$seed.jsonl"
-: >"$rows"
-# trial runs one fresh-process trial of one side and files its report.
+# trial runs one fresh-process trial of one side of one workload and files
+# its report.
 trial() {
 	local side=$1 pair=$2 dir=$3 report
 	report=$(cd "$dir" && "$tmp/bench-$side" -trial -workload "$workload" -seed "$seed") ||
-		{ echo "bench-pairs: the $side trial of pair $pair failed" >&2; exit 1; }
+		{ echo "bench-pairs: the $side trial of $workload pair $pair failed" >&2; exit 1; }
 	jq -c --arg side "$side" --argjson pair "$pair" '{side: $side, pair: $pair} + .' <<<"$report" >>"$rows"
 }
-for i in $(seq 1 "$n"); do
-	if [ $((i % 2)) -eq 1 ]; then
-		trial base "$i" "$tmp/src"
-		trial tree "$i" "$root"
-	else
-		trial tree "$i" "$root"
-		trial base "$i" "$tmp/src"
-	fi
-done
 
-echo "bench-pairs: $workload seed $seed, $n pairs, $base -> working tree (rows in ${rows#"$root"/})"
-python3 - "$rows" BENCHMARK.json <<'EOF'
+IFS=, read -ra list <<<"$workloads"
+for workload in "${list[@]}"; do
+	rows="$out/pairs/$workload-seed$seed.jsonl"
+	: >"$rows"
+	for i in $(seq 1 "$n"); do
+		if [ $((i % 2)) -eq 1 ]; then
+			trial base "$i" "$tmp/src"
+			trial tree "$i" "$root"
+		else
+			trial tree "$i" "$root"
+			trial base "$i" "$tmp/src"
+		fi
+	done
+
+	echo "bench-pairs: $workload seed $seed, $n pairs, $base -> working tree (rows in ${rows#"$root"/})"
+	python3 - "$rows" BENCHMARK.json <<'EOF'
 import json, statistics, sys
 
 rows = [json.loads(line) for line in open(sys.argv[1])]
@@ -110,3 +121,4 @@ for m in spec["end_to_end"]:
     ratio = tm / bm if bm else float("nan")
     print(f"{name:<20} {bm:>12.4g} {f'{q1:.4g}..{q3:.4g}':>25} {tm:>12.4g} {ratio:>7.3f} {f'{wins}/{len(pairs)}':>10}  {verdict}")
 EOF
+done
