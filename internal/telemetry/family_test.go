@@ -170,9 +170,11 @@ func TestFamilyBindsOnFirstChild(t *testing.T) {
 
 // TestFamilyAllocs pins the family path's allocations: a hit allocates
 // nothing, and registering one worker's 13 series (the shape of core's
-// seven and node's six) allocates each series' key and little else —
-// children and label values come from the registry's slabs — where the
-// by-name path took at least three allocations per series.
+// seven and node's six) allocates at most once — children and label
+// values come from the registry's slabs, and the worker is interned once
+// rather than keyed per series — where the by-name path took at least
+// three allocations per series. Asking whether an unknown worker has
+// series allocates nothing and interns nothing.
 func TestFamilyAllocs(t *testing.T) {
 	r := NewRegistry()
 	depth := r.GaugeFamily("queue_depth", "", "worker")
@@ -215,7 +217,15 @@ func TestFamilyAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(runs, func() {
 		register(ids[next])
 		next++
-	}); n > 16 {
-		t.Fatalf("registering one worker's 13 series allocates %v times, want ≤ 16", n)
+	}); n > 1 {
+		t.Fatalf("registering one worker's 13 series allocates %v times, want ≤ 1", n)
+	}
+	workers := len(r.workers)
+	if n := testing.AllocsPerRun(100, func() {
+		if r.HasWorker("sbc-unknown") {
+			t.Fatal("an unknown worker has series")
+		}
+	}); n != 0 || len(r.workers) != workers {
+		t.Fatalf("HasWorker on an unknown worker allocates %v times and interns %d workers, want 0 and 0", n, len(r.workers)-workers)
 	}
 }

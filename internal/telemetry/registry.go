@@ -60,12 +60,13 @@ func (t MetricType) String() string {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	sorted   []*family // families by name; nil after a family is created
-	series   int       // ordinals handed out so far
+	sorted   []*family        // families by name; nil after a family is created
+	series   int              // ordinals handed out so far
+	workers  map[string]int32 // WorkerLabel values interned with their first child, by ordinal
 	// children and values are the slabs new series are cut from, a chunk
-	// at a time, so registering thousands of series allocates little more
-	// than their keys; children are never removed, so no slab is freed
-	// early.
+	// at a time, so registering thousands of series allocates a few slabs,
+	// not a child and its values each; children are never removed, so no
+	// slab is freed early.
 	children []child
 	values   []string
 }
@@ -78,15 +79,16 @@ type family struct {
 	name     string
 	help     string
 	typ      MetricType
-	labels   []string  // label names, creation order
-	buckets  []float64 // TypeHistogram only
-	byKey    map[string]*child
-	order    []*child // creation order, for stable exposition; append-only
+	labels   []string          // label names, creation order
+	buckets  []float64         // TypeHistogram only
+	byKey    map[string]*child // by appendKey; empty with a worker label, see members
+	order    []*child          // creation order, for stable exposition; append-only
 	fn       func() float64
-	ord      int               // the func family's series ordinal
-	worker   int               // index of WorkerLabel in labels; -1 without one
-	rollups  []*child          // creation order; append-only
-	rollupOf map[string]*child // rollups by the key rollupLocked builds
+	ord      int              // the func family's series ordinal
+	worker   int              // index of WorkerLabel in labels; -1 without one
+	rollups  []*child         // creation order; append-only
+	rollupOf map[string]int32 // rollups' indexes by appendKey without the worker
+	members  [][]*child       // members[rollup index][worker ordinal]; nil where none
 }
 
 // child is one labeled series within a family.
@@ -108,7 +110,9 @@ type histogram struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{families: make(map[string]*family)} }
+func NewRegistry() *Registry {
+	return &Registry{families: make(map[string]*family), workers: make(map[string]int32)}
+}
 
 // Counter returns the counter for (name, label pairs), creating family and
 // child as needed. kv alternates label name, label value. Misuse —
@@ -230,7 +234,7 @@ func (r *Registry) familyLocked(name, help string, typ MetricType, buckets []flo
 			buckets:  append([]float64(nil), buckets...),
 			byKey:    make(map[string]*child),
 			worker:   slices.Index(labels, WorkerLabel),
-			rollupOf: make(map[string]*child),
+			rollupOf: make(map[string]int32),
 		}
 		for i := 1; i < len(f.buckets); i++ {
 			if f.buckets[i] <= f.buckets[i-1] {
@@ -255,18 +259,14 @@ func (r *Registry) familyLocked(name, help string, typ MetricType, buckets []flo
 }
 
 // childLocked creates f's child with label values values under key, which
-// no child of f has yet: its rollup, its ordinals, its place in the
-// creation order. It is the one creation path of a labelled series.
-// Caller holds r.mu.
+// no child of f has yet, in a family without a worker label: its
+// ordinals, its place in the creation order. Caller holds r.mu.
 func (r *Registry) childLocked(f *family, values []string, key string) *child {
 	c := r.newChildLocked(values)
 	if f.typ == TypeHistogram {
 		c.histogram = &histogram{bucketBounds: f.buckets, counts: make([]uint64, len(f.buckets)+1)}
 		c.ord = r.takeOrdinals(len(f.buckets) + 3)
 	} else {
-		if f.worker >= 0 {
-			c.rollup = r.rollupLocked(f, values)
-		}
 		c.ord = r.takeOrdinals(1)
 	}
 	f.byKey[key] = c
@@ -292,13 +292,13 @@ func (r *Registry) newChildLocked(values []string) *child {
 	return c
 }
 
-// appendKey appends a child's key, its label values joined by NUL bytes.
-func appendKey(key []byte, values []string) []byte {
+// appendKey appends the key of label values values but the one at skip
+// (-1 skips none): each value after a NUL byte.
+func appendKey(key []byte, values []string, skip int) []byte {
 	for i, v := range values {
-		if i > 0 {
-			key = append(key, 0)
+		if i != skip {
+			key = append(append(key, 0), v...)
 		}
-		key = append(key, v...)
 	}
 	return key
 }
@@ -309,7 +309,8 @@ func appendKey(key []byte, values []string) []byte {
 // and asks it for children by label values alone. The family's name and
 // label names are validated when the handle first creates or finds a
 // child, and a lookup after that is one lock, a key built on the stack
-// and one map probe. A family still appears with its first child: taking
+// and one map probe (two small ones with a worker label: the rollup and
+// the worker's ordinal). A family still appears with its first child: taking
 // the handle registers nothing. Children are those the by-name accessors
 // return for the same labels. A nil *Family, which a nil *Registry hands
 // out, returns nil children.
@@ -367,8 +368,8 @@ func (h *Family) child(typ MetricType, values []string) *child {
 
 // seriesLocked returns the child for values of the family *fp, binding
 // *fp first when it is nil (familyLocked) and creating the child when it
-// is new (childLocked). Its key is built in a stack buffer, so a hit
-// allocates nothing. Caller holds r.mu.
+// is new (childLocked, or memberLocked with a worker label). Its key is
+// built in a stack buffer, so a hit allocates nothing. Caller holds r.mu.
 func (r *Registry) seriesLocked(fp **family, name, help string, typ MetricType, buckets []float64, labels, values []string) *child {
 	if len(values) != len(labels) {
 		panic(fmt.Sprintf("telemetry: metric %s has labels [%s], requested with %d values", name, strings.Join(labels, " "), len(values)))
@@ -377,72 +378,60 @@ func (r *Registry) seriesLocked(fp **family, name, help string, typ MetricType, 
 		*fp = r.familyLocked(name, help, typ, buckets, labels)
 	}
 	var buf [128]byte
-	key := appendKey(buf[:0], values)
+	key := appendKey(buf[:0], values, (*fp).worker)
+	if (*fp).worker >= 0 {
+		return r.memberLocked(*fp, values, key)
+	}
 	if c := (*fp).byKey[string(key)]; c != nil {
 		return c
 	}
 	return r.childLocked(*fp, values, string(key))
 }
 
-// rollupLocked returns the rollup of a new child of f with label values
-// values, creating it, with the next ordinal, for its first member. The
-// key is built in a stack buffer, as lookup's is. Caller holds r.mu.
-func (r *Registry) rollupLocked(f *family, values []string) *child {
-	var buf [128]byte
-	key := buf[:0]
-	for i, v := range values {
-		if i != f.worker {
-			key = append(append(key, 0), v...)
-		}
+// memberLocked is seriesLocked for f, a family with a worker label: the
+// child is filed under its rollup's index, found by rollup key, and its
+// worker's ordinal, so no key is kept per series. A new child takes the
+// next ordinal, after its rollup's when that is new too, and interns its
+// worker when it is the worker's first. Caller holds r.mu.
+func (r *Registry) memberLocked(f *family, values []string, rollupKey []byte) *child {
+	ri, rolled := f.rollupOf[string(rollupKey)]
+	w, known := r.workers[values[f.worker]]
+	if rolled && known && int(w) < len(f.members[ri]) && f.members[ri][w] != nil {
+		return f.members[ri][w]
 	}
-	if ru, ok := f.rollupOf[string(key)]; ok {
-		return ru
+	c := r.newChildLocked(values)
+	if !rolled {
+		ru := r.newChildLocked(append(values[:f.worker:f.worker], values[f.worker+1:]...))
+		ru.ord = r.takeOrdinals(1)
+		ri = int32(len(f.rollups))
+		f.rollupOf[string(rollupKey)] = ri
+		f.rollups = append(f.rollups, ru)
+		f.members = append(f.members, nil)
 	}
-	ru := r.newChildLocked(append(values[:f.worker:f.worker], values[f.worker+1:]...))
-	ru.ord = r.takeOrdinals(1)
-	f.rollupOf[string(key)] = ru
-	f.rollups = append(f.rollups, ru)
-	return ru
+	if !known {
+		w = int32(len(r.workers))
+		r.workers[c.labelValues[f.worker]] = w
+	}
+	c.rollup = f.rollups[ri]
+	c.ord = r.takeOrdinals(1)
+	for int(w) >= len(f.members[ri]) {
+		f.members[ri] = append(f.members[ri], nil)
+	}
+	f.members[ri][w] = c
+	f.order = append(f.order, c)
+	return c
 }
 
-// member returns f's child for worker w with rollup ru's other label
-// values, or nil: the child map, read through the rollups, is the
-// registry's worker index. Caller holds r.mu.
-func (f *family) member(ru *child, w string) *child {
-	var buf [128]byte
-	key := buf[:0]
-	for i := range f.labels {
-		if i > 0 {
-			key = append(key, 0)
-		}
-		switch {
-		case i == f.worker:
-			key = append(key, w...)
-		case i < f.worker:
-			key = append(key, ru.labelValues[i]...)
-		default:
-			key = append(key, ru.labelValues[i-1]...)
-		}
-	}
-	return f.byKey[string(key)]
-}
-
-// HasWorker reports whether some child carries WorkerLabel=w: one lookup
-// per rollup, whatever the number of workers. A nil registry has none.
+// HasWorker reports whether some child carries WorkerLabel=w: a lookup in
+// the worker intern table, which it leaves as it was. A nil registry has none.
 func (r *Registry) HasWorker(w string) bool {
 	if r == nil {
 		return false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, f := range r.families {
-		for _, ru := range f.rollups {
-			if f.member(ru, w) != nil {
-				return true
-			}
-		}
-	}
-	return false
+	_, ok := r.workers[w]
+	return ok
 }
 
 // Counter is a monotonically increasing metric. Nil-safe.

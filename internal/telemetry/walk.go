@@ -63,7 +63,7 @@ func (r *Registry) walk(rolled bool, asked map[string]struct{}, fn func(ord int,
 		r.mu.Lock()
 		children := f.order
 		if rolled && f.worker >= 0 {
-			children = f.rolled(asked, picked[:0])
+			children = r.rolledLocked(f, asked, picked[:0])
 		}
 		r.mu.Unlock()
 		for _, c := range children {
@@ -92,14 +92,16 @@ func (r *Registry) walk(rolled bool, asked map[string]struct{}, fn func(ord int,
 // Walk copies out of a histogram child without allocating.
 const histScratch = 32
 
-// rolled returns f's rollups merged by ordinal, in buf, with the
-// children of the workers in asked. Caller holds the registry's mu.
-func (f *family) rolled(asked map[string]struct{}, buf []*child) []*child {
+// rolledLocked returns f's rollups merged by ordinal, in buf, with the
+// children of the workers in asked. Caller holds r.mu.
+func (r *Registry) rolledLocked(f *family, asked map[string]struct{}, buf []*child) []*child {
 	buf = append(buf, f.rollups...)
 	for w := range asked {
-		for _, ru := range f.rollups {
-			if c := f.member(ru, w); c != nil {
-				buf = append(buf, c)
+		if o, ok := r.workers[w]; ok {
+			for _, row := range f.members {
+				if int(o) < len(row) && row[o] != nil {
+					buf = append(buf, row[o])
+				}
 			}
 		}
 	}

@@ -20,8 +20,10 @@
 # side goes first: the base in odd pairs, the tree in even ones.
 #
 # For every end-to-end metric in BENCHMARK.json it prints both sides'
-# medians, the base's interquartile range, the ratio tree/base, and in how
-# many pairs the tree did better. Each trial's metrics are computed as the
+# medians, the base's interquartile range, the ratio tree/base, the
+# absolute change of the median (tree - base, in the metric's unit, so a
+# move on a metric whose base IQR is zero shows its size), and in how many
+# pairs the tree did better. Each trial's metrics are computed as the
 # benchmark computes them (bench/workloads.go): throughput is completed /
 # elapsed_s, CPU is cpu_s × 1e6 / completed, retained bytes are
 # retained_b / completed, and the latencies and set-up time are read as
@@ -102,7 +104,7 @@ def metrics(r):
 pairs = {}
 for r in rows:
     pairs.setdefault(r["pair"], {})[r["side"]] = metrics(r)
-print(f"{'metric':<20} {'base median':>12} {'base IQR':>25} {'tree median':>12} {'ratio':>7} {'tree wins':>10}  verdict")
+print(f"{'metric':<20} {'base median':>12} {'base IQR':>25} {'tree median':>12} {'ratio':>7} {'change':>10} {'tree wins':>10}  verdict")
 for m in spec["end_to_end"]:
     name, higher = m["name"], m["better"] == "higher"
     base = [p["base"][name] for p in pairs.values()]
@@ -119,6 +121,6 @@ for m in spec["end_to_end"]:
     else:
         verdict = "loss" if losses >= 0.9 * len(pairs) else "mixed"
     ratio = tm / bm if bm else float("nan")
-    print(f"{name:<20} {bm:>12.4g} {f'{q1:.4g}..{q3:.4g}':>25} {tm:>12.4g} {ratio:>7.3f} {f'{wins}/{len(pairs)}':>10}  {verdict}")
+    print(f"{name:<20} {bm:>12.4g} {f'{q1:.4g}..{q3:.4g}':>25} {tm:>12.4g} {ratio:>7.3f} {tm - bm:>+10.3g} {f'{wins}/{len(pairs)}':>10}  {verdict}")
 EOF
 done
