@@ -92,8 +92,8 @@ type service interface {
 	Close() error
 }
 
-// StartLive boots the full stack on loopback TCP and provisions the
-// workload fixtures. Always Close a started cluster.
+// StartLive boots the full stack on loopback TCP, its stores holding the
+// workload fixture (workload.SeedStores). Always Close a started cluster.
 func StartLive(opts LiveOptions) (*Live, error) {
 	n := opts.Workers
 	if n == 0 {
@@ -114,15 +114,20 @@ func StartLive(opts LiveOptions) (*Live, error) {
 		}
 	}()
 
+	// Seeded before they listen: no client sees a half-written fixture.
+	sql, obj, broker := sqlstore.NewServer(), objstore.NewServer(), mq.NewServer()
+	if err := workload.SeedStores(sql.Database(), obj.Store(), broker.Broker()); err != nil {
+		return nil, err
+	}
 	l.Env = &workload.Env{}
 	for _, b := range []struct {
 		srv  service
 		addr *string
 	}{
 		{kvstore.NewServer(), &l.Env.KVStoreAddr},
-		{sqlstore.NewServer(), &l.Env.SQLStoreAddr},
-		{objstore.NewServer(), &l.Env.ObjStoreAddr},
-		{mq.NewServer(), &l.Env.MQAddr},
+		{sql, &l.Env.SQLStoreAddr},
+		{obj, &l.Env.ObjStoreAddr},
+		{broker, &l.Env.MQAddr},
 	} {
 		l.services = append(l.services, b.srv)
 		addr, err := b.srv.Listen("127.0.0.1:0")
@@ -130,9 +135,6 @@ func StartLive(opts LiveOptions) (*Live, error) {
 			return nil, err
 		}
 		*b.addr = addr
-	}
-	if err := workload.SetupBackends(l.Env); err != nil {
-		return nil, err
 	}
 
 	if opts.Power != nil {

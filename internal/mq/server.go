@@ -41,6 +41,10 @@ func NewServer() *Server {
 	return s
 }
 
+// Broker returns the broker the server serves, for writing a fixture in
+// process.
+func (s *Server) Broker() *Broker { return s.broker }
+
 func (s *Server) handle(req request) response {
 	switch req.Op {
 	case "produce":

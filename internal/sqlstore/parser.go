@@ -141,7 +141,7 @@ type parser struct {
 }
 
 // maxStatementLen bounds what Parse will lex. The longest statement the
-// suite sends is SetupBackends' 200-row INSERT, about 10 KB; a frame may
+// suite runs is its fixture's 200-row INSERT, about 10 KB; a frame may
 // carry 64 MiB, and the lexer holds a statement as runes and tokens,
 // several times its size.
 const maxStatementLen = 1 << 20

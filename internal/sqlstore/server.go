@@ -62,6 +62,10 @@ func NewServer() *Server {
 	return s
 }
 
+// Database returns the database the server serves, for writing a fixture
+// in process.
+func (s *Server) Database() *Database { return s.db }
+
 func (s *Server) handle(req request) response {
 	res, err := s.db.Exec(req.Query)
 	if err != nil {

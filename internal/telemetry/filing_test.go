@@ -23,11 +23,14 @@ var filingShapes = []familyShape{
 }
 
 // filingValues are the values each label other than the worker draws from.
+// The last of "result", "kind" and "function" hold a NUL byte, so label
+// sets such as {MatMul\0ok, error} and {MatMul, ok\0error} differ only in
+// where a NUL falls: a key that joins values with NULs files them as one.
 var filingValues = map[string][]string{
-	"result":   {"ok", "error", "timeout", "crash", "hang", "slow"},
+	"result":   {"ok", "error", "timeout", "crash", "hang", "slow", "ok\x00error"},
 	"to":       {"open", "closed"},
-	"kind":     {"cold", "warm", "fault"},
-	"function": {"MatMul", "CascSHA", "RegExMatch", "FloatOps"},
+	"kind":     {"cold", "warm", "fault", "warm\x00ok"},
+	"function": {"MatMul", "CascSHA", "RegExMatch", "FloatOps", "MatMul\x00ok"},
 }
 
 // filingWorkers is the size of the worker id pool; ids past the ones a
@@ -37,7 +40,7 @@ const filingWorkers = 1024
 func filingWorker(i int) string { return fmt.Sprintf("sbc-%04d", i%filingWorkers) }
 
 // filingModel is the reference FuzzWorkerFiling holds a registry to: each
-// family's children in a map keyed by their joined label values — the
+// family's children in a map keyed by their label values (modelKey) — the
 // index every family kept before worker families were filed by worker
 // ordinal — with the ordinals, rollups and values the registry must hand
 // out, and the workers in order of their first child.
@@ -78,14 +81,14 @@ func (m *filingModel) child(s familyShape, values []string) (c *modelChild, crea
 		f = &modelFamily{shape: s, byKey: map[string]*modelChild{}, rollups: map[string]*modelChild{}, byWorker: map[string][]*modelChild{}}
 		m.fams[s.name] = f
 	}
-	key := strings.Join(values, "\x00")
+	key := modelKey(values)
 	if c := f.byKey[key]; c != nil {
 		return c, false
 	}
 	c = &modelChild{fam: f, values: slices.Clone(values)}
 	if w := slices.Index(s.labels, WorkerLabel); w >= 0 {
 		rest := slices.Delete(slices.Clone(values), w, w+1)
-		rkey := strings.Join(rest, "\x00")
+		rkey := modelKey(rest)
 		c.rollup = f.rollups[rkey]
 		if c.rollup == nil {
 			c.rollup = &modelChild{fam: f, values: rest, ord: m.series}
@@ -105,6 +108,10 @@ func (m *filingModel) child(s familyShape, values []string) (c *modelChild, crea
 	m.all = append(m.all, c)
 	return c, true
 }
+
+// modelKey is the model's key of label values values: each quoted, so
+// two label sets share a key only when their values are equal.
+func modelKey(values []string) string { return fmt.Sprintf("%q", values) }
 
 // add moves c's value by d, and its rollup's with it.
 func (c *modelChild) add(d float64) {
@@ -217,8 +224,7 @@ func (in *filingInput) next() int {
 }
 
 // FuzzWorkerFiling holds the worker intern table and the families filed
-// by rollup and worker ordinal to the joined-label-values map they
-// replaced. The input interleaves family-handle and by-name registration
+// by rollup and worker ordinal to the label-values map they replaced. The input interleaves family-handle and by-name registration
 // across worker and plain families, workers registered by the hundred (so
 // a rollup can first appear after hundreds of workers), a worker
 // registered again after a re-home, value writes, HasWorker, and
@@ -231,6 +237,12 @@ func FuzzWorkerFiling(f *testing.F) {
 	// them, a write, a re-home, asks for an unknown and a ghost worker,
 	// and a walk with a known and an unknown worker asked.
 	f.Add([]byte{2, 1, 0, 0, 150, 0, 0, 1, 1, 44, 2, 1, 4, 0, 7, 3, 3, 7, 0, 5, 3, 232, 1, 5, 0, 7, 4, 9, 6, 2, 0, 7, 3, 232, 5})
+	// Label sets that differ only in where a NUL falls: {MatMul\0ok,
+	// error} then {MatMul, ok\0error} in f_invocations_total, by handle
+	// and by name; then {warm\0ok, error} for sbc-0000 and {warm,
+	// ok\0error} for sbc-0001 in w_board_total, which must make two
+	// rollups; then a walk asking for both workers.
+	f.Add([]byte{0, 5, 0, 0, 4, 1, 0, 1, 5, 0, 0, 0, 6, 1, 0, 3, 0, 0, 3, 1, 0, 0, 3, 0, 1, 1, 6, 1, 6, 2, 0, 0, 0, 1, 9})
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		in := make([]byte, 200*seed)
@@ -258,12 +270,12 @@ func FuzzWorkerFiling(f *testing.F) {
 			mc, created := m.child(s, values)
 			if created {
 				if prev := owner[c]; prev != nil {
-					t.Fatalf("%s%v: handed out %s%v's child", s.name, values, prev.fam.shape.name, prev.values)
+					t.Fatalf("%s%q: handed out %s%q's child", s.name, values, prev.fam.shape.name, prev.values)
 				}
 				mc.got, owner[c] = c, mc
 			}
 			if c != mc.got || c.ord != mc.ord {
-				t.Fatalf("%s%v: child %p at ordinal %d, model %p at %d", s.name, values, c, c.ord, mc.got, mc.ord)
+				t.Fatalf("%s%q: child %p at ordinal %d, model %p at %d", s.name, values, c, c.ord, mc.got, mc.ord)
 			}
 			return mc
 		}

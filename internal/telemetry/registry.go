@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -293,11 +294,12 @@ func (r *Registry) newChildLocked(values []string) *child {
 }
 
 // appendKey appends the key of label values values but the one at skip
-// (-1 skips none): each value after a NUL byte.
+// (-1 skips none): each value after its length as a uvarint (one byte
+// under 128), so only equal label values share a key.
 func appendKey(key []byte, values []string, skip int) []byte {
 	for i, v := range values {
 		if i != skip {
-			key = append(append(key, 0), v...)
+			key = append(binary.AppendUvarint(key, uint64(len(v))), v...)
 		}
 	}
 	return key

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -298,6 +299,24 @@ func TestLabeledExpositionRoundTrip(t *testing.T) {
 	}
 	if got := merged.Sum("jobs_total", "result", "ok", "shard", "shard-01"); got != 5 {
 		t.Fatalf("single-shard Sum = %v, want 5", got)
+	}
+}
+
+// TestLabelValuesWithNULKeepTheirSeries pins the series key's injectivity:
+// label values joined by NUL bytes alone made these two label sets one
+// key, so the second call returned the first's child.
+func TestLabelValuesWithNULKeepTheirSeries(t *testing.T) {
+	r := NewRegistry()
+	a := r.Counter("x_total", "", "a", "p\x00q", "b", "r")
+	b := r.Counter("x_total", "", "a", "p", "b", "q\x00r")
+	if a == b {
+		t.Fatal("label sets {p\\0q, r} and {p, q\\0r} share one series")
+	}
+	if got := (*child)(b).labelValues; !slices.Equal(got, []string{"p", "q\x00r"}) {
+		t.Fatalf("second series carries label values %q", got)
+	}
+	if r.Counter("x_total", "", "a", "p\x00q", "b", "r") != a {
+		t.Fatal("a lookup of the first label set returned another series")
 	}
 }
 
