@@ -74,9 +74,10 @@ knobs:
 	@bash scripts/knobs.sh $(KNOBS_MAX)
 
 # `make reach` builds every binary — microfaas-sim, microfaas-live, faasctl,
-# slolint, docslint and examples/* — with coverage of the whole module,
-# drives each through what it ships (scripts/reach.sh: every simulator row,
-# load and replay runs, two serve sessions poked by every faasctl command),
+# slolint, docslint, examples/* and the benchmark — with coverage of the
+# whole module, drives each through what it ships (scripts/reach.sh: every
+# simulator row, load and replay runs, a live and a simulated benchmark
+# workload, two serve sessions poked by every faasctl command),
 # and prints the statements reached per package under internal/ and cmd/
 # plus every function no run entered, each with its reason from
 # scripts/reach-allow.txt. Fails if a driven command or route answers
@@ -84,15 +85,15 @@ knobs:
 # together are under STORE_REACH_MIN percent, a never-entered function is
 # not on the allowlist, or an allowlist entry is gone or now entered. The
 # report stays in .reach/.
-REACH_MIN := 80
+REACH_MIN := 82
 STORE_REACH_MIN := 70
 
 # LOC_MAX and KNOBS_MAX are ratchets, like REACH_MIN: the `make loc` and
 # `make knobs` totals may not grow past them. A change that lowers a total
 # lowers its ceiling to match; one that must raise a ceiling says why in
 # CHANGES.md.
-LOC_MAX := 23796
-KNOBS_MAX := 141
+LOC_MAX := 23639
+KNOBS_MAX := 140
 
 .PHONY: reach
 reach:

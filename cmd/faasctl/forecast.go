@@ -1,28 +1,16 @@
 package main
 
-import "fmt"
+import (
+	"fmt"
+
+	"microfaas/internal/forecast"
+)
 
 // forecastTable renders GET /forecast: the controller's mode and error
 // accounting, then one row per tracked function with its observed and
 // forecast arrival rates.
 func (c *client) forecastTable() error {
-	var snap struct {
-		Mode       string  `json:"mode"`
-		ErrorRatio float64 `json:"error_ratio"`
-		Target     int     `json:"target_workers"`
-		Declining  bool    `json:"declining"`
-		Fallbacks  int     `json:"fallbacks_total"`
-		Ticks      int     `json:"ticks"`
-		HorizonMs  float64 `json:"horizon_ms"`
-		Functions  []struct {
-			Function   string  `json:"function"`
-			Rate       float64 `json:"rate_per_s"`
-			EWMA       float64 `json:"ewma_per_s"`
-			RateAhead  float64 `json:"rate_ahead_per_s"`
-			Workers    float64 `json:"workers"`
-			ErrorRatio float64 `json:"error_ratio"`
-		} `json:"functions"`
-	}
+	var snap forecast.Snapshot
 	if err := c.getJSON("/forecast", &snap); err != nil {
 		return err
 	}

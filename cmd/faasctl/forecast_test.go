@@ -1,24 +1,32 @@
 package main
 
 import (
-	"fmt"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"microfaas/internal/forecast"
 )
 
 // TestForecastCommand renders the forecast table against a fake gateway
 // snapshot.
 func TestForecastCommand(t *testing.T) {
+	body, err := json.Marshal(forecast.Snapshot{
+		Mode: "predictive", ErrorRatio: 0.135, Target: 4, Declining: true,
+		Fallbacks: 1, Ticks: 1440, TickMs: 5000, HorizonMs: 2000,
+		Functions: []forecast.FunctionForecast{
+			{Function: "CascSHA", Rate: 0.42, EWMA: 0.40, RateAhead: 0.38, Workers: 1.61, ErrorRatio: 0.12},
+			{Function: "AES128", Rate: 0.11, EWMA: 0.10, RateAhead: 0.09, Workers: 0.38, ErrorRatio: 0.15},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/forecast", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"mode":"predictive","error_ratio":0.135,"target_workers":4,
-			"declining":true,"fallbacks_total":1,"ticks":1440,"tick_ms":5000,"horizon_ms":2000,
-			"functions":[
-				{"function":"CascSHA","rate_per_s":0.42,"ewma_per_s":0.40,"rate_ahead_per_s":0.38,"workers":1.61,"error_ratio":0.12},
-				{"function":"AES128","rate_per_s":0.11,"ewma_per_s":0.10,"rate_ahead_per_s":0.09,"workers":0.38,"error_ratio":0.15}
-			]}`)
+		w.Write(body)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)

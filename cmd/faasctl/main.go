@@ -46,6 +46,9 @@ import (
 	"os"
 	"strconv"
 	"time"
+
+	"microfaas/internal/gateway"
+	"microfaas/internal/shard"
 )
 
 func main() {
@@ -205,24 +208,6 @@ func (c *client) run(args []string) error {
 	}
 }
 
-// traceSummary mirrors a job's breakdown in the gateway's /traces replies.
-type traceSummary struct {
-	Job            int64   `json:"job"`
-	Function       string  `json:"function"`
-	Worker         string  `json:"worker"`
-	Attempts       int     `json:"attempts"`
-	Error          string  `json:"error"`
-	LatencyMs      float64 `json:"latency_ms"`
-	UnattributedMs float64 `json:"unattributed_ms"`
-	EnergyJ        float64 `json:"energy_j"`
-	Phases         []struct {
-		Phase      string  `json:"phase"`
-		DurationMs float64 `json:"duration_ms"`
-		EnergyJ    float64 `json:"energy_j"`
-		Count      int     `json:"count"`
-	} `json:"phases"`
-}
-
 // trace renders a phase-by-phase latency and energy breakdown for one
 // job (`trace <job-id>`) or the N slowest jobs in the gateway's record
 // window (`trace --slowest N`).
@@ -235,11 +220,9 @@ func (c *client) trace(args []string) error {
 	if !ok {
 		return fmt.Errorf("usage: trace <job-id> | trace --slowest <n>, each a positive integer")
 	}
-	var reply struct {
-		Traces []traceSummary `json:"traces"`
-	}
+	var reply gateway.TracesResponse
 	if !slowest {
-		var one traceSummary
+		var one gateway.TraceSummary
 		if err := c.getJSON("/traces/"+n, &one); err != nil {
 			return err // a miss prints the gateway's "not in the record window"
 		}
@@ -262,7 +245,7 @@ func (c *client) trace(args []string) error {
 // printTrace writes one trace's breakdown table: per-phase duration and
 // joules, then a total row that the phases (plus any unattributed gap)
 // sum to.
-func (c *client) printTrace(t traceSummary) {
+func (c *client) printTrace(t gateway.TraceSummary) {
 	fmt.Fprintf(c.out, "job %d  %s", t.Job, t.Function)
 	if t.Worker != "" {
 		fmt.Fprintf(c.out, "  worker %s", t.Worker)
@@ -293,23 +276,10 @@ func fmtJoules(v float64) string {
 	return fmt.Sprintf("%.3f J", v)
 }
 
-// workerRow mirrors one /workers entry.
-type workerRow struct {
-	ID         string `json:"id"`
-	Shard      string `json:"shard"`
-	Breaker    string `json:"breaker"`
-	Consec     int    `json:"consecutive_failures"`
-	Completed  int64  `json:"completed"`
-	Failed     int64  `json:"failed"`
-	TimedOut   int64  `json:"timed_out"`
-	QueueDepth int    `json:"queue_depth"`
-	Busy       bool   `json:"busy"`
-}
-
 // workersTable renders /workers as a compact health table, one row per
 // worker under its shard; `workers -v` prints the raw JSON instead.
 func (c *client) workersTable() error {
-	var workers []workerRow
+	var workers []gateway.WorkerInfo
 	if err := c.getJSON("/workers", &workers); err != nil {
 		return err
 	}
@@ -317,7 +287,7 @@ func (c *client) workersTable() error {
 		"shard", "worker", "breaker", "queue", "completed", "failed", "timed-out", "consec", "busy")
 	for _, w := range workers {
 		fmt.Fprintf(c.out, "%-10s %-12s %-9s %5d %9d %7d %9d %6d %5v\n",
-			w.Shard, w.ID, w.Breaker, w.QueueDepth, w.Completed, w.Failed, w.TimedOut, w.Consec, w.Busy)
+			w.Shard, w.ID, w.Breaker, w.QueueDepth, w.Completed, w.Failed, w.TimedOut, w.ConsecutiveFailures, w.Busy)
 	}
 	return nil
 }
@@ -326,17 +296,7 @@ func (c *client) workersTable() error {
 // membership state and epoch, worker-partition size, pending and queued
 // depth, ring weight, and steal counters — with a total row.
 func (c *client) shardsTable() error {
-	var rows []struct {
-		Label     string  `json:"label"`
-		Workers   int     `json:"workers"`
-		Pending   int     `json:"pending"`
-		Queued    int     `json:"queued"`
-		Weight    float64 `json:"weight"`
-		StolenIn  int64   `json:"stolen_in"`
-		StolenOut int64   `json:"stolen_out"`
-		State     string  `json:"state"`
-		Epoch     int64   `json:"epoch"`
-	}
+	var rows []shard.ShardStatus
 	if err := c.getJSON("/shards", &rows); err != nil {
 		return err
 	}
@@ -376,10 +336,7 @@ func (c *client) invoke(function, argsJSON string) error {
 	if !json.Valid([]byte(argsJSON)) {
 		return fmt.Errorf("arguments are not valid JSON: %s", argsJSON)
 	}
-	body, err := json.Marshal(map[string]json.RawMessage{
-		"function": json.RawMessage(fmt.Sprintf("%q", function)),
-		"args":     json.RawMessage(argsJSON),
-	})
+	body, err := json.Marshal(gateway.InvokeRequest{Function: function, Args: json.RawMessage(argsJSON)})
 	if err != nil {
 		return err
 	}

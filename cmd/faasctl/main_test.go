@@ -92,14 +92,20 @@ func TestInvokeRejectsBadJSON(t *testing.T) {
 	}
 }
 
+// TestInvokeUnknownFunctionFails sends names the gateway does not have,
+// one holding a byte Go's %q escapes as \x7f, which is not a JSON escape:
+// each must reach the gateway intact and come back as its 404.
 func TestInvokeUnknownFunctionFails(t *testing.T) {
 	c, out := startStack(t)
-	err := c.run([]string{"invoke", "NoSuchFunction"})
-	if err == nil {
-		t.Fatal("unknown function invocation succeeded")
-	}
-	if !strings.Contains(out.String(), "error") {
-		t.Fatalf("error body not printed:\n%s", out.String())
+	for _, name := range []string{"NoSuchFunction", "bad\x7f"} {
+		out.Reset()
+		err := c.run([]string{"invoke", name})
+		if err == nil || !strings.Contains(err.Error(), "404") {
+			t.Fatalf("invoke %q = %v, want the gateway's 404", name, err)
+		}
+		if !strings.Contains(out.String(), "unknown function") {
+			t.Fatalf("invoke %q: error body not printed:\n%s", name, out.String())
+		}
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"microfaas/internal/gateway"
+	"microfaas/internal/tsdb"
 )
 
 // sparkBlocks are the eight levels a sparkline cell can take.
@@ -35,16 +38,6 @@ func sparkline(values []float64) string {
 		b.WriteRune(sparkBlocks[idx])
 	}
 	return b.String()
-}
-
-// querySeries mirrors one /query series result.
-type querySeries struct {
-	Labels map[string]string `json:"labels"`
-	Value  float64           `json:"value"`
-	Points []struct {
-		AtMs  float64 `json:"at_ms"`
-		Value float64 `json:"value"`
-	} `json:"points"`
 }
 
 // labelsColumn renders a label set as sorted k=v pairs for table rows.
@@ -89,9 +82,7 @@ func (c *client) watch(args []string, interval time.Duration, iterations int) er
 			time.Sleep(interval)
 			fmt.Fprintln(c.out)
 		}
-		var reply struct {
-			Series []querySeries `json:"series"`
-		}
+		var reply gateway.QueryResponse
 		if err := c.getJSON("/query?"+params.Encode(), &reply); err != nil {
 			return err
 		}
@@ -113,21 +104,7 @@ func (c *client) watch(args []string, interval time.Duration, iterations int) er
 
 // sloTable renders GET /slo as one row per burn-rate page.
 func (c *client) sloTable() error {
-	var rules []struct {
-		Rule struct {
-			Name string `json:"name"`
-			Kind string `json:"kind"`
-		} `json:"rule"`
-		Pages []struct {
-			Page        string  `json:"page"`
-			ShortWindow string  `json:"short_window"`
-			LongWindow  string  `json:"long_window"`
-			Threshold   float64 `json:"threshold"`
-			ShortBurn   float64 `json:"short_burn"`
-			LongBurn    float64 `json:"long_burn"`
-			Firing      bool    `json:"firing"`
-		} `json:"pages"`
-	}
+	var rules []tsdb.RuleStatus
 	if err := c.getJSON("/slo", &rules); err != nil {
 		return err
 	}
@@ -144,7 +121,7 @@ func (c *client) sloTable() error {
 				state = "FIRING"
 			}
 			fmt.Fprintf(c.out, "%-20s %-14s %-5s %-10s %10.2f %10.2f %10.2f %7s\n",
-				r.Rule.Name, r.Rule.Kind, p.Page, p.ShortWindow+"/"+p.LongWindow,
+				r.Rule.Name, r.Rule.Kind, p.Page, time.Duration(p.ShortWindow).String()+"/"+time.Duration(p.LongWindow).String(),
 				p.ShortBurn, p.LongBurn, p.Threshold, state)
 		}
 	}
@@ -154,23 +131,7 @@ func (c *client) sloTable() error {
 // alertsTable renders GET /alerts: firing pages first, then the
 // transition history (oldest first).
 func (c *client) alertsTable() error {
-	var reply struct {
-		Active []struct {
-			Rule      string  `json:"rule"`
-			Page      string  `json:"page"`
-			SinceMs   float64 `json:"since_ms"`
-			ShortBurn float64 `json:"short_burn"`
-			LongBurn  float64 `json:"long_burn"`
-			Threshold float64 `json:"threshold"`
-		} `json:"active"`
-		History []struct {
-			AtMs     float64 `json:"at_ms"`
-			Type     string  `json:"type"`
-			Function string  `json:"function"`
-			Worker   string  `json:"worker"`
-			Detail   string  `json:"detail"`
-		} `json:"history"`
-	}
+	var reply gateway.AlertsResponse
 	if err := c.getJSON("/alerts", &reply); err != nil {
 		return err
 	}

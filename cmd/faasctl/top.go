@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"microfaas/internal/gateway"
 	"microfaas/internal/telemetry"
 )
 
@@ -180,7 +181,7 @@ func (c *client) renderWorkers(samples telemetry.Samples) {
 // Best-effort: on any error the dashboard renders with "?" states rather
 // than failing the refresh.
 func (c *client) fetchBreakers() map[string]string {
-	var workers []workerRow
+	var workers []gateway.WorkerInfo
 	if err := c.getJSON("/workers", &workers); err != nil {
 		return nil
 	}

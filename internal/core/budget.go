@@ -6,10 +6,8 @@ import "sort"
 // bare-metal cluster): every attempt's worker-metered joules are charged
 // to its function, and a function that spends through its cap is pushed
 // to the back of the energy line — the energy-aware policy stops waking
-// nodes for it, and (when BudgetThrottle is set) its new submissions
-// serve a hold before queueing. Budgets never reject work: an exhausted
-// function still runs, just slower and only on hardware that is already
-// powered.
+// nodes for it. Budgets never reject work: an exhausted function still
+// runs, only on hardware that is already powered.
 
 // SetEnergyBudget sets or updates a function's energy cap at runtime.
 // Raising the cap above the joules already spent clears the exhausted

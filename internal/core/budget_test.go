@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -68,80 +67,5 @@ func TestEnergyBudgetAccountingAndExhaustion(t *testing.T) {
 	o.SetEnergyBudget("F", 0)
 	if bs = o.EnergyBudgets(); len(bs) != 0 {
 		t.Fatalf("after removal: %+v, want empty", bs)
-	}
-}
-
-func TestBudgetThrottleHoldsSubmissions(t *testing.T) {
-	const hold = 500 * time.Millisecond
-	e := sim.NewEngine(1)
-	w := &jouleWorker{id: "w0", engine: e, service: 10 * time.Millisecond, joules: 10}
-	o, err := New(Config{
-		Runtime: SimRuntime{Engine: e}, Workers: []Worker{w},
-		AttemptPolicy: AttemptPolicy{BudgetThrottle: hold},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.SetEnergyBudget("F", 5)
-	// Job 1 exhausts the 5 J budget on completion.
-	o.Submit("F", nil)
-	e.RunAll()
-	if bs := o.EnergyBudgets(); !bs[0].Exhausted {
-		t.Fatalf("budget not exhausted after 10 J spend: %+v", bs[0])
-	}
-	// Job 2 must serve the hold before it may queue.
-	var res Result
-	start := e.Now()
-	id := o.SubmitAsync("F", nil, func(r Result) { res = r })
-	if id == 0 {
-		t.Fatal("throttled submission rejected; it must be accepted, just held")
-	}
-	if got := o.Pending(); got != 1 {
-		t.Fatalf("pending during hold = %d, want 1", got)
-	}
-	e.RunAll()
-	if res.Job.ID != id || res.Err != "" {
-		t.Fatalf("throttled job result = %+v", res)
-	}
-	if wait := res.StartedAt - start; wait < hold {
-		t.Fatalf("throttled job started after %v, want ≥ %v hold", wait, hold)
-	}
-	// An unbudgeted function is not throttled even while F is exhausted.
-	start = e.Now()
-	var other Result
-	o.SubmitAsync("G", nil, func(r Result) { other = r })
-	e.RunAll()
-	if wait := other.StartedAt - start; wait >= hold {
-		t.Fatalf("unbudgeted function was throttled: waited %v", wait)
-	}
-}
-
-func TestBudgetThrottledJobAbandonedByDrain(t *testing.T) {
-	e := sim.NewEngine(1)
-	w := &jouleWorker{id: "w0", engine: e, service: 10 * time.Millisecond, joules: 10}
-	o, err := New(Config{
-		Runtime: SimRuntime{Engine: e}, Workers: []Worker{w},
-		AttemptPolicy: AttemptPolicy{BudgetThrottle: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.SetEnergyBudget("F", 5)
-	o.Submit("F", nil)
-	e.RunAll()
-	fired := false
-	id := o.SubmitAsync("F", nil, func(Result) { fired = true })
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	abandoned := o.Drain(ctx)
-	if len(abandoned) != 1 || abandoned[0].ID != id {
-		t.Fatalf("abandoned = %+v, want the held job %d", abandoned, id)
-	}
-	e.RunAll()
-	if fired {
-		t.Fatal("abandoned throttled job's callback fired")
-	}
-	if got := o.Pending(); got != 0 {
-		t.Fatalf("pending after drain = %d, want 0", got)
 	}
 }

@@ -424,14 +424,6 @@ type AttemptPolicy struct {
 	// BreakerProbe is how long an open breaker ejects its worker before
 	// the worker is probed with real work again (default 30s).
 	BreakerProbe time.Duration
-	// BudgetThrottle is how long a budget-exhausted function's new
-	// submissions (see SetEnergyBudget) are parked before they may enter
-	// a queue (the hold counts as the job's queue wait). Zero disables
-	// throttling: exhausted functions are then only deprioritized, never
-	// delayed. Settable although no binary sets it: deleting it would
-	// delete microfaas_budget_throttled_total, which the goldens and
-	// slolint's catalogue pin.
-	BudgetThrottle time.Duration
 }
 
 // Config assembles an Orchestrator.
@@ -513,11 +505,8 @@ type Orchestrator struct {
 	load   *loadIndex
 	parked map[int64]*parkedRetry
 	// budgets holds per-function energy accounting (nil entries never
-	// exist; functions without a budget are simply absent). throttled
-	// parks budget-held submissions by job id, abandoned by Drain exactly
-	// like backoff-parked retries.
+	// exist; functions without a budget are simply absent).
 	budgets   map[string]*fnBudget
-	throttled map[int64]*parkedThrottle
 	callbacks map[int64]func(Result)
 	nextID    int64
 	rrNext    int  // next round-robin index
@@ -600,13 +589,6 @@ type parkedRetry struct {
 	cancel  func()
 }
 
-// parkedThrottle is a submission serving its energy-budget hold before it
-// may enter a worker queue.
-type parkedThrottle struct {
-	job    Job
-	cancel func()
-}
-
 // fnBudget tracks one function's energy budget. spent accumulates every
 // attempt's metered joules (failures included — the energy was burned on
 // the function's behalf); exhausted latches once spent crosses limit and
@@ -626,7 +608,7 @@ type BudgetStatus struct {
 	// SpentJoules is the metered energy charged so far (all attempts).
 	SpentJoules float64 `json:"spent_joules"`
 	// Exhausted reports whether spending has crossed the cap; while set,
-	// the function is deprioritized and (with BudgetThrottle) throttled.
+	// the function is deprioritized.
 	Exhausted bool `json:"exhausted"`
 }
 
@@ -665,9 +647,6 @@ func New(cfg Config) (*Orchestrator, error) {
 	if cfg.JobIDBase < 0 {
 		return nil, fmt.Errorf("core: negative JobIDBase %d", cfg.JobIDBase)
 	}
-	if cfg.BudgetThrottle < 0 {
-		return nil, fmt.Errorf("core: negative BudgetThrottle %v", cfg.BudgetThrottle)
-	}
 	o := &Orchestrator{
 		runtime:    cfg.Runtime,
 		collector:  coll,
@@ -682,7 +661,6 @@ func New(cfg Config) (*Orchestrator, error) {
 		eligible:   make([]*workerSlot, 0, len(cfg.Workers)),
 		parked:     make(map[int64]*parkedRetry),
 		budgets:    make(map[string]*fnBudget),
-		throttled:  make(map[int64]*parkedThrottle),
 		callbacks:  make(map[int64]func(Result)),
 		nextID:     cfg.JobIDBase,
 	}
@@ -809,44 +787,12 @@ func (o *Orchestrator) SubmitAsync(function string, args []byte, cb func(Result)
 		o.mu.Unlock()
 		return 0
 	}
-	if o.attempt.BudgetThrottle > 0 && o.exhaustedLocked(function) {
-		// Budget-exhausted: the job is accepted (id, pending) but serves
-		// a throttle hold before it may enter any queue.
-		job := o.newJobLocked(function, args, cb)
-		o.m.budgetThrottled.Inc()
-		o.emit(telemetry.EventQueue, job, "", "budget-throttle")
-		p := &parkedThrottle{job: job}
-		o.throttled[job.ID] = p
-		p.cancel = o.runtime.After(o.attempt.BudgetThrottle, func() { o.releaseThrottled(job.ID) })
-		o.mu.Unlock()
-		return job.ID
-	}
 	id, run := o.enqueueLocked(o.pickWorkerLocked(function), function, args, cb)
 	o.mu.Unlock()
 	if run != nil {
 		run.run()
 	}
 	return id
-}
-
-// releaseThrottled moves a budget-held submission onto a worker queue once
-// its hold elapses. A job abandoned by Drain is no longer parked and is
-// skipped.
-func (o *Orchestrator) releaseThrottled(id int64) {
-	o.mu.Lock()
-	p, ok := o.throttled[id]
-	if !ok {
-		o.mu.Unlock()
-		return
-	}
-	delete(o.throttled, id)
-	s := o.pickWorkerLocked(p.job.Function)
-	o.pushJobLocked(s, p.job, "budget-release")
-	run := o.maybeDispatchLocked(s)
-	o.mu.Unlock()
-	if run != nil {
-		run.run()
-	}
 }
 
 // addEligibleLocked appends a slot to the free-list. Caller holds o.mu.
@@ -1004,8 +950,7 @@ func (o *Orchestrator) SubmitTo(workerID, function string, args []byte) (int64, 
 // newJobLocked accepts a submission: it allocates the job id, stamps the
 // configured JobTimeout, bumps the submission metrics, registers the
 // callback, and counts the job pending — everything except
-// placing the job on a queue (the budget-throttle path defers that part).
-// Caller holds o.mu.
+// placing the job on a queue. Caller holds o.mu.
 func (o *Orchestrator) newJobLocked(function string, args []byte, cb func(Result)) Job {
 	o.nextID++
 	id := o.nextID
@@ -1550,11 +1495,6 @@ func (o *Orchestrator) Drain(ctx context.Context) []Job {
 		p.cancel()
 		abandoned = append(abandoned, p.job)
 		delete(o.parked, id)
-	}
-	for id, p := range o.throttled {
-		p.cancel()
-		abandoned = append(abandoned, p.job)
-		delete(o.throttled, id)
 	}
 	sort.Slice(abandoned, func(i, j int) bool { return abandoned[i].ID < abandoned[j].ID })
 	o.addPendingLocked(-len(abandoned))

@@ -23,7 +23,6 @@ const (
 	metricBudgetLimit     = "microfaas_function_energy_budget_joules"
 	metricBudgetSpent     = "microfaas_function_budget_spent_joules"
 	metricBudgetExhausted = "microfaas_function_budget_exhausted"
-	metricBudgetThrottled = "microfaas_budget_throttled_total"
 )
 
 // orchMetrics holds the orchestrator's pre-created metric handles and
@@ -41,9 +40,8 @@ type orchMetrics struct {
 	queueDepth, busy, attempts, breakerTo *telemetry.Family
 	// per-function families (label function, then result)
 	fnSubmitted, invocations *telemetry.Family
-	// energy-budget series: one counter for throttle holds, and a gauge
-	// triple per budgeted function (created as budgets are installed)
-	budgetThrottled                         *telemetry.Counter
+	// energy-budget series: a gauge triple per budgeted function
+	// (created as budgets are installed)
 	budgetLimit, budgetSpent, budgetExhaust *telemetry.Family
 }
 
@@ -72,8 +70,6 @@ func (o *Orchestrator) initTelemetry(tel *telemetry.Telemetry) {
 			"Jobs submitted per function (before scheduling or retries).", "function"),
 		invocations: reg.CounterFamily(metricInvocations,
 			"Final per-function outcomes (after any retries).", "function", "result"),
-		budgetThrottled: reg.Counter(metricBudgetThrottled,
-			"Submissions held before queueing because their function's energy budget was spent."),
 		budgetLimit: reg.GaugeFamily(metricBudgetLimit,
 			"Configured per-function energy cap (0 after budget removal).", "function"),
 		budgetSpent: reg.GaugeFamily(metricBudgetSpent,

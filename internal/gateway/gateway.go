@@ -728,16 +728,19 @@ func (s *Server) handleFunctions(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, workload.Names())
 }
 
+// WorkerInfo is one row of the GET /workers reply: a worker's health,
+// its breaker state by name, and the shard that owns it.
+type WorkerInfo struct {
+	core.WorkerHealth
+	Breaker string `json:"breaker"`
+	Shard   string `json:"shard"`
+}
+
 func (s *Server) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	type workerInfo struct {
-		core.WorkerHealth
-		Breaker string `json:"breaker"`
-		Shard   string `json:"shard"`
-	}
-	out := []workerInfo{} // stable shape: [] even with nothing to report
+	out := []WorkerInfo{} // stable shape: [] even with nothing to report
 	for _, sh := range s.shards {
 		for _, h := range sh.orch.Health() {
-			out = append(out, workerInfo{WorkerHealth: h, Breaker: h.State.String(), Shard: sh.label})
+			out = append(out, WorkerInfo{WorkerHealth: h, Breaker: h.State.String(), Shard: sh.label})
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

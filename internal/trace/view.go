@@ -21,8 +21,8 @@ import (
 // telescope: their durations plus Breakdown's Unattributed equal the
 // job's end-to-end latency exactly. Unattributed is what no worker
 // reported: a live round trip's network and reply, a microVM host's
-// contention stretch, a timed-out attempt's whole run. A budget-throttle
-// hold and a power-manager wake fold into the wait.
+// contention stretch, a timed-out attempt's whole run. A power-manager
+// wake folds into the wait.
 
 // Phase names the stretch of an invocation a span covers.
 type Phase string

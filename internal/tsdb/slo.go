@@ -261,7 +261,6 @@ func KnownMetrics() []string {
 		"microfaas_function_energy_budget_joules",
 		"microfaas_function_budget_spent_joules",
 		"microfaas_function_budget_exhausted",
-		"microfaas_budget_throttled_total",
 		"microfaas_gateway_async_unfetched",
 		"microfaas_gateway_polls_parked",
 		"microfaas_gateway_async_expired_total",

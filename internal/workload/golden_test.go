@@ -2,6 +2,7 @@ package workload
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"microfaas/internal/mq"
+	"microfaas/internal/objstore"
+	"microfaas/internal/sqlstore"
 )
 
 var updateSuiteGolden = flag.Bool("update-suite-golden", false, "regenerate testdata/suite_outputs_golden.txt")
@@ -50,5 +55,33 @@ func TestSuiteOutputsGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("suite outputs drifted from the golden; got:\n%s", got.String())
+	}
+}
+
+// sqlFixtureSHA256 is the SHA-256 of the JSON of `SELECT * FROM records
+// ORDER BY id` on freshly seeded stores: every column of every row.
+const sqlFixtureSHA256 = "3cdc147811a11585d187592d0279c2d5a5bf653cd543d2bc03da5fc70816a45b"
+
+// TestSQLFixtureContent pins the SQL fixture by content. The suite golden
+// sees the table only through SQLSelect's row count and SQLUpdate's
+// affected count, so balances or names that drift would pass it.
+func TestSQLFixtureContent(t *testing.T) {
+	db := sqlstore.NewDatabase()
+	if err := SeedStores(db, objstore.NewStore(), mq.NewBroker()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Exec("SELECT * FROM " + SQLTable + " ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != SQLRows {
+		t.Fatalf("read back %d rows, want %d", len(res.Rows), SQLRows)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != sqlFixtureSHA256 {
+		t.Fatalf("SQL fixture sha256 %s, want %s; first row %v", got, sqlFixtureSHA256, res.Rows[0])
 	}
 }
