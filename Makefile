@@ -85,15 +85,15 @@ knobs:
 # together are under STORE_REACH_MIN percent, a never-entered function is
 # not on the allowlist, or an allowlist entry is gone or now entered. The
 # report stays in .reach/.
-REACH_MIN := 82
+REACH_MIN := 83
 STORE_REACH_MIN := 70
 
 # LOC_MAX and KNOBS_MAX are ratchets, like REACH_MIN: the `make loc` and
 # `make knobs` totals may not grow past them. A change that lowers a total
 # lowers its ceiling to match; one that must raise a ceiling says why in
 # CHANGES.md.
-LOC_MAX := 23639
-KNOBS_MAX := 140
+LOC_MAX := 23405
+KNOBS_MAX := 139
 
 .PHONY: reach
 reach:

@@ -7,8 +7,6 @@
 //	faasctl [-gateway host:port] workers [-v]
 //	faasctl [-gateway host:port] stats
 //	faasctl [-gateway host:port] shards
-//	faasctl [-gateway host:port] shards drain <shard>
-//	faasctl [-gateway host:port] shards join <shard>
 //	faasctl [-gateway host:port] invoke <function> [args-json]
 //	faasctl [-gateway host:port] -async invoke <function> [args-json]
 //	faasctl [-gateway host:port] job <id>
@@ -148,14 +146,10 @@ func (c *client) run(args []string) error {
 	case "stats":
 		return c.show(http.MethodGet, "/stats", nil)
 	case "shards":
-		switch {
-		case len(args) == 1:
-			return c.shardsTable()
-		case len(args) == 3 && (args[1] == "drain" || args[1] == "join"):
-			return c.show(http.MethodPost, "/shards/"+args[2]+"/"+args[1], nil)
-		default:
-			return fmt.Errorf("usage: shards | shards drain <shard> | shards join <shard>")
+		if len(args) > 1 {
+			return fmt.Errorf("shards takes no arguments (got %q)", args[1])
 		}
+		return c.shardsTable()
 	case "top":
 		rest, err := c.observeFlags("top", args[1:])
 		if err != nil {
@@ -325,7 +319,7 @@ func (c *client) powerCap(watts string) error {
 	if err != nil || math.IsNaN(w) || math.IsInf(w, 0) {
 		return fmt.Errorf("power cap: %q is not a wattage", watts)
 	}
-	body, err := json.Marshal(map[string]float64{"cap_w": w})
+	body, err := json.Marshal(gateway.PowerCapRequest{CapW: w})
 	if err != nil {
 		return err
 	}

@@ -399,7 +399,7 @@ func TestHTTPErrorsExitNonzero(t *testing.T) {
 	for _, args := range [][]string{
 		{"job", "999"}, {"forecast"}, {"slo"}, {"alerts"}, {"trace", "7"},
 		{"trace", "--slowest", "3"}, {"functions"}, {"stats"}, {"workers"}, {"workers", "-v"},
-		{"shards"}, {"shards", "drain", "0"}, {"power"}, {"power", "cap", "5"},
+		{"shards"}, {"power"}, {"power", "cap", "5"},
 		{"invoke", "CascSHA"}, {"top"}, {"watch", "m"},
 	} {
 		c, out, _ := fakeGateway(t)

@@ -59,45 +59,8 @@ func TestShardsCommand(t *testing.T) {
 	if len(lines) != 4 { // header + 2 shards + total
 		t.Fatalf("shards table has %d lines:\n%s", len(lines), got)
 	}
-}
-
-// TestShardsDrainJoinCommand drives the administrative subcommands:
-// drain takes a shard out of service (the table shows it dead), join
-// brings it back, and malformed invocations get a usage error.
-func TestShardsDrainJoinCommand(t *testing.T) {
-	c, out := startShardedStack(t)
-	if err := c.run([]string{"shards", "drain", "shard-01"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); !strings.Contains(got, `"state": "dead"`) {
-		t.Fatalf("drain output missing dead state:\n%s", got)
-	}
-	out.Reset()
-	if err := c.run([]string{"shards"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); !strings.Contains(got, "dead") || !strings.Contains(got, "up") {
-		t.Fatalf("shards table after drain:\n%s", got)
-	}
-	out.Reset()
-	if err := c.run([]string{"shards", "join", "1"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); !strings.Contains(got, `"state": "up"`) {
-		t.Fatalf("join output missing up state:\n%s", got)
-	}
-	// Draining a shard that is already up twice: second drain conflicts.
-	if err := c.run([]string{"shards", "drain", "shard-01"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.run([]string{"shards", "drain", "shard-01"}); err == nil {
-		t.Fatal("double drain succeeded")
-	}
-	if err := c.run([]string{"shards", "join", "shard-01"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.run([]string{"shards", "drain"}); err == nil {
-		t.Fatal("shards drain without a shard id succeeded")
+	if err := c.run([]string{"shards", "drain", "shard-01"}); err == nil || !strings.Contains(err.Error(), "no arguments") {
+		t.Fatalf("shards drain: err %v, want a usage error", err)
 	}
 }
 

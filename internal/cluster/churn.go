@@ -9,20 +9,19 @@ import (
 )
 
 // Deterministic shard churn for a ShardedSim: Kill takes a shard's
-// control-plane host down (the probe starts failing and the
+// control-plane host down for good (the probe starts failing and the
 // orchestrator seals — queued jobs freeze for recovery, in-flight
-// attempts finish on their boards), Revive brings it back. Schedule the
-// churn on the shared virtual clock and a seeded run replays
-// byte-identically, kill timing included.
+// attempts finish on their boards). Schedule the kills on the shared
+// virtual clock and a seeded run replays byte-identically, kill timing
+// included.
 //
-// Worker re-homing rides the plane's membership hooks: when the health
-// checker declares a killed shard dead, its worker partition moves
-// round-robin onto the up shards (core.RemoveWorker hands each board
-// over as soon as its current attempt settles; core.AddWorker attaches
-// it to the survivor); when the shard rejoins, every surviving board it
-// owned — wherever it lives now — moves home again. The owner map
-// tracks where each board currently lives. All churn runs on the
-// engine thread, so none of this state needs a lock.
+// Worker re-homing rides the plane's OnDeath hook: when the health
+// checker declares a killed shard dead, its worker partition — including
+// boards it had adopted from an earlier death — moves round-robin onto
+// the up shards (core.RemoveWorker hands each board over as soon as its
+// current attempt settles; core.AddWorker attaches it to the survivor).
+// The owner map tracks where each board currently lives. All churn runs
+// on the engine thread, so none of this state needs a lock.
 //
 // Churn requires scfg.Membership.Enabled and is not supported together
 // with power management (a power manager's node set is fixed at
@@ -47,33 +46,12 @@ func (s *ShardedSim) Kill(si int) error {
 	return nil
 }
 
-// Revive brings shard si's host back: its probe succeeds again. A shard
-// that was declared dead earns its rejoin streak and re-enters the ring
-// with its workers returned; a shard that only blipped (killed but
-// revived before the death threshold) unseals immediately.
-func (s *ShardedSim) Revive(si int) error {
-	if err := s.churnable(si); err != nil {
-		return err
-	}
-	if !s.down[si] {
-		return nil
-	}
-	s.down[si] = false
-	if s.Plane.Status()[si].State != shard.ShardDead.String() {
-		// Never declared dead, so no rejoin transition will fire: undo the
-		// seal directly.
-		s.Orchs[si].Reopen()
-	}
-	s.Plane.Kick()
-	return nil
-}
-
 // ScheduleKill arranges Kill(si) at virtual time at.
 func (s *ShardedSim) ScheduleKill(at time.Duration, si int) {
 	s.Engine.At(at, func() { _ = s.Kill(si) })
 }
 
-// churnable validates a Kill/Revive target.
+// churnable validates a Kill target.
 func (s *ShardedSim) churnable(si int) error {
 	if s.owner == nil {
 		return fmt.Errorf("cluster: churn needs Membership.Enabled in the shard config")
@@ -114,17 +92,6 @@ func (s *ShardedSim) rehomeDead(d int) {
 			target := up[k%len(up)]
 			k++
 			s.moveWorker(w.ID(), d, target)
-		}
-	}
-}
-
-// rehomeRejoin is the plane's OnRejoin hook: shard r's home partition
-// returns to it from wherever its boards were fostered.
-func (s *ShardedSim) rehomeRejoin(r int) {
-	for _, w := range s.Workers[r] {
-		id := w.ID()
-		if cur := s.owner[id]; cur != r {
-			s.moveWorker(id, cur, r)
 		}
 	}
 }

@@ -109,21 +109,15 @@ func NewShardedMicroFaaSSim(shards, workersPerShard int, cfg SimConfig, scfg sha
 		}
 		// Wire the sim's churn machinery into the plane: the kill mask
 		// backs the probe, and worker re-homing chains ahead of any
-		// caller-supplied hooks.
+		// caller-supplied OnDeath.
 		if scfg.Membership.Probe == nil {
 			scfg.Membership.Probe = func(i int) bool { return !s.down[i] }
 		}
-		userDeath, userRejoin := scfg.Membership.OnDeath, scfg.Membership.OnRejoin
+		userDeath := scfg.Membership.OnDeath
 		scfg.Membership.OnDeath = func(i int) {
 			s.rehomeDead(i)
 			if userDeath != nil {
 				userDeath(i)
-			}
-		}
-		scfg.Membership.OnRejoin = func(i int) {
-			s.rehomeRejoin(i)
-			if userRejoin != nil {
-				userRejoin(i)
 			}
 		}
 		s.owner = make(map[string]int, shards*workersPerShard)

@@ -396,11 +396,11 @@ func (h *paroleHeap) Pop() any {
 }
 
 // AttemptPolicy is how the OP attempts each job: how many times, how long
-// an attempt may run, the backoff between attempts, the per-worker circuit
-// breaker, and the hold on budget-exhausted functions. Config and both
-// cluster configs embed it, so each setting is declared once and a
-// cluster hands it to its orchestrators whole. The zero value is the
-// paper's OP: one attempt, no deadline, no breaker, no hold.
+// an attempt may run, the backoff between attempts, and the per-worker
+// circuit breaker. Config and both cluster configs embed it, so each
+// setting is declared once and a cluster hands it to its orchestrators
+// whole. The zero value is the paper's OP: one attempt, no deadline, no
+// breaker.
 type AttemptPolicy struct {
 	// MaxAttempts caps executions per job (default 1 = no retries).
 	// Failed jobs are re-queued onto a different worker until the cap;
@@ -442,7 +442,7 @@ type Config struct {
 	// the paper's).
 	Policy AssignPolicy
 	// AttemptPolicy is how each job is attempted: retries, deadlines,
-	// backoff, breakers and the budget hold.
+	// backoff and breakers.
 	AttemptPolicy
 	// Telemetry receives metrics and lifecycle events (nil = disabled;
 	// the disabled path costs one nil check per site and leaves seeded

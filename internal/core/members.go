@@ -27,8 +27,8 @@ import (
 // queued jobs freeze in place — no further dispatch — so they can be
 // recovered intact with TakeAll. In-flight attempts are unaffected and
 // settle normally (a failure during the sealed window finalizes instead
-// of retrying, as in Drain). Unlike Drain, Seal does not wait and is
-// reversible with Reopen.
+// of retrying, as in Drain). Unlike Drain, Seal does not wait. It is
+// one-way: a sealed orchestrator never accepts work again.
 func (o *Orchestrator) Seal() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -37,24 +37,6 @@ func (o *Orchestrator) Seal() {
 	if o.arrivalCancel != nil {
 		o.arrivalCancel()
 		o.arrivalCancel = nil
-	}
-}
-
-// Reopen reverses Seal: submissions are accepted again and any jobs
-// still queued (frozen by the seal) dispatch immediately.
-func (o *Orchestrator) Reopen() {
-	o.mu.Lock()
-	o.draining.Store(false)
-	o.sealed = false
-	var runs []*inflight
-	for _, s := range o.slots {
-		if run := o.maybeDispatchLocked(s); run != nil {
-			runs = append(runs, run)
-		}
-	}
-	o.mu.Unlock()
-	for _, run := range runs {
-		run.run()
 	}
 }
 
@@ -102,11 +84,10 @@ func (o *Orchestrator) TakeAll() []Stolen {
 }
 
 // AddWorker registers a worker at runtime (the far end of a re-homing:
-// a dead shard's board joining a survivor's partition, or a rejoined
-// shard taking its boards back). The worker lands at the end of the
-// registration order with a fresh health record and its per-worker
-// metric series (re)attached. Not supported under a power manager,
-// whose node set is fixed at construction.
+// a dead shard's board joining a survivor's partition). The worker lands
+// at the end of the registration order with a fresh health record and
+// its per-worker metric series (re)attached. Not supported under a power
+// manager, whose node set is fixed at construction.
 func (o *Orchestrator) AddWorker(w Worker) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -75,7 +75,7 @@ func (o *Orchestrator) initTelemetry(tel *telemetry.Telemetry) {
 		budgetSpent: reg.GaugeFamily(metricBudgetSpent,
 			"Metered joules charged against the function's budget (all attempts).", "function"),
 		budgetExhaust: reg.GaugeFamily(metricBudgetExhausted,
-			"1 while the function's energy budget is spent (deprioritized/throttled).", "function"),
+			"1 while the function's energy budget is spent (deprioritized).", "function"),
 	}
 }
 

@@ -39,8 +39,6 @@
 //	GET  /traces/{id}      one job's breakdown plus its phases; the id is the job id, and a
 //	                       job not in the record window answers 404
 //	GET  /shards           per-shard capacity snapshots
-//	POST /shards/{id}/drain  take one shard out of service, migrating its queue
-//	POST /shards/{id}/join   return a drained/dead shard to service
 //	GET  /debug/pprof/*    net/http/pprof profiler (only when Options.EnablePprof)
 //
 // Handler registers exactly these method-and-path patterns, in this order,
@@ -123,6 +121,12 @@ type InvokeRequest struct {
 	Function string          `json:"function"`
 	Args     json.RawMessage `json:"args"`
 	Key      string          `json:"key,omitempty"`
+}
+
+// PowerCapRequest is the POST /power/cap body: the cluster power cap in
+// watts, divided evenly across the powered shards (0 removes it).
+type PowerCapRequest struct {
+	CapW float64 `json:"cap_w"`
 }
 
 // InvokeResponse is the POST /invoke reply.
@@ -394,8 +398,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /traces", s.handleTraces)
 	mux.HandleFunc("GET /traces/{id}", s.handleTraceByID)
 	mux.HandleFunc("GET /shards", s.handleShards)
-	mux.HandleFunc("POST /shards/{id}/drain", s.handleShardOp(s.plane.DrainShard))
-	mux.HandleFunc("POST /shards/{id}/join", s.handleShardOp(s.plane.JoinShard))
 	if s.pprof {
 		mountPprof(mux)
 	}
@@ -753,37 +755,6 @@ func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.plane.Status())
 }
 
-// handleShardOp serves POST /shards/{id}/drain and /shards/{id}/join, op
-// being the plane's DrainShard or JoinShard: administratively take one
-// shard out of service (its queued work migrates to the others, exactly
-// like a health-detected death) or return it. {id} is the shard index or
-// its label. Replies with the shard's fresh status snapshot.
-func (s *Server) handleShardOp(op func(int) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("id")
-		idx := -1
-		if n, err := strconv.Atoi(name); err == nil {
-			idx = n
-		} else {
-			for i, label := range s.plane.Labels() {
-				if label == name {
-					idx = i
-					break
-				}
-			}
-		}
-		if idx < 0 || idx >= s.plane.NumShards() {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("unknown shard %q", name))
-			return
-		}
-		if err := op(idx); err != nil {
-			writeError(w, http.StatusConflict, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, s.plane.Status()[idx])
-	}
-}
-
 // shardPower is one shard's power snapshot inside the /power and
 // /power/cap replies.
 type shardPower struct {
@@ -802,7 +773,7 @@ func (s *Server) handlePower(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handlePowerCap serves POST /power/cap with body {"cap_w": N}: it adjusts
+// handlePowerCap serves POST /power/cap with a PowerCapRequest: it adjusts
 // the cluster power budget at runtime (0 removes the cap) and returns the
 // resulting snapshots, shaped like GET /power. The budget is divided
 // evenly across the shards that run a power manager (each shard caps its
@@ -810,9 +781,7 @@ func (s *Server) handlePower(w http.ResponseWriter, _ *http.Request) {
 // never force-kills powered nodes; the cluster converges downward as they
 // idle out.
 func (s *Server) handlePowerCap(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		CapW float64 `json:"cap_w"`
-	}
+	var req PowerCapRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}

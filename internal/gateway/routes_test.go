@@ -54,8 +54,6 @@ func contractRoutes(job string) []contractRoute {
 		{"GET", "/traces", get, ""},
 		{"GET", "/traces/" + job, get, ""},
 		{"GET", "/shards", get, ""},
-		{"POST", "/shards/0/drain", post, ""},
-		{"POST", "/shards/0/join", post, ""},
 	}
 }
 
@@ -144,6 +142,10 @@ func TestRouteContract(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || body != "" {
 			t.Errorf("HEAD %s → %d with %d body bytes, want 200 and none", rt.path, resp.StatusCode, len(body))
 		}
+	}
+	// A path off the table is the mux's text/plain 404.
+	if resp, _ := do(t, http.MethodPost, base+"/shards/0/drain", nil); resp.StatusCode != http.StatusNotFound || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
+		t.Errorf("POST /shards/0/drain → %d %q, want a text/plain 404", resp.StatusCode, resp.Header.Get("Content-Type"))
 	}
 	// The profiler's routes take any method.
 	if resp, _ := do(t, http.MethodDelete, base+"/debug/pprof/", nil); resp.StatusCode != http.StatusOK {

@@ -187,88 +187,6 @@ func TestShardedGatewayAsyncAndDefaultKey(t *testing.T) {
 	}
 }
 
-// TestShardedGatewayDrainJoin drives the administrative membership
-// endpoints: draining a shard takes it out of service (state "dead",
-// routing avoids it), the last live shard refuses to drain, and join
-// returns the drained shard to the ring.
-func TestShardedGatewayDrainJoin(t *testing.T) {
-	base, plane := startShardedGateway(t)
-
-	postShardOp := func(path string) (int, shard.ShardStatus) {
-		t.Helper()
-		resp, err := http.Post(base+path, "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var st shard.ShardStatus
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return resp.StatusCode, st
-	}
-
-	// Drain by label; the response carries the fresh snapshot.
-	code, st := postShardOp("/shards/shard-01/drain")
-	if code != http.StatusOK || st.State != "dead" || st.Index != 1 {
-		t.Fatalf("drain = %d, %+v", code, st)
-	}
-	if got := plane.Status()[1].State; got != shard.ShardDead.String() {
-		t.Fatalf("shard 1 state after drain = %v", got)
-	}
-
-	// /shards reflects the drained state.
-	var statuses []shard.ShardStatus
-	getJSON(t, base+"/shards", &statuses)
-	if statuses[0].State != "up" || statuses[1].State != "dead" {
-		t.Fatalf("shards after drain = %+v", statuses)
-	}
-
-	// Work still lands — on the surviving shard.
-	resp, out := postInvoke(t, base, `{"function":"FloatOps","args":{"iterations":200},"key":"u/9"}`)
-	if resp.StatusCode != http.StatusOK || out.Error != "" {
-		t.Fatalf("invoke with a drained shard: %d, %+v", resp.StatusCode, out)
-	}
-	if out.Worker == "" {
-		t.Fatalf("invoke ran nowhere: %+v", out)
-	}
-
-	// Double drain and last-live-shard drain both conflict.
-	if code, _ := postShardOp("/shards/1/drain"); code != http.StatusConflict {
-		t.Fatalf("double drain = %d, want 409", code)
-	}
-	if code, _ := postShardOp("/shards/shard-00/drain"); code != http.StatusConflict {
-		t.Fatalf("draining the last live shard = %d, want 409", code)
-	}
-
-	// Join brings it back by index.
-	code, st = postShardOp("/shards/1/join")
-	if code != http.StatusOK || st.State != "up" {
-		t.Fatalf("join = %d, %+v", code, st)
-	}
-	if code, _ := postShardOp("/shards/1/join"); code != http.StatusConflict {
-		t.Fatalf("double join = %d, want 409", code)
-	}
-
-	// Unknown shards and ops 404; GET is not allowed.
-	if code, _ := postShardOp("/shards/nope/drain"); code != http.StatusNotFound {
-		t.Fatalf("unknown shard = %d, want 404", code)
-	}
-	if code, _ := postShardOp("/shards/1/reboot"); code != http.StatusNotFound {
-		t.Fatalf("unknown op = %d, want 404", code)
-	}
-	r, err := http.Get(base + "/shards/1/drain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET on shard op = %d, want 405", r.StatusCode)
-	}
-}
-
 // orchestrators extracts the shard orchestrators in ring order.
 func orchestrators(lives []*cluster.Live) []*core.Orchestrator {
 	out := make([]*core.Orchestrator, len(lives))

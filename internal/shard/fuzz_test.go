@@ -41,7 +41,7 @@ func rebuiltPoints(r *Ring) []ringPoint {
 // matter to the plane: lookups always land on a present shard, bounded
 // lookups terminate, a rebuilt ring keeps one point minimum per present
 // shard so no member becomes unroutable, and an arbitrary interleaving
-// of Add/Remove/SetWeights never breaks any of that. After every step the
+// of Remove/SetWeights never breaks any of that. After every step the
 // merged point list must equal a full rebuild (rebuiltPoints).
 func FuzzRing(f *testing.F) {
 	f.Add(uint8(4), uint8(32), "hot", 1.25, uint8(1), uint16(0))
@@ -65,7 +65,7 @@ func FuzzRing(f *testing.F) {
 		}
 
 		// Interleave membership churn with reweights, driven by the churn
-		// bits: each step removes, re-adds, or reweights some shard, or
+		// bits: each step removes some shard, reweights every shard, or
 		// swings every weight between the clamp ends. The bounded-load
 		// invariant below must hold at every step.
 		check := func(step int) {
@@ -109,16 +109,7 @@ func FuzzRing(f *testing.F) {
 					t.Fatalf("step %d: Remove(%d) of a present, non-last shard failed: %v", step, target, err)
 				}
 				check(step)
-			case 1:
-				if err := r.Add(target); err == nil {
-					if !r.present[target] || r.Weight(target) != 1 {
-						t.Fatalf("step %d: Add(%d) left present=%v weight=%v", step, target, r.present[target], r.Weight(target))
-					}
-				} else if !r.present[target] {
-					t.Fatalf("step %d: Add(%d) of an absent shard failed: %v", step, target, err)
-				}
-				check(step)
-			case 2:
+			case 1, 2:
 				for i := range weights {
 					if bits&4 == 0 {
 						// Nudge every weight by under a quarter vnode: most

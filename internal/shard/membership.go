@@ -15,8 +15,11 @@ import (
 // missed heartbeat. The per-shard state machine is:
 //
 //	up ──(SuspectAfter missed)──▶ suspect ──(DeadAfter missed)──▶ dead
-//	 ▲                              │ probe ok: streak resets to up
-//	 └──(RejoinAfter consecutive ok probes — MinUp-style hysteresis)──┘
+//	 ▲                              │
+//	 └───────────(probe ok)─────────┘
+//
+// Dead is final: a dead shard's probe is still taken but moves it
+// nowhere, and the shard never returns to the ring.
 //
 // An expired lease is an immediate death sentence regardless of the
 // missed-heartbeat count: leases bound how stale any view of the
@@ -29,11 +32,7 @@ import (
 // its orchestrator, drains every queued and backoff-parked job into
 // survivors over the identity-preserving steal transport, and fires
 // OnDeath (the sharded sim re-homes the dead shard's worker partition
-// there). On the dead→up edge (RejoinAfter consecutive successful
-// probes — flap hysteresis, so a blinking host does not churn the ring)
-// the plane reopens the orchestrator, re-adds it to the ring at weight
-// 1, and fires OnRejoin (the sim hands the worker partition back).
-// Every transition bumps the membership epoch.
+// there). Every transition bumps the membership epoch.
 
 // Membership thresholds. They are in aggregator ticks (the heartbeat is
 // taken on the capacity tick), so wall-clock reaction time scales with
@@ -45,10 +44,6 @@ const (
 	// DefaultDeadAfter is the missed-heartbeat count that declares a
 	// shard dead (must exceed SuspectAfter).
 	DefaultDeadAfter = 4
-	// DefaultRejoinAfter is how many consecutive successful probes a
-	// dead shard needs before it rejoins the ring (MinUp-style
-	// hysteresis against flapping).
-	DefaultRejoinAfter = 3
 )
 
 // ShardState is one shard's position in the membership state machine.
@@ -61,9 +56,9 @@ const (
 	// (a suspect shard usually recovers) but one more threshold from
 	// death.
 	ShardSuspect
-	// ShardDead: declared failed (missed heartbeats past DeadAfter, an
-	// expired lease, or an administrative drain). Off the ring, sealed,
-	// queue drained into survivors.
+	// ShardDead: declared failed (missed heartbeats past DeadAfter or an
+	// expired lease). Off the ring for good, sealed, queue drained into
+	// survivors.
 	ShardDead
 )
 
@@ -91,37 +86,18 @@ type MembershipConfig struct {
 	Enabled bool
 	// Probe reports whether a shard's control plane is reachable. It is
 	// called once per shard per aggregator tick, in index order. Nil
-	// means every shard always probes healthy (membership still tracks
-	// administrative drains).
+	// means every shard always probes healthy.
 	Probe func(shard int) bool
 	// OnDeath fires after a shard is declared dead and its queue has
 	// been drained into survivors (the sharded sim re-homes the worker
 	// partition here). Called outside the plane lock.
 	OnDeath func(shard int)
-	// OnRejoin fires after a dead shard rejoins the ring. Called outside
-	// the plane lock.
-	OnRejoin func(shard int)
 }
 
 // memberRecord is one shard's mutable membership state.
 type memberRecord struct {
 	state      ShardState
 	missed     int           // consecutive missed heartbeats
-	streak     int           // consecutive successful probes while dead
 	epoch      int64         // transitions this shard has made
 	leaseUntil time.Duration // liveness lease expiry on the cluster clock
-	lastAlive  bool          // most recent probe outcome
-	admin      bool          // administratively drained: no auto-rejoin
-}
-
-// MemberView is one shard's membership snapshot (part of ShardStatus).
-type MemberView struct {
-	// State is "up", "suspect", or "dead".
-	State string `json:"state"`
-	// Epoch counts this shard's membership transitions (0 = never
-	// churned).
-	Epoch int64 `json:"epoch"`
-	// LeaseRemaining is how much liveness lease the shard holds, in
-	// seconds (<= 0 means expired; meaningless for dead shards).
-	LeaseRemaining float64 `json:"lease_remaining_s"`
 }

@@ -204,7 +204,6 @@ func NewPlane(rt core.Runtime, shards []*core.Orchestrator, cfg Config) (*Plane,
 	p.loadOf = p.loadAt
 	if cfg.Membership.Enabled {
 		for i := range p.members {
-			p.members[i].lastAlive = true
 			p.members[i].leaseUntil = rt.Now() + p.leaseTTL
 		}
 	}

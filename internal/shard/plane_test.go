@@ -92,18 +92,29 @@ func (w asyncWorker) RunJob(job core.Job, done func(core.Result)) {
 
 // TestShardLoadReadsRace drives concurrent routed submits into four
 // wall-clock shards while readers poll every lock-free load count (the
-// plane's Pending and Status, each shard's Queued and Draining) and one
-// shard is sealed and reopened over and over. Under -race it holds the
-// counts to their discipline: written under the shard's lock, read
-// anywhere. Once the submitters stop and every shard quiesces, nothing
-// is pending or queued.
+// plane's Pending and Status, each shard's Queued and Draining), and
+// seals shard 1 once midway, as a dying shard is: failover takes the
+// rest of its routed work. Under -race it holds the counts to their
+// discipline: written under the shard's lock, read anywhere. Once the
+// submitters stop, shard 1's frozen jobs are recovered with TakeAll and
+// resubmitted on shard 0 (a death's transport); every accepted job
+// settles exactly once, and after quiesce nothing is pending or queued.
 func TestShardLoadReadsRace(t *testing.T) {
 	p := wallPlane(t, 4, func(id string) core.Worker { return asyncWorker{id: id} })
 	const submitters, perSubmitter = 4, 500
 	var submitted atomic.Int64
 	// A job's callback runs after its shard's lock is released, so it can
-	// trail Quiesce; settled counts callbacks still to come.
+	// trail Quiesce; settled counts callbacks still to come, and settles
+	// counts each job's callbacks.
 	var settled sync.WaitGroup
+	var mu sync.Mutex
+	settles := map[int64]int{}
+	onSettle := func(r core.Result) {
+		mu.Lock()
+		settles[r.Job.ID]++
+		mu.Unlock()
+		settled.Done()
+	}
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	poll := func(read func()) {
@@ -134,23 +145,22 @@ func TestShardLoadReadsRace(t *testing.T) {
 			_ = o.Draining()
 		}
 	})
-	poll(func() {
-		o := p.Shards()[1]
-		o.Seal()
-		if !o.Draining() {
-			t.Error("a sealed shard does not report draining")
-		}
-		o.Reopen()
-	})
 
+	sealed := p.Shards()[1]
 	var wg sync.WaitGroup
 	for g := 0; g < submitters; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
+				if g == 0 && i == perSubmitter/4 {
+					sealed.Seal()
+					if !sealed.Draining() {
+						t.Error("a sealed shard does not report draining")
+					}
+				}
 				settled.Add(1)
-				id, _ := p.Submit(fmt.Sprintf("k/%d/%d", g, i%16), "CascSHA", nil, func(core.Result) { settled.Done() })
+				id, _ := p.Submit(fmt.Sprintf("k/%d/%d", g, i%16), "CascSHA", nil, onSettle)
 				if id == 0 {
 					settled.Done()
 					t.Error("every shard refused a submit")
@@ -163,13 +173,25 @@ func TestShardLoadReadsRace(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	p.Shards()[1].Reopen()
+	for _, st := range sealed.TakeAll() {
+		if id, err := p.Shards()[0].SubmitJob(st.Job, st.Callback); err != nil || id != st.Job.ID {
+			t.Fatalf("resubmitting job %d on shard 0: id %d, err %v", st.Job.ID, id, err)
+		}
+	}
 	for _, o := range p.Shards() {
 		o.Quiesce()
 	}
 	settled.Wait()
 	if got := submitted.Load(); got != submitters*perSubmitter {
 		t.Fatalf("%d jobs accepted, want %d", got, submitters*perSubmitter)
+	}
+	if len(settles) != submitters*perSubmitter {
+		t.Fatalf("%d distinct jobs settled, want %d", len(settles), submitters*perSubmitter)
+	}
+	for id, n := range settles {
+		if n != 1 {
+			t.Fatalf("job %d settled %d times", id, n)
+		}
 	}
 	if got := p.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after quiesce, want 0", got)

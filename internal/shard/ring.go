@@ -60,9 +60,8 @@ func comparePoints(a, b ringPoint) int {
 // dynamic membership. A key maps to the shard owning the first point
 // clockwise of the key's hash; raising a shard's weight gives it more
 // points (and so a proportionally larger share of the key space)
-// without disturbing where other shards' points sit — reweighting,
-// removing, or re-adding one shard only moves the keys that shard
-// gained or lost (the ~1/N key-movement property, because point
+// without disturbing where other shards' points sit — reweighting or
+// removing one shard only moves the keys that shard gained or lost (the ~1/N key-movement property, because point
 // placement is a pure function of (shard, vnode), never of the rest of
 // the membership). Ring is not concurrency-safe; the Plane guards it
 // with its own lock.
@@ -187,25 +186,6 @@ func (r *Ring) Members() int { return r.members }
 
 // Weight returns a shard's current weight.
 func (r *Ring) Weight(shard int) float64 { return r.weights[shard] }
-
-// Add returns a shard to the ring at weight 1 (a rejoining shard starts
-// neutral; the rebalancer re-earns its share from live queue depths).
-// Only the re-added shard's points appear, so the only keys that move
-// are the ones it now owns — no key between two other shards changes
-// hands.
-func (r *Ring) Add(shard int) error {
-	if shard < 0 || shard >= len(r.weights) {
-		return fmt.Errorf("shard: Add(%d) outside [0,%d)", shard, len(r.weights))
-	}
-	if r.present[shard] {
-		return fmt.Errorf("shard: Add(%d): already on the ring", shard)
-	}
-	r.present[shard] = true
-	r.weights[shard] = 1
-	r.members++
-	r.rebuild()
-	return nil
-}
 
 // Remove takes a shard off the ring. Its points vanish and nothing else
 // changes, so exactly the keys it owned (~1/N of the key space at equal

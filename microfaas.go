@@ -48,8 +48,8 @@ type LiveOptions = cluster.LiveOptions
 type LiveBoardConfig = node.LiveBoardConfig
 
 // AttemptPolicy is how the orchestrator attempts each job: the attempt
-// cap, the per-attempt deadline, retry backoff, the per-worker circuit
-// breaker and the budget hold. LiveOptions and SimOptions both embed one.
+// cap, the per-attempt deadline, retry backoff and the per-worker circuit
+// breaker. LiveOptions and SimOptions both embed one.
 type AttemptPolicy = core.AttemptPolicy
 
 // FaultPolicy injects worker faults, one spec for both halves:

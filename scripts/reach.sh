@@ -193,12 +193,8 @@ says live-001
 run ctl workers -v
 run ctl stats
 says '"completed"'
-# A lone orchestrator is a plane of one: its one shard cannot be drained,
-# and it is already in service.
 run ctl shards
 says shard-00
-refused "last live shard" ctl shards drain 0
-refused "already in service" ctl shards join shard-00
 run ctl top -once
 run ctl top -once -json
 run ctl watch -once microfaas_jobs_submitted_total
