@@ -264,7 +264,7 @@ func TestSLOAndAlertsCommands(t *testing.T) {
 	}
 	got = out.String()
 	if !strings.Contains(got, "errors") || !strings.Contains(got, "history:") ||
-		!strings.Contains(got, string(telemetry.EventAlertFiring)) {
+		!strings.Contains(got, string(tsdb.EventAlertFiring)) {
 		t.Fatalf("alerts during outage:\n%s", got)
 	}
 }

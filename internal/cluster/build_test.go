@@ -15,6 +15,7 @@ import (
 	"microfaas/internal/power"
 	"microfaas/internal/powermgr"
 	"microfaas/internal/shard"
+	"microfaas/internal/telemetry"
 )
 
 // boardByBoard builds the cluster NewShardedMicroFaaSSim(shards, per, cfg,
@@ -231,5 +232,36 @@ func TestSmallClusterBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 23200 {
 		t.Fatalf("a %d-board cluster allocates %d bytes, want ≤ 23,200", model.SBCCount, got)
+	}
+}
+
+// TestObservedRackBytes pins what an observed 8 × 256-board rack (each
+// shard with its own telemetry, stealing and rebalancing on) allocates to
+// build: its metric families, slabs and record windows, and no
+// per-shard buffer sized for traffic it has not seen. It takes about
+// 6.35 MB; a 4,096-event lifecycle ring per shard made it 9.89 MB.
+func TestObservedRackBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const runs = 5
+	build := func() {
+		_, err := NewShardedMicroFaaSSim(8, 256, SimConfig{Seed: 1, Policy: core.AssignLeastLoaded, Telemetry: telemetry.New()}, shard.Config{
+			Steal:     shard.StealConfig{Enabled: true, MaxPerTick: 4096},
+			Rebalance: shard.RebalanceConfig{Enabled: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // the shared function table is built on first use
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 6_800_000 {
+		t.Fatalf("an observed 8 × 256-board rack allocates %d bytes, want ≤ 6,800,000", got)
 	}
 }

@@ -44,7 +44,7 @@ func chaosChurnRun(t *testing.T, seed int64) *chaosOutcome {
 	s, err := NewShardedMicroFaaSSim(6, 8, SimConfig{
 		Seed:      seed,
 		Policy:    core.AssignLeastLoaded,
-		Telemetry: telemetry.New(), // each shard's event ring names its steals
+		Telemetry: telemetry.New(), // a re-homed board re-attaches its series
 	}, scfg)
 	if err != nil {
 		t.Fatalf("NewShardedMicroFaaSSim: %v", err)
@@ -134,15 +134,19 @@ func TestShardedChaosChurn(t *testing.T) {
 
 		// Every board must be accounted for once the dust settles: the
 		// killed shards are dead, the rest up, and no board is lost or
-		// attached twice. A dead shard still holds its last board (core
-		// never detaches an orchestrator's last worker) and any board that
-		// was in transit to it when it died; the up shards hold the rest.
+		// attached twice. A dead shard holds exactly its last board (core
+		// never detaches an orchestrator's last worker): a board in transit
+		// to a shard that dies meanwhile lands on an up one instead. The
+		// up shards hold the rest.
 		total := 0
 		for _, st := range out.sim.Plane.Status() {
 			total += st.Workers
 			want := "up"
 			if out.killed[st.Index] {
 				want = "dead"
+				if st.Workers != 1 {
+					t.Fatalf("seed %d: dead shard %d holds %d boards, want its last 1", seed, st.Index, st.Workers)
+				}
 			}
 			if st.State != want {
 				t.Fatalf("seed %d: shard %d finished in state %q, want %q", seed, st.Index, st.State, want)
@@ -157,26 +161,20 @@ func TestShardedChaosChurn(t *testing.T) {
 }
 
 // verifyMigratedTraces checks the FaasMeter-style invariant on every job
-// that crossed shards, found by the "stolen-from" events in the shards'
-// event rings: its trace, rendered from every shard's rows, still
-// telescopes — phase latencies plus the unattributed gap equal the
-// end-to-end latency — and its joules match the energy the run records
-// imply.
+// that crossed shards, found by its rows: a row in shard i's collector
+// whose job id lies outside shard i's id span ran away from its home
+// shard. Its trace, rendered from every shard's rows, still telescopes —
+// phase latencies plus the unattributed gap equal the end-to-end latency
+// — and its joules match the energy the run records imply.
 func verifyMigratedTraces(t *testing.T, seed int64, out *chaosOutcome) {
 	t.Helper()
 	colls := make([]*trace.Collector, len(out.sim.Orchs))
+	moved := map[int64]bool{}
 	for i, o := range out.sim.Orchs {
 		colls[i] = o.Collector()
-	}
-	moved := map[int64]bool{}
-	for i, tel := range out.sim.Telemetries {
-		events, gap, _ := tel.Events().Page(-1, 0)
-		if gap != 0 {
-			t.Fatalf("seed %d: shard %d's event ring dropped %d events", seed, i, gap)
-		}
-		for _, ev := range events {
-			if ev.Detail == "stolen-from" {
-				moved[ev.Job] = true
+		for _, r := range colls[i].Records() {
+			if r.JobID/shardIDSpan != int64(i) {
+				moved[r.JobID] = true
 			}
 		}
 	}

@@ -99,10 +99,29 @@ func (s *ShardedSim) rehomeDead(d int) {
 // moveWorker detaches a board from shard from and attaches it to shard
 // to (deferred until the board's current attempt settles when busy).
 // The owner map flips at handoff time, when the board actually changes
-// hands.
+// hands. A target that is no longer up by then is passed over for the
+// next up shard in index order: one declared dead in the meantime has
+// already re-homed its boards, so a board attached to it would stay on
+// a sealed orchestrator for good.
 func (s *ShardedSim) moveWorker(id string, from, to int) {
 	_ = s.Orchs[from].RemoveWorker(id, func(w core.Worker) {
+		to = s.upFrom(to)
 		s.owner[id] = to
 		_ = s.Orchs[to].AddWorker(w)
 	})
+}
+
+// upFrom returns the first up shard at or after index si, wrapping
+// around, or si itself when no shard is up.
+func (s *ShardedSim) upFrom(si int) int {
+	up := s.upShards()
+	for _, u := range up {
+		if u >= si {
+			return u
+		}
+	}
+	if len(up) == 0 {
+		return si
+	}
+	return up[0]
 }

@@ -31,7 +31,7 @@ type LiveOptions struct {
 	// AttemptPolicy is the OP's retries, deadlines (on the wall clock),
 	// backoff, breakers and budget hold (see core.AttemptPolicy).
 	core.AttemptPolicy
-	// Telemetry enables the metrics registry and event stream across the
+	// Telemetry enables the metrics registry across the
 	// OP, the workers, and (when Meter is on) the power meter. Nil
 	// disables instrumentation entirely.
 	Telemetry *telemetry.Telemetry
@@ -74,7 +74,7 @@ type Live struct {
 	Runtime core.WallRuntime
 	Meter   *power.Meter
 	Workers []*node.LiveWorker
-	// Telemetry is the cluster's metrics registry and event stream (nil
+	// Telemetry is the cluster's metrics registry (nil
 	// when LiveOptions.Telemetry was nil).
 	Telemetry *telemetry.Telemetry
 	// PowerMgr is the dynamic power-management plane and GPIO its power

@@ -43,7 +43,7 @@ type SimConfig struct {
 	// AttemptPolicy is the OP's retries, deadlines (on the virtual
 	// clock), backoff, breakers and budget hold (see core.AttemptPolicy).
 	core.AttemptPolicy
-	// Telemetry enables the metrics registry and event stream across the
+	// Telemetry enables the metrics registry across the
 	// OP, the workers, and the power meter. Nil (the default) disables
 	// instrumentation entirely; because telemetry never draws from the
 	// seeded RNG or schedules events, enabling it leaves a seeded run's
@@ -73,7 +73,7 @@ type Sim struct {
 	// GPIO is the OP's power-control plane with the cluster's power-state
 	// audit log (MicroFaaS clusters only).
 	GPIO *gpio.Controller
-	// Telemetry is the cluster's metrics registry and event stream (nil
+	// Telemetry is the cluster's metrics registry (nil
 	// when SimConfig.Telemetry was nil).
 	Telemetry *telemetry.Telemetry
 	// PowerMgr is the dynamic power-management plane (nil unless

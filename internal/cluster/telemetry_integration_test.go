@@ -16,6 +16,7 @@ import (
 	"microfaas/internal/power"
 	"microfaas/internal/shard"
 	"microfaas/internal/telemetry"
+	"microfaas/internal/trace"
 )
 
 // TestSimMetricsEnergyMatchesTrace is the acceptance check for the
@@ -174,15 +175,14 @@ func jsonDecode(resp *http.Response, v interface{}) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// TestLiveRetryEventsCarryTheAttempt holds a live worker's own events to
-// the attempt the request frame carries: a job whose first attempt failed
-// on an injected fault and whose retry succeeded shows attempt-1 boot and
-// exec events on the worker its attempt-1 queue, assign and settle events
-// name.
-func TestLiveRetryEventsCarryTheAttempt(t *testing.T) {
-	tel := telemetry.New()
+// TestLiveRetryRowsCarryTheAttempt holds a live retry to its rows: a job
+// whose first attempt failed on an injected fault and whose retry
+// succeeded renders, through its attempt-1 row, an attempt-0 settle
+// marked "error" and attempt-1 boot, exec and settle spans on the worker
+// that row names.
+func TestLiveRetryRowsCarryTheAttempt(t *testing.T) {
 	l, err := StartLive(LiveOptions{
-		Workers: 2, Seed: 5, Telemetry: tel,
+		Workers: 2, Seed: 5,
 		AttemptPolicy:   core.AttemptPolicy{MaxAttempts: 3},
 		LiveBoardConfig: node.LiveBoardConfig{Faults: node.FaultPolicy{Seed: 7, ErrorProb: 0.5}},
 	})
@@ -195,31 +195,32 @@ func TestLiveRetryEventsCarryTheAttempt(t *testing.T) {
 	}
 	l.Orch.Quiesce()
 
-	type key struct {
-		job     int64
-		attempt int
-	}
-	byAttempt := map[key]map[string]telemetry.Event{}
-	for _, ev := range tel.Events().Since(-1, 0) {
-		k := key{ev.Job, ev.Attempt}
-		if byAttempt[k] == nil {
-			byAttempt[k] = map[string]telemetry.Event{}
-		}
-		byAttempt[k][ev.Type] = ev
-	}
 	retried := 0
-	for k, evs := range byAttempt {
-		if k.attempt != 1 || evs[telemetry.EventSettle].Detail != "ok" {
+	for _, r := range l.Orch.Collector().Records() {
+		if r.Attempt != 1 || r.Err != "" {
 			continue
 		}
-		if first := byAttempt[key{k.job, 0}][telemetry.EventSettle]; first.Detail != "error" {
+		x, ok := trace.TraceOf(r.JobID, l.Orch.Collector())
+		if !ok {
+			t.Fatalf("job %d: no trace", r.JobID)
+		}
+		settled := map[int]string{}
+		for _, sp := range x.Spans {
+			if sp.Phase == trace.PhaseSettle {
+				settled[sp.Attempt] = sp.Detail
+			}
+		}
+		if settled[0] != "error" || settled[1] != "ok" {
 			continue
 		}
 		retried++
-		worker := evs[telemetry.EventAssign].Worker
-		for _, typ := range []string{telemetry.EventQueue, telemetry.EventAssign, telemetry.EventBoot, telemetry.EventExec, telemetry.EventSettle} {
-			if ev, ok := evs[typ]; !ok || ev.Worker != worker {
-				t.Fatalf("job %d attempt 1: %s event %+v, want one on %s", k.job, typ, ev, worker)
+		if x.Root.Attempt != 1 || x.Root.Worker != r.Worker {
+			t.Fatalf("job %d: root %+v, want attempt 1 on %s", r.JobID, x.Root, r.Worker)
+		}
+		for _, sp := range x.Spans {
+			onWorker := sp.Phase == trace.PhaseBoot || sp.Phase == trace.PhaseExec || sp.Phase == trace.PhaseSettle
+			if sp.Attempt == 1 && onWorker && sp.Worker != r.Worker {
+				t.Fatalf("job %d attempt 1: %s span %+v, want one on %s", r.JobID, sp.Phase, sp, r.Worker)
 			}
 		}
 	}

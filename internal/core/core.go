@@ -444,9 +444,9 @@ type Config struct {
 	// AttemptPolicy is how each job is attempted: retries, deadlines,
 	// backoff and breakers.
 	AttemptPolicy
-	// Telemetry receives metrics and lifecycle events (nil = disabled;
-	// the disabled path costs one nil check per site and leaves seeded
-	// runs bit-identical — telemetry never touches the RNG or the clock).
+	// Telemetry receives metrics (nil = disabled; the disabled path
+	// costs one nil check per site and leaves seeded runs bit-identical —
+	// telemetry never touches the RNG or the clock).
 	Telemetry *telemetry.Telemetry
 	// PowerManager, when set, puts every scheduling decision through the
 	// dynamic power-management plane: dispatch against a powered-down
@@ -957,7 +957,6 @@ func (o *Orchestrator) newJobLocked(function string, args []byte, cb func(Result
 	job := Job{ID: id, Function: function, Args: args, SubmittedAt: o.runtime.Now(), Timeout: o.attempt.JobTimeout}
 	o.m.submitted.Inc()
 	o.noteSubmitted(function)
-	o.emit(telemetry.EventSubmit, job, "", "")
 	if cb != nil {
 		o.callbacks[id] = cb
 	}
@@ -981,17 +980,15 @@ func (o *Orchestrator) addPendingLocked(delta int) {
 // busy). Caller holds o.mu.
 func (o *Orchestrator) enqueueLocked(s *workerSlot, function string, args []byte, cb func(Result)) (int64, *inflight) {
 	job := o.newJobLocked(function, args, cb)
-	o.pushJobLocked(s, job, "")
+	o.pushJobLocked(s, job)
 	return job.ID, o.maybeDispatchLocked(s)
 }
 
 // pushJobLocked appends one attempt to a worker's queue, keeping the
-// queue-depth gauge current and emitting the queue lifecycle event.
-// Caller holds o.mu.
-func (o *Orchestrator) pushJobLocked(s *workerSlot, job Job, detail string) {
+// queue-depth gauge current. Caller holds o.mu.
+func (o *Orchestrator) pushJobLocked(s *workerSlot, job Job) {
 	s.qpush(job)
 	o.loadChangedLocked(s)
-	o.emit(telemetry.EventQueue, job, s.id, detail)
 }
 
 // maybeDispatchLocked pops the worker's next queued job if it is free and
@@ -1018,7 +1015,6 @@ func (o *Orchestrator) maybeDispatchLocked(s *workerSlot) *inflight {
 	s.busy = true
 	o.loadChangedLocked(s)
 	s.m.busy.Set(1)
-	o.emit(telemetry.EventAssign, job, s.id, "")
 	started := o.runtime.Now()
 	s.bootPending = false
 	fl := o.getInflightLocked()
@@ -1098,7 +1094,6 @@ func (o *Orchestrator) settleAttemptLocked(s *workerSlot, job Job, started, fini
 	o.noteAttemptLocked(s, res.Err == "", res.TimedOut)
 	o.chargeEnergyLocked(job.Function, res.Joules)
 	s.m.attempts[oc].Inc()
-	o.emit(telemetry.EventSettle, job, s.id, outcomeNames[oc])
 }
 
 // completed handles a worker's done callback: it settles the attempt,
@@ -1213,7 +1208,7 @@ func (o *Orchestrator) reassignQueueLocked(wedged *workerSlot) []*inflight {
 	var runs []*inflight
 	for _, job := range q {
 		s := o.pickRetryWorkerLocked(wedged)
-		o.pushJobLocked(s, job, "reassigned")
+		o.pushJobLocked(s, job)
 		if run := o.maybeDispatchLocked(s); run != nil {
 			runs = append(runs, run)
 		}
@@ -1240,7 +1235,7 @@ func (o *Orchestrator) resolveAttemptLocked(failedOn *workerSlot, job Job, res R
 			return nil, nil
 		}
 		s := o.pickRetryWorkerLocked(failedOn)
-		o.pushJobLocked(s, next, "retry")
+		o.pushJobLocked(s, next)
 		if run := o.maybeDispatchLocked(s); run != nil {
 			runs = append(runs, run)
 		}
@@ -1289,7 +1284,7 @@ func (o *Orchestrator) requeueParked(id int64) {
 	} else {
 		s = o.pickWorkerLocked(p.job.Function)
 	}
-	o.pushJobLocked(s, p.job, "retry-backoff")
+	o.pushJobLocked(s, p.job)
 	run := o.maybeDispatchLocked(s)
 	o.mu.Unlock()
 	if run != nil {

@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
-
-	"microfaas/internal/telemetry"
 )
 
 // Shard-death support: the drain-all variant of the steal protocol plus
@@ -56,7 +54,6 @@ func (o *Orchestrator) TakeAll() []Stolen {
 			continue
 		}
 		for _, job := range s.qtake() {
-			o.emit(telemetry.EventQueue, job, s.id, "stolen-from")
 			cb := o.callbacks[job.ID]
 			delete(o.callbacks, job.ID)
 			out = append(out, Stolen{Job: job, Callback: cb})
@@ -73,7 +70,6 @@ func (o *Orchestrator) TakeAll() []Stolen {
 			p := o.parked[id]
 			p.cancel()
 			delete(o.parked, id)
-			o.emit(telemetry.EventQueue, p.job, "", "stolen-from")
 			cb := o.callbacks[id]
 			delete(o.callbacks, id)
 			out = append(out, Stolen{Job: p.job, Callback: cb})

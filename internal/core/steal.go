@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"microfaas/internal/telemetry"
 )
 
 // Cross-shard work stealing (the victim and thief halves of the shard
@@ -63,7 +61,6 @@ func (o *Orchestrator) TakeQueued(max int) []Stolen {
 	for _, victim := range victims {
 		for len(out) < max && victim.qlen() >= 2 {
 			job := victim.qpoptail()
-			o.emit(telemetry.EventQueue, job, victim.id, "stolen-from")
 			cb := o.callbacks[job.ID]
 			delete(o.callbacks, job.ID)
 			out = append(out, Stolen{Job: job, Callback: cb})
@@ -93,7 +90,7 @@ func (o *Orchestrator) SubmitJob(job Job, cb func(Result)) (int64, error) {
 		return 0, nil
 	}
 	s := o.pickWorkerLocked(job.Function)
-	o.pushJobLocked(s, job, "stolen")
+	o.pushJobLocked(s, job)
 	if cb != nil {
 		o.callbacks[job.ID] = cb
 	}

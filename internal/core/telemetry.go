@@ -122,15 +122,6 @@ func (o *Orchestrator) initWorkerTelemetry(id string, m *workerMetrics) {
 	}
 }
 
-// emit appends one lifecycle event stamped with the cluster clock. Callers
-// may hold o.mu: the event log's lock is a leaf.
-func (o *Orchestrator) emit(typ string, job Job, worker, detail string) {
-	if o.tel == nil {
-		return
-	}
-	o.tel.Emit(o.runtime.Now(), typ, job.ID, job.Function, worker, job.Attempt, detail)
-}
-
 // noteSubmitted bumps the per-function submission counter — the
 // arrival-rate tracker's source series. Per-function series are looked up
 // per call, so a family only carries functions the workload actually

@@ -103,7 +103,7 @@ type PowerMgmtArm struct {
 	PowerOns int
 	// Alerts is the SLO alert timeline over the diurnal trace. Non-nil
 	// exactly when the run had SLO rules.
-	Alerts []telemetry.Event
+	Alerts []tsdb.Event
 }
 
 // PowerMgmtConfig sizes the experiment.
@@ -295,7 +295,7 @@ func runPowerArm(arm string, sched replay.Schedule, day time.Duration, seed int6
 	if store != nil {
 		out.Alerts = store.AlertHistory()
 		if out.Alerts == nil {
-			out.Alerts = []telemetry.Event{}
+			out.Alerts = []tsdb.Event{}
 		}
 	}
 	return out, nil

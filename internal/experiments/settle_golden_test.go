@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -15,6 +14,7 @@ import (
 	"microfaas/internal/core"
 	"microfaas/internal/node"
 	"microfaas/internal/telemetry"
+	"microfaas/internal/trace"
 )
 
 // settleGoldenSeed is a seed whose run takes every settle path and still
@@ -45,12 +45,12 @@ func compareGolden(t *testing.T, name string, buf []byte) {
 }
 
 // TestSettleGoldenPR14 pins everything an attempt's settle writes besides
-// its record — the lifecycle event log and the /metrics exposition — to
-// the bytes the tree rendered at PR 14, when `completed` and
-// `deadlineExpired` each carried their own copy of the settle block. The
-// nil-telemetry DeepEqual suites compare records only, so a settle event
-// emitted in a different order or an attempt counter bumped under the
-// wrong label would pass them. The run
+// its record — the /metrics exposition — to the bytes the tree rendered
+// at PR 14, when `completed` and `deadlineExpired` each carried their own
+// copy of the settle block, and the records' lifecycle as the trace view
+// renders it. The nil-telemetry DeepEqual suites compare records only,
+// so an attempt counter bumped under the wrong label would pass them. The
+// run
 // takes every settle path: clean completions, injected crashes (error),
 // injected hangs rescued by the job deadline (timeout), backoff retries,
 // breaker trips, and a function that spends through its energy budget.
@@ -83,16 +83,9 @@ func TestSettleGoldenPR14(t *testing.T) {
 	if err := coll.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintln(&buf, "== events ==")
-	events, gap, _ := tel.Events().Page(0, telemetry.DefaultEventCapacity)
-	if gap != 0 {
-		t.Fatalf("event ring overwrote %d events; shrink the run", gap)
-	}
-	enc := json.NewEncoder(&buf)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			t.Fatal(err)
-		}
+	fmt.Fprintln(&buf, "== traces ==")
+	if err := trace.WriteNDJSON(&buf, trace.Traces(coll)); err != nil {
+		t.Fatal(err)
 	}
 	fmt.Fprintln(&buf, "== metrics ==")
 	if err := tel.Registry().WritePrometheus(&buf); err != nil {
@@ -106,8 +99,8 @@ func TestSettleGoldenPR14(t *testing.T) {
 	// The golden is only worth its bytes if the run really took every path.
 	out := buf.String()
 	for _, want := range []string{
-		`"type":"settle"`, `"detail":"ok"`, `"detail":"error"`, `"detail":"timeout"`,
-		`"detail":"retry-backoff"`,
+		`"phase":"settle"`, `"detail":"ok"`, `"detail":"error"`, `"detail":"timeout"`,
+		`"phase":"retry"`,
 		`result="timeout"} `, `to="open"} `, "CascSHA limit=8", "exhausted=true",
 		`microfaas_function_invocations_total{function="MatMul",result="error"} `,
 	} {

@@ -80,7 +80,7 @@ type ShardFailoverArm struct {
 	MakespanS float64
 	// Alerts is the SLO alert timeline (firing/resolved transitions in
 	// virtual-clock order). Non-nil exactly when the run had SLO rules.
-	Alerts []telemetry.Event
+	Alerts []tsdb.Event
 }
 
 // ShardFailoverResult is the two-arm comparison.
@@ -238,7 +238,7 @@ func runShardFailoverArm(cfg ShardFailoverConfig, churn bool, victims []int, kil
 	if store != nil {
 		arm.Alerts = store.AlertHistory()
 		if arm.Alerts == nil {
-			arm.Alerts = []telemetry.Event{}
+			arm.Alerts = []tsdb.Event{}
 		}
 	}
 	return arm, nil
@@ -268,7 +268,7 @@ func WriteShardFailover(w io.Writer, r ShardFailoverResult) error {
 // WriteAlertTimeline prints one arm's SLO alert transitions in
 // virtual-clock order (or a "(none)" marker, so a run with rules but no
 // transitions is visibly distinct from a run without rules).
-func WriteAlertTimeline(w io.Writer, arm string, alerts []telemetry.Event) error {
+func WriteAlertTimeline(w io.Writer, arm string, alerts []tsdb.Event) error {
 	out := &printer{w: w}
 	out.f("  %s alert timeline:\n", arm)
 	if len(alerts) == 0 {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"microfaas/internal/telemetry"
 	"microfaas/internal/tsdb"
 )
 
@@ -130,12 +129,12 @@ func TestShardFailoverSLOAlertTimeline(t *testing.T) {
 		}
 	}
 	failover := res.Arms[1]
-	var firing, resolved []telemetry.Event
+	var firing, resolved []tsdb.Event
 	for _, ev := range failover.Alerts {
 		switch ev.Type {
-		case telemetry.EventAlertFiring:
+		case tsdb.EventAlertFiring:
 			firing = append(firing, ev)
-		case telemetry.EventAlertResolved:
+		case tsdb.EventAlertResolved:
 			resolved = append(resolved, ev)
 		default:
 			t.Fatalf("unexpected event type %q in timeline", ev.Type)
@@ -156,7 +155,7 @@ func TestShardFailoverSLOAlertTimeline(t *testing.T) {
 	// Resolves after recovery: the last transition is a resolution, after
 	// every firing.
 	last := failover.Alerts[len(failover.Alerts)-1]
-	if last.Type != telemetry.EventAlertResolved {
+	if last.Type != tsdb.EventAlertResolved {
 		t.Fatalf("timeline ends %q, want a resolution:\n%+v", last.Type, failover.Alerts)
 	}
 	if last.AtMs <= firing[len(firing)-1].AtMs {

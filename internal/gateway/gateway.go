@@ -26,9 +26,6 @@
 //	GET  /healthz          liveness probe: mode, uptime, build version, shard count
 //	GET  /metrics          Prometheus text exposition: the plane's registry, then every
 //	                       shard's under its shard label
-//	GET  /events           ring-buffered invocation lifecycle events, every shard's ring
-//	                       merged by time (?since=CURSOR&max=N; the reply's "cursor" is
-//	                       the last sequence returned per shard, comma-separated)
 //	GET  /query            windowed time-series query (?metric=&op=&q=&window=&label=k=v
 //	                       &range=1; ?format=ndjson streams raw samples instead)
 //	GET  /slo              every SLO rule's fast/slow burn-rate page state
@@ -52,16 +49,15 @@
 // profiler routes take any method.
 //
 // Which routes have a backing is fixed when the gateway is built: without
-// Options.TSDB or Options.Forecast, without a power manager
-// on any shard (/power, /power/cap), or without telemetry on any shard
-// (/events), a route answers a JSON 404 naming what is disabled.
+// Options.TSDB or Options.Forecast, or without a power manager on any
+// shard (/power, /power/cap), a route answers a JSON 404 naming what is
+// disabled.
 //
 // A gateway fronts one shard.Plane; a lone orchestrator is a plane of one
 // shard. /invoke routes through the plane by key, and every read endpoint
 // is one loop over its shards in ring order, so the replies have one
-// shape whether there is one shard or sixty-four: rows and events name
-// their shard, /events pages by per-shard cursor, and /power, /power/cap
-// and /budgets reply with one row per shard.
+// shape whether there is one shard or sixty-four: rows name their shard,
+// and /power, /power/cap and /budgets reply with one row per shard.
 //
 // Async jobs live in one table, one row per unfetched job, and move one way:
 //
@@ -233,9 +229,9 @@ type Options struct {
 	// Mode labels the cluster behind the gateway — "sim" or "live" — in
 	// the /healthz body (default "live").
 	Mode string
-	// Telemetry is not read: each shard's own telemetry backs /metrics and
-	// /events (see New). It is the instance the orchestrator already
-	// carries wherever it is set.
+	// Telemetry is not read: each shard's own telemetry backs /metrics
+	// (see New). It is the instance the orchestrator already carries
+	// wherever it is set.
 	Telemetry *telemetry.Telemetry
 	// Tracer is not read: GET /traces and GET /traces/{id} render every
 	// shard's record window. It stays so code that still sets it compiles.
@@ -261,13 +257,11 @@ type HealthResponse struct {
 	ShardCount int     `json:"shard_count"`
 }
 
-// shardRef is one orchestrator behind the gateway: the label its rows
-// and events carry and the telemetry backing its slice of /events (nil
-// when disabled).
+// shardRef is one orchestrator behind the gateway and the label its rows
+// carry.
 type shardRef struct {
 	label string
 	orch  *core.Orchestrator
-	tel   *telemetry.Telemetry
 }
 
 // Server serves the gateway over HTTP: the plane's shards in ring order,
@@ -320,8 +314,8 @@ type Server struct {
 // by InvokeRequest.Key, defaulting to the function name), and the read
 // endpoints cover every shard. /metrics is the plane's registry, which
 // holds the gateway's own families, followed by every shard's under its
-// shard label; each shard's telemetry backs its slice of /events, and
-// each shard's record window its slice of /traces.
+// shard label, and each shard's record window backs its slice of
+// /traces.
 func New(plane *shard.Plane, opts Options) (*Server, error) {
 	if plane == nil {
 		return nil, fmt.Errorf("gateway: shard plane required")
@@ -333,7 +327,7 @@ func New(plane *shard.Plane, opts Options) (*Server, error) {
 	shards := make([]shardRef, plane.NumShards())
 	var powered []shardRef
 	for i, o := range plane.Shards() {
-		shards[i] = shardRef{label: labels[i], orch: o, tel: o.Telemetry()}
+		shards[i] = shardRef{label: labels[i], orch: o}
 		if o.PowerManager() != nil {
 			powered = append(powered, shards[i])
 		}
@@ -369,10 +363,6 @@ func New(plane *shard.Plane, opts Options) (*Server, error) {
 // package doc's route table, each route bound to its handler, or to a JSON
 // 404 when what backs it is absent from this gateway.
 func (s *Server) Handler() http.Handler {
-	telemetered := false
-	for _, sh := range s.shards {
-		telemetered = telemetered || sh.tel != nil
-	}
 	const (
 		noPower = "power management disabled on this cluster"
 		noTSDB  = "time-series store disabled on this gateway"
@@ -391,7 +381,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /budgets", s.handleSetBudget)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /events", backed(telemetered, s.handleEvents, "telemetry disabled on this gateway"))
 	mux.HandleFunc("GET /query", backed(s.tsdb != nil, s.handleQuery, noTSDB))
 	mux.HandleFunc("GET /slo", backed(s.tsdb != nil, s.handleSLO, noTSDB))
 	mux.HandleFunc("GET /alerts", backed(s.tsdb != nil, s.handleAlerts, noTSDB))

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"microfaas/internal/telemetry"
 	"microfaas/internal/tsdb"
 )
 
@@ -23,8 +22,8 @@ type QueryResponse struct {
 // AlertsResponse is the GET /alerts reply: the pages firing right now
 // plus the retained firing/resolved transition history (oldest first).
 type AlertsResponse struct {
-	Active  []tsdb.Alert      `json:"active"`
-	History []telemetry.Event `json:"history"`
+	Active  []tsdb.Alert `json:"active"`
+	History []tsdb.Event `json:"history"`
 }
 
 // handleQuery serves GET /query against the embedded time-series
@@ -95,101 +94,7 @@ func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
 	resp := AlertsResponse{Active: s.tsdb.ActiveAlerts(), History: s.tsdb.AlertHistory()}
 	if resp.History == nil {
-		resp.History = []telemetry.Event{}
+		resp.History = []tsdb.Event{}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// ShardEvent is one lifecycle event in the /events reply, tagged with
-// the shard whose log it came from.
-type ShardEvent struct {
-	telemetry.Event
-	Shard string `json:"shard"`
-}
-
-// EventsResponse is the GET /events reply. Cursor carries, per shard in
-// shard order and comma-separated, the last sequence number this page
-// returned (or the request's own cursor where the page returned nothing
-// for that shard); pass it back as ?since= to poll incrementally. Each
-// shard's event log numbers independently, so the cursor is a vector —
-// for a plane of one it is a single integer. Dropped is the exact
-// number of events newer than the cursor that the rings overwrote before
-// this page was read, summed over shards: a poller that sees Dropped > 0
-// lost that many events, no seq-jump inference needed. Events is always
-// a JSON array, [] when the page is empty.
-type EventsResponse struct {
-	Events  []ShardEvent `json:"events"`
-	Cursor  string       `json:"cursor"`
-	Dropped int64        `json:"dropped"`
-}
-
-// handleEvents serves the lifecycle-event rings as one stream. ?since=
-// is the cursor a previous page returned — or a single integer applied
-// to every shard (default -1: everything retained); ?max=N caps the page
-// size (default 256, at most 4096). The page is a k-way merge of the
-// shards' rings: the earliest head event (ties to the lower shard index)
-// is taken until the page is full, so each shard contributes a prefix of
-// what it holds past the cursor, in sequence order, and a truncated page
-// resumes exactly where it stopped.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	max := 256
-	if v := r.URL.Query().Get("max"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, "bad max: "+v)
-			return
-		}
-		max = n
-	}
-	if max > 4096 {
-		max = 4096
-	}
-	since := r.URL.Query().Get("since")
-	if since == "" {
-		since = "-1"
-	}
-	parts := strings.Split(since, ",")
-	if len(parts) != 1 && len(parts) != len(s.shards) {
-		writeError(w, http.StatusBadRequest,
-			"bad since: cursor has "+strconv.Itoa(len(parts))+" fields, gateway has "+strconv.Itoa(len(s.shards))+" shards")
-		return
-	}
-	cursors := make([]int64, len(s.shards))
-	for i := range cursors {
-		// One field applies to every shard; otherwise field i is shard i's.
-		n, err := strconv.ParseInt(parts[i%len(parts)], 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad since: "+since)
-			return
-		}
-		cursors[i] = n
-	}
-	pages := make([][]telemetry.Event, len(s.shards))
-	var dropped int64
-	for si, sh := range s.shards {
-		var gap int64 // a shard without telemetry has no ring: an empty page
-		pages[si], gap, _ = sh.tel.Events().Page(cursors[si], max)
-		dropped += gap
-	}
-	merged := []ShardEvent{} // stable shape: [] even with nothing to report
-	for len(merged) < max {
-		next := -1
-		for si, page := range pages {
-			if len(page) > 0 && (next < 0 || page[0].AtMs < pages[next][0].AtMs) {
-				next = si
-			}
-		}
-		if next < 0 {
-			break
-		}
-		ev := pages[next][0]
-		pages[next] = pages[next][1:]
-		cursors[next] = ev.Seq
-		merged = append(merged, ShardEvent{Event: ev, Shard: s.shards[next].label})
-	}
-	cursor := make([]string, len(cursors))
-	for i, c := range cursors {
-		cursor[i] = strconv.FormatInt(c, 10)
-	}
-	writeJSON(w, http.StatusOK, EventsResponse{Events: merged, Cursor: strings.Join(cursor, ","), Dropped: dropped})
 }

@@ -18,11 +18,11 @@ import (
 // startObservedShardedGateway boots two live shards, fronts them with a
 // sharded gateway, and attaches a time-series store scraping both shard
 // registries. The store is scraped manually — tests control the clock.
-func startObservedShardedGateway(t *testing.T) (base string, plane *shard.Plane, store *tsdb.Store, tels []*telemetry.Telemetry) {
+func startObservedShardedGateway(t *testing.T) (base string, store *tsdb.Store) {
 	t.Helper()
 	labels := []string{"shard-00", "shard-01"}
 	lives := make([]*cluster.Live, 2)
-	tels = make([]*telemetry.Telemetry, 2)
+	tels := make([]*telemetry.Telemetry, 2)
 	for i := range lives {
 		tels[i] = telemetry.New()
 		l, err := cluster.StartLive(cluster.LiveOptions{
@@ -55,11 +55,11 @@ func startObservedShardedGateway(t *testing.T) (base string, plane *shard.Plane,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { gw.Close() })
-	return "http://" + addr, plane, store, tels
+	return "http://" + addr, store
 }
 
 func TestQueryEndpointMergesShards(t *testing.T) {
-	base, _, store, _ := startObservedShardedGateway(t)
+	base, store := startObservedShardedGateway(t)
 
 	// Baseline scrape, traffic, follow-up scrape: the counter increase
 	// across the window is exactly the invocations driven in between.
@@ -225,7 +225,7 @@ func TestSLOAndAlertsEndpoints(t *testing.T) {
 			t.Fatalf("firing page below threshold: %+v", a)
 		}
 	}
-	if len(firing.History) == 0 || firing.History[0].Type != telemetry.EventAlertFiring {
+	if len(firing.History) == 0 || firing.History[0].Type != tsdb.EventAlertFiring {
 		t.Fatalf("history = %+v", firing.History)
 	}
 	getJSON(t, base+"/slo", &status)
@@ -255,162 +255,6 @@ func TestObservabilityEndpointsDisabledWithoutStore(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("%s without a store: status %d, want 404", path, resp.StatusCode)
-		}
-	}
-}
-
-// shardKeys finds one routing key per shard so a test can aim traffic.
-func shardKeys(t *testing.T, plane *shard.Plane) []string {
-	t.Helper()
-	keys := make([]string, 2)
-	found := 0
-	for i := 0; i < 64 && found < 2; i++ {
-		key := "u/" + itoa(int64(i))
-		si := plane.ShardFor(key)
-		if si >= 0 && si < 2 && keys[si] == "" {
-			keys[si] = key
-			found++
-		}
-	}
-	if found != 2 {
-		t.Fatal("could not find keys covering both shards")
-	}
-	return keys
-}
-
-// TestShardedEventsRingOverwritePaging drives each shard's event ring
-// past capacity, then checks the merged /events stream: survivors only,
-// loss accounted as the sum of every shard's overwrite gap, and a vector
-// cursor that resumes exactly — including a cursor taken before the
-// overwrite happened.
-func TestShardedEventsRingOverwritePaging(t *testing.T) {
-	const maxPage = 4096 // the largest page /events serves
-	base, plane, _, tels := startObservedShardedGateway(t)
-	keys := shardKeys(t, plane)
-
-	// One invocation emits a full lifecycle (6+ events); drive one through
-	// each shard, then a ring's worth of cluster-level events after it.
-	for _, key := range keys {
-		body := `{"function":"CascSHA","args":{"rounds":3,"seed":"ev"},"key":"` + key + `"}`
-		if resp, out := postInvoke(t, base, body); resp.StatusCode != http.StatusOK || out.Error != "" {
-			t.Fatalf("invoke %s: status %d, %+v", key, resp.StatusCode, out)
-		}
-	}
-	for _, tel := range tels {
-		emitRing(tel)
-	}
-	var survivors int
-	var wantDropped int64
-	for i, tel := range tels {
-		evs, gap, _ := tel.Events().Page(-1, maxPage)
-		if gap == 0 {
-			t.Fatalf("shard %d ring never overwrote (%d events)", i, len(evs))
-		}
-		survivors += len(evs)
-		wantDropped += gap
-	}
-
-	// readAll chains pages of at most max from since until one comes back
-	// empty: the events, the first page, and the cursor it ended at. (A
-	// shard whose cursor has not yet passed its overwritten range
-	// re-reports that gap on each page — loss is relative to the
-	// request's cursor — so Dropped is bounded by the fresh-poller figure,
-	// not zero.) Passing the final cursor back reads nothing and loses
-	// nothing.
-	readAll := func(since string, max int64) (events []ShardEvent, first EventsResponse, cursor string) {
-		t.Helper()
-		cursor = since
-		for i := 0; ; i++ {
-			var p EventsResponse
-			getJSON(t, base+"/events?since="+cursor+"&max="+itoa(max), &p)
-			if i == 0 {
-				first = p
-			}
-			if int64(len(p.Events)) > max {
-				t.Fatalf("page exceeded max: %d events", len(p.Events))
-			}
-			if p.Dropped > wantDropped {
-				t.Fatalf("page reported more loss than the rings overwrote: %+v", p)
-			}
-			if len(p.Events) == 0 {
-				if i > 0 && (p.Dropped != 0 || p.Cursor != cursor) {
-					t.Fatalf("caught-up page = %+v", p)
-				}
-				return events, first, cursor
-			}
-			if i > survivors {
-				t.Fatalf("%d pages from %s never caught up", i, since)
-			}
-			events = append(events, p.Events...)
-			cursor = p.Cursor
-		}
-	}
-
-	// A fresh poller gets every survivor, the exact merged loss, and a
-	// per-shard cursor.
-	all, page, end := readAll("-1", maxPage)
-	if len(all) != survivors {
-		t.Fatalf("merged pages have %d events, want %d survivors", len(all), survivors)
-	}
-	if page.Dropped != wantDropped {
-		t.Fatalf("dropped = %d, want %d (summed per-shard gaps)", page.Dropped, wantDropped)
-	}
-	if parts := strings.Split(end, ","); len(parts) != 2 {
-		t.Fatalf("cursor %q is not a 2-shard vector", end)
-	}
-	for i := 1; i < len(all); i++ {
-		a, b := all[i-1], all[i]
-		if a.AtMs > b.AtMs {
-			t.Fatalf("merged events out of time order: %+v before %+v", a, b)
-		}
-		if a.Shard == b.Shard && a.Seq >= b.Seq {
-			t.Fatalf("same-shard events out of sequence order: %+v before %+v", a, b)
-		}
-	}
-
-	// Regression: a cursor taken before the rings overwrote (seq 0 on
-	// both shards) still accounts the loss exactly — the events between
-	// the cursor and each ring's oldest survivor.
-	spanEvents, span, _ := readAll("0,0", maxPage)
-	var wantSpanDropped int64
-	wantSpanEvents := 0
-	for _, tel := range tels {
-		evs, gap, _ := tel.Events().Page(0, maxPage)
-		wantSpanDropped += gap
-		wantSpanEvents += len(evs)
-	}
-	if span.Dropped != wantSpanDropped || len(spanEvents) != wantSpanEvents {
-		t.Fatalf("overwrite-spanning cursor: dropped=%d events=%d, want %d/%d",
-			span.Dropped, len(spanEvents), wantSpanDropped, wantSpanEvents)
-	}
-
-	// Small pages chained by cursor reassemble the full stream with no
-	// duplicates.
-	got, _, cursor := readAll("-1", 1000)
-	if len(got) != survivors {
-		t.Fatalf("chained pages yielded %d events, want %d", len(got), survivors)
-	}
-	if cursor != end {
-		t.Fatalf("chained cursor ended at %q, full pages at %q", cursor, end)
-	}
-	seen := map[string]bool{}
-	for _, ev := range got {
-		id := ev.Shard + "/" + itoa(ev.Seq)
-		if seen[id] {
-			t.Fatalf("event %s delivered twice across pages", id)
-		}
-		seen[id] = true
-	}
-
-	// Cursor validation: wrong arity and junk are 400s.
-	for _, bad := range []string{"?since=1,2,3", "?since=x", "?since=1,y"} {
-		resp, err := http.Get(base + "/events" + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
 }

@@ -47,7 +47,6 @@ func contractRoutes(job string) []contractRoute {
 		{"POST", "/budgets", getPost, ""},
 		{"GET", "/healthz", get, ""},
 		{"GET", "/metrics", get, ""},
-		{"GET", "/events", get, "telemetry disabled on this gateway"},
 		{"GET", "/query?metric=microfaas_jobs_submitted_total", get, noTSDB},
 		{"GET", "/slo", get, noTSDB},
 		{"GET", "/alerts", get, noTSDB},
@@ -143,9 +142,12 @@ func TestRouteContract(t *testing.T) {
 			t.Errorf("HEAD %s → %d with %d body bytes, want 200 and none", rt.path, resp.StatusCode, len(body))
 		}
 	}
-	// A path off the table is the mux's text/plain 404.
-	if resp, _ := do(t, http.MethodPost, base+"/shards/0/drain", nil); resp.StatusCode != http.StatusNotFound || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
-		t.Errorf("POST /shards/0/drain → %d %q, want a text/plain 404", resp.StatusCode, resp.Header.Get("Content-Type"))
+	// A path off the table is the mux's text/plain 404, routes that were
+	// deleted included.
+	for _, off := range []struct{ method, path string }{{http.MethodPost, "/shards/0/drain"}, {http.MethodGet, "/events"}} {
+		if resp, _ := do(t, off.method, base+off.path, nil); resp.StatusCode != http.StatusNotFound || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
+			t.Errorf("%s %s → %d %q, want a text/plain 404", off.method, off.path, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
 	}
 	// The profiler's routes take any method.
 	if resp, _ := do(t, http.MethodDelete, base+"/debug/pprof/", nil); resp.StatusCode != http.StatusOK {

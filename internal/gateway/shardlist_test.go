@@ -2,10 +2,8 @@ package gateway
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -19,9 +17,9 @@ import (
 // startPlaneOfOne boots one power-managed, telemetry-enabled live
 // cluster and fronts its orchestrator as a plane of one shard, the way
 // microfaas-live serves it.
-func startPlaneOfOne(t *testing.T) (base string, l *cluster.Live, tel *telemetry.Telemetry) {
+func startPlaneOfOne(t *testing.T) (base string, l *cluster.Live) {
 	t.Helper()
-	tel = telemetry.New()
+	tel := telemetry.New()
 	l, err := cluster.StartLive(cluster.LiveOptions{
 		Workers:   2,
 		Seed:      9,
@@ -35,16 +33,16 @@ func startPlaneOfOne(t *testing.T) (base string, l *cluster.Live, tel *telemetry
 	t.Cleanup(l.Close)
 	srv := httptest.NewServer(front(t, l.Orch, Options{}).Handler())
 	t.Cleanup(srv.Close)
-	return srv.URL, l, tel
+	return srv.URL, l
 }
 
 // TestLoneAndPlaneOfOneAgree holds a lone orchestrator, served as a plane
 // of one, to the plane's reply shape: every merge endpoint answers with
 // the one shard's rows, named "shard-00", and /shards covers it.
 func TestLoneAndPlaneOfOneAgree(t *testing.T) {
-	base, l, _ := startPlaneOfOne(t)
+	base, l := startPlaneOfOne(t)
 	// Leave state behind every endpoint: completed work on a woken
-	// worker, lifecycle events, a budget, a power cap.
+	// worker, a budget, a power cap.
 	for _, body := range []string{
 		`{"function":"CascSHA","args":{"rounds":3,"seed":"a"}}`,
 		`{"function":"FloatOps","args":{"iterations":1000}}`,
@@ -98,12 +96,6 @@ func TestLoneAndPlaneOfOneAgree(t *testing.T) {
 				t.Fatalf("budget rows = %v", rows)
 			}
 		}},
-		{path: "/events?max=4096", check: func(t *testing.T, v any) {
-			page := v.(map[string]any)
-			if len(page["events"].([]any)) < 12 || page["dropped"] != 0.0 || strings.Contains(page["cursor"].(string), ",") {
-				t.Fatalf("events page = %v", page)
-			}
-		}},
 		{path: "/healthz", check: func(t *testing.T, v any) {
 			h := v.(map[string]any)
 			if _, named := h["shard_id"]; named || h["shard_count"] != 1.0 || h["status"] != "ok" {
@@ -116,7 +108,7 @@ func TestLoneAndPlaneOfOneAgree(t *testing.T) {
 			if resp := getJSON(t, base+tc.path, &v); resp.StatusCode != http.StatusOK {
 				t.Fatalf("GET %s → %d", tc.path, resp.StatusCode)
 			}
-			// Rows and events name their shard.
+			// Rows name their shard.
 			raw, _ := json.Marshal(v)
 			if tc.path != "/stats" && tc.path != "/healthz" && !strings.Contains(string(raw), `"shard":"shard-00"`) {
 				t.Fatalf("reply does not name its shard: %s", raw)
@@ -129,70 +121,5 @@ func TestLoneAndPlaneOfOneAgree(t *testing.T) {
 	getJSON(t, base+"/shards", &statuses)
 	if len(statuses) != 1 || statuses[0].Label != "shard-00" || statuses[0].Workers != 2 {
 		t.Fatalf("/shards on a plane of one = %+v", statuses)
-	}
-}
-
-// TestEventsCursorResumesTruncatedPage is the regression test for the
-// gateway's old last_seq cursor, which named the newest sequence in the
-// ring rather than the last one returned: a page cut short by ?max= told
-// the poller to skip everything it had not been shown (5 events at max=2
-// → 2 of 5 seen, dropped 0). Polling by cursor must deliver every event
-// exactly once.
-func TestEventsCursorResumesTruncatedPage(t *testing.T) {
-	base, _, tel := startPlaneOfOne(t)
-	// No invocation has run, so the ring holds exactly these five.
-	for i := 0; i < 5; i++ {
-		tel.Events().Append(telemetry.Event{AtMs: float64(i), Type: telemetry.EventSubmit, Job: int64(i + 1)})
-	}
-	var seen []int64
-	cursor := ""
-	for polls := 0; ; polls++ {
-		if polls > 5 {
-			t.Fatalf("still paging after %d polls (cursor %q)", polls, cursor)
-		}
-		var page EventsResponse
-		getJSON(t, base+"/events?max=2&since="+cursor, &page)
-		if page.Dropped != 0 {
-			t.Fatalf("page reports %d dropped, ring never overwrote", page.Dropped)
-		}
-		if len(page.Events) == 0 {
-			break
-		}
-		if len(page.Events) > 2 {
-			t.Fatalf("page exceeded max: %+v", page.Events)
-		}
-		for _, ev := range page.Events {
-			seen = append(seen, ev.Seq)
-		}
-		if want := itoa(seen[len(seen)-1]); page.Cursor != want {
-			t.Fatalf("cursor %q, want the last sequence returned (%s)", page.Cursor, want)
-		}
-		cursor = page.Cursor
-	}
-	if !reflect.DeepEqual(seen, []int64{0, 1, 2, 3, 4}) {
-		t.Fatalf("polled sequences %v, want all five in order", seen)
-	}
-}
-
-// TestEventsEmptyPageIsArray locks the /events JSON shape: an empty page
-// must serialize as "events":[] (never null), with cursor "-1" and
-// dropped 0 before any event exists.
-func TestEventsEmptyPageIsArray(t *testing.T) {
-	base, _, _ := startPlaneOfOne(t)
-	resp, err := http.Get(base + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), `"events":[]`) {
-		t.Fatalf("empty page did not serialize as []: %s", body)
-	}
-	var out EventsResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Cursor != "-1" || out.Dropped != 0 || out.Events == nil || len(out.Events) != 0 {
-		t.Fatalf("empty page = %+v", out)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -15,9 +14,9 @@ import (
 
 // startTelemetryGateway boots a telemetry-enabled live cluster with a
 // gateway in front.
-func startTelemetryGateway(t *testing.T) (base string, tel *telemetry.Telemetry) {
+func startTelemetryGateway(t *testing.T) string {
 	t.Helper()
-	tel = telemetry.New()
+	tel := telemetry.New()
 	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 2, Seed: 9, Meter: true, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +28,7 @@ func startTelemetryGateway(t *testing.T) (base string, tel *telemetry.Telemetry)
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { gw.Close() })
-	return "http://" + addr, tel
+	return "http://" + addr
 }
 
 func TestHealthzJSON(t *testing.T) {
@@ -55,7 +54,7 @@ func TestHealthzJSON(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	base, _ := startTelemetryGateway(t)
+	base := startTelemetryGateway(t)
 	if _, out := postInvoke(t, base, `{"function":"CascSHA","args":{"rounds":3,"seed":"m"}}`); out.Error != "" {
 		t.Fatalf("invoke: %+v", out)
 	}
@@ -104,20 +103,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled: with cluster telemetry off, /events has nothing to
-// serve (404), while /metrics still answers with the plane's and the
-// gateway's own families and no cluster family.
+// TestMetricsDisabled: with cluster telemetry off, /metrics still answers
+// with the plane's and the gateway's own families and no cluster family.
 func TestMetricsDisabled(t *testing.T) {
 	base, _ := startGateway(t)
-	resp, err := http.Get(base + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/events on plain gateway → %d, want 404", resp.StatusCode)
-	}
-	resp, err = http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,56 +121,5 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 	if _, ok := samples.Value("microfaas_jobs_pending"); ok {
 		t.Fatal("/metrics serves a cluster family with telemetry off")
-	}
-}
-
-func TestEventsEndpoint(t *testing.T) {
-	base, _ := startTelemetryGateway(t)
-	if _, out := postInvoke(t, base, `{"function":"CascSHA","args":{"rounds":3,"seed":"e"}}`); out.Error != "" {
-		t.Fatalf("invoke: %+v", out)
-	}
-	get := func(url string) EventsResponse {
-		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("events → %d", resp.StatusCode)
-		}
-		var ev EventsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {
-			t.Fatal(err)
-		}
-		return ev
-	}
-	all := get(base + "/events")
-	if len(all.Events) == 0 {
-		t.Fatal("no events after an invocation")
-	}
-	// One full lifecycle: submit, queue, assign, boot, exec, settle.
-	seen := map[string]bool{}
-	for _, e := range all.Events {
-		seen[e.Type] = true
-	}
-	for _, typ := range []string{
-		telemetry.EventSubmit, telemetry.EventQueue, telemetry.EventAssign,
-		telemetry.EventBoot, telemetry.EventExec, telemetry.EventSettle,
-	} {
-		if !seen[typ] {
-			t.Fatalf("missing %s event in %+v", typ, all.Events)
-		}
-	}
-	if want := strconv.FormatInt(all.Events[len(all.Events)-1].Seq, 10); all.Cursor != want {
-		t.Fatalf("cursor %q vs newest event %s", all.Cursor, want)
-	}
-	// Incremental polling from the cursor yields nothing new.
-	if tail := get(base + "/events?since=" + all.Cursor); len(tail.Events) != 0 {
-		t.Fatalf("tail = %+v", tail.Events)
-	}
-	// Paging: max=1 returns the oldest retained event.
-	if page := get(base + "/events?max=1"); len(page.Events) != 1 || page.Events[0].Seq != all.Events[0].Seq {
-		t.Fatalf("page = %+v", page.Events)
 	}
 }

@@ -8,10 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"microfaas/internal/cluster"
-	"microfaas/internal/telemetry"
 	"microfaas/internal/trace"
 )
 
@@ -181,65 +179,6 @@ func TestTraceOutsideWindow(t *testing.T) {
 	}
 }
 
-// TestEventsRingOverwritePaging drives more events through the ring than
-// it can hold, then pages via ?since= and checks the dropped count
-// reports exactly the overwritten events.
-func TestEventsRingOverwritePaging(t *testing.T) {
-	const capacity = telemetry.DefaultEventCapacity
-	tel := telemetry.New()
-	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 1, Seed: 9, Telemetry: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(l.Close)
-	gw := front(t, l.Orch, Options{})
-	srv := httptest.NewServer(gw.Handler())
-	t.Cleanup(srv.Close)
-	base := srv.URL
-
-	// One invocation emits a full lifecycle (6+ events); a ring's worth of
-	// cluster-level events after it overwrites every one of them.
-	if _, out := postInvoke(t, base, `{"function":"CascSHA","args":{"rounds":3,"seed":"ring"}}`); out.Error != "" {
-		t.Fatalf("invoke: %+v", out)
-	}
-	emitRing(tel)
-	_, _, last := tel.Events().Page(-1, 1)
-	total := last + 1
-	if total <= capacity {
-		t.Fatalf("only %d events; ring never overwrote", total)
-	}
-
-	// A poller that saw nothing (since=-1 default) gets the ring's
-	// survivors and an exact loss count for the rest.
-	var page EventsResponse
-	getJSON(t, base+"/events?max="+itoa(capacity), &page)
-	if len(page.Events) != capacity {
-		t.Fatalf("page = %d events, want the ring's %d", len(page.Events), capacity)
-	}
-	if page.Dropped != total-capacity {
-		t.Fatalf("dropped = %d, want %d", page.Dropped, total-capacity)
-	}
-	if page.Events[0].Seq != total-capacity || page.Cursor != itoa(total-1) {
-		t.Fatalf("page window [%d..%s], want [%d..%d]",
-			page.Events[0].Seq, page.Cursor, total-capacity, total-1)
-	}
-
-	// A poller current through the seq two below the ring's oldest
-	// survivor lost exactly the one event between them.
-	var part EventsResponse
-	getJSON(t, base+"/events?max="+itoa(capacity)+"&since="+itoa(total-capacity-2), &part)
-	if part.Dropped != 1 || len(part.Events) != capacity {
-		t.Fatalf("partial page: dropped=%d events=%d, want 1/%d", part.Dropped, len(part.Events), capacity)
-	}
-
-	// A fully caught-up poller loses nothing and gets nothing.
-	var tail EventsResponse
-	getJSON(t, base+"/events?since="+itoa(total-1), &tail)
-	if tail.Dropped != 0 || len(tail.Events) != 0 {
-		t.Fatalf("caught-up page: %+v", tail)
-	}
-}
-
 func TestPprofMounting(t *testing.T) {
 	l, err := cluster.StartLive(cluster.LiveOptions{Workers: 1, Seed: 9})
 	if err != nil {
@@ -267,12 +206,3 @@ func TestPprofMounting(t *testing.T) {
 
 // itoa formats an int64 for URL query building.
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
-
-// emitRing appends a full event ring's worth of cluster-level events to
-// tel, stamped an hour into the run so they follow every lifecycle event
-// in time as well as in sequence.
-func emitRing(tel *telemetry.Telemetry) {
-	for i := 0; i < telemetry.DefaultEventCapacity; i++ {
-		tel.Emit(time.Hour+time.Duration(i)*time.Millisecond, telemetry.EventSubmit, 0, "", "", 0, "fill")
-	}
-}

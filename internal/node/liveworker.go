@@ -78,10 +78,8 @@ type LiveWorkerConfig struct {
 	// Clock is the cluster clock for meter timestamps (required when
 	// Meter is set); typically core.WallRuntime.Now.
 	Clock func() time.Duration
-	// Telemetry optionally receives boot/exec lifecycle events, boot and
-	// fault-injection counters, and — when Meter is set — per-function
-	// joules attribution. Events stamped on the worker's server side carry
-	// the attempt number the request frame brings.
+	// Telemetry optionally receives boot and fault-injection counters
+	// and — when Meter is set — per-function joules attribution.
 	Telemetry *telemetry.Telemetry
 	// Managed hands the worker's power lifecycle to a powermgr.Manager:
 	// the worker implements powermgr.Node (PowerUp sleeps BootDelay on
@@ -169,7 +167,7 @@ func StartLiveWorker(cfg LiveWorkerConfig) (*LiveWorker, error) {
 // ID implements core.Worker.
 func (w *LiveWorker) ID() string { return w.cfg.ID }
 
-// now reads the cluster clock; without one, events stamp as 0.
+// now reads the cluster clock; without one, it reads 0.
 func (w *LiveWorker) now() time.Duration {
 	if w.cfg.Clock != nil {
 		return w.cfg.Clock()
@@ -359,10 +357,8 @@ func (w *LiveWorker) handleRequest(req proto.Request, recvAt time.Time) (resp pr
 	// manager's wake already paid the boot before the job was dispatched,
 	// so the job lands warm.
 	bootStart := time.Now()
-	bootDetail := "cold"
 	if w.cfg.Managed {
 		w.m.bootsWarm.Inc()
-		bootDetail = "warm"
 	} else {
 		w.m.bootsCold.Inc()
 		if w.cfg.BootDelay > 0 {
@@ -370,7 +366,6 @@ func (w *LiveWorker) handleRequest(req proto.Request, recvAt time.Time) (resp pr
 		}
 	}
 	boot := time.Since(bootStart)
-	w.m.rawEvent(w.now(), telemetry.EventBoot, req.JobID, req.Function, w.cfg.ID, req.Attempt, bootDetail)
 	if fault == faultError {
 		return proto.Response{
 			Err:    fmt.Sprintf("node: injected worker fault on %s", w.cfg.ID),
@@ -389,7 +384,6 @@ func (w *LiveWorker) handleRequest(req proto.Request, recvAt time.Time) (resp pr
 		}
 	}
 	execStart := time.Now()
-	w.m.rawEvent(w.now(), telemetry.EventExec, req.JobID, req.Function, w.cfg.ID, req.Attempt, "")
 	out, err := workload.Invoke(w.cfg.Env, req.Function, req.Args)
 	exec := time.Since(execStart)
 	resp = proto.Response{

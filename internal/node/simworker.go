@@ -76,10 +76,10 @@ type SimWorkerConfig struct {
 	// — the manager's wake already paid it, absorbed into the job's queue
 	// wait. ARM only; mutually exclusive with DisableReboot and KeepWarm.
 	Managed bool
-	// Telemetry optionally receives boot/exec lifecycle events, boot and
-	// fault-injection counters, and — for metered ARM workers — the
-	// per-function joules attribution. Nil disables all of it with zero
-	// overhead and leaves seeded runs bit-identical.
+	// Telemetry optionally receives boot and fault-injection counters
+	// and — for metered ARM workers — the per-function joules
+	// attribution. Nil disables all of it with zero overhead and leaves
+	// seeded runs bit-identical.
 	Telemetry *telemetry.Telemetry
 }
 
@@ -240,7 +240,7 @@ func NewSimWorkers(cfg SimWorkerConfig, ids []string) ([]*SimWorker, error) {
 	if cfg.Platform == model.ARM {
 		spec.booted = cfg.Engine.Register(func(i int32) { slab[i].armBooted() })
 	} else {
-		spec.booted = cfg.Engine.Register(func(i int32) { slab[i].vmBooted() })
+		spec.booted = cfg.Engine.Register(func(i int32) { slab[i].vmExec() })
 	}
 	spec.executed = cfg.Engine.Register(func(i int32) { slab[i].finish() })
 	if cfg.KeepWarm > 0 {
@@ -510,13 +510,11 @@ func (w *SimWorker) runARM() {
 	engine := w.cfg.Engine
 	if j.boot > 0 {
 		w.setState(power.Booting, "PWR_BUT press", j.job.ID)
-		w.m.event(j.started, telemetry.EventBoot, j.job, w.id, "cold")
 		engine.ScheduleKind(j.boot, w.booted, w.idx)
 		return
 	}
 	// Warm start: already booted, straight to work.
 	w.setState(power.Busy, "warm start", j.job.ID)
-	w.m.event(j.started, telemetry.EventExec, j.job, w.id, "warm")
 	engine.ScheduleKind(j.overhead+j.exec, w.executed, w.idx)
 }
 
@@ -529,7 +527,6 @@ func (w *SimWorker) armBooted() {
 		j.bootJ = float64(w.dev.Energy(bootEnd) - j.energyStart)
 	}
 	w.setState(power.Busy, "boot complete", j.job.ID)
-	w.m.event(bootEnd, telemetry.EventExec, j.job, w.id, "")
 	w.cfg.Engine.ScheduleKind(j.overhead+j.exec, w.executed, w.idx)
 }
 
@@ -538,19 +535,11 @@ func (w *SimWorker) armBooted() {
 func (w *SimWorker) runX86() {
 	j := &w.job
 	if j.boot == 0 {
-		w.m.event(j.started, telemetry.EventExec, j.job, w.id, "warm")
 		w.vmExec()
 		return
 	}
-	w.m.event(j.started, telemetry.EventBoot, j.job, w.id, "cold")
 	bootDemand := bootos.BootCPUFraction(model.X86)
 	w.cfg.Server.Run(float64(j.boot)/float64(time.Second)*bootDemand, bootDemand, w.booted, w.idx)
-}
-
-// vmBooted ends a microVM's cold boot and starts its execution.
-func (w *SimWorker) vmBooted() {
-	w.m.event(w.cfg.Engine.Now(), telemetry.EventExec, w.job.job, w.id, "")
-	w.vmExec()
 }
 
 // vmExec queues the microVM's overhead and execution on its host.

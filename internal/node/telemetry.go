@@ -1,11 +1,6 @@
 package node
 
-import (
-	"time"
-
-	"microfaas/internal/core"
-	"microfaas/internal/telemetry"
-)
+import "microfaas/internal/telemetry"
 
 // Worker-owned metric names (see DESIGN.md §7). Energy attribution is the
 // headline: each finished job banks the joules its worker's meter device
@@ -29,7 +24,6 @@ const (
 // each worker registers its series, and each job finds its function's
 // joules counter, through its family. Nil when telemetry is off.
 type workerFamilies struct {
-	tel                   *telemetry.Telemetry
 	boots, faults, energy *telemetry.Family
 }
 
@@ -40,7 +34,6 @@ func newWorkerFamilies(tel *telemetry.Telemetry) *workerFamilies {
 	}
 	reg := tel.Registry()
 	return &workerFamilies{
-		tel:    tel,
 		boots:  reg.CounterFamily(metricBoots, helpBoots, "worker", "kind"),
 		faults: reg.CounterFamily(metricFaults, helpFaults, "worker", "kind"),
 		energy: reg.CounterFamily(metricFnEnergy, helpFnEnergy, "function"),
@@ -84,22 +77,4 @@ func (m workerMetrics) energy(function string) *telemetry.Counter {
 		return nil
 	}
 	return m.fam.energy.Counter(function)
-}
-
-// event appends one worker lifecycle event; no-op when telemetry is off.
-func (m workerMetrics) event(at time.Duration, typ string, job core.Job, worker, detail string) {
-	if m.fam == nil {
-		return
-	}
-	m.fam.tel.Emit(at, typ, job.ID, job.Function, worker, job.Attempt, detail)
-}
-
-// rawEvent appends an event for call sites that only have the protocol
-// request, not the full core.Job (the live worker's server side; the
-// request carries the job's attempt number).
-func (m workerMetrics) rawEvent(at time.Duration, typ string, job int64, function, worker string, attempt int, detail string) {
-	if m.fam == nil {
-		return
-	}
-	m.fam.tel.Emit(at, typ, job, function, worker, attempt, detail)
 }

@@ -77,7 +77,6 @@ func TestInvalidNamesPanic(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tel *Telemetry
-	tel.Emit(0, EventSubmit, 1, "f", "w", 0, "")
 	var r *Registry
 	c := r.Counter("a_total", "")
 	c.Inc()
@@ -100,15 +99,8 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	var l *EventLog
-	if l.Append(Event{}) != 0 || l.Since(-1, 0) != nil {
-		t.Fatal("nil event log misbehaved")
-	}
-	if events, gap, last := l.Page(-1, 0); events != nil || gap != 0 || last != -1 {
-		t.Fatal("nil event log misbehaved")
-	}
-	if tel.Registry() != nil || tel.Events() != nil {
-		t.Fatal("nil telemetry exposed non-nil parts")
+	if tel.Registry() != nil {
+		t.Fatal("nil telemetry exposed a registry")
 	}
 }
 

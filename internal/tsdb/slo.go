@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"time"
-
-	"microfaas/internal/telemetry"
 )
 
 // Rule kinds: what an SLO objective constrains.
@@ -502,6 +501,57 @@ type Alert struct {
 	Threshold float64 `json:"threshold"`
 }
 
+// Alert transition types: a burn-rate page started or stopped firing.
+const (
+	// EventAlertFiring: a burn-rate page crossed its threshold on both
+	// windows.
+	EventAlertFiring = "alert_firing"
+	// EventAlertResolved: a firing page dropped back below threshold.
+	EventAlertResolved = "alert_resolved"
+)
+
+// Event is one alert transition in the store's history, served by GET
+// /alerts. Function carries the rule name, Worker the page ("fast" or
+// "slow") and Detail the burn numbers at the transition; Job and Attempt
+// are never set and keep the reply's shape.
+type Event struct {
+	// Seq is the gap-free transition ordinal: a history that starts
+	// above 0 has lost its oldest entries to DefaultAlertCapacity.
+	Seq int64 `json:"seq"`
+	// AtMs is the cluster-clock offset in milliseconds (virtual in sim
+	// mode, wall in live mode).
+	AtMs float64 `json:"at_ms"`
+	// Type is EventAlertFiring or EventAlertResolved.
+	Type     string `json:"type"`
+	Job      int64  `json:"job,omitempty"`
+	Function string `json:"function,omitempty"`
+	Worker   string `json:"worker,omitempty"`
+	Attempt  int    `json:"attempt"`
+	Detail   string `json:"detail,omitempty"`
+}
+
+// appendAlertLocked stamps ev's Seq and files it in the alert history,
+// dropping the oldest entry once DefaultAlertCapacity are kept. Caller
+// holds s.mu.
+func (s *Store) appendAlertLocked(ev Event) {
+	ev.Seq = s.alertSeq
+	s.alertSeq++
+	if len(s.alerts) == DefaultAlertCapacity {
+		s.alerts = append(s.alerts[:0], s.alerts[1:]...)
+	}
+	s.alerts = append(s.alerts, ev)
+}
+
+// AlertHistory returns every retained alert transition, oldest first.
+func (s *Store) AlertHistory() []Event {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.alerts)
+}
+
 // ActiveAlerts returns every page currently firing, in rule order.
 func (s *Store) ActiveAlerts() []Alert {
 	if s == nil {
@@ -551,7 +601,7 @@ func (e *sloEngine) eval(s *Store, now time.Duration) {
 }
 
 // evalPage judges one page on its freshly burned pair and records a
-// transition event in the alert log when the firing state flips.
+// transition in the alert history when the firing state flips.
 func (e *sloEngine) evalPage(s *Store, now time.Duration, rs *ruleState, st *pageState, page string, short, long Duration, threshold float64) {
 	// Until the clock has covered the short window, the burn measures the
 	// startup transient (a handful of samples against a mostly-empty
@@ -568,13 +618,13 @@ func (e *sloEngine) evalPage(s *Store, now time.Duration, rs *ruleState, st *pag
 	}
 	st.firing = firing
 	st.sinceMs = float64(now) / float64(time.Millisecond)
-	typ := telemetry.EventAlertResolved
+	typ := EventAlertResolved
 	if firing {
-		typ = telemetry.EventAlertFiring
+		typ = EventAlertFiring
 	}
 	detail := fmt.Sprintf("burn short=%.2f long=%.2f threshold=%g windows=%s/%s",
 		st.shortBurn, st.longBurn, threshold, fmtDur(time.Duration(short)), fmtDur(time.Duration(long)))
-	s.alerts.Append(telemetry.Event{
+	s.appendAlertLocked(Event{
 		AtMs:     float64(now) / float64(time.Millisecond),
 		Type:     typ,
 		Function: rs.rule.Name,

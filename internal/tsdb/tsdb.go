@@ -33,7 +33,7 @@
 //   - an SLO engine (slo.go) evaluating declarative objectives —
 //     latency threshold, error ratio, J/function energy budget — as
 //     multi-window burn-rate alerts, with firing/resolved transitions
-//     recorded in the store's alert log. A rule binds
+//     recorded in the store's alert history. A rule binds
 //     the series it reads once, in first-seen order, and walks each
 //     window forward through a run cursor instead of searching;
 //   - an arrival-rate tracker (arrival.go) maintaining EWMA and
@@ -72,7 +72,8 @@ const (
 	DefaultTier1 = 10 * time.Second
 	// DefaultTier2 is the second downsample resolution.
 	DefaultTier2 = time.Minute
-	// DefaultAlertCapacity bounds the alert-transition event ring.
+	// DefaultAlertCapacity bounds the alert history: the newest
+	// transitions are kept.
 	DefaultAlertCapacity = 1024
 )
 
@@ -170,7 +171,10 @@ type Store struct {
 
 	arrival *arrivalTracker
 	slo     *sloEngine
-	alerts  *telemetry.EventLog
+	// alerts is the alert history, oldest first, at most
+	// DefaultAlertCapacity; alertSeq is the next transition's Seq.
+	alerts   []Event
+	alertSeq int64
 }
 
 // New builds a Store with the given tuning; zero fields take defaults.
@@ -187,7 +191,6 @@ func New(cfg Config) *Store {
 		asked:   make(map[string]struct{}),
 		clk:     clock{keep: cfg.RawCapacity},
 		arrival: &arrivalTracker{byFn: map[string]*arrivalState{}},
-		alerts:  telemetry.NewEventLog(DefaultAlertCapacity),
 	}
 }
 
@@ -339,14 +342,6 @@ func (s *Store) SeriesCount() int {
 		n += len(ms.order)
 	}
 	return n
-}
-
-// AlertHistory returns every retained alert transition, oldest first.
-func (s *Store) AlertHistory() []telemetry.Event {
-	if s == nil {
-		return nil
-	}
-	return s.alerts.Since(-1, 0)
 }
 
 // Start begins wall-clock scraping: every interval, Scrape(now()) runs

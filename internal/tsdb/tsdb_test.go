@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -241,9 +242,9 @@ func TestSLOLatencyBurnFiresAndResolves(t *testing.T) {
 	var fired, resolved int
 	for _, ev := range hist {
 		switch ev.Type {
-		case telemetry.EventAlertFiring:
+		case EventAlertFiring:
 			fired++
-		case telemetry.EventAlertResolved:
+		case EventAlertResolved:
 			resolved++
 		default:
 			t.Fatalf("unexpected event type %q", ev.Type)
@@ -534,5 +535,61 @@ func TestScrapeIsDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatal("two identical runs exported different series")
+	}
+}
+
+// TestAlertHistoryKeepsNewest drives more than DefaultAlertCapacity page
+// transitions through the SLO engine — 64 rules, each firing and
+// resolving both pages per cycle of slow then fast traffic — and checks
+// the history keeps the newest DefaultAlertCapacity, oldest first,
+// numbered without gaps up to the last transition made.
+func TestAlertHistoryKeepsNewest(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	h := reg.Histogram(DefaultLatencyMetric, "latency", []float64{0.1, 1, 10})
+	s := New(Config{})
+	s.AddSource("shard-00", reg)
+	win := &Windows{
+		FastShort: Duration(2 * time.Second), FastLong: Duration(4 * time.Second), FastBurn: 2,
+		SlowShort: Duration(4 * time.Second), SlowLong: Duration(8 * time.Second), SlowBurn: 1.5,
+	}
+	rules := make([]Rule, 64)
+	for i := range rules {
+		rules[i] = Rule{Name: "p99-" + strconv.Itoa(i), Kind: KindLatency, ThresholdS: 1, Target: 0.9, Windows: win}
+	}
+	if err := s.SetRules(rules); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Duration(0)
+	step := func(latency float64) {
+		for i := 0; i < 10; i++ {
+			h.Observe(latency)
+		}
+		now += time.Second
+		s.Scrape(now)
+	}
+	const cycles = 5 // 5 × 64 rules × 2 pages × (fire + resolve) = 1,280
+	for c := 0; c < cycles; c++ {
+		for i := 0; i < 6; i++ {
+			step(5)
+		}
+		for i := 0; i < 12; i++ {
+			step(0.05)
+		}
+	}
+
+	hist := s.AlertHistory()
+	const made = cycles * 64 * 2 * 2
+	if len(hist) != DefaultAlertCapacity || hist[len(hist)-1].Seq != made-1 {
+		t.Fatalf("history holds %d transitions ending at seq %d, want the newest %d of %d",
+			len(hist), hist[len(hist)-1].Seq, DefaultAlertCapacity, made)
+	}
+	for i := 1; i < len(hist); i++ {
+		a, b := hist[i-1], hist[i]
+		if b.Seq != a.Seq+1 || b.AtMs < a.AtMs {
+			t.Fatalf("history out of order at %d: %+v then %+v", i, a, b)
+		}
+	}
+	if last := hist[len(hist)-1]; last.Type != EventAlertResolved {
+		t.Fatalf("newest transition %+v, want a resolution after the fast traffic", last)
 	}
 }

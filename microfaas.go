@@ -74,8 +74,8 @@ type Gateway = gateway.Server
 
 // GatewayOptions configures a gateway beyond its control plane (sim/live
 // mode label, store). Its Telemetry and Tracer fields are not read: the
-// orchestrator's own telemetry backs /metrics and /events, and its
-// record window /traces.
+// orchestrator's own telemetry backs /metrics, and its record window
+// /traces.
 type GatewayOptions = gateway.Options
 
 // NewGateway builds an HTTP gateway over any orchestrator — live or
@@ -146,10 +146,10 @@ func NewShardedMicroFaaSSim(shards, workersPerShard int, opts SimOptions, scfg S
 
 // --- Telemetry and tracing ---
 
-// Telemetry bundles a cluster's metrics registry and lifecycle-event
-// stream; pass one instance via LiveOptions.Telemetry or
-// SimOptions.Telemetry and serve it through a Gateway's /metrics and
-// /events routes. Nil disables instrumentation with zero overhead.
+// Telemetry is a cluster's metrics registry; pass one instance via
+// LiveOptions.Telemetry or SimOptions.Telemetry and serve it through a
+// Gateway's /metrics route. Nil disables instrumentation with zero
+// overhead.
 type Telemetry = telemetry.Telemetry
 
 // NewTelemetry returns a telemetry bundle with default settings.

@@ -230,8 +230,6 @@ curl -sS -f -o "$tmp/out" -d '{"function":"MatMul","limit_j":100}' "http://$gw/b
 says '"limit_joules":100'
 code=$(curl -sS -o "$tmp/out" -w '%{http_code}' -d '{"function":"nope-1","limit_j":5}' "http://$gw/budgets")
 [ "$code" = 404 ] || die "POST /budgets for an unknown function answered $code, want 404"
-get /events
-says '"cursor"'
 get /metrics
 says microfaas_gateway_polls_parked
 says 'shard="shard-00"'
