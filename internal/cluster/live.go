@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"net"
+	"sync"
 
 	"microfaas/internal/core"
 	"microfaas/internal/gpio"
@@ -58,7 +60,7 @@ type LiveOptions struct {
 }
 
 // liveRecordWindow is how many of the most recent per-invocation records a
-// live orchestrator keeps (≈4.7 MB of 72-byte rows, plus the text of each
+// live orchestrator keeps (≈5.2 MB of 80-byte rows, plus the text of each
 // retained failure): a live process serves until it is stopped, so an
 // append-only log there is a leak, while a finite simulation reads its
 // whole table back and keeps every record.
@@ -82,18 +84,22 @@ type Live struct {
 	PowerMgr *powermgr.Manager
 	GPIO     *gpio.Controller
 
-	// services are the started backing services, in start order.
+	// services are the backing services, in start order; seeding runs
+	// seed until the fixture is in and its stores serve.
 	services []service
+	seeding  sync.WaitGroup
 }
 
 // service is the lifecycle every backing service's server shares.
 type service interface {
-	Listen(addr string) (string, error)
+	ServeOn(ln net.Listener) error
 	Close() error
 }
 
 // StartLive boots the full stack on loopback TCP, its stores holding the
-// workload fixture (workload.SeedStores). Always Close a started cluster.
+// workload fixture (workload.SeedStores). The fixture is written while the
+// rest comes up, and the stores that hold it accept no connection until it
+// is whole. Always Close a started cluster.
 func StartLive(opts LiveOptions) (*Live, error) {
 	n := opts.Workers
 	if n == 0 {
@@ -114,28 +120,29 @@ func StartLive(opts LiveOptions) (*Live, error) {
 		}
 	}()
 
-	// Seeded before they listen: no client sees a half-written fixture.
-	sql, obj, broker := sqlstore.NewServer(), objstore.NewServer(), mq.NewServer()
-	if err := workload.SeedStores(sql.Database(), obj.Store(), broker.Broker()); err != nil {
-		return nil, err
-	}
+	// Every store is bound now, so Env has its address. kv serves at once;
+	// the three that hold the fixture serve once seed has written it, which
+	// runs while the workers and the OP come up. A client that dials one of
+	// them first waits in its listen backlog.
+	kv, sql, obj, broker := kvstore.NewServer(), sqlstore.NewServer(), objstore.NewServer(), mq.NewServer()
 	l.Env = &workload.Env{}
-	for _, b := range []struct {
-		srv  service
-		addr *string
-	}{
-		{kvstore.NewServer(), &l.Env.KVStoreAddr},
-		{sql, &l.Env.SQLStoreAddr},
-		{obj, &l.Env.ObjStoreAddr},
-		{broker, &l.Env.MQAddr},
-	} {
-		l.services = append(l.services, b.srv)
-		addr, err := b.srv.Listen("127.0.0.1:0")
+	addrs := []*string{&l.Env.KVStoreAddr, &l.Env.SQLStoreAddr, &l.Env.ObjStoreAddr, &l.Env.MQAddr}
+	lns := make([]net.Listener, 0, len(addrs))
+	for _, addr := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			for _, ln := range lns {
+				ln.Close() //nolint:errcheck // never served
+			}
+			return nil, fmt.Errorf("cluster: listen: %w", err)
 		}
-		*b.addr = addr
+		lns = append(lns, ln)
+		*addr = ln.Addr().String()
 	}
+	l.services = []service{kv, sql, obj, broker}
+	kv.ServeOn(lns[0]) //nolint:errcheck // a fresh server never refuses
+	l.seeding.Add(1)
+	go l.seed(sql, obj, broker, lns[1:])
 
 	if opts.Power != nil {
 		l.GPIO = gpio.NewController()
@@ -190,9 +197,25 @@ func StartLive(opts LiveOptions) (*Live, error) {
 	return l, nil
 }
 
-// Close tears down workers and services. Safe to call more than once and
-// on partially-started clusters.
+// seed writes the fixture into the stores, then serves each on its
+// listener in lns. SeedStores writes constants and Close waits for seed
+// before it closes a store, so either error is a programming error.
+func (l *Live) seed(sql *sqlstore.Server, obj *objstore.Server, broker *mq.Server, lns []net.Listener) {
+	defer l.seeding.Done()
+	if err := workload.SeedStores(sql.Database(), obj.Store(), broker.Broker()); err != nil {
+		panic(err)
+	}
+	for i, srv := range []service{sql, obj, broker} {
+		if err := srv.ServeOn(lns[i]); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// Close tears down workers and services, once the fixture is in. Safe to
+// call more than once and on partially-started clusters.
 func (l *Live) Close() {
+	l.seeding.Wait()
 	for _, w := range l.Workers {
 		w.Close() //nolint:errcheck
 	}

@@ -60,3 +60,25 @@ func TestLiveCloseLeavesNothingRunning(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestLiveCloseWhileSeeding closes each cluster the moment StartLive
+// returns, while its fixture may still be landing: Close must wait for the
+// seeding goroutine and leave nothing running, 20 times over.
+func TestLiveCloseWhileSeeding(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		l, err := StartLive(LiveOptions{Workers: 1, Seed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

@@ -425,7 +425,7 @@ func (w *LiveWorker) RunJob(job core.Job, done func(core.Result)) {
 		w.dev.Set(w.sbc.Power(power.Busy), started)
 	}
 	w.pc.Go(proto.Request{
-		JobID: job.ID, Function: job.Function, Args: job.Args, Attempt: job.Attempt,
+		JobID: job.ID, Function: job.Function, Args: job.Args,
 	}, invokeTimeout, func(resp proto.Response, err error) {
 		res := core.Result{Job: job, WorkerID: w.cfg.ID, StartedAt: started}
 		if err != nil {

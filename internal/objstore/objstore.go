@@ -100,9 +100,10 @@ func (s *Store) object(bucket, key string) (*object, bool) {
 //	GET /b/{bucket}/{key...}   fetch object
 type Server struct {
 	store *Store
-	http  *http.Server
 
-	mu sync.Mutex
+	mu     sync.Mutex
+	http   *http.Server
+	closed bool
 }
 
 // maxObject bounds an object's size, and bodyChunk what a PUT's declared
@@ -116,27 +117,30 @@ func NewServer() *Server { return &Server{store: NewStore()} }
 // process.
 func (s *Server) Store() *Store { return s.store }
 
-// Listen binds to addr and serves in the background, returning the bound
-// address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("objstore: listen: %w", err)
-	}
+// ServeOn serves HTTP on ln in the background until Close, which closes
+// it. A closed server refuses: it closes ln and returns an error.
+func (s *Server) ServeOn(ln net.Listener) error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/b/", s.handle)
+	srv := &http.Server{Handler: mux}
 	s.mu.Lock()
-	s.http = &http.Server{Handler: mux}
-	srv := s.http
+	if s.closed {
+		s.mu.Unlock()
+		ln.Close() //nolint:errcheck // never served
+		return fmt.Errorf("objstore: server already closed")
+	}
+	s.http = srv
 	s.mu.Unlock()
 	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return ln.Addr().String(), nil
+	return nil
 }
 
-// Close shuts the HTTP server down immediately.
+// Close shuts the HTTP server down immediately. It is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
+	s.closed = true
 	srv := s.http
+	s.http = nil
 	s.mu.Unlock()
 	if srv == nil {
 		return nil

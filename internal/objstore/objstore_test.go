@@ -6,6 +6,7 @@ import (
 	"crypto/md5"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -121,13 +122,41 @@ func TestStoreRoundTripProperty(t *testing.T) {
 
 func startObjServer(t *testing.T) *Client {
 	t.Helper()
-	srv := NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
+	return NewClient(serveLoopback(t, NewServer()))
+}
+
+// serveLoopback binds a loopback listener, serves srv on it until the test
+// ends, and returns its address.
+func serveLoopback(t *testing.T, srv *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := srv.ServeOn(ln); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { srv.Close() })
-	return NewClient(addr)
+	return ln.Addr().String()
+}
+
+// TestServeOnAfterCloseRefuses: a closed server serves nothing on a
+// listener it is handed, and closes it.
+func TestServeOnAfterCloseRefuses(t *testing.T) {
+	srv := NewServer()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ServeOn(ln); err == nil {
+		t.Fatal("ServeOn after Close succeeded")
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener handed to a closed server: accept = %v, want it closed", err)
+	}
 }
 
 func TestEndToEndObjectLifecycle(t *testing.T) {
@@ -201,11 +230,7 @@ func TestEndToEndCreateBucketIdempotent(t *testing.T) {
 // fetched was never hashed.
 func TestETagFilledOnFirstAsk(t *testing.T) {
 	srv := NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	addr := serveLoopback(t, srv)
 	c := NewClient(addr)
 	payload := make([]byte, 128<<10)
 	if _, err := rand.Read(payload); err != nil {
@@ -326,11 +351,7 @@ func rawPut(t *testing.T, addr string, length int64, body []byte) int {
 // 400 and store nothing.
 func TestPutBodyRefusals(t *testing.T) {
 	srv := NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	addr := serveLoopback(t, srv)
 	for _, tc := range []struct {
 		name   string
 		length int64

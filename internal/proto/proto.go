@@ -22,7 +22,7 @@
 //	1       kind 'Q'             kind 'R'
 //	8       RID                  RID
 //	8       JobID                JobID
-//	8       Attempt (int64)      BootMs (float64 bits)
+//	8                            BootMs (float64 bits)
 //	8                            OverheadMs (float64 bits)
 //	8                            ExecMs (float64 bits)
 //	4 + n   Function             Err
@@ -61,8 +61,6 @@ type Request struct {
 	Function string
 	// Args is the JSON argument payload.
 	Args []byte
-	// Attempt is the OP's attempt number for the job (0 = first).
-	Attempt int
 }
 
 // Response is the worker's reply.
@@ -313,7 +311,7 @@ const (
 // The bytes of a body before its strings' and payload's own: the kind, the
 // fixed-width fields and one uint32 length per string.
 const (
-	requestHead  = 1 + 3*8 + 4
+	requestHead  = 1 + 2*8 + 4
 	responseHead = 1 + 5*8 + 4
 )
 
@@ -330,7 +328,6 @@ func WriteRequest(bw *bufio.Writer, req Request) error {
 	b = append(b, kindRequest)
 	b = binary.BigEndian.AppendUint64(b, uint64(req.RID))
 	b = binary.BigEndian.AppendUint64(b, uint64(req.JobID))
-	b = binary.BigEndian.AppendUint64(b, uint64(req.Attempt))
 	b = appendString(b, req.Function)
 	return flushFrame(bw, b, req.Args)
 }
@@ -407,7 +404,6 @@ func decodeRequest(body []byte) (Request, error) {
 	var req Request
 	req.RID = d.int64("RID")
 	req.JobID = d.int64("JobID")
-	req.Attempt = int(d.int64("Attempt"))
 	req.Function = d.string("Function")
 	req.Args = d.rest()
 	if d.err != nil {

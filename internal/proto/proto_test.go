@@ -131,7 +131,7 @@ func encode(t testing.TB, write func(*bufio.Writer) error) []byte {
 func TestServeRejectsGarbage(t *testing.T) {
 	reply := encode(t, func(bw *bufio.Writer) error { return WriteResponse(bw, Request{RID: 1, JobID: 1}, Response{}) })
 	longName := encode(t, func(bw *bufio.Writer) error { return WriteRequest(bw, Request{RID: 1, JobID: 1, Function: "x"}) })
-	binary.BigEndian.PutUint32(longName[4+1+3*8:], 1<<20) // Function's length
+	binary.BigEndian.PutUint32(longName[4+1+2*8:], 1<<20) // Function's length
 	jsonBody := []byte(`{"rid":1,"job_id":1,"function":"x"}`)
 	for _, tc := range []struct {
 		name  string
@@ -164,11 +164,14 @@ func TestServeRejectsGarbage(t *testing.T) {
 }
 
 // TestRequestFrameCarriesNoTraceContext: a request frame holds the ids,
-// the attempt, the function name and the args, and round-trips whole. No
-// trace context crosses the wire: the OP renders a job's trace from its
-// own records of the worker's reply.
+// the function name and the args, and round-trips whole; its head is 21
+// bytes. No trace context crosses the wire, nor the attempt: the OP
+// renders a job's trace from its own records of the worker's reply.
 func TestRequestFrameCarriesNoTraceContext(t *testing.T) {
-	req := Request{RID: 7, JobID: 1<<40 + 3, Function: "MatMul", Args: []byte(`{"n":64,"seed":7}`), Attempt: 2}
+	req := Request{RID: 7, JobID: 1<<40 + 3, Function: "MatMul", Args: []byte(`{"n":64,"seed":7}`)}
+	if requestHead != 21 {
+		t.Fatalf("request head is %d bytes, want 21: kind, RID, JobID and the function's length", requestHead)
+	}
 	frame := encode(t, func(bw *bufio.Writer) error { return WriteRequest(bw, req) })
 	if want := 4 + requestHead + len(req.Function) + len(req.Args); len(frame) != want {
 		t.Fatalf("request frame is %d bytes, want %d: something beside the fields travels", len(frame), want)

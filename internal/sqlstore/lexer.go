@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer output.
@@ -19,113 +20,142 @@ const (
 
 type token struct {
 	kind tokenKind
-	text string // identifiers upper-cased for keyword matching? No: raw text
-	pos  int
+	text string // raw text; a string literal's is its unescaped contents
 }
 
-// lexer tokenizes a SQL statement.
+// lexer tokenizes a SQL statement. It walks the source's bytes, decoding a
+// rune only where a byte is not ASCII; an invalid byte reads as U+FFFD, as
+// []rune(src) would have it. Tokens slice the source, and only an error
+// counts runes, for its position.
 type lexer struct {
-	src []rune
-	pos int
+	src string
+	pos int // byte offset
 }
 
-func newLexer(src string) *lexer { return &lexer{src: []rune(src)} }
+func newLexer(src string) *lexer { return &lexer{src: src} }
 
+// errf reports a syntax error at byte offset pos, named by its rune offset.
 func (l *lexer) errf(pos int, format string, args ...any) error {
-	return fmt.Errorf("sqlstore: syntax error at position %d: %s", pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("sqlstore: syntax error at position %d: %s", utf8.RuneCountInString(l.src[:pos]), fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) peek() rune {
-	if l.pos >= len(l.src) {
-		return 0
+// runeAt decodes the rune at byte offset i and its width; past the end it
+// is 0 of width 0.
+func (l *lexer) runeAt(i int) (rune, int) {
+	if i >= len(l.src) {
+		return 0, 0
 	}
-	return l.src[l.pos]
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
 }
+
+// skip advances past every rune from pos on that ok accepts.
+func (l *lexer) skip(ok func(rune) bool) {
+	for {
+		r, w := l.runeAt(l.pos)
+		if w == 0 || !ok(r) {
+			return
+		}
+		l.pos += w
+	}
+}
+
+func isIdentRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' }
 
 func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) && unicode.IsSpace(l.src[l.pos]) {
-		l.pos++
-	}
+	l.skip(unicode.IsSpace)
 	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, pos: l.pos}, nil
+		return token{kind: tokEOF}, nil
 	}
 	start := l.pos
-	c := l.src[l.pos]
+	c, w := l.runeAt(l.pos)
+	after, _ := l.runeAt(l.pos + w)
 	switch {
 	case unicode.IsLetter(c) || c == '_':
-		for l.pos < len(l.src) && (unicode.IsLetter(l.src[l.pos]) || unicode.IsDigit(l.src[l.pos]) || l.src[l.pos] == '_') {
-			l.pos++
-		}
-		return token{kind: tokIdent, text: string(l.src[start:l.pos]), pos: start}, nil
-	case unicode.IsDigit(c) || (c == '-' && l.pos+1 < len(l.src) && unicode.IsDigit(l.src[l.pos+1])):
-		l.pos++ // first digit or sign
+		l.pos += w
+		l.skip(isIdentRune)
+		return token{kind: tokIdent, text: l.src[start:l.pos]}, nil
+	case unicode.IsDigit(c) || c == '-' && unicode.IsDigit(after):
+		l.pos += w // first digit or sign
 		seenDot := false
-		for l.pos < len(l.src) {
-			r := l.src[l.pos]
-			if unicode.IsDigit(r) {
-				l.pos++
-				continue
-			}
+		l.skip(func(r rune) bool {
 			if r == '.' && !seenDot {
 				seenDot = true
-				l.pos++
-				continue
+				return true
 			}
-			break
-		}
-		return token{kind: tokNumber, text: string(l.src[start:l.pos]), pos: start}, nil
+			return unicode.IsDigit(r)
+		})
+		return token{kind: tokNumber, text: l.src[start:l.pos]}, nil
 	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return token{}, l.errf(start, "unterminated string literal")
-			}
-			r := l.src[l.pos]
-			if r == '\'' {
-				// '' escapes a quote inside the literal.
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteRune('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				return token{kind: tokString, text: sb.String(), pos: start}, nil
-			}
-			sb.WriteRune(r)
-			l.pos++
-		}
+		return l.literal(start)
 	case strings.ContainsRune("(),*;=", c):
 		l.pos++
-		return token{kind: tokSymbol, text: string(c), pos: start}, nil
+		return token{kind: tokSymbol, text: l.src[start:l.pos]}, nil
 	case c == '!':
 		l.pos++
-		if l.peek() == '=' {
+		if after == '=' {
 			l.pos++
-			return token{kind: tokSymbol, text: "!=", pos: start}, nil
+			return token{kind: tokSymbol, text: "!="}, nil
 		}
 		return token{}, l.errf(start, "unexpected '!'")
 	case c == '<':
 		l.pos++
-		switch l.peek() {
+		switch after {
 		case '=':
 			l.pos++
-			return token{kind: tokSymbol, text: "<=", pos: start}, nil
+			return token{kind: tokSymbol, text: "<="}, nil
 		case '>':
 			l.pos++
-			return token{kind: tokSymbol, text: "!=", pos: start}, nil // <> normalized to !=
+			return token{kind: tokSymbol, text: "!="}, nil // <> normalized to !=
 		}
-		return token{kind: tokSymbol, text: "<", pos: start}, nil
+		return token{kind: tokSymbol, text: "<"}, nil
 	case c == '>':
 		l.pos++
-		if l.peek() == '=' {
+		if after == '=' {
 			l.pos++
-			return token{kind: tokSymbol, text: ">=", pos: start}, nil
+			return token{kind: tokSymbol, text: ">="}, nil
 		}
-		return token{kind: tokSymbol, text: ">", pos: start}, nil
+		return token{kind: tokSymbol, text: ">"}, nil
 	default:
 		return token{}, l.errf(start, "unexpected character %q", string(c))
 	}
+}
+
+// literal lexes the string literal whose opening quote is at start; a
+// doubled quote inside it is one quote. Its text slices the source unless
+// it holds such an escape or an invalid byte; then the runs between them
+// are copied.
+func (l *lexer) literal(start int) (token, error) {
+	var sb strings.Builder
+	from := start + 1 // first byte not yet in sb
+	for i := from; i < len(l.src); {
+		switch c := l.src[i]; {
+		case c == '\'' && i+1 < len(l.src) && l.src[i+1] == '\'':
+			sb.WriteString(l.src[from : i+1])
+			i += 2
+			from = i
+		case c == '\'':
+			l.pos = i + 1
+			if sb.Len() == 0 {
+				return token{kind: tokString, text: l.src[from:i]}, nil
+			}
+			sb.WriteString(l.src[from:i])
+			return token{kind: tokString, text: sb.String()}, nil
+		case c < utf8.RuneSelf:
+			i++
+		default:
+			r, w := utf8.DecodeRuneInString(l.src[i:])
+			if r == utf8.RuneError && w == 1 {
+				sb.WriteString(l.src[from:i])
+				sb.WriteRune(utf8.RuneError)
+				from = i + 1
+			}
+			i += w
+		}
+	}
+	return token{}, l.errf(start, "unterminated string literal")
 }
 
 // lex tokenizes the whole statement up front, which simplifies lookahead.

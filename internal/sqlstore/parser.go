@@ -142,8 +142,8 @@ type parser struct {
 
 // maxStatementLen bounds what Parse will lex. The longest statement the
 // suite runs is its fixture's 200-row INSERT, about 10 KB; a frame may
-// carry 64 MiB, and the lexer holds a statement as runes and tokens,
-// several times its size.
+// carry 64 MiB, and the lexer's tokens take several times a statement's
+// size.
 const maxStatementLen = 1 << 20
 
 // Parse parses one SQL statement (an optional trailing ';' is allowed).

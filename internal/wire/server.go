@@ -11,7 +11,7 @@ import (
 // the cluster shares: listen, accept, track each connection, and on Close
 // shut the listener and every tracked connection and wait for the
 // handlers. A service embeds it and supplies only its protocol as Serve.
-// The zero value with Name and Serve set is ready to Listen.
+// The zero value with Name and Serve set is ready to Listen (or ServeOn).
 type Server struct {
 	// Name prefixes the server's errors ("kvstore: listen: ...").
 	Name string
@@ -28,24 +28,33 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// Listen binds to addr (e.g. "127.0.0.1:0") and serves in the background,
-// returning the bound address.
+// Listen binds to addr (e.g. "127.0.0.1:0") and serves it in the
+// background (ServeOn), returning the bound address.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("%s: listen: %w", s.Name, err)
 	}
+	if err := s.ServeOn(ln); err != nil {
+		return "", err
+	}
+	return ln.Addr().String(), nil
+}
+
+// ServeOn accepts on ln in the background until Close, which closes it.
+// A closed server refuses: it closes ln and returns an error.
+func (s *Server) ServeOn(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close() //nolint:errcheck // never served
-		return "", fmt.Errorf("%s: server already closed", s.Name)
+		return fmt.Errorf("%s: server already closed", s.Name)
 	}
 	s.ln = ln
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return nil
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {

@@ -92,6 +92,54 @@ func TestServerListenAfterCloseErrors(t *testing.T) {
 	}
 }
 
+// TestServerServeOnAfterCloseRefusesAndClosesListener: a closed server
+// serves nothing on a listener it is handed, and closes it, so a dial is
+// refused rather than left in the backlog.
+func TestServerServeOnAfterCloseRefusesAndClosesListener(t *testing.T) {
+	s := &Server{Name: "echo", Serve: func(*bufio.Reader, *bufio.Writer) {}}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.ServeOn(ln)
+	if err == nil || !strings.Contains(err.Error(), "echo: server already closed") {
+		t.Fatalf("ServeOn after close = %v, want the named already-closed error", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener handed to a closed server: accept = %v, want it closed", err)
+	}
+}
+
+// TestServerCloseEndsServeOnAcceptLoop: Close ends the accept loop that
+// ServeOn started on the caller's listener, and closes that listener.
+func TestServerCloseEndsServeOnAcceptLoop(t *testing.T) {
+	s := &Server{Name: "echo", Serve: ServeJSON(func(p payload) payload { return p })}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ServeOn(ln); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial("echo", ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var got payload
+	if err := c.Call(payload{Name: "a", N: 2}, &got); err != nil || got.N != 2 {
+		t.Fatalf("echo = %+v, %v", got, err)
+	}
+	within(t, 2*time.Second, "Close", func() { s.Close() }) //nolint:errcheck
+	within(t, 2*time.Second, "accept loop", s.wg.Wait)
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("accept after Close = %v, want the listener closed", err)
+	}
+}
+
 // TestServerConnAcceptedDuringCloseIsClosedNotServed freezes the window
 // between Close marking the server closed and closing its listener — the
 // window in which the accept loop can still win a connection that Close's

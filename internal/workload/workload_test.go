@@ -32,13 +32,23 @@ func newBackends() (*Env, func(), error) {
 	var errs [4]error
 	env.KVStoreAddr, errs[0] = kv.Listen("127.0.0.1:0")
 	env.SQLStoreAddr, errs[1] = sql.Listen("127.0.0.1:0")
-	env.ObjStoreAddr, errs[2] = obj.Listen("127.0.0.1:0")
+	env.ObjStoreAddr, errs[2] = serveObjects(obj)
 	env.MQAddr, errs[3] = broker.Listen("127.0.0.1:0")
 	if err := errors.Join(errs[:]...); err != nil {
 		cleanup()
 		return nil, nil, err
 	}
 	return env, cleanup, nil
+}
+
+// serveObjects serves obj on a fresh loopback listener, returning its
+// address.
+func serveObjects(obj *objstore.Server) (string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	return ln.Addr().String(), obj.ServeOn(ln)
 }
 
 // startBackends is newBackends wired to a test's lifecycle.
