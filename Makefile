@@ -1,11 +1,11 @@
 GO ?= go
 
 # `make check` is the CI gate: gofmt, vet, full build, the documentation
-# gate, the SLO rule-file gate, the benchmark module's own vet and tests,
-# and the race-enabled test suite (-count=1 defeats the test cache so every
-# run really runs).
+# gate, the SLO rule-file gate, the line and knob ceilings (loc, knobs),
+# the benchmark module's own vet and tests, and the race-enabled test
+# suite (-count=1 defeats the test cache so every run really runs).
 .PHONY: check
-check: fmt-check vet build docslint slolint bench-module race
+check: fmt-check vet build docslint slolint loc knobs bench-module race
 
 # `make fmt-check` fails, listing them, if any Go file (bench/ included) is
 # not gofmt-clean.
@@ -92,7 +92,7 @@ STORE_REACH_MIN := 70
 # `make knobs` totals may not grow past them. A change that lowers a total
 # lowers its ceiling to match; one that must raise a ceiling says why in
 # CHANGES.md.
-LOC_MAX := 23159
+LOC_MAX := 23285
 KNOBS_MAX := 139
 
 .PHONY: reach
@@ -128,8 +128,9 @@ bench-pairs:
 # `make sim-diff` builds microfaas-sim at the commit BASE and at the working
 # tree and cmps their seeded outputs (scripts/sim-diff.sh: `all` at seeds
 # 1-4 serial and -parallel 4, shardedrack, rackscale10k, shardfailover and
-# powermgmt with the SLO rules, report); it fails at the first difference
-# (about 1 min). After committing, compare with the parent: BASE=HEAD~1.
+# powermgmt with the SLO rules, report); it prints every output that
+# differs and then fails (about 1 min). After committing, compare with the
+# parent: BASE=HEAD~1.
 .PHONY: sim-diff
 sim-diff:
 	bash scripts/sim-diff.sh $(BASE)

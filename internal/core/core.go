@@ -158,7 +158,11 @@ const (
 	// AssignRoundRobin cycles through workers in registration order.
 	AssignRoundRobin
 	// AssignLeastLoaded picks the worker with the fewest queued+running
-	// jobs (ties broken by registration order).
+	// jobs (ties broken by registration order), and is work-conserving: a
+	// worker it could pick that is left free with an empty queue takes the
+	// newest job of the deepest queue (see takeLocked), even one SubmitTo
+	// placed, and a retry goes to the least-loaded worker other than the
+	// one it failed on.
 	AssignLeastLoaded
 	// AssignEnergyAware packs load to maximize power-gated nodes: it
 	// prefers an idle, already-powered worker; wakes a powered-down one
@@ -504,6 +508,10 @@ type Orchestrator struct {
 	// maintains it and queued.
 	load   *loadIndex
 	parked map[int64]*parkedRetry
+	// retryOff names, under least-loaded, the worker each retry queued
+	// behind a running job failed on, so the take never moves it back
+	// there; an entry goes when its job leaves the queue.
+	retryOff map[int64]*workerSlot
 	// budgets holds per-function energy accounting (nil entries never
 	// exist; functions without a budget are simply absent).
 	budgets   map[string]*fnBudget
@@ -666,6 +674,7 @@ func New(cfg Config) (*Orchestrator, error) {
 	}
 	if cfg.Policy == AssignLeastLoaded {
 		o.load = &loadIndex{}
+		o.retryOff = make(map[int64]*workerSlot)
 	}
 	o.idle = sync.NewCond(&o.mu)
 	o.initTelemetry(cfg.Telemetry)
@@ -927,7 +936,8 @@ func (o *Orchestrator) pickEnergyAwareLocked(ws []*workerSlot, noWake bool) *wor
 	}
 }
 
-// SubmitTo enqueues an invocation on a specific worker's queue.
+// SubmitTo enqueues an invocation on a specific worker's queue. Under
+// least-loaded another worker left free may still take it (see takeLocked).
 func (o *Orchestrator) SubmitTo(workerID, function string, args []byte) (int64, error) {
 	o.mu.Lock()
 	if o.draining.Load() {
@@ -1011,7 +1021,14 @@ func (o *Orchestrator) maybeDispatchLocked(s *workerSlot) *inflight {
 			return nil
 		}
 	}
-	job := s.qpop()
+	return o.startLocked(s, s.qpop())
+}
+
+// startLocked starts the free worker s on job: see maybeDispatchLocked.
+func (o *Orchestrator) startLocked(s *workerSlot, job Job) *inflight {
+	if job.Attempt > 0 {
+		delete(o.retryOff, job.ID)
+	}
 	s.busy = true
 	o.loadChangedLocked(s)
 	s.m.busy.Set(1)
@@ -1031,6 +1048,45 @@ func (o *Orchestrator) maybeDispatchLocked(s *workerSlot) *inflight {
 	return fl
 }
 
+// takeLocked is least-loaded's work conservation, called wherever s is
+// left free with an empty queue: its attempt settled, or it was just
+// added. (A wake never ends on an empty queue but under drain or seal: a
+// take leaves each victim a job.) If s could take (canTakeLocked), it
+// takes the newest queued job of the deepest queue — the end TakeQueued
+// steals from — and returns its dispatched attempt; if that job is a
+// retry that failed on s, s takes nothing. The job keeps its id, submit
+// time, attempt, deadline and callback; parked retries are on no queue.
+// Caller holds o.mu.
+func (o *Orchestrator) takeLocked(s *workerSlot) *inflight {
+	if !o.canTakeLocked(s) {
+		return nil
+	}
+	r := o.load.most()
+	if r < 0 {
+		return nil
+	}
+	victim := o.slots[r]
+	if job := victim.queue[len(victim.queue)-1]; job.Attempt > 0 && o.retryOff[job.ID] == s {
+		return nil
+	}
+	job := victim.qpoptail()
+	o.loadChangedLocked(victim)
+	if o.pm != nil { // through s's queue, so dispatch marks s in use
+		o.pushJobLocked(s, job)
+		return o.maybeDispatchLocked(s)
+	}
+	return o.startLocked(s, job)
+}
+
+// canTakeLocked: the policy is least-loaded, the orchestrator unsealed, and
+// s attached, free with an empty queue, pickable, and not failing — a
+// worker whose last attempt failed (and which a power manager is
+// power-cycling) takes nothing until it completes one. Caller holds o.mu.
+func (o *Orchestrator) canTakeLocked(s *workerSlot) bool {
+	return o.load != nil && !o.sealed && !s.busy && !s.detached && s.qlen() == 0 &&
+		s.health.consec == 0 && (s.eligPos >= 0 || o.load.count[0] == 0)
+}
+
 // workerPowered is the power manager's ready callback: the wake requested
 // for this worker has completed and it may dispatch. Runs outside both the
 // manager's lock and (on entry) the orchestrator's.
@@ -1040,8 +1096,8 @@ func (o *Orchestrator) workerPowered(s *workerSlot) {
 	s.bootPending = true
 	run := o.maybeDispatchLocked(s)
 	if run == nil {
-		// The queue emptied while the node booted (deadline reassignment or
-		// drain took the jobs); hand the fresh node to the idle policy.
+		// The queue emptied while the node booted (drain, or a seal's
+		// TakeAll, took the jobs); hand the fresh node to the idle policy.
 		s.bootPending = false
 		o.noteWorkerIdleLocked(s)
 	}
@@ -1129,6 +1185,9 @@ func (o *Orchestrator) completed(fl *inflight, res Result) {
 	// dispatch. The common case (no retry) keeps runs nil and allocates
 	// nothing.
 	selfRun := o.maybeDispatchLocked(s)
+	if selfRun == nil {
+		selfRun = o.takeLocked(s)
+	}
 	if selfRun == nil {
 		o.noteWorkerIdleLocked(s)
 	}
@@ -1234,9 +1293,7 @@ func (o *Orchestrator) resolveAttemptLocked(failedOn *workerSlot, job Job, res R
 			p.cancel = o.runtime.After(delay, func() { o.requeueParked(next.ID) })
 			return nil, nil
 		}
-		s := o.pickRetryWorkerLocked(failedOn)
-		o.pushJobLocked(s, next)
-		if run := o.maybeDispatchLocked(s); run != nil {
+		if run := o.queueRetryLocked(failedOn, next); run != nil {
 			runs = append(runs, run)
 		}
 		return runs, nil
@@ -1278,24 +1335,43 @@ func (o *Orchestrator) requeueParked(id int64) {
 		return
 	}
 	delete(o.parked, id)
-	var s *workerSlot
-	if failed, ok := o.byID[p.exclude]; ok {
-		s = o.pickRetryWorkerLocked(failed)
-	} else {
-		s = o.pickWorkerLocked(p.job.Function)
-	}
-	o.pushJobLocked(s, p.job)
-	run := o.maybeDispatchLocked(s)
+	run := o.queueRetryLocked(o.byID[p.exclude], p.job)
 	o.mu.Unlock()
 	if run != nil {
 		run.run()
 	}
 }
 
+// queueRetryLocked queues a retry on a worker other than failed, the one
+// its last attempt failed on (on the policy's pick once failed has left,
+// nil), and returns its dispatched attempt if that worker is free. A retry
+// left queued under least-loaded is noted in retryOff. Caller holds o.mu.
+func (o *Orchestrator) queueRetryLocked(failed *workerSlot, job Job) *inflight {
+	var s *workerSlot
+	if failed != nil {
+		s = o.pickRetryWorkerLocked(failed)
+	} else {
+		s = o.pickWorkerLocked(job.Function)
+	}
+	o.pushJobLocked(s, job)
+	run := o.maybeDispatchLocked(s)
+	if run == nil && o.retryOff != nil && failed != nil && s != failed {
+		o.retryOff[job.ID] = failed
+	}
+	return run
+}
+
 // pickRetryWorkerLocked chooses a random breaker-eligible worker other
-// than failed (unless there is no other choice). Caller holds o.mu.
+// than failed (unless there is no other choice); least-loaded picks the
+// least-loaded one. Caller holds o.mu.
 func (o *Orchestrator) pickRetryWorkerLocked(failed *workerSlot) *workerSlot {
 	ws := o.assignableLocked()
+	if o.load != nil {
+		if r := o.load.leastBut(failed); r >= 0 {
+			return o.slots[r]
+		}
+		return failed
+	}
 	// O(1) other-worker check: the list either has someone besides failed,
 	// or it is exactly [failed].
 	hasOther := len(ws) > 1 || (len(ws) == 1 && ws[0] != failed)
@@ -1495,6 +1571,7 @@ func (o *Orchestrator) Drain(ctx context.Context) []Job {
 	o.addPendingLocked(-len(abandoned))
 	for _, j := range abandoned {
 		delete(o.callbacks, j.ID)
+		delete(o.retryOff, j.ID)
 	}
 	o.mu.Unlock()
 	return abandoned

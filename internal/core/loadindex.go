@@ -22,6 +22,7 @@ type loadIndex struct {
 	free   []int32  // sets whose level emptied, reused first
 	level  []int32  // level (levelOf) → set k+1; 0 while the level is empty
 	min    [2]int32 // each class's lowest non-empty level, while count > 0
+	max    int32    // the highest non-empty level of either class; 0 when empty
 	count  [2]int   // slots filed in each class
 }
 
@@ -96,6 +97,7 @@ func (ix *loadIndex) file(r int, lvl int32) {
 	}
 	ix.mark(k, r, true)
 	ix.size[k]++
+	ix.max = max(ix.max, lvl)
 	c := lvl & 1
 	if ix.count[c] == 0 || lvl < ix.min[c] {
 		ix.min[c] = lvl
@@ -104,7 +106,7 @@ func (ix *loadIndex) file(r int, lvl int32) {
 }
 
 // unfile clears rank r's bit under lvl. An emptied level frees its set
-// and, if it was its class's lowest, passes that on up.
+// and, if it was its class's lowest or the highest, passes that on.
 func (ix *loadIndex) unfile(r int, lvl int32) {
 	c, k := lvl&1, ix.level[lvl]-1
 	ix.mark(k, r, false)
@@ -118,6 +120,9 @@ func (ix *loadIndex) unfile(r int, lvl int32) {
 		for ix.level[ix.min[c]] == 0 {
 			ix.min[c] += 2
 		}
+	}
+	for ix.max > 0 && ix.level[ix.max] == 0 {
+		ix.max--
 	}
 }
 
@@ -158,14 +163,9 @@ func (ix *loadIndex) rerank(s *workerSlot, r int) {
 	}
 }
 
-// least returns the rank of the policy's pick. An orchestrator always has
-// an attached worker, so the index is never empty.
-func (ix *loadIndex) least() int {
-	c := 0
-	if ix.count[0] == 0 {
-		c = 1
-	}
-	set := ix.set(ix.level[ix.min[c]] - 1)
+// first returns the lowest rank filed in set k, which is never empty.
+func (ix *loadIndex) first(k int32) int {
+	set := ix.set(k)
 	for i, sum := range set[ix.words:] {
 		if sum != 0 {
 			w := i<<6 | bits.TrailingZeros64(sum)
@@ -173,6 +173,44 @@ func (ix *loadIndex) least() int {
 		}
 	}
 	panic("core: least-loaded level filed with no slot")
+}
+
+// least returns the rank of the policy's pick. An orchestrator always has
+// an attached worker, so the index is never empty.
+func (ix *loadIndex) least() int {
+	c := 0
+	if ix.count[0] == 0 {
+		c = 1
+	}
+	return ix.first(ix.level[ix.min[c]] - 1)
+}
+
+// leastBut is least with s unfiled for the pick (a retry's, away from the
+// board it failed on); -1 when s is the only slot filed.
+func (ix *loadIndex) leastBut(s *workerSlot) int {
+	if s.lvl >= 0 {
+		ix.unfile(s.rank, s.lvl)
+		defer ix.file(s.rank, s.lvl)
+	}
+	if ix.count[0]+ix.count[1] == 0 {
+		return -1
+	}
+	return ix.least()
+}
+
+// most returns the rank of the take's victim: the lowest rank at the
+// highest load, in either class, if that load is at least 2 (a job queued
+// behind a running one); -1 otherwise.
+func (ix *loadIndex) most() int {
+	r, top := -1, ix.max&^1
+	for lvl := top; top >= 2<<1 && lvl <= top|1 && int(lvl) < len(ix.level); lvl++ {
+		if k := ix.level[lvl] - 1; k >= 0 {
+			if f := ix.first(k); r < 0 || f < r {
+				r = f
+			}
+		}
+	}
+	return r
 }
 
 // loadChangedLocked is the one hook every change to a slot's load passes:

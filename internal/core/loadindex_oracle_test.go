@@ -32,14 +32,28 @@ func referenceLeastLoaded(ws []*workerSlot) *workerSlot {
 	return best
 }
 
+// referenceMost is the take's victim by scan over the slots in rank
+// order: the lowest rank at the highest load, in either breaker class, if
+// that load is at least 2; -1 otherwise.
+func referenceMost(slots []*workerSlot) int {
+	best, bestLoad := -1, 1
+	for _, s := range slots {
+		if load := s.load(); load > bestLoad {
+			best, bestLoad = s.rank, load
+		}
+	}
+	return best
+}
+
 // checkLoadIndex asserts everything the index promises, between any two
 // orchestrator operations: ranks agreeing with the slot list, each attached
 // slot filed once, at its current (class, load), and no slot in gone (the
 // detached ones) filed at all; every level's set holding exactly its size's
-// bits under a true summary, each class's count and lowest level right, and
-// every set either a level's or free and empty; the running queued total
-// equal to the sum it replaced, and the policy's pick equal to the scan's.
-// Under any other policy there is no index at all.
+// bits under a true summary, each class's count and lowest level and the
+// highest level right, and every set either a level's or free and empty;
+// the running queued total equal to the sum it replaced, and the policy's
+// pick and the take's victim (-1 when nothing is queued) equal to the
+// scan's. Under any other policy there is no index at all.
 func checkLoadIndex(t testing.TB, o *Orchestrator, gone []*workerSlot, after string) {
 	t.Helper()
 	total := o.Queued()
@@ -76,6 +90,7 @@ func checkLoadIndex(t testing.TB, o *Orchestrator, gone []*workerSlot, after str
 		return
 	}
 	var count [2]int
+	highest := int32(0)
 	for r, s := range o.slots {
 		lvl := levelOf(s)
 		if s.lvl != lvl {
@@ -86,6 +101,10 @@ func checkLoadIndex(t testing.TB, o *Orchestrator, gone []*workerSlot, after str
 			t.Fatalf("after %s: %s's bit is not set under level %d", after, s.id, lvl)
 		}
 		count[lvl&1]++
+		highest = max(highest, lvl)
+	}
+	if len(o.slots) > 0 && ix.max != highest {
+		t.Fatalf("after %s: the highest level is %d, index says %d", after, highest, ix.max)
 	}
 	seen := make([]bool, len(ix.size))
 	bitsSet := 0
@@ -133,6 +152,13 @@ func checkLoadIndex(t testing.TB, o *Orchestrator, gone []*workerSlot, after str
 		if !ok {
 			t.Fatalf("after %s: set %d is neither a level's nor free", after, k)
 		}
+	}
+	victim := ix.most()
+	if want := referenceMost(o.slots); victim != want {
+		t.Fatalf("after %s: the take's victim is rank %d, scan says %d", after, victim, want)
+	}
+	if queued == 0 && victim != -1 {
+		t.Fatalf("after %s: nothing is queued, yet the take's victim is rank %d", after, victim)
 	}
 	want := referenceLeastLoaded(o.assignableLocked())
 	if got := o.pickWorkerLocked(""); got != want {

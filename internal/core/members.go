@@ -56,6 +56,7 @@ func (o *Orchestrator) TakeAll() []Stolen {
 		for _, job := range s.qtake() {
 			cb := o.callbacks[job.ID]
 			delete(o.callbacks, job.ID)
+			delete(o.retryOff, job.ID)
 			out = append(out, Stolen{Job: job, Callback: cb})
 		}
 		o.loadChangedLocked(s)
@@ -82,15 +83,24 @@ func (o *Orchestrator) TakeAll() []Stolen {
 // AddWorker registers a worker at runtime (the far end of a re-homing:
 // a dead shard's board joining a survivor's partition). The worker lands
 // at the end of the registration order with a fresh health record and
-// its per-worker metric series (re)attached. Not supported under a power
-// manager, whose node set is fixed at construction.
+// its per-worker metric series (re)attached, and takes a queued job under
+// least-loaded. Not supported under a power manager, whose node set is
+// fixed at construction.
 func (o *Orchestrator) AddWorker(w Worker) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	if o.pm != nil {
 		return fmt.Errorf("core: cannot add workers to a power-managed orchestrator")
 	}
-	return o.addWorkersLocked([]Worker{w})
+	o.mu.Lock()
+	var run *inflight
+	err := o.addWorkersLocked([]Worker{w})
+	if err == nil {
+		run = o.takeLocked(o.slots[len(o.slots)-1])
+	}
+	o.mu.Unlock()
+	if run != nil {
+		run.run()
+	}
+	return err
 }
 
 // RemoveWorker detaches a worker from this orchestrator so it can be

@@ -63,6 +63,7 @@ func (o *Orchestrator) TakeQueued(max int) []Stolen {
 			job := victim.qpoptail()
 			cb := o.callbacks[job.ID]
 			delete(o.callbacks, job.ID)
+			delete(o.retryOff, job.ID)
 			out = append(out, Stolen{Job: job, Callback: cb})
 		}
 		o.loadChangedLocked(victim)

@@ -260,6 +260,12 @@ run ctl slo
 says errors
 stop "$tmp/serve2.log"
 
+# Session three: a deadline and a retry under least-loaded, whose retry
+# goes to the least-loaded worker other than the one it timed out on.
+serve "$tmp/serve3.log" -workers 2 -policy least-loaded -job-timeout 50ms -max-attempts 2
+refused "deadline" ctl invoke MatMul '{"n":1024,"seed":1}'
+stop "$tmp/serve3.log"
+
 # --- the report ---
 mkdir -p .reach
 # The benchmark's own package is another module's, which `go tool cover`

@@ -10,10 +10,12 @@
 # file is read from the side that runs it), and the two outputs are `cmp`d:
 # `all` at seeds 1-4 with -parallel 1 and -parallel 4, shardedrack,
 # rackscale10k, shardfailover with the SLO rules at seeds 1-4, powermgmt
-# with the SLO rules and the predictive arm, and report. The script stops
-# with a non-zero status at the first difference. A change that claims its
-# seeded outputs are unchanged proves it with this; `make sim-diff` runs it
-# with BASE (after committing, BASE=HEAD~1). About 1 min in all on 2 cores.
+# with the SLO rules and the predictive arm, and report. Every command
+# runs; each output that differs is printed with the head of its diff, and
+# the script then exits non-zero, naming how many differed. A change that
+# claims its seeded outputs are unchanged proves it with this, and one that
+# moves some shows which; `make sim-diff` runs it with BASE (after
+# committing, BASE=HEAD~1). About 1 min in all on 2 cores.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,15 +29,17 @@ go build -C "$tmp/src" -o "$tmp/sim-base" ./cmd/microfaas-sim
 go build -o "$tmp/sim-tree" ./cmd/microfaas-sim
 
 n=0
-# same runs one command on both sides and fails at the first difference.
+differ=0
+# same runs one command on both sides and reports whether they differ.
 same() {
 	n=$((n + 1))
 	(cd "$tmp/src" && "$tmp/sim-base" "$@") >"$tmp/out/$n-base.txt"
 	"$tmp/sim-tree" "$@" >"$tmp/out/$n-tree.txt"
 	if ! cmp -s "$tmp/out/$n-base.txt" "$tmp/out/$n-tree.txt"; then
-		echo "sim-diff: microfaas-sim $* differs between $base and the working tree:"
-		diff "$tmp/out/$n-base.txt" "$tmp/out/$n-tree.txt" | head -20
-		exit 1
+		differ=$((differ + 1))
+		echo "differs: microfaas-sim $*"
+		diff "$tmp/out/$n-base.txt" "$tmp/out/$n-tree.txt" | head -20 || true
+		return
 	fi
 	echo "same: microfaas-sim $*"
 }
@@ -51,4 +55,8 @@ for seed in 1 2 3 4; do
 done
 same -slo examples/slo/rules.json -predict powermgmt
 same report
+if [ "$differ" -gt 0 ]; then
+	echo "sim-diff: $differ of $n outputs differ between $base and the working tree"
+	exit 1
+fi
 echo "sim-diff: $n outputs byte-identical between $base and the working tree"
