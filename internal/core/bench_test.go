@@ -32,9 +32,10 @@ func (w *parkWorker) RunJob(job Job, done func(Result)) {
 }
 
 // BenchmarkSubmitLeastLoaded measures one placement plus one settle under
-// the least-loaded policy with half the rack kept busy: every submit picks
-// a worker and every settle frees one, so the cost of keeping the policy's
-// order current is all in ns/op. It must not grow with the rack.
+// the least-loaded policy with half the rack kept busy: every submit takes
+// a free board off its stack and every settle puts one back, so the cost
+// of keeping the free stacks current is all in ns/op. It must not grow
+// with the rack.
 func BenchmarkSubmitLeastLoaded(b *testing.B) {
 	for _, workers := range []int{64, 1024, 16384} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -61,9 +62,9 @@ func BenchmarkSubmitLeastLoaded(b *testing.B) {
 			}
 		})
 	}
-	// Every slot but the last is busy, so each pick finds the one idle
-	// slot at the far end of its level: the summary words keep that a
-	// lookup rather than a scan of the level's 256 bitset words.
+	// Every slot but the last is busy, so each pick finds the one free
+	// board, the free stack's only entry: a lookup, not a scan of the
+	// rack.
 	b.Run("workers=16384/last-idle", func(b *testing.B) {
 		lot, o := parkedRack(b, 16384)
 		ids := o.Workers()

@@ -127,3 +127,42 @@ func TestAddWorkerRegistersAsNew(t *testing.T) {
 		t.Fatalf("the same 40 submissions settled differently (%d and %d records)", len(got), len(want))
 	}
 }
+
+// TestSealedGivesUpItsLastWorker: RemoveWorker refuses an orchestrator's
+// last worker while it is unsealed, and hands it over once it is sealed —
+// a dead shard keeps no board. Under every binding policy and
+// least-loaded, a busy last worker is handed off when its attempt
+// settles, and a job still queued on it waits on the backlog for TakeAll.
+func TestSealedGivesUpItsLastWorker(t *testing.T) {
+	for _, policy := range []AssignPolicy{AssignRandom, AssignRoundRobin, AssignLeastLoaded, AssignEnergyAware} {
+		lot := &parkingLot{}
+		o, err := New(Config{Runtime: SimRuntime{Engine: sim.NewEngine(1)}, Policy: policy, Workers: []Worker{&parkWorker{id: "w", lot: lot}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.RemoveWorker("w", nil); err == nil {
+			t.Fatalf("%v: an unsealed orchestrator gave up its last worker", policy)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := o.SubmitTo("w", "f", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o.Seal()
+		var released []string
+		if err := o.RemoveWorker("w", func(w Worker) { released = append(released, w.ID()) }); err != nil {
+			t.Fatalf("%v: a sealed orchestrator kept its last worker: %v", policy, err)
+		}
+		if len(o.Workers()) != 0 || len(released) != 0 || o.Queued() != 1 {
+			t.Fatalf("%v: %d workers, %d released, %d queued; want none, none (still busy), the 1 waiting", policy, len(o.Workers()), len(released), o.Queued())
+		}
+		run := lot.runs[0]
+		run.done(Result{Job: run.job, WorkerID: "w"})
+		if len(released) != 1 || len(lot.runs) != 1 || o.Pending() != 1 {
+			t.Fatalf("%v: %d released, %d runs, %d pending; want the worker handed off and the queued job held", policy, len(released), len(lot.runs), o.Pending())
+		}
+		if got := o.TakeAll(); len(got) != 1 || o.Pending() != 0 {
+			t.Fatalf("%v: TakeAll recovered %d jobs, %d pending; want the 1 waiting", policy, len(got), o.Pending())
+		}
+	}
+}

@@ -180,25 +180,39 @@ func TestRoundRobinPolicyCycles(t *testing.T) {
 	}
 }
 
+// TestLeastLoadedPolicyAvoidsBusyWorker: least-loaded starts a job on the
+// most recently freed board, and never queues one behind a busy board
+// while another is free. An idle fleet is picked from its last registered
+// board down; after that, the board that freed last wins a tie, whatever
+// its registration order.
 func TestLeastLoadedPolicyAvoidsBusyWorker(t *testing.T) {
 	e := sim.NewEngine(1)
-	slow := &fakeWorker{id: "slow", engine: e, service: time.Hour}
 	fast := &fakeWorker{id: "fast", engine: e, service: time.Millisecond}
-	o, err := New(Config{Runtime: SimRuntime{Engine: e}, Workers: []Worker{slow, fast}, Seed: 1, Policy: AssignLeastLoaded})
+	quick := &fakeWorker{id: "quick", engine: e, service: 2 * time.Millisecond}
+	slow := &fakeWorker{id: "slow", engine: e, service: time.Hour}
+	o, err := New(Config{Runtime: SimRuntime{Engine: e}, Workers: []Worker{fast, quick, slow}, Seed: 1, Policy: AssignLeastLoaded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First job goes to "slow" (both empty, ties break by order) and pins
-	// it busy for an hour. Later submissions — spaced out so fast's jobs
-	// complete in between — must all flow to the idle "fast" worker.
-	horizon := time.Duration(0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 3; i++ {
+		o.Submit("F", nil) // slow, quick, fast: the last registered first
+	}
+	if len(slow.runs) != 1 || len(quick.runs) != 1 || len(fast.runs) != 1 {
+		t.Fatalf("runs slow=%d quick=%d fast=%d, want one each", len(slow.runs), len(quick.runs), len(fast.runs))
+	}
+	// fast frees at 1 ms and quick at 2 ms: quick is the most recently
+	// freed, so it wins the tie although fast registered first. Later
+	// submissions, spaced so each completes before the next, all go to
+	// quick, and none to the busy slow board.
+	horizon := 10 * time.Millisecond
+	e.Run(horizon)
+	for i := 0; i < 8; i++ {
 		o.Submit("F", nil)
 		horizon += 10 * time.Millisecond
 		e.Run(horizon)
 	}
-	if len(fast.runs) != 9 || len(slow.runs) != 1 {
-		t.Fatalf("runs slow=%d fast=%d, want 1/9", len(slow.runs), len(fast.runs))
+	if len(slow.runs) != 1 || len(quick.runs) != 9 || len(fast.runs) != 1 {
+		t.Fatalf("runs slow=%d quick=%d fast=%d, want 1/9/1", len(slow.runs), len(quick.runs), len(fast.runs))
 	}
 }
 
