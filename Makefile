@@ -92,7 +92,7 @@ STORE_REACH_MIN := 70
 # `make knobs` totals may not grow past them. A change that lowers a total
 # lowers its ceiling to match; one that must raise a ceiling says why in
 # CHANGES.md.
-LOC_MAX := 23185
+LOC_MAX := 23155
 KNOBS_MAX := 139
 
 .PHONY: reach

@@ -57,10 +57,19 @@ type Job struct {
 	// isolation makes worker-local faults independent, so reassignment is
 	// the natural retry policy).
 	Attempt int
-	// Timeout bounds one attempt's execution on the cluster clock; when it
-	// expires the OP synthesizes a failed Result and moves on (retrying the
-	// job elsewhere while attempts remain). Zero means no deadline.
-	Timeout time.Duration
+	// cb is the completion callback SubmitAsync was given (nil if none). It
+	// travels with the job, so a job taken off one orchestrator and
+	// submitted to another is called back from wherever it settles.
+	cb func(Result)
+}
+
+// Fail settles a job that was taken off its orchestrator (TakeQueued,
+// TakeAll) and that no orchestrator would take back: its completion
+// callback, if it has one, fires with reason as the error.
+func (j Job) Fail(reason string) {
+	if j.cb != nil {
+		j.cb(Result{Job: j, Err: reason})
+	}
 }
 
 // Result is a completed (or failed) invocation as reported by a worker.
@@ -368,9 +377,10 @@ type AttemptPolicy struct {
 	// every attempt is recorded in the collector, and SubmitAsync
 	// callbacks fire only on the final outcome.
 	MaxAttempts int
-	// JobTimeout is the default per-attempt deadline stamped onto
-	// submitted jobs (zero = no deadline). Enforced via Runtime.After, so
-	// it behaves identically in sim and live modes.
+	// JobTimeout bounds every attempt the orchestrator dispatches (zero =
+	// no deadline), a job moved in from another orchestrator included.
+	// Enforced via Runtime.After, so it behaves identically in sim and
+	// live modes.
 	JobTimeout time.Duration
 	// RetryBase enables exponential backoff between attempts: attempt n
 	// waits in [d/2, d] where d = min(RetryBase·2^(n-1), max) and max is
@@ -470,13 +480,12 @@ type Orchestrator struct {
 	retries []waitingRetry
 	// budgets holds per-function energy accounting (nil entries never
 	// exist; functions without a budget are simply absent).
-	budgets   map[string]*fnBudget
-	callbacks map[int64]func(Result)
-	nextID    int64
-	rrNext    int  // next round-robin index
-	sealed    bool // Seal called: queued jobs frozen for TakeAll recovery
-	idle      *sync.Cond
-	flFree    *inflight // recycled inflight records (see inflight)
+	budgets map[string]*fnBudget
+	nextID  int64
+	rrNext  int  // next round-robin index
+	sealed  bool // Seal called: queued jobs frozen for TakeAll recovery
+	idle    *sync.Cond
+	flFree  *inflight // recycled inflight records (see inflight)
 
 	arrivalCancel func()
 
@@ -625,7 +634,6 @@ func New(cfg Config) (*Orchestrator, error) {
 		eligible:   make([]*workerSlot, 0, len(cfg.Workers)),
 		parked:     make(map[int64]*parkedRetry),
 		budgets:    make(map[string]*fnBudget),
-		callbacks:  make(map[int64]func(Result)),
 		nextID:     cfg.JobIDBase,
 	}
 	o.idle = sync.NewCond(&o.mu)
@@ -927,19 +935,14 @@ func (o *Orchestrator) SubmitTo(workerID, function string, args []byte) (int64, 
 	return id, nil
 }
 
-// newJobLocked accepts a submission: it allocates the job id, stamps the
-// configured JobTimeout, bumps the submission metrics, registers the
-// callback, and counts the job pending — everything except
+// newJobLocked accepts a submission: it allocates the job id, bumps the
+// submission metrics, and counts the job pending — everything except
 // placing the job on a queue. Caller holds o.mu.
 func (o *Orchestrator) newJobLocked(function string, args []byte, cb func(Result)) Job {
 	o.nextID++
-	id := o.nextID
-	job := Job{ID: id, Function: function, Args: args, SubmittedAt: o.runtime.Now(), Timeout: o.attempt.JobTimeout}
+	job := Job{ID: o.nextID, Function: function, Args: args, SubmittedAt: o.runtime.Now(), cb: cb}
 	o.m.submitted.Inc()
 	o.noteSubmitted(function)
-	if cb != nil {
-		o.callbacks[id] = cb
-	}
 	o.addPendingLocked(1)
 	return job
 }
@@ -1005,12 +1008,12 @@ func (o *Orchestrator) startLocked(s *workerSlot, job Job) *inflight {
 	fl.job = job
 	fl.slot = s
 	fl.started = started
-	if job.Timeout > 0 {
+	if d := o.attempt.JobTimeout; d > 0 {
 		// The callback captures the generation so a timer that outlives
 		// this attempt (wall mode can fire it concurrently with the
 		// settling done callback) finds a recycled record and stands down.
 		gen := fl.gen
-		fl.cancelTimeout = o.runtime.After(job.Timeout, func() { o.deadlineExpired(fl, gen) })
+		fl.cancelTimeout = o.runtime.After(d, func() { o.deadlineExpired(fl, gen) })
 	}
 	return fl
 }
@@ -1155,7 +1158,7 @@ func (o *Orchestrator) deadlineExpired(fl *inflight, gen uint64) {
 	res := Result{
 		Job:        job,
 		WorkerID:   s.id,
-		Err:        fmt.Sprintf("core: attempt %d of job %d exceeded its %v deadline on %s", job.Attempt, job.ID, job.Timeout, s.id),
+		Err:        fmt.Sprintf("core: attempt %d of job %d exceeded its %v deadline on %s", job.Attempt, job.ID, o.attempt.JobTimeout, s.id),
 		TimedOut:   true,
 		StartedAt:  fl.started,
 		FinishedAt: now,
@@ -1213,9 +1216,7 @@ func (o *Orchestrator) resolveAttemptLocked(failedOn *workerSlot, job Job, res R
 	}
 	o.noteFinal(job, res, finished)
 	o.addPendingLocked(-1)
-	cb = o.callbacks[job.ID]
-	delete(o.callbacks, job.ID)
-	return cb
+	return job.cb
 }
 
 // retryDelayLocked computes attempt n's backoff: a jittered value in
@@ -1443,9 +1444,6 @@ func (o *Orchestrator) Drain(ctx context.Context) []Job {
 	}
 	abandoned := o.takeAllLocked()
 	sort.Slice(abandoned, func(i, j int) bool { return abandoned[i].ID < abandoned[j].ID })
-	for _, j := range abandoned {
-		delete(o.callbacks, j.ID)
-	}
 	o.mu.Unlock()
 	return abandoned
 }

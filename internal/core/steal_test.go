@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"microfaas/internal/sim"
 )
@@ -52,7 +53,8 @@ func TestJobIDBaseOffsetsSequence(t *testing.T) {
 
 // TestTakeQueuedKeepsHeads loads one worker with a deep queue and
 // checks that TakeQueued drains from the tail, never takes the head
-// job, updates pending, and forgets the stolen callbacks.
+// job, updates pending, and hands each stolen job over with its
+// callback, which the victim never fires.
 func TestTakeQueuedKeepsHeads(t *testing.T) {
 	e, a, _ := newStealPair(t, 1, time.Second)
 	fired := map[int64]bool{}
@@ -68,15 +70,15 @@ func TestTakeQueuedKeepsHeads(t *testing.T) {
 		t.Fatalf("stole %d jobs, want 4", len(stolen))
 	}
 	// Tail-first order: newest job (6) first.
-	if stolen[0].Job.ID != ids[5] {
-		t.Fatalf("first stolen id %d, want newest %d", stolen[0].Job.ID, ids[5])
+	if stolen[0].ID != ids[5] {
+		t.Fatalf("first stolen id %d, want newest %d", stolen[0].ID, ids[5])
 	}
 	for _, st := range stolen {
-		if st.Job.ID == ids[0] || st.Job.ID == ids[1] {
-			t.Fatalf("stole non-stealable job %d", st.Job.ID)
+		if st.ID == ids[0] || st.ID == ids[1] {
+			t.Fatalf("stole non-stealable job %d", st.ID)
 		}
-		if st.Callback == nil {
-			t.Fatalf("job %d lost its callback", st.Job.ID)
+		if st.cb == nil {
+			t.Fatalf("job %d lost its callback", st.ID)
 		}
 	}
 	if p := a.Pending(); p != 2 {
@@ -87,8 +89,8 @@ func TestTakeQueuedKeepsHeads(t *testing.T) {
 		t.Fatal("remaining jobs did not settle")
 	}
 	for _, st := range stolen {
-		if fired[st.Job.ID] {
-			t.Fatalf("stolen job %d settled on the victim", st.Job.ID)
+		if fired[st.ID] {
+			t.Fatalf("stolen job %d settled on the victim", st.ID)
 		}
 	}
 }
@@ -121,8 +123,8 @@ func TestSubmitJobPreservesIdentity(t *testing.T) {
 	if len(stolen) != 1 {
 		t.Fatalf("stole %d, want 1", len(stolen))
 	}
-	want := stolen[0].Job.ID
-	id, err := b.SubmitJob(stolen[0].Job, stolen[0].Callback)
+	want := stolen[0].ID
+	id, err := b.SubmitJob(stolen[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +152,65 @@ func TestSubmitJobPreservesIdentity(t *testing.T) {
 	}
 }
 
+// TestMovedJobRunsUnderThiefDeadline moves a queued job off an
+// orchestrator with no deadline onto one whose JobTimeout is 50ms and
+// whose only board hangs: the thief's deadline settles the job TimedOut,
+// 50ms after it started there.
+func TestMovedJobRunsUnderThiefDeadline(t *testing.T) {
+	e := sim.NewEngine(7)
+	a, err := New(Config{Runtime: SimRuntime{Engine: e}, Workers: []Worker{&fakeWorker{id: "a-w", engine: e, service: time.Second}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(Config{
+		Runtime: SimRuntime{Engine: e}, Workers: []Worker{&hangWorker{id: "b-w", engine: e}},
+		JobIDBase: 1 << 40, AttemptPolicy: AttemptPolicy{JobTimeout: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var settled []Result
+	for j := 0; j < 3; j++ {
+		a.SubmitAsync("f", nil, func(res Result) { settled = append(settled, res) })
+	}
+	stolen := a.TakeQueued(1)
+	if len(stolen) != 1 {
+		t.Fatalf("stole %d, want 1", len(stolen))
+	}
+	e.Schedule(10*time.Millisecond, func() {
+		if _, err := b.SubmitJob(stolen[0]); err != nil {
+			t.Error(err)
+		}
+	})
+	e.RunAll()
+	if len(settled) != 3 {
+		t.Fatalf("%d results, want 3", len(settled))
+	}
+	for _, res := range settled {
+		if res.Job.ID != stolen[0].ID {
+			if res.Err != "" {
+				t.Fatalf("job %d failed on the victim: %s", res.Job.ID, res.Err)
+			}
+			continue
+		}
+		if !res.TimedOut || res.WorkerID != "b-w" || res.StartedAt != 10*time.Millisecond || res.FinishedAt != 60*time.Millisecond {
+			t.Fatalf("moved job settled as %+v, want timed out on b-w at 60ms after starting at 10ms", res)
+		}
+	}
+}
+
+// TestJobStays72Bytes pins the job at 72 bytes: the completion callback
+// it carries took the place of a per-job deadline, so moving the
+// callback into the job grew nothing a queue holds.
+func TestJobStays72Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Job{}); size != 72 {
+		t.Fatalf("core.Job is %d bytes, want 72", size)
+	}
+}
+
 func TestSubmitJobValidates(t *testing.T) {
 	_, _, b := newStealPair(t, 1, time.Second)
-	if _, err := b.SubmitJob(Job{}, nil); err == nil {
+	if _, err := b.SubmitJob(Job{}); err == nil {
 		t.Fatal("SubmitJob accepted a job without an id")
 	}
 }
@@ -166,7 +224,7 @@ func TestSubmitJobRefusedWhileDraining(t *testing.T) {
 	}
 	stolen := a.TakeQueued(1)
 	b.Drain(context.Background()) // b is idle; this just flips it to draining
-	id, err := b.SubmitJob(stolen[0].Job, stolen[0].Callback)
+	id, err := b.SubmitJob(stolen[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +235,7 @@ func TestSubmitJobRefusedWhileDraining(t *testing.T) {
 		t.Fatalf("draining orchestrator holds %d pending", p)
 	}
 	// The caller still owns the job; send it home.
-	if id, err := a.SubmitJob(stolen[0].Job, stolen[0].Callback); err != nil || id == 0 {
+	if id, err := a.SubmitJob(stolen[0]); err != nil || id == 0 {
 		t.Fatalf("victim refused its own job back: id=%d err=%v", id, err)
 	}
 	e.RunAll()

@@ -169,15 +169,15 @@ func checkQueueCounts(t *testing.T, o *Orchestrator, after string) {
 	}
 }
 
-// sameJob compares every field of two jobs without arguments.
+// sameJob compares every exported field of two jobs without arguments.
 func sameJob(a, b Job) bool {
 	return a.ID == b.ID && a.Function == b.Function && a.SubmittedAt == b.SubmittedAt &&
-		a.Attempt == b.Attempt && a.Timeout == b.Timeout && a.Args == nil && b.Args == nil
+		a.Attempt == b.Attempt && a.Args == nil && b.Args == nil
 }
 
 // TestTakeKeepsJobIdentity places 60 jobs built elsewhere (distinct submit
-// times, attempts and deadlines, each with a callback) on four parked
-// boards and settles the attempts in a seeded random order. Each settled
+// times and attempts, each with a callback) on four parked boards and
+// settles the attempts in a seeded random order. Each settled
 // board takes exactly the backlog's head, so the jobs start in the order
 // they were placed. Every job runs and calls back once as it was
 // submitted, its trace row names the board that ran it, and Queued() and
@@ -195,14 +195,15 @@ func TestTakeKeepsJobIdentity(t *testing.T) {
 	want := map[int64]Job{}
 	fired := map[int64]int{}
 	for i := 0; i < 60; i++ {
-		j := Job{ID: int64(1000 + i), Function: "f", SubmittedAt: time.Duration(i) * time.Millisecond, Attempt: i % 3, Timeout: time.Hour}
-		want[j.ID] = j
-		if _, err := o.SubmitJob(j, func(r Result) {
+		j := Job{ID: int64(1000 + i), Function: "f", SubmittedAt: time.Duration(i) * time.Millisecond, Attempt: i % 3}
+		j.cb = func(r Result) {
 			fired[r.Job.ID]++
 			if !sameJob(r.Job, want[r.Job.ID]) {
 				t.Errorf("job %d called back as %+v, submitted as %+v", r.Job.ID, r.Job, want[r.Job.ID])
 			}
-		}); err != nil {
+		}
+		want[j.ID] = j
+		if _, err := o.SubmitJob(j); err != nil {
 			t.Fatal(err)
 		}
 		checkQueueCounts(t, o, "SubmitJob")
@@ -362,11 +363,11 @@ func TestWaitingRetryIsRecovered(t *testing.T) {
 			}
 		} else {
 			got := o.TakeAll()
-			if len(got) != 2 || got[0].Job.ID != waiting || got[1].Job.ID != failed || got[1].Job.Attempt != 1 {
+			if len(got) != 2 || got[0].ID != waiting || got[1].ID != failed || got[1].Attempt != 1 {
 				t.Fatalf("TakeAll took %v, want job %d then the retry of job %d", got, waiting, failed)
 			}
-			for _, st := range got {
-				st.Callback(Result{})
+			for _, job := range got {
+				job.Fail("taken")
 			}
 			if fired != 2 {
 				t.Fatalf("%d callbacks came back with the taken jobs, want 2", fired)

@@ -103,7 +103,6 @@ func (p *Plane) stealTick(queued, pending []int, totalQ int) {
 		trigger = 2
 	}
 	budget := p.cfg.Steal.MaxPerTick
-	moved := 0
 	for v := 0; v < n && budget > 0; v++ {
 		if float64(queued[v]) <= trigger || p.shards[v].Draining() {
 			continue
@@ -120,21 +119,35 @@ func (p *Plane) stealTick(queued, pending []int, totalQ int) {
 			continue
 		}
 		budget -= len(stolen)
-		p.stolenOut[v].Add(float64(len(stolen)))
 		queued[v] -= len(stolen)
 		pending[v] -= len(stolen)
-		for _, st := range stolen {
-			d := p.leastLoaded(pending, v)
-			if d < 0 {
-				d = v // nowhere better; send it home
-			}
-			d = p.place(st, d, v)
-			pending[d]++
+		p.scatter(stolen, v, pending, queued)
+	}
+}
+
+// scatter places jobs taken off shard from, one at a time, on the shard
+// with the least pending work other than from (from itself when no other
+// accepts), counting each placement in the pending snapshot and, when it
+// is non-nil, the queued one. The steal tick and a shard's death both
+// move jobs through it.
+func (p *Plane) scatter(jobs []core.Job, from int, pending, queued []int) {
+	p.stolenOut[from].Add(float64(len(jobs)))
+	moved := 0
+	for _, job := range jobs {
+		d := p.leastLoaded(pending, from)
+		if d < 0 {
+			d = from // nowhere better; send it home
+		}
+		if d = p.place(job, d, from); d < 0 {
+			continue
+		}
+		pending[d]++
+		if queued != nil {
 			queued[d]++
-			if d != v {
-				p.stolenIn[d].Add(1)
-				moved++
-			}
+		}
+		if d != from {
+			p.stolenIn[d].Add(1)
+			moved++
 		}
 	}
 	if moved > 0 {
@@ -144,34 +157,40 @@ func (p *Plane) stealTick(queued, pending []int, totalQ int) {
 	}
 }
 
-// place submits a stolen job to shard d, falling back to the victim and
-// then to any accepting shard if destinations are draining. Returns the
-// index of the shard that took the job. A job is never dropped: at
-// least one shard must accept, because the victim itself was verified
-// non-draining this tick (and in sim mode drain state cannot change
-// mid-tick).
-func (p *Plane) place(st core.Stolen, d, victim int) int {
-	if id, err := p.shards[d].SubmitJob(st.Job, st.Callback); err == nil && id != 0 {
+// place submits a job taken off shard from to shard d, falling back to
+// from and then to any accepting shard if those refuse (they are
+// draining). Returns the index of the shard that took the job, or -1 when
+// every shard refused and the job was failed through its callback, so
+// the submitter is not left waiting forever.
+func (p *Plane) place(job core.Job, d, from int) int {
+	if id, err := p.shards[d].SubmitJob(job); err == nil && id != 0 {
 		return d
 	}
-	if id, err := p.shards[victim].SubmitJob(st.Job, st.Callback); err == nil && id != 0 {
-		return victim
+	if id, err := p.shards[from].SubmitJob(job); err == nil && id != 0 {
+		return from
 	}
 	for i := range p.shards {
-		if i == d || i == victim {
+		if i == d || i == from {
 			continue
 		}
-		if id, err := p.shards[i].SubmitJob(st.Job, st.Callback); err == nil && id != 0 {
+		if id, err := p.shards[i].SubmitJob(job); err == nil && id != 0 {
 			return i
 		}
 	}
-	// Every shard is draining; settle the job as failed so the submitter
-	// is not left waiting forever.
-	if st.Callback != nil {
-		res := core.Result{Job: st.Job, Err: "shard: cluster draining, job not rescheduled"}
-		st.Callback(res)
+	job.Fail("shard: cluster draining, job not rescheduled")
+	return -1
+}
+
+// pendingExcept snapshots every shard's pending count but skip's, which
+// reads 0: the shard a death or a failover moves work off.
+func (p *Plane) pendingExcept(skip int) []int {
+	pending := make([]int, len(p.shards))
+	for i, s := range p.shards {
+		if i != skip {
+			pending[i] = s.Pending()
+		}
 	}
-	return victim
+	return pending
 }
 
 // leastLoaded returns the non-draining shard with the smallest pending

@@ -79,31 +79,8 @@ func (p *Plane) killShard(i int) {
 
 	o := p.shards[i]
 	o.Seal()
-	stolen := o.TakeAll()
-	if len(stolen) > 0 {
-		pending := make([]int, len(p.shards))
-		for j, s := range p.shards {
-			if j != i {
-				pending[j] = s.Pending()
-			}
-		}
-		p.stolenOut[i].Add(float64(len(stolen)))
-		moved := 0
-		for _, st := range stolen {
-			d := p.leastLoaded(pending, i)
-			if d < 0 {
-				d = i // place falls back through every shard and settles if none accept
-			}
-			d = p.place(st, d, i)
-			if d != i {
-				pending[d]++
-				p.stolenIn[d].Add(1)
-				moved++
-			}
-		}
-		p.mu.Lock()
-		p.stolenTotal += int64(moved)
-		p.mu.Unlock()
+	if jobs := o.TakeAll(); len(jobs) > 0 {
+		p.scatter(jobs, i, p.pendingExcept(i), nil)
 		p.armTick()
 	}
 	if cb := p.cfg.Membership.OnDeath; cb != nil {

@@ -299,13 +299,7 @@ func (p *Plane) Submit(key, function string, args []byte, cb func(core.Result)) 
 // window routed work must not be lost. The least-loaded live shard
 // takes it; (0, idx) only when every shard is out of service.
 func (p *Plane) failover(idx int, function string, args []byte, cb func(core.Result)) (int64, int) {
-	pending := make([]int, len(p.shards))
-	for i, s := range p.shards {
-		if i != idx {
-			pending[i] = s.Pending()
-		}
-	}
-	d := p.leastLoaded(pending, idx)
+	d := p.leastLoaded(p.pendingExcept(idx), idx)
 	if d < 0 {
 		return 0, idx
 	}

@@ -173,9 +173,9 @@ func TestShardLoadReadsRace(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	for _, st := range sealed.TakeAll() {
-		if id, err := p.Shards()[0].SubmitJob(st.Job, st.Callback); err != nil || id != st.Job.ID {
-			t.Fatalf("resubmitting job %d on shard 0: id %d, err %v", st.Job.ID, id, err)
+	for _, job := range sealed.TakeAll() {
+		if id, err := p.Shards()[0].SubmitJob(job); err != nil || id != job.ID {
+			t.Fatalf("resubmitting job %d on shard 0: id %d, err %v", job.ID, id, err)
 		}
 	}
 	for _, o := range p.Shards() {
@@ -199,6 +199,75 @@ func TestShardLoadReadsRace(t *testing.T) {
 	for i, o := range p.Shards() {
 		if got := o.Queued(); got != 0 {
 			t.Fatalf("shard %d: Queued() = %d after quiesce, want 0", i, got)
+		}
+	}
+}
+
+// heldWorker keeps every job it is given until the test releases it.
+type heldWorker struct {
+	id   string
+	mu   *sync.Mutex
+	held *[]func()
+}
+
+func (w heldWorker) ID() string { return w.id }
+func (w heldWorker) RunJob(job core.Job, done func(core.Result)) {
+	w.mu.Lock()
+	*w.held = append(*w.held, func() { done(core.Result{Job: job, WorkerID: w.id}) })
+	w.mu.Unlock()
+}
+
+// TestPlaceFallbacks moves jobs taken off shard 0 while the other shards
+// refuse them. A destination that refuses sends the job back to its
+// victim; once every shard refuses, the job's callback fires once with
+// the draining error, scatter counts it nowhere, and no shard's pending
+// count holds it.
+func TestPlaceFallbacks(t *testing.T) {
+	var mu sync.Mutex
+	var held []func()
+	p := wallPlane(t, 3, func(id string) core.Worker { return heldWorker{id: id, mu: &mu, held: &held} })
+	victim := p.Shards()[0]
+	fired := map[int64][]string{}
+	cb := func(r core.Result) { fired[r.Job.ID] = append(fired[r.Job.ID], r.Err) }
+	for i := 0; i < 4; i++ {
+		victim.SubmitAsync("f", nil, cb)
+	}
+	jobs := victim.TakeQueued(2)
+	if len(jobs) != 2 || victim.Pending() != 2 {
+		t.Fatalf("took %d jobs, victim holds %d; want 2 and 2", len(jobs), victim.Pending())
+	}
+
+	p.Shards()[1].Seal()
+	if d := p.place(jobs[0], 1, 0); d != 0 || victim.Pending() != 3 || victim.Queued() != 2 {
+		t.Fatalf("placed on %d, victim holds %d (%d queued); want the victim, 3 and 2", d, victim.Pending(), victim.Queued())
+	}
+
+	p.Shards()[2].Seal()
+	victim.Seal()
+	pending := p.pendingExcept(0)
+	p.scatter(jobs[1:], 0, pending, nil)
+	if errs := fired[jobs[1].ID]; len(errs) != 1 || errs[0] != "shard: cluster draining, job not rescheduled" {
+		t.Fatalf("the refused job was called back with %q, want the draining error once", errs)
+	}
+	if pending[0] != 0 || pending[1] != 0 || pending[2] != 0 || p.StolenTotal() != 0 || p.Pending() != 3 {
+		t.Fatalf("pending snapshot %v, %d stolen, %d pending after the refusal; want zeros and 3", pending, p.StolenTotal(), p.Pending())
+	}
+
+	if got := victim.TakeAll(); len(got) != 2 || p.Pending() != 1 {
+		t.Fatalf("TakeAll recovered %d jobs, %d left pending; want 2 and the running one", len(got), p.Pending())
+	}
+	mu.Lock()
+	run := held
+	mu.Unlock()
+	for _, done := range run {
+		done()
+	}
+	if p.Pending() != 0 || len(fired) != 2 {
+		t.Fatalf("%d pending, %d jobs called back; want 0 and 2", p.Pending(), len(fired))
+	}
+	for id, errs := range fired {
+		if len(errs) != 1 {
+			t.Fatalf("job %d called back %d times", id, len(errs))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sqlstore
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -50,6 +51,30 @@ func TestLexRejects(t *testing.T) {
 		if _, err := lex(bad); err == nil {
 			t.Fatalf("lexed %q without error", bad)
 		}
+	}
+}
+
+// TestLexFixtureInsertAllocs lexes a statement shaped like the live
+// fixture's INSERT (workload.SeedStores: 200 rows of id, name, balance and
+// region, about 8 KB and 2,000 tokens) in one allocation, the token slice
+// sized from the statement's length rather than grown by append.
+func TestLexFixtureInsertAllocs(t *testing.T) {
+	regions := []string{"us-east", "us-west", "eu-central", "ap-south"}
+	rng := rand.New(rand.NewSource(7))
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO records VALUES ")
+	for i := 0; i < 200; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, 'acct-%04d', %.2f, '%s')", i, i, rng.Float64()*10000, regions[i%len(regions)])
+	}
+	src := sb.String()
+	if toks, err := lex(src); err != nil || len(toks) != 2004 {
+		t.Fatalf("lexed %d tokens (err %v), want 2,004", len(toks), err)
+	}
+	if got := testing.AllocsPerRun(20, func() { lex(src) }); got != 1 {
+		t.Fatalf("lexing the fixture INSERT allocates %v times, want 1", got)
 	}
 }
 
